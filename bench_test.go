@@ -1,13 +1,12 @@
 package repro
 
-// One benchmark per experiment in the DESIGN.md index (E1–E18), plus
-// engine micro-benchmarks. Each experiment benchmark runs the exact
-// workload that regenerates the corresponding paper artefact; the
-// EXPERIMENTS.md tables were produced from the same code via cmd/cxrpq-exp.
+// One benchmark per experiment of internal/exp (E1–E26), plus engine
+// micro-benchmarks. Each experiment benchmark runs the exact workload that
+// regenerates the corresponding paper artefact; cmd/cxrpq-exp prints the
+// same tables.
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"cxrpq/internal/automata"
@@ -169,7 +168,7 @@ func BenchmarkXregexMatch(b *testing.B) {
 	}
 }
 
-// --- ablation benchmarks (design choices called out in DESIGN.md) ---
+// --- ablation benchmarks (the design choices E17 measures) ---
 
 // Ablation: EvalBounded's candidate pruning (path labels + definition-body
 // filters) vs the literal Theorem 6 blind guess over (Σ^≤k)^n.
@@ -247,12 +246,22 @@ func BenchmarkEngineReach(b *testing.B) {
 	c := automata.NewSubsetCache(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engine.Reach(ix, c, i%db.NumNodes(), true)
+		engine.Reach(ix, c, i%db.NumNodes(), true, engine.ReachOpts{})
 	}
 }
 
-// BenchmarkEngineReachAll measures the parallel all-sources fan-out.
-func BenchmarkEngineReachAll(b *testing.B) {
+// reachFan is the per-source baseline of the batched kernel: one
+// single-source search per source, parallelism from engine.Fan.
+func reachFan(ix *graph.Index, c *automata.SubsetCache, srcs []int) [][]int {
+	out := make([][]int, len(srcs))
+	engine.Fan(len(srcs), func(i int) {
+		out[i], _ = engine.Reach(ix, c, srcs[i], true, engine.ReachOpts{})
+	})
+	return out
+}
+
+// BenchmarkEngineReachFan measures the parallel all-sources fan-out.
+func BenchmarkEngineReachFan(b *testing.B) {
 	db := workload.Random(7, 2000, 8000, "abc")
 	ix := db.Index()
 	m := xregex.MustCompile(xregex.MustParse("a(b|c)*(a|b)+"), []rune("abc"))
@@ -263,18 +272,18 @@ func BenchmarkEngineReachAll(b *testing.B) {
 	c := automata.NewSubsetCache(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engine.ReachAll(ix, c, srcs, true)
+		reachFan(ix, c, srcs)
 	}
 }
 
 // BenchmarkReachBatch measures the sharded multi-source kernel (PR 6) on
-// the scaled E22 gMark-style workload against the per-source ReachAll fan:
-// "reachall" is the historical baseline (one BFS per source, parallelism
+// the scaled E22 gMark-style workload against the per-source fan:
+// "reachfan" is the historical baseline (one BFS per source, parallelism
 // from Fan), "batch/x1" is MS-BFS source batching alone (single shard,
 // inline), and "batch/xN" adds the frontier-exchange sharding at the
 // effective shard count (forced to ≥4 so the exchange machinery is
 // exercised even on single-core runners). The acceptance floor for PR 6 is
-// batch ≥ 2x over reachall — an algorithmic win (64 sources share each
+// batch ≥ 2x over reachfan — an algorithmic win (64 sources share each
 // product-edge sweep), so it holds at any GOMAXPROCS.
 func BenchmarkReachBatch(b *testing.B) {
 	db := workload.GMark(7, 2400)
@@ -288,11 +297,11 @@ func BenchmarkReachBatch(b *testing.B) {
 	if shards < 4 {
 		shards = 4
 	}
-	b.Run("reachall", func(b *testing.B) {
+	b.Run("reachfan", func(b *testing.B) {
 		c := automata.NewSubsetCache(m)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			engine.ReachAll(ix, c, srcs, true)
+			reachFan(ix, c, srcs)
 		}
 	})
 	b.Run("batch/x1", func(b *testing.B) {
@@ -321,8 +330,7 @@ func BenchmarkE22ShardedReach(b *testing.B) { benchTable(b, exp.E22ShardedReach)
 // lazy chunked source sweeps compute only what one row needs), "drain"
 // pulls the entire relation page by page, and "eval" materializes it with
 // Session.Eval. The acceptance floor for PR 7 is first ≥ 10x faster than
-// eval with drain within 1.2x of eval (see E23's metrics in
-// BENCH_engine.json for recorded ratios).
+// eval with drain within 1.2x of eval (E23 prints the measured ratios).
 func BenchmarkStreamFirstRow(b *testing.B) {
 	db := workload.GMark(7, 1200)
 	db.Index() // shared state: warm outside the timings
@@ -373,7 +381,7 @@ func BenchmarkE23TimeToFirstRow(b *testing.B) { benchTable(b, exp.E23TimeToFirst
 // stalled-read probe (a read issued while the writer sits inside its
 // critical section) and WAL recovery time per megabyte. The acceptance
 // floor for PR 8 is p50_speedup ≥ 2x with the MVCC stalled read not
-// waiting out the writer's stall (see E24's metrics in BENCH_engine.json).
+// waiting out the writer's stall (E24 prints both).
 func BenchmarkSnapshotReadsUnderWrites(b *testing.B) {
 	benchTable(b, exp.E24SnapshotReadsUnderWrites)
 }
@@ -382,7 +390,7 @@ func BenchmarkSnapshotReadsUnderWrites(b *testing.B) {
 // E2/E6/E9 workloads: "oneshot" re-prepares and re-derives everything per
 // iteration, "prepared" binds a Session once and re-evaluates through its
 // caches. The acceptance floor for PR 3 is prepared ≥ 1.5x faster on every
-// workload (see E19 in BENCH_engine.json for the recorded ratios).
+// workload (E19 prints the ratios).
 func BenchmarkPreparedReuse(b *testing.B) {
 	items, err := exp.PreparedReuseItems(1)
 	if err != nil {
@@ -429,8 +437,7 @@ func BenchmarkE19PreparedReuse(b *testing.B) { benchTable(b, exp.E19PreparedReus
 // (fine-grained cache maintenance), "rebuild" applies the delta and forces
 // the historical whole-epoch flush with Invalidate. Setup (graph build,
 // session warm-up) is excluded per iteration. The acceptance floor for
-// PR 5 is incremental ≥ 2x faster in aggregate (see E21's metrics in
-// BENCH_engine.json for recorded ratios).
+// PR 5 is incremental ≥ 2x faster in aggregate (E21 prints the ratios).
 func BenchmarkApplyDelta(b *testing.B) {
 	for _, it := range exp.IncrementalUpdateItems(1) {
 		run := func(name string, apply func(*cxrpq.Session, graph.Delta) error) {
@@ -472,8 +479,8 @@ func BenchmarkApplyDelta(b *testing.B) {
 // workload.SkewedJoin), running the exact E20 items: "structural" forces
 // the historical most-bound-first order, "planner" lets the
 // cardinality-estimated order and the semijoin domain reduction run. The
-// acceptance floor is a measurable speedup on every path (see E20's
-// metrics in BENCH_engine.json for recorded ratios).
+// acceptance floor is a measurable speedup on every path (E20 prints the
+// ratios).
 func BenchmarkPlannerJoin(b *testing.B) {
 	items, err := exp.PlannerJoinItems(1)
 	if err != nil {
@@ -502,7 +509,7 @@ func BenchmarkPlannerJoin(b *testing.B) {
 // tuple). "backtracking" runs with the Yannakakis switch off,
 // "yannakakis" with the GYO join tree + semijoin passes + backtrack-free
 // enumeration on. The acceptance floor for PR 9 is yannakakis ≥ 2x faster
-// on both families (see E25's metrics in BENCH_engine.json).
+// on both families (E25 prints the ratios).
 func BenchmarkYannakakis(b *testing.B) {
 	families := []struct {
 		name, src string
@@ -543,8 +550,7 @@ func BenchmarkE25PlannerV2(b *testing.B) { benchTable(b, exp.E25PlannerV2) }
 // historical drain-then-sort producer via a custom comparator replicating the
 // default order (so only the production strategy differs), and "top64/anyk"
 // pulls a 64-row ranked prefix. The acceptance floor for PR 10 is
-// first/anyk ≥ 50x faster than first/drain (asserted inside E26; see
-// BENCH_engine.json for recorded ratios).
+// first/anyk ≥ 50x faster than first/drain (asserted inside E26).
 func BenchmarkAnyK(b *testing.B) {
 	db := workload.GMark(7, 1200)
 	db.Index() // shared label index: warm outside the timings
@@ -593,22 +599,3 @@ func BenchmarkAnyK(b *testing.B) {
 }
 
 func BenchmarkE26RankedTTFR(b *testing.B) { benchTable(b, exp.E26RankedTTFR) }
-
-// TestEmitBenchJSON writes the machine-readable experiment benchmark report
-// when BENCH_JSON names an output path (e.g. BENCH_JSON=BENCH_engine.json
-// go test -run TestEmitBenchJSON .), the same format cxrpq-exp -json emits.
-func TestEmitBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_JSON")
-	if path == "" {
-		t.Skip("set BENCH_JSON=<path> to emit the benchmark report")
-	}
-	tts := exp.AllTimed(1)
-	for _, tt := range tts {
-		if tt.Table.Err != nil {
-			t.Fatalf("%s: %v", tt.Table.ID, tt.Table.Err)
-		}
-	}
-	if err := exp.WriteBenchJSON(path, tts, 1); err != nil {
-		t.Fatal(err)
-	}
-}

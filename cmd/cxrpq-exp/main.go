@@ -1,16 +1,13 @@
-// Command cxrpq-exp runs the paper-reproduction experiment suite (the
-// E1–E16 index in DESIGN.md) and prints one table per experiment. The
-// outputs recorded in EXPERIMENTS.md were produced by this command.
-//
-// With -json the per-experiment wall-clock times are additionally written
-// as a machine-readable report (the repo tracks one as BENCH_engine.json
-// so PRs can diff the perf trajectory). -cpuprofile/-memprofile write
-// runtime/pprof profiles of the run, the intended workflow for tuning the
-// sharded reachability kernel (engine.SetShards) against E22.
+// Command cxrpq-exp runs the paper-reproduction experiment suite (E1–E26,
+// internal/exp) and prints one table per experiment. -cpuprofile/-memprofile
+// write runtime/pprof profiles of the run, the intended workflow for tuning
+// the sharded reachability kernel (engine.SetShards) against E22. Timings
+// across commits are the business of bench/ (see bench/README.md), not of
+// this command.
 //
 // Usage:
 //
-//	cxrpq-exp [-scale 1] [-only E5,E11] [-json BENCH_engine.json] [-cpuprofile cpu.out] [-memprofile mem.out]
+//	cxrpq-exp [-scale 1] [-only E5,E11] [-cpuprofile cpu.out] [-memprofile mem.out]
 package main
 
 import (
@@ -33,7 +30,6 @@ func main() {
 func run() int {
 	scale := flag.Int("scale", 1, "workload scale factor (1 = fast)")
 	only := flag.String("only", "", "comma-separated experiment IDs to run (default: all)")
-	jsonPath := flag.String("json", "", "write machine-readable benchmark results to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the run to this file")
 	flag.Parse()
@@ -74,19 +70,12 @@ func run() int {
 		}
 	}
 	failed := false
-	tts := exp.AllTimed(*scale)
-	for _, tt := range tts {
-		if len(want) > 0 && !want[strings.ToUpper(tt.Table.ID)] {
+	for _, t := range exp.All(*scale) {
+		if len(want) > 0 && !want[strings.ToUpper(t.ID)] {
 			continue
 		}
-		fmt.Println(tt.Table.Render())
-		if tt.Table.Err != nil {
-			failed = true
-		}
-	}
-	if *jsonPath != "" {
-		if err := exp.WriteBenchJSON(*jsonPath, tts, *scale); err != nil {
-			fmt.Fprintln(os.Stderr, "cxrpq-exp:", err)
+		fmt.Println(t.Render())
+		if t.Err != nil {
 			failed = true
 		}
 	}

@@ -41,24 +41,23 @@
 //	                     restart-surviving parked cursors
 //	internal/engine      the product-reachability core shared by every
 //	                     evaluation path: integer-interned graph×NFA BFS
-//	                     with bitset visited sets (Reach/ReachBits), a
-//	                     bounded worker pool (Fan/ReachAll), and the
-//	                     sharded multi-source kernel (ReachBatch): a
+//	                     with bitset visited sets (Reach), a bounded
+//	                     worker pool (Fan), and the sharded multi-source
+//	                     kernel (ReachBatch): a
 //	                     level-synchronous frontier-exchange BFS over the
 //	                     graph×automaton product with one goroutine per
 //	                     degree-balanced shard, MS-BFS source batching (64
 //	                     sources per machine word) and per-shard exchange
 //	                     counters; relation construction in ecrpq runs
-//	                     through it instead of the per-source fan; the
-//	                     kernels expose BFS level indices (shortest-witness
-//	                     distances, ReachLevels / BatchResult.Levs),
-//	                     accept a pluggable edge-weight function (Weight;
-//	                     ReachLevelsW switches the level computation from
-//	                     BFS to a heap Dijkstra over the same product) and
-//	                     poll a per-query Budget (deadline, row cap,
-//	                     context cancellation, Fork for
-//	                     first-witness-cancels-siblings fans) at level
-//	                     granularity
+//	                     through it instead of the per-source fan; both
+//	                     kernels take one ReachOpts: BFS level indices
+//	                     (shortest-witness distances), a pluggable
+//	                     edge-weight function (Weight switches the level
+//	                     computation from BFS to a heap Dijkstra over the
+//	                     same product) and a per-query Budget (deadline,
+//	                     row cap, context cancellation, Fork for
+//	                     first-witness-cancels-siblings fans) polled at
+//	                     level granularity
 //	internal/pattern     graph patterns / conjunctive path queries (§2.3)
 //	internal/planner     the cost-based query-planning layer: per-atom
 //	                     cardinality estimation (first/last-symbol NFA
@@ -80,7 +79,11 @@
 //	                     baselines
 //	internal/crpq        CRPQs (Lemma 1 evaluation)
 //	internal/ecrpq       ECRPQs with regular relations; ECRPQ^er is the
-//	                     synchronized-product evaluation core
+//	                     synchronized-product evaluation core, and its
+//	                     join executor (one compiled plan per conjunct,
+//	                     atoms behind one source interface, a backtracking
+//	                     and a best-first driver) is the last step of
+//	                     every evaluation algorithm in the library
 //	internal/cxrpq       the paper's contribution: CXRPQs, their fragments,
 //	                     evaluation algorithms (Thms 2/5/6, Cor 1), normal
 //	                     form (Lemmas 4-6, 8), translations (Lemmas 12-14);
@@ -129,7 +132,7 @@
 //	                     generator (RandomQuery) behind the differential
 //	                     fuzz harness, and the MutationStream delta
 //	                     workload behind the incremental-update experiment
-//	internal/exp         the E1-E26 experiment harness (see DESIGN.md)
+//	internal/exp         the E1-E26 experiment harness
 //
 // cmd/cxrpq-serve is the concurrent HTTP/JSON evaluation server over the
 // prepared-query subsystem: a per-database pool of prepared sessions,
@@ -161,7 +164,7 @@
 //
 // internal/README.md describes the architecture of the hot path and the
 // Plan/Session lifecycle. bench_test.go in this directory exposes every
-// experiment as a Go benchmark; cmd/cxrpq-exp prints the tables recorded in
-// EXPERIMENTS.md and, with -json, emits the machine-readable benchmark
-// report tracked as BENCH_engine.json.
+// experiment as a Go benchmark and cmd/cxrpq-exp prints their tables;
+// bench/ and cmd/cxrpq-bench measure the server end to end and layer by
+// layer (bench/README.md).
 package repro

@@ -174,8 +174,8 @@ type boundedEngine struct {
 	bud    *engine.Budget
 	fanBud *engine.Budget
 
-	// ranked requests BFS first-hit levels on every atom relation
-	// (ecrpq.EdgeRel.Dist), so leaf joins can report witness costs.
+	// ranked requests BFS first-hit levels on every atom relation and
+	// ranked leaf joins, which report them as witness costs.
 	ranked bool
 
 	// weight generalizes ranked witness cost from edge count to a pluggable
@@ -453,7 +453,7 @@ func (e *boundedEngine) relationFor(inst xregex.Node) (*ecrpq.EdgeRel, error) {
 			return r, nil
 		}
 		e.wrelMu.Unlock()
-		r, err := ecrpq.RelationForW(e.db, inst, e.sigma, e.fanBud, true, e.weight)
+		r, err := ecrpq.BuildRelation(e.db, inst, e.sigma, engine.ReachOpts{Budget: e.fanBud, Weight: e.weight})
 		if err != nil {
 			return nil, err
 		}
@@ -465,7 +465,7 @@ func (e *boundedEngine) relationFor(inst xregex.Node) (*ecrpq.EdgeRel, error) {
 		e.wrelMu.Unlock()
 		return r, nil
 	}
-	return e.caches.rels.ForOpts(e.db, inst, e.sigma, e.fanBud, e.ranked)
+	return e.caches.rels.For(e.db, inst, e.sigma, engine.ReachOpts{Budget: e.fanBud, Levels: e.ranked})
 }
 
 // feasible is the sound candidate filter of the Theorem 6 enumeration: a
@@ -563,7 +563,7 @@ func (e *boundedEngine) joinLeaf(st *boundedState) error {
 		// Streaming leaf (Session.Stream): rows flow to the consumer as the
 		// backtracking completes them. Runs are sequential (e.seq), so the
 		// yield needs no locking.
-		ecrpq.JoinRelationsStream(e.p.q.Pattern, st.rels, spec, e.pre, e.fanBud,
+		ecrpq.JoinRelationsStream(e.p.q.Pattern, st.rels, spec, e.pre, ecrpq.Options{Budget: e.fanBud, Ranked: e.ranked},
 			func(t pattern.Tuple, cost int) bool {
 				if !e.yield(t, cost) {
 					e.stop.Store(true)
@@ -574,7 +574,7 @@ func (e *boundedEngine) joinLeaf(st *boundedState) error {
 		return nil
 	}
 	res := pattern.NewTupleSet()
-	ecrpq.JoinRelationsStream(e.p.q.Pattern, st.rels, spec, e.pre, e.fanBud,
+	ecrpq.JoinRelationsStream(e.p.q.Pattern, st.rels, spec, e.pre, ecrpq.Options{Budget: e.fanBud},
 		func(t pattern.Tuple, _ int) bool {
 			res.Add(t)
 			return !e.boolOnly

@@ -157,7 +157,7 @@ func evalVsfStream(q *Query, db *graph.DB, boolOnly bool, bud *engine.Budget) (*
 			return nil, err
 		}
 		if boolOnly {
-			ok, err := ecrpq.EvalBoolBudget(eq, db, fan)
+			ok, err := ecrpq.EvalBoolWith(eq, db, ecrpq.Options{Budget: fan})
 			if err != nil || !ok {
 				return nil, err
 			}
@@ -165,7 +165,7 @@ func evalVsfStream(q *Query, db *graph.DB, boolOnly bool, bud *engine.Budget) (*
 			res.Add(pattern.Tuple{})
 			return res, nil
 		}
-		return ecrpq.EvalBudget(eq, db, fan)
+		return ecrpq.EvalWith(eq, db, ecrpq.Options{Budget: fan})
 	}
 
 	var stop atomic.Bool

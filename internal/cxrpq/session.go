@@ -477,7 +477,7 @@ func (s *Session) evalBoolBudget(bud *engine.Budget) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		ok, err := ecrpq.EvalBoolBudget(eq, s.db, bud)
+		ok, err := ecrpq.EvalBoolWith(eq, s.db, ecrpq.Options{Budget: bud})
 		if err != nil {
 			return false, err
 		}
@@ -505,7 +505,7 @@ func (s *Session) evalSimple(bud *engine.Budget) (*pattern.TupleSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := ecrpq.EvalBudget(eq, s.db, bud)
+	res, err := ecrpq.EvalWith(eq, s.db, ecrpq.Options{Budget: bud})
 	if err != nil {
 		return res, err // truncated: sound partial set, never cached
 	}
@@ -580,7 +580,7 @@ func evalVsfCombos(combos []vsfCombo, db *graph.DB, boolOnly bool, bud *engine.B
 		err := cb.err
 		if err == nil {
 			if boolOnly {
-				ok, berr := ecrpq.EvalBoolBudget(cb.eq, db, fan)
+				ok, berr := ecrpq.EvalBoolWith(cb.eq, db, ecrpq.Options{Budget: fan})
 				if berr != nil {
 					err = berr
 				} else if ok {
@@ -588,7 +588,7 @@ func evalVsfCombos(combos []vsfCombo, db *graph.DB, boolOnly bool, bud *engine.B
 					res.Add(pattern.Tuple{})
 				}
 			} else {
-				res, err = ecrpq.EvalBudget(cb.eq, db, fan)
+				res, err = ecrpq.EvalWith(cb.eq, db, ecrpq.Options{Budget: fan})
 			}
 		}
 		sink.record(i, res, err)
@@ -664,7 +664,7 @@ func (s *Session) evalBoundedBudget(k int, boolOnly bool, bud *engine.Budget) (*
 func (s *Session) Check(t pattern.Tuple) (bool, error) { return s.checkBudget(t, nil) }
 
 // checkBudget is Check under an optional budget; the pre-bound search runs
-// lazily so the first witness short-circuits (ecrpq.CheckBudget). A canceled
+// lazily so the first witness short-circuits (ecrpq.CheckWith). A canceled
 // budget with no witness yields (false, engine.ErrCanceled).
 func (s *Session) checkBudget(t pattern.Tuple, bud *engine.Budget) (bool, error) {
 	switch s.plan.kind {
@@ -678,7 +678,7 @@ func (s *Session) checkBudget(t pattern.Tuple, bud *engine.Budget) (bool, error)
 		if err != nil {
 			return false, err
 		}
-		ok, err := ecrpq.CheckBudget(eq, s.db, t, bud)
+		ok, err := ecrpq.CheckWith(eq, s.db, t, ecrpq.Options{Budget: bud})
 		if err != nil {
 			return false, err
 		}
@@ -711,7 +711,7 @@ func (s *Session) checkVsf(t pattern.Tuple, bud *engine.Budget) (bool, error) {
 		if cb.err != nil {
 			return false, cb.err
 		}
-		ok, err := ecrpq.CheckBudget(cb.eq, s.db, t, bud)
+		ok, err := ecrpq.CheckWith(cb.eq, s.db, t, ecrpq.Options{Budget: bud})
 		if err != nil {
 			return false, err
 		}

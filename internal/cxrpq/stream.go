@@ -151,7 +151,7 @@ func (s *Session) Stream(opts StreamOptions) (*Cursor, error) {
 			return newCursor(bud, opts, nil, build), nil
 		}
 	}
-	run, err := s.streamRunFor(bounded, k, opts.Ranked, opts.Weight, bud)
+	run, err := s.streamRunFor(bounded, k, ecrpq.Options{Budget: bud, Ranked: opts.Ranked, Weight: opts.Weight})
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +232,8 @@ func (s *Session) anyKBuilderFor(bounded bool, k int, bud *engine.Budget, w engi
 // multi-source dispatches (branch combinations, bounded mappings) dedup at
 // this layer — each source dedups only within itself; ranked dispatches must
 // NOT dedup here (the cursor keeps the minimal cost per tuple instead).
-func (s *Session) streamRunFor(bounded bool, k int, ranked bool, weight engine.Weight, bud *engine.Budget) (streamRun, error) {
+func (s *Session) streamRunFor(bounded bool, k int, opts ecrpq.Options) (streamRun, error) {
+	bud, ranked := opts.Budget, opts.Ranked
 	if bounded {
 		sc, rc, sigma := s.current()
 		bp, err := s.plan.boundedPlanFor()
@@ -249,7 +250,7 @@ func (s *Session) streamRunFor(bounded bool, k int, ranked bool, weight engine.W
 			}
 			e.setBudget(bud)
 			e.ranked = ranked
-			e.weight = weight
+			e.weight = opts.Weight
 			e.seq = true // yield is called from this goroutine only
 			if ranked {
 				e.yield = emit
@@ -271,7 +272,7 @@ func (s *Session) streamRunFor(bounded bool, k int, ranked bool, weight engine.W
 			return run, nil
 		}
 		return func(emit func(t pattern.Tuple, cost int) bool) error {
-			return ecrpq.EvalStreamW(eq, s.db, bud, ranked, weight, ecrpq.StreamFunc(emit))
+			return ecrpq.EvalStream(eq, s.db, opts, emit)
 		}, nil
 	case kindVsf:
 		_, rc, _ := s.current()
@@ -299,7 +300,7 @@ func (s *Session) streamRunFor(bounded bool, k int, ranked bool, weight engine.W
 					if cb.err != nil {
 						return cb.err
 					}
-					if err := ecrpq.EvalStreamW(cb.eq, s.db, bud, ranked, weight, wrapped); err != nil {
+					if err := ecrpq.EvalStream(cb.eq, s.db, opts, wrapped); err != nil {
 						return err
 					}
 					if stopped || bud.Canceled() {
@@ -318,7 +319,7 @@ func (s *Session) streamRunFor(bounded bool, k int, ranked bool, weight engine.W
 				if err != nil {
 					return err
 				}
-				return ecrpq.EvalStreamW(eq, s.db, bud, ranked, weight, wrapped)
+				return ecrpq.EvalStream(eq, s.db, opts, wrapped)
 			})
 			if err == errStop {
 				err = nil

@@ -1,8 +1,8 @@
 package ecrpq
 
-// Incremental any-k ranked enumeration (ROADMAP item 3). The legacy ranked
-// path drained the whole enumeration and sorted it before serving row one;
-// AnyK replaces the drain with a best-first search over partial assignments,
+// Incremental any-k ranked enumeration: the best-first driver over compiled
+// plans (plan.go). Instead of draining the whole enumeration and sorting it
+// before serving row one, AnyK searches over partial assignments,
 // Lawler-style: the answer space is partitioned by the rank of the extension
 // chosen at each join constraint, every node of the partition tree is pushed
 // exactly once, and the priority key of a node is
@@ -10,9 +10,8 @@ package ecrpq
 //	cost(determined constraints) + lb(remaining constraints)
 //
 // where lb is an admissible per-suffix lower bound — each undetermined
-// constraint contributes its global minimum witness contribution (the
-// cheapest level any binding of that atom carries; see EdgeRel.MinDist and
-// edgeMinCost). Keys are monotone along tree edges: a child determines one
+// constraint contributes its global minimum witness contribution (step.min:
+// the cheapest cost any binding of that atom carries). Keys are monotone along tree edges: a child determines one
 // more constraint at actual cost d ≥ that constraint's minimum, so pops come
 // off the heap in nondecreasing key order and a complete assignment (whose
 // key IS its exact cost, the suffix bound being empty) is emitted in
@@ -41,57 +40,39 @@ import (
 	"cxrpq/internal/planner"
 )
 
-// anykExt is one way to satisfy a constraint: the constraint's witness
-// contribution and the values of its variable set (rt.vars[ci]) under that
-// choice. Lists of these are cost-sorted and memoized per root.
+// anykExt is one way to satisfy a step: the step's witness contribution and
+// the values of its slots (rt.slots[ci]) under that choice. Lists of these
+// are cost-sorted and memoized per root.
 type anykExt struct {
 	d    int32
-	vals []int
+	vals []int32
 }
 
-// anykRoot is one independent enumeration source feeding the shared heap:
-// either a query-form root (an evaluator, expansions through
-// satisfyEdgeCost/satisfyGroupCost) or a join-form root (a relation-free
-// pattern over materialized EdgeRels, the bounded engine's leaf shape).
+// anykRoot is one independent enumeration source feeding the shared heap: a
+// compiled plan, over an evaluator's lazily probed atoms (AddQuery) or over
+// materialized relations (AddJoin — the bounded engine's leaf shape).
 type anykRoot struct {
-	bud *engine.Budget
+	bud   *engine.Budget
+	p     *plan
+	slots [][]int32 // per step: the slots it reads or binds (unique)
+	lb    []int32   // lb[i] = admissible lower bound of steps i..end; lb[len] = 0
+	memo  map[string][]anykExt
 
-	// query form (ev != nil)
-	ev    *evaluator
-	order []constraintRef
-
-	// join form
-	g      *pattern.Graph
-	rels   []*EdgeRel
-	jorder []int
-
-	out  []string
-	vars [][]string // per order position: the constraint's variable set (unique)
-	lb   []int32    // lb[i] = admissible lower bound of constraints i..end; lb[len] = 0
-	memo map[string][]anykExt
-
-	hint    []int     // per order position: last extension-list length (presize hint)
+	hint    []int     // per step: last extension-list length (presize hint)
 	scratch []anykExt // counting-sort scratch, reused across extends
 }
 
-func (rt *anykRoot) orderLen() int {
-	if rt.ev != nil {
-		return len(rt.order)
-	}
-	return len(rt.jorder)
-}
-
-// anykNode is one node of the Lawler partition tree: constraints before ci
-// are determined in assign at total witness cost cost, and the node stands
-// for choosing extension rank of constraint ci (a node with ci == orderLen
-// is a complete assignment). assign is shared with the node's siblings —
-// only child creation copies it.
+// anykNode is one node of the Lawler partition tree: steps before ci are
+// determined in assign at total witness cost cost, and the node stands for
+// choosing extension rank of step ci (a node with ci == len(steps) is a
+// complete assignment). assign is shared with the node's siblings — only
+// child creation copies it.
 type anykNode struct {
 	root   *anykRoot
 	ci     int
 	rank   int
 	cost   int32
-	assign map[string]int
+	assign []int32
 }
 
 // AnyK is the incremental ranked enumerator. Zero or more roots are added
@@ -102,7 +83,6 @@ type AnyK struct {
 	bud   *engine.Budget
 	h     wHeap
 	nodes []anykNode
-	ord   int64
 }
 
 // NewAnyK returns an enumerator under an optional budget (nil = unlimited),
@@ -113,185 +93,94 @@ func NewAnyK(bud *engine.Budget) *AnyK {
 
 func (a *AnyK) pushNode(nd anykNode, key int32) {
 	a.nodes = append(a.nodes, nd)
-	a.ord++
-	a.h.push(wItem{cost: key, ord: a.ord, idx: len(a.nodes) - 1})
+	a.h.push(wItem{cost: key, idx: len(a.nodes) - 1})
 }
 
-func uniqueVars(names ...string) []string {
-	out := names[:0:0]
-	for _, z := range names {
-		dup := false
-		for _, y := range out {
-			if y == z {
-				dup = true
-				break
+// addRoot registers a compiled (ranked) plan as an enumeration source.
+func (a *AnyK) addRoot(p *plan) {
+	n := len(p.steps)
+	rt := &anykRoot{bud: a.bud, p: p, slots: make([][]int32, n), lb: make([]int32, n+1),
+		memo: map[string][]anykExt{}, hint: make([]int, n)}
+	for i := n - 1; i >= 0; i-- {
+		st := &p.steps[i]
+		all := []int32{st.from, st.to}
+		if st.grp != nil {
+			all = append(append([]int32(nil), st.grp.src...), st.grp.tgt...)
+		}
+		for _, s := range all {
+			dup := false
+			for _, t := range rt.slots[i] {
+				dup = dup || s == t
+			}
+			if !dup {
+				rt.slots[i] = append(rt.slots[i], s)
 			}
 		}
-		if !dup {
-			out = append(out, z)
-		}
+		rt.lb[i] = rt.lb[i+1] + st.min
 	}
-	return out
-}
-
-// edgeMinCost is the admissible per-atom bound for a query-form edge: 0 when
-// the edge language accepts the empty word (a node can witness itself for
-// free), otherwise the cheapest single traversal — 1 under unit cost, the
-// minimum clamped symbol weight under a pluggable weight.
-func (ev *evaluator) edgeMinCost(ei int) int32 {
-	c := ev.ents[ei].cache
-	if c.Final(c.Start()) {
-		return 0
-	}
-	if ev.weight == nil {
-		return 1
-	}
-	nSyms := ev.ix.NumSyms()
-	if nSyms == 0 {
-		return 0
-	}
-	min := ev.symCost(ev.ix.Sym(0))
-	for s := int32(1); s < int32(nSyms); s++ {
-		if w := ev.symCost(ev.ix.Sym(s)); w < min {
-			min = w
-		}
-	}
-	return min
+	a.pushNode(anykNode{root: rt, assign: p.init}, rt.lb[0])
 }
 
 // AddQuery adds a query-form root: q enumerated over db under the
 // enumerator's budget, ranked, with an optional pluggable edge weight.
 func (a *AnyK) AddQuery(q *Query, db *graph.DB, weight engine.Weight) error {
-	ev, err := newEvaluator(q, db)
+	ev, err := newEvaluator(q, db, Options{Budget: a.bud, Ranked: true, Weight: weight}, true)
 	if err != nil {
 		return err
 	}
-	ev.bud, ev.ranked, ev.lazy, ev.weight = a.bud, true, true, weight
-	order := ev.constraintOrder(nil)
-	rt := &anykRoot{
-		bud:   a.bud,
-		ev:    ev,
-		order: order,
-		out:   q.Pattern.Out,
-		vars:  make([][]string, len(order)),
-		lb:    make([]int32, len(order)+1),
-		memo:  map[string][]anykExt{},
-	}
-	for i, c := range order {
-		if c.kind == cEdge {
-			e := q.Pattern.Edges[c.idx]
-			rt.vars[i] = uniqueVars(e.From, e.To)
-		} else {
-			g := q.Groups[c.idx]
-			names := make([]string, 0, 2*len(g.Edges))
-			for _, ei := range g.Edges {
-				names = append(names, q.Pattern.Edges[ei].From, q.Pattern.Edges[ei].To)
-			}
-			rt.vars[i] = uniqueVars(names...)
-		}
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		min := int32(0)
-		if order[i].kind == cEdge {
-			min = ev.edgeMinCost(order[i].idx)
-		}
-		rt.lb[i] = rt.lb[i+1] + min
-	}
-	a.pushNode(anykNode{root: rt, assign: map[string]int{}}, rt.lb[0])
+	a.addRoot(ev.compile(nil, false))
 	return nil
 }
 
 // AddJoin adds a join-form root: a relation-free pattern joined over
 // materialized per-edge relations in the physical plan's order (nil spec
 // falls back to the structural JoinOrder), with the variables of pre
-// pre-bound. The relations should carry levels (RelationForW) for the costs
+// pre-bound. The relations should carry levels (BuildRelation) for the costs
 // to be meaningful; level-free relations enumerate at cost 0.
 func (a *AnyK) AddJoin(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pre map[string]int) {
-	var jorder []int
-	if spec != nil {
-		jorder = spec.Order
-	} else {
-		jorder = JoinOrder(g, pre)
-	}
-	rt := &anykRoot{
-		bud:    a.bud,
-		g:      g,
-		rels:   rels,
-		jorder: jorder,
-		out:    g.Out,
-		vars:   make([][]string, len(jorder)),
-		lb:     make([]int32, len(jorder)+1),
-		memo:   map[string][]anykExt{},
-	}
-	for i, ei := range jorder {
-		e := g.Edges[ei]
-		rt.vars[i] = uniqueVars(e.From, e.To)
-	}
-	for i := len(jorder) - 1; i >= 0; i-- {
-		min := int32(0)
-		if r := rels[jorder[i]]; r != nil {
-			min = r.MinDist()
+	for _, r := range rels[:len(g.Edges)] {
+		if r == nil {
+			return // an atom without a relation has no bindings
 		}
-		rt.lb[i] = rt.lb[i+1] + min
 	}
-	assign := make(map[string]int, len(pre))
-	for z, v := range pre {
-		assign[z] = v
-	}
-	a.pushNode(anykNode{root: rt, assign: assign}, rt.lb[0])
+	a.addRoot(joinPlan(g, rels, spec, nil, pre, true))
 }
 
-// extKey identifies an extension list: the constraint position plus the
-// bound-or-not value of each of its variables (the only parts of assign the
-// satisfy paths read).
-func (rt *anykRoot) extKey(ci int, assign map[string]int) string {
-	buf := make([]byte, 0, 2+5*len(rt.vars[ci]))
+// extKey identifies an extension list: the step position plus the
+// bound-or-not value of each of its slots (the only parts of assign the
+// step reads).
+func (rt *anykRoot) extKey(ci int, assign []int32) string {
+	buf := make([]byte, 0, 2+5*len(rt.slots[ci]))
 	buf = binary.AppendVarint(buf, int64(ci))
-	for _, z := range rt.vars[ci] {
-		v, ok := assign[z]
-		if !ok {
-			v = -2
-		}
-		buf = binary.AppendVarint(buf, int64(v))
+	for _, s := range rt.slots[ci] {
+		buf = binary.AppendVarint(buf, int64(assign[s]))
 	}
 	return string(buf)
 }
 
-// extend materializes (or recalls) the cost-sorted extension list of
-// constraint ci under assign. A budget-canceled computation may be partial
-// and is not memoized.
-func (rt *anykRoot) extend(ci int, assign map[string]int) []anykExt {
+// extend materializes (or recalls) the cost-sorted extension list of step ci
+// under assign. A budget-canceled computation may be partial and is not
+// memoized.
+func (rt *anykRoot) extend(ci int, assign []int32) []anykExt {
 	key := rt.extKey(ci, assign)
 	if exts, ok := rt.memo[key]; ok {
 		return exts
 	}
-	vars := rt.vars[ci]
-	// Presize from the previous list of the same constraint: siblings in the
+	slots := rt.slots[ci]
+	// Presize from the previous list of the same step: siblings in the
 	// partition tree materialize lists of similar length, and append-doubling
 	// on the ~1k-wide cohort lists used to dominate allocation churn.
-	if rt.hint == nil {
-		rt.hint = make([]int, rt.orderLen())
-	}
 	h := rt.hint[ci]
 	exts := make([]anykExt, 0, h)
-	slab := make([]int, 0, h*len(vars)) // one backing array for every value tuple
-	collect := func(d int) {
+	slab := make([]int32, 0, h*len(slots)) // one backing array for every value tuple
+	rt.p.steps[ci].bindings(assign, func(d int32) bool {
 		base := len(slab)
-		for _, z := range vars {
-			slab = append(slab, assign[z]) // every constraint var is bound at yield time
+		for _, s := range slots {
+			slab = append(slab, assign[s]) // a ranked step binds every slot it touches
 		}
-		exts = append(exts, anykExt{d: int32(d), vals: slab[base:len(slab):len(slab)]})
-	}
-	if rt.ev != nil {
-		c := rt.order[ci]
-		if c.kind == cEdge {
-			rt.ev.satisfyEdgeCost(c.idx, assign, collect)
-		} else {
-			rt.ev.satisfyGroupCost(c.idx, assign, collect)
-		}
-	} else {
-		rt.extendJoin(ci, assign, collect)
-	}
+		exts = append(exts, anykExt{d: d, vals: slab[base:len(slab):len(slab)]})
+		return len(exts)%1024 != 0 || !rt.bud.Canceled()
+	})
 	rt.hint[ci] = len(exts)
 	rt.sortExts(exts)
 	if !rt.bud.Canceled() {
@@ -301,40 +190,38 @@ func (rt *anykRoot) extend(ci int, assign map[string]int) []anykExt {
 	return exts
 }
 
-// prefetchNext batches the per-source sweeps the cheapest cohort of a fresh
-// extension list is about to trigger. Every extension tied at the minimum
-// cost spawns a child with the same heap key, so before the enumerator can
-// emit its first row at that key it expands all of them — and when the next
-// constraint is an edge with exactly one endpoint bound, each expansion is
-// one single-source reachability sweep. Issuing those sweeps individually
-// wastes the sharded multi-source kernel; this collects the cohort's
-// distinct sources and fills the evaluator's memos in one ReachBatchEx
-// call. Extensions beyond the cheapest cohort are left to fault in lazily —
+// prefetchNext batches the per-source searches the cheapest cohort of a
+// fresh extension list is about to trigger. Every extension tied at the
+// minimum cost spawns a child with the same heap key, so before the
+// enumerator can emit its first row at that key it expands all of them — and
+// when the next step is a lazily probed atom with exactly one endpoint
+// bound, each expansion is one single-source reachability search. Issuing
+// those individually wastes the sharded multi-source kernel; this collects
+// the cohort's distinct sources and fills the probe memo in one batched
+// sweep. Extensions beyond the cheapest cohort are left to fault in lazily —
 // under distinct costs (e.g. pluggable weights) the cohort is one node and
 // the prefetch degenerates to a no-op.
-func (rt *anykRoot) prefetchNext(ci int, exts []anykExt, assign map[string]int) {
-	if rt.ev == nil || ci+1 >= len(rt.order) || len(exts) < 2 {
+func (rt *anykRoot) prefetchNext(ci int, exts []anykExt, assign []int32) {
+	if ci+1 >= len(rt.p.steps) || len(exts) < 2 {
 		return
 	}
-	c := rt.order[ci+1]
-	if c.kind != cEdge {
+	st := &rt.p.steps[ci+1]
+	probe, lazy := st.src.(*probeAtom)
+	if !lazy {
 		return
 	}
-	e := rt.ev.q.Pattern.Edges[c.idx]
-	pos := func(z string) int {
-		for i, y := range rt.vars[ci] {
-			if y == z {
+	pos := func(s int32) int {
+		for i, t := range rt.slots[ci] {
+			if t == s {
 				return i
 			}
 		}
 		return -1
 	}
-	_, fromBound := assign[e.From]
-	_, toBound := assign[e.To]
-	fi, ti := pos(e.From), pos(e.To)
-	fromKnown, toKnown := fromBound || fi >= 0, toBound || ti >= 0
+	fi, ti := pos(st.from), pos(st.to)
+	fromKnown, toKnown := assign[st.from] >= 0 || fi >= 0, assign[st.to] >= 0 || ti >= 0
 	if fromKnown == toKnown {
-		return // both or neither endpoint determined: not a single-source sweep
+		return // both or neither endpoint determined: not a single-source search
 	}
 	idx := fi
 	if toKnown {
@@ -344,7 +231,7 @@ func (rt *anykRoot) prefetchNext(ci int, exts []anykExt, assign map[string]int) 
 		return // the determined endpoint is already fixed in assign: one source
 	}
 	cohort := exts[0].d
-	seen := make(map[int]bool, len(exts))
+	seen := make(map[int32]bool, len(exts))
 	srcs := make([]int, 0, len(exts))
 	for _, x := range exts {
 		if x.d != cohort {
@@ -352,16 +239,11 @@ func (rt *anykRoot) prefetchNext(ci int, exts []anykExt, assign map[string]int) 
 		}
 		if v := x.vals[idx]; !seen[v] {
 			seen[v] = true
-			srcs = append(srcs, v)
+			srcs = append(srcs, int(v))
 		}
 	}
-	if len(srcs) < 2 {
-		return
-	}
-	if fromKnown {
-		rt.ev.ensureForward(c.idx, srcs)
-	} else {
-		rt.ev.ensureBackward(c.idx, srcs)
+	if len(srcs) >= 2 {
+		probe.prefetch(srcs, fromKnown)
 	}
 }
 
@@ -413,63 +295,6 @@ func (rt *anykRoot) sortExts(exts []anykExt) {
 	copy(exts, out)
 }
 
-// extendJoin enumerates the satisfying bindings of join-form atom ci,
-// passing each one's Dist to collect with the binding transiently applied to
-// assign (mirroring the satisfyEdgeCost contract).
-func (rt *anykRoot) extendJoin(ci int, assign map[string]int, collect func(d int)) {
-	ei := rt.jorder[ci]
-	e := rt.g.Edges[ei]
-	r := rt.rels[ei]
-	if r == nil {
-		return
-	}
-	u, uok := assign[e.From]
-	v, vok := assign[e.To]
-	switch {
-	case uok && vok:
-		if r.Has(u, v) {
-			collect(int(r.Dist(u, v)))
-		}
-	case uok:
-		for i, w := range r.Forward(u) {
-			assign[e.To] = w
-			collect(int(r.levAt(u, i)))
-		}
-		delete(assign, e.To)
-	case vok:
-		for _, w := range r.Backward(v) {
-			assign[e.From] = w
-			collect(int(r.Dist(w, v)))
-		}
-		delete(assign, e.From)
-	default:
-		for u := 0; u < r.NumNodes(); u++ {
-			if rt.bud.Canceled() {
-				break
-			}
-			ws := r.Forward(u)
-			if len(ws) == 0 {
-				continue
-			}
-			assign[e.From] = u
-			if e.From == e.To {
-				for i, w := range ws {
-					if w == u {
-						collect(int(r.levAt(u, i)))
-					}
-				}
-				continue
-			}
-			for i, w := range ws {
-				assign[e.To] = w
-				collect(int(r.levAt(u, i)))
-			}
-			delete(assign, e.To)
-		}
-		delete(assign, e.From)
-	}
-}
-
 // Next pops the next complete assignment's output projection and exact
 // witness cost, in globally nondecreasing cost across every root. ok is
 // false when the space is exhausted or the budget canceled — the caller
@@ -479,24 +304,10 @@ func (a *AnyK) Next() (pattern.Tuple, int, bool) {
 		if a.bud.Canceled() {
 			return nil, 0, false
 		}
-		it := a.h.pop()
-		nd := a.nodes[it.idx] // copy: pushNode below may grow the slab
+		nd := a.nodes[a.h.pop().idx] // copy: pushNode below may grow the slab
 		rt := nd.root
-		if nd.ci == rt.orderLen() {
-			t := make(pattern.Tuple, len(rt.out))
-			ok := true
-			for i, z := range rt.out {
-				v, bound := nd.assign[z]
-				if !bound {
-					ok = false // output var unconstrained; Validate prevents this
-					break
-				}
-				t[i] = v
-			}
-			if ok {
-				return t, int(nd.cost), true
-			}
-			continue
+		if nd.ci == len(rt.p.steps) {
+			return rt.p.project(nd.assign), int(nd.cost), true
 		}
 		exts := rt.extend(nd.ci, nd.assign)
 		if nd.rank >= len(exts) {
@@ -509,12 +320,9 @@ func (a *AnyK) Next() (pattern.Tuple, int, bool) {
 				nd.cost+exts[nd.rank+1].d+rt.lb[nd.ci+1])
 		}
 		child := anykNode{root: rt, ci: nd.ci + 1, cost: nd.cost + ext.d}
-		child.assign = make(map[string]int, len(nd.assign)+len(ext.vals))
-		for z, v := range nd.assign {
-			child.assign[z] = v
-		}
-		for i, z := range rt.vars[nd.ci] {
-			child.assign[z] = ext.vals[i]
+		child.assign = append([]int32(nil), nd.assign...)
+		for i, s := range rt.slots[nd.ci] {
+			child.assign[s] = ext.vals[i]
 		}
 		a.pushNode(child, child.cost+rt.lb[nd.ci+1])
 	}

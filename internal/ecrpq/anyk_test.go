@@ -18,7 +18,7 @@ func drainRanked(t *testing.T, q *ecrpq.Query, db *graph.DB, w engine.Weight) ([
 	t.Helper()
 	best := map[string]int{}
 	tuples := map[string]pattern.Tuple{}
-	err := ecrpq.EvalStreamW(q, db, nil, true, w, func(tu pattern.Tuple, cost int) bool {
+	err := ecrpq.EvalStream(q, db, ecrpq.Options{Ranked: true, Weight: w}, func(tu pattern.Tuple, cost int) bool {
 		k := tupleKey(tu)
 		if c, ok := best[k]; !ok || cost < c {
 			best[k] = cost

@@ -1,7 +1,6 @@
 package ecrpq
 
 import (
-	"sort"
 	"sync"
 
 	"cxrpq/internal/engine"
@@ -17,15 +16,17 @@ import (
 // of the bounded-evaluation engine: exponentially many variable mappings of
 // a CXRPQ^≤k enumeration instantiate the same classical label, and all of
 // them join over the same EdgeRel instead of re-running the product search.
-// An EdgeRel is immutable after RelationFor returns and safe for concurrent
-// readers.
+// An EdgeRel is immutable after BuildRelation returns and safe for
+// concurrent readers. It is the materialized atomSource of the join
+// executor (plan.go).
 type EdgeRel struct {
 	fwd  [][]int
-	lev  [][]int32 // parallel to fwd: BFS first-hit level per target (nil unless built with levels)
+	lev  [][]int32 // parallel to fwd: cost of a cheapest matching path per target (nil unless built with levels)
 	size int
 
 	revOnce sync.Once
 	rev     [][]int
+	revLev  [][]int32 // parallel to rev (nil unless lev is set)
 
 	estOnce sync.Once
 	est     planner.Estimate
@@ -34,39 +35,33 @@ type EdgeRel struct {
 	min     int32
 }
 
-// RelationFor computes the full relation of label over db with the sharded
-// multi-source kernel (engine.ReachBatch over db's degree-balanced
+// RelationFor computes the full relation of label over db; see
+// BuildRelation.
+func RelationFor(db *graph.DB, label xregex.Node, sigma []rune) (*EdgeRel, error) {
+	return BuildRelation(db, label, sigma, engine.ReachOpts{})
+}
+
+// BuildRelation computes the full relation of label over db with the
+// sharded multi-source kernel (engine.ReachBatchEx over db's degree-balanced
 // partition — one batched product sweep per 64 sources instead of a
 // per-source BFS fan), reusing the process-wide compiled-NFA/subset caches.
 // The ∅ expression short-circuits to the empty relation without touching
 // the automata layer.
-func RelationFor(db *graph.DB, label xregex.Node, sigma []rune) (*EdgeRel, error) {
-	return RelationForEx(db, label, sigma, nil, false)
-}
-
-// RelationForEx is RelationFor with streaming extensions: an optional
-// budget polled at BFS-level granularity, and first-hit level capture for
-// ranked enumeration (EdgeRel.Dist). A budget-truncated sweep returns
-// (nil, engine.ErrCanceled) rather than a partial relation — relations are
-// cross-query building blocks and an incomplete one must never be shared.
-func RelationForEx(db *graph.DB, label xregex.Node, sigma []rune, bud *engine.Budget, levels bool) (*EdgeRel, error) {
-	return RelationForW(db, label, sigma, bud, levels, nil)
-}
-
-// RelationForW is RelationForEx under a pluggable edge weight: the captured
-// per-pair levels (EdgeRel.Dist) become minimum total edge weights instead of
-// edge counts (weighted sweeps run the per-source Dijkstra fan — see
-// engine.BatchOpts.Weight). A non-nil weight implies level capture. Weighted
-// relations must NEVER enter cross-query relation caches: a weight function
-// has no cache identity, so two queries with distinct weights would collide
-// on the same label key. Callers build them per query.
-func RelationForW(db *graph.DB, label xregex.Node, sigma []rune, bud *engine.Budget, levels bool, w engine.Weight) (*EdgeRel, error) {
-	if w != nil {
-		levels = true
-	}
+//
+// The build honors o.Budget at BFS-level granularity; a truncated sweep
+// returns (nil, engine.ErrCanceled) rather than a partial relation —
+// relations are cross-query building blocks and an incomplete one must
+// never be shared. With o.Levels the relation carries, per pair, the edge
+// count of a shortest matching path, which ranked joins report as witness
+// cost; under o.Weight (which implies levels) the minimum total edge weight
+// instead. Weighted relations must NEVER enter cross-query relation caches:
+// a weight function has no cache identity, so two queries with distinct
+// weights would collide on the same label key. Callers build them per
+// query.
+func BuildRelation(db *graph.DB, label xregex.Node, sigma []rune, o engine.ReachOpts) (*EdgeRel, error) {
 	n := db.NumNodes()
 	r := &EdgeRel{fwd: make([][]int, n)}
-	if levels {
+	if o.Levels || o.Weight != nil {
 		r.lev = make([][]int32, n)
 	}
 	if _, empty := label.(*xregex.Empty); empty {
@@ -76,13 +71,11 @@ func RelationForW(db *graph.DB, label xregex.Node, sigma []rune, bud *engine.Bud
 	if err != nil {
 		return nil, err
 	}
-	ix := db.Index()
 	srcs := make([]int, n)
 	for i := range srcs {
 		srcs[i] = i
 	}
-	res := engine.ReachBatchEx(ix, db.Partition(engine.Shards()), ent.cache, srcs, true,
-		engine.BatchOpts{Budget: bud, Levels: levels, Weight: w})
+	res := engine.ReachBatchEx(db.Index(), db.Partition(engine.Shards()), ent.cache, srcs, true, o)
 	if res.Truncated {
 		return nil, engine.ErrCanceled
 	}
@@ -90,38 +83,19 @@ func RelationForW(db *graph.DB, label xregex.Node, sigma []rune, bud *engine.Bud
 		r.fwd[u] = vs
 		r.size += len(vs)
 	}
-	if levels {
+	if r.lev != nil {
 		copy(r.lev, res.Levs)
 	}
 	return r, nil
 }
 
-// HasLevels reports whether the relation carries BFS first-hit levels
-// (built by RelationForEx with levels, required for ranked joins).
-func (r *EdgeRel) HasLevels() bool { return r.lev != nil }
-
-// Dist returns the BFS level of (u, v) — the number of graph edges on a
-// shortest path u→v matching the relation's label — or 0 when the relation
-// was built without levels or the pair is absent.
-func (r *EdgeRel) Dist(u, v int) int32 {
-	if r.lev == nil || u < 0 || u >= len(r.fwd) {
-		return 0
-	}
-	ws := r.fwd[u]
-	i := sort.SearchInts(ws, v)
-	if i < len(ws) && ws[i] == v {
-		return r.lev[u][i]
-	}
-	return 0
-}
-
-// MinDist returns the minimum Dist over every pair in the relation — the
+// minDist returns the minimum cost over every pair in the relation — the
 // cheapest single witness any binding of this atom can contribute. It is the
 // atom's admissible lower bound for the any-k priority queue: an
-// undetermined atom will cost at least MinDist, whatever binding the
+// undetermined atom will cost at least minDist, whatever binding the
 // enumeration eventually picks. Relations without levels (or empty ones)
 // report 0, which is trivially admissible.
-func (r *EdgeRel) MinDist() int32 {
+func (r *EdgeRel) minDist() int32 {
 	r.minOnce.Do(func() {
 		if r.lev == nil || r.size == 0 {
 			return
@@ -139,15 +113,6 @@ func (r *EdgeRel) MinDist() int32 {
 		}
 	})
 	return r.min
-}
-
-// levAt returns the level of Forward(u)[i] by position, skipping the binary
-// search Dist pays (0 when the relation carries no levels).
-func (r *EdgeRel) levAt(u, i int) int32 {
-	if r.lev == nil || r.lev[u] == nil {
-		return 0
-	}
-	return r.lev[u][i]
 }
 
 // Empty reports whether the relation holds for no pair at all.
@@ -168,28 +133,54 @@ func (r *EdgeRel) Forward(u int) []int {
 	return r.fwd[u]
 }
 
-// Backward returns the sorted sources that reach v, building the reverse
-// index from the forward lists on first use (no second automaton pass).
-func (r *EdgeRel) Backward(v int) []int {
+func (r *EdgeRel) forward(u int) ([]int, []int32) {
+	if u < 0 || u >= len(r.fwd) {
+		return nil, nil
+	}
+	if r.lev == nil {
+		return r.fwd[u], nil
+	}
+	return r.fwd[u], r.lev[u]
+}
+
+// backward returns the sorted sources that reach v (and their costs),
+// building the reverse index from the forward lists on first use (no second
+// automaton pass).
+func (r *EdgeRel) backward(v int) ([]int, []int32) {
 	r.revOnce.Do(func() {
 		r.rev = make([][]int, len(r.fwd))
+		if r.lev != nil {
+			r.revLev = make([][]int32, len(r.fwd))
+		}
 		for u, vs := range r.fwd {
-			for _, w := range vs {
+			for i, w := range vs {
 				r.rev[w] = append(r.rev[w], u) // u ascending ⇒ lists sorted
+				if r.lev != nil {
+					r.revLev[w] = append(r.revLev[w], r.lev[u][i])
+				}
 			}
 		}
 	})
 	if v < 0 || v >= len(r.rev) {
-		return nil
+		return nil, nil
 	}
-	return r.rev[v]
+	if r.revLev == nil {
+		return r.rev[v], nil
+	}
+	return r.rev[v], r.revLev[v]
 }
 
-// Has reports whether (u, v) is in the relation.
-func (r *EdgeRel) Has(u, v int) bool {
-	ws := r.Forward(u)
-	i := sort.SearchInts(ws, v)
-	return i < len(ws) && ws[i] == v
+func (r *EdgeRel) has(u, v int) (int32, bool) {
+	ws, ds := r.forward(u)
+	return costOf(ws, ds, v)
+}
+
+func (r *EdgeRel) scan(f func(u int, vs []int, costs []int32) bool) {
+	for u := range r.fwd {
+		if ws, ds := r.forward(u); len(ws) > 0 && !f(u, ws, ds) {
+			return
+		}
+	}
 }
 
 // Estimate returns the relation's exact planner cardinalities, computed
@@ -280,43 +271,47 @@ func semijoinFloorFor(spec *planner.PlanSpec) float64 {
 	return planner.SemijoinFloor()
 }
 
-// JoinRelations runs the backtracking join of a relation-free pattern over
-// precomputed per-edge relations (the leaf step of the bounded-evaluation
-// engine), visiting edges in the order of the physical plan (see PlanJoin;
-// nil falls back to the structural JoinOrder) and enumerating node
-// variables from the relation rows. For plans whose estimated cost clears
-// the semijoin floor (planner.SemijoinFloor, overridable per plan through
-// PlanSpec.SemijoinFloor) an acyclic conjunct graph is evaluated with the
-// Yannakakis semijoin program (yannakakis.go) — linear in the relation
-// sizes, no backtracking — and a cyclic one falls back to the
-// backtracking join after a semijoin reduction pass shrinks each node
-// variable's candidate domain by propagating the relations' endpoint
-// sets. pre pre-binds node variables (Check-style); with boolOnly the
-// join stops at the first complete assignment.
+// JoinRelations runs the join of a relation-free pattern over precomputed
+// per-edge relations (the leaf step of the bounded-evaluation engine) and
+// collects the output tuples; with boolOnly it stops at the first. See
+// JoinRelationsStream.
 func JoinRelations(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pre map[string]int, boolOnly bool) *pattern.TupleSet {
 	out := pattern.NewTupleSet()
-	JoinRelationsStream(g, rels, spec, pre, nil, func(t pattern.Tuple, _ int) bool {
+	JoinRelationsStream(g, rels, spec, pre, Options{}, func(t pattern.Tuple, _ int) bool {
 		out.Add(t)
 		return !boolOnly
 	})
 	return out
 }
 
-// JoinRelationsStream is the streaming form of JoinRelations: each
-// satisfying assignment's output projection is yielded as the backtracking
-// completes it (with the summed EdgeRel.Dist witness cost when the
-// relations carry levels, 0 otherwise), and a false return from yield — or
-// a canceled budget, polled per recursion step — unwinds the join. Tuples
-// are NOT deduplicated here: a projection can complete under several
-// assignments, and the caller (the bounded engine merges many leaf joins
-// anyway) owns dedup and min-cost selection.
-func JoinRelationsStream(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pre map[string]int, bud *engine.Budget, yield func(t pattern.Tuple, cost int) bool) {
-	var order []int
-	if spec != nil {
-		order = spec.Order
-	} else {
-		order = JoinOrder(g, pre)
+// JoinRelationsStream joins a relation-free pattern over precomputed
+// per-edge relations, visiting edges in the order of the physical plan (see
+// PlanJoin; nil falls back to the structural JoinOrder) with the node
+// variables of pre pre-bound (Check-style). Each satisfying assignment's
+// output projection is yielded as the search completes it, and a false
+// return from yield — or a canceled o.Budget, polled per step — unwinds the
+// join. With o.Ranked every yield carries the summed witness cost of the
+// relations' levels (0 for level-free relations); unranked joins always
+// yield cost 0, whatever the relations carry. Tuples are NOT deduplicated
+// here: a projection can complete under several assignments, and the caller
+// (the bounded engine merges many leaf joins anyway) owns dedup and min-cost
+// selection.
+func JoinRelationsStream(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pre map[string]int, o Options, yield StreamFunc) {
+	if p := compileJoin(g, rels, spec, pre, o.Ranked); p != nil {
+		p.stream(o.Budget, yield)
 	}
+}
+
+// compileJoin builds the plan of a join over materialized relations and is
+// where its strategy gates live. For plans whose estimated cost clears the
+// semijoin floor (planner.SemijoinFloor, overridable per plan through
+// PlanSpec.SemijoinFloor) an acyclic conjunct graph is evaluated with the
+// Yannakakis semijoin program (yannakakis.go) — linear in the relation
+// sizes, no dead ends — and a cyclic one falls back to the backtracking
+// search after a semijoin reduction pass shrinks each node variable's
+// candidate domain by propagating the relations' endpoint sets. A nil plan
+// means the join is provably empty.
+func compileJoin(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pre map[string]int, ranked bool) *plan {
 	var dom *planner.Domains
 	floor := semijoinFloorFor(spec)
 	if spec != nil && spec.CostBased && floor >= 0 && spec.Cost >= floor && len(rels) > 0 && rels[0] != nil {
@@ -331,19 +326,10 @@ func JoinRelationsStream(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSp
 				complete = false
 			}
 		}
-		// Acyclic cores take the Yannakakis program: relation-level
-		// semijoins along the join tree, then a backtrack-free streaming
-		// enumeration under the same yield contract. Parallel atoms over
-		// the identical relation are collapsed first (sound: identical
-		// constraint) — except in ranked joins, where each atom's Dist
-		// contributes to the witness cost.
+		// Parallel atoms over the identical relation are collapsed first
+		// (sound: identical constraint) — except in ranked joins, where each
+		// atom's cost contributes to the witness cost.
 		if complete && planner.YannakakisEnabled() {
-			ranked := false
-			for _, r := range rels[:len(g.Edges)] {
-				if r.HasLevels() {
-					ranked = true
-				}
-			}
 			var skip []bool
 			kept := len(g.Edges)
 			if !ranked {
@@ -361,117 +347,41 @@ func JoinRelationsStream(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSp
 			}
 			if kept > 0 {
 				if tree, ok := planner.BuildJoinTree(refs, skip); ok {
-					yannakakisStream(g, rels, tree, pre, bud, yield)
-					return
+					return yannakakisJoin(g, rels, tree, pre, ranked)
 				}
 				planner.CountCyclicFallback()
 			}
 		}
-		// Cyclic fallback: shrink the variable domains by arc consistency
-		// and run the backtracking join over the reduced candidate sets.
 		planner.CountSemijoinPass()
 		d, ok := planner.Reduce(refs, prels, rels[0].NumNodes(), pre)
 		if !ok {
-			return // a variable lost every candidate: the join is empty
+			return nil // a variable lost every candidate
 		}
 		dom = d
 	}
-	assign := map[string]int{}
-	for z, v := range pre {
-		assign[z] = v
+	return joinPlan(g, rels, spec, dom, pre, ranked)
+}
+
+// joinPlan compiles the join of g over rels in the order of spec (nil falls
+// back to the structural JoinOrder), with candidates restricted to dom.
+func joinPlan(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, dom *planner.Domains, pre map[string]int, ranked bool) *plan {
+	var order []int
+	if spec != nil {
+		order = spec.Order
+	} else {
+		order = JoinOrder(g, pre)
 	}
-	stop := false
-	var rec func(ci, cost int)
-	rec = func(ci, cost int) {
-		if stop {
-			return
-		}
-		if ci == len(order) {
-			t := make(pattern.Tuple, len(g.Out))
-			for i, z := range g.Out {
-				v, ok := assign[z]
-				if !ok {
-					return // output var not constrained; Validate prevents this
-				}
-				t[i] = v
-			}
-			if !yield(t, cost) {
-				stop = true
-			}
-			return
-		}
-		if bud.Canceled() {
-			stop = true
-			return
-		}
-		ei := order[ci]
+	p := newPlan(ranked, len(order))
+	for _, ei := range order {
 		e := g.Edges[ei]
-		r := rels[ei]
-		u, uok := assign[e.From]
-		v, vok := assign[e.To]
-		switch {
-		case uok && vok:
-			if r.Has(u, v) {
-				rec(ci+1, cost+int(r.Dist(u, v)))
-			}
-		case uok:
-			for _, w := range r.Forward(u) {
-				if !dom.Has(e.To, w) {
-					continue
-				}
-				assign[e.To] = w
-				rec(ci+1, cost+int(r.Dist(u, w)))
-				if stop {
-					break
-				}
-			}
-			delete(assign, e.To)
-		case vok:
-			for _, w := range r.Backward(v) {
-				if !dom.Has(e.From, w) {
-					continue
-				}
-				assign[e.From] = w
-				rec(ci+1, cost+int(r.Dist(w, v)))
-				if stop {
-					break
-				}
-			}
-			delete(assign, e.From)
-		default:
-			for u := 0; u < r.NumNodes(); u++ {
-				if stop {
-					break
-				}
-				if !dom.Has(e.From, u) {
-					continue
-				}
-				if e.From == e.To {
-					if r.Has(u, u) {
-						assign[e.From] = u
-						rec(ci+1, cost+int(r.Dist(u, u)))
-					}
-					continue
-				}
-				ws := r.Forward(u)
-				if len(ws) == 0 {
-					continue
-				}
-				assign[e.From] = u
-				for _, w := range ws {
-					if !dom.Has(e.To, w) {
-						continue
-					}
-					assign[e.To] = w
-					rec(ci+1, cost+int(r.Dist(u, w)))
-					if stop {
-						break
-					}
-				}
-				delete(assign, e.To)
-			}
-			delete(assign, e.From)
+		min := int32(0)
+		if ranked {
+			min = rels[ei].minDist()
 		}
+		p.addAtom(rels[ei], e.From, e.To, min)
+		st := &p.steps[len(p.steps)-1]
+		st.domFrom, st.domTo = dom.Bits(e.From), dom.Bits(e.To)
 	}
-	rec(0, 0)
+	p.seal(g.Out, pre, false)
+	return p
 }

@@ -6,8 +6,8 @@ package ecrpq
 // understating downstream first-hit levels (the hit sets stayed correct, the
 // distances did not). The bug needed two batched sources meeting at a
 // configuration, so batch-of-one sweeps never showed it — these tests pin
-// the batched ensureForward/ensureBackward memos against the single-source
-// kernels and against ground-truth forward distances.
+// the batched prefetch memos against the single-source probes and against
+// ground-truth forward distances.
 
 import (
 	"fmt"
@@ -40,11 +40,21 @@ func probeRandomDB(seed int64, nodes, edges int, alphabet string) *graph.DB {
 	return d
 }
 
-// The batched ensureForward/ensureBackward prefetches must populate exactly
-// the memo entries the single-source forwardLev/backwardLev kernels would —
-// same hits, same levels — or the any-k enumerator's costs silently drift
-// from the drain's.
-func TestEnsureMatchesSingle(t *testing.T) {
+// rankedEvaluator is a fresh ranked evaluator: empty memos, so probes run
+// single-source searches until something is prefetched.
+func rankedEvaluator(t *testing.T, q *Query, db *graph.DB) *evaluator {
+	t.Helper()
+	ev, err := newEvaluator(q, db, Options{Ranked: true}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev
+}
+
+// The batched prefetches must populate exactly the memo entries the
+// single-source probes would — same hits, same levels — or the any-k
+// enumerator's costs silently drift from the drain's.
+func TestPrefetchMatchesSingle(t *testing.T) {
 	db := probeRandomDB(1, 30, 110, "ab")
 	q, err := ParseQuery("ans(x, z)\nx y : a+\ny z : b+", []rune("ab"))
 	if err != nil {
@@ -55,25 +65,18 @@ func TestEnsureMatchesSingle(t *testing.T) {
 		all = append(all, u)
 	}
 	for ei := 0; ei < 2; ei++ {
-		evF, err := newEvaluator(q, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		evF.ranked = true
-		evB, _ := newEvaluator(q, db)
-		evB.ranked = true
-		evF.ensureForward(ei, all)
-		evB.ensureBackward(ei, all)
+		evF, evB := rankedEvaluator(t, q, db), rankedEvaluator(t, q, db)
+		evF.atoms[ei].prefetch(all, true)
+		evB.atoms[ei].prefetch(all, false)
 		for u := 0; u < db.NumNodes(); u++ {
-			evS, _ := newEvaluator(q, db) // fresh: empty memos, single-source sweeps
-			evS.ranked = true
-			fh, fl := evF.forwardLev(ei, u)
-			sh, sl := evS.forwardLev(ei, u)
+			evS := rankedEvaluator(t, q, db)
+			fh, fl := evF.atoms[ei].probe(u, true)
+			sh, sl := evS.atoms[ei].probe(u, true)
 			if fmt.Sprint(fh) != fmt.Sprint(sh) || fmt.Sprint(fl) != fmt.Sprint(sl) {
 				t.Fatalf("edge %d fwd src %d: batch (%v,%v) single (%v,%v)", ei, u, fh, fl, sh, sl)
 			}
-			bh, bl := evB.backwardLev(ei, u)
-			bh2, bl2 := evS.backwardLev(ei, u)
+			bh, bl := evB.atoms[ei].probe(u, false)
+			bh2, bl2 := evS.atoms[ei].probe(u, false)
 			if fmt.Sprint(bh) != fmt.Sprint(bh2) || fmt.Sprint(bl) != fmt.Sprint(bl2) {
 				t.Fatalf("edge %d bwd tgt %d: batch (%v,%v) single (%v,%v)", ei, u, bh, bl, bh2, bl2)
 			}
@@ -89,27 +92,22 @@ func TestBackwardAgainstForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := newEvaluator(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev.ranked = true
+	ev := rankedEvaluator(t, q, db)
 	fdist := map[[2]int]int32{}
 	for u := 0; u < db.NumNodes(); u++ {
-		hits, levs := ev.forwardLev(0, u)
+		hits, levs := ev.atoms[0].probe(u, true)
 		for i, v := range hits {
 			fdist[[2]int{u, v}] = levs[i]
 		}
 	}
-	evB, _ := newEvaluator(q, db)
-	evB.ranked = true
+	evB := rankedEvaluator(t, q, db)
 	var all []int
 	for u := 0; u < db.NumNodes(); u++ {
 		all = append(all, u)
 	}
-	evB.ensureBackward(0, all)
+	evB.atoms[0].prefetch(all, false)
 	for v := 0; v < db.NumNodes(); v++ {
-		bh, bl := evB.backwardLev(0, v)
+		bh, bl := evB.atoms[0].probe(v, false)
 		for i, u := range bh {
 			if want := fdist[[2]int{u, v}]; bl[i] != want {
 				t.Fatalf("batch backward: dist(%d->%d) = %d, forward says %d", u, v, bl[i], want)
@@ -126,13 +124,12 @@ func TestBatchOfOneBackward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, _ := newEvaluator(q, db)
-	ev.ranked = true
-	_, rc := ev.ents[0].reverse()
+	ev := rankedEvaluator(t, q, db)
+	_, rc := ev.atoms[0].ent.reverse()
 	for v := 0; v < db.NumNodes(); v++ {
-		sh, sl := engine.ReachLevelsW(ev.ix, rc, v, false, nil, nil)
+		sh, sl := engine.Reach(ev.ix, rc, v, false, engine.ReachOpts{Levels: true})
 		one := engine.ReachBatchEx(ev.ix, db.Partition(engine.Shards()), rc, []int{v}, false,
-			engine.BatchOpts{Levels: true})
+			engine.ReachOpts{Levels: true})
 		if fmt.Sprint(sh) != fmt.Sprint(one.Hits[0]) || fmt.Sprint(sl) != fmt.Sprint(one.Levs[0]) {
 			t.Fatalf("batch-of-one tgt %d: single (%v,%v) batch (%v,%v)", v, sh, sl, one.Hits[0], one.Levs[0])
 		}

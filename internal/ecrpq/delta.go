@@ -20,8 +20,8 @@ import (
 //   - extend: the delta's labels intersect the atom's alphabet. Any NEW
 //     matching path must pass through an added edge, so only sources that
 //     can reach an added edge's tail in the updated graph can gain targets;
-//     those frontier sources are re-searched (engine.Reach over the shared
-//     compiled automaton) and every other row is carried over. Edge
+//     those frontier sources are re-searched (engine.ReachBatchEx over the
+//     shared compiled automaton) and every other row is carried over. Edge
 //     insertion is monotone for reachability, which is what makes carrying
 //     rows sound.
 //   - recompute: anything that defeats the classification (a relation whose
@@ -227,7 +227,7 @@ func extendRelation(db *graph.DB, e *relEntry, frontier *deltaFrontier, newN int
 	ix := db.Index()
 	withLev := e.rel.lev != nil
 	res := engine.ReachBatchEx(ix, db.Partition(engine.Shards()), ent.cache, frontier.list, true,
-		engine.BatchOpts{Levels: withLev})
+		engine.ReachOpts{Levels: withLev})
 	r := &EdgeRel{fwd: make([][]int, newN)}
 	copy(r.fwd, e.rel.fwd)
 	if withLev {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/xregex"
 )
@@ -73,7 +74,7 @@ func TestRelCacheApplyDelta(t *testing.T) {
 		sigma := []rune("abc")
 		c := NewRelCache(0)
 		for _, l := range labels {
-			if _, err := c.For(db, l, sigma); err != nil {
+			if _, err := c.For(db, l, sigma, engine.ReachOpts{}); err != nil {
 				t.Fatalf("seed %d: For: %v", seed, err)
 			}
 		}
@@ -110,7 +111,7 @@ func TestRelCacheApplyDelta(t *testing.T) {
 					seed, step, retained, extended, len(labels))
 			}
 			for _, l := range labels {
-				got, err := c.For(db, l, sigma) // must hit: maintenance keeps entries live
+				got, err := c.For(db, l, sigma, engine.ReachOpts{}) // must hit: maintenance keeps entries live
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -141,7 +142,7 @@ func TestRelCacheDeltaDisjointRetains(t *testing.T) {
 	ab := xregex.MustParse("(a|b)+")
 	cc := xregex.MustParse("c+")
 	for _, l := range []xregex.Node{ab, cc} {
-		if _, err := c.For(db, l, sigma); err != nil {
+		if _, err := c.For(db, l, sigma, engine.ReachOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,12 +157,12 @@ func TestRelCacheDeltaDisjointRetains(t *testing.T) {
 	if retained != 1 || extended != 1 {
 		t.Fatalf("retained=%d extended=%d, want 1/1", retained, extended)
 	}
-	got, _ := c.For(db, cc, sigma)
+	got, _ := c.For(db, cc, sigma, engine.ReachOpts{})
 	want, _ := RelationFor(db, cc, sigma)
 	if !relEqual(got, want) {
 		t.Fatal("extended c+ relation diverged")
 	}
-	if !got.Has(0, 2) { // u -c-> w is the new pair
+	if _, ok := got.has(0, 2); !ok { // u -c-> w is the new pair
 		t.Fatal("extended relation is missing the new pair")
 	}
 }

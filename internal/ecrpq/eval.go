@@ -1,0 +1,232 @@
+package ecrpq
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"cxrpq/internal/engine"
+	"cxrpq/internal/graph"
+	"cxrpq/internal/pattern"
+)
+
+// Options are the per-evaluation parameters of the entry points below. The
+// zero value is an unlimited, unranked evaluation.
+type Options struct {
+	// Budget bounds the evaluation (nil = unlimited). It is polled at level
+	// granularity inside the product searches and on every join step, so
+	// deadline, row-cap, context and sibling-stop cancellation all unwind
+	// promptly. Whatever was produced before a cancellation is a sound
+	// subset of q(D).
+	Budget *engine.Budget
+	// Ranked threads a witness cost alongside every streamed tuple
+	// (EvalStream, JoinRelationsStream): the sum over join constraints of
+	// the cost of the chosen binding (ungrouped edges: shortest matching-path
+	// edge count; groups: the synchronized word length). The set-valued and
+	// Boolean entry points have no use for it.
+	Ranked bool
+	// Weight replaces the unit edge cost of a ranked evaluation by a
+	// pluggable per-edge-label weight, so every reported cost is a minimum
+	// total weight instead of a minimum edge count. Ignored unless Ranked,
+	// and by JoinRelationsStream, whose relations were built with theirs.
+	Weight engine.Weight
+}
+
+// StreamFunc consumes one enumerated tuple with its witness cost (0 unless
+// ranked). Returning false stops the enumeration.
+type StreamFunc func(t pattern.Tuple, cost int) bool
+
+// Eval computes q(D): the set of output tuples (node ids in the order of
+// q.Pattern.Out). For Boolean queries the result is the empty tuple set or
+// the set containing the empty tuple (D |= q).
+func Eval(q *Query, db *graph.DB) (*pattern.TupleSet, error) {
+	return EvalWith(q, db, Options{})
+}
+
+// EvalWith is Eval under options. On cancellation it returns the sound
+// partial set found so far together with engine.ErrCanceled.
+func EvalWith(q *Query, db *graph.DB, o Options) (*pattern.TupleSet, error) {
+	ev, err := newEvaluator(q, db, o, false)
+	if err != nil {
+		return nil, err
+	}
+	out := pattern.NewTupleSet()
+	ev.stream(nil, func(t pattern.Tuple, _ int) bool {
+		out.Add(t)
+		return true
+	})
+	return out, o.Budget.Err()
+}
+
+// EvalBool decides D |= q for Boolean q (it also works for non-Boolean
+// queries, deciding non-emptiness of q(D)).
+func EvalBool(q *Query, db *graph.DB) (bool, error) {
+	return EvalBoolWith(q, db, Options{})
+}
+
+// EvalBoolWith is EvalBool under options. The search is lazy (chunked
+// sweeps), so the first witness is found without materializing full
+// relations. A canceled budget yields (false, engine.ErrCanceled) unless a
+// witness was already found.
+func EvalBoolWith(q *Query, db *graph.DB, o Options) (bool, error) {
+	ev, err := newEvaluator(q, db, o, true)
+	if err != nil {
+		return false, err
+	}
+	return ev.exists(nil)
+}
+
+// exists runs the join with the variables of pre pre-bound, short-circuiting
+// on the first full match.
+func (ev *evaluator) exists(pre map[string]int) (bool, error) {
+	found := false
+	ev.stream(pre, func(pattern.Tuple, int) bool {
+		found = true
+		return false
+	})
+	if found {
+		return true, nil
+	}
+	return false, ev.bud.Err()
+}
+
+// Check decides t̄ ∈ q(D) (the problem Q-Check of §2.3). Rather than
+// materializing q(D), the output variables are pre-bound to the tuple's
+// nodes and the join searches for one extension — mirroring how the paper's
+// nondeterministic Bool-Eval algorithms extend to Check (§8).
+func Check(q *Query, db *graph.DB, t pattern.Tuple) (bool, error) {
+	return CheckWith(q, db, t, Options{})
+}
+
+// CheckWith is Check under options; like EvalBoolWith the pre-bound search
+// is lazy, and a canceled budget yields (false, engine.ErrCanceled) unless
+// a witness was already found.
+func CheckWith(q *Query, db *graph.DB, t pattern.Tuple, o Options) (bool, error) {
+	ev, err := newEvaluator(q, db, o, true)
+	if err != nil {
+		return false, err
+	}
+	pre, ok, err := preBind(q, db, t)
+	if err != nil || !ok {
+		return false, err
+	}
+	return ev.exists(pre)
+}
+
+// preBind maps the output variables to the nodes of t. ok is false when t
+// binds one variable to two different nodes (no match is possible).
+func preBind(q *Query, db *graph.DB, t pattern.Tuple) (pre map[string]int, ok bool, err error) {
+	if len(t) != len(q.Pattern.Out) {
+		return nil, false, fmt.Errorf("ecrpq: tuple arity %d, query arity %d", len(t), len(q.Pattern.Out))
+	}
+	pre = map[string]int{}
+	for i, z := range q.Pattern.Out {
+		v := t[i]
+		if v < 0 || v >= db.NumNodes() {
+			return nil, false, fmt.Errorf("ecrpq: node id %d out of range", v)
+		}
+		if prev, bound := pre[z]; bound && prev != v {
+			return nil, false, nil
+		}
+		pre[z] = v
+	}
+	return pre, true, nil
+}
+
+// EvalStream enumerates q(D) through yield instead of materializing it:
+// every satisfying assignment is projected and yielded the moment the join
+// completes it, and the consumer's return value unwinds the whole search.
+// Unranked, tuples are distinct and cost is always 0. Ranked emission is NOT
+// deduplicated — the same tuple may arrive once per distinct assignment,
+// each with that assignment's cost — because only a full drain can know the
+// minimal witness; the consumer keeps the minimum per tuple. The error
+// reports construction/validation failures only — the caller owns the
+// budget and checks it for truncation.
+func EvalStream(q *Query, db *graph.DB, o Options, yield StreamFunc) error {
+	ev, err := newEvaluator(q, db, o, true)
+	if err != nil {
+		return err
+	}
+	if !o.Ranked {
+		seen := map[string]bool{}
+		emit := yield
+		yield = func(t pattern.Tuple, cost int) bool {
+			k := t.Key()
+			if seen[k] {
+				return true
+			}
+			seen[k] = true
+			return emit(t, cost)
+		}
+	}
+	ev.stream(nil, yield)
+	return nil
+}
+
+// EvalUnion computes ⋃ qi(D). Members are evaluated concurrently across
+// the engine worker pool (engine.Fan) — each worker materializes its own
+// member's tuple set, and a mutex-guarded shared set dedupes the union as
+// results land. The first member error (by member index, so the outcome is
+// deterministic) wins.
+func EvalUnion(u *Union, db *graph.DB) (*pattern.TupleSet, error) {
+	if err := u.Validate(); err != nil {
+		return nil, err
+	}
+	db.Index() // force one index build before the fan-out races on it
+	out := pattern.NewTupleSet()
+	errs := make([]error, len(u.Members))
+	var mu sync.Mutex
+	engine.Fan(len(u.Members), func(i int) {
+		res, err := Eval(u.Members[i], db)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		mu.Lock()
+		for _, t := range res.All() {
+			out.Add(t)
+		}
+		mu.Unlock()
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// EvalUnionBool decides whether some member matches. Members run
+// concurrently; any satisfied member settles the answer (errors from other
+// members are irrelevant once a witness exists, matching the sequential
+// short-circuit semantics).
+func EvalUnionBool(u *Union, db *graph.DB) (bool, error) {
+	if err := u.Validate(); err != nil {
+		return false, err
+	}
+	db.Index()
+	var found atomic.Bool
+	errs := make([]error, len(u.Members))
+	engine.Fan(len(u.Members), func(i int) {
+		if found.Load() {
+			return
+		}
+		ok, err := EvalBool(u.Members[i], db)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		if ok {
+			found.Store(true)
+		}
+	})
+	if found.Load() {
+		return true, nil
+	}
+	for _, err := range errs {
+		if err != nil {
+			return false, err
+		}
+	}
+	return false, nil
+}

@@ -1,0 +1,367 @@
+package ecrpq
+
+// Tests of the join executor as one system: every driver × atom-source pair
+// must agree on the same queries, ranked-ness must come from the plan and
+// never from what a relation happens to carry, probes must honour the
+// budget, and the merged group searches must not depend on which frontier
+// they ran on.
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"cxrpq/internal/engine"
+	"cxrpq/internal/graph"
+	"cxrpq/internal/pattern"
+	"cxrpq/internal/planner"
+)
+
+// ranking is an enumeration's outcome in comparable form: the distinct
+// tuples with their minimal cost, ordered by (cost, tuple).
+type ranking []string
+
+// collector accumulates yields into a ranking. With monotone set it also
+// fails the test when costs ever decrease (the best-first contract).
+type collector struct {
+	t        *testing.T
+	name     string
+	monotone bool
+	prev     int
+	best     map[string]int
+	tuples   map[string]pattern.Tuple
+}
+
+func newCollector(t *testing.T, name string, monotone bool) *collector {
+	return &collector{t: t, name: name, monotone: monotone, best: map[string]int{}, tuples: map[string]pattern.Tuple{}}
+}
+
+func (c *collector) yield(tu pattern.Tuple, cost int) bool {
+	if c.monotone && cost < c.prev {
+		c.t.Fatalf("%s: cost %d emitted after %d", c.name, cost, c.prev)
+	}
+	c.prev = cost
+	k := tu.Key()
+	if old, ok := c.best[k]; !ok || cost < old {
+		c.best[k] = cost
+		c.tuples[k] = append(pattern.Tuple(nil), tu...)
+	}
+	return true
+}
+
+func (c *collector) ranking() ranking {
+	keys := make([]string, 0, len(c.best))
+	for k := range c.best {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if c.best[a] != c.best[b] {
+			return c.best[a] < c.best[b]
+		}
+		return fmt.Sprint(c.tuples[a]) < fmt.Sprint(c.tuples[b])
+	})
+	out := make(ranking, len(keys))
+	for i, k := range keys {
+		out[i] = fmt.Sprint(c.best[k], c.tuples[k])
+	}
+	return out
+}
+
+func drainAnyK(c *collector, p *plan) ranking {
+	ak := NewAnyK(nil)
+	if p != nil {
+		ak.addRoot(p)
+	}
+	for {
+		tu, cost, ok := ak.Next()
+		if !ok {
+			return c.ranking()
+		}
+		c.yield(tu, cost)
+	}
+}
+
+func runPlan(c *collector, p *plan) ranking {
+	if p != nil {
+		p.stream(nil, c.yield)
+	}
+	return c.ranking()
+}
+
+// TestExecutorDifferential runs one table of queries — chains, stars,
+// cycles, self-loops, parallel atoms, pre-bound tuples, Equality and
+// NFARelation groups — through every driver (backtracking, semijoin-reduced,
+// best-first) over every atom source it can run on (lazy probes,
+// materialized relations) and requires the same tuple set from all of them
+// unranked, and the same (cost, tuple) ranking from all of them ranked,
+// under unit cost and under a pluggable weight.
+func TestExecutorDifferential(t *testing.T) {
+	sigma := []rune("ab")
+	cases := []struct {
+		name   string
+		src    string
+		groups []Group
+		pre    map[string]int
+	}{
+		{name: "chain", src: "ans(x, z)\nx y : a+\ny z : b+"},
+		{name: "chain3-projected", src: "ans(w, z)\nw x : a\nx y : b*\ny z : a|b"},
+		{name: "star", src: "ans(x)\nx y1 : a\nx y2 : b\nx y3 : (a|b)a"},
+		{name: "star-leaves", src: "ans(y1, y2)\nx y1 : a\nx y2 : b"},
+		{name: "cycle", src: "ans(x, z)\nx y : a\ny z : a|b\nz x : b+"},
+		{name: "self-loop", src: "ans(x, y)\nx x : (a|b)+\nx y : b"},
+		{name: "parallel", src: "ans(x, y)\nx y : a+\nx y : (a|b)(a|b)"},
+		{name: "cross-product", src: "ans(x, u)\nx y : ab\nu v : ba"},
+		{name: "boolean", src: "ans()\nx y : a\ny z : b"},
+		{name: "pre-bound", src: "ans(x, z)\nx y : a+\ny z : b+", pre: map[string]int{"x": 3}},
+		{name: "pre-bound-both", src: "ans(x, z)\nx y : (a|b)+\ny z : (a|b)+", pre: map[string]int{"x": 1, "z": 2}},
+		{name: "equality", src: "ans(x, y)\nx y : (a|b)+\nx y : (a|b)+",
+			groups: []Group{{Edges: []int{0, 1}, Rel: &Equality{N: 2}}}},
+		{name: "equality+atom", src: "ans(x, z)\nx y : a(a|b)*\nu z : (a|b)+\ny u : b",
+			groups: []Group{{Edges: []int{0, 1}, Rel: &Equality{N: 2}}}},
+		{name: "equal-length", src: "ans(x, y)\nx y : a+\nx z : b+",
+			groups: []Group{{Edges: []int{0, 1}, Rel: EqualLength(2, sigma)}}},
+		{name: "prefix", src: "ans(x, v)\nx y : (a|b)+\nu v : (a|b)+",
+			groups: []Group{{Edges: []int{0, 1}, Rel: PrefixRelation(sigma)}}, pre: map[string]int{"u": 0}},
+	}
+	weights := map[string]engine.Weight{
+		"unit": nil,
+		"b=4": func(label rune) int32 {
+			if label == 'b' {
+				return 4
+			}
+			return 1
+		},
+	}
+	// Drop the cost gates so compileJoin takes the Yannakakis program on
+	// every acyclic join and the semijoin reduction on every cyclic one.
+	defer planner.SetSemijoinFloor(planner.SetSemijoinFloor(0))
+
+	for seed := int64(1); seed <= 3; seed++ {
+		db := probeRandomDB(seed, 14, 40, "ab")
+		for _, tc := range cases {
+			g, err := pattern.ParseQuery(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := &Query{Pattern: g, Groups: tc.groups}
+			for wname, w := range weights {
+				for _, ranked := range []bool{false, true} {
+					if w != nil && !ranked {
+						continue // a weight only matters to ranked runs
+					}
+					name := func(s string) string {
+						return fmt.Sprintf("seed %d %s %s ranked=%v: %s", seed, tc.name, wname, ranked, s)
+					}
+					lazy := func() *plan {
+						ev, err := newEvaluator(q, db, Options{Ranked: ranked, Weight: w}, true)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return ev.compile(tc.pre, false)
+					}
+					got := map[string]ranking{
+						"backtracking/lazy": runPlan(newCollector(t, name("backtracking/lazy"), false), lazy()),
+					}
+					if ranked {
+						got["best-first/lazy"] = drainAnyK(newCollector(t, name("best-first/lazy"), true), lazy())
+					}
+					if len(tc.groups) == 0 {
+						rels := make([]*EdgeRel, len(g.Edges))
+						for i, e := range g.Edges {
+							// Levels are always built: an unranked join must not care.
+							if rels[i], err = BuildRelation(db, e.Label, sigma, engine.ReachOpts{Levels: true, Weight: w}); err != nil {
+								t.Fatal(err)
+							}
+						}
+						spec := PlanJoin(g, rels, tc.pre)
+						got["backtracking/rel"] = runPlan(newCollector(t, name("backtracking/rel"), false),
+							joinPlan(g, rels, spec, nil, tc.pre, ranked))
+						got["reduced/rel"] = runPlan(newCollector(t, name("reduced/rel"), false),
+							compileJoin(g, rels, spec, tc.pre, ranked))
+						if ranked {
+							got["best-first/rel"] = drainAnyK(newCollector(t, name("best-first/rel"), true),
+								joinPlan(g, rels, spec, nil, tc.pre, true))
+						}
+					}
+					want := got["backtracking/lazy"]
+					for driver, r := range got {
+						if fmt.Sprint(r) != fmt.Sprint(want) {
+							t.Fatalf("%s\n got %v\nwant %v", name(driver), r, want)
+						}
+						if !ranked {
+							for _, row := range r {
+								if !strings.HasPrefix(row, "0 ") {
+									t.Fatalf("%s: unranked run reported a cost: %s", name(driver), row)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Ranked-ness is a field of the compiled plan, set by the caller. A session's
+// relation cache hands out a level-bearing relation to unranked requests once
+// any ranked request has upgraded the entry; the unranked join over it must
+// still collapse parallel atoms, take the free-connex shortcut and report
+// zero costs — the same yields whichever way the cache was warmed. (Inferring
+// ranked from the relation made this join yield 3 600 rows of cost 2 instead
+// of one.)
+func TestJoinRankedComesFromCallerNotRelation(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; i < 60; i++ {
+		fmt.Fprintf(&sb, "c a l%d\nc b m%d\n", i, i)
+	}
+	db := graph.MustParse(sb.String())
+	g := pattern.MustParseQuery("ans(x)\nx y : a\nx z : b")
+	defer planner.SetSemijoinFloor(planner.SetSemijoinFloor(0))
+	for _, warmRanked := range []bool{false, true} {
+		c := NewRelCache(0)
+		rels := make([]*EdgeRel, len(g.Edges))
+		for i, e := range g.Edges {
+			if _, err := c.For(db, e.Label, db.Alphabet(), engine.ReachOpts{Levels: warmRanked}); err != nil {
+				t.Fatal(err)
+			}
+			r, err := c.For(db, e.Label, db.Alphabet(), engine.ReachOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (r.lev != nil) != warmRanked {
+				t.Fatalf("warmed ranked=%v: unranked request got levels=%v", warmRanked, r.lev != nil)
+			}
+			rels[i] = r
+		}
+		rows, costs := 0, 0
+		JoinRelationsStream(g, rels, PlanJoin(g, rels, nil), nil, Options{}, func(_ pattern.Tuple, cost int) bool {
+			rows++
+			costs += cost
+			return true
+		})
+		if rows != 1 || costs != 0 {
+			t.Fatalf("cache warmed ranked=%v: unranked join yielded %d rows, cost sum %d; want 1 row, cost 0",
+				warmRanked, rows, costs)
+		}
+	}
+}
+
+// Every probe passes the evaluation budget to the kernel, in both
+// directions, and a truncated hit list is never memoized. (The forward probe
+// used to call the budget-less search: a cancelled request could not unwind
+// inside it.)
+func TestProbeHonoursBudget(t *testing.T) {
+	const n = 3000
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "n%d a n%d\n", i, i+1)
+	}
+	db := graph.MustParse(sb.String())
+	q, err := ParseQuery("ans(x, y)\nx y : a+", []rune("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, last := 0, n // the interned ids of n0 and n<n>
+	if db.Name(first) != "n0" || db.Name(last) != fmt.Sprintf("n%d", n) {
+		t.Fatalf("unexpected interning: %s, %s", db.Name(first), db.Name(last))
+	}
+	spent := engine.NewBudget(nil, time.Now().Add(-time.Second), 0)
+	ev, err := newEvaluator(q, db, Options{Budget: spent}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := newEvaluator(q, db, Options{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []struct {
+		forward bool
+		node    int
+	}{{true, first}, {false, last}} {
+		atom := &ev.atoms[0]
+		if hits, _ := atom.probe(dir.node, dir.forward); len(hits) >= n {
+			t.Fatalf("forward=%v: probe under a spent budget ran to completion (%d hits)", dir.forward, len(hits))
+		}
+		if len(atom.fwd)+len(atom.rev) != 0 {
+			t.Fatalf("forward=%v: truncated probe was memoized", dir.forward)
+		}
+		if hits, _ := fresh.atoms[0].probe(dir.node, dir.forward); len(hits) != n {
+			t.Fatalf("forward=%v: unbudgeted probe found %d hits, want %d", dir.forward, len(hits), n)
+		}
+	}
+}
+
+// The group searches run on a FIFO under unit cost and on a heap under a
+// weight. Under the weight that is constantly 1 the heap must reproduce the
+// FIFO exactly: the same end tuples in the same order with the same costs.
+func TestGroupSearchUnitWeightMatchesFIFO(t *testing.T) {
+	sigma := []rune("ab")
+	one := engine.Weight(func(rune) int32 { return 1 })
+	rels := map[string]Relation{
+		"equality":     &Equality{N: 2},
+		"equal-length": EqualLength(2, sigma),
+		"prefix":       PrefixRelation(sigma),
+		"hamming":      HammingAtMost(1, sigma),
+	}
+	g := pattern.MustParseQuery("ans(x, y)\nx y : (a|b)+\nu v : a(a|b)*")
+	for seed := int64(1); seed <= 3; seed++ {
+		db := probeRandomDB(seed, 12, 36, "ab")
+		for name, rel := range rels {
+			q := &Query{Pattern: g, Groups: []Group{{Edges: []int{0, 1}, Rel: rel}}}
+			fifo, err := newEvaluator(q, db, Options{Ranked: true}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			heap, err := newEvaluator(q, db, Options{Ranked: true, Weight: one}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u := 0; u < db.NumNodes(); u++ {
+				for v := 0; v < db.NumNodes(); v += 3 {
+					a, b := fifo.expandGroup(0, []int{u, v}), heap.expandGroup(0, []int{u, v})
+					if fmt.Sprint(a.ends) != fmt.Sprint(b.ends) || fmt.Sprint(a.deps) != fmt.Sprint(b.deps) {
+						t.Fatalf("seed %d %s from (%d,%d):\nfifo %v %v\nheap %v %v", seed, name, u, v, a.ends, a.deps, b.ends, b.deps)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Witness search rides the planner's order over the atoms minimization
+// kept. An atom it dropped still gets its word: it shares its endpoints with
+// the kept atom that implies it.
+func TestFindWitnessWithMinimizedAtom(t *testing.T) {
+	db := graph.MustParse("u a v\nu b v\nv b w\nu a w")
+	q, err := ParseQuery("ans(x, z)\nx y : a\nx y : a|b\ny z : b", []rune("ab"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := planner.Stats().AtomsMinimized
+	w, ok, err := FindWitness(q, db, nil)
+	if err != nil || !ok {
+		t.Fatalf("FindWitness = %v, %v", ok, err)
+	}
+	if planner.Stats().AtomsMinimized == before {
+		t.Fatal("the widened atom was not minimized away: the case is not exercised")
+	}
+	if w.Words[0] != "a" || (w.Words[1] != "a" && w.Words[1] != "b") || w.Words[2] != "b" {
+		t.Fatalf("words %q do not match the edge labels", w.Words)
+	}
+	for ei, e := range q.Pattern.Edges {
+		found := false
+		for _, out := range db.Out(w.NodeOf[e.From]) {
+			found = found || (string(out.Label) == w.Words[ei] && out.To == w.NodeOf[e.To])
+		}
+		if !found {
+			t.Fatalf("edge %d: no %s-edge from %d to %d", ei, w.Words[ei], w.NodeOf[e.From], w.NodeOf[e.To])
+		}
+	}
+	// Pre-binding the output tuple of that match must find it again.
+	if _, ok, err := FindWitness(q, db, pattern.Tuple{w.NodeOf["x"], w.NodeOf["z"]}); err != nil || !ok {
+		t.Fatalf("FindWitness with the matched tuple pre-bound = %v, %v", ok, err)
+	}
+}

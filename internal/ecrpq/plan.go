@@ -1,0 +1,282 @@
+package ecrpq
+
+import (
+	"sort"
+
+	"cxrpq/internal/engine"
+	"cxrpq/internal/pattern"
+)
+
+// Every evaluation algorithm of the paper ends in the same step: join a
+// conjunction of path atoms over a graph pattern. This file is that step.
+// A conjunct is compiled once into a plan — the join constraints in planner
+// order over dense node-variable slots — whose atoms sit behind atomSource;
+// step.bindings enumerates the ways to satisfy one constraint under a
+// partial assignment, and two drivers share it: the backtracking search
+// below (plan.run) and the best-first search of anyk.go.
+
+// atomSource is the read surface of one path atom's binary relation over
+// the database nodes. Node lists are sorted ascending and must not be
+// modified; the parallel cost list holds each pair's witness cost (length
+// or weight of a cheapest matching path) and is nil when the source
+// carries none. It is implemented by the evaluator's lazy probe memo
+// (probeAtom), by materialized relations (*EdgeRel) and by the Yannakakis
+// liveness view over one (yanRel).
+type atomSource interface {
+	// forward lists the targets of u; backward the sources of v.
+	forward(u int) ([]int, []int32)
+	backward(v int) ([]int, []int32)
+	// has reports whether (u, v) is in the relation, with its cost.
+	has(u, v int) (int32, bool)
+	// scan visits every source with a non-empty target list in ascending
+	// order until f returns false.
+	scan(f func(u int, vs []int, costs []int32) bool)
+}
+
+// plan is one conjunct compiled for execution.
+type plan struct {
+	steps []step
+	vars  []string // slot -> node variable
+	out   []int32  // slot of each output position
+	init  []int32  // the starting assignment: pre-bound values, -1 = unbound
+
+	// ranked makes every step report its witness cost and enumerate every
+	// binding. It is set by whoever compiles the plan, never inferred from
+	// what a source happens to carry: an unranked plan yields cost 0 and may
+	// replace the enumeration of a variable nothing reads again by an
+	// existence check.
+	ranked bool
+}
+
+// step is one join constraint: a path atom between two slots, or a relation
+// group over several atoms.
+type step struct {
+	src      atomSource
+	from, to int32
+	grp      *groupStep // non-nil for relation groups (src is nil)
+
+	// bindFrom/bindTo report that the endpoint is read after this step (by a
+	// later step or the output projection). An endpoint nothing reads again
+	// is never bound: one candidate proves the extension.
+	bindFrom, bindTo bool
+	// domFrom/domTo restrict the endpoint's candidates to a semijoin-reduced
+	// node bitset; nil is unrestricted.
+	domFrom, domTo []uint64
+	// min is an admissible lower bound of the step's cost over all bindings
+	// (the best-first driver's key for undetermined steps).
+	min int32
+}
+
+// newPlan starts a plan of about n steps.
+func newPlan(ranked bool, n int) *plan {
+	return &plan{ranked: ranked, steps: make([]step, 0, n), vars: make([]string, 0, 2*n)}
+}
+
+// slot interns a node variable (conjuncts have a handful; a scan beats a map).
+func (p *plan) slot(z string) int32 {
+	for s, v := range p.vars {
+		if v == z {
+			return int32(s)
+		}
+	}
+	p.vars = append(p.vars, z)
+	return int32(len(p.vars) - 1)
+}
+
+// addAtom appends a path-atom step.
+func (p *plan) addAtom(src atomSource, from, to string, min int32) {
+	p.steps = append(p.steps, step{src: src, from: p.slot(from), to: p.slot(to), min: min})
+}
+
+// seal fixes the output projection and the pre-bound tuple and derives which
+// endpoints each step has to bind; bindAll keeps every variable (ranked
+// plans and witness search need the full assignment).
+func (p *plan) seal(out []string, pre map[string]int, bindAll bool) {
+	p.out = make([]int32, len(out))
+	for i, z := range out {
+		p.out[i] = p.slot(z)
+	}
+	p.init = make([]int32, len(p.vars))
+	read := make([]bool, len(p.vars)) // slot is read after the step under consideration
+	for s, z := range p.vars {
+		p.init[s] = -1
+		if v, ok := pre[z]; ok {
+			p.init[s] = int32(v)
+		}
+		read[s] = bindAll || p.ranked
+	}
+	for _, s := range p.out {
+		read[s] = true
+	}
+	for i := len(p.steps) - 1; i >= 0; i-- {
+		st := &p.steps[i]
+		if st.grp != nil {
+			for _, s := range st.grp.src {
+				read[s] = true
+			}
+			for _, s := range st.grp.tgt {
+				read[s] = true
+			}
+			continue
+		}
+		st.bindFrom, st.bindTo = read[st.from], read[st.to]
+		read[st.from], read[st.to] = true, true
+	}
+}
+
+// project copies the output slots of a complete assignment into a tuple.
+func (p *plan) project(a []int32) pattern.Tuple {
+	t := make(pattern.Tuple, len(p.out))
+	for i, s := range p.out {
+		t[i] = int(a[s])
+	}
+	return t
+}
+
+// run is the backtracking driver: a depth-first search over the steps in
+// order, calling yield with every complete assignment and its summed witness
+// cost (0 unless ranked) until yield returns false or the budget, polled on
+// every recursion step, cancels.
+func (p *plan) run(bud *engine.Budget, yield func(a []int32, cost int) bool) {
+	a := append([]int32(nil), p.init...)
+	costs := make([]int, len(p.steps)+1) // costs[i]: summed cost of steps before i
+	depth := 0                           // the step whose bindings are being enumerated
+	var cont func(d int32) bool
+	descend := func() bool {
+		if depth == len(p.steps) {
+			return yield(a, costs[depth])
+		}
+		if bud.Canceled() {
+			return false
+		}
+		return p.steps[depth].bindings(a, cont)
+	}
+	cont = func(d int32) bool {
+		costs[depth+1] = costs[depth]
+		if p.ranked {
+			costs[depth+1] += int(d)
+		}
+		depth++
+		ok := descend()
+		depth--
+		return ok
+	}
+	descend()
+}
+
+// stream runs the plan and yields each complete assignment's output
+// projection.
+func (p *plan) stream(bud *engine.Budget, yield StreamFunc) {
+	p.run(bud, func(a []int32, cost int) bool { return yield(p.project(a), cost) })
+}
+
+func bitHas(b []uint64, i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+func bitSet(b []uint64, i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
+func bitClear(b []uint64, i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
+
+func costAt(costs []int32, i int) int32 {
+	if costs == nil {
+		return 0
+	}
+	return costs[i]
+}
+
+// costOf looks v up in the sorted list ws and reports its cost.
+func costOf(ws []int, costs []int32, v int) (int32, bool) {
+	if i := sort.SearchInts(ws, v); i < len(ws) && ws[i] == v {
+		return costAt(costs, i), true
+	}
+	return 0, false
+}
+
+// bindings enumerates the ways to satisfy the step under the partial
+// assignment a (-1 = unbound): for each it writes the step's newly bound
+// slots into a and calls cont with the step's witness cost. The slots are
+// unbound again on return. A false return from cont stops the enumeration
+// and is passed on.
+func (st *step) bindings(a []int32, cont func(cost int32) bool) bool {
+	if st.grp != nil {
+		return st.grp.bindings(a, cont)
+	}
+	u, v := int(a[st.from]), int(a[st.to])
+	uok, vok := u >= 0, v >= 0
+	switch {
+	case uok && vok: // includes bound self-loops (one slot twice)
+		if d, ok := st.src.has(u, v); ok {
+			return cont(d)
+		}
+		return true
+	case uok:
+		ws, ds := st.src.forward(u)
+		return bindEach(a, st.to, st.bindTo, st.domTo, ws, ds, cont)
+	case vok:
+		ws, ds := st.src.backward(v)
+		return bindEach(a, st.from, st.bindFrom, st.domFrom, ws, ds, cont)
+	}
+	ok := true
+	var seen []uint64 // targets already reported when only the target is read again
+	st.src.scan(func(u int, ws []int, ds []int32) bool {
+		switch {
+		case st.domFrom != nil && !bitHas(st.domFrom, u):
+		case st.from == st.to:
+			if d, loop := costOf(ws, ds, u); loop {
+				if !st.bindFrom {
+					ok = cont(0)
+					return false
+				}
+				a[st.from] = int32(u)
+				ok = cont(d)
+				a[st.from] = -1
+			}
+		case st.bindFrom:
+			a[st.from] = int32(u)
+			ok = bindEach(a, st.to, st.bindTo, st.domTo, ws, ds, cont)
+			a[st.from] = -1
+		case st.bindTo:
+			for _, w := range ws {
+				if w>>6 >= len(seen) {
+					seen = append(seen, make([]uint64, w>>6+1-len(seen))...)
+				}
+				if (st.domTo != nil && !bitHas(st.domTo, w)) || bitHas(seen, w) {
+					continue
+				}
+				bitSet(seen, w)
+				a[st.to] = int32(w)
+				if ok = cont(0); !ok {
+					break
+				}
+			}
+			a[st.to] = -1
+		default:
+			for _, w := range ws {
+				if st.domTo == nil || bitHas(st.domTo, w) {
+					ok = cont(0)
+					return false
+				}
+			}
+		}
+		return ok
+	})
+	return ok
+}
+
+// bindEach binds slot to each candidate in turn and calls cont with its cost.
+// When the slot is not read again (bind false) the first candidate stands for
+// all of them: cont runs once and the slot stays unbound.
+func bindEach(a []int32, slot int32, bind bool, dom []uint64, ws []int, ds []int32, cont func(int32) bool) bool {
+	for i, w := range ws {
+		if dom != nil && !bitHas(dom, w) {
+			continue
+		}
+		if !bind {
+			return cont(0)
+		}
+		a[slot] = int32(w)
+		if !cont(costAt(ds, i)) {
+			a[slot] = -1
+			return false
+		}
+	}
+	a[slot] = -1
+	return true
+}

@@ -57,36 +57,35 @@ func NewRelCache(n int) *RelCache {
 }
 
 // For resolves the relation of label over db through the cache, computing
-// and inserting it on a miss (see RelationFor).
-func (c *RelCache) For(db *graph.DB, label xregex.Node, sigma []rune) (*EdgeRel, error) {
-	return c.ForOpts(db, label, sigma, nil, false)
-}
-
-// ForOpts is For with streaming extensions: the relation build honors bud
-// at BFS-level granularity, and with levels set the returned relation
-// carries BFS first-hit levels (EdgeRel.Dist for ranked joins) — a cached
-// level-less relation is upgraded in place on first ranked demand. A
-// budget-truncated build returns engine.ErrCanceled and installs NOTHING:
-// a partial relation in the shared cache would silently drop answers from
-// every later query on the session.
-func (c *RelCache) ForOpts(db *graph.DB, label xregex.Node, sigma []rune, bud *engine.Budget, levels bool) (*EdgeRel, error) {
+// and inserting it on a miss (see BuildRelation for the options). With
+// o.Levels a cached level-less relation is upgraded in place on first ranked
+// demand; callers that did not ask for levels may therefore be handed a
+// relation that carries them, which is why joins take ranked-ness from their
+// own options and never from the relation. A budget-truncated build returns
+// engine.ErrCanceled and installs NOTHING: a partial relation in the shared
+// cache would silently drop answers from every later query on the session.
+// A weighted build has no cache identity and bypasses the cache.
+func (c *RelCache) For(db *graph.DB, label xregex.Node, sigma []rune, o engine.ReachOpts) (*EdgeRel, error) {
+	if o.Weight != nil {
+		return BuildRelation(db, label, sigma, o)
+	}
 	key := xregex.String(label) + "\x00" + string(sigma)
 	c.mu.Lock()
-	if e, ok := c.m[key]; ok && (!levels || e.rel.HasLevels()) {
+	if e, ok := c.m[key]; ok && (!o.Levels || e.rel.lev != nil) {
 		c.hits++
 		c.mu.Unlock()
 		return e.rel, nil
 	}
 	c.misses++
 	c.mu.Unlock()
-	r, err := RelationForEx(db, label, sigma, bud, levels)
+	r, err := BuildRelation(db, label, sigma, o)
 	if err != nil {
 		return nil, err
 	}
 	e := newRelEntry(r, label, sigma)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.m[key]; ok && (!levels || old.rel.HasLevels()) {
+	if old, ok := c.m[key]; ok && (!o.Levels || old.rel.lev != nil) {
 		return old.rel, nil // raced with another worker
 	}
 	if len(c.m) >= c.cap {

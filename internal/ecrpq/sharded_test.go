@@ -62,7 +62,7 @@ func perSourceRows(t *testing.T, db *graph.DB, label xregex.Node, sigma []rune) 
 	c := automata.NewSubsetCache(m)
 	rows := make([][]int, db.NumNodes())
 	for u := range rows {
-		rows[u] = engine.Reach(ix, c, u, true)
+		rows[u], _ = engine.Reach(ix, c, u, true, engine.ReachOpts{})
 	}
 	return rows
 }
@@ -119,7 +119,7 @@ func TestShardedRelCacheDeltaMatchesPerSource(t *testing.T) {
 		db := randomDB(int64(100+k), 160, 640, "abc")
 		c := NewRelCache(0)
 		for _, l := range labels {
-			if _, err := c.For(db, l, sigma); err != nil {
+			if _, err := c.For(db, l, sigma, engine.ReachOpts{}); err != nil {
 				t.Fatalf("shards %d: For: %v", k, err)
 			}
 		}
@@ -145,7 +145,7 @@ func TestShardedRelCacheDeltaMatchesPerSource(t *testing.T) {
 				t.Fatalf("shards %d step %d: RelCache.ApplyDelta: %v", k, step, err)
 			}
 			for _, l := range labels {
-				rel, err := c.For(db, l, sigma)
+				rel, err := c.For(db, l, sigma, engine.ReachOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}

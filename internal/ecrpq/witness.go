@@ -1,6 +1,7 @@
 package ecrpq
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"cxrpq/internal/automata"
@@ -20,33 +21,44 @@ type Witness struct {
 
 // FindWitness searches for a matching morphism of q on db (extending the
 // pre-bound output tuple t if t is non-nil) and reconstructs a tuple of
-// matching words. It returns false if no match exists.
+// matching words. It returns false if no match exists. The search is the
+// join every evaluation runs (the planner's order over the atoms
+// minimization kept, first match wins), compiled to bind every variable;
+// an atom minimization dropped shares its endpoints with a kept atom whose
+// language it contains, so its word is reconstructed like any other.
 func FindWitness(q *Query, db *graph.DB, t pattern.Tuple) (*Witness, bool, error) {
-	ev, err := newEvaluator(q, db)
+	ev, err := newEvaluator(q, db, Options{}, true)
 	if err != nil {
 		return nil, false, err
 	}
-	pre := map[string]int{}
+	var pre map[string]int
 	if t != nil {
-		if len(t) != len(q.Pattern.Out) {
-			return nil, false, fmt.Errorf("ecrpq: tuple arity %d, query arity %d", len(t), len(q.Pattern.Out))
-		}
-		for i, z := range q.Pattern.Out {
-			if prev, ok := pre[z]; ok && prev != t[i] {
-				return nil, false, nil
-			}
-			pre[z] = t[i]
+		var ok bool
+		if pre, ok, err = preBind(q, db, t); err != nil || !ok {
+			return nil, false, err
 		}
 	}
-	assign, ok, err := ev.findAssignment(pre)
-	if err != nil || !ok {
-		return nil, ok, err
+	p := ev.compile(pre, true)
+	var w *Witness
+	p.run(nil, func(a []int32, _ int) bool {
+		w = &Witness{NodeOf: map[string]int{}, Words: make([]string, len(q.Pattern.Edges))}
+		for s, z := range p.vars {
+			w.NodeOf[z] = int(a[s])
+		}
+		return false
+	})
+	if w == nil {
+		return nil, false, nil
 	}
-	w := &Witness{NodeOf: assign, Words: make([]string, len(q.Pattern.Edges))}
 	// Per-group word reconstruction (components share the search).
 	done := make([]bool, len(q.Pattern.Edges))
 	for gi, g := range q.Groups {
-		words, err := ev.groupWitness(gi, assign)
+		src, tgt := make([]int, len(g.Edges)), make([]int, len(g.Edges))
+		for j, ei := range g.Edges {
+			src[j] = w.NodeOf[q.Pattern.Edges[ei].From]
+			tgt[j] = w.NodeOf[q.Pattern.Edges[ei].To]
+		}
+		words, err := ev.groupWitness(gi, src, tgt)
 		if err != nil {
 			return nil, false, err
 		}
@@ -59,7 +71,7 @@ func FindWitness(q *Query, db *graph.DB, t pattern.Tuple) (*Witness, bool, error
 		if done[ei] {
 			continue
 		}
-		word, ok := ev.edgeWitness(ei, assign[e.From], assign[e.To])
+		word, ok := ev.edgeWitness(ei, w.NodeOf[e.From], w.NodeOf[e.To])
 		if !ok {
 			return nil, false, fmt.Errorf("ecrpq: internal error: matched edge %d has no witness word", ei)
 		}
@@ -68,59 +80,10 @@ func FindWitness(q *Query, db *graph.DB, t pattern.Tuple) (*Witness, bool, error
 	return w, true, nil
 }
 
-// findAssignment runs the join and captures the first full assignment.
-func (ev *evaluator) findAssignment(pre map[string]int) (map[string]int, bool, error) {
-	q := ev.q
-	var unary []int
-	for i := range q.Pattern.Edges {
-		if !ev.inGroup[i] {
-			unary = append(unary, i)
-		}
-	}
-	var order []constraintRef
-	for _, ei := range unary {
-		order = append(order, constraintRef{kind: cEdge, idx: ei})
-	}
-	for gi := range q.Groups {
-		order = append(order, constraintRef{kind: cGroup, idx: gi})
-	}
-	assign := map[string]int{}
-	for z, v := range pre {
-		assign[z] = v
-	}
-	// also require every pattern variable to be bound at the end: the join
-	// binds all edge endpoints; output vars are pre-bound.
-	var captured map[string]int
-	var rec func(ci int)
-	rec = func(ci int) {
-		if captured != nil {
-			return
-		}
-		if ci == len(order) {
-			captured = map[string]int{}
-			for k, v := range assign {
-				captured[k] = v
-			}
-			return
-		}
-		c := order[ci]
-		if c.kind == cEdge {
-			ev.satisfyEdge(c.idx, assign, func() { rec(ci + 1) })
-		} else {
-			ev.satisfyGroup(c.idx, assign, func() { rec(ci + 1) })
-		}
-	}
-	rec(0)
-	if captured == nil {
-		return nil, false, nil
-	}
-	return captured, true, nil
-}
-
 // edgeWitness reconstructs a shortest word labelling a path u→v that
 // matches edge ei's regex, via parent-tracked BFS over (node, NFA-state).
 func (ev *evaluator) edgeWitness(ei, u, v int) (string, bool) {
-	m := ev.nfas[ei]
+	m := ev.atoms[ei].ent.nfa
 	type cfg struct{ node, state int }
 	type parentInfo struct {
 		prev cfg
@@ -179,17 +142,11 @@ func (ev *evaluator) edgeWitness(ei, u, v int) (string, bool) {
 	return "", false
 }
 
-// groupWitness reconstructs per-component matching words for a group given
-// the node assignment, by a parent-tracked re-run of the synchronized
-// product.
-func (ev *evaluator) groupWitness(gi int, assign map[string]int) ([]string, error) {
+// groupWitness reconstructs per-component matching words for a group
+// between the given source and target tuples, by a parent-tracked re-run of
+// the synchronized product.
+func (ev *evaluator) groupWitness(gi int, src, tgt []int) ([]string, error) {
 	g := ev.q.Groups[gi]
-	src := make([]int, len(g.Edges))
-	tgt := make([]int, len(g.Edges))
-	for j, ei := range g.Edges {
-		src[j] = assign[ev.q.Pattern.Edges[ei].From]
-		tgt[j] = assign[ev.q.Pattern.Edges[ei].To]
-	}
 	switch rel := g.Rel.(type) {
 	case *Equality:
 		w, ok := ev.equalityWitness(g, src, tgt)
@@ -217,7 +174,7 @@ func (ev *evaluator) equalityWitness(g Group, src, tgt []int) (string, bool) {
 	s := len(g.Edges)
 	ms := make([]*automata.NFA, s)
 	for i, ei := range g.Edges {
-		ms[i] = ev.nfas[ei]
+		ms[i] = ev.atoms[ei].ent.nfa
 	}
 	type node struct {
 		nodes []int
@@ -296,7 +253,7 @@ func (ev *evaluator) equalityWitness(g Group, src, tgt []int) (string, bool) {
 			if !ok {
 				continue
 			}
-			ev.productNodes(opts, func(nodes []int) {
+			productNodes(opts, func(nodes []int) {
 				n := node{nodes: append([]int(nil), nodes...), sets: nextSets}
 				k := keyOf(n)
 				if _, seen := parent[k]; !seen {
@@ -314,7 +271,7 @@ func (ev *evaluator) nfaRelWitness(g Group, rel *NFARelation, src, tgt []int) ([
 	s := len(g.Edges)
 	ms := make([]*automata.NFA, s)
 	for i, ei := range g.Edges {
-		ms[i] = ev.nfas[ei]
+		ms[i] = ev.atoms[ei].ent.nfa
 	}
 	type node struct {
 		nodes []int
@@ -432,7 +389,7 @@ func (ev *evaluator) nfaRelWitness(g Group, rel *NFARelation, src, tgt []int) ([
 			if !ok {
 				continue
 			}
-			ev.productNodes(opts, func(nodes []int) {
+			productNodes(opts, func(nodes []int) {
 				n := node{nodes: append([]int(nil), nodes...), sets: nextSets, rset: rnext, mask: mask}
 				k := keyOf(n)
 				if _, seen := parent[k]; !seen {
@@ -443,4 +400,20 @@ func (ev *evaluator) nfaRelWitness(g Group, rel *NFARelation, src, tgt []int) ([
 		}
 	}
 	return nil, false
+}
+
+// prodKey encodes a configuration of the witness product searches: the node
+// tuple, the per-component state-set keys and a relation-specific suffix.
+func prodKey(nodes []int, setKeys []string, extra string) string {
+	var b []byte
+	for _, n := range nodes {
+		b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	}
+	for _, k := range setKeys {
+		b = append(b, 0xff)
+		b = append(b, k...)
+	}
+	b = append(b, 0xfe)
+	b = append(b, extra...)
+	return string(b)
 }

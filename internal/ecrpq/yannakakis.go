@@ -1,20 +1,19 @@
 package ecrpq
 
-// The acyclic-join specialization (planner v2). When the conjunct graph
-// of a join over materialized relations admits a join tree (GYO
-// reduction, planner.BuildJoinTree), the generic backtracking search is
-// replaced by Yannakakis' algorithm: a bottom-up semijoin pass filters
-// every parent relation by its children, a top-down pass filters every
-// child by its parent, and a final enumeration over the fully reduced
-// relations is backtrack-free — total work linear in the relation sizes
-// plus the output, where backtracking can spend time exponential in the
-// query size on dead-end prefixes. The enumeration pass speaks the
-// JoinRelationsStream yield contract (projected tuple + summed
-// EdgeRel.Dist cost, no dedup, budget polled per step), so the PR 7
-// cursors and budgets ride it unchanged. Subtrees containing no output
-// variable are existence-checked by the semijoin passes alone and never
-// enumerated (the free-connex trick) — disabled in ranked mode, where
-// every atom's Dist must flow into the witness cost.
+// The acyclic-join specialization. When the conjunct graph of a join over
+// materialized relations admits a join tree (GYO reduction,
+// planner.BuildJoinTree), the join runs as Yannakakis' algorithm: a
+// bottom-up semijoin pass filters every parent relation by its children, a
+// top-down pass filters every child by its parent, and the enumeration over
+// the fully reduced relations meets no dead end — total work linear in the
+// relation sizes plus the output, where backtracking over the unreduced
+// relations can spend time exponential in the query size on dead-end
+// prefixes. The reduction lives here; the enumeration is the shared
+// backtracking driver over a plan whose atom sources are the reduced
+// relations' liveness views (yanRel). Subtrees containing no output variable
+// are existence-checked by the semijoin passes alone and get no plan step
+// (the free-connex trick) — disabled in ranked mode, where every atom's cost
+// must flow into the witness cost.
 
 import (
 	"sort"
@@ -24,92 +23,90 @@ import (
 	"cxrpq/internal/planner"
 )
 
-// tryYannakakis is the evaluator-level dispatch: for a materialized
-// (non-lazy) run over a group-free query whose minimized conjunct graph
-// is acyclic, and whose estimated backtracking cost exceeds both the
-// semijoin floor and YannakakisGain times the cost of materializing the
-// kept relations, it builds the per-edge relations and runs the
-// Yannakakis program into sink. It reports whether it ran — false means
-// the caller should take the generic backtracking join.
-func (ev *evaluator) tryYannakakis(pre map[string]int, sink StreamFunc) bool {
+// yannakakisPlan is the evaluator-level dispatch: for a materializing
+// (non-lazy) run over a group-free query whose minimized conjunct graph is
+// acyclic, and whose estimated backtracking cost exceeds both the semijoin
+// floor and YannakakisGain times the cost of materializing the kept
+// relations, it builds the per-edge relations and compiles the Yannakakis
+// program. ok reports whether it applies — false means the caller should
+// compile the generic backtracking join; a nil plan with ok set means the
+// join is provably empty.
+func (ev *evaluator) yannakakisPlan(pre map[string]int) (p *plan, ok bool) {
 	if !planner.YannakakisEnabled() || ev.lazy || len(ev.q.Groups) > 0 {
-		return false
+		return nil, false
 	}
 	floor := planner.SemijoinFloor()
 	if floor < 0 {
-		return false
+		return nil, false
 	}
-	var kept []int
-	for i := range ev.q.Pattern.Edges {
-		if !ev.dropped[i] {
-			kept = append(kept, i)
-		}
-	}
+	kept, atoms := ev.planAtoms()
 	if len(kept) < 2 {
-		return false // a single relation scan gains nothing from semijoins
+		return nil, false // a single relation scan gains nothing from semijoins
 	}
-	atoms := make([]planner.Atom, len(kept))
 	mat := 0.0
-	for j, ei := range kept {
-		e := ev.q.Pattern.Edges[ei]
-		est := ev.ents[ei].shape().Estimate(ev.stats)
-		atoms[j] = planner.Atom{From: e.From, To: e.To, Est: est}
-		mat += est.Pairs + float64(est.Nodes)
+	for _, a := range atoms {
+		mat += a.Est.Pairs + float64(a.Est.Nodes)
 	}
 	spec := planner.Order(atoms, boundSet(pre))
 	if !spec.CostBased || spec.Cost < floor || spec.Cost < mat*planner.YannakakisGain() {
-		return false
+		return nil, false
 	}
 	refs := make([]planner.EdgeRef, len(ev.q.Pattern.Edges))
 	for i, e := range ev.q.Pattern.Edges {
 		refs[i] = planner.EdgeRef{From: e.From, To: e.To}
 	}
-	tree, ok := planner.BuildJoinTree(refs, ev.dropped)
-	if !ok {
+	tree, acyclic := planner.BuildJoinTree(refs, ev.dropped)
+	if !acyclic {
 		planner.CountCyclicFallback()
-		return false
+		return nil, false
 	}
 	rels := make([]*EdgeRel, len(ev.q.Pattern.Edges))
 	for _, ei := range kept {
-		r, err := RelationForW(ev.db, ev.q.Pattern.Edges[ei].Label, ev.sigma, ev.bud, ev.ranked, ev.rankedWeight())
+		r, err := BuildRelation(ev.db, ev.q.Pattern.Edges[ei].Label, ev.sigma,
+			engine.ReachOpts{Budget: ev.bud, Levels: ev.ranked, Weight: ev.rankedWeight()})
 		if err != nil {
 			// Budget-truncated (or otherwise failed) materialization:
 			// fall back — a canceled budget unwinds the backtracking
 			// join immediately anyway.
-			return false
+			return nil, false
 		}
 		rels[ei] = r
 	}
-	yannakakisStream(ev.q.Pattern, rels, tree, pre, ev.bud, sink)
-	return true
+	return yannakakisJoin(ev.q.Pattern, rels, tree, pre, ev.ranked), true
 }
 
 // yanRel is one atom's relation with a pair-level liveness bitset laid
 // over the EdgeRel's forward adjacency (flattened positions, prefix
-// offsets per source). The semijoin passes only ever clear bits.
+// offsets per source). The semijoin passes only ever clear bits. As an
+// atomSource it lists live pairs only, filtered into per-relation scratch
+// buffers: a plan visits each atom in one step, so a listing is never read
+// after the next one of the same relation is requested.
 type yanRel struct {
 	r        *EdgeRel
 	from, to string
 	selfLoop bool
+	ranked   bool  // list costs along with the nodes
 	off      []int // off[u] = flattened position of fwd[u][0]; len n+1
 	alive    []uint64
 	live     int
-}
 
-func bitGet(b []uint64, i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
-func bitSet(b []uint64, i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
-func bitClear(b []uint64, i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
+	nodes []int
+	costs []int32
+}
 
 // newYanRel builds the liveness overlay, pre-filtering by a self-loop
 // constraint (From == To atoms keep only diagonal pairs) and by any
 // pre-bound endpoint variables.
-func newYanRel(r *EdgeRel, from, to string, pre map[string]int) *yanRel {
+func newYanRel(r *EdgeRel, from, to string, pre map[string]int, ranked bool) *yanRel {
 	n := r.NumNodes()
-	y := &yanRel{r: r, from: from, to: to, selfLoop: from == to}
+	y := &yanRel{r: r, from: from, to: to, selfLoop: from == to, ranked: ranked}
 	y.off = make([]int, n+1)
+	widest := 0
 	for u := 0; u < n; u++ {
 		y.off[u+1] = y.off[u] + len(r.Forward(u))
+		widest = max(widest, len(r.Forward(u)))
 	}
+	y.nodes = make([]int, 0, widest)
 	total := y.off[n]
 	y.alive = make([]uint64, (total+63)/64)
 	pf, pfok := pre[from]
@@ -142,13 +139,58 @@ func (y *yanRel) pos(u, v int) int {
 	return -1
 }
 
-// hasAlive reports whether the pair (u, v) is present and still live.
-func (y *yanRel) hasAlive(u, v int) bool {
+// has reports whether the pair (u, v) is present and still live.
+func (y *yanRel) has(u, v int) (int32, bool) {
 	if u < 0 || u >= len(y.off)-1 {
-		return false
+		return 0, false
 	}
 	p := y.pos(u, v)
-	return p >= 0 && bitGet(y.alive, p)
+	if p < 0 || !bitHas(y.alive, p) {
+		return 0, false
+	}
+	if !y.ranked || y.r.lev == nil {
+		return 0, true
+	}
+	return y.r.lev[u][p-y.off[u]], true
+}
+
+// keep filters a listing of the underlying relation down to the pairs alive
+// reports, into the scratch buffers.
+func (y *yanRel) keep(ws []int, ds []int32, alive func(i, w int) bool) ([]int, []int32) {
+	y.nodes, y.costs = y.nodes[:0], y.costs[:0]
+	for i, w := range ws {
+		if alive(i, w) {
+			y.nodes = append(y.nodes, w)
+			if y.ranked && ds != nil {
+				y.costs = append(y.costs, ds[i])
+			}
+		}
+	}
+	if len(y.costs) == 0 {
+		return y.nodes, nil
+	}
+	return y.nodes, y.costs
+}
+
+func (y *yanRel) forward(u int) ([]int, []int32) {
+	ws, ds := y.r.forward(u)
+	return y.keep(ws, ds, func(i, _ int) bool { return bitHas(y.alive, y.off[u]+i) })
+}
+
+func (y *yanRel) backward(v int) ([]int, []int32) {
+	ws, ds := y.r.backward(v)
+	return y.keep(ws, ds, func(_, w int) bool { _, ok := y.has(w, v); return ok })
+}
+
+func (y *yanRel) scan(f func(u int, vs []int, costs []int32) bool) {
+	for u := 0; u < len(y.off)-1; u++ {
+		if y.off[u] == y.off[u+1] {
+			continue
+		}
+		if ws, ds := y.forward(u); len(ws) > 0 && !f(u, ws, ds) {
+			return
+		}
+	}
 }
 
 // value resolves a shared variable to its side of the pair.
@@ -168,7 +210,7 @@ func (y *yanRel) eachAlive(f func(u, v int, p int) bool) {
 		}
 		for i, v := range y.r.Forward(u) {
 			p := y.off[u] + i
-			if bitGet(y.alive, p) && !f(u, v, p) {
+			if bitHas(y.alive, p) && !f(u, v, p) {
 				return
 			}
 		}
@@ -215,35 +257,30 @@ func semijoin(p, c *yanRel, shared []string) {
 	case 1:
 		z := shared[0]
 		sup := c.support(z)
-		p.filter(func(u, v int) bool { return bitGet(sup, p.value(z, u, v)) })
+		p.filter(func(u, v int) bool { return bitHas(sup, p.value(z, u, v)) })
 	default:
 		swapped := c.from != p.from
 		p.filter(func(u, v int) bool {
 			if swapped {
 				u, v = v, u
 			}
-			return c.hasAlive(u, v)
+			_, ok := c.has(u, v)
+			return ok
 		})
 	}
 }
 
-// yannakakisStream evaluates the join of g over rels along the join tree
-// and streams the output projections through yield under the
-// JoinRelationsStream contract. Atoms outside the tree (Parent == -2,
-// i.e. minimized duplicates the caller masked out of BuildJoinTree) are
-// ignored; pre pre-binds node variables Check-style. The budget is
-// polled per enumeration step; cancellation unwinds with the sound
-// partial output already yielded.
-func yannakakisStream(g *pattern.Graph, rels []*EdgeRel, tree *planner.JoinTree, pre map[string]int, bud *engine.Budget, yield func(t pattern.Tuple, cost int) bool) {
+// yannakakisJoin runs the semijoin program of g over rels along the join
+// tree and compiles the enumeration of the fully reduced relations; a nil
+// plan means the join is empty. Atoms outside the tree (Parent == -2, i.e.
+// minimized duplicates the caller masked out of BuildJoinTree) are ignored;
+// pre pre-binds node variables Check-style.
+func yannakakisJoin(g *pattern.Graph, rels []*EdgeRel, tree *planner.JoinTree, pre map[string]int, ranked bool) *plan {
 	planner.CountAcyclicPlan()
 	nodes := make([]*yanRel, len(g.Edges))
-	ranked := false
 	for _, i := range tree.Order {
 		e := g.Edges[i]
-		nodes[i] = newYanRel(rels[i], e.From, e.To, pre)
-		if rels[i].HasLevels() {
-			ranked = true
-		}
+		nodes[i] = newYanRel(rels[i], e.From, e.To, pre, ranked)
 	}
 
 	// Pass 1, leaves up: filter every parent by its children.
@@ -255,7 +292,7 @@ func yannakakisStream(g *pattern.Graph, rels []*EdgeRel, tree *planner.JoinTree,
 		}
 	}
 	if len(tree.Order) > 0 && nodes[tree.Order[0]].live == 0 {
-		return // the root drained: the join is empty
+		return nil // the root drained: the join is empty
 	}
 	// Pass 2, root down: filter every child by its parent. After this the
 	// relations are fully reduced — every live pair extends to a full
@@ -267,181 +304,31 @@ func yannakakisStream(g *pattern.Graph, rels []*EdgeRel, tree *planner.JoinTree,
 		}
 	}
 
-	// Neededness: a variable must be bound during enumeration when it is
-	// an output variable or is shared between two enumerated atoms; an
-	// atom must be enumerated when its subtree contains a needed atom
-	// (the connected hull of the output atoms — outside it, the semijoin
-	// passes already guarantee existence). Ranked mode enumerates
-	// everything so each atom's Dist reaches the witness cost.
-	need := map[string]bool{}
+	// An atom gets a plan step when its subtree contains an atom over an
+	// output variable (the connected hull of the output atoms — outside it,
+	// the semijoin passes already guarantee existence). Ranked mode
+	// enumerates everything so each atom's cost reaches the witness cost.
+	out := map[string]bool{}
 	for _, z := range g.Out {
-		need[z] = true
+		out[z] = true
 	}
 	inS := make([]bool, len(g.Edges))
 	for k := len(tree.Order) - 1; k >= 0; k-- {
 		i := tree.Order[k]
 		e := g.Edges[i]
-		if ranked || need[e.From] || need[e.To] {
+		if ranked || out[e.From] || out[e.To] {
 			inS[i] = true
 		}
 		if inS[i] && tree.Parent[i] >= 0 {
 			inS[tree.Parent[i]] = true
 		}
 	}
-	var enum []int
-	for _, i := range tree.Order {
+	p := newPlan(ranked, len(tree.Order))
+	for _, i := range tree.Order { // parents before children
 		if inS[i] {
-			enum = append(enum, i)
-			for _, z := range tree.Shared[i] {
-				need[z] = true
-			}
+			p.addAtom(nodes[i], nodes[i].from, nodes[i].to, 0)
 		}
 	}
-
-	assign := map[string]int{}
-	for z, v := range pre {
-		assign[z] = v
-	}
-	project := func(cost int) bool {
-		t := make(pattern.Tuple, len(g.Out))
-		for i, z := range g.Out {
-			v, ok := assign[z]
-			if !ok {
-				return true // output var not constrained; Validate prevents this
-			}
-			t[i] = v
-		}
-		return yield(t, cost)
-	}
-	stop := false
-	var rec func(k, cost int)
-	rec = func(k, cost int) {
-		if stop {
-			return
-		}
-		if k == len(enum) {
-			if !project(cost) {
-				stop = true
-			}
-			return
-		}
-		if bud.Canceled() {
-			stop = true
-			return
-		}
-		y := nodes[enum[k]]
-		u, uok := assign[y.from]
-		v, vok := assign[y.to]
-		dist := func(u, v int) int { return int(y.r.Dist(u, v)) }
-		switch {
-		case uok && vok: // includes bound self-loops (same var twice)
-			if y.hasAlive(u, v) {
-				rec(k+1, cost+dist(u, v))
-			}
-		case uok && !y.selfLoop:
-			if ranked || need[y.to] {
-				for i, w := range y.r.Forward(u) {
-					if !bitGet(y.alive, y.off[u]+i) {
-						continue
-					}
-					assign[y.to] = w
-					rec(k+1, cost+dist(u, w))
-					if stop {
-						break
-					}
-				}
-				delete(assign, y.to)
-			} else {
-				// The target is needed by nothing downstream: one live
-				// pair proves the extension (full reduction), unranked
-				// mode carries no Dist, so don't fan out over targets.
-				for i := range y.r.Forward(u) {
-					if bitGet(y.alive, y.off[u]+i) {
-						rec(k+1, cost)
-						break
-					}
-				}
-			}
-		case vok && !y.selfLoop:
-			if ranked || need[y.from] {
-				for _, w := range y.r.Backward(v) {
-					if !y.hasAlive(w, v) {
-						continue
-					}
-					assign[y.from] = w
-					rec(k+1, cost+dist(w, v))
-					if stop {
-						break
-					}
-				}
-				delete(assign, y.from)
-			} else {
-				for _, w := range y.r.Backward(v) {
-					if y.hasAlive(w, v) {
-						rec(k+1, cost)
-						break
-					}
-				}
-			}
-		default:
-			needF := ranked || need[y.from]
-			needT := ranked || need[y.to]
-			switch {
-			case y.selfLoop:
-				// Live pairs are diagonal by construction.
-				prev := -1
-				y.eachAlive(func(u, _, _ int) bool {
-					if !needF {
-						rec(k+1, cost)
-						return false
-					}
-					if u == prev {
-						return true
-					}
-					prev = u
-					assign[y.from] = u
-					rec(k+1, cost+dist(u, u))
-					return !stop
-				})
-				if needF {
-					delete(assign, y.from)
-				}
-			case needF && needT:
-				y.eachAlive(func(u, v, _ int) bool {
-					assign[y.from], assign[y.to] = u, v
-					rec(k+1, cost+dist(u, v))
-					return !stop
-				})
-				delete(assign, y.from)
-				delete(assign, y.to)
-			case needF:
-				prevU := -1
-				y.eachAlive(func(u, _, _ int) bool {
-					if u == prevU {
-						return true
-					}
-					prevU = u
-					assign[y.from] = u
-					rec(k+1, cost)
-					return !stop
-				})
-				delete(assign, y.from)
-			case needT:
-				sup := y.support(y.to)
-				for w := 0; w < y.r.NumNodes() && !stop; w++ {
-					if !bitGet(sup, w) {
-						continue
-					}
-					assign[y.to] = w
-					rec(k+1, cost)
-				}
-				delete(assign, y.to)
-			default:
-				if y.live > 0 {
-					rec(k+1, cost)
-				}
-			}
-		}
-	}
-	rec(0, 0)
+	p.seal(g.Out, pre, false)
+	return p
 }

@@ -23,79 +23,80 @@ import (
 // into a Reach call's lock-free local table.
 const unknown int32 = -2
 
+// ReachOpts parameterizes a reachability search. The zero value is the plain
+// unbudgeted hit-set BFS.
+type ReachOpts struct {
+	// Budget is polled once per BFS level (every few hundred settles under a
+	// Weight); nil means unlimited. A canceled search returns the sound prefix
+	// found so far: every entry is a genuine hit with its true minimal cost,
+	// costlier hits may be missing.
+	Budget *Budget
+	// Levels reports, parallel to the hits, the cost of a cheapest accepted
+	// path to each: the number of graph edges (the BFS level the kernel
+	// already runs in — no second search), or the total weight under Weight.
+	Levels bool
+	// Weight replaces the unit edge cost (see Weight); non-nil implies Levels
+	// and runs Dijkstra over the product instead of the BFS.
+	Weight Weight
+}
+
 // Reach returns the sorted graph nodes v reachable from src through a path
 // whose label is accepted by the automaton behind c: paths follow out-edges
 // when forward is true and in-edges otherwise (the caller supplies the
-// reversed automaton for backward searches). It is the integer-interned
-// replacement for the string-keyed (node, state-set) BFS. The result is
-// materialized by scanning the hit bitset, so it comes out sorted for free
-// (O(n/64 + h) instead of the old O(h log h) sort); callers that only need
-// membership should take ReachBits directly.
-func Reach(ix *graph.Index, c *automata.SubsetCache, src int, forward bool) []int {
-	return ReachBitsToList(ReachBits(ix, c, src, forward))
-}
-
-// ReachBitsToList materializes a hit bitset into the sorted node list.
-func ReachBitsToList(hitBits []uint64) []int {
-	if hitBits == nil {
-		return nil
-	}
-	var hits []int
-	for wi, bs := range hitBits {
-		for bs != 0 {
-			hits = append(hits, wi*64+bits.TrailingZeros64(bs))
-			bs &= bs - 1
-		}
-	}
-	return hits
-}
-
-// ReachLevels is Reach that additionally reports, for every hit, the BFS
-// level (number of graph edges on a shortest accepted path) at which the
-// node was first reported, and honors an optional budget at level
-// granularity. levs is parallel to hits. The levels come straight out of the
-// FIFO order the kernel already runs in — no second search. When bud is
-// canceled mid-search the prefix found so far is returned (every entry is a
-// genuine hit with its true shortest level; deeper hits may be missing).
-func ReachLevels(ix *graph.Index, c *automata.SubsetCache, src int, forward bool, bud *Budget) (hits []int, levs []int32) {
+// reversed automaton for backward searches). The result is materialized by
+// scanning the hit bitset, so it comes out sorted for free. levs is nil
+// unless o asks for costs. An out-of-range src yields (nil, nil).
+func Reach(ix *graph.Index, c *automata.SubsetCache, src int, forward bool, o ReachOpts) (hits []int, levs []int32) {
 	n := ix.NumNodes()
 	if src < 0 || src >= n {
 		return nil, nil
 	}
-	hitLev := make([]int32, n)
-	hitBits := reachCore(ix, c, src, forward, bud, hitLev)
+	var hitLev []int32
+	if o.Levels || o.Weight != nil {
+		hitLev = make([]int32, n)
+	}
+	var hitBits []uint64
+	if o.Weight != nil {
+		hitBits = reachWeighted(ix, c, src, forward, o.Budget, weightTable(ix, o.Weight), hitLev)
+	} else {
+		hitBits = reachBFS(ix, c, src, forward, o.Budget, hitLev)
+	}
 	for wi, bs := range hitBits {
 		for bs != 0 {
 			v := wi*64 + bits.TrailingZeros64(bs)
 			bs &= bs - 1
 			hits = append(hits, v)
-			levs = append(levs, hitLev[v])
+			if hitLev != nil {
+				levs = append(levs, hitLev[v])
+			}
 		}
 	}
 	return hits, levs
 }
 
-// ReachBits is Reach returning the raw hit bitset (word i, bit b ⇔ node
-// 64i+b reachable): membership-only callers skip the list materialization
-// entirely. It returns nil when src is out of range.
-func ReachBits(ix *graph.Index, c *automata.SubsetCache, src int, forward bool) []uint64 {
-	return ReachBitsBudget(ix, c, src, forward, nil)
-}
+// transRows copies the shared (lock-guarded) subset-automaton transition
+// table into dense per-set-id rows, one slot per graph symbol, so a kernel's
+// inner loop stays lock-free after the first use of each transition.
+type transRows [][]int32
 
-// ReachBitsBudget is ReachBits under an optional budget, polled once per BFS
-// level; a canceled budget yields the (sound, incomplete) prefix bitset.
-func ReachBitsBudget(ix *graph.Index, c *automata.SubsetCache, src int, forward bool, bud *Budget) []uint64 {
-	n := ix.NumNodes()
-	if src < 0 || src >= n {
-		return nil
+func (t *transRows) row(id int32, nSyms int) []int32 {
+	for int(id) >= len(*t) {
+		*t = append(*t, nil)
 	}
-	return reachCore(ix, c, src, forward, bud, nil)
+	if (*t)[id] == nil {
+		r := make([]int32, nSyms)
+		for s := range r {
+			r[s] = unknown
+		}
+		(*t)[id] = r
+	}
+	return (*t)[id]
 }
 
-// reachCore is the scalar product BFS shared by Reach/ReachBits/ReachLevels.
-// When hitLev is non-nil it receives the first-hit level per node (indexed
-// by node id; positions whose hit bit is never set are untouched).
-func reachCore(ix *graph.Index, c *automata.SubsetCache, src int, forward bool, bud *Budget, hitLev []int32) []uint64 {
+// reachBFS is the scalar unit-cost product BFS behind Reach. When hitLev is
+// non-nil it receives the first-hit level per node (indexed by node id;
+// positions whose hit bit is never set are untouched).
+func reachBFS(ix *graph.Index, c *automata.SubsetCache, src int, forward bool, bud *Budget, hitLev []int32) []uint64 {
 	n := ix.NumNodes()
 	nSyms := ix.NumSyms()
 	words := (n + 63) / 64
@@ -112,22 +113,7 @@ func reachCore(ix *graph.Index, c *automata.SubsetCache, src int, forward bool, 
 		}
 		return visited[id]
 	}
-	// local copies the shared (lock-guarded) transition table into a dense
-	// per-call array so the BFS inner loop stays lock-free after first use.
-	var local [][]int32
-	localFor := func(id int32) []int32 {
-		for int(id) >= len(local) {
-			local = append(local, nil)
-		}
-		if local[id] == nil {
-			row := make([]int32, nSyms)
-			for s := range row {
-				row[s] = unknown
-			}
-			local[id] = row
-		}
-		return local[id]
-	}
+	var local transRows
 
 	type cfg struct {
 		node int32
@@ -158,7 +144,7 @@ func reachCore(ix *graph.Index, c *automata.SubsetCache, src int, forward bool, 
 				}
 			}
 		}
-		row := localFor(cur.id)
+		row := local.row(cur.id, nSyms)
 		for s := int32(0); s < int32(nSyms); s++ {
 			var tgts []int32
 			if forward {
@@ -189,21 +175,10 @@ func reachCore(ix *graph.Index, c *automata.SubsetCache, src int, forward bool, 
 	return hitBits
 }
 
-// ReachAll runs Reach from every source in srcs, fanning the independent
-// searches out across the worker pool, and returns the per-source results
-// in input order.
-func ReachAll(ix *graph.Index, c *automata.SubsetCache, srcs []int, forward bool) [][]int {
-	out := make([][]int, len(srcs))
-	Fan(len(srcs), func(i int) {
-		out[i] = Reach(ix, c, srcs[i], forward)
-	})
-	return out
-}
-
 // maxWorkers bounds the engine's fan-out; 0 means GOMAXPROCS.
 var maxWorkers atomic.Int64
 
-// SetMaxWorkers bounds the worker pool used by Fan/ReachAll (0 restores the
+// SetMaxWorkers bounds the worker pool used by Fan (0 restores the
 // default of GOMAXPROCS). It returns the previous bound.
 func SetMaxWorkers(n int) int {
 	return int(maxWorkers.Swap(int64(n)))

@@ -155,13 +155,13 @@ func TestReachAgreesWithReference(t *testing.T) {
 		rm := reverseNFA(m)
 		rc := automata.NewSubsetCache(rm)
 		for src := 0; src < db.NumNodes(); src++ {
-			got := engine.Reach(ix, fc, src, true)
+			got := reach(ix, fc, src, true)
 			want := referenceReach(db, m, src, true)
 			if !equalInts(got, want) {
 				t.Fatalf("seed %d regex %s: forward Reach(%d) = %v, reference %v",
 					seed, xregex.String(n), src, got, want)
 			}
-			got = engine.Reach(ix, rc, src, false)
+			got = reach(ix, rc, src, false)
 			want = referenceReach(db, rm, src, false)
 			if !equalInts(got, want) {
 				t.Fatalf("seed %d regex %s: backward Reach(%d) = %v, reference %v",
@@ -171,9 +171,24 @@ func TestReachAgreesWithReference(t *testing.T) {
 	}
 }
 
-// TestReachAllMatchesReach checks that the parallel fan-out returns exactly
+// reach is the plain hit-set form of engine.Reach.
+func reach(ix *graph.Index, c *automata.SubsetCache, src int, forward bool) []int {
+	hits, _ := engine.Reach(ix, c, src, forward, engine.ReachOpts{})
+	return hits
+}
+
+// reachFan runs reach from every source across the worker pool (engine.Fan)
+// and returns the per-source results in input order — the per-source
+// baseline the batched kernel is compared against.
+func reachFan(ix *graph.Index, c *automata.SubsetCache, srcs []int, forward bool) [][]int {
+	out := make([][]int, len(srcs))
+	engine.Fan(len(srcs), func(i int) { out[i] = reach(ix, c, srcs[i], forward) })
+	return out
+}
+
+// TestFanMatchesSequential checks that the parallel fan-out returns exactly
 // the per-source results, for every worker-pool width.
-func TestReachAllMatchesReach(t *testing.T) {
+func TestFanMatchesSequential(t *testing.T) {
 	const letters = "ab"
 	db := workload.Random(5, 14, 40, letters)
 	m := xregex.MustCompile(xregex.MustParse("a(a|b)*b"), []rune(letters))
@@ -185,22 +200,22 @@ func TestReachAllMatchesReach(t *testing.T) {
 	want := make([][]int, len(srcs))
 	seq := automata.NewSubsetCache(m)
 	for i, s := range srcs {
-		want[i] = engine.Reach(ix, seq, s, true)
+		want[i] = reach(ix, seq, s, true)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		prev := engine.SetMaxWorkers(workers)
-		got := engine.ReachAll(ix, automata.NewSubsetCache(m), srcs, true)
+		got := reachFan(ix, automata.NewSubsetCache(m), srcs, true)
 		engine.SetMaxWorkers(prev)
 		for i := range srcs {
 			if !equalInts(got[i], want[i]) {
-				t.Fatalf("workers=%d: ReachAll[%d] = %v, want %v", workers, i, got[i], want[i])
+				t.Fatalf("workers=%d: fan[%d] = %v, want %v", workers, i, got[i], want[i])
 			}
 		}
 	}
 }
 
 // TestReachSharedCacheConcurrent hammers one shared SubsetCache from many
-// goroutines (via ReachAll) and checks the results stay correct — the cache
+// goroutines (via engine.Fan) and checks the results stay correct — the cache
 // is the piece shared across parallel branch evaluations.
 func TestReachSharedCacheConcurrent(t *testing.T) {
 	const letters = "abc"
@@ -214,11 +229,11 @@ func TestReachSharedCacheConcurrent(t *testing.T) {
 			srcs = append(srcs, i)
 		}
 	}
-	got := engine.ReachAll(ix, shared, srcs, true)
+	got := reachFan(ix, shared, srcs, true)
 	for i, s := range srcs {
 		want := referenceReach(db, m, s, true)
 		if !equalInts(got[i], want) {
-			t.Fatalf("concurrent ReachAll[%d] (src %d) = %v, want %v", i, s, got[i], want)
+			t.Fatalf("concurrent fan[%d] (src %d) = %v, want %v", i, s, got[i], want)
 		}
 	}
 }

@@ -147,7 +147,7 @@ type shardWorker struct {
 	hits    []uint64   // [node-lo] -> mask of sources hitting node finally
 	hitLev  []int32    // [(node-lo)*64+srcbit] -> first-hit level (nil unless requested)
 	final   []int8     // [id] -> -1 unknown / 0 no / 1 yes
-	local   [][]int32  // [id] -> per-symbol transition row (lock-free copy)
+	local   transRows  // [id] -> per-symbol transition row (lock-free copy)
 
 	frontier, next []batchCfg
 	masks          []uint64  // per-frontier-entry pend snapshot (scratch, see expand)
@@ -187,21 +187,6 @@ func (w *shardWorker) isFinal(id int32) bool {
 		}
 	}
 	return w.final[id] == 1
-}
-
-// row returns the lock-free local transition row of set id.
-func (w *shardWorker) row(id int32) []int32 {
-	for int(id) >= len(w.local) {
-		w.local = append(w.local, nil)
-	}
-	if w.local[id] == nil {
-		r := make([]int32, w.nSyms)
-		for s := range r {
-			r[s] = unknown
-		}
-		w.local[id] = r
-	}
-	return w.local[id]
 }
 
 // insert merges mask into configuration (v, id), queueing it for the next
@@ -256,7 +241,7 @@ func (w *shardWorker) expand() {
 		if mask == 0 {
 			continue
 		}
-		row := w.row(cur.id)
+		row := w.local.row(cur.id, int(w.nSyms))
 		for s := int32(0); s < w.nSyms; s++ {
 			var tgts []int32
 			if w.forward {
@@ -412,22 +397,7 @@ func (w *shardWorker) runSingle() {
 // single inline shard. The SubsetCache may be shared with concurrent
 // ReachBatch/Reach calls; the graph must be quiescent (the usual contract).
 func ReachBatch(ix *graph.Index, part *graph.Partition, c *automata.SubsetCache, srcs []int, forward bool) [][]int {
-	return ReachBatchEx(ix, part, c, srcs, forward, BatchOpts{}).Hits
-}
-
-// BatchOpts extends ReachBatch: an optional per-query budget polled at level
-// granularity, first-hit level capture for ranked (shortest-witness-first)
-// enumeration, and a pluggable edge weight.
-type BatchOpts struct {
-	Budget *Budget
-	Levels bool // record BFS first-hit levels per (source, node)
-
-	// Weight switches the level capture from BFS edge counts to minimum
-	// total edge weight (implies Levels). The MS-BFS word-packing is
-	// level-synchronous and cannot batch Dijkstra frontiers, so a weighted
-	// batch runs as a per-source ReachLevelsW fan instead of the sharded
-	// kernel — correct, budget-honoring, but without the 64-way sharing.
-	Weight Weight
+	return ReachBatchEx(ix, part, c, srcs, forward, ReachOpts{}).Hits
 }
 
 // BatchResult is the extended kernel output. Levs is parallel to Hits
@@ -441,8 +411,12 @@ type BatchResult struct {
 	Truncated bool
 }
 
-// ReachBatchEx is ReachBatch with options; see BatchOpts/BatchResult.
-func ReachBatchEx(ix *graph.Index, part *graph.Partition, c *automata.SubsetCache, srcs []int, forward bool, opts BatchOpts) BatchResult {
+// ReachBatchEx is ReachBatch under the options of Reach, applied to the whole
+// batch; see BatchResult. The MS-BFS word-packing is level-synchronous and
+// cannot batch Dijkstra frontiers, so a weighted batch runs as a per-source
+// Reach fan instead of the sharded kernel — correct, budget-honoring, but
+// without the 64-way sharing.
+func ReachBatchEx(ix *graph.Index, part *graph.Partition, c *automata.SubsetCache, srcs []int, forward bool, opts ReachOpts) BatchResult {
 	if opts.Weight != nil {
 		return reachBatchWeighted(ix, c, srcs, forward, opts)
 	}

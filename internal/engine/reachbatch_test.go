@@ -62,7 +62,7 @@ func TestReachBatchMatchesReach(t *testing.T) {
 			if !forward {
 				nfa = rm
 			}
-			want := engine.ReachAll(ix, automata.NewSubsetCache(nfa), srcs, forward)
+			want := reachFan(ix, automata.NewSubsetCache(nfa), srcs, forward)
 			for _, k := range shardCounts() {
 				got := engine.ReachBatch(ix, db.Partition(k), automata.NewSubsetCache(nfa), srcs, forward)
 				for u := range want {
@@ -94,7 +94,7 @@ func TestReachBatchManySources(t *testing.T) {
 	}
 	c := automata.NewSubsetCache(m)
 	for i, src := range srcs {
-		want := engine.Reach(ix, c, src, true)
+		want := reach(ix, c, src, true)
 		if !equalInts(got[i], want) {
 			t.Fatalf("source %d (=%d): got %v want %v", i, src, got[i], want)
 		}
@@ -115,40 +115,23 @@ func TestReachBatchStaleOrNilPartition(t *testing.T) {
 	for _, part := range []*graph.Partition{nil, stale} {
 		got := engine.ReachBatch(ix, part, automata.NewSubsetCache(m), srcs, true)
 		for i, src := range srcs {
-			if want := engine.Reach(ix, c, src, true); !equalInts(got[i], want) {
+			if want := reach(ix, c, src, true); !equalInts(got[i], want) {
 				t.Fatalf("part=%v src %d: got %v want %v", part != nil, src, got[i], want)
 			}
 		}
 	}
 }
 
-// TestReachBitsMatchesReach: the bitset view must contain exactly the
-// sorted hit list of Reach.
-func TestReachBitsMatchesReach(t *testing.T) {
+// TestReachOutOfRangeSource: sources outside the node range have no hits
+// (and no levels), in range ones always at least an allocated search.
+func TestReachOutOfRangeSource(t *testing.T) {
 	db := workload.Random(21, 90, 400, "abc")
 	ix := db.Index()
 	m := xregex.MustCompile(xregex.MustParse("a(b|c)*a?"), []rune("abc"))
 	c := automata.NewSubsetCache(m)
-	for src := -1; src <= db.NumNodes(); src++ {
-		bits := engine.ReachBits(ix, c, src, true)
-		want := engine.Reach(ix, c, src, true)
-		if bits == nil {
-			if src >= 0 && src < db.NumNodes() {
-				t.Fatalf("src %d: nil bits for in-range source", src)
-			}
-			if want != nil {
-				t.Fatalf("src %d: Reach non-nil for out-of-range source", src)
-			}
-			continue
-		}
-		var got []int
-		for v := 0; v < db.NumNodes(); v++ {
-			if bits[v/64]&(1<<(uint(v)%64)) != 0 {
-				got = append(got, v)
-			}
-		}
-		if !equalInts(got, want) {
-			t.Fatalf("src %d: bits %v want %v", src, got, want)
+	for _, src := range []int{-1, db.NumNodes()} {
+		if hits, levs := engine.Reach(ix, c, src, true, engine.ReachOpts{Levels: true}); hits != nil || levs != nil {
+			t.Fatalf("src %d: Reach = (%v, %v) for an out-of-range source", src, hits, levs)
 		}
 	}
 }
@@ -198,7 +181,7 @@ func TestReachBatchConcurrentSharedCache(t *testing.T) {
 	for i := range srcs {
 		srcs[i] = i
 	}
-	want := engine.ReachAll(ix, automata.NewSubsetCache(m), srcs, true)
+	want := reachFan(ix, automata.NewSubsetCache(m), srcs, true)
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for g := 0; g < 8; g++ {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"math/bits"
 
 	"cxrpq/internal/automata"
 	"cxrpq/internal/graph"
@@ -40,31 +39,21 @@ func weightTable(ix *graph.Index, w Weight) []int32 {
 	return tbl
 }
 
-// ReachLevelsW is ReachLevels under a pluggable edge weight: for every hit it
-// reports the minimum total weight of an accepted path instead of the edge
-// count. With a nil weight it is exactly ReachLevels (one BFS). With a
-// weight it runs Dijkstra over the (node, automaton-set-id) product
-// configurations — a lazy-deletion binary heap keyed by accumulated cost, so
-// the first settle of an accepting configuration carries the node's minimal
-// weighted witness. The budget is polled every few hundred pops; a canceled
-// search returns the sound settled prefix (every entry is a true minimal
-// cost; costlier hits may be missing).
-func ReachLevelsW(ix *graph.Index, c *automata.SubsetCache, src int, forward bool, bud *Budget, w Weight) (hits []int, levs []int32) {
-	if w == nil {
-		return ReachLevels(ix, c, src, forward, bud)
-	}
+// reachWeighted is the Dijkstra kernel behind Reach under a Weight: for every
+// hit it records in hitLev the minimum total weight of an accepted path
+// instead of the edge count. It runs over the (node, automaton-set-id)
+// product configurations with a lazy-deletion binary heap keyed by
+// accumulated cost, so the first settle of an accepting configuration carries
+// the node's minimal weighted witness. The budget is polled every few hundred
+// pops. wsym is the clamped per-symbol cost table (weightTable).
+func reachWeighted(ix *graph.Index, c *automata.SubsetCache, src int, forward bool, bud *Budget, wsym, hitLev []int32) []uint64 {
 	n := ix.NumNodes()
-	if src < 0 || src >= n {
-		return nil, nil
-	}
 	nSyms := ix.NumSyms()
-	words := (n + 63) / 64
-	wsym := weightTable(ix, w)
 
 	const inf = int32(math.MaxInt32)
 	// dist[id] is the best known cost per node for DFA set id; ids are dense
 	// and appear in discovery order, so the slice grows lazily (mirroring
-	// reachCore's visited structure).
+	// reachBFS's visited structure).
 	var dist [][]int32
 	distFor := func(id int32) []int32 {
 		for int(id) >= len(dist) {
@@ -79,20 +68,7 @@ func ReachLevelsW(ix *graph.Index, c *automata.SubsetCache, src int, forward boo
 		}
 		return dist[id]
 	}
-	var local [][]int32
-	localFor := func(id int32) []int32 {
-		for int(id) >= len(local) {
-			local = append(local, nil)
-		}
-		if local[id] == nil {
-			row := make([]int32, nSyms)
-			for s := range row {
-				row[s] = unknown
-			}
-			local[id] = row
-		}
-		return local[id]
-	}
+	var local transRows
 
 	type wcfg struct {
 		cost int32
@@ -138,8 +114,7 @@ func ReachLevelsW(ix *graph.Index, c *automata.SubsetCache, src int, forward boo
 	}
 	distFor(c.Start())[src] = 0
 
-	hitBits := make([]uint64, words)
-	hitLev := make([]int32, n)
+	hitBits := make([]uint64, (n+63)/64)
 	pops := 0
 	for len(heap) > 0 {
 		cur := pop()
@@ -158,7 +133,7 @@ func ReachLevelsW(ix *graph.Index, c *automata.SubsetCache, src int, forward boo
 				hitLev[cur.node] = cur.cost // first settle ⇒ minimal cost
 			}
 		}
-		row := localFor(cur.id)
+		row := local.row(cur.id, nSyms)
 		for s := int32(0); s < int32(nSyms); s++ {
 			var tgts []int32
 			if forward {
@@ -187,30 +162,23 @@ func ReachLevelsW(ix *graph.Index, c *automata.SubsetCache, src int, forward boo
 			}
 		}
 	}
-	for wi, bs := range hitBits {
-		for bs != 0 {
-			v := wi*64 + bits.TrailingZeros64(bs)
-			bs &= bs - 1
-			hits = append(hits, v)
-			levs = append(levs, hitLev[v])
-		}
-	}
-	return hits, levs
+	return hitBits
 }
 
 // reachBatchWeighted answers a weighted ReachBatchEx request: the MS-BFS
 // word-packed kernel is level-synchronous and cannot batch Dijkstra
-// frontiers, so the sources fan out across the worker pool, one ReachLevelsW
-// each. Truncation is detected through the shared budget, like the batched
-// kernel: a canceled sweep leaves some sources' lists sound but incomplete
-// (or missing entirely), so the result must not enter cross-query caches.
-func reachBatchWeighted(ix *graph.Index, c *automata.SubsetCache, srcs []int, forward bool, opts BatchOpts) BatchResult {
+// frontiers, so the sources fan out across the worker pool, one weighted
+// Reach each. Truncation is detected through the shared budget, like the
+// batched kernel: a canceled sweep leaves some sources' lists sound but
+// incomplete (or missing entirely), so the result must not enter cross-query
+// caches.
+func reachBatchWeighted(ix *graph.Index, c *automata.SubsetCache, srcs []int, forward bool, opts ReachOpts) BatchResult {
 	res := BatchResult{Hits: make([][]int, len(srcs)), Levs: make([][]int32, len(srcs))}
 	Fan(len(srcs), func(i int) {
 		if opts.Budget.Canceled() {
 			return
 		}
-		res.Hits[i], res.Levs[i] = ReachLevelsW(ix, c, srcs[i], forward, opts.Budget, opts.Weight)
+		res.Hits[i], res.Levs[i] = Reach(ix, c, srcs[i], forward, opts)
 	})
 	if opts.Budget.Canceled() {
 		res.Truncated = true

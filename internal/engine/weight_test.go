@@ -23,7 +23,7 @@ func compiled(t *testing.T, expr string, sigma []rune) *automata.SubsetCache {
 // Unit weight must reproduce the BFS kernel exactly: same hits, same levels.
 // This exercises the whole Dijkstra machinery (lazy deletion, per-set-id
 // distance rows, first-settle hit capture) against the independent BFS.
-func TestReachLevelsWUnitMatchesBFS(t *testing.T) {
+func TestReachWeightedUnitMatchesBFS(t *testing.T) {
 	sigma := []rune("ab")
 	for seed := int64(1); seed <= 8; seed++ {
 		db := workload.Random(seed, 40, 160, "ab")
@@ -32,8 +32,8 @@ func TestReachLevelsWUnitMatchesBFS(t *testing.T) {
 			c := compiled(t, expr, sigma)
 			unit := engine.Weight(func(label rune) int32 { return 1 })
 			for src := 0; src < db.NumNodes(); src += 7 {
-				wantH, wantL := engine.ReachLevels(ix, c, src, true, nil)
-				gotH, gotL := engine.ReachLevelsW(ix, c, src, true, nil, unit)
+				wantH, wantL := engine.Reach(ix, c, src, true, engine.ReachOpts{Levels: true})
+				gotH, gotL := engine.Reach(ix, c, src, true, engine.ReachOpts{Weight: unit})
 				if len(gotH) != len(wantH) {
 					t.Fatalf("seed %d %s src %d: %d hits, want %d", seed, expr, src, len(gotH), len(wantH))
 				}
@@ -50,7 +50,7 @@ func TestReachLevelsWUnitMatchesBFS(t *testing.T) {
 
 // A non-uniform weight must pick the cheaper path even when it is longer in
 // edge count: s→t directly via b (weight 5) or via two a edges (1 each).
-func TestReachLevelsWPrefersCheaperLongerPath(t *testing.T) {
+func TestReachWeightedPrefersCheaperLongerPath(t *testing.T) {
 	db, err := graph.Parse("s b t\ns a x\nx a t")
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestReachLevelsWPrefersCheaperLongerPath(t *testing.T) {
 	})
 	s, _ := db.Lookup("s")
 	tt, _ := db.Lookup("t")
-	hits, levs := engine.ReachLevelsW(ix, c, s, true, nil, w)
+	hits, levs := engine.Reach(ix, c, s, true, engine.ReachOpts{Weight: w})
 	found := false
 	for i, h := range hits {
 		if h == tt {
@@ -79,7 +79,7 @@ func TestReachLevelsWPrefersCheaperLongerPath(t *testing.T) {
 		t.Fatal("t not reached")
 	}
 	// Sanity: the unweighted level of the same pair is 1 (the single b edge).
-	_, bl := engine.ReachLevels(ix, c, s, true, nil)
+	_, bl := engine.Reach(ix, c, s, true, engine.ReachOpts{Levels: true})
 	for i, h := range hits {
 		_ = i
 		if h == tt && bl[i] != 1 {
@@ -90,13 +90,13 @@ func TestReachLevelsWPrefersCheaperLongerPath(t *testing.T) {
 
 // Negative weights are clamped to zero rather than breaking the Dijkstra
 // invariant.
-func TestReachLevelsWClampsNegative(t *testing.T) {
+func TestReachWeightedClampsNegative(t *testing.T) {
 	db := workload.Random(3, 20, 60, "ab")
 	ix := db.Index()
 	c := compiled(t, "(a|b)+", []rune("ab"))
 	neg := engine.Weight(func(label rune) int32 { return -7 })
-	hits, levs := engine.ReachLevelsW(ix, c, 0, true, nil, neg)
-	wantH, _ := engine.ReachLevels(ix, c, 0, true, nil)
+	hits, levs := engine.Reach(ix, c, 0, true, engine.ReachOpts{Weight: neg})
+	wantH, _ := engine.Reach(ix, c, 0, true, engine.ReachOpts{Levels: true})
 	if len(hits) != len(wantH) {
 		t.Fatalf("clamped search found %d hits, want %d", len(hits), len(wantH))
 	}
@@ -124,12 +124,12 @@ func TestReachBatchExWeighted(t *testing.T) {
 		srcs[i] = i
 	}
 	res := engine.ReachBatchEx(ix, db.Partition(engine.Shards()), c, srcs, true,
-		engine.BatchOpts{Weight: w})
+		engine.ReachOpts{Weight: w})
 	if res.Truncated {
 		t.Fatal("unbudgeted weighted batch reported truncation")
 	}
 	for i, src := range srcs {
-		wantH, wantL := engine.ReachLevelsW(ix, c, src, true, nil, w)
+		wantH, wantL := engine.Reach(ix, c, src, true, engine.ReachOpts{Weight: w})
 		if len(res.Hits[i]) != len(wantH) {
 			t.Fatalf("src %d: batch %d hits, fan %d", src, len(res.Hits[i]), len(wantH))
 		}
@@ -142,7 +142,7 @@ func TestReachBatchExWeighted(t *testing.T) {
 	}
 
 	bud := engine.NewBudget(nil, time.Now().Add(-time.Second), 0)
-	res = engine.ReachBatchEx(ix, nil, c, srcs, true, engine.BatchOpts{Weight: w, Budget: bud})
+	res = engine.ReachBatchEx(ix, nil, c, srcs, true, engine.ReachOpts{Weight: w, Budget: bud})
 	if !res.Truncated {
 		t.Fatal("expired budget must mark the weighted batch truncated")
 	}

@@ -1,5 +1,5 @@
 // Package exp implements the experiment harness: one function per
-// experiment in the DESIGN.md index (E1–E16), each regenerating a paper
+// experiment (E1–E26, listed in Registry), each regenerating a paper
 // artefact (figure, theorem-level claim, or size bound) as a printable
 // table. cmd/cxrpq-exp runs them all; bench_test.go wraps them as
 // benchmarks. Scale 1 is the fast configuration used in benchmarks; higher
@@ -22,17 +22,13 @@ import (
 	"cxrpq/internal/xregex"
 )
 
-// Table is one experiment's result table. Metrics optionally carries
-// named scalar results (timings, ratios) that the benchmark JSON report
-// records alongside the experiment's wall-clock time, so before/after
-// comparisons inside an experiment survive into BENCH_engine.json.
+// Table is one experiment's result table.
 type Table struct {
-	ID      string
-	Title   string
-	Header  []string
-	Rows    [][]string
-	Metrics map[string]float64
-	Err     error
+	ID     string
+	Title  string
+	Header []string
+	Rows   [][]string
+	Err    error
 }
 
 // Render formats the table as aligned text.

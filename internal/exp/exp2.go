@@ -373,7 +373,7 @@ func E16Lemma14(scale int) *Table {
 	return t
 }
 
-// E17Ablations measures the design choices called out in DESIGN.md:
+// E17Ablations measures two design choices:
 // (a) the Theorem 6 candidate pruning vs the literal blind guess over
 // (Σ^≤k)^n, and (b) the specialized lock-step equality product vs the
 // generic ⊥-padded relation engine driven by an explicit equality NFA.
@@ -457,8 +457,7 @@ func E18PathSemantics(scale int) *Table {
 	return t
 }
 
-// Registry lists every experiment in index order; All, AllTimed and the
-// benchmark JSON emitter all run from it.
+// Registry lists every experiment in index order.
 var Registry = []func(int) *Table{
 	E01Figure1, E02Figure2, E03Theorem1, E04Theorem3,
 	E05NormalForm, E06VsfEval, E07VsfFlat, E08BoundedEval,

@@ -223,8 +223,7 @@ func PlannerJoinItems(scale int) ([]PlannerJoinItem, error) {
 // at score zero and scans the hub first; the planner's cardinality
 // estimates start from the selective atoms (and the semijoin pass shrinks
 // the hub's candidate domain). Structural and planner results are asserted
-// equal on every rep; the per-path timings and the aggregate speedup are
-// exported as metrics into BENCH_engine.json.
+// equal on every rep.
 func E20PlannerJoin(scale int) *Table {
 	t := &Table{ID: "E20", Title: "Cost-based join order vs structural order (skewed hub + selective atoms)",
 		Header: []string{"path", "reps", "structural", "planner", "speedup"}}
@@ -233,7 +232,6 @@ func E20PlannerJoin(scale int) *Table {
 		return fail(t, err)
 	}
 	reps := 3 * scale
-	var totalStruct, totalPlan time.Duration
 	for _, it := range items {
 		var want *pattern.TupleSet
 		startS := time.Now()
@@ -256,15 +254,8 @@ func E20PlannerJoin(scale int) *Table {
 			}
 		}
 		planD := time.Since(startP)
-		totalStruct += structD
-		totalPlan += planD
 		t.Rows = append(t.Rows, []string{it.Name, fmt.Sprint(reps), ms(structD), ms(planD),
 			fmt.Sprintf("%.1fx", float64(structD.Nanoseconds())/float64(max64(planD.Nanoseconds(), 1)))})
-	}
-	t.Metrics = map[string]float64{
-		"structural_ms": float64(totalStruct.Microseconds()) / 1000,
-		"planner_ms":    float64(totalPlan.Microseconds()) / 1000,
-		"speedup":       float64(totalStruct.Nanoseconds()) / float64(max64(totalPlan.Nanoseconds(), 1)),
 	}
 	return t
 }

@@ -21,17 +21,14 @@ var e23Exprs = []string{"a(a|b)*", "(a|b)+"}
 // sweeps compute only what the consumer pulls), the whole relation by
 // draining the same kind of stream page by page, and the whole relation
 // materialized by Session.Eval — asserting the drain and the materialized
-// set have identical cardinality. The exported metrics are the aggregate
-// time-to-first-row, full-materialization and drain times, the
-// ttfr speedup (full/ttfr, the streaming win), and the drain overhead ratio
-// (drain/full, the price of pull-based delivery on a full scan).
+// set have identical cardinality. The last column is the ttfr speedup
+// (full/ttfr, the streaming win).
 func E23TimeToFirstRow(scale int) *Table {
 	t := &Table{ID: "E23", Title: "Streaming any-k: time-to-first-row vs full materialization (gMark-style)",
 		Header: []string{"expr", "rows", "ttfr", "drain", "full eval", "speedup"}}
 	db := workload.GMark(7, 1200*scale)
 	db.Index() // the label index is shared state: warm it outside every timing
 
-	var totalTTFR, totalDrain, totalFull time.Duration
 	for _, src := range e23Exprs {
 		qsrc := fmt.Sprintf("ans(x, y)\nx y : %s", src)
 		plan, err := cxrpq.PrepareSrc(qsrc)
@@ -85,19 +82,9 @@ func E23TimeToFirstRow(scale int) *Table {
 			return fail(t, fmt.Errorf("%s: drained %d rows, materialized %d", src, drained, full.Len()))
 		}
 
-		totalTTFR += ttfr
-		totalDrain += drainD
-		totalFull += fullD
 		t.Rows = append(t.Rows, []string{src, fmt.Sprint(full.Len()),
 			ms(ttfr), ms(drainD), ms(fullD),
 			fmt.Sprintf("%.0fx", float64(fullD.Nanoseconds())/float64(max64(ttfr.Nanoseconds(), 1)))})
-	}
-	t.Metrics = map[string]float64{
-		"ttfr_ms":      float64(totalTTFR.Microseconds()) / 1000,
-		"drain_ms":     float64(totalDrain.Microseconds()) / 1000,
-		"full_ms":      float64(totalFull.Microseconds()) / 1000,
-		"ttfr_speedup": float64(totalFull.Nanoseconds()) / float64(max64(totalTTFR.Nanoseconds(), 1)),
-		"drain_ratio":  float64(totalDrain.Nanoseconds()) / float64(max64(totalFull.Nanoseconds(), 1)),
 	}
 	return t
 }

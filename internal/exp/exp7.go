@@ -231,18 +231,6 @@ func E24SnapshotReadsUnderWrites(scale int) *Table {
 	t.Rows = append(t.Rows, []string{"wal-recovery", fmt.Sprintf("%.2f MB", walMB),
 		fmt.Sprintf("%.1f ms", recovMS), "", ""})
 
-	t.Metrics = map[string]float64{
-		"read_p50_lock_ms":   float64(pctile(lockLat, 0.50).Microseconds()) / 1000,
-		"read_p50_mvcc_ms":   float64(pctile(mvccLat, 0.50).Microseconds()) / 1000,
-		"read_p99_lock_ms":   float64(pctile(lockLat, 0.99).Microseconds()) / 1000,
-		"read_p99_mvcc_ms":   float64(pctile(mvccLat, 0.99).Microseconds()) / 1000,
-		"p50_speedup":        float64(pctile(lockLat, 0.50).Nanoseconds()) / float64(max64(pctile(mvccLat, 0.50).Nanoseconds(), 1)),
-		"p99_speedup":        float64(pctile(lockLat, 0.99).Nanoseconds()) / float64(max64(pctile(mvccLat, 0.99).Nanoseconds(), 1)),
-		"stall_read_lock_ms": float64(lockStall.Microseconds()) / 1000,
-		"stall_read_mvcc_ms": float64(mvccStall.Microseconds()) / 1000,
-		"recovery_ms_per_mb": recovMS / walMB,
-		"wal_mb":             walMB,
-	}
 	return t
 }
 

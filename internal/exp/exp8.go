@@ -57,8 +57,6 @@ func E25PlannerV2(scale int) *Table {
 		return res, time.Since(start), nil
 	}
 
-	metrics := map[string]float64{}
-
 	// Acyclic families: Yannakakis off vs on.
 	acyclic := []struct {
 		name string
@@ -97,13 +95,6 @@ func E25PlannerV2(scale int) *Table {
 		speedup := float64(backD.Nanoseconds()) / float64(max64(yanD.Nanoseconds(), 1))
 		t.Rows = append(t.Rows, []string{it.name, fmt.Sprint(want.Len()), ms(backD), ms(yanD),
 			fmt.Sprintf("%.1fx", speedup)})
-		key := "chain"
-		if it.name == "tri-label star" {
-			key = "star"
-		}
-		metrics[key+"_backtracking_ms"] = float64(backD.Microseconds()) / 1000
-		metrics[key+"_yannakakis_ms"] = float64(yanD.Microseconds()) / 1000
-		metrics[key+"_speedup"] = speedup
 	}
 
 	// Redundant family: minimization off vs on (Yannakakis parked so only
@@ -146,11 +137,5 @@ func E25PlannerV2(scale int) *Table {
 	minSpeed := float64(baseD.Nanoseconds()) / float64(max64(minD.Nanoseconds(), 1))
 	t.Rows = append(t.Rows, []string{"redundant atoms", fmt.Sprint(want.Len()), ms(baseD), ms(minD),
 		fmt.Sprintf("%.1fx", minSpeed)})
-	metrics["redundant_full_ms"] = float64(baseD.Microseconds()) / 1000
-	metrics["redundant_minimized_ms"] = float64(minD.Microseconds()) / 1000
-	metrics["redundant_speedup"] = minSpeed
-	metrics["atoms_dropped"] = float64(len(rep.MinimizedAtoms))
-
-	t.Metrics = metrics
 	return t
 }

@@ -140,10 +140,5 @@ func E26RankedTTFR(scale int) *Table {
 		return fail(t, fmt.Errorf("ranked TTFR speedup %.1fx below the 50x acceptance floor (any-k %v, drain %v)",
 			speedup, incD, drainD))
 	}
-	t.Metrics = map[string]float64{
-		"anyk_ttfr_ms":  float64(incD.Microseconds()) / 1000,
-		"drain_ttfr_ms": float64(drainD.Microseconds()) / 1000,
-		"ttfr_speedup":  speedup,
-	}
 	return t
 }

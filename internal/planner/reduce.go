@@ -11,7 +11,7 @@ type EdgeRef struct {
 // outside a variable's domain provably participates in no satisfying
 // assignment, so backtracking joins skip it. A nil *Domains imposes no
 // restriction (Has answers true for everything); consumers filter their
-// own enumeration through Has rather than enumerating domains.
+// own enumeration through Has or Bits rather than enumerating domains.
 type Domains struct {
 	n int
 	m map[string][]uint64
@@ -31,6 +31,17 @@ func (d *Domains) Has(x string, v int) bool {
 		return false
 	}
 	return bs[v/64]&(1<<(uint(v)%64)) != 0
+}
+
+// Bits returns x's candidate set as a node bitset (bit v set ⇔ node v is
+// still a candidate), or nil when x is unrestricted — the form a join loop
+// resolves once per plan instead of calling Has per row. The caller must not
+// modify it.
+func (d *Domains) Bits(x string) []uint64 {
+	if d == nil {
+		return nil
+	}
+	return d.m[x]
 }
 
 // Size returns the number of candidates for x, or -1 if x is unrestricted.
