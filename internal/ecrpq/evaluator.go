@@ -1,6 +1,8 @@
 package ecrpq
 
 import (
+	"slices"
+
 	"cxrpq/internal/automata"
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
@@ -49,7 +51,8 @@ type evaluator struct {
 	// lazy is set by the entry points that want a first answer rather than
 	// the whole set (Boolean, check, witness, streams): a both-ends-unbound
 	// atom is then scanned in escalating source chunks instead of one full
-	// multi-source sweep, and relations are never materialized for the
+	// multi-source sweep, the probe memos fill as the search asks instead of
+	// a frontier at a time, and relations are never materialized for the
 	// Yannakakis program.
 	lazy bool
 }
@@ -88,7 +91,7 @@ func newEvaluator(q *Query, db *graph.DB, o Options, lazy bool) (*evaluator, err
 		if err != nil {
 			return nil, err
 		}
-		ev.atoms[i] = probeAtom{ev: ev, ent: ent, fwd: map[int]probeRow{}, rev: map[int]probeRow{}}
+		ev.atoms[i] = probeAtom{ev: ev, ent: ent}
 	}
 	for gi, g := range q.Groups {
 		ev.gmemo[gi] = map[string]groupExp{}
@@ -112,13 +115,17 @@ func newEvaluator(q *Query, db *graph.DB, o Options, lazy bool) (*evaluator, err
 	return ev, nil
 }
 
-// probeAtom is the lazily probed atomSource of one pattern edge: single-
-// source product searches (engine.Reach) memoized per node and direction,
-// with batched prefetch through the multi-source kernel.
+// probeAtom is the lazily probed atomSource of one pattern edge: product
+// searches memoized per node and direction. A miss is answered by one
+// single-source search (engine.Reach); prefetch answers many nodes at once
+// through the multi-source kernel, and every driver that knows a set of
+// nodes it is about to ask for — the scan, the frontier pass of a
+// materializing run (frontier.go), the best-first driver's cohorts — goes
+// through it.
 type probeAtom struct {
 	ev       *evaluator
 	ent      *compiledEntry // shared compiled NFA + subset caches
-	fwd, rev map[int]probeRow
+	fwd, rev probeMemo
 }
 
 type probeRow struct {
@@ -126,13 +133,41 @@ type probeRow struct {
 	costs []int32 // nil unless the evaluator is ranked
 }
 
+// probeMemo is one direction's memo: the rows probed so far, found through a
+// dense node index, so a lookup on the join's inner path is two loads and no
+// hashing. The index is allocated when the first row arrives.
+type probeMemo struct {
+	at   []int32 // [node] -> 1 + position in rows; 0 = not probed
+	rows []probeRow
+}
+
+func (m *probeMemo) get(u int) (probeRow, bool) {
+	if uint(u) >= uint(len(m.at)) || m.at[u] == 0 {
+		return probeRow{}, false
+	}
+	return m.rows[m.at[u]-1], true
+}
+
+// put stores the row of node u, one of n; an out-of-range u (which has no
+// hits) is not stored.
+func (m *probeMemo) put(n, u int, r probeRow) {
+	if m.at == nil {
+		m.at = make([]int32, n)
+	}
+	if uint(u) >= uint(len(m.at)) {
+		return
+	}
+	m.rows = append(m.rows, r)
+	m.at[u] = int32(len(m.rows))
+}
+
 // side returns the memo and the automaton of one search direction.
-func (p *probeAtom) side(forward bool) (map[int]probeRow, *automata.SubsetCache) {
+func (p *probeAtom) side(forward bool) (*probeMemo, *automata.SubsetCache) {
 	if forward {
-		return p.fwd, p.ent.cache
+		return &p.fwd, p.ent.cache
 	}
 	_, rc := p.ent.reverse()
-	return p.rev, rc
+	return &p.rev, rc
 }
 
 func (p *probeAtom) reachOpts() engine.ReachOpts {
@@ -145,26 +180,26 @@ func (p *probeAtom) reachOpts() engine.ReachOpts {
 // unwinding but never memoized: a truncated list would poison later lookups.
 func (p *probeAtom) probe(node int, forward bool) ([]int, []int32) {
 	memo, c := p.side(forward)
-	if r, ok := memo[node]; ok {
+	if r, ok := memo.get(node); ok {
 		return r.nodes, r.costs
 	}
 	hits, levs := engine.Reach(p.ev.ix, c, node, forward, p.reachOpts())
 	if !p.ev.bud.Canceled() {
-		memo[node] = probeRow{hits, levs}
+		memo.put(p.ev.ix.NumNodes(), node, probeRow{hits, levs})
 	}
 	return hits, levs
 }
 
-// prefetch fills the memo for exactly the given nodes in one sharded multi-
-// source sweep (engine.ReachBatchEx) instead of one search each. A truncated
-// sweep memoizes nothing.
+// prefetch fills the memo for exactly the given (in-range) nodes in one
+// sharded multi-source sweep (engine.ReachBatchEx: one batch per 64 nodes)
+// instead of one search each. A truncated sweep memoizes nothing.
 func (p *probeAtom) prefetch(nodes []int, forward bool) {
 	memo, c := p.side(forward)
 	missing := nodes
-	if len(memo) > 0 {
-		missing = nil
+	if len(memo.rows) > 0 {
+		missing = nil // usually stays so: the frontier pass has been here
 		for _, u := range nodes {
-			if _, ok := memo[u]; !ok {
+			if _, ok := memo.get(u); !ok {
 				missing = append(missing, u)
 			}
 		}
@@ -177,12 +212,13 @@ func (p *probeAtom) prefetch(nodes []int, forward bool) {
 	if res.Truncated {
 		return
 	}
+	memo.rows = slices.Grow(memo.rows, len(missing))
 	for i, u := range missing {
 		row := probeRow{nodes: res.Hits[i]}
 		if res.Levs != nil {
 			row.costs = res.Levs[i]
 		}
-		memo[u] = row
+		memo.put(ev.ix.NumNodes(), u, row)
 	}
 }
 
@@ -195,7 +231,8 @@ func (p *probeAtom) has(u, v int) (int32, bool) {
 }
 
 // scan walks every source. A materializing evaluation prefetches them all
-// in one sweep; a lazy one walks escalating chunks (1, 4, 16, 64, then
+// in one sweep (which finds nothing missing when the frontier pass modelled
+// this step); a lazy one walks escalating chunks (1, 4, 16, 64, then
 // 256-wide) so the first row costs one small batch, while the geometric
 // growth keeps the full drain within a constant factor of the single sweep.
 func (p *probeAtom) scan(f func(u int, vs []int, costs []int32) bool) {
@@ -282,11 +319,15 @@ func (ev *evaluator) edgeMinCost(ei int) int32 {
 // stream enumerates the query's answers with the variables of pre pre-
 // bound: the Yannakakis program when its gates pass (yannakakis.go), the
 // backtracking join over the lazily probed atoms otherwise — same yields,
-// same budget discipline.
+// same budget discipline. A materializing run fills the probe memos a
+// frontier at a time first (frontier.go); the join then finds them there.
 func (ev *evaluator) stream(pre map[string]int, yield StreamFunc) {
 	p, ok := ev.yannakakisPlan(pre)
 	if !ok {
 		p = ev.compile(pre, false)
+		if !ev.lazy {
+			ev.probeFrontiers(p)
+		}
 	}
 	if p != nil {
 		p.stream(ev.bud, yield)

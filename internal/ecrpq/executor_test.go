@@ -7,9 +7,12 @@ package ecrpq
 // they ran on.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,8 +97,8 @@ func runPlan(c *collector, p *plan) ranking {
 // TestExecutorDifferential runs one table of queries — chains, stars,
 // cycles, self-loops, parallel atoms, pre-bound tuples, Equality and
 // NFARelation groups — through every driver (backtracking, semijoin-reduced,
-// best-first) over every atom source it can run on (lazy probes,
-// materialized relations) and requires the same tuple set from all of them
+// best-first) over every atom source it can run on (lazy probes, probes
+// filled a frontier at a time, materialized relations) and requires the same tuple set from all of them
 // unranked, and the same (cost, tuple) ranking from all of them ranked,
 // under unit cost and under a pluggable weight.
 func TestExecutorDifferential(t *testing.T) {
@@ -162,8 +165,20 @@ func TestExecutorDifferential(t *testing.T) {
 						}
 						return ev.compile(tc.pre, false)
 					}
+					// The materializing configuration: the same plan over probe
+					// atoms whose memos the frontier pass has filled.
+					frontier := func() *plan {
+						ev, err := newEvaluator(q, db, Options{Ranked: ranked, Weight: w}, false)
+						if err != nil {
+							t.Fatal(err)
+						}
+						p := ev.compile(tc.pre, false)
+						ev.probeFrontiers(p)
+						return p
+					}
 					got := map[string]ranking{
-						"backtracking/lazy": runPlan(newCollector(t, name("backtracking/lazy"), false), lazy()),
+						"backtracking/lazy":     runPlan(newCollector(t, name("backtracking/lazy"), false), lazy()),
+						"backtracking/frontier": runPlan(newCollector(t, name("backtracking/frontier"), false), frontier()),
 					}
 					if ranked {
 						got["best-first/lazy"] = drainAnyK(newCollector(t, name("best-first/lazy"), true), lazy())
@@ -285,12 +300,115 @@ func TestProbeHonoursBudget(t *testing.T) {
 		if hits, _ := atom.probe(dir.node, dir.forward); len(hits) >= n {
 			t.Fatalf("forward=%v: probe under a spent budget ran to completion (%d hits)", dir.forward, len(hits))
 		}
-		if len(atom.fwd)+len(atom.rev) != 0 {
+		if len(atom.fwd.rows)+len(atom.rev.rows) != 0 {
 			t.Fatalf("forward=%v: truncated probe was memoized", dir.forward)
 		}
 		if hits, _ := fresh.atoms[0].probe(dir.node, dir.forward); len(hits) != n {
 			t.Fatalf("forward=%v: unbudgeted probe found %d hits, want %d", dir.forward, len(hits), n)
 		}
+	}
+}
+
+// pollBudget is a budget that cancels at its k-th poll: the kernels poll at
+// fixed points (per level), so "the budget fires during the sweep" repeats
+// exactly.
+type pollBudget struct {
+	context.Context
+	left atomic.Int32
+}
+
+var closedChan = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
+func (c *pollBudget) Done() <-chan struct{} {
+	if c.left.Add(-1) < 0 {
+		return closedChan
+	}
+	return nil
+}
+
+// A frontier sweep cut by the budget memoizes nothing — a truncated row in
+// the memo would be read as complete by whoever probes that node next — and
+// the run still ends with a sound subset of the answer and ErrCanceled.
+func TestFrontierProbeHonoursBudget(t *testing.T) {
+	const n = 200
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "n%d a n%d\n", i, i+1)
+	}
+	db := graph.MustParse(sb.String())
+	q, err := ParseQuery("ans(x, z)\nx y : a+\ny z : a+", []rune("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := Eval(q, db)
+	if err != nil || full.Len() == 0 {
+		t.Fatalf("Eval = %v, %v", full, err)
+	}
+	for _, polls := range []int32{0, 40, 400} { // before the sweep, inside its first batch, inside a later one
+		ctx := &pollBudget{Context: context.Background()}
+		ctx.left.Store(polls)
+		ev, err := newEvaluator(q, db, Options{Budget: engine.NewBudget(ctx, time.Time{}, 0)}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part := pattern.NewTupleSet()
+		ev.stream(nil, func(tu pattern.Tuple, _ int) bool { part.Add(tu); return true })
+		if !errors.Is(ev.bud.Err(), engine.ErrCanceled) {
+			t.Fatalf("%d polls: the budget did not fire", polls)
+		}
+		for i := range ev.atoms {
+			if k := len(ev.atoms[i].fwd.rows) + len(ev.atoms[i].rev.rows); k != 0 {
+				t.Fatalf("%d polls: atom %d memoized %d rows of a truncated sweep", polls, i, k)
+			}
+		}
+		for _, tu := range part.All() {
+			if !full.Contains(tu) {
+				t.Fatalf("%d polls: truncated run yielded %v, not an answer", polls, tu)
+			}
+		}
+	}
+}
+
+// A materializing run asks the kernel for whole frontiers: a 3-atom chain
+// over n nodes costs at most ⌈n/64⌉ batches per step, and the join that
+// follows finds every probe in the memo — no single-source search, no
+// further batch.
+func TestFrontierProbesInBatches(t *testing.T) {
+	const n = 640
+	db := probeRandomDB(7, n, 2*n, "abc")
+	q, err := ParseQuery("ans(w, z)\nw x : a(a|b)*\nx y : b+\ny z : (b|c)c*", []rune("abc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := newEvaluator(q, db, Options{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := ev.compile(nil, false)
+	engine.ResetReachBatchStats()
+	ev.probeFrontiers(p)
+	swept := engine.ReachBatchStats()
+	if max := uint64(len(p.steps) * ((n + 63) / 64)); swept.Batches == 0 || swept.Batches > max {
+		t.Fatalf("the frontier pass ran %d kernel batches, want 1..%d", swept.Batches, max)
+	}
+	memoized := func() (rows int) {
+		for i := range ev.atoms {
+			rows += len(ev.atoms[i].fwd.rows) + len(ev.atoms[i].rev.rows)
+		}
+		return rows
+	}
+	before, answers := memoized(), 0
+	p.stream(nil, func(pattern.Tuple, int) bool { answers++; return true })
+	if answers == 0 {
+		t.Fatal("the chain has no answers: the case is not exercised")
+	}
+	// Every probe miss memoizes its row, so an unchanged memo means the join
+	// ran no search of its own.
+	if after := memoized(); after != before {
+		t.Fatalf("the join probed %d nodes the frontier pass had not", after-before)
+	}
+	if st := engine.ReachBatchStats(); st.Batches != swept.Batches {
+		t.Fatalf("the join ran %d more kernel batches", st.Batches-swept.Batches)
 	}
 }
 
@@ -364,4 +482,41 @@ func TestFindWitnessWithMinimizedAtom(t *testing.T) {
 	if _, ok, err := FindWitness(q, db, pattern.Tuple{w.NodeOf["x"], w.NodeOf["z"]}); err != nil || !ok {
 		t.Fatalf("FindWitness with the matched tuple pre-bound = %v, %v", ok, err)
 	}
+}
+
+// BenchmarkProbeMemo: the probe memo's two paths — filling it for every node
+// of a 5000-node graph through the batched kernel, and the lookup the join
+// makes once per binding.
+func BenchmarkProbeMemo(b *testing.B) {
+	db := probeRandomDB(3, 5000, 7000, "abc")
+	q, err := ParseQuery("ans(x, y)\nx y : a(b|c)*", []rune("abc"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	all := make([]int, db.NumNodes())
+	for u := range all {
+		all[u] = u
+	}
+	filled := func() *probeAtom {
+		ev, err := newEvaluator(q, db, Options{}, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ev.atoms[0].prefetch(all, true)
+		return &ev.atoms[0]
+	}
+	b.Run("fill", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			filled()
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		atom := filled()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			atom.probe(i%len(all), true)
+		}
+	})
 }

@@ -1,0 +1,128 @@
+package ecrpq
+
+import "math/bits"
+
+// Frontier-at-a-time probing. The backtracking join asks a lazily probed
+// atom for one bound node at a time, and each miss is one single-source
+// search. A materializing run is going to ask for every node the join can
+// bind, so it can know them first: walking the plan's steps in order, this
+// pass keeps per slot the sorted set of nodes the join can bind it to and
+// hands each atom its whole set through probeAtom.prefetch — ⌈|set|/64⌉
+// multi-source batches instead of one search per node. It only fills memos:
+// the join that follows is the same depth-first search over the same plan
+// and finds its probes answered.
+//
+// The candidate set of a slot is exact while the conjunct is a tree and a
+// superset where a later atom closes a cycle (a slot's values are then
+// narrowed per atom, not per assignment); a superset costs batched probes
+// the join will not read, never an answer.
+
+// probeFrontiers runs the pass over p. It stops at the first step it cannot
+// model — a relation group, an atom that is not a lazily probed one — or
+// that nothing modelable follows, at an empty candidate set (the join ends
+// there too), and when the budget cancels.
+func (ev *evaluator) probeFrontiers(p *plan) {
+	n := ev.ix.NumNodes()
+	cand := make([][]int, len(p.vars)) // slot -> sorted candidates; nil = unbound
+	for s, v := range p.init {
+		if v >= 0 {
+			cand[s] = []int{int(v)}
+		}
+	}
+	probeOf := func(i int) *probeAtom {
+		if i >= len(p.steps) {
+			return nil
+		}
+		pa, _ := p.steps[i].src.(*probeAtom) // a group step has a nil src
+		return pa
+	}
+	var all []int
+	want := make([]uint64, (n+63)/64) // the far slot's candidates, when it has any
+	got := make([]uint64, (n+63)/64)  // the far slot's values this step can bind
+	for i := range p.steps {
+		pa := probeOf(i)
+		if pa == nil {
+			return
+		}
+		// The direction the join will probe in: from the bound endpoint, forward
+		// when both are bound (has) or neither is (scan).
+		st := &p.steps[i]
+		forward := cand[st.from] != nil || cand[st.to] == nil
+		near, far := st.from, st.to
+		nearDom, farDom, bindNear, bindFar := st.domFrom, st.domTo, st.bindFrom, st.bindTo
+		if !forward {
+			near, far = far, near
+			nearDom, farDom, bindNear, bindFar = farDom, nearDom, bindFar, bindNear
+		}
+		srcs := cand[near]
+		scan := srcs == nil
+		if scan {
+			if all == nil {
+				all = make([]int, n)
+				for u := range all {
+					all[u] = u
+				}
+			}
+			srcs = all
+		}
+		pa.prefetch(srcs, forward)
+		if ev.bud.Canceled() || probeOf(i+1) == nil {
+			return
+		}
+
+		// Narrow the near slot to the nodes with a partner, and collect the
+		// partners when the join binds (or has bound) the far slot.
+		farKnown := cand[far] != nil
+		clear(want)
+		clear(got)
+		for _, w := range cand[far] {
+			bitSet(want, w)
+		}
+		memo, _ := pa.side(forward)
+		kept := make([]int, 0, len(srcs))
+		for _, u := range srcs {
+			if scan && nearDom != nil && !bitHas(nearDom, u) {
+				continue
+			}
+			row, _ := memo.get(u)
+			matched := false
+			for _, w := range row.nodes {
+				if (near == far && w != u) || (farKnown && !bitHas(want, w)) || (farDom != nil && !bitHas(farDom, w)) {
+					continue
+				}
+				matched = true
+				if !farKnown && !bindFar {
+					break // the join stops at the first partner too
+				}
+				bitSet(got, w)
+			}
+			if matched {
+				kept = append(kept, u)
+			}
+		}
+		if len(kept) == 0 {
+			return
+		}
+		if !scan || bindNear {
+			cand[near] = kept
+		}
+		if near != far && (farKnown || bindFar) {
+			cand[far] = bitList(got)
+		}
+	}
+}
+
+// bitList lists the set bits of b in ascending order.
+func bitList(b []uint64) []int {
+	k := 0
+	for _, w := range b {
+		k += bits.OnesCount64(w)
+	}
+	out := make([]int, 0, k)
+	for wi, w := range b {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, wi<<6+bits.TrailingZeros64(w))
+		}
+	}
+	return out
+}

@@ -5,8 +5,9 @@
 // automaton. The engine runs that search over integer-interned machinery —
 // a label-indexed CSR graph view (graph.Index), an on-the-fly subset
 // construction with dense set ids (automata.SubsetCache), and per-set-id
-// node bitsets for the visited structure — and fans independent searches
-// out across a bounded worker pool.
+// node bitsets for the visited structure, all of it on reusable scratch that
+// is cleared from what a search touched — and fans independent searches out
+// across a bounded worker pool.
 package engine
 
 import (
@@ -18,10 +19,6 @@ import (
 	"cxrpq/internal/automata"
 	"cxrpq/internal/graph"
 )
-
-// unknown marks a transition not yet copied from the shared SubsetCache
-// into a Reach call's lock-free local table.
-const unknown int32 = -2
 
 // ReachOpts parameterizes a reachability search. The zero value is the plain
 // unbudgeted hit-set BFS.
@@ -43,136 +40,186 @@ type ReachOpts struct {
 // Reach returns the sorted graph nodes v reachable from src through a path
 // whose label is accepted by the automaton behind c: paths follow out-edges
 // when forward is true and in-edges otherwise (the caller supplies the
-// reversed automaton for backward searches). The result is materialized by
-// scanning the hit bitset, so it comes out sorted for free. levs is nil
-// unless o asks for costs. An out-of-range src yields (nil, nil).
+// reversed automaton for backward searches). levs is nil unless o asks for
+// costs. A source without hits, and an out-of-range src, yield (nil, nil).
+//
+// The search runs on pooled scratch (scalarScratch): in steady state a call
+// allocates its two result slices and nothing else.
 func Reach(ix *graph.Index, c *automata.SubsetCache, src int, forward bool, o ReachOpts) (hits []int, levs []int32) {
-	n := ix.NumNodes()
-	if src < 0 || src >= n {
+	if src < 0 || src >= ix.NumNodes() {
 		return nil, nil
 	}
-	var hitLev []int32
-	if o.Levels || o.Weight != nil {
-		hitLev = make([]int32, n)
-	}
-	var hitBits []uint64
-	if o.Weight != nil {
-		hitBits = reachWeighted(ix, c, src, forward, o.Budget, weightTable(ix, o.Weight), hitLev)
-	} else {
-		hitBits = reachBFS(ix, c, src, forward, o.Budget, hitLev)
-	}
-	for wi, bs := range hitBits {
-		for bs != 0 {
-			v := wi*64 + bits.TrailingZeros64(bs)
-			bs &= bs - 1
-			hits = append(hits, v)
-			if hitLev != nil {
-				levs = append(levs, hitLev[v])
-			}
-		}
-	}
+	s := scalarPool.Get().(*scalarScratch)
+	hits, levs = s.reach(ix, c, src, forward, o)
+	scalarPool.Put(s)
 	return hits, levs
 }
 
-// transRows copies the shared (lock-guarded) subset-automaton transition
-// table into dense per-set-id rows, one slot per graph symbol, so a kernel's
-// inner loop stays lock-free after the first use of each transition.
-type transRows [][]int32
-
-func (t *transRows) row(id int32, nSyms int) []int32 {
-	for int(id) >= len(*t) {
-		*t = append(*t, nil)
-	}
-	if (*t)[id] == nil {
-		r := make([]int32, nSyms)
-		for s := range r {
-			r[s] = unknown
-		}
-		(*t)[id] = r
-	}
-	return (*t)[id]
+// cfg is one product configuration: a graph node paired with a
+// subset-automaton set id.
+type cfg struct {
+	node int32
+	id   int32
 }
 
-// reachBFS is the scalar unit-cost product BFS behind Reach. When hitLev is
-// non-nil it receives the first-hit level per node (indexed by node id;
-// positions whose hit bit is never set are untouched).
-func reachBFS(ix *graph.Index, c *automata.SubsetCache, src int, forward bool, bud *Budget, hitLev []int32) []uint64 {
-	n := ix.NumNodes()
-	nSyms := ix.NumSyms()
-	words := (n + 63) / 64
+// scalarScratch is the reusable state of the two single-source kernels.
+// Every array is all-zero whenever the scratch is not inside reach: a search
+// records what it touched (the BFS queue, the Dijkstra touched list, the hit
+// bitset) and clears exactly that on its way out, so a probe that reaches
+// ten configurations pays for ten, not for n/64 words per automaton state —
+// also when a budget cut it short. Slices only ever grow; a smaller index
+// reuses a prefix.
+type scalarScratch struct {
+	live liveRows
+	n    int // nodes of the index the current search runs on
 
-	// visited[id] is a bitset over nodes for DFA set id; ids are dense and
-	// appear in discovery order, so the slice grows lazily.
-	var visited [][]uint64
-	ensure := func(id int32) []uint64 {
-		for int(id) >= len(visited) {
-			visited = append(visited, nil)
-		}
-		if visited[id] == nil {
-			visited[id] = make([]uint64, words)
-		}
-		return visited[id]
+	visited [][]uint64 // BFS: [set id] -> node bitset
+	queue   []cfg      // BFS: every visited configuration, in discovery order
+
+	dist    [][]int32 // Dijkstra: [set id][node] -> best known cost + 1; 0 = unreached
+	touched []cfg     // Dijkstra: every configuration with a dist entry
+	heap    costHeap
+
+	hitBits []uint64 // node bitset of the hits
+	hitLev  []int32  // [node] -> cost of the hit (sized only when costs are wanted)
+	nHits   int
+}
+
+// scalarPool hands scratch from one Reach call to the next; what it holds
+// is dropped by the collector like any sync.Pool content.
+var scalarPool = sync.Pool{New: func() any { return new(scalarScratch) }}
+
+// grown returns s resized to n elements, all zero given that s is: the
+// all-zero-when-idle invariant makes a prefix of an old array as good as a
+// new one.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	var local transRows
+	return s[:n]
+}
 
-	type cfg struct {
-		node int32
-		id   int32
+// reach runs one search on the scratch and leaves it all-zero again.
+func (s *scalarScratch) reach(ix *graph.Index, c *automata.SubsetCache, src int, forward bool, o ReachOpts) ([]int, []int32) {
+	s.n = ix.NumNodes()
+	s.live.bind(c, ix)
+	s.hitBits = grown(s.hitBits, (s.n+63)/64)
+	wantLev := o.Levels || o.Weight != nil
+	if wantLev {
+		s.hitLev = grown(s.hitLev, s.n)
 	}
-	startID := c.Start()
-	queue := []cfg{{int32(src), startID}}
-	ensure(startID)[src/64] |= 1 << (src % 64)
+	if o.Weight != nil {
+		s.dijkstra(ix, src, forward, o.Budget, weightTable(ix, o.Weight))
+	} else {
+		s.bfs(ix, src, forward, o.Budget, wantLev)
+	}
+	return s.gather(wantLev)
+}
 
-	hitBits := make([]uint64, words)
+// hit records the first acceptance of node at the given cost.
+func (s *scalarScratch) hit(node, cost int32, wantLev bool) {
+	w, b := node>>6, uint64(1)<<(uint(node)&63)
+	if s.hitBits[w]&b != 0 {
+		return
+	}
+	s.hitBits[w] |= b
+	s.nHits++
+	if wantLev {
+		s.hitLev[node] = cost
+	}
+}
+
+// gather turns the hit bitset into the sorted result, sized exactly from the
+// hit count, and zeroes the hit state as it reads it.
+func (s *scalarScratch) gather(wantLev bool) (hits []int, levs []int32) {
+	if s.nHits == 0 {
+		return nil, nil
+	}
+	hits = make([]int, 0, s.nHits)
+	if wantLev {
+		levs = make([]int32, 0, s.nHits)
+	}
+	for wi, bs := range s.hitBits {
+		if bs == 0 {
+			continue
+		}
+		s.hitBits[wi] = 0
+		for ; bs != 0; bs &= bs - 1 {
+			v := wi<<6 + bits.TrailingZeros64(bs)
+			hits = append(hits, v)
+			if wantLev {
+				levs = append(levs, s.hitLev[v])
+				s.hitLev[v] = 0
+			}
+		}
+	}
+	s.nHits = 0
+	return hits, levs
+}
+
+// visitedOf returns the node bitset of set id, sized for the current index.
+func (s *scalarScratch) visitedOf(id int32) []uint64 {
+	for int(id) >= len(s.visited) {
+		s.visited = append(s.visited, nil)
+	}
+	words := (s.n + 63) / 64
+	if len(s.visited[id]) != words {
+		s.visited[id] = grown(s.visited[id], words)
+	}
+	return s.visited[id]
+}
+
+// bfs is the scalar unit-cost product BFS behind Reach: a FIFO over
+// (node, set id) configurations whose level is the cost of a hit.
+func (s *scalarScratch) bfs(ix *graph.Index, src int, forward bool, bud *Budget, wantLev bool) {
+	startID := s.live.c.Start()
+	s.queue = append(s.queue[:0], cfg{int32(src), startID})
+	s.visitedOf(startID)[src>>6] |= 1 << (uint(src) & 63)
+
 	depth := int32(0)
 	levelEnd := 1 // queue prefix holding the current BFS level
-	for qi := 0; qi < len(queue); qi++ {
+	for qi := 0; qi < len(s.queue); qi++ {
 		if qi == levelEnd {
 			depth++
-			levelEnd = len(queue)
+			levelEnd = len(s.queue)
 			if bud.Canceled() {
 				break
 			}
 		}
-		cur := queue[qi]
-		if c.Final(cur.id) {
-			w, b := cur.node/64, uint64(1)<<(cur.node%64)
-			if hitBits[w]&b == 0 {
-				hitBits[w] |= b
-				if hitLev != nil {
-					hitLev[cur.node] = depth
-				}
-			}
+		cur := s.queue[qi]
+		st := s.live.state(cur.id)
+		if st.final {
+			s.hit(cur.node, depth, wantLev)
 		}
-		row := local.row(cur.id, nSyms)
-		for s := int32(0); s < int32(nSyms); s++ {
-			var tgts []int32
-			if forward {
-				tgts = ix.OutByID(int(cur.node), s)
-			} else {
-				tgts = ix.InByID(int(cur.node), s)
-			}
+		for _, e := range st.edges {
+			tgts := adjacent(ix, cur.node, e.sym, forward)
 			if len(tgts) == 0 {
 				continue
 			}
-			nid := row[s]
-			if nid == unknown {
-				nid = c.Step(cur.id, int32(ix.Sym(s)))
-				row[s] = nid
-			}
-			if nid == automata.Dead {
-				continue
-			}
-			vb := ensure(nid)
+			vb := s.visitedOf(e.next)
 			for _, v := range tgts {
-				if vb[v/64]&(1<<(uint(v)%64)) == 0 {
-					vb[v/64] |= 1 << (uint(v) % 64)
-					queue = append(queue, cfg{v, nid})
+				if vb[v>>6]&(1<<(uint(v)&63)) == 0 {
+					vb[v>>6] |= 1 << (uint(v) & 63)
+					s.queue = append(s.queue, cfg{v, e.next})
 				}
 			}
 		}
 	}
-	return hitBits
+	// The queue holds every configuration whose visited bit was set, expanded
+	// or not, so clearing their words restores the all-zero state.
+	for _, q := range s.queue {
+		s.visited[q.id][q.node>>6] = 0
+	}
+	s.queue = s.queue[:0]
+}
+
+// adjacent returns the neighbours of node over symbol id sym in the search
+// direction.
+func adjacent(ix *graph.Index, node, sym int32, forward bool) []int32 {
+	if forward {
+		return ix.OutByID(int(node), sym)
+	}
+	return ix.InByID(int(node), sym)
 }
 
 // maxWorkers bounds the engine's fan-out; 0 means GOMAXPROCS.

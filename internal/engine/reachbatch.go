@@ -7,7 +7,7 @@ package engine
 // Sharding (frontier exchange): the interned node space is cut into
 // contiguous degree-balanced ranges by graph.Partition, and each shard is
 // owned by exactly one goroutine. All per-shard state — visited masks,
-// pending frontiers, the final/transition caches — is shard-private, so the
+// pending frontiers, the live rows (live.go) — is shard-private, so the
 // inner loop takes no locks. A product edge whose target lands in another
 // shard is buffered into a per-(src-shard, dst-shard) exchange queue; the
 // queues are drained at the two level barriers (expand → barrier → drain →
@@ -90,32 +90,42 @@ type KernelStats struct {
 	PerShard  []ShardVolume `json:"per_shard"`
 }
 
-var (
-	kstatMu sync.Mutex
-	kstat   KernelStats
-)
+// kstat holds the counters behind KernelStats. The totals are atomic adds:
+// every ReachBatchEx call reports into them, the chunk-of-one calls of a
+// lazy scan included, and concurrent requests must not queue on a
+// statistics lock. Only the per-shard table needs the mutex, and only calls
+// that ran sharded touch it.
+var kstat struct {
+	batches, levels, sources, edges, exchanged atomic.Uint64
+
+	mu       sync.Mutex
+	perShard []ShardVolume
+}
 
 // ReachBatchStats returns a snapshot of the batched-kernel counters.
 func ReachBatchStats() KernelStats {
-	kstatMu.Lock()
-	defer kstatMu.Unlock()
-	out := kstat
-	out.Shards = Shards()
-	out.PerShard = append([]ShardVolume(nil), kstat.PerShard...)
+	out := KernelStats{
+		Shards:    Shards(),
+		Batches:   kstat.batches.Load(),
+		Levels:    kstat.levels.Load(),
+		Sources:   kstat.sources.Load(),
+		Edges:     kstat.edges.Load(),
+		Exchanged: kstat.exchanged.Load(),
+	}
+	kstat.mu.Lock()
+	out.PerShard = append([]ShardVolume(nil), kstat.perShard...)
+	kstat.mu.Unlock()
 	return out
 }
 
 // ResetReachBatchStats zeroes the batched-kernel counters (tests).
 func ResetReachBatchStats() {
-	kstatMu.Lock()
-	defer kstatMu.Unlock()
-	kstat = KernelStats{}
-}
-
-// batchCfg is one live product configuration of a shard's frontier.
-type batchCfg struct {
-	node int32 // graph node (owned by this shard)
-	id   int32 // subset-automaton set id
+	for _, c := range []*atomic.Uint64{&kstat.batches, &kstat.levels, &kstat.sources, &kstat.edges, &kstat.exchanged} {
+		c.Store(0)
+	}
+	kstat.mu.Lock()
+	kstat.perShard = nil
+	kstat.mu.Unlock()
 }
 
 // exMsg is one cross-shard product edge: configuration (node, id) reached
@@ -126,30 +136,33 @@ type exMsg struct {
 	mask     uint64
 }
 
-// shardWorker is the state owned by one shard's goroutine. visited/pend are
-// indexed [set id][node - lo] and hold source masks; final/local cache the
-// automaton's acceptance and transition rows per set id (they survive
-// across batches — the automaton does not change between batches, only the
-// source masks do).
+// shardWorker is the state owned by one shard's goroutine, reused from batch
+// to batch and, through batchScratch, from call to call. visited/pend are
+// indexed [set id][node - lo] and hold source masks. Like scalarScratch,
+// every array is all-zero between batches: insert logs each configuration it
+// is the first to visit and each node it is the first to hit, gather zeroes
+// the hit state as it reads it, and clear zeroes the logged configurations —
+// pend included, which a budget-cut search leaves non-zero.
 type shardWorker struct {
 	idx     int
 	lo, hi  int32
 	ix      *graph.Index
-	c       *automata.SubsetCache
 	part    *graph.Partition // nil when running single-shard
 	forward bool
-	nSyms   int32
+	wantLev bool    // record first-hit levels
 	bud     *Budget // optional; polled once per level
 	depth   int32   // current BFS level (0 while seeding)
 
+	live    liveRows   // per-set-id acceptance and surviving transitions
 	visited [][]uint64 // [id][node-lo] -> mask of sources that reached it
 	pend    [][]uint64 // [id][node-lo] -> mask not yet expanded
-	hits    []uint64   // [node-lo] -> mask of sources hitting node finally
-	hitLev  []int32    // [(node-lo)*64+srcbit] -> first-hit level (nil unless requested)
-	final   []int8     // [id] -> -1 unknown / 0 no / 1 yes
-	local   transRows  // [id] -> per-symbol transition row (lock-free copy)
+	touched []cfg      // every configuration with a non-zero visited mask
 
-	frontier, next []batchCfg
+	hits   []uint64 // [node-lo] -> mask of sources hitting node finally
+	hitSum []uint64 // bitset over node-lo: hits[node-lo] != 0
+	hitLev []int32  // [(node-lo)*64+srcbit] -> first-hit level (sized only under wantLev)
+
+	frontier, next []cfg
 	masks          []uint64  // per-frontier-entry pend snapshot (scratch, see expand)
 	outbox         [][]exMsg // [dst shard] -> exported configurations
 
@@ -158,35 +171,36 @@ type shardWorker struct {
 	levels    uint64 // levels driven (counted by shard 0 only)
 }
 
-// state returns the visited and pending mask arrays of set id, growing the
-// per-id slices on first sight of the id.
+// bind readies an idle worker for one ReachBatchEx call as shard idx of
+// shards, owning nodes [lo, hi).
+func (w *shardWorker) bind(idx, shards int, lo, hi int32, ix *graph.Index, part *graph.Partition, c *automata.SubsetCache, forward bool, o ReachOpts) {
+	w.idx, w.lo, w.hi = idx, lo, hi
+	w.ix, w.part, w.forward, w.wantLev, w.bud = ix, part, forward, o.Levels, o.Budget
+	w.live.bind(c, ix)
+	sz := int(hi - lo)
+	w.hits = grown(w.hits, sz)
+	w.hitSum = grown(w.hitSum, (sz+63)/64)
+	if w.wantLev {
+		w.hitLev = grown(w.hitLev, sz*BatchWidth)
+	}
+	for len(w.outbox) < shards {
+		w.outbox = append(w.outbox, nil)
+	}
+	w.edges, w.exchanged, w.levels = 0, 0, 0
+}
+
+// state returns the visited and pending mask arrays of set id, sized for the
+// shard's range.
 func (w *shardWorker) state(id int32) ([]uint64, []uint64) {
 	for int(id) >= len(w.visited) {
 		w.visited = append(w.visited, nil)
 		w.pend = append(w.pend, nil)
 	}
-	if w.visited[id] == nil {
-		sz := int(w.hi - w.lo)
-		w.visited[id] = make([]uint64, sz)
-		w.pend[id] = make([]uint64, sz)
+	if sz := int(w.hi - w.lo); len(w.visited[id]) != sz {
+		w.visited[id] = grown(w.visited[id], sz)
+		w.pend[id] = grown(w.pend[id], sz)
 	}
 	return w.visited[id], w.pend[id]
-}
-
-// isFinal caches c.Final per set id so the insert path takes the
-// SubsetCache read lock at most once per id per ReachBatch call.
-func (w *shardWorker) isFinal(id int32) bool {
-	for int(id) >= len(w.final) {
-		w.final = append(w.final, -1)
-	}
-	if w.final[id] < 0 {
-		if w.c.Final(id) {
-			w.final[id] = 1
-		} else {
-			w.final[id] = 0
-		}
-	}
-	return w.final[id] == 1
 }
 
 // insert merges mask into configuration (v, id), queueing it for the next
@@ -194,31 +208,41 @@ func (w *shardWorker) isFinal(id int32) bool {
 func (w *shardWorker) insert(v, id int32, mask uint64) {
 	vb, pb := w.state(id)
 	li := v - w.lo
-	delta := mask &^ vb[li]
+	seen := vb[li]
+	delta := mask &^ seen
 	if delta == 0 {
 		return
 	}
-	vb[li] |= delta
+	if seen == 0 {
+		w.touched = append(w.touched, cfg{v, id})
+	}
+	vb[li] = seen | delta
 	if pb[li] == 0 {
-		w.next = append(w.next, batchCfg{node: v, id: id})
+		w.next = append(w.next, cfg{v, id})
 	}
 	pb[li] |= delta
-	if w.isFinal(id) {
-		fresh := delta &^ w.hits[li]
-		w.hits[li] |= delta
-		if w.hitLev != nil {
-			// Level-synchronous BFS: a source bit's first hit on a node is at
-			// its minimal level, so recording once at first sight is exact.
-			for m := fresh; m != 0; m &= m - 1 {
-				w.hitLev[int(li)*64+bits.TrailingZeros64(m)] = w.depth
-			}
+	if !w.live.state(id).final {
+		return
+	}
+	fresh := delta &^ w.hits[li]
+	if fresh == 0 {
+		return
+	}
+	w.hits[li] |= fresh
+	w.hitSum[li>>6] |= 1 << (uint(li) & 63)
+	if w.wantLev {
+		// Level-synchronous BFS: a source bit's first hit on a node is at
+		// its minimal level, so recording once at first sight is exact.
+		for m := fresh; m != 0; m &= m - 1 {
+			w.hitLev[int(li)*BatchWidth+bits.TrailingZeros64(m)] = w.depth
 		}
 	}
 }
 
 // expand walks the current frontier: for every live configuration it steps
-// the subset automaton over each symbol's adjacency span, inserting local
-// targets directly and buffering cross-shard targets into the outbox.
+// the subset automaton over the adjacency span of each symbol the state
+// survives on, inserting local targets directly and buffering cross-shard
+// targets into the outbox.
 func (w *shardWorker) expand() {
 	// Snapshot-and-clear every frontier entry's pending mask before stepping
 	// any of them. An insert below may land on a frontier configuration that
@@ -235,43 +259,28 @@ func (w *shardWorker) expand() {
 		w.masks = append(w.masks, pb[li])
 		pb[li] = 0
 	}
-	for qi := 0; qi < len(w.frontier); qi++ {
-		cur := w.frontier[qi]
+	for qi, cur := range w.frontier {
 		mask := w.masks[qi]
 		if mask == 0 {
 			continue
 		}
-		row := w.local.row(cur.id, int(w.nSyms))
-		for s := int32(0); s < w.nSyms; s++ {
-			var tgts []int32
-			if w.forward {
-				tgts = w.ix.OutByID(int(cur.node), s)
-			} else {
-				tgts = w.ix.InByID(int(cur.node), s)
-			}
+		for _, e := range w.live.state(cur.id).edges {
+			tgts := adjacent(w.ix, cur.node, e.sym, w.forward)
 			if len(tgts) == 0 {
-				continue
-			}
-			nid := row[s]
-			if nid == unknown {
-				nid = w.c.Step(cur.id, int32(w.ix.Sym(s)))
-				row[s] = nid
-			}
-			if nid == automata.Dead {
 				continue
 			}
 			w.edges += uint64(len(tgts))
 			if w.part == nil {
 				for _, v := range tgts {
-					w.insert(v, nid, mask)
+					w.insert(v, e.next, mask)
 				}
 				continue
 			}
 			for _, v := range tgts {
 				if ds := w.part.ShardOf(v); ds == w.idx {
-					w.insert(v, nid, mask)
+					w.insert(v, e.next, mask)
 				} else {
-					w.outbox[ds] = append(w.outbox[ds], exMsg{node: v, id: nid, mask: mask})
+					w.outbox[ds] = append(w.outbox[ds], exMsg{node: v, id: e.next, mask: mask})
 					w.exchanged++
 				}
 			}
@@ -280,17 +289,17 @@ func (w *shardWorker) expand() {
 	w.frontier = w.frontier[:0]
 }
 
-// reset clears the per-batch state (visited/pend masks, hits, frontiers)
-// while keeping the batch-independent final/transition caches and all
-// allocated storage.
-func (w *shardWorker) reset() {
-	for i := range w.visited {
-		if w.visited[i] != nil {
-			clear(w.visited[i])
-			clear(w.pend[i])
-		}
+// clear zeroes what the batch's search wrote — the visited and pending masks
+// of the logged configurations — and empties the frontiers. With the hit
+// state zeroed by gather the worker is idle again: all-zero, only the live
+// rows and the allocated storage kept.
+func (w *shardWorker) clear() {
+	for _, t := range w.touched {
+		li := t.node - w.lo
+		w.visited[t.id][li] = 0
+		w.pend[t.id][li] = 0
 	}
-	clear(w.hits)
+	w.touched = w.touched[:0]
 	w.frontier = w.frontier[:0]
 	w.next = w.next[:0]
 }
@@ -405,11 +414,26 @@ func ReachBatch(ix *graph.Index, part *graph.Partition, c *automata.SubsetCache,
 // Hits[i][j]) and nil unless Levels was requested. Truncated reports that
 // the budget fired: the hits are sound but possibly incomplete, and callers
 // must not install them in cross-query caches.
+//
+// The rows of one 64-source batch are carved from one slab as full slice
+// expressions (capacity = length), so holders may keep and even append to a
+// row without writing into its neighbour; a source without hits has a nil
+// row.
 type BatchResult struct {
 	Hits      [][]int
 	Levs      [][]int32
 	Truncated bool
 }
+
+// batchScratch is the reusable state of one ReachBatchEx call: its shard
+// workers, as many as the widest partition it has run under.
+type batchScratch struct {
+	workers []*shardWorker
+}
+
+// batchPool hands batch scratch from one call to the next; like scalarPool
+// its content is the collector's to drop.
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // ReachBatchEx is ReachBatch under the options of Reach, applied to the whole
 // batch; see BatchResult. The MS-BFS word-packing is level-synchronous and
@@ -420,53 +444,50 @@ func ReachBatchEx(ix *graph.Index, part *graph.Partition, c *automata.SubsetCach
 	if opts.Weight != nil {
 		return reachBatchWeighted(ix, c, srcs, forward, opts)
 	}
+	b := batchPool.Get().(*batchScratch)
+	res := b.reach(ix, part, c, srcs, forward, opts)
+	batchPool.Put(b)
+	return res
+}
+
+// reach runs the batched kernel on the scratch and leaves it all-zero.
+func (b *batchScratch) reach(ix *graph.Index, part *graph.Partition, c *automata.SubsetCache, srcs []int, forward bool, opts ReachOpts) BatchResult {
 	res := BatchResult{Hits: make([][]int, len(srcs))}
 	if opts.Levels {
 		res.Levs = make([][]int32, len(srcs))
 	}
-	out := res.Hits
 	bud := opts.Budget
 	n := ix.NumNodes()
 	if n == 0 || len(srcs) == 0 {
 		return res
 	}
-	if part != nil && (part.NumNodes() != n || part.NumShards() == 1 || n < minShardedNodes) {
+	shards := 1
+	if part != nil && part.NumNodes() == n && n >= minShardedNodes {
+		shards = part.NumShards()
+	}
+	if shards == 1 {
 		part = nil
 	}
-	var workers []*shardWorker
-	if part == nil {
-		workers = []*shardWorker{{lo: 0, hi: int32(n)}}
-	} else {
-		workers = make([]*shardWorker, part.NumShards())
-		for i := range workers {
-			lo, hi := part.Range(i)
-			workers[i] = &shardWorker{idx: i, lo: lo, hi: hi, part: part,
-				outbox: make([][]exMsg, len(workers))}
-		}
+	for len(b.workers) < shards {
+		b.workers = append(b.workers, new(shardWorker))
 	}
-	for _, w := range workers {
-		w.ix, w.c, w.forward, w.nSyms = ix, c, forward, int32(ix.NumSyms())
-		w.bud = bud
-		w.hits = make([]uint64, int(w.hi-w.lo))
-		if opts.Levels {
-			w.hitLev = make([]int32, int(w.hi-w.lo)*64)
+	workers := b.workers[:shards]
+	for i, w := range workers {
+		lo, hi := int32(0), int32(n)
+		if part != nil {
+			lo, hi = part.Range(i)
 		}
+		w.bind(i, shards, lo, hi, ix, part, c, forward, opts)
 	}
 	startID := c.Start()
 	var batches, seeded uint64
 	for base := 0; base < len(srcs); base += BatchWidth {
 		if bud.Canceled() {
-			res.Truncated = true
 			break
 		}
-		batch := srcs[base:min(base+BatchWidth, len(srcs))]
-		if base > 0 {
-			for _, w := range workers {
-				w.reset()
-			}
-		}
+		end := min(base+BatchWidth, len(srcs))
 		any := false
-		for si, src := range batch {
+		for si, src := range srcs[base:end] {
 			if src < 0 || src >= n {
 				continue
 			}
@@ -479,60 +500,120 @@ func ReachBatchEx(ix *graph.Index, part *graph.Partition, c *automata.SubsetCach
 			any = true
 			seeded++
 		}
+		if !any {
+			continue
+		}
 		for _, w := range workers {
 			w.frontier, w.next = w.next, w.frontier
 			w.depth = 1
 		}
-		if any {
-			batches++
-			if len(workers) == 1 {
-				workers[0].runSingle()
-			} else {
-				k := &kernel{workers: workers, bar: newBarrier(len(workers)),
-					sizes: make([]int, len(workers)), bud: bud}
-				var wg sync.WaitGroup
-				wg.Add(len(workers))
-				for _, w := range workers {
-					go func(w *shardWorker) {
-						defer wg.Done()
-						w.run(k)
-					}(w)
-				}
-				wg.Wait()
+		batches++
+		if shards == 1 {
+			workers[0].runSingle()
+		} else {
+			k := &kernel{workers: workers, bar: newBarrier(shards), sizes: make([]int, shards), bud: bud}
+			var wg sync.WaitGroup
+			wg.Add(shards)
+			for _, w := range workers {
+				go func(w *shardWorker) {
+					defer wg.Done()
+					w.run(k)
+				}(w)
 			}
+			wg.Wait()
 		}
-		// Gather: shards cover contiguous ascending ranges and local nodes
-		// are scanned ascending, so each source's list comes out sorted.
+		var levs [][]int32
+		if res.Levs != nil {
+			levs = res.Levs[base:end]
+		}
+		gather(workers, res.Hits[base:end], levs)
 		for _, w := range workers {
-			for li, m := range w.hits {
-				for m != 0 {
-					si := bits.TrailingZeros64(m)
-					m &= m - 1
-					out[base+si] = append(out[base+si], int(w.lo)+li)
-					if res.Levs != nil {
-						res.Levs[base+si] = append(res.Levs[base+si], w.hitLev[li*64+si])
-					}
+			w.clear()
+		}
+	}
+	res.Truncated = bud.Canceled()
+
+	kstat.batches.Add(batches)
+	kstat.sources.Add(seeded)
+	for _, w := range workers {
+		kstat.levels.Add(w.levels)
+		kstat.edges.Add(w.edges)
+		kstat.exchanged.Add(w.exchanged)
+		w.bud = nil // request-scoped; the pool must not pin it
+	}
+	if shards > 1 {
+		kstat.mu.Lock()
+		for len(kstat.perShard) < shards {
+			kstat.perShard = append(kstat.perShard, ShardVolume{})
+		}
+		for i, w := range workers {
+			kstat.perShard[i].Edges += w.edges
+			kstat.perShard[i].Exchanged += w.exchanged
+		}
+		kstat.mu.Unlock()
+	}
+	return res
+}
+
+// gather turns the workers' hit masks into the per-source rows of one batch
+// (hits, and levs when non-nil, are the batch's window of the result) and
+// zeroes the hit state as it reads it. Only nodes flagged in a hit summary
+// are looked at — n/64 words, not n. A first pass counts each source's hits,
+// one slab is sized from the total, and a second pass fills every row in
+// place: shards cover contiguous ascending ranges and local nodes are
+// visited ascending, so each row comes out sorted.
+func gather(workers []*shardWorker, hits [][]int, levs [][]int32) {
+	var cnt, pos [BatchWidth]int
+	for _, w := range workers {
+		for wi, sum := range w.hitSum {
+			for ; sum != 0; sum &= sum - 1 {
+				for m := w.hits[wi<<6+bits.TrailingZeros64(sum)]; m != 0; m &= m - 1 {
+					cnt[bits.TrailingZeros64(m)]++
 				}
 			}
 		}
 	}
-	if bud.Canceled() {
-		res.Truncated = true
+	total := 0
+	for si := range hits {
+		pos[si] = total
+		total += cnt[si]
 	}
-
-	kstatMu.Lock()
-	kstat.Batches += batches
-	kstat.Sources += seeded
+	if total == 0 {
+		return
+	}
+	slab := make([]int, total)
+	var levSlab []int32
+	if levs != nil {
+		levSlab = make([]int32, total)
+	}
 	for _, w := range workers {
-		kstat.Levels += w.levels
-		kstat.Edges += w.edges
-		kstat.Exchanged += w.exchanged
-		for w.idx >= len(kstat.PerShard) {
-			kstat.PerShard = append(kstat.PerShard, ShardVolume{})
+		for wi, sum := range w.hitSum {
+			if sum == 0 {
+				continue
+			}
+			w.hitSum[wi] = 0
+			for ; sum != 0; sum &= sum - 1 {
+				li := wi<<6 + bits.TrailingZeros64(sum)
+				m := w.hits[li]
+				w.hits[li] = 0
+				for ; m != 0; m &= m - 1 {
+					si := bits.TrailingZeros64(m)
+					slab[pos[si]] = int(w.lo) + li
+					if levSlab != nil {
+						levSlab[pos[si]] = w.hitLev[li*BatchWidth+si]
+						w.hitLev[li*BatchWidth+si] = 0
+					}
+					pos[si]++
+				}
+			}
 		}
-		kstat.PerShard[w.idx].Edges += w.edges
-		kstat.PerShard[w.idx].Exchanged += w.exchanged
 	}
-	kstatMu.Unlock()
-	return res
+	for si := range hits {
+		if from, to := pos[si]-cnt[si], pos[si]; from < to {
+			hits[si] = slab[from:to:to]
+			if levSlab != nil {
+				levs[si] = levSlab[from:to:to]
+			}
+		}
+	}
 }

@@ -169,6 +169,22 @@ func TestReachBatchCounters(t *testing.T) {
 	}
 }
 
+// TestReachBatchCountersSingleShard: a call that ran inline reports into the
+// totals and leaves the per-shard table — and its lock — alone.
+func TestReachBatchCountersSingleShard(t *testing.T) {
+	engine.ResetReachBatchStats()
+	db := workload.GMark(11, 400)
+	m := xregex.MustCompile(xregex.MustParse("a(a|b)*"), db.Alphabet())
+	engine.ReachBatch(db.Index(), db.Partition(1), automata.NewSubsetCache(m), []int{0, 1, 2}, true)
+	st := engine.ReachBatchStats()
+	if st.Batches != 1 || st.Sources != 3 || st.Edges == 0 || st.Levels == 0 {
+		t.Fatalf("totals not recorded: %+v", st)
+	}
+	if len(st.PerShard) != 0 || st.Exchanged != 0 {
+		t.Fatalf("single-shard run touched the per-shard table: %+v", st)
+	}
+}
+
 // TestReachBatchConcurrentSharedCache: concurrent ReachBatch calls may
 // share one SubsetCache (the on-the-fly determinization interns under its
 // own lock); results must stay correct. Run with -race.

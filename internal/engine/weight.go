@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"math"
-
 	"cxrpq/internal/automata"
 	"cxrpq/internal/graph"
 )
@@ -39,130 +37,117 @@ func weightTable(ix *graph.Index, w Weight) []int32 {
 	return tbl
 }
 
-// reachWeighted is the Dijkstra kernel behind Reach under a Weight: for every
-// hit it records in hitLev the minimum total weight of an accepted path
-// instead of the edge count. It runs over the (node, automaton-set-id)
-// product configurations with a lazy-deletion binary heap keyed by
-// accumulated cost, so the first settle of an accepting configuration carries
-// the node's minimal weighted witness. The budget is polled every few hundred
-// pops. wsym is the clamped per-symbol cost table (weightTable).
-func reachWeighted(ix *graph.Index, c *automata.SubsetCache, src int, forward bool, bud *Budget, wsym, hitLev []int32) []uint64 {
-	n := ix.NumNodes()
-	nSyms := ix.NumSyms()
+// costCfg is one Dijkstra heap entry: a configuration at a tentative cost.
+type costCfg struct {
+	cost int32
+	cfg
+}
 
-	const inf = int32(math.MaxInt32)
-	// dist[id] is the best known cost per node for DFA set id; ids are dense
-	// and appear in discovery order, so the slice grows lazily (mirroring
-	// reachBFS's visited structure).
-	var dist [][]int32
-	distFor := func(id int32) []int32 {
-		for int(id) >= len(dist) {
-			dist = append(dist, nil)
-		}
-		if dist[id] == nil {
-			row := make([]int32, n)
-			for i := range row {
-				row[i] = inf
-			}
-			dist[id] = row
-		}
-		return dist[id]
-	}
-	var local transRows
+// costHeap is a binary min-heap on cost with lazy deletion: a configuration
+// is pushed again when it gets cheaper and the stale entry is skipped at pop.
+type costHeap []costCfg
 
-	type wcfg struct {
-		cost int32
-		node int32
-		id   int32
-	}
-	// lazy-deletion binary min-heap on cost
-	heap := []wcfg{{0, int32(src), c.Start()}}
-	push := func(x wcfg) {
-		heap = append(heap, x)
-		i := len(heap) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if heap[p].cost <= heap[i].cost {
-				break
-			}
-			heap[p], heap[i] = heap[i], heap[p]
-			i = p
+func (h *costHeap) push(x costCfg) {
+	*h = append(*h, x)
+	hp := *h
+	for i := len(hp) - 1; i > 0; {
+		p := (i - 1) / 2
+		if hp[p].cost <= hp[i].cost {
+			break
 		}
+		hp[p], hp[i] = hp[i], hp[p]
+		i = p
 	}
-	pop := func() wcfg {
-		top := heap[0]
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < last && heap[l].cost < heap[m].cost {
-				m = l
-			}
-			if r < last && heap[r].cost < heap[m].cost {
-				m = r
-			}
-			if m == i {
-				break
-			}
-			heap[i], heap[m] = heap[m], heap[i]
-			i = m
-		}
-		return top
-	}
-	distFor(c.Start())[src] = 0
+}
 
-	hitBits := make([]uint64, (n+63)/64)
-	pops := 0
-	for len(heap) > 0 {
-		cur := pop()
-		pops++
+func (h *costHeap) pop() costCfg {
+	hp := *h
+	top := hp[0]
+	last := len(hp) - 1
+	hp[0] = hp[last]
+	hp = hp[:last]
+	*h = hp
+	for i := 0; ; {
+		l, r, m := 2*i+1, 2*i+2, i
+		if l < last && hp[l].cost < hp[m].cost {
+			m = l
+		}
+		if r < last && hp[r].cost < hp[m].cost {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		hp[i], hp[m] = hp[m], hp[i]
+		i = m
+	}
+	return top
+}
+
+// distOf returns the distance row of set id, sized for the current index.
+func (s *scalarScratch) distOf(id int32) []int32 {
+	for int(id) >= len(s.dist) {
+		s.dist = append(s.dist, nil)
+	}
+	if len(s.dist[id]) != s.n {
+		s.dist[id] = grown(s.dist[id], s.n)
+	}
+	return s.dist[id]
+}
+
+// relax lowers configuration (v, id) to cost if that improves on what is
+// known. Distances are stored plus one so that the idle all-zero scratch
+// reads as "nothing reached".
+func (s *scalarScratch) relax(drow []int32, v, id, cost int32) {
+	d := drow[v]
+	if d != 0 && d-1 <= cost {
+		return
+	}
+	if d == 0 {
+		s.touched = append(s.touched, cfg{v, id})
+	}
+	drow[v] = cost + 1
+	s.heap.push(costCfg{cost, cfg{v, id}})
+}
+
+// dijkstra is the kernel behind Reach under a Weight: for every hit it
+// records the minimum total weight of an accepted path instead of the edge
+// count. It runs over the (node, set id) product configurations, so the
+// first settle of an accepting configuration carries the node's minimal
+// weighted witness. The budget is polled every few hundred pops. wsym is the
+// clamped per-symbol cost table (weightTable).
+func (s *scalarScratch) dijkstra(ix *graph.Index, src int, forward bool, bud *Budget, wsym []int32) {
+	startID := s.live.c.Start()
+	s.relax(s.distOf(startID), int32(src), startID, 0)
+	for pops := 1; len(s.heap) > 0; pops++ {
+		cur := s.heap.pop()
 		if pops%256 == 0 && bud.Canceled() {
 			break
 		}
-		drow := distFor(cur.id)
-		if cur.cost > drow[cur.node] {
+		if cur.cost > s.distOf(cur.id)[cur.node]-1 {
 			continue // stale heap entry: a cheaper path already settled it
 		}
-		if c.Final(cur.id) {
-			w, b := cur.node/64, uint64(1)<<(cur.node%64)
-			if hitBits[w]&b == 0 {
-				hitBits[w] |= b
-				hitLev[cur.node] = cur.cost // first settle ⇒ minimal cost
-			}
+		st := s.live.state(cur.id)
+		if st.final {
+			s.hit(cur.node, cur.cost, true) // first settle ⇒ minimal cost
 		}
-		row := local.row(cur.id, nSyms)
-		for s := int32(0); s < int32(nSyms); s++ {
-			var tgts []int32
-			if forward {
-				tgts = ix.OutByID(int(cur.node), s)
-			} else {
-				tgts = ix.InByID(int(cur.node), s)
-			}
+		for _, e := range st.edges {
+			tgts := adjacent(ix, cur.node, e.sym, forward)
 			if len(tgts) == 0 {
 				continue
 			}
-			nid := row[s]
-			if nid == unknown {
-				nid = c.Step(cur.id, int32(ix.Sym(s)))
-				row[s] = nid
-			}
-			if nid == automata.Dead {
-				continue
-			}
-			nc := cur.cost + wsym[s]
-			ndrow := distFor(nid)
+			nc := cur.cost + wsym[e.sym]
+			drow := s.distOf(e.next)
 			for _, v := range tgts {
-				if nc < ndrow[v] {
-					ndrow[v] = nc
-					push(wcfg{nc, v, nid})
-				}
+				s.relax(drow, v, e.next, nc)
 			}
 		}
 	}
-	return hitBits
+	for _, t := range s.touched {
+		s.dist[t.id][t.node] = 0
+	}
+	s.touched = s.touched[:0]
+	s.heap = s.heap[:0]
 }
 
 // reachBatchWeighted answers a weighted ReachBatchEx request: the MS-BFS
