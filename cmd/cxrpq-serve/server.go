@@ -66,8 +66,8 @@ package main
 // durable (below), then publishes a fresh snapshot with every pooled
 // session forked through the incremental-update subsystem: an insert-only
 // batch over known labels keeps each session's atom relations (retained or
-// frontier-extended per entry, see cxrpq.Session.Fork) and its feasibility
-// memo, dropping only result/label/plan caches; removals or brand-new
+// frontier-extended per entry, see cxrpq.Session.Fork) and its positive
+// path-existence verdicts, dropping the result and plan caches; removals or brand-new
 // labels fall back to a fresh epoch. The maintenance cost is paid at write
 // time, off the reader path. The response reports the net delta; /stats
 // exposes the per-database retained-vs-rebuilt maintenance counters.

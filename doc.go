@@ -88,19 +88,21 @@
 //	                     evaluation algorithms (Thms 2/5/6, Cor 1), normal
 //	                     form (Lemmas 4-6, 8), translations (Lemmas 12-14);
 //	                     bounded.go is the prefix-incremental CXRPQ^≤k
-//	                     engine (shared atom-relation cache, relaxed-atom
-//	                     subtree pruning, parallel mapping enumeration);
+//	                     engine (candidate images from a label-index walk
+//	                     steered by the definition bodies, shared
+//	                     atom-relation cache, relaxed-atom subtree pruning
+//	                     by existence probe, parallel mapping enumeration);
 //	                     plan.go/session.go are the prepared-query
 //	                     subsystem: Prepare(q) compiles an immutable Plan
 //	                     (fragment class, bounded schedule, fragment
 //	                     translations), Plan.Bind(db) yields a
 //	                     concurrency-safe Session owning the per-database
-//	                     caches (atom relations, feasibility memo, result
+//	                     caches (atom relations, path-existence verdicts, result
 //	                     cache, the physical plan of the conjunctive
 //	                     skeleton) with revision-checked, delta-maintained
 //	                     invalidation: insert-only mutations retain or
 //	                     frontier-extend cached relations per entry and
-//	                     keep the feasibility memo (Session.ApplyDelta /
+//	                     keep the positive verdicts (Session.ApplyDelta /
 //	                     Refresh; removals and new labels flush), hardened
 //	                     by the metamorphic mutation-sequence harness in
 //	                     mutation_diff_test.go; every one-shot entry point

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cxrpq/internal/automata"
 	"cxrpq/internal/ecrpq"
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
@@ -16,32 +17,45 @@ import (
 
 // This file is the prefix-incremental CXRPQ^≤k evaluation engine behind
 // EvalBounded, EvalBoundedBool, CheckBounded and ExplainBounded. The
-// Theorem 6 guess of v̄ ∈ (Σ^≤k)^n is still an enumeration in ≺-topological
-// order with the two sound candidate filters (images must label paths of D;
-// non-empty images of defined variables must match a definition body with
-// the assigned prefix substituted), but the per-mapping work is restructured
-// around three observations:
+// Theorem 6 guess of v̄ ∈ (Σ^≤k)^n is an enumeration in ≺-topological order
+// in which nothing is listed in order to be tested and thrown away:
 //
-//  1. An atom (pattern edge) is fully instantiated as soon as the prefix
+//  1. The images guessed for a variable are computed, not filtered
+//     (candidates): one level-synchronous walk over the label index
+//     (graph.DB.WalkPathWords: word → bitset of end nodes) steered by the
+//     determinized union of the variable's definition bodies, with the
+//     assigned prefix substituted and the rest relaxed to Σ*. A word no body
+//     can continue is never extended, so the walk visits L(bodies) ∩
+//     paths(D) and its dead-end fringe instead of every path word of length
+//     ≤ k. It emits ε, then the matching words by length and alphabet; that
+//     order is the enumeration order of every run, hence ExplainBounded's
+//     first witness and the order of streams. Lists are memoized per run by
+//     the relaxed bodies' print.
+//  2. An atom (pattern edge) is fully instantiated as soon as the prefix
 //     covers all variables occurring in it — its Lemma 10 surgery and its
-//     reachability relation can be computed right then, and an atom whose
+//     reachability relation are computed right then, and an atom whose
 //     instantiated language is empty on D prunes the entire subtree before
-//     any deeper variable is guessed.
-//  2. Exponentially many mappings agree on an atom's instantiated label
-//     (ε-images collapse, only the images matter — not how the enumeration
-//     reached them), so per-atom relations are memoized in a bounded,
-//     session-scoped cache keyed by the canonical print of the label.
-//  3. A complete mapping then needs only a join over the cached relations
-//     (ecrpq.JoinRelations), not a fresh CRPQ evaluation.
+//     any deeper variable is guessed. Exponentially many mappings agree on
+//     an atom's instantiated label (ε-images collapse, only the images
+//     matter), so relations are shared through a bounded, session-scoped
+//     cache keyed by the canonical print of the label.
+//  3. An atom the prefix touches without determining is relaxed (relaxCut)
+//     and asked one question: does it match any path of D at all? The
+//     answer is an existence probe that stops at its first hit
+//     (ecrpq.PathExists) and one memoized bit per label
+//     (sessionCaches.pathExists) — never a relation. A positive verdict
+//     survives insert-only deltas and Fork, a negative one is asked again.
+//  4. A complete mapping then needs only a join over the cached relations
+//     (ecrpq.JoinRelationsStream), not a fresh CRPQ evaluation.
 //
-// Since PR 3 the engine is split along the prepared-query boundary
-// (plan.go / session.go): boundedPlan holds everything derivable from the
-// query alone (the ≺-topological order and the instantiation/pruning/check
-// schedule), computed once by Prepare; sessionCaches holds the per-database
-// memos (atom relations, feasibility verdicts, path-label candidates),
-// owned by a Session and shared across calls and across concurrent engine
-// runs. A boundedEngine is the cheap per-call object tying one run's
-// enumeration state and result sink to those two.
+// The engine is split along the prepared-query boundary (plan.go /
+// session.go): boundedPlan holds everything derivable from the query alone
+// (the ≺-topological order and the instantiation/pruning/check schedule),
+// computed once by Prepare; sessionCaches holds the per-database memos (atom
+// relations, path-existence verdicts), owned by a Session and shared across
+// calls and across concurrent engine runs. A boundedEngine is the per-call
+// object tying one run's enumeration state, candidate lists and result sink
+// to those two.
 //
 // Disjoint enumeration subtrees are fanned across the engine worker pool
 // with the same stop-flag short-circuit protocol as the vstar-free path.
@@ -162,9 +176,13 @@ type boundedEngine struct {
 	seq      bool           // force sequential enumeration (witness search)
 	pre      map[string]int // pre-bound node variables (CheckBounded)
 
-	labels []string // candidate images: words labelling paths of D
-
+	k      int            // image bound
 	caches *sessionCaches // per-DB memos, shared across runs of one Session
+
+	// cands memoizes the candidate walk per relaxed definition bodies: every
+	// prefix that agrees on the variables of x's bodies asks for the same list.
+	candMu sync.Mutex
+	cands  map[string][]string
 
 	// bud is the caller's evaluation budget (nil = unlimited); fanBud is its
 	// per-run fork, threaded into relation builds and leaf joins so that both
@@ -239,10 +257,10 @@ func newBoundedEngine(p *boundedPlan, db *graph.DB, k int, boolOnly bool, pre ma
 		sigma:    sigma,
 		boolOnly: boolOnly,
 		pre:      pre,
-		// Images must label paths of D (they are factors of matching words).
-		labels: caches.labelsFor(db, k),
-		caches: caches,
-		out:    pattern.NewTupleSet(),
+		k:        k,
+		caches:   caches,
+		cands:    map[string][]string{},
+		out:      pattern.NewTupleSet(),
 	}
 	e.fanBud = e.bud.Fork() // nil-safe: a standalone fork when unbudgeted
 	e.leaf = e.joinLeaf
@@ -312,89 +330,39 @@ func (st *boundedState) instantiateEdge(ei int) (bool, error) {
 // (their bodies only contain ≺-smaller, hence assigned, variables) and
 // replaced by their images, while unassigned definitions and references are
 // relaxed to Σ*. The result is classical and its language contains the exact
-// instantiated language of every completion of the prefix, so an empty
-// relation on D prunes the whole subtree.
+// instantiated language of every completion of the prefix, so a label that
+// matches no path of D prunes the whole subtree.
 func relaxCut(n xregex.Node, assign map[string]string, sigma []rune) (xregex.Node, error) {
-	switch t := n.(type) {
-	case *xregex.Ref:
-		if w, ok := assign[t.Var]; ok {
-			return xregex.Word(w), nil
-		}
-		return xregex.AnyWord(), nil
-	case *xregex.Def:
-		w, ok := assign[t.Var]
+	return mapVars(n, func(x string, body xregex.Node) (xregex.Node, error) {
+		w, ok := assign[x]
 		if !ok {
 			return xregex.AnyWord(), nil
 		}
-		body, err := relaxCut(t.Body, assign, sigma)
-		if err != nil {
-			return nil, err
-		}
-		m, err := xregex.Matches(xregex.Simplify(body), w, sigma)
-		if err != nil {
-			return nil, err
-		}
-		if !m {
-			return &xregex.Empty{}, nil
+		if body != nil {
+			cut, err := relaxCut(body, assign, sigma)
+			if err != nil {
+				return nil, err
+			}
+			if m, err := xregex.Matches(xregex.Simplify(cut), w, sigma); err != nil || !m {
+				return &xregex.Empty{}, err
+			}
 		}
 		return xregex.Word(w), nil
-	case *xregex.Cat:
-		kids := make([]xregex.Node, len(t.Kids))
-		for i, k := range t.Kids {
-			nk, err := relaxCut(k, assign, sigma)
-			if err != nil {
-				return nil, err
-			}
-			kids[i] = nk
-		}
-		return &xregex.Cat{Kids: kids}, nil
-	case *xregex.Alt:
-		kids := make([]xregex.Node, len(t.Kids))
-		for i, k := range t.Kids {
-			nk, err := relaxCut(k, assign, sigma)
-			if err != nil {
-				return nil, err
-			}
-			kids[i] = nk
-		}
-		return &xregex.Alt{Kids: kids}, nil
-	case *xregex.Plus:
-		kid, err := relaxCut(t.Kid, assign, sigma)
-		if err != nil {
-			return nil, err
-		}
-		return &xregex.Plus{Kid: kid}, nil
-	case *xregex.Star:
-		kid, err := relaxCut(t.Kid, assign, sigma)
-		if err != nil {
-			return nil, err
-		}
-		return &xregex.Star{Kid: kid}, nil
-	case *xregex.Opt:
-		kid, err := relaxCut(t.Kid, assign, sigma)
-		if err != nil {
-			return nil, err
-		}
-		return &xregex.Opt{Kid: kid}, nil
-	default:
-		return n, nil
-	}
+	})
 }
 
 // pruneRelaxed checks the Σ*-relaxed partial instantiation of edge ei
 // against D. It reports false when the relaxed atom labels no path at all —
-// no completion of the current prefix can satisfy the atom.
+// no completion of the current prefix can satisfy the atom. Only that one
+// bit is asked for and kept (sessionCaches.pathExists); the relaxed label's
+// relation is never built.
 func (st *boundedState) pruneRelaxed(ei int) (bool, error) {
 	e := st.e
 	relaxed, err := relaxCut(e.p.c[ei], st.assign, e.sigma)
 	if err != nil {
 		return false, err
 	}
-	rel, err := e.relationFor(xregex.Simplify(relaxed))
-	if err != nil {
-		return false, err
-	}
-	return !rel.Empty(), nil
+	return e.caches.pathExists(e.db, xregex.Simplify(relaxed), e.sigma, e.fanBud)
 }
 
 // processStep instantiates the edges that become determined once vars[:i]
@@ -468,41 +436,68 @@ func (e *boundedEngine) relationFor(inst xregex.Node) (*ecrpq.EdgeRel, error) {
 	return e.caches.rels.For(e.db, inst, e.sigma, engine.ReachOpts{Budget: e.fanBud, Levels: e.ranked})
 }
 
-// feasible is the sound candidate filter of the Theorem 6 enumeration: a
-// non-empty image of a defined variable must match one of its definition
-// bodies with previously assigned variables substituted and the rest relaxed
-// to Σ* (all variables in a definition body precede the defined variable in
-// ≺-topological order, so the check is exact relative to the prefix). Checks
-// are memoized per (relaxed body, word) in the session feasibility memo —
-// the relaxed print is exactly the signature of the assignment restricted to
-// the body's variables — and run through the process-wide compiled-NFA
-// cache.
-func (e *boundedEngine) feasible(x, w string, assign map[string]string) bool {
-	if w == "" {
-		return true
+// onlyEps is the candidate list of a variable nothing defines or references.
+var onlyEps = []string{""}
+
+// candidates lists the images worth guessing for x under a prefix assignment
+// covering every ≺-smaller variable: ε, then — in length-then-lexicographic
+// order — the words of length ≤ k that label a path of D (images are factors
+// of matching words) and, for a defined x, match one of its definition
+// bodies with the assigned variables substituted and the rest relaxed to Σ*
+// (all variables in a definition body precede x in ≺-topological order, so
+// the test is exact relative to the prefix). The list is L(bodies) ∩
+// paths(D) computed as a product: one walk over the label index steered by
+// the determinized union of the relaxed bodies, so a word no body can
+// continue is never extended, let alone listed. A variable without a
+// definition walks unfiltered when it is referenced and has only ε when it
+// is not. Lists are memoized per run by the print of the relaxed bodies,
+// which is exactly the signature of the assignment restricted to the
+// bodies' variables.
+func (e *boundedEngine) candidates(x string, assign map[string]string) ([]string, error) {
+	var filter xregex.Node // nil: every path word
+	key := "\x00"
+	if bodies := e.p.defBodies[x]; len(bodies) > 0 {
+		kids := make([]xregex.Node, len(bodies))
+		for i, body := range bodies {
+			kids[i] = relaxUnassigned(body, assign)
+		}
+		if filter = kids[0]; len(kids) > 1 {
+			filter = &xregex.Alt{Kids: kids}
+		}
+		key = xregex.String(filter)
+	} else if !e.p.refAny[x] {
+		return onlyEps, nil
 	}
-	bodies := e.p.defBodies[x]
-	if len(bodies) == 0 {
-		// free variable: only useful if referenced at all
-		return e.p.refAny[x]
+	e.candMu.Lock()
+	ws, ok := e.cands[key]
+	e.candMu.Unlock()
+	if ok {
+		return ws, nil
 	}
-	for _, body := range bodies {
-		relaxed := relaxUnassigned(body, assign)
-		key := xregex.String(relaxed) + "\x00" + w
-		if res, ok := e.caches.feasGet(key); ok {
-			if res {
+	if filter == nil {
+		ws = e.db.PathLabels(e.k, 0)
+	} else {
+		c, err := xregex.SubsetFor(filter, e.sigma)
+		if err != nil {
+			return nil, err
+		}
+		ws = []string{""}
+		e.db.WalkPathWords(e.k, c.Start(),
+			func(id int32, sym rune) (int32, bool) {
+				id = c.Step(id, int32(sym))
+				return id, id != automata.Dead
+			},
+			func(w string, id int32) bool {
+				if c.Final(id) {
+					ws = append(ws, w)
+				}
 				return true
-			}
-			continue
-		}
-		m, err := xregex.Matches(relaxed, w, e.sigma)
-		res := err == nil && m
-		e.caches.feasPut(key, res)
-		if res {
-			return true
-		}
+			})
 	}
-	return false
+	e.candMu.Lock()
+	e.cands[key] = ws
+	e.candMu.Unlock()
+	return ws, nil
 }
 
 // rec enumerates images for vars[i:] depth-first with prefix pruning.
@@ -515,12 +510,13 @@ func (st *boundedState) rec(i int) error {
 		return e.leaf(st)
 	}
 	x := e.p.vars[i]
-	for _, w := range e.labels {
+	cands, err := e.candidates(x, st.assign)
+	if err != nil {
+		return err
+	}
+	for _, w := range cands {
 		if e.stop.Load() || e.fanBud.Canceled() {
 			break
-		}
-		if !e.feasible(x, w, st.assign) {
-			continue
 		}
 		st.assign[x] = w
 		ok, err := st.processStep(i + 1)
@@ -599,7 +595,7 @@ func (e *boundedEngine) joinLeaf(st *boundedState) error {
 }
 
 // run drives the enumeration: sequentially for a single worker (or when a
-// deterministic first witness is required), otherwise by expanding feasible
+// deterministic first witness is required), otherwise by expanding candidate
 // assignment prefixes into jobs and fanning the disjoint subtrees across the
 // engine worker pool with Boolean short-circuit.
 func (e *boundedEngine) run() (*pattern.TupleSet, error) {
@@ -617,12 +613,12 @@ func (e *boundedEngine) run() (*pattern.TupleSet, error) {
 		return e.out, e.ignoreCanceled(st.rec(0))
 	}
 
-	// Expand prefixes breadth-first (feasibility-filtered only; the workers
+	// Expand prefixes breadth-first (candidate-filtered only; the workers
 	// replay them with the full atom pruning, which is cache-warm by then)
 	// until there are enough disjoint subtrees to keep the pool busy.
 	jobs := [][]string{nil}
 	depth := 0
-	for depth < len(e.p.vars) && len(jobs) < 2*pool && len(jobs)*len(e.labels) <= boundedMaxJobs {
+	for depth < len(e.p.vars) && len(jobs) < 2*pool {
 		var next [][]string
 		partial := map[string]string{}
 		for _, p := range jobs {
@@ -630,20 +626,22 @@ func (e *boundedEngine) run() (*pattern.TupleSet, error) {
 			for j, w := range p {
 				partial[e.p.vars[j]] = w
 			}
-			for _, w := range e.labels {
-				if e.feasible(e.p.vars[depth], w, partial) {
-					np := make([]string, depth+1)
-					copy(np, p)
-					np[depth] = w
-					next = append(next, np)
-				}
+			cands, err := e.candidates(e.p.vars[depth], partial)
+			if err != nil {
+				return nil, err
 			}
+			for _, w := range cands {
+				np := make([]string, depth+1)
+				copy(np, p)
+				np[depth] = w
+				next = append(next, np)
+			}
+		}
+		if len(next) > boundedMaxJobs {
+			break // the shallower split stands
 		}
 		jobs = next
 		depth++
-		if len(jobs) == 0 {
-			return e.out, nil
-		}
 	}
 
 	var errMu sync.Mutex

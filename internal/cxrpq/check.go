@@ -1,9 +1,6 @@
 package cxrpq
 
 import (
-	"fmt"
-
-	"cxrpq/internal/ecrpq"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
 )
@@ -19,38 +16,6 @@ func Check(q *Query, db *graph.DB, t pattern.Tuple) (bool, error) {
 		return false, err
 	}
 	return p.Bind(db).Check(t)
-}
-
-// CheckVsf decides t̄ ∈ q(D) for vstar-free q, streaming the branch
-// combinations and short-circuiting on the first match. It is the fallback
-// of Session.Check for plans whose combination count exceeds the
-// materialization cap.
-func CheckVsf(q *Query, db *graph.DB, t pattern.Tuple) (bool, error) {
-	c := q.CXRE()
-	if !c.IsVStarFree() {
-		return false, fmt.Errorf("cxrpq: CheckVsf requires a vstar-free query")
-	}
-	origDefined := c.DefinedVars()
-	found := false
-	err := branchCombos(c, func(combo CXRE) error {
-		eq, err := comboToSimpleECRPQ(q, combo, origDefined)
-		if err != nil {
-			return err
-		}
-		ok, err := ecrpq.Check(eq, db, t)
-		if err != nil {
-			return err
-		}
-		if ok {
-			found = true
-			return errStop
-		}
-		return nil
-	})
-	if err != nil && err != errStop {
-		return false, err
-	}
-	return found, nil
 }
 
 // CheckBounded decides t̄ ∈ q^≤k(D) (Theorem 6 semantics); the one-shot

@@ -1,10 +1,15 @@
 package cxrpq_test
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"cxrpq/internal/cxrpq"
 	"cxrpq/internal/ecrpq"
+	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
 	"cxrpq/internal/workload"
@@ -121,5 +126,41 @@ m3 a v3
 	ok, err := ecrpq.Check(q, db, pattern.Tuple{u, v, u3, v3})
 	if err != nil || ok {
 		t.Fatalf("ab/ba pair must fail Check: %v %v", ok, err)
+	}
+}
+
+// A vstar-free query with more branch combinations than a plan materializes
+// is checked one streamed combination at a time, under the caller's budget
+// and through the result cache like any other. (The over-cap branch used to
+// call the budget-less one-shot check: a canceled request ran all 2048
+// searches to the end and the verdict was never cached.)
+func TestCheckVsfOverCapHonoursBudget(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("ans(x, y)\nx y : ")
+	for i := 0; i < 11; i++ { // 2^11 combinations, over the cap of 1024
+		fmt.Fprintf(&sb, "($a%d{a}|$b%d{b})", i, i)
+	}
+	q := cxrpq.MustParse(sb.String() + "\n")
+	db := workload.Path("abbabaababb", 1)
+	first, last := pattern.Tuple{0, 1}, pattern.Tuple{1, 0} // Path interns its endpoints first
+
+	sess := cxrpq.MustPrepare(q).Bind(db)
+	spent := engine.NewBudget(nil, time.Now().Add(-time.Second), 0)
+	resp := sess.Do(cxrpq.Request{Op: "check", Tuple: first, Budget: spent})
+	if !errors.Is(resp.Err, engine.ErrCanceled) || resp.OK {
+		t.Fatalf("check under a spent budget = %v, %v; want false, engine.ErrCanceled", resp.OK, resp.Err)
+	}
+	for _, c := range []struct {
+		tup  pattern.Tuple
+		want bool
+	}{{first, true}, {last, false}} {
+		for call := 0; call < 2; call++ {
+			if ok, err := sess.Check(c.tup); err != nil || ok != c.want {
+				t.Fatalf("Check(%v) = %v, %v; want %v", c.tup, ok, err, c.want)
+			}
+		}
+	}
+	if st := sess.Stats(); st.ResultHits != 2 {
+		t.Fatalf("repeated over-cap checks hit the result cache %d times, want 2", st.ResultHits)
 	}
 }

@@ -295,37 +295,51 @@ func mergeDBAlphabet(db *graph.DB, c CXRE) []rune {
 // relaxUnassigned substitutes assigned variables by their literal images and
 // relaxes unassigned ones (and nested definitions) to Σ*.
 func relaxUnassigned(n xregex.Node, assign map[string]string) xregex.Node {
+	out, _ := mapVars(n, func(x string, _ xregex.Node) (xregex.Node, error) {
+		if w, ok := assign[x]; ok {
+			return xregex.Word(w), nil
+		}
+		return xregex.AnyWord(), nil
+	})
+	return out
+}
+
+// mapVars rebuilds n with every variable occurrence replaced by what f makes
+// of it: f receives the variable and, for a definition, its body (nil for a
+// reference); it is not applied inside the bodies it is handed.
+func mapVars(n xregex.Node, f func(x string, body xregex.Node) (xregex.Node, error)) (xregex.Node, error) {
+	mapKids := func(kids []xregex.Node) ([]xregex.Node, error) {
+		out := make([]xregex.Node, len(kids))
+		for i, k := range kids {
+			var err error
+			if out[i], err = mapVars(k, f); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
 	switch t := n.(type) {
 	case *xregex.Ref:
-		if w, ok := assign[t.Var]; ok {
-			return xregex.Word(w)
-		}
-		return xregex.AnyWord()
+		return f(t.Var, nil)
 	case *xregex.Def:
-		if w, ok := assign[t.Var]; ok {
-			return xregex.Word(w)
-		}
-		return xregex.AnyWord()
+		return f(t.Var, t.Body)
 	case *xregex.Cat:
-		kids := make([]xregex.Node, len(t.Kids))
-		for i, k := range t.Kids {
-			kids[i] = relaxUnassigned(k, assign)
-		}
-		return &xregex.Cat{Kids: kids}
+		kids, err := mapKids(t.Kids)
+		return &xregex.Cat{Kids: kids}, err
 	case *xregex.Alt:
-		kids := make([]xregex.Node, len(t.Kids))
-		for i, k := range t.Kids {
-			kids[i] = relaxUnassigned(k, assign)
-		}
-		return &xregex.Alt{Kids: kids}
+		kids, err := mapKids(t.Kids)
+		return &xregex.Alt{Kids: kids}, err
 	case *xregex.Plus:
-		return &xregex.Plus{Kid: relaxUnassigned(t.Kid, assign)}
+		kid, err := mapVars(t.Kid, f)
+		return &xregex.Plus{Kid: kid}, err
 	case *xregex.Star:
-		return &xregex.Star{Kid: relaxUnassigned(t.Kid, assign)}
+		kid, err := mapVars(t.Kid, f)
+		return &xregex.Star{Kid: kid}, err
 	case *xregex.Opt:
-		return &xregex.Opt{Kid: relaxUnassigned(t.Kid, assign)}
+		kid, err := mapVars(t.Kid, f)
+		return &xregex.Opt{Kid: kid}, err
 	default:
-		return n
+		return n, nil
 	}
 }
 

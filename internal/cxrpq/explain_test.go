@@ -1,12 +1,14 @@
 package cxrpq_test
 
 import (
+	"reflect"
 	"testing"
 
 	"cxrpq/internal/cxrpq"
 	"cxrpq/internal/ecrpq"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
+	"cxrpq/internal/workload"
 	"cxrpq/internal/xregex"
 )
 
@@ -172,5 +174,37 @@ func TestExplainAliasChain(t *testing.T) {
 	}
 	if ex.Images["x"] != "a" || ex.Images["y"] != "a" {
 		t.Fatalf("alias images wrong: %v", ex.Images)
+	}
+}
+
+// ExplainBounded reports the first witness in enumeration order: variables in
+// ≺-topological order, candidate images ε first and then by length and
+// alphabet, the leaf search in planner order. These are the bounded queries
+// of TestCheckAgreesWithEval and TestSessionRelCacheEviction on their
+// graphs; the witnesses are the ones the enumerate-then-filter engine
+// reported, so a candidate walk that lists the same words in another order
+// shows up here.
+func TestExplainBoundedFirstWitnessPinned(t *testing.T) {
+	for _, c := range []struct {
+		db     *graph.DB
+		src    string
+		k      int
+		nodeOf map[string]int
+		words  []string
+		images map[string]string
+	}{
+		{workload.Random(31, 6, 14, "abc"), "ans(v1, v2)\nu v1 : $x{a|b}\nu v2 : ($x|c)+", 1,
+			map[string]int{"u": 1, "v1": 0, "v2": 0}, []string{"a", "a"}, map[string]string{"x": "a"}},
+		{workload.Random(11, 6, 14, "abc"), "ans(p, q)\np m : $x{a|b}c?\nm n : $y{$x|b}($x|$y)\nn q : $x+|b\n", 2,
+			map[string]int{"m": 2, "n": 2, "p": 2, "q": 0}, []string{"b", "bb", "bb"}, map[string]string{"x": "b", "y": "b"}},
+	} {
+		ex, ok, err := cxrpq.ExplainBounded(cxrpq.MustParse(c.src), c.db, c.k, nil)
+		if err != nil || !ok {
+			t.Fatalf("%s: explain failed: %v %v", c.src, ok, err)
+		}
+		if !reflect.DeepEqual(ex.NodeOf, c.nodeOf) || !reflect.DeepEqual(ex.Words, c.words) || !reflect.DeepEqual(ex.Images, c.images) {
+			t.Fatalf("%s: first witness nodes %v words %q images %v, want %v %q %v",
+				c.src, ex.NodeOf, ex.Words, ex.Images, c.nodeOf, c.words, c.images)
+		}
 	}
 }

@@ -1,0 +1,54 @@
+package cxrpq
+
+import (
+	"cxrpq/internal/graph"
+	"cxrpq/internal/xregex"
+)
+
+// Hooks for the external test package, which is where the differential
+// suites live (they need internal/workload, which imports this package).
+
+// RelaxUnassigned exposes the prefix substitution of definition bodies.
+var RelaxUnassigned = relaxUnassigned
+
+// CandidateWalk is one bounded run's view of the candidate enumeration: the
+// ≺-topological variable order, what the plan knows about each variable, and
+// the candidate list of a variable under a prefix assignment.
+type CandidateWalk struct{ e *boundedEngine }
+
+// NewCandidateWalk binds q's bounded plan to db for image bound k.
+func NewCandidateWalk(q *Query, db *graph.DB, k int) (*CandidateWalk, error) {
+	bp, err := planBounded(q)
+	if err != nil {
+		return nil, err
+	}
+	e, err := newBoundedEngine(bp, db, k, false, nil, newSessionCaches(0, 0), mergeDBAlphabet(db, bp.c))
+	if err != nil {
+		return nil, err
+	}
+	return &CandidateWalk{e}, nil
+}
+
+func (w *CandidateWalk) Vars() []string { return w.e.p.vars }
+
+func (w *CandidateWalk) Sigma() []rune { return w.e.sigma }
+
+func (w *CandidateWalk) DefBodies(x string) []xregex.Node { return w.e.p.defBodies[x] }
+
+func (w *CandidateWalk) Referenced(x string) bool { return w.e.p.refAny[x] }
+
+func (w *CandidateWalk) Candidates(x string, prefix map[string]string) ([]string, error) {
+	return w.e.candidates(x, prefix)
+}
+
+// PathVerdicts returns the session's memoized path-existence verdicts.
+func (s *Session) PathVerdicts() map[string]bool {
+	sc, _, _ := s.current()
+	sc.paths.mu.Lock()
+	defer sc.paths.mu.Unlock()
+	out := make(map[string]bool, len(sc.paths.m))
+	for k, v := range sc.paths.m {
+		out[k] = v
+	}
+	return out
+}

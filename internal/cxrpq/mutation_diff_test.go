@@ -149,6 +149,15 @@ func mutationSeed(t *testing.T, seed int64) {
 	q := workload.RandomQuery(r, true) // finite-language templates keep the naive baseline fast
 	nodes := 3 + r.Intn(3)
 	db := workload.Random(seed^0x0ddba11, nodes, nodes+r.Intn(nodes+2), "ab")
+	mutationRun(t, seed, r, q, db)
+}
+
+// mutationRun drives the sequence r draws over one query and database. It
+// returns how many path-existence verdicts of the session went from false to
+// true across a delta-maintained (insert-only) step: each is a relaxed label
+// that matched nothing, was remembered as such, and had to be asked again.
+func mutationRun(t *testing.T, seed int64, r *workload.RNG, q *cxrpq.Query, db *graph.DB) (flipped int) {
+	t.Helper()
 	m := &mutationState{db: db, sess: cxrpq.MustPrepare(q).Bind(db), q: q, k: 1}
 	for id := 0; id < db.NumNodes(); id++ {
 		m.names = append(m.names, db.Name(id))
@@ -158,8 +167,16 @@ func mutationSeed(t *testing.T, seed int64) {
 	steps := 3 + r.Intn(3)
 	for step := 0; step < steps; step++ {
 		delta := randomDelta(r, m.db, step, step%2 == 0)
+		verdicts, maint := m.sess.PathVerdicts(), m.sess.Stats().Maint
 		info := m.apply(t, seed, delta)
 		got := m.checkStep(t, seed, fmt.Sprintf("step %d", step))
+		if m.sess.Stats().Maint.DeltaApplies > maint.DeltaApplies {
+			for label, now := range m.sess.PathVerdicts() {
+				if was, asked := verdicts[label]; asked && !was && now {
+					flipped++
+				}
+			}
+		}
 
 		if info.InsertOnly() {
 			// Law (b): monotone growth of the answer set…
@@ -199,6 +216,7 @@ func mutationSeed(t *testing.T, seed int64) {
 		t.Fatalf("seed %d: add-then-remove round trip did not restore the tuple set (%d vs %d)\nquery:\n%s",
 			seed, after.Len(), before.Len(), q.Pattern)
 	}
+	return flipped
 }
 
 // mutationCorpus is the deterministic replay list: a spread over the
@@ -214,6 +232,16 @@ var mutationCorpus = []int64{
 func TestMutationCorpus(t *testing.T) {
 	for _, seed := range mutationCorpus {
 		mutationSeed(t, seed)
+	}
+	// The templates relax to ε-accepting labels, whose verdict no delta can
+	// change. This entry pins a label with a mandatory factor, bbΣ*, on a graph
+	// without a bb path: the session remembers that it matches nothing, and
+	// seed 8's insertions create the path twice over — a stale "no" would
+	// prune answers the laws of mutationRun then miss.
+	q := cxrpq.MustParse("ans(p, q)\np m : $x{a|b}\nm q : bb$x\n")
+	db := graph.MustParse("n0 a n1\nn1 b n2\nn2 a n3\nn3 a n0\n")
+	if flipped := mutationRun(t, 8, workload.NewRNG(8), q, db); flipped == 0 {
+		t.Fatal("no path-existence verdict went from false to true: the entry is not exercised")
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // same relaxation the bounded engine prunes with) crossed with the
 // database's per-label statistics, and cached in the session's cache epoch
 // — so it is recomputed exactly when the DB revision moves, next to the
-// relation and feasibility caches.
+// relation cache and the path-existence verdicts.
 
 // PlanStep is one entry of a PlanReport: the pattern edge placed at this
 // plan position, how the join visits it, and the cost model's estimates.

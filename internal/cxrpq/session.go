@@ -10,12 +10,13 @@ import (
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
 	"cxrpq/internal/planner"
+	"cxrpq/internal/xregex"
 )
 
 // This file is the evaluate-many half of the prepared-query subsystem: a
 // Session is a Plan bound to one database, owning every per-database memo
-// the evaluation engines consult — the atom-relation cache, the feasibility
-// memo, the path-label candidate lists and a bounded result cache. All
+// the evaluation engines consult — the atom-relation cache, the path-
+// existence verdicts of relaxed labels and a bounded result cache. All
 // Session methods are safe for concurrent use; concurrent calls share the
 // caches, so relation work done by one request is immediately visible to
 // the others.
@@ -24,17 +25,17 @@ import (
 // in flight. After a (quiescent) mutation, the next call observes the
 // bumped graph.DB revision and re-maintains the caches — fine-grained when
 // the DB's delta log covers the window with an insert-only, known-label
-// delta (atom relations are retained or frontier-extended per entry, the
-// feasibility memo survives, only the result/label/plan caches drop; see
-// maintainLocked for the full matrix), wholesale otherwise. Session.
-// ApplyDelta applies a batched mutation and maintains eagerly; Invalidate
+// delta (atom relations are retained or frontier-extended per entry, of the
+// path-existence verdicts the positive ones survive, the result and plan
+// caches drop; see maintainLocked for the full matrix), wholesale otherwise.
+// Session.ApplyDelta applies a batched mutation and maintains eagerly; Invalidate
 // always forces the wholesale drop. Results returned by Eval/EvalBounded
 // may be served from the result cache and shared between callers — treat
 // the returned TupleSet as immutable.
 
 const (
-	// defaultFeasCap bounds the session feasibility memo.
-	defaultFeasCap = 1 << 16
+	// verdictCap bounds the session's path-existence verdict memo.
+	verdictCap = 1 << 16
 	// defaultResultCap bounds the session result cache.
 	defaultResultCap = 256
 )
@@ -45,7 +46,6 @@ const (
 // holding).
 type SessionOptions struct {
 	RelCacheCap    int // atom-relation cache entries (default ecrpq.DefaultRelCacheCap)
-	FeasCacheCap   int // feasibility memo entries (default 65536)
 	ResultCacheCap int // whole-result entries (default 256; < 0 disables)
 
 	// SemijoinCostFloor overrides the estimated-join-cost floor above which
@@ -60,7 +60,7 @@ type SessionOptions struct {
 // bounded cache pattern (ecrpq.RelCache and xregex's match cache follow the
 // same recipe where they additionally need compute-outside-the-lock
 // insertion or exported stats): mutex + cap + whole-epoch drop + hit/miss
-// counters. It backs both the feasibility memo and the result cache.
+// counters. It backs both the path-existence verdicts and the result cache.
 type epochMap[V any] struct {
 	mu     sync.Mutex
 	cap    int
@@ -105,10 +105,11 @@ func (c *epochMap[V]) stats() (hits, misses uint64, size int) {
 // it was derived from.
 type sessionCaches struct {
 	rels *ecrpq.RelCache
-	feas *epochMap[bool]
 
-	labMu  sync.Mutex
-	labels map[int][]string // k -> words of length ≤ k labelling paths of D
+	// paths holds, by canonical print, whether a Σ*-relaxed atom label
+	// matches any path of D at all — the one bit the bounded engine's partial
+	// pruning reads (see pathExists).
+	paths *epochMap[bool]
 
 	// The physical plan of the query's conjunctive skeleton (see
 	// planreport.go): cached per epoch like everything else, so it is
@@ -127,26 +128,50 @@ type sessionCaches struct {
 	semijoinFloor float64
 }
 
-func newSessionCaches(relCap, feasCap, floor int) *sessionCaches {
-	if feasCap <= 0 {
-		feasCap = defaultFeasCap
-	}
+func newSessionCaches(relCap, floor int) *sessionCaches {
 	return &sessionCaches{
 		rels:          ecrpq.NewRelCache(relCap),
-		feas:          newEpochMap[bool](feasCap),
-		labels:        map[int][]string{},
+		paths:         newEpochMap[bool](verdictCap),
 		semijoinFloor: float64(floor),
 	}
 }
 
-// dropDerived clears the caches a fine-grained delta pass cannot keep: the
-// path-label candidate lists (insertions may create new words) and the
-// physical plan (graph statistics moved). The relation cache and the
-// feasibility memo — the expensive state — are maintained by the caller.
-func (sc *sessionCaches) dropDerived() {
-	sc.labMu.Lock()
-	sc.labels = map[int][]string{}
-	sc.labMu.Unlock()
+// pathExists reports whether the classical label matches some path of db,
+// through the verdict memo. The answer comes from an existence probe that
+// stops at its first hit (ecrpq.PathExists), never from a relation; a probe
+// the budget cut short returns engine.ErrCanceled and leaves no verdict.
+func (sc *sessionCaches) pathExists(db *graph.DB, label xregex.Node, sigma []rune, bud *engine.Budget) (bool, error) {
+	key := xregex.String(label)
+	if v, ok := sc.paths.get(key); ok {
+		return v, nil
+	}
+	v, err := ecrpq.PathExists(db, label, sigma, bud)
+	if err != nil {
+		return false, err
+	}
+	sc.paths.put(key, v)
+	return v, nil
+}
+
+// afterInserts returns the verdicts that outlive an insert-only delta over an
+// unchanged alphabet: a path that existed still exists, while a label that
+// matched nothing may match now and has to be asked again.
+func afterInserts(paths *epochMap[bool]) *epochMap[bool] {
+	kept := newEpochMap[bool](paths.cap)
+	paths.mu.Lock()
+	defer paths.mu.Unlock()
+	for k, v := range paths.m {
+		if v {
+			kept.m[k] = true
+		}
+	}
+	return kept
+}
+
+// dropPlan forgets the physical plan, which a fine-grained delta pass cannot
+// keep (graph statistics moved). The relation cache and the verdicts are
+// maintained by the caller.
+func (sc *sessionCaches) dropPlan() {
 	sc.planMu.Lock()
 	sc.planDone = false
 	sc.planAtoms = nil
@@ -156,23 +181,6 @@ func (sc *sessionCaches) dropDerived() {
 	sc.planFC = false
 	sc.planErr = nil
 	sc.planMu.Unlock()
-}
-
-func (sc *sessionCaches) feasGet(key string) (res, ok bool) { return sc.feas.get(key) }
-
-func (sc *sessionCaches) feasPut(key string, res bool) { sc.feas.put(key, res) }
-
-// labelsFor returns the candidate image list for bound k, computed once per
-// (session epoch, k).
-func (sc *sessionCaches) labelsFor(db *graph.DB, k int) []string {
-	sc.labMu.Lock()
-	defer sc.labMu.Unlock()
-	if ws, ok := sc.labels[k]; ok {
-		return ws
-	}
-	ws := db.PathLabels(k, 0)
-	sc.labels[k] = ws
-	return ws
 }
 
 // resultCache memoizes whole call results keyed by (operation, arguments);
@@ -271,7 +279,7 @@ func (s *Session) refreshLocked(rev uint64) {
 	s.bound = true
 	s.rev = rev
 	s.sigma = mergeDBAlphabet(s.db, s.plan.c)
-	s.caches = newSessionCaches(s.opts.RelCacheCap, s.opts.FeasCacheCap, s.opts.SemijoinCostFloor)
+	s.caches = newSessionCaches(s.opts.RelCacheCap, s.opts.SemijoinCostFloor)
 	s.results = newResultCache(s.opts.ResultCacheCap)
 	s.maint.FullRebuilds++
 }
@@ -280,16 +288,17 @@ func (s *Session) refreshLocked(rev uint64) {
 // window and reports whether fine-grained maintenance succeeded (false
 // demands a full flush):
 //
-//	delta kind              rels        feas   labels  plan   results
-//	net-empty (cancelled)   keep        keep   keep    keep   keep
-//	insert-only, no new     retain/     keep   drop    drop   drop
-//	labels                  extend
+//	delta kind              rels        paths       plan   results
+//	net-empty (cancelled)   keep        keep        keep   keep
+//	insert-only, no new     retain/     keep true,  drop   drop
+//	labels                  extend      drop false
 //	removals / new labels   — full flush —
 //
-// The feasibility memo depends only on the session alphabet (definition
-// bodies × candidate words), which is unchanged exactly when the delta
-// introduces no label; the relation cache delegates to ecrpq.RelCache.
-// ApplyDelta.
+// A path-existence verdict is monotone under insertions over an unchanged
+// alphabet (which is also what its key, a print with classes unexpanded,
+// depends on): true stays true, false must be asked again. The relation
+// cache delegates to ecrpq.RelCache.ApplyDelta. Candidate images and
+// weighted relations are memoized per run and need no row.
 func (s *Session) maintainLocked(info *graph.DeltaInfo) bool {
 	if info.Empty() {
 		s.maint.Retains++
@@ -301,7 +310,8 @@ func (s *Session) maintainLocked(info *graph.DeltaInfo) bool {
 	if _, _, err := s.caches.rels.ApplyDelta(s.db, info); err != nil {
 		return false
 	}
-	s.caches.dropDerived()
+	s.caches.paths = afterInserts(s.caches.paths)
+	s.caches.dropPlan()
 	s.results = newResultCache(s.opts.ResultCacheCap)
 	s.maint.DeltaApplies++
 	return true
@@ -349,8 +359,8 @@ func (s *Session) Refresh() {
 //	same revision / net-empty    epoch shared outright (caches are
 //	                             concurrency-safe; same data)
 //	insert-only, no new labels   relation cache forked + delta-maintained,
-//	                             feasibility memo shared (alphabet
-//	                             unchanged), labels/plan/results fresh
+//	                             positive path verdicts copied (negative
+//	                             ones may have flipped), plan/results fresh
 //	anything else                fresh epoch (full rebuild)
 func (s *Session) Fork(db *graph.DB) *Session {
 	ns := &Session{plan: s.plan, db: db, opts: s.opts}
@@ -377,8 +387,7 @@ func (s *Session) Fork(db *graph.DB) *Session {
 			rels := s.caches.rels.Fork()
 			if _, _, err := rels.ApplyDelta(db, info); err == nil {
 				ns.bound, ns.rev, ns.sigma = true, rev, s.sigma
-				ns.caches = &sessionCaches{rels: rels, feas: s.caches.feas,
-					labels:        map[int][]string{},
+				ns.caches = &sessionCaches{rels: rels, paths: afterInserts(s.caches.paths),
 					semijoinFloor: s.caches.semijoinFloor}
 				ns.results = newResultCache(s.opts.ResultCacheCap)
 				ns.maint.DeltaApplies++
@@ -419,7 +428,6 @@ type SessionStats struct {
 	Fragment     string
 	Rel          ecrpq.RelCacheStats
 	Maint        SessionMaint
-	FeasSize     int
 	ResultHits   uint64
 	ResultMisses uint64
 	ResultSize   int
@@ -433,7 +441,6 @@ func (s *Session) Stats() SessionStats {
 	s.mu.Unlock()
 	if sc != nil {
 		st.Rel = sc.rels.Stats()
-		_, _, st.FeasSize = sc.feas.stats()
 	}
 	if rc != nil {
 		st.ResultHits, st.ResultMisses, st.ResultSize = rc.stats()
@@ -693,6 +700,10 @@ func (s *Session) checkBudget(t pattern.Tuple, bud *engine.Budget) (bool, error)
 	}
 }
 
+// checkVsf decides t̄ ∈ q(D) for a vstar-free plan: one pre-bound lazy search
+// per branch combination under the caller's budget, first match wins. The
+// combinations come from the plan when it materialized them and are streamed
+// (translated one at a time) when their count exceeds the cap.
 func (s *Session) checkVsf(t pattern.Tuple, bud *engine.Budget) (bool, error) {
 	_, rc, _ := s.current()
 	key := "chkv\x1f" + t.Key()
@@ -703,22 +714,29 @@ func (s *Session) checkVsf(t pattern.Tuple, bud *engine.Budget) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if overflow {
-		return CheckVsf(s.plan.q, s.db, t)
-	}
 	found := false
-	for _, cb := range combos {
-		if cb.err != nil {
-			return false, cb.err
+	check := func(eq *ecrpq.Query, err error) error {
+		if err == nil {
+			found, err = ecrpq.CheckWith(eq, s.db, t, ecrpq.Options{Budget: bud})
 		}
-		ok, err := ecrpq.CheckWith(cb.eq, s.db, t, ecrpq.Options{Budget: bud})
-		if err != nil {
-			return false, err
+		if err == nil && found {
+			err = errStop
 		}
-		if ok {
-			found = true
-			break
+		return err
+	}
+	if overflow {
+		err = branchCombos(s.plan.c, func(combo CXRE) error {
+			return check(comboToSimpleECRPQ(s.plan.q, combo, s.plan.vsf.origDefined))
+		})
+	} else {
+		for _, cb := range combos {
+			if err = check(cb.eq, cb.err); err != nil {
+				break
+			}
 		}
+	}
+	if err != nil && err != errStop {
+		return false, err
 	}
 	if bud.Err() == nil {
 		rc.put(key, found)

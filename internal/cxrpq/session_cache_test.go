@@ -27,7 +27,7 @@ func TestSessionRelCacheEviction(t *testing.T) {
 	// Capacity 2 forces constant epoch drops (a 3-edge query instantiates
 	// far more than 2 distinct labels per mapping sweep); result caching is
 	// disabled so the second call recomputes through the starved cache.
-	sess := plan.BindOpts(db, cxrpq.SessionOptions{RelCacheCap: 2, FeasCacheCap: 4, ResultCacheCap: -1})
+	sess := plan.BindOpts(db, cxrpq.SessionOptions{RelCacheCap: 2, ResultCacheCap: -1})
 
 	for call := 0; call < 2; call++ {
 		got, err := sess.EvalBounded(k)
@@ -73,27 +73,5 @@ func TestSessionRelCacheEviction(t *testing.T) {
 	}
 	if rst.Rel.Evictions != 0 {
 		t.Fatalf("roomy session should not evict, got %+v", rst.Rel)
-	}
-}
-
-// The feasibility memo must also survive overflow (epoch drop) without
-// affecting results: a tiny FeasCacheCap exercises the drop path on every
-// enumeration sweep.
-func TestSessionFeasMemoOverflow(t *testing.T) {
-	q := cxrpq.MustParse("ans(p)\np m : $x{a|b}\nm q : $y{$x a?}$y\n")
-	db := workload.Random(3, 5, 12, "ab")
-	want, err := cxrpq.EvalBoundedNaive(q, db, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := cxrpq.MustPrepare(q).BindOpts(db, cxrpq.SessionOptions{FeasCacheCap: 1, ResultCacheCap: -1})
-	for i := 0; i < 2; i++ {
-		got, err := sess.EvalBounded(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("wrong result with overflowing feasibility memo: %d vs %d tuples", got.Len(), want.Len())
-		}
 	}
 }

@@ -103,6 +103,84 @@ func TestSessionForkSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// The bounded engine prunes a prefix when a Σ*-relaxed atom label matches no
+// path of D, and the session remembers that verdict. An insertion can only
+// turn "no" into "yes": ApplyDelta and Fork must carry the positive verdicts
+// over and forget the negative ones, or the stale "no" keeps pruning a
+// prefix that has answers now.
+func TestPathVerdictsAcrossInserts(t *testing.T) {
+	// cc$w relaxes to ccΣ*, and the graph has c-edges but no cc path until
+	// n3 -c-> n5 arrives; then n1 -a-> n2 -c-> n3 -c-> n5 -a-> n6 matches.
+	const base = "n1 a n2\nn2 c n3\nn4 c n5\nn5 a n6\n"
+	q := cxrpq.MustParse("ans(x, z)\nx y : $w{a|b}\ny z : cc$w\n")
+	insert := graph.Delta{Add: []graph.DeltaEdge{{From: "n3", Label: 'c', To: "n5"}}}
+	plan := cxrpq.MustPrepare(q)
+	const k = 1
+
+	negatives := func(s *cxrpq.Session) (n int) {
+		for _, v := range s.PathVerdicts() {
+			if !v {
+				n++
+			}
+		}
+		return n
+	}
+	// warm evaluates on the empty-handed graph and returns the verdicts.
+	warm := func(s *cxrpq.Session) map[string]bool {
+		if res, err := s.EvalBounded(k); err != nil || res.Len() != 0 {
+			t.Fatalf("before the insertion: %v tuples, err %v", res, err)
+		}
+		if negatives(s) == 0 || negatives(s) == len(s.PathVerdicts()) {
+			t.Fatalf("verdicts %v: want a negative and a positive one", s.PathVerdicts())
+		}
+		return s.PathVerdicts()
+	}
+	// settled checks a maintained session: positives kept, negatives gone
+	// before anything is asked again, and the answer that of a fresh bind.
+	settled := func(name string, s *cxrpq.Session, before map[string]bool, view *graph.DB) {
+		if st := s.Stats().Maint; st.DeltaApplies != 1 || st.FullRebuilds != 1 {
+			t.Fatalf("%s: the insertion was not delta-maintained: %+v", name, st)
+		}
+		kept := s.PathVerdicts()
+		for label, v := range before {
+			if _, ok := kept[label]; ok != v {
+				t.Fatalf("%s: verdict %q=%v before the insertion, kept=%v after", name, label, v, ok)
+			}
+		}
+		got, err := s.EvalBounded(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := plan.Bind(view).EvalBounded(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) || got.Len() != 1 {
+			t.Fatalf("%s: %d tuples after the insertion, a fresh bind has %d, want 1", name, got.Len(), want.Len())
+		}
+	}
+
+	db := graph.MustParse(base)
+	sess := plan.Bind(db)
+	before := warm(sess)
+	if _, err := sess.ApplyDelta(insert); err != nil {
+		t.Fatal(err)
+	}
+	settled("ApplyDelta", sess, before, db)
+
+	db = graph.MustParse(base)
+	s1 := plan.Bind(db.Snapshot().DB())
+	before = warm(s1)
+	if _, err := db.ApplyDelta(insert); err != nil {
+		t.Fatal(err)
+	}
+	view := db.Snapshot().DB()
+	settled("Fork", s1.Fork(view), before, view)
+	if negatives(s1) == 0 {
+		t.Fatal("Fork dropped verdicts of the session it was forked from")
+	}
+}
+
 // Differential sweep: a fork chain across a MutationStream delta sequence
 // must answer exactly like a fresh session on every snapshot.
 func TestSessionForkMutationStreamDifferential(t *testing.T) {

@@ -11,9 +11,10 @@ import (
 )
 
 // evaluator binds one query to one database for one evaluation. It owns the
-// lazily probed atom sources (one per pattern edge), the group-expansion
-// memo and the planner's minimization verdict, and compiles the conjunct
-// into a plan for whichever driver the entry point runs.
+// lazily probed atom sources (one per pattern edge), the per-group search
+// scratch with its expansion memo and the planner's minimization verdict,
+// and compiles the conjunct into a plan for whichever driver the entry point
+// runs.
 //
 // The algorithm follows the product constructions behind the paper's NL
 // upper bounds, realized deterministically: ungrouped edges become binary
@@ -27,8 +28,7 @@ type evaluator struct {
 	ix       *graph.Index
 	stats    *graph.Stats
 	sigma    []rune
-	atoms    []probeAtom // per pattern edge
-	gmemo    []map[string]groupExp
+	atoms    []probeAtom     // per pattern edge
 	gscratch []*groupScratch // per group
 
 	inGroup []bool
@@ -78,7 +78,6 @@ func newEvaluator(q *Query, db *graph.DB, o Options, lazy bool) (*evaluator, err
 		stats:    db.Stats(),
 		sigma:    sigma,
 		atoms:    make([]probeAtom, len(q.Pattern.Edges)),
-		gmemo:    make([]map[string]groupExp, len(q.Groups)),
 		gscratch: make([]*groupScratch, len(q.Groups)),
 		inGroup:  make([]bool, len(q.Pattern.Edges)),
 		bud:      o.Budget,
@@ -94,7 +93,6 @@ func newEvaluator(q *Query, db *graph.DB, o Options, lazy bool) (*evaluator, err
 		ev.atoms[i] = probeAtom{ev: ev, ent: ent}
 	}
 	for gi, g := range q.Groups {
-		ev.gmemo[gi] = map[string]groupExp{}
 		ev.gscratch[gi] = newGroupScratch(ev, g)
 		for _, ei := range g.Edges {
 			ev.inGroup[ei] = true
@@ -261,6 +259,35 @@ func (p *probeAtom) scan(f func(u int, vs []int, costs []int32) bool) {
 			chunk *= 4
 		}
 	}
+}
+
+// PathExists reports whether some path of db matches the classical label —
+// whether the relation BuildRelation would compute is non-empty — without
+// computing it: an ε-accepting label holds at every node, and anything else
+// is the lazy scan of a one-atom Boolean query, which stops at the first
+// source with a hit. A budget that cancels before a hit yields (false,
+// engine.ErrCanceled): the answer is unknown, not no.
+func PathExists(db *graph.DB, label xregex.Node, sigma []rune, bud *engine.Budget) (bool, error) {
+	if _, empty := label.(*xregex.Empty); empty || db.NumNodes() == 0 {
+		return false, nil
+	}
+	ent, err := compiledFor(label, sigma)
+	if err != nil {
+		return false, err
+	}
+	if ent.cache.Final(ent.cache.Start()) {
+		return true, nil
+	}
+	atom := probeAtom{ev: &evaluator{db: db, ix: db.Index(), bud: bud, lazy: true}, ent: ent}
+	found := false
+	atom.scan(func(int, []int, []int32) bool {
+		found = true
+		return false
+	})
+	if found {
+		return true, nil
+	}
+	return false, bud.Err()
 }
 
 // planAtoms returns the join's atoms — the ungrouped edges minimization kept

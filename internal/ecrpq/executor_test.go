@@ -437,16 +437,28 @@ func TestGroupSearchUnitWeightMatchesFIFO(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for u := 0; u < db.NumNodes(); u++ {
-				for v := 0; v < db.NumNodes(); v += 3 {
-					a, b := fifo.expandGroup(0, []int{u, v}), heap.expandGroup(0, []int{u, v})
-					if fmt.Sprint(a.ends) != fmt.Sprint(b.ends) || fmt.Sprint(a.deps) != fmt.Sprint(b.deps) {
-						t.Fatalf("seed %d %s from (%d,%d):\nfifo %v %v\nheap %v %v", seed, name, u, v, a.ends, a.deps, b.ends, b.deps)
+			for u := int32(0); int(u) < db.NumNodes(); u++ {
+				for v := int32(0); int(v) < db.NumNodes(); v += 3 {
+					a, b := expansionOf(fifo, 0, u, v), expansionOf(heap, 0, u, v)
+					if a != b {
+						t.Fatalf("seed %d %s from (%d,%d):\nfifo %s\nheap %s", seed, name, u, v, a, b)
 					}
 				}
 			}
 		}
 	}
+}
+
+// expansionOf prints the expansion of group gi from a source tuple: the end
+// tuples in search order, each with its cost when the evaluator is ranked.
+func expansionOf(ev *evaluator, gi int, src ...int32) string {
+	sc := ev.gscratch[gi]
+	exp := sc.expand(ev, src)
+	var sb strings.Builder
+	for ti := exp.from; ti < exp.to; ti++ {
+		fmt.Fprint(&sb, sc.end(ti), "@", costAt(sc.deps, int(ti)), " ")
+	}
+	return sb.String()
 }
 
 // Witness search rides the planner's order over the atoms minimization

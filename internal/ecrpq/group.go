@@ -1,16 +1,16 @@
 package ecrpq
 
 import (
-	"encoding/binary"
-
 	"cxrpq/internal/automata"
+	"cxrpq/internal/engine"
+	"cxrpq/internal/graph"
 )
 
 // Relation groups: the join step over a group's atoms (groupStep) and the
 // synchronized-product searches that expand a group from a source tuple.
 // There is one search per relation kind — the lock-step product for
 // equality, the ⊥-padded product for general regular relations — and both
-// run on prodSearch, whose frontier is a FIFO under unit cost (the product
+// run on groupScratch, whose frontier is a FIFO under unit cost (the product
 // depth, i.e. the synchronized word length, is the cost) and a min-heap under
 // a pluggable engine.Weight, where a longer word over cheap symbols can beat
 // a shorter one.
@@ -20,57 +20,106 @@ import (
 // each unfrozen component by its own column symbol in one synchronized step;
 // the step costs the maximum clamped weight over the consuming columns.
 // Under unit cost every step costs 1.
+//
+// A join with unbound group sources asks for an expansion from every node
+// tuple, and nearly all of them die before their first step. Two things keep
+// that cheap. Equality groups never reach the search from such a tuple: the
+// lock-step product must leave all its sources on one symbol that every
+// component automaton survives at its start state, so bindSrc intersects the
+// index's per-node out-symbol masks (graph.Index.OutSyms) with the mask of
+// those symbols as it binds the sources and abandons a subtree the moment
+// the intersection is empty. And a search that does run allocates nothing of
+// its own: configurations, end tuples and memoized sources are fixed-width
+// rows of []int32 slabs found through open-addressed tables (rowTable), all
+// owned by the group's scratch and reset between expansions by the list of
+// slots the last one touched.
 
 // groupStep is the plan step of one relation group: src and tgt hold, per
 // group component, the slots of the component atom's endpoints.
 type groupStep struct {
 	ev       *evaluator
-	gi       int
+	sc       *groupScratch
 	src, tgt []int32
 
-	// Scratch of bindSrc, which runs once per source tuple — quadratically
-	// often when two sources are unbound. A plan visits a step in one place
-	// at a time, so the buffers are never shared.
-	srcBuf []int
+	// Scratch of bindings and bindSrc, which runs once per source tuple —
+	// quadratically often when two sources are unbound. A plan visits a step
+	// in one place at a time, so the buffers are never shared.
+	free   []int32
+	srcBuf []int32
 	fresh  []int32
+	// seeds[l] is the set of first symbols still possible once l free sources
+	// are bound, SymWords words each (seeded groups only).
+	seeds []uint64
 }
 
 // addGroup appends the step of ev's relation group gi.
 func (p *plan) addGroup(ev *evaluator, gi int) {
-	g := &groupStep{ev: ev, gi: gi}
+	g := &groupStep{ev: ev, sc: ev.gscratch[gi]}
 	for _, ei := range ev.q.Groups[gi].Edges {
 		e := ev.q.Pattern.Edges[ei]
 		g.src = append(g.src, p.slot(e.From))
 		g.tgt = append(g.tgt, p.slot(e.To))
 	}
+	if g.sc.seeded() {
+		g.seeds = make([]uint64, (len(g.src)+1)*ev.ix.SymWords())
+	}
 	p.steps = append(p.steps, step{grp: g})
 }
 
 // bindings enumerates the group's satisfying bindings (the step.bindings
-// contract): unbound source slots range over every node, the group is
-// expanded from each source tuple, and every end tuple consistent with the
-// already bound target slots is one binding, at the cost of its synchronized
-// word when ranked.
+// contract): unbound source slots range over every node in node order, the
+// group is expanded from each source tuple that can take a first step, and
+// every end tuple consistent with the already bound target slots is one
+// binding, at the cost of its synchronized word when ranked.
 func (g *groupStep) bindings(a []int32, cont func(int32) bool) bool {
-	var free []int32
+	if g.seeds != nil {
+		// The symbols every component survives, narrowed by the sources bound
+		// on entry; the free ones narrow it further as bindSrc binds them.
+		seed := g.seeds[:g.ev.ix.SymWords()]
+		copy(seed, g.sc.startSyms)
+		for _, s := range g.src {
+			if a[s] >= 0 && !andInto(seed, seed, g.ev.ix.OutSyms(int(a[s]))) {
+				return true
+			}
+		}
+	}
+	free := g.free[:0]
 	for _, s := range g.src {
 		if a[s] < 0 {
 			a[s] = 0 // claimed; bindSrc assigns the real values
 			free = append(free, s)
 		}
 	}
-	ok := g.bindSrc(a, free, cont)
+	g.free = free
+	ok := g.bindSrc(a, free, 0, cont)
 	for _, s := range free {
 		a[s] = -1
 	}
 	return ok
 }
 
-func (g *groupStep) bindSrc(a, free []int32, cont func(int32) bool) bool {
+// andInto stores x AND y in dst and reports whether any bit survived.
+func andInto(dst, x, y []uint64) bool {
+	var any uint64
+	for i := range dst {
+		dst[i] = x[i] & y[i]
+		any |= dst[i]
+	}
+	return any != 0
+}
+
+// bindSrc binds the free source slots, lvl of which are bound already, and
+// expands the group from every tuple that survives the seed masks.
+func (g *groupStep) bindSrc(a, free []int32, lvl int, cont func(int32) bool) bool {
 	if len(free) > 0 {
+		ix := g.ev.ix
+		w := ix.SymWords()
 		for u := 0; u < g.ev.db.NumNodes(); u++ {
+			if g.seeds != nil && !andInto(g.seeds[(lvl+1)*w:(lvl+2)*w], g.seeds[lvl*w:(lvl+1)*w], ix.OutSyms(u)) {
+				continue // no symbol leaves every source bound so far: the product dies at its start
+			}
 			a[free[0]] = int32(u)
-			if !g.bindSrc(a, free[1:], cont) {
+			if !g.bindSrc(a, free[1:], lvl+1, cont) {
 				return false
 			}
 		}
@@ -78,7 +127,7 @@ func (g *groupStep) bindSrc(a, free []int32, cont func(int32) bool) bool {
 	}
 	src := g.srcBuf[:0]
 	for _, s := range g.src {
-		src = append(src, int(a[s]))
+		src = append(src, a[s])
 	}
 	fresh := g.fresh[:0] // target slots this step binds
 	for _, y := range g.tgt {
@@ -87,20 +136,21 @@ func (g *groupStep) bindSrc(a, free []int32, cont func(int32) bool) bool {
 		}
 	}
 	g.srcBuf, g.fresh = src, fresh
-	exp := g.ev.expandGroup(g.gi, src)
+	exp := g.sc.expand(g.ev, src)
 	ok := true
-	for ti, end := range exp.ends {
+	for ti := exp.from; ti < exp.to; ti++ {
+		end := g.sc.end(ti) // re-read per tuple: cont may expand this group again and grow the slab
 		match := true
 		for j, y := range g.tgt {
 			if a[y] < 0 {
-				a[y] = int32(end[j])
-			} else if a[y] != int32(end[j]) {
+				a[y] = end[j]
+			} else if a[y] != end[j] {
 				match = false
 				break
 			}
 		}
 		if match {
-			ok = cont(costAt(exp.deps, ti))
+			ok = cont(costAt(g.sc.deps, int(ti)))
 		}
 		for _, y := range fresh {
 			a[y] = -1
@@ -112,100 +162,209 @@ func (g *groupStep) bindSrc(a, free []int32, cont func(int32) bool) bool {
 	return ok
 }
 
-// groupExp is one memoized group expansion: the reachable end tuples and —
-// when the evaluator is ranked — the cost (synchronized word length or
-// weight) at which each was first produced.
+// groupExp is one memoized group expansion: the rows [from, to) of the
+// group's end-tuple slab, in the order the search produced them, with — when
+// the evaluator is ranked — the cost (synchronized word length or weight) at
+// which each was first produced in the parallel deps rows.
 type groupExp struct {
-	ends [][]int
-	deps []int32
+	from, to int32
 }
 
-// intsKey encodes an integer tuple as a compact binary map key.
-func intsKey[T interface{ ~int | ~int32 }](xs []T) string {
-	buf := make([]byte, 4*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(x))
+// expand returns all end tuples reachable from the given source tuple under
+// the group's synchronized semantics, memoized. Expansions cut short by the
+// budget are returned for the current unwinding but not memoized.
+func (sc *groupScratch) expand(ev *evaluator, src []int32) groupExp {
+	row, slot := sc.memo.find(sc.srcs, sc.s, src)
+	if row >= 0 {
+		return sc.exps[row]
 	}
-	return string(buf)
-}
-
-// expandGroup returns all end tuples reachable from the given source tuple
-// under the group's synchronized semantics (plus, when ranked, the cost each
-// first appeared at), memoized. Expansions cut short by the budget are
-// returned for the current unwinding but not memoized.
-func (ev *evaluator) expandGroup(gi int, src []int) groupExp {
-	k := intsKey(src)
-	if res, ok := ev.gmemo[gi][k]; ok {
-		return res
-	}
-	ps := ev.newProdSearch(gi, src)
-	if ps.rel != nil {
-		ps.expandNFARel()
-	} else {
-		ps.expandEquality()
-	}
+	exp := sc.search(ev, src)
 	if !ev.bud.Canceled() {
-		ev.gmemo[gi][k] = ps.out
+		sc.srcs = append(sc.srcs, src...)
+		sc.exps = append(sc.exps, exp)
+		sc.memo.set(sc.srcs, sc.s, slot, int32(len(sc.exps)-1))
 	}
-	return ps.out
+	return exp
 }
 
-// prodState is one configuration of a synchronized product: per component
-// the graph node (cfg[:s]) and the edge automaton's set id (cfg[s:]), plus —
-// for NFARelation groups — the relation automaton's set id and the mask of
-// frozen (⊥-padded) components.
-type prodState struct {
-	cfg   []int32
-	mask  uint64
-	rid   int32
-	cost  int32
-	stale bool // a cheaper path reached the configuration after this push (weighted only)
+// rowTable is an open-addressed index over the fixed-width rows of an
+// []int32 slab that its user owns: a slot holds 1 + a row number, 0 is
+// empty, and a key is found by comparing it with the rows themselves, so the
+// table stores no keys and hashes no strings. used lists the occupied slots,
+// which is what a reset clears.
+type rowTable struct {
+	slots []int32
+	used  []int32
 }
 
-// prodSearch is the exploration state shared by the two product searches.
-// Configurations are appended to states in push order. Under unit cost that
-// order is the BFS order, so the frontier is just a cursor over the slab and
-// the first visit of a configuration is its cheapest; under a weight the
-// frontier is a (cost, push order) min-heap with lazy deletion — pops are
+func hashRow(key []int32) uint64 {
+	h := uint64(len(key))
+	for _, x := range key {
+		h = (h ^ uint64(uint32(x))) * 0x9E3779B97F4A7C15
+		h ^= h >> 29
+	}
+	return h
+}
+
+// find looks key up among the width-w rows of slab the table indexes. It
+// returns the row, or -1 and the slot at which set would insert it; the slot
+// is valid until the next set.
+func (t *rowTable) find(slab []int32, w int, key []int32) (row int32, slot int) {
+	if t.slots == nil {
+		t.slots = make([]int32, 16)
+	}
+	mask := len(t.slots) - 1
+search:
+	for i := int(hashRow(key)) & mask; ; i = (i + 1) & mask {
+		r := int(t.slots[i])
+		if r == 0 {
+			return -1, i
+		}
+		for j, x := range slab[(r-1)*w : r*w] {
+			if x != key[j] {
+				continue search
+			}
+		}
+		return int32(r - 1), i
+	}
+}
+
+// set points the slot find returned at row, which must be in the slab by
+// now, and keeps the table at most half full.
+func (t *rowTable) set(slab []int32, w, slot int, row int32) {
+	if t.slots[slot] == 0 {
+		t.used = append(t.used, int32(slot))
+	}
+	t.slots[slot] = row + 1
+	if 2*len(t.used) <= len(t.slots) {
+		return
+	}
+	old := t.slots
+	t.slots = make([]int32, 2*len(old))
+	mask := len(t.slots) - 1
+	for k, o := range t.used {
+		r := int(old[o])
+		i := int(hashRow(slab[(r-1)*w:r*w])) & mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i], t.used[k] = int32(r), int32(i)
+	}
+}
+
+func (t *rowTable) reset() {
+	for _, i := range t.used {
+		t.slots[i] = 0
+	}
+	t.used = t.used[:0]
+}
+
+// liveRow is what the lock-step search needs to know about one set id of a
+// component automaton, resolved against the index's symbol table: the
+// successor per symbol id (automata.Dead where the run dies), the symbol ids
+// it survives in ascending order, and whether it accepts.
+type liveRow struct {
+	next  []int32
+	live  []int32
+	final bool
+}
+
+// liveRows resolves a component's set ids on first use, once per evaluator,
+// so the search's inner loop visits only the symbols a state survives and
+// never takes the shared SubsetCache's lock.
+type liveRows struct {
+	c    *automata.SubsetCache
+	rows []liveRow // [set id]; next == nil: not resolved
+}
+
+func (l *liveRows) row(ix *graph.Index, id int32) liveRow {
+	for int(id) >= len(l.rows) {
+		l.rows = append(l.rows, liveRow{})
+	}
+	r := &l.rows[id]
+	if r.next == nil {
+		n := ix.NumSyms()
+		buf := make([]int32, n, 2*n)
+		for s := int32(0); s < int32(n); s++ {
+			if buf[s] = l.c.Step(id, int32(ix.Sym(s))); buf[s] != automata.Dead {
+				buf = append(buf, s)
+			}
+		}
+		*r = liveRow{next: buf[:n:n], live: buf[n:], final: l.c.Final(id)}
+	}
+	return *r
+}
+
+// groupScratch is everything the expansions of one group share: the
+// component automata, the memo of finished expansions, and the state of the
+// one search in progress (an evaluator runs one expansion at a time). Nothing
+// here is allocated per expansion; a search resets what the previous one
+// touched.
+//
+// A configuration is a row of cfgs: per component the graph node ([:s]) and
+// the edge automaton's set id ([s:2s]), plus — for NFARelation groups — the
+// relation automaton's set id and the mask of frozen (⊥-padded) components
+// in two halves. Rows are appended in push order. Under unit cost that order
+// is the BFS order, so the frontier is just a cursor over the slab and the
+// first visit of a configuration is its cheapest; under a weight the frontier
+// is a (cost, push order) min-heap with lazy deletion — pops are
 // nondecreasing in cost, so the first settle of an accepting configuration
 // still carries the minimal cost of its end tuple, and equal costs pop in
 // push order, which keeps the output sequence deterministic and identical to
 // the FIFO's under the unit weight.
-type prodSearch struct {
-	ev *evaluator
-	*groupScratch
-	s      int          // arity
-	rel    *NFARelation // nil for equality groups
-	states []prodState
-	best   map[string]int32 // configuration key -> cheapest state pushed so far
-	head   int              // FIFO cursor
-	heap   wHeap            // weighted frontier (wsym != nil)
-	pops   int
-	out    groupExp
-	ends   map[string]bool // end tuples already in out
-}
-
-// groupScratch is what every expansion of one group needs and none keeps:
-// the component automata and the buffers of the step under construction.
-// Most expansions of a join die at the source (no synchronized step exists),
-// and a group with unbound sources is expanded from every node tuple, so the
-// per-expansion set-up allocates as little as it can; an evaluator runs one
-// expansion at a time, so one scratch per group is enough.
 type groupScratch struct {
-	caches   []*automata.SubsetCache // per component
-	nextIDs  []int32                 // per component: set id after the step
-	opts     [][]int32               // per component: candidate next nodes
-	selfOpts []int32                 // backing of a frozen component's single option
-	kbuf     []byte
-	wsym     []int32 // clamped cost per graph symbol under the ranked weight; nil = unit cost
+	s    int          // arity
+	w    int          // configuration width: 2s, or 2s+3 with a relation
+	rel  *NFARelation // nil for equality groups
+	wsym []int32      // clamped cost per graph symbol under the ranked weight; nil = unit cost
+
+	caches []*automata.SubsetCache // per component
+	live   []liveRows              // per component (equality groups)
+
+	// Seed of equality groups: the symbol ids every component survives at its
+	// start state, and whether every start state accepts (the source tuple is
+	// then its own end tuple and no mask may skip it).
+	startSyms  []uint64
+	startFinal bool
+
+	// The memo: source tuples (rows of srcs) and their expansions, which are
+	// row ranges of ends; deps runs parallel to ends when ranked.
+	srcs []int32
+	exps []groupExp
+	memo rowTable
+	ends []int32
+	deps []int32
+
+	// The search in progress.
+	cfgs  []int32
+	cost  []int32  // per configuration
+	stale []bool   // a cheaper path reached the configuration after this push (weighted only)
+	best  rowTable // configuration -> cheapest row pushed so far
+	seen  rowTable // end tuples of this expansion
+	head  int      // FIFO cursor
+	heap  wHeap    // weighted frontier
+	pops  int
+
+	// The step under construction.
+	row      []int32   // the candidate configuration
+	rows     []liveRow // per component: the popped configuration's resolved state
+	opts     [][]int32 // per component: candidate next nodes
+	selfOpts []int32   // backing of a frozen component's single option
+	odo      []int     // pushProduct's position in opts
 }
 
 func newGroupScratch(ev *evaluator, g Group) *groupScratch {
 	s := len(g.Edges)
-	sc := &groupScratch{caches: make([]*automata.SubsetCache, s), nextIDs: make([]int32, s),
-		opts: make([][]int32, s), selfOpts: make([]int32, s)}
+	sc := &groupScratch{s: s, w: 2 * s,
+		caches: make([]*automata.SubsetCache, s), live: make([]liveRows, s), rows: make([]liveRow, s),
+		opts: make([][]int32, s), selfOpts: make([]int32, s), odo: make([]int, s)}
+	if sc.rel, _ = g.Rel.(*NFARelation); sc.rel != nil {
+		sc.w += 3
+	}
+	sc.row = make([]int32, sc.w)
 	for i, ei := range g.Edges {
 		sc.caches[i] = ev.atoms[ei].ent.cache
+		sc.live[i].c = sc.caches[i]
 	}
 	if ev.rankedWeight() != nil {
 		sc.wsym = make([]int32, ev.ix.NumSyms())
@@ -213,162 +372,174 @@ func newGroupScratch(ev *evaluator, g Group) *groupScratch {
 			sc.wsym[sy] = ev.symCost(ev.ix.Sym(int32(sy)))
 		}
 	}
+	if sc.rel == nil {
+		sc.startSyms = make([]uint64, ev.ix.SymWords())
+		sc.startFinal = true
+		for i := range sc.live {
+			r := sc.live[i].row(ev.ix, sc.caches[i].Start())
+			sc.startFinal = sc.startFinal && r.final
+			mask := make([]uint64, len(sc.startSyms))
+			for _, sy := range r.live {
+				mask[sy/64] |= 1 << (uint(sy) % 64)
+			}
+			if i == 0 {
+				copy(sc.startSyms, mask)
+			} else {
+				andInto(sc.startSyms, sc.startSyms, mask)
+			}
+		}
+	}
 	return sc
 }
 
-// newProdSearch starts a search of group gi from the source tuple src.
-func (ev *evaluator) newProdSearch(gi int, src []int) *prodSearch {
-	ps := &prodSearch{ev: ev, groupScratch: ev.gscratch[gi], s: len(src)}
-	cfg := make([]int32, 2*ps.s)
-	for i, c := range ps.caches {
-		cfg[i], cfg[ps.s+i] = int32(src[i]), c.Start()
+// seeded reports whether bindSrc may skip source tuples by the symbol masks.
+func (sc *groupScratch) seeded() bool { return sc.rel == nil && !sc.startFinal }
+
+// end returns the i-th row of the end-tuple slab.
+func (sc *groupScratch) end(i int32) []int32 { return sc.ends[int(i)*sc.s : int(i+1)*sc.s] }
+
+// search runs the group's product search from the source tuple src.
+func (sc *groupScratch) search(ev *evaluator, src []int32) groupExp {
+	sc.cfgs, sc.cost, sc.stale, sc.heap = sc.cfgs[:0], sc.cost[:0], sc.stale[:0], sc.heap[:0]
+	sc.best.reset()
+	sc.seen.reset()
+	sc.head, sc.pops = 0, 0
+	clear(sc.row)
+	for i, c := range sc.caches {
+		sc.row[i], sc.row[sc.s+i] = src[i], c.Start()
 	}
-	var rid int32
-	if ps.rel, _ = ev.q.Groups[gi].Rel.(*NFARelation); ps.rel != nil {
-		rid = ps.rel.subsetCache().Start()
+	if sc.rel != nil {
+		sc.row[2*sc.s] = sc.rel.subsetCache().Start()
 	}
-	ps.enqueue(prodState{cfg: cfg, rid: rid})
-	return ps
+	from := int32(len(sc.ends) / sc.s)
+	sc.push(0)
+	if sc.rel != nil {
+		sc.expandNFARel(ev)
+	} else {
+		sc.expandEquality(ev)
+	}
+	return groupExp{from: from, to: int32(len(sc.ends) / sc.s)}
 }
 
-// key encodes a configuration into the scratch key buffer.
-func (ps *prodSearch) key(nodes, ids []int32, rid int32, mask uint64) []byte {
-	b := ps.kbuf[:0]
-	for i := range nodes {
-		b = binary.LittleEndian.AppendUint32(b, uint32(nodes[i]))
-		b = binary.LittleEndian.AppendUint32(b, uint32(ids[i]))
-	}
-	if ps.rel != nil {
-		b = binary.LittleEndian.AppendUint32(b, uint32(rid))
-		b = binary.LittleEndian.AppendUint64(b, mask)
-	}
-	ps.kbuf = b
-	return b
-}
-
-func (ps *prodSearch) enqueue(st prodState) {
-	ps.states = append(ps.states, st)
-	if ps.wsym != nil {
-		ps.heap.push(wItem{cost: st.cost, idx: len(ps.states) - 1})
-	}
-}
-
-// push queues the configuration unless it was already reached at most as
-// expensively. nodes and ids are copied.
-func (ps *prodSearch) push(nodes, ids []int32, rid int32, mask uint64, cost int32) {
-	if ps.best == nil {
-		// The index starts with the first step: a search that dies at its
-		// start configuration never pays for it.
-		st := ps.states[0]
-		ps.best = map[string]int32{string(ps.key(st.cfg[:ps.s], st.cfg[ps.s:], st.rid, st.mask)): 0}
-	}
-	key := ps.key(nodes, ids, rid, mask)
-	if old, ok := ps.best[string(key)]; ok {
-		if ps.states[old].cost <= cost {
+// push queues the candidate configuration sc.row unless it was already
+// reached at most as expensively.
+func (sc *groupScratch) push(cost int32) {
+	old, slot := sc.best.find(sc.cfgs, sc.w, sc.row)
+	if old >= 0 {
+		if sc.cost[old] <= cost {
 			return
 		}
-		ps.states[old].stale = true
+		sc.stale[old] = true
 	}
-	ps.best[string(key)] = int32(len(ps.states))
-	cfg := make([]int32, 2*ps.s)
-	copy(cfg, nodes)
-	copy(cfg[ps.s:], ids)
-	ps.enqueue(prodState{cfg: cfg, rid: rid, mask: mask, cost: cost})
+	idx := len(sc.cost)
+	sc.cfgs = append(sc.cfgs, sc.row...)
+	sc.cost = append(sc.cost, cost)
+	sc.stale = append(sc.stale, false)
+	sc.best.set(sc.cfgs, sc.w, slot, int32(idx))
+	if sc.wsym != nil {
+		sc.heap.push(wItem{cost: cost, idx: idx})
+	}
 }
 
-// next pops the cheapest unexpanded configuration as its node and set-id
-// tuples; ok is false when the search is exhausted or the budget, polled
-// every 256 pops, canceled.
-func (ps *prodSearch) next() (cur prodState, nodes, ids []int32, ok bool) {
+// pushProduct pushes sc.row once per element of the cartesian product of the
+// node options, the last component varying fastest.
+func (sc *groupScratch) pushProduct(cost int32) {
+	for i, o := range sc.opts {
+		sc.odo[i], sc.row[i] = 0, o[0]
+	}
 	for {
-		if ps.pops++; ps.pops%256 == 0 && ps.ev.bud.Canceled() {
-			return cur, nil, nil, false
+		sc.push(cost)
+		i := sc.s - 1
+		for ; i >= 0; i-- {
+			if sc.odo[i]++; sc.odo[i] < len(sc.opts[i]) {
+				sc.row[i] = sc.opts[i][sc.odo[i]]
+				break
+			}
+			sc.odo[i], sc.row[i] = 0, sc.opts[i][0]
 		}
-		if ps.wsym == nil {
-			if ps.head == len(ps.states) {
-				return cur, nil, nil, false
+		if i < 0 {
+			return
+		}
+	}
+}
+
+// next pops the cheapest unexpanded configuration; ok is false when the
+// search is exhausted or the budget, polled every 256 pops, canceled. The
+// returned row stays readable across pushes: a slab that grows leaves the
+// old array intact.
+func (sc *groupScratch) next(bud *engine.Budget) (cfg []int32, cost int32, ok bool) {
+	for {
+		if sc.pops++; sc.pops%256 == 0 && bud.Canceled() {
+			return nil, 0, false
+		}
+		cur := sc.head
+		if sc.wsym == nil {
+			if cur == len(sc.cost) {
+				return nil, 0, false
 			}
-			cur = ps.states[ps.head]
-			ps.head++
+			sc.head++
 		} else {
-			if len(ps.heap) == 0 {
-				return cur, nil, nil, false
+			if len(sc.heap) == 0 {
+				return nil, 0, false
 			}
-			if cur = ps.states[ps.heap.pop().idx]; cur.stale {
+			if cur = sc.heap.pop().idx; sc.stale[cur] {
 				continue
 			}
 		}
-		return cur, cur.cfg[:ps.s], cur.cfg[ps.s:], true
+		return sc.cfgs[cur*sc.w : (cur+1)*sc.w], sc.cost[cur], true
 	}
 }
 
 // accept records an accepting configuration's end tuple at its first —
-// cheapest — appearance.
-func (ps *prodSearch) accept(nodes []int32, cost int32) {
-	k := intsKey(nodes)
-	if ps.ends[k] {
+// cheapest — appearance, with its cost when ranked.
+func (sc *groupScratch) accept(nodes []int32, cost int32, ranked bool) {
+	row, slot := sc.seen.find(sc.ends, sc.s, nodes)
+	if row >= 0 {
 		return
 	}
-	if ps.ends == nil {
-		ps.ends = map[string]bool{}
-	}
-	ps.ends[k] = true
-	end := make([]int, len(nodes))
-	for i, x := range nodes {
-		end[i] = int(x)
-	}
-	ps.out.ends = append(ps.out.ends, end)
-	if ps.ev.ranked {
-		ps.out.deps = append(ps.out.deps, cost)
+	sc.ends = append(sc.ends, nodes...)
+	sc.seen.set(sc.ends, sc.s, slot, int32(len(sc.ends)/sc.s-1))
+	if ranked {
+		sc.deps = append(sc.deps, cost)
 	}
 }
 
 // expandEquality explores the lock-step product: all components consume the
 // same symbol in every step; acceptance requires every component NFA to
 // accept simultaneously (equal words have equal length). The product runs
-// over interned DFA set ids and label-indexed adjacency spans.
-func (ps *prodSearch) expandEquality() {
-	ix := ps.ev.ix
-	nextIDs, opts := ps.nextIDs, ps.opts
+// over the components' resolved live rows and label-indexed adjacency spans.
+func (sc *groupScratch) expandEquality(ev *evaluator) {
+	ix, s := ev.ix, sc.s
 	for {
-		cur, nodes, ids, ok := ps.next()
+		cfg, cost, ok := sc.next(ev.bud)
 		if !ok {
 			return
 		}
+		nodes, ids := cfg[:s], cfg[s:]
 		allFinal := true
-		for i, c := range ps.caches {
-			if !c.Final(ids[i]) {
-				allFinal = false
-				break
-			}
+		for i := range sc.live {
+			sc.rows[i] = sc.live[i].row(ix, ids[i])
+			allFinal = allFinal && sc.rows[i].final
 		}
 		if allFinal {
-			ps.accept(nodes, cur.cost)
+			sc.accept(nodes, cost, ev.ranked)
 		}
-		for sy := int32(0); sy < int32(ix.NumSyms()); sy++ {
-			sym := int32(ix.Sym(sy))
-			ok := true
-			for i, c := range ps.caches {
+	syms:
+		for _, sy := range sc.rows[0].live {
+			for i, r := range sc.rows {
+				if sc.row[s+i] = r.next[sy]; sc.row[s+i] == automata.Dead {
+					continue syms
+				}
 				// candidate next nodes per component, from the label index
-				opts[i] = ix.OutByID(int(nodes[i]), sy)
-				if len(opts[i]) == 0 {
-					ok = false
-					break
-				}
-				nextIDs[i] = c.Step(ids[i], sym)
-				if nextIDs[i] == automata.Dead {
-					ok = false
-					break
+				if sc.opts[i] = ix.OutByID(int(nodes[i]), sy); len(sc.opts[i]) == 0 {
+					continue syms
 				}
 			}
-			if !ok {
-				continue
+			nc := cost + 1
+			if sc.wsym != nil {
+				nc = cost + sc.wsym[sy]
 			}
-			nc := cur.cost + 1
-			if ps.wsym != nil {
-				nc = cur.cost + ps.wsym[sy]
-			}
-			productNodes(opts, func(next []int32) { ps.push(next, nextIDs, 0, 0, nc) })
+			sc.pushProduct(nc)
 		}
 	}
 }
@@ -378,36 +549,37 @@ func (ps *prodSearch) expandEquality() {
 // edge NFA must accept at freeze time); acceptance requires the relation
 // NFA to accept and every unfrozen component NFA to accept. Component and
 // relation automata run through their interned subset caches.
-func (ps *prodSearch) expandNFARel() {
-	ix, rel := ps.ev.ix, ps.rel
+func (sc *groupScratch) expandNFARel(ev *evaluator) {
+	ix, rel, s := ev.ix, sc.rel, sc.s
 	rc := rel.subsetCache()
 	labels := rel.labelSet()
-	nextIDs, opts, selfOpts := ps.nextIDs, ps.opts, ps.selfOpts
 	for {
-		cur, nodes, ids, ok := ps.next()
+		cfg, cost, ok := sc.next(ev.bud)
 		if !ok {
 			return
 		}
-		accept := rc.Final(cur.rid)
-		for i, c := range ps.caches {
+		nodes, ids, rid := cfg[:s], cfg[s:2*s], cfg[2*s]
+		frozen := uint64(uint32(cfg[2*s+1])) | uint64(uint32(cfg[2*s+2]))<<32
+		accept := rc.Final(rid)
+		for i, c := range sc.caches {
 			if !accept {
 				break
 			}
-			accept = cur.mask&(1<<uint(i)) != 0 || c.Final(ids[i])
+			accept = frozen&(1<<uint(i)) != 0 || c.Final(ids[i])
 		}
 		if accept {
-			ps.accept(nodes, cur.cost)
+			sc.accept(nodes, cost, ev.ranked)
 		}
 		for _, code := range labels {
-			rnext := rc.Step(cur.rid, code)
+			rnext := rc.Step(rid, code)
 			if rnext == automata.Dead {
 				continue
 			}
 			tuple := rel.codec.decode(code)
-			mask := cur.mask
+			mask := frozen
 			ok := true
 			stepCost := int32(0)
-			for i, c := range ps.caches {
+			for i, c := range sc.caches {
 				if tuple[i] == Bottom {
 					// component i is (or becomes) frozen; its word must be
 					// complete, i.e. its NFA accepting at freeze time
@@ -418,56 +590,37 @@ func (ps *prodSearch) expandNFARel() {
 						}
 						mask |= 1 << uint(i)
 					}
-					nextIDs[i] = ids[i]
-					selfOpts[i] = nodes[i]
-					opts[i] = selfOpts[i : i+1]
+					sc.row[s+i] = ids[i]
+					sc.selfOpts[i] = nodes[i]
+					sc.opts[i] = sc.selfOpts[i : i+1]
 					continue
 				}
 				if mask&(1<<uint(i)) != 0 {
 					ok = false // symbol after ⊥ in the same column
 					break
 				}
-				nextIDs[i] = c.Step(ids[i], int32(tuple[i]))
-				if nextIDs[i] == automata.Dead {
+				if sc.row[s+i] = c.Step(ids[i], int32(tuple[i])); sc.row[s+i] == automata.Dead {
 					ok = false
 					break
 				}
-				opts[i] = ix.OutByLabel(int(nodes[i]), tuple[i])
-				if len(opts[i]) == 0 {
+				if sc.opts[i] = ix.OutByLabel(int(nodes[i]), tuple[i]); len(sc.opts[i]) == 0 {
 					ok = false
 					break
 				}
-				if ps.wsym != nil {
-					stepCost = max(stepCost, ps.ev.symCost(tuple[i]))
+				if sc.wsym != nil {
+					stepCost = max(stepCost, ev.symCost(tuple[i]))
 				}
 			}
 			if !ok {
 				continue
 			}
-			if ps.wsym == nil {
+			if sc.wsym == nil {
 				stepCost = 1
 			}
-			nc := cur.cost + stepCost
-			productNodes(opts, func(next []int32) { ps.push(next, nextIDs, rnext, mask, nc) })
+			sc.row[2*s], sc.row[2*s+1], sc.row[2*s+2] = rnext, int32(uint32(mask)), int32(uint32(mask>>32))
+			sc.pushProduct(cost + stepCost)
 		}
 	}
-}
-
-// productNodes enumerates the cartesian product of node options.
-func productNodes[T any](opts [][]T, f func([]T)) {
-	nodes := make([]T, len(opts))
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(opts) {
-			f(nodes)
-			return
-		}
-		for _, v := range opts[i] {
-			nodes[i] = v
-			rec(i + 1)
-		}
-	}
-	rec(0)
 }
 
 // symCost is the clamped per-label cost under the evaluator's weight.

@@ -38,6 +38,9 @@ func (q *Query) Validate() error {
 		if g.Rel == nil {
 			return fmt.Errorf("ecrpq: group %d has no relation", gi)
 		}
+		if len(g.Edges) == 0 {
+			return fmt.Errorf("ecrpq: group %d has no edges", gi)
+		}
 		if g.Rel.Arity() != len(g.Edges) {
 			return fmt.Errorf("ecrpq: group %d arity %d but %d edges", gi, g.Rel.Arity(), len(g.Edges))
 		}

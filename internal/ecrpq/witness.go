@@ -402,6 +402,23 @@ func (ev *evaluator) nfaRelWitness(g Group, rel *NFARelation, src, tgt []int) ([
 	return nil, false
 }
 
+// productNodes enumerates the cartesian product of node options.
+func productNodes(opts [][]int, f func([]int)) {
+	nodes := make([]int, len(opts))
+	var rec func(i int)
+	rec = func(i int) {
+		if i == len(opts) {
+			f(nodes)
+			return
+		}
+		for _, v := range opts[i] {
+			nodes[i] = v
+			rec(i + 1)
+		}
+	}
+	rec(0)
+}
+
 // prodKey encodes a configuration of the witness product searches: the node
 // tuple, the per-component state-set keys and a relation-specific suffix.
 func prodKey(nodes []int, setKeys []string, extra string) string {

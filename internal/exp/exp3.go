@@ -89,8 +89,8 @@ func PreparedReuseItems(scale int) ([]PreparedReuseItem, error) {
 // of one-shot evaluations that recompile and re-derive everything per call.
 // Two session variants are timed: the default (whole-result cache on — the
 // server's hot path for repeated identical queries) and one with the result
-// cache disabled, which isolates the structural reuse (plan + relation /
-// feasibility caches) so a regression there cannot hide behind result-cache
+// cache disabled, which isolates the structural reuse (plan + relation
+// cache + path verdicts) so a regression there cannot hide behind result-cache
 // hits. Session and one-shot results are asserted equal on every rep.
 func E19PreparedReuse(scale int) *Table {
 	t := &Table{ID: "E19", Title: "Prepared sessions: repeated Session eval vs repeated one-shot eval",

@@ -104,8 +104,8 @@ func runMutationStream(it IncrementalUpdateItem, sess *cxrpq.Session, deltas []g
 // E21IncrementalUpdate measures the incremental-update subsystem (PR 5) on
 // the append-mostly MutationStream workload: after every delta the item's
 // operation re-runs, once with fine-grained delta maintenance
-// (Session.ApplyDelta: relations retained or frontier-extended, the
-// feasibility memo kept) and once with the historical flush-and-rebuild
+// (Session.ApplyDelta: relations retained or frontier-extended, positive
+// path verdicts kept) and once with the historical flush-and-rebuild
 // behavior (apply + Invalidate). Per-step results are asserted equal, and
 // each row reports the speedup and the retained/extended relation-entry
 // counts.

@@ -304,9 +304,31 @@ func (d *DB) HasPath(u int, word string, v int) bool {
 
 // PathLabels returns the set of distinct words of length ≤ maxLen that
 // label at least one path in D, capped at maxWords entries (<= 0 means
-// unlimited), in length-then-lexicographic order. Used for candidate
-// pruning in the CXRPQ^≤k evaluation: every variable image must label a
-// path of D.
+// unlimited), in length-then-lexicographic order: the unfiltered
+// WalkPathWords.
+func (d *DB) PathLabels(maxLen, maxWords int) []string {
+	out := []string{""}
+	if maxWords == 1 {
+		return out
+	}
+	d.WalkPathWords(maxLen, 0, nil, func(word string, _ int32) bool {
+		out = append(out, word)
+		return len(out) != maxWords
+	})
+	return out
+}
+
+// WalkPathWords visits the non-empty words of length ≤ maxLen that label at
+// least one path in D, in length-then-lexicographic order, and lets the
+// caller steer the walk with an automaton of its own: every word carries a
+// caller-defined tag (root for the empty word), and before a live word is
+// extended by a symbol, step maps the word's tag and the symbol to the
+// extension's tag, or reports false to drop the extension and every word it
+// prefixes without any graph work. A nil step keeps everything. visit
+// receives each kept word that labels a path with its tag; a false return
+// ends the walk. This is how the CXRPQ^≤k evaluation lists its candidate
+// images — every image must label a path of D and match a definition body —
+// as a product rather than a filter over all path words.
 //
 // The walk is level-synchronous over the label-indexed CSR view: each live
 // word carries one bitset of end nodes, and a word's extensions come from
@@ -314,56 +336,67 @@ func (d *DB) HasPath(u int, word string, v int) bool {
 // pairwise distinct by construction (a parent word has exactly one
 // extension per symbol), and since parents are lexicographically ordered
 // and symbol ids are interned from the sorted alphabet, each level is
-// emitted already sorted.
-func (d *DB) PathLabels(maxLen, maxWords int) []string {
-	out := []string{""}
+// visited already sorted.
+func (d *DB) WalkPathWords(maxLen int, root int32, step func(tag int32, sym rune) (int32, bool), visit func(word string, tag int32) bool) {
 	n := d.NumNodes()
 	if maxLen <= 0 || n == 0 {
-		return out
+		return
 	}
 	ix := d.Index()
 	nSyms := ix.NumSyms()
 	words := (n + 63) / 64
 	type cfg struct {
-		word  string
-		nodes []uint64
+		word string
+		tag  int32
 	}
-	all := make([]uint64, words)
+	// ends holds the end-node bitset of level[i] at [i*words, (i+1)*words).
+	level, ends := []cfg{{"", root}}, make([]uint64, words)
 	for u := 0; u < n; u++ {
-		all[u/64] |= 1 << (u % 64)
+		ends[u/64] |= 1 << (u % 64)
 	}
-	level := []cfg{{"", all}}
+	var next []cfg
+	var nextEnds []uint64
 	for length := 1; length <= maxLen && len(level) > 0; length++ {
-		var next []cfg
-		for _, c := range level {
+		next, nextEnds = next[:0], nextEnds[:0]
+		for i, c := range level {
+			from := ends[i*words : (i+1)*words]
 			for s := int32(0); s < int32(nSyms); s++ {
-				var nb []uint64
-				for wi, bs := range c.nodes {
+				tag := c.tag
+				if step != nil {
+					var ok bool
+					if tag, ok = step(c.tag, ix.Sym(s)); !ok {
+						continue
+					}
+				}
+				// Build the extension's end set in place at the slab's tail
+				// and give the space back when no edge carries the symbol.
+				at := len(nextEnds)
+				nextEnds = append(nextEnds, make([]uint64, words)...)
+				nb, any := nextEnds[at:], false
+				for wi, bs := range from {
 					for bs != 0 {
 						u := wi*64 + bits.TrailingZeros64(bs)
 						bs &= bs - 1
 						for _, v := range ix.OutByID(u, s) {
-							if nb == nil {
-								nb = make([]uint64, words)
-							}
 							nb[v/64] |= 1 << (uint(v) % 64)
+							any = true
 						}
 					}
 				}
-				if nb != nil {
-					next = append(next, cfg{c.word + string(ix.Sym(s)), nb})
+				if !any {
+					nextEnds = nextEnds[:at]
+					continue
 				}
+				word := c.word + string(ix.Sym(s))
+				if !visit(word, tag) {
+					return
+				}
+				next = append(next, cfg{word, tag})
 			}
 		}
-		for _, c := range next {
-			out = append(out, c.word)
-			if maxWords > 0 && len(out) >= maxWords {
-				return out
-			}
-		}
-		level = next
+		level, next = next, level
+		ends, nextEnds = nextEnds, ends
 	}
-	return out
 }
 
 // HasPathOfLen reports whether D contains a path of exactly n edges (and

@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"sort"
+	"sync"
+)
 
 // Index is an immutable label-indexed adjacency view of a DB in CSR
 // (compressed sparse row) form: for every (node, label) pair the outgoing
@@ -35,6 +38,9 @@ type Index struct {
 	ovOut   map[int64][]int32
 	ovIn    map[int64][]int32
 	ovEdges int // overlay-carried edges, the compaction trigger
+
+	outSymsOnce sync.Once
+	outSyms     []uint64 // [node] × SymWords: symbols with an outgoing edge
 }
 
 // labelCSR stores, for each (node, symbol id) pair, a span into a flat
@@ -207,6 +213,30 @@ func (ix *Index) InByLabel(u int, r rune) []int32 {
 		return ix.InByID(u, s)
 	}
 	return nil
+}
+
+// SymWords returns the number of 64-bit words of a symbol-id bitset.
+func (ix *Index) SymWords() int { return (len(ix.syms) + 63) / 64 }
+
+// OutSyms returns the bitset, over symbol ids in SymWords words, of the
+// labels that at least one outgoing edge of u carries. The table is built
+// on first use, once per index: a synchronized product that must take its
+// first step on one symbol from several nodes at once intersects these
+// masks instead of probing every node tuple (see ecrpq's group sources).
+func (ix *Index) OutSyms(u int) []uint64 {
+	ix.outSymsOnce.Do(func() {
+		w := ix.SymWords()
+		ix.outSyms = make([]uint64, ix.n*w)
+		for v := 0; v < ix.n; v++ {
+			for s := int32(0); s < int32(len(ix.syms)); s++ {
+				if len(ix.OutByID(v, s)) > 0 {
+					ix.outSyms[v*w+int(s)/64] |= 1 << (uint(s) % 64)
+				}
+			}
+		}
+	})
+	w := ix.SymWords()
+	return ix.outSyms[u*w : (u+1)*w]
 }
 
 // OutDegree returns the number of outgoing edges of u with symbol id s.

@@ -127,7 +127,7 @@ func build(m *automata.NFA, n Node, from, to int, sigma []rune) error {
 // process-wide cache (see matchcache.go) and the word runs through the
 // interned deterministic transition table.
 func Matches(n Node, w string, sigma []rune) (bool, error) {
-	c, err := subsetFor(n, sigma)
+	c, err := SubsetFor(n, sigma)
 	if err != nil {
 		return false, err
 	}

@@ -66,9 +66,11 @@ func SetMatchCacheCap(n int) int {
 	return prev
 }
 
-// subsetFor returns the shared determinization cache for the classical
-// expression n over sigma, compiling it on first use.
-func subsetFor(n Node, sigma []rune) (*automata.SubsetCache, error) {
+// SubsetFor returns the shared determinization cache for the classical
+// expression n over sigma, compiling it on first use. Matches runs one word
+// through it; callers that test many words against one expression step it
+// themselves (Start/Step/Final), sharing the prefixes.
+func SubsetFor(n Node, sigma []rune) (*automata.SubsetCache, error) {
 	key := String(n) + "\x00" + string(sigma)
 	matchMu.Lock()
 	if c, ok := matchCache[key]; ok {
