@@ -86,6 +86,7 @@ package main
 // checkpoints, replayed_records, ...).
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -721,12 +722,37 @@ type errResponse struct {
 	Error string `json:"error"`
 }
 
+// jsonWriter is a response encoder with the buffer it writes to. An
+// encoder keeps its indentation buffer between calls, which a fresh one per
+// response regrows to the size of the body every time; pooled, both buffers
+// stay grown.
+type jsonWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonWriters = sync.Pool{New: func() any {
+	jw := new(jsonWriter)
+	jw.enc = json.NewEncoder(&jw.buf)
+	jw.enc.SetIndent("", "  ")
+	return jw
+}}
+
+// maxPooledJSON is the largest response buffer worth keeping: one 50 000-row
+// answer must not pin its megabytes in the pool behind small responses.
+const maxPooledJSON = 4 << 20
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	jw := jsonWriters.Get().(*jsonWriter)
+	jw.buf.Reset()
+	if err := jw.enc.Encode(v); err == nil {
+		_, _ = w.Write(jw.buf.Bytes()) // the client went away; nothing to report it to
+	}
+	if jw.buf.Cap() <= maxPooledJSON {
+		jsonWriters.Put(jw)
+	}
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {

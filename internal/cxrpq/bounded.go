@@ -33,12 +33,12 @@ import (
 //     the relaxed bodies' print.
 //  2. An atom (pattern edge) is fully instantiated as soon as the prefix
 //     covers all variables occurring in it — its Lemma 10 surgery and its
-//     reachability relation are computed right then, and an atom whose
-//     instantiated language is empty on D prunes the entire subtree before
-//     any deeper variable is guessed. Exponentially many mappings agree on
-//     an atom's instantiated label (ε-images collapse, only the images
-//     matter), so relations are shared through a bounded, session-scoped
-//     cache keyed by the canonical print of the label.
+//     reachability relation are computed right then, and an atom that
+//     matches no path of D prunes the entire subtree before any deeper
+//     variable is guessed. Exponentially many mappings agree on an atom's
+//     instantiated label, so relations are shared through a session-scoped
+//     cache keyed by its print. An atom with a node variable nothing else
+//     reads never gets one in an unranked run: only its support (relationFor).
 //  3. An atom the prefix touches without determining is relaxed (relaxCut)
 //     and asked one question: does it match any path of D at all? The
 //     answer is an existence probe that stops at its first hit
@@ -176,13 +176,16 @@ type boundedEngine struct {
 	seq      bool           // force sequential enumeration (witness search)
 	pre      map[string]int // pre-bound node variables (CheckBounded)
 
+	// readFrom/readTo: per edge, whether another atom, the output or pre reads
+	// its From / To node variable (pattern.Graph.Reads); see relationFor.
+	readFrom, readTo []bool
+
 	k      int            // image bound
 	caches *sessionCaches // per-DB memos, shared across runs of one Session
 
 	// cands memoizes the candidate walk per relaxed definition bodies: every
 	// prefix that agrees on the variables of x's bodies asks for the same list.
-	candMu sync.Mutex
-	cands  map[string][]string
+	cands *epochMap[[]string]
 
 	// bud is the caller's evaluation budget (nil = unlimited); fanBud is its
 	// per-run fork, threaded into relation builds and leaf joins so that both
@@ -201,8 +204,7 @@ type boundedEngine struct {
 	// function can't key the session RelCache), so relationFor builds them
 	// outside the shared cache, memoized per run in wrels.
 	weight engine.Weight
-	wrelMu sync.Mutex
-	wrels  map[string]*ecrpq.EdgeRel
+	wrels  *epochMap[*ecrpq.EdgeRel]
 
 	// anyk, when set, redirects every complete mapping's leaf join onto the
 	// shared incremental any-k priority queue (one AddJoin per mapping,
@@ -259,9 +261,11 @@ func newBoundedEngine(p *boundedPlan, db *graph.DB, k int, boolOnly bool, pre ma
 		pre:      pre,
 		k:        k,
 		caches:   caches,
-		cands:    map[string][]string{},
+		cands:    newEpochMap[[]string](verdictCap),
+		wrels:    newEpochMap[*ecrpq.EdgeRel](verdictCap),
 		out:      pattern.NewTupleSet(),
 	}
+	e.readFrom, e.readTo = p.q.Pattern.Reads(nil, pre)
 	e.fanBud = e.bud.Fork() // nil-safe: a standalone fork when unbudgeted
 	e.leaf = e.joinLeaf
 	if !planner.Enabled() {
@@ -317,7 +321,7 @@ func (st *boundedState) instantiateEdge(ei int) (bool, error) {
 	st.survived[ei] = surv
 	inst := xregex.Simplify(xregex.SubstituteAllVars(cut, st.assign))
 	st.insts[ei] = inst
-	rel, err := e.relationFor(inst)
+	rel, err := e.relationFor(ei, inst)
 	if err != nil {
 		return false, err
 	}
@@ -403,35 +407,25 @@ func (st *boundedState) processStep(i int) (bool, error) {
 	return true, nil
 }
 
-// relationFor resolves the relation of an instantiated label through the
-// session relation cache, keyed by the canonical print — the sharing point
-// for all mappings (and all Session calls) that agree on the label. The
-// build honors the run's fan budget (a truncated build surfaces as
+// relationFor resolves the relation of edge ei's instantiated label through
+// the session relation cache, keyed by the canonical print — the sharing
+// point for all mappings (and all Session calls) that agree on the label.
+// The build honors the run's fan budget (a truncated build surfaces as
 // engine.ErrCanceled and is never cached) and requests BFS levels when the
-// run is ranked.
-func (e *boundedEngine) relationFor(inst xregex.Node) (*ecrpq.EdgeRel, error) {
+// run is ranked. An unranked run resolves an edge with an endpoint nothing
+// reads through its support on the other one (sessionCaches.support) and
+// never builds its pairs.
+func (e *boundedEngine) relationFor(ei int, inst xregex.Node) (*ecrpq.EdgeRel, error) {
+	if !e.ranked && !(e.readFrom[ei] && e.readTo[ei]) {
+		return e.caches.support(e.db, inst, e.sigma, e.readTo[ei], e.fanBud)
+	}
 	if e.ranked && e.weight != nil {
 		// Weighted levels never enter the cross-query cache: two queries
 		// with different weights would collide on the same label key. The
 		// per-run memo still shares the build across this run's mappings.
-		key := xregex.String(inst)
-		e.wrelMu.Lock()
-		if r, ok := e.wrels[key]; ok {
-			e.wrelMu.Unlock()
-			return r, nil
-		}
-		e.wrelMu.Unlock()
-		r, err := ecrpq.BuildRelation(e.db, inst, e.sigma, engine.ReachOpts{Budget: e.fanBud, Weight: e.weight})
-		if err != nil {
-			return nil, err
-		}
-		e.wrelMu.Lock()
-		if e.wrels == nil {
-			e.wrels = map[string]*ecrpq.EdgeRel{}
-		}
-		e.wrels[key] = r
-		e.wrelMu.Unlock()
-		return r, nil
+		return e.wrels.getOr(xregex.String(inst), func() (*ecrpq.EdgeRel, error) {
+			return ecrpq.BuildRelation(e.db, inst, e.sigma, engine.ReachOpts{Budget: e.fanBud, Weight: e.weight})
+		})
 	}
 	return e.caches.rels.For(e.db, inst, e.sigma, engine.ReachOpts{Budget: e.fanBud, Levels: e.ranked})
 }
@@ -468,20 +462,15 @@ func (e *boundedEngine) candidates(x string, assign map[string]string) ([]string
 	} else if !e.p.refAny[x] {
 		return onlyEps, nil
 	}
-	e.candMu.Lock()
-	ws, ok := e.cands[key]
-	e.candMu.Unlock()
-	if ok {
-		return ws, nil
-	}
-	if filter == nil {
-		ws = e.db.PathLabels(e.k, 0)
-	} else {
+	return e.cands.getOr(key, func() ([]string, error) {
+		if filter == nil {
+			return e.db.PathLabels(e.k, 0), nil
+		}
 		c, err := xregex.SubsetFor(filter, e.sigma)
 		if err != nil {
 			return nil, err
 		}
-		ws = []string{""}
+		ws := []string{""}
 		e.db.WalkPathWords(e.k, c.Start(),
 			func(id int32, sym rune) (int32, bool) {
 				id = c.Step(id, int32(sym))
@@ -493,11 +482,8 @@ func (e *boundedEngine) candidates(x string, assign map[string]string) ([]string
 				}
 				return true
 			})
-	}
-	e.candMu.Lock()
-	e.cands[key] = ws
-	e.candMu.Unlock()
-	return ws, nil
+		return ws, nil
+	})
 }
 
 // rec enumerates images for vars[i:] depth-first with prefix pruning.
@@ -569,16 +555,15 @@ func (e *boundedEngine) joinLeaf(st *boundedState) error {
 			})
 		return nil
 	}
-	res := pattern.NewTupleSet()
+	var tuples []pattern.Tuple // collected outside the critical section; e.out dedups
 	ecrpq.JoinRelationsStream(e.p.q.Pattern, st.rels, spec, e.pre, ecrpq.Options{Budget: e.fanBud},
 		func(t pattern.Tuple, _ int) bool {
-			res.Add(t)
+			tuples = append(tuples, t)
 			return !e.boolOnly
 		})
-	if res.Len() == 0 {
+	if len(tuples) == 0 {
 		return nil
 	}
-	tuples := res.Sorted() // materialize outside the critical section
 	e.outMu.Lock()
 	for _, t := range tuples {
 		e.out.Add(t)

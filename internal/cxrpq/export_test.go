@@ -52,3 +52,32 @@ func (s *Session) PathVerdicts() map[string]bool {
 	}
 	return out
 }
+
+// Supports returns the number of nodes in each of the session's memoized
+// supports, by memo key.
+func (s *Session) Supports() map[string]int {
+	sc, _, _ := s.current()
+	sc.sups.mu.Lock()
+	defer sc.sups.mu.Unlock()
+	out := make(map[string]int, len(sc.sups.m))
+	for k, r := range sc.sups.m {
+		out[k] = r.Size()
+	}
+	return out
+}
+
+// EvalBoundedBoolPre decides D |=^≤k q with the node variables of pre
+// pre-bound — any of them, where CheckBounded binds exactly the output
+// variables.
+func EvalBoundedBoolPre(q *Query, db *graph.DB, k int, pre map[string]int) (bool, error) {
+	bp, err := planBounded(q)
+	if err != nil {
+		return false, err
+	}
+	e, err := newBoundedEngine(bp, db, k, true, pre, newSessionCaches(0, 0), mergeDBAlphabet(db, bp.c))
+	if err != nil {
+		return false, err
+	}
+	res, err := e.run()
+	return err == nil && res.Len() > 0, err
+}

@@ -243,6 +243,28 @@ func TestMutationCorpus(t *testing.T) {
 	if flipped := mutationRun(t, 8, workload.NewRNG(8), q, db); flipped == 0 {
 		t.Fatal("no path-existence verdict went from false to true: the entry is not exercised")
 	}
+	// With q read by nothing the second atom is resolved by its support, the
+	// sources of bba and bbb, which no delta maintains. The graph has a bb
+	// path (so the relaxed atom is not pruned) that nothing continues: both
+	// supports are computed, empty, and remembered. The insertion continues
+	// the path and is maintained per entry — a support that outlived it would
+	// still answer "no sources" where law (a)'s fresh evaluation finds one —
+	// and the removal has to empty it again.
+	q = cxrpq.MustParse("ans(p, m)\np m : $x{a|b}\nm q : bb$x\n")
+	db = graph.MustParse("n0 a n1\nn1 b n2\nn2 b n3\n")
+	m := &mutationState{db: db, sess: cxrpq.MustPrepare(q).Bind(db), q: q, k: 1, names: []string{"n0", "n1", "n2", "n3"}}
+	edge := []graph.DeltaEdge{{From: "n3", Label: 'b', To: "n1"}} // n1 -b-> n2 -b-> n3 -b-> n1 reads bbb
+	if got := m.checkStep(t, -1, "dangling: initial"); got.Len() != 0 || len(m.sess.Supports()) == 0 {
+		t.Fatalf("dangling entry: %d answers and supports %v before the insertion", got.Len(), m.sess.Supports())
+	}
+	m.apply(t, -1, graph.Delta{Add: edge})
+	if got := m.checkStep(t, -1, "dangling: insertion"); got.Len() == 0 || m.sess.Stats().Maint.DeltaApplies != 1 {
+		t.Fatalf("dangling entry: %d answers after the insertion, maintenance %+v", got.Len(), m.sess.Stats().Maint)
+	}
+	m.apply(t, -1, graph.Delta{Del: edge})
+	if got := m.checkStep(t, -1, "dangling: removal"); got.Len() != 0 {
+		t.Fatalf("dangling entry: %d answers after the removal", got.Len())
+	}
 }
 
 // TestMutationSequenceRandom sweeps 500+ fresh seeds; -short trims the

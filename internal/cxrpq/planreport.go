@@ -17,13 +17,16 @@ import (
 // relation cache and the path-existence verdicts.
 
 // PlanStep is one entry of a PlanReport: the pattern edge placed at this
-// plan position, how the join visits it, and the cost model's estimates.
+// plan position, how the join visits it, which of its endpoints the rest of
+// the query reads (pattern.Graph.Reads; short of "pairs" an unranked
+// evaluation computes a support, not a relation) and the cost estimates.
 type PlanStep struct {
 	Edge     int     `json:"edge"` // index into the query pattern's edges
 	From     string  `json:"from"`
 	To       string  `json:"to"`
 	Label    string  `json:"label"` // the edge's xregex (original form)
 	Mode     string  `json:"mode"`  // check | expand | expand-rev | scan
+	Reads    string  `json:"reads"` // pairs | from | to | none: the endpoints something else reads
 	EstPairs float64 `json:"est_pairs"`
 	EstCost  float64 `json:"est_cost"`
 	EstRows  float64 `json:"est_rows"`
@@ -162,15 +165,26 @@ func (s *Session) PlanReport() (*PlanReport, error) {
 		}
 	}
 	sc.planMu.Unlock()
+	readFrom, readTo := s.plan.q.Pattern.Reads(nil, nil)
 	for _, step := range spec.Steps {
 		ei := step.Atom
 		e := s.plan.q.Pattern.Edges[ei]
+		reads := "pairs"
+		switch {
+		case !readFrom[ei] && !readTo[ei]:
+			reads = "none"
+		case !readTo[ei]:
+			reads = "from"
+		case !readFrom[ei]:
+			reads = "to"
+		}
 		rep.Steps = append(rep.Steps, PlanStep{
 			Edge:     ei,
 			From:     e.From,
 			To:       e.To,
 			Label:    xregex.String(e.Label),
 			Mode:     string(step.Mode),
+			Reads:    reads,
 			EstPairs: atoms[ei].Est.Pairs,
 			EstCost:  step.Cost,
 			EstRows:  step.Rows,

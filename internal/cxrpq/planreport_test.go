@@ -109,3 +109,33 @@ func TestExplainCarriesPlan(t *testing.T) {
 		t.Fatalf("bounded explanation plan = %+v", ex2.Plan)
 	}
 }
+
+// TestPlanReportReads pins what the report says each atom is read for: one
+// bounded and one CRPQ case, covering every value.
+func TestPlanReportReads(t *testing.T) {
+	db := skewedPlanDB()
+	for _, tc := range []struct {
+		src  string
+		want map[int]string // edge -> reads
+	}{
+		// z is in no other atom and not in the output: the $w+ atom is read
+		// for its sources only and resolved by a support.
+		{"ans(x, y)\nx y : $w{h|s}\ny z : $w+", map[int]string{0: "pairs", 1: "from"}},
+		// x is private to the h atom, y shared, the s atom is cut off from
+		// everything, and a self-loop's ends read each other.
+		{"ans(y)\nx y : h\nu v : s\ny y : h*", map[int]string{0: "to", 1: "none", 2: "pairs"}},
+	} {
+		rep, err := MustPrepare(MustParse(tc.src)).Bind(db).PlanReport()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Steps) != len(tc.want) {
+			t.Fatalf("%q: %d steps, want %d", tc.src, len(rep.Steps), len(tc.want))
+		}
+		for _, st := range rep.Steps {
+			if st.Reads != tc.want[st.Edge] {
+				t.Fatalf("%q: edge %d (%s %s) reads %q, want %q", tc.src, st.Edge, st.From, st.To, st.Reads, tc.want[st.Edge])
+			}
+		}
+	}
+}

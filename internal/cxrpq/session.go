@@ -94,6 +94,19 @@ func (c *epochMap[V]) put(key string, v V) {
 	c.m[key] = v
 }
 
+// getOr returns the memoized value of key, computing and keeping it on a
+// miss; a computation that fails keeps nothing.
+func (c *epochMap[V]) getOr(key string, compute func() (V, error)) (V, error) {
+	if v, ok := c.get(key); ok {
+		return v, nil
+	}
+	v, err := compute()
+	if err == nil {
+		c.put(key, v)
+	}
+	return v, err
+}
+
 func (c *epochMap[V]) stats() (hits, misses uint64, size int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -110,6 +123,11 @@ type sessionCaches struct {
 	// matches any path of D at all — the one bit the bounded engine's partial
 	// pruning reads (see pathExists).
 	paths *epochMap[bool]
+
+	// sups holds the supports standing in for the relations of atoms with an
+	// endpoint nothing reads (see support). No delta maintains them — one
+	// sweep recomputes a support — so every revision move empties them.
+	sups *epochMap[*ecrpq.EdgeRel]
 
 	// The physical plan of the query's conjunctive skeleton (see
 	// planreport.go): cached per epoch like everything else, so it is
@@ -132,8 +150,17 @@ func newSessionCaches(relCap, floor int) *sessionCaches {
 	return &sessionCaches{
 		rels:          ecrpq.NewRelCache(relCap),
 		paths:         newEpochMap[bool](verdictCap),
+		sups:          newEpochMap[*ecrpq.EdgeRel](verdictCap),
 		semijoinFloor: float64(floor),
 	}
+}
+
+// support resolves the sources (with targets: the targets) of the classical
+// label's relation through the sups memo, as the diagonal relation of
+// ecrpq.SupportRelation. A cut sweep returns ErrCanceled and keeps nothing.
+func (sc *sessionCaches) support(db *graph.DB, label xregex.Node, sigma []rune, targets bool, bud *engine.Budget) (*ecrpq.EdgeRel, error) {
+	key := fmt.Sprintf("%s\x00%t", xregex.String(label), targets)
+	return sc.sups.getOr(key, func() (*ecrpq.EdgeRel, error) { return ecrpq.SupportRelation(db, label, sigma, targets, bud) })
 }
 
 // pathExists reports whether the classical label matches some path of db,
@@ -141,16 +168,7 @@ func newSessionCaches(relCap, floor int) *sessionCaches {
 // stops at its first hit (ecrpq.PathExists), never from a relation; a probe
 // the budget cut short returns engine.ErrCanceled and leaves no verdict.
 func (sc *sessionCaches) pathExists(db *graph.DB, label xregex.Node, sigma []rune, bud *engine.Budget) (bool, error) {
-	key := xregex.String(label)
-	if v, ok := sc.paths.get(key); ok {
-		return v, nil
-	}
-	v, err := ecrpq.PathExists(db, label, sigma, bud)
-	if err != nil {
-		return false, err
-	}
-	sc.paths.put(key, v)
-	return v, nil
+	return sc.paths.getOr(xregex.String(label), func() (bool, error) { return ecrpq.PathExists(db, label, sigma, bud) })
 }
 
 // afterInserts returns the verdicts that outlive an insert-only delta over an
@@ -311,6 +329,7 @@ func (s *Session) maintainLocked(info *graph.DeltaInfo) bool {
 		return false
 	}
 	s.caches.paths = afterInserts(s.caches.paths)
+	s.caches.sups = newEpochMap[*ecrpq.EdgeRel](verdictCap)
 	s.caches.dropPlan()
 	s.results = newResultCache(s.opts.ResultCacheCap)
 	s.maint.DeltaApplies++
@@ -388,7 +407,7 @@ func (s *Session) Fork(db *graph.DB) *Session {
 			if _, _, err := rels.ApplyDelta(db, info); err == nil {
 				ns.bound, ns.rev, ns.sigma = true, rev, s.sigma
 				ns.caches = &sessionCaches{rels: rels, paths: afterInserts(s.caches.paths),
-					semijoinFloor: s.caches.semijoinFloor}
+					sups: newEpochMap[*ecrpq.EdgeRel](verdictCap), semijoinFloor: s.caches.semijoinFloor}
 				ns.results = newResultCache(s.opts.ResultCacheCap)
 				ns.maint.DeltaApplies++
 				return ns

@@ -89,6 +89,32 @@ func BuildRelation(db *graph.DB, label xregex.Node, sigma []rune, o engine.Reach
 	return r, nil
 }
 
+// SupportRelation computes the sources — with targets, the targets — of
+// label's relation in one engine.Support sweep that builds no pair, as the
+// diagonal relation {(u, u)}: in an unranked join where nothing reads the
+// atom's other endpoint (pattern.Graph.Reads) that stands in for the pairs.
+// A truncated sweep returns engine.ErrCanceled, like BuildRelation.
+func SupportRelation(db *graph.DB, label xregex.Node, sigma []rune, targets bool, bud *engine.Budget) (*EdgeRel, error) {
+	ent, err := compiledFor(label, sigma)
+	if err != nil {
+		return nil, err
+	}
+	c := ent.cache
+	if !targets {
+		_, c = ent.reverse()
+	}
+	sup, _, cut := engine.Support(db.Index(), c, targets, false, bud)
+	if cut {
+		return nil, engine.ErrCanceled
+	}
+	ids, r := bitList(sup), &EdgeRel{fwd: make([][]int, db.NumNodes())}
+	for i, u := range ids {
+		r.fwd[u] = ids[i : i+1 : i+1]
+	}
+	r.size = len(ids)
+	return r, nil
+}
+
 // minDist returns the minimum cost over every pair in the relation — the
 // cheapest single witness any binding of this atom can contribute. It is the
 // atom's admissible lower bound for the any-k priority queue: an
@@ -175,9 +201,13 @@ func (r *EdgeRel) has(u, v int) (int32, bool) {
 	return costOf(ws, ds, v)
 }
 
-func (r *EdgeRel) scan(f func(u int, vs []int, costs []int32) bool) {
+func (r *EdgeRel) scan(forward bool, f func(u int, vs []int, costs []int32) bool) {
+	list := r.forward
+	if !forward {
+		list = r.backward
+	}
 	for u := range r.fwd {
-		if ws, ds := r.forward(u); len(ws) > 0 && !f(u, ws, ds) {
+		if ws, ds := list(u); len(ws) > 0 && !f(u, ws, ds) {
 			return
 		}
 	}

@@ -137,6 +137,7 @@ type probeRow struct {
 type probeMemo struct {
 	at   []int32 // [node] -> 1 + position in rows; 0 = not probed
 	rows []probeRow
+	sup  []uint64 // the nodes with a non-empty row, once swept for (support)
 }
 
 func (m *probeMemo) get(u int) (probeRow, bool) {
@@ -220,6 +221,20 @@ func (p *probeAtom) prefetch(nodes []int, forward bool) {
 	}
 }
 
+// support is one set-source sweep against the probe direction in place of a
+// row per node. A sweep the budget cut is not memoized and sends the caller
+// back to the rows, where the same budget unwinds it.
+func (p *probeAtom) support(forward bool) []uint64 {
+	memo, _ := p.side(forward)
+	if memo.sup == nil {
+		_, c := p.side(!forward)
+		if sup, _, cut := engine.Support(p.ev.ix, c, !forward, false, p.ev.bud); !cut {
+			memo.sup = sup
+		}
+	}
+	return memo.sup
+}
+
 func (p *probeAtom) forward(u int) ([]int, []int32)  { return p.probe(u, true) }
 func (p *probeAtom) backward(v int) ([]int, []int32) { return p.probe(v, false) }
 
@@ -228,12 +243,12 @@ func (p *probeAtom) has(u, v int) (int32, bool) {
 	return costOf(ws, ds, v)
 }
 
-// scan walks every source. A materializing evaluation prefetches them all
+// scan walks every node. A materializing evaluation prefetches them all
 // in one sweep (which finds nothing missing when the frontier pass modelled
 // this step); a lazy one walks escalating chunks (1, 4, 16, 64, then
 // 256-wide) so the first row costs one small batch, while the geometric
 // growth keeps the full drain within a constant factor of the single sweep.
-func (p *probeAtom) scan(f func(u int, vs []int, costs []int32) bool) {
+func (p *probeAtom) scan(forward bool, f func(u int, vs []int, costs []int32) bool) {
 	n := p.ev.db.NumNodes()
 	chunk := n
 	if p.ev.lazy {
@@ -248,9 +263,9 @@ func (p *probeAtom) scan(f func(u int, vs []int, costs []int32) bool) {
 		for u := lo; u < hi; u++ {
 			srcs = append(srcs, u)
 		}
-		p.prefetch(srcs, true)
+		p.prefetch(srcs, forward)
 		for _, u := range srcs {
-			if ws, ds := p.probe(u, true); len(ws) > 0 && !f(u, ws, ds) {
+			if ws, ds := p.probe(u, forward); len(ws) > 0 && !f(u, ws, ds) {
 				return
 			}
 		}
@@ -264,8 +279,8 @@ func (p *probeAtom) scan(f func(u int, vs []int, costs []int32) bool) {
 // PathExists reports whether some path of db matches the classical label —
 // whether the relation BuildRelation would compute is non-empty — without
 // computing it: an ε-accepting label holds at every node, and anything else
-// is the lazy scan of a one-atom Boolean query, which stops at the first
-// source with a hit. A budget that cancels before a hit yields (false,
+// is one engine.Support sweep from every node at once that stops at its first
+// accepted configuration. A budget that cancels before a hit yields (false,
 // engine.ErrCanceled): the answer is unknown, not no.
 func PathExists(db *graph.DB, label xregex.Node, sigma []rune, bud *engine.Budget) (bool, error) {
 	if _, empty := label.(*xregex.Empty); empty || db.NumNodes() == 0 {
@@ -278,13 +293,7 @@ func PathExists(db *graph.DB, label xregex.Node, sigma []rune, bud *engine.Budge
 	if ent.cache.Final(ent.cache.Start()) {
 		return true, nil
 	}
-	atom := probeAtom{ev: &evaluator{db: db, ix: db.Index(), bud: bud, lazy: true}, ent: ent}
-	found := false
-	atom.scan(func(int, []int, []int32) bool {
-		found = true
-		return false
-	})
-	if found {
+	if _, hits, _ := engine.Support(db.Index(), ent.cache, true, true, bud); hits > 0 {
 		return true, nil
 	}
 	return false, bud.Err()

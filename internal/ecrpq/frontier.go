@@ -8,9 +8,9 @@ import "math/bits"
 // bind, so it can know them first: walking the plan's steps in order, this
 // pass keeps per slot the sorted set of nodes the join can bind it to and
 // hands each atom its whole set through probeAtom.prefetch — ⌈|set|/64⌉
-// multi-source batches instead of one search per node. It only fills memos:
-// the join that follows is the same depth-first search over the same plan
-// and finds its probes answered.
+// multi-source batches instead of one search per node — or, where the join
+// answers the step from a support, narrows the set by that bitset. It only
+// fills memos: the join that follows is the same search and finds them.
 //
 // The candidate set of a slot is exact while the conjunct is a tree and a
 // superset where a later atom closes a cycle (a slot's values are then
@@ -45,14 +45,16 @@ func (ev *evaluator) probeFrontiers(p *plan) {
 			return
 		}
 		// The direction the join will probe in: from the bound endpoint, forward
-		// when both are bound (has) or neither is (scan).
+		// when both are bound (has) or neither is (scan) — or that of the support
+		// the join answers the step from. Probe atoms have no candidate domains.
 		st := &p.steps[i]
-		forward := cand[st.from] != nil || cand[st.to] == nil
-		near, far := st.from, st.to
-		nearDom, farDom, bindNear, bindFar := st.domFrom, st.domTo, st.bindFrom, st.bindTo
+		sup, forward := st.support(cand[st.from] != nil, cand[st.to] != nil)
+		if sup == nil {
+			forward = cand[st.from] != nil || cand[st.to] == nil
+		}
+		near, far, bindNear, bindFar := st.from, st.to, st.bindFrom, st.bindTo
 		if !forward {
-			near, far = far, near
-			nearDom, farDom, bindNear, bindFar = farDom, nearDom, bindFar, bindNear
+			near, far, bindNear, bindFar = far, near, bindFar, bindNear
 		}
 		srcs := cand[near]
 		scan := srcs == nil
@@ -65,7 +67,9 @@ func (ev *evaluator) probeFrontiers(p *plan) {
 			}
 			srcs = all
 		}
-		pa.prefetch(srcs, forward)
+		if sup == nil {
+			pa.prefetch(srcs, forward)
+		}
 		if ev.bud.Canceled() || probeOf(i+1) == nil {
 			return
 		}
@@ -81,19 +85,16 @@ func (ev *evaluator) probeFrontiers(p *plan) {
 		memo, _ := pa.side(forward)
 		kept := make([]int, 0, len(srcs))
 		for _, u := range srcs {
-			if scan && nearDom != nil && !bitHas(nearDom, u) {
-				continue
+			var row probeRow // stays empty under a support: the bitset decides
+			if sup == nil {
+				row, _ = memo.get(u)
 			}
-			row, _ := memo.get(u)
-			matched := false
+			matched := sup != nil && bitHas(sup, u)
 			for _, w := range row.nodes {
-				if (near == far && w != u) || (farKnown && !bitHas(want, w)) || (farDom != nil && !bitHas(farDom, w)) {
+				if (near == far && w != u) || (farKnown && !bitHas(want, w)) {
 					continue
 				}
 				matched = true
-				if !farKnown && !bindFar {
-					break // the join stops at the first partner too
-				}
 				bitSet(got, w)
 			}
 			if matched {

@@ -28,9 +28,9 @@ type atomSource interface {
 	backward(v int) ([]int, []int32)
 	// has reports whether (u, v) is in the relation, with its cost.
 	has(u, v int) (int32, bool)
-	// scan visits every source with a non-empty target list in ascending
-	// order until f returns false.
-	scan(f func(u int, vs []int, costs []int32) bool)
+	// scan visits every node with a non-empty forward (else backward) list
+	// in ascending order until f returns false.
+	scan(forward bool, f func(u int, vs []int, costs []int32) bool)
 }
 
 // plan is one conjunct compiled for execution.
@@ -124,6 +124,27 @@ func (p *plan) seal(out []string, pre map[string]int, bindAll bool) {
 	}
 }
 
+// supportReads is cleared by tests to force the listing paths.
+var supportReads = true
+
+// support returns the bitset that answers the step in place of its lists, or
+// nil, and the side the step is walked from: its sources when forward, else
+// its targets. uok and vok say which endpoints are bound. The other side has
+// to be unrestricted and read by nothing (never so in a ranked plan, see
+// seal), and the source a probe atom, which can sweep for who has a partner.
+func (st *step) support(uok, vok bool) (sup []uint64, forward bool) {
+	forward = uok || !vok && (st.bindFrom || !st.bindTo)
+	farBind, farDom := st.bindTo, st.domTo
+	if !forward {
+		farBind, farDom = st.bindFrom, st.domFrom
+	}
+	pa, probed := st.src.(*probeAtom) // a group step has a nil src
+	if !supportReads || !probed || st.from == st.to || uok && vok || farBind || farDom != nil {
+		return nil, forward
+	}
+	return pa.support(forward), forward
+}
+
 // project copies the output slots of a complete assignment into a tuple.
 func (p *plan) project(a []int32) pattern.Tuple {
 	t := make(pattern.Tuple, len(p.out))
@@ -200,7 +221,16 @@ func (st *step) bindings(a []int32, cont func(cost int32) bool) bool {
 	}
 	u, v := int(a[st.from]), int(a[st.to])
 	uok, vok := u >= 0, v >= 0
+	sup, forward := st.support(uok, vok)
+	near, far, bindNear, bindFar, domNear, domFar := st.from, st.to, st.bindFrom, st.bindTo, st.domFrom, st.domTo
+	if !forward {
+		near, far, bindNear, bindFar, domNear, domFar = far, near, bindFar, bindNear, domFar, domNear
+	}
 	switch {
+	case sup != nil && (uok || vok):
+		return !bitHas(sup, int(a[near])) || cont(0)
+	case sup != nil:
+		return bindEach(a, near, bindNear, domNear, bitList(sup), nil, cont)
 	case uok && vok: // includes bound self-loops (one slot twice)
 		if d, ok := st.src.has(u, v); ok {
 			return cont(d)
@@ -214,10 +244,9 @@ func (st *step) bindings(a []int32, cont func(cost int32) bool) bool {
 		return bindEach(a, st.from, st.bindFrom, st.domFrom, ws, ds, cont)
 	}
 	ok := true
-	var seen []uint64 // targets already reported when only the target is read again
-	st.src.scan(func(u int, ws []int, ds []int32) bool {
+	st.src.scan(forward, func(u int, ws []int, ds []int32) bool {
 		switch {
-		case st.domFrom != nil && !bitHas(st.domFrom, u):
+		case domNear != nil && !bitHas(domNear, u):
 		case st.from == st.to:
 			if d, loop := costOf(ws, ds, u); loop {
 				if !st.bindFrom {
@@ -228,28 +257,13 @@ func (st *step) bindings(a []int32, cont func(cost int32) bool) bool {
 				ok = cont(d)
 				a[st.from] = -1
 			}
-		case st.bindFrom:
-			a[st.from] = int32(u)
-			ok = bindEach(a, st.to, st.bindTo, st.domTo, ws, ds, cont)
-			a[st.from] = -1
-		case st.bindTo:
+		case bindNear:
+			a[near] = int32(u)
+			ok = bindEach(a, far, bindFar, domFar, ws, ds, cont)
+			a[near] = -1
+		default: // neither end is read: one pair proves the step
 			for _, w := range ws {
-				if w>>6 >= len(seen) {
-					seen = append(seen, make([]uint64, w>>6+1-len(seen))...)
-				}
-				if (st.domTo != nil && !bitHas(st.domTo, w)) || bitHas(seen, w) {
-					continue
-				}
-				bitSet(seen, w)
-				a[st.to] = int32(w)
-				if ok = cont(0); !ok {
-					break
-				}
-			}
-			a[st.to] = -1
-		default:
-			for _, w := range ws {
-				if st.domTo == nil || bitHas(st.domTo, w) {
+				if domFar == nil || bitHas(domFar, w) {
 					ok = cont(0)
 					return false
 				}

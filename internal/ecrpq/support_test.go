@@ -1,0 +1,205 @@
+package ecrpq
+
+// Tests of the support read: what an atom source computes when the plan
+// reads only one endpoint of the atom.
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"cxrpq/internal/engine"
+	"cxrpq/internal/graph"
+	"cxrpq/internal/pattern"
+	"cxrpq/internal/xregex"
+)
+
+func randClassical(r *rand.Rand, letters string, depth int) xregex.Node {
+	letter := func() xregex.Node { return xregex.Word(string(letters[r.Intn(len(letters))])) }
+	if depth <= 0 {
+		return letter()
+	}
+	kid := func() xregex.Node { return randClassical(r, letters, depth-1) }
+	switch r.Intn(8) {
+	case 0:
+		return &xregex.Cat{Kids: []xregex.Node{kid(), kid()}}
+	case 1:
+		return &xregex.Alt{Kids: []xregex.Node{kid(), kid()}}
+	case 2:
+		return &xregex.Star{Kid: kid()}
+	case 3:
+		return &xregex.Plus{Kid: kid()}
+	case 4:
+		return &xregex.Opt{Kid: kid()}
+	case 5:
+		return xregex.Word("")
+	}
+	return letter()
+}
+
+// stopped is a budget that was canceled before the evaluation started.
+func stopped() *engine.Budget {
+	b := engine.NewBudget(nil, time.Time{}, 0)
+	b.Stop()
+	return b
+}
+
+// TestSupportMatchesRelation: over random labels (ε-accepting ones included)
+// and random graphs (one with more than 64 labels), the forward support of a
+// probe atom is the set of sources of RelationFor's relation and the backward
+// support the set of its targets; SupportRelation is the diagonal over the
+// same sets and PathExists says whether they are empty. A sweep under a
+// canceled budget memoizes nothing and reports the cancellation.
+func TestSupportMatchesRelation(t *testing.T) {
+	wide := "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789+-=_~^%" // 69 labels
+	r := rand.New(rand.NewSource(17))
+	cuts := 0
+	for gi, labels := range []string{"ab", "abc", wide} {
+		n := 30 + 25*gi
+		db := probeRandomDB(int64(40+gi), n, 2*n+gi*n, labels)
+		sigma := []rune(labels)
+		for li := 0; li < 25; li++ {
+			label := randClassical(r, labels[:2+gi], 3)
+			switch li {
+			case 0:
+				label = xregex.MustParse("(ab)*") // ε-accepting: every node is a source and a target
+			case 1:
+				label = xregex.MustParse("a+")
+			case 2:
+				label = &xregex.Empty{}
+			}
+			name := fmt.Sprintf("graph %d, %s", gi, xregex.String(label))
+			rel, err := RelationFor(db, label, sigma)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := [2][]int{} // targets, sources
+			for u := 0; u < n; u++ {
+				if vs, _ := rel.backward(u); len(vs) > 0 {
+					want[0] = append(want[0], u)
+				}
+				if len(rel.Forward(u)) > 0 {
+					want[1] = append(want[1], u)
+				}
+			}
+			q := &Query{Pattern: &pattern.Graph{Out: []string{"x"}, Edges: []pattern.Edge{{From: "x", To: "y", Label: label}}}}
+			evaluator := func(bud *engine.Budget) *probeAtom {
+				ev, err := newEvaluator(q, db, Options{Budget: bud}, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return &ev.atoms[0]
+			}
+			for i, forward := range []bool{false, true} {
+				atom := evaluator(nil)
+				if got := bitList(atom.support(forward)); fmt.Sprint(got) != fmt.Sprint(want[i]) {
+					t.Fatalf("%s: support(forward=%v) = %v, the relation has %v", name, forward, got, want[i])
+				}
+				if len(atom.fwd.rows)+len(atom.rev.rows) != 0 {
+					t.Fatalf("%s: the support probed rows", name)
+				}
+				diag, err := SupportRelation(db, label, sigma, !forward, nil)
+				if err != nil || diag.Size() != len(want[i]) || diag.NumNodes() != n {
+					t.Fatalf("%s: SupportRelation(targets=%v) = %d pairs over %d nodes, %v; want %d over %d", name, !forward, diag.Size(), diag.NumNodes(), err, len(want[i]), n)
+				}
+				for _, u := range want[i] {
+					if vs := diag.Forward(u); len(vs) != 1 || vs[0] != u {
+						t.Fatalf("%s: SupportRelation(targets=%v) lists %v for node %d, want the node itself", name, !forward, vs, u)
+					}
+				}
+
+				// The same under a budget canceled beforehand: the sweep is cut at
+				// its first level boundary — or runs out before it, and is complete.
+				cut := evaluator(stopped())
+				sup := cut.support(forward)
+				if sup == nil {
+					cuts++
+					if cut.fwd.sup != nil || cut.rev.sup != nil {
+						t.Fatalf("%s: a cut sweep was memoized", name)
+					}
+					if _, err := SupportRelation(db, label, sigma, !forward, stopped()); !errors.Is(err, engine.ErrCanceled) {
+						t.Fatalf("%s: SupportRelation under a canceled budget: %v", name, err)
+					}
+				} else if fmt.Sprint(bitList(sup)) != fmt.Sprint(want[i]) {
+					t.Fatalf("%s: a sweep that beat its canceled budget returned %v, want %v", name, bitList(sup), want[i])
+				}
+			}
+			if ok, err := PathExists(db, label, sigma, nil); err != nil || ok != !rel.Empty() {
+				t.Fatalf("%s: PathExists = %v, %v; the relation has %d pairs", name, ok, err, rel.Size())
+			}
+			ok, err := PathExists(db, label, sigma, stopped())
+			if err != nil && !errors.Is(err, engine.ErrCanceled) || ok && rel.Empty() || !ok && err == nil && !rel.Empty() {
+				t.Fatalf("%s: PathExists under a canceled budget = %v, %v; the relation has %d pairs", name, ok, err, rel.Size())
+			}
+		}
+	}
+	if cuts == 0 {
+		t.Fatal("no sweep was cut by its budget: the case is not exercised")
+	}
+}
+
+// TestPathExistsCanceled: a probe the budget cuts before any hit is unknown,
+// not no, and says so.
+func TestPathExistsCanceled(t *testing.T) {
+	db := graph.MustParse("n0 a n1\nn1 a n2\nn2 b n3\n")
+	label, sigma := xregex.MustParse("aab"), []rune("ab")
+	if ok, err := PathExists(db, label, sigma, nil); !ok || err != nil {
+		t.Fatalf("PathExists = %v, %v", ok, err)
+	}
+	if ok, err := PathExists(db, label, sigma, stopped()); ok || !errors.Is(err, engine.ErrCanceled) {
+		t.Fatalf("PathExists under a canceled budget = %v, %v, want false and ErrCanceled", ok, err)
+	}
+	if ok, err := PathExists(db, xregex.MustParse("ba"), sigma, nil); ok || err != nil {
+		t.Fatalf("PathExists(ba) = %v, %v", ok, err)
+	}
+}
+
+// TestSupportAnswersUnreadEndpoint: an unranked plan answers a step whose far
+// endpoint nothing reads from the support and probes no row for it, whether
+// the near endpoint is bound, scanned, or the target side; a ranked plan
+// reads every endpoint and never asks for a support.
+func TestSupportAnswersUnreadEndpoint(t *testing.T) {
+	db := probeRandomDB(3, 60, 150, "ab")
+	for _, tc := range []struct {
+		name, src string
+		atom      int  // the atom with the unread endpoint
+		forward   bool // the support it is answered from
+	}{
+		{"bound near", "ans(x, y)\nx y : a\ny z : b+", 1, true},
+		{"bound target", "ans(x, y)\nx y : a\nz y : b+", 1, false},
+		{"scan", "ans(x)\nx y : (a|b)+", 0, true},
+		{"scan targets", "ans(y)\nx y : (a|b)+", 0, false},
+	} {
+		q, err := ParseQuery(tc.src, []rune("ab"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lazy := range []bool{false, true} {
+			for _, ranked := range []bool{false, true} {
+				ev, err := newEvaluator(q, db, Options{Ranked: ranked}, lazy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows := 0
+				ev.stream(nil, func(pattern.Tuple, int) bool { rows++; return true })
+				if rows == 0 {
+					t.Fatalf("%s: no answers, the case is not exercised", tc.name)
+				}
+				a := &ev.atoms[tc.atom]
+				sup, other := a.fwd.sup, a.rev.sup
+				if !tc.forward {
+					sup, other = other, sup
+				}
+				switch {
+				case ranked && (sup != nil || other != nil):
+					t.Fatalf("%s lazy=%v: a ranked run asked for a support", tc.name, lazy)
+				case !ranked && (sup == nil || other != nil || len(a.fwd.rows)+len(a.rev.rows) != 0):
+					t.Fatalf("%s lazy=%v: support %v, other direction %v, %d rows probed; want the one support and no row",
+						tc.name, lazy, sup != nil, other != nil, len(a.fwd.rows)+len(a.rev.rows))
+				}
+			}
+		}
+	}
+}

@@ -61,9 +61,16 @@ func (ev *evaluator) yannakakisPlan(pre map[string]int) (p *plan, ok bool) {
 		return nil, false
 	}
 	rels := make([]*EdgeRel, len(ev.q.Pattern.Edges))
+	readFrom, readTo := ev.q.Pattern.Reads(ev.dropped, pre)
 	for _, ei := range kept {
-		r, err := BuildRelation(ev.db, ev.q.Pattern.Edges[ei].Label, ev.sigma,
-			engine.ReachOpts{Budget: ev.bud, Levels: ev.ranked, Weight: ev.rankedWeight()})
+		var r *EdgeRel
+		var err error
+		if label := ev.q.Pattern.Edges[ei].Label; ev.ranked || !supportReads || readFrom[ei] && readTo[ei] {
+			r, err = BuildRelation(ev.db, label, ev.sigma,
+				engine.ReachOpts{Budget: ev.bud, Levels: ev.ranked, Weight: ev.rankedWeight()})
+		} else { // an endpoint nothing reads: the semijoin program gets the support
+			r, err = SupportRelation(ev.db, label, ev.sigma, readTo[ei], ev.bud)
+		}
 		if err != nil {
 			// Budget-truncated (or otherwise failed) materialization:
 			// fall back — a canceled budget unwinds the backtracking
@@ -182,12 +189,13 @@ func (y *yanRel) backward(v int) ([]int, []int32) {
 	return y.keep(ws, ds, func(_, w int) bool { _, ok := y.has(w, v); return ok })
 }
 
-func (y *yanRel) scan(f func(u int, vs []int, costs []int32) bool) {
+func (y *yanRel) scan(forward bool, f func(u int, vs []int, costs []int32) bool) {
+	list := y.forward
+	if !forward {
+		list = y.backward
+	}
 	for u := 0; u < len(y.off)-1; u++ {
-		if y.off[u] == y.off[u+1] {
-			continue
-		}
-		if ws, ds := y.forward(u); len(ws) > 0 && !f(u, ws, ds) {
+		if ws, ds := list(u); len(ws) > 0 && !f(u, ws, ds) {
 			return
 		}
 	}

@@ -13,6 +13,7 @@ package engine
 import (
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -55,6 +56,17 @@ func Reach(ix *graph.Index, c *automata.SubsetCache, src int, forward bool, o Re
 	return hits, levs
 }
 
+// Support returns the bitset (and count) of the nodes at which an accepted
+// path ends, whatever node it starts at: the BFS of Reach seeded with every
+// node at once, O(|E|·|Q|) however many pairs there are, and in KernelStats
+// one batch of n sources. With first it stops at its first hit, which settles
+// emptiness. cut reports a budget-truncated sweep: bits may be missing.
+func Support(ix *graph.Index, c *automata.SubsetCache, forward, first bool, bud *Budget) (sup []uint64, n int, cut bool) {
+	s := scalarPool.Get().(*scalarScratch)
+	defer scalarPool.Put(s)
+	return s.support(ix, c, forward, first, bud)
+}
+
 // cfg is one product configuration: a graph node paired with a
 // subset-automaton set id.
 type cfg struct {
@@ -79,6 +91,8 @@ type scalarScratch struct {
 	dist    [][]int32 // Dijkstra: [set id][node] -> best known cost + 1; 0 = unreached
 	touched []cfg     // Dijkstra: every configuration with a dist entry
 	heap    costHeap
+
+	edges, levels uint64 // BFS: product edges walked and levels run by the last search
 
 	hitBits []uint64 // node bitset of the hits
 	hitLev  []int32  // [node] -> cost of the hit (sized only when costs are wanted)
@@ -111,9 +125,25 @@ func (s *scalarScratch) reach(ix *graph.Index, c *automata.SubsetCache, src int,
 	if o.Weight != nil {
 		s.dijkstra(ix, src, forward, o.Budget, weightTable(ix, o.Weight))
 	} else {
-		s.bfs(ix, src, forward, o.Budget, wantLev)
+		s.bfs(ix, src, forward, o.Budget, wantLev, false)
 	}
 	return s.gather(wantLev)
+}
+
+// support runs one set-source sweep on the scratch and leaves it all-zero.
+func (s *scalarScratch) support(ix *graph.Index, c *automata.SubsetCache, forward, first bool, bud *Budget) (sup []uint64, n int, cut bool) {
+	s.n = ix.NumNodes()
+	s.live.bind(c, ix)
+	s.hitBits = grown(s.hitBits, (s.n+63)/64)
+	cut = s.bfs(ix, -1, forward, bud, false, first)
+	sup, n = slices.Clone(s.hitBits), s.nHits
+	clear(s.hitBits)
+	s.nHits = 0
+	kstat.batches.Add(1)
+	kstat.levels.Add(s.levels)
+	kstat.sources.Add(uint64(s.n))
+	kstat.edges.Add(s.edges)
+	return sup, n, cut
 }
 
 // hit records the first acceptance of node at the given cost.
@@ -169,33 +199,47 @@ func (s *scalarScratch) visitedOf(id int32) []uint64 {
 	return s.visited[id]
 }
 
-// bfs is the scalar unit-cost product BFS behind Reach: a FIFO over
-// (node, set id) configurations whose level is the cost of a hit.
-func (s *scalarScratch) bfs(ix *graph.Index, src int, forward bool, bud *Budget, wantLev bool) {
+// bfs is the scalar unit-cost product BFS behind Reach and Support: a FIFO
+// over (node, set id) configurations whose level is the cost of a hit, from
+// src or, when src is negative, from every node; first ends it at the first
+// hit. It reports whether the budget cut it short.
+func (s *scalarScratch) bfs(ix *graph.Index, src int, forward bool, bud *Budget, wantLev, first bool) (cut bool) {
 	startID := s.live.c.Start()
-	s.queue = append(s.queue[:0], cfg{int32(src), startID})
-	s.visitedOf(startID)[src>>6] |= 1 << (uint(src) & 63)
+	s.edges, s.levels = 0, 1
+	lo, hi := src, src+1
+	if src < 0 {
+		lo, hi = 0, s.n
+	}
+	s.queue = s.queue[:0]
+	for v, vb := lo, s.visitedOf(startID); v < hi; v++ {
+		s.queue = append(s.queue, cfg{int32(v), startID})
+		vb[v>>6] |= 1 << (uint(v) & 63)
+	}
 
 	depth := int32(0)
-	levelEnd := 1 // queue prefix holding the current BFS level
+	levelEnd := len(s.queue) // queue prefix holding the current BFS level
 	for qi := 0; qi < len(s.queue); qi++ {
 		if qi == levelEnd {
 			depth++
 			levelEnd = len(s.queue)
-			if bud.Canceled() {
+			if cut = bud.Canceled(); cut {
 				break
 			}
+			s.levels++
 		}
 		cur := s.queue[qi]
 		st := s.live.state(cur.id)
 		if st.final {
-			s.hit(cur.node, depth, wantLev)
+			if s.hit(cur.node, depth, wantLev); first {
+				break
+			}
 		}
 		for _, e := range st.edges {
 			tgts := adjacent(ix, cur.node, e.sym, forward)
 			if len(tgts) == 0 {
 				continue
 			}
+			s.edges += uint64(len(tgts))
 			vb := s.visitedOf(e.next)
 			for _, v := range tgts {
 				if vb[v>>6]&(1<<(uint(v)&63)) == 0 {
@@ -211,6 +255,7 @@ func (s *scalarScratch) bfs(ix *graph.Index, src int, forward bool, bud *Budget,
 		s.visited[q.id][q.node>>6] = 0
 	}
 	s.queue = s.queue[:0]
+	return cut
 }
 
 // adjacent returns the neighbours of node over symbol id sym in the search

@@ -1,6 +1,9 @@
 package engine_test
 
 import (
+	"fmt"
+	"math/bits"
+	"math/rand"
 	"testing"
 
 	"cxrpq/internal/automata"
@@ -188,6 +191,68 @@ func reachFan(ix *graph.Index, c *automata.SubsetCache, srcs []int, forward bool
 
 // TestFanMatchesSequential checks that the parallel fan-out returns exactly
 // the per-source results, for every worker-pool width.
+// TestSupportMatchesReach: a set-source sweep finds exactly the nodes the
+// single-source searches find between them, in both directions, on a graph
+// with more than 64 labels and for ε-accepting automata (where every node is
+// its own hit); with first it finds one of them exactly when there is one. A
+// sweep reports into the kernel counters as one batch of n sources.
+func TestSupportMatchesReach(t *testing.T) {
+	wide := "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789+-=_~^%" // 69 labels
+	r := rand.New(rand.NewSource(11))
+	for gi, labels := range []string{"ab", "abc", wide} {
+		n := 40 + 37*gi
+		db := workload.Random(int64(20+gi), n, 3*n, labels)
+		ix, sigma := db.Index(), []rune(labels)
+		for li := 0; li < 12; li++ {
+			label := randNode(r, labels[:2+gi], 3)
+			if li == 0 {
+				label = xregex.MustParse("(ab)*") // ε-accepting
+			}
+			m := xregex.MustCompile(label, sigma)
+			for _, forward := range []bool{true, false} {
+				c := automata.NewSubsetCache(m)
+				if !forward {
+					c = automata.NewSubsetCache(reverseNFA(m))
+				}
+				name := fmt.Sprintf("graph %d, %s, forward %v", gi, xregex.String(label), forward)
+				want := map[int]bool{}
+				for src := 0; src < n; src++ {
+					for _, v := range reach(ix, c, src, forward) {
+						want[v] = true
+					}
+				}
+				before := engine.ReachBatchStats()
+				sup, k, cut := engine.Support(ix, c, forward, false, nil)
+				after := engine.ReachBatchStats()
+				if got := bitList(sup); len(got) != len(want) || k != len(want) || cut {
+					t.Fatalf("%s: support %v (count %d, cut %v), want the %d nodes %v", name, got, k, cut, len(want), want)
+				}
+				for _, v := range bitList(sup) {
+					if !want[v] {
+						t.Fatalf("%s: node %d is in the support, no search ends there", name, v)
+					}
+				}
+				if after.Batches != before.Batches+1 || after.Sources != before.Sources+uint64(n) || after.Levels == before.Levels {
+					t.Fatalf("%s: sweep counted as %+v after %+v", name, after, before)
+				}
+				sup, k, _ = engine.Support(ix, c, forward, true, nil)
+				if first := bitList(sup); k != len(first) || (k > 0) != (len(want) > 0) || (k > 0 && !want[first[0]]) {
+					t.Fatalf("%s: first-hit sweep found %v, the support has %d nodes", name, first, len(want))
+				}
+			}
+		}
+	}
+}
+
+func bitList(b []uint64) (out []int) {
+	for wi, w := range b {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, wi<<6+bits.TrailingZeros64(w))
+		}
+	}
+	return out
+}
+
 func TestFanMatchesSequential(t *testing.T) {
 	const letters = "ab"
 	db := workload.Random(5, 14, 40, letters)

@@ -6,6 +6,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"sync/atomic"
@@ -101,6 +102,8 @@ type reachCall struct {
 	c       *automata.SubsetCache
 	srcs    []int // nil: scalar search from src
 	src     int
+	sweep   bool // set-source sweep (Support) instead of a search from src
+	first   bool // ... that stops at its first hit
 	forward bool
 	opts    func() ReachOpts
 }
@@ -113,6 +116,10 @@ type outcome struct {
 }
 
 func (rc *reachCall) on(s *scalarScratch, b *batchScratch) outcome {
+	if rc.sweep {
+		sup, n, cut := s.support(rc.ix, rc.c, rc.forward, rc.first, rc.opts().Budget)
+		return supportOutcome(sup, n, cut)
+	}
 	if rc.srcs == nil {
 		hits, levs := s.reach(rc.ix, rc.c, rc.src, rc.forward, rc.opts())
 		return outcome{Hits: [][]int{hits}, Levs: [][]int32{levs}}
@@ -121,8 +128,26 @@ func (rc *reachCall) on(s *scalarScratch, b *batchScratch) outcome {
 	return outcome{res.Hits, res.Levs, res.Truncated}
 }
 
+// supportOutcome renders a Support result as an outcome: the set bits as the
+// one hit list, the population count checked against them.
+func supportOutcome(sup []uint64, n int, cut bool) outcome {
+	hits := []int{}
+	for wi, w := range sup {
+		for ; w != 0; w &= w - 1 {
+			hits = append(hits, wi<<6+bits.TrailingZeros64(w))
+		}
+	}
+	if len(hits) != n {
+		hits = append(hits, -n) // a wrong count fails every comparison
+	}
+	return outcome{Hits: [][]int{hits}, Truncated: cut}
+}
+
 // public runs the call through the pooled entry points.
 func (rc *reachCall) public() outcome {
+	if rc.sweep {
+		return supportOutcome(Support(rc.ix, rc.c, rc.forward, rc.first, rc.opts().Budget))
+	}
 	if rc.srcs == nil {
 		hits, levs := Reach(rc.ix, rc.c, rc.src, rc.forward, rc.opts())
 		return outcome{Hits: [][]int{hits}, Levs: [][]int32{levs}}
@@ -191,6 +216,14 @@ func reuseTable(t *testing.T) []reachCall {
 		{name: "scalar other index", ix: other.Index(), c: c2, src: 5, forward: true, opts: levels},
 		{name: "scalar extended index", ix: ext, c: c2, src: ext.NumNodes() - 2, forward: true, opts: levels},
 		{name: "scalar first index again", ix: ix, c: c2, src: 3, forward: true, opts: levels},
+		{name: "sweep", ix: ix, c: c1, sweep: true, forward: true, opts: plain},
+		{name: "sweep backward", ix: ix, c: c2, sweep: true, opts: plain},
+		{name: "sweep first hit", ix: ix, c: c1, sweep: true, first: true, forward: true, opts: plain},
+		{name: "scalar after first hit", ix: ix, c: c1, src: 3, forward: true, opts: levels},
+		{name: "sweep cut", ix: ix, c: c2, sweep: true, forward: true, opts: cut(1, plain)},
+		{name: "sweep after cut", ix: ix, c: c2, sweep: true, forward: true, opts: plain},
+		{name: "sweep extended index", ix: ext, c: c2, sweep: true, forward: true, opts: plain},
+		{name: "scalar after sweeps", ix: ix, c: c2, src: 3, forward: true, opts: levels},
 	}
 	for _, sh := range []struct {
 		name      string
@@ -241,8 +274,8 @@ func TestScratchReuseDifferential(t *testing.T) {
 			truncated++
 		}
 	}
-	if truncated < 2 {
-		t.Fatalf("%d batch calls were cut by their budget, want the single-shard and the sharded one", truncated)
+	if truncated < 3 {
+		t.Fatalf("%d calls were cut by their budget, want the sweep, the single-shard and the sharded batch", truncated)
 	}
 
 	defer SetMaxWorkers(SetMaxWorkers(8))
@@ -335,6 +368,40 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 		t.Errorf("allocations grow with the graph or the automaton: scalar %v→%v, levels %v→%v, weighted %v→%v, batch %v→%v",
 			s1, s2, l1, l2, w1, w2, b1, b2)
 	}
+}
+
+// BenchmarkSupport: what it costs to learn which nodes of the benchmark's
+// update_read graph shape (600 nodes, two labels, out-degree 1-2 each) have an
+// outgoing a+ path — by one set-source sweep, and by the all-pairs batches a
+// relation build runs (ecrpq.BuildRelation), whose rows say the same.
+func BenchmarkSupport(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	db := randomDB(1, 600, 0, "ab")
+	for u := 0; u < 600; u++ {
+		for _, l := range "ab" {
+			for k := 0; k <= r.Intn(2); k++ {
+				db.AddEdge(u, l, r.Intn(600))
+			}
+		}
+	}
+	m := xregex.MustCompile(xregex.MustParse("a+"), []rune("ab"))
+	ix, c := db.Index(), automata.NewSubsetCache(m) // a+ reversed is a+
+	all := make([]int, ix.NumNodes())
+	for i := range all {
+		all[i] = i
+	}
+	b.Run("sweep", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Support(ix, c, false, false, nil)
+		}
+	})
+	b.Run("relation", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ReachBatchEx(ix, nil, c, all, true, ReachOpts{})
+		}
+	})
 }
 
 func benchGraph(b *testing.B) (*graph.Index, *automata.SubsetCache) {

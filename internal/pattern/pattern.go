@@ -46,6 +46,31 @@ func (g *Graph) Vars() []string {
 	return out
 }
 
+// Reads reports, per edge, whether its From and its To endpoint is read by
+// anything else: the output, pre, another edge not in skip, or its own other
+// end (a self-loop). An atom with an endpoint nothing reads constrains the
+// query only through the set of nodes its other endpoint can take.
+func (g *Graph) Reads(skip []bool, pre map[string]int) (from, to []bool) {
+	uses := map[string]int{}
+	for _, z := range g.Out {
+		uses[z] = 2
+	}
+	for z := range pre {
+		uses[z] = 2
+	}
+	for i, e := range g.Edges {
+		if i >= len(skip) || !skip[i] {
+			uses[e.From]++
+			uses[e.To]++
+		}
+	}
+	from, to = make([]bool, len(g.Edges)), make([]bool, len(g.Edges))
+	for i, e := range g.Edges {
+		from[i], to[i] = uses[e.From] > 1, uses[e.To] > 1
+	}
+	return from, to
+}
+
 // Labels returns the edge labels in edge order.
 func (g *Graph) Labels() []xregex.Node {
 	out := make([]xregex.Node, len(g.Edges))
