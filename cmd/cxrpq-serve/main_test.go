@@ -120,10 +120,18 @@ func TestQueryErrors(t *testing.T) {
 		{`{"db":"g1","query":"ans()\nx y : a","mode":"zap"}`, http.StatusBadRequest},             // bad mode
 		{`{"db":"g1","query":"ans()\nx y : a","semantics":"bounded"}`, http.StatusBadRequest},    // k missing
 		{`{"db":"g1","query":"ans()\nx y : $x{a|b}($x)+","mode":"bool"}`, http.StatusBadRequest}, // general fragment without bounded/log
+		{`{"db":"g1","query":"` + strings.Repeat("a", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
 	} {
 		code, out := postJSON(t, ts.URL+"/query", tc.body)
 		if code != tc.code {
-			t.Errorf("%s: status %d (%v), want %d", tc.body, code, out, tc.code)
+			t.Errorf("%.80s: status %d (%v), want %d", tc.body, code, out, tc.code)
+		}
+	}
+	// The same bound guards the other two endpoints that read a body.
+	for _, path := range []string{"/plan", "/update"} {
+		body := `{"db":"g1","edges":"` + strings.Repeat("a", maxBodyBytes) + `"}`
+		if code, out := postJSON(t, ts.URL+path, body); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body: status %d (%v), want 413", path, code, out)
 		}
 	}
 }

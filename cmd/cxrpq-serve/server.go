@@ -388,14 +388,14 @@ func (s *server) recoverCursors(e *dbEntry) {
 			if skip < int64(n) {
 				n = int(skip)
 			}
-			got := cur.Fetch(n)
-			if len(got) == 0 {
+			got := cur.FetchRows(n).N
+			if got == 0 {
 				break
 			}
-			skip -= int64(len(got))
+			skip -= int64(got)
 		}
 		rec := &cursorRec{cur: cur, entry: e, db: st.db, rev: st.rev,
-			fragment: sess.Fragment(), ranked: true, limit: blob.Limit, persist: blob}
+			fragment: sess.Fragment(), limit: blob.Limit, persist: blob}
 		closeAll(s.cursors.putAt(tok, rec))
 		log.Printf("db %s: resumed cursor %s at revision %d (%d rows fast-forwarded)",
 			e.name, blob.Token[:8], st.rev, blob.Rows)
@@ -498,7 +498,6 @@ type cursorRec struct {
 	db       *graph.DB
 	rev      uint64
 	fragment string
-	ranked   bool
 	limit    int            // default page size for fetches that give none
 	persist  *cursorWALBlob // WAL-persisted state, nil when not persisted
 	closed   bool
@@ -704,59 +703,74 @@ type explanationJSON struct {
 	Images map[string]string `json:"images,omitempty"` // string variable -> image
 }
 
-type queryResponse struct {
-	Fragment     string           `json:"fragment"`
-	Count        int              `json:"count"`
-	Answers      [][]string       `json:"answers,omitempty"`
-	Costs        []int            `json:"costs,omitempty"` // per answer, ranked streams: shortest-witness edge count
-	Bool         *bool            `json:"bool,omitempty"`
-	Explanation  *explanationJSON `json:"explanation,omitempty"`
-	Cursor       string           `json:"cursor,omitempty"`        // more rows remain; fetch with {"cursor":...}
-	Truncated    bool             `json:"truncated,omitempty"`     // cut by deadline, disconnect or shed budget
-	Shed         bool             `json:"shed,omitempty"`          // degraded by the soft-saturation limiter
-	RowsStreamed int64            `json:"rows_streamed,omitempty"` // rows delivered by this stream so far
-	ElapsedMS    float64          `json:"elapsed_ms"`
-}
-
 type errResponse struct {
 	Error string `json:"error"`
 }
 
-// jsonWriter is a response encoder with the buffer it writes to. An
-// encoder keeps its indentation buffer between calls, which a fresh one per
-// response regrows to the size of the body every time; pooled, both buffers
-// stay grown.
-type jsonWriter struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var jsonWriters = sync.Pool{New: func() any {
-	jw := new(jsonWriter)
-	jw.enc = json.NewEncoder(&jw.buf)
-	jw.enc.SetIndent("", "  ")
-	return jw
-}}
+// bodies pools the buffers responses are built in, so that they stay grown.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // maxPooledJSON is the largest response buffer worth keeping: one 50 000-row
 // answer must not pin its megabytes in the pool behind small responses.
 const maxPooledJSON = 4 << 20
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// send writes one response whose body fill leaves in a pooled buffer.
+func send(w http.ResponseWriter, status int, fill func(buf *bytes.Buffer) error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	jw := jsonWriters.Get().(*jsonWriter)
-	jw.buf.Reset()
-	if err := jw.enc.Encode(v); err == nil {
-		_, _ = w.Write(jw.buf.Bytes()) // the client went away; nothing to report it to
+	buf := bodies.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := fill(buf); err == nil {
+		_, _ = w.Write(buf.Bytes()) // the client went away; nothing to report it to
 	}
-	if jw.buf.Cap() <= maxPooledJSON {
-		jsonWriters.Put(jw)
+	if buf.Cap() <= maxPooledJSON {
+		bodies.Put(buf)
 	}
+}
+
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	send(w, status, func(buf *bytes.Buffer) error {
+		enc := json.NewEncoder(buf)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
+}
+
+// writeQuery sends a /query response: appended into the buffer's spare capacity
+// (encode.go), or through encoding/json when it carries an explanation.
+func writeQuery(w http.ResponseWriter, out *queryResponse) {
+	if out.Explanation != nil {
+		writeJSON(w, http.StatusOK, out)
+		return
+	}
+	send(w, http.StatusOK, func(buf *bytes.Buffer) error {
+		_, err := buf.Write(appendQueryResponse(buf.AvailableBuffer(), out))
+		return err
+	})
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errResponse{Error: err.Error()})
+}
+
+// maxBodyBytes bounds a request body: room for an inline graph or an update
+// batch, none for an endless upload.
+const maxBodyBytes = 16 << 20
+
+// readBody decodes the request's JSON body into req, or answers 413 for a
+// body over maxBodyBytes, 400 for any other failure, and reports false.
+func readBody(w http.ResponseWriter, r *http.Request, req any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(req)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, status, fmt.Errorf("bad request body: %v", err))
+	return false
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -765,8 +779,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
+	if !readBody(w, r, &req) {
 		return
 	}
 	if req.Cursor != "" {
@@ -906,14 +919,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	switch op {
 	case "eval":
 		if resp.Tuples != nil {
-			out.Count = resp.Tuples.Len()
-			for _, t := range resp.Tuples.Sorted() {
-				row := make([]string, len(t))
-				for i, v := range t {
-					row[i] = db.Name(v)
-				}
-				out.Answers = append(out.Answers, row)
-			}
+			out.setRows(db, resp.Tuples.SortedRows(), pattern.Rows{})
 		}
 		out.RowsStreamed = int64(out.Count)
 	case "bool", "check":
@@ -935,7 +941,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	e.recordQuery(time.Since(start), out.Count, shed, truncated)
-	writeJSON(w, http.StatusOK, out)
+	writeQuery(w, &out)
 }
 
 // streamQuery serves mode=eval through the pull-based cursor: the first
@@ -965,15 +971,16 @@ func (s *server) streamQuery(w http.ResponseWriter, r *http.Request, sess *cxrpq
 	if lim <= 0 {
 		lim = 4096
 	}
-	rows := cur.Fetch(1)
+	first := cur.FetchRows(1)
 	ttfr := time.Since(start)
-	if len(rows) == 1 && lim > 1 {
-		rows = append(rows, cur.Fetch(lim-1)...)
+	var rest pattern.Rows
+	if first.N == 1 && lim > 1 {
+		rest = cur.FetchRows(lim - 1)
 	}
 	out := queryResponse{Fragment: sess.Fragment(), Shed: shed, RowsStreamed: cur.RowsStreamed()}
-	serializeRows(&out, rows, db, req.Ranked)
+	out.setRows(db, first, rest)
 	switch {
-	case len(rows) < lim: // exhausted (or cut): the stream is done
+	case out.Count < lim: // exhausted (or cut): the stream is done
 		if err := cur.Err(); err != nil {
 			cur.Close()
 			writeErr(w, http.StatusBadRequest, err)
@@ -987,7 +994,7 @@ func (s *server) streamQuery(w http.ResponseWriter, r *http.Request, sess *cxrpq
 		out.Truncated = true
 	default:
 		rec := &cursorRec{cur: cur, entry: e, db: db, rev: db.Revision(),
-			fragment: sess.Fragment(), ranked: req.Ranked, limit: lim}
+			fragment: sess.Fragment(), limit: lim}
 		tok, evicted, err := s.cursors.put(rec)
 		if err != nil {
 			cur.Close()
@@ -1014,8 +1021,8 @@ func (s *server) streamQuery(w http.ResponseWriter, r *http.Request, sess *cxrpq
 		defer closeAll(evicted)
 	}
 	out.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	e.recordQuery(ttfr, len(rows), shed, out.Truncated)
-	writeJSON(w, http.StatusOK, out)
+	e.recordQuery(ttfr, out.Count, shed, out.Truncated)
+	writeQuery(w, &out)
 }
 
 // handleCursorFetch continues a parked stream: {"cursor":"...","limit":n}.
@@ -1054,10 +1061,10 @@ func (s *server) handleCursorFetch(w http.ResponseWriter, req *queryRequest) {
 		lim = rec.limit
 	}
 	start := time.Now()
-	rows := rec.cur.Fetch(lim)
-	out := queryResponse{Fragment: rec.fragment, RowsStreamed: rec.cur.RowsStreamed()}
-	serializeRows(&out, rows, rec.db, rec.ranked)
-	if len(rows) < lim { // exhausted: reclaim with the final page
+	out := queryResponse{Fragment: rec.fragment}
+	out.setRows(rec.db, rec.cur.FetchRows(lim), pattern.Rows{})
+	out.RowsStreamed = rec.cur.RowsStreamed()
+	if out.Count < lim { // exhausted: reclaim with the final page
 		s.cursors.drop(rec.id)
 		if err := rec.cur.Err(); err != nil {
 			rec.close()
@@ -1076,22 +1083,8 @@ func (s *server) handleCursorFetch(w http.ResponseWriter, req *queryRequest) {
 		}
 	}
 	out.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	rec.entry.recordRows(len(rows))
-	writeJSON(w, http.StatusOK, out)
-}
-
-func serializeRows(out *queryResponse, rows []cxrpq.Row, db *graph.DB, ranked bool) {
-	out.Count = len(rows)
-	for _, rr := range rows {
-		row := make([]string, len(rr.Tuple))
-		for i, v := range rr.Tuple {
-			row[i] = db.Name(v)
-		}
-		out.Answers = append(out.Answers, row)
-		if ranked {
-			out.Costs = append(out.Costs, rr.Cost)
-		}
-	}
+	rec.entry.recordRows(out.Count)
+	writeQuery(w, &out)
 }
 
 // resolveSemantics validates the request's semantics/k pair and maps it
@@ -1156,8 +1149,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req planRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
+	if !readBody(w, r, &req) {
 		return
 	}
 	if req.Query == "" {
@@ -1242,8 +1234,7 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req updateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
+	if !readBody(w, r, &req) {
 		return
 	}
 	e, ok := s.entry(req.DB)

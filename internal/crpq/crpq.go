@@ -89,9 +89,7 @@ func (u *Union) Eval(db *graph.DB) (*pattern.TupleSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, t := range res.Sorted() {
-			out.Add(t)
-		}
+		out.AddAll(res)
 	}
 	return out, nil
 }

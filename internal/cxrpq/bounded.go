@@ -217,7 +217,7 @@ type boundedEngine struct {
 	// instead of merging into out; a false return stops the run. Streaming
 	// runs force seq — yield is called from one goroutine only. Tuples are
 	// NOT deduplicated across mappings here; the consumer owns dedup.
-	yield func(t pattern.Tuple, cost int) bool
+	yield ecrpq.StreamFunc
 
 	// leaf consumes a complete mapping; the default joins the cached atom
 	// relations, ExplainBounded swaps in a witness search.
@@ -546,8 +546,8 @@ func (e *boundedEngine) joinLeaf(st *boundedState) error {
 		// backtracking completes them. Runs are sequential (e.seq), so the
 		// yield needs no locking.
 		ecrpq.JoinRelationsStream(e.p.q.Pattern, st.rels, spec, e.pre, ecrpq.Options{Budget: e.fanBud, Ranked: e.ranked},
-			func(t pattern.Tuple, cost int) bool {
-				if !e.yield(t, cost) {
+			func(row []int32, cost int) bool {
+				if !e.yield(row, cost) {
 					e.stop.Store(true)
 					return false
 				}
@@ -555,18 +555,19 @@ func (e *boundedEngine) joinLeaf(st *boundedState) error {
 			})
 		return nil
 	}
-	var tuples []pattern.Tuple // collected outside the critical section; e.out dedups
+	var rows []int32 // collected outside the critical section; e.out dedups
+	n := 0
 	ecrpq.JoinRelationsStream(e.p.q.Pattern, st.rels, spec, e.pre, ecrpq.Options{Budget: e.fanBud},
-		func(t pattern.Tuple, _ int) bool {
-			tuples = append(tuples, t)
+		func(row []int32, _ int) bool {
+			rows, n = append(rows, row...), n+1
 			return !e.boolOnly
 		})
-	if len(tuples) == 0 {
+	if n == 0 {
 		return nil
 	}
 	e.outMu.Lock()
-	for _, t := range tuples {
-		e.out.Add(t)
+	for w, i := len(rows)/n, 0; i < n; i++ {
+		e.out.AddRow(rows[i*w : (i+1)*w])
 	}
 	e.outMu.Unlock()
 	if e.boolOnly {

@@ -109,11 +109,8 @@ func (s *vsfSink) record(idx int, res *pattern.TupleSet, err error) {
 	if res == nil || res.Len() == 0 {
 		return
 	}
-	tuples := res.Sorted() // materialize outside the critical section
 	s.mu.Lock()
-	for _, t := range tuples {
-		s.out.Add(t)
-	}
+	s.out.AddAll(res)
 	if s.boolOnly && err == nil {
 		s.matched = true
 	}
@@ -373,9 +370,7 @@ func EvalBoundedNaive(q *Query, db *graph.DB, k int) (*pattern.TupleSet, error) 
 			if err != nil {
 				return err
 			}
-			for _, t := range res.Sorted() {
-				out.Add(t)
-			}
+			out.AddAll(res)
 			return nil
 		}
 		for _, w := range words {

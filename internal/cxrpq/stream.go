@@ -7,34 +7,36 @@ package cxrpq
 // a large result costs a small prefix of the full evaluation, and an
 // abandoned cursor stops paying immediately.
 //
-// The Cursor runs the enumeration in one producer goroutine under a strict
-// request/response page protocol: every Fetch(n) sends one request and
-// receives exactly one page of up to n rows; the producer parks on the
-// request channel the moment a page is full. Between Fetch calls the
-// producer is therefore provably quiescent — it holds no lock, reads no
-// session state, and cannot race a writer — which is what makes interleaving
-// cursors with ApplyDelta mutations safe as long as no Fetch overlaps the
-// write (the session's usual quiescent-mutation contract, per call instead
-// of per drain). Close stops the cursor's budget, unwinds the producer at
-// its next budget poll, and joins it before returning.
+// A page is a pattern.Rows — fixed-arity rows back to back in one []int32
+// slab — which is what FetchRows returns and the server encodes from; Fetch
+// and Next carve tuples out of one. A stream over a complete cached answer is
+// a window cursor: an offset into the set's memoized sorted rows
+// (TupleSet.SortedRows), with no producer goroutine, no channels and nothing
+// for an abandoned cursor to release.
+//
+// Every other Cursor runs the enumeration in one producer goroutine under a
+// strict request/response page protocol: every fetch sends one request and
+// receives exactly one page; the producer parks on the request channel the
+// moment a page is full. Between fetches the producer is therefore provably
+// quiescent — it holds no lock, reads no session state, and cannot race a
+// writer — which is what makes interleaving cursors with ApplyDelta
+// mutations safe as long as no fetch overlaps the write. Close stops the
+// cursor's budget, unwinds the producer at its next budget poll, and joins it.
 //
 // Ranked mode (shortest-witness-first) streams incrementally under the
-// default comparator: the producer runs the any-k enumerator
-// (ecrpq.AnyK) — a priority queue over partial join assignments keyed by
-// admissible lower bounds from the kernels' level indices — whose pops
-// arrive in nondecreasing witness cost, so the first occurrence of a tuple
-// IS its minimal cost and top-k costs O(k) queue expansions instead of a
-// full drain. Equal-cost runs are buffered and sorted lexicographically
-// before emission, making the output sequence identical to the historical
-// drain-then-sort. A custom Less falls back to that drain — an arbitrary
-// comparator's order can only be known once every row has been enumerated —
-// and a witness cost under a pluggable StreamOptions.Weight rides either
-// path. In all ranked modes costs are nondecreasing across the stream.
+// default comparator: the any-k enumerator (ecrpq.AnyK) pops rows in
+// nondecreasing witness cost, so the first occurrence of a tuple IS its
+// minimal cost and top-k costs O(k) queue expansions instead of a full
+// drain; equal-cost tiers are sorted lexicographically before emission, which
+// makes the sequence identical to drain-then-sort. A custom Less falls back to
+// that drain — an arbitrary comparator's order can only be known once every
+// row has been enumerated. See "Rows" in internal/README.md.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -92,7 +94,7 @@ type StreamOptions struct {
 // cursorPage is one producer→consumer transfer: up to the requested number
 // of rows, plus — on the final page — the enumeration's outcome.
 type cursorPage struct {
-	rows      []Row
+	rows      pattern.Rows
 	final     bool
 	err       error
 	truncated bool
@@ -103,23 +105,27 @@ type cursorPage struct {
 // Closed when abandoned before exhaustion — Close releases the producer
 // goroutine. Iterating past the end is fine without Close.
 type Cursor struct {
-	bud   *engine.Budget
+	bud *engine.Budget
+
+	// The page protocol's two channels while a producer runs. Without one (reqs
+	// is nil) the cursor is a window: it serves win, the rest of a complete
+	// sorted answer or of a finished producer's final page.
 	reqs  chan int
 	pages chan cursorPage
+	win   pattern.Rows
 
-	buf        []Row // rows fetched but not yet returned by Next
-	nextWant   int   // escalating page size for Next
-	rowsOut    int64
-	err        error
-	truncated  bool
-	exhausted  bool
-	closed     bool
-	reqsClosed bool
+	buf       pattern.Rows // rows fetched but not yet returned by Next
+	nextWant  int          // escalating page size for Next
+	rowsOut   int64
+	err       error
+	truncated bool
+	exhausted bool
+	closed    bool
 }
 
 // streamRun is the producer-side enumeration of one Stream dispatch: it
 // pushes every row into emit and honors emit's false return by unwinding.
-type streamRun func(emit func(t pattern.Tuple, cost int) bool) error
+type streamRun func(emit ecrpq.StreamFunc) error
 
 // Stream starts a pull-based enumeration of the query's results and returns
 // its cursor. Rows are computed as the consumer demands them (Next/Fetch);
@@ -151,11 +157,38 @@ func (s *Session) Stream(opts StreamOptions) (*Cursor, error) {
 			return newCursor(bud, opts, nil, build), nil
 		}
 	}
+	if res := s.cachedAnswer(bounded, k, opts.Ranked); res != nil {
+		c := &Cursor{bud: bud, win: res.SortedRows(), nextWant: 1}
+		if opts.Limit > 0 && c.win.N >= opts.Limit {
+			// A stream its limit completes cannot be truncated: no budget.
+			c.bud, c.win = nil, c.win.Slice(0, opts.Limit)
+		}
+		return c, nil
+	}
 	run, err := s.streamRunFor(bounded, k, ecrpq.Options{Budget: bud, Ranked: opts.Ranked, Weight: opts.Weight})
 	if err != nil {
 		return nil, err
 	}
 	return newCursor(bud, opts, run, nil), nil
+}
+
+// cachedAnswer returns the dispatch's complete answer when the session result
+// cache, which only ever holds complete, un-truncated sets, has it. The sets
+// carry no witness costs, so a ranked stream cannot be served from one.
+func (s *Session) cachedAnswer(bounded bool, k int, ranked bool) *pattern.TupleSet {
+	if ranked {
+		return nil
+	}
+	key := "eval"
+	if bounded {
+		key = fmt.Sprintf("bnd\x1f%d\x1ffalse", k)
+	} else if s.plan.kind == kindVsf {
+		key = "vsf"
+	}
+	_, rc, _ := s.current()
+	v, _ := rc.get(key)
+	res, _ := v.(*pattern.TupleSet)
+	return res
 }
 
 // anyKBuilderFor builds the deferred constructor of the incremental any-k
@@ -203,7 +236,7 @@ func (s *Session) anyKBuilderFor(bounded bool, k int, bud *engine.Budget, w engi
 			}
 			return ak, nil
 		}, nil
-	case kindVsf:
+	default: // kindVsf: Stream has turned kindGeneral away
 		combos, overflow, err := s.plan.vsfCombos()
 		if err != nil {
 			return nil, err
@@ -223,8 +256,6 @@ func (s *Session) anyKBuilderFor(bounded bool, k int, bud *engine.Budget, w engi
 			}
 			return ak, nil
 		}, nil
-	default:
-		return nil, fmt.Errorf("cxrpq: %s is not vstar-free; stream with Semantics \"bounded\" or \"log\"", s.plan.fragment)
 	}
 }
 
@@ -235,15 +266,12 @@ func (s *Session) anyKBuilderFor(bounded bool, k int, bud *engine.Budget, w engi
 func (s *Session) streamRunFor(bounded bool, k int, opts ecrpq.Options) (streamRun, error) {
 	bud, ranked := opts.Budget, opts.Ranked
 	if bounded {
-		sc, rc, sigma := s.current()
+		sc, _, sigma := s.current()
 		bp, err := s.plan.boundedPlanFor()
 		if err != nil {
 			return nil, err
 		}
-		if run, ok := cachedRun(rc, fmt.Sprintf("bnd\x1f%d\x1ffalse", k), ranked); ok {
-			return run, nil
-		}
-		return func(emit func(t pattern.Tuple, cost int) bool) error {
+		return func(emit ecrpq.StreamFunc) error {
 			e, err := newBoundedEngine(bp, s.db, k, false, nil, sc, sigma)
 			if err != nil {
 				return err
@@ -255,7 +283,7 @@ func (s *Session) streamRunFor(bounded bool, k int, opts ecrpq.Options) (streamR
 			if ranked {
 				e.yield = emit
 			} else {
-				e.yield = dedupEmit(emit)
+				e.yield = ecrpq.Dedup(emit)
 			}
 			_, err = e.run()
 			return err
@@ -263,37 +291,26 @@ func (s *Session) streamRunFor(bounded bool, k int, opts ecrpq.Options) (streamR
 	}
 	switch s.plan.kind {
 	case kindClassical, kindSimple:
-		_, rc, _ := s.current()
 		eq, err := s.plan.simpleQuery()
 		if err != nil {
 			return nil, err
 		}
-		if run, ok := cachedRun(rc, "eval", ranked); ok {
-			return run, nil
-		}
-		return func(emit func(t pattern.Tuple, cost int) bool) error {
+		return func(emit ecrpq.StreamFunc) error {
 			return ecrpq.EvalStream(eq, s.db, opts, emit)
 		}, nil
-	case kindVsf:
-		_, rc, _ := s.current()
+	default: // kindVsf: Stream has turned kindGeneral away
 		combos, overflow, err := s.plan.vsfCombos()
 		if err != nil {
 			return nil, err
 		}
-		if run, ok := cachedRun(rc, "vsf", ranked); ok {
-			return run, nil
-		}
-		return func(emit func(t pattern.Tuple, cost int) bool) error {
+		return func(emit ecrpq.StreamFunc) error {
 			if !ranked {
-				emit = dedupEmit(emit)
+				emit = ecrpq.Dedup(emit)
 			}
 			stopped := false
-			wrapped := func(t pattern.Tuple, cost int) bool {
-				if !emit(t, cost) {
-					stopped = true
-					return false
-				}
-				return true
+			wrapped := func(row []int32, cost int) bool {
+				stopped = !emit(row, cost)
+				return !stopped
 			}
 			if !overflow {
 				for _, cb := range combos {
@@ -326,48 +343,6 @@ func (s *Session) streamRunFor(bounded bool, k int, opts ecrpq.Options) (streamR
 			}
 			return err
 		}, nil
-	default:
-		return nil, fmt.Errorf("cxrpq: %s is not vstar-free; stream with Semantics \"bounded\" or \"log\"", s.plan.fragment)
-	}
-}
-
-// cachedRun serves an unranked stream straight from a complete cached result
-// of the same evaluation (the session result cache only ever holds complete,
-// un-truncated sets), skipping the enumeration entirely. Ranked streams
-// cannot use it: cached sets carry no witness costs.
-func cachedRun(rc *resultCache, key string, ranked bool) (streamRun, bool) {
-	if ranked {
-		return nil, false
-	}
-	v, ok := rc.get(key)
-	if !ok {
-		return nil, false
-	}
-	res, ok := v.(*pattern.TupleSet)
-	if !ok {
-		return nil, false
-	}
-	return func(emit func(t pattern.Tuple, cost int) bool) error {
-		for _, t := range res.Sorted() {
-			if !emit(t, 0) {
-				return nil
-			}
-		}
-		return nil
-	}, true
-}
-
-// dedupEmit wraps an emit with tuple-level deduplication for unranked
-// multi-source dispatches.
-func dedupEmit(emit func(t pattern.Tuple, cost int) bool) func(t pattern.Tuple, cost int) bool {
-	seen := map[string]bool{}
-	return func(t pattern.Tuple, cost int) bool {
-		k := t.Key()
-		if seen[k] {
-			return true
-		}
-		seen[k] = true
-		return emit(t, cost)
 	}
 }
 
@@ -389,12 +364,7 @@ func defaultLess(a, b Row) bool {
 // Exactly one of run and build is non-nil: build selects the incremental
 // any-k ranked producer, run the unranked stream or the ranked drain.
 func newCursor(bud *engine.Budget, opts StreamOptions, run streamRun, build func() (*ecrpq.AnyK, error)) *Cursor {
-	c := &Cursor{
-		bud:      bud,
-		reqs:     make(chan int),
-		pages:    make(chan cursorPage),
-		nextWant: 1,
-	}
+	c := &Cursor{bud: bud, reqs: make(chan int), pages: make(chan cursorPage), nextWant: 1}
 	less := opts.Less
 	if less == nil {
 		less = defaultLess
@@ -410,218 +380,225 @@ func newCursor(bud *engine.Budget, opts StreamOptions, run streamRun, build func
 			return
 		}
 		if opts.Ranked {
-			c.produceRanked(run, less, opts.Limit, want)
+			c.produceRanked(run, less, opts.Limit)
 			return
 		}
-		c.produceStream(run, opts.Limit, want)
+		// Unranked: rows flow to the consumer as the enumeration finds them.
+		pg := &pager{c: c, want: want, limit: opts.Limit}
+		pg.finish(run(pg.add))
 	}()
 	return c
 }
 
-// produceAnyK is the incremental ranked producer: rows pop off the any-k
-// priority queue in nondecreasing witness cost, each equal-cost run is
-// buffered, sorted lexicographically and deduplicated first-seen (exact
-// min-cost dedup, since later occurrences cannot be cheaper), and pages
-// flow under the same request protocol as the unranked stream — so the
-// first row costs one queue expansion chain, not a drain. The emitted
-// sequence is identical to produceRanked under defaultLess.
-func (c *Cursor) produceAnyK(build func() (*ecrpq.AnyK, error), limit, want int) {
-	ak, err := build()
-	if err != nil {
-		c.pages <- cursorPage{final: true, err: err, truncated: c.bud.Err() != nil}
-		return
-	}
-	var page []Row
-	closed := false // consumer closed reqs mid-stream: unwind silently
-	send := func(r Row) {
-		page = append(page, r)
-		if len(page) >= want {
-			c.pages <- cursorPage{rows: page}
-			page = nil
-			var ok bool
-			want, ok = <-c.reqs
-			if !ok {
-				closed = true
-			}
-		}
-	}
-	seen := map[string]bool{}
-	total, limitHit := 0, false
-	var batch []Row
-	curCost := 0
-	flush := func() {
-		sort.SliceStable(batch, func(i, j int) bool { return defaultLess(batch[i], batch[j]) })
-		for _, r := range batch {
-			k := r.Tuple.Key()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			if limit > 0 && total >= limit {
-				limitHit = true
-				return
-			}
-			send(r)
-			total++
-			if closed {
-				return
-			}
-		}
-		batch = batch[:0]
-	}
-	for !closed && !limitHit {
-		t, cost, ok := ak.Next()
-		if !ok {
-			break
-		}
-		if len(batch) > 0 && cost != curCost {
-			flush()
-			if closed || limitHit {
-				break
-			}
-		}
-		curCost = cost
-		batch = append(batch, Row{Tuple: t, Cost: cost})
-	}
-	if !closed && !limitHit {
-		flush()
-	}
-	if closed {
-		return
-	}
-	trunc := !limitHit && c.bud.Err() != nil
-	c.pages <- cursorPage{rows: page, final: true, truncated: trunc}
+// pager is the producer's end of the page protocol: rows are appended to a
+// page slab sized to the request and counted against Limit, a full page is
+// handed over, and the producer parks until the next request.
+type pager struct {
+	c        *Cursor
+	want     int
+	limit    int
+	ranked   bool // pages carry costs
+	page     pattern.Rows
+	total    int
+	limitHit bool
 }
 
-// produceStream is the unranked producer: rows flow to the consumer as the
-// enumeration finds them, one page per request, producer parked between
-// pages.
-func (c *Cursor) produceStream(run streamRun, limit, want int) {
-	var batch []Row
-	total := 0
-	limitHit := false
-	emit := func(t pattern.Tuple, cost int) bool {
-		batch = append(batch, Row{Tuple: t, Cost: cost})
-		total++
-		if limit > 0 && total >= limit {
-			limitHit = true
-			return false
+// add appends one row. It reports false when the producer has to stop: the
+// row reached the limit (the page in hand is then the final one), or the
+// consumer closed.
+func (pg *pager) add(row []int32, cost int) bool {
+	if pg.page.Data == nil {
+		n := min(pg.want, 1024) // a drain-everything fetch asks for 2^20 rows of what may be ten
+		pg.page = pattern.Rows{Arity: len(row), Data: make([]int32, 0, n*len(row))}
+		if pg.ranked {
+			pg.page.Costs = make([]int32, 0, n)
 		}
-		if len(batch) >= want {
-			c.pages <- cursorPage{rows: batch}
-			batch = nil
-			var ok bool
-			want, ok = <-c.reqs
-			if !ok {
-				return false // Close: unwind; the drain collects the final page
+	}
+	pg.page.Data = append(pg.page.Data, row...)
+	if pg.ranked {
+		pg.page.Costs = append(pg.page.Costs, int32(cost))
+	}
+	pg.page.N++
+	if pg.total++; pg.total == pg.limit {
+		pg.limitHit = true
+		return false
+	}
+	if pg.page.N >= pg.want {
+		pg.c.pages <- cursorPage{rows: pg.page}
+		pg.page = pattern.Rows{}
+		var ok bool
+		pg.want, ok = <-pg.c.reqs
+		return ok
+	}
+	return true
+}
+
+// finish sends the final page with the enumeration's outcome (to Close's
+// drain, if the consumer has closed). A stream stopped by its limit is
+// complete, not truncated.
+func (pg *pager) finish(err error) {
+	trunc := !pg.limitHit && pg.c.bud.Err() != nil
+	if errors.Is(err, engine.ErrCanceled) {
+		trunc, err = true, nil
+	}
+	pg.c.pages <- cursorPage{rows: pg.page, final: true, err: err, truncated: trunc}
+}
+
+// produceAnyK is the incremental ranked producer: rows pop off the any-k
+// priority queue in nondecreasing witness cost and enter the stream's dedup
+// set first-seen (exact min-cost dedup, since later occurrences cannot be
+// cheaper); the set's tail since the last cost change is the current tier,
+// emitted in lexicographic order when the cost moves on — so the first row
+// costs one queue expansion chain, not a drain. The emitted sequence is
+// identical to produceRanked under defaultLess.
+func (c *Cursor) produceAnyK(build func() (*ecrpq.AnyK, error), limit, want int) {
+	pg := &pager{c: c, want: want, limit: limit, ranked: true}
+	ak, err := build()
+	if err != nil {
+		pg.finish(err)
+		return
+	}
+	seen := pattern.NewTupleSet()
+	tier, tierCost := 0, 0 // the tier is rows [tier, seen.Len()) of seen, all at tierCost
+	var perm []int32
+	flush := func() bool {
+		rows := seen.Rows()
+		perm = perm[:0]
+		for i := tier; i < rows.N; i++ {
+			perm = append(perm, int32(i))
+		}
+		tier = rows.N
+		slices.SortFunc(perm, func(a, b int32) int { return slices.Compare(rows.Row(int(a)), rows.Row(int(b))) })
+		for _, i := range perm {
+			if !pg.add(rows.Row(int(i)), tierCost) {
+				return false
 			}
 		}
 		return true
 	}
-	err := run(emit)
-	trunc := !limitHit && c.bud.Err() != nil
-	if errors.Is(err, engine.ErrCanceled) {
-		trunc, err = true, nil
+	for {
+		row, cost, ok := ak.Next()
+		if !ok || cost != tierCost {
+			if !flush() || !ok {
+				break
+			}
+			tierCost = cost
+		}
+		seen.AddRow(row)
 	}
-	c.pages <- cursorPage{rows: batch, final: true, err: err, truncated: trunc}
+	pg.finish(nil)
 }
 
 // produceRanked drains the enumeration keeping the minimal witness cost per
-// tuple, orders by the comparator, applies top-k, then serves pages. It is
-// the fallback for custom comparators (an arbitrary Less needs the full
-// result before any row's position is known); the default comparator takes
-// the incremental produceAnyK instead. Truncation is known before the first
-// page, so EVERY page carries the flag — a deadline-cut ranked result must
+// tuple, orders by the comparator, applies top-k, then hands the sorted slab
+// over as one final page, which the consumer windows. It is the fallback for
+// custom comparators (an arbitrary Less needs the full result before any
+// row's position is known). Truncation is known before the first row is
+// served, so EVERY page carries the flag — a deadline-cut ranked result must
 // never be mistaken for a complete top-k mid-pagination.
-func (c *Cursor) produceRanked(run streamRun, less func(a, b Row) bool, limit, want int) {
-	best := map[string]int{} // tuple key -> index into rows
-	var rows []Row
-	err := run(func(t pattern.Tuple, cost int) bool {
-		k := t.Key()
-		if i, ok := best[k]; ok {
-			if cost < rows[i].Cost {
-				rows[i].Cost = cost
-			}
-			return true
+func (c *Cursor) produceRanked(run streamRun, less func(a, b Row) bool, limit int) {
+	best := pattern.NewTupleSet()
+	var costs []int32 // per row of best: its minimal cost so far
+	err := run(func(row []int32, cost int) bool {
+		if at, added := best.Insert(row); added {
+			costs = append(costs, int32(cost))
+		} else if int32(cost) < costs[at] {
+			costs[at] = int32(cost)
 		}
-		best[k] = len(rows)
-		rows = append(rows, Row{Tuple: t, Cost: cost})
 		return true
 	})
 	trunc := c.bud.Err() != nil
 	if errors.Is(err, engine.ErrCanceled) {
 		trunc, err = true, nil
 	}
+	all := best.Rows()
+	all.Costs = costs
+	rows := rowsOf(all) // what the comparator reads
 	sort.SliceStable(rows, func(i, j int) bool { return less(rows[i], rows[j]) })
 	if limit > 0 && len(rows) > limit {
 		rows = rows[:limit]
 	}
-	idx := 0
-	for {
-		take := len(rows) - idx
-		if take > want {
-			take = want
+	sorted := pattern.Rows{Arity: all.Arity, N: len(rows)}
+	for _, r := range rows {
+		for _, v := range r.Tuple {
+			sorted.Data = append(sorted.Data, int32(v))
 		}
-		page := rows[idx : idx+take]
-		idx += take
-		if idx == len(rows) {
-			c.pages <- cursorPage{rows: page, final: true, err: err, truncated: trunc}
-			return
-		}
-		c.pages <- cursorPage{rows: page, truncated: trunc}
-		var ok bool
-		want, ok = <-c.reqs
-		if !ok {
-			return
-		}
+		sorted.Costs = append(sorted.Costs, int32(r.Cost))
 	}
+	c.pages <- cursorPage{rows: sorted, final: true, err: err, truncated: trunc}
 }
 
-// Fetch returns the next page of up to n rows. A short (or empty) page means
-// the stream is exhausted — check Err and Truncated then. After Close it
-// returns nil.
-func (c *Cursor) Fetch(n int) []Row {
-	if n <= 0 || c.closed {
+// rowsOf carves a page into Rows, the tuples out of one backing array.
+func rowsOf(p pattern.Rows) []Row {
+	tuples := p.Tuples()
+	if tuples == nil {
 		return nil
 	}
-	var out []Row
-	if len(c.buf) > 0 {
-		take := n
-		if take > len(c.buf) {
-			take = len(c.buf)
-		}
-		out = append(out, c.buf[:take]...)
-		c.buf = c.buf[take:]
-		n -= take
-	}
-	for n > 0 && !c.exhausted {
-		c.reqs <- n
-		p := <-c.pages
-		out = append(out, p.rows...)
-		n -= len(p.rows)
-		if p.truncated {
-			// Latched per page, not only on the final one: a deadline-cut
-			// ranked drain knows up front, and every page it serves is part
-			// of an incomplete result.
-			c.truncated = true
-		}
-		if p.final {
-			c.exhausted = true
-			c.err = p.err
-			close(c.reqs)
-			c.reqsClosed = true
+	out := make([]Row, p.N)
+	for i, t := range tuples {
+		out[i].Tuple = t
+		if p.Costs != nil {
+			out[i].Cost = int(p.Costs[i])
 		}
 	}
-	c.rowsOut += int64(len(out))
 	return out
 }
+
+// nextPage gets the next page of up to n rows and latches what it says.
+func (c *Cursor) nextPage(n int) pattern.Rows {
+	if c.reqs != nil {
+		c.reqs <- n
+		p := <-c.pages
+		c.truncated = c.truncated || p.truncated
+		if !p.final {
+			return p.rows
+		}
+		// The final page is all that is left, however much, and its flag all
+		// there is to say about truncation: the producer has exited, the budget
+		// has nothing left to cut, and the cursor goes on as a window.
+		close(c.reqs)
+		c.reqs, c.bud, c.win, c.err = nil, nil, p.rows, p.err
+	}
+	p := c.win.Slice(0, min(n, c.win.N))
+	c.win = c.win.Slice(p.N, c.win.N)
+	if p.N < n {
+		c.exhausted = true
+		c.truncated = c.truncated || c.bud.Err() != nil
+	}
+	return p
+}
+
+// FetchRows returns the next page of up to n rows as one slab. A short (or
+// empty) page means the stream is exhausted — check Err and Truncated then.
+// The page is read-only: a window cursor's pages alias the shared cached
+// answer. After Close it returns no rows.
+func (c *Cursor) FetchRows(n int) pattern.Rows {
+	if n <= 0 || c.closed {
+		return pattern.Rows{}
+	}
+	out := c.buf.Slice(0, min(n, c.buf.N)) // rows Next fetched ahead go first
+	c.buf = c.buf.Slice(out.N, c.buf.N)
+	if out.N == 0 && !c.exhausted {
+		out = c.nextPage(n)
+	} else if out.N < n && !c.exhausted {
+		p := c.nextPage(n - out.N) // top up in a copy: pages may alias shared storage
+		out.Data = append(slices.Clip(out.Data), p.Data...)
+		out.Costs = append(slices.Clip(out.Costs), p.Costs...)
+		out.N += p.N
+	}
+	c.rowsOut += int64(out.N)
+	return out
+}
+
+// Fetch is FetchRows for callers that speak tuples (nil for an empty page).
+func (c *Cursor) Fetch(n int) []Row { return rowsOf(c.FetchRows(n)) }
 
 // Next returns the next row. The underlying page size escalates
 // geometrically (1, 4, 16, …, 256), so the first call does the least work
 // that can produce a row and a full drain still amortizes the page
 // handshakes.
 func (c *Cursor) Next() (Row, bool) {
-	if len(c.buf) == 0 {
+	if c.buf.N == 0 {
 		if c.closed || c.exhausted {
 			return Row{}, false
 		}
@@ -629,32 +606,32 @@ func (c *Cursor) Next() (Row, bool) {
 		if c.nextWant < 256 {
 			c.nextWant *= 4
 		}
-		c.buf = c.Fetch(want)
-		c.rowsOut -= int64(len(c.buf)) // recounted as Next hands them out
-		if len(c.buf) == 0 {
+		c.buf = c.nextPage(want)
+		if c.buf.N == 0 {
 			return Row{}, false
 		}
 	}
-	r := c.buf[0]
-	c.buf = c.buf[1:]
+	r := rowsOf(c.buf.Slice(0, 1))[0]
+	c.buf = c.buf.Slice(1, c.buf.N)
 	c.rowsOut++
 	return r, true
 }
 
-// Close stops the stream: the budget is stopped, the producer unwinds at its
-// next poll, and Close blocks until it has exited — after Close returns, no
-// cursor goroutine touches the session. Safe to call multiple times and
-// after exhaustion.
+// Close stops the stream: the budget is stopped, the producer (a window
+// cursor has none) unwinds at its next poll, and Close blocks until it has
+// exited — after Close returns, no cursor goroutine touches the session. Safe
+// to call multiple times and after exhaustion.
 func (c *Cursor) Close() {
 	if c.closed {
 		return
 	}
 	c.closed = true
 	c.bud.Stop()
-	if !c.reqsClosed {
-		close(c.reqs)
-		c.reqsClosed = true
+	c.buf = pattern.Rows{}
+	if c.reqs == nil {
+		return
 	}
+	close(c.reqs)
 	for p := range c.pages {
 		if p.truncated {
 			c.truncated = true
@@ -663,12 +640,11 @@ func (c *Cursor) Close() {
 			c.err = p.err
 		}
 	}
-	c.buf = nil
 }
 
-// Err returns the evaluation error of an exhausted (or closed) stream, nil
-// while rows remain or when the stream ended cleanly. Budget truncation is
-// not an error here — see Truncated.
+// Err returns the evaluation error of a stream whose enumeration has ended
+// (or which was closed), nil while it runs or when it ended cleanly. Budget
+// truncation is not an error here — see Truncated.
 func (c *Cursor) Err() error { return c.err }
 
 // Truncated reports that the enumeration was cut short by the deadline or

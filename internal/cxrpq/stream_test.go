@@ -13,6 +13,7 @@ package cxrpq_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -24,13 +25,35 @@ import (
 	"cxrpq/internal/workload"
 )
 
+// pageRows reads a FetchRows page the way the server does, row by row.
+func pageRows(p pattern.Rows) []cxrpq.Row {
+	var rows []cxrpq.Row
+	for i := 0; i < p.N; i++ {
+		row := cxrpq.Row{Tuple: make(pattern.Tuple, p.Arity)}
+		for j, v := range p.Row(i) {
+			row.Tuple[j] = int(v)
+		}
+		if p.Costs != nil {
+			row.Cost = int(p.Costs[i])
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
 // drainCursor pulls the whole stream with the given page size (short page =
-// exhausted), failing on evaluation errors.
+// exhausted), failing on evaluation errors. Pages come alternately through
+// Fetch and through FetchRows, so every suite that drains exercises both.
 func drainCursor(t *testing.T, cur *cxrpq.Cursor, page int) []cxrpq.Row {
 	t.Helper()
 	var rows []cxrpq.Row
-	for {
-		p := cur.Fetch(page)
+	for i := 0; ; i++ {
+		var p []cxrpq.Row
+		if i%2 == 0 {
+			p = cur.Fetch(page)
+		} else {
+			p = pageRows(cur.FetchRows(page))
+		}
 		rows = append(rows, p...)
 		if len(p) < page {
 			break
@@ -529,7 +552,10 @@ func TestStreamRankedDeadlineTruncated(t *testing.T) {
 	fullSet := rowSet(order)
 
 	// Cancel after the first page: the producer is parked between pages, so
-	// the cut lands mid-enumeration deterministically.
+	// the cut lands mid-enumeration deterministically: inside the emission of
+	// the cheapest tier, with the one costlier row popped that ended it. The
+	// enumerator polls its budget every 64 queue pops, so at most 64 more
+	// rows follow that one.
 	ctx, cancel := context.WithCancel(context.Background())
 	cur, err := sess.Stream(cxrpq.StreamOptions{Ranked: true, Ctx: ctx})
 	if err != nil {
@@ -550,6 +576,16 @@ func TestStreamRankedDeadlineTruncated(t *testing.T) {
 	}
 	if !cur.Truncated() {
 		t.Fatal("canceled ranked stream must report Truncated")
+	}
+	costlier := 0
+	for _, row := range rows {
+		if row.Cost > first[0].Cost {
+			costlier++
+		}
+	}
+	if costlier > 65 || len(rows) == len(order) {
+		t.Fatalf("canceled ranked stream went on for %d rows past the tier in flight (%d of %d in all); want at most 65",
+			costlier, len(rows), len(order))
 	}
 	seen := map[string]bool{}
 	for i, row := range rows {
@@ -599,5 +635,135 @@ func TestStreamRankedDeadlineTruncated(t *testing.T) {
 		if !rowSet(rows2).Equal(want) {
 			t.Fatalf("ranked stream after truncation disagrees with Eval")
 		}
+	}
+}
+
+// A stream over a complete cached answer is a window into the set's sorted
+// rows: concurrent streams see the same rows in the same order out of one
+// shared slab that was sorted once, an abandoned cursor leaves no goroutine
+// behind, and a mutation between pages leaves the open window on the answer
+// it was opened over while new streams see the new one.
+func TestCachedStreamIsWindow(t *testing.T) {
+	plan, err := cxrpq.PrepareSrc("ans(x, z)\nx y : a+\ny z : b+")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := workload.Random(0x51ab, 40, 200, "ab")
+	sess := plan.Bind(db)
+	full, err := sess.Eval() // fills the result cache
+	if err != nil || full.Len() < 64 {
+		t.Fatalf("fixture: %v tuples, %v", full.Len(), err)
+	}
+	want := full.SortedRows()
+
+	before := runtime.NumGoroutine()
+	var wg sync.WaitGroup
+	pages := make([][]pattern.Rows, 2)
+	for w := range pages {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cur, err := sess.Stream(cxrpq.StreamOptions{})
+			if err != nil {
+				t.Errorf("Stream: %v", err)
+				return
+			}
+			for {
+				p := cur.FetchRows(7 + w)
+				pages[w] = append(pages[w], p)
+				if p.N < 7+w {
+					break
+				}
+			}
+			if cur.Truncated() || cur.Err() != nil {
+				t.Errorf("window stream: truncated %v, err %v", cur.Truncated(), cur.Err())
+			}
+		}()
+	}
+	wg.Wait()
+	for w, ps := range pages {
+		at := 0
+		for _, p := range ps {
+			if p.N > 0 && &p.Data[0] != &want.Data[at*want.Arity] {
+				t.Fatalf("stream %d: the page at row %d is not a window of the cached sorted slab", w, at)
+			}
+			at += p.N
+		}
+		if at != want.N {
+			t.Fatalf("stream %d: %d rows, the answer has %d", w, at, want.N)
+		}
+	}
+
+	// Abandoned first pages: nothing to join, nothing left running.
+	for i := 0; i < 50; i++ {
+		cur, err := sess.Stream(cxrpq.StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cur.Fetch(10); len(got) != 10 {
+			t.Fatalf("first page: %d rows", len(got))
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("abandoned window cursors left goroutines: %d before, %d after", before, after)
+	}
+
+	// A limit cuts the window and is not a truncation; a canceled budget on a
+	// complete answer still is, as it was when a producer served the cache.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		opts  cxrpq.StreamOptions
+		rows  int
+		trunc bool
+	}{
+		{cxrpq.StreamOptions{Limit: 5}, 5, false},
+		{cxrpq.StreamOptions{Limit: 5, Ctx: ctx}, 5, false},
+		{cxrpq.StreamOptions{Ctx: ctx}, want.N, true},
+	} {
+		cur, err := sess.Stream(tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows := drainCursor(t, cur, 4); len(rows) != tc.rows || cur.Truncated() != tc.trunc {
+			t.Fatalf("%+v: %d rows, truncated %v; want %d, %v", tc.opts, len(rows), cur.Truncated(), tc.rows, tc.trunc)
+		}
+	}
+
+	// ApplyDelta and Fork between pages behave as before: the open window keeps
+	// serving the answer it was opened over, new streams serve the new answer.
+	cur, err := sess.Stream(cxrpq.StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := pageRows(cur.FetchRows(20))
+	fork := sess.Fork(db.Snapshot().DB())
+	if _, err := sess.ApplyDelta(graph.Delta{Add: []graph.DeltaEdge{{From: "fresh1", Label: 'a', To: "fresh2"}, {From: "fresh2", Label: 'b', To: "fresh3"}}}); err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, drainCursor(t, cur, 33)...)
+	if len(got) != want.N {
+		t.Fatalf("window across ApplyDelta: %d rows, want %d", len(got), want.N)
+	}
+	for i, row := range got {
+		for j, v := range want.Row(i) {
+			if row.Tuple[j] != int(v) {
+				t.Fatalf("window across ApplyDelta: row %d = %v, want %v", i, row.Tuple, want.Row(i))
+			}
+		}
+	}
+	after, err := sess.Stream(cxrpq.StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(drainCursor(t, after, 64)); n != want.N+1 {
+		t.Fatalf("stream after ApplyDelta: %d rows, want %d", n, want.N+1)
+	}
+	forked, err := fork.Stream(cxrpq.StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(drainCursor(t, forked, 64)); n != want.N {
+		t.Fatalf("stream over the fork: %d rows, want %d", n, want.N)
 	}
 }

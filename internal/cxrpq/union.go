@@ -42,9 +42,7 @@ func (u *Union) Eval(db *graph.DB) (*pattern.TupleSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, t := range res.Sorted() {
-			out.Add(t)
-		}
+		out.AddAll(res)
 	}
 	return out, nil
 }
@@ -60,9 +58,7 @@ func (u *Union) EvalBounded(db *graph.DB, k int) (*pattern.TupleSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, t := range res.Sorted() {
-			out.Add(t)
-		}
+		out.AddAll(res)
 	}
 	return out, nil
 }

@@ -31,8 +31,8 @@ package ecrpq
 // nondecreasing too.
 
 import (
-	"encoding/binary"
-	"sort"
+	"cmp"
+	"slices"
 
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
@@ -40,11 +40,12 @@ import (
 	"cxrpq/internal/planner"
 )
 
-// anykExt is one way to satisfy a step: the step's witness contribution and
-// the values of its slots (rt.slots[ci]) under that choice. Lists of these
-// are cost-sorted and memoized per root.
-type anykExt struct {
-	d    int32
+// extList is the cost-sorted, memoized list of the ways to satisfy a step
+// under one binding of its slots: way i contributes d[i] to the witness cost
+// and sets the step's slots (rt.slots[ci]) to row i of vals. Two pointer-free
+// slabs per list, whatever its length.
+type extList struct {
+	d    []int32
 	vals []int32
 }
 
@@ -56,51 +57,99 @@ type anykRoot struct {
 	p     *plan
 	slots [][]int32 // per step: the slots it reads or binds (unique)
 	lb    []int32   // lb[i] = admissible lower bound of steps i..end; lb[len] = 0
-	memo  map[string][]anykExt
+	memo  []extMemo // per step: its extension lists by bound-slot values
 
-	hint    []int     // per step: last extension-list length (presize hint)
-	scratch []anykExt // counting-sort scratch, reused across extends
+	// The assignments of the root's queued nodes, len(p.init) slots each. A row
+	// belongs to one queued node at a time (a popped node hands it to its
+	// rank+1 sibling) and returns to freeRows when that chain ends.
+	rows     []int32
+	nrows    int32
+	freeRows []int32
+
+	hint         []int   // per step: last extension-list length (presize hint)
+	perm, sd, sv []int32 // sortExts scratch, reused across extends
+	key          []int32 // extend's lookup key
+}
+
+// extMemo holds one step's extension lists by the values of the step's slots
+// (all it reads of an assignment): lists[i] belongs to row i of keys.
+type extMemo struct {
+	tab   pattern.RowTable
+	keys  []int32
+	lists []extList
 }
 
 // anykNode is one node of the Lawler partition tree: steps before ci are
-// determined in assign at total witness cost cost, and the node stands for
-// choosing extension rank of step ci (a node with ci == len(steps) is a
-// complete assignment). assign is shared with the node's siblings — only
-// child creation copies it.
+// determined in its assignment row at total witness cost cost, and the node
+// stands for choosing extension rank of step ci (a node with ci ==
+// len(steps) is a complete assignment).
 type anykNode struct {
-	root   *anykRoot
-	ci     int
-	rank   int
-	cost   int32
-	assign []int32
+	root     int32 // index into AnyK.roots
+	ci, rank int32
+	cost     int32
+	row      int32 // its assignment: a row of the root's rows
 }
 
 // AnyK is the incremental ranked enumerator. Zero or more roots are added
 // (AddQuery/AddJoin), then Next pops complete assignments in globally
 // nondecreasing witness cost until the space is exhausted or the budget
 // cancels. Not safe for concurrent use.
+//
+// Popped nodes are recycled through free, so nodes is as large as the queue
+// has been, not as the enumeration is long; the heap therefore breaks cost
+// ties on a push sequence number (wItem.idx), not on the reused slot (ref).
 type AnyK struct {
 	bud   *engine.Budget
+	roots []*anykRoot
 	h     wHeap
 	nodes []anykNode
+	free  []int32
+	seq   int
+	pops  int
+	out   []int32 // the row Next returns
 }
 
 // NewAnyK returns an enumerator under an optional budget (nil = unlimited),
-// polled once per pop and inside every extension computation.
+// polled every 64 pops and inside every extension computation.
 func NewAnyK(bud *engine.Budget) *AnyK {
 	return &AnyK{bud: bud}
 }
 
 func (a *AnyK) pushNode(nd anykNode, key int32) {
-	a.nodes = append(a.nodes, nd)
-	a.h.push(wItem{cost: key, idx: len(a.nodes) - 1})
+	ref := int32(len(a.nodes))
+	if n := len(a.free); n > 0 {
+		ref, a.free = a.free[n-1], a.free[:n-1]
+		a.nodes[ref] = nd
+	} else {
+		a.nodes = append(a.nodes, nd)
+	}
+	a.h.push(wItem{cost: key, idx: a.seq, ref: ref})
+	a.seq++
+}
+
+func (rt *anykRoot) assign(r int32) []int32 {
+	w := len(rt.p.init)
+	return rt.rows[int(r)*w : int(r+1)*w]
+}
+
+// newRow returns a row holding a copy of src.
+func (rt *anykRoot) newRow(src []int32) int32 {
+	if n := len(rt.freeRows); n > 0 {
+		r := rt.freeRows[n-1]
+		rt.freeRows = rt.freeRows[:n-1]
+		copy(rt.assign(r), src)
+		return r
+	}
+	rt.rows = append(rt.rows, src...)
+	rt.nrows++
+	return rt.nrows - 1
 }
 
 // addRoot registers a compiled (ranked) plan as an enumeration source.
 func (a *AnyK) addRoot(p *plan) {
 	n := len(p.steps)
 	rt := &anykRoot{bud: a.bud, p: p, slots: make([][]int32, n), lb: make([]int32, n+1),
-		memo: map[string][]anykExt{}, hint: make([]int, n)}
+		memo: make([]extMemo, n), hint: make([]int, n)}
 	for i := n - 1; i >= 0; i-- {
 		st := &p.steps[i]
 		all := []int32{st.from, st.to}
@@ -108,17 +157,14 @@ func (a *AnyK) addRoot(p *plan) {
 			all = append(append([]int32(nil), st.grp.src...), st.grp.tgt...)
 		}
 		for _, s := range all {
-			dup := false
-			for _, t := range rt.slots[i] {
-				dup = dup || s == t
-			}
-			if !dup {
+			if !slices.Contains(rt.slots[i], s) {
 				rt.slots[i] = append(rt.slots[i], s)
 			}
 		}
 		rt.lb[i] = rt.lb[i+1] + st.min
 	}
-	a.pushNode(anykNode{root: rt, assign: p.init}, rt.lb[0])
+	a.roots = append(a.roots, rt)
+	a.pushNode(anykNode{root: int32(len(a.roots) - 1), row: rt.newRow(p.init)}, rt.lb[0])
 }
 
 // AddQuery adds a query-form root: q enumerated over db under the
@@ -146,48 +192,42 @@ func (a *AnyK) AddJoin(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec
 	a.addRoot(joinPlan(g, rels, spec, nil, pre, true))
 }
 
-// extKey identifies an extension list: the step position plus the
-// bound-or-not value of each of its slots (the only parts of assign the
-// step reads).
-func (rt *anykRoot) extKey(ci int, assign []int32) string {
-	buf := make([]byte, 0, 2+5*len(rt.slots[ci]))
-	buf = binary.AppendVarint(buf, int64(ci))
-	for _, s := range rt.slots[ci] {
-		buf = binary.AppendVarint(buf, int64(assign[s]))
-	}
-	return string(buf)
-}
-
 // extend materializes (or recalls) the cost-sorted extension list of step ci
-// under assign. A budget-canceled computation may be partial and is not
-// memoized.
-func (rt *anykRoot) extend(ci int, assign []int32) []anykExt {
-	key := rt.extKey(ci, assign)
-	if exts, ok := rt.memo[key]; ok {
-		return exts
+// under assign. ok is false when the budget cut the computation: the list is
+// then partial, is not memoized and must not be ranked from.
+func (rt *anykRoot) extend(ci int, assign []int32) (l extList, ok bool) {
+	slots, m := rt.slots[ci], &rt.memo[ci]
+	key := rt.key[:0]
+	for _, s := range slots {
+		key = append(key, assign[s])
 	}
-	slots := rt.slots[ci]
+	rt.key = key
+	at, slot := m.tab.Find(m.keys, len(slots), key)
+	if at >= 0 {
+		return m.lists[at], true
+	}
 	// Presize from the previous list of the same step: siblings in the
 	// partition tree materialize lists of similar length, and append-doubling
 	// on the ~1k-wide cohort lists used to dominate allocation churn.
 	h := rt.hint[ci]
-	exts := make([]anykExt, 0, h)
-	slab := make([]int32, 0, h*len(slots)) // one backing array for every value tuple
+	l = extList{d: make([]int32, 0, h), vals: make([]int32, 0, h*len(slots))}
 	rt.p.steps[ci].bindings(assign, func(d int32) bool {
-		base := len(slab)
+		l.d = append(l.d, d)
 		for _, s := range slots {
-			slab = append(slab, assign[s]) // a ranked step binds every slot it touches
+			l.vals = append(l.vals, assign[s]) // a ranked step binds every slot it touches
 		}
-		exts = append(exts, anykExt{d: d, vals: slab[base:len(slab):len(slab)]})
-		return len(exts)%1024 != 0 || !rt.bud.Canceled()
+		return len(l.d)%1024 != 0 || !rt.bud.Canceled()
 	})
-	rt.hint[ci] = len(exts)
-	rt.sortExts(exts)
-	if !rt.bud.Canceled() {
-		rt.memo[key] = exts
-		rt.prefetchNext(ci, exts, assign)
+	rt.hint[ci] = len(l.d)
+	rt.sortExts(l, len(slots))
+	if rt.bud.Canceled() {
+		return l, false
 	}
-	return exts
+	m.keys = append(m.keys, key...)
+	m.lists = append(m.lists, l)
+	m.tab.Set(m.keys, len(slots), slot, int32(len(m.lists)-1))
+	rt.prefetchNext(ci, l, assign)
+	return l, true
 }
 
 // prefetchNext batches the per-source searches the cheapest cohort of a
@@ -201,8 +241,8 @@ func (rt *anykRoot) extend(ci int, assign []int32) []anykExt {
 // sweep. Extensions beyond the cheapest cohort are left to fault in lazily —
 // under distinct costs (e.g. pluggable weights) the cohort is one node and
 // the prefetch degenerates to a no-op.
-func (rt *anykRoot) prefetchNext(ci int, exts []anykExt, assign []int32) {
-	if ci+1 >= len(rt.p.steps) || len(exts) < 2 {
+func (rt *anykRoot) prefetchNext(ci int, l extList, assign []int32) {
+	if ci+1 >= len(rt.p.steps) || len(l.d) < 2 {
 		return
 	}
 	st := &rt.p.steps[ci+1]
@@ -230,14 +270,13 @@ func (rt *anykRoot) prefetchNext(ci int, exts []anykExt, assign []int32) {
 	if idx < 0 {
 		return // the determined endpoint is already fixed in assign: one source
 	}
-	cohort := exts[0].d
-	seen := make(map[int32]bool, len(exts))
-	srcs := make([]int, 0, len(exts))
-	for _, x := range exts {
-		if x.d != cohort {
+	seen := make(map[int32]bool, len(l.d))
+	srcs := make([]int, 0, len(l.d))
+	for i, d := range l.d {
+		if d != l.d[0] {
 			break // sorted: the cheapest cohort is a prefix
 		}
-		if v := x.vals[idx]; !seen[v] {
+		if v := l.vals[i*len(rt.slots[ci])+idx]; !seen[v] {
 			seen[v] = true
 			srcs = append(srcs, int(v))
 		}
@@ -247,84 +286,92 @@ func (rt *anykRoot) prefetchNext(ci int, exts []anykExt, assign []int32) {
 	}
 }
 
-// sortExts orders an extension list by cost, stably (within a cost, the
-// satisfy paths' deterministic enumeration order is preserved — rank
-// indexing and cursor fast-forward both depend on it). Costs are small BFS
-// levels or clamped weighted distances, so the common case is a stable
-// counting sort into a root-owned scratch buffer — extension sorting used to
-// dominate the time-to-first-row of cohort-heavy unit-cost queries through
-// reflect-based SliceStable, and per-call scratch allocation through the
-// zeroing of pointer-bearing memory. Wide or negative cost ranges fall back
-// to the comparison sort.
-func (rt *anykRoot) sortExts(exts []anykExt) {
-	if len(exts) < 2 {
+// sortExts orders an extension list of w-wide value rows by cost, stably
+// (within a cost, the satisfy paths' deterministic enumeration order is
+// preserved — rank indexing and cursor fast-forward both depend on it). Costs
+// are small BFS levels or clamped weighted distances, so the common case is a
+// stable counting sort; wide or negative cost ranges fall back to a
+// comparison sort of the permutation. Either way the list is gathered through
+// root-owned scratch: extension sorting used to dominate the
+// time-to-first-row of cohort-heavy unit-cost queries.
+func (rt *anykRoot) sortExts(l extList, w int) {
+	n := len(l.d)
+	if n < 2 || slices.IsSorted(l.d) {
 		return
 	}
-	maxD := int32(0)
-	narrow := true
-	for i := range exts {
-		d := exts[i].d
-		if d < 0 || d > 1<<20 {
-			narrow = false
-			break
+	perm := slices.Grow(rt.perm[:0], n)[:n] // perm[i]: the extension that goes i-th
+	if lo, hi := slices.Min(l.d), slices.Max(l.d); lo >= 0 && int(hi) <= 4*n+1024 {
+		counts := make([]int32, hi+2)
+		for _, d := range l.d {
+			counts[d+1]++
 		}
-		if d > maxD {
-			maxD = d
+		for d := 1; d < len(counts); d++ {
+			counts[d] += counts[d-1]
 		}
+		for i, d := range l.d {
+			perm[counts[d]] = int32(i)
+			counts[d]++
+		}
+	} else {
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+		slices.SortStableFunc(perm, func(x, y int32) int { return cmp.Compare(l.d[x], l.d[y]) })
 	}
-	if !narrow || int(maxD) > 4*len(exts)+1024 {
-		sort.SliceStable(exts, func(i, j int) bool { return exts[i].d < exts[j].d })
-		return
+	sd, sv := slices.Grow(rt.sd[:0], n)[:n], slices.Grow(rt.sv[:0], n*w)[:n*w]
+	for i, p := range perm {
+		sd[i] = l.d[p]
+		copy(sv[i*w:(i+1)*w], l.vals[int(p)*w:])
 	}
-	counts := make([]int32, maxD+2)
-	for i := range exts {
-		counts[exts[i].d+1]++
-	}
-	for d := 1; d < len(counts); d++ {
-		counts[d] += counts[d-1]
-	}
-	if cap(rt.scratch) < len(exts) {
-		rt.scratch = make([]anykExt, len(exts))
-	}
-	out := rt.scratch[:len(exts)]
-	for i := range exts {
-		d := exts[i].d
-		out[counts[d]] = exts[i]
-		counts[d]++
-	}
-	copy(exts, out)
+	copy(l.d, sd)
+	copy(l.vals, sv)
+	rt.perm, rt.sd, rt.sv = perm, sd, sv
 }
 
 // Next pops the next complete assignment's output projection and exact
-// witness cost, in globally nondecreasing cost across every root. ok is
-// false when the space is exhausted or the budget canceled — the caller
-// distinguishes the two through the budget's Err.
-func (a *AnyK) Next() (pattern.Tuple, int, bool) {
+// witness cost, in globally nondecreasing cost across every root; the row is
+// overwritten by the next call. ok is false when the space is exhausted or
+// the budget canceled — the caller tells the two apart by the budget's Err.
+func (a *AnyK) Next() (row []int32, cost int, ok bool) {
 	for len(a.h) > 0 {
-		if a.bud.Canceled() {
+		if a.pops%64 == 0 && a.bud.Canceled() {
 			return nil, 0, false
 		}
-		nd := a.nodes[a.h.pop().idx] // copy: pushNode below may grow the slab
-		rt := nd.root
-		if nd.ci == len(rt.p.steps) {
-			return rt.p.project(nd.assign), int(nd.cost), true
+		a.pops++
+		ref := a.h.pop().ref
+		nd := a.nodes[ref]
+		a.free = append(a.free, ref)
+		rt := a.roots[nd.root]
+		assign := rt.assign(nd.row)
+		if int(nd.ci) == len(rt.p.steps) {
+			a.out = slices.Grow(a.out[:0], len(rt.p.out))[:len(rt.p.out)]
+			rt.p.project(assign, a.out)
+			rt.freeRows = append(rt.freeRows, nd.row)
+			return a.out, int(nd.cost), true
 		}
-		exts := rt.extend(nd.ci, nd.assign)
-		if nd.rank >= len(exts) {
+		l, ok := rt.extend(int(nd.ci), assign)
+		if !ok {
+			return nil, 0, false
+		}
+		if int(nd.rank) >= len(l.d) {
+			rt.freeRows = append(rt.freeRows, nd.row)
 			continue
 		}
-		ext := exts[nd.rank]
-		if nd.rank+1 < len(exts) {
-			a.pushNode(
-				anykNode{root: rt, ci: nd.ci, rank: nd.rank + 1, cost: nd.cost, assign: nd.assign},
-				nd.cost+exts[nd.rank+1].d+rt.lb[nd.ci+1])
+		slots, d := rt.slots[nd.ci], l.d[nd.rank]
+		// The rank+1 sibling inherits the row and the child gets a copy; the
+		// last of a chain has no sibling, so its child takes the row over.
+		crow := nd.row
+		if int(nd.rank)+1 < len(l.d) {
+			crow = rt.newRow(assign)
+			a.pushNode(anykNode{root: nd.root, ci: nd.ci, rank: nd.rank + 1, cost: nd.cost, row: nd.row},
+				nd.cost+l.d[nd.rank+1]+rt.lb[nd.ci+1])
 		}
-		child := anykNode{root: rt, ci: nd.ci + 1, cost: nd.cost + ext.d}
-		child.assign = append([]int32(nil), nd.assign...)
-		for i, s := range rt.slots[nd.ci] {
-			child.assign[s] = ext.vals[i]
+		cassign := rt.assign(crow)
+		for i, s := range slots {
+			cassign[s] = l.vals[int(nd.rank)*len(slots)+i]
 		}
-		a.pushNode(child, child.cost+rt.lb[nd.ci+1])
+		a.pushNode(anykNode{root: nd.root, ci: nd.ci + 1, cost: nd.cost + d, row: crow},
+			nd.cost+d+rt.lb[nd.ci+1])
 	}
 	return nil, 0, false
 }

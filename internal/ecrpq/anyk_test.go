@@ -1,6 +1,7 @@
 package ecrpq_test
 
 import (
+	"context"
 	"sort"
 	"testing"
 	"time"
@@ -8,21 +9,20 @@ import (
 	"cxrpq/internal/ecrpq"
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
-	"cxrpq/internal/pattern"
 	"cxrpq/internal/workload"
 )
 
 // drainRanked is the legacy baseline: full ranked drain with min-cost
 // dedup, sorted by (cost, tuple).
-func drainRanked(t *testing.T, q *ecrpq.Query, db *graph.DB, w engine.Weight) ([]pattern.Tuple, []int) {
+func drainRanked(t *testing.T, q *ecrpq.Query, db *graph.DB, w engine.Weight) ([][]int32, []int) {
 	t.Helper()
 	best := map[string]int{}
-	tuples := map[string]pattern.Tuple{}
-	err := ecrpq.EvalStream(q, db, ecrpq.Options{Ranked: true, Weight: w}, func(tu pattern.Tuple, cost int) bool {
-		k := tupleKey(tu)
+	tuples := map[string][]int32{}
+	err := ecrpq.EvalStream(q, db, ecrpq.Options{Ranked: true, Weight: w}, func(row []int32, cost int) bool {
+		k := tupleKey(row)
 		if c, ok := best[k]; !ok || cost < c {
 			best[k] = cost
-			tuples[k] = append(pattern.Tuple(nil), tu...)
+			tuples[k] = append([]int32(nil), row...)
 		}
 		return true
 	})
@@ -39,7 +39,7 @@ func drainRanked(t *testing.T, q *ecrpq.Query, db *graph.DB, w engine.Weight) ([
 		}
 		return tupleLess(tuples[keys[i]], tuples[keys[j]])
 	})
-	outT := make([]pattern.Tuple, len(keys))
+	outT := make([][]int32, len(keys))
 	outC := make([]int, len(keys))
 	for i, k := range keys {
 		outT[i], outC[i] = tuples[k], best[k]
@@ -47,7 +47,7 @@ func drainRanked(t *testing.T, q *ecrpq.Query, db *graph.DB, w engine.Weight) ([
 	return outT, outC
 }
 
-func tupleKey(t pattern.Tuple) string {
+func tupleKey(t []int32) string {
 	b := make([]byte, 0, 8*len(t))
 	for _, v := range t {
 		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
@@ -55,7 +55,7 @@ func tupleKey(t pattern.Tuple) string {
 	return string(b)
 }
 
-func tupleLess(a, b pattern.Tuple) bool {
+func tupleLess(a, b []int32) bool {
 	for i := range a {
 		if i >= len(b) {
 			return false
@@ -165,7 +165,10 @@ func TestAnyKMatchesDrainGroups(t *testing.T) {
 	}
 }
 
-// A canceled budget stops Next without emitting out-of-order rows.
+// A canceled budget stops Next without emitting out-of-order rows. The budget
+// is polled on the first pop, every 64 pops after it and inside every
+// extension computation: an expired one yields nothing, and one canceled
+// mid-stream is noticed within 64 more rows (a row is at least one pop).
 func TestAnyKBudgetStops(t *testing.T) {
 	db := workload.Random(5, 40, 160, "ab")
 	q := mustQuery(t, "ans(x, z)\nx y : a+\ny z : b+")
@@ -179,5 +182,28 @@ func TestAnyKBudgetStops(t *testing.T) {
 	}
 	if bud.Err() == nil {
 		t.Fatal("budget must report cancellation")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ak = ecrpq.NewAnyK(engine.NewBudget(ctx, time.Time{}, 0))
+	if err := ak.AddQuery(q, db, nil); err != nil {
+		t.Fatal(err)
+	}
+	prev := 0
+	for i := 0; i < 10; i++ {
+		_, cost, ok := ak.Next()
+		if !ok || cost < prev {
+			t.Fatalf("row %d before the cancellation: ok %v, cost %d after %d", i, ok, cost, prev)
+		}
+		prev = cost
+	}
+	cancel()
+	extra := 0
+	for _, cost, ok := ak.Next(); ok; _, cost, ok = ak.Next() {
+		if extra++; cost < prev || extra > 64 {
+			t.Fatalf("row %d after the cancellation, cost %d after %d: want at most 64 rows, costs nondecreasing", extra, cost, prev)
+		}
+		prev = cost
 	}
 }

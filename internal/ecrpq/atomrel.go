@@ -307,8 +307,8 @@ func semijoinFloorFor(spec *planner.PlanSpec) float64 {
 // JoinRelationsStream.
 func JoinRelations(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pre map[string]int, boolOnly bool) *pattern.TupleSet {
 	out := pattern.NewTupleSet()
-	JoinRelationsStream(g, rels, spec, pre, Options{}, func(t pattern.Tuple, _ int) bool {
-		out.Add(t)
+	JoinRelationsStream(g, rels, spec, pre, Options{}, func(row []int32, _ int) bool {
+		out.AddRow(row)
 		return !boolOnly
 	})
 	return out

@@ -32,9 +32,11 @@ type Options struct {
 	Weight engine.Weight
 }
 
-// StreamFunc consumes one enumerated tuple with its witness cost (0 unless
-// ranked). Returning false stops the enumeration.
-type StreamFunc func(t pattern.Tuple, cost int) bool
+// StreamFunc consumes one enumerated output row with its witness cost (0
+// unless ranked). The row is the enumeration's own and is overwritten by the
+// next one: a consumer that keeps it copies it. Returning false stops the
+// enumeration.
+type StreamFunc func(row []int32, cost int) bool
 
 // Eval computes q(D): the set of output tuples (node ids in the order of
 // q.Pattern.Out). For Boolean queries the result is the empty tuple set or
@@ -51,8 +53,8 @@ func EvalWith(q *Query, db *graph.DB, o Options) (*pattern.TupleSet, error) {
 		return nil, err
 	}
 	out := pattern.NewTupleSet()
-	ev.stream(nil, func(t pattern.Tuple, _ int) bool {
-		out.Add(t)
+	ev.stream(nil, func(row []int32, _ int) bool {
+		out.AddRow(row)
 		return true
 	})
 	return out, o.Budget.Err()
@@ -80,7 +82,7 @@ func EvalBoolWith(q *Query, db *graph.DB, o Options) (bool, error) {
 // on the first full match.
 func (ev *evaluator) exists(pre map[string]int) (bool, error) {
 	found := false
-	ev.stream(pre, func(pattern.Tuple, int) bool {
+	ev.stream(pre, func([]int32, int) bool {
 		found = true
 		return false
 	})
@@ -148,19 +150,18 @@ func EvalStream(q *Query, db *graph.DB, o Options, yield StreamFunc) error {
 		return err
 	}
 	if !o.Ranked {
-		seen := map[string]bool{}
-		emit := yield
-		yield = func(t pattern.Tuple, cost int) bool {
-			k := t.Key()
-			if seen[k] {
-				return true
-			}
-			seen[k] = true
-			return emit(t, cost)
-		}
+		yield = Dedup(yield)
 	}
 	ev.stream(nil, yield)
 	return nil
+}
+
+// Dedup wraps yield so that it sees each distinct row once (the first time).
+func Dedup(yield StreamFunc) StreamFunc {
+	seen := pattern.NewTupleSet()
+	return func(row []int32, cost int) bool {
+		return !seen.AddRow(row) || yield(row, cost)
+	}
 }
 
 // EvalUnion computes ⋃ qi(D). Members are evaluated concurrently across
@@ -183,9 +184,7 @@ func EvalUnion(u *Union, db *graph.DB) (*pattern.TupleSet, error) {
 			return
 		}
 		mu.Lock()
-		for _, t := range res.All() {
-			out.Add(t)
-		}
+		out.AddAll(res)
 		mu.Unlock()
 	})
 	for _, err := range errs {

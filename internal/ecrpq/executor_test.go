@@ -41,7 +41,17 @@ func newCollector(t *testing.T, name string, monotone bool) *collector {
 	return &collector{t: t, name: name, monotone: monotone, best: map[string]int{}, tuples: map[string]pattern.Tuple{}}
 }
 
-func (c *collector) yield(tu pattern.Tuple, cost int) bool {
+// tupleOf copies a streamed row, which the enumeration reuses, into a tuple.
+func tupleOf(row []int32) pattern.Tuple {
+	tu := make(pattern.Tuple, len(row))
+	for i, v := range row {
+		tu[i] = int(v)
+	}
+	return tu
+}
+
+func (c *collector) yield(row []int32, cost int) bool {
+	tu := tupleOf(row)
 	if c.monotone && cost < c.prev {
 		c.t.Fatalf("%s: cost %d emitted after %d", c.name, cost, c.prev)
 	}
@@ -49,7 +59,7 @@ func (c *collector) yield(tu pattern.Tuple, cost int) bool {
 	k := tu.Key()
 	if old, ok := c.best[k]; !ok || cost < old {
 		c.best[k] = cost
-		c.tuples[k] = append(pattern.Tuple(nil), tu...)
+		c.tuples[k] = tu
 	}
 	return true
 }
@@ -252,7 +262,7 @@ func TestJoinRankedComesFromCallerNotRelation(t *testing.T) {
 			rels[i] = r
 		}
 		rows, costs := 0, 0
-		JoinRelationsStream(g, rels, PlanJoin(g, rels, nil), nil, Options{}, func(_ pattern.Tuple, cost int) bool {
+		JoinRelationsStream(g, rels, PlanJoin(g, rels, nil), nil, Options{}, func(_ []int32, cost int) bool {
 			rows++
 			costs += cost
 			return true
@@ -352,7 +362,7 @@ func TestFrontierProbeHonoursBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		part := pattern.NewTupleSet()
-		ev.stream(nil, func(tu pattern.Tuple, _ int) bool { part.Add(tu); return true })
+		ev.stream(nil, func(row []int32, _ int) bool { part.AddRow(row); return true })
 		if !errors.Is(ev.bud.Err(), engine.ErrCanceled) {
 			t.Fatalf("%d polls: the budget did not fire", polls)
 		}
@@ -398,7 +408,7 @@ func TestFrontierProbesInBatches(t *testing.T) {
 		return rows
 	}
 	before, answers := memoized(), 0
-	p.stream(nil, func(pattern.Tuple, int) bool { answers++; return true })
+	p.stream(nil, func([]int32, int) bool { answers++; return true })
 	if answers == 0 {
 		t.Fatal("the chain has no answers: the case is not exercised")
 	}

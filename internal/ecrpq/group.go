@@ -4,6 +4,7 @@ import (
 	"cxrpq/internal/automata"
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
+	"cxrpq/internal/pattern"
 )
 
 // Relation groups: the join step over a group's atoms (groupStep) and the
@@ -30,9 +31,9 @@ import (
 // those symbols as it binds the sources and abandons a subtree the moment
 // the intersection is empty. And a search that does run allocates nothing of
 // its own: configurations, end tuples and memoized sources are fixed-width
-// rows of []int32 slabs found through open-addressed tables (rowTable), all
-// owned by the group's scratch and reset between expansions by the list of
-// slots the last one touched.
+// rows of []int32 slabs found through open-addressed tables
+// (pattern.RowTable), all owned by the group's scratch and reset between
+// expansions by the list of slots the last one touched.
 
 // groupStep is the plan step of one relation group: src and tgt hold, per
 // group component, the slots of the component atom's endpoints.
@@ -174,7 +175,7 @@ type groupExp struct {
 // the group's synchronized semantics, memoized. Expansions cut short by the
 // budget are returned for the current unwinding but not memoized.
 func (sc *groupScratch) expand(ev *evaluator, src []int32) groupExp {
-	row, slot := sc.memo.find(sc.srcs, sc.s, src)
+	row, slot := sc.memo.Find(sc.srcs, sc.s, src)
 	if row >= 0 {
 		return sc.exps[row]
 	}
@@ -182,81 +183,9 @@ func (sc *groupScratch) expand(ev *evaluator, src []int32) groupExp {
 	if !ev.bud.Canceled() {
 		sc.srcs = append(sc.srcs, src...)
 		sc.exps = append(sc.exps, exp)
-		sc.memo.set(sc.srcs, sc.s, slot, int32(len(sc.exps)-1))
+		sc.memo.Set(sc.srcs, sc.s, slot, int32(len(sc.exps)-1))
 	}
 	return exp
-}
-
-// rowTable is an open-addressed index over the fixed-width rows of an
-// []int32 slab that its user owns: a slot holds 1 + a row number, 0 is
-// empty, and a key is found by comparing it with the rows themselves, so the
-// table stores no keys and hashes no strings. used lists the occupied slots,
-// which is what a reset clears.
-type rowTable struct {
-	slots []int32
-	used  []int32
-}
-
-func hashRow(key []int32) uint64 {
-	h := uint64(len(key))
-	for _, x := range key {
-		h = (h ^ uint64(uint32(x))) * 0x9E3779B97F4A7C15
-		h ^= h >> 29
-	}
-	return h
-}
-
-// find looks key up among the width-w rows of slab the table indexes. It
-// returns the row, or -1 and the slot at which set would insert it; the slot
-// is valid until the next set.
-func (t *rowTable) find(slab []int32, w int, key []int32) (row int32, slot int) {
-	if t.slots == nil {
-		t.slots = make([]int32, 16)
-	}
-	mask := len(t.slots) - 1
-search:
-	for i := int(hashRow(key)) & mask; ; i = (i + 1) & mask {
-		r := int(t.slots[i])
-		if r == 0 {
-			return -1, i
-		}
-		for j, x := range slab[(r-1)*w : r*w] {
-			if x != key[j] {
-				continue search
-			}
-		}
-		return int32(r - 1), i
-	}
-}
-
-// set points the slot find returned at row, which must be in the slab by
-// now, and keeps the table at most half full.
-func (t *rowTable) set(slab []int32, w, slot int, row int32) {
-	if t.slots[slot] == 0 {
-		t.used = append(t.used, int32(slot))
-	}
-	t.slots[slot] = row + 1
-	if 2*len(t.used) <= len(t.slots) {
-		return
-	}
-	old := t.slots
-	t.slots = make([]int32, 2*len(old))
-	mask := len(t.slots) - 1
-	for k, o := range t.used {
-		r := int(old[o])
-		i := int(hashRow(slab[(r-1)*w:r*w])) & mask
-		for t.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.slots[i], t.used[k] = int32(r), int32(i)
-	}
-}
-
-func (t *rowTable) reset() {
-	for _, i := range t.used {
-		t.slots[i] = 0
-	}
-	t.used = t.used[:0]
 }
 
 // liveRow is what the lock-step search needs to know about one set id of a
@@ -331,18 +260,18 @@ type groupScratch struct {
 	// row ranges of ends; deps runs parallel to ends when ranked.
 	srcs []int32
 	exps []groupExp
-	memo rowTable
+	memo pattern.RowTable
 	ends []int32
 	deps []int32
 
 	// The search in progress.
 	cfgs  []int32
-	cost  []int32  // per configuration
-	stale []bool   // a cheaper path reached the configuration after this push (weighted only)
-	best  rowTable // configuration -> cheapest row pushed so far
-	seen  rowTable // end tuples of this expansion
-	head  int      // FIFO cursor
-	heap  wHeap    // weighted frontier
+	cost  []int32          // per configuration
+	stale []bool           // a cheaper path reached the configuration after this push (weighted only)
+	best  pattern.RowTable // configuration -> cheapest row pushed so far
+	seen  pattern.RowTable // end tuples of this expansion
+	head  int              // FIFO cursor
+	heap  wHeap            // weighted frontier
 	pops  int
 
 	// The step under construction.
@@ -401,8 +330,8 @@ func (sc *groupScratch) end(i int32) []int32 { return sc.ends[int(i)*sc.s : int(
 // search runs the group's product search from the source tuple src.
 func (sc *groupScratch) search(ev *evaluator, src []int32) groupExp {
 	sc.cfgs, sc.cost, sc.stale, sc.heap = sc.cfgs[:0], sc.cost[:0], sc.stale[:0], sc.heap[:0]
-	sc.best.reset()
-	sc.seen.reset()
+	sc.best.Reset()
+	sc.seen.Reset()
 	sc.head, sc.pops = 0, 0
 	clear(sc.row)
 	for i, c := range sc.caches {
@@ -424,7 +353,7 @@ func (sc *groupScratch) search(ev *evaluator, src []int32) groupExp {
 // push queues the candidate configuration sc.row unless it was already
 // reached at most as expensively.
 func (sc *groupScratch) push(cost int32) {
-	old, slot := sc.best.find(sc.cfgs, sc.w, sc.row)
+	old, slot := sc.best.Find(sc.cfgs, sc.w, sc.row)
 	if old >= 0 {
 		if sc.cost[old] <= cost {
 			return
@@ -435,7 +364,7 @@ func (sc *groupScratch) push(cost int32) {
 	sc.cfgs = append(sc.cfgs, sc.row...)
 	sc.cost = append(sc.cost, cost)
 	sc.stale = append(sc.stale, false)
-	sc.best.set(sc.cfgs, sc.w, slot, int32(idx))
+	sc.best.Set(sc.cfgs, sc.w, slot, int32(idx))
 	if sc.wsym != nil {
 		sc.heap.push(wItem{cost: cost, idx: idx})
 	}
@@ -493,12 +422,12 @@ func (sc *groupScratch) next(bud *engine.Budget) (cfg []int32, cost int32, ok bo
 // accept records an accepting configuration's end tuple at its first —
 // cheapest — appearance, with its cost when ranked.
 func (sc *groupScratch) accept(nodes []int32, cost int32, ranked bool) {
-	row, slot := sc.seen.find(sc.ends, sc.s, nodes)
+	row, slot := sc.seen.Find(sc.ends, sc.s, nodes)
 	if row >= 0 {
 		return
 	}
 	sc.ends = append(sc.ends, nodes...)
-	sc.seen.set(sc.ends, sc.s, slot, int32(len(sc.ends)/sc.s-1))
+	sc.seen.Set(sc.ends, sc.s, slot, int32(len(sc.ends)/sc.s-1))
 	if ranked {
 		sc.deps = append(sc.deps, cost)
 	}
@@ -628,12 +557,13 @@ func (ev *evaluator) symCost(label rune) int32 {
 	return max(ev.weight(label), 0)
 }
 
-// wItem / wHeap: a minimal binary min-heap on (cost, idx). idx points into a
-// caller-owned slab that only ever grows, so it doubles as the insertion
-// sequence: equal-cost entries pop in FIFO order, which keeps every search
-// built on the heap deterministic.
+// wItem / wHeap: a minimal binary min-heap on (cost, idx). idx is the
+// insertion sequence: equal-cost entries pop in FIFO order, which keeps every
+// search built on the heap deterministic. For the product search it is also
+// the entry's row in a slab that only grows; any-k recycles its slab: ref.
 type wItem struct {
 	cost int32
+	ref  int32
 	idx  int
 }
 

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"cxrpq/internal/engine"
-	"cxrpq/internal/pattern"
 )
 
 // Every evaluation algorithm of the paper ends in the same step: join a
@@ -145,13 +144,11 @@ func (st *step) support(uok, vok bool) (sup []uint64, forward bool) {
 	return pa.support(forward), forward
 }
 
-// project copies the output slots of a complete assignment into a tuple.
-func (p *plan) project(a []int32) pattern.Tuple {
-	t := make(pattern.Tuple, len(p.out))
+// project writes the output slots of a complete assignment into row.
+func (p *plan) project(a, row []int32) {
 	for i, s := range p.out {
-		t[i] = int(a[s])
+		row[i] = a[s]
 	}
-	return t
 }
 
 // run is the backtracking driver: a depth-first search over the steps in
@@ -186,9 +183,13 @@ func (p *plan) run(bud *engine.Budget, yield func(a []int32, cost int) bool) {
 }
 
 // stream runs the plan and yields each complete assignment's output
-// projection.
+// projection, in one row it reuses.
 func (p *plan) stream(bud *engine.Budget, yield StreamFunc) {
-	p.run(bud, func(a []int32, cost int) bool { return yield(p.project(a), cost) })
+	row := make([]int32, len(p.out))
+	p.run(bud, func(a []int32, cost int) bool {
+		p.project(a, row)
+		return yield(row, cost)
+	})
 }
 
 func bitHas(b []uint64, i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }

@@ -62,7 +62,7 @@ func TestSupportReadDifferential(t *testing.T) {
 				t.Fatalf("query %d: Yannakakis program %v, backtracking %v\n%s", qi, yan.Sorted(), res.Sorted(), g)
 			}
 			var lazy []string
-			err = ecrpq.EvalStream(q, db, ecrpq.Options{}, func(tu pattern.Tuple, cost int) bool {
+			err = ecrpq.EvalStream(q, db, ecrpq.Options{}, func(tu []int32, cost int) bool {
 				lazy = append(lazy, fmt.Sprint(tu, cost))
 				return true
 			})
@@ -85,7 +85,7 @@ func TestSupportReadDifferential(t *testing.T) {
 			}
 			for name, w := range map[string]engine.Weight{"ranked": nil, "weighted": weight} {
 				var seq []string // emission order matters: nondecreasing cost, ties in enumeration order
-				err := ecrpq.EvalStream(q, db, ecrpq.Options{Ranked: true, Weight: w}, func(tu pattern.Tuple, cost int) bool {
+				err := ecrpq.EvalStream(q, db, ecrpq.Options{Ranked: true, Weight: w}, func(tu []int32, cost int) bool {
 					seq = append(seq, fmt.Sprint(tu, cost))
 					return true
 				})

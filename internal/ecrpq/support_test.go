@@ -183,7 +183,7 @@ func TestSupportAnswersUnreadEndpoint(t *testing.T) {
 					t.Fatal(err)
 				}
 				rows := 0
-				ev.stream(nil, func(pattern.Tuple, int) bool { rows++; return true })
+				ev.stream(nil, func([]int32, int) bool { rows++; return true })
 				if rows == 0 {
 					t.Fatalf("%s: no answers, the case is not exercised", tc.name)
 				}

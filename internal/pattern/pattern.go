@@ -8,7 +8,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
 
 	"cxrpq/internal/xregex"
 )
@@ -135,83 +134,14 @@ func (g *Graph) Clone() *Graph {
 // Tuple is an output tuple of node ids.
 type Tuple []int
 
-// keyBuf recycles the scratch buffer Key encodes into; the returned string
-// is its own allocation, so pooling the buffer leaves exactly one
-// allocation per key.
-var keyBuf = sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
-
 // Key returns a canonical map key for the tuple: the uvarint encoding of
-// its ids, concatenated. Varints are self-delimiting, so distinct tuples
-// yield distinct keys, at a fraction of the cost and size of the decimal
-// print this replaces. uint64 conversion is a bijection on int, so the
-// encoding stays injective even for out-of-range ids.
+// its ids, concatenated. Varints are self-delimiting and uint64 conversion
+// is a bijection on int, so distinct tuples yield distinct keys. It names one
+// request's tuple in a cache key; sets of rows never go through it.
 func (t Tuple) Key() string {
-	bp := keyBuf.Get().(*[]byte)
-	b := (*bp)[:0]
+	b := make([]byte, 0, 16)
 	for _, v := range t {
 		b = binary.AppendUvarint(b, uint64(v))
 	}
-	s := string(b)
-	*bp = b
-	keyBuf.Put(bp)
-	return s
-}
-
-// TupleSet is a set of output tuples with deterministic enumeration order.
-type TupleSet struct {
-	seen map[string]bool
-	list []Tuple
-}
-
-// NewTupleSet returns an empty tuple set.
-func NewTupleSet() *TupleSet { return &TupleSet{seen: map[string]bool{}} }
-
-// Add inserts t if not present; it reports whether t was new.
-func (s *TupleSet) Add(t Tuple) bool {
-	k := t.Key()
-	if s.seen[k] {
-		return false
-	}
-	s.seen[k] = true
-	s.list = append(s.list, append(Tuple(nil), t...))
-	return true
-}
-
-// Contains reports membership.
-func (s *TupleSet) Contains(t Tuple) bool { return s.seen[t.Key()] }
-
-// Len returns the number of tuples.
-func (s *TupleSet) Len() int { return len(s.list) }
-
-// All returns the tuples in insertion order. The returned slice is the
-// set's backing storage — callers must not modify it or hold it across a
-// later Add.
-func (s *TupleSet) All() []Tuple { return s.list }
-
-// Sorted returns the tuples in lexicographic order.
-func (s *TupleSet) Sorted() []Tuple {
-	out := append([]Tuple(nil), s.list...)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
-	return out
-}
-
-// Equal reports whether two tuple sets contain the same tuples.
-func (s *TupleSet) Equal(o *TupleSet) bool {
-	if s.Len() != o.Len() {
-		return false
-	}
-	for k := range s.seen {
-		if !o.seen[k] {
-			return false
-		}
-	}
-	return true
+	return string(b)
 }

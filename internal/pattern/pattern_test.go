@@ -76,7 +76,7 @@ func TestTupleSet(t *testing.T) {
 	if !s.Equal(o) {
 		t.Fatal("sets should be equal")
 	}
-	o.Add(Tuple{9})
+	o.Add(Tuple{9, 9})
 	if s.Equal(o) {
 		t.Fatal("sets should differ")
 	}
