@@ -6,7 +6,6 @@ package repro
 // same tables.
 
 import (
-	"fmt"
 	"testing"
 
 	"cxrpq/internal/automata"
@@ -276,14 +275,10 @@ func BenchmarkEngineReachFan(b *testing.B) {
 	}
 }
 
-// BenchmarkReachBatch measures the sharded multi-source kernel (PR 6) on
-// the scaled E22 gMark-style workload against the per-source fan:
-// "reachfan" is the historical baseline (one BFS per source, parallelism
-// from Fan), "batch/x1" is MS-BFS source batching alone (single shard,
-// inline), and "batch/xN" adds the frontier-exchange sharding at the
-// effective shard count (forced to ≥4 so the exchange machinery is
-// exercised even on single-core runners). The acceptance floor for PR 6 is
-// batch ≥ 2x over reachfan — an algorithmic win (64 sources share each
+// BenchmarkReachBatch measures the multi-source kernel on the scaled E22
+// gMark-style workload against the per-source fan: "reachfan" is one BFS per
+// source with parallelism from Fan, "batch" the MS-BFS batches of
+// engine.ReachBatchEx. Batching is an algorithmic win (64 sources share each
 // product-edge sweep), so it holds at any GOMAXPROCS.
 func BenchmarkReachBatch(b *testing.B) {
 	db := workload.GMark(7, 2400)
@@ -293,10 +288,6 @@ func BenchmarkReachBatch(b *testing.B) {
 	for i := range srcs {
 		srcs[i] = i
 	}
-	shards := engine.Shards()
-	if shards < 4 {
-		shards = 4
-	}
 	b.Run("reachfan", func(b *testing.B) {
 		c := automata.NewSubsetCache(m)
 		b.ResetTimer()
@@ -304,25 +295,16 @@ func BenchmarkReachBatch(b *testing.B) {
 			reachFan(ix, c, srcs)
 		}
 	})
-	b.Run("batch/x1", func(b *testing.B) {
+	b.Run("batch", func(b *testing.B) {
 		c := automata.NewSubsetCache(m)
-		part := db.Partition(1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			engine.ReachBatch(ix, part, c, srcs, true)
-		}
-	})
-	b.Run(fmt.Sprintf("batch/x%d", shards), func(b *testing.B) {
-		c := automata.NewSubsetCache(m)
-		part := db.Partition(shards)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			engine.ReachBatch(ix, part, c, srcs, true)
+			engine.ReachBatchEx(ix, c, srcs, true, engine.ReachOpts{})
 		}
 	})
 }
 
-func BenchmarkE22ShardedReach(b *testing.B) { benchTable(b, exp.E22ShardedReach) }
+func BenchmarkE22BatchedReach(b *testing.B) { benchTable(b, exp.E22BatchedReach) }
 
 // BenchmarkStreamFirstRow measures the streaming any-k layer (PR 7) on the
 // E23 high-output gMark-style workload: "first" pulls a single row through

@@ -1,9 +1,7 @@
 // Command cxrpq-exp runs the paper-reproduction experiment suite (E1–E26,
 // internal/exp) and prints one table per experiment. -cpuprofile/-memprofile
-// write runtime/pprof profiles of the run, the intended workflow for tuning
-// the sharded reachability kernel (engine.SetShards) against E22. Timings
-// across commits are the business of bench/ (see bench/README.md), not of
-// this command.
+// write runtime/pprof profiles of the run. Timings across commits are the
+// business of bench/ (see bench/README.md), not of this command.
 //
 // Usage:
 //

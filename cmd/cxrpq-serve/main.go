@@ -15,7 +15,7 @@
 //
 //	cxrpq-serve [-addr :8080] [-db name=path]... [-data-dir dir] [-follower]
 //	            [-wal-sync-every 1] [-checkpoint-bytes 4194304] [-follower-poll-ms 100]
-//	            [-inflight 64] [-shed-ms 100] [-sessions 128] [-shards 0] [-pprof]
+//	            [-inflight 64] [-shed-ms 100] [-sessions 128] [-pprof]
 //
 // Databases are the textual graph format (one "from label to" triple per
 // line); requests may alternatively carry an inline graph. With -data-dir,
@@ -54,7 +54,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 )
 
@@ -68,8 +67,7 @@ func main() {
 	inflight := flag.Int("inflight", 64, "soft in-flight cap: beyond it queries run degraded under the shed budget; beyond 2x requests get 429")
 	shedMS := flag.Int("shed-ms", 100, "eval budget (ms) for requests admitted beyond the soft in-flight cap")
 	sessions := flag.Int("sessions", 128, "pooled prepared sessions per database")
-	shards := flag.Int("shards", 0, "reachability-kernel shard count (0 = GOMAXPROCS; normalized to a power of two)")
-	pprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ for profile-driven shard tuning")
+	pprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	dataDir := flag.String("data-dir", "", "durability root: each named db persists under <dir>/<name> as WAL + checkpoints, recovered on startup")
 	follower := flag.Bool("follower", false, "serve the stores under -data-dir read-only, tailing each WAL; /update is refused")
 	walSync := flag.Int("wal-sync-every", 1, "fsync cadence in WAL appends: 1 syncs before every ack (crash-safe), n>1 group-commits (bounded loss), negative never syncs")
@@ -79,9 +77,6 @@ func main() {
 	flag.Var(&dbs, "db", "named database as name=path (repeatable); with -data-dir the path only seeds a fresh store")
 	flag.Parse()
 
-	if *shards != 0 {
-		engine.SetShards(*shards)
-	}
 	srv := newServer(serverOptions{
 		maxInflight: *inflight, sessionCap: *sessions, pprof: *pprof,
 		shedBudget: time.Duration(*shedMS) * time.Millisecond,
@@ -108,7 +103,7 @@ func main() {
 				name, fo.DB().NumNodes(), fo.DB().NumEdges(), fo.DB().Revision(), fo.Replayed())
 		}
 		log.Printf("cxrpq-serve follower listening on %s (%d dbs)", *addr, len(names))
-		log.Fatal(http.ListenAndServe(*addr, srv.handler()))
+		log.Fatal(serve(*addr, srv.handler()).ListenAndServe())
 	}
 
 	for _, v := range dbs {
@@ -153,7 +148,21 @@ func main() {
 	}
 
 	log.Printf("cxrpq-serve listening on %s (%d dbs, inflight=%d)", *addr, len(dbs), *inflight)
-	log.Fatal(http.ListenAndServe(*addr, srv.handler()))
+	log.Fatal(serve(*addr, srv.handler()).ListenAndServe())
+}
+
+// Connection timeouts of the listening server. There is no write timeout: a
+// 50 000-row answer and a parked cursor are legitimate.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// serve returns the HTTP server the leader and the follower listen with: a
+// client that stalls in its request headers, or idles on a kept-alive
+// connection, is dropped instead of holding a goroutine and a descriptor.
+func serve(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // seedStore loads a textual graph file into a store's empty database as one

@@ -399,6 +399,19 @@ func TestHealthzAndStats(t *testing.T) {
 	}
 }
 
+// The listening server drops clients that stall in their headers or idle on a
+// kept-alive connection, and never cuts a response short.
+func TestServeTimeouts(t *testing.T) {
+	h := http.NewServeMux()
+	hs := serve("127.0.0.1:0", h)
+	if hs.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 || hs.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout %v, IdleTimeout %v: want both set", hs.ReadHeaderTimeout, hs.IdleTimeout)
+	}
+	if hs.WriteTimeout != 0 || hs.Addr != "127.0.0.1:0" || hs.Handler != http.Handler(h) {
+		t.Fatalf("serve built %+v", hs)
+	}
+}
+
 func TestPlanEndpoint(t *testing.T) {
 	_, ts := testServer(t)
 	// g1 has two a-edges from u and one b-edge from v: the selective b atom

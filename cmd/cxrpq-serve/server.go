@@ -1407,9 +1407,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"match_cache": map[string]any{"hits": mc.Hits, "misses": mc.Misses, "size": mc.Size},
 		"inflight":    len(s.inflight),
 		"cursors":     s.cursors.open(),
-		// Sharded reachability-kernel counters: batch/level/source totals,
-		// edge volume, cross-shard exchange volume and the per-shard
-		// breakdown (for shard-count tuning alongside -pprof).
+		// Batched reachability-kernel counters: batch/level/source totals and
+		// edge volume (process-wide, across all DBs).
 		"engine": engine.ReachBatchStats(),
 		// Planner-v2 counters: containment checks/bails, atoms deleted by
 		// minimization, Yannakakis programs run, semijoin sweeps and

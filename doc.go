@@ -16,9 +16,7 @@
 //	                     compilation, Lemma 10 instantiation machinery
 //	internal/graph       graph databases (§2.2) with a label-indexed CSR
 //	                     adjacency view (Index), per-label statistics
-//	                     (Stats), a revision-cached alphabet and a
-//	                     degree-balanced shard map (Partition) for the
-//	                     sharded reachability kernel, all
+//	                     (Stats) and a revision-cached alphabet, all
 //	                     delta-maintained: batched mutations (Delta /
 //	                     ApplyDelta) are recorded in a per-revision log,
 //	                     and insert-only windows extend the index in place
@@ -42,15 +40,13 @@
 //	internal/engine      the product-reachability core shared by every
 //	                     evaluation path: integer-interned graph×NFA BFS
 //	                     with bitset visited sets (Reach), a bounded
-//	                     worker pool (Fan), and the sharded multi-source
-//	                     kernel (ReachBatch): a
-//	                     level-synchronous frontier-exchange BFS over the
-//	                     graph×automaton product with one goroutine per
-//	                     degree-balanced shard, MS-BFS source batching (64
-//	                     sources per machine word) and per-shard exchange
-//	                     counters; relation construction in ecrpq runs
-//	                     through it instead of the per-source fan; both
-//	                     kernels take one ReachOpts: BFS level indices
+//	                     worker pool (Fan), and the multi-source kernel
+//	                     (ReachBatchEx): a level-synchronous MS-BFS over
+//	                     the graph×automaton product, 64 sources per
+//	                     machine word, run on the calling goroutine on
+//	                     pooled scratch; relation construction in ecrpq
+//	                     runs through it instead of the per-source fan;
+//	                     both kernels take one ReachOpts: BFS level indices
 //	                     (shortest-witness distances), a pluggable
 //	                     edge-weight function (Weight switches the level
 //	                     computation from BFS to a heap Dijkstra over the
@@ -156,12 +152,11 @@
 // report (minimized atoms, acyclicity, free-connexness, join tree,
 // strategy), and /stats counters for
 // retained-vs-rebuilt cache entries, time-to-first-row and rows-streamed
-// telemetry, the sharded kernel's per-shard edge/exchange volumes, and the
+// telemetry, the reachability kernel's batch/level/edge volumes, and the
 // store's WAL/checkpoint/recovery counters; -data-dir makes every
 // database durable (recover on startup, WAL-append-then-ack), -follower
-// serves the same directories read-only by tailing the leader's log,
-// -shards pins the kernel shard count and -pprof mounts net/http/pprof
-// (see the quickstart and the PR 8 durability section in
+// serves the same directories read-only by tailing the leader's log and
+// -pprof mounts net/http/pprof (see the quickstart and the PR 8 durability section in
 // internal/README.md).
 //
 // internal/README.md describes the architecture of the hot path and the

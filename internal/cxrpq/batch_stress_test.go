@@ -1,53 +1,28 @@
 package cxrpq_test
 
-// Sharded-kernel coverage at the query level: a differential sweep of
-// random CXRPQs across engine shard counts, and a -race stress test driving
-// concurrent sharded session evaluations against an ApplyDelta writer on a
-// graph large enough that the frontier-exchange kernel really shards.
+// Batched-kernel coverage at the query level: a differential sweep of
+// random CXRPQs against the naive baseline, and a -race stress test driving
+// concurrent session evaluations against an ApplyDelta writer on a graph of
+// several MS-BFS batches. The test names predate the removal of the sharded
+// kernel.
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"cxrpq/internal/cxrpq"
-	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
 	"cxrpq/internal/workload"
 )
 
-// shardSweep returns the deduplicated shard counts to sweep: 1 (MS-BFS
-// batching only), 2, 4 (so frontier exchange runs even on one core),
-// GOMAXPROCS and 2·GOMAXPROCS.
-func shardSweep() []int {
-	p := runtime.GOMAXPROCS(0)
-	var out []int
-	for _, k := range []int{1, 2, 4, p, 2 * p} {
-		dup := false
-		for _, seen := range out {
-			if seen == k {
-				dup = true
-			}
-		}
-		if !dup {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-// TestShardedRandomQueryDifferential sweeps workload.RandomQuery seeds
-// across every shard count: the full pipeline (parse → plan → sharded
-// relation construction → join) must agree with the naive Theorem 6
-// baseline on small graphs, and stay self-consistent across shard counts on
-// a graph above the kernel's single-shard gate.
+// TestShardedRandomQueryDifferential sweeps workload.RandomQuery seeds: the
+// full pipeline (parse → plan → batched relation construction → join) must
+// agree with the naive Theorem 6 baseline on small graphs.
 func TestShardedRandomQueryDifferential(t *testing.T) {
-	restore := engine.SetShards(1)
-	defer engine.SetShards(restore)
 	for seed := int64(0); seed < 8; seed++ {
 		r := workload.NewRNG(seed*977 + 11)
 		q := workload.RandomQuery(r, r.Intn(4) != 0)
@@ -58,57 +33,31 @@ func TestShardedRandomQueryDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: naive: %v\nquery:\n%s", seed, err, q.Pattern)
 		}
-		for _, shards := range shardSweep() {
-			engine.SetShards(shards)
-			got, err := cxrpq.EvalBounded(q, db, k)
-			if err != nil {
-				t.Fatalf("seed %d shards %d: %v\nquery:\n%s", seed, shards, err, q.Pattern)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("seed %d shards %d: %d tuples, naive %d\nquery:\n%s",
-					seed, shards, got.Len(), want.Len(), q.Pattern)
-			}
-		}
-	}
-
-	// Above the gate: the answer set must not depend on the shard count.
-	q := cxrpq.MustParse("ans(p, q)\np m : $x{a|b}\nm q : ($x|b)a?\n")
-	db := workload.Random(23, 200, 600, "ab")
-	engine.SetShards(1)
-	want, err := cxrpq.EvalBounded(q, db, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range shardSweep()[1:] {
-		engine.SetShards(shards)
-		got, err := cxrpq.EvalBounded(q, db, 1)
+		got, err := cxrpq.EvalBounded(q, db, k)
 		if err != nil {
-			t.Fatalf("shards %d: %v", shards, err)
+			t.Fatalf("seed %d: %v\nquery:\n%s", seed, err, q.Pattern)
 		}
 		if !got.Equal(want) {
-			t.Fatalf("shards %d: %d tuples, single-shard %d", shards, got.Len(), want.Len())
+			t.Fatalf("seed %d: %d tuples, naive %d\nquery:\n%s", seed, got.Len(), want.Len(), q.Pattern)
 		}
 	}
 }
 
-// TestSessionConcurrentShardedDeltaStress is the sharded twin of
+// TestSessionConcurrentShardedDeltaStress is the large-graph twin of
 // TestSessionConcurrentDeltaStress: concurrent Session.Do readers against
-// an ApplyDelta writer under -race, with the engine forced to 4 shards and
-// a 200-node base graph so every relation build runs the frontier-exchange
-// kernel with goroutine-owned shards. Per-generation ground truths are
-// computed up front with one-shot evaluations on a scratch copy (the naive
-// baseline would be too slow at this node count).
+// an ApplyDelta writer under -race, on a 200-node base graph so every
+// relation build and delta extension runs several batches of the kernel on
+// pooled workers shared between the readers. Per-generation ground truths
+// are computed up front with one-shot evaluations on a scratch copy (the
+// naive baseline would be too slow at this node count).
 func TestSessionConcurrentShardedDeltaStress(t *testing.T) {
-	restore := engine.SetShards(4)
-	defer engine.SetShards(restore)
-
 	q := cxrpq.MustParse("ans(p, q)\np m : $x{a|b}\nm q : ($x|b)a?\n")
 	mkDB := func() *graph.DB { return workload.Random(23, 200, 600, "ab") }
 	db := mkDB()
 	const k = 1
 
 	// Additions (fine-grained maintenance), a removal (full flush) and a
-	// round trip, as in the unsharded stress test.
+	// round trip, as in the small-graph stress test.
 	script := []graph.Delta{
 		{Add: []graph.DeltaEdge{{From: db.Name(0), Label: 'a', To: db.Name(3)}}},
 		{Add: []graph.DeltaEdge{{From: db.Name(1), Label: 'b', To: "fresh0"}, {From: "fresh0", Label: 'a', To: db.Name(2)}}},

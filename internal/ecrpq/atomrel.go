@@ -75,7 +75,7 @@ func BuildRelation(db *graph.DB, label xregex.Node, sigma []rune, o engine.Reach
 	for i := range srcs {
 		srcs[i] = i
 	}
-	res := engine.ReachBatchEx(db.Index(), db.Partition(engine.Shards()), ent.cache, srcs, true, o)
+	res := engine.ReachBatchEx(db.Index(), ent.cache, srcs, true, o)
 	if res.Truncated {
 		return nil, engine.ErrCanceled
 	}

@@ -128,7 +128,7 @@ func TestBatchOfOneBackward(t *testing.T) {
 	_, rc := ev.atoms[0].ent.reverse()
 	for v := 0; v < db.NumNodes(); v++ {
 		sh, sl := engine.Reach(ev.ix, rc, v, false, engine.ReachOpts{Levels: true})
-		one := engine.ReachBatchEx(ev.ix, db.Partition(engine.Shards()), rc, []int{v}, false,
+		one := engine.ReachBatchEx(ev.ix, rc, []int{v}, false,
 			engine.ReachOpts{Levels: true})
 		if fmt.Sprint(sh) != fmt.Sprint(one.Hits[0]) || fmt.Sprint(sl) != fmt.Sprint(one.Levs[0]) {
 			t.Fatalf("batch-of-one tgt %d: single (%v,%v) batch (%v,%v)", v, sh, sl, one.Hits[0], one.Levs[0])

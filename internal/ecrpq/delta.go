@@ -226,7 +226,7 @@ func extendRelation(db *graph.DB, e *relEntry, frontier *deltaFrontier, newN int
 	}
 	ix := db.Index()
 	withLev := e.rel.lev != nil
-	res := engine.ReachBatchEx(ix, db.Partition(engine.Shards()), ent.cache, frontier.list, true,
+	res := engine.ReachBatchEx(ix, ent.cache, frontier.list, true,
 		engine.ReachOpts{Levels: withLev})
 	r := &EdgeRel{fwd: make([][]int, newN)}
 	copy(r.fwd, e.rel.fwd)

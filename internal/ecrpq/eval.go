@@ -14,7 +14,7 @@ import (
 // zero value is an unlimited, unranked evaluation.
 type Options struct {
 	// Budget bounds the evaluation (nil = unlimited). It is polled at level
-	// granularity inside the product searches and on every join step, so
+	// granularity inside the product searches and every 64 join steps, so
 	// deadline, row-cap, context and sibling-stop cancellation all unwind
 	// promptly. Whatever was produced before a cancellation is a sound
 	// subset of q(D).

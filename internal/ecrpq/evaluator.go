@@ -207,7 +207,7 @@ func (p *probeAtom) prefetch(nodes []int, forward bool) {
 		return
 	}
 	ev := p.ev
-	res := engine.ReachBatchEx(ev.ix, ev.db.Partition(engine.Shards()), c, missing, forward, p.reachOpts())
+	res := engine.ReachBatchEx(ev.ix, c, missing, forward, p.reachOpts())
 	if res.Truncated {
 		return
 	}

@@ -379,6 +379,60 @@ func TestFrontierProbeHonoursBudget(t *testing.T) {
 	}
 }
 
+// The backtracking driver polls its budget every runPollEvery descents, as
+// TestAnyKBudgetStops states for the best-first one: after a cancellation in
+// the middle of the join, lazy or materializing, at most that many further
+// rows arrive (every row is a descent), every row is an answer, the run
+// reports ErrCanceled, and no probe made after the cancellation is memoized.
+func TestRunBudgetGrain(t *testing.T) {
+	db := probeRandomDB(11, 300, 900, "ab")
+	q, err := ParseQuery("ans(x, z)\nx y : a+\ny z : (a|b)+", []rune("ab"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := Eval(q, db)
+	if err != nil || full.Len() < 10*runPollEvery {
+		t.Fatalf("Eval = %d rows, %v: too few to cut", full.Len(), err)
+	}
+	memoized := func(ev *evaluator) (n int) {
+		for i := range ev.atoms {
+			n += len(ev.atoms[i].fwd.rows) + len(ev.atoms[i].rev.rows)
+		}
+		return n
+	}
+	for _, lazy := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		ev, err := newEvaluator(q, db, Options{Budget: engine.NewBudget(ctx, time.Time{}, 0)}, lazy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, after, memoAtCancel := 0, 0, 0
+		ev.stream(nil, func(row []int32, _ int) bool {
+			if !full.Contains(pattern.Tuple{int(row[0]), int(row[1])}) {
+				t.Fatalf("lazy %v: row %v is not an answer", lazy, row)
+			}
+			switch rows++; {
+			case rows == 3*runPollEvery+7:
+				cancel()
+				memoAtCancel = memoized(ev)
+			case rows > 3*runPollEvery+7:
+				after++
+			}
+			return true
+		})
+		cancel()
+		if !errors.Is(ev.bud.Err(), engine.ErrCanceled) || rows < 3*runPollEvery+7 {
+			t.Fatalf("lazy %v: the run ended after %d rows with %v, before the cancellation", lazy, rows, ev.bud.Err())
+		}
+		if after > runPollEvery {
+			t.Fatalf("lazy %v: %d rows after the cancellation, want at most %d", lazy, after, runPollEvery)
+		}
+		if now := memoized(ev); now != memoAtCancel {
+			t.Fatalf("lazy %v: %d probe rows memoized after the cancellation", lazy, now-memoAtCancel)
+		}
+	}
+}
+
 // A materializing run asks the kernel for whole frontiers: a 3-atom chain
 // over n nodes costs at most ⌈n/64⌉ batches per step, and the join that
 // follows finds every probe in the memo — no single-source search, no

@@ -1,13 +1,12 @@
 package ecrpq
 
-// Differential tests of the sharded relation-construction path: with the
-// engine shard knob swept over 1, 2, 4, GOMAXPROCS and 2·GOMAXPROCS, the
-// relations materialized through engine.ReachBatch (RelationFor and the
-// RelCache frontier-extension path) must equal the per-source engine.Reach
-// results on the same graph, including after insert-only deltas.
+// Differential tests of relation construction: the relations materialized
+// through the batched kernel (RelationFor and the RelCache
+// frontier-extension path, engine.ReachBatchEx) must equal the per-source
+// engine.Reach results on the same graph, including after insert-only deltas.
+// The test names predate the removal of the sharded kernel.
 
 import (
-	"runtime"
 	"testing"
 
 	"cxrpq/internal/automata"
@@ -15,26 +14,6 @@ import (
 	"cxrpq/internal/graph"
 	"cxrpq/internal/xregex"
 )
-
-// shardSweep returns the deduplicated shard counts the differential tests
-// sweep. 4 is always included so the frontier-exchange path runs even on a
-// single-core test machine.
-func shardSweep() []int {
-	p := runtime.GOMAXPROCS(0)
-	var out []int
-	for _, k := range []int{1, 2, 4, p, 2 * p} {
-		dup := false
-		for _, seen := range out {
-			if seen == k {
-				dup = true
-			}
-		}
-		if !dup {
-			out = append(out, k)
-		}
-	}
-	return out
-}
 
 // rowEqual compares one relation row against a per-source Reach result
 // (both sorted; nil and empty are interchangeable).
@@ -67,12 +46,9 @@ func perSourceRows(t *testing.T, db *graph.DB, label xregex.Node, sigma []rune) 
 	return rows
 }
 
-// TestShardedRelationForMatchesPerSourceReach: RelationFor under every
-// swept shard count must materialize exactly the per-source Reach relation,
-// on graphs large enough that the kernel really shards.
+// TestShardedRelationForMatchesPerSourceReach: RelationFor must materialize
+// exactly the per-source Reach relation, on graphs of several batches.
 func TestShardedRelationForMatchesPerSourceReach(t *testing.T) {
-	restore := engine.SetShards(1)
-	defer engine.SetShards(restore)
 	sigma := []rune("abc")
 	labels := []xregex.Node{
 		xregex.MustParse("a(b|c)*"),
@@ -80,21 +56,18 @@ func TestShardedRelationForMatchesPerSourceReach(t *testing.T) {
 		xregex.MustParse("c*a"),
 	}
 	for seed := int64(1); seed <= 2; seed++ {
-		nodes := 150 + int(seed)*70 // above the kernel's single-shard gate
+		nodes := 150 + int(seed)*70 // 220 and 290: a partial last batch
 		db := randomDB(seed, nodes, 5*nodes, "abc")
 		for _, l := range labels {
 			want := perSourceRows(t, db, l, sigma)
-			for _, k := range shardSweep() {
-				engine.SetShards(k)
-				rel, err := RelationFor(db, l, sigma)
-				if err != nil {
-					t.Fatalf("seed %d shards %d: RelationFor(%s): %v", seed, k, xregex.String(l), err)
-				}
-				for u := 0; u < nodes; u++ {
-					if !rowEqual(rel.Forward(u), want[u]) {
-						t.Fatalf("seed %d shards %d label %s: row %d: got %v want %v",
-							seed, k, xregex.String(l), u, rel.Forward(u), want[u])
-					}
+			rel, err := RelationFor(db, l, sigma)
+			if err != nil {
+				t.Fatalf("seed %d: RelationFor(%s): %v", seed, xregex.String(l), err)
+			}
+			for u := 0; u < nodes; u++ {
+				if !rowEqual(rel.Forward(u), want[u]) {
+					t.Fatalf("seed %d label %s: row %d: got %v want %v",
+						seed, xregex.String(l), u, rel.Forward(u), want[u])
 				}
 			}
 		}
@@ -102,25 +75,22 @@ func TestShardedRelationForMatchesPerSourceReach(t *testing.T) {
 }
 
 // TestShardedRelCacheDeltaMatchesPerSource drives insert-only deltas
-// through a relation cache under every swept shard count: the maintained
-// relations — grown through the batched frontier-extension path — must
-// keep matching per-source Reach on the mutated database.
+// through a relation cache, over several graphs: the maintained relations —
+// grown through the batched frontier-extension path — must keep matching
+// per-source Reach on the mutated database.
 func TestShardedRelCacheDeltaMatchesPerSource(t *testing.T) {
-	restore := engine.SetShards(1)
-	defer engine.SetShards(restore)
 	sigma := []rune("abc")
 	labels := []xregex.Node{
 		xregex.MustParse("a(b|c)*"),
 		xregex.MustParse("(a|b)?"), // ε-accepting: new nodes gain identity rows
 		xregex.AnyWord(),           // universal: always extended
 	}
-	for _, k := range shardSweep() {
-		engine.SetShards(k)
+	for _, k := range []int{1, 2, 4} { // graph and delta seeds
 		db := randomDB(int64(100+k), 160, 640, "abc")
 		c := NewRelCache(0)
 		for _, l := range labels {
 			if _, err := c.For(db, l, sigma, engine.ReachOpts{}); err != nil {
-				t.Fatalf("shards %d: For: %v", k, err)
+				t.Fatalf("graph %d: For: %v", k, err)
 			}
 		}
 		r := &testRNG{s: uint64(k)*0x9e3779b9 + 5}
@@ -139,10 +109,10 @@ func TestShardedRelCacheDeltaMatchesPerSource(t *testing.T) {
 			}
 			info, err := db.ApplyDelta(delta)
 			if err != nil {
-				t.Fatalf("shards %d step %d: ApplyDelta: %v", k, step, err)
+				t.Fatalf("graph %d step %d: ApplyDelta: %v", k, step, err)
 			}
 			if _, _, err := c.ApplyDelta(db, info); err != nil {
-				t.Fatalf("shards %d step %d: RelCache.ApplyDelta: %v", k, step, err)
+				t.Fatalf("graph %d step %d: RelCache.ApplyDelta: %v", k, step, err)
 			}
 			for _, l := range labels {
 				rel, err := c.For(db, l, sigma, engine.ReachOpts{})
@@ -152,14 +122,14 @@ func TestShardedRelCacheDeltaMatchesPerSource(t *testing.T) {
 				want := perSourceRows(t, db, l, sigma)
 				for u := 0; u < db.NumNodes(); u++ {
 					if !rowEqual(rel.Forward(u), want[u]) {
-						t.Fatalf("shards %d step %d label %s: row %d diverged from per-source Reach",
+						t.Fatalf("graph %d step %d label %s: row %d diverged from per-source Reach",
 							k, step, xregex.String(l), u)
 					}
 				}
 			}
 		}
 		if st := c.Stats(); st.Extended == 0 {
-			t.Fatalf("shards %d: no relation was frontier-extended: %+v", k, st)
+			t.Fatalf("graph %d: no relation was frontier-extended: %+v", k, st)
 		}
 	}
 }

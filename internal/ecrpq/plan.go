@@ -151,21 +151,28 @@ func (p *plan) project(a, row []int32) {
 	}
 }
 
+// runPollEvery is the grain at which plan.run polls its budget, that of
+// AnyK.Next: a poll is two atomic loads, a parent walk, a clock read and a
+// select, the work of several bindings.
+const runPollEvery = 64
+
 // run is the backtracking driver: a depth-first search over the steps in
 // order, calling yield with every complete assignment and its summed witness
-// cost (0 unless ranked) until yield returns false or the budget, polled on
-// every recursion step, cancels.
+// cost (0 unless ranked) until yield returns false or the budget cancels. The
+// budget is polled on the first descent and every runPollEvery-th after, leaf
+// or not; the kernels under a step poll it per level themselves.
 func (p *plan) run(bud *engine.Budget, yield func(a []int32, cost int) bool) {
 	a := append([]int32(nil), p.init...)
 	costs := make([]int, len(p.steps)+1) // costs[i]: summed cost of steps before i
 	depth := 0                           // the step whose bindings are being enumerated
+	descents := 0
 	var cont func(d int32) bool
 	descend := func() bool {
+		if descents++; descents%runPollEvery == 1 && bud.Canceled() {
+			return false
+		}
 		if depth == len(p.steps) {
 			return yield(a, costs[depth])
-		}
-		if bud.Canceled() {
-			return false
 		}
 		return p.steps[depth].bindings(a, cont)
 	}

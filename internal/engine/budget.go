@@ -66,8 +66,7 @@ func (b *Budget) Fork() *Budget {
 
 // Canceled reports whether evaluation under this budget should unwind:
 // stopped, row allowance spent, deadline passed, or context done. It is
-// monotonic — once true it stays true — which the sharded kernel relies on
-// (one shard decides per level and publishes through a barrier).
+// monotonic — once true it stays true.
 func (b *Budget) Canceled() bool {
 	if b == nil {
 		return false

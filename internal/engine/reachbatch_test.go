@@ -1,7 +1,7 @@
 package engine_test
 
 import (
-	"runtime"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -12,35 +12,33 @@ import (
 	"cxrpq/internal/xregex"
 )
 
-// shardCounts returns the deduplicated shard counts the differential tests
-// sweep: 1 (MS-BFS only), 2, GOMAXPROCS and 2·GOMAXPROCS.
-func shardCounts() []int {
-	p := runtime.GOMAXPROCS(0)
-	var out []int
-	for _, k := range []int{1, 2, p, 2 * p} {
-		dup := false
-		for _, seen := range out {
-			if seen == k {
-				dup = true
-			}
-		}
-		if !dup {
-			out = append(out, k)
-		}
+// allNodes returns 0..n-1.
+func allNodes(n int) []int {
+	srcs := make([]int, n)
+	for i := range srcs {
+		srcs[i] = i
 	}
-	return out
+	return srcs
 }
 
-// TestReachBatchMatchesReach is the differential property test of the
-// sharded kernel: over randomized graphs both above and below the
-// single-shard gate, random regexes, every swept shard count and both
-// directions, ReachBatch must return exactly the per-source Reach results.
+// perSource answers srcs one scalar Reach (with levels) at a time: the
+// reference the batched kernel is held to.
+func perSource(ix *graph.Index, c *automata.SubsetCache, srcs []int, forward bool) (hits [][]int, levs [][]int32) {
+	hits, levs = make([][]int, len(srcs)), make([][]int32, len(srcs))
+	for i, src := range srcs {
+		hits[i], levs[i] = engine.Reach(ix, c, src, forward, engine.ReachOpts{Levels: true})
+	}
+	return hits, levs
+}
+
+// TestReachBatchMatchesReach is the differential property test of the batched
+// kernel: over randomized graphs of under and over one batch of nodes, random
+// regexes and both directions, ReachBatchEx must return exactly the
+// per-source Reach results, hits and levels.
 func TestReachBatchMatchesReach(t *testing.T) {
 	const letters = "abc"
 	for seed := int64(0); seed < 12; seed++ {
 		rng := workload.NewRNG(seed*131 + 7)
-		// Odd seeds stay below the minShardedNodes gate (inline worker),
-		// even seeds go well above it (goroutines + frontier exchange).
 		nodes := 40 + rng.Intn(40)
 		if seed%2 == 0 {
 			nodes = 200 + rng.Intn(300)
@@ -52,25 +50,22 @@ func TestReachBatchMatchesReach(t *testing.T) {
 			t.Fatalf("seed %d: compile: %v", seed, err)
 		}
 		ix := db.Index()
-		rm := reverseNFA(m)
-		srcs := make([]int, db.NumNodes())
-		for i := range srcs {
-			srcs[i] = i
-		}
+		srcs := allNodes(db.NumNodes())
 		for _, forward := range []bool{true, false} {
 			nfa := m
 			if !forward {
-				nfa = rm
+				nfa = reverseNFA(m)
 			}
-			want := reachFan(ix, automata.NewSubsetCache(nfa), srcs, forward)
-			for _, k := range shardCounts() {
-				got := engine.ReachBatch(ix, db.Partition(k), automata.NewSubsetCache(nfa), srcs, forward)
-				for u := range want {
-					if !equalInts(got[u], want[u]) {
-						t.Fatalf("seed %d nodes %d shards %d forward %v: src %d: got %v want %v",
-							seed, nodes, k, forward, u, got[u], want[u])
-					}
+			wantH, wantL := perSource(ix, automata.NewSubsetCache(nfa), srcs, forward)
+			got := engine.ReachBatchEx(ix, automata.NewSubsetCache(nfa), srcs, forward, engine.ReachOpts{Levels: true})
+			for u := range srcs {
+				if !equalInts(got.Hits[u], wantH[u]) || !reflect.DeepEqual(got.Levs[u], wantL[u]) {
+					t.Fatalf("seed %d nodes %d forward %v: src %d: got %v at %v, want %v at %v",
+						seed, nodes, forward, u, got.Hits[u], got.Levs[u], wantH[u], wantL[u])
 				}
+			}
+			if plain := engine.ReachBatchEx(ix, automata.NewSubsetCache(nfa), srcs, forward, engine.ReachOpts{}); plain.Levs != nil || !reflect.DeepEqual(plain.Hits, got.Hits) {
+				t.Fatalf("seed %d forward %v: the call without levels differs from the call with", seed, forward)
 			}
 		}
 	}
@@ -88,7 +83,9 @@ func TestReachBatchManySources(t *testing.T) {
 		srcs = append(srcs, i%db.NumNodes())
 	}
 	srcs = append(srcs, 5, 5, -1, db.NumNodes(), 5) // duplicates + out of range
-	got := engine.ReachBatch(ix, db.Partition(4), automata.NewSubsetCache(m), srcs, true)
+	// The deprecated five-parameter form the benchmark's replay calls: its
+	// partition argument is nil whatever count is asked for, and ignored.
+	got := engine.ReachBatch(ix, db.Partition(engine.Shards()), automata.NewSubsetCache(m), srcs, true)
 	if len(got) != len(srcs) {
 		t.Fatalf("got %d results for %d sources", len(got), len(srcs))
 	}
@@ -97,27 +94,6 @@ func TestReachBatchManySources(t *testing.T) {
 		want := reach(ix, c, src, true)
 		if !equalInts(got[i], want) {
 			t.Fatalf("source %d (=%d): got %v want %v", i, src, got[i], want)
-		}
-	}
-}
-
-// TestReachBatchStaleOrNilPartition: a nil partition and a partition built
-// for a different node count must both fall back to the single-shard path,
-// still returning correct results.
-func TestReachBatchStaleOrNilPartition(t *testing.T) {
-	db := workload.Random(9, 160, 700, "ab")
-	stale := db.Partition(4)
-	db.AddNode() // partition is now stale
-	ix := db.Index()
-	m := xregex.MustCompile(xregex.MustParse("(a|b)+"), []rune("ab"))
-	srcs := []int{0, 3, 50, 160}
-	c := automata.NewSubsetCache(m)
-	for _, part := range []*graph.Partition{nil, stale} {
-		got := engine.ReachBatch(ix, part, automata.NewSubsetCache(m), srcs, true)
-		for i, src := range srcs {
-			if want := reach(ix, c, src, true); !equalInts(got[i], want) {
-				t.Fatalf("part=%v src %d: got %v want %v", part != nil, src, got[i], want)
-			}
 		}
 	}
 }
@@ -136,103 +112,69 @@ func TestReachOutOfRangeSource(t *testing.T) {
 	}
 }
 
-// TestReachBatchCounters: a sharded run over a graph above the gate must
-// record batches, edge volume and (with ≥2 shards) cross-shard exchange
-// traffic in the kernel counters.
+// TestReachBatchCounters: a call over every node reports one batch per 64
+// sources, every source, and its edge and level volume into the kernel
+// counters.
 func TestReachBatchCounters(t *testing.T) {
 	engine.ResetReachBatchStats()
 	db := workload.GMark(11, 400)
-	ix := db.Index()
 	m := xregex.MustCompile(xregex.MustParse("a(a|b)*"), db.Alphabet())
-	srcs := make([]int, db.NumNodes())
-	for i := range srcs {
-		srcs[i] = i
-	}
-	engine.ReachBatch(ix, db.Partition(4), automata.NewSubsetCache(m), srcs, true)
+	srcs := allNodes(db.NumNodes())
+	engine.ReachBatchEx(db.Index(), automata.NewSubsetCache(m), srcs, true, engine.ReachOpts{})
 	st := engine.ReachBatchStats()
-	if st.Batches == 0 || st.Sources != uint64(len(srcs)) || st.Edges == 0 {
-		t.Fatalf("counters not recorded: %+v", st)
-	}
-	if st.Exchanged == 0 {
-		t.Fatal("4-shard run on a 400-node graph exchanged nothing cross-shard")
-	}
-	if len(st.PerShard) != 4 {
-		t.Fatalf("per-shard breakdown has %d entries, want 4", len(st.PerShard))
-	}
-	var perEdges, perEx uint64
-	for _, v := range st.PerShard {
-		perEdges += v.Edges
-		perEx += v.Exchanged
-	}
-	if perEdges != st.Edges || perEx != st.Exchanged {
-		t.Fatalf("per-shard volumes (%d, %d) do not sum to totals (%d, %d)", perEdges, perEx, st.Edges, st.Exchanged)
+	if want := uint64(len(srcs)+engine.BatchWidth-1) / engine.BatchWidth; st.Batches != want || st.Sources != uint64(len(srcs)) || st.Edges == 0 || st.Levels == 0 {
+		t.Fatalf("counters not recorded (want %d batches of %d sources): %+v", want, len(srcs), st)
 	}
 }
 
-// TestReachBatchCountersSingleShard: a call that ran inline reports into the
-// totals and leaves the per-shard table — and its lock — alone.
+// TestReachBatchCountersSingleShard: a call of under one batch of sources is
+// one batch, and out-of-range sources are not counted. (The name predates the
+// removal of the sharded kernel.)
 func TestReachBatchCountersSingleShard(t *testing.T) {
 	engine.ResetReachBatchStats()
 	db := workload.GMark(11, 400)
 	m := xregex.MustCompile(xregex.MustParse("a(a|b)*"), db.Alphabet())
-	engine.ReachBatch(db.Index(), db.Partition(1), automata.NewSubsetCache(m), []int{0, 1, 2}, true)
+	engine.ReachBatchEx(db.Index(), automata.NewSubsetCache(m), []int{0, 1, -1, 2}, true, engine.ReachOpts{})
 	st := engine.ReachBatchStats()
 	if st.Batches != 1 || st.Sources != 3 || st.Edges == 0 || st.Levels == 0 {
 		t.Fatalf("totals not recorded: %+v", st)
 	}
-	if len(st.PerShard) != 0 || st.Exchanged != 0 {
-		t.Fatalf("single-shard run touched the per-shard table: %+v", st)
-	}
 }
 
-// TestReachBatchConcurrentSharedCache: concurrent ReachBatch calls may
-// share one SubsetCache (the on-the-fly determinization interns under its
-// own lock); results must stay correct. Run with -race.
+// TestReachBatchConcurrentSharedCache: concurrent many-batch calls may share
+// one SubsetCache (the on-the-fly determinization interns under its own
+// lock), whatever the width of the worker pool; every call must equal the
+// per-source searches, hits and levels. The node count is not a multiple of
+// the batch width. Run with -race.
 func TestReachBatchConcurrentSharedCache(t *testing.T) {
 	db := workload.GMark(13, 300)
 	ix := db.Index()
+	if ix.NumNodes()%engine.BatchWidth == 0 || ix.NumNodes() < 2*engine.BatchWidth {
+		t.Fatalf("%d nodes: want several batches and a partial one", ix.NumNodes())
+	}
 	m := xregex.MustCompile(xregex.MustParse("(a|b)+c?"), db.Alphabet())
-	shared := automata.NewSubsetCache(m)
-	srcs := make([]int, db.NumNodes())
-	for i := range srcs {
-		srcs[i] = i
-	}
-	want := reachFan(ix, automata.NewSubsetCache(m), srcs, true)
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			part := db.Partition(1 + g%4)
-			got := engine.ReachBatch(ix, part, shared, srcs, true)
-			for u := range want {
-				if !equalInts(got[u], want[u]) {
+	srcs := allNodes(ix.NumNodes())
+	wantH, wantL := perSource(ix, automata.NewSubsetCache(m), srcs, true)
+	for _, workers := range []int{1, 2, 4} {
+		restore := engine.SetMaxWorkers(workers)
+		shared := automata.NewSubsetCache(m)
+		var wg sync.WaitGroup
+		errs := make(chan string, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got := engine.ReachBatchEx(ix, shared, srcs, true, engine.ReachOpts{Levels: true})
+				if !reflect.DeepEqual(got.Hits, wantH) || !reflect.DeepEqual(got.Levs, wantL) || got.Truncated {
 					errs <- "goroutine result diverged"
-					return
 				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	if msg, ok := <-errs; ok {
-		t.Fatal(msg)
-	}
-}
-
-// TestSetShards: the knob round-trips and Shards() normalizes upward to a
-// power of two.
-func TestSetShards(t *testing.T) {
-	old := engine.SetShards(6)
-	defer engine.SetShards(old)
-	if got := engine.Shards(); got != 8 {
-		t.Fatalf("Shards()=%d after SetShards(6), want 8", got)
-	}
-	if prev := engine.SetShards(0); prev != 6 {
-		t.Fatalf("SetShards returned %d, want 6", prev)
-	}
-	if got := engine.Shards(); got&(got-1) != 0 || got < 1 {
-		t.Fatalf("default Shards()=%d not a power of two", got)
+			}()
+		}
+		wg.Wait()
+		engine.SetMaxWorkers(restore)
+		close(errs)
+		if msg, ok := <-errs; ok {
+			t.Fatalf("%d workers: %s", workers, msg)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -41,19 +42,12 @@ func (s *scalarScratch) allZero() bool {
 	return zero && isZero(s.hitBits[:cap(s.hitBits)]) && isZero(s.hitLev[:cap(s.hitLev)])
 }
 
-func (b *batchScratch) allZero() bool {
-	zero := true
-	for _, w := range b.workers {
-		zero = zero && len(w.touched) == 0 && len(w.frontier) == 0 && len(w.next) == 0 && w.bud == nil
-		for id := range w.visited {
-			zero = zero && isZero(w.visited[id][:cap(w.visited[id])]) && isZero(w.pend[id][:cap(w.pend[id])])
-		}
-		for _, box := range w.outbox {
-			zero = zero && len(box) == 0
-		}
-		zero = zero && isZero(w.hits[:cap(w.hits)]) && isZero(w.hitSum[:cap(w.hitSum)]) && isZero(w.hitLev[:cap(w.hitLev)])
+func (w *batchWorker) allZero() bool {
+	zero := len(w.touched) == 0 && len(w.frontier) == 0 && len(w.next) == 0 && w.bud == nil
+	for id := range w.visited {
+		zero = zero && isZero(w.visited[id][:cap(w.visited[id])]) && isZero(w.pend[id][:cap(w.pend[id])])
 	}
-	return zero
+	return zero && isZero(w.hits[:cap(w.hits)]) && isZero(w.hitSum[:cap(w.hitSum)]) && isZero(w.hitLev[:cap(w.hitLev)])
 }
 
 // randomDB builds a graph of n nodes n0..n<n-1> and m random edges over the
@@ -98,7 +92,6 @@ func cutAfter(polls int32) *Budget {
 type reachCall struct {
 	name    string
 	ix      *graph.Index
-	part    *graph.Partition
 	c       *automata.SubsetCache
 	srcs    []int // nil: scalar search from src
 	src     int
@@ -115,7 +108,7 @@ type outcome struct {
 	Truncated bool
 }
 
-func (rc *reachCall) on(s *scalarScratch, b *batchScratch) outcome {
+func (rc *reachCall) on(s *scalarScratch, b *batchWorker) outcome {
 	if rc.sweep {
 		sup, n, cut := s.support(rc.ix, rc.c, rc.forward, rc.first, rc.opts().Budget)
 		return supportOutcome(sup, n, cut)
@@ -124,7 +117,7 @@ func (rc *reachCall) on(s *scalarScratch, b *batchScratch) outcome {
 		hits, levs := s.reach(rc.ix, rc.c, rc.src, rc.forward, rc.opts())
 		return outcome{Hits: [][]int{hits}, Levs: [][]int32{levs}}
 	}
-	res := b.reach(rc.ix, rc.part, rc.c, rc.srcs, rc.forward, rc.opts())
+	res := b.reach(rc.ix, rc.c, rc.srcs, rc.forward, rc.opts())
 	return outcome{res.Hits, res.Levs, res.Truncated}
 }
 
@@ -152,7 +145,7 @@ func (rc *reachCall) public() outcome {
 		hits, levs := Reach(rc.ix, rc.c, rc.src, rc.forward, rc.opts())
 		return outcome{Hits: [][]int{hits}, Levs: [][]int32{levs}}
 	}
-	res := ReachBatchEx(rc.ix, rc.part, rc.c, rc.srcs, rc.forward, rc.opts())
+	res := ReachBatchEx(rc.ix, rc.c, rc.srcs, rc.forward, rc.opts())
 	return outcome{res.Hits, res.Levs, res.Truncated}
 }
 
@@ -160,9 +153,9 @@ func (rc *reachCall) public() outcome {
 // is handed from a call that sized, filled or keyed it one way to a call
 // that needs it another way.
 func reuseTable(t *testing.T) []reachCall {
-	const n = 220 // above minShardedNodes, not a multiple of 64
+	const n = 220 // not a multiple of 64
 	db := randomDB(5, n, 700, "abc")
-	ix, part1, part4 := db.Index(), db.Partition(1), db.Partition(4)
+	ix := db.Index()
 	other := randomDB(6, 150, 500, "bcd") // same symbol count, different symbols behind the ids
 	sigma := []rune("abcd")
 	compile := func(expr string) *automata.SubsetCache {
@@ -180,7 +173,7 @@ func reuseTable(t *testing.T) []reachCall {
 	if _, err := db.ApplyDelta(graph.Delta{Add: add}); err != nil {
 		t.Fatal(err)
 	}
-	ext, extPart4 := db.Index(), db.Partition(4)
+	ext := db.Index()
 	if db.MaintStats().IndexExtended == 0 || ext == ix || ext.NumSyms() != ix.NumSyms() || ext.NumNodes() <= n {
 		t.Fatal("the delta did not extend the index: the case is not exercised")
 	}
@@ -225,29 +218,22 @@ func reuseTable(t *testing.T) []reachCall {
 		{name: "sweep extended index", ix: ext, c: c2, sweep: true, forward: true, opts: plain},
 		{name: "scalar after sweeps", ix: ix, c: c2, src: 3, forward: true, opts: levels},
 	}
-	for _, sh := range []struct {
-		name      string
-		part, ext *graph.Partition
-	}{{"single-shard", part1, nil}, {"sharded", part4, extPart4}} {
-		for _, k := range []int{1, 64, 65, n} {
-			calls = append(calls, reachCall{name: fmt.Sprintf("%s batch of %d", sh.name, k),
-				ix: ix, part: sh.part, c: c1, srcs: seq(k, n), forward: true, opts: plain})
-		}
-		calls = append(calls,
-			reachCall{name: sh.name + " other automaton", ix: ix, part: sh.part, c: c2, srcs: seq(65, n), forward: true, opts: plain},
-			reachCall{name: sh.name + " backward", ix: ix, part: sh.part, c: c1, srcs: seq(65, n), opts: plain},
-			reachCall{name: sh.name + " levels", ix: ix, part: sh.part, c: c2, srcs: seq(n, n), forward: true, opts: levels},
-			reachCall{name: sh.name + " levels off", ix: ix, part: sh.part, c: c2, srcs: seq(70, n), forward: true, opts: plain},
-			reachCall{name: sh.name + " cut", ix: ix, part: sh.part, c: c2, srcs: seq(n, n), forward: true, opts: cut(4, levels)},
-			reachCall{name: sh.name + " after cut", ix: ix, part: sh.part, c: c2, srcs: seq(n, n), forward: true, opts: levels},
-			reachCall{name: sh.name + " other index", ix: other.Index(), part: other.Partition(sh.part.NumShards()), c: c2,
-				srcs: seq(150, 150), forward: true, opts: levels},
-			reachCall{name: sh.name + " extended index", ix: ext, part: sh.ext, c: c2,
-				srcs: seq(ext.NumNodes(), ext.NumNodes()), forward: true, opts: levels},
-			reachCall{name: sh.name + " first index again", ix: ix, part: sh.part, c: c2, srcs: seq(n, n), forward: true, opts: levels},
-		)
+	for _, k := range []int{1, 64, 65, n} {
+		calls = append(calls, reachCall{name: fmt.Sprintf("batch of %d", k), ix: ix, c: c1, srcs: seq(k, n), forward: true, opts: plain})
 	}
-	return calls
+	return append(calls,
+		reachCall{name: "batch other automaton", ix: ix, c: c2, srcs: seq(65, n), forward: true, opts: plain},
+		reachCall{name: "batch backward", ix: ix, c: c1, srcs: seq(65, n), opts: plain},
+		reachCall{name: "batch out of range", ix: ix, c: c1, srcs: []int{-1, 3, n, 3, n + 64}, forward: true, opts: levels},
+		reachCall{name: "batch levels", ix: ix, c: c2, srcs: seq(n, n), forward: true, opts: levels},
+		reachCall{name: "batch levels off", ix: ix, c: c2, srcs: seq(70, n), forward: true, opts: plain},
+		reachCall{name: "batch cut", ix: ix, c: c2, srcs: seq(n, n), forward: true, opts: cut(4, levels)},
+		reachCall{name: "batch after cut", ix: ix, c: c2, srcs: seq(n, n), forward: true, opts: levels},
+		reachCall{name: "batch other index", ix: other.Index(), c: c2, srcs: seq(150, 150), forward: true, opts: levels},
+		reachCall{name: "batch empty index", ix: graph.New().Index(), c: c2, srcs: []int{0, -1}, forward: true, opts: levels},
+		reachCall{name: "batch extended index", ix: ext, c: c2, srcs: seq(ext.NumNodes(), ext.NumNodes()), forward: true, opts: levels},
+		reachCall{name: "batch first index again", ix: ix, c: c2, srcs: seq(n, n), forward: true, opts: levels},
+	)
 }
 
 // TestScratchReuseDifferential: a search on scratch other searches have used
@@ -259,10 +245,10 @@ func TestScratchReuseDifferential(t *testing.T) {
 	calls := reuseTable(t)
 	want := make([]outcome, len(calls))
 	truncated := 0
-	s, b := new(scalarScratch), new(batchScratch)
+	s, b := new(scalarScratch), new(batchWorker)
 	for i := range calls {
 		rc := &calls[i]
-		want[i] = rc.on(new(scalarScratch), new(batchScratch))
+		want[i] = rc.on(new(scalarScratch), new(batchWorker))
 		got := rc.on(s, b)
 		if !reflect.DeepEqual(got, want[i]) {
 			t.Fatalf("%s: on used scratch\n got %v\nwant %v", rc.name, got, want[i])
@@ -274,8 +260,8 @@ func TestScratchReuseDifferential(t *testing.T) {
 			truncated++
 		}
 	}
-	if truncated < 3 {
-		t.Fatalf("%d calls were cut by their budget, want the sweep, the single-shard and the sharded batch", truncated)
+	if truncated < 2 {
+		t.Fatalf("%d calls were cut by their budget, want the sweep and the batch", truncated)
 	}
 
 	defer SetMaxWorkers(SetMaxWorkers(8))
@@ -288,6 +274,80 @@ func TestScratchReuseDifferential(t *testing.T) {
 	})
 }
 
+// TestPoolsHoldOnlyZeroScratch: a Reach whose Weight panics on its k-th call
+// and a batch abandoned by a context that is done between two levels must not
+// leave dirty scratch in the pools — the searches that follow, on whatever the
+// pools hand out, equal the reference computed before. The abandoned batch
+// itself returns a sound prefix: genuine hits at their true levels, flagged
+// Truncated.
+func TestPoolsHoldOnlyZeroScratch(t *testing.T) {
+	db := randomDB(17, 300, 1500, "abc")
+	ix := db.Index()
+	c := automata.NewSubsetCache(xregex.MustCompile(xregex.MustParse("a(b|c)*a?"), []rune("abc")))
+	srcs := make([]int, ix.NumNodes())
+	wantH, wantL := make([][]int, len(srcs)), make([][]int32, len(srcs))
+	for u := range srcs {
+		srcs[u] = u
+		wantH[u], wantL[u] = Reach(ix, c, u, true, ReachOpts{Levels: true})
+	}
+	weight := Weight(func(l rune) int32 { return 1 + 2*(l-'a') })
+	wantWH, wantWL := Reach(ix, c, 7, true, ReachOpts{Weight: weight})
+
+	for k := 1; k <= 3; k++ {
+		calls := 0
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("the Weight did not panic on call %d", k)
+				}
+			}()
+			Reach(ix, c, 7, true, ReachOpts{Weight: func(l rune) int32 {
+				if calls++; calls == k {
+					panic("weight")
+				}
+				return weight(l)
+			}})
+		}()
+
+		cut := ReachBatchEx(ix, c, srcs, true, ReachOpts{Levels: true, Budget: cutAfter(int32(1 + k))})
+		if !cut.Truncated {
+			t.Fatalf("k=%d: the abandoned batch does not report truncation", k)
+		}
+		found := 0
+		for u := range srcs {
+			for j, v := range cut.Hits[u] {
+				at := slices.Index(wantH[u], v)
+				if at < 0 || wantL[u][at] != cut.Levs[u][j] {
+					t.Fatalf("k=%d: abandoned batch reports %d -> %d at level %d, which is not in the full answer", k, u, v, cut.Levs[u][j])
+				}
+				found++
+			}
+		}
+		if found == 0 {
+			t.Fatalf("k=%d: cut before the first level, nothing abandoned mid-search", k)
+		}
+	}
+
+	for i := 0; i < 100; i++ {
+		switch i % 10 {
+		case 0:
+			got := ReachBatchEx(ix, c, srcs, true, ReachOpts{Levels: true})
+			if !reflect.DeepEqual(got.Hits, wantH) || !reflect.DeepEqual(got.Levs, wantL) {
+				t.Fatalf("search %d: a batch on pooled scratch differs from the reference", i)
+			}
+		case 1:
+			if h, l := Reach(ix, c, 7, true, ReachOpts{Weight: weight}); !reflect.DeepEqual(h, wantWH) || !reflect.DeepEqual(l, wantWL) {
+				t.Fatalf("search %d: a weighted search on pooled scratch differs from the reference", i)
+			}
+		default:
+			src := (i * 13) % ix.NumNodes()
+			if h, l := Reach(ix, c, src, true, ReachOpts{Levels: true}); !reflect.DeepEqual(h, wantH[src]) || !reflect.DeepEqual(l, wantL[src]) {
+				t.Fatalf("search %d: a scalar search on pooled scratch differs from the reference", i)
+			}
+		}
+	}
+}
+
 // TestBatchRowsDoNotAlias: the rows of a batch share one slab, and holders
 // keep them (relations, the probe memo, delta maintenance). Appending to one
 // must reallocate, not write into the next source's row.
@@ -298,7 +358,7 @@ func TestBatchRowsDoNotAlias(t *testing.T) {
 	for i := range srcs {
 		srcs[i] = i // the last one is out of range
 	}
-	res := ReachBatchEx(db.Index(), nil, c, srcs, true, ReachOpts{Levels: true})
+	res := ReachBatchEx(db.Index(), c, srcs, true, ReachOpts{Levels: true})
 	want := make([][]int, len(srcs))
 	empty := 0
 	for i, row := range res.Hits {
@@ -345,12 +405,12 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 		// The scratch is held here rather than left to the pool (which may
 		// drop it, and under -race does at random); AllocsPerRun's own first
 		// call is the warm-up.
-		s, bs := new(scalarScratch), new(batchScratch)
+		s, bs := new(scalarScratch), new(batchWorker)
 		run := func(f func()) float64 { return testing.AllocsPerRun(5, f) }
 		scalar = run(func() { s.reach(ix, c, 1, true, ReachOpts{}) })
 		levels = run(func() { s.reach(ix, c, 1, true, ReachOpts{Levels: true}) })
 		weighted = run(func() { s.reach(ix, c, 1, true, ReachOpts{Weight: weight}) })
-		batch = run(func() { bs.reach(ix, nil, c, srcs, true, ReachOpts{Levels: true}) })
+		batch = run(func() { bs.reach(ix, c, srcs, true, ReachOpts{Levels: true}) })
 		return
 	}
 	s1, l1, w1, b1 := measure(300, small)
@@ -399,7 +459,7 @@ func BenchmarkSupport(b *testing.B) {
 	b.Run("relation", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ReachBatchEx(ix, nil, c, all, true, ReachOpts{})
+			ReachBatchEx(ix, c, all, true, ReachOpts{})
 		}
 	})
 }
@@ -422,17 +482,29 @@ func BenchmarkReach(b *testing.B) {
 	}
 }
 
-// BenchmarkReachBatch: one 64-source batch of the multi-source kernel, with
-// levels, on the same graph.
+// BenchmarkReachBatch: the multi-source kernel with levels on the same
+// graph — one 64-source batch, the unit of a frontier prefetch, and every
+// node as a source, the 79 batches of a relation build.
 func BenchmarkReachBatch(b *testing.B) {
 	ix, c := benchGraph(b)
-	srcs := make([]int, BatchWidth)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range srcs {
-			srcs[j] = (i*BatchWidth + j) % ix.NumNodes()
+	b.Run("1batch", func(b *testing.B) {
+		srcs := make([]int, BatchWidth)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for j := range srcs {
+				srcs[j] = (i*BatchWidth + j) % ix.NumNodes()
+			}
+			ReachBatchEx(ix, c, srcs, true, ReachOpts{Levels: true})
 		}
-		ReachBatchEx(ix, nil, c, srcs, true, ReachOpts{Levels: true})
-	}
+	})
+	b.Run("79batches", func(b *testing.B) {
+		srcs := make([]int, ix.NumNodes())
+		for i := range srcs {
+			srcs[i] = i
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ReachBatchEx(ix, c, srcs, true, ReachOpts{Levels: true})
+		}
+	})
 }

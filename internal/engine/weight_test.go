@@ -123,8 +123,7 @@ func TestReachBatchExWeighted(t *testing.T) {
 	for i := range srcs {
 		srcs[i] = i
 	}
-	res := engine.ReachBatchEx(ix, db.Partition(engine.Shards()), c, srcs, true,
-		engine.ReachOpts{Weight: w})
+	res := engine.ReachBatchEx(ix, c, srcs, true, engine.ReachOpts{Weight: w})
 	if res.Truncated {
 		t.Fatal("unbudgeted weighted batch reported truncation")
 	}
@@ -142,7 +141,7 @@ func TestReachBatchExWeighted(t *testing.T) {
 	}
 
 	bud := engine.NewBudget(nil, time.Now().Add(-time.Second), 0)
-	res = engine.ReachBatchEx(ix, nil, c, srcs, true, engine.ReachOpts{Weight: w, Budget: bud})
+	res = engine.ReachBatchEx(ix, c, srcs, true, engine.ReachOpts{Weight: w, Budget: bud})
 	if !res.Truncated {
 		t.Fatal("expired budget must mark the weighted batch truncated")
 	}

@@ -10,32 +10,21 @@ import (
 	"cxrpq/internal/xregex"
 )
 
-// e22Exprs are the classical regexes of the sharded-kernel experiment:
+// e22Exprs are the classical regexes of the batched-kernel experiment:
 // hub-heavy transitive closure, an alternation walk, and a chain-following
-// expression — together they exercise both the high-fanout 'a' hubs the
-// degree-balanced partition splits around and the long 'c' chains that
-// stress the level-synchronous frontier.
+// expression — together they exercise both the high-fanout 'a' hubs and the
+// long 'c' chains that stress the level-synchronous frontier.
 var e22Exprs = []string{"a(a|b)*", "(a|b)+c?", "c*a(b|c)*"}
 
-// E22ShardedReach measures the sharded multi-source product-reachability
-// kernel (PR 6) on a gMark-style scaled workload: for each expression the
-// all-sources relation is computed three ways — the historical per-source
-// BFS fan (one engine.Reach per source across engine.Fan), the batched
-// kernel on a single shard (MS-BFS source batching only), and the batched
-// kernel on the full degree-balanced partition (batching + frontier
-// exchange) — asserting all three agree exactly. The batching win is
-// algorithmic (64 sources share one edge sweep), so the speedup holds even
-// at GOMAXPROCS=1.
-func E22ShardedReach(scale int) *Table {
-	// The sharded column always runs with at least 4 shards so the
-	// frontier-exchange machinery is measured even on a single-core runner
-	// (where Shards() would collapse to 1 and alias the batch-x1 column).
-	shards := engine.Shards()
-	if shards < 4 {
-		shards = 4
-	}
-	t := &Table{ID: "E22", Title: "Sharded MS-BFS reachability: ReachBatch vs per-source Reach fan (gMark-style)",
-		Header: []string{"expr", "nodes", "edges", "reachall", "batch x1", fmt.Sprintf("batch x%d", shards), "speedup"}}
+// E22BatchedReach measures the multi-source product-reachability kernel on a
+// gMark-style scaled workload: for each expression the all-sources relation
+// is computed by the per-source BFS fan (one engine.Reach per source across
+// engine.Fan) and by the MS-BFS batches of engine.ReachBatchEx, asserting
+// that the two agree exactly. The batching win is algorithmic (64 sources
+// share one edge sweep), so the speedup holds even at GOMAXPROCS=1.
+func E22BatchedReach(scale int) *Table {
+	t := &Table{ID: "E22", Title: "MS-BFS reachability: ReachBatchEx vs per-source Reach fan (gMark-style)",
+		Header: []string{"expr", "nodes", "edges", "reachall", "batch", "speedup"}}
 	db := workload.GMark(7, 1200*scale)
 	ix := db.Index()
 	sigma := db.Alphabet()
@@ -48,7 +37,7 @@ func E22ShardedReach(scale int) *Table {
 		if err != nil {
 			return fail(t, err)
 		}
-		// Each mode gets a fresh subset cache so all three pay the same
+		// Each mode gets a fresh subset cache so both pay the same
 		// on-the-fly determinization cost.
 		startBase := time.Now()
 		base := make([][]int, len(srcs))
@@ -58,22 +47,18 @@ func E22ShardedReach(scale int) *Table {
 		})
 		baseD := time.Since(startBase)
 
-		startOne := time.Now()
-		one := engine.ReachBatch(ix, db.Partition(1), automata.NewSubsetCache(nfa), srcs, true)
-		oneD := time.Since(startOne)
-
-		startSharded := time.Now()
-		sharded := engine.ReachBatch(ix, db.Partition(shards), automata.NewSubsetCache(nfa), srcs, true)
-		shardedD := time.Since(startSharded)
+		startBatch := time.Now()
+		batch := engine.ReachBatchEx(ix, automata.NewSubsetCache(nfa), srcs, true, engine.ReachOpts{}).Hits
+		batchD := time.Since(startBatch)
 
 		for u := range base {
-			if !sameInts(base[u], one[u]) || !sameInts(base[u], sharded[u]) {
+			if !sameInts(base[u], batch[u]) {
 				return fail(t, fmt.Errorf("%s: source %d: batched kernel diverged from per-source fan", src, u))
 			}
 		}
 		t.Rows = append(t.Rows, []string{src, fmt.Sprint(db.NumNodes()), fmt.Sprint(db.NumEdges()),
-			ms(baseD), ms(oneD), ms(shardedD),
-			fmt.Sprintf("%.1fx", float64(baseD.Nanoseconds())/float64(max64(shardedD.Nanoseconds(), 1)))})
+			ms(baseD), ms(batchD),
+			fmt.Sprintf("%.1fx", float64(baseD.Nanoseconds())/float64(max64(batchD.Nanoseconds(), 1)))})
 	}
 	return t
 }

@@ -111,7 +111,6 @@ type maintCounters struct {
 	statsDelta, statsRebuilt                 atomic.Uint64
 	labelStatsRetained, labelStatsRecomputed atomic.Uint64
 	alphaRetained, alphaRebuilt              atomic.Uint64
-	partRebuilt                              atomic.Uint64
 }
 
 // MaintStats is a snapshot of the database's derived-state maintenance
@@ -129,8 +128,6 @@ type MaintStats struct {
 
 	AlphaRetained uint64 `json:"alpha_retained"` // cached alphabet revalidated without recomputation
 	AlphaRebuilds uint64 `json:"alpha_rebuilds"` // alphabet re-sorted from the label counts
-
-	PartitionRebuilds uint64 `json:"partition_rebuilds"` // shard map rebuilt (stale revision or shard-count change)
 }
 
 // MaintStats returns a snapshot of the maintenance counters.
@@ -145,7 +142,6 @@ func (d *DB) MaintStats() MaintStats {
 		LabelStatsRecomputed: d.maint.labelStatsRecomputed.Load(),
 		AlphaRetained:        d.maint.alphaRetained.Load(),
 		AlphaRebuilds:        d.maint.alphaRebuilt.Load(),
-		PartitionRebuilds:    d.maint.partRebuilt.Load(),
 	}
 }
 

@@ -58,10 +58,6 @@ type DB struct {
 	alpha        []rune
 	alphaOK      bool
 	alphaVersion uint64
-
-	partMu      sync.Mutex
-	part        *Partition
-	partVersion uint64
 }
 
 // New returns an empty graph database.

@@ -1,119 +1,15 @@
 package graph
 
-import "math/bits"
-
-// Partition is a degree-balanced sharding of the interned node space, the
-// graph-side half of the sharded product-reachability kernel
-// (engine.ReachBatch): shard s owns the contiguous node range
-// [Range(s)), so each shard's slice of the CSR adjacency is itself
-// contiguous — the per-shard working set a frontier-exchange BFS walks is
-// cache-resident instead of strided across the whole arrays. Boundaries
-// are chosen so every shard carries roughly the same adjacency weight
-// (out-degree + in-degree + 1 per node), not the same node count: a hub-
-// heavy prefix gets fewer nodes than a sparse tail. The shard count is
-// normalized to a power of two and clamped to the node count.
+// Partition is an empty type: the sharded reachability kernel it routed for
+// is gone.
 //
-// A Partition is immutable and safe for concurrent use. Like Index and
-// Stats it is built lazily and revision-cached on the DB (DB.Partition);
-// the usual contract applies (mutations must not run concurrently with
-// readers).
-type Partition struct {
-	n       int
-	starts  []int32  // shard s owns nodes [starts[s], starts[s+1])
-	shardOf []uint16 // node -> owning shard, the kernel's O(1) routing table
-	weight  []int64  // per-shard adjacency weight (for balance introspection)
-}
+// Deprecated: kept, with DB.Partition, for cmd/cxrpq-bench/layers.go, its
+// only caller, which a performance change may not edit (it passes the result
+// to engine.ReachBatch, which ignores it). The next benchmark change deletes
+// both.
+type Partition struct{}
 
-// NumShards returns the number of shards.
-func (p *Partition) NumShards() int { return len(p.starts) - 1 }
-
-// NumNodes returns the number of nodes the partition covers.
-func (p *Partition) NumNodes() int { return p.n }
-
-// ShardOf returns the shard owning node v.
-func (p *Partition) ShardOf(v int32) int { return int(p.shardOf[v]) }
-
-// Range returns the contiguous node range [lo, hi) owned by shard s.
-func (p *Partition) Range(s int) (lo, hi int32) { return p.starts[s], p.starts[s+1] }
-
-// Weight returns the adjacency weight (out-degree + in-degree + 1 summed
-// over owned nodes) of shard s — the balance target of the build.
-func (p *Partition) Weight(s int) int64 { return p.weight[s] }
-
-// normShards clamps a requested shard count to a power of two in
-// [1, min(n, 1<<16)] (shardOf routes through uint16 ids).
-func normShards(k, n int) int {
-	if n < 1 {
-		return 1
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	if k > 1<<16 {
-		k = 1 << 16
-	}
-	return 1 << (bits.Len(uint(k)) - 1) // largest power of two <= k
-}
-
-// buildPartition cuts the node space into `shards` contiguous ranges of
-// roughly equal adjacency weight by a single greedy sweep: a boundary is
-// placed at the first node where the accumulated weight passes the next
-// s/shards quota of the total. At most one boundary lands on any node, and
-// a boundary is forced whenever the remaining nodes only just cover the
-// remaining shards — together these guarantee every shard nonempty (a hub
-// node heavier than several quotas spreads the overdue cuts across the
-// following nodes instead of stacking empty ranges on one).
-func buildPartition(d *DB, shards int) *Partition {
-	n := d.NumNodes()
-	shards = normShards(shards, n)
-	p := &Partition{
-		n:       n,
-		starts:  make([]int32, shards+1),
-		shardOf: make([]uint16, n),
-		weight:  make([]int64, shards),
-	}
-	var total int64
-	for u := 0; u < n; u++ {
-		total += int64(1 + len(d.out[u]) + len(d.in[u]))
-	}
-	var acc int64
-	s := 0
-	for u := 0; u < n; u++ {
-		if s+1 < shards &&
-			(n-u == shards-s-1 ||
-				(acc*int64(shards) >= total*int64(s+1) && n-u > shards-s-1)) {
-			s++
-			p.starts[s] = int32(u)
-		}
-		p.shardOf[u] = uint16(s)
-		w := int64(1 + len(d.out[u]) + len(d.in[u]))
-		p.weight[s] += w
-		acc += w
-	}
-	for t := s + 1; t <= shards; t++ {
-		p.starts[t] = int32(n)
-	}
-	return p
-}
-
-// Partition returns the degree-balanced shard map of the database for the
-// given shard count (normalized to a power of two and clamped to the node
-// count), computing it on first use and caching it per (revision, shard
-// count) like Index and Stats. The returned Partition is immutable and
-// safe for concurrent readers; mutations must not run concurrently with
-// readers (the usual revision contract).
-func (d *DB) Partition(shards int) *Partition {
-	want := normShards(shards, d.NumNodes())
-	d.partMu.Lock()
-	defer d.partMu.Unlock()
-	if d.part != nil && d.partVersion == d.version && d.part.NumShards() == want {
-		return d.part
-	}
-	d.part = buildPartition(d, want)
-	d.partVersion = d.version
-	d.maint.partRebuilt.Add(1)
-	return d.part
-}
+// Partition returns nil.
+//
+// Deprecated: see the type.
+func (d *DB) Partition(int) *Partition { return nil }

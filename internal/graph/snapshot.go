@@ -78,7 +78,7 @@ type Snapshot struct {
 }
 
 // DB returns the frozen read view. It satisfies the full read API of *DB
-// (Lookup/Name/Out/In/Index/Alphabet/Stats/Partition/DeltaSince/queries);
+// (Lookup/Name/Out/In/Index/Alphabet/Stats/DeltaSince/queries);
 // mutators panic on it.
 func (s *Snapshot) DB() *DB { return s.db }
 
@@ -121,11 +121,6 @@ func (d *DB) Snapshot() *Snapshot {
 		view.stats, view.statsVersion = d.stats, d.version
 	}
 	d.statsMu.Unlock()
-	d.partMu.Lock()
-	if d.part != nil && d.partVersion == d.version {
-		view.part, view.partVersion = d.part, d.version
-	}
-	d.partMu.Unlock()
 	s := &Snapshot{db: view, rev: d.version}
 	d.lastSnap, d.lastSnapRev, d.snapOnce = s, d.version, true
 	return s

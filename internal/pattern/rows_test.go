@@ -65,17 +65,21 @@ func sameTuples(a, b []Tuple) bool {
 }
 
 // Random Add/AddRow/Contains/AddAll/Sorted/Equal against the map reference,
-// for arities 0 to 3 and enough rows to double the table several times
-// (it starts at 16 slots and stays at most half full).
+// for arities 0 to 4 and enough rows to double the table several times
+// (it starts at 16 slots and stays at most half full). Sorted is asked for
+// as the sets grow, so on both sides of radixMinRows, and half the values of
+// seeds 2 to 4 lie above 2^8, 2^16 and 2^24: one to four counting passes per
+// column.
 func TestTupleSetMatchesMapReference(t *testing.T) {
-	for arity := 0; arity <= 3; arity++ {
+	for arity := 0; arity <= 4; arity++ {
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			span := []int{1, 700, 30, 9}[arity] // values per position: ~700 to 900 distinct rows
+			span := []int{1, 700, 30, 9, 5}[arity] // values per position: ~700 to 1500 distinct rows
+			high := []int{0, 1 << 8, 1 << 16, 1 << 24}[seed-1]
 			random := func() Tuple {
 				tu := make(Tuple, arity)
 				for i := range tu {
-					tu[i] = rng.Intn(span)
+					tu[i] = rng.Intn(span) + high*rng.Intn(2)
 				}
 				return tu
 			}
@@ -133,7 +137,36 @@ func TestTupleSetMatchesMapReference(t *testing.T) {
 			if !copyOf.Equal(sets[0]) || !sets[0].Equal(copyOf) {
 				t.Fatalf("%s: a set differs from its sorted copy", name)
 			}
+			// The first rows of the set, just under, at and over the size from
+			// which the order is computed by counting passes.
+			for _, size := range []int{1, radixMinRows - 1, radixMinRows, radixMinRows + 1} {
+				if size > len(refs[0].list) {
+					break
+				}
+				s, ref := NewTupleSet(), &mapTupleSet{seen: map[string]bool{}}
+				for _, tu := range refs[0].list[:size] {
+					s.Add(tu)
+					ref.Add(tu)
+				}
+				if got, want := s.Sorted(), ref.Sorted(); !sameTuples(got, want) {
+					t.Fatalf("%s: Sorted() of the first %d rows = %v, reference %v", name, size, got, want)
+				}
+			}
 		}
+	}
+}
+
+// A value that is no node id sends the whole set to the comparison sort,
+// which orders it like any other int32.
+func TestTupleSetSortedRowsNegative(t *testing.T) {
+	s, ref := NewTupleSet(), &mapTupleSet{seen: map[string]bool{}}
+	for i := 0; i < 2*radixMinRows; i++ {
+		tu := Tuple{(i * 37) % 101, i%7 - 1}
+		s.Add(tu)
+		ref.Add(tu)
+	}
+	if got, want := s.Sorted(), ref.Sorted(); !sameTuples(got, want) || got[0][1] != -1 {
+		t.Fatalf("Sorted() = %v, reference %v", got, want)
 	}
 }
 
@@ -151,6 +184,26 @@ func TestTupleSetSortedRowsMemoized(t *testing.T) {
 	s.Add(Tuple{0, 9})
 	if c := s.SortedRows(); c.N != 4 || c.Row(0)[0] != 0 || c.Row(3)[0] != 3 {
 		t.Fatalf("SortedRows after an insertion = %v", c)
+	}
+}
+
+// BenchmarkTupleSetSortedRows: the one sort of a materialised answer, pairs
+// of node ids of a 5 000-node graph, at a typical and at a large answer size.
+func BenchmarkTupleSetSortedRows(b *testing.B) {
+	for _, n := range []int{2000, 50000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			s := NewTupleSet()
+			for s.Len() < n {
+				s.AddRow([]int32{int32(rng.Intn(5000)), int32(rng.Intn(5000))})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.sorted = Rows{}
+				s.SortedRows()
+			}
+		})
 	}
 }
 

@@ -193,11 +193,10 @@ func MutationStream(seed int64, base, steps, perStep int) (*graph.DB, []graph.De
 }
 
 // GMark returns a gMark-style scaled workload graph over labels a/b/c, the
-// shape the sharded-kernel experiments (E22, BenchmarkReachBatch) target:
+// shape the batched-kernel experiments (E22, BenchmarkReachBatch) target:
 // 'a' edges follow a heavy-tailed out-degree distribution (geometric
 // doubling, capped) with half of all targets drawn from a small popular
-// prefix (in-degree skew — the hubs a degree-balanced partition must split
-// around), 'b' edges are sparse uniform noise, and 'c' edges form a
+// prefix (in-degree skew: hubs), 'b' edges are sparse uniform noise, and 'c' edges form a
 // locality chain with occasional long shortcuts (diameter for the
 // level-synchronous frontier). Deterministic in (seed, nodes).
 func GMark(seed int64, nodes int) *graph.DB {
