@@ -5,13 +5,19 @@ package main
 // directory without any graceful shutdown), a torn WAL tail must not take
 // acknowledged batches with it, a WAL append failure must wedge writes
 // without disturbing the published read state, and a follower server must
-// converge on the leader's acknowledged batches.
+// converge on the leader's acknowledged batches. And the exit path a SIGTERM
+// takes must drain the requests in flight and close the stores.
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -165,5 +171,102 @@ func TestServerFollowerTailsLeader(t *testing.T) {
 			t.Fatalf("follower never converged: %v rows, want 3", countA(t, fts.URL))
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestServerShutdownDrainsAndClosesStores drives server.run, the one exit path
+// of leader and follower, in process: the context a SIGTERM would cancel is
+// canceled while an /update is in flight. The listener closes, the request
+// still completes and is acknowledged, run returns only after it did — with
+// the follower tail joined and the store closed — and a reopen of the
+// directory replays to the acknowledged revision.
+func TestServerShutdownDrainsAndClosesStores(t *testing.T) {
+	dir := t.TempDir()
+	st, err := graph.OpenStore(dir, graph.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(serverOptions{maxInflight: 8, sessionCap: 16})
+	srv.addDB("g1", st.DB()).store = st
+	fo, err := graph.OpenFollower(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe := srv.addDB("replica", fo.DB())
+	fe.follower = fo
+	srv.follow(fe, 2*time.Millisecond)
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	h := srv.handler()
+	gate := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/update" {
+			close(entered)
+			<-release
+		}
+		h.ServeHTTP(w, r)
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stopped := make(chan error, 1)
+	go func() { stopped <- srv.run(ctx, serve(addr, gate), ln) }()
+
+	type ack struct {
+		code int
+		out  map[string]any
+		err  error
+	}
+	acked := make(chan ack, 1)
+	go func() {
+		resp, err := http.Post("http://"+addr+"/update", "application/json", strings.NewReader(`{"db":"g1","edges":"u a v\nv a w"}`))
+		if err != nil {
+			acked <- ack{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		a := ack{code: resp.StatusCode}
+		a.err = json.NewDecoder(resp.Body).Decode(&a.out)
+		acked <- a
+	}()
+
+	<-entered
+	cancel()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			break // the shutdown has closed the listener
+		}
+		c.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("the listener still accepts connections after the context was canceled")
+		}
+	}
+	select {
+	case err := <-stopped:
+		t.Fatalf("run returned (%v) with a request still in flight", err)
+	default:
+	}
+	close(release)
+	a := <-acked
+	if a.err != nil || a.code != http.StatusOK {
+		t.Fatalf("the in-flight update did not complete: %d %v %v", a.code, a.out, a.err)
+	}
+	if err := <-stopped; err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if err := st.AppendSide(1, nil); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("append after shutdown = %v, want a closed WAL", err)
+	}
+	st2, err := graph.OpenStore(dir, graph.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if got, want := float64(st2.DB().Revision()), a.out["revision"].(float64); got != want || want == 0 {
+		t.Fatalf("reopened at revision %v, the acknowledged update was %v", got, want)
 	}
 }

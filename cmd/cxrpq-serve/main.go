@@ -26,7 +26,9 @@
 // fsynced, so a kill -9 loses no acknowledged batch. -follower serves the
 // store directories read-only instead: every store under -data-dir is
 // recovered and then tailed (leader appends surface within the poll
-// interval), and /update is refused with 403. Quickstart:
+// interval), and /update is refused with 403. SIGTERM and SIGINT stop either
+// kind gracefully: requests in flight complete, then the stores are synced
+// and closed. Quickstart:
 //
 //	cxrpq-serve -addr :8080 &
 //	curl -s localhost:8080/query -d '{
@@ -46,12 +48,17 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"path/filepath"
+	"syscall"
 	"time"
 
 	"cxrpq/internal/graph"
@@ -90,7 +97,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		stop := make(chan struct{}) // closed never: followers tail for the process lifetime
 		for _, name := range names {
 			fo, err := graph.OpenFollower(filepath.Join(*dataDir, name))
 			if err != nil {
@@ -98,12 +104,13 @@ func main() {
 			}
 			e := srv.addDB(name, fo.DB())
 			e.follower = fo
-			go e.tail(time.Duration(*pollMS)*time.Millisecond, stop)
+			srv.follow(e, time.Duration(*pollMS)*time.Millisecond)
 			log.Printf("tailing db %q: %d nodes, %d edges at revision %d (replayed %d records)",
 				name, fo.DB().NumNodes(), fo.DB().NumEdges(), fo.DB().Revision(), fo.Replayed())
 		}
 		log.Printf("cxrpq-serve follower listening on %s (%d dbs)", *addr, len(names))
-		log.Fatal(serve(*addr, srv.handler()).ListenAndServe())
+		listenAndRun(srv, *addr)
+		return
 	}
 
 	for _, v := range dbs {
@@ -148,15 +155,52 @@ func main() {
 	}
 
 	log.Printf("cxrpq-serve listening on %s (%d dbs, inflight=%d)", *addr, len(dbs), *inflight)
-	log.Fatal(serve(*addr, srv.handler()).ListenAndServe())
+	listenAndRun(srv, *addr)
 }
 
 // Connection timeouts of the listening server. There is no write timeout: a
-// 50 000-row answer and a parked cursor are legitimate.
+// 50 000-row answer and a parked cursor are legitimate. shutdownGrace is how
+// long a SIGTERM/SIGINT waits for the requests in flight before the stores are
+// closed under them.
 const (
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 120 * time.Second
+	shutdownGrace     = 15 * time.Second
 )
+
+// listenAndRun is where leader and follower end up: serve on addr until
+// SIGTERM or SIGINT, then leave by the one exit path (server.run).
+func listenAndRun(srv *server, addr string) {
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
+	ln, err := net.Listen("tcp", addr)
+	if err == nil {
+		err = srv.run(ctx, serve(addr, srv.handler()), ln)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Print("cxrpq-serve stopped: in-flight requests drained, stores closed")
+}
+
+// run serves on ln until ctx is done or the listener fails, then shuts down:
+// no new connection is accepted, the requests in flight complete (up to
+// shutdownGrace), the follower tails stop, and every durable store is synced
+// and closed — what a SIGKILL skips and recovery then has to replay.
+func (s *server) run(ctx context.Context, hs *http.Server, ln net.Listener) error {
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	var err error
+	select {
+	case err = <-served: // the listener failed: nothing to drain
+	case <-ctx.Done():
+		grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		err = hs.Shutdown(grace)
+		cancel()
+		<-served // http.ErrServerClosed
+	}
+	return errors.Join(err, s.close())
+}
 
 // serve returns the HTTP server the leader and the follower listen with: a
 // client that stalls in its request headers, or idles on a kept-alive

@@ -264,6 +264,9 @@ type server struct {
 
 	mu  sync.Mutex
 	dbs map[string]*dbEntry
+
+	stop  chan struct{}  // closed by close: ends the follower tails
+	tails sync.WaitGroup // the tail goroutines follow started
 }
 
 func newServer(opts serverOptions) *server {
@@ -289,7 +292,41 @@ func newServer(opts serverOptions) *server {
 		start:    time.Now(),
 		cursors:  newCursorRegistry(opts.cursorCap, opts.cursorTTL),
 		dbs:      map[string]*dbEntry{},
+		stop:     make(chan struct{}),
 	}
+}
+
+// follow starts the tail loop of a follower entry; close stops and joins it.
+func (s *server) follow(e *dbEntry, interval time.Duration) {
+	s.tails.Add(1)
+	go func() {
+		defer s.tails.Done()
+		e.tail(interval, s.stop)
+	}()
+}
+
+// close releases what the server holds beyond its requests, once, after the
+// last of them has completed: the follower tails are stopped and joined, and
+// every durable store is fsynced and closed (under the entry's writeMu, so an
+// /update that outlived the shutdown grace finishes its append first and the
+// next one finds the WAL closed and wedges with 503).
+func (s *server) close() error {
+	close(s.stop)
+	s.tails.Wait()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var errs []error
+	for _, e := range s.dbs {
+		if e.store == nil {
+			continue
+		}
+		e.writeMu.Lock()
+		if err := e.store.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("close store %s: %w", e.name, err))
+		}
+		e.writeMu.Unlock()
+	}
+	return errors.Join(errs...)
 }
 
 // addDB registers a named database and publishes its first snapshot. The

@@ -79,7 +79,10 @@
 //	                     join executor (one compiled plan per conjunct,
 //	                     atoms behind one source interface, a backtracking
 //	                     and a best-first driver) is the last step of
-//	                     every evaluation algorithm in the library
+//	                     every evaluation algorithm in the library;
+//	                     union.go is the one place that walks a union of
+//	                     ECRPQs (set, Boolean, check, stream, any-k roots
+//	                     over a member sequence)
 //	internal/cxrpq       the paper's contribution: CXRPQs, their fragments,
 //	                     evaluation algorithms (Thms 2/5/6, Cor 1), normal
 //	                     form (Lemmas 4-6, 8), translations (Lemmas 12-14);
@@ -90,8 +93,9 @@
 //	                     by existence probe, parallel mapping enumeration);
 //	                     plan.go/session.go are the prepared-query
 //	                     subsystem: Prepare(q) compiles an immutable Plan
-//	                     (fragment class, bounded schedule, fragment
-//	                     translations), Plan.Bind(db) yields a
+//	                     (fragment class, bounded schedule, the member
+//	                     source of the union of ECRPQ^er every vstar-free
+//	                     query is: Lemma 3 / Lemma 7), Plan.Bind(db) yields a
 //	                     concurrency-safe Session owning the per-database
 //	                     caches (atom relations, path-existence verdicts, result
 //	                     cache, the physical plan of the conjunctive

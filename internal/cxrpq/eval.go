@@ -1,15 +1,10 @@
 package cxrpq
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"cxrpq/internal/ecrpq"
-	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
 	"cxrpq/internal/xregex"
@@ -36,7 +31,8 @@ func EvalSimple(q *Query, db *graph.DB) (*pattern.TupleSet, error) {
 // EvalVsf evaluates a vstar-free CXRPQ (Theorem 2 / Lemma 7): the
 // alternation choices of Lemma 7's nondeterministic guessing are enumerated
 // as branch combinations; each combination is normalized by Step 3 into a
-// simple conjunctive xregex and evaluated via the ECRPQ^er engine.
+// simple conjunctive xregex and evaluated via the ECRPQ^er engine. It is Eval
+// under its historical name.
 func EvalVsf(q *Query, db *graph.DB) (*pattern.TupleSet, error) {
 	p, err := Prepare(q)
 	if err != nil {
@@ -53,187 +49,6 @@ func EvalVsfBool(q *Query, db *graph.DB) (bool, error) {
 		return false, err
 	}
 	return p.Bind(db).EvalVsfBool()
-}
-
-// vsfSink accumulates per-branch-combination outcomes under the Boolean
-// contract shared by every vstar-free evaluation path (the materialized
-// combos of a Plan and the streaming fallback): a match anywhere wins (the
-// query is satisfied regardless of what another combination would have
-// reported), errors are ranked by combination index, and an error surfaces
-// only when no combination matched (Boolean mode) or stops the fan-out
-// immediately (full evaluation). Safe for concurrent record calls.
-type vsfSink struct {
-	boolOnly bool
-	stop     *atomic.Bool
-	fan      *engine.Budget // optional fan budget: stopped alongside the flag
-
-	mu       sync.Mutex
-	out      *pattern.TupleSet
-	matched  bool
-	errAt    int
-	firstErr error
-}
-
-func newVsfSink(boolOnly bool, stop *atomic.Bool, fan *engine.Budget) *vsfSink {
-	return &vsfSink{boolOnly: boolOnly, stop: stop, fan: fan, out: pattern.NewTupleSet(), errAt: -1}
-}
-
-// raise stops the fan: the flag keeps unstarted combinations from launching,
-// the budget unwinds the in-flight siblings' BFS sweeps at level granularity.
-func (s *vsfSink) raise() {
-	s.stop.Store(true)
-	s.fan.Stop()
-}
-
-// record merges the outcome of combination idx. A partial result alongside a
-// truncation error is merged too (budget-cut evaluations return the sound
-// subset they found), so the caller can surface partial rows with the error.
-func (s *vsfSink) record(idx int, res *pattern.TupleSet, err error) {
-	if err != nil {
-		s.mu.Lock()
-		// Rank: a real failure outranks a budget truncation (a sibling that
-		// gets cut by the fan stop must not mask the error that raised it);
-		// within a class, the lowest combination index wins.
-		oldC, newC := errors.Is(s.firstErr, engine.ErrCanceled), errors.Is(err, engine.ErrCanceled)
-		switch {
-		case s.errAt < 0, oldC && !newC, oldC == newC && idx < s.errAt:
-			s.errAt, s.firstErr = idx, err
-		}
-		s.mu.Unlock()
-		// In Boolean mode an error must not cancel the search: a later
-		// combination may still match, and a match wins.
-		if !s.boolOnly {
-			s.raise()
-		}
-	}
-	if res == nil || res.Len() == 0 {
-		return
-	}
-	s.mu.Lock()
-	s.out.AddAll(res)
-	if s.boolOnly && err == nil {
-		s.matched = true
-	}
-	s.mu.Unlock()
-	if s.boolOnly && err == nil {
-		s.raise()
-	}
-}
-
-// finish resolves the accumulated outcomes; call after every worker is done.
-// On error the partial tuple set is returned alongside it (callers that
-// cannot use partial results check err first, as before).
-func (s *vsfSink) finish() (*pattern.TupleSet, error) {
-	if s.boolOnly && s.matched {
-		return s.out, nil
-	}
-	if s.firstErr != nil {
-		return s.out, s.firstErr
-	}
-	return s.out, nil
-}
-
-// evalVsfStream is the streaming fallback of the vstar-free path, used when
-// a query has more branch combinations than a Plan materializes
-// (vsfComboCap): combinations are enumerated and evaluated concurrently,
-// each an independent ECRPQ^er evaluation sharing the process-wide
-// compiled-NFA/subset caches and the database's label index. Combinations
-// are streamed through a bounded channel (their count is exponential in the
-// worst case), and for Boolean queries both the workers and the enumeration
-// stop at the first matching combination.
-func evalVsfStream(q *Query, db *graph.DB, boolOnly bool, bud *engine.Budget) (*pattern.TupleSet, error) {
-	c := q.CXRE()
-	if !c.IsVStarFree() {
-		return nil, fmt.Errorf("cxrpq: EvalVsf requires a vstar-free query (got %s)", q.Fragment())
-	}
-	fan := bud.Fork() // first Boolean witness stops in-flight siblings
-	origDefined := c.DefinedVars()
-	evalCombo := func(combo CXRE) (*pattern.TupleSet, error) {
-		eq, err := comboToSimpleECRPQ(q, combo, origDefined)
-		if err != nil {
-			return nil, err
-		}
-		if boolOnly {
-			ok, err := ecrpq.EvalBoolWith(eq, db, ecrpq.Options{Budget: fan})
-			if err != nil || !ok {
-				return nil, err
-			}
-			res := pattern.NewTupleSet()
-			res.Add(pattern.Tuple{})
-			return res, nil
-		}
-		return ecrpq.EvalWith(eq, db, ecrpq.Options{Budget: fan})
-	}
-
-	var stop atomic.Bool
-	sink := newVsfSink(boolOnly, &stop, fan)
-	workers := engine.Workers(1 << 16)
-	if workers == 1 {
-		// sequential path: stream combos, stop as soon as the sink raises
-		// the flag (Boolean match, or an error in full-evaluation mode)
-		i := 0
-		err := branchCombos(c, func(combo CXRE) error {
-			res, err := evalCombo(combo)
-			sink.record(i, res, err)
-			i++
-			if stop.Load() || fan.Canceled() {
-				return errStop
-			}
-			return nil
-		})
-		if err != nil && err != errStop {
-			return nil, err
-		}
-		return sink.finish()
-	}
-
-	db.Index() // prebuild once before fanning out
-
-	type job struct {
-		idx   int
-		combo CXRE
-	}
-	jobs := make(chan job, 2*workers)
-	var prodErr error
-	go func() {
-		i := 0
-		err := branchCombos(c, func(combo CXRE) error {
-			if stop.Load() || fan.Canceled() {
-				return errStop
-			}
-			jobs <- job{i, combo}
-			i++
-			return nil
-		})
-		if err != nil && err != errStop {
-			prodErr = err // happens-before close(jobs)
-		}
-		close(jobs)
-	}()
-
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if stop.Load() {
-					continue // drain
-				}
-				res, err := evalCombo(j.combo)
-				sink.record(j.idx, res, err)
-			}
-		}()
-	}
-	wg.Wait()
-	res, err := sink.finish()
-	if err != nil {
-		return nil, err
-	}
-	if prodErr != nil {
-		return nil, prodErr
-	}
-	return res, nil
 }
 
 // EvalBounded evaluates q under the CXRPQ^≤k semantics (Theorem 6):

@@ -19,6 +19,8 @@ package cxrpq_test
 // FuzzPreparedDiff exposes the same property to `go test -fuzz`.
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"cxrpq/internal/cxrpq"
@@ -26,6 +28,7 @@ import (
 	"cxrpq/internal/oracle"
 	"cxrpq/internal/pattern"
 	"cxrpq/internal/workload"
+	"cxrpq/internal/xregex"
 )
 
 // diffSeed runs the full differential check for one seed, failing t with
@@ -213,5 +216,40 @@ func FuzzPreparedDiff(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		diffSeed(t, seed)
+	})
+}
+
+// FuzzParse: the textual query format is the server's outermost input.
+// Whatever the bytes, Parse returns a query or an error and never panics,
+// and what parses prepares or is refused with an error — a Plan is built
+// from attacker-chosen text on every cold request. Seeded from the queries of
+// examples/ and from the string-variable templates of internal/workload.
+func FuzzParse(f *testing.F) {
+	for _, src := range []string{
+		"ans(a, b)\na z : $p{[fm][fm]}\nb z : $p\n",                                         // examples/explain
+		"ans(v1, v2)\nv1 v2 : $x{..+}\nv2 v1 : $y{..+}\nv1 w : ($x|$y)+\nv2 w : ($x|$y)+\n", // examples/messagenet
+		"ans(v1, v2)\nu v1 : $x{a|b}\nu v2 : ($x|c)+\n",                                     // examples/quickstart
+		"ans(x, y)\nx m : $v{a|b}\nm y : $v|c\n",
+		"ans()\n", "ans(x)\nx x : $x{$x}\n", "ans(x, y)\nx y : ($a{a}|$b{b})($a|$b)\n",
+	} {
+		f.Add(src)
+	}
+	for seed := int64(0); seed < 16; seed++ {
+		q := workload.RandomQuery(workload.NewRNG(seed), seed%2 == 0)
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "ans(%s)\n", strings.Join(q.Pattern.Out, ", "))
+		for _, e := range q.Pattern.Edges {
+			fmt.Fprintf(&sb, "%s %s : %s\n", e.From, e.To, xregex.String(e.Label))
+		}
+		f.Add(sb.String())
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		q, err := cxrpq.Parse(src)
+		if err != nil {
+			return
+		}
+		if p, err := cxrpq.Prepare(q); err == nil && p.Fragment() == "" {
+			t.Fatalf("%q prepared into a plan without a fragment", src)
+		}
 	})
 }

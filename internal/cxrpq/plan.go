@@ -9,12 +9,12 @@ import (
 
 // This file is the compile-once half of the prepared-query subsystem.
 // Prepare(q) classifies q's fragment and precomputes everything derivable
-// from the query alone — the bounded-evaluation schedule (boundedPlan), the
-// Lemma 3 simple→ECRPQ^er translation, and the Lemma 7 branch-combination
-// translations of the vstar-free path — into an immutable Plan. Binding a
-// Plan to a database (Plan.Bind, session.go) yields a Session owning the
-// per-database caches; the historical one-shot functions (Eval, EvalBounded,
-// Check, Explain, …) are thin wrappers that prepare and bind per call.
+// from the query alone — the bounded-evaluation schedule (boundedPlan) and the
+// members of the union of ECRPQ^er a vstar-free query is (Lemma 3, Lemma 7 /
+// Lemma 13) — into an immutable Plan. Binding a Plan to a database (Plan.Bind,
+// session.go) yields a Session owning the per-database caches; the historical
+// one-shot functions (Eval, EvalBounded, Check, Explain, …) are thin wrappers
+// that prepare and bind per call.
 
 // planKind is the dispatch class of a prepared query, mirroring the
 // fragment dispatch of Eval: the strongest complete algorithm for the
@@ -28,36 +28,25 @@ const (
 	kindGeneral                   // unrestricted: only ≤k / log semantics
 )
 
-// vsfComboCap bounds the number of Lemma 7 branch combinations a Plan
-// materializes; beyond it the vstar-free path falls back to streaming the
-// combinations per evaluation (their count is exponential in the worst
-// case, and a Plan must stay small).
-const vsfComboCap = 1024
+// vsfComboCap bounds the number of Lemma 7 branch combinations a Plan keeps
+// translated (their count is exponential in the worst case, and a Plan must
+// stay small); beyond it the member source enumerates and translates them
+// again on every call. It is the union evaluators' window, so the members a
+// Plan keeps are one fan.
+const vsfComboCap = ecrpq.UnionWindow
 
-// vsfCombo is one materialized branch combination: its translated ECRPQ^er,
-// or the translation error (kept, not raised, because the Boolean
-// evaluation semantics defer per-combination errors until no combination
-// matches).
-type vsfCombo struct {
+// member is one kept member of the plan's union: the ECRPQ^er, or the error
+// its translation failed with (kept, not raised, because a match of another
+// member wins over it).
+type member struct {
 	eq  *ecrpq.Query
 	err error
-}
-
-// vsfPlan caches the Lemma 7 branch-combination translations of a
-// vstar-free query, materialized on first use.
-type vsfPlan struct {
-	origDefined map[string]bool
-
-	once     sync.Once
-	combos   []vsfCombo
-	overflow bool // more than vsfComboCap combinations: stream per call
-	err      error
 }
 
 // Plan is an immutable prepared CXRPQ: the validated query, its fragment
 // classification, and the (lazily materialized, built at most once) pieces
 // each evaluation path needs — the bounded-evaluation schedule and the
-// fragment translations. A Plan holds no database state — bind it to a
+// members of the vstar-free union. A Plan holds no database state — bind it to a
 // graph.DB with Bind to evaluate — and is safe for concurrent use by any
 // number of Sessions.
 type Plan struct {
@@ -70,11 +59,11 @@ type Plan struct {
 	bounded     *boundedPlan // any query has ≤k / log semantics
 	boundedErr  error
 
-	simpleOnce sync.Once
-	simple     *ecrpq.Query
-	simpleErr  error
-
-	vsf *vsfPlan // non-nil iff the query is vstar-free (incl. simple/CRPQ)
+	// The union of ECRPQ^er a vstar-free query is evaluated as, built on first
+	// use: its members, or overCap when there are more than vsfComboCap.
+	membersOnce sync.Once
+	kept        []member
+	overCap     bool
 }
 
 // Prepare validates q and compiles it into a reusable Plan. The fragment
@@ -96,9 +85,6 @@ func Prepare(q *Query) (*Plan, error) {
 		p.kind = kindVsf
 	default:
 		p.kind = kindGeneral
-	}
-	if p.kind != kindGeneral {
-		p.vsf = &vsfPlan{origDefined: p.c.DefinedVars()}
 	}
 	return p, nil
 }
@@ -137,48 +123,57 @@ func (p *Plan) Query() *Query { return p.q }
 // fragment containing the query (classified once at Prepare).
 func (p *Plan) Fragment() string { return p.fragment }
 
-// simpleQuery returns the Lemma 3 translation for classical/simple queries,
-// built once per Plan.
-func (p *Plan) simpleQuery() (*ecrpq.Query, error) {
-	p.simpleOnce.Do(func() {
+// members returns the plan's one member source: the union of ECRPQ^er the
+// query is equivalent to. A classical query is its own single member and a
+// simple one its Lemma 3 translation; a vstar-free query has one member per
+// Lemma 7 branch combination — kept, translated once per Plan, when there
+// are at most vsfComboCap of them, enumerated and translated afresh by every
+// range beyond that. A plan that is not vstar-free has no such union.
+func (p *Plan) members() (ecrpq.Members, error) {
+	if p.kind == kindGeneral {
+		return nil, fmt.Errorf("cxrpq: %s is not vstar-free; evaluate it under the bounded (CXRPQ^≤k) or log semantics", p.fragment)
+	}
+	p.membersOnce.Do(func() {
 		switch p.kind {
 		case kindClassical:
-			p.simple = &ecrpq.Query{Pattern: p.q.Pattern}
+			p.kept = []member{{eq: &ecrpq.Query{Pattern: p.q.Pattern}}}
 		case kindSimple:
-			p.simple, p.simpleErr = SimpleToECRPQer(p.q, nil)
+			eq, err := SimpleToECRPQer(p.q, nil)
+			p.kept = []member{{eq, err}}
 		default:
-			p.simpleErr = fmt.Errorf("cxrpq: %s is not simple", p.fragment)
+			for eq, err := range p.branchMembers {
+				if len(p.kept) == vsfComboCap {
+					p.kept, p.overCap = nil, true
+					break
+				}
+				p.kept = append(p.kept, member{eq, err})
+			}
 		}
 	})
-	return p.simple, p.simpleErr
+	if p.overCap {
+		return p.branchMembers, nil
+	}
+	return func(yield func(*ecrpq.Query, error) bool) {
+		for _, m := range p.kept {
+			if !yield(m.eq, m.err) {
+				return
+			}
+		}
+	}, nil
 }
 
-// vsfCombos materializes the translated branch combinations of a vstar-free
-// query, once per Plan. overflow reports that the combination count exceeds
-// vsfComboCap, in which case callers must stream combinations themselves.
-func (p *Plan) vsfCombos() (combos []vsfCombo, overflow bool, err error) {
-	if p.vsf == nil {
-		return nil, false, fmt.Errorf("cxrpq: EvalVsf requires a vstar-free query (got %s)", p.fragment)
-	}
-	v := p.vsf
-	v.once.Do(func() {
-		count := 0
-		err := branchCombos(p.q.CXRE(), func(combo CXRE) error {
-			count++
-			if count > vsfComboCap {
-				v.overflow = true
-				return errStop
-			}
-			eq, err := comboToSimpleECRPQ(p.q, combo, v.origDefined)
-			v.combos = append(v.combos, vsfCombo{eq: eq, err: err})
-			return nil
-		})
-		if err != nil && err != errStop {
-			v.err = err
+// branchMembers enumerates the Lemma 7 branch combinations and yields the
+// translation of each; a failure of the enumeration itself ends the sequence
+// as one last member.
+func (p *Plan) branchMembers(yield func(*ecrpq.Query, error) bool) {
+	origDefined := p.c.DefinedVars()
+	err := branchCombos(p.c, func(combo CXRE) error {
+		if !yield(comboToSimpleECRPQ(p.q, combo, origDefined)) {
+			return errStop
 		}
-		if v.overflow {
-			v.combos = nil // streamed per call instead
-		}
+		return nil
 	})
-	return v.combos, v.overflow, v.err
+	if err != nil && err != errStop {
+		yield(nil, err)
+	}
 }

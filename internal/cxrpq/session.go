@@ -3,7 +3,6 @@ package cxrpq
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"cxrpq/internal/ecrpq"
 	"cxrpq/internal/engine"
@@ -467,160 +466,58 @@ func (s *Session) Stats() SessionStats {
 	return st
 }
 
-// Eval evaluates the query with the strongest complete algorithm for its
-// fragment (the Session counterpart of the package-level Eval).
+// unionOp runs one operation over the plan's union of ECRPQ^er (every
+// vstar-free query is one: Plan.members) through the result cache. Only a
+// complete answer is kept: a failed or truncated run returns what op returned
+// — for a set, the sound partial rows — with the error and caches nothing.
+func unionOp[T any](s *Session, key string, bud *engine.Budget, op func(ecrpq.Members, ecrpq.Options) (T, error)) (T, error) {
+	_, rc, _ := s.current()
+	if v, ok := rc.get(key); ok {
+		return v.(T), nil
+	}
+	ms, err := s.plan.members()
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	v, err := op(ms, ecrpq.Options{Budget: bud})
+	if err == nil && bud.Err() == nil {
+		rc.put(key, v)
+	}
+	return v, err
+}
+
+// Eval evaluates a vstar-free query (classical and simple ones included) by
+// the Theorem 2 algorithm: the union of its ECRPQ^er members. It is the
+// Session counterpart of the package-level Eval.
 func (s *Session) Eval() (*pattern.TupleSet, error) { return s.evalBudget(nil) }
 
 // evalBudget is Eval under an optional budget. On truncation the sound
-// partial set is returned together with engine.ErrCanceled and is NOT
-// installed in the result cache.
+// partial set is returned together with engine.ErrCanceled.
 func (s *Session) evalBudget(bud *engine.Budget) (*pattern.TupleSet, error) {
-	switch s.plan.kind {
-	case kindClassical, kindSimple:
-		return s.evalSimple(bud)
-	case kindVsf:
-		return s.evalVsfSession(false, bud)
-	default:
-		return nil, fmt.Errorf("cxrpq: %s is not vstar-free; use EvalBounded (CXRPQ^≤k), EvalLog (CXRPQ^log) or EvalAny", s.plan.fragment)
-	}
+	return unionOp(s, "eval", bud, func(ms ecrpq.Members, o ecrpq.Options) (*pattern.TupleSet, error) {
+		return ecrpq.EvalUnionWith(ms, s.db, o)
+	})
 }
 
-// EvalBool decides D |= q, short-circuiting where the fragment allows.
+// EvalBool decides D |= q, short-circuiting on the first matching member.
 func (s *Session) EvalBool() (bool, error) { return s.evalBoolBudget(nil) }
 
-// evalBoolBudget is EvalBool under an optional budget. The simple path runs
-// the lazy (chunked-sweep) streaming search, so the first witness returns
-// without materializing full relations — the first-result fast path. A
-// canceled budget with no witness yields (false, engine.ErrCanceled).
+// evalBoolBudget is EvalBool under an optional budget. Every member runs the
+// lazy (chunked-sweep) search, so the first witness returns without
+// materializing full relations. A canceled budget with no witness yields
+// (false, engine.ErrCanceled).
 func (s *Session) evalBoolBudget(bud *engine.Budget) (bool, error) {
-	switch s.plan.kind {
-	case kindClassical, kindSimple:
-		_, rc, _ := s.current()
-		if v, ok := rc.get("bool"); ok {
-			return v.(bool), nil
-		}
-		eq, err := s.plan.simpleQuery()
-		if err != nil {
-			return false, err
-		}
-		ok, err := ecrpq.EvalBoolWith(eq, s.db, ecrpq.Options{Budget: bud})
-		if err != nil {
-			return false, err
-		}
-		if bud.Err() == nil {
-			rc.put("bool", ok)
-		}
-		return ok, nil
-	case kindVsf:
-		res, err := s.evalVsfSession(true, bud)
-		if err != nil {
-			return false, err
-		}
-		return res.Len() > 0, nil
-	default:
-		return false, fmt.Errorf("cxrpq: %s is not vstar-free; use EvalBoundedBool or EvalLogBool", s.plan.fragment)
-	}
-}
-
-func (s *Session) evalSimple(bud *engine.Budget) (*pattern.TupleSet, error) {
-	_, rc, _ := s.current()
-	if v, ok := rc.get("eval"); ok {
-		return v.(*pattern.TupleSet), nil
-	}
-	eq, err := s.plan.simpleQuery()
-	if err != nil {
-		return nil, err
-	}
-	res, err := ecrpq.EvalWith(eq, s.db, ecrpq.Options{Budget: bud})
-	if err != nil {
-		return res, err // truncated: sound partial set, never cached
-	}
-	rc.put("eval", res)
-	return res, nil
-}
-
-// EvalVsf evaluates a vstar-free query by the Theorem 2 algorithm over the
-// plan's materialized branch combinations (falling back to streaming them
-// when the combination count exceeds the plan cap).
-func (s *Session) EvalVsf() (*pattern.TupleSet, error) { return s.evalVsfSession(false, nil) }
-
-// EvalVsfBool decides D |= q for vstar-free q, short-circuiting on the
-// first matching branch combination.
-func (s *Session) EvalVsfBool() (bool, error) {
-	res, err := s.evalVsfSession(true, nil)
-	if err != nil {
-		return false, err
-	}
-	return res.Len() > 0, nil
-}
-
-func (s *Session) evalVsfSession(boolOnly bool, bud *engine.Budget) (*pattern.TupleSet, error) {
-	_, rc, _ := s.current()
-	key := "vsf"
-	if boolOnly {
-		key = "vsfb"
-	}
-	if v, ok := rc.get(key); ok {
-		return v.(*pattern.TupleSet), nil
-	}
-	combos, overflow, err := s.plan.vsfCombos()
-	if err != nil {
-		return nil, err
-	}
-	var res *pattern.TupleSet
-	if overflow {
-		res, err = evalVsfStream(s.plan.q, s.db, boolOnly, bud)
-	} else {
-		res, err = evalVsfCombos(combos, s.db, boolOnly, bud)
-	}
-	if err != nil {
-		return res, err // truncated partial (or failure); never cached
-	}
-	if bud.Err() == nil {
-		rc.put(key, res)
-	}
-	return res, nil
-}
-
-// evalVsfCombos evaluates materialized branch combinations concurrently
-// across the engine worker pool, aggregating through the same vsfSink as
-// the streaming path (evalVsfStream), so the two share one Boolean
-// contract. The combinations share a fork of the caller's budget: the first
-// Boolean witness stops it, so in-flight sibling evaluations unwind at BFS
-// level granularity instead of running to completion.
-func evalVsfCombos(combos []vsfCombo, db *graph.DB, boolOnly bool, bud *engine.Budget) (*pattern.TupleSet, error) {
-	if len(combos) == 0 {
-		return pattern.NewTupleSet(), nil
-	}
-	db.Index() // prebuild once before fanning out
-
-	fan := bud.Fork()
-	var stop atomic.Bool
-	sink := newVsfSink(boolOnly, &stop, fan)
-	engine.Fan(len(combos), func(i int) {
-		if stop.Load() || fan.Canceled() {
-			return
-		}
-		cb := combos[i]
-		var res *pattern.TupleSet
-		err := cb.err
-		if err == nil {
-			if boolOnly {
-				ok, berr := ecrpq.EvalBoolWith(cb.eq, db, ecrpq.Options{Budget: fan})
-				if berr != nil {
-					err = berr
-				} else if ok {
-					res = pattern.NewTupleSet()
-					res.Add(pattern.Tuple{})
-				}
-			} else {
-				res, err = ecrpq.EvalWith(cb.eq, db, ecrpq.Options{Budget: fan})
-			}
-		}
-		sink.record(i, res, err)
+	return unionOp(s, "bool", bud, func(ms ecrpq.Members, o ecrpq.Options) (bool, error) {
+		return ecrpq.EvalUnionBoolWith(ms, s.db, o)
 	})
-	return sink.finish()
 }
+
+// EvalVsf is Eval: every query Eval accepts is a vstar-free one.
+func (s *Session) EvalVsf() (*pattern.TupleSet, error) { return s.Eval() }
+
+// EvalVsfBool is EvalBool.
+func (s *Session) EvalVsfBool() (bool, error) { return s.EvalBool() }
 
 // EvalBounded evaluates the query under the CXRPQ^≤k semantics (Theorem 6)
 // through the session caches.
@@ -685,82 +582,16 @@ func (s *Session) evalBoundedBudget(k int, boolOnly bool, bud *engine.Budget) (*
 	return res, nil
 }
 
-// Check decides t̄ ∈ q(D) with the fragment dispatch of the package-level
-// Check.
+// Check decides t̄ ∈ q(D) for a vstar-free query.
 func (s *Session) Check(t pattern.Tuple) (bool, error) { return s.checkBudget(t, nil) }
 
-// checkBudget is Check under an optional budget; the pre-bound search runs
-// lazily so the first witness short-circuits (ecrpq.CheckWith). A canceled
-// budget with no witness yields (false, engine.ErrCanceled).
+// checkBudget is Check under an optional budget: one pre-bound lazy search
+// per member, first match wins (ecrpq.CheckUnionWith). A canceled budget with
+// no witness yields (false, engine.ErrCanceled).
 func (s *Session) checkBudget(t pattern.Tuple, bud *engine.Budget) (bool, error) {
-	switch s.plan.kind {
-	case kindClassical, kindSimple:
-		_, rc, _ := s.current()
-		key := "chk\x1f" + t.Key()
-		if v, ok := rc.get(key); ok {
-			return v.(bool), nil
-		}
-		eq, err := s.plan.simpleQuery()
-		if err != nil {
-			return false, err
-		}
-		ok, err := ecrpq.CheckWith(eq, s.db, t, ecrpq.Options{Budget: bud})
-		if err != nil {
-			return false, err
-		}
-		if bud.Err() == nil {
-			rc.put(key, ok)
-		}
-		return ok, nil
-	case kindVsf:
-		return s.checkVsf(t, bud)
-	default:
-		return false, fmt.Errorf("cxrpq: %s is not vstar-free; use CheckBounded", s.plan.fragment)
-	}
-}
-
-// checkVsf decides t̄ ∈ q(D) for a vstar-free plan: one pre-bound lazy search
-// per branch combination under the caller's budget, first match wins. The
-// combinations come from the plan when it materialized them and are streamed
-// (translated one at a time) when their count exceeds the cap.
-func (s *Session) checkVsf(t pattern.Tuple, bud *engine.Budget) (bool, error) {
-	_, rc, _ := s.current()
-	key := "chkv\x1f" + t.Key()
-	if v, ok := rc.get(key); ok {
-		return v.(bool), nil
-	}
-	combos, overflow, err := s.plan.vsfCombos()
-	if err != nil {
-		return false, err
-	}
-	found := false
-	check := func(eq *ecrpq.Query, err error) error {
-		if err == nil {
-			found, err = ecrpq.CheckWith(eq, s.db, t, ecrpq.Options{Budget: bud})
-		}
-		if err == nil && found {
-			err = errStop
-		}
-		return err
-	}
-	if overflow {
-		err = branchCombos(s.plan.c, func(combo CXRE) error {
-			return check(comboToSimpleECRPQ(s.plan.q, combo, s.plan.vsf.origDefined))
-		})
-	} else {
-		for _, cb := range combos {
-			if err = check(cb.eq, cb.err); err != nil {
-				break
-			}
-		}
-	}
-	if err != nil && err != errStop {
-		return false, err
-	}
-	if bud.Err() == nil {
-		rc.put(key, found)
-	}
-	return found, nil
+	return unionOp(s, "chk\x1f"+t.Key(), bud, func(ms ecrpq.Members, o ecrpq.Options) (bool, error) {
+		return ecrpq.CheckUnionWith(ms, s.db, t, o)
+	})
 }
 
 // CheckBounded decides t̄ ∈ q^≤k(D) (Theorem 6 semantics) through the

@@ -13,6 +13,49 @@ import (
 	"cxrpq/internal/workload"
 )
 
+// One plan, one entry: a classical and a simple query are unions of one
+// ECRPQ^er, so Eval and EvalVsf are one operation under one result-cache key
+// (they used to be two translations under "eval" and "vsf"), and a stream
+// after either is a window of the one cached set.
+func TestOnePlanOneResultEntry(t *testing.T) {
+	db := workload.Random(7, 12, 40, "ab")
+	for _, src := range []string{
+		"ans(x, z)\nx y : a+\ny z : b",                // classical
+		"ans(x, z)\nx y : $w{a|b}b*\ny z : $w\n",      // simple
+		"ans(x, z)\nx y : $w{a}|$v{b}\ny z : $w|$v\n", // vstar-free, four members
+	} {
+		sess := cxrpq.MustPrepare(cxrpq.MustParse(src)).Bind(db)
+		first, err := sess.Eval()
+		if err != nil || first.Len() == 0 {
+			t.Fatalf("%q: Eval = %v rows, %v", src, first.Len(), err)
+		}
+		second, err := sess.EvalVsf()
+		if err != nil || second != first {
+			t.Fatalf("%q: EvalVsf after Eval did not return the cached set (%v)", src, err)
+		}
+		if st := sess.Stats(); st.ResultMisses != 1 || st.ResultHits != 1 || st.ResultSize != 1 {
+			t.Fatalf("%q: Eval then EvalVsf: %d misses, %d hits, %d entries; want 1, 1, 1", src, st.ResultMisses, st.ResultHits, st.ResultSize)
+		}
+		cur, err := sess.Stream(cxrpq.StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := first.SortedRows()
+		if p := cur.FetchRows(want.N + 1); p.N != want.N || &p.Data[0] != &want.Data[0] {
+			t.Fatalf("%q: the stream after Eval is not a window of the cached answer (%d rows of %d)", src, p.N, want.N)
+		}
+		if ok, err := sess.EvalVsfBool(); err != nil || !ok {
+			t.Fatalf("%q: EvalVsfBool = %v, %v", src, ok, err)
+		}
+		if ok, err := sess.EvalBool(); err != nil || !ok {
+			t.Fatalf("%q: EvalBool = %v, %v", src, ok, err)
+		}
+		if st := sess.Stats(); st.ResultSize != 2 {
+			t.Fatalf("%q: %d result entries after set and Boolean evaluation, want 2", src, st.ResultSize)
+		}
+	}
+}
+
 func TestSessionRelCacheEviction(t *testing.T) {
 	q := cxrpq.MustParse("ans(p, q)\np m : $x{a|b}c?\nm n : $y{$x|b}($x|$y)\nn q : $x+|b\n")
 	db := workload.Random(11, 6, 14, "abc")

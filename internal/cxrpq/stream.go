@@ -131,15 +131,13 @@ type streamRun func(emit ecrpq.StreamFunc) error
 // its cursor. Rows are computed as the consumer demands them (Next/Fetch);
 // see StreamOptions for semantics, ranking, limits and deadlines, and the
 // Cursor type for the concurrency contract. Construction-time failures
-// (unknown semantics, fragment mismatch, translation errors) surface here;
-// evaluation-time failures surface on the final fetch through Cursor.Err.
+// (unknown semantics, fragment mismatch) surface here; evaluation-time
+// failures, a member's translation error among them, surface on the final
+// fetch through Cursor.Err.
 func (s *Session) Stream(opts StreamOptions) (*Cursor, error) {
 	bounded, k := false, 0
 	switch opts.Semantics {
 	case "", "auto":
-		if s.plan.kind == kindGeneral {
-			return nil, fmt.Errorf("cxrpq: %s is not vstar-free; stream with Semantics \"bounded\" or \"log\"", s.plan.fragment)
-		}
 	case "bounded":
 		bounded, k = true, opts.K
 	case "log":
@@ -182,8 +180,6 @@ func (s *Session) cachedAnswer(bounded bool, k int, ranked bool) *pattern.TupleS
 	key := "eval"
 	if bounded {
 		key = fmt.Sprintf("bnd\x1f%d\x1ffalse", k)
-	} else if s.plan.kind == kindVsf {
-		key = "vsf"
 	}
 	_, rc, _ := s.current()
 	v, _ := rc.get(key)
@@ -193,10 +189,11 @@ func (s *Session) cachedAnswer(bounded bool, k int, ranked bool) *pattern.TupleS
 
 // anyKBuilderFor builds the deferred constructor of the incremental any-k
 // enumerator for one ranked dispatch under the default comparator. It
-// returns (nil, nil) when the dispatch has no incremental path (the VSF
-// branch-combination overflow case) — the caller falls back to the drain.
-// The constructor itself runs on the producer goroutine: for query-form
-// dispatches it only registers roots (evaluation is lazy behind Next), while
+// returns (nil, nil) when the dispatch has no incremental path — a union of
+// more than vsfComboCap members, an unbounded number of evaluators to root —
+// and the caller falls back to the drain, which walks the same member source.
+// The constructor itself runs on the producer goroutine: for the union it
+// only registers one root per member (evaluation is lazy behind Next), while
 // the bounded dispatch first enumerates the variable mappings and builds
 // their relations, deferring every leaf join onto the queue.
 func (s *Session) anyKBuilderFor(bounded bool, k int, bud *engine.Budget, w engine.Weight) (func() (*ecrpq.AnyK, error), error) {
@@ -223,46 +220,21 @@ func (s *Session) anyKBuilderFor(bounded bool, k int, bud *engine.Budget, w engi
 			return ak, nil
 		}, nil
 	}
-	switch s.plan.kind {
-	case kindClassical, kindSimple:
-		eq, err := s.plan.simpleQuery()
-		if err != nil {
-			return nil, err
-		}
-		return func() (*ecrpq.AnyK, error) {
-			ak := ecrpq.NewAnyK(bud)
-			if err := ak.AddQuery(eq, s.db, w); err != nil {
-				return nil, err
-			}
-			return ak, nil
-		}, nil
-	default: // kindVsf: Stream has turned kindGeneral away
-		combos, overflow, err := s.plan.vsfCombos()
-		if err != nil {
-			return nil, err
-		}
-		if overflow {
-			return nil, nil // too many branch combos to root eagerly: drain
-		}
-		return func() (*ecrpq.AnyK, error) {
-			ak := ecrpq.NewAnyK(bud)
-			for _, cb := range combos {
-				if cb.err != nil {
-					return nil, cb.err
-				}
-				if err := ak.AddQuery(cb.eq, s.db, w); err != nil {
-					return nil, err
-				}
-			}
-			return ak, nil
-		}, nil
+	ms, err := s.plan.members()
+	if err != nil || s.plan.overCap {
+		return nil, err // too many members to root eagerly: drain
 	}
+	return func() (*ecrpq.AnyK, error) {
+		ak := ecrpq.NewAnyK(bud)
+		return ak, ak.AddUnion(ms, s.db, w)
+	}, nil
 }
 
-// streamRunFor builds the producer enumeration for one dispatch. Unranked
-// multi-source dispatches (branch combinations, bounded mappings) dedup at
-// this layer — each source dedups only within itself; ranked dispatches must
-// NOT dedup here (the cursor keeps the minimal cost per tuple instead).
+// streamRunFor builds the producer enumeration for one dispatch. Unranked, the
+// bounded mappings dedup here and the union's members in
+// ecrpq.EvalUnionStream — each source dedups only within itself; ranked
+// dispatches must NOT dedup (the cursor keeps the minimal cost per tuple
+// instead).
 func (s *Session) streamRunFor(bounded bool, k int, opts ecrpq.Options) (streamRun, error) {
 	bud, ranked := opts.Budget, opts.Ranked
 	if bounded {
@@ -289,61 +261,11 @@ func (s *Session) streamRunFor(bounded bool, k int, opts ecrpq.Options) (streamR
 			return err
 		}, nil
 	}
-	switch s.plan.kind {
-	case kindClassical, kindSimple:
-		eq, err := s.plan.simpleQuery()
-		if err != nil {
-			return nil, err
-		}
-		return func(emit ecrpq.StreamFunc) error {
-			return ecrpq.EvalStream(eq, s.db, opts, emit)
-		}, nil
-	default: // kindVsf: Stream has turned kindGeneral away
-		combos, overflow, err := s.plan.vsfCombos()
-		if err != nil {
-			return nil, err
-		}
-		return func(emit ecrpq.StreamFunc) error {
-			if !ranked {
-				emit = ecrpq.Dedup(emit)
-			}
-			stopped := false
-			wrapped := func(row []int32, cost int) bool {
-				stopped = !emit(row, cost)
-				return !stopped
-			}
-			if !overflow {
-				for _, cb := range combos {
-					if cb.err != nil {
-						return cb.err
-					}
-					if err := ecrpq.EvalStream(cb.eq, s.db, opts, wrapped); err != nil {
-						return err
-					}
-					if stopped || bud.Canceled() {
-						return nil
-					}
-				}
-				return nil
-			}
-			c := s.plan.q.CXRE()
-			origDefined := c.DefinedVars()
-			err := branchCombos(c, func(combo CXRE) error {
-				if stopped || bud.Canceled() {
-					return errStop
-				}
-				eq, err := comboToSimpleECRPQ(s.plan.q, combo, origDefined)
-				if err != nil {
-					return err
-				}
-				return ecrpq.EvalStream(eq, s.db, opts, wrapped)
-			})
-			if err == errStop {
-				err = nil
-			}
-			return err
-		}, nil
+	ms, err := s.plan.members()
+	if err != nil {
+		return nil, err
 	}
+	return func(emit ecrpq.StreamFunc) error { return ecrpq.EvalUnionStream(ms, s.db, opts, emit) }, nil
 }
 
 // defaultLess is the ranked comparator: witness length ascending, ties in
@@ -371,6 +293,14 @@ func newCursor(bud *engine.Budget, opts StreamOptions, run streamRun, build func
 	}
 	go func() {
 		defer close(c.pages)
+		// A panic of the enumeration ends this stream, not the process: the
+		// consumer is waiting for a page whenever the producer runs, and gets a
+		// final one that says so.
+		defer func() {
+			if r := recover(); r != nil {
+				c.pages <- cursorPage{final: true, err: fmt.Errorf("cxrpq: stream producer panicked: %v", r)}
+			}
+		}()
 		want, ok := <-c.reqs
 		if !ok {
 			return // closed before the first fetch: nothing ran

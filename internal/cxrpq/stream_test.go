@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -765,5 +766,51 @@ func TestCachedStreamIsWindow(t *testing.T) {
 	}
 	if n := len(drainCursor(t, forked, 64)); n != want.N {
 		t.Fatalf("stream over the fork: %d rows, want %d", n, want.N)
+	}
+}
+
+// A panic on the producer goroutine — here an engine.Weight that blows up on
+// its second call, inside the any-k root of one union member — ends that
+// cursor with an error on its final page, not the process; the session is
+// untouched and the next stream over it answers.
+func TestStreamProducerPanicIsCursorError(t *testing.T) {
+	db := workload.Random(9, 10, 30, "ab")
+	sess := cxrpq.MustPrepare(cxrpq.MustParse("ans(x, z)\nx y : $w{a}|$v{b}\ny z : $w|$v\n")).Bind(db)
+	want, err := sess.Eval()
+	if err != nil || want.Len() == 0 {
+		t.Fatalf("fixture: %v, %v", want, err)
+	}
+	before := runtime.NumGoroutine()
+	for _, closeEarly := range []bool{false, true} {
+		calls := 0
+		cur, err := sess.Stream(cxrpq.StreamOptions{Ranked: true, Weight: func(rune) int32 {
+			if calls++; calls > 1 {
+				panic("weight table")
+			}
+			return 1
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if closeEarly {
+			cur.Close() // before the first fetch: the producer never ran
+		} else if rows := cur.Fetch(1 << 20); len(rows) != 0 || cur.Err() == nil || !strings.Contains(cur.Err().Error(), "weight table") {
+			t.Fatalf("a stream whose producer panicked: %d rows, err %v", len(rows), cur.Err())
+		}
+		cur.Close()
+
+		next, err := sess.Stream(cxrpq.StreamOptions{Ranked: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rowSet(drainCursor(t, next, 16)); !got.Equal(want) {
+			t.Fatalf("the stream after the panic has %v, want %v", got.Sorted(), want.Sorted())
+		}
+	}
+	// A producer exits just after its final page is taken, not before.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("panicked producers left goroutines: %d before, %d after", before, runtime.NumGoroutine())
+		}
 	}
 }

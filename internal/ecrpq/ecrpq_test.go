@@ -1,6 +1,7 @@
 package ecrpq_test
 
 import (
+	"errors"
 	"testing"
 
 	"cxrpq/internal/ecrpq"
@@ -260,6 +261,49 @@ func TestUnionEval(t *testing.T) {
 	ok, err := ecrpq.EvalUnionBool(u, db)
 	if err != nil || !ok {
 		t.Fatal("union bool failed")
+	}
+	// The other operations over the same members: check, stream, any-k roots.
+	ms := ecrpq.MembersOf(u.Members...)
+	for _, tup := range res.Sorted() {
+		if ok, err := ecrpq.CheckUnionWith(ms, db, tup, ecrpq.Options{}); err != nil || !ok {
+			t.Fatalf("CheckUnionWith(%v) = %v, %v", tup, ok, err)
+		}
+	}
+	if ok, err := ecrpq.CheckUnionWith(ms, db, pattern.Tuple{0, 0}, ecrpq.Options{}); err != nil || ok {
+		t.Fatalf("CheckUnionWith(non-answer) = %v, %v", ok, err)
+	}
+	streamed := pattern.NewTupleSet()
+	if err := ecrpq.EvalUnionStream(ms, db, ecrpq.Options{}, func(row []int32, _ int) bool {
+		if !streamed.AddRow(row) {
+			t.Fatalf("the union stream repeats %v", row)
+		}
+		return true
+	}); err != nil || !streamed.Equal(res) {
+		t.Fatalf("union stream %v, %v; want %v", streamed.Sorted(), err, res.Sorted())
+	}
+	ak := ecrpq.NewAnyK(nil)
+	if err := ak.AddUnion(ms, db, nil); err != nil {
+		t.Fatal(err)
+	}
+	ranked := pattern.NewTupleSet()
+	for row, cost, ok := ak.Next(); ok; row, cost, ok = ak.Next() {
+		if cost != 1 {
+			t.Fatalf("any-k row %v at cost %d, want 1", row, cost)
+		}
+		ranked.AddRow(row)
+	}
+	if !ranked.Equal(res) {
+		t.Fatalf("any-k over the union %v, want %v", ranked.Sorted(), res.Sorted())
+	}
+	// A member that cannot be built ends the sequential operations with its error.
+	bad := func(yield func(*ecrpq.Query, error) bool) {
+		_ = yield(u.Members[0], nil) && yield(nil, errors.New("unbuilt"))
+	}
+	if err := ecrpq.EvalUnionStream(bad, db, ecrpq.Options{}, func([]int32, int) bool { return true }); err == nil {
+		t.Fatal("union stream swallowed a member error")
+	}
+	if err := ecrpq.NewAnyK(nil).AddUnion(bad, db, nil); err == nil {
+		t.Fatal("AddUnion swallowed a member error")
 	}
 }
 

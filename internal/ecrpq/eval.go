@@ -2,8 +2,6 @@ package ecrpq
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
@@ -133,99 +131,4 @@ func preBind(q *Query, db *graph.DB, t pattern.Tuple) (pre map[string]int, ok bo
 		pre[z] = v
 	}
 	return pre, true, nil
-}
-
-// EvalStream enumerates q(D) through yield instead of materializing it:
-// every satisfying assignment is projected and yielded the moment the join
-// completes it, and the consumer's return value unwinds the whole search.
-// Unranked, tuples are distinct and cost is always 0. Ranked emission is NOT
-// deduplicated — the same tuple may arrive once per distinct assignment,
-// each with that assignment's cost — because only a full drain can know the
-// minimal witness; the consumer keeps the minimum per tuple. The error
-// reports construction/validation failures only — the caller owns the
-// budget and checks it for truncation.
-func EvalStream(q *Query, db *graph.DB, o Options, yield StreamFunc) error {
-	ev, err := newEvaluator(q, db, o, true)
-	if err != nil {
-		return err
-	}
-	if !o.Ranked {
-		yield = Dedup(yield)
-	}
-	ev.stream(nil, yield)
-	return nil
-}
-
-// Dedup wraps yield so that it sees each distinct row once (the first time).
-func Dedup(yield StreamFunc) StreamFunc {
-	seen := pattern.NewTupleSet()
-	return func(row []int32, cost int) bool {
-		return !seen.AddRow(row) || yield(row, cost)
-	}
-}
-
-// EvalUnion computes ⋃ qi(D). Members are evaluated concurrently across
-// the engine worker pool (engine.Fan) — each worker materializes its own
-// member's tuple set, and a mutex-guarded shared set dedupes the union as
-// results land. The first member error (by member index, so the outcome is
-// deterministic) wins.
-func EvalUnion(u *Union, db *graph.DB) (*pattern.TupleSet, error) {
-	if err := u.Validate(); err != nil {
-		return nil, err
-	}
-	db.Index() // force one index build before the fan-out races on it
-	out := pattern.NewTupleSet()
-	errs := make([]error, len(u.Members))
-	var mu sync.Mutex
-	engine.Fan(len(u.Members), func(i int) {
-		res, err := Eval(u.Members[i], db)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		mu.Lock()
-		out.AddAll(res)
-		mu.Unlock()
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// EvalUnionBool decides whether some member matches. Members run
-// concurrently; any satisfied member settles the answer (errors from other
-// members are irrelevant once a witness exists, matching the sequential
-// short-circuit semantics).
-func EvalUnionBool(u *Union, db *graph.DB) (bool, error) {
-	if err := u.Validate(); err != nil {
-		return false, err
-	}
-	db.Index()
-	var found atomic.Bool
-	errs := make([]error, len(u.Members))
-	engine.Fan(len(u.Members), func(i int) {
-		if found.Load() {
-			return
-		}
-		ok, err := EvalBool(u.Members[i], db)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		if ok {
-			found.Store(true)
-		}
-	})
-	if found.Load() {
-		return true, nil
-	}
-	for _, err := range errs {
-		if err != nil {
-			return false, err
-		}
-	}
-	return false, nil
 }

@@ -11,8 +11,10 @@
 package engine
 
 import (
+	"fmt"
 	"math/bits"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -63,8 +65,9 @@ func Reach(ix *graph.Index, c *automata.SubsetCache, src int, forward bool, o Re
 // emptiness. cut reports a budget-truncated sweep: bits may be missing.
 func Support(ix *graph.Index, c *automata.SubsetCache, forward, first bool, bud *Budget) (sup []uint64, n int, cut bool) {
 	s := scalarPool.Get().(*scalarScratch)
-	defer scalarPool.Put(s)
-	return s.support(ix, c, forward, first, bud)
+	sup, n, cut = s.support(ix, c, forward, first, bud)
+	scalarPool.Put(s) // not deferred: a sweep that panics must not pool dirty scratch
+	return sup, n, cut
 }
 
 // cfg is one product configuration: a graph node paired with a
@@ -298,6 +301,12 @@ func Workers(n int) int {
 // index each, so tiny per-task bodies stop serializing on the shared
 // counter while the 8× oversubscription keeps load balance for skewed task
 // costs.
+//
+// A panic in f does not take the process down from a goroutine nobody can
+// recover on: the first one is captured, the other workers finish what they
+// claimed, and Fan re-raises it on the calling goroutine (with a single
+// worker it simply propagates), where the caller's own containment — net/http's
+// per-request recover, a cursor's producer — sees it.
 func Fan(n int, f func(i int)) {
 	if n <= 0 {
 		return
@@ -315,10 +324,18 @@ func Fan(n int, f func(i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var panicked atomic.Pointer[error]
 	wg.Add(w)
 	for k := 0; k < w; k++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					// The re-raise loses the stack the panic was raised on: keep it.
+					err := fmt.Errorf("engine: Fan worker panicked: %v\n%s", r, debug.Stack())
+					panicked.CompareAndSwap(nil, &err)
+				}
+			}()
 			for {
 				end := int(next.Add(int64(chunk)))
 				start := end - chunk
@@ -335,4 +352,7 @@ func Fan(n int, f func(i int)) {
 		}()
 	}
 	wg.Wait()
+	if err := panicked.Load(); err != nil {
+		panic(*err)
+	}
 }

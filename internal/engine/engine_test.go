@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cxrpq/internal/automata"
@@ -312,6 +314,47 @@ func TestFanCoversAllIndices(t *testing.T) {
 				t.Fatalf("n=%d: index %d ran %d times", n, i, h)
 			}
 		}
+	}
+}
+
+// TestFanPanicReraisedOnCaller: a panic on a worker goroutine reaches the
+// goroutine that called Fan — once, carrying the value and the worker's stack
+// — after the other workers have finished what they claimed; with one worker
+// it is the caller's own panic. Fan is usable afterwards.
+func TestFanPanicReraisedOnCaller(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		prev := engine.SetMaxWorkers(workers)
+		const n = 64
+		var ran atomic.Int32
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			engine.Fan(n, func(i int) {
+				if i == 5 || i == 40 {
+					panic(fmt.Sprintf("task %d", i))
+				}
+				ran.Add(1)
+			})
+		}()
+		if got == nil || !strings.Contains(fmt.Sprint(got), "task ") {
+			t.Fatalf("workers=%d: Fan recovered %v, want the task's panic", workers, got)
+		}
+		// Chunks are two indices wide here (n/(8w)), so a worker that panics
+		// gives up little: most of the other tasks still ran.
+		if workers > 1 && ran.Load() < n/2 {
+			t.Fatalf("workers=%d: only %d of %d tasks ran beside the panicking ones", workers, ran.Load(), n)
+		}
+		if workers > 1 && !strings.Contains(fmt.Sprint(got), "engine_test.go") {
+			t.Fatalf("workers=%d: the re-raised panic lost the worker's stack: %v", workers, got)
+		}
+		hit := make([]int32, n)
+		engine.Fan(n, func(i int) { hit[i]++ })
+		for i, h := range hit {
+			if h != 1 {
+				t.Fatalf("workers=%d: after the panic index %d ran %d times", workers, i, h)
+			}
+		}
+		engine.SetMaxWorkers(prev)
 	}
 }
 
