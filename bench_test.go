@@ -1,6 +1,6 @@
 package repro
 
-// One benchmark per experiment of internal/exp (E1–E26), plus engine
+// One benchmark per experiment of internal/exp (E1–E18), plus engine
 // micro-benchmarks. Each experiment benchmark runs the exact workload that
 // regenerates the corresponding paper artefact; cmd/cxrpq-exp prints the
 // same tables.
@@ -16,7 +16,6 @@ import (
 	"cxrpq/internal/exp"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
-	"cxrpq/internal/planner"
 	"cxrpq/internal/reductions"
 	"cxrpq/internal/separations"
 	"cxrpq/internal/workload"
@@ -253,7 +252,7 @@ func BenchmarkEngineReach(b *testing.B) {
 // single-source search per source, parallelism from engine.Fan.
 func reachFan(ix *graph.Index, c *automata.SubsetCache, srcs []int) [][]int {
 	out := make([][]int, len(srcs))
-	engine.Fan(len(srcs), func(i int) {
+	engine.Fan(0, len(srcs), func(i int) {
 		out[i], _ = engine.Reach(ix, c, srcs[i], true, engine.ReachOpts{})
 	})
 	return out
@@ -275,8 +274,8 @@ func BenchmarkEngineReachFan(b *testing.B) {
 	}
 }
 
-// BenchmarkReachBatch measures the multi-source kernel on the scaled E22
-// gMark-style workload against the per-source fan: "reachfan" is one BFS per
+// BenchmarkReachBatch measures the multi-source kernel on a gMark-style
+// workload against the per-source fan: "reachfan" is one BFS per
 // source with parallelism from Fan, "batch" the MS-BFS batches of
 // engine.ReachBatchEx. Batching is an algorithmic win (64 sources share each
 // product-edge sweep), so it holds at any GOMAXPROCS.
@@ -304,15 +303,11 @@ func BenchmarkReachBatch(b *testing.B) {
 	})
 }
 
-func BenchmarkE22BatchedReach(b *testing.B) { benchTable(b, exp.E22BatchedReach) }
-
-// BenchmarkStreamFirstRow measures the streaming any-k layer (PR 7) on the
-// E23 high-output gMark-style workload: "first" pulls a single row through
-// Session.Stream on a session-cold cache (the time-to-first-row fast path —
-// lazy chunked source sweeps compute only what one row needs), "drain"
-// pulls the entire relation page by page, and "eval" materializes it with
-// Session.Eval. The acceptance floor for PR 7 is first ≥ 10x faster than
-// eval with drain within 1.2x of eval (E23 prints the measured ratios).
+// BenchmarkStreamFirstRow measures the streaming layer on a high-output
+// gMark-style workload: "first" pulls a single row through Session.Stream on
+// a session-cold cache (the time-to-first-row fast path — lazy chunked source
+// sweeps compute only what one row needs), "drain" pulls the entire relation
+// page by page, and "eval" materializes it with Session.Eval.
 func BenchmarkStreamFirstRow(b *testing.B) {
 	db := workload.GMark(7, 1200)
 	db.Index() // shared state: warm outside the timings
@@ -355,184 +350,12 @@ func BenchmarkStreamFirstRow(b *testing.B) {
 	})
 }
 
-func BenchmarkE23TimeToFirstRow(b *testing.B) { benchTable(b, exp.E23TimeToFirstRow) }
-
-// BenchmarkSnapshotReadsUnderWrites runs the E24 write-storm comparison
-// (PR 8): read-latency p50/p99 for a global-lock server discipline versus
-// MVCC snapshot publishes over the identical mutation stream, plus the
-// stalled-read probe (a read issued while the writer sits inside its
-// critical section) and WAL recovery time per megabyte. The acceptance
-// floor for PR 8 is p50_speedup ≥ 2x with the MVCC stalled read not
-// waiting out the writer's stall (E24 prints both).
-func BenchmarkSnapshotReadsUnderWrites(b *testing.B) {
-	benchTable(b, exp.E24SnapshotReadsUnderWrites)
-}
-
-// BenchmarkPreparedReuse measures the prepared-query subsystem on the
-// E2/E6/E9 workloads: "oneshot" re-prepares and re-derives everything per
-// iteration, "prepared" binds a Session once and re-evaluates through its
-// caches. The acceptance floor for PR 3 is prepared ≥ 1.5x faster on every
-// workload (E19 prints the ratios).
-func BenchmarkPreparedReuse(b *testing.B) {
-	items, err := exp.PreparedReuseItems(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, it := range items {
-		b.Run(it.Name+"/oneshot", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := it.OneShot(it.Query, it.DB); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(it.Name+"/prepared", func(b *testing.B) {
-			sess := cxrpq.MustPrepare(it.Query).Bind(it.DB)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := it.Session(sess); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		// Result cache disabled: isolates the structural reuse (plan +
-		// relation/feasibility caches), so a regression there cannot hide
-		// behind whole-result cache hits.
-		b.Run(it.Name+"/prepared-norc", func(b *testing.B) {
-			sess := cxrpq.MustPrepare(it.Query).BindOpts(it.DB, cxrpq.SessionOptions{ResultCacheCap: -1})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := it.Session(sess); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkE19PreparedReuse(b *testing.B) { benchTable(b, exp.E19PreparedReuse) }
-
-// BenchmarkApplyDelta measures the incremental-update subsystem (PR 5) on
-// the E21 MutationStream items: one iteration replays the whole delta
-// stream against a warmed session, re-running the item's operation after
-// every delta. "incremental" routes deltas through Session.ApplyDelta
-// (fine-grained cache maintenance), "rebuild" applies the delta and forces
-// the historical whole-epoch flush with Invalidate. Setup (graph build,
-// session warm-up) is excluded per iteration. The acceptance floor for
-// PR 5 is incremental ≥ 2x faster in aggregate (E21 prints the ratios).
-func BenchmarkApplyDelta(b *testing.B) {
-	for _, it := range exp.IncrementalUpdateItems(1) {
-		run := func(name string, apply func(*cxrpq.Session, graph.Delta) error) {
-			b.Run(it.Name+"/"+name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					sess, deltas, err := exp.SetupMutationStream(it)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					for step, delta := range deltas {
-						if err := apply(sess, delta); err != nil {
-							b.Fatal(err)
-						}
-						if _, err := it.Do(sess, step); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			})
-		}
-		run("rebuild", func(sess *cxrpq.Session, delta graph.Delta) error {
-			if _, err := sess.DB().ApplyDelta(delta); err != nil {
-				return err
-			}
-			sess.Invalidate()
-			return nil
-		})
-		run("incremental", func(sess *cxrpq.Session, delta graph.Delta) error {
-			_, err := sess.ApplyDelta(delta)
-			return err
-		})
-	}
-}
-
-// BenchmarkPlannerJoin measures the cost-based planning layer (PR 4) on
-// the skewed-cardinality workload (one dense hub atom + selective atoms,
-// workload.SkewedJoin), running the exact E20 items: "structural" forces
-// the historical most-bound-first order, "planner" lets the
-// cardinality-estimated order and the semijoin domain reduction run. The
-// acceptance floor is a measurable speedup on every path (E20 prints the
-// ratios).
-func BenchmarkPlannerJoin(b *testing.B) {
-	items, err := exp.PlannerJoinItems(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, it := range items {
-		run := func(name string, eval func() (*pattern.TupleSet, error)) {
-			b.Run(it.Name+"/"+name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := eval(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-		run("structural", it.Structural)
-		run("planner", it.Planned)
-	}
-}
-
-// BenchmarkYannakakis measures the planner-v2 acyclic-join specialization
-// (PR 9) on the E25 workload families: a dead-end chain (every
-// backtracking anchor explores ~width·fanout² partial assignments that
-// die one atom later) and a tri-label star under ans(x) (backtracking
-// enumerates fanout³ assignments per center that all project to one output
-// tuple). "backtracking" runs with the Yannakakis switch off,
-// "yannakakis" with the GYO join tree + semijoin passes + backtrack-free
-// enumeration on. The acceptance floor for PR 9 is yannakakis ≥ 2x faster
-// on both families (E25 prints the ratios).
-func BenchmarkYannakakis(b *testing.B) {
-	families := []struct {
-		name, src string
-		db        *graph.DB
-	}{
-		{"dead-end-chain", "ans(x0, x3)\nx0 x1 : a\nx1 x2 : a\nx2 x3 : a",
-			workload.DeadEndChain(3, 120, 20, 2)},
-		{"tri-label-star", "ans(x)\nx y1 : a\nx y2 : b\nx y3 : c",
-			workload.TriStar(30, 20)},
-	}
-	for _, f := range families {
-		plan, err := cxrpq.PrepareSrc(f.src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		f.db.Index() // shared state: warm outside the timings
-		run := func(name string, on bool) {
-			b.Run(f.name+"/"+name, func(b *testing.B) {
-				prev := planner.SetYannakakis(on)
-				defer planner.SetYannakakis(prev)
-				for i := 0; i < b.N; i++ {
-					if _, err := plan.Bind(f.db).Eval(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-		run("backtracking", false)
-		run("yannakakis", true)
-	}
-}
-
-func BenchmarkE25PlannerV2(b *testing.B) { benchTable(b, exp.E25PlannerV2) }
-
-// BenchmarkAnyK measures the incremental any-k ranked enumerator (PR 10) on
-// the E26 gMark-style workload: "first/anyk" pulls one ranked row through the
+// BenchmarkAnyK measures the incremental any-k ranked enumerator on a
+// gMark-style workload: "first/anyk" pulls one ranked row through the
 // priority-queue producer on a session-cold bind, "first/drain" forces the
-// historical drain-then-sort producer via a custom comparator replicating the
-// default order (so only the production strategy differs), and "top64/anyk"
-// pulls a 64-row ranked prefix. The acceptance floor for PR 10 is
-// first/anyk ≥ 50x faster than first/drain (asserted inside E26).
+// drain-then-sort producer via a custom comparator replicating the default
+// order (so only the production strategy differs), and "top64/anyk" pulls a
+// 64-row ranked prefix.
 func BenchmarkAnyK(b *testing.B) {
 	db := workload.GMark(7, 1200)
 	db.Index() // shared label index: warm outside the timings
@@ -579,5 +402,3 @@ func BenchmarkAnyK(b *testing.B) {
 		}
 	})
 }
-
-func BenchmarkE26RankedTTFR(b *testing.B) { benchTable(b, exp.E26RankedTTFR) }

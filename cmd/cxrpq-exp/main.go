@@ -1,4 +1,4 @@
-// Command cxrpq-exp runs the paper-reproduction experiment suite (E1–E26,
+// Command cxrpq-exp runs the paper-reproduction experiment suite (E1–E18,
 // internal/exp) and prints one table per experiment. -cpuprofile/-memprofile
 // write runtime/pprof profiles of the run. Timings across commits are the
 // business of bench/ (see bench/README.md), not of this command.

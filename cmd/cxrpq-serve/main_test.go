@@ -420,7 +420,7 @@ func TestPlanEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %v", code, out)
 	}
-	if out["fragment"] != "CRPQ" || out["cost_based"] != true {
+	if out["fragment"] != "CRPQ" || out["strategy"] != "backtracking" {
 		t.Fatalf("plan header = %v", out)
 	}
 	steps := out["steps"].([]any)

@@ -1174,12 +1174,11 @@ type planResponse struct {
 // handlePlan is the planner debug endpoint: it resolves the (database,
 // query) pair exactly like /query but returns the session's physical plan
 // — the cost-based join order with estimated cardinalities, plus the
-// planner-v2 rewrite report ("minimized_atoms": atoms the containment pass
-// deletes; "acyclic"/"free_connex"/"join_tree": the GYO classification of
-// the remaining conjunct graph; "strategy": "yannakakis" when the leaf
-// joins would run the semijoin program, "backtracking" otherwise) — along
-// with the per-label graph statistics the estimates came from, instead of
-// evaluating anything.
+// rewrite report ("minimized_atoms": atoms the containment pass deletes;
+// "acyclic"/"free_connex"/"join_tree": the GYO classification of the
+// remaining conjunct graph; "strategy": what the planner's one gate answers
+// for the evaluation, see cxrpq.PlanReport) — along with the per-label graph
+// statistics the estimates came from, instead of evaluating anything.
 func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))

@@ -61,7 +61,7 @@
 //	                     materialized relations), a greedy join-order
 //	                     search with bound-variable selectivity
 //	                     propagation (Order), a semijoin domain
-//	                     reduction (Reduce), and the v2 rewrite pipeline:
+//	                     reduction (Reduce), and the rewrite pipeline:
 //	                     containment-based query minimization (Minimize,
 //	                     with LangContains deciding L' ⊆ L by a bounded
 //	                     BFS over the product of the atoms' SubsetCache
@@ -69,10 +69,11 @@
 //	                     with join-tree construction and a free-connex
 //	                     test (BuildJoinTree / FreeConnex) feeding the
 //	                     two-pass Yannakakis semijoin program in ecrpq;
-//	                     every join in the stack consults it, and
-//	                     SetEnabled(false) / SetMinimize / SetYannakakis
-//	                     restore the earlier behaviours as differential
-//	                     baselines
+//	                     every join in the stack consults it, and one
+//	                     gate (Tuning.Strategy) picks each join's
+//	                     strategy. Nothing in it is a process-wide
+//	                     switch: the Tuning value, zero in production,
+//	                     is how tests get their baselines
 //	internal/crpq        CRPQs (Lemma 1 evaluation)
 //	internal/ecrpq       ECRPQs with regular relations; ECRPQ^er is the
 //	                     synchronized-product evaluation core, and its
@@ -133,8 +134,9 @@
 //	                     skewed GMark), the random query
 //	                     generator (RandomQuery) behind the differential
 //	                     fuzz harness, and the MutationStream delta
-//	                     workload behind the incremental-update experiment
-//	internal/exp         the E1-E26 experiment harness
+//	                     workload behind the delta-maintenance differentials
+//	internal/exp         the E1-E18 experiment harness (the paper's
+//	                     figures, theorems, reductions and separations)
 //
 // cmd/cxrpq-serve is the concurrent HTTP/JSON evaluation server over the
 // prepared-query subsystem: a per-database pool of prepared sessions,
@@ -152,7 +154,7 @@
 // that append to the write-ahead log before acknowledging and fork the
 // pooled sessions' caches incrementally off the reader path (invalidating
 // parked cursors), a /plan debug endpoint reporting the planner-chosen
-// join order with estimated cardinalities plus the planner-v2 rewrite
+// join order with estimated cardinalities plus the planner's rewrite
 // report (minimized atoms, acyclicity, free-connexness, join tree,
 // strategy), and /stats counters for
 // retained-vs-rebuilt cache entries, time-to-first-row and rows-streamed

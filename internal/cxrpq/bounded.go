@@ -182,6 +182,7 @@ type boundedEngine struct {
 
 	k      int            // image bound
 	caches *sessionCaches // per-DB memos, shared across runs of one Session
+	tune   planner.Tuning // the session's: leaf-join gates and the fan width
 
 	// cands memoizes the candidate walk per relaxed definition bodies: every
 	// prefix that agrees on the variables of x's bodies asks for the same list.
@@ -223,11 +224,6 @@ type boundedEngine struct {
 	// relations, ExplainBounded swaps in a witness search.
 	leaf func(st *boundedState) error
 
-	// structSpec is non-nil when the planner is disabled: the structural
-	// order is a pure function of (pattern, pre), so it is computed once
-	// per run instead of per mapping.
-	structSpec *planner.PlanSpec
-
 	stop atomic.Bool
 
 	outMu sync.Mutex
@@ -249,7 +245,7 @@ type boundedState struct {
 // newBoundedEngine binds a bounded plan to a database for one run. caches
 // may be shared with other concurrent runs (a Session's cache set) or fresh
 // (the one-shot wrappers).
-func newBoundedEngine(p *boundedPlan, db *graph.DB, k int, boolOnly bool, pre map[string]int, caches *sessionCaches, sigma []rune) (*boundedEngine, error) {
+func newBoundedEngine(p *boundedPlan, db *graph.DB, k int, boolOnly bool, pre map[string]int, caches *sessionCaches, sigma []rune, tune planner.Tuning) (*boundedEngine, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("cxrpq: negative image bound %d", k)
 	}
@@ -261,6 +257,7 @@ func newBoundedEngine(p *boundedPlan, db *graph.DB, k int, boolOnly bool, pre ma
 		pre:      pre,
 		k:        k,
 		caches:   caches,
+		tune:     tune,
 		cands:    newEpochMap[[]string](verdictCap),
 		wrels:    newEpochMap[*ecrpq.EdgeRel](verdictCap),
 		out:      pattern.NewTupleSet(),
@@ -268,10 +265,6 @@ func newBoundedEngine(p *boundedPlan, db *graph.DB, k int, boolOnly bool, pre ma
 	e.readFrom, e.readTo = p.q.Pattern.Reads(nil, pre)
 	e.fanBud = e.bud.Fork() // nil-safe: a standalone fork when unbudgeted
 	e.leaf = e.joinLeaf
-	if !planner.Enabled() {
-		e.structSpec = &planner.PlanSpec{Order: ecrpq.JoinOrder(p.q.Pattern, pre),
-			SemijoinFloor: caches.semijoinFloor}
-	}
 	return e, nil
 }
 
@@ -524,15 +517,9 @@ func (st *boundedState) rec(i int) error {
 // mapping from the exact cardinalities of this mapping's relations
 // (EdgeRel.Estimate is cached on the shared relation, so the sweep
 // amortizes across every mapping hitting the same label) — one mapping's
-// skewed atom no longer dictates another's join order. With the planner
-// disabled the run's fixed structural order is used instead, exactly the
-// pre-planner behavior.
+// skewed atom no longer dictates another's join order.
 func (e *boundedEngine) joinLeaf(st *boundedState) error {
-	spec := e.structSpec
-	if spec == nil {
-		spec = ecrpq.PlanJoin(e.p.q.Pattern, st.rels, e.pre)
-		spec.SemijoinFloor = e.caches.semijoinFloor
-	}
+	spec := ecrpq.PlanJoin(e.p.q.Pattern, st.rels, e.pre)
 	if e.anyk != nil {
 		// Deferred ranked leaf (incremental any-k): snapshot this mapping's
 		// relations — boundedState reuses its slices across mappings — and
@@ -545,7 +532,7 @@ func (e *boundedEngine) joinLeaf(st *boundedState) error {
 		// Streaming leaf (Session.Stream): rows flow to the consumer as the
 		// backtracking completes them. Runs are sequential (e.seq), so the
 		// yield needs no locking.
-		ecrpq.JoinRelationsStream(e.p.q.Pattern, st.rels, spec, e.pre, ecrpq.Options{Budget: e.fanBud, Ranked: e.ranked},
+		ecrpq.JoinRelationsStream(e.p.q.Pattern, st.rels, spec, e.pre, ecrpq.Options{Budget: e.fanBud, Ranked: e.ranked, Tuning: e.tune},
 			func(row []int32, cost int) bool {
 				if !e.yield(row, cost) {
 					e.stop.Store(true)
@@ -557,7 +544,7 @@ func (e *boundedEngine) joinLeaf(st *boundedState) error {
 	}
 	var rows []int32 // collected outside the critical section; e.out dedups
 	n := 0
-	ecrpq.JoinRelationsStream(e.p.q.Pattern, st.rels, spec, e.pre, ecrpq.Options{Budget: e.fanBud},
+	ecrpq.JoinRelationsStream(e.p.q.Pattern, st.rels, spec, e.pre, ecrpq.Options{Budget: e.fanBud, Tuning: e.tune},
 		func(row []int32, _ int) bool {
 			rows, n = append(rows, row...), n+1
 			return !e.boolOnly
@@ -594,7 +581,7 @@ func (e *boundedEngine) run() (*pattern.TupleSet, error) {
 		return e.out, e.ignoreCanceled(e.leaf(st))
 	}
 
-	pool := engine.Workers(1 << 16)
+	pool := engine.Workers(e.tune.Workers, 1<<16)
 	if pool == 1 || e.seq {
 		return e.out, e.ignoreCanceled(st.rec(0))
 	}
@@ -633,7 +620,7 @@ func (e *boundedEngine) run() (*pattern.TupleSet, error) {
 	var errMu sync.Mutex
 	errAt := -1
 	var firstErr error
-	engine.Fan(len(jobs), func(ji int) {
+	engine.Fan(e.tune.Workers, len(jobs), func(ji int) {
 		if e.stop.Load() {
 			return
 		}

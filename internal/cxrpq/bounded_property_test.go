@@ -6,8 +6,8 @@ import (
 	"testing/quick"
 
 	"cxrpq/internal/cxrpq"
-	"cxrpq/internal/engine"
 	"cxrpq/internal/pattern"
+	"cxrpq/internal/planner"
 	"cxrpq/internal/workload"
 )
 
@@ -103,13 +103,12 @@ func TestQuickBoundedParallelMatchesSequential(t *testing.T) {
 	f := func(seed int64) bool {
 		q := randBoundedQuery(seed)
 		db := workload.Random(seed^0x6d6d, 5, 9, "ab")
-		par, err := cxrpq.EvalBounded(q, db, 2)
+		plan := cxrpq.MustPrepare(q)
+		par, err := plan.BindTuned(db, planner.Tuning{Workers: 4}).EvalBounded(2)
 		if err != nil {
 			return false
 		}
-		prev := engine.SetMaxWorkers(1)
-		seqRes, err := cxrpq.EvalBounded(q, db, 2)
-		engine.SetMaxWorkers(prev)
+		seqRes, err := plan.BindTuned(db, planner.Tuning{Workers: 1}).EvalBounded(2)
 		if err != nil {
 			return false
 		}

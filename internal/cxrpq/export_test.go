@@ -2,11 +2,20 @@ package cxrpq
 
 import (
 	"cxrpq/internal/graph"
+	"cxrpq/internal/planner"
 	"cxrpq/internal/xregex"
 )
 
 // Hooks for the external test package, which is where the differential
 // suites live (they need internal/workload, which imports this package).
+
+// BindTuned is Plan.Bind under a planner tuning. It is the only way a Session
+// comes by a non-zero one, and it exists in the test binary alone.
+func (p *Plan) BindTuned(db *graph.DB, tune planner.Tuning) *Session {
+	s := p.Bind(db)
+	s.tune = tune
+	return s
+}
 
 // RelaxUnassigned exposes the prefix substitution of definition bodies.
 var RelaxUnassigned = relaxUnassigned
@@ -22,7 +31,7 @@ func NewCandidateWalk(q *Query, db *graph.DB, k int) (*CandidateWalk, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := newBoundedEngine(bp, db, k, false, nil, newSessionCaches(0, 0), mergeDBAlphabet(db, bp.c))
+	e, err := newBoundedEngine(bp, db, k, false, nil, newSessionCaches(0), mergeDBAlphabet(db, bp.c), planner.Tuning{})
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +83,7 @@ func EvalBoundedBoolPre(q *Query, db *graph.DB, k int, pre map[string]int) (bool
 	if err != nil {
 		return false, err
 	}
-	e, err := newBoundedEngine(bp, db, k, true, pre, newSessionCaches(0, 0), mergeDBAlphabet(db, bp.c))
+	e, err := newBoundedEngine(bp, db, k, true, pre, newSessionCaches(0), mergeDBAlphabet(db, bp.c), planner.Tuning{})
 	if err != nil {
 		return false, err
 	}

@@ -196,15 +196,22 @@ func TestFuzzCorpus(t *testing.T) {
 	}
 }
 
-// TestFuzzDiffRandom sweeps 500+ fresh seeds; -short trims the sweep but
-// never skips it entirely.
+// TestFuzzDiffRandom sweeps 500+ fresh seeds, as parallel subtests of 20
+// (a seed touches nothing process-wide); -short trims the sweep but never
+// skips it entirely.
 func TestFuzzDiffRandom(t *testing.T) {
 	n := int64(520)
 	if testing.Short() {
 		n = 60
 	}
-	for seed := int64(100000); seed < 100000+n; seed++ {
-		diffSeed(t, seed)
+	const chunk = 20
+	for lo := int64(100000); lo < 100000+n; lo += chunk {
+		t.Run(fmt.Sprintf("seeds %d-%d", lo, lo+chunk-1), func(t *testing.T) {
+			t.Parallel()
+			for seed := lo; seed < lo+chunk; seed++ {
+				diffSeed(t, seed)
+			}
+		})
 	}
 }
 

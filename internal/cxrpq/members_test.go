@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"cxrpq/internal/ecrpq"
-	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
+	"cxrpq/internal/planner"
 )
 
 func collectMembers(t *testing.T, p *Plan) []*ecrpq.Query {
@@ -81,8 +81,7 @@ func TestFanPanicFailsOneRequest(t *testing.T) {
 		t.Fatalf("fixture: %v, %v", want, err)
 	}
 	healthy := p.kept[2].eq
-	defer engine.SetMaxWorkers(engine.SetMaxWorkers(4))
-	sess := p.Bind(db)
+	sess := p.BindTuned(db, planner.Tuning{Workers: 4})
 	// Operations no witness cuts short, so that the poisoned member does run.
 	u, _ := db.Lookup("u")
 	if want.Contains(pattern.Tuple{u, u}) {

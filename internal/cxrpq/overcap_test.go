@@ -22,6 +22,7 @@ import (
 	"cxrpq/internal/graph"
 	"cxrpq/internal/oracle"
 	"cxrpq/internal/pattern"
+	"cxrpq/internal/planner"
 	"cxrpq/internal/workload"
 )
 
@@ -47,7 +48,6 @@ func TestOverCapDifferential(t *testing.T) {
 	wide, wideRef, shared, sharedRef := overCapQueries()
 	path := workload.Path("abbabaababb", 1)
 	rnd := workload.Random(3, 6, 13, "ab")
-	spent := func() *engine.Budget { return engine.NewBudget(nil, time.Now().Add(-time.Second), 0) }
 
 	for _, c := range []struct {
 		name   string
@@ -81,87 +81,103 @@ func TestOverCapDifferential(t *testing.T) {
 			}
 			plan := cxrpq.MustPrepare(c.q)
 
+			// The session operations at two fan widths and the streams are
+			// independent of one another: parallel subtests.
 			for _, workers := range []int{1, 4} {
-				prev := engine.SetMaxWorkers(workers)
-				sess := plan.Bind(c.db)
-				// A spent budget first: ErrCanceled from every operation, nothing cached.
-				for _, req := range []cxrpq.Request{{Op: "eval"}, {Op: "bool"}, {Op: "check", Tuple: answer}} {
-					req.Budget = spent()
-					if resp := sess.Do(req); !errors.Is(resp.Err, engine.ErrCanceled) || resp.OK {
-						t.Fatalf("workers=%d: %s under a spent budget = %v, %v; want engine.ErrCanceled", workers, req.Op, resp.OK, resp.Err)
-					}
-				}
-				if st := sess.Stats(); st.ResultSize != 0 {
-					t.Fatalf("workers=%d: %d results cached by canceled operations", workers, st.ResultSize)
-				}
-				// Then every operation twice: the answer, and the second time from the cache.
-				for call := 0; call < 2; call++ {
-					if got, err := sess.Eval(); err != nil || !got.Equal(want) {
-						t.Fatalf("workers=%d: Eval = %v, %v; want %v", workers, got.Sorted(), err, want.Sorted())
-					}
-					if ok, err := sess.EvalBool(); err != nil || !ok {
-						t.Fatalf("workers=%d: EvalBool = %v, %v", workers, ok, err)
-					}
-					if ok, err := sess.Check(answer); err != nil || !ok {
-						t.Fatalf("workers=%d: Check(%v) = %v, %v; want true", workers, answer, ok, err)
-					}
-					if ok, err := sess.Check(nonAnswer); err != nil || ok {
-						t.Fatalf("workers=%d: Check(%v) = %v, %v; want false", workers, nonAnswer, ok, err)
-					}
-				}
-				if st := sess.Stats(); st.ResultHits != 4 || st.ResultSize != 4 {
-					t.Fatalf("workers=%d: repeated operations: %d result-cache hits over %d entries, want 4 over 4", workers, st.ResultHits, st.ResultSize)
-				}
-				engine.SetMaxWorkers(prev)
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					t.Parallel()
+					overCapOperations(t, plan.BindTuned(c.db, planner.Tuning{Workers: workers}), want, answer, nonAnswer)
+				})
 			}
-
-			// Streams run member after member on the producer goroutine whatever
-			// the worker count. Each gets a session of its own: one that has
-			// evaluated would serve a window of the cached answer.
-			for _, page := range []int{1, 7, 4096} {
-				for _, limit := range []int{0, (want.Len() + 1) / 2} {
-					cur, err := plan.Bind(c.db).Stream(cxrpq.StreamOptions{Limit: limit})
-					if err != nil {
-						t.Fatal(err)
-					}
-					rows := drainCursor(t, cur, page)
-					got := rowSet(rows)
-					if got.Len() != len(rows) {
-						t.Fatalf("page=%d limit=%d: the stream repeats a row: %v", page, limit, rows)
-					}
-					if limit == 0 && !got.Equal(want) || limit > 0 && len(rows) != limit || cur.Truncated() {
-						t.Fatalf("page=%d limit=%d: streamed %v (truncated=%v); want %v", page, limit, got.Sorted(), cur.Truncated(), want.Sorted())
-					}
-					for _, r := range rows {
-						if !want.Contains(r.Tuple) {
-							t.Fatalf("page=%d limit=%d: streamed %v, not an answer", page, limit, r.Tuple)
-						}
-					}
-				}
-			}
-			// Ranked: too many members to root one any-k evaluator each, so the
-			// producer drains the same member loop and sorts.
-			cur, err := plan.Bind(c.db).Stream(cxrpq.StreamOptions{Ranked: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows := drainCursor(t, cur, 7)
-			if got := rowSet(rows); !got.Equal(want) || got.Len() != len(rows) {
-				t.Fatalf("ranked stream has %v; want %v", rows, want.Sorted())
-			}
-			for i, r := range rows {
-				if r.Cost < 11 || i > 0 && r.Cost < rows[i-1].Cost {
-					t.Fatalf("ranked stream: row %d = %v after %v", i, r, rows[max(i-1, 0)])
-				}
-			}
-			// A stream whose deadline has passed yields a sound, flagged prefix.
-			cur, err = plan.Bind(c.db).Stream(cxrpq.StreamOptions{Deadline: time.Now().Add(-time.Second)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rows := drainCursor(t, cur, 7); !cur.Truncated() || len(rows) >= want.Len() {
-				t.Fatalf("stream past its deadline: %d rows of %d, truncated=%v", len(rows), want.Len(), cur.Truncated())
-			}
+			t.Run("streams", func(t *testing.T) {
+				t.Parallel()
+				overCapStreams(t, plan, c.db, want)
+			})
 		})
+	}
+}
+
+// overCapOperations runs every set, Boolean and check operation of sess: under
+// a spent budget first, then twice for the answer and the result cache.
+func overCapOperations(t *testing.T, sess *cxrpq.Session, want *pattern.TupleSet, answer, nonAnswer pattern.Tuple) {
+	spent := func() *engine.Budget { return engine.NewBudget(nil, time.Now().Add(-time.Second), 0) }
+	// A spent budget first: ErrCanceled from every operation, nothing cached.
+	for _, req := range []cxrpq.Request{{Op: "eval"}, {Op: "bool"}, {Op: "check", Tuple: answer}} {
+		req.Budget = spent()
+		if resp := sess.Do(req); !errors.Is(resp.Err, engine.ErrCanceled) || resp.OK {
+			t.Fatalf("%s under a spent budget = %v, %v; want engine.ErrCanceled", req.Op, resp.OK, resp.Err)
+		}
+	}
+	if st := sess.Stats(); st.ResultSize != 0 {
+		t.Fatalf("%d results cached by canceled operations", st.ResultSize)
+	}
+	// Then every operation twice: the answer, and the second time from the cache.
+	for call := 0; call < 2; call++ {
+		if got, err := sess.Eval(); err != nil || !got.Equal(want) {
+			t.Fatalf("Eval = %v, %v; want %v", got.Sorted(), err, want.Sorted())
+		}
+		if ok, err := sess.EvalBool(); err != nil || !ok {
+			t.Fatalf("EvalBool = %v, %v", ok, err)
+		}
+		if ok, err := sess.Check(answer); err != nil || !ok {
+			t.Fatalf("Check(%v) = %v, %v; want true", answer, ok, err)
+		}
+		if ok, err := sess.Check(nonAnswer); err != nil || ok {
+			t.Fatalf("Check(%v) = %v, %v; want false", nonAnswer, ok, err)
+		}
+	}
+	if st := sess.Stats(); st.ResultHits != 4 || st.ResultSize != 4 {
+		t.Fatalf("repeated operations: %d result-cache hits over %d entries, want 4 over 4", st.ResultHits, st.ResultSize)
+	}
+}
+
+// overCapStreams drains the unranked and ranked streams of the plan over db.
+func overCapStreams(t *testing.T, plan *cxrpq.Plan, db *graph.DB, want *pattern.TupleSet) {
+	// Streams run member after member on the producer goroutine whatever
+	// the worker count. Each gets a session of its own: one that has
+	// evaluated would serve a window of the cached answer.
+	for _, page := range []int{1, 7, 4096} {
+		for _, limit := range []int{0, (want.Len() + 1) / 2} {
+			cur, err := plan.Bind(db).Stream(cxrpq.StreamOptions{Limit: limit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := drainCursor(t, cur, page)
+			got := rowSet(rows)
+			if got.Len() != len(rows) {
+				t.Fatalf("page=%d limit=%d: the stream repeats a row: %v", page, limit, rows)
+			}
+			if limit == 0 && !got.Equal(want) || limit > 0 && len(rows) != limit || cur.Truncated() {
+				t.Fatalf("page=%d limit=%d: streamed %v (truncated=%v); want %v", page, limit, got.Sorted(), cur.Truncated(), want.Sorted())
+			}
+			for _, r := range rows {
+				if !want.Contains(r.Tuple) {
+					t.Fatalf("page=%d limit=%d: streamed %v, not an answer", page, limit, r.Tuple)
+				}
+			}
+		}
+	}
+	// Ranked: too many members to root one any-k evaluator each, so the
+	// producer drains the same member loop and sorts.
+	cur, err := plan.Bind(db).Stream(cxrpq.StreamOptions{Ranked: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := drainCursor(t, cur, 7)
+	if got := rowSet(rows); !got.Equal(want) || got.Len() != len(rows) {
+		t.Fatalf("ranked stream has %v; want %v", rows, want.Sorted())
+	}
+	for i, r := range rows {
+		if r.Cost < 11 || i > 0 && r.Cost < rows[i-1].Cost {
+			t.Fatalf("ranked stream: row %d = %v after %v", i, r, rows[max(i-1, 0)])
+		}
+	}
+	// A stream whose deadline has passed yields a sound, flagged prefix.
+	cur, err = plan.Bind(db).Stream(cxrpq.StreamOptions{Deadline: time.Now().Add(-time.Second)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := drainCursor(t, cur, 7); !cur.Truncated() || len(rows) >= want.Len() {
+		t.Fatalf("stream past its deadline: %d rows of %d, truncated=%v", len(rows), want.Len(), cur.Truncated())
 	}
 }

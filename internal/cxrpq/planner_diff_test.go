@@ -1,102 +1,119 @@
 package cxrpq_test
 
-// Differential property for the cost-based planning layer: the
-// planner-chosen join orders (plus the semijoin reduction) must produce
-// exactly the tuple sets of the fixed structural order, across randomized
-// workloads, on every evaluation path — fragment-dispatched Eval, the
-// bounded engine, and the Check views of both. planner.SetEnabled(false)
-// reverts every consumer to the structural heuristic, which is the
-// pre-planner behavior; any divergence is a planner bug by construction.
+// Differential property for the cost-based planning layer: what the planner
+// does on top of the paper's semantics — cost order, semijoin reduction,
+// minimization, the Yannakakis program — must change no answer, across
+// randomized workloads, on every evaluation path: fragment-dispatched Eval,
+// the bounded engine, and the Check views of both. A configuration is a
+// planner.Tuning handed to the Session (Plan.BindTuned, export_test.go); the
+// baseline is the rewrites-off tuning, and the bounded answers are held to
+// the literal Theorem 6 rendering EvalBoundedNaive besides.
 
 import (
 	"testing"
 
 	"cxrpq/internal/cxrpq"
+	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
 	"cxrpq/internal/planner"
 	"cxrpq/internal/workload"
 )
 
-// plannerDiffSeed compares structural vs cost-based evaluation for one
-// random (query, graph, k) triple.
-func plannerDiffSeed(t *testing.T, seed int64) {
+var (
+	// rewritesOff keeps every atom and never runs the Yannakakis program:
+	// the cost order with the semijoin reduction at its production floor.
+	rewritesOff = planner.Tuning{NoMinimize: true, NoAcyclic: true}
+	// forced drops the floor and the gain to zero, so that every acyclic
+	// join of a six-node graph takes the Yannakakis program and every
+	// cyclic one the semijoin reduction.
+	forced = planner.Tuning{Force: true}
+)
+
+// tunedOutcome is what one configuration answers for one (query, graph, k).
+type tunedOutcome struct {
+	sess    *cxrpq.Session
+	bounded *pattern.TupleSet
+	eval    *pattern.TupleSet // nil when the fragment has no Eval
+}
+
+// evalTuned evaluates q over db under tune, on a fresh bind.
+func evalTuned(t *testing.T, seed int64, q *cxrpq.Query, db *graph.DB, k int, tune planner.Tuning) tunedOutcome {
 	t.Helper()
+	o := tunedOutcome{sess: cxrpq.MustPrepare(q).BindTuned(db, tune)}
+	var err error
+	if o.bounded, err = o.sess.EvalBounded(k); err != nil {
+		t.Fatalf("seed %d (%+v): EvalBounded: %v\nquery:\n%s", seed, tune, err, q.Pattern)
+	}
+	if q.CXRE().IsVStarFree() {
+		if o.eval, err = o.sess.Eval(); err != nil {
+			t.Fatalf("seed %d (%+v): Eval: %v\nquery:\n%s", seed, tune, err, q.Pattern)
+		}
+	}
+	return o
+}
+
+// randomTriple draws the (query, graph, k) of one seed; salt separates the
+// graphs of the suites that share the generator.
+func randomTriple(seed, salt int64) (q *cxrpq.Query, db *graph.DB, k int, finite bool) {
 	r := workload.NewRNG(seed)
-	finite := r.Intn(3) != 0
-	q := workload.RandomQuery(r, finite)
+	finite = r.Intn(3) != 0
+	q = workload.RandomQuery(r, finite)
 	nodes := 3 + r.Intn(4)
 	edges := nodes + r.Intn(nodes+4)
-	db := workload.Random(seed^0x5eed, nodes, edges, "ab")
-	k := 1
+	db = workload.Random(seed^salt, nodes, edges, "ab")
+	k = 1
 	if !finite && r.Intn(2) == 0 {
 		k = 2
 	}
+	return q, db, k, finite
+}
 
-	type outcome struct {
-		bounded *pattern.TupleSet
-		eval    *pattern.TupleSet // nil when the fragment has no Eval
-	}
-	run := func(enabled bool) outcome {
-		prev := planner.SetEnabled(enabled)
-		defer planner.SetEnabled(prev)
-		var o outcome
-		var err error
-		o.bounded, err = cxrpq.EvalBounded(q, db, k)
-		if err != nil {
-			t.Fatalf("seed %d (planner=%v): EvalBounded: %v\nquery:\n%s", seed, enabled, err, q.Pattern)
-		}
-		if q.CXRE().IsVStarFree() {
-			o.eval, err = cxrpq.Eval(q, db)
-			if err != nil {
-				t.Fatalf("seed %d (planner=%v): Eval: %v\nquery:\n%s", seed, enabled, err, q.Pattern)
-			}
-		}
-		return o
-	}
-	structural := run(false)
-	costBased := run(true)
+// plannerDiffSeed compares the production tuning with the rewrites-off
+// baseline for one random (query, graph, k) triple.
+func plannerDiffSeed(t *testing.T, seed int64) {
+	t.Helper()
+	q, db, k, finite := randomTriple(seed, 0x5eed)
+	baseline := evalTuned(t, seed, q, db, k, rewritesOff)
+	production := evalTuned(t, seed, q, db, k, planner.Tuning{})
 
-	if !costBased.bounded.Equal(structural.bounded) {
-		t.Fatalf("seed %d: EvalBounded diverged: planner %d tuples, structural %d\nquery:\n%s",
-			seed, costBased.bounded.Len(), structural.bounded.Len(), q.Pattern)
+	naive, err := cxrpq.EvalBoundedNaive(q, db, k)
+	if err != nil {
+		t.Fatalf("seed %d: EvalBoundedNaive: %v\nquery:\n%s", seed, err, q.Pattern)
 	}
-	if structural.eval != nil && !costBased.eval.Equal(structural.eval) {
-		t.Fatalf("seed %d: Eval diverged: planner %d tuples, structural %d\nquery:\n%s",
-			seed, costBased.eval.Len(), structural.eval.Len(), q.Pattern)
+	if !baseline.bounded.Equal(naive) || !production.bounded.Equal(naive) {
+		t.Fatalf("seed %d: EvalBounded diverged: production %d tuples, rewrites off %d, naive %d\nquery:\n%s",
+			seed, production.bounded.Len(), baseline.bounded.Len(), naive.Len(), q.Pattern)
+	}
+	if baseline.eval != nil && !production.eval.Equal(baseline.eval) {
+		t.Fatalf("seed %d: Eval diverged: production %d tuples, rewrites off %d\nquery:\n%s",
+			seed, production.eval.Len(), baseline.eval.Len(), q.Pattern)
 	}
 
 	// Check paths: answers accept, an off-answer probe agrees both ways.
 	checkBoth := func(tu pattern.Tuple, want bool) {
-		for _, enabled := range []bool{false, true} {
-			prev := planner.SetEnabled(enabled)
-			ok, err := cxrpq.CheckBounded(q, db, k, tu)
-			planner.SetEnabled(prev)
+		for _, o := range []tunedOutcome{baseline, production} {
+			ok, err := o.sess.CheckBounded(k, tu)
 			if err != nil {
-				t.Fatalf("seed %d (planner=%v): CheckBounded(%v): %v", seed, enabled, tu, err)
+				t.Fatalf("seed %d: CheckBounded(%v): %v", seed, tu, err)
 			}
 			if ok != want {
-				t.Fatalf("seed %d (planner=%v): CheckBounded(%v)=%v, want %v\nquery:\n%s",
-					seed, enabled, tu, ok, want, q.Pattern)
+				t.Fatalf("seed %d: CheckBounded(%v)=%v, want %v\nquery:\n%s", seed, tu, ok, want, q.Pattern)
 			}
 			if q.CXRE().IsVStarFree() {
-				prev := planner.SetEnabled(enabled)
-				okE, err := cxrpq.Check(q, db, tu)
-				planner.SetEnabled(prev)
+				okE, err := o.sess.Check(tu)
 				if err != nil {
-					t.Fatalf("seed %d (planner=%v): Check(%v): %v", seed, enabled, tu, err)
+					t.Fatalf("seed %d: Check(%v): %v", seed, tu, err)
 				}
 				// Unrestricted Check may accept more than the ≤k view on
 				// general seeds; on finite seeds the two coincide for answers.
 				if finite && okE != want {
-					t.Fatalf("seed %d (planner=%v): Check(%v)=%v, want %v\nquery:\n%s",
-						seed, enabled, tu, okE, want, q.Pattern)
+					t.Fatalf("seed %d: Check(%v)=%v, want %v\nquery:\n%s", seed, tu, okE, want, q.Pattern)
 				}
 			}
 		}
 	}
 	if len(q.Pattern.Out) > 0 {
-		answers := structural.bounded.Sorted()
-		for i, tu := range answers {
+		for i, tu := range naive.Sorted() {
 			if i >= 2 {
 				break
 			}
@@ -108,7 +125,7 @@ func plannerDiffSeed(t *testing.T, seed int64) {
 			for i := range probe {
 				probe[i] = v
 			}
-			if !structural.bounded.Contains(probe) {
+			if !naive.Contains(probe) {
 				checkBoth(probe, false)
 				break
 			}
@@ -127,8 +144,9 @@ func TestPlannerDifferential(t *testing.T) {
 }
 
 // TestPlannerDifferentialSkewed pins the skew scenario the planner exists
-// for: a dense hub atom plus selective atoms, evaluated both ways on the
-// classical and bounded paths.
+// for: a dense hub atom plus selective atoms — joins that clear the
+// production floor — evaluated under every tuning on the classical and
+// bounded paths.
 func TestPlannerDifferentialSkewed(t *testing.T) {
 	db := workload.SkewedJoin(10)
 	for _, src := range []string{
@@ -137,18 +155,15 @@ func TestPlannerDifferentialSkewed(t *testing.T) {
 		"ans(x, z)\nx y : $w{h}\ny z : s$w?",
 	} {
 		q := cxrpq.MustParse(src)
-		results := map[bool]*pattern.TupleSet{}
-		for _, enabled := range []bool{false, true} {
-			prev := planner.SetEnabled(enabled)
-			res, err := cxrpq.EvalBounded(q, db, 1)
-			planner.SetEnabled(prev)
-			if err != nil {
-				t.Fatalf("%q (planner=%v): %v", src, enabled, err)
+		baseline := evalTuned(t, 0, q, db, 1, rewritesOff)
+		for _, tune := range []planner.Tuning{{}, forced, {NoAcyclic: true}} {
+			got := evalTuned(t, 0, q, db, 1, tune)
+			if !got.bounded.Equal(baseline.bounded) {
+				t.Fatalf("%q: %+v answers %d tuples, rewrites off %d", src, tune, got.bounded.Len(), baseline.bounded.Len())
 			}
-			results[enabled] = res
-		}
-		if !results[true].Equal(results[false]) {
-			t.Fatalf("%q: planner %d tuples, structural %d", src, results[true].Len(), results[false].Len())
+			if baseline.eval != nil && !got.eval.Equal(baseline.eval) {
+				t.Fatalf("%q: Eval under %+v answers %d tuples, rewrites off %d", src, tune, got.eval.Len(), baseline.eval.Len())
+			}
 		}
 	}
 }

@@ -2,7 +2,7 @@ package cxrpq
 
 import (
 	"cxrpq/internal/automata"
-	"cxrpq/internal/graph"
+	"cxrpq/internal/ecrpq"
 	"cxrpq/internal/planner"
 	"cxrpq/internal/xregex"
 )
@@ -42,26 +42,27 @@ type PlanTreeNode struct {
 
 // PlanReport is the humanly (and machine) readable physical plan of a
 // prepared query bound to a database: the chosen join order with estimated
-// cardinalities, plus the planner-v2 rewrites — which atoms the
+// cardinalities, plus the planner's rewrites — which atoms the
 // containment-based minimization pass deletes, whether the (minimized)
 // conjunct graph is acyclic and free-connex, its join tree, and which join
-// strategy the leaf joins would take. CostBased reports whether the
-// cost-based planner chose the order (false: the structural fallback).
+// strategy the evaluation takes.
 type PlanReport struct {
 	Fragment  string     `json:"fragment"`
 	Revision  uint64     `json:"revision"`
-	CostBased bool       `json:"cost_based"`
 	Steps     []PlanStep `json:"steps"`
 	TotalCost float64    `json:"total_cost"`
 	EstRows   float64    `json:"est_rows"`
 
-	// Planner-v2 rewrite report. MinimizedAtoms lists the edge indices the
-	// containment pass proves redundant (evaluation skips them); Acyclic /
-	// FreeConnex classify the conjunct graph that remains; JoinTree is its
-	// GYO join tree when acyclic; Strategy is "yannakakis" when the leaf
-	// joins would run the semijoin program over that tree (acyclic, cost
-	// estimate above the session's semijoin floor, switch on) and
-	// "backtracking" otherwise.
+	// MinimizedAtoms lists the edge indices the containment pass proves
+	// redundant (evaluation skips them); Acyclic / FreeConnex classify the
+	// conjunct graph that remains; JoinTree is its GYO join tree when
+	// acyclic. Strategy is what the planner's gate (planner.Tuning.Strategy)
+	// answers for the evaluation the fragment defaults to: for a vstar-free
+	// query, Session.Eval — "yannakakis" when a member of its union runs the
+	// semijoin program, "backtracking" otherwise — and for any other, the
+	// leaf joins of the bounded evaluation, gated here on the estimates
+	// above where the engine gates each on its exact relation sizes (and
+	// may answer "semijoin-reduce").
 	MinimizedAtoms []int          `json:"minimized_atoms,omitempty"`
 	Acyclic        bool           `json:"acyclic"`
 	FreeConnex     bool           `json:"free_connex"`
@@ -73,15 +74,15 @@ type PlanReport struct {
 // pattern, computing it on first use within the current cache epoch: each
 // atom's label is Σ*-relaxed to a classical expression, compiled, and
 // estimated against the database statistics; the planner then orders the
-// atoms with no variables pre-bound.
-func (sc *sessionCaches) plannerPlan(db *graph.DB, q *Query, sigma []rune) ([]planner.Atom, *planner.PlanSpec, error) {
+// atoms with no variables pre-bound, and its gate names the strategy.
+func (s *Session) plannerPlan(sc *sessionCaches, sigma []rune) ([]planner.Atom, *planner.PlanSpec, error) {
 	sc.planMu.Lock()
 	defer sc.planMu.Unlock()
 	if sc.planDone {
 		return sc.planAtoms, sc.planSpec, sc.planErr
 	}
 	sc.planDone = true
-	st := db.Stats()
+	q, st := s.plan.q, s.db.Stats()
 	atoms := make([]planner.Atom, len(q.Pattern.Edges))
 	minAtoms := make([]planner.MinAtom, len(q.Pattern.Edges))
 	refs := make([]planner.EdgeRef, len(q.Pattern.Edges))
@@ -106,7 +107,7 @@ func (sc *sessionCaches) plannerPlan(db *graph.DB, q *Query, sigma []rune) ([]pl
 			minAtoms[i].Cache = automata.NewSubsetCache(m)
 		}
 	}
-	drop := planner.Minimize(minAtoms, 0)
+	drop := s.tune.Minimize(minAtoms, 0)
 	for i, d := range drop {
 		if d {
 			sc.planMin = append(sc.planMin, i)
@@ -118,6 +119,22 @@ func (sc *sessionCaches) plannerPlan(db *graph.DB, q *Query, sigma []rune) ([]pl
 	}
 	sc.planAtoms = atoms
 	sc.planSpec = planner.Order(atoms, nil)
+	if ms, err := s.plan.members(); err == nil {
+		// Ask each member's evaluator, which gates on its own estimates; a
+		// member that failed to translate or to compile runs nothing.
+		for m, err := range ms {
+			if err != nil {
+				continue
+			}
+			if strat, err := ecrpq.StrategyOf(m, s.db, ecrpq.Options{Tuning: s.tune}); err == nil && strat == planner.Yannakakis {
+				sc.planStrategy = strat
+				break
+			}
+		}
+	} else {
+		sc.planStrategy, _ = s.tune.Strategy(planner.Join{Cost: sc.planSpec.Cost,
+			Graph: func() ([]planner.EdgeRef, []bool) { return refs, drop }})
+	}
 	return sc.planAtoms, sc.planSpec, nil
 }
 
@@ -129,19 +146,18 @@ func (sc *sessionCaches) plannerPlan(db *graph.DB, q *Query, sigma []rune) ([]pl
 // counts per mapping.
 func (s *Session) PlanReport() (*PlanReport, error) {
 	sc, _, sigma := s.current()
-	atoms, spec, err := sc.plannerPlan(s.db, s.plan.q, sigma)
+	atoms, spec, err := s.plannerPlan(sc, sigma)
 	if err != nil {
 		return nil, err
 	}
 	rep := &PlanReport{
 		Fragment:  s.plan.fragment,
 		Revision:  s.db.Revision(),
-		CostBased: spec.CostBased,
 		TotalCost: spec.Cost,
 		EstRows:   spec.Rows,
-		Strategy:  "backtracking",
 	}
 	sc.planMu.Lock()
+	rep.Strategy = sc.planStrategy.String()
 	rep.MinimizedAtoms = append([]int(nil), sc.planMin...)
 	if tree := sc.planTree; tree != nil {
 		rep.Acyclic = true
@@ -155,13 +171,6 @@ func (s *Session) PlanReport() (*PlanReport, error) {
 				Edge: i, Parent: p,
 				Shared: append([]string(nil), tree.Shared[i]...),
 			})
-		}
-		floor := sc.semijoinFloor
-		if floor == 0 {
-			floor = planner.SemijoinFloor()
-		}
-		if planner.YannakakisEnabled() && spec.CostBased && floor >= 0 && spec.Cost >= floor {
-			rep.Strategy = "yannakakis"
 		}
 	}
 	sc.planMu.Unlock()

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"cxrpq/internal/graph"
-	"cxrpq/internal/planner"
 )
 
 // skewedPlanDB builds a graph with a dense h-hub and a single selective
@@ -31,9 +30,6 @@ func TestPlanReportOrdersBySelectivity(t *testing.T) {
 	rep, err := sess.PlanReport()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !rep.CostBased {
-		t.Fatal("report not cost-based with the planner enabled")
 	}
 	if rep.Fragment != "CRPQ" {
 		t.Fatalf("fragment = %q", rep.Fragment)
@@ -69,23 +65,6 @@ func TestPlanReportRevisionRecompute(t *testing.T) {
 	}
 	if rep2.Steps[0].EstPairs != 2 {
 		t.Fatalf("recomputed s estimate = %v, want 2", rep2.Steps[0].EstPairs)
-	}
-}
-
-func TestPlanReportStructuralFallback(t *testing.T) {
-	prev := planner.SetEnabled(false)
-	defer planner.SetEnabled(prev)
-	db := skewedPlanDB()
-	sess := MustPrepare(MustParse("ans(x, z)\nx y : h\ny z : s")).Bind(db)
-	rep, err := sess.PlanReport()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.CostBased {
-		t.Fatal("disabled planner must report a structural plan")
-	}
-	if rep.Steps[0].Label != "h" {
-		t.Fatalf("structural order starts with %q, want the first edge h", rep.Steps[0].Label)
 	}
 }
 

@@ -46,13 +46,6 @@ const (
 type SessionOptions struct {
 	RelCacheCap    int // atom-relation cache entries (default ecrpq.DefaultRelCacheCap)
 	ResultCacheCap int // whole-result entries (default 256; < 0 disables)
-
-	// SemijoinCostFloor overrides the estimated-join-cost floor above which
-	// this session's leaf joins run the semijoin reduction / Yannakakis
-	// program (see planner.SemijoinFloor): 0 keeps the process default, a
-	// positive value is the floor, a negative value disables the passes for
-	// this session outright.
-	SemijoinCostFloor int
 }
 
 // epochMap is the session-local instance of the drop-all-on-overflow
@@ -140,17 +133,14 @@ type sessionCaches struct {
 	planFC    bool              // free-connex w.r.t. the output variables
 	planErr   error
 
-	// semijoinFloor is the session's SemijoinCostFloor option, threaded
-	// into every leaf-join PlanSpec (0 = process default).
-	semijoinFloor float64
+	planStrategy planner.Strategy // what the gate answers for the evaluation (see PlanReport)
 }
 
-func newSessionCaches(relCap, floor int) *sessionCaches {
+func newSessionCaches(relCap int) *sessionCaches {
 	return &sessionCaches{
-		rels:          ecrpq.NewRelCache(relCap),
-		paths:         newEpochMap[bool](verdictCap),
-		sups:          newEpochMap[*ecrpq.EdgeRel](verdictCap),
-		semijoinFloor: float64(floor),
+		rels:  ecrpq.NewRelCache(relCap),
+		paths: newEpochMap[bool](verdictCap),
+		sups:  newEpochMap[*ecrpq.EdgeRel](verdictCap),
 	}
 }
 
@@ -196,6 +186,7 @@ func (sc *sessionCaches) dropPlan() {
 	sc.planMin = nil
 	sc.planTree = nil
 	sc.planFC = false
+	sc.planStrategy = planner.Backtracking
 	sc.planErr = nil
 	sc.planMu.Unlock()
 }
@@ -242,6 +233,11 @@ type Session struct {
 	plan *Plan
 	db   *graph.DB
 	opts SessionOptions
+
+	// tune travels with every evaluation the session starts. It is the zero
+	// value — production — unless a test bound the session through
+	// export_test.go; nothing a deployment can reach sets it.
+	tune planner.Tuning
 
 	mu      sync.Mutex // guards the epoch fields below
 	bound   bool
@@ -296,7 +292,7 @@ func (s *Session) refreshLocked(rev uint64) {
 	s.bound = true
 	s.rev = rev
 	s.sigma = mergeDBAlphabet(s.db, s.plan.c)
-	s.caches = newSessionCaches(s.opts.RelCacheCap, s.opts.SemijoinCostFloor)
+	s.caches = newSessionCaches(s.opts.RelCacheCap)
 	s.results = newResultCache(s.opts.ResultCacheCap)
 	s.maint.FullRebuilds++
 }
@@ -381,7 +377,7 @@ func (s *Session) Refresh() {
 //	                             ones may have flipped), plan/results fresh
 //	anything else                fresh epoch (full rebuild)
 func (s *Session) Fork(db *graph.DB) *Session {
-	ns := &Session{plan: s.plan, db: db, opts: s.opts}
+	ns := &Session{plan: s.plan, db: db, opts: s.opts, tune: s.tune}
 	rev := db.Revision()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -406,7 +402,7 @@ func (s *Session) Fork(db *graph.DB) *Session {
 			if _, _, err := rels.ApplyDelta(db, info); err == nil {
 				ns.bound, ns.rev, ns.sigma = true, rev, s.sigma
 				ns.caches = &sessionCaches{rels: rels, paths: afterInserts(s.caches.paths),
-					sups: newEpochMap[*ecrpq.EdgeRel](verdictCap), semijoinFloor: s.caches.semijoinFloor}
+					sups: newEpochMap[*ecrpq.EdgeRel](verdictCap)}
 				ns.results = newResultCache(s.opts.ResultCacheCap)
 				ns.maint.DeltaApplies++
 				return ns
@@ -480,7 +476,7 @@ func unionOp[T any](s *Session, key string, bud *engine.Budget, op func(ecrpq.Me
 		var zero T
 		return zero, err
 	}
-	v, err := op(ms, ecrpq.Options{Budget: bud})
+	v, err := op(ms, ecrpq.Options{Budget: bud, Tuning: s.tune})
 	if err == nil && bud.Err() == nil {
 		rc.put(key, v)
 	}
@@ -563,7 +559,7 @@ func (s *Session) evalBoundedBudget(k int, boolOnly bool, bud *engine.Budget) (*
 	if err != nil {
 		return nil, err
 	}
-	e, err := newBoundedEngine(bp, s.db, k, boolOnly, nil, sc, sigma)
+	e, err := newBoundedEngine(bp, s.db, k, boolOnly, nil, sc, sigma, s.tune)
 	if err != nil {
 		return nil, err
 	}
@@ -629,7 +625,7 @@ func (s *Session) checkBoundedBudget(k int, t pattern.Tuple, bud *engine.Budget)
 	if err != nil {
 		return false, err
 	}
-	e, err := newBoundedEngine(bp, s.db, k, true, pre, sc, sigma)
+	e, err := newBoundedEngine(bp, s.db, k, true, pre, sc, sigma, s.tune)
 	if err != nil {
 		return false, err
 	}
@@ -696,7 +692,7 @@ func (s *Session) ExplainBounded(k int, t pattern.Tuple) (*Explanation, bool, er
 	if err != nil {
 		return nil, false, err
 	}
-	e, err := newBoundedEngine(bp, s.db, k, false, nil, sc, sigma)
+	e, err := newBoundedEngine(bp, s.db, k, false, nil, sc, sigma, s.tune)
 	if err != nil {
 		return nil, false, err
 	}
@@ -820,7 +816,7 @@ func (s *Session) Do(req Request) Response {
 // session caches, so overlapping work is done once.
 func (s *Session) EvalBatch(reqs []Request) []Response {
 	out := make([]Response, len(reqs))
-	engine.Fan(len(reqs), func(i int) {
+	engine.Fan(s.tune.Workers, len(reqs), func(i int) {
 		out[i] = s.Do(reqs[i])
 	})
 	return out

@@ -163,7 +163,7 @@ func (s *Session) Stream(opts StreamOptions) (*Cursor, error) {
 		}
 		return c, nil
 	}
-	run, err := s.streamRunFor(bounded, k, ecrpq.Options{Budget: bud, Ranked: opts.Ranked, Weight: opts.Weight})
+	run, err := s.streamRunFor(bounded, k, ecrpq.Options{Budget: bud, Ranked: opts.Ranked, Weight: opts.Weight, Tuning: s.tune})
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +204,7 @@ func (s *Session) anyKBuilderFor(bounded bool, k int, bud *engine.Budget, w engi
 			return nil, err
 		}
 		return func() (*ecrpq.AnyK, error) {
-			e, err := newBoundedEngine(bp, s.db, k, false, nil, sc, sigma)
+			e, err := newBoundedEngine(bp, s.db, k, false, nil, sc, sigma, s.tune)
 			if err != nil {
 				return nil, err
 			}
@@ -212,7 +212,7 @@ func (s *Session) anyKBuilderFor(bounded bool, k int, bud *engine.Budget, w engi
 			e.ranked = true
 			e.seq = true // AnyK is single-consumer; leaves run on this goroutine
 			e.weight = w
-			ak := ecrpq.NewAnyK(bud)
+			ak := ecrpq.NewAnyK(ecrpq.Options{Budget: bud, Tuning: s.tune})
 			e.anyk = ak
 			if _, err := e.run(); err != nil {
 				return nil, err
@@ -225,7 +225,7 @@ func (s *Session) anyKBuilderFor(bounded bool, k int, bud *engine.Budget, w engi
 		return nil, err // too many members to root eagerly: drain
 	}
 	return func() (*ecrpq.AnyK, error) {
-		ak := ecrpq.NewAnyK(bud)
+		ak := ecrpq.NewAnyK(ecrpq.Options{Budget: bud, Tuning: s.tune})
 		return ak, ak.AddUnion(ms, s.db, w)
 	}, nil
 }
@@ -244,7 +244,7 @@ func (s *Session) streamRunFor(bounded bool, k int, opts ecrpq.Options) (streamR
 			return nil, err
 		}
 		return func(emit ecrpq.StreamFunc) error {
-			e, err := newBoundedEngine(bp, s.db, k, false, nil, sc, sigma)
+			e, err := newBoundedEngine(bp, s.db, k, false, nil, sc, sigma, s.tune)
 			if err != nil {
 				return err
 			}

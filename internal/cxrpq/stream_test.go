@@ -80,14 +80,9 @@ func rowSet(rows []cxrpq.Row) *pattern.TupleSet {
 // and after the materialized call).
 func TestStreamMatchesEval(t *testing.T) {
 	pages := []int{1, 3, 7, 1024}
-	for seed := int64(0); seed < 60; seed++ {
-		r := workload.NewRNG(seed)
-		q := workload.RandomQuery(r, r.Intn(4) != 0)
-		nodes := 3 + r.Intn(3)
-		db := workload.Random(seed^0x51e4, nodes, nodes+r.Intn(nodes+3), "ab")
+	check := func(seed int64, q *cxrpq.Query, db *graph.DB) {
 		sess := cxrpq.MustPrepare(q).Bind(db)
 		page := pages[int(seed)%len(pages)]
-		streamFirst := seed%2 == 0
 
 		checkAgainst := func(opts cxrpq.StreamOptions, want *pattern.TupleSet, name string) {
 			cur, err := sess.Stream(opts)
@@ -107,20 +102,46 @@ func TestStreamMatchesEval(t *testing.T) {
 			}
 		}
 
-		// Bounded semantics: defined for every query.
+		// Bounded semantics: defined for every query. Even seeds stream on a
+		// cold session, odd ones after the materialized call filled the cache.
 		boundedOpts := cxrpq.StreamOptions{Semantics: "bounded", K: 1}
-		if streamFirst {
-			want := mustEvalBounded(t, sess, 1, seed)
-			checkAgainst(boundedOpts, want, "bounded")
-		} else {
-			want := mustEvalBounded(t, sess, 1, seed)
-			checkAgainst(boundedOpts, want, "bounded(cached)")
+		if seed%2 == 0 {
+			cold := cxrpq.MustPrepare(q).Bind(db)
+			cur, err := cold.Stream(boundedOpts)
+			if err != nil {
+				t.Fatalf("seed %d: Stream(bounded, cold): %v", seed, err)
+			}
+			if got, want := rowSet(drainCursor(t, cur, page)), mustEvalBounded(t, cold, 1, seed); !got.Equal(want) {
+				t.Fatalf("seed %d: cold bounded stream %d tuples, eval %d\nquery:\n%s", seed, got.Len(), want.Len(), q.Pattern)
+			}
 		}
+		checkAgainst(boundedOpts, mustEvalBounded(t, sess, 1, seed), "bounded(cached)")
 
-		// Auto dispatch: only where Eval is defined for the fragment.
+		// Auto dispatch: only where Eval is defined for the fragment. Fresh
+		// binds, so that the stream runs its producer instead of paging the
+		// cached answer.
 		if want, err := sess.Eval(); err == nil {
-			checkAgainst(cxrpq.StreamOptions{}, want, "auto")
+			checkAgainst(cxrpq.StreamOptions{}, want, "auto(cached)")
+			cur, err := cxrpq.MustPrepare(q).Bind(db).Stream(cxrpq.StreamOptions{})
+			if err != nil {
+				t.Fatalf("seed %d: Stream(auto, cold): %v", seed, err)
+			}
+			if got := rowSet(drainCursor(t, cur, page)); !got.Equal(want) {
+				t.Fatalf("seed %d: cold auto stream %d tuples, eval %d\nquery:\n%s", seed, got.Len(), want.Len(), q.Pattern)
+			}
 		}
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		r := workload.NewRNG(seed)
+		q := workload.RandomQuery(r, r.Intn(4) != 0)
+		nodes := 3 + r.Intn(3)
+		check(seed, q, workload.Random(seed^0x51e4, nodes, nodes+r.Intn(nodes+3), "ab"))
+	}
+	// High-output inputs: transitive-closure-style atoms on a gMark-style
+	// graph, thousands of rows through many pages.
+	gmark := workload.GMark(7, 300)
+	for i, src := range []string{"ans(x, y)\nx y : a(a|b)*", "ans(x, y)\nx y : (a|b)+"} {
+		check(int64(3+i), cxrpq.MustParse(src), gmark) // page sizes 1024 and 1
 	}
 }
 
@@ -397,8 +418,9 @@ func rowLess(a, b cxrpq.Row) bool {
 
 // Property: for every k, the incremental any-k ranked stream is exactly the
 // k-prefix of the historical full-drain-and-sort ranked order — across 60
-// random query/graph seeds, both semantics dispatches, unit and pluggable
-// weights — and its costs never decrease.
+// random query/graph seeds and one high-output gMark-style join, both
+// semantics dispatches, unit and pluggable weights — and its costs never
+// decrease.
 func TestStreamAnyKPrefixEqualsDrain(t *testing.T) {
 	weights := []engine.Weight{
 		nil,
@@ -409,10 +431,7 @@ func TestStreamAnyKPrefixEqualsDrain(t *testing.T) {
 			return 1
 		},
 	}
-	for seed := int64(0); seed < 60; seed++ {
-		r := workload.NewRNG(seed ^ 0x4a11)
-		q := workload.RandomQuery(r, true)
-		db := workload.Random(seed^0x77aa, 4, 9, "ab")
+	check := func(seed int64, q *cxrpq.Query, db *graph.DB) {
 		sess := cxrpq.MustPrepare(q).Bind(db)
 
 		type dispatch struct {
@@ -455,6 +474,9 @@ func TestStreamAnyKPrefixEqualsDrain(t *testing.T) {
 				}
 
 				for k := 1; k <= len(want); k++ {
+					if len(want) > 64 && k != 1 && k != 64 {
+						continue // a high-output input: the first row and one page
+					}
 					kOpts := opts
 					kOpts.Limit = k
 					topk, err := sess.Stream(kOpts)
@@ -475,6 +497,13 @@ func TestStreamAnyKPrefixEqualsDrain(t *testing.T) {
 			}
 		}
 	}
+	for seed := int64(0); seed < 60; seed++ {
+		r := workload.NewRNG(seed ^ 0x4a11)
+		check(seed, workload.RandomQuery(r, true), workload.Random(seed^0x77aa, 4, 9, "ab"))
+	}
+	// A high-output join on a gMark-style graph: a cheap first atom, a
+	// quadratic-ish answer set the drain sorts whole before its first row.
+	check(60, cxrpq.MustParse("ans(x, z)\nx y : a+\ny z : b+"), workload.GMark(7, 300))
 }
 
 // Table test for ranked Limit semantics: Limit == 0 streams every row, any

@@ -100,6 +100,7 @@ type anykNode struct {
 // ties on a push sequence number (wItem.idx), not on the reused slot (ref).
 type AnyK struct {
 	bud   *engine.Budget
+	tune  planner.Tuning
 	roots []*anykRoot
 	h     wHeap
 	nodes []anykNode
@@ -109,10 +110,11 @@ type AnyK struct {
 	out   []int32 // the row Next returns
 }
 
-// NewAnyK returns an enumerator under an optional budget (nil = unlimited),
-// polled every 64 pops and inside every extension computation.
-func NewAnyK(bud *engine.Budget) *AnyK {
-	return &AnyK{bud: bud}
+// NewAnyK returns an enumerator under o's optional budget (nil = unlimited),
+// polled every 64 pops and inside every extension computation, and o's
+// tuning. An enumerator is always ranked and takes a weight per root.
+func NewAnyK(o Options) *AnyK {
+	return &AnyK{bud: o.Budget, tune: o.Tuning}
 }
 
 func (a *AnyK) pushNode(nd anykNode, key int32) {
@@ -170,7 +172,7 @@ func (a *AnyK) addRoot(p *plan) {
 // AddQuery adds a query-form root: q enumerated over db under the
 // enumerator's budget, ranked, with an optional pluggable edge weight.
 func (a *AnyK) AddQuery(q *Query, db *graph.DB, weight engine.Weight) error {
-	ev, err := newEvaluator(q, db, Options{Budget: a.bud, Ranked: true, Weight: weight}, true)
+	ev, err := newEvaluator(q, db, Options{Budget: a.bud, Ranked: true, Weight: weight, Tuning: a.tune}, true)
 	if err != nil {
 		return err
 	}
@@ -179,10 +181,10 @@ func (a *AnyK) AddQuery(q *Query, db *graph.DB, weight engine.Weight) error {
 }
 
 // AddJoin adds a join-form root: a relation-free pattern joined over
-// materialized per-edge relations in the physical plan's order (nil spec
-// falls back to the structural JoinOrder), with the variables of pre
-// pre-bound. The relations should carry levels (BuildRelation) for the costs
-// to be meaningful; level-free relations enumerate at cost 0.
+// materialized per-edge relations in the physical plan's order, with the
+// variables of pre pre-bound. The relations should carry levels
+// (BuildRelation) for the costs to be meaningful; level-free relations
+// enumerate at cost 0.
 func (a *AnyK) AddJoin(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pre map[string]int) {
 	for _, r := range rels[:len(g.Edges)] {
 		if r == nil {

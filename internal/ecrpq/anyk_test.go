@@ -111,13 +111,18 @@ func TestAnyKMatchesDrain(t *testing.T) {
 			return 1
 		},
 	}
-	for seed := int64(1); seed <= 6; seed++ {
-		db := workload.Random(seed, 30, 110, "ab")
-		for _, src := range queries {
+	// Seed 0 is the high-output input: a gMark-style graph under the two
+	// binary queries, thousands of rows each.
+	for seed := int64(0); seed <= 6; seed++ {
+		db, srcs := workload.GMark(7, 200), queries[:2]
+		if seed > 0 {
+			db, srcs = workload.Random(seed, 30, 110, "ab"), queries
+		}
+		for _, src := range srcs {
 			q := mustQuery(t, src)
 			for wi, w := range weights {
 				wantT, wantC := drainRanked(t, q, db, w)
-				ak := ecrpq.NewAnyK(nil)
+				ak := ecrpq.NewAnyK(ecrpq.Options{})
 				if err := ak.AddQuery(q, db, w); err != nil {
 					t.Fatal(err)
 				}
@@ -149,7 +154,7 @@ func TestAnyKMatchesDrainGroups(t *testing.T) {
 		q := mustQuery(t, "ans(x, y)\nx y : (a|b)+\nx y : (a|b)+",
 			ecrpq.Group{Edges: []int{0, 1}, Rel: &ecrpq.Equality{N: 2}})
 		wantT, wantC := drainRanked(t, q, db, nil)
-		ak := ecrpq.NewAnyK(nil)
+		ak := ecrpq.NewAnyK(ecrpq.Options{})
 		if err := ak.AddQuery(q, db, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +178,7 @@ func TestAnyKBudgetStops(t *testing.T) {
 	db := workload.Random(5, 40, 160, "ab")
 	q := mustQuery(t, "ans(x, z)\nx y : a+\ny z : b+")
 	bud := engine.NewBudget(nil, time.Now().Add(-time.Second), 0)
-	ak := ecrpq.NewAnyK(bud)
+	ak := ecrpq.NewAnyK(ecrpq.Options{Budget: bud})
 	if err := ak.AddQuery(q, db, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +191,7 @@ func TestAnyKBudgetStops(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ak = ecrpq.NewAnyK(engine.NewBudget(ctx, time.Time{}, 0))
+	ak = ecrpq.NewAnyK(ecrpq.Options{Budget: engine.NewBudget(ctx, time.Time{}, 0)})
 	if err := ak.AddQuery(q, db, nil); err != nil {
 		t.Fatal(err)
 	}

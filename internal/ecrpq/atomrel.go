@@ -225,9 +225,7 @@ func (r *EdgeRel) Estimate() planner.Estimate {
 // materialized per-edge relations with the node variables of pre already
 // bound: each atom carries its exact relation cardinalities
 // (EdgeRel.Estimate) and the planner's greedy search orders them by
-// estimated cost with bound-variable selectivity propagation. When the
-// planner is disabled the spec degrades to the structural heuristic, making
-// the ordering identical to JoinOrder.
+// estimated cost with bound-variable selectivity propagation.
 func PlanJoin(g *pattern.Graph, rels []*EdgeRel, pre map[string]int) *planner.PlanSpec {
 	atoms := make([]planner.Atom, len(g.Edges))
 	for i, e := range g.Edges {
@@ -251,56 +249,6 @@ func boundSet(pre map[string]int) map[string]bool {
 	return bound
 }
 
-// JoinOrder returns the structural greedy edge order for joining g with the
-// node variables of pre already bound: most-bound edges first. It is the
-// cardinality-blind baseline the planner's cost-based search replaces (and
-// degrades to when disabled); callers joining materialized relations should
-// prefer PlanJoin.
-func JoinOrder(g *pattern.Graph, pre map[string]int) []int {
-	bound := map[string]bool{}
-	for z := range pre {
-		bound[z] = true
-	}
-	remaining := make([]int, len(g.Edges))
-	for i := range remaining {
-		remaining[i] = i
-	}
-	var order []int
-	for len(remaining) > 0 {
-		best, bestScore := -1, -1
-		for idx, ei := range remaining {
-			e := g.Edges[ei]
-			score := 0
-			if bound[e.From] {
-				score += 2
-			}
-			if bound[e.To] {
-				score++
-			}
-			if score > bestScore {
-				bestScore, best = score, idx
-			}
-		}
-		ei := remaining[best]
-		remaining = append(remaining[:best], remaining[best+1:]...)
-		bound[g.Edges[ei].From], bound[g.Edges[ei].To] = true, true
-		order = append(order, ei)
-	}
-	return order
-}
-
-// semijoinFloorFor resolves the cost floor gating the semijoin and
-// Yannakakis passes of JoinRelations for one plan: the per-plan override
-// (PlanSpec.SemijoinFloor, threaded from SessionOptions.SemijoinCostFloor)
-// when set, the process-wide planner.SemijoinFloor() knob otherwise. A
-// negative result disables the passes.
-func semijoinFloorFor(spec *planner.PlanSpec) float64 {
-	if spec != nil && spec.SemijoinFloor != 0 {
-		return spec.SemijoinFloor
-	}
-	return planner.SemijoinFloor()
-}
-
 // JoinRelations runs the join of a relation-free pattern over precomputed
 // per-edge relations (the leaf step of the bounded-evaluation engine) and
 // collects the output tuples; with boolOnly it stops at the first. See
@@ -315,94 +263,71 @@ func JoinRelations(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pr
 }
 
 // JoinRelationsStream joins a relation-free pattern over precomputed
-// per-edge relations, visiting edges in the order of the physical plan (see
-// PlanJoin; nil falls back to the structural JoinOrder) with the node
-// variables of pre pre-bound (Check-style). Each satisfying assignment's
-// output projection is yielded as the search completes it, and a false
-// return from yield — or a canceled o.Budget, polled per step — unwinds the
-// join. With o.Ranked every yield carries the summed witness cost of the
-// relations' levels (0 for level-free relations); unranked joins always
-// yield cost 0, whatever the relations carry. Tuples are NOT deduplicated
-// here: a projection can complete under several assignments, and the caller
-// (the bounded engine merges many leaf joins anyway) owns dedup and min-cost
-// selection.
+// per-edge relations, one per edge of g, visiting edges in the order of the
+// physical plan (see PlanJoin; any permutation of the edges is a valid
+// order) with the node variables of pre pre-bound (Check-style). Each
+// satisfying assignment's output projection is yielded as the search
+// completes it, and a false return from yield — or a canceled o.Budget,
+// polled per step — unwinds the join. With o.Ranked every yield carries the
+// summed witness cost of the relations' levels (0 for level-free relations);
+// unranked joins always yield cost 0, whatever the relations carry. Tuples
+// are NOT deduplicated here: a projection can complete under several
+// assignments, and the caller (the bounded engine merges many leaf joins
+// anyway) owns dedup and min-cost selection.
 func JoinRelationsStream(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pre map[string]int, o Options, yield StreamFunc) {
-	if p := compileJoin(g, rels, spec, pre, o.Ranked); p != nil {
+	if p := compileJoin(g, rels, spec, pre, o); p != nil {
 		p.stream(o.Budget, yield)
 	}
 }
 
-// compileJoin builds the plan of a join over materialized relations and is
-// where its strategy gates live. For plans whose estimated cost clears the
-// semijoin floor (planner.SemijoinFloor, overridable per plan through
-// PlanSpec.SemijoinFloor) an acyclic conjunct graph is evaluated with the
+// compileJoin builds the plan of a join over materialized relations in the
+// strategy the planner's gate picks for it (planner.Tuning.Strategy): the
 // Yannakakis semijoin program (yannakakis.go) — linear in the relation
-// sizes, no dead ends — and a cyclic one falls back to the backtracking
-// search after a semijoin reduction pass shrinks each node variable's
-// candidate domain by propagating the relations' endpoint sets. A nil plan
+// sizes, no dead ends — the backtracking search after a semijoin reduction
+// has shrunk each node variable's candidate domain by propagating the
+// relations' endpoint sets, or the backtracking search as is. A nil plan
 // means the join is provably empty.
-func compileJoin(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pre map[string]int, ranked bool) *plan {
-	var dom *planner.Domains
-	floor := semijoinFloorFor(spec)
-	if spec != nil && spec.CostBased && floor >= 0 && spec.Cost >= floor && len(rels) > 0 && rels[0] != nil {
-		refs := make([]planner.EdgeRef, len(g.Edges))
-		prels := make([]planner.Rel, len(g.Edges))
-		complete := len(rels) >= len(g.Edges)
+func compileJoin(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pre map[string]int, o Options) *plan {
+	var refs []planner.EdgeRef
+	strategy, tree := o.Tuning.Strategy(planner.Join{Cost: spec.Cost, Graph: func() ([]planner.EdgeRef, []bool) {
+		if refs = edgeRefs(g); o.Ranked {
+			return refs, nil // each atom's cost contributes to the witness cost
+		}
+		// Parallel atoms over the identical relation are one constraint.
+		skip := make([]bool, len(g.Edges))
 		for i, e := range g.Edges {
-			refs[i] = planner.EdgeRef{From: e.From, To: e.To}
-			if i < len(rels) && rels[i] != nil {
-				prels[i] = rels[i]
-			} else {
-				complete = false
+			for j := 0; j < i; j++ {
+				if ej := g.Edges[j]; !skip[j] && ej.From == e.From && ej.To == e.To && rels[j] == rels[i] {
+					skip[i] = true
+					break
+				}
 			}
 		}
-		// Parallel atoms over the identical relation are collapsed first
-		// (sound: identical constraint) — except in ranked joins, where each
-		// atom's cost contributes to the witness cost.
-		if complete && planner.YannakakisEnabled() {
-			var skip []bool
-			kept := len(g.Edges)
-			if !ranked {
-				skip = make([]bool, len(g.Edges))
-				for i, e := range g.Edges {
-					for j := 0; j < i; j++ {
-						ej := g.Edges[j]
-						if !skip[j] && ej.From == e.From && ej.To == e.To && rels[j] == rels[i] {
-							skip[i] = true
-							kept--
-							break
-						}
-					}
-				}
-			}
-			if kept > 0 {
-				if tree, ok := planner.BuildJoinTree(refs, skip); ok {
-					return yannakakisJoin(g, rels, tree, pre, ranked)
-				}
-				planner.CountCyclicFallback()
-			}
+		return refs, skip
+	}})
+	var dom *planner.Domains
+	switch strategy {
+	case planner.Yannakakis:
+		return yannakakisJoin(g, rels, tree, pre, o.Ranked)
+	case planner.SemijoinReduce:
+		prels := make([]planner.Rel, len(g.Edges))
+		for i := range prels {
+			prels[i] = rels[i]
 		}
 		planner.CountSemijoinPass()
-		d, ok := planner.Reduce(refs, prels, rels[0].NumNodes(), pre)
-		if !ok {
+		var ok bool
+		if dom, ok = planner.Reduce(refs, prels, rels[0].NumNodes(), pre); !ok {
 			return nil // a variable lost every candidate
 		}
-		dom = d
 	}
-	return joinPlan(g, rels, spec, dom, pre, ranked)
+	return joinPlan(g, rels, spec, dom, pre, o.Ranked)
 }
 
-// joinPlan compiles the join of g over rels in the order of spec (nil falls
-// back to the structural JoinOrder), with candidates restricted to dom.
+// joinPlan compiles the join of g over rels in the order of spec, with
+// candidates restricted to dom.
 func joinPlan(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, dom *planner.Domains, pre map[string]int, ranked bool) *plan {
-	var order []int
-	if spec != nil {
-		order = spec.Order
-	} else {
-		order = JoinOrder(g, pre)
-	}
-	p := newPlan(ranked, len(order))
-	for _, ei := range order {
+	p := newPlan(ranked, len(spec.Order))
+	for _, ei := range spec.Order {
 		e := g.Edges[ei]
 		min := int32(0)
 		if ranked {

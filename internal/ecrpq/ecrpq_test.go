@@ -281,7 +281,7 @@ func TestUnionEval(t *testing.T) {
 	}); err != nil || !streamed.Equal(res) {
 		t.Fatalf("union stream %v, %v; want %v", streamed.Sorted(), err, res.Sorted())
 	}
-	ak := ecrpq.NewAnyK(nil)
+	ak := ecrpq.NewAnyK(ecrpq.Options{})
 	if err := ak.AddUnion(ms, db, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestUnionEval(t *testing.T) {
 	if err := ecrpq.EvalUnionStream(bad, db, ecrpq.Options{}, func([]int32, int) bool { return true }); err == nil {
 		t.Fatal("union stream swallowed a member error")
 	}
-	if err := ecrpq.NewAnyK(nil).AddUnion(bad, db, nil); err == nil {
+	if err := ecrpq.NewAnyK(ecrpq.Options{}).AddUnion(bad, db, nil); err == nil {
 		t.Fatal("AddUnion swallowed a member error")
 	}
 }

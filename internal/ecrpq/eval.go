@@ -6,6 +6,7 @@ import (
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
+	"cxrpq/internal/planner"
 )
 
 // Options are the per-evaluation parameters of the entry points below. The
@@ -28,6 +29,9 @@ type Options struct {
 	// total weight instead of a minimum edge count. Ignored unless Ranked,
 	// and by JoinRelationsStream, whose relations were built with theirs.
 	Weight engine.Weight
+	// Tuning is the planner gates and the fan width of the evaluation; the
+	// zero value is production and the only one non-test code passes.
+	Tuning planner.Tuning
 }
 
 // StreamFunc consumes one enumerated output row with its witness cost (0

@@ -34,7 +34,7 @@ type evaluator struct {
 	inGroup []bool
 
 	// dropped marks edges deleted by the planner's containment-based
-	// minimization pass (planner.Minimize): an ungrouped edge whose
+	// minimization pass (planner.Tuning.Minimize): an ungrouped edge whose
 	// language contains a kept same-endpoint edge's language is implied
 	// by it and never joined.
 	dropped []bool
@@ -47,6 +47,7 @@ type evaluator struct {
 	bud    *engine.Budget
 	ranked bool
 	weight engine.Weight
+	tune   planner.Tuning
 
 	// lazy is set by the entry points that want a first answer rather than
 	// the whole set (Boolean, check, witness, streams): a both-ends-unbound
@@ -83,6 +84,7 @@ func newEvaluator(q *Query, db *graph.DB, o Options, lazy bool) (*evaluator, err
 		bud:      o.Budget,
 		ranked:   o.Ranked,
 		weight:   o.Weight,
+		tune:     o.Tuning,
 		lazy:     lazy,
 	}
 	for i, e := range q.Pattern.Edges {
@@ -109,7 +111,7 @@ func newEvaluator(q *Query, db *graph.DB, o Options, lazy bool) (*evaluator, err
 			minAtoms[i].Cache = ev.atoms[i].ent.cache
 		}
 	}
-	ev.dropped = planner.Minimize(minAtoms, 0)
+	ev.dropped = ev.tune.Minimize(minAtoms, 0)
 	return ev, nil
 }
 
@@ -314,13 +316,17 @@ func (ev *evaluator) planAtoms() (edges []int, atoms []planner.Atom) {
 
 // compile builds the conjunct's plan over the lazily probed atoms: the kept
 // ungrouped edges in the cost-based planner's order (bound-variable
-// selectivity propagated from pre; the structural most-bound-first greedy
-// when the planner is disabled), then the relation groups in query order.
+// selectivity propagated from pre), then the relation groups in query order.
 // This is the single ordering decision behind every evaluator entry point.
 func (ev *evaluator) compile(pre map[string]int, bindAll bool) *plan {
 	edges, atoms := ev.planAtoms()
+	return ev.compileOrder(edges, planner.Order(atoms, boundSet(pre)), pre, bindAll)
+}
+
+// compileOrder is compile over an order already planned for edges.
+func (ev *evaluator) compileOrder(edges []int, spec *planner.PlanSpec, pre map[string]int, bindAll bool) *plan {
 	p := newPlan(ev.ranked, len(edges)+len(ev.q.Groups))
-	for _, ai := range planner.Order(atoms, boundSet(pre)).Order {
+	for _, ai := range spec.Order {
 		ei := edges[ai]
 		e := ev.q.Pattern.Edges[ei]
 		p.addAtom(&ev.atoms[ei], e.From, e.To, ev.edgeMinCost(ei))
@@ -353,14 +359,17 @@ func (ev *evaluator) edgeMinCost(ei int) int32 {
 }
 
 // stream enumerates the query's answers with the variables of pre pre-
-// bound: the Yannakakis program when its gates pass (yannakakis.go), the
-// backtracking join over the lazily probed atoms otherwise — same yields,
-// same budget discipline. A materializing run fills the probe memos a
-// frontier at a time first (frontier.go); the join then finds them there.
+// bound: the Yannakakis program when the planner's gate picks it
+// (yannakakis.go), the backtracking join over the lazily probed atoms
+// otherwise — same yields, same budget discipline. A materializing run fills
+// the probe memos a frontier at a time first (frontier.go); the join then
+// finds them there.
 func (ev *evaluator) stream(pre map[string]int, yield StreamFunc) {
-	p, ok := ev.yannakakisPlan(pre)
+	edges, atoms := ev.planAtoms()
+	spec := planner.Order(atoms, boundSet(pre))
+	p, ok := ev.yannakakisPlan(edges, atoms, spec, pre)
 	if !ok {
-		p = ev.compile(pre, false)
+		p = ev.compileOrder(edges, spec, pre, false)
 		if !ev.lazy {
 			ev.probeFrontiers(p)
 		}

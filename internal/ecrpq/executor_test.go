@@ -84,7 +84,7 @@ func (c *collector) ranking() ranking {
 }
 
 func drainAnyK(c *collector, p *plan) ranking {
-	ak := NewAnyK(nil)
+	ak := NewAnyK(Options{})
 	if p != nil {
 		ak.addRoot(p)
 	}
@@ -148,9 +148,10 @@ func TestExecutorDifferential(t *testing.T) {
 			return 1
 		},
 	}
-	// Drop the cost gates so compileJoin takes the Yannakakis program on
-	// every acyclic join and the semijoin reduction on every cyclic one.
-	defer planner.SetSemijoinFloor(planner.SetSemijoinFloor(0))
+	// With the cost gates dropped compileJoin takes the Yannakakis program on
+	// every acyclic join and the semijoin reduction on every cyclic one, and
+	// with the program off besides, the reduction on all of them.
+	forced := planner.Tuning{Force: true}
 
 	for seed := int64(1); seed <= 3; seed++ {
 		db := probeRandomDB(seed, 14, 40, "ab")
@@ -204,8 +205,18 @@ func TestExecutorDifferential(t *testing.T) {
 						spec := PlanJoin(g, rels, tc.pre)
 						got["backtracking/rel"] = runPlan(newCollector(t, name("backtracking/rel"), false),
 							joinPlan(g, rels, spec, nil, tc.pre, ranked))
+						got["gated/rel"] = runPlan(newCollector(t, name("gated/rel"), false),
+							compileJoin(g, rels, spec, tc.pre, Options{Ranked: ranked, Tuning: forced}))
 						got["reduced/rel"] = runPlan(newCollector(t, name("reduced/rel"), false),
-							compileJoin(g, rels, spec, tc.pre, ranked))
+							compileJoin(g, rels, spec, tc.pre, Options{Ranked: ranked, Tuning: planner.Tuning{Force: true, NoAcyclic: true}}))
+						// Any permutation of the edges is a plan: the reverse of
+						// the input order, which no cost model chose.
+						reversed := &planner.PlanSpec{}
+						for i := len(g.Edges) - 1; i >= 0; i-- {
+							reversed.Order = append(reversed.Order, i)
+						}
+						got["backtracking/rel/reversed"] = runPlan(newCollector(t, name("backtracking/rel/reversed"), false),
+							compileJoin(g, rels, reversed, tc.pre, Options{Ranked: ranked}))
 						if ranked {
 							got["best-first/rel"] = drainAnyK(newCollector(t, name("best-first/rel"), true),
 								joinPlan(g, rels, spec, nil, tc.pre, true))
@@ -244,7 +255,6 @@ func TestJoinRankedComesFromCallerNotRelation(t *testing.T) {
 	}
 	db := graph.MustParse(sb.String())
 	g := pattern.MustParseQuery("ans(x)\nx y : a\nx z : b")
-	defer planner.SetSemijoinFloor(planner.SetSemijoinFloor(0))
 	for _, warmRanked := range []bool{false, true} {
 		c := NewRelCache(0)
 		rels := make([]*EdgeRel, len(g.Edges))
@@ -262,7 +272,7 @@ func TestJoinRankedComesFromCallerNotRelation(t *testing.T) {
 			rels[i] = r
 		}
 		rows, costs := 0, 0
-		JoinRelationsStream(g, rels, PlanJoin(g, rels, nil), nil, Options{}, func(_ []int32, cost int) bool {
+		JoinRelationsStream(g, rels, PlanJoin(g, rels, nil), nil, Options{Tuning: planner.Tuning{Force: true}}, func(_ []int32, cost int) bool {
 			rows++
 			costs += cost
 			return true

@@ -54,9 +54,7 @@ func TestSupportReadDifferential(t *testing.T) {
 			}
 			res, err := ecrpq.Eval(q, db)
 			add("eval", sorted(res), err)
-			restore := forceYannakakis(t)
-			yan, err := ecrpq.Eval(q, db)
-			restore()
+			yan, err := ecrpq.EvalWith(q, db, forced)
 			add("eval/yannakakis", sorted(yan), err)
 			if !res.Equal(yan) {
 				t.Fatalf("query %d: Yannakakis program %v, backtracking %v\n%s", qi, yan.Sorted(), res.Sorted(), g)

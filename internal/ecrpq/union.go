@@ -49,9 +49,10 @@ const UnionWindow = 1024
 // the first failure) stops, so in-flight siblings unwind at BFS-level
 // granularity without spending the caller's budget.
 type unionSink struct {
-	bud    *engine.Budget
-	fan    *engine.Budget
-	exists bool // Boolean / check: an error must not stop the search for a witness
+	bud     *engine.Budget
+	fan     *engine.Budget
+	workers int  // fan width (planner.Tuning.Workers)
+	exists  bool // Boolean / check: an error must not stop the search for a witness
 
 	mu      sync.Mutex
 	out     *pattern.TupleSet
@@ -74,7 +75,7 @@ func (s *unionSink) run(ms Members, db *graph.DB, eval func(i int, q *Query, bud
 	var win []member
 	base := 0
 	flush := func(bud *engine.Budget) {
-		engine.Fan(len(win), func(i int) {
+		engine.Fan(s.workers, len(win), func(i int) {
 			switch m := win[i]; {
 			case s.fan.Canceled():
 			case m.err != nil:
@@ -154,9 +155,9 @@ func (s *unionSink) finish() error {
 // EvalUnionWith computes ⋃ qi(D) over the members of ms. On a failure or a
 // cancellation it returns the sound partial set found so far with the error.
 func EvalUnionWith(ms Members, db *graph.DB, o Options) (*pattern.TupleSet, error) {
-	s := &unionSink{bud: o.Budget, fan: o.Budget.Fork()}
+	s := &unionSink{bud: o.Budget, fan: o.Budget.Fork(), workers: o.Tuning.Workers}
 	s.run(ms, db, func(i int, q *Query, bud *engine.Budget) {
-		res, err := EvalWith(q, db, Options{Budget: bud})
+		res, err := EvalWith(q, db, Options{Budget: bud, Tuning: o.Tuning})
 		s.merge(res)
 		if err != nil {
 			s.fail(i, err)
@@ -171,9 +172,9 @@ func EvalUnionWith(ms Members, db *graph.DB, o Options) (*pattern.TupleSet, erro
 // existsUnion decides whether some member has a match, by the lazy search
 // exists runs on one member under the budget it is given.
 func existsUnion(ms Members, db *graph.DB, o Options, exists func(*Query, Options) (bool, error)) (bool, error) {
-	s := &unionSink{bud: o.Budget, fan: o.Budget.Fork(), exists: true}
+	s := &unionSink{bud: o.Budget, fan: o.Budget.Fork(), workers: o.Tuning.Workers, exists: true}
 	s.run(ms, db, func(i int, q *Query, bud *engine.Budget) {
-		if ok, err := exists(q, Options{Budget: bud}); ok {
+		if ok, err := exists(q, Options{Budget: bud, Tuning: o.Tuning}); ok {
 			s.witness()
 		} else if err != nil {
 			s.fail(i, err)

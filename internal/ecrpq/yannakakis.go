@@ -19,45 +19,52 @@ import (
 	"sort"
 
 	"cxrpq/internal/engine"
+	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
 	"cxrpq/internal/planner"
 )
 
-// yannakakisPlan is the evaluator-level dispatch: for a materializing
-// (non-lazy) run over a group-free query whose minimized conjunct graph is
-// acyclic, and whose estimated backtracking cost exceeds both the semijoin
-// floor and YannakakisGain times the cost of materializing the kept
-// relations, it builds the per-edge relations and compiles the Yannakakis
-// program. ok reports whether it applies — false means the caller should
-// compile the generic backtracking join; a nil plan with ok set means the
-// join is provably empty.
-func (ev *evaluator) yannakakisPlan(pre map[string]int) (p *plan, ok bool) {
-	if !planner.YannakakisEnabled() || ev.lazy || len(ev.q.Groups) > 0 {
-		return nil, false
-	}
-	floor := planner.SemijoinFloor()
-	if floor < 0 {
-		return nil, false
-	}
-	kept, atoms := ev.planAtoms()
-	if len(kept) < 2 {
-		return nil, false // a single relation scan gains nothing from semijoins
-	}
-	mat := 0.0
+// strategy asks the planner's gate how the join of the kept atoms runs in
+// the order of spec. The relations do not exist yet, so the gate weighs the
+// backtracking estimate against what building them would cost.
+func (ev *evaluator) strategy(atoms []planner.Atom, spec *planner.PlanSpec) (planner.Strategy, *planner.JoinTree) {
+	j := planner.Join{Cost: spec.Cost, Lazy: ev.lazy, Groups: len(ev.q.Groups) > 0}
 	for _, a := range atoms {
-		mat += a.Est.Pairs + float64(a.Est.Nodes)
+		j.Build += a.Est.Pairs + float64(a.Est.Nodes)
 	}
-	spec := planner.Order(atoms, boundSet(pre))
-	if !spec.CostBased || spec.Cost < floor || spec.Cost < mat*planner.YannakakisGain() {
-		return nil, false
-	}
-	refs := make([]planner.EdgeRef, len(ev.q.Pattern.Edges))
-	for i, e := range ev.q.Pattern.Edges {
+	j.Graph = func() ([]planner.EdgeRef, []bool) { return edgeRefs(ev.q.Pattern), ev.dropped }
+	return ev.tune.Strategy(j)
+}
+
+// edgeRefs is the conjunct graph of g as the planner reads it.
+func edgeRefs(g *pattern.Graph) []planner.EdgeRef {
+	refs := make([]planner.EdgeRef, len(g.Edges))
+	for i, e := range g.Edges {
 		refs[i] = planner.EdgeRef{From: e.From, To: e.To}
 	}
-	tree, acyclic := planner.BuildJoinTree(refs, ev.dropped)
-	if !acyclic {
-		planner.CountCyclicFallback()
+	return refs
+}
+
+// StrategyOf reports how EvalWith(q, db, o) runs q's join, without running
+// it: what a plan report may say about an evaluation it has not watched.
+func StrategyOf(q *Query, db *graph.DB, o Options) (planner.Strategy, error) {
+	ev, err := newEvaluator(q, db, o, false)
+	if err != nil {
+		return planner.Backtracking, err
+	}
+	_, atoms := ev.planAtoms()
+	s, _ := ev.strategy(atoms, planner.Order(atoms, nil))
+	return s, nil
+}
+
+// yannakakisPlan is the evaluator-level dispatch: when the gate picks the
+// Yannakakis program for the kept edges in the order of spec, it builds the
+// per-edge relations and compiles the program. ok reports whether it applies
+// — false means the caller should compile the generic backtracking join; a
+// nil plan with ok set means the join is provably empty.
+func (ev *evaluator) yannakakisPlan(kept []int, atoms []planner.Atom, spec *planner.PlanSpec, pre map[string]int) (p *plan, ok bool) {
+	s, tree := ev.strategy(atoms, spec)
+	if s != planner.Yannakakis {
 		return nil, false
 	}
 	rels := make([]*EdgeRel, len(ev.q.Pattern.Edges))

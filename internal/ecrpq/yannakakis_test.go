@@ -14,26 +14,21 @@ import (
 	"cxrpq/internal/workload"
 )
 
-// forceYannakakis drops the cost gates so every acyclic, group-free,
-// non-lazy join takes the Yannakakis path, and returns a restore func.
-func forceYannakakis(t *testing.T) func() {
-	t.Helper()
-	en := planner.SetEnabled(true)
-	yan := planner.SetYannakakis(true)
-	floor := planner.SetSemijoinFloor(0)
-	gain := planner.SetYannakakisGain(0)
-	return func() {
-		planner.SetYannakakisGain(gain)
-		planner.SetSemijoinFloor(floor)
-		planner.SetYannakakis(yan)
-		planner.SetEnabled(en)
-	}
-}
+// forced drops the cost gates, so that every acyclic, group-free, non-lazy
+// join takes the Yannakakis path on graphs of a few dozen nodes; with the
+// program off the same joins take the semijoin reduction.
+var (
+	forced          = ecrpq.Options{Tuning: planner.Tuning{Force: true}}
+	forcedNoAcyclic = ecrpq.Options{Tuning: planner.Tuning{Force: true, NoAcyclic: true}}
+)
 
 // TestYannakakisDifferential runs a query zoo over random graphs with the
 // Yannakakis path forced and with it disabled, asserting tuple-set
-// equality — the two join programs must be observationally identical.
+// equality — the two join programs must be observationally identical — and
+// the two families the program was built for under the production gates,
+// which they must clear on their own.
 func TestYannakakisDifferential(t *testing.T) {
+	const triangle = "ans(x, z)\nx y : a\ny z : a\nx z : b" // cyclic core: falls back, same answers
 	queries := []string{
 		"ans(x, z)\nx y : a\ny z : b",
 		"ans(w, z)\nw x : a\nx y : b\ny z : a|b",
@@ -45,40 +40,53 @@ func TestYannakakisDifferential(t *testing.T) {
 		"ans(x, u)\nx y : a\nu v : b",
 		"ans(x, y, z)\nx y : a\ny z : b",
 		"ans(x, z)\nx y : a+\ny z : b*a",
-		// cyclic core: must fall back to backtracking, same answers
-		"ans(x, z)\nx y : a\ny z : a\nx z : b",
+		triangle,
 	}
+	type input struct {
+		name    string
+		db      *graph.DB
+		src     string
+		on, off ecrpq.Options
+	}
+	var inputs []input
 	for seed := int64(1); seed <= 3; seed++ {
 		db := workload.Random(seed, 30, 140, "ab")
 		for _, src := range queries {
-			q := mustQuery(t, src)
+			inputs = append(inputs, input{fmt.Sprintf("seed %d %q", seed, src), db, src, forced, forcedNoAcyclic})
+		}
+	}
+	// Every backtracking anchor of the chain explores ~width·fanout² partial
+	// assignments that die one atom later; the star enumerates fanout³
+	// assignments per centre that project to one tuple.
+	noAcyclic := ecrpq.Options{Tuning: planner.Tuning{NoAcyclic: true}}
+	inputs = append(inputs,
+		input{"dead-end chain", workload.DeadEndChain(3, 120, 20, 2), "ans(x0, x3)\nx0 x1 : a\nx1 x2 : a\nx2 x3 : a", ecrpq.Options{}, noAcyclic},
+		input{"tri-label star", workload.TriStar(30, 20), "ans(x)\nx y1 : a\nx y2 : b\nx y3 : c", ecrpq.Options{}, noAcyclic})
 
-			restore := forceYannakakis(t)
-			planner.SetYannakakis(false)
-			want, err := ecrpq.Eval(q, db)
-			if err != nil {
-				restore()
-				t.Fatalf("seed %d %q backtracking: %v", seed, src, err)
-			}
-			planner.SetYannakakis(true)
-			before := planner.Stats().AcyclicPlans
-			got, err := ecrpq.Eval(q, db)
-			fired := planner.Stats().AcyclicPlans - before
-			gotBool, berr := ecrpq.EvalBool(q, db)
-			restore()
-			if err != nil {
-				t.Fatalf("seed %d %q yannakakis: %v", seed, src, err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("seed %d %q: yannakakis %v != backtracking %v",
-					seed, src, got.Sorted(), want.Sorted())
-			}
-			if berr != nil || gotBool != (want.Len() > 0) {
-				t.Fatalf("seed %d %q: EvalBool = %v, %v; want %v", seed, src, gotBool, berr, want.Len() > 0)
-			}
-			if fired == 0 && len(q.Pattern.Edges) > 2 && src != "ans(x, z)\nx y : a\ny z : a\nx z : b" {
-				t.Fatalf("seed %d %q: acyclic path never fired under forced gates", seed, src)
-			}
+	for _, in := range inputs {
+		q := mustQuery(t, in.src)
+		before := planner.Stats().AcyclicPlans
+		want, err := ecrpq.EvalWith(q, in.db, in.off)
+		if err != nil {
+			t.Fatalf("%s backtracking: %v", in.name, err)
+		}
+		if planner.Stats().AcyclicPlans != before {
+			t.Fatalf("%s: the Yannakakis program ran with the acyclic path off", in.name)
+		}
+		got, err := ecrpq.EvalWith(q, in.db, in.on)
+		fired := planner.Stats().AcyclicPlans - before
+		gotBool, berr := ecrpq.EvalBoolWith(q, in.db, in.on)
+		if err != nil {
+			t.Fatalf("%s yannakakis: %v", in.name, err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s: yannakakis %d tuples != backtracking %d", in.name, got.Len(), want.Len())
+		}
+		if berr != nil || gotBool != (want.Len() > 0) {
+			t.Fatalf("%s: EvalBool = %v, %v; want %v", in.name, gotBool, berr, want.Len() > 0)
+		}
+		if fired == 0 && len(q.Pattern.Edges) > 2 && in.src != triangle {
+			t.Fatalf("%s: acyclic path never fired", in.name)
 		}
 	}
 }
@@ -96,10 +104,8 @@ a q d
 c q b
 `)
 	q := mustQuery(t, "ans(u, v)\nu v : p\nu v : q")
-	restore := forceYannakakis(t)
-	defer restore()
 	before := planner.Stats().AcyclicPlans
-	got, err := ecrpq.Eval(q, db)
+	got, err := ecrpq.EvalWith(q, db, forced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,19 +124,16 @@ func TestMinimizeDropsRedundantAtoms(t *testing.T) {
 	db := workload.Random(7, 25, 100, "ab")
 	q := mustQuery(t, "ans(x, z)\nx y : a\nx y : a|b\ny z : a\ny z : a")
 
-	en := planner.SetEnabled(true)
-	defer planner.SetEnabled(en)
-	min := planner.SetMinimize(false)
-	want, err := ecrpq.Eval(q, db)
+	before := planner.Stats().AtomsMinimized
+	want, err := ecrpq.EvalWith(q, db, ecrpq.Options{Tuning: planner.Tuning{NoMinimize: true}})
 	if err != nil {
-		planner.SetMinimize(min)
 		t.Fatal(err)
 	}
-	planner.SetMinimize(true)
-	before := planner.Stats().AtomsMinimized
+	if planner.Stats().AtomsMinimized != before {
+		t.Fatal("atoms were minimized with the pass off")
+	}
 	got, err := ecrpq.Eval(q, db)
 	dropped := planner.Stats().AtomsMinimized - before
-	planner.SetMinimize(min)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,20 +176,27 @@ func TestEvalUnionParallel(t *testing.T) {
 	}
 	wide = append(wide, errB, miss, errA)
 
+	if got, err := ecrpq.EvalUnion(u, db); err != nil || !got.Equal(want) {
+		t.Fatalf("EvalUnion: %d tuples, %v; sequential %d", got.Len(), err, want.Len())
+	}
+	if ok, err := ecrpq.EvalUnionBool(u, db); err != nil || ok != (want.Len() > 0) {
+		t.Fatalf("EvalUnionBool = %v, %v; want %v", ok, err, want.Len() > 0)
+	}
 	for _, workers := range []int{1, 4} {
-		prev := engine.SetMaxWorkers(workers)
-		got, err := ecrpq.EvalUnion(u, db)
+		tune := planner.Tuning{Workers: workers}
+		o := ecrpq.Options{Tuning: tune}
+		got, err := ecrpq.EvalUnionWith(ecrpq.MembersOf(u.Members...), db, o)
 		if err != nil || !got.Equal(want) {
 			t.Fatalf("workers=%d: union %d tuples, %v; sequential %d", workers, got.Len(), err, want.Len())
 		}
-		if ok, err := ecrpq.EvalUnionBool(u, db); err != nil || ok != (want.Len() > 0) {
-			t.Fatalf("workers=%d: EvalUnionBool = %v, %v; want %v", workers, ok, err, want.Len() > 0)
+		if ok, err := ecrpq.EvalUnionBoolWith(ecrpq.MembersOf(u.Members...), db, o); err != nil || ok != (want.Len() > 0) {
+			t.Fatalf("workers=%d: EvalUnionBoolWith = %v, %v; want %v", workers, ok, err, want.Len() > 0)
 		}
 		var many []any // more members than one window holds
 		for i := 0; i < ecrpq.UnionWindow+7; i++ {
 			many = append(many, u.Members[i%3])
 		}
-		if got, err := ecrpq.EvalUnionWith(seq(many...), db, ecrpq.Options{}); err != nil || !got.Equal(want) {
+		if got, err := ecrpq.EvalUnionWith(seq(many...), db, o); err != nil || !got.Equal(want) {
 			t.Fatalf("workers=%d: a union of %d members has %d tuples, %v; want %d", workers, len(many), got.Len(), err, want.Len())
 		}
 		for _, c := range []struct {
@@ -202,13 +212,13 @@ func TestEvalUnionParallel(t *testing.T) {
 			{"a member that does not validate is a failure", seq(miss, invalid), false, errAny},
 			{"failures in the third window keep their rank", seq(wide...), false, errB},
 		} {
-			ok, err := ecrpq.EvalUnionBoolWith(c.members, db, ecrpq.Options{})
+			ok, err := ecrpq.EvalUnionBoolWith(c.members, db, o)
 			if ok != c.ok || (c.err == nil) != (err == nil) || c.err != errAny && !errors.Is(err, c.err) {
 				t.Errorf("workers=%d, Boolean, %s: got %v, %v", workers, c.name, ok, err)
 			}
 		}
 		// Evaluating the set, the first failure ends the run with what was found.
-		res, err := ecrpq.EvalUnionWith(seq(hit, errA, errB), db, ecrpq.Options{})
+		res, err := ecrpq.EvalUnionWith(seq(hit, errA, errB), db, o)
 		if !errors.Is(err, errA) || res == nil {
 			t.Errorf("workers=%d: set evaluation with a failed member = %v, %v; want the partial set and member A", workers, res, err)
 		}
@@ -216,19 +226,18 @@ func TestEvalUnionParallel(t *testing.T) {
 		// also when the union is one member running under that very budget.
 		for _, ms := range []ecrpq.Members{seq(hit), seq(hit, hit, hit)} {
 			live := engine.NewBudget(nil, time.Time{}, 0)
-			if ok, err := ecrpq.EvalUnionBoolWith(ms, db, ecrpq.Options{Budget: live}); err != nil || !ok || live.Err() != nil {
+			if ok, err := ecrpq.EvalUnionBoolWith(ms, db, ecrpq.Options{Budget: live, Tuning: tune}); err != nil || !ok || live.Err() != nil {
 				t.Errorf("workers=%d: Boolean match = %v, %v; the caller's budget afterwards: %v", workers, ok, err, live.Err())
 			}
 		}
 		// A spent budget vouches for nothing, and nothing is evaluated under it.
 		spent := engine.NewBudget(nil, time.Now().Add(-time.Second), 0)
-		if res, err := ecrpq.EvalUnionWith(seq(hit), db, ecrpq.Options{Budget: spent}); !errors.Is(err, engine.ErrCanceled) || res.Len() != 0 {
+		if res, err := ecrpq.EvalUnionWith(seq(hit), db, ecrpq.Options{Budget: spent, Tuning: tune}); !errors.Is(err, engine.ErrCanceled) || res.Len() != 0 {
 			t.Errorf("workers=%d: set evaluation under a spent budget = %d rows, %v", workers, res.Len(), err)
 		}
-		if ok, err := ecrpq.EvalUnionBoolWith(seq(hit), db, ecrpq.Options{Budget: spent}); !errors.Is(err, engine.ErrCanceled) || ok {
+		if ok, err := ecrpq.EvalUnionBoolWith(seq(hit), db, ecrpq.Options{Budget: spent, Tuning: tune}); !errors.Is(err, engine.ErrCanceled) || ok {
 			t.Errorf("workers=%d: Boolean evaluation under a spent budget = %v, %v", workers, ok, err)
 		}
-		engine.SetMaxWorkers(prev)
 	}
 }
 
@@ -255,20 +264,20 @@ func TestFanPanicInUnionMember(t *testing.T) {
 	db := workload.Random(11, 20, 80, "ab")
 	good := mustQuery(t, "ans(x, y)\nx y : a")
 	poisoned := &ecrpq.Query{} // no pattern: Validate dereferences nil
-	defer engine.SetMaxWorkers(engine.SetMaxWorkers(4))
+	four := ecrpq.Options{Tuning: planner.Tuning{Workers: 4}}
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Fatal("the poisoned member did not panic on the caller")
 			}
 		}()
-		ecrpq.EvalUnionWith(seq(good, good, poisoned, good), db, ecrpq.Options{})
+		ecrpq.EvalUnionWith(seq(good, good, poisoned, good), db, four)
 	}()
 	want, err := ecrpq.Eval(good, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := ecrpq.EvalUnionWith(seq(good, good), db, ecrpq.Options{}); err != nil || !got.Equal(want) {
+	if got, err := ecrpq.EvalUnionWith(seq(good, good), db, four); err != nil || !got.Equal(want) {
 		t.Fatalf("the union after the panic: %v, %v", got, err)
 	}
 }

@@ -270,18 +270,10 @@ func adjacent(ix *graph.Index, node, sym int32, forward bool) []int32 {
 	return ix.InByID(int(node), sym)
 }
 
-// maxWorkers bounds the engine's fan-out; 0 means GOMAXPROCS.
-var maxWorkers atomic.Int64
-
-// SetMaxWorkers bounds the worker pool used by Fan (0 restores the
-// default of GOMAXPROCS). It returns the previous bound.
-func SetMaxWorkers(n int) int {
-	return int(maxWorkers.Swap(int64(n)))
-}
-
-// Workers returns the effective worker-pool size for n independent tasks.
-func Workers(n int) int {
-	w := int(maxWorkers.Load())
+// Workers returns the size of the worker pool for n independent tasks under
+// a fan width of max; max <= 0 means GOMAXPROCS.
+func Workers(max, n int) int {
+	w := max
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
@@ -294,8 +286,9 @@ func Workers(n int) int {
 	return w
 }
 
-// Fan runs f(0..n-1) across the bounded worker pool and waits for all calls
-// to finish. f must be safe for concurrent invocation on distinct indices;
+// Fan runs f(0..n-1) across at most workers goroutines (planner.Tuning.Workers
+// on every evaluation path; <= 0 means GOMAXPROCS) and waits for all calls to
+// finish. f must be safe for concurrent invocation on distinct indices;
 // with a single worker (or n == 1) the calls run inline in order. Workers
 // claim chunked runs of ~n/(8w) indices per fetch-and-add rather than one
 // index each, so tiny per-task bodies stop serializing on the shared
@@ -307,11 +300,11 @@ func Workers(n int) int {
 // claimed, and Fan re-raises it on the calling goroutine (with a single
 // worker it simply propagates), where the caller's own containment — net/http's
 // per-request recover, a cursor's producer — sees it.
-func Fan(n int, f func(i int)) {
+func Fan(workers, n int, f func(i int)) {
 	if n <= 0 {
 		return
 	}
-	w := Workers(n)
+	w := Workers(workers, n)
 	if w == 1 {
 		for i := 0; i < n; i++ {
 			f(i)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -185,9 +186,9 @@ func reach(ix *graph.Index, c *automata.SubsetCache, src int, forward bool) []in
 // reachFan runs reach from every source across the worker pool (engine.Fan)
 // and returns the per-source results in input order — the per-source
 // baseline the batched kernel is compared against.
-func reachFan(ix *graph.Index, c *automata.SubsetCache, srcs []int, forward bool) [][]int {
+func reachFan(workers int, ix *graph.Index, c *automata.SubsetCache, srcs []int, forward bool) [][]int {
 	out := make([][]int, len(srcs))
-	engine.Fan(len(srcs), func(i int) { out[i] = reach(ix, c, srcs[i], forward) })
+	engine.Fan(workers, len(srcs), func(i int) { out[i] = reach(ix, c, srcs[i], forward) })
 	return out
 }
 
@@ -270,9 +271,7 @@ func TestFanMatchesSequential(t *testing.T) {
 		want[i] = reach(ix, seq, s, true)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		prev := engine.SetMaxWorkers(workers)
-		got := reachFan(ix, automata.NewSubsetCache(m), srcs, true)
-		engine.SetMaxWorkers(prev)
+		got := reachFan(workers, ix, automata.NewSubsetCache(m), srcs, true)
 		for i := range srcs {
 			if !equalInts(got[i], want[i]) {
 				t.Fatalf("workers=%d: fan[%d] = %v, want %v", workers, i, got[i], want[i])
@@ -296,7 +295,7 @@ func TestReachSharedCacheConcurrent(t *testing.T) {
 			srcs = append(srcs, i)
 		}
 	}
-	got := reachFan(ix, shared, srcs, true)
+	got := reachFan(0, ix, shared, srcs, true)
 	for i, s := range srcs {
 		want := referenceReach(db, m, s, true)
 		if !equalInts(got[i], want) {
@@ -308,7 +307,7 @@ func TestReachSharedCacheConcurrent(t *testing.T) {
 func TestFanCoversAllIndices(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 100} {
 		hit := make([]int32, n)
-		engine.Fan(n, func(i int) { hit[i]++ })
+		engine.Fan(0, n, func(i int) { hit[i]++ })
 		for i, h := range hit {
 			if h != 1 {
 				t.Fatalf("n=%d: index %d ran %d times", n, i, h)
@@ -323,13 +322,12 @@ func TestFanCoversAllIndices(t *testing.T) {
 // it is the caller's own panic. Fan is usable afterwards.
 func TestFanPanicReraisedOnCaller(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		prev := engine.SetMaxWorkers(workers)
 		const n = 64
 		var ran atomic.Int32
 		var got any
 		func() {
 			defer func() { got = recover() }()
-			engine.Fan(n, func(i int) {
+			engine.Fan(workers, n, func(i int) {
 				if i == 5 || i == 40 {
 					panic(fmt.Sprintf("task %d", i))
 				}
@@ -348,23 +346,23 @@ func TestFanPanicReraisedOnCaller(t *testing.T) {
 			t.Fatalf("workers=%d: the re-raised panic lost the worker's stack: %v", workers, got)
 		}
 		hit := make([]int32, n)
-		engine.Fan(n, func(i int) { hit[i]++ })
+		engine.Fan(workers, n, func(i int) { hit[i]++ })
 		for i, h := range hit {
 			if h != 1 {
 				t.Fatalf("workers=%d: after the panic index %d ran %d times", workers, i, h)
 			}
 		}
-		engine.SetMaxWorkers(prev)
 	}
 }
 
 func TestWorkersBounds(t *testing.T) {
-	prev := engine.SetMaxWorkers(3)
-	defer engine.SetMaxWorkers(prev)
-	if w := engine.Workers(10); w != 3 {
-		t.Fatalf("Workers(10) = %d, want 3", w)
+	if w := engine.Workers(3, 10); w != 3 {
+		t.Fatalf("Workers(3, 10) = %d, want 3", w)
 	}
-	if w := engine.Workers(2); w != 2 {
-		t.Fatalf("Workers(2) = %d, want 2", w)
+	if w := engine.Workers(3, 2); w != 2 {
+		t.Fatalf("Workers(3, 2) = %d, want 2", w)
+	}
+	if w := engine.Workers(0, 1<<20); w != runtime.GOMAXPROCS(0) {
+		t.Fatalf("Workers(0, many) = %d, want GOMAXPROCS", w)
 	}
 }

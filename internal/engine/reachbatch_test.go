@@ -143,9 +143,8 @@ func TestReachBatchCountersSingleShard(t *testing.T) {
 
 // TestReachBatchConcurrentSharedCache: concurrent many-batch calls may share
 // one SubsetCache (the on-the-fly determinization interns under its own
-// lock), whatever the width of the worker pool; every call must equal the
-// per-source searches, hits and levels. The node count is not a multiple of
-// the batch width. Run with -race.
+// lock); every call must equal the per-source searches, hits and levels.
+// The node count is not a multiple of the batch width. Run with -race.
 func TestReachBatchConcurrentSharedCache(t *testing.T) {
 	db := workload.GMark(13, 300)
 	ix := db.Index()
@@ -155,26 +154,22 @@ func TestReachBatchConcurrentSharedCache(t *testing.T) {
 	m := xregex.MustCompile(xregex.MustParse("(a|b)+c?"), db.Alphabet())
 	srcs := allNodes(ix.NumNodes())
 	wantH, wantL := perSource(ix, automata.NewSubsetCache(m), srcs, true)
-	for _, workers := range []int{1, 2, 4} {
-		restore := engine.SetMaxWorkers(workers)
-		shared := automata.NewSubsetCache(m)
-		var wg sync.WaitGroup
-		errs := make(chan string, 8)
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				got := engine.ReachBatchEx(ix, shared, srcs, true, engine.ReachOpts{Levels: true})
-				if !reflect.DeepEqual(got.Hits, wantH) || !reflect.DeepEqual(got.Levs, wantL) || got.Truncated {
-					errs <- "goroutine result diverged"
-				}
-			}()
-		}
-		wg.Wait()
-		engine.SetMaxWorkers(restore)
-		close(errs)
-		if msg, ok := <-errs; ok {
-			t.Fatalf("%d workers: %s", workers, msg)
-		}
+	shared := automata.NewSubsetCache(m)
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := engine.ReachBatchEx(ix, shared, srcs, true, engine.ReachOpts{Levels: true})
+			if !reflect.DeepEqual(got.Hits, wantH) || !reflect.DeepEqual(got.Levs, wantL) || got.Truncated {
+				errs <- "goroutine result diverged"
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	if msg, ok := <-errs; ok {
+		t.Fatal(msg)
 	}
 }

@@ -264,9 +264,8 @@ func TestScratchReuseDifferential(t *testing.T) {
 		t.Fatalf("%d calls were cut by their budget, want the sweep and the batch", truncated)
 	}
 
-	defer SetMaxWorkers(SetMaxWorkers(8))
 	const rounds = 6
-	Fan(rounds*len(calls), func(i int) {
+	Fan(8, rounds*len(calls), func(i int) {
 		rc := &calls[(i*5)%len(calls)] // neighbours in the table land on different goroutines
 		if got := rc.public(); !reflect.DeepEqual(got, want[(i*5)%len(calls)]) {
 			t.Errorf("%s: through the pool\n got %v\nwant %v", rc.name, got, want[(i*5)%len(calls)])

@@ -152,14 +152,14 @@ func (s *scalarScratch) dijkstra(ix *graph.Index, src int, forward bool, bud *Bu
 
 // reachBatchWeighted answers a weighted ReachBatchEx request: the MS-BFS
 // word-packed kernel is level-synchronous and cannot batch Dijkstra
-// frontiers, so the sources fan out across the worker pool, one weighted
-// Reach each. Truncation is detected through the shared budget, like the
+// frontiers, so the sources fan out GOMAXPROCS wide (a kernel sees no
+// Tuning), one weighted Reach each. Truncation is detected through the shared budget, like the
 // batched kernel: a canceled sweep leaves some sources' lists sound but
 // incomplete (or missing entirely), so the result must not enter cross-query
 // caches.
 func reachBatchWeighted(ix *graph.Index, c *automata.SubsetCache, srcs []int, forward bool, opts ReachOpts) BatchResult {
 	res := BatchResult{Hits: make([][]int, len(srcs)), Levs: make([][]int32, len(srcs))}
-	Fan(len(srcs), func(i int) {
+	Fan(0, len(srcs), func(i int) {
 		if opts.Budget.Canceled() {
 			return
 		}

@@ -1,5 +1,5 @@
 // Package exp implements the experiment harness: one function per
-// experiment (E1–E26, listed in Registry), each regenerating a paper
+// experiment (E1–E18, listed in Registry), each regenerating a paper
 // artefact (figure, theorem-level claim, or size bound) as a printable
 // table. cmd/cxrpq-exp runs them all; bench_test.go wraps them as
 // benchmarks. Scale 1 is the fast configuration used in benchmarks; higher

@@ -463,9 +463,7 @@ var Registry = []func(int) *Table{
 	E05NormalForm, E06VsfEval, E07VsfFlat, E08BoundedEval,
 	E09HittingSet, E10LogBounded, E11Figure5, E12Separations,
 	E13Fig7, E14Lemma12, E15Lemma13, E16Lemma14,
-	E17Ablations, E18PathSemantics, E19PreparedReuse, E20PlannerJoin,
-	E21IncrementalUpdate, E22BatchedReach, E23TimeToFirstRow,
-	E24SnapshotReadsUnderWrites, E25PlannerV2, E26RankedTTFR,
+	E17Ablations, E18PathSemantics,
 }
 
 // All runs every experiment at the given scale.

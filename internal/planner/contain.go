@@ -2,7 +2,7 @@ package planner
 
 import "cxrpq/internal/automata"
 
-// Containment-based query minimization (planner v2). Minimizing
+// Containment-based query minimization. Minimizing
 // Conjunctive Regular Path Queries (Figueira–Morvan–Romero) shows that
 // deciding whether an atom is redundant reduces to CRPQ containment,
 // which is EXPSPACE-complete in general — so this pass implements a sound
@@ -96,9 +96,9 @@ type MinAtom struct {
 // L(j) ⊆ L(i). When two atoms have equal languages the one with the
 // higher index is dropped. The pass is greedy and sound: an atom is only
 // deleted against a subsumer that itself survives.
-func Minimize(atoms []MinAtom, limit int) []bool {
+func (t Tuning) Minimize(atoms []MinAtom, limit int) []bool {
 	drop := make([]bool, len(atoms))
-	if !MinimizeEnabled() || len(atoms) < 2 {
+	if t.NoMinimize || len(atoms) < 2 {
 		return drop
 	}
 	// Group by endpoint pair; only groups with ≥2 eligible atoms can

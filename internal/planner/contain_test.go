@@ -67,7 +67,7 @@ func TestLangContainsLimitBail(t *testing.T) {
 		{From: "x", To: "y", Cache: sub},
 		{From: "x", To: "y", Cache: sup},
 	}
-	drop := Minimize(atoms, 2)
+	drop := Tuning{}.Minimize(atoms, 2)
 	for i, d := range drop {
 		if d {
 			t.Fatalf("atom %d dropped on an undecided containment", i)
@@ -76,17 +76,12 @@ func TestLangContainsLimitBail(t *testing.T) {
 }
 
 func TestMinimize(t *testing.T) {
-	on := SetMinimize(true)
-	defer SetMinimize(on)
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
-
 	a := cacheFor(t, "a", "ab")
 	ab := cacheFor(t, "a|b", "ab")
 	aStar := cacheFor(t, "a*", "ab")
 
 	t.Run("widened atom dropped", func(t *testing.T) {
-		drop := Minimize([]MinAtom{
+		drop := Tuning{}.Minimize([]MinAtom{
 			{From: "x", To: "y", Cache: a},
 			{From: "x", To: "y", Cache: ab},
 		}, 0)
@@ -95,7 +90,7 @@ func TestMinimize(t *testing.T) {
 		}
 	})
 	t.Run("equal languages keep lower index", func(t *testing.T) {
-		drop := Minimize([]MinAtom{
+		drop := Tuning{}.Minimize([]MinAtom{
 			{From: "x", To: "y", Cache: a},
 			{From: "x", To: "y", Cache: cacheFor(t, "a", "ab")},
 		}, 0)
@@ -105,7 +100,7 @@ func TestMinimize(t *testing.T) {
 	})
 	t.Run("chain of containments", func(t *testing.T) {
 		// a ⊆ a|b and a ⊆ a*: both wider atoms drop.
-		drop := Minimize([]MinAtom{
+		drop := Tuning{}.Minimize([]MinAtom{
 			{From: "x", To: "y", Cache: ab},
 			{From: "x", To: "y", Cache: a},
 			{From: "x", To: "y", Cache: aStar},
@@ -115,7 +110,7 @@ func TestMinimize(t *testing.T) {
 		}
 	})
 	t.Run("different endpoints never interact", func(t *testing.T) {
-		drop := Minimize([]MinAtom{
+		drop := Tuning{}.Minimize([]MinAtom{
 			{From: "x", To: "y", Cache: a},
 			{From: "x", To: "z", Cache: ab},
 		}, 0)
@@ -124,7 +119,7 @@ func TestMinimize(t *testing.T) {
 		}
 	})
 	t.Run("nil cache ineligible", func(t *testing.T) {
-		drop := Minimize([]MinAtom{
+		drop := Tuning{}.Minimize([]MinAtom{
 			{From: "x", To: "y", Cache: a},
 			{From: "x", To: "y", Cache: nil},
 		}, 0)
@@ -133,9 +128,7 @@ func TestMinimize(t *testing.T) {
 		}
 	})
 	t.Run("disabled switch", func(t *testing.T) {
-		SetMinimize(false)
-		defer SetMinimize(true)
-		drop := Minimize([]MinAtom{
+		drop := Tuning{NoMinimize: true}.Minimize([]MinAtom{
 			{From: "x", To: "y", Cache: a},
 			{From: "x", To: "y", Cache: ab},
 		}, 0)

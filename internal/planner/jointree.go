@@ -2,7 +2,7 @@ package planner
 
 import "sort"
 
-// Acyclicity detection for the conjunct graph (planner v2). A CRPQ's
+// Acyclicity detection for the conjunct graph. A CRPQ's
 // conjunctive skeleton is a hypergraph whose hyperedges are the atoms'
 // endpoint-variable sets; GYO reduction (repeated ear removal) decides
 // α-acyclicity and, on success, yields a join tree with the running

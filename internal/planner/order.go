@@ -27,20 +27,13 @@ type Step struct {
 }
 
 // PlanSpec is a join order with its cost model: the order slice indexes the
-// atoms handed to Order. CostBased reports whether the cost model chose the
-// order (false: the structural fallback did).
+// atoms handed to Order. A join only reads Order (any permutation of the
+// atoms is a valid plan) and the gate only Cost.
 type PlanSpec struct {
-	Order     []int
-	Steps     []Step
-	Cost      float64 // Σ step costs
-	Rows      float64 // estimated final rows
-	CostBased bool
-	// SemijoinFloor overrides the process-wide SemijoinFloor() gate for
-	// joins executed under this plan: 0 keeps the process default, a
-	// positive value is the floor, and a negative value disables the
-	// semijoin/Yannakakis passes outright (SessionOptions threads the
-	// per-session knob through here).
-	SemijoinFloor float64
+	Order []int
+	Steps []Step
+	Cost  float64 // Σ step costs
+	Rows  float64 // estimated final rows
 }
 
 // rowsFloor keeps the running row estimate from collapsing to zero: an
@@ -66,19 +59,19 @@ func stepFor(a Atom, bound map[string]bool, rows float64) (Mode, float64, float6
 	}
 }
 
-// CostOrder runs the greedy cost-based join-order search: at every step it
+// Order runs the greedy cost-based join-order search: at every step it
 // picks the atom with the cheapest visit under the bindings accumulated so
 // far (ties broken by the smaller resulting row estimate, then input
 // order), binds its endpoints and propagates the row estimate. pre lists
 // variables bound before the join starts (Check-style); nil means none.
-func CostOrder(atoms []Atom, pre map[string]bool) *PlanSpec {
+func Order(atoms []Atom, pre map[string]bool) *PlanSpec {
 	bound := map[string]bool{}
 	for x, b := range pre {
 		if b {
 			bound[x] = true
 		}
 	}
-	spec := &PlanSpec{CostBased: true, Rows: 1}
+	spec := &PlanSpec{Rows: 1}
 	remaining := make([]int, len(atoms))
 	for i := range remaining {
 		remaining[i] = i
@@ -110,61 +103,4 @@ func CostOrder(atoms []Atom, pre map[string]bool) *PlanSpec {
 		spec.Rows = spec.Steps[len(spec.Steps)-1].Rows
 	}
 	return spec
-}
-
-// StructuralOrder reproduces the historical structural heuristic — most
-// bound endpoints first (source worth 2, target 1), stable in input order —
-// annotated with the same cost model so explain output stays comparable.
-func StructuralOrder(atoms []Atom, pre map[string]bool) *PlanSpec {
-	bound := map[string]bool{}
-	for x, b := range pre {
-		if b {
-			bound[x] = true
-		}
-	}
-	spec := &PlanSpec{Rows: 1}
-	remaining := make([]int, len(atoms))
-	for i := range remaining {
-		remaining[i] = i
-	}
-	rows := 1.0
-	for len(remaining) > 0 {
-		best, bestScore := -1, -1
-		for idx, ai := range remaining {
-			score := 0
-			if bound[atoms[ai].From] {
-				score += 2
-			}
-			if bound[atoms[ai].To] {
-				score++
-			}
-			if score > bestScore {
-				bestScore, best = score, idx
-			}
-		}
-		ai := remaining[best]
-		remaining = append(remaining[:best], remaining[best+1:]...)
-		mode, cost, nrows := stepFor(atoms[ai], bound, rows)
-		bound[atoms[ai].From], bound[atoms[ai].To] = true, true
-		rows = nrows
-		if rows < rowsFloor {
-			rows = rowsFloor
-		}
-		spec.Order = append(spec.Order, ai)
-		spec.Steps = append(spec.Steps, Step{Atom: ai, Mode: mode, Cost: cost, Rows: nrows})
-		spec.Cost += cost
-	}
-	if len(spec.Steps) > 0 {
-		spec.Rows = spec.Steps[len(spec.Steps)-1].Rows
-	}
-	return spec
-}
-
-// Order returns the join order for the atoms: the cost-based search when
-// the planner is enabled, the structural heuristic otherwise.
-func Order(atoms []Atom, pre map[string]bool) *PlanSpec {
-	if Enabled() {
-		return CostOrder(atoms, pre)
-	}
-	return StructuralOrder(atoms, pre)
 }

@@ -1,9 +1,7 @@
 // Package planner is the cost-based query-planning layer of the evaluation
 // stack. Every join in the library — the ecrpq evaluator's backtracking
 // join, the bounded engine's leaf joins over materialized relations, and
-// the Check/witness searches — orders its atoms through this package
-// instead of the former purely structural "most-bound endpoints first"
-// heuristic.
+// the Check/witness searches — orders its atoms through this package.
 //
 // The planner works from cardinality estimates:
 //
@@ -29,33 +27,21 @@
 // by propagating relation endpoint supports (arc consistency, bounded
 // sweeps) before a backtracking join runs.
 //
-// SetEnabled(false) reverts every consumer to the structural heuristic
-// (Order falls back to StructuralOrder and Reduce returns no domains) —
-// the differential baseline the property tests compare against.
+// Tuning.Strategy is the one gate that decides, per join, between plain
+// backtracking, backtracking after the semijoin reduction, and the
+// Yannakakis program over a join tree (jointree.go); Tuning.Minimize is the
+// containment-based pruning of redundant atoms (contain.go). Both hang off
+// the Tuning value so that tests can hand an evaluation a baseline; the
+// package itself holds no switch.
 package planner
 
 import (
 	"math"
 	"math/bits"
-	"sync/atomic"
 
 	"cxrpq/internal/automata"
 	"cxrpq/internal/graph"
 )
-
-// disabled flips the whole planning layer back to the structural heuristic.
-var disabledFlag atomic.Bool
-
-// Enabled reports whether cost-based planning is active (the default).
-func Enabled() bool { return !disabledFlag.Load() }
-
-// SetEnabled switches cost-based planning on or off process-wide and
-// returns the previous setting. Disabling reverts Order to the structural
-// heuristic and Reduce to a no-op; it exists for the differential property
-// tests and the before/after benchmarks.
-func SetEnabled(on bool) bool {
-	return !disabledFlag.Swap(!on)
-}
 
 // Estimate is the planner's cardinality model of one atom's binary
 // reachability relation over a database.

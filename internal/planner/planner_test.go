@@ -103,23 +103,12 @@ func skewedAtoms() []Atom {
 }
 
 func TestCostOrderPrefersSelective(t *testing.T) {
-	spec := CostOrder(skewedAtoms(), nil)
+	spec := Order(skewedAtoms(), nil)
 	if spec.Order[0] != 1 {
 		t.Fatalf("cost order = %v, want the selective atom first", spec.Order)
 	}
 	if spec.Steps[0].Mode != ModeScan || spec.Steps[1].Mode != ModeBackward {
 		t.Fatalf("modes = %v %v", spec.Steps[0].Mode, spec.Steps[1].Mode)
-	}
-	if !spec.CostBased {
-		t.Fatal("CostBased unset")
-	}
-	// The structural heuristic ties at score 0 and takes the hub first.
-	str := StructuralOrder(skewedAtoms(), nil)
-	if str.Order[0] != 0 {
-		t.Fatalf("structural order = %v, want the hub atom first", str.Order)
-	}
-	if str.Cost <= spec.Cost {
-		t.Fatalf("structural cost %v should exceed cost-based %v", str.Cost, spec.Cost)
 	}
 }
 
@@ -127,12 +116,12 @@ func TestOrderBoundPropagation(t *testing.T) {
 	// With x pre-bound, expanding the hub forward costs ~40 rows; probing
 	// nothing else is available, so the hub must come first now.
 	atoms := skewedAtoms()
-	spec := CostOrder(atoms, map[string]bool{"x": true, "z": true})
+	spec := Order(atoms, map[string]bool{"x": true, "z": true})
 	if spec.Steps[0].Mode == ModeScan {
 		t.Fatalf("pre-bound plan must not start with a scan: %+v", spec.Steps)
 	}
 	// All endpoints bound: everything is a probe.
-	spec = CostOrder(atoms, map[string]bool{"x": true, "y": true, "z": true})
+	spec = Order(atoms, map[string]bool{"x": true, "y": true, "z": true})
 	for _, s := range spec.Steps {
 		if s.Mode != ModeCheck {
 			t.Fatalf("fully bound plan has non-check step %+v", s)
@@ -140,25 +129,49 @@ func TestOrderBoundPropagation(t *testing.T) {
 	}
 }
 
-func TestOrderToggleFallback(t *testing.T) {
-	prev := SetEnabled(false)
-	defer SetEnabled(prev)
-	spec := Order(skewedAtoms(), nil)
-	if spec.CostBased {
-		t.Fatal("disabled planner must fall back to the structural order")
+// TestStrategyGate pins the one gate: the floor, the gain against the cost
+// of building relations that do not exist yet, the lazy / grouped
+// exclusions, acyclicity, and what each Tuning field moves.
+func TestStrategyGate(t *testing.T) {
+	graph := func(skip []bool, edges ...EdgeRef) func() ([]EdgeRef, []bool) {
+		return func() ([]EdgeRef, []bool) { return edges, skip }
 	}
-	if spec.Order[0] != 0 {
-		t.Fatalf("structural fallback order = %v", spec.Order)
-	}
-	dom, ok := Reduce([]EdgeRef{{From: "x", To: "y"}}, []Rel{sliceRel{{1}, nil}}, 2, nil)
-	if dom != nil || !ok {
-		t.Fatal("disabled planner must skip the semijoin pass")
+	xy, yz, zx := EdgeRef{From: "x", To: "y"}, EdgeRef{From: "y", To: "z"}, EdgeRef{From: "z", To: "x"}
+	chain, triangle := graph(nil, xy, yz), graph(nil, xy, yz, zx)
+	for _, tc := range []struct {
+		name   string
+		tune   Tuning
+		j      Join
+		want   Strategy
+		cyclic bool // the gate got as far as the join tree and found none
+	}{
+		{"below the floor", Tuning{}, Join{Cost: 255, Graph: chain}, Backtracking, false},
+		{"materialized chain above the floor", Tuning{}, Join{Cost: 256, Graph: chain}, Yannakakis, false},
+		{"materialized triangle above the floor", Tuning{}, Join{Cost: 256, Graph: triangle}, SemijoinReduce, true},
+		{"unbuilt chain short of the gain", Tuning{}, Join{Cost: 1000, Build: 251, Graph: chain}, Backtracking, false},
+		{"unbuilt chain past the gain", Tuning{}, Join{Cost: 1000, Build: 250, Graph: chain}, Yannakakis, false},
+		{"unbuilt triangle has nothing to reduce", Tuning{}, Join{Cost: 1000, Build: 10, Graph: triangle}, Backtracking, true},
+		{"lazy", Tuning{Force: true}, Join{Cost: 1000, Lazy: true, Graph: chain}, Backtracking, false},
+		{"groups", Tuning{Force: true}, Join{Cost: 1000, Groups: true, Graph: chain}, Backtracking, false},
+		{"every atom skipped", Tuning{Force: true}, Join{Graph: graph([]bool{true, true}, xy, yz)}, Backtracking, false},
+		{"skip breaks the cycle", Tuning{}, Join{Cost: 300, Graph: graph([]bool{false, false, true}, xy, yz, zx)}, Yannakakis, false},
+		{"forced: no floor", Tuning{Force: true}, Join{Cost: 1, Graph: chain}, Yannakakis, false},
+		{"forced: no gain", Tuning{Force: true}, Join{Cost: 1, Build: 1e9, Graph: chain}, Yannakakis, false},
+		{"acyclic path off", Tuning{NoAcyclic: true}, Join{Cost: 300, Graph: chain}, SemijoinReduce, false},
+		{"acyclic path off, unbuilt", Tuning{NoAcyclic: true, Force: true}, Join{Cost: 300, Build: 1, Graph: chain}, Backtracking, false},
+	} {
+		before := Stats().CyclicFallback
+		got, tree := tc.tune.Strategy(tc.j)
+		if got != tc.want || (tree != nil) != (got == Yannakakis) {
+			t.Errorf("%s: %v (tree %v), want %v", tc.name, got, tree != nil, tc.want)
+		}
+		if counted := Stats().CyclicFallback != before; counted != tc.cyclic {
+			t.Errorf("%s: cyclic fallback counted = %v, want %v", tc.name, counted, tc.cyclic)
+		}
 	}
 }
 
 func TestReduceShrinksDomains(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
 	// Nodes 0..4. Edge x->y supported only by (0,1) and (2,3); edge y->z
 	// supported only by (3,4). Arc consistency must pin x=2, y=3, z=4.
 	rxy := sliceRel{{1}, nil, {3}, nil, nil}
@@ -189,8 +202,6 @@ func TestReduceShrinksDomains(t *testing.T) {
 }
 
 func TestReduceDetectsEmpty(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
 	rxy := sliceRel{{1}, nil, nil}
 	ryz := sliceRel{nil, nil, nil} // no support at all
 	edges := []EdgeRef{{From: "x", To: "y"}, {From: "y", To: "z"}}
@@ -200,8 +211,6 @@ func TestReduceDetectsEmpty(t *testing.T) {
 }
 
 func TestReduceSelfLoopAndPre(t *testing.T) {
-	prev := SetEnabled(true)
-	defer SetEnabled(prev)
 	// Self-loop edge x->x: only node 1 has (1,1).
 	loop := sliceRel{{1}, {1}, {0}}
 	dom, ok := Reduce([]EdgeRef{{From: "x", To: "x"}}, []Rel{loop}, 3, nil)

@@ -73,7 +73,7 @@ const reduceSweeps = 3
 // relation slot (or one the caller passes as nil) leaves its edge out of
 // the reduction.
 func Reduce(edges []EdgeRef, rels []Rel, n int, pre map[string]int) (*Domains, bool) {
-	if !Enabled() || n <= 0 || len(edges) == 0 {
+	if n <= 0 || len(edges) == 0 {
 		return nil, true
 	}
 	words := (n + 63) / 64

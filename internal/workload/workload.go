@@ -153,8 +153,8 @@ func Layered(seed int64, layers, width int, alphabet string) *graph.DB {
 	return d
 }
 
-// MutationStream returns the live-mutation workload of the E21
-// incremental-update experiment: a random base graph of `base` nodes over
+// MutationStream returns the live-mutation workload of the
+// delta-maintenance differentials: a random base graph of `base` nodes over
 // labels a/b plus a stream of `steps` insert-only deltas, each interning
 // `perStep` fresh "arrival" nodes whose edges point INTO the existing
 // graph (new users messaging existing ones — the append-mostly shape of an
@@ -193,7 +193,7 @@ func MutationStream(seed int64, base, steps, perStep int) (*graph.DB, []graph.De
 }
 
 // GMark returns a gMark-style scaled workload graph over labels a/b/c, the
-// shape the batched-kernel experiments (E22, BenchmarkReachBatch) target:
+// shape the batched-kernel tests and BenchmarkReachBatch target:
 // 'a' edges follow a heavy-tailed out-degree distribution (geometric
 // doubling, capped) with half of all targets drawn from a small popular
 // prefix (in-degree skew: hubs), 'b' edges are sparse uniform noise, and 'c' edges form a
@@ -242,9 +242,8 @@ func GMark(seed int64, nodes int) *graph.DB {
 // benchmarks and differential tests: a dense h-labelled bipartite hub
 // (hub × hub pairs ai -h-> bj) plus a short selective s-chain off a single
 // hub target (b0 -s-> c0 -s-> c1). On queries joining the hub atom with
-// the selective atoms, the structural most-bound-first order ties at zero
-// and scans the hub first, while the cost-based order starts from the
-// selective atoms — the cardinality skew the planning layer exists for.
+// the selective atoms, a most-bound-first order ties at zero and scans the
+// hub first, while the cost-based order starts from the selective atoms — the cardinality skew the planning layer exists for.
 func SkewedJoin(hub int) *graph.DB {
 	d := graph.New()
 	as := make([]int, hub)
@@ -267,7 +266,7 @@ func SkewedJoin(hub int) *graph.DB {
 	return d
 }
 
-// TriStar returns the free-connex enumeration stress graph of E25: `hubs`
+// TriStar returns the free-connex enumeration stress graph: `hubs`
 // center nodes, each with `fanout` private a-, b- and c-labelled leaves.
 // On the star query ans(x) <- (x,a,y1), (x,b,y2), (x,c,y3) a backtracking
 // join enumerates fanout³ satisfying assignments per center — all
@@ -287,7 +286,7 @@ func TriStar(hubs, fanout int) *graph.DB {
 	return d
 }
 
-// DeadEndChain returns the semijoin stress graph of E25: a four-layer DAG
+// DeadEndChain returns the semijoin stress graph: a four-layer DAG
 // over the single label a whose dense hops are twisted against each other
 // — first-hop edges land only on middle sources whose second-hop targets
 // have no third-hop continuation, and third-hop sources are fed only by

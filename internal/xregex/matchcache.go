@@ -20,14 +20,20 @@ import (
 // epoch is dropped (cheap, and correct because entries are pure caches).
 const defaultMatchCacheCap = 4096
 
-var (
-	matchMu        sync.Mutex
-	matchCacheCap  = defaultMatchCacheCap
-	matchCache     = map[string]*automata.SubsetCache{}
-	matchHits      uint64
-	matchMisses    uint64
-	matchEvictions uint64
-)
+// matchCache is a compiled-expression cache of a fixed capacity.
+type matchCache struct {
+	mu                      sync.Mutex
+	cap                     int
+	m                       map[string]*automata.SubsetCache
+	hits, misses, evictions uint64
+}
+
+func newMatchCache(cap int) *matchCache {
+	return &matchCache{cap: cap, m: map[string]*automata.SubsetCache{}}
+}
+
+// sharedMatches is the process-wide instance behind Matches and SubsetFor.
+var sharedMatches = newMatchCache(defaultMatchCacheCap)
 
 // MatchCacheStats is a snapshot of the process-wide match-cache counters.
 type MatchCacheStats struct {
@@ -40,30 +46,12 @@ type MatchCacheStats struct {
 
 // MatchCacheInfo returns the current counters of the process-wide compiled
 // cache behind Matches.
-func MatchCacheInfo() MatchCacheStats {
-	matchMu.Lock()
-	defer matchMu.Unlock()
-	return MatchCacheStats{Hits: matchHits, Misses: matchMisses,
-		Evictions: matchEvictions, Size: len(matchCache), Cap: matchCacheCap}
-}
+func MatchCacheInfo() MatchCacheStats { return sharedMatches.info() }
 
-// SetMatchCacheCap sets the capacity of the process-wide compiled cache and
-// returns the previous value (n <= 0 restores the default). Shrinking below
-// the live size drops the whole epoch. Exposed for tests exercising the
-// eviction path and for tuning long-running servers.
-func SetMatchCacheCap(n int) int {
-	matchMu.Lock()
-	defer matchMu.Unlock()
-	prev := matchCacheCap
-	if n <= 0 {
-		n = defaultMatchCacheCap
-	}
-	matchCacheCap = n
-	if len(matchCache) >= matchCacheCap {
-		matchCache = map[string]*automata.SubsetCache{}
-		matchEvictions++
-	}
-	return prev
+func (mc *matchCache) info() MatchCacheStats {
+	mc.mu.Lock()
+	defer mc.mu.Unlock()
+	return MatchCacheStats{Hits: mc.hits, Misses: mc.misses, Evictions: mc.evictions, Size: len(mc.m), Cap: mc.cap}
 }
 
 // SubsetFor returns the shared determinization cache for the classical
@@ -71,30 +59,34 @@ func SetMatchCacheCap(n int) int {
 // through it; callers that test many words against one expression step it
 // themselves (Start/Step/Final), sharing the prefixes.
 func SubsetFor(n Node, sigma []rune) (*automata.SubsetCache, error) {
+	return sharedMatches.subsetFor(n, sigma)
+}
+
+func (mc *matchCache) subsetFor(n Node, sigma []rune) (*automata.SubsetCache, error) {
 	key := String(n) + "\x00" + string(sigma)
-	matchMu.Lock()
-	if c, ok := matchCache[key]; ok {
-		matchHits++
-		matchMu.Unlock()
+	mc.mu.Lock()
+	if c, ok := mc.m[key]; ok {
+		mc.hits++
+		mc.mu.Unlock()
 		return c, nil
 	}
-	matchMisses++
-	matchMu.Unlock()
+	mc.misses++
+	mc.mu.Unlock()
 
 	m, err := Compile(n, sigma)
 	if err != nil {
 		return nil, err
 	}
 	c := automata.NewSubsetCache(m)
-	matchMu.Lock()
-	defer matchMu.Unlock()
-	if old, ok := matchCache[key]; ok { // raced with another compiler
+	mc.mu.Lock()
+	defer mc.mu.Unlock()
+	if old, ok := mc.m[key]; ok { // raced with another compiler
 		return old, nil
 	}
-	if len(matchCache) >= matchCacheCap {
-		matchCache = map[string]*automata.SubsetCache{}
-		matchEvictions++
+	if len(mc.m) >= mc.cap {
+		mc.m = map[string]*automata.SubsetCache{}
+		mc.evictions++
 	}
-	matchCache[key] = c
+	mc.m[key] = c
 	return c, nil
 }

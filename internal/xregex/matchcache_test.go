@@ -1,20 +1,32 @@
 package xregex
 
-// Eviction edge cases for the process-wide compiled cache behind Matches:
-// filling past capacity must drop the epoch (counted), keep answering
-// correctly, and the hit/miss counters must move as specified.
+// Eviction edge cases for the compiled cache behind Matches, on private
+// instances built at the capacity each case needs: filling past capacity
+// must drop the epoch (counted), keep answering correctly, and the hit/miss
+// counters must move as specified.
 
 import (
 	"strings"
 	"testing"
 )
 
-func TestMatchCacheEvictionCorrectness(t *testing.T) {
-	prev := SetMatchCacheCap(4)
-	defer SetMatchCacheCap(prev)
+// matchIn is Matches through the cache c instead of the process-wide one.
+func matchIn(t *testing.T, c *matchCache, n Node, w string, sigma []rune) bool {
+	t.Helper()
+	sc, err := c.subsetFor(n, sigma)
+	if err != nil {
+		t.Fatalf("subsetFor(%s): %v", String(n), err)
+	}
+	word := make([]int32, 0, len(w))
+	for _, r := range w {
+		word = append(word, int32(r))
+	}
+	return sc.Accepts(word)
+}
 
+func TestMatchCacheEvictionCorrectness(t *testing.T) {
+	c := newMatchCache(4)
 	sigma := []rune("ab")
-	before := MatchCacheInfo()
 
 	// 20 distinct expressions against a cap of 4: at least 4 epoch drops.
 	words := make([]string, 20)
@@ -22,66 +34,78 @@ func TestMatchCacheEvictionCorrectness(t *testing.T) {
 		words[i] = strings.Repeat("a", i%5+1) + strings.Repeat("b", i/5)
 	}
 	for _, w := range words {
-		ok, err := Matches(Word(w), w, sigma)
-		if err != nil || !ok {
-			t.Fatalf("Matches(%q, %q) = %v, %v; want true", w, w, ok, err)
+		if !matchIn(t, c, Word(w), w, sigma) {
+			t.Fatalf("%q does not match itself", w)
 		}
-		ok, err = Matches(Word(w), w+"a", sigma)
-		if err != nil || ok {
-			t.Fatalf("Matches(%q, %q) = %v, %v; want false", w, w+"a", ok, err)
+		if matchIn(t, c, Word(w), w+"a", sigma) {
+			t.Fatalf("%q matches %q", w, w+"a")
 		}
 	}
-	mid := MatchCacheInfo()
-	if mid.Evictions <= before.Evictions {
-		t.Fatalf("expected epoch drops past capacity: before %+v, after %+v", before, mid)
+	mid := c.info()
+	if mid.Evictions < 4 {
+		t.Fatalf("expected ≥4 epoch drops past capacity, got %+v", mid)
 	}
-	if mid.Misses-before.Misses < 20 {
-		t.Fatalf("expected ≥20 misses for 20 distinct expressions, got %d", mid.Misses-before.Misses)
+	if mid.Misses != 20 || mid.Hits != 20 {
+		t.Fatalf("20 distinct expressions asked twice each: %+v, want 20 misses and 20 hits", mid)
 	}
-	if mid.Size > mid.Cap {
-		t.Fatalf("live size %d exceeds cap %d", mid.Size, mid.Cap)
+	if mid.Size > mid.Cap || mid.Cap != 4 {
+		t.Fatalf("live size %d, cap %d, want at most the 4 it was built with", mid.Size, mid.Cap)
 	}
 
 	// Re-querying expressions evicted earlier must still answer correctly
 	// (recompiled on a fresh miss).
 	for _, w := range words[:4] {
-		ok, err := Matches(Word(w), w, sigma)
-		if err != nil || !ok {
-			t.Fatalf("post-eviction Matches(%q) = %v, %v; want true", w, ok, err)
+		if !matchIn(t, c, Word(w), w, sigma) {
+			t.Fatalf("post-eviction: %q does not match itself", w)
 		}
 	}
 
-	// Repeated queries inside one epoch must hit: the second Matches of an
+	// Repeated queries inside one epoch must hit: the second lookup of an
 	// expression just inserted cannot miss.
-	h0 := MatchCacheInfo().Hits
+	h0 := c.info().Hits
 	for i := 0; i < 3; i++ {
-		if ok, err := Matches(Word("abab"), "abab", sigma); err != nil || !ok {
-			t.Fatalf("Matches(abab) = %v, %v", ok, err)
+		if !matchIn(t, c, Word("abab"), "abab", sigma) {
+			t.Fatal("abab does not match itself")
 		}
 	}
-	if h2 := MatchCacheInfo().Hits; h2 < h0+2 {
+	if h2 := c.info().Hits; h2 < h0+2 {
 		t.Fatalf("expected ≥2 hits from repeated queries, got %d", h2-h0)
 	}
 }
 
-func TestSetMatchCacheCapShrinkDropsEpoch(t *testing.T) {
-	prev := SetMatchCacheCap(64)
-	defer SetMatchCacheCap(prev)
+// TestMatchCacheCapBoundsLiveSize: the same five expressions fit a cache of
+// 64 without a drop and cycle a cache of 2 through whole-epoch drops, and
+// both keep answering correctly.
+func TestMatchCacheCapBoundsLiveSize(t *testing.T) {
 	sigma := []rune("ab")
-	for _, w := range []string{"a", "b", "ab", "ba", "aa"} {
-		if _, err := Matches(Word(w), w, sigma); err != nil {
-			t.Fatal(err)
+	words := []string{"a", "b", "ab", "ba", "aa"}
+	for _, tc := range []struct{ cap, size, evictions int }{{64, 5, 0}, {2, 1, 2}} {
+		c := newMatchCache(tc.cap)
+		for _, w := range words {
+			if !matchIn(t, c, Word(w), w, sigma) {
+				t.Fatalf("cap %d: %q does not match itself", tc.cap, w)
+			}
+		}
+		if got := c.info(); got.Size != tc.size || int(got.Evictions) != tc.evictions {
+			t.Fatalf("cap %d: %+v, want size %d after %d drops", tc.cap, got, tc.size, tc.evictions)
+		}
+		if !matchIn(t, c, Word("ab"), "ab", sigma) {
+			t.Fatalf("cap %d: ab does not match itself after the fill", tc.cap)
 		}
 	}
-	if MatchCacheInfo().Size < 5 {
-		t.Fatalf("expected ≥5 live entries, got %d", MatchCacheInfo().Size)
+}
+
+// TestMatchCacheInfoShape: the process-wide instance reports the default
+// capacity and moves its counters on a lookup (cxrpq-serve /stats reads it).
+func TestMatchCacheInfoShape(t *testing.T) {
+	before := MatchCacheInfo()
+	if before.Cap != defaultMatchCacheCap {
+		t.Fatalf("process-wide cap = %d, want %d", before.Cap, defaultMatchCacheCap)
 	}
-	SetMatchCacheCap(2) // below live size: whole epoch must drop
-	if got := MatchCacheInfo().Size; got != 0 {
-		t.Fatalf("expected empty cache after shrink below live size, got %d", got)
+	if ok, err := Matches(Word("ab"), "ab", []rune("ab")); err != nil || !ok {
+		t.Fatalf("Matches(ab, ab) = %v, %v", ok, err)
 	}
-	// still correct after the drop
-	if ok, err := Matches(Word("ab"), "ab", sigma); err != nil || !ok {
-		t.Fatalf("Matches(ab) after shrink = %v, %v", ok, err)
+	if after := MatchCacheInfo(); after.Hits+after.Misses <= before.Hits+before.Misses {
+		t.Fatalf("a lookup moved no counter: before %+v, after %+v", before, after)
 	}
 }
