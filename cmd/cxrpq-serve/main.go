@@ -43,6 +43,9 @@
 //	# -> {"answers":[...100 rows...],"cursor":"<token>", ...}  (or "truncated":true when the 50ms ran out)
 //	curl -s localhost:8080/query -d '{"cursor":"<token>","limit":100}'
 //
+// deadline_ms applies to every mode: a bool, check or explain that has no
+// witness when it runs out answers false with "truncated":true.
+//
 // See internal/README.md for the endpoint reference and the server.go
 // comment block for cursor, deadline, shedding and durability semantics.
 package main

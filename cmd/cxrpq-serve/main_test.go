@@ -6,8 +6,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"cxrpq/internal/graph"
+	"cxrpq/internal/workload"
 )
 
 func testServer(t *testing.T) (*server, *httptest.Server) {
@@ -373,6 +375,23 @@ func TestQueryDeadline(t *testing.T) {
 	}
 	if out["truncated"] != true && out["count"].(float64) != 2 {
 		t.Fatalf("deadline query neither complete nor truncated: %v", out)
+	}
+}
+
+// deadline_ms bounds every mode: an explain that would run for a quarter of a
+// minute (the equality group of the query walks 200² source pairs) comes back
+// when its 20 ms are over, 200 with no explanation and truncated set.
+func TestQueryDeadlineBoundsExplain(t *testing.T) {
+	srv, ts := testServer(t)
+	srv.addDB("rnd", workload.Random(7, 200, 600, "ab"))
+	start := time.Now()
+	code, out := postJSON(t, ts.URL+"/query",
+		`{"db":"rnd","query":"ans()\nu v1 : $x{(a|b)+}b\nw v2 : a$x\nz v3 : $x a","mode":"explain","deadline_ms":20}`)
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("explain under a 20 ms deadline answered after %v", took)
+	}
+	if code != http.StatusOK || out["truncated"] != true || out["bool"] != false || out["explanation"] != nil {
+		t.Fatalf("explain under a 20 ms deadline: %d %v; want 200, truncated, no explanation", code, out)
 	}
 }
 

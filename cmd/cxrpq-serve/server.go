@@ -22,10 +22,11 @@ package main
 // the token identifies the parked stream). Cursors are invalidated by any
 // /update of their database (410 Gone), expire after an idle TTL, and the
 // registry is capacity-bounded (oldest evicted first); a finished cursor is
-// reclaimed with its final page. "deadline_ms" bounds the evaluation: on
-// expiry (or client disconnect — the request context is honored inside the
-// evaluation loops) the rows found so far are returned with
-// "truncated": true — and every later page of the same cursor carries
+// reclaimed with its final page. "deadline_ms" bounds the evaluation in every
+// mode: on expiry (or client disconnect — the request context is honored
+// inside the evaluation loops) a bool, check or explain that has found no
+// witness answers false with "truncated": true, an eval the rows found so far
+// with "truncated": true — and every later page of the same cursor carries
 // "truncated" too, so a deadline-cut ranked result can never be mistaken
 // for a complete top-k mid-pagination. The deadline is set when the stream
 // opens and covers the cursor's whole lifetime across pages. "ranked": true

@@ -67,7 +67,7 @@ func run(graphPath, queryPath string, witness bool) error {
 	fmt.Printf("class: %s  |q|=%d  |D|=%d\n", kind, q.Size(), db.Size())
 
 	if witness {
-		w, ok, err := ecrpq.FindWitness(q, db, nil)
+		w, ok, err := ecrpq.FindWitness(q, db, nil, ecrpq.Options{})
 		if err != nil {
 			return err
 		}

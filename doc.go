@@ -143,8 +143,9 @@
 // MVCC reads (every /query, /plan and cursor fetch runs lock-free on the
 // latest published snapshot epoch, loaded through one atomic pointer),
 // pull-based streaming /query with limit/cursor pagination, deadline_ms
-// budgets (expiry or client disconnect returns the rows found so far with
-// "truncated" on every page of the cut stream) and ranked
+// budgets on every mode (expiry or client disconnect returns the rows found
+// so far with "truncated" on every page of the cut stream; a bool, check or
+// explain without a witness yet answers false, "truncated") and ranked
 // best-witness-first order served incrementally with optional per-label
 // "weights" — on a durable database parked ranked cursors are persisted
 // as WAL side records and resume at the exact delivered row after a

@@ -186,7 +186,7 @@ type boundedEngine struct {
 
 	// cands memoizes the candidate walk per relaxed definition bodies: every
 	// prefix that agrees on the variables of x's bodies asks for the same list.
-	cands *epochMap[[]string]
+	cands *epochMap[string, []string]
 
 	// bud is the caller's evaluation budget (nil = unlimited); fanBud is its
 	// per-run fork, threaded into relation builds and leaf joins so that both
@@ -205,7 +205,7 @@ type boundedEngine struct {
 	// function can't key the session RelCache), so relationFor builds them
 	// outside the shared cache, memoized per run in wrels.
 	weight engine.Weight
-	wrels  *epochMap[*ecrpq.EdgeRel]
+	wrels  *epochMap[string, *ecrpq.EdgeRel]
 
 	// anyk, when set, redirects every complete mapping's leaf join onto the
 	// shared incremental any-k priority queue (one AddJoin per mapping,
@@ -242,10 +242,10 @@ type boundedState struct {
 	survived []map[string]bool
 }
 
-// newBoundedEngine binds a bounded plan to a database for one run. caches
-// may be shared with other concurrent runs (a Session's cache set) or fresh
-// (the one-shot wrappers).
-func newBoundedEngine(p *boundedPlan, db *graph.DB, k int, boolOnly bool, pre map[string]int, caches *sessionCaches, sigma []rune, tune planner.Tuning) (*boundedEngine, error) {
+// newBoundedEngine binds a bounded plan to a database for one run under bud
+// (nil = unlimited). caches is the cache set of the session that runs it
+// (Session.boundedRun, the one caller), shared with its other concurrent runs.
+func newBoundedEngine(p *boundedPlan, db *graph.DB, k int, boolOnly bool, pre map[string]int, caches *sessionCaches, sigma []rune, tune planner.Tuning, bud *engine.Budget) (*boundedEngine, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("cxrpq: negative image bound %d", k)
 	}
@@ -258,21 +258,15 @@ func newBoundedEngine(p *boundedPlan, db *graph.DB, k int, boolOnly bool, pre ma
 		k:        k,
 		caches:   caches,
 		tune:     tune,
-		cands:    newEpochMap[[]string](verdictCap),
-		wrels:    newEpochMap[*ecrpq.EdgeRel](verdictCap),
+		cands:    newEpochMap[string, []string](verdictCap),
+		wrels:    newEpochMap[string, *ecrpq.EdgeRel](verdictCap),
+		bud:      bud,
+		fanBud:   bud.Fork(), // nil-safe: a standalone fork when unbudgeted
 		out:      pattern.NewTupleSet(),
 	}
 	e.readFrom, e.readTo = p.q.Pattern.Reads(nil, pre)
-	e.fanBud = e.bud.Fork() // nil-safe: a standalone fork when unbudgeted
 	e.leaf = e.joinLeaf
 	return e, nil
-}
-
-// setBudget attaches the caller's budget to the run (before run() starts):
-// fanBud is re-forked so every relation build and leaf join observes it.
-func (e *boundedEngine) setBudget(bud *engine.Budget) {
-	e.bud = bud
-	e.fanBud = bud.Fork()
 }
 
 func (e *boundedEngine) newState() *boundedState {

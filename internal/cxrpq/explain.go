@@ -1,8 +1,6 @@
 package cxrpq
 
 import (
-	"fmt"
-
 	"cxrpq/internal/ecrpq"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
@@ -20,55 +18,20 @@ type Explanation struct {
 
 	// Plan is the physical plan of the query on the database the witness
 	// was found in — the planner-chosen join order with estimated
-	// cardinalities. The Session explain paths attach it (best effort;
-	// nil when explaining through a one-shot helper that bypasses them).
+	// cardinalities (best effort: nil when the report could not be built).
 	Plan *PlanReport
 }
 
 // ExplainVsf searches for one match of a vstar-free query (optionally
 // constrained to output tuple t; pass nil for any match) and reconstructs
-// its witness. It returns false if D ̸|= q.
+// its witness. It returns false if D ̸|= q. It is the one-shot wrapper over
+// Session.Explain.
 func ExplainVsf(q *Query, db *graph.DB, t pattern.Tuple) (*Explanation, bool, error) {
-	c := q.CXRE()
-	if !c.IsVStarFree() {
-		return nil, false, fmt.Errorf("cxrpq: ExplainVsf requires a vstar-free query")
-	}
-	origDefined := c.DefinedVars()
-	var result *Explanation
-	err := branchCombos(c, func(combo CXRE) error {
-		simple, repl, err := step3WithMap(combo)
-		if err != nil {
-			return err
-		}
-		g := &pattern.Graph{Out: append([]string(nil), q.Pattern.Out...)}
-		for i, e := range q.Pattern.Edges {
-			g.Edges = append(g.Edges, pattern.Edge{From: e.From, To: e.To, Label: simple[i]})
-		}
-		forcedEps := map[string]bool{}
-		nowDefined := simple.DefinedVars()
-		for v := range origDefined {
-			if !nowDefined[v] {
-				forcedEps[v] = true
-			}
-		}
-		tr, err := simpleToECRPQerInfo(&Query{Pattern: g}, forcedEps)
-		if err != nil {
-			return err
-		}
-		w, ok, err := ecrpq.FindWitness(tr.Query, db, t)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		result = buildExplanation(q, tr, repl, w)
-		return errStop
-	})
-	if err != nil && err != errStop {
+	p, err := Prepare(q)
+	if err != nil {
 		return nil, false, err
 	}
-	return result, result != nil, nil
+	return p.Bind(db).Explain(t)
 }
 
 // ExplainBounded searches for one match under CXRPQ^≤k semantics and

@@ -1,11 +1,17 @@
 package cxrpq_test
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"cxrpq/internal/cxrpq"
 	"cxrpq/internal/ecrpq"
+	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
 	"cxrpq/internal/workload"
@@ -17,7 +23,7 @@ func TestFindWitnessUnary(t *testing.T) {
 	q := &ecrpq.Query{Pattern: pattern.MustParseQuery("ans(x, y)\nx y : ab")}
 	u, _ := db.Lookup("u")
 	v, _ := db.Lookup("v")
-	w, ok, err := ecrpq.FindWitness(q, db, pattern.Tuple{u, v})
+	w, ok, err := ecrpq.FindWitness(q, db, pattern.Tuple{u, v}, ecrpq.Options{})
 	if err != nil || !ok {
 		t.Fatalf("witness not found: %v %v", ok, err)
 	}
@@ -28,7 +34,7 @@ func TestFindWitnessUnary(t *testing.T) {
 		t.Fatalf("node assignment wrong: %v", w.NodeOf)
 	}
 	// no witness for a non-answer
-	_, ok, err = ecrpq.FindWitness(q, db, pattern.Tuple{v, u})
+	_, ok, err = ecrpq.FindWitness(q, db, pattern.Tuple{v, u}, ecrpq.Options{})
 	if err != nil || ok {
 		t.Fatalf("unexpected witness: %v %v", ok, err)
 	}
@@ -45,7 +51,7 @@ m2 b v2
 		Pattern: pattern.MustParseQuery("ans()\nx1 y1 : (a|b)+\nx2 y2 : a(a|b)*"),
 		Groups:  []ecrpq.Group{{Edges: []int{0, 1}, Rel: &ecrpq.Equality{N: 2}}},
 	}
-	w, ok, err := ecrpq.FindWitness(q, db, nil)
+	w, ok, err := ecrpq.FindWitness(q, db, nil, ecrpq.Options{})
 	if err != nil || !ok {
 		t.Fatalf("witness not found: %v %v", ok, err)
 	}
@@ -68,12 +74,160 @@ m2 b v2
 		Pattern: pattern.MustParseQuery("ans()\nx1 y1 : a+\nx2 y2 : b+"),
 		Groups:  []ecrpq.Group{{Edges: []int{0, 1}, Rel: ecrpq.EqualLength(2, []rune("ab"))}},
 	}
-	w, ok, err := ecrpq.FindWitness(q, db, nil)
+	w, ok, err := ecrpq.FindWitness(q, db, nil, ecrpq.Options{})
 	if err != nil || !ok {
 		t.Fatalf("witness not found: %v %v", ok, err)
 	}
 	if len(w.Words[0]) != len(w.Words[1]) {
 		t.Fatalf("equal-length violated: %q vs %q", w.Words[0], w.Words[1])
+	}
+}
+
+// labelsPath reports whether word labels a path of db from node from to node to.
+func labelsPath(db *graph.DB, from int, word string, to int) bool {
+	at := map[int]bool{from: true}
+	for _, sym := range word {
+		next := map[int]bool{}
+		for u := range at {
+			for _, out := range db.Out(u) {
+				if out.Label == sym {
+					next[out.To] = true
+				}
+			}
+		}
+		at = next
+	}
+	return at[to]
+}
+
+// checkWitness fails t unless w is a witness of q on db: every word matches
+// its edge's label and labels a path between the nodes the edge is mapped to,
+// and every group's relation holds of its words.
+func checkWitness(t *testing.T, name string, q *ecrpq.Query, db *graph.DB, w *ecrpq.Witness) {
+	t.Helper()
+	sigma := xregex.MergeAlphabets(db.Alphabet(), xregex.AlphabetOf(q.Pattern.Labels()...))
+	for ei, e := range q.Pattern.Edges {
+		if ok, err := xregex.Matches(e.Label, w.Words[ei], sigma); err != nil || !ok {
+			t.Fatalf("%s: word %q of edge %d does not match %s (%v)", name, w.Words[ei], ei, xregex.String(e.Label), err)
+		}
+		if !labelsPath(db, w.NodeOf[e.From], w.Words[ei], w.NodeOf[e.To]) {
+			t.Fatalf("%s: word %q of edge %d labels no path from %d to %d", name, w.Words[ei], ei, w.NodeOf[e.From], w.NodeOf[e.To])
+		}
+	}
+	for gi, g := range q.Groups {
+		words := make([]string, len(g.Edges))
+		for j, ei := range g.Edges {
+			words[j] = w.Words[ei]
+		}
+		holds := ecrpq.EqualityContains(words)
+		if rel, ok := g.Rel.(*ecrpq.NFARelation); ok {
+			holds = rel.Contains(words)
+		}
+		if !holds {
+			t.Fatalf("%s: group %d's relation does not hold of %q", name, gi, words)
+		}
+	}
+}
+
+// The words of a witness come off the group product search, whatever the
+// group: a general relation with a component frozen (⊥-padded) while the
+// other goes on, an equality of arity 3, an edge in no group that the join ran
+// and one that minimization dropped. Each is a shortest one for its endpoints.
+func TestFindWitnessGroupShapes(t *testing.T) {
+	ab := []rune("ab")
+	for _, c := range []struct {
+		name   string
+		db     string
+		src    string
+		groups []ecrpq.Group
+		tuple  []string
+		words  []string
+	}{
+		{name: "frozen component", db: "u a m\nm b v\np a q\nq b r\nr a s\ns b t",
+			src:    "ans(x, y, z, w)\nx y : (a|b)+\nz w : (a|b)+",
+			groups: []ecrpq.Group{{Edges: []int{0, 1}, Rel: ecrpq.PrefixRelation(ab)}},
+			tuple:  []string{"u", "v", "p", "t"}, words: []string{"ab", "abab"}},
+		{name: "frozen at the source", db: "u a v\nv b w",
+			src:    "ans(x, y, z, w)\nx y : a*\nz w : ab",
+			groups: []ecrpq.Group{{Edges: []int{0, 1}, Rel: ecrpq.PrefixRelation(ab)}},
+			tuple:  []string{"w", "w", "u", "w"}, words: []string{"", "ab"}},
+		{name: "arity 3", db: "u a m\nm b v\np a q\nq b r\nq a r\ns a s\ns b t\nu b v",
+			src:    "ans(x, y, z, w, s, t)\nx y : a(a|b)*\nz w : (a|b)+\ns t : a+b",
+			groups: []ecrpq.Group{{Edges: []int{0, 1, 2}, Rel: &ecrpq.Equality{N: 3}}},
+			tuple:  []string{"u", "v", "p", "r", "s", "t"}, words: []string{"ab", "ab", "ab"}},
+		{name: "dropped edge", db: "u a m\nm a v\nu b n\nn a v\nv b w",
+			src:   "ans(x, y, z)\nx y : a+\nx y : (a|b)+\ny z : b",
+			tuple: []string{"u", "v", "w"}, words: []string{"aa", "aa", "b"}},
+	} {
+		db := graph.MustParse(c.db)
+		q := &ecrpq.Query{Pattern: pattern.MustParseQuery(c.src), Groups: c.groups}
+		tup := make(pattern.Tuple, len(c.tuple))
+		for i, name := range c.tuple {
+			tup[i], _ = db.Lookup(name)
+		}
+		w, ok, err := ecrpq.FindWitness(q, db, tup, ecrpq.Options{})
+		if err != nil || !ok {
+			t.Fatalf("%s: FindWitness = %v, %v", c.name, ok, err)
+		}
+		checkWitness(t, c.name, q, db, w)
+		for i := range c.words {
+			// Where two shortest words tie, either is one: hold the length.
+			if len(w.Words[i]) != len(c.words[i]) {
+				t.Fatalf("%s: words %q, want the lengths of %q", c.name, w.Words, c.words)
+			}
+		}
+		tup[len(tup)-1], _ = db.Lookup("u") // no edge enters u
+		if w, ok, err := ecrpq.FindWitness(q, db, tup, ecrpq.Options{}); err != nil || ok {
+			t.Fatalf("%s: FindWitness of a non-answer = %v, %v, %v", c.name, w, ok, err)
+		}
+	}
+}
+
+// A plan over the combination cap (2^11 Lemma 7 combinations, none kept) is
+// explained by the walk every other operation takes, and like the one-member
+// query that spells out the branch the database chooses.
+func TestExplainOverCap(t *testing.T) {
+	wide, _, _, _ := overCapQueries()
+	const word = "abbabaababb"
+	var sb strings.Builder
+	for i, r := range word {
+		fmt.Fprintf(&sb, "$%c%d{%c}", r, i, r)
+	}
+	ref := cxrpq.MustParse("ans(x, y)\nx y : " + sb.String() + "\n")
+	db := workload.Path(word, 1)
+	s, _ := db.Lookup("s")
+	end, _ := db.Lookup("t")
+	want, ok, err := cxrpq.ExplainVsf(ref, db, pattern.Tuple{s, end})
+	if err != nil || !ok || want.Words[0] != word {
+		t.Fatalf("the one-member equivalent: %v, %v, %v", want, ok, err)
+	}
+	for x := range wide.CXRE().Vars() {
+		if _, ok := want.Images[x]; !ok {
+			want.Images[x] = "" // defined on the branch not taken: forced to ε
+		}
+	}
+	sess := cxrpq.MustPrepare(wide).Bind(db)
+	spent := engine.NewBudget(context.Background(), time.Now().Add(-time.Second), 0)
+	if resp := sess.Do(cxrpq.Request{Op: "explain", Tuple: pattern.Tuple{s, end}, Budget: spent}); !errors.Is(resp.Err, engine.ErrCanceled) || resp.OK || resp.Explanation != nil {
+		t.Fatalf("explain under a spent budget = %v, %v, %v; want engine.ErrCanceled", resp.Explanation, resp.OK, resp.Err)
+	}
+	if st := sess.Stats(); st.ResultSize != 0 {
+		t.Fatalf("%d results cached by a canceled explain", st.ResultSize)
+	}
+	for call := 0; call < 2; call++ {
+		got, ok, err := sess.Explain(pattern.Tuple{s, end})
+		if err != nil || !ok {
+			t.Fatalf("Explain over the cap = %v, %v", ok, err)
+		}
+		if !reflect.DeepEqual(got.NodeOf, want.NodeOf) || !reflect.DeepEqual(got.Words, want.Words) || !reflect.DeepEqual(got.Images, want.Images) {
+			t.Fatalf("over the cap: nodes %v words %q images %v, want %v %q %v", got.NodeOf, got.Words, got.Images, want.NodeOf, want.Words, want.Images)
+		}
+	}
+	if st := sess.Stats(); st.ResultHits != 1 {
+		t.Fatalf("the second Explain hit the result cache %d times, want 1", st.ResultHits)
+	}
+	if ex, ok, err := sess.Explain(pattern.Tuple{end, s}); err != nil || ok || ex != nil {
+		t.Fatalf("Explain of a non-answer over the cap = %v, %v, %v", ex, ok, err)
 	}
 }
 

@@ -27,11 +27,11 @@ type CandidateWalk struct{ e *boundedEngine }
 
 // NewCandidateWalk binds q's bounded plan to db for image bound k.
 func NewCandidateWalk(q *Query, db *graph.DB, k int) (*CandidateWalk, error) {
-	bp, err := planBounded(q)
+	p, err := Prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	e, err := newBoundedEngine(bp, db, k, false, nil, newSessionCaches(0), mergeDBAlphabet(db, bp.c), planner.Tuning{})
+	e, err := p.Bind(db).boundedRun(k, false, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -79,11 +79,11 @@ func (s *Session) Supports() map[string]int {
 // pre-bound — any of them, where CheckBounded binds exactly the output
 // variables.
 func EvalBoundedBoolPre(q *Query, db *graph.DB, k int, pre map[string]int) (bool, error) {
-	bp, err := planBounded(q)
+	p, err := Prepare(q)
 	if err != nil {
 		return false, err
 	}
-	e, err := newBoundedEngine(bp, db, k, true, pre, newSessionCaches(0), mergeDBAlphabet(db, bp.c), planner.Tuning{})
+	e, err := p.Bind(db).boundedRun(k, true, pre, nil)
 	if err != nil {
 		return false, err
 	}

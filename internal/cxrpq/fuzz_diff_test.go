@@ -84,6 +84,28 @@ func diffSeed(t *testing.T, seed int64) {
 				seed, tup, ok, err, q.Pattern)
 		}
 	}
+	// Every answer has an explanation that checks out, under the bounded
+	// semantics and — for a vstar-free query — under the unrestricted one.
+	for _, tup := range naive.Sorted() {
+		ex, ok, err := sess.ExplainBounded(k, tup)
+		if err != nil || !ok {
+			t.Fatalf("seed %d: ExplainBounded(%d, %v)=%v err=%v, want a witness\nquery:\n%s", seed, k, tup, ok, err, q.Pattern)
+		}
+		checkExplanation(t, fmt.Sprintf("seed %d ExplainBounded(%d, %v)", seed, k, tup), q, db, ex, tup, k)
+	}
+	var vsf *pattern.TupleSet
+	if q.CXRE().IsVStarFree() {
+		if vsf, err = sess.Eval(); err != nil {
+			t.Fatalf("seed %d: Session.Eval: %v\nquery:\n%s", seed, err, q.Pattern)
+		}
+		for _, tup := range vsf.Sorted() {
+			ex, ok, err := sess.Explain(tup)
+			if err != nil || !ok {
+				t.Fatalf("seed %d: Explain(%v)=%v err=%v, want a witness\nquery:\n%s", seed, tup, ok, err, q.Pattern)
+			}
+			checkExplanation(t, fmt.Sprintf("seed %d Explain(%v)", seed, tup), q, db, ex, tup, -1)
+		}
+	}
 	if len(q.Pattern.Out) > 0 && naive.Len() > 0 {
 		// a tuple off the answer set must be rejected
 		probe := make(pattern.Tuple, len(q.Pattern.Out))
@@ -100,6 +122,14 @@ func diffSeed(t *testing.T, seed int64) {
 			ok, err := sess.CheckBounded(k, probe)
 			if err != nil || ok {
 				t.Fatalf("seed %d: CheckBounded(non-member %v)=%v err=%v, want false", seed, probe, ok, err)
+			}
+			if ex, ok, err := sess.ExplainBounded(k, probe); err != nil || ok || ex != nil {
+				t.Fatalf("seed %d: ExplainBounded(non-member %v)=%v, %v err=%v, want none", seed, probe, ex, ok, err)
+			}
+			if vsf != nil && !vsf.Contains(probe) {
+				if ex, ok, err := sess.Explain(probe); err != nil || ok || ex != nil {
+					t.Fatalf("seed %d: Explain(non-member %v)=%v, %v err=%v, want none", seed, probe, ex, ok, err)
+				}
 			}
 		}
 	}
@@ -166,6 +196,42 @@ func diffSeed(t *testing.T, seed int64) {
 			seed, got.Len(), naive.Len(), q.Pattern)
 	}
 	checkOracle("post-delta", got)
+}
+
+// checkExplanation fails t unless ex is a witness of tup ∈ q(D): its morphism
+// projects to tup, its words are a conjunctive match of the query's xregex
+// with exactly its images as the variable mapping (Lemma 10; a variable it
+// does not mention occurs on no chosen branch and takes ε), each of length at
+// most k when k ≥ 0, and every word labels a path of D between the nodes its
+// edge is mapped to.
+func checkExplanation(t *testing.T, what string, q *cxrpq.Query, db *graph.DB, ex *cxrpq.Explanation, tup pattern.Tuple, k int) {
+	t.Helper()
+	for i, z := range q.Pattern.Out {
+		if ex.NodeOf[z] != tup[i] {
+			t.Fatalf("%s: morphism %v does not project to the tuple\nquery:\n%s", what, ex.NodeOf, q.Pattern)
+		}
+	}
+	c := q.CXRE()
+	images := map[string]string{}
+	for x := range c.Vars() {
+		images[x] = ex.Images[x]
+		if k >= 0 && len(images[x]) > k {
+			t.Fatalf("%s: image %q of $%s is longer than %d\nquery:\n%s", what, images[x], x, k, q.Pattern)
+		}
+	}
+	sigma := xregex.MergeAlphabets(db.Alphabet(), c.Alphabet())
+	inst, err := cxrpq.InstantiateCXRE(c, images, sigma)
+	if err != nil || len(ex.Words) != len(q.Pattern.Edges) {
+		t.Fatalf("%s: %d words, instantiation error %v\nquery:\n%s", what, len(ex.Words), err, q.Pattern)
+	}
+	for i, e := range q.Pattern.Edges {
+		if ok, err := xregex.Matches(inst[i], ex.Words[i], sigma); err != nil || !ok {
+			t.Fatalf("%s: words %q are no conjunctive match under images %v (edge %d: %v)\nquery:\n%s", what, ex.Words, ex.Images, i, err, q.Pattern)
+		}
+		if !labelsPath(db, ex.NodeOf[e.From], ex.Words[i], ex.NodeOf[e.To]) {
+			t.Fatalf("%s: word %q of edge %d labels no path from %d to %d\nquery:\n%s", what, ex.Words[i], i, ex.NodeOf[e.From], ex.NodeOf[e.To], q.Pattern)
+		}
+	}
 }
 
 // firstNonEmptyOut returns a node with at least one outgoing edge.

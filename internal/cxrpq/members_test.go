@@ -17,7 +17,7 @@ func collectMembers(t *testing.T, p *Plan) []*ecrpq.Query {
 		t.Fatal(err)
 	}
 	var out []*ecrpq.Query
-	for q, err := range ms {
+	for q, err := range queries(ms) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestFanPanicFailsOneRequest(t *testing.T) {
 	if err != nil || want.Len() == 0 {
 		t.Fatalf("fixture: %v, %v", want, err)
 	}
-	healthy := p.kept[2].eq
+	healthy := p.kept[2].tr.Query
 	sess := p.BindTuned(db, planner.Tuning{Workers: 4})
 	// Operations no witness cuts short, so that the poisoned member does run.
 	u, _ := db.Lookup("u")
@@ -89,7 +89,7 @@ func TestFanPanicFailsOneRequest(t *testing.T) {
 	}
 	for _, req := range []Request{{Op: "eval"}, {Op: "check", Tuple: pattern.Tuple{u, u}}} {
 		op := req.Op
-		p.kept[2].eq = &ecrpq.Query{} // no pattern: evaluating it dereferences nil
+		p.kept[2].tr.Query = &ecrpq.Query{} // no pattern: evaluating it dereferences nil
 		func() {
 			defer func() {
 				if r := recover(); r == nil {
@@ -98,7 +98,7 @@ func TestFanPanicFailsOneRequest(t *testing.T) {
 			}()
 			sess.Do(req)
 		}()
-		p.kept[2].eq = healthy
+		p.kept[2].tr.Query = healthy
 		if resp := sess.Do(Request{Op: "eval"}); resp.Err != nil || !resp.Tuples.Equal(want) {
 			t.Fatalf("%s: the request after the panic = %v, %v; want %v", op, resp.Tuples, resp.Err, want.Sorted())
 		}

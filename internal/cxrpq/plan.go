@@ -2,9 +2,12 @@ package cxrpq
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"sync"
 
 	"cxrpq/internal/ecrpq"
+	"cxrpq/internal/pattern"
 )
 
 // This file is the compile-once half of the prepared-query subsystem.
@@ -35,12 +38,31 @@ const (
 // Plan keeps are one fan.
 const vsfComboCap = ecrpq.UnionWindow
 
-// member is one kept member of the plan's union: the ECRPQ^er, or the error
-// its translation failed with (kept, not raised, because a match of another
-// member wins over it).
+// member is one member of the plan's union: the translation whose Query is
+// the ECRPQ^er the evaluators run and whose bookkeeping, with the Step 3
+// replacement map repl, takes a witness of that query back to the CXRPQ
+// (buildExplanation) — or the error the translation failed with (kept, not
+// raised, because a match of another member wins over it).
 type member struct {
-	eq  *ecrpq.Query
-	err error
+	tr   *SimpleTranslation
+	repl map[string][]string
+	err  error
+}
+
+// queries is the view of a member sequence the union evaluators of
+// internal/ecrpq walk.
+func queries(ms iter.Seq[member]) ecrpq.Members {
+	return func(yield func(*ecrpq.Query, error) bool) {
+		for m := range ms {
+			var q *ecrpq.Query
+			if m.err == nil {
+				q = m.tr.Query
+			}
+			if !yield(q, m.err) {
+				return
+			}
+		}
+	}
 }
 
 // Plan is an immutable prepared CXRPQ: the validated query, its fragment
@@ -129,51 +151,73 @@ func (p *Plan) Fragment() string { return p.fragment }
 // Lemma 7 branch combination — kept, translated once per Plan, when there
 // are at most vsfComboCap of them, enumerated and translated afresh by every
 // range beyond that. A plan that is not vstar-free has no such union.
-func (p *Plan) members() (ecrpq.Members, error) {
+func (p *Plan) members() (iter.Seq[member], error) {
 	if p.kind == kindGeneral {
 		return nil, fmt.Errorf("cxrpq: %s is not vstar-free; evaluate it under the bounded (CXRPQ^≤k) or log semantics", p.fragment)
 	}
 	p.membersOnce.Do(func() {
 		switch p.kind {
 		case kindClassical:
-			p.kept = []member{{eq: &ecrpq.Query{Pattern: p.q.Pattern}}}
+			// Every edge is its own translation.
+			split, at := make([][]int, len(p.q.Pattern.Edges)), make([]int, len(p.q.Pattern.Edges))
+			for i := range split {
+				at[i], split[i] = i, at[i:i+1]
+			}
+			p.kept = []member{{tr: &SimpleTranslation{Query: &ecrpq.Query{Pattern: p.q.Pattern}, EdgeSplit: split}}}
 		case kindSimple:
-			eq, err := SimpleToECRPQer(p.q, nil)
-			p.kept = []member{{eq, err}}
+			tr, err := simpleToECRPQerInfo(p.q, nil)
+			p.kept = []member{{tr: tr, err: err}}
 		default:
-			for eq, err := range p.branchMembers {
+			for m := range p.branchMembers {
 				if len(p.kept) == vsfComboCap {
 					p.kept, p.overCap = nil, true
 					break
 				}
-				p.kept = append(p.kept, member{eq, err})
+				p.kept = append(p.kept, m)
 			}
 		}
 	})
 	if p.overCap {
 		return p.branchMembers, nil
 	}
-	return func(yield func(*ecrpq.Query, error) bool) {
-		for _, m := range p.kept {
-			if !yield(m.eq, m.err) {
-				return
-			}
-		}
-	}, nil
+	return slices.Values(p.kept), nil
 }
 
 // branchMembers enumerates the Lemma 7 branch combinations and yields the
 // translation of each; a failure of the enumeration itself ends the sequence
 // as one last member.
-func (p *Plan) branchMembers(yield func(*ecrpq.Query, error) bool) {
+func (p *Plan) branchMembers(yield func(member) bool) {
 	origDefined := p.c.DefinedVars()
 	err := branchCombos(p.c, func(combo CXRE) error {
-		if !yield(comboToSimpleECRPQ(p.q, combo, origDefined)) {
+		if !yield(p.comboMember(combo, origDefined)) {
 			return errStop
 		}
 		return nil
 	})
 	if err != nil && err != errStop {
-		yield(nil, err)
+		yield(member{err: err})
 	}
+}
+
+// comboMember normalizes one variable-simple branch combination via Step 3
+// and translates it into an ECRPQ^er, with images of originally defined but
+// branch-dropped variables forced to ε.
+func (p *Plan) comboMember(combo CXRE, origDefined map[string]bool) member {
+	simple, repl, err := step3WithMap(combo)
+	if err != nil {
+		return member{err: err}
+	}
+	g := &pattern.Graph{Out: append([]string(nil), p.q.Pattern.Out...)}
+	for i, e := range p.q.Pattern.Edges {
+		g.Edges = append(g.Edges, pattern.Edge{From: e.From, To: e.To, Label: simple[i]})
+	}
+	forcedEps := map[string]bool{}
+	nowDefined := simple.DefinedVars()
+	for v := range origDefined {
+		if !nowDefined[v] {
+			forcedEps[v] = true
+		}
+	}
+	tr, err := simpleToECRPQerInfo(&Query{Pattern: g}, forcedEps)
+	return member{tr: tr, repl: repl, err: err}
 }

@@ -122,7 +122,7 @@ func (s *Session) plannerPlan(sc *sessionCaches, sigma []rune) ([]planner.Atom, 
 	if ms, err := s.plan.members(); err == nil {
 		// Ask each member's evaluator, which gates on its own estimates; a
 		// member that failed to translate or to compile runs nothing.
-		for m, err := range ms {
+		for m, err := range queries(ms) {
 			if err != nil {
 				continue
 			}

@@ -1,7 +1,10 @@
 package cxrpq
 
 import (
+	"errors"
 	"fmt"
+	"iter"
+	"maps"
 	"sync"
 
 	"cxrpq/internal/ecrpq"
@@ -53,19 +56,19 @@ type SessionOptions struct {
 // same recipe where they additionally need compute-outside-the-lock
 // insertion or exported stats): mutex + cap + whole-epoch drop + hit/miss
 // counters. It backs both the path-existence verdicts and the result cache.
-type epochMap[V any] struct {
+type epochMap[K comparable, V any] struct {
 	mu     sync.Mutex
 	cap    int
-	m      map[string]V
+	m      map[K]V
 	hits   uint64
 	misses uint64
 }
 
-func newEpochMap[V any](cap int) *epochMap[V] {
-	return &epochMap[V]{cap: cap, m: map[string]V{}}
+func newEpochMap[K comparable, V any](cap int) *epochMap[K, V] {
+	return &epochMap[K, V]{cap: cap, m: map[K]V{}}
 }
 
-func (c *epochMap[V]) get(key string) (V, bool) {
+func (c *epochMap[K, V]) get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v, ok := c.m[key]
@@ -77,18 +80,18 @@ func (c *epochMap[V]) get(key string) (V, bool) {
 	return v, ok
 }
 
-func (c *epochMap[V]) put(key string, v V) {
+func (c *epochMap[K, V]) put(key K, v V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.m) >= c.cap {
-		c.m = map[string]V{}
+		c.m = map[K]V{}
 	}
 	c.m[key] = v
 }
 
 // getOr returns the memoized value of key, computing and keeping it on a
 // miss; a computation that fails keeps nothing.
-func (c *epochMap[V]) getOr(key string, compute func() (V, error)) (V, error) {
+func (c *epochMap[K, V]) getOr(key K, compute func() (V, error)) (V, error) {
 	if v, ok := c.get(key); ok {
 		return v, nil
 	}
@@ -99,7 +102,7 @@ func (c *epochMap[V]) getOr(key string, compute func() (V, error)) (V, error) {
 	return v, err
 }
 
-func (c *epochMap[V]) stats() (hits, misses uint64, size int) {
+func (c *epochMap[K, V]) stats() (hits, misses uint64, size int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, len(c.m)
@@ -114,12 +117,12 @@ type sessionCaches struct {
 	// paths holds, by canonical print, whether a Σ*-relaxed atom label
 	// matches any path of D at all — the one bit the bounded engine's partial
 	// pruning reads (see pathExists).
-	paths *epochMap[bool]
+	paths *epochMap[string, bool]
 
 	// sups holds the supports standing in for the relations of atoms with an
 	// endpoint nothing reads (see support). No delta maintains them — one
 	// sweep recomputes a support — so every revision move empties them.
-	sups *epochMap[*ecrpq.EdgeRel]
+	sups *epochMap[string, *ecrpq.EdgeRel]
 
 	// The physical plan of the query's conjunctive skeleton (see
 	// planreport.go): cached per epoch like everything else, so it is
@@ -139,8 +142,8 @@ type sessionCaches struct {
 func newSessionCaches(relCap int) *sessionCaches {
 	return &sessionCaches{
 		rels:  ecrpq.NewRelCache(relCap),
-		paths: newEpochMap[bool](verdictCap),
-		sups:  newEpochMap[*ecrpq.EdgeRel](verdictCap),
+		paths: newEpochMap[string, bool](verdictCap),
+		sups:  newEpochMap[string, *ecrpq.EdgeRel](verdictCap),
 	}
 }
 
@@ -163,8 +166,8 @@ func (sc *sessionCaches) pathExists(db *graph.DB, label xregex.Node, sigma []run
 // afterInserts returns the verdicts that outlive an insert-only delta over an
 // unchanged alphabet: a path that existed still exists, while a label that
 // matched nothing may match now and has to be asked again.
-func afterInserts(paths *epochMap[bool]) *epochMap[bool] {
-	kept := newEpochMap[bool](paths.cap)
+func afterInserts(paths *epochMap[string, bool]) *epochMap[string, bool] {
+	kept := newEpochMap[string, bool](paths.cap)
 	paths.mu.Lock()
 	defer paths.mu.Unlock()
 	for k, v := range paths.m {
@@ -191,11 +194,24 @@ func (sc *sessionCaches) dropPlan() {
 	sc.planMu.Unlock()
 }
 
-// resultCache memoizes whole call results keyed by (operation, arguments);
-// it lives inside one cache epoch, so revision bumps clear it with
-// everything else. A nil *resultCache is valid and disabled.
+// resultKey names one cached call result: the operation ("eval", "bool",
+// "check" or "explain"), its image bound — unbounded for the fragment-
+// dispatched operations over the union — and its tuple argument
+// (Tuple.Key; empty without one).
+type resultKey struct {
+	op    string
+	k     int
+	tuple string
+}
+
+// unbounded is the resultKey image bound of the union operations.
+const unbounded = -1
+
+// resultCache memoizes whole call results by resultKey; it lives inside one
+// cache epoch, so revision bumps clear it with everything else. A nil
+// *resultCache is valid and disabled.
 type resultCache struct {
-	epochMap[any]
+	epochMap[resultKey, any]
 }
 
 func newResultCache(cap int) *resultCache {
@@ -207,18 +223,18 @@ func newResultCache(cap int) *resultCache {
 	}
 	rc := &resultCache{}
 	rc.cap = cap
-	rc.m = map[string]any{}
+	rc.m = map[resultKey]any{}
 	return rc
 }
 
-func (c *resultCache) get(key string) (any, bool) {
+func (c *resultCache) get(key resultKey) (any, bool) {
 	if c == nil {
 		return nil, false
 	}
 	return c.epochMap.get(key)
 }
 
-func (c *resultCache) put(key string, v any) {
+func (c *resultCache) put(key resultKey, v any) {
 	if c == nil {
 		return
 	}
@@ -324,7 +340,7 @@ func (s *Session) maintainLocked(info *graph.DeltaInfo) bool {
 		return false
 	}
 	s.caches.paths = afterInserts(s.caches.paths)
-	s.caches.sups = newEpochMap[*ecrpq.EdgeRel](verdictCap)
+	s.caches.sups = newEpochMap[string, *ecrpq.EdgeRel](verdictCap)
 	s.caches.dropPlan()
 	s.results = newResultCache(s.opts.ResultCacheCap)
 	s.maint.DeltaApplies++
@@ -402,7 +418,7 @@ func (s *Session) Fork(db *graph.DB) *Session {
 			if _, _, err := rels.ApplyDelta(db, info); err == nil {
 				ns.bound, ns.rev, ns.sigma = true, rev, s.sigma
 				ns.caches = &sessionCaches{rels: rels, paths: afterInserts(s.caches.paths),
-					sups: newEpochMap[*ecrpq.EdgeRel](verdictCap)}
+					sups: newEpochMap[string, *ecrpq.EdgeRel](verdictCap)}
 				ns.results = newResultCache(s.opts.ResultCacheCap)
 				ns.maint.DeltaApplies++
 				return ns
@@ -464,10 +480,11 @@ func (s *Session) Stats() SessionStats {
 
 // unionOp runs one operation over the plan's union of ECRPQ^er (every
 // vstar-free query is one: Plan.members) through the result cache. Only a
-// complete answer is kept: a failed or truncated run returns what op returned
+// complete answer is kept: a failed or truncated run returns what run returned
 // — for a set, the sound partial rows — with the error and caches nothing.
-func unionOp[T any](s *Session, key string, bud *engine.Budget, op func(ecrpq.Members, ecrpq.Options) (T, error)) (T, error) {
+func unionOp[T any](s *Session, op string, t pattern.Tuple, bud *engine.Budget, run func(iter.Seq[member], ecrpq.Options) (T, error)) (T, error) {
 	_, rc, _ := s.current()
+	key := resultKey{op, unbounded, t.Key()}
 	if v, ok := rc.get(key); ok {
 		return v.(T), nil
 	}
@@ -476,7 +493,7 @@ func unionOp[T any](s *Session, key string, bud *engine.Budget, op func(ecrpq.Me
 		var zero T
 		return zero, err
 	}
-	v, err := op(ms, ecrpq.Options{Budget: bud, Tuning: s.tune})
+	v, err := run(ms, ecrpq.Options{Budget: bud, Tuning: s.tune})
 	if err == nil && bud.Err() == nil {
 		rc.put(key, v)
 	}
@@ -491,8 +508,8 @@ func (s *Session) Eval() (*pattern.TupleSet, error) { return s.evalBudget(nil) }
 // evalBudget is Eval under an optional budget. On truncation the sound
 // partial set is returned together with engine.ErrCanceled.
 func (s *Session) evalBudget(bud *engine.Budget) (*pattern.TupleSet, error) {
-	return unionOp(s, "eval", bud, func(ms ecrpq.Members, o ecrpq.Options) (*pattern.TupleSet, error) {
-		return ecrpq.EvalUnionWith(ms, s.db, o)
+	return unionOp(s, "eval", nil, bud, func(ms iter.Seq[member], o ecrpq.Options) (*pattern.TupleSet, error) {
+		return ecrpq.EvalUnionWith(queries(ms), s.db, o)
 	})
 }
 
@@ -504,8 +521,8 @@ func (s *Session) EvalBool() (bool, error) { return s.evalBoolBudget(nil) }
 // materializing full relations. A canceled budget with no witness yields
 // (false, engine.ErrCanceled).
 func (s *Session) evalBoolBudget(bud *engine.Budget) (bool, error) {
-	return unionOp(s, "bool", bud, func(ms ecrpq.Members, o ecrpq.Options) (bool, error) {
-		return ecrpq.EvalUnionBoolWith(ms, s.db, o)
+	return unionOp(s, "bool", nil, bud, func(ms iter.Seq[member], o ecrpq.Options) (bool, error) {
+		return ecrpq.EvalUnionBoolWith(queries(ms), s.db, o)
 	})
 }
 
@@ -515,19 +532,114 @@ func (s *Session) EvalVsf() (*pattern.TupleSet, error) { return s.Eval() }
 // EvalVsfBool is EvalBool.
 func (s *Session) EvalVsfBool() (bool, error) { return s.EvalBool() }
 
+// Check decides t̄ ∈ q(D) for a vstar-free query.
+func (s *Session) Check(t pattern.Tuple) (bool, error) { return s.checkBudget(t, nil) }
+
+// checkBudget is Check under an optional budget: one pre-bound lazy search
+// per member, first match wins (ecrpq.CheckUnionWith). A canceled budget with
+// no witness yields (false, engine.ErrCanceled).
+func (s *Session) checkBudget(t pattern.Tuple, bud *engine.Budget) (bool, error) {
+	return unionOp(s, "check", t, bud, func(ms iter.Seq[member], o ecrpq.Options) (bool, error) {
+		return ecrpq.CheckUnionWith(queries(ms), s.db, t, o)
+	})
+}
+
+// Explain searches for one match (optionally constrained to output tuple t;
+// pass nil for any match) and reconstructs its witness, for any vstar-free
+// query. For unrestricted queries use ExplainBounded.
+func (s *Session) Explain(t pattern.Tuple) (*Explanation, bool, error) {
+	return s.explainBudget(t, nil)
+}
+
+// explainBudget is Explain under an optional budget: the members are searched
+// in order (ecrpq.FindWitness) and the first with a witness wins, whatever a
+// member before it failed with; its translation takes the witness back to the
+// query. A canceled budget with no witness yields (nil, false,
+// engine.ErrCanceled). What is cached is the explanation, nil for no match.
+func (s *Session) explainBudget(t pattern.Tuple, bud *engine.Budget) (*Explanation, bool, error) {
+	ex, err := unionOp(s, "explain", t, bud, func(ms iter.Seq[member], o ecrpq.Options) (*Explanation, error) {
+		var failed error
+		for m := range ms {
+			w, ok, err := (*ecrpq.Witness)(nil), false, m.err
+			if err == nil {
+				w, ok, err = ecrpq.FindWitness(m.tr.Query, s.db, t, o)
+			}
+			if ok {
+				return s.explanation(buildExplanation(s.plan.q, m.tr, m.repl, w)), nil
+			}
+			if failed == nil {
+				failed = err
+			}
+			if errors.Is(err, engine.ErrCanceled) {
+				break // so would every later member be
+			}
+		}
+		return nil, failed
+	})
+	return ex, ex != nil, err
+}
+
+// explanation attaches the session's physical plan to a witness (best effort:
+// the witness stands alone).
+func (s *Session) explanation(ex *Explanation) *Explanation {
+	ex.Plan, _ = s.PlanReport()
+	return ex
+}
+
+// boundedRun binds the plan's bounded schedule (Theorem 6) to the session's
+// database and cache epoch for one run under bud: the one constructor of
+// every bounded evaluation, check, explanation and stream.
+func (s *Session) boundedRun(k int, boolOnly bool, pre map[string]int, bud *engine.Budget) (*boundedEngine, error) {
+	sc, _, sigma := s.current()
+	bp, err := s.plan.boundedPlanFor()
+	if err != nil {
+		return nil, err
+	}
+	return newBoundedEngine(bp, s.db, k, boolOnly, pre, sc, sigma, s.tune, bud)
+}
+
+// boundedOp runs one operation of the bounded engine through the result
+// cache, as unionOp does for the union. run reports its value and whether it
+// found a witness, which makes a Boolean, check or explain answer definitive
+// whatever the budget cut afterwards (the first-witness sibling stop rides the
+// same budget fork). Any other truncated run returns its value — for a set,
+// the sound partial rows — with engine.ErrCanceled. Only the answer of a run
+// the budget did not touch is cached.
+func boundedOp[T any](s *Session, op string, k int, t pattern.Tuple, boolOnly bool, pre map[string]int, bud *engine.Budget, run func(*boundedEngine) (v T, found bool, err error)) (T, error) {
+	_, rc, _ := s.current()
+	key := resultKey{op, k, t.Key()}
+	if v, ok := rc.get(key); ok {
+		return v.(T), nil
+	}
+	var zero T
+	e, err := s.boundedRun(k, boolOnly, pre, bud)
+	if err != nil {
+		return zero, err
+	}
+	v, found, err := run(e)
+	if err != nil {
+		return zero, err
+	}
+	if berr := bud.Err(); berr != nil {
+		if found {
+			return v, nil
+		}
+		return v, berr
+	}
+	rc.put(key, v)
+	return v, nil
+}
+
 // EvalBounded evaluates the query under the CXRPQ^≤k semantics (Theorem 6)
 // through the session caches.
 func (s *Session) EvalBounded(k int) (*pattern.TupleSet, error) {
-	return s.evalBoundedSession(k, false)
+	return s.evalBoundedBudget(k, false, nil)
 }
 
 // EvalBoundedBool decides D |=^≤k q, short-circuiting on the first mapping.
 func (s *Session) EvalBoundedBool(k int) (bool, error) {
-	res, err := s.evalBoundedSession(k, true)
-	if err != nil {
-		return false, err
-	}
-	return res.Len() > 0, nil
+	res, err := s.evalBoundedBudget(k, true, nil)
+	return err == nil && res.Len() > 0, err
 }
 
 // EvalLog evaluates the query under CXRPQ^log semantics (Corollary 1).
@@ -540,53 +652,17 @@ func (s *Session) EvalLogBool() (bool, error) {
 	return s.EvalBoundedBool(logBound(s.db))
 }
 
-func (s *Session) evalBoundedSession(k int, boolOnly bool) (*pattern.TupleSet, error) {
-	return s.evalBoundedBudget(k, boolOnly, nil)
-}
-
 // evalBoundedBudget is the bounded evaluation under an optional budget. A
 // truncated run returns the sound partial set with engine.ErrCanceled —
-// except in Boolean mode with a witness already found, where the answer is
-// definitive regardless of what the budget cut. Truncated results are never
-// cached.
+// except in Boolean mode with a witness already found.
 func (s *Session) evalBoundedBudget(k int, boolOnly bool, bud *engine.Budget) (*pattern.TupleSet, error) {
-	sc, rc, sigma := s.current()
-	key := fmt.Sprintf("bnd\x1f%d\x1f%v", k, boolOnly)
-	if v, ok := rc.get(key); ok {
-		return v.(*pattern.TupleSet), nil
+	op := "eval"
+	if boolOnly {
+		op = "bool"
 	}
-	bp, err := s.plan.boundedPlanFor()
-	if err != nil {
-		return nil, err
-	}
-	e, err := newBoundedEngine(bp, s.db, k, boolOnly, nil, sc, sigma, s.tune)
-	if err != nil {
-		return nil, err
-	}
-	e.setBudget(bud)
-	res, err := e.run()
-	if err != nil {
-		return nil, err
-	}
-	if berr := bud.Err(); berr != nil {
-		if boolOnly && res.Len() > 0 {
-			return res, nil
-		}
-		return res, berr
-	}
-	rc.put(key, res)
-	return res, nil
-}
-
-// Check decides t̄ ∈ q(D) for a vstar-free query.
-func (s *Session) Check(t pattern.Tuple) (bool, error) { return s.checkBudget(t, nil) }
-
-// checkBudget is Check under an optional budget: one pre-bound lazy search
-// per member, first match wins (ecrpq.CheckUnionWith). A canceled budget with
-// no witness yields (false, engine.ErrCanceled).
-func (s *Session) checkBudget(t pattern.Tuple, bud *engine.Budget) (bool, error) {
-	return unionOp(s, "chk\x1f"+t.Key(), bud, func(ms ecrpq.Members, o ecrpq.Options) (bool, error) {
-		return ecrpq.CheckUnionWith(ms, s.db, t, o)
+	return boundedOp(s, op, k, nil, boolOnly, nil, bud, func(e *boundedEngine) (*pattern.TupleSet, bool, error) {
+		res, err := e.run()
+		return res, boolOnly && res.Len() > 0, err
 	})
 }
 
@@ -597,18 +673,11 @@ func (s *Session) CheckBounded(k int, t pattern.Tuple) (bool, error) {
 	return s.checkBoundedBudget(k, t, nil)
 }
 
-// checkBoundedBudget is CheckBounded under an optional budget: a found
-// witness is definitive (the sibling-cancel stop may fire afterwards, that
-// is expected); a canceled budget with no witness is unknown and yields
-// (false, engine.ErrCanceled) without caching.
+// checkBoundedBudget is CheckBounded under an optional budget; a canceled
+// budget with no witness is unknown and yields (false, engine.ErrCanceled).
 func (s *Session) checkBoundedBudget(k int, t pattern.Tuple, bud *engine.Budget) (bool, error) {
 	if len(t) != len(s.plan.q.Pattern.Out) {
 		return false, fmt.Errorf("cxrpq: tuple arity %d, query arity %d", len(t), len(s.plan.q.Pattern.Out))
-	}
-	sc, rc, sigma := s.current()
-	key := fmt.Sprintf("chkb\x1f%d\x1f%s", k, t.Key())
-	if v, ok := rc.get(key); ok {
-		return v.(bool), nil
 	}
 	pre := map[string]int{}
 	for i, z := range s.plan.q.Pattern.Out {
@@ -621,59 +690,11 @@ func (s *Session) checkBoundedBudget(k int, t pattern.Tuple, bud *engine.Budget)
 		}
 		pre[z] = v
 	}
-	bp, err := s.plan.boundedPlanFor()
-	if err != nil {
-		return false, err
-	}
-	e, err := newBoundedEngine(bp, s.db, k, true, pre, sc, sigma, s.tune)
-	if err != nil {
-		return false, err
-	}
-	e.setBudget(bud)
-	res, err := e.run()
-	if err != nil {
-		return false, err
-	}
-	ok := res.Len() > 0
-	if !ok {
-		if berr := bud.Err(); berr != nil {
-			return false, berr
-		}
-	}
-	if bud.Err() == nil {
-		rc.put(key, ok)
-	}
-	return ok, nil
-}
-
-// explainVal is the result-cache entry type of the Explain methods.
-type explainVal struct {
-	ex *Explanation
-	ok bool
-}
-
-// Explain searches for one match (optionally constrained to output tuple t;
-// pass nil for any match) and reconstructs its witness, for any vstar-free
-// query. For unrestricted queries use ExplainBounded.
-func (s *Session) Explain(t pattern.Tuple) (*Explanation, bool, error) {
-	if s.plan.kind == kindGeneral {
-		return nil, false, fmt.Errorf("cxrpq: %s is not vstar-free; use ExplainBounded", s.plan.fragment)
-	}
-	_, rc, _ := s.current()
-	key := "exp\x1f" + t.Key()
-	if v, ok := rc.get(key); ok {
-		ev := v.(explainVal)
-		return ev.ex, ev.ok, nil
-	}
-	ex, ok, err := ExplainVsf(s.plan.q, s.db, t)
-	if err != nil {
-		return nil, false, err
-	}
-	if ex != nil {
-		ex.Plan, _ = s.PlanReport() // best effort: the witness stands alone
-	}
-	rc.put(key, explainVal{ex, ok})
-	return ex, ok, nil
+	return boundedOp(s, "check", k, t, true, pre, bud, func(e *boundedEngine) (bool, bool, error) {
+		res, err := e.run()
+		ok := err == nil && res.Len() > 0
+		return ok, ok, err
+	})
 }
 
 // ExplainBounded searches for one match under CXRPQ^≤k semantics and
@@ -682,51 +703,33 @@ func (s *Session) Explain(t pattern.Tuple) (*Explanation, bool, error) {
 // searches the instantiated CRPQ for a concrete path witness instead of
 // joining cached relations; the engine's subtree pruning applies unchanged.
 func (s *Session) ExplainBounded(k int, t pattern.Tuple) (*Explanation, bool, error) {
-	sc, rc, sigma := s.current()
-	key := fmt.Sprintf("expb\x1f%d\x1f%s", k, t.Key())
-	if v, ok := rc.get(key); ok {
-		ev := v.(explainVal)
-		return ev.ex, ev.ok, nil
-	}
-	bp, err := s.plan.boundedPlanFor()
-	if err != nil {
-		return nil, false, err
-	}
-	e, err := newBoundedEngine(bp, s.db, k, false, nil, sc, sigma, s.tune)
-	if err != nil {
-		return nil, false, err
-	}
-	e.seq = true
-	q := s.plan.q
-	var result *Explanation
-	e.leaf = func(st *boundedState) error {
-		g := &pattern.Graph{Out: append([]string(nil), q.Pattern.Out...)}
-		for i, pe := range q.Pattern.Edges {
-			g.Edges = append(g.Edges, pattern.Edge{From: pe.From, To: pe.To, Label: st.insts[i]})
-		}
-		w, ok, err := ecrpq.FindWitness(&ecrpq.Query{Pattern: g}, s.db, t)
-		if err != nil {
-			return err
-		}
-		if !ok {
+	return s.explainBoundedBudget(k, t, nil)
+}
+
+// explainBoundedBudget is ExplainBounded under an optional budget; a canceled
+// budget with no witness yields (nil, false, engine.ErrCanceled).
+func (s *Session) explainBoundedBudget(k int, t pattern.Tuple, bud *engine.Budget) (*Explanation, bool, error) {
+	ex, err := boundedOp(s, "explain", k, t, false, nil, bud, func(e *boundedEngine) (*Explanation, bool, error) {
+		e.seq = true
+		q := s.plan.q
+		var found *Explanation
+		e.leaf = func(st *boundedState) error {
+			g := &pattern.Graph{Out: append([]string(nil), q.Pattern.Out...)}
+			for i, pe := range q.Pattern.Edges {
+				g.Edges = append(g.Edges, pattern.Edge{From: pe.From, To: pe.To, Label: st.insts[i]})
+			}
+			w, ok, err := ecrpq.FindWitness(&ecrpq.Query{Pattern: g}, s.db, t, ecrpq.Options{Budget: e.fanBud, Tuning: e.tune})
+			if err != nil || !ok {
+				return err
+			}
+			found = s.explanation(&Explanation{NodeOf: w.NodeOf, Words: w.Words, Images: maps.Clone(st.assign)})
+			e.stop.Store(true)
 			return nil
 		}
-		images := map[string]string{}
-		for x, v := range st.assign {
-			images[x] = v
-		}
-		result = &Explanation{NodeOf: w.NodeOf, Words: w.Words, Images: images}
-		e.stop.Store(true)
-		return nil
-	}
-	if _, err := e.run(); err != nil {
-		return nil, false, err
-	}
-	if result != nil {
-		result.Plan, _ = s.PlanReport() // best effort: the witness stands alone
-	}
-	rc.put(key, explainVal{result, result != nil})
-	return result, result != nil, nil
+		_, err := e.run()
+		return found, found != nil, err
+	})
+	return ex, ex != nil, err
 }
 
 // Request is one operation of an EvalBatch call.
@@ -739,9 +742,8 @@ type Request struct {
 	// Budget optionally bounds the evaluation (deadline, row cap, context
 	// cancellation — see engine.Budget); nil is unlimited. A truncated eval
 	// returns the sound partial tuples found so far with
-	// Err == engine.ErrCanceled (check errors.Is); a truncated bool/check
-	// with no witness reports the same error (the answer is unknown).
-	// Explain ignores the budget.
+	// Err == engine.ErrCanceled (check errors.Is); a truncated bool, check or
+	// explain with no witness reports the same error (the answer is unknown).
 	Budget *engine.Budget
 }
 
@@ -801,9 +803,9 @@ func (s *Session) Do(req Request) Response {
 		var ok bool
 		var err error
 		if bounded {
-			ex, ok, err = s.ExplainBounded(k, req.Tuple)
+			ex, ok, err = s.explainBoundedBudget(k, req.Tuple, req.Budget)
 		} else {
-			ex, ok, err = s.Explain(req.Tuple)
+			ex, ok, err = s.explainBudget(req.Tuple, req.Budget)
 		}
 		return Response{Explanation: ex, OK: ok, Err: err}
 	default:

@@ -177,12 +177,11 @@ func (s *Session) cachedAnswer(bounded bool, k int, ranked bool) *pattern.TupleS
 	if ranked {
 		return nil
 	}
-	key := "eval"
-	if bounded {
-		key = fmt.Sprintf("bnd\x1f%d\x1ffalse", k)
+	if !bounded {
+		k = unbounded
 	}
 	_, rc, _ := s.current()
-	v, _ := rc.get(key)
+	v, _ := rc.get(resultKey{op: "eval", k: k})
 	res, _ := v.(*pattern.TupleSet)
 	return res
 }
@@ -198,26 +197,17 @@ func (s *Session) cachedAnswer(bounded bool, k int, ranked bool) *pattern.TupleS
 // their relations, deferring every leaf join onto the queue.
 func (s *Session) anyKBuilderFor(bounded bool, k int, bud *engine.Budget, w engine.Weight) (func() (*ecrpq.AnyK, error), error) {
 	if bounded {
-		sc, _, sigma := s.current()
-		bp, err := s.plan.boundedPlanFor()
+		e, err := s.boundedRun(k, false, nil, bud)
 		if err != nil {
 			return nil, err
 		}
 		return func() (*ecrpq.AnyK, error) {
-			e, err := newBoundedEngine(bp, s.db, k, false, nil, sc, sigma, s.tune)
-			if err != nil {
-				return nil, err
-			}
-			e.setBudget(bud)
 			e.ranked = true
 			e.seq = true // AnyK is single-consumer; leaves run on this goroutine
 			e.weight = w
-			ak := ecrpq.NewAnyK(ecrpq.Options{Budget: bud, Tuning: s.tune})
-			e.anyk = ak
-			if _, err := e.run(); err != nil {
-				return nil, err
-			}
-			return ak, nil
+			e.anyk = ecrpq.NewAnyK(ecrpq.Options{Budget: bud, Tuning: s.tune})
+			_, err := e.run()
+			return e.anyk, err
 		}, nil
 	}
 	ms, err := s.plan.members()
@@ -226,7 +216,7 @@ func (s *Session) anyKBuilderFor(bounded bool, k int, bud *engine.Budget, w engi
 	}
 	return func() (*ecrpq.AnyK, error) {
 		ak := ecrpq.NewAnyK(ecrpq.Options{Budget: bud, Tuning: s.tune})
-		return ak, ak.AddUnion(ms, s.db, w)
+		return ak, ak.AddUnion(queries(ms), s.db, w)
 	}, nil
 }
 
@@ -238,17 +228,11 @@ func (s *Session) anyKBuilderFor(bounded bool, k int, bud *engine.Budget, w engi
 func (s *Session) streamRunFor(bounded bool, k int, opts ecrpq.Options) (streamRun, error) {
 	bud, ranked := opts.Budget, opts.Ranked
 	if bounded {
-		sc, _, sigma := s.current()
-		bp, err := s.plan.boundedPlanFor()
+		e, err := s.boundedRun(k, false, nil, bud)
 		if err != nil {
 			return nil, err
 		}
 		return func(emit ecrpq.StreamFunc) error {
-			e, err := newBoundedEngine(bp, s.db, k, false, nil, sc, sigma, s.tune)
-			if err != nil {
-				return err
-			}
-			e.setBudget(bud)
 			e.ranked = ranked
 			e.weight = opts.Weight
 			e.seq = true // yield is called from this goroutine only
@@ -265,7 +249,7 @@ func (s *Session) streamRunFor(bounded bool, k int, opts ecrpq.Options) (streamR
 	if err != nil {
 		return nil, err
 	}
-	return func(emit ecrpq.StreamFunc) error { return ecrpq.EvalUnionStream(ms, s.db, opts, emit) }, nil
+	return func(emit ecrpq.StreamFunc) error { return ecrpq.EvalUnionStream(queries(ms), s.db, opts, emit) }, nil
 }
 
 // defaultLess is the ranked comparator: witness length ascending, ties in

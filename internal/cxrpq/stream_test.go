@@ -12,6 +12,7 @@ package cxrpq_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -397,6 +398,57 @@ func TestDoWithBudget(t *testing.T) {
 	if !resp.Tuples.Equal(want) {
 		t.Fatalf("result cache poisoned by truncated call: %d tuples, want %d",
 			resp.Tuples.Len(), want.Len())
+	}
+}
+
+// A deadline bounds every mode, explain included. The query's equality group
+// has two free sources, so its join step walks n² source tuples with one small
+// product search each: a search the budget cut must end the step (at n = 1600
+// bool used to take half a minute to notice a 20 ms deadline), and explain has
+// to see the budget at all. A cut answer is unknown, never cached, and the
+// same requests without a deadline answer as they always did.
+func TestDeadlineBoundsEveryMode(t *testing.T) {
+	plan := cxrpq.MustPrepare(cxrpq.MustParse("ans()\nu v1 : $x{(a|b)+}b\nw v2 : a$x\nz v3 : $x a"))
+	ops := []string{"bool", "check", "explain"}
+	for _, n := range []int{200, 1600} {
+		db := workload.Random(7, n, 3*n, "ab")
+		db.Index()
+		sess := plan.Bind(db)
+		for _, op := range ops {
+			start := time.Now()
+			resp := sess.Do(cxrpq.Request{Op: op, Tuple: pattern.Tuple{},
+				Budget: engine.NewBudget(context.Background(), start.Add(20*time.Millisecond), 0)})
+			if took := time.Since(start); took > 500*time.Millisecond {
+				t.Errorf("n=%d %s: returned %v after a 20 ms deadline", n, op, took)
+			}
+			if !resp.OK && !errors.Is(resp.Err, engine.ErrCanceled) {
+				t.Errorf("n=%d %s: OK=false with err %v, want a witness or ErrCanceled", n, op, resp.Err)
+			}
+			if resp.OK && (resp.Err != nil || op == "explain" && resp.Explanation == nil) {
+				t.Errorf("n=%d %s: OK with err %v, explanation %v", n, op, resp.Err, resp.Explanation)
+			}
+			if st := sess.Stats(); !resp.OK && st.ResultSize != 0 {
+				t.Errorf("n=%d %s: a cut answer was cached (%d entries)", n, op, st.ResultSize)
+			}
+			sess.Invalidate()
+		}
+	}
+
+	// Unbudgeted, on a graph small enough to finish: all three modes agree,
+	// and the explanation is cached like the other answers.
+	db := workload.Random(7, 40, 120, "ab")
+	sess := plan.Bind(db)
+	want, err := sess.EvalBool()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops {
+		if resp := sess.Do(cxrpq.Request{Op: op, Tuple: pattern.Tuple{}}); resp.Err != nil || resp.OK != want {
+			t.Errorf("%s without a deadline = %v, %v; want %v", op, resp.OK, resp.Err, want)
+		}
+	}
+	if st := sess.Stats(); st.ResultSize != len(ops) {
+		t.Errorf("%d results cached after %d complete answers", st.ResultSize, len(ops))
 	}
 }
 

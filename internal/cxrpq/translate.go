@@ -167,10 +167,10 @@ func simpleToECRPQerInfo(q *Query, forcedEps map[string]bool) (*SimpleTranslatio
 }
 
 // branchCombos enumerates one branch choice per component; each callback
-// receives a variable-simple conjunctive xregex. Used by EvalVsf and
-// VsfToUnionECRPQer; the enumeration realizes Lemma 7's nondeterministic
-// alternation resolution. Returns an error from the callback, stopping early
-// if errStop is returned.
+// receives a variable-simple conjunctive xregex. Plan.branchMembers is its
+// one caller; the enumeration realizes Lemma 7's nondeterministic alternation
+// resolution. Returns an error from the callback, stopping early if errStop
+// is returned.
 var errStop = fmt.Errorf("stop")
 
 func branchCombos(c CXRE, f func(CXRE) error) error {
@@ -199,48 +199,24 @@ func branchCombos(c CXRE, f func(CXRE) error) error {
 	return rec(0)
 }
 
-// comboToSimpleECRPQ normalizes one variable-simple branch combination via
-// Step 3 and translates it into an ECRPQ^er, with images of originally
-// defined but branch-dropped variables forced to ε.
-func comboToSimpleECRPQ(q *Query, combo CXRE, origDefined map[string]bool) (*ecrpq.Query, error) {
-	simple, err := Step3MainModification(combo)
+// VsfToUnionECRPQer implements Lemma 13: every CXRPQ^vsf is equivalent to a
+// union of ECRPQ^er (with an exponential size blow-up in general): the
+// members of the prepared query's union, collected.
+func VsfToUnionECRPQer(q *Query) (*ecrpq.Union, error) {
+	p, err := Prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	g := &pattern.Graph{Out: append([]string(nil), q.Pattern.Out...)}
-	for i, e := range q.Pattern.Edges {
-		g.Edges = append(g.Edges, pattern.Edge{From: e.From, To: e.To, Label: simple[i]})
+	ms, err := p.members()
+	if err != nil {
+		return nil, err
 	}
-	sq := &Query{Pattern: g}
-	forcedEps := map[string]bool{}
-	nowDefined := simple.DefinedVars()
-	for v := range origDefined {
-		if !nowDefined[v] {
-			forcedEps[v] = true
-		}
-	}
-	return SimpleToECRPQer(sq, forcedEps)
-}
-
-// VsfToUnionECRPQer implements Lemma 13: every CXRPQ^vsf is equivalent to a
-// union of ECRPQ^er (with an exponential size blow-up in general).
-func VsfToUnionECRPQer(q *Query) (*ecrpq.Union, error) {
-	c := q.CXRE()
-	if !c.IsVStarFree() {
-		return nil, fmt.Errorf("cxrpq: query is not vstar-free")
-	}
-	origDefined := c.DefinedVars()
 	u := &ecrpq.Union{}
-	err := branchCombos(c, func(combo CXRE) error {
-		eq, err := comboToSimpleECRPQ(q, combo, origDefined)
+	for eq, err := range queries(ms) {
 		if err != nil {
-			return err
+			return nil, err
 		}
 		u.Members = append(u.Members, eq)
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return u, nil
 }

@@ -545,7 +545,7 @@ func TestFindWitnessWithMinimizedAtom(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := planner.Stats().AtomsMinimized
-	w, ok, err := FindWitness(q, db, nil)
+	w, ok, err := FindWitness(q, db, nil, Options{})
 	if err != nil || !ok {
 		t.Fatalf("FindWitness = %v, %v", ok, err)
 	}
@@ -565,7 +565,7 @@ func TestFindWitnessWithMinimizedAtom(t *testing.T) {
 		}
 	}
 	// Pre-binding the output tuple of that match must find it again.
-	if _, ok, err := FindWitness(q, db, pattern.Tuple{w.NodeOf["x"], w.NodeOf["z"]}); err != nil || !ok {
+	if _, ok, err := FindWitness(q, db, pattern.Tuple{w.NodeOf["x"], w.NodeOf["z"]}, Options{}); err != nil || !ok {
 		t.Fatalf("FindWitness with the matched tuple pre-bound = %v, %v", ok, err)
 	}
 }

@@ -1,6 +1,8 @@
 package ecrpq
 
 import (
+	"slices"
+
 	"cxrpq/internal/automata"
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
@@ -138,6 +140,9 @@ func (g *groupStep) bindSrc(a, free []int32, lvl int, cont func(int32) bool) boo
 	}
 	g.srcBuf, g.fresh = src, fresh
 	exp := g.sc.expand(g.ev, src)
+	if g.sc.cut {
+		return false // the budget canceled: every further source tuple would be cut the same
+	}
 	ok := true
 	for ti := exp.from; ti < exp.to; ti++ {
 		end := g.sc.end(ti) // re-read per tuple: cont may expand this group again and grow the slab
@@ -172,15 +177,15 @@ type groupExp struct {
 }
 
 // expand returns all end tuples reachable from the given source tuple under
-// the group's synchronized semantics, memoized. Expansions cut short by the
-// budget are returned for the current unwinding but not memoized.
+// the group's synchronized semantics, memoized. An expansion the budget cut
+// short sets sc.cut and is not memoized.
 func (sc *groupScratch) expand(ev *evaluator, src []int32) groupExp {
 	row, slot := sc.memo.Find(sc.srcs, sc.s, src)
 	if row >= 0 {
 		return sc.exps[row]
 	}
 	exp := sc.search(ev, src)
-	if !ev.bud.Canceled() {
+	if sc.cut = sc.cut || ev.bud.Canceled(); !sc.cut {
 		sc.srcs = append(sc.srcs, src...)
 		sc.exps = append(sc.exps, exp)
 		sc.memo.Set(sc.srcs, sc.s, slot, int32(len(sc.exps)-1))
@@ -241,6 +246,14 @@ func (l *liveRows) row(ix *graph.Index, id int32) liveRow {
 // still carries the minimal cost of its end tuple, and equal costs pop in
 // push order, which keeps the output sequence deterministic and identical to
 // the FIFO's under the unit weight.
+//
+// A witness search (witness.go) is the same search asked for one end tuple,
+// want: it stops at the first — cheapest — accepting configuration over it
+// and, so that the words can be read back from there, keeps two more columns
+// per configuration: the row it was pushed from (parent, -1 at the source)
+// and what the step consumed (via: the symbol id in an equality group, the
+// relation automaton's label in an NFARelation group, whose decoded columns
+// are the components' symbols or ⊥). No other search carries them.
 type groupScratch struct {
 	s    int          // arity
 	w    int          // configuration width: 2s, or 2s+3 with a relation
@@ -272,7 +285,14 @@ type groupScratch struct {
 	seen  pattern.RowTable // end tuples of this expansion
 	head  int              // FIFO cursor
 	heap  wHeap            // weighted frontier
-	pops  int
+	cur   int              // the row next returned last; -1 before the first pop
+	pops  int              // over all searches of the evaluation, so that small ones share a budget poll
+	cut   bool             // a poll saw the budget canceled; it stays so
+
+	// The witness search in progress (want != nil).
+	want        []int32
+	hit         int // the accepting row over want; -1: none yet
+	parent, via []int32
 
 	// The step under construction.
 	row      []int32   // the candidate configuration
@@ -332,7 +352,7 @@ func (sc *groupScratch) search(ev *evaluator, src []int32) groupExp {
 	sc.cfgs, sc.cost, sc.stale, sc.heap = sc.cfgs[:0], sc.cost[:0], sc.stale[:0], sc.heap[:0]
 	sc.best.Reset()
 	sc.seen.Reset()
-	sc.head, sc.pops = 0, 0
+	sc.head, sc.cur = 0, -1
 	clear(sc.row)
 	for i, c := range sc.caches {
 		sc.row[i], sc.row[sc.s+i] = src[i], c.Start()
@@ -341,7 +361,7 @@ func (sc *groupScratch) search(ev *evaluator, src []int32) groupExp {
 		sc.row[2*sc.s] = sc.rel.subsetCache().Start()
 	}
 	from := int32(len(sc.ends) / sc.s)
-	sc.push(0)
+	sc.push(0, -1)
 	if sc.rel != nil {
 		sc.expandNFARel(ev)
 	} else {
@@ -350,9 +370,10 @@ func (sc *groupScratch) search(ev *evaluator, src []int32) groupExp {
 	return groupExp{from: from, to: int32(len(sc.ends) / sc.s)}
 }
 
-// push queues the candidate configuration sc.row unless it was already
-// reached at most as expensively.
-func (sc *groupScratch) push(cost int32) {
+// push queues the candidate configuration sc.row, reached from row sc.cur by
+// a step that consumed via, unless it was already reached at most as
+// expensively.
+func (sc *groupScratch) push(cost, via int32) {
 	old, slot := sc.best.Find(sc.cfgs, sc.w, sc.row)
 	if old >= 0 {
 		if sc.cost[old] <= cost {
@@ -364,6 +385,9 @@ func (sc *groupScratch) push(cost int32) {
 	sc.cfgs = append(sc.cfgs, sc.row...)
 	sc.cost = append(sc.cost, cost)
 	sc.stale = append(sc.stale, false)
+	if sc.want != nil {
+		sc.parent, sc.via = append(sc.parent, int32(sc.cur)), append(sc.via, via)
+	}
 	sc.best.Set(sc.cfgs, sc.w, slot, int32(idx))
 	if sc.wsym != nil {
 		sc.heap.push(wItem{cost: cost, idx: idx})
@@ -372,12 +396,12 @@ func (sc *groupScratch) push(cost int32) {
 
 // pushProduct pushes sc.row once per element of the cartesian product of the
 // node options, the last component varying fastest.
-func (sc *groupScratch) pushProduct(cost int32) {
+func (sc *groupScratch) pushProduct(cost, via int32) {
 	for i, o := range sc.opts {
 		sc.odo[i], sc.row[i] = 0, o[0]
 	}
 	for {
-		sc.push(cost)
+		sc.push(cost, via)
 		i := sc.s - 1
 		for ; i >= 0; i-- {
 			if sc.odo[i]++; sc.odo[i] < len(sc.opts[i]) {
@@ -393,12 +417,13 @@ func (sc *groupScratch) pushProduct(cost int32) {
 }
 
 // next pops the cheapest unexpanded configuration; ok is false when the
-// search is exhausted or the budget, polled every 256 pops, canceled. The
-// returned row stays readable across pushes: a slab that grows leaves the
+// search is exhausted or the budget, polled every 256 pops, canceled (sc.cut).
+// The returned row stays readable across pushes: a slab that grows leaves the
 // old array intact.
 func (sc *groupScratch) next(bud *engine.Budget) (cfg []int32, cost int32, ok bool) {
 	for {
 		if sc.pops++; sc.pops%256 == 0 && bud.Canceled() {
+			sc.cut = true
 			return nil, 0, false
 		}
 		cur := sc.head
@@ -415,22 +440,33 @@ func (sc *groupScratch) next(bud *engine.Budget) (cfg []int32, cost int32, ok bo
 				continue
 			}
 		}
+		sc.cur = cur
 		return sc.cfgs[cur*sc.w : (cur+1)*sc.w], sc.cost[cur], true
 	}
 }
 
 // accept records an accepting configuration's end tuple at its first —
-// cheapest — appearance, with its cost when ranked.
-func (sc *groupScratch) accept(nodes []int32, cost int32, ranked bool) {
+// cheapest — appearance, with its cost when ranked. It reports false when the
+// search is over: a witness search has reached the end tuple it wants, and
+// records the row instead.
+func (sc *groupScratch) accept(nodes []int32, cost int32, ranked bool) bool {
+	if sc.want != nil {
+		if !slices.Equal(nodes, sc.want) {
+			return true
+		}
+		sc.hit = sc.cur
+		return false
+	}
 	row, slot := sc.seen.Find(sc.ends, sc.s, nodes)
 	if row >= 0 {
-		return
+		return true
 	}
 	sc.ends = append(sc.ends, nodes...)
 	sc.seen.Set(sc.ends, sc.s, slot, int32(len(sc.ends)/sc.s-1))
 	if ranked {
 		sc.deps = append(sc.deps, cost)
 	}
+	return true
 }
 
 // expandEquality explores the lock-step product: all components consume the
@@ -450,8 +486,8 @@ func (sc *groupScratch) expandEquality(ev *evaluator) {
 			sc.rows[i] = sc.live[i].row(ix, ids[i])
 			allFinal = allFinal && sc.rows[i].final
 		}
-		if allFinal {
-			sc.accept(nodes, cost, ev.ranked)
+		if allFinal && !sc.accept(nodes, cost, ev.ranked) {
+			return
 		}
 	syms:
 		for _, sy := range sc.rows[0].live {
@@ -468,7 +504,7 @@ func (sc *groupScratch) expandEquality(ev *evaluator) {
 			if sc.wsym != nil {
 				nc = cost + sc.wsym[sy]
 			}
-			sc.pushProduct(nc)
+			sc.pushProduct(nc, sy)
 		}
 	}
 }
@@ -496,8 +532,8 @@ func (sc *groupScratch) expandNFARel(ev *evaluator) {
 			}
 			accept = frozen&(1<<uint(i)) != 0 || c.Final(ids[i])
 		}
-		if accept {
-			sc.accept(nodes, cost, ev.ranked)
+		if accept && !sc.accept(nodes, cost, ev.ranked) {
+			return
 		}
 		for _, code := range labels {
 			rnext := rc.Step(rid, code)
@@ -547,7 +583,7 @@ func (sc *groupScratch) expandNFARel(ev *evaluator) {
 				stepCost = 1
 			}
 			sc.row[2*s], sc.row[2*s+1], sc.row[2*s+2] = rnext, int32(uint32(mask)), int32(uint32(mask>>32))
-			sc.pushProduct(cost + stepCost)
+			sc.pushProduct(cost+stepCost, code)
 		}
 	}
 }

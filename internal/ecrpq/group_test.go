@@ -130,7 +130,7 @@ func TestGroupSeedDifferential(t *testing.T) {
 // A search owns no memory: what it needs is in the group's scratch, warm
 // after the first expansions. One that dies at its source allocates nothing,
 // and one that visits thousands of configurations allocates no more than one
-// that visits a handful.
+// that visits a handful — nor does it carry a witness search's parent columns.
 func TestGroupExpandSteadyStateAllocs(t *testing.T) {
 	// A 30×30 grid of a-edges right and b-edges down, plus 40 sinks.
 	db := graph.New()
@@ -171,6 +171,15 @@ func TestGroupExpandSteadyStateAllocs(t *testing.T) {
 		if live > 2 || wide > 2 {
 			t.Fatalf("%s: warm live expansions allocate %v (%d configurations) and %v (%d configurations) objects, want ≤ 2",
 				name, live, small, wide, big)
+		}
+		// The parent columns belong to the witness search alone, which reads
+		// its words back along them and gives them up again.
+		if sc.parent != nil || sc.via != nil {
+			t.Fatalf("%s: a search nobody reads words from kept %d parent and %d step entries", name, len(sc.parent), len(sc.via))
+		}
+		words, ok := sc.witness(ev, []int32{near, near}, []int32{sink, sink})
+		if !ok || len(words[0]) != 2 || words[1] != words[0] || sc.parent != nil || sc.via != nil || sc.want != nil {
+			t.Fatalf("%s: witness search = %q, %v, leaving %d parent entries", name, words, ok, len(sc.parent))
 		}
 	}
 }
