@@ -65,12 +65,12 @@ package main
 // hold, so reads never block on /update and an open cursor keeps its pinned
 // revision. The writer applies the batch to its private live DB, makes it
 // durable (below), then publishes a fresh snapshot with every pooled
-// session forked through the incremental-update subsystem: an insert-only
-// batch over known labels keeps each session's atom relations (retained or
-// frontier-extended per entry, see cxrpq.Session.Fork) and its positive
-// path-existence verdicts, dropping the result and plan caches; removals or brand-new
-// labels fall back to a fresh epoch. The maintenance cost is paid at write
-// time, off the reader path. The response reports the net delta; /stats
+// session forked onto it and the database's atom store carried over once
+// (ecrpq.AtomStore): an insert-only batch over known labels keeps the atom
+// relations (retained or frontier-extended per entry) and the positive
+// path-existence verdicts, and each session drops its result and plan caches;
+// removals or brand-new labels fall back to a fresh epoch. The maintenance
+// cost is paid at write time, off the reader path. The response reports the net delta; /stats
 // exposes the per-database retained-vs-rebuilt maintenance counters.
 //
 // Durability (-data-dir): each named database lives in <dir>/<name> as a
@@ -104,6 +104,7 @@ import (
 	"time"
 
 	"cxrpq/internal/cxrpq"
+	"cxrpq/internal/ecrpq"
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
@@ -169,15 +170,17 @@ type dbEntry struct {
 	qs  queryCounters
 }
 
-// publish snapshots the live DB and forks every pooled session of the
-// previous state onto the new view — the MVCC publish step. The caller
-// holds writeMu. Sessions racing into the old pool after the fork loop are
-// simply dropped with it (they are pure caches, recompiled on demand).
+// publish snapshots the live DB, carries the previous view's atom store onto
+// the new one — one delta pass, whatever the pool holds — and forks every
+// pooled session of the previous state onto it: the MVCC publish step. The
+// caller holds writeMu. Sessions racing into the old pool after the fork loop
+// are simply dropped with it (they are pure caches, recompiled on demand).
 func (e *dbEntry) publish() *dbState {
 	view := e.live.Load().Snapshot().DB()
 	ns := &dbState{db: view, rev: view.Revision(),
 		sessions: map[string]*cxrpq.Session{}}
 	if old := e.state.Load(); old != nil {
+		ecrpq.Atoms(old.db).CarryTo(view)
 		old.sessMu.Lock()
 		for src, sess := range old.sessions {
 			ns.sessions[src] = sess.Fork(view)
@@ -1351,9 +1354,11 @@ type dbStats struct {
 	Sessions int    `json:"sessions"`
 
 	// Delta-maintenance counters: which path mutations took through the
-	// database's derived state and the pooled sessions' caches.
+	// database's derived state and its atom store; Atoms is the store of the
+	// published view — what it holds and its lineage's counters.
 	Maint     graph.MaintStats `json:"maint"`
 	SessMaint sessMaintStats   `json:"sessions_maint"`
+	Atoms     ecrpq.AtomStats  `json:"atoms"`
 
 	// Durability counters (-data-dir): WAL volume, fsync cadence,
 	// checkpoints and recovery replay; Follower mirrors the tail loop of a
@@ -1371,10 +1376,10 @@ type dbStats struct {
 	Truncated    int64   `json:"truncated"`
 }
 
-// sessMaintStats aggregates cache-maintenance counters over a database's
-// pooled sessions: how often deltas were applied fine-grained vs flushed,
-// and how many relation-cache entries survived (retained or extended)
-// rather than being recomputed from scratch.
+// sessMaintStats is how the database's atom store took its revision moves —
+// one per publish, however many sessions are pooled: delta passes, net-empty
+// windows kept, fresh starts, and how many relations the passes retained or
+// frontier-extended rather than recomputed from scratch.
 type sessMaintStats struct {
 	DeltaApplies uint64 `json:"delta_applies"`
 	Retains      uint64 `json:"retains"`
@@ -1418,15 +1423,10 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		pub.sessMu.Lock()
 		st.Sessions = len(pub.sessions)
-		for _, sess := range pub.sessions {
-			ss := sess.Stats()
-			st.SessMaint.DeltaApplies += ss.Maint.DeltaApplies
-			st.SessMaint.Retains += ss.Maint.Retains
-			st.SessMaint.FullRebuilds += ss.Maint.FullRebuilds
-			st.SessMaint.RelRetained += ss.Rel.Retained
-			st.SessMaint.RelExtended += ss.Rel.Extended
-		}
 		pub.sessMu.Unlock()
+		st.Atoms = ecrpq.Atoms(pub.db).Stats()
+		st.SessMaint = sessMaintStats{DeltaApplies: st.Atoms.DeltaPasses, Retains: st.Atoms.Retains,
+			FullRebuilds: st.Atoms.FullRebuilds, RelRetained: st.Atoms.Retained, RelExtended: st.Atoms.Extended}
 		e.qmu.Lock()
 		st.Queries = e.qs.Queries
 		st.RowsStreamed = e.qs.RowsStreamed

@@ -89,22 +89,25 @@
 //	                     form (Lemmas 4-6, 8), translations (Lemmas 12-14);
 //	                     bounded.go is the prefix-incremental CXRPQ^≤k
 //	                     engine (candidate images from a label-index walk
-//	                     steered by the definition bodies, shared
-//	                     atom-relation cache, relaxed-atom subtree pruning
-//	                     by existence probe, parallel mapping enumeration);
+//	                     steered by the definition bodies, atom relations
+//	                     from the database's atom store, relaxed-atom
+//	                     subtree pruning by existence probe, parallel
+//	                     mapping enumeration);
 //	                     plan.go/session.go are the prepared-query
 //	                     subsystem: Prepare(q) compiles an immutable Plan
 //	                     (fragment class, bounded schedule, the member
 //	                     source of the union of ECRPQ^er every vstar-free
 //	                     query is: Lemma 3 / Lemma 7), Plan.Bind(db) yields a
-//	                     concurrency-safe Session owning the per-database
-//	                     caches (atom relations, path-existence verdicts, result
-//	                     cache, the physical plan of the conjunctive
-//	                     skeleton) with revision-checked, delta-maintained
-//	                     invalidation: insert-only mutations retain or
-//	                     frontier-extend cached relations per entry and
-//	                     keep the positive verdicts (Session.ApplyDelta /
-//	                     Refresh; removals and new labels flush), hardened
+//	                     concurrency-safe Session owning what is per text
+//	                     (result cache, physical plan) over the database's
+//	                     atom store (ecrpq.AtomStore: relations, supports,
+//	                     path-existence verdicts, shared by every session
+//	                     on the snapshot), revision-checked and
+//	                     delta-maintained once per revision move:
+//	                     insert-only mutations retain or frontier-extend
+//	                     relations per entry and keep the positive verdicts
+//	                     (Session.ApplyDelta / Fork; removals and new
+//	                     labels start afresh), hardened
 //	                     by the metamorphic mutation-sequence harness in
 //	                     mutation_diff_test.go; every one-shot entry point
 //	                     is a thin wrapper over them,
@@ -152,13 +155,14 @@
 // restart — a two-tier
 // in-flight limiter that degrades to shed partial answers before
 // rejecting with 429, batched /update deltas (additions and removals)
-// that append to the write-ahead log before acknowledging and fork the
-// pooled sessions' caches incrementally off the reader path (invalidating
-// parked cursors), a /plan debug endpoint reporting the planner-chosen
-// join order with estimated cardinalities plus the planner's rewrite
-// report (minimized atoms, acyclicity, free-connexness, join tree,
-// strategy), and /stats counters for
-// retained-vs-rebuilt cache entries, time-to-first-row and rows-streamed
+// that append to the write-ahead log before acknowledging and carry the
+// database's atom store onto the new snapshot incrementally, once, off the
+// reader path (invalidating parked cursors), a /plan debug endpoint
+// reporting the planner-chosen join order with estimated cardinalities plus
+// the planner's rewrite report (minimized atoms, acyclicity,
+// free-connexness, join tree, strategy), and /stats counters for each
+// database's atom store (entries and bytes per kind, hits, delta passes,
+// retained-vs-extended relations), time-to-first-row and rows-streamed
 // telemetry, the reachability kernel's batch/level/edge volumes, and the
 // store's WAL/checkpoint/recovery counters; -data-dir makes every
 // database durable (recover on startup, WAL-append-then-ack), -follower

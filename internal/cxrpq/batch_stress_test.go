@@ -136,10 +136,10 @@ func TestSessionConcurrentShardedDeltaStress(t *testing.T) {
 	}
 
 	st := sess.Stats()
-	if st.Maint.DeltaApplies == 0 {
-		t.Errorf("no fine-grained delta maintenance happened under stress: %+v", st.Maint)
+	if st.Atoms.DeltaPasses == 0 {
+		t.Errorf("no fine-grained delta maintenance happened under stress: %+v", st.Atoms)
 	}
-	if st.Maint.FullRebuilds < 2 { // initial bind + the removal step
-		t.Errorf("removal step did not force a full flush: %+v", st.Maint)
+	if st.Atoms.FullRebuilds < 2 { // initial bind + the removal step
+		t.Errorf("removal step did not force a full flush: %+v", st.Atoms)
 	}
 }

@@ -35,27 +35,27 @@ import (
 //     covers all variables occurring in it — its Lemma 10 surgery and its
 //     reachability relation are computed right then, and an atom that
 //     matches no path of D prunes the entire subtree before any deeper
-//     variable is guessed. Exponentially many mappings agree on an atom's
-//     instantiated label, so relations are shared through a session-scoped
-//     cache keyed by its print. An atom with a node variable nothing else
-//     reads never gets one in an unranked run: only its support (relationFor).
+//     variable is guessed. Exponentially many mappings — of this query and of
+//     every other one over the snapshot — agree on an atom's instantiated
+//     label, so relations are shared through the database's atom store
+//     (ecrpq.AtomStore). An atom with a node variable nothing else reads never
+//     gets one in an unranked run: only its support (relationFor).
 //  3. An atom the prefix touches without determining is relaxed (relaxCut)
 //     and asked one question: does it match any path of D at all? The
-//     answer is an existence probe that stops at its first hit
-//     (ecrpq.PathExists) and one memoized bit per label
-//     (sessionCaches.pathExists) — never a relation. A positive verdict
-//     survives insert-only deltas and Fork, a negative one is asked again.
+//     answer is an existence probe that stops at its first hit and one
+//     stored bit per label (AtomStore.PathExists) — never a relation. A
+//     positive verdict survives insert-only deltas, a negative one is asked
+//     again.
 //  4. A complete mapping then needs only a join over the cached relations
 //     (ecrpq.JoinRelationsStream), not a fresh CRPQ evaluation.
 //
 // The engine is split along the prepared-query boundary (plan.go /
 // session.go): boundedPlan holds everything derivable from the query alone
 // (the ≺-topological order and the instantiation/pruning/check schedule),
-// computed once by Prepare; sessionCaches holds the per-database memos (atom
-// relations, path-existence verdicts), owned by a Session and shared across
-// calls and across concurrent engine runs. A boundedEngine is the per-call
-// object tying one run's enumeration state, candidate lists and result sink
-// to those two.
+// computed once by Prepare; the atom store holds the per-database facts (atom
+// relations, supports, path-existence verdicts), shared across calls, sessions
+// and concurrent engine runs. A boundedEngine is the per-call object tying one
+// run's enumeration state, candidate lists and result sink to those two.
 //
 // Disjoint enumeration subtrees are fanned across the engine worker pool
 // with the same stop-flag short-circuit protocol as the vstar-free path.
@@ -166,7 +166,7 @@ func planBounded(q *Query) (*boundedPlan, error) {
 }
 
 // boundedEngine is one evaluation run: the plan plus the database binding,
-// the session caches, the per-run options and the result sink. All mutable
+// its atom store, the per-run options and the result sink. All mutable
 // enumeration state lives in boundedState, one per worker subtree.
 type boundedEngine struct {
 	p        *boundedPlan
@@ -180,9 +180,9 @@ type boundedEngine struct {
 	// its From / To node variable (pattern.Graph.Reads); see relationFor.
 	readFrom, readTo []bool
 
-	k      int            // image bound
-	caches *sessionCaches // per-DB memos, shared across runs of one Session
-	tune   planner.Tuning // the session's: leaf-join gates and the fan width
+	k     int              // image bound
+	atoms *ecrpq.AtomStore // the database's atom facts, shared by every run over it
+	tune  planner.Tuning   // the session's: leaf-join gates and the fan width
 
 	// cands memoizes the candidate walk per relaxed definition bodies: every
 	// prefix that agrees on the variables of x's bodies asks for the same list.
@@ -201,9 +201,9 @@ type boundedEngine struct {
 	ranked bool
 
 	// weight generalizes ranked witness cost from edge count to a pluggable
-	// per-edge-label weight. Weighted relations have no cache identity (a
-	// function can't key the session RelCache), so relationFor builds them
-	// outside the shared cache, memoized per run in wrels.
+	// per-edge-label weight. Weighted relations have no identity (a function
+	// can't key the atom store), so relationFor builds them outside it,
+	// memoized per run in wrels.
 	weight engine.Weight
 	wrels  *epochMap[string, *ecrpq.EdgeRel]
 
@@ -243,9 +243,9 @@ type boundedState struct {
 }
 
 // newBoundedEngine binds a bounded plan to a database for one run under bud
-// (nil = unlimited). caches is the cache set of the session that runs it
-// (Session.boundedRun, the one caller), shared with its other concurrent runs.
-func newBoundedEngine(p *boundedPlan, db *graph.DB, k int, boolOnly bool, pre map[string]int, caches *sessionCaches, sigma []rune, tune planner.Tuning, bud *engine.Budget) (*boundedEngine, error) {
+// (nil = unlimited). atoms is db's atom store (Session.boundedRun, the one
+// caller, holds it), shared with every other run over the snapshot.
+func newBoundedEngine(p *boundedPlan, db *graph.DB, k int, boolOnly bool, pre map[string]int, atoms *ecrpq.AtomStore, sigma []rune, tune planner.Tuning, bud *engine.Budget) (*boundedEngine, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("cxrpq: negative image bound %d", k)
 	}
@@ -256,10 +256,10 @@ func newBoundedEngine(p *boundedPlan, db *graph.DB, k int, boolOnly bool, pre ma
 		boolOnly: boolOnly,
 		pre:      pre,
 		k:        k,
-		caches:   caches,
+		atoms:    atoms,
 		tune:     tune,
-		cands:    newEpochMap[string, []string](verdictCap),
-		wrels:    newEpochMap[string, *ecrpq.EdgeRel](verdictCap),
+		cands:    newEpochMap[string, []string](runMemoCap),
+		wrels:    newEpochMap[string, *ecrpq.EdgeRel](runMemoCap),
 		bud:      bud,
 		fanBud:   bud.Fork(), // nil-safe: a standalone fork when unbudgeted
 		out:      pattern.NewTupleSet(),
@@ -283,7 +283,7 @@ func (e *boundedEngine) newState() *boundedState {
 // instantiateEdge runs the Lemma 10 surgery for edge ei under the current
 // (prefix) assignment — sound because all of ei's variables are assigned at
 // its ready step — and resolves the edge's reachability relation through the
-// session cache. It reports false when the subtree is pruned: the label is
+// atom store. It reports false when the subtree is pruned: the label is
 // ∅, or it labels no path of D.
 func (st *boundedState) instantiateEdge(ei int) (bool, error) {
 	e := st.e
@@ -345,7 +345,7 @@ func relaxCut(n xregex.Node, assign map[string]string, sigma []rune) (xregex.Nod
 // pruneRelaxed checks the Σ*-relaxed partial instantiation of edge ei
 // against D. It reports false when the relaxed atom labels no path at all —
 // no completion of the current prefix can satisfy the atom. Only that one
-// bit is asked for and kept (sessionCaches.pathExists); the relaxed label's
+// bit is asked for and kept (AtomStore.PathExists); the relaxed label's
 // relation is never built.
 func (st *boundedState) pruneRelaxed(ei int) (bool, error) {
 	e := st.e
@@ -353,7 +353,7 @@ func (st *boundedState) pruneRelaxed(ei int) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return e.caches.pathExists(e.db, xregex.Simplify(relaxed), e.sigma, e.fanBud)
+	return e.atoms.PathExists(xregex.Simplify(relaxed), e.sigma, e.fanBud)
 }
 
 // processStep instantiates the edges that become determined once vars[:i]
@@ -395,26 +395,25 @@ func (st *boundedState) processStep(i int) (bool, error) {
 }
 
 // relationFor resolves the relation of edge ei's instantiated label through
-// the session relation cache, keyed by the canonical print — the sharing
-// point for all mappings (and all Session calls) that agree on the label.
-// The build honors the run's fan budget (a truncated build surfaces as
-// engine.ErrCanceled and is never cached) and requests BFS levels when the
-// run is ranked. An unranked run resolves an edge with an endpoint nothing
-// reads through its support on the other one (sessionCaches.support) and
-// never builds its pairs.
+// the atom store — the sharing point for all mappings, of any query over the
+// snapshot, that agree on the label. The build honors the run's fan budget (a
+// truncated build surfaces as engine.ErrCanceled and installs nothing) and
+// requests BFS levels when the run is ranked. An unranked run resolves an edge
+// with an endpoint nothing reads through its support on the other one
+// (AtomStore.Support) and never builds its pairs.
 func (e *boundedEngine) relationFor(ei int, inst xregex.Node) (*ecrpq.EdgeRel, error) {
 	if !e.ranked && !(e.readFrom[ei] && e.readTo[ei]) {
-		return e.caches.support(e.db, inst, e.sigma, e.readTo[ei], e.fanBud)
+		return e.atoms.Support(inst, e.sigma, e.readTo[ei], e.fanBud)
 	}
 	if e.ranked && e.weight != nil {
-		// Weighted levels never enter the cross-query cache: two queries
-		// with different weights would collide on the same label key. The
-		// per-run memo still shares the build across this run's mappings.
+		// Weighted levels never enter the store: two queries with different
+		// weights would collide on the same key. The per-run memo still
+		// shares the build across this run's mappings.
 		return e.wrels.getOr(xregex.String(inst), func() (*ecrpq.EdgeRel, error) {
 			return ecrpq.BuildRelation(e.db, inst, e.sigma, engine.ReachOpts{Budget: e.fanBud, Weight: e.weight})
 		})
 	}
-	return e.caches.rels.For(e.db, inst, e.sigma, engine.ReachOpts{Budget: e.fanBud, Levels: e.ranked})
+	return e.atoms.Relation(inst, e.sigma, engine.ReachOpts{Budget: e.fanBud, Levels: e.ranked})
 }
 
 // onlyEps is the candidate list of a variable nothing defines or references.
@@ -506,7 +505,7 @@ func (st *boundedState) rec(i int) error {
 	return nil
 }
 
-// joinLeaf is the default leaf: join the cached atom relations and merge the
+// joinLeaf is the default leaf: join the stored atom relations and merge the
 // answers into the shared result set. The physical plan is rebuilt per
 // mapping from the exact cardinalities of this mapping's relations
 // (EdgeRel.Estimate is cached on the shared relation, so the sweep

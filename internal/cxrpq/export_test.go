@@ -50,29 +50,11 @@ func (w *CandidateWalk) Candidates(x string, prefix map[string]string) ([]string
 	return w.e.candidates(x, prefix)
 }
 
-// PathVerdicts returns the session's memoized path-existence verdicts.
+// PathVerdicts returns the path-existence verdicts stored for the session's
+// database.
 func (s *Session) PathVerdicts() map[string]bool {
 	sc, _, _ := s.current()
-	sc.paths.mu.Lock()
-	defer sc.paths.mu.Unlock()
-	out := make(map[string]bool, len(sc.paths.m))
-	for k, v := range sc.paths.m {
-		out[k] = v
-	}
-	return out
-}
-
-// Supports returns the number of nodes in each of the session's memoized
-// supports, by memo key.
-func (s *Session) Supports() map[string]int {
-	sc, _, _ := s.current()
-	sc.sups.mu.Lock()
-	defer sc.sups.mu.Unlock()
-	out := make(map[string]int, len(sc.sups.m))
-	for k, r := range sc.sups.m {
-		out[k] = r.Size()
-	}
-	return out
+	return sc.atoms.Verdicts()
 }
 
 // EvalBoundedBoolPre decides D |=^≤k q with the node variables of pre

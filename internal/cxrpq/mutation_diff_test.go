@@ -39,22 +39,22 @@ type mutationState struct {
 	q     *cxrpq.Query
 	k     int
 	names []string
+
+	// other is a session of another text over the same live database: it
+	// never applies a delta itself and adopts, at every step, the atom store
+	// sess's ApplyDelta maintained.
+	other *cxrpq.Session
 }
 
-// freshEval rebuilds the database from scratch and evaluates with a fresh
-// plan and session — the ground truth of law (a).
-func (m *mutationState) freshEval(t *testing.T, seed int64) *pattern.TupleSet {
+// bystander is the text of mutationState.other; its instantiations overlap
+// those of the templates.
+var bystander = cxrpq.MustPrepare(cxrpq.MustParse("ans(p, q)\np m : $x{a|b}\nm q : $x|b\n"))
+
+// freshEval rebuilds the database from scratch and evaluates q on it with a
+// fresh plan and session — the ground truth of law (a).
+func (m *mutationState) freshEval(t *testing.T, seed int64, q *cxrpq.Query) *pattern.TupleSet {
 	t.Helper()
-	fresh := graph.New()
-	for _, name := range m.names {
-		fresh.Node(name)
-	}
-	for u := 0; u < m.db.NumNodes(); u++ {
-		for _, e := range m.db.Out(u) {
-			fresh.AddEdge(e.From, e.Label, e.To)
-		}
-	}
-	res, err := cxrpq.MustPrepare(m.q).Bind(fresh).EvalBounded(m.k)
+	res, err := cxrpq.MustPrepare(q).Bind(freshCopy(m.db)).EvalBounded(m.k)
 	if err != nil {
 		t.Fatalf("seed %d: fresh re-evaluation: %v", seed, err)
 	}
@@ -69,10 +69,16 @@ func (m *mutationState) checkStep(t *testing.T, seed int64, step string) *patter
 	if err != nil {
 		t.Fatalf("seed %d %s: Session.EvalBounded: %v", seed, step, err)
 	}
-	fresh := m.freshEval(t, seed)
+	fresh := m.freshEval(t, seed, m.q)
 	if !got.Equal(fresh) {
 		t.Fatalf("seed %d %s: maintained session %d tuples, fresh re-evaluation %d\nquery:\n%s",
 			seed, step, got.Len(), fresh.Len(), m.q.Pattern)
+	}
+	if m.other == nil {
+		m.other = bystander.Bind(m.db)
+	}
+	if by, err := m.other.EvalBounded(m.k); err != nil || !by.Equal(m.freshEval(t, seed, bystander.Query())) {
+		t.Fatalf("seed %d %s: the bystander session on the shared store has %v tuples (%v), its fresh re-evaluation differs", seed, step, by.Len(), err)
 	}
 	naive, err := cxrpq.EvalBoundedNaive(m.q, m.db, m.k)
 	if err != nil {
@@ -167,10 +173,10 @@ func mutationRun(t *testing.T, seed int64, r *workload.RNG, q *cxrpq.Query, db *
 	steps := 3 + r.Intn(3)
 	for step := 0; step < steps; step++ {
 		delta := randomDelta(r, m.db, step, step%2 == 0)
-		verdicts, maint := m.sess.PathVerdicts(), m.sess.Stats().Maint
+		verdicts, maint := m.sess.PathVerdicts(), m.sess.Stats().Atoms
 		info := m.apply(t, seed, delta)
 		got := m.checkStep(t, seed, fmt.Sprintf("step %d", step))
-		if m.sess.Stats().Maint.DeltaApplies > maint.DeltaApplies {
+		if m.sess.Stats().Atoms.DeltaPasses > maint.DeltaPasses {
 			for label, now := range m.sess.PathVerdicts() {
 				if was, asked := verdicts[label]; asked && !was && now {
 					flipped++
@@ -254,12 +260,12 @@ func TestMutationCorpus(t *testing.T) {
 	db = graph.MustParse("n0 a n1\nn1 b n2\nn2 b n3\n")
 	m := &mutationState{db: db, sess: cxrpq.MustPrepare(q).Bind(db), q: q, k: 1, names: []string{"n0", "n1", "n2", "n3"}}
 	edge := []graph.DeltaEdge{{From: "n3", Label: 'b', To: "n1"}} // n1 -b-> n2 -b-> n3 -b-> n1 reads bbb
-	if got := m.checkStep(t, -1, "dangling: initial"); got.Len() != 0 || len(m.sess.Supports()) == 0 {
-		t.Fatalf("dangling entry: %d answers and supports %v before the insertion", got.Len(), m.sess.Supports())
+	if got := m.checkStep(t, -1, "dangling: initial"); got.Len() != 0 || m.sess.Stats().Atoms.Supports.Entries == 0 {
+		t.Fatalf("dangling entry: %d answers and supports %+v before the insertion", got.Len(), m.sess.Stats().Atoms.Supports)
 	}
 	m.apply(t, -1, graph.Delta{Add: edge})
-	if got := m.checkStep(t, -1, "dangling: insertion"); got.Len() == 0 || m.sess.Stats().Maint.DeltaApplies != 1 {
-		t.Fatalf("dangling entry: %d answers after the insertion, maintenance %+v", got.Len(), m.sess.Stats().Maint)
+	if got := m.checkStep(t, -1, "dangling: insertion"); got.Len() == 0 || m.sess.Stats().Atoms.DeltaPasses != 1 {
+		t.Fatalf("dangling entry: %d answers after the insertion, maintenance %+v", got.Len(), m.sess.Stats().Atoms)
 	}
 	m.apply(t, -1, graph.Delta{Del: edge})
 	if got := m.checkStep(t, -1, "dangling: removal"); got.Len() != 0 {
@@ -290,19 +296,19 @@ func TestMutationMaintStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := sess.Stats()
-	if base.Maint.FullRebuilds != 1 || base.Maint.DeltaApplies != 0 {
-		t.Fatalf("unexpected baseline maint stats: %+v", base.Maint)
+	if base.Atoms.FullRebuilds != 1 || base.Atoms.DeltaPasses != 0 {
+		t.Fatalf("unexpected baseline maint stats: %+v", base.Atoms)
 	}
 
 	if _, err := sess.ApplyDelta(graph.Delta{Add: []graph.DeltaEdge{{From: db.Name(0), Label: 'a', To: db.Name(1)}}}); err != nil {
 		t.Fatal(err)
 	}
 	st := sess.Stats()
-	if st.Maint.DeltaApplies != 1 || st.Maint.FullRebuilds != 1 {
-		t.Fatalf("insert-only delta did not take the fine-grained path: %+v", st.Maint)
+	if st.Atoms.DeltaPasses != 1 || st.Atoms.FullRebuilds != 1 {
+		t.Fatalf("insert-only delta did not take the fine-grained path: %+v", st.Atoms)
 	}
-	if st.Rel.Retained+st.Rel.Extended == 0 {
-		t.Fatalf("no relation entries maintained: %+v", st.Rel)
+	if st.Atoms.Retained+st.Atoms.Extended == 0 {
+		t.Fatalf("no relation entries maintained: %+v", st.Atoms)
 	}
 
 	// A removal must force the full flush.
@@ -310,8 +316,8 @@ func TestMutationMaintStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = sess.Stats()
-	if st.Maint.FullRebuilds != 2 {
-		t.Fatalf("removal did not force a full flush: %+v", st.Maint)
+	if st.Atoms.FullRebuilds != 2 {
+		t.Fatalf("removal did not force a full flush: %+v", st.Atoms)
 	}
 
 	// A brand-new label must force the full flush too.
@@ -321,8 +327,8 @@ func TestMutationMaintStats(t *testing.T) {
 	if _, err := sess.ApplyDelta(graph.Delta{Add: []graph.DeltaEdge{{From: db.Name(0), Label: 'z', To: db.Name(1)}}}); err != nil {
 		t.Fatal(err)
 	}
-	if st := sess.Stats(); st.Maint.FullRebuilds != 3 {
-		t.Fatalf("new label did not force a full flush: %+v", st.Maint)
+	if st := sess.Stats(); st.Atoms.FullRebuilds != 3 {
+		t.Fatalf("new label did not force a full flush: %+v", st.Atoms)
 	}
 
 	// An add-then-remove round trip between calls nets out: everything —
@@ -341,8 +347,8 @@ func TestMutationMaintStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = sess.Stats()
-	if st.Maint.Retains != pre.Maint.Retains+1 {
-		t.Fatalf("net-empty window not retained: %+v -> %+v", pre.Maint, st.Maint)
+	if st.Atoms.Retains != pre.Atoms.Retains+1 {
+		t.Fatalf("net-empty window not retained: %+v -> %+v", pre.Atoms, st.Atoms)
 	}
 	if st.ResultHits != pre.ResultHits+1 {
 		t.Fatalf("net-empty window dropped the result cache: %+v -> %+v", pre, st)

@@ -15,7 +15,7 @@ import (
 // from the query alone — the bounded-evaluation schedule (boundedPlan) and the
 // members of the union of ECRPQ^er a vstar-free query is (Lemma 3, Lemma 7 /
 // Lemma 13) — into an immutable Plan. Binding a Plan to a database (Plan.Bind,
-// session.go) yields a Session owning the per-database caches; the historical
+// session.go) yields a Session over the database's atom store; the historical
 // one-shot functions (Eval, EvalBounded, Check, Explain, …) are thin wrappers
 // that prepare and bind per call.
 

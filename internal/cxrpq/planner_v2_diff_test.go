@@ -78,8 +78,8 @@ func TestPlannerV2Differential(t *testing.T) {
 
 // TestPlannerV2DifferentialWithDeltas interleaves session mutations with
 // evaluations: after every ApplyDelta, the maintained session of each
-// configuration must agree with a fresh rewrites-off bind on the mutated
-// database.
+// configuration must agree with a rewrites-off bind to a fresh copy of the
+// mutated database.
 func TestPlannerV2DifferentialWithDeltas(t *testing.T) {
 	plan := cxrpq.MustPrepare(cxrpq.MustParse("ans(x, z)\nx y : a\nx y : a|b\ny z : b+"))
 	for _, c := range []struct {
@@ -102,7 +102,7 @@ func TestPlannerV2DifferentialWithDeltas(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: EvalBounded: %v", step, err)
 				}
-				want, err := plan.BindTuned(sess.DB(), rewritesOff).EvalBounded(1)
+				want, err := plan.BindTuned(freshCopy(sess.DB()), rewritesOff).EvalBounded(1)
 				if err != nil {
 					t.Fatalf("step %d: EvalBounded (baseline): %v", step, err)
 				}

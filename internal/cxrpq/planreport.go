@@ -13,8 +13,7 @@ import (
 // computed from the Σ*-relaxed classical approximation of each atom (the
 // same relaxation the bounded engine prunes with) crossed with the
 // database's per-label statistics, and cached in the session's cache epoch
-// — so it is recomputed exactly when the DB revision moves, next to the
-// relation cache and the path-existence verdicts.
+// — so it is recomputed exactly when the DB revision moves.
 
 // PlanStep is one entry of a PlanReport: the pattern edge placed at this
 // plan position, how the join visits it, which of its endpoints the rest of

@@ -12,50 +12,41 @@ import (
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
 	"cxrpq/internal/planner"
-	"cxrpq/internal/xregex"
 )
 
 // This file is the evaluate-many half of the prepared-query subsystem: a
-// Session is a Plan bound to one database, owning every per-database memo
-// the evaluation engines consult — the atom-relation cache, the path-
-// existence verdicts of relaxed labels and a bounded result cache. All
-// Session methods are safe for concurrent use; concurrent calls share the
-// caches, so relation work done by one request is immediately visible to
-// the others.
+// Session is a Plan bound to one database. What it owns is what is per query
+// text — the physical plan memo and a bounded result cache; the atom facts
+// its evaluations derive (relations, supports, path-existence verdicts)
+// belong to the database revision and live in its atom store
+// (ecrpq.AtomStore), which every session bound to the same *graph.DB shares.
+// All Session methods are safe for concurrent use.
 //
 // Invalidation contract: the database must not be mutated while a call is
 // in flight. After a (quiescent) mutation, the next call observes the
-// bumped graph.DB revision and re-maintains the caches — fine-grained when
-// the DB's delta log covers the window with an insert-only, known-label
-// delta (atom relations are retained or frontier-extended per entry, of the
-// path-existence verdicts the positive ones survive, the result and plan
-// caches drop; see maintainLocked for the full matrix), wholesale otherwise.
-// Session.ApplyDelta applies a batched mutation and maintains eagerly; Invalidate
-// always forces the wholesale drop. Results returned by Eval/EvalBounded
-// may be served from the result cache and shared between callers — treat
-// the returned TupleSet as immutable.
+// bumped graph.DB revision, has the store brought up to it (once, whoever
+// asks first — see ecrpq.AtomStore for the matrix) and keeps its own memos
+// only across a net-empty window. Session.ApplyDelta applies a batched
+// mutation and maintains eagerly; Invalidate drops the database's store too.
+// Results returned by Eval/EvalBounded may be served from the result cache and
+// shared between callers — treat the returned TupleSet as immutable.
 
 const (
-	// verdictCap bounds the session's path-existence verdict memo.
-	verdictCap = 1 << 16
+	// runMemoCap bounds the per-run memos of a bounded evaluation.
+	runMemoCap = 1 << 16
 	// defaultResultCap bounds the session result cache.
 	defaultResultCap = 256
 )
 
-// SessionOptions tunes the cache capacities of a Session. Zero values
-// select defaults; a negative ResultCacheCap disables result caching
-// (structural caches stay on — they are what make a session worth
-// holding).
+// SessionOptions tunes a Session. The zero value selects the default; a
+// negative ResultCacheCap disables result caching.
 type SessionOptions struct {
-	RelCacheCap    int // atom-relation cache entries (default ecrpq.DefaultRelCacheCap)
 	ResultCacheCap int // whole-result entries (default 256; < 0 disables)
 }
 
-// epochMap is the session-local instance of the drop-all-on-overflow
-// bounded cache pattern (ecrpq.RelCache and xregex's match cache follow the
-// same recipe where they additionally need compute-outside-the-lock
-// insertion or exported stats): mutex + cap + whole-epoch drop + hit/miss
-// counters. It backs both the path-existence verdicts and the result cache.
+// epochMap is the drop-all-on-overflow bounded cache pattern (xregex's match
+// cache follows the same recipe): mutex + cap + whole-epoch drop + hit/miss
+// counters. It backs the result cache and a bounded run's memos.
 type epochMap[K comparable, V any] struct {
 	mu     sync.Mutex
 	cap    int
@@ -108,21 +99,13 @@ func (c *epochMap[K, V]) stats() (hits, misses uint64, size int) {
 	return c.hits, c.misses, len(c.m)
 }
 
-// sessionCaches is one epoch of per-database memos. A fresh set is swapped
-// in whenever the database revision moves, so no entry can outlive the data
-// it was derived from.
+// sessionCaches is one epoch of what a call works against. A fresh one is
+// swapped in whenever the database revision moves, so nothing in it can
+// outlive the data it was derived from.
 type sessionCaches struct {
-	rels *ecrpq.RelCache
-
-	// paths holds, by canonical print, whether a Σ*-relaxed atom label
-	// matches any path of D at all — the one bit the bounded engine's partial
-	// pruning reads (see pathExists).
-	paths *epochMap[string, bool]
-
-	// sups holds the supports standing in for the relations of atoms with an
-	// endpoint nothing reads (see support). No delta maintains them — one
-	// sweep recomputes a support — so every revision move empties them.
-	sups *epochMap[string, *ecrpq.EdgeRel]
+	// atoms is the atom store of the bound revision: the database's, not the
+	// session's — every session on the same *graph.DB holds the same one.
+	atoms *ecrpq.AtomStore
 
 	// The physical plan of the query's conjunctive skeleton (see
 	// planreport.go): cached per epoch like everything else, so it is
@@ -139,61 +122,6 @@ type sessionCaches struct {
 	planStrategy planner.Strategy // what the gate answers for the evaluation (see PlanReport)
 }
 
-func newSessionCaches(relCap int) *sessionCaches {
-	return &sessionCaches{
-		rels:  ecrpq.NewRelCache(relCap),
-		paths: newEpochMap[string, bool](verdictCap),
-		sups:  newEpochMap[string, *ecrpq.EdgeRel](verdictCap),
-	}
-}
-
-// support resolves the sources (with targets: the targets) of the classical
-// label's relation through the sups memo, as the diagonal relation of
-// ecrpq.SupportRelation. A cut sweep returns ErrCanceled and keeps nothing.
-func (sc *sessionCaches) support(db *graph.DB, label xregex.Node, sigma []rune, targets bool, bud *engine.Budget) (*ecrpq.EdgeRel, error) {
-	key := fmt.Sprintf("%s\x00%t", xregex.String(label), targets)
-	return sc.sups.getOr(key, func() (*ecrpq.EdgeRel, error) { return ecrpq.SupportRelation(db, label, sigma, targets, bud) })
-}
-
-// pathExists reports whether the classical label matches some path of db,
-// through the verdict memo. The answer comes from an existence probe that
-// stops at its first hit (ecrpq.PathExists), never from a relation; a probe
-// the budget cut short returns engine.ErrCanceled and leaves no verdict.
-func (sc *sessionCaches) pathExists(db *graph.DB, label xregex.Node, sigma []rune, bud *engine.Budget) (bool, error) {
-	return sc.paths.getOr(xregex.String(label), func() (bool, error) { return ecrpq.PathExists(db, label, sigma, bud) })
-}
-
-// afterInserts returns the verdicts that outlive an insert-only delta over an
-// unchanged alphabet: a path that existed still exists, while a label that
-// matched nothing may match now and has to be asked again.
-func afterInserts(paths *epochMap[string, bool]) *epochMap[string, bool] {
-	kept := newEpochMap[string, bool](paths.cap)
-	paths.mu.Lock()
-	defer paths.mu.Unlock()
-	for k, v := range paths.m {
-		if v {
-			kept.m[k] = true
-		}
-	}
-	return kept
-}
-
-// dropPlan forgets the physical plan, which a fine-grained delta pass cannot
-// keep (graph statistics moved). The relation cache and the verdicts are
-// maintained by the caller.
-func (sc *sessionCaches) dropPlan() {
-	sc.planMu.Lock()
-	sc.planDone = false
-	sc.planAtoms = nil
-	sc.planSpec = nil
-	sc.planMin = nil
-	sc.planTree = nil
-	sc.planFC = false
-	sc.planStrategy = planner.Backtracking
-	sc.planErr = nil
-	sc.planMu.Unlock()
-}
-
 // resultKey names one cached call result: the operation ("eval", "bool",
 // "check" or "explain"), its image bound — unbounded for the fragment-
 // dispatched operations over the union — and its tuple argument
@@ -208,7 +136,7 @@ type resultKey struct {
 const unbounded = -1
 
 // resultCache memoizes whole call results by resultKey; it lives inside one
-// cache epoch, so revision bumps clear it with everything else. A nil
+// cache epoch, so revision bumps clear it with the plan memo. A nil
 // *resultCache is valid and disabled.
 type resultCache struct {
 	epochMap[resultKey, any]
@@ -261,17 +189,6 @@ type Session struct {
 	sigma   []rune
 	caches  *sessionCaches
 	results *resultCache
-	maint   SessionMaint
-}
-
-// SessionMaint counts how the session reacted to database revision moves:
-// fine-grained delta maintenance, wholesale retention of a net-empty delta,
-// or a full cache flush (first bind, removals, new labels, an uncovered
-// revision window, or an explicit Invalidate).
-type SessionMaint struct {
-	DeltaApplies uint64 // per-entry maintenance passes (insert-only deltas)
-	Retains      uint64 // net-empty deltas: every cache kept, results included
-	FullRebuilds uint64 // whole-epoch flushes
 }
 
 // Bind binds the plan to a database with default cache options.
@@ -282,164 +199,85 @@ func (p *Plan) BindOpts(db *graph.DB, opts SessionOptions) *Session {
 	return &Session{plan: p, db: db, opts: opts}
 }
 
-// current returns this call's cache epoch, transparently maintaining it
-// when the database revision moved since the last call (see refreshLocked).
-// Calls already in flight keep the epoch they started with.
+// current returns this call's cache epoch, moving the session to the
+// database's revision first when a mutation left it behind. Calls already in
+// flight keep the epoch they started with.
 func (s *Session) current() (*sessionCaches, *resultCache, []rune) {
 	rev := s.db.Revision()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.bound || rev != s.rev {
-		s.refreshLocked(rev)
+		s.moveLocked(ecrpq.Atoms(s.db))
 	}
 	return s.caches, s.results, s.sigma
 }
 
-// refreshLocked brings the cache epoch up to revision rev: fine-grained
-// delta maintenance when the DB's mutation log covers the window with a
-// maintainable delta, a fresh epoch otherwise.
-func (s *Session) refreshLocked(rev uint64) {
-	if s.bound && s.caches != nil && rev != s.rev {
-		if info := s.db.DeltaSince(s.rev); info != nil && s.maintainLocked(info) {
-			s.rev = rev
-			return
-		}
+// moveLocked binds the session to atoms, its database's store at the current
+// revision. The facts are the store's to carry across the move; of its own
+// memos the session keeps everything across a net-empty window — the plan
+// memo and the results hold for the same graph — and nothing otherwise.
+func (s *Session) moveLocked(atoms *ecrpq.AtomStore) {
+	kept := s.bound && atoms.SameGraph(s.rev)
+	if s.bound, s.rev = true, s.db.Revision(); kept {
+		return
 	}
-	s.bound = true
-	s.rev = rev
 	s.sigma = mergeDBAlphabet(s.db, s.plan.c)
-	s.caches = newSessionCaches(s.opts.RelCacheCap)
+	s.caches = &sessionCaches{atoms: atoms}
 	s.results = newResultCache(s.opts.ResultCacheCap)
-	s.maint.FullRebuilds++
-}
-
-// maintainLocked applies the per-cache invalidation matrix for one delta
-// window and reports whether fine-grained maintenance succeeded (false
-// demands a full flush):
-//
-//	delta kind              rels        paths       plan   results
-//	net-empty (cancelled)   keep        keep        keep   keep
-//	insert-only, no new     retain/     keep true,  drop   drop
-//	labels                  extend      drop false
-//	removals / new labels   — full flush —
-//
-// A path-existence verdict is monotone under insertions over an unchanged
-// alphabet (which is also what its key, a print with classes unexpanded,
-// depends on): true stays true, false must be asked again. The relation
-// cache delegates to ecrpq.RelCache.ApplyDelta. Candidate images and
-// weighted relations are memoized per run and need no row.
-func (s *Session) maintainLocked(info *graph.DeltaInfo) bool {
-	if info.Empty() {
-		s.maint.Retains++
-		return true
-	}
-	if !info.InsertOnly() || len(info.NewLabels) > 0 {
-		return false
-	}
-	if _, _, err := s.caches.rels.ApplyDelta(s.db, info); err != nil {
-		return false
-	}
-	s.caches.paths = afterInserts(s.caches.paths)
-	s.caches.sups = newEpochMap[string, *ecrpq.EdgeRel](verdictCap)
-	s.caches.dropPlan()
-	s.results = newResultCache(s.opts.ResultCacheCap)
-	s.maint.DeltaApplies++
-	return true
 }
 
 // ApplyDelta applies a batched mutation to the bound database and eagerly
-// re-maintains the session caches, so the delta cost is paid at write time
-// instead of on the next query. Like every mutation it must be quiescent:
-// no session call (on any session bound to the same DB) may be in flight.
-// Other sessions bound to the database maintain themselves lazily on their
-// next call through the same delta log.
+// brings its atom store and the session up to it, so the delta cost is paid
+// at write time instead of on the next query. Like every mutation it must be
+// quiescent: no session call (on any session bound to the same DB) may be in
+// flight. Other sessions bound to the database adopt the maintained store on
+// their next call.
 func (s *Session) ApplyDelta(delta graph.Delta) (*graph.DeltaInfo, error) {
 	info, err := s.db.ApplyDelta(delta)
 	if err != nil {
 		return info, err
 	}
-	s.Refresh()
+	s.current()
 	return info, nil
 }
 
-// Refresh brings the session caches up to the database's current revision
-// immediately (delta maintenance or full flush, whichever applies) instead
-// of waiting for the next call. It is a no-op when nothing changed.
-func (s *Session) Refresh() {
-	rev := s.db.Revision()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.bound || rev != s.rev {
-		s.refreshLocked(rev)
-	}
-}
-
 // Fork returns a new Session bound to db — a successor of the current
-// binding, typically the next graph.Snapshot view of the same lineage —
-// with the cache epoch carried forward by the same invalidation matrix as
-// maintainLocked, but applied copy-on-write: the receiver is never
-// modified, so in-flight and parked readers of the old session (open
-// stream cursors included) keep their pinned epoch on their pinned
-// revision. This is the MVCC publish step of the serving layer: the writer
-// forks the pooled sessions onto each new snapshot at write time, so no
-// reader ever waits on maintenance.
-//
-// The fate of the caches per delta window (receiver revision → db's):
-//
-//	same revision / net-empty    epoch shared outright (caches are
-//	                             concurrency-safe; same data)
-//	insert-only, no new labels   relation cache forked + delta-maintained,
-//	                             positive path verdicts copied (negative
-//	                             ones may have flipped), plan/results fresh
-//	anything else                fresh epoch (full rebuild)
+// binding, typically the next graph.Snapshot view of the same lineage. The
+// receiver is never modified, so in-flight and parked readers of the old
+// session (open stream cursors included) keep their pinned epoch on their
+// pinned revision. This is the MVCC publish step of the serving layer: the
+// writer forks the pooled sessions onto each new snapshot at write time, so
+// no reader ever waits on maintenance — and the atom store is carried onto
+// the new view by the first fork, the others adopt it (AtomStore.CarryTo).
+// At the same revision the epoch is shared outright.
 func (s *Session) Fork(db *graph.DB) *Session {
 	ns := &Session{plan: s.plan, db: db, opts: s.opts, tune: s.tune}
-	rev := db.Revision()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	ns.maint = s.maint
-	if !s.bound || s.caches == nil {
+	ns.bound, ns.rev, ns.sigma, ns.caches, ns.results = s.bound, s.rev, s.sigma, s.caches, s.results
+	s.mu.Unlock()
+	if !ns.bound {
 		return ns // never-used receiver: the fork binds lazily on first use
 	}
-	if rev == s.rev {
-		ns.bound, ns.rev, ns.sigma = true, rev, s.sigma
-		ns.caches, ns.results = s.caches, s.results
-		return ns
+	// Outside s.mu — the receiver's readers do not wait for the delta pass —
+	// and without ns.mu: ns is not yet shared.
+	if atoms := ns.caches.atoms.CarryTo(db); db.Revision() != ns.rev {
+		ns.moveLocked(atoms)
 	}
-	if info := db.DeltaSince(s.rev); info != nil {
-		if info.Empty() {
-			ns.bound, ns.rev, ns.sigma = true, rev, s.sigma
-			ns.caches, ns.results = s.caches, s.results
-			ns.maint.Retains++
-			return ns
-		}
-		if info.InsertOnly() && len(info.NewLabels) == 0 {
-			rels := s.caches.rels.Fork()
-			if _, _, err := rels.ApplyDelta(db, info); err == nil {
-				ns.bound, ns.rev, ns.sigma = true, rev, s.sigma
-				ns.caches = &sessionCaches{rels: rels, paths: afterInserts(s.caches.paths),
-					sups: newEpochMap[string, *ecrpq.EdgeRel](verdictCap)}
-				ns.results = newResultCache(s.opts.ResultCacheCap)
-				ns.maint.DeltaApplies++
-				return ns
-			}
-		}
-	}
-	ns.refreshLocked(rev) // fresh epoch; safe: ns is not yet shared
 	return ns
 }
 
-// Invalidate drops every cache of the session unconditionally — no delta
-// maintenance, the next call starts a fresh epoch. Calling it is never
-// required for correctness after a quiescent DB mutation (the revision
-// check does it), but it releases memory immediately and covers callers
-// that mutated derived state out of band.
+// Invalidate drops every memo of the session and the atom store of its
+// database unconditionally — no delta maintenance, the next call starts a
+// fresh epoch. Calling it is never required for correctness after a quiescent
+// DB mutation (the revision check does it), but it releases memory
+// immediately and covers callers that mutated derived state out of band.
 func (s *Session) Invalidate() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.bound = false
 	s.caches = nil
 	s.results = nil
+	s.db.Derived(func(any) any { return nil })
 }
 
 // DB returns the bound database.
@@ -451,26 +289,26 @@ func (s *Session) Plan() *Plan { return s.plan }
 // Fragment returns the plan's fragment classification.
 func (s *Session) Fragment() string { return s.plan.fragment }
 
-// SessionStats is a point-in-time snapshot of a session's cache counters
-// (of the current epoch: Invalidate and revision bumps reset them).
+// SessionStats is a point-in-time snapshot of a session's counters and of
+// the atom store of its database (shared: other sessions move its numbers,
+// and its lineage's counters say how every revision move was taken).
 type SessionStats struct {
 	Revision     uint64
 	Fragment     string
-	Rel          ecrpq.RelCacheStats
-	Maint        SessionMaint
+	Atoms        ecrpq.AtomStats
 	ResultHits   uint64
 	ResultMisses uint64
 	ResultSize   int
 }
 
-// Stats returns a snapshot of the session's cache counters.
+// Stats returns a snapshot of the session's counters.
 func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
 	sc, rc := s.caches, s.results
-	st := SessionStats{Revision: s.rev, Fragment: s.plan.fragment, Maint: s.maint}
+	st := SessionStats{Revision: s.rev, Fragment: s.plan.fragment}
 	s.mu.Unlock()
 	if sc != nil {
-		st.Rel = sc.rels.Stats()
+		st.Atoms = sc.atoms.Stats()
 	}
 	if rc != nil {
 		st.ResultHits, st.ResultMisses, st.ResultSize = rc.stats()
@@ -587,7 +425,7 @@ func (s *Session) explanation(ex *Explanation) *Explanation {
 }
 
 // boundedRun binds the plan's bounded schedule (Theorem 6) to the session's
-// database and cache epoch for one run under bud: the one constructor of
+// database and its atom store for one run under bud: the one constructor of
 // every bounded evaluation, check, explanation and stream.
 func (s *Session) boundedRun(k int, boolOnly bool, pre map[string]int, bud *engine.Budget) (*boundedEngine, error) {
 	sc, _, sigma := s.current()
@@ -595,7 +433,7 @@ func (s *Session) boundedRun(k int, boolOnly bool, pre map[string]int, bud *engi
 	if err != nil {
 		return nil, err
 	}
-	return newBoundedEngine(bp, s.db, k, boolOnly, pre, sc, sigma, s.tune, bud)
+	return newBoundedEngine(bp, s.db, k, boolOnly, pre, sc.atoms, sigma, s.tune, bud)
 }
 
 // boundedOp runs one operation of the bounded engine through the result
@@ -631,7 +469,7 @@ func boundedOp[T any](s *Session, op string, k int, t pattern.Tuple, boolOnly bo
 }
 
 // EvalBounded evaluates the query under the CXRPQ^≤k semantics (Theorem 6)
-// through the session caches.
+// through the session's result cache and its database's atom store.
 func (s *Session) EvalBounded(k int) (*pattern.TupleSet, error) {
 	return s.evalBoundedBudget(k, false, nil)
 }
@@ -667,7 +505,7 @@ func (s *Session) evalBoundedBudget(k int, boolOnly bool, bud *engine.Budget) (*
 }
 
 // CheckBounded decides t̄ ∈ q^≤k(D) (Theorem 6 semantics) through the
-// session caches: the output variables are pre-bound, so each leaf join
+// same caches: the output variables are pre-bound, so each leaf join
 // only searches for one extension of the tuple.
 func (s *Session) CheckBounded(k int, t pattern.Tuple) (bool, error) {
 	return s.checkBoundedBudget(k, t, nil)
@@ -815,7 +653,7 @@ func (s *Session) Do(req Request) Response {
 
 // EvalBatch executes the requests concurrently across the engine worker
 // pool and returns the responses in request order. The requests share the
-// session caches, so overlapping work is done once.
+// session's caches and the atom store, so overlapping work is done once.
 func (s *Session) EvalBatch(reqs []Request) []Response {
 	out := make([]Response, len(reqs))
 	engine.Fan(s.tune.Workers, len(reqs), func(i int) {

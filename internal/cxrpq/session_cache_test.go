@@ -1,15 +1,16 @@
 package cxrpq_test
 
-// Eviction edge cases for the session-scoped bounded caches: a relation
-// cache far smaller than the number of distinct instantiated labels must
-// still produce exact results (entries are pure caches), the eviction
-// counter must move, and the result cache must report hits on repeated
-// calls and honor its disable switch.
+// Eviction edge cases for the bounded caches: an atom store whose budget the
+// instantiated relations overflow must still produce exact results (entries
+// are pure caches), the eviction counter must move, and the result cache must
+// report hits on repeated calls and honor its disable switch.
 
 import (
+	"fmt"
 	"testing"
 
 	"cxrpq/internal/cxrpq"
+	"cxrpq/internal/graph"
 	"cxrpq/internal/workload"
 )
 
@@ -56,65 +57,56 @@ func TestOnePlanOneResultEntry(t *testing.T) {
 	}
 }
 
+// TestSessionRelCacheEviction: what bounds the atom store is bytes. On a
+// 1 024-node a-cycle every relation of the form a…a+ or a…a* holds all n² pairs,
+// ~17 MB as the store accounts it, and the query instantiates five of them:
+// the store has to drop its epoch on the way, the answer has to be the same
+// every time (entries are pure caches; a run holds the relations it joins),
+// and the bytes reported never pass the budget.
 func TestSessionRelCacheEviction(t *testing.T) {
-	q := cxrpq.MustParse("ans(p, q)\np m : $x{a|b}c?\nm n : $y{$x|b}($x|$y)\nn q : $x+|b\n")
-	db := workload.Random(11, 6, 14, "abc")
-	const k = 2
-
-	want, err := cxrpq.EvalBoundedNaive(q, db, k)
-	if err != nil {
-		t.Fatal(err)
+	const n = 1024
+	db := graph.New()
+	for i := 0; i < n; i++ {
+		db.AddEdgeNames(fmt.Sprint("c", i), 'a', fmt.Sprint("c", (i+1)%n))
 	}
-
-	plan := cxrpq.MustPrepare(q)
-	// Capacity 2 forces constant epoch drops (a 3-edge query instantiates
-	// far more than 2 distinct labels per mapping sweep); result caching is
-	// disabled so the second call recomputes through the starved cache.
-	sess := plan.BindOpts(db, cxrpq.SessionOptions{RelCacheCap: 2, ResultCacheCap: -1})
-
+	plan := cxrpq.MustPrepare(cxrpq.MustParse("ans(x, u)\nx y : $w{a|aa}a+\ny z : $w a*\nz u : aa$w+\n"))
+	// Result caching is disabled so the second call recomputes through the store.
+	sess := plan.BindOpts(db, cxrpq.SessionOptions{ResultCacheCap: -1})
 	for call := 0; call < 2; call++ {
-		got, err := sess.EvalBounded(k)
-		if err != nil {
-			t.Fatalf("call %d: %v", call, err)
+		if ok, err := sess.EvalBoundedBool(2); err != nil || !ok {
+			t.Fatalf("call %d: %v, %v; every node reaches every node", call, ok, err)
 		}
-		if !got.Equal(want) {
-			t.Fatalf("call %d: wrong result under eviction pressure: %d tuples, want %d",
-				call, got.Len(), want.Len())
+		st := sess.Stats()
+		if st.Atoms.Evictions == 0 || st.Atoms.Misses == 0 {
+			t.Fatalf("call %d: expected the store to overflow its budget: %+v", call, st.Atoms)
 		}
-	}
-	st := sess.Stats()
-	if st.Rel.Evictions == 0 {
-		t.Fatalf("expected relation-cache evictions at capacity 2, got %+v", st.Rel)
-	}
-	if st.Rel.Size > 2 {
-		t.Fatalf("relation cache exceeded its capacity: %+v", st.Rel)
-	}
-	if st.Rel.Misses == 0 {
-		t.Fatalf("expected relation-cache misses, got %+v", st.Rel)
-	}
-	if st.ResultHits != 0 || st.ResultMisses != 0 {
-		t.Fatalf("result cache disabled but counted: %+v", st)
+		if st.Atoms.Bytes > st.Atoms.Budget || st.Atoms.Relations.Bytes > st.Atoms.Bytes {
+			t.Fatalf("call %d: the store holds more than its budget: %+v", call, st.Atoms)
+		}
+		if st.ResultHits != 0 || st.ResultMisses != 0 {
+			t.Fatalf("result cache disabled but counted: %+v", st)
+		}
 	}
 
-	// An amply sized session must agree with the starved one and show
-	// result-cache hits on the repeated call.
-	roomy := plan.Bind(db)
-	r1, err := roomy.EvalBounded(k)
+	// A store with room to spare never evicts, and the repeated call is a
+	// result-cache hit.
+	q := cxrpq.MustParse("ans(p, q)\np m : $x{a|b}c?\nm n : $y{$x|b}($x|$y)\nn q : $x+|b\n")
+	small := workload.Random(11, 6, 14, "abc")
+	want, err := cxrpq.EvalBoundedNaive(q, small, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := roomy.EvalBounded(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r1.Equal(want) || !r2.Equal(want) {
-		t.Fatal("roomy session diverged")
+	roomy := cxrpq.MustPrepare(q).Bind(small)
+	for call := 0; call < 2; call++ {
+		if got, err := roomy.EvalBounded(2); err != nil || !got.Equal(want) {
+			t.Fatalf("roomy call %d: %v tuples (%v), want %d", call, got.Len(), err, want.Len())
+		}
 	}
 	rst := roomy.Stats()
 	if rst.ResultHits == 0 {
 		t.Fatalf("expected a result-cache hit on the repeated call, got %+v", rst)
 	}
-	if rst.Rel.Evictions != 0 {
-		t.Fatalf("roomy session should not evict, got %+v", rst.Rel)
+	if rst.Atoms.Evictions != 0 || rst.Atoms.Relations.Entries == 0 {
+		t.Fatalf("roomy store should hold its relations and not evict, got %+v", rst.Atoms)
 	}
 }

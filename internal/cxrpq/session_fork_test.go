@@ -45,8 +45,8 @@ func TestSessionForkSnapshotIsolation(t *testing.T) {
 	if !again.Equal(base) {
 		t.Fatal("pinned session observed a later revision")
 	}
-	// The fork agrees with a fresh bind on the new view.
-	want, err := plan.Bind(snap2.DB()).EvalBounded(k)
+	// The fork agrees with a bind to a fresh copy of the new view.
+	want, err := plan.Bind(freshCopy(snap2.DB())).EvalBounded(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +61,11 @@ func TestSessionForkSnapshotIsolation(t *testing.T) {
 		t.Fatal("test vacuous: the delta did not change the answer")
 	}
 	st := s2.Stats()
-	if st.Maint.DeltaApplies != 1 || st.Maint.FullRebuilds != 1 {
-		t.Fatalf("insert-only fork should delta-maintain (applies=1, rebuilds=1), got %+v", st.Maint)
+	if st.Atoms.DeltaPasses != 1 || st.Atoms.FullRebuilds != 1 {
+		t.Fatalf("insert-only fork should delta-maintain (applies=1, rebuilds=1), got %+v", st.Atoms)
 	}
-	if st.Rel.Retained+st.Rel.Extended == 0 {
-		t.Fatalf("fork maintained no relation entries: %+v", st.Rel)
+	if st.Atoms.Retained+st.Atoms.Extended == 0 {
+		t.Fatalf("fork maintained no relation entries: %+v", st.Atoms)
 	}
 
 	// A removal window cannot be maintained: the next fork rebuilds.
@@ -76,7 +76,7 @@ func TestSessionForkSnapshotIsolation(t *testing.T) {
 	}
 	snap3 := db.Snapshot()
 	s3 := s2.Fork(snap3.DB())
-	want3, err := plan.Bind(snap3.DB()).EvalBounded(k)
+	want3, err := plan.Bind(freshCopy(snap3.DB())).EvalBounded(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +87,8 @@ func TestSessionForkSnapshotIsolation(t *testing.T) {
 	if !got3.Equal(want3) {
 		t.Fatal("post-removal fork diverged from a fresh bind")
 	}
-	if st3 := s3.Stats(); st3.Maint.FullRebuilds != 2 {
-		t.Fatalf("removal fork should full-rebuild, got %+v", st3.Maint)
+	if st3 := s3.Stats(); st3.Atoms.FullRebuilds != 2 {
+		t.Fatalf("removal fork should full-rebuild, got %+v", st3.Atoms)
 	}
 
 	// Forking without an intervening mutation shares the epoch.
@@ -138,7 +138,7 @@ func TestPathVerdictsAcrossInserts(t *testing.T) {
 	// settled checks a maintained session: positives kept, negatives gone
 	// before anything is asked again, and the answer that of a fresh bind.
 	settled := func(name string, s *cxrpq.Session, before map[string]bool, view *graph.DB) {
-		if st := s.Stats().Maint; st.DeltaApplies != 1 || st.FullRebuilds != 1 {
+		if st := s.Stats().Atoms; st.DeltaPasses != 1 || st.FullRebuilds != 1 {
 			t.Fatalf("%s: the insertion was not delta-maintained: %+v", name, st)
 		}
 		kept := s.PathVerdicts()
@@ -151,7 +151,7 @@ func TestPathVerdictsAcrossInserts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := plan.Bind(view).EvalBounded(k)
+		want, err := plan.Bind(freshCopy(view)).EvalBounded(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestSessionForkMutationStreamDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
-		want, err := plan.Bind(view).EvalBounded(k)
+		want, err := plan.Bind(freshCopy(view)).EvalBounded(k)
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
@@ -211,8 +211,8 @@ func TestSessionForkMutationStreamDifferential(t *testing.T) {
 			t.Fatalf("step %d: fork chain diverged: %d tuples, want %d", i, got.Len(), want.Len())
 		}
 	}
-	if st := sess.Stats(); st.Maint.DeltaApplies == 0 {
-		t.Fatalf("MutationStream deltas are insert-only; expected delta maintenance, got %+v", st.Maint)
+	if st := sess.Stats(); st.Atoms.DeltaPasses == 0 {
+		t.Fatalf("MutationStream deltas are insert-only; expected delta maintenance, got %+v", st.Atoms)
 	}
 }
 
@@ -256,7 +256,7 @@ func TestSessionForkConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := plan.Bind(db.Snapshot().DB()).Eval()
+	want, err := plan.Bind(freshCopy(db)).Eval()
 	if err != nil {
 		t.Fatal(err)
 	}

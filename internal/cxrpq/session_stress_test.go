@@ -111,8 +111,8 @@ func TestSessionConcurrentStressBounded(t *testing.T) {
 	}
 
 	st := sess.Stats()
-	if st.Rel.Hits == 0 {
-		t.Errorf("expected relation-cache hits under concurrent reuse, got %+v", st.Rel)
+	if st.Atoms.Hits == 0 {
+		t.Errorf("expected atom-store hits under concurrent reuse, got %+v", st.Atoms)
 	}
 }
 
@@ -316,18 +316,18 @@ func TestSessionConcurrentDeltaStress(t *testing.T) {
 	}
 
 	st := sess.Stats()
-	if st.Maint.DeltaApplies == 0 {
-		t.Errorf("no fine-grained delta maintenance happened under stress: %+v", st.Maint)
+	if st.Atoms.DeltaPasses == 0 {
+		t.Errorf("no fine-grained delta maintenance happened under stress: %+v", st.Atoms)
 	}
-	if st.Maint.FullRebuilds < 2 { // initial bind + the removal step
-		t.Errorf("removal step did not force a full flush: %+v", st.Maint)
+	if st.Atoms.FullRebuilds < 2 { // initial bind + the removal step
+		t.Errorf("removal step did not force a full flush: %+v", st.Atoms)
 	}
 }
 
 // TestSessionInvalidateForcesFullFlush is the regression test for the
 // explicit escape hatch: Invalidate must always start a fresh epoch — no
-// delta maintenance, empty relation cache — even when the delta log could
-// have maintained the caches fine-grained.
+// delta maintenance, an empty atom store — even when the delta log could
+// have maintained the store fine-grained.
 func TestSessionInvalidateForcesFullFlush(t *testing.T) {
 	q := cxrpq.MustParse("ans(p, q)\np m : $x{a|b}\nm q : $x|b\n")
 	db := workload.Random(31, 5, 10, "ab")
@@ -336,8 +336,8 @@ func TestSessionInvalidateForcesFullFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	pre := sess.Stats()
-	if pre.Rel.Size == 0 {
-		t.Fatal("relation cache unexpectedly empty after a bounded eval")
+	if pre.Atoms.Relations.Entries == 0 {
+		t.Fatal("atom store unexpectedly empty after a bounded eval")
 	}
 
 	// Insert-only delta — maintainable — but Invalidate must win.
@@ -357,13 +357,10 @@ func TestSessionInvalidateForcesFullFlush(t *testing.T) {
 		t.Fatalf("post-Invalidate result diverged: %d tuples, want %d", got.Len(), want.Len())
 	}
 	st := sess.Stats()
-	if st.Maint.DeltaApplies != 0 {
-		t.Fatalf("Invalidate was bypassed by delta maintenance: %+v", st.Maint)
+	if st.Atoms.DeltaPasses != 0 {
+		t.Fatalf("Invalidate was bypassed by delta maintenance: %+v", st.Atoms)
 	}
-	if st.Maint.FullRebuilds != pre.Maint.FullRebuilds+1 {
-		t.Fatalf("Invalidate did not force a full flush: %+v -> %+v", pre.Maint, st.Maint)
-	}
-	if st.Rel.Retained != 0 || st.Rel.Extended != 0 {
-		t.Fatalf("fresh epoch inherited maintenance counters: %+v", st.Rel)
+	if st.Atoms.FullRebuilds != 1 || st.Atoms.Retained != 0 || st.Atoms.Extended != 0 || st.Atoms.Relations.Entries == 0 {
+		t.Fatalf("Invalidate did not start the database's store afresh: %+v -> %+v", pre.Atoms, st.Atoms)
 	}
 }

@@ -75,9 +75,9 @@ type StreamOptions struct {
 
 	// Weight generalizes the ranked witness cost from edge count to a
 	// pluggable per-edge-label weight (engine.Weight; nil = unit cost).
-	// Ignored unless Ranked. Weighted evaluations bypass the session's
-	// cross-query relation caches — a weight function has no cache
-	// identity — so they trade cache reuse for the custom metric.
+	// Ignored unless Ranked. Weighted evaluations bypass the database's
+	// atom store — a weight function has no identity to file a relation
+	// under — so they trade reuse for the custom metric.
 	Weight engine.Weight
 
 	// Limit caps the total number of rows the cursor yields (0 = all).

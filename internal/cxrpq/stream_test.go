@@ -434,6 +434,23 @@ func TestDeadlineBoundsEveryMode(t *testing.T) {
 		}
 	}
 
+	// A group whose seed masks rule out nearly every source tuple: 1 600 nodes
+	// on a cycle, each with one outgoing label of forty, under an arity-3
+	// equality group that can start on any of them — a tuple survives only
+	// when its three sources agree on their label, 1 in 1 600, and the step
+	// walks the other n³ without a search. It polls the budget among those too.
+	masked := graph.New()
+	for i := 0; i < 1600; i++ {
+		masked.AddEdgeNames(fmt.Sprint("m", i), rune('A'+i%40), fmt.Sprint("m", (i+1)%1600))
+	}
+	masked.Index()
+	start := time.Now()
+	resp := cxrpq.MustPrepare(cxrpq.MustParse("ans()\nu v1 : $x{[^#][^#]#}\nw v2 : $x\nz v3 : $x")).Bind(masked).Do(cxrpq.Request{Op: "bool",
+		Budget: engine.NewBudget(context.Background(), start.Add(20*time.Millisecond), 0)})
+	if took := time.Since(start); took > 500*time.Millisecond || resp.OK || !errors.Is(resp.Err, engine.ErrCanceled) {
+		t.Errorf("masked group: OK=%v, %v after %v; want ErrCanceled within 500 ms of a 20 ms deadline", resp.OK, resp.Err, took)
+	}
+
 	// Unbudgeted, on a graph small enough to finish: all three modes agree,
 	// and the explanation is cached like the other answers.
 	db := workload.Random(7, 40, 120, "ab")

@@ -54,10 +54,9 @@ func RelationFor(db *graph.DB, label xregex.Node, sigma []rune) (*EdgeRel, error
 // never be shared. With o.Levels the relation carries, per pair, the edge
 // count of a shortest matching path, which ranked joins report as witness
 // cost; under o.Weight (which implies levels) the minimum total edge weight
-// instead. Weighted relations must NEVER enter cross-query relation caches:
-// a weight function has no cache identity, so two queries with distinct
-// weights would collide on the same label key. Callers build them per
-// query.
+// instead. Weighted relations must NEVER enter the atom store: a weight
+// function has no identity, so two queries with distinct weights would
+// collide on the same key. Callers build them per query.
 func BuildRelation(db *graph.DB, label xregex.Node, sigma []rune, o engine.ReachOpts) (*EdgeRel, error) {
 	n := db.NumNodes()
 	r := &EdgeRel{fwd: make([][]int, n)}
@@ -86,32 +85,6 @@ func BuildRelation(db *graph.DB, label xregex.Node, sigma []rune, o engine.Reach
 	if r.lev != nil {
 		copy(r.lev, res.Levs)
 	}
-	return r, nil
-}
-
-// SupportRelation computes the sources — with targets, the targets — of
-// label's relation in one engine.Support sweep that builds no pair, as the
-// diagonal relation {(u, u)}: in an unranked join where nothing reads the
-// atom's other endpoint (pattern.Graph.Reads) that stands in for the pairs.
-// A truncated sweep returns engine.ErrCanceled, like BuildRelation.
-func SupportRelation(db *graph.DB, label xregex.Node, sigma []rune, targets bool, bud *engine.Budget) (*EdgeRel, error) {
-	ent, err := compiledFor(label, sigma)
-	if err != nil {
-		return nil, err
-	}
-	c := ent.cache
-	if !targets {
-		_, c = ent.reverse()
-	}
-	sup, _, cut := engine.Support(db.Index(), c, targets, false, bud)
-	if cut {
-		return nil, engine.ErrCanceled
-	}
-	ids, r := bitList(sup), &EdgeRel{fwd: make([][]int, db.NumNodes())}
-	for i, u := range ids {
-		r.fwd[u] = ids[i : i+1 : i+1]
-	}
-	r.size = len(ids)
 	return r, nil
 }
 
@@ -214,7 +187,7 @@ func (r *EdgeRel) scan(forward bool, f func(u int, vs []int, costs []int32) bool
 }
 
 // Estimate returns the relation's exact planner cardinalities, computed
-// once per EdgeRel (relations are shared through the session cache, so the
+// once per EdgeRel (relations are shared through the atom store, so the
 // sweep amortizes across every mapping that joins over the relation).
 func (r *EdgeRel) Estimate() planner.Estimate {
 	r.estOnce.Do(func() { r.est = planner.EstimateRel(r) })

@@ -1,0 +1,367 @@
+package ecrpq
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"cxrpq/internal/engine"
+	"cxrpq/internal/graph"
+	"cxrpq/internal/xregex"
+)
+
+// The atom store. Every evaluation bottoms out in one question — which node
+// pairs of D does the classical regex L connect? — and its answer is a
+// function of (L, Σ, D) and of nothing else in the query. The store holds
+// those answers for one database revision, filed under atomKey(L, Σ):
+//
+//   - the complete relation (*EdgeRel), level-less until a ranked request
+//     upgrades it in place;
+//   - the support per direction — the sources, or the targets, as a node
+//     bitset — which stands in for the pairs of an atom whose other endpoint
+//     nothing reads, and its diagonal EdgeRel view, built at most once;
+//   - the existence verdict: does L label any path of D at all.
+//
+// It is the only resolver of the three — the lazy executor
+// (probeAtom.support), the Yannakakis program (evaluator.yannakakisPlan) and
+// the bounded engine of internal/cxrpq all ask it — so what one request
+// derived, every later and concurrent one over the revision finds, whatever
+// its query text. It lives in the database's derived-state slot
+// (graph.DB.Derived) and is collected with the snapshot; what bounds it is
+// bytes (atomBudget). See "The atom store" in internal/README.md.
+
+// AtomStore is the atom store of one database at one revision. All methods
+// are safe for concurrent use.
+type AtomStore struct {
+	db   *graph.DB
+	rev  uint64
+	same uint64 // an older revision with the graph of rev — the predecessor's, across net-empty windows — or rev
+	*atomFacts
+}
+
+// atomFacts is the table itself, shared by the stores of revisions with the
+// same graph.
+type atomFacts struct {
+	ctr    *atomCounters // of the whole lineage
+	budget int64
+
+	mu    sync.Mutex
+	m     map[string]*atomEntry
+	bytes int64
+}
+
+// atomBudget bounds the bytes one store accounts for (atomEntry.size). On
+// overflow the epoch is dropped: entries are pure caches.
+const atomBudget = 64 << 20
+
+type atomCounters struct {
+	hits, misses, evictions            atomic.Uint64
+	deltaPasses, retains, fullRebuilds atomic.Uint64
+	retained, extended                 atomic.Uint64
+}
+
+// atomEntry holds what is known about one (label, alphabet). Fields are read
+// and written under atomFacts.mu; the values they point to are immutable.
+type atomEntry struct {
+	rel   *EdgeRel
+	label xregex.Node // of rel: what a delta classifies and extends it by
+	sigma []rune
+
+	sup    [2][]uint64 // [0] the sources, [1] the targets
+	diag   [2]*EdgeRel // sup as the relation {(u, u)}
+	exists int8        // +1 some path matches, -1 none does, 0 not asked
+}
+
+// side indexes atomEntry.sup and diag.
+func side(targets bool) int {
+	if targets {
+		return 1
+	}
+	return 0
+}
+
+// relBytes accounts a relation with the reverse index it builds on demand.
+func relBytes(r *EdgeRel) int64 {
+	if r == nil {
+		return 0
+	}
+	b := 24*int64(len(r.fwd)) + 8*int64(r.size)
+	if r.lev != nil {
+		b += 24*int64(len(r.lev)) + 4*int64(r.size)
+	}
+	return 2 * b
+}
+
+func (e *atomEntry) supBytes() (n int64) {
+	for d := range e.sup {
+		n += 8*int64(len(e.sup[d])) + relBytes(e.diag[d])
+	}
+	return n
+}
+
+// size is what the entry is accounted at: 160 bytes before it holds any fact.
+func (e *atomEntry) size(key string) int64 {
+	return 160 + int64(len(key)) + relBytes(e.rel) + e.supBytes()
+}
+
+// Atoms returns the atom store of db at its current revision, maintaining the
+// one in db's slot first if a mutation left it behind.
+func Atoms(db *graph.DB) *AtomStore { return (*AtomStore)(nil).CarryTo(db) }
+
+// CarryTo returns the atom store of db, a successor of s's database — the
+// next snapshot view of its lineage: if db has none at its revision yet, s's
+// facts are brought up to it (successor), once; a later caller adopts what the
+// first one left.
+func (s *AtomStore) CarryTo(db *graph.DB) *AtomStore {
+	return db.Derived(func(cur any) any {
+		have, _ := cur.(*AtomStore)
+		if have == nil {
+			have = s
+		} else if have.rev == db.Revision() {
+			return have
+		}
+		return have.successor(db)
+	}).(*AtomStore)
+}
+
+// successor is the invalidation matrix, applied once per revision move. s is
+// never modified: readers pinned to an older view keep its facts.
+//
+//	net-empty window                 the facts are shared as they are
+//	insert-only, alphabet unchanged  relations retained or frontier-extended,
+//	                                 positive verdicts kept, the rest dropped
+//	                                 (afterInserts)
+//	anything else, or no s           a fresh store
+func (s *AtomStore) successor(db *graph.DB) *AtomStore {
+	ns := &AtomStore{db: db, rev: db.Revision(), same: db.Revision()}
+	ns.atomFacts = &atomFacts{ctr: &atomCounters{}, budget: atomBudget, m: map[string]*atomEntry{}}
+	if s != nil {
+		ns.ctr, ns.budget = s.ctr, s.budget
+		if info := db.DeltaSince(s.rev); info != nil {
+			switch {
+			case info.Empty():
+				ns.same, ns.atomFacts = s.same, s.atomFacts
+				s.ctr.retains.Add(1)
+				return ns
+			case info.InsertOnly() && len(info.NewLabels) == 0:
+				ns.atomFacts = s.afterInserts(db, info)
+				s.ctr.deltaPasses.Add(1)
+				return ns
+			}
+		}
+	}
+	ns.ctr.fullRebuilds.Add(1)
+	return ns
+}
+
+// SameGraph reports whether the database is known to have had, at revision
+// rev, the graph the store's facts hold for: what was derived from it then
+// is still good.
+func (s *AtomStore) SameGraph(rev uint64) bool { return rev == s.rev || rev == s.same }
+
+// resolve is the one way a fact is looked up: read finds it in the entry
+// filed under key, or build computes it — outside the lock, and under whatever
+// budget the caller closed over: a failed or cut build installs nothing — and
+// write files it, unless another builder was first. What the entry grew by is
+// accounted, and a store over its budget drops every other entry.
+func resolve[T any](s *AtomStore, key string, read func(*atomEntry) (T, bool), build func() (T, error), write func(*atomEntry, T)) (T, error) {
+	s.mu.Lock()
+	if e := s.m[key]; e != nil {
+		if v, ok := read(e); ok {
+			s.mu.Unlock()
+			s.ctr.hits.Add(1)
+			return v, nil
+		}
+	}
+	s.mu.Unlock()
+	s.ctr.misses.Add(1)
+	v, err := build()
+	if err != nil {
+		return v, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.m[key]
+	if e == nil {
+		e = &atomEntry{}
+		s.m[key] = e
+		s.bytes += e.size(key)
+	} else if old, ok := read(e); ok {
+		return old, nil
+	}
+	before := e.size(key)
+	write(e, v)
+	if s.bytes += e.size(key) - before; s.bytes > s.budget && len(s.m) > 1 {
+		s.m = map[string]*atomEntry{key: e}
+		s.bytes = e.size(key)
+		s.ctr.evictions.Add(1)
+	}
+	return v, nil
+}
+
+// Relation resolves the complete relation of label (see BuildRelation for
+// the options). With o.Levels a stored level-less relation is upgraded in
+// place on first ranked demand; callers that did not ask for levels may
+// therefore be handed a relation that carries them, which is why joins take
+// ranked-ness from their own options and never from the relation. A
+// budget-truncated build returns engine.ErrCanceled and installs nothing: a
+// partial relation would silently drop answers from every later query on the
+// snapshot. A weighted build has no identity to file it under and bypasses
+// the store.
+func (s *AtomStore) Relation(label xregex.Node, sigma []rune, o engine.ReachOpts) (*EdgeRel, error) {
+	if o.Weight != nil {
+		return BuildRelation(s.db, label, sigma, o)
+	}
+	return resolve(s, atomKey(label, sigma),
+		func(e *atomEntry) (*EdgeRel, bool) { return e.rel, e.rel != nil && (!o.Levels || e.rel.lev != nil) },
+		func() (*EdgeRel, error) { return BuildRelation(s.db, label, sigma, o) },
+		func(e *atomEntry, rel *EdgeRel) { e.rel, e.label, e.sigma = rel, label, sigma })
+}
+
+// support resolves the sources — with targets, the targets — of the relation
+// of ent's label, as a node bitset, by one engine.Support sweep that builds no
+// pair. A sweep the budget cut returns engine.ErrCanceled.
+func (s *AtomStore) support(ent *compiledEntry, targets bool, bud *engine.Budget) ([]uint64, error) {
+	d := side(targets)
+	return resolve(s, ent.key,
+		func(e *atomEntry) ([]uint64, bool) { return e.sup[d], e.sup[d] != nil },
+		func() ([]uint64, error) {
+			c := ent.cache
+			if !targets {
+				_, c = ent.reverse()
+			}
+			sup, _, cut := engine.Support(s.db.Index(), c, targets, false, bud)
+			if cut {
+				return nil, engine.ErrCanceled
+			}
+			return sup, nil
+		},
+		func(e *atomEntry, sup []uint64) { e.sup[d] = sup })
+}
+
+// Support is the support as the diagonal relation {(u, u)}: in an unranked
+// join where nothing reads the atom's other endpoint (pattern.Graph.Reads)
+// that stands in for the pairs.
+func (s *AtomStore) Support(label xregex.Node, sigma []rune, targets bool, bud *engine.Budget) (*EdgeRel, error) {
+	d := side(targets)
+	return resolve(s, atomKey(label, sigma),
+		func(e *atomEntry) (*EdgeRel, bool) { return e.diag[d], e.diag[d] != nil },
+		func() (*EdgeRel, error) {
+			ent, err := compiledFor(label, sigma)
+			if err != nil {
+				return nil, err
+			}
+			sup, err := s.support(ent, targets, bud)
+			if err != nil {
+				return nil, err
+			}
+			ids, diag := bitList(sup), &EdgeRel{fwd: make([][]int, s.db.NumNodes())}
+			for i, u := range ids {
+				diag.fwd[u] = ids[i : i+1 : i+1]
+			}
+			diag.size = len(ids)
+			return diag, nil
+		},
+		func(e *atomEntry, diag *EdgeRel) { e.diag[d] = diag })
+}
+
+// PathExists reports whether some path of the database matches the classical
+// label — whether its relation is non-empty — without computing it: an
+// ε-accepting label holds at every node, and anything else is one
+// engine.Support sweep from every node at once that stops at its first
+// accepted configuration. A budget that cancels before a hit yields (false,
+// engine.ErrCanceled) — the answer is unknown, not no — and leaves no verdict.
+func (s *AtomStore) PathExists(label xregex.Node, sigma []rune, bud *engine.Budget) (bool, error) {
+	if _, empty := label.(*xregex.Empty); empty || s.db.NumNodes() == 0 {
+		return false, nil
+	}
+	return resolve(s, atomKey(label, sigma),
+		func(e *atomEntry) (yes, known bool) {
+			return e.exists > 0 || e.rel != nil && !e.rel.Empty(), e.exists != 0 || e.rel != nil
+		},
+		func() (bool, error) {
+			ent, err := compiledFor(label, sigma)
+			if err != nil || ent.cache.Final(ent.cache.Start()) {
+				return err == nil, err
+			}
+			_, hits, _ := engine.Support(s.db.Index(), ent.cache, true, true, bud)
+			if hits > 0 {
+				return true, nil
+			}
+			return false, bud.Err()
+		},
+		func(e *atomEntry, yes bool) {
+			if e.exists = -1; yes {
+				e.exists = 1
+			}
+		})
+}
+
+// Verdicts returns the stored existence verdicts, by label print and alphabet.
+func (s *AtomStore) Verdicts() map[string]bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := map[string]bool{}
+	for key, e := range s.m {
+		if e.exists != 0 {
+			out[key] = e.exists > 0
+		}
+	}
+	return out
+}
+
+// AtomKind counts the facts of one kind and the bytes accounted to them.
+type AtomKind struct {
+	Entries int   `json:"entries"`
+	Bytes   int64 `json:"bytes"`
+}
+
+// AtomStats is a point-in-time snapshot of a store: what it holds, and the
+// counters of its lineage — they carry over every revision move.
+type AtomStats struct {
+	Relations AtomKind `json:"relations"`
+	Supports  AtomKind `json:"supports"`
+	Verdicts  AtomKind `json:"verdicts"`
+	Bytes     int64    `json:"bytes"` // accounted in all, entry overheads included
+	Budget    int64    `json:"budget"`
+
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"` // whole-epoch drops on overflow
+
+	// Revision moves, by row of the matrix, and what the delta passes did to
+	// the relations they found.
+	DeltaPasses  uint64 `json:"delta_passes"`
+	Retains      uint64 `json:"retains"`
+	FullRebuilds uint64 `json:"full_rebuilds"`
+	Retained     uint64 `json:"retained"`
+	Extended     uint64 `json:"extended"`
+}
+
+// Stats returns a snapshot of the store.
+func (s *AtomStore) Stats() AtomStats {
+	c := s.ctr
+	st := AtomStats{Budget: s.budget,
+		Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions.Load(),
+		DeltaPasses: c.deltaPasses.Load(), Retains: c.retains.Load(), FullRebuilds: c.fullRebuilds.Load(),
+		Retained: c.retained.Load(), Extended: c.extended.Load()}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st.Bytes = s.bytes
+	for _, e := range s.m {
+		if e.rel != nil {
+			st.Relations.Entries++
+			st.Relations.Bytes += relBytes(e.rel)
+		}
+		for d := range e.sup {
+			if e.sup[d] != nil {
+				st.Supports.Entries++
+			}
+		}
+		st.Supports.Bytes += e.supBytes()
+		if e.exists != 0 {
+			st.Verdicts.Entries++
+			st.Verdicts.Bytes++
+		}
+	}
+	return st
+}

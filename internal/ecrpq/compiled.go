@@ -15,6 +15,7 @@ import (
 // vstar-free query — is reused by every other evaluation of the same edge
 // language, including concurrent ones.
 type compiledEntry struct {
+	key   string // atomKey of the label and alphabet compiled; the atom store files its facts under it
 	nfa   *automata.NFA
 	cache *automata.SubsetCache
 
@@ -71,9 +72,16 @@ var (
 	compiledMap = map[string]*compiledEntry{}
 )
 
+// atomKey names a classical label over an alphabet: what a compiled automaton
+// and every fact of the atom store (atomstore.go) is a function of, besides
+// the database.
+func atomKey(label xregex.Node, sigma []rune) string {
+	return xregex.String(label) + "\x00" + string(sigma)
+}
+
 // compiledFor returns the shared compiled entry for the regex over sigma.
 func compiledFor(label xregex.Node, sigma []rune) (*compiledEntry, error) {
-	key := xregex.String(label) + "\x00" + string(sigma)
+	key := atomKey(label, sigma)
 	compiledMu.Lock()
 	if e, ok := compiledMap[key]; ok {
 		compiledMu.Unlock()
@@ -85,7 +93,7 @@ func compiledFor(label xregex.Node, sigma []rune) (*compiledEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &compiledEntry{nfa: m, cache: automata.NewSubsetCache(m)}
+	e := &compiledEntry{key: key, nfa: m, cache: automata.NewSubsetCache(m)}
 	compiledMu.Lock()
 	defer compiledMu.Unlock()
 	if old, ok := compiledMap[key]; ok { // raced with another compiler

@@ -1,19 +1,21 @@
 package ecrpq
 
 import (
+	"slices"
+
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/xregex"
 )
 
-// This file is the relation layer's half of the incremental-update
-// subsystem: RelCache.ApplyDelta maintains the materialized atom relations
-// across an insert-only database delta instead of flushing them. Per entry
-// it decides between three fates using the metadata captured at
-// For() time:
+// This file is the atom store's half of the incremental-update subsystem:
+// atomFacts.afterInserts maintains the materialized atom relations across an
+// insert-only database delta instead of flushing them. Per relation it
+// decides between two fates:
 //
-//   - retain: the delta's labels are disjoint from the atom's alphabet. A
-//     matching path can only use the atom's own symbols, so no new pair can
+//   - retain: the delta's labels are disjoint from the atom's alphabet (the
+//     labels of its automaton's transitions: touchedBy). A matching path can
+//     only use the atom's own symbols, so no new pair can
 //     appear; the relation is kept, grown by rows for newly interned nodes
 //     (an identity row when ε ∈ L, since every node trivially ε-reaches
 //     itself).
@@ -24,58 +26,9 @@ import (
 //     shared compiled automaton) and every other row is carried over. Edge
 //     insertion is monotone for reachability, which is what makes carrying
 //     rows sound.
-//   - recompute: anything that defeats the classification (a relation whose
-//     node range doesn't match the pre-delta node count) falls back to
-//     RelationFor.
 //
-// Removals and alphabet changes never reach this code: the session layer
-// flushes the whole cache for those (see cxrpq.Session), because a removed
-// edge can shrink relations in ways no local frontier bounds.
-
-// labelAlphabet collects the literal symbols of a label's AST. universal
-// reports that the language may involve any symbol of Σ — a negated
-// character class (incl. the "." wildcard) or a variable — in which case
-// syms is not exhaustive and the entry must be treated as intersecting
-// every delta.
-func labelAlphabet(n xregex.Node) (syms map[rune]bool, universal bool) {
-	syms = map[rune]bool{}
-	var walk func(xregex.Node)
-	walk = func(n xregex.Node) {
-		switch t := n.(type) {
-		case *xregex.Sym:
-			syms[t.R] = true
-		case *xregex.Class:
-			if t.Neg {
-				universal = true
-			} else {
-				for _, r := range t.Set {
-					syms[r] = true
-				}
-			}
-		case *xregex.Ref:
-			universal = true
-		case *xregex.Def:
-			universal = true
-			walk(t.Body)
-		case *xregex.Cat:
-			for _, k := range t.Kids {
-				walk(k)
-			}
-		case *xregex.Alt:
-			for _, k := range t.Kids {
-				walk(k)
-			}
-		case *xregex.Plus:
-			walk(t.Kid)
-		case *xregex.Star:
-			walk(t.Kid)
-		case *xregex.Opt:
-			walk(t.Kid)
-		}
-	}
-	walk(n)
-	return syms, universal
-}
+// Removals and alphabet changes never reach this code (AtomStore.successor):
+// a removed edge can shrink relations in ways no local frontier bounds.
 
 // deltaFrontier is the set of sources whose relation rows an insert-only
 // delta can change: every node that reaches the tail of an added edge in
@@ -121,68 +74,63 @@ func buildFrontier(db *graph.DB, info *graph.DeltaInfo) *deltaFrontier {
 	return f
 }
 
-// Size returns the number of frontier sources.
-func (f *deltaFrontier) Size() int { return len(f.list) }
-
-// ApplyDelta maintains every cached relation across an insert-only delta
-// with no new labels (the caller — cxrpq.Session — guarantees both; other
-// deltas must Reset instead). It returns the number of entries retained and
-// frontier-extended; on any error the cache is left empty, which is always
-// correct.
-func (c *RelCache) ApplyDelta(db *graph.DB, info *graph.DeltaInfo) (retained, extended int, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if info.Empty() || len(c.m) == 0 {
-		retained = len(c.m)
-		c.retained += uint64(retained)
-		return retained, 0, nil
+// afterInserts returns the facts that outlive an insert-only delta with no
+// new labels (successor guarantees both), over the updated database db: every
+// relation retained or frontier-extended, every positive verdict, and nothing
+// else — no delta maintains a support, one sweep recomputes it, and a label
+// that matched nothing may match now. f is only read, under its lock; the
+// searches run outside it.
+func (f *atomFacts) afterInserts(db *graph.DB, info *graph.DeltaInfo) *atomFacts {
+	nf := &atomFacts{ctr: f.ctr, budget: f.budget, m: map[string]*atomEntry{}}
+	f.mu.Lock()
+	for key, e := range f.m {
+		if e.rel != nil || e.exists > 0 {
+			nf.m[key] = &atomEntry{rel: e.rel, label: e.label, sigma: e.sigma, exists: max(e.exists, 0)}
+		}
 	}
-	deltaSyms := map[rune]bool{}
-	for _, r := range info.Labels {
-		deltaSyms[r] = true
-	}
+	f.mu.Unlock()
 	oldN := info.FirstNewNode()
 	var frontier *deltaFrontier
-	for _, e := range c.m {
-		_, isEmpty := e.label.(*xregex.Empty)
-		touched := !isEmpty && e.universal
-		if !touched && !isEmpty {
-			for r := range deltaSyms {
-				if e.syms[r] {
-					touched = true
-					break
+	var retained, extended uint64
+	for key, e := range nf.m {
+		if e.rel != nil {
+			ent, touched := e.touchedBy(info.Labels)
+			switch {
+			case e.rel.NumNodes() != oldN || touched && ent == nil: // not of the predecessor's graph: cannot happen, and costs one rebuild if it does
+				e.rel, e.label, e.sigma = nil, nil, nil
+			case !touched:
+				e.rel = growRelation(e.rel, info.Nodes, ent != nil && ent.cache.Final(ent.cache.Start()))
+				retained++
+			default:
+				if frontier == nil {
+					frontier = buildFrontier(db, info)
 				}
+				e.rel = extendRelation(db, e.rel, ent, frontier, info.Nodes)
+				extended++
 			}
 		}
-		switch {
-		case e.rel.NumNodes() != oldN:
-			// Unexpected range (shouldn't happen): recompute outright.
-			rel, rerr := RelationFor(db, e.label, e.sigma)
-			if rerr != nil {
-				c.m = map[string]*relEntry{}
-				return 0, 0, rerr
-			}
-			e.rel = rel
-			extended++
-		case !touched:
-			e.rel = growRelation(e.rel, info.Nodes, e.hasEps)
-			retained++
-		default:
-			if frontier == nil {
-				frontier = buildFrontier(db, info)
-			}
-			rel, rerr := extendRelation(db, e, frontier, info.Nodes)
-			if rerr != nil {
-				c.m = map[string]*relEntry{}
-				return 0, 0, rerr
-			}
-			e.rel = rel
-			extended++
-		}
+		nf.bytes += e.size(key)
 	}
-	c.retained += uint64(retained)
-	c.extended += uint64(extended)
-	return retained, extended, nil
+	if nf.bytes > nf.budget {
+		nf.m, nf.bytes = map[string]*atomEntry{}, 0
+		nf.ctr.evictions.Add(1)
+	}
+	nf.ctr.retained.Add(retained)
+	nf.ctr.extended.Add(extended)
+	return nf
+}
+
+// touchedBy compiles the label of the entry's relation — to nil for ∅ — and
+// reports whether a delta over the given labels can add a pair to it: when
+// one of them labels a transition of the automaton, which has the negated
+// classes expanded over Σ (or when the label no longer compiles, which cannot
+// happen).
+func (e *atomEntry) touchedBy(labels []rune) (*compiledEntry, bool) {
+	if _, empty := e.label.(*xregex.Empty); empty {
+		return nil, false
+	}
+	ent, err := compiledFor(e.label, e.sigma)
+	return ent, err != nil || slices.ContainsFunc(ent.nfa.Labels(), func(l int32) bool { return slices.Contains(labels, rune(l)) })
 }
 
 // growRelation widens a relation untouched by the delta to the new node
@@ -219,20 +167,15 @@ func growRelation(old *EdgeRel, newN int, hasEps bool) *EdgeRel {
 // including its levels when the entry has them: a non-frontier source
 // cannot reach any added edge, so neither its pair set nor its shortest
 // path lengths changed.
-func extendRelation(db *graph.DB, e *relEntry, frontier *deltaFrontier, newN int) (*EdgeRel, error) {
-	ent, err := compiledFor(e.label, e.sigma)
-	if err != nil {
-		return nil, err
-	}
-	ix := db.Index()
-	withLev := e.rel.lev != nil
-	res := engine.ReachBatchEx(ix, ent.cache, frontier.list, true,
+func extendRelation(db *graph.DB, old *EdgeRel, ent *compiledEntry, frontier *deltaFrontier, newN int) *EdgeRel {
+	withLev := old.lev != nil
+	res := engine.ReachBatchEx(db.Index(), ent.cache, frontier.list, true,
 		engine.ReachOpts{Levels: withLev})
 	r := &EdgeRel{fwd: make([][]int, newN)}
-	copy(r.fwd, e.rel.fwd)
+	copy(r.fwd, old.fwd)
 	if withLev {
 		r.lev = make([][]int32, newN)
-		copy(r.lev, e.rel.lev)
+		copy(r.lev, old.lev)
 	}
 	for i, u := range frontier.list {
 		r.fwd[u] = res.Hits[i]
@@ -243,5 +186,5 @@ func extendRelation(db *graph.DB, e *relEntry, frontier *deltaFrontier, newN int
 	for _, vs := range r.fwd {
 		r.size += len(vs)
 	}
-	return r, nil
+	return r
 }

@@ -2,6 +2,7 @@ package ecrpq
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"cxrpq/internal/engine"
@@ -56,10 +57,10 @@ func relEqual(a, b *EdgeRel) bool {
 	return true
 }
 
-// TestRelCacheApplyDelta drives insert-only deltas through a populated
-// relation cache and checks every maintained relation — retained,
-// node-grown and frontier-extended — against a from-scratch RelationFor on
-// the mutated database.
+// TestRelCacheApplyDelta drives insert-only deltas under a populated atom
+// store and checks every maintained relation — retained, node-grown and
+// frontier-extended — against a from-scratch RelationFor on the mutated
+// database.
 func TestRelCacheApplyDelta(t *testing.T) {
 	labels := []xregex.Node{
 		xregex.MustParse("a(b|c)*"), // touched by a/b/c deltas
@@ -72,10 +73,9 @@ func TestRelCacheApplyDelta(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		db := randomDB(seed, 8, 20, "abc")
 		sigma := []rune("abc")
-		c := NewRelCache(0)
 		for _, l := range labels {
-			if _, err := c.For(db, l, sigma, engine.ReachOpts{}); err != nil {
-				t.Fatalf("seed %d: For: %v", seed, err)
+			if _, err := Atoms(db).Relation(l, sigma, engine.ReachOpts{}); err != nil {
+				t.Fatalf("seed %d: Relation: %v", seed, err)
 			}
 		}
 		r := &testRNG{s: uint64(seed^0x5ca1ab1e)*2654435761 + 1}
@@ -102,16 +102,13 @@ func TestRelCacheApplyDelta(t *testing.T) {
 			if len(info.NewLabels) > 0 {
 				t.Fatalf("seed %d step %d: delta over abc reported new labels %q", seed, step, string(info.NewLabels))
 			}
-			retained, extended, err := c.ApplyDelta(db, info)
-			if err != nil {
-				t.Fatalf("seed %d step %d: RelCache.ApplyDelta: %v", seed, step, err)
-			}
-			if retained+extended != len(labels) {
-				t.Fatalf("seed %d step %d: %d retained + %d extended != %d entries",
-					seed, step, retained, extended, len(labels))
+			before := Atoms(db).Stats() // the first to ask after the mutation maintains the store
+			if before.DeltaPasses != uint64(step)+1 || before.Retained+before.Extended != uint64((step+1)*len(labels)) {
+				t.Fatalf("seed %d step %d: %d passes, %d retained + %d extended; want %d passes over %d entries each",
+					seed, step, before.DeltaPasses, before.Retained, before.Extended, step+1, len(labels))
 			}
 			for _, l := range labels {
-				got, err := c.For(db, l, sigma, engine.ReachOpts{}) // must hit: maintenance keeps entries live
+				got, err := Atoms(db).Relation(l, sigma, engine.ReachOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,9 +122,12 @@ func TestRelCacheApplyDelta(t *testing.T) {
 				}
 			}
 		}
-		st := c.Stats()
+		st := Atoms(db).Stats()
 		if st.Retained == 0 || st.Extended == 0 {
 			t.Fatalf("seed %d: expected both retained and extended entries, got %+v", seed, st)
+		}
+		if st.Misses != uint64(len(labels)) {
+			t.Fatalf("seed %d: %d misses for %d labels: maintenance must keep the entries live", seed, st.Misses, len(labels))
 		}
 	}
 }
@@ -138,26 +138,20 @@ func TestRelCacheApplyDelta(t *testing.T) {
 func TestRelCacheDeltaDisjointRetains(t *testing.T) {
 	db := graph.MustParse("u a v\nv b w\nw c u")
 	sigma := []rune("abc")
-	c := NewRelCache(0)
 	ab := xregex.MustParse("(a|b)+")
 	cc := xregex.MustParse("c+")
 	for _, l := range []xregex.Node{ab, cc} {
-		if _, err := c.For(db, l, sigma, engine.ReachOpts{}); err != nil {
+		if _, err := Atoms(db).Relation(l, sigma, engine.ReachOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	info, err := db.ApplyDelta(graph.Delta{Add: []graph.DeltaEdge{{From: "u", Label: 'c', To: "w"}}})
-	if err != nil {
+	if _, err := db.ApplyDelta(graph.Delta{Add: []graph.DeltaEdge{{From: "u", Label: 'c', To: "w"}}}); err != nil {
 		t.Fatal(err)
 	}
-	retained, extended, err := c.ApplyDelta(db, info)
-	if err != nil {
-		t.Fatal(err)
+	if st := Atoms(db).Stats(); st.Retained != 1 || st.Extended != 1 {
+		t.Fatalf("retained=%d extended=%d, want 1/1", st.Retained, st.Extended)
 	}
-	if retained != 1 || extended != 1 {
-		t.Fatalf("retained=%d extended=%d, want 1/1", retained, extended)
-	}
-	got, _ := c.For(db, cc, sigma, engine.ReachOpts{})
+	got, _ := Atoms(db).Relation(cc, sigma, engine.ReachOpts{})
 	want, _ := RelationFor(db, cc, sigma)
 	if !relEqual(got, want) {
 		t.Fatal("extended c+ relation diverged")
@@ -167,28 +161,24 @@ func TestRelCacheDeltaDisjointRetains(t *testing.T) {
 	}
 }
 
-// TestLabelAlphabet pins the conservative classification of label ASTs.
+// TestLabelAlphabet pins which deltas touch a relation: those over a label of
+// its automaton's transitions, with classes — negated ones too — expanded over
+// the alphabet it was compiled for.
 func TestLabelAlphabet(t *testing.T) {
-	cases := []struct {
-		src       string
-		syms      string
-		universal bool
-	}{
-		{"a(b|c)*", "abc", false},
-		{"[ab]d?", "abd", false},
-		{"[^a]", "", true},
-		{".*", "", true},
-		{"$x{a}b", "ab", true}, // variables: conservative
-	}
-	for _, tc := range cases {
-		syms, universal := labelAlphabet(xregex.MustParse(tc.src))
-		if universal != tc.universal {
-			t.Fatalf("%s: universal=%v, want %v", tc.src, universal, tc.universal)
-		}
-		for _, r := range tc.syms {
-			if !syms[r] {
-				t.Fatalf("%s: missing symbol %c", tc.src, r)
+	for _, tc := range []struct{ src, sigma, touching, not string }{
+		{"a(b|c)*", "abcd", "abc", "d"},
+		{"[ab]d?", "abcd", "abd", "c"},
+		{"[^a]", "abc", "bc", "a"},
+		{".*", "ab", "ab", "c"},
+	} {
+		e := &atomEntry{label: xregex.MustParse(tc.src), sigma: []rune(tc.sigma)}
+		for _, r := range tc.touching + tc.not {
+			if _, touched := e.touchedBy([]rune{r}); touched != strings.ContainsRune(tc.touching, r) {
+				t.Fatalf("%s over %s: touched by %c = %v", tc.src, tc.sigma, r, touched)
 			}
 		}
+	}
+	if ent, touched := (&atomEntry{label: &xregex.Empty{}}).touchedBy([]rune("a")); ent != nil || touched {
+		t.Fatal("a delta touched ∅")
 	}
 }

@@ -27,6 +27,7 @@ type evaluator struct {
 	db       *graph.DB
 	ix       *graph.Index
 	stats    *graph.Stats
+	store    *AtomStore // of db: relations and supports outlive the evaluation there
 	sigma    []rune
 	atoms    []probeAtom     // per pattern edge
 	gscratch []*groupScratch // per group
@@ -77,6 +78,7 @@ func newEvaluator(q *Query, db *graph.DB, o Options, lazy bool) (*evaluator, err
 		db:       db,
 		ix:       db.Index(),
 		stats:    db.Stats(),
+		store:    Atoms(db),
 		sigma:    sigma,
 		atoms:    make([]probeAtom, len(q.Pattern.Edges)),
 		gscratch: make([]*groupScratch, len(q.Groups)),
@@ -139,7 +141,7 @@ type probeRow struct {
 type probeMemo struct {
 	at   []int32 // [node] -> 1 + position in rows; 0 = not probed
 	rows []probeRow
-	sup  []uint64 // the nodes with a non-empty row, once swept for (support)
+	sup  []uint64 // the nodes with a non-empty row, once asked for (support)
 }
 
 func (m *probeMemo) get(u int) (probeRow, bool) {
@@ -223,16 +225,13 @@ func (p *probeAtom) prefetch(nodes []int, forward bool) {
 	}
 }
 
-// support is one set-source sweep against the probe direction in place of a
-// row per node. A sweep the budget cut is not memoized and sends the caller
-// back to the rows, where the same budget unwinds it.
+// support is the atom store's support bitset in place of a row per node: the
+// sources when forward, else the targets. A sweep the budget cut leaves nil
+// and sends the caller back to the rows, where the same budget unwinds it.
 func (p *probeAtom) support(forward bool) []uint64 {
 	memo, _ := p.side(forward)
 	if memo.sup == nil {
-		_, c := p.side(!forward)
-		if sup, _, cut := engine.Support(p.ev.ix, c, !forward, false, p.ev.bud); !cut {
-			memo.sup = sup
-		}
+		memo.sup, _ = p.ev.store.support(p.ent, !forward, p.ev.bud)
 	}
 	return memo.sup
 }
@@ -276,29 +275,6 @@ func (p *probeAtom) scan(forward bool, f func(u int, vs []int, costs []int32) bo
 			chunk *= 4
 		}
 	}
-}
-
-// PathExists reports whether some path of db matches the classical label —
-// whether the relation BuildRelation would compute is non-empty — without
-// computing it: an ε-accepting label holds at every node, and anything else
-// is one engine.Support sweep from every node at once that stops at its first
-// accepted configuration. A budget that cancels before a hit yields (false,
-// engine.ErrCanceled): the answer is unknown, not no.
-func PathExists(db *graph.DB, label xregex.Node, sigma []rune, bud *engine.Budget) (bool, error) {
-	if _, empty := label.(*xregex.Empty); empty || db.NumNodes() == 0 {
-		return false, nil
-	}
-	ent, err := compiledFor(label, sigma)
-	if err != nil {
-		return false, err
-	}
-	if ent.cache.Final(ent.cache.Start()) {
-		return true, nil
-	}
-	if _, hits, _ := engine.Support(db.Index(), ent.cache, true, true, bud); hits > 0 {
-		return true, nil
-	}
-	return false, bud.Err()
 }
 
 // planAtoms returns the join's atoms — the ungrouped edges minimization kept

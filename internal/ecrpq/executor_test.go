@@ -241,8 +241,8 @@ func TestExecutorDifferential(t *testing.T) {
 	}
 }
 
-// Ranked-ness is a field of the compiled plan, set by the caller. A session's
-// relation cache hands out a level-bearing relation to unranked requests once
+// Ranked-ness is a field of the compiled plan, set by the caller. The atom
+// store hands out a level-bearing relation to unranked requests once
 // any ranked request has upgraded the entry; the unranked join over it must
 // still collapse parallel atoms, take the free-connex shortcut and report
 // zero costs — the same yields whichever way the cache was warmed. (Inferring
@@ -253,16 +253,15 @@ func TestJoinRankedComesFromCallerNotRelation(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		fmt.Fprintf(&sb, "c a l%d\nc b m%d\n", i, i)
 	}
-	db := graph.MustParse(sb.String())
 	g := pattern.MustParseQuery("ans(x)\nx y : a\nx z : b")
 	for _, warmRanked := range []bool{false, true} {
-		c := NewRelCache(0)
+		db := graph.MustParse(sb.String()) // with a store of its own
 		rels := make([]*EdgeRel, len(g.Edges))
 		for i, e := range g.Edges {
-			if _, err := c.For(db, e.Label, db.Alphabet(), engine.ReachOpts{Levels: warmRanked}); err != nil {
+			if _, err := Atoms(db).Relation(e.Label, db.Alphabet(), engine.ReachOpts{Levels: warmRanked}); err != nil {
 				t.Fatal(err)
 			}
-			r, err := c.For(db, e.Label, db.Alphabet(), engine.ReachOpts{})
+			r, err := Atoms(db).Relation(e.Label, db.Alphabet(), engine.ReachOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

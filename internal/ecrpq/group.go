@@ -53,6 +53,10 @@ type groupStep struct {
 	// seeds[l] is the set of first symbols still possible once l free sources
 	// are bound, SymWords words each (seeded groups only).
 	seeds []uint64
+	// skipped counts the source tuples the seeds ruled out without a search,
+	// hence without a budget poll: bindSrc polls once per 1 024 of them (a
+	// skip is a few AND words, a poll the work of dozens).
+	skipped int
 }
 
 // addGroup appends the step of ev's relation group gi.
@@ -119,7 +123,12 @@ func (g *groupStep) bindSrc(a, free []int32, lvl int, cont func(int32) bool) boo
 		w := ix.SymWords()
 		for u := 0; u < g.ev.db.NumNodes(); u++ {
 			if g.seeds != nil && !andInto(g.seeds[(lvl+1)*w:(lvl+2)*w], g.seeds[lvl*w:(lvl+1)*w], ix.OutSyms(u)) {
-				continue // no symbol leaves every source bound so far: the product dies at its start
+				// No symbol leaves every source bound so far: the product dies at its start.
+				if g.skipped++; g.skipped%1024 == 0 && g.ev.bud.Canceled() {
+					g.sc.cut = true
+					return false
+				}
+				continue
 			}
 			a[free[0]] = int32(u)
 			if !g.bindSrc(a, free[1:], lvl+1, cont) {

@@ -1,7 +1,7 @@
 package ecrpq
 
 // Differential tests of relation construction: the relations materialized
-// through the batched kernel (RelationFor and the RelCache
+// through the batched kernel (RelationFor and the atom store's
 // frontier-extension path, engine.ReachBatchEx) must equal the per-source
 // engine.Reach results on the same graph, including after insert-only deltas.
 // The test names predate the removal of the sharded kernel.
@@ -75,7 +75,7 @@ func TestShardedRelationForMatchesPerSourceReach(t *testing.T) {
 }
 
 // TestShardedRelCacheDeltaMatchesPerSource drives insert-only deltas
-// through a relation cache, over several graphs: the maintained relations —
+// under an atom store, over several graphs: the maintained relations —
 // grown through the batched frontier-extension path — must keep matching
 // per-source Reach on the mutated database.
 func TestShardedRelCacheDeltaMatchesPerSource(t *testing.T) {
@@ -87,10 +87,9 @@ func TestShardedRelCacheDeltaMatchesPerSource(t *testing.T) {
 	}
 	for _, k := range []int{1, 2, 4} { // graph and delta seeds
 		db := randomDB(int64(100+k), 160, 640, "abc")
-		c := NewRelCache(0)
 		for _, l := range labels {
-			if _, err := c.For(db, l, sigma, engine.ReachOpts{}); err != nil {
-				t.Fatalf("graph %d: For: %v", k, err)
+			if _, err := Atoms(db).Relation(l, sigma, engine.ReachOpts{}); err != nil {
+				t.Fatalf("graph %d: Relation: %v", k, err)
 			}
 		}
 		r := &testRNG{s: uint64(k)*0x9e3779b9 + 5}
@@ -107,15 +106,11 @@ func TestShardedRelCacheDeltaMatchesPerSource(t *testing.T) {
 					To:    to,
 				})
 			}
-			info, err := db.ApplyDelta(delta)
-			if err != nil {
+			if _, err := db.ApplyDelta(delta); err != nil {
 				t.Fatalf("graph %d step %d: ApplyDelta: %v", k, step, err)
 			}
-			if _, _, err := c.ApplyDelta(db, info); err != nil {
-				t.Fatalf("graph %d step %d: RelCache.ApplyDelta: %v", k, step, err)
-			}
 			for _, l := range labels {
-				rel, err := c.For(db, l, sigma, engine.ReachOpts{})
+				rel, err := Atoms(db).Relation(l, sigma, engine.ReachOpts{}) // the first one maintains the store
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -128,8 +123,8 @@ func TestShardedRelCacheDeltaMatchesPerSource(t *testing.T) {
 				}
 			}
 		}
-		if st := c.Stats(); st.Extended == 0 {
-			t.Fatalf("graph %d: no relation was frontier-extended: %+v", k, st)
+		if st := Atoms(db).Stats(); st.Extended == 0 || st.Misses != uint64(len(labels)) {
+			t.Fatalf("graph %d: no relation was frontier-extended, or one was rebuilt: %+v", k, st)
 		}
 	}
 }

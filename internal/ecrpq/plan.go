@@ -123,9 +123,6 @@ func (p *plan) seal(out []string, pre map[string]int, bindAll bool) {
 	}
 }
 
-// supportReads is cleared by tests to force the listing paths.
-var supportReads = true
-
 // support returns the bitset that answers the step in place of its lists, or
 // nil, and the side the step is walked from: its sources when forward, else
 // its targets. uok and vok say which endpoints are bound. The other side has
@@ -138,7 +135,7 @@ func (st *step) support(uok, vok bool) (sup []uint64, forward bool) {
 		farBind, farDom = st.bindFrom, st.domFrom
 	}
 	pa, probed := st.src.(*probeAtom) // a group step has a nil src
-	if !supportReads || !probed || st.from == st.to || uok && vok || farBind || farDom != nil {
+	if !probed || st.from == st.to || uok && vok || farBind || farDom != nil {
 		return nil, forward
 	}
 	return pa.support(forward), forward

@@ -49,10 +49,12 @@ func stopped() *engine.Budget {
 // TestSupportMatchesRelation: over random labels (ε-accepting ones included)
 // and random graphs (one with more than 64 labels), the forward support of a
 // probe atom is the set of sources of RelationFor's relation and the backward
-// support the set of its targets; SupportRelation is the diagonal over the
+// support the set of its targets; AtomStore.Support is the diagonal over the
 // same sets and PathExists says whether they are empty. A sweep under a
-// canceled budget memoizes nothing and reports the cancellation.
+// canceled budget installs nothing — whoever asks next, under whatever
+// budget, gets the whole answer — and reports the cancellation.
 func TestSupportMatchesRelation(t *testing.T) {
+	t.Parallel()
 	wide := "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789+-=_~^%" // 69 labels
 	r := rand.New(rand.NewSource(17))
 	cuts := 0
@@ -92,7 +94,24 @@ func TestSupportMatchesRelation(t *testing.T) {
 				}
 				return &ev.atoms[0]
 			}
+			// Every fact is asked for under a budget canceled beforehand first:
+			// the sweep is cut at its first level boundary and must leave nothing
+			// behind — or runs out before it, and is complete.
+			store, sigma := Atoms(db), evaluator(nil).ev.sigma // the alphabet is part of what a fact is filed under
 			for i, forward := range []bool{false, true} {
+				held := store.Stats().Supports.Entries
+				if sup := evaluator(stopped()).support(forward); sup == nil {
+					cuts++
+					if store.Stats().Supports.Entries != held {
+						t.Fatalf("%s: a cut sweep was installed", name)
+					}
+					if _, err := store.Support(label, sigma, !forward, stopped()); !errors.Is(err, engine.ErrCanceled) {
+						t.Fatalf("%s: Support under a canceled budget: %v", name, err)
+					}
+				} else if fmt.Sprint(bitList(sup)) != fmt.Sprint(want[i]) {
+					t.Fatalf("%s: a sweep that beat its canceled budget returned %v, want %v", name, bitList(sup), want[i])
+				}
+
 				atom := evaluator(nil)
 				if got := bitList(atom.support(forward)); fmt.Sprint(got) != fmt.Sprint(want[i]) {
 					t.Fatalf("%s: support(forward=%v) = %v, the relation has %v", name, forward, got, want[i])
@@ -100,38 +119,25 @@ func TestSupportMatchesRelation(t *testing.T) {
 				if len(atom.fwd.rows)+len(atom.rev.rows) != 0 {
 					t.Fatalf("%s: the support probed rows", name)
 				}
-				diag, err := SupportRelation(db, label, sigma, !forward, nil)
+				diag, err := store.Support(label, sigma, !forward, stopped()) // stored by now: no sweep, no budget
 				if err != nil || diag.Size() != len(want[i]) || diag.NumNodes() != n {
-					t.Fatalf("%s: SupportRelation(targets=%v) = %d pairs over %d nodes, %v; want %d over %d", name, !forward, diag.Size(), diag.NumNodes(), err, len(want[i]), n)
+					t.Fatalf("%s: Support(targets=%v) = %d pairs over %d nodes, %v; want %d over %d", name, !forward, diag.Size(), diag.NumNodes(), err, len(want[i]), n)
 				}
 				for _, u := range want[i] {
 					if vs := diag.Forward(u); len(vs) != 1 || vs[0] != u {
-						t.Fatalf("%s: SupportRelation(targets=%v) lists %v for node %d, want the node itself", name, !forward, vs, u)
+						t.Fatalf("%s: Support(targets=%v) lists %v for node %d, want the node itself", name, !forward, vs, u)
 					}
 				}
-
-				// The same under a budget canceled beforehand: the sweep is cut at
-				// its first level boundary — or runs out before it, and is complete.
-				cut := evaluator(stopped())
-				sup := cut.support(forward)
-				if sup == nil {
-					cuts++
-					if cut.fwd.sup != nil || cut.rev.sup != nil {
-						t.Fatalf("%s: a cut sweep was memoized", name)
-					}
-					if _, err := SupportRelation(db, label, sigma, !forward, stopped()); !errors.Is(err, engine.ErrCanceled) {
-						t.Fatalf("%s: SupportRelation under a canceled budget: %v", name, err)
-					}
-				} else if fmt.Sprint(bitList(sup)) != fmt.Sprint(want[i]) {
-					t.Fatalf("%s: a sweep that beat its canceled budget returned %v, want %v", name, bitList(sup), want[i])
+				if again, _ := store.Support(label, sigma, !forward, nil); again != diag {
+					t.Fatalf("%s: the diagonal view was built twice", name)
 				}
 			}
-			if ok, err := PathExists(db, label, sigma, nil); err != nil || ok != !rel.Empty() {
-				t.Fatalf("%s: PathExists = %v, %v; the relation has %d pairs", name, ok, err, rel.Size())
-			}
-			ok, err := PathExists(db, label, sigma, stopped())
+			ok, err := store.PathExists(label, sigma, stopped())
 			if err != nil && !errors.Is(err, engine.ErrCanceled) || ok && rel.Empty() || !ok && err == nil && !rel.Empty() {
 				t.Fatalf("%s: PathExists under a canceled budget = %v, %v; the relation has %d pairs", name, ok, err, rel.Size())
+			}
+			if ok, err := store.PathExists(label, sigma, nil); err != nil || ok != !rel.Empty() {
+				t.Fatalf("%s: PathExists = %v, %v; the relation has %d pairs", name, ok, err, rel.Size())
 			}
 		}
 	}
@@ -143,15 +149,21 @@ func TestSupportMatchesRelation(t *testing.T) {
 // TestPathExistsCanceled: a probe the budget cuts before any hit is unknown,
 // not no, and says so.
 func TestPathExistsCanceled(t *testing.T) {
-	db := graph.MustParse("n0 a n1\nn1 a n2\nn2 b n3\n")
+	store := Atoms(graph.MustParse("n0 a n1\nn1 a n2\nn2 b n3\n"))
 	label, sigma := xregex.MustParse("aab"), []rune("ab")
-	if ok, err := PathExists(db, label, sigma, nil); !ok || err != nil {
-		t.Fatalf("PathExists = %v, %v", ok, err)
-	}
-	if ok, err := PathExists(db, label, sigma, stopped()); ok || !errors.Is(err, engine.ErrCanceled) {
+	if ok, err := store.PathExists(label, sigma, stopped()); ok || !errors.Is(err, engine.ErrCanceled) {
 		t.Fatalf("PathExists under a canceled budget = %v, %v, want false and ErrCanceled", ok, err)
 	}
-	if ok, err := PathExists(db, xregex.MustParse("ba"), sigma, nil); ok || err != nil {
+	if v := store.Verdicts(); len(v) != 0 {
+		t.Fatalf("the cut probe left a verdict: %v", v)
+	}
+	if ok, err := store.PathExists(label, sigma, nil); !ok || err != nil {
+		t.Fatalf("PathExists = %v, %v", ok, err)
+	}
+	if ok, err := store.PathExists(label, sigma, stopped()); !ok || err != nil {
+		t.Fatalf("PathExists of a stored verdict under a canceled budget = %v, %v", ok, err)
+	}
+	if ok, err := store.PathExists(xregex.MustParse("ba"), sigma, nil); ok || err != nil {
 		t.Fatalf("PathExists(ba) = %v, %v", ok, err)
 	}
 }

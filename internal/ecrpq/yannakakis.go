@@ -58,8 +58,8 @@ func StrategyOf(q *Query, db *graph.DB, o Options) (planner.Strategy, error) {
 }
 
 // yannakakisPlan is the evaluator-level dispatch: when the gate picks the
-// Yannakakis program for the kept edges in the order of spec, it builds the
-// per-edge relations and compiles the program. ok reports whether it applies
+// Yannakakis program for the kept edges in the order of spec, it resolves the
+// per-edge relations through the atom store and compiles the program. ok reports whether it applies
 // — false means the caller should compile the generic backtracking join; a
 // nil plan with ok set means the join is provably empty.
 func (ev *evaluator) yannakakisPlan(kept []int, atoms []planner.Atom, spec *planner.PlanSpec, pre map[string]int) (p *plan, ok bool) {
@@ -72,11 +72,11 @@ func (ev *evaluator) yannakakisPlan(kept []int, atoms []planner.Atom, spec *plan
 	for _, ei := range kept {
 		var r *EdgeRel
 		var err error
-		if label := ev.q.Pattern.Edges[ei].Label; ev.ranked || !supportReads || readFrom[ei] && readTo[ei] {
-			r, err = BuildRelation(ev.db, label, ev.sigma,
+		if label := ev.q.Pattern.Edges[ei].Label; ev.ranked || readFrom[ei] && readTo[ei] {
+			r, err = ev.store.Relation(label, ev.sigma,
 				engine.ReachOpts{Budget: ev.bud, Levels: ev.ranked, Weight: ev.rankedWeight()})
 		} else { // an endpoint nothing reads: the semijoin program gets the support
-			r, err = SupportRelation(ev.db, label, ev.sigma, readTo[ei], ev.bud)
+			r, err = ev.store.Support(label, ev.sigma, readTo[ei], ev.bud)
 		}
 		if err != nil {
 			// Budget-truncated (or otherwise failed) materialization:

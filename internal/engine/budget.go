@@ -8,7 +8,7 @@ package engine
 // Truncation keeps soundness — every tuple already emitted came from a
 // completed search prefix — but gives up completeness, so budget-truncated
 // intermediate results must never be installed in cross-query caches
-// (RelCache and the session result cache both check for this).
+// (the atom store and the session result cache both check for this).
 
 import (
 	"context"

@@ -15,8 +15,8 @@ import (
 // the kernels precompute it per symbol, and the ranked enumeration's
 // nondecreasing-cost guarantee is Dijkstra's invariant, which needs
 // nonnegative, stable edge costs. Weighted relations are never admitted to
-// the cross-query relation caches — a function has no cache identity — so
-// supplying a Weight trades cache reuse for the custom metric.
+// the cross-query atom store — a function has no identity to file them under
+// — so supplying a Weight trades reuse for the custom metric.
 type Weight func(label rune) int32
 
 // weightTable precomputes the clamped per-symbol costs of w over the

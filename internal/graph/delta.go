@@ -3,8 +3,8 @@ package graph
 // This file is the write path of the incremental-update subsystem: batched
 // mutations (Delta / ApplyDelta), the per-revision delta log the DB keeps
 // next to its revision counter, and the DeltaSince window that lets derived
-// state (the CSR index, the per-label statistics, the cached alphabet, a
-// prepared-query session's relation caches) maintain itself from the delta
+// state (the CSR index, the per-label statistics, the cached alphabet, the
+// atom store in the Derived slot) maintain itself from the delta
 // instead of rebuilding from scratch. MaintStats exposes retained-vs-rebuilt
 // counters so callers (and the cxrpq-serve /stats endpoint) can observe
 // which path a mutation took.

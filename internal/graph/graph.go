@@ -58,6 +58,9 @@ type DB struct {
 	alpha        []rune
 	alphaOK      bool
 	alphaVersion uint64
+
+	derivedMu sync.Mutex
+	derived   any
 }
 
 // New returns an empty graph database.
@@ -156,9 +159,23 @@ func (d *DB) Index() *Index {
 	return d.idx
 }
 
+// Derived is the slot for state that a layer above this package derives from
+// the database and wants to live exactly as long as it — beside Index and
+// Stats, but owned by the caller (ecrpq keeps its atom store here). update
+// runs under the slot's lock with what the slot holds (nil at first) and
+// leaves its result there; bringing a stale value up to Revision is update's
+// business, and the first caller to find it stale does so while the others
+// wait. A Snapshot view starts with an empty slot of its own.
+func (d *DB) Derived(update func(cur any) any) any {
+	d.derivedMu.Lock()
+	defer d.derivedMu.Unlock()
+	d.derived = update(d.derived)
+	return d.derived
+}
+
 // Revision returns the database's mutation counter: it is bumped by every
-// Node/AddEdge call, so a caller holding derived state (the label index, a
-// prepared-query session's relation caches) can detect staleness by
+// Node/AddEdge call, so a caller holding derived state (the label index, the
+// atom store in the Derived slot) can detect staleness by
 // comparing revisions. Mutations must not run concurrently with readers;
 // the revision check supports the sequential mutate-then-query pattern.
 func (d *DB) Revision() uint64 { return d.version }
