@@ -324,22 +324,24 @@ func (st *boundedState) instantiateEdge(ei int) (bool, error) {
 // instantiated language of every completion of the prefix, so a label that
 // matches no path of D prunes the whole subtree.
 func relaxCut(n xregex.Node, assign map[string]string, sigma []rune) (xregex.Node, error) {
-	return mapVars(n, func(x string, body xregex.Node) (xregex.Node, error) {
-		w, ok := assign[x]
+	switch t := n.(type) {
+	case *xregex.Ref:
+		return xregex.Relax(n, assign), nil
+	case *xregex.Def:
+		w, ok := assign[t.Var]
 		if !ok {
 			return xregex.AnyWord(), nil
 		}
-		if body != nil {
-			cut, err := relaxCut(body, assign, sigma)
-			if err != nil {
-				return nil, err
-			}
-			if m, err := xregex.Matches(xregex.Simplify(cut), w, sigma); err != nil || !m {
-				return &xregex.Empty{}, err
-			}
+		cut, err := relaxCut(t.Body, assign, sigma)
+		if err != nil {
+			return nil, err
+		}
+		if m, err := xregex.Matches(xregex.Simplify(cut), w, sigma); err != nil || !m {
+			return &xregex.Empty{}, err
 		}
 		return xregex.Word(w), nil
-	})
+	}
+	return xregex.MapKids(n, func(k xregex.Node) (xregex.Node, error) { return relaxCut(k, assign, sigma) })
 }
 
 // pruneRelaxed checks the Σ*-relaxed partial instantiation of edge ei
@@ -439,7 +441,7 @@ func (e *boundedEngine) candidates(x string, assign map[string]string) ([]string
 	if bodies := e.p.defBodies[x]; len(bodies) > 0 {
 		kids := make([]xregex.Node, len(bodies))
 		for i, body := range bodies {
-			kids[i] = relaxUnassigned(body, assign)
+			kids[i] = xregex.Relax(body, assign)
 		}
 		if filter = kids[0]; len(kids) > 1 {
 			filter = &xregex.Alt{Kids: kids}

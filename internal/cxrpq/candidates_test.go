@@ -29,7 +29,7 @@ func filteredPathLabels(w *cxrpq.CandidateWalk, db *graph.DB, k int, x string, p
 			ok = w.Referenced(x)
 		} else if !ok {
 			for _, body := range bodies {
-				if m, err := xregex.Matches(cxrpq.RelaxUnassigned(body, prefix), word, w.Sigma()); err == nil && m {
+				if m, err := xregex.Matches(xregex.Relax(body, prefix), word, w.Sigma()); err == nil && m {
 					ok = true
 					break
 				}

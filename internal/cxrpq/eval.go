@@ -104,57 +104,6 @@ func mergeDBAlphabet(db *graph.DB, c CXRE) []rune {
 	return xregex.MergeAlphabets(db.Alphabet(), c.Alphabet())
 }
 
-// relaxUnassigned substitutes assigned variables by their literal images and
-// relaxes unassigned ones (and nested definitions) to Σ*.
-func relaxUnassigned(n xregex.Node, assign map[string]string) xregex.Node {
-	out, _ := mapVars(n, func(x string, _ xregex.Node) (xregex.Node, error) {
-		if w, ok := assign[x]; ok {
-			return xregex.Word(w), nil
-		}
-		return xregex.AnyWord(), nil
-	})
-	return out
-}
-
-// mapVars rebuilds n with every variable occurrence replaced by what f makes
-// of it: f receives the variable and, for a definition, its body (nil for a
-// reference); it is not applied inside the bodies it is handed.
-func mapVars(n xregex.Node, f func(x string, body xregex.Node) (xregex.Node, error)) (xregex.Node, error) {
-	mapKids := func(kids []xregex.Node) ([]xregex.Node, error) {
-		out := make([]xregex.Node, len(kids))
-		for i, k := range kids {
-			var err error
-			if out[i], err = mapVars(k, f); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-	switch t := n.(type) {
-	case *xregex.Ref:
-		return f(t.Var, nil)
-	case *xregex.Def:
-		return f(t.Var, t.Body)
-	case *xregex.Cat:
-		kids, err := mapKids(t.Kids)
-		return &xregex.Cat{Kids: kids}, err
-	case *xregex.Alt:
-		kids, err := mapKids(t.Kids)
-		return &xregex.Alt{Kids: kids}, err
-	case *xregex.Plus:
-		kid, err := mapVars(t.Kid, f)
-		return &xregex.Plus{Kid: kid}, err
-	case *xregex.Star:
-		kid, err := mapVars(t.Kid, f)
-		return &xregex.Star{Kid: kid}, err
-	case *xregex.Opt:
-		kid, err := mapVars(t.Kid, f)
-		return &xregex.Opt{Kid: kid}, err
-	default:
-		return n, nil
-	}
-}
-
 // EvalBoundedNaive is the literal Theorem 6 algorithm: it blindly guesses
 // every v̄ ∈ (Σ^≤k)^n, instantiates (Lemma 11) and evaluates the CRPQ. It
 // exists as the ablation baseline for EvalBounded's candidate pruning (the

@@ -17,9 +17,6 @@ func (p *Plan) BindTuned(db *graph.DB, tune planner.Tuning) *Session {
 	return s
 }
 
-// RelaxUnassigned exposes the prefix substitution of definition bodies.
-var RelaxUnassigned = relaxUnassigned
-
 // CandidateWalk is one bounded run's view of the candidate enumeration: the
 // ≺-topological variable order, what the plan knows about each variable, and
 // the candidate list of a variable under a prefix assignment.

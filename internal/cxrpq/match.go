@@ -61,7 +61,7 @@ func MatchTuple(c CXRE, words []string, sigma []rune) (map[string]string, bool) 
 	relaxed := map[string][]*automata.NFA{}
 	for x := range defined {
 		for _, body := range xregex.DefBodies(x, []xregex.Node(c)...) {
-			m, err := xregex.Compile(relaxAllVars(body), sigma)
+			m, err := xregex.Compile(xregex.Relax(body, nil), sigma)
 			if err != nil {
 				return nil, false
 			}
@@ -118,31 +118,4 @@ func MatchTuple(c CXRE, words []string, sigma []rune) (map[string]string, bool) 
 func MatchTupleBool(c CXRE, words []string, sigma []rune) bool {
 	_, ok := MatchTuple(c, words, sigma)
 	return ok
-}
-
-func relaxAllVars(n xregex.Node) xregex.Node {
-	switch t := n.(type) {
-	case *xregex.Ref, *xregex.Def:
-		return xregex.AnyWord()
-	case *xregex.Cat:
-		kids := make([]xregex.Node, len(t.Kids))
-		for i, k := range t.Kids {
-			kids[i] = relaxAllVars(k)
-		}
-		return &xregex.Cat{Kids: kids}
-	case *xregex.Alt:
-		kids := make([]xregex.Node, len(t.Kids))
-		for i, k := range t.Kids {
-			kids[i] = relaxAllVars(k)
-		}
-		return &xregex.Alt{Kids: kids}
-	case *xregex.Plus:
-		return &xregex.Plus{Kid: relaxAllVars(t.Kid)}
-	case *xregex.Star:
-		return &xregex.Star{Kid: relaxAllVars(t.Kid)}
-	case *xregex.Opt:
-		return &xregex.Opt{Kid: relaxAllVars(t.Kid)}
-	default:
-		return n
-	}
 }

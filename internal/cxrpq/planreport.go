@@ -86,12 +86,7 @@ func (s *Session) plannerPlan(sc *sessionCaches, sigma []rune) ([]planner.Atom, 
 	minAtoms := make([]planner.MinAtom, len(q.Pattern.Edges))
 	refs := make([]planner.EdgeRef, len(q.Pattern.Edges))
 	for i, e := range q.Pattern.Edges {
-		relaxed, err := relaxCut(e.Label, map[string]string{}, sigma)
-		if err != nil {
-			sc.planErr = err
-			return nil, nil, err
-		}
-		m, err := xregex.Compile(xregex.Simplify(relaxed), sigma)
+		m, err := xregex.Compile(xregex.Simplify(xregex.Relax(e.Label, nil)), sigma)
 		if err != nil {
 			sc.planErr = err
 			return nil, nil, err

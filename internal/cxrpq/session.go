@@ -594,23 +594,30 @@ type Response struct {
 	Err         error
 }
 
+// semantics resolves the Semantics/K pair of a Request or of StreamOptions:
+// ""/"auto" dispatches by fragment, "bounded" evaluates under image bound k,
+// "log" under the log bound of the session's database.
+func (s *Session) semantics(name string, k int) (bounded bool, bound int, err error) {
+	switch name {
+	case "", "auto":
+		return false, 0, nil
+	case "bounded":
+		return true, k, nil
+	case "log":
+		return true, logBound(s.db), nil
+	}
+	return false, 0, fmt.Errorf("cxrpq: unknown semantics %q", name)
+}
+
 // Do executes one request against the session.
 func (s *Session) Do(req Request) Response {
-	bounded := false
-	k := 0
-	switch req.Semantics {
-	case "", "auto":
-	case "bounded":
-		bounded, k = true, req.K
-	case "log":
-		bounded, k = true, logBound(s.db)
-	default:
-		return Response{Err: fmt.Errorf("cxrpq: unknown request semantics %q", req.Semantics)}
+	bounded, k, err := s.semantics(req.Semantics, req.K)
+	if err != nil {
+		return Response{Err: err}
 	}
 	switch req.Op {
 	case "eval":
 		var res *pattern.TupleSet
-		var err error
 		if bounded {
 			res, err = s.evalBoundedBudget(k, false, req.Budget)
 		} else {
@@ -619,7 +626,6 @@ func (s *Session) Do(req Request) Response {
 		return Response{Tuples: res, OK: res != nil && res.Len() > 0, Err: err}
 	case "bool":
 		var ok bool
-		var err error
 		if bounded {
 			res, berr := s.evalBoundedBudget(k, true, req.Budget)
 			ok, err = res != nil && res.Len() > 0, berr
@@ -629,7 +635,6 @@ func (s *Session) Do(req Request) Response {
 		return Response{OK: ok, Err: err}
 	case "check":
 		var ok bool
-		var err error
 		if bounded {
 			ok, err = s.checkBoundedBudget(k, req.Tuple, req.Budget)
 		} else {
@@ -639,7 +644,6 @@ func (s *Session) Do(req Request) Response {
 	case "explain":
 		var ex *Explanation
 		var ok bool
-		var err error
 		if bounded {
 			ex, ok, err = s.explainBoundedBudget(k, req.Tuple, req.Budget)
 		} else {

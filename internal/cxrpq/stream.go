@@ -135,15 +135,9 @@ type streamRun func(emit ecrpq.StreamFunc) error
 // failures, a member's translation error among them, surface on the final
 // fetch through Cursor.Err.
 func (s *Session) Stream(opts StreamOptions) (*Cursor, error) {
-	bounded, k := false, 0
-	switch opts.Semantics {
-	case "", "auto":
-	case "bounded":
-		bounded, k = true, opts.K
-	case "log":
-		bounded, k = true, logBound(s.db)
-	default:
-		return nil, fmt.Errorf("cxrpq: unknown stream semantics %q", opts.Semantics)
+	bounded, k, err := s.semantics(opts.Semantics, opts.K)
+	if err != nil {
+		return nil, err
 	}
 	bud := engine.NewBudget(opts.Ctx, opts.Deadline, 0)
 	if opts.Ranked && opts.Less == nil {

@@ -912,3 +912,30 @@ func TestStreamProducerPanicIsCursorError(t *testing.T) {
 		}
 	}
 }
+
+// TestSemanticsResolvedOnce: Do and Stream read Semantics/K through one
+// resolver — the same names select the same answer, and an unknown name is
+// refused by both with the same error.
+func TestSemanticsResolvedOnce(t *testing.T) {
+	q := workload.RandomQuery(workload.NewRNG(11), true)
+	db := workload.Random(0x1122, 4, 8, "ab")
+	sess := cxrpq.MustPrepare(q).Bind(db)
+	for _, sem := range []string{"", "auto", "bounded", "log"} {
+		resp := sess.Do(cxrpq.Request{Op: "eval", Semantics: sem, K: 1})
+		if resp.Err != nil {
+			t.Fatalf("Do(%q): %v", sem, resp.Err)
+		}
+		cur, err := sess.Stream(cxrpq.StreamOptions{Semantics: sem, K: 1})
+		if err != nil {
+			t.Fatalf("Stream(%q): %v", sem, err)
+		}
+		if got := rowSet(drainCursor(t, cur, 7)); !got.Equal(resp.Tuples) {
+			t.Errorf("semantics %q: stream has %d rows, eval %d", sem, got.Len(), resp.Tuples.Len())
+		}
+	}
+	resp := sess.Do(cxrpq.Request{Op: "eval", Semantics: "nope"})
+	_, err := sess.Stream(cxrpq.StreamOptions{Semantics: "nope"})
+	if resp.Err == nil || err == nil || resp.Err.Error() != err.Error() {
+		t.Errorf("unknown semantics: Do says %v, Stream says %v; want one error", resp.Err, err)
+	}
+}

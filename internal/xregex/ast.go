@@ -106,36 +106,143 @@ func Word(w string) Node {
 // Star of the negated-empty class. Σ is resolved at compile time.
 func AnyWord() Node { return &Star{Kid: &Class{Neg: true}} }
 
-// Vars returns the set of string variables occurring in n (references and
-// definitions), i.e. var(n) from Definition 3.
-func Vars(n Node) map[string]bool {
-	out := map[string]bool{}
-	addVars(n, out)
+// Walk visits n and its descendants in pre-order — a node before its
+// children, children left to right, the order the printer writes them — and
+// stops at the first node for which visit returns true, reporting whether
+// there was one. Walk and MapKids are the only functions that know which
+// node kinds have children.
+func Walk(n Node, visit func(Node) bool) bool {
+	if visit(n) {
+		return true
+	}
+	switch t := n.(type) {
+	case *Def:
+		return Walk(t.Body, visit)
+	case *Cat:
+		return walkAll(t.Kids, visit)
+	case *Alt:
+		return walkAll(t.Kids, visit)
+	case *Plus:
+		return Walk(t.Kid, visit)
+	case *Star:
+		return Walk(t.Kid, visit)
+	case *Opt:
+		return Walk(t.Kid, visit)
+	}
+	return false
+}
+
+func walkAll(nodes []Node, visit func(Node) bool) bool {
+	for _, n := range nodes {
+		if Walk(n, visit) {
+			return true
+		}
+	}
+	return false
+}
+
+// MapKids rebuilds n over f of its direct children. It returns n itself when
+// f returned every child unchanged, so a transformation copies only the
+// spine above the nodes it replaces; trees are immutable, and sharing the
+// rest is safe.
+func MapKids(n Node, f func(Node) (Node, error)) (Node, error) {
+	switch t := n.(type) {
+	case *Def:
+		body, err := f(t.Body)
+		if err != nil {
+			return nil, err
+		}
+		if body != t.Body {
+			return &Def{Var: t.Var, Body: body}, nil
+		}
+	case *Cat:
+		kids, err := mapAll(t.Kids, f)
+		if err != nil {
+			return nil, err
+		}
+		if kids != nil {
+			return &Cat{Kids: kids}, nil
+		}
+	case *Alt:
+		kids, err := mapAll(t.Kids, f)
+		if err != nil {
+			return nil, err
+		}
+		if kids != nil {
+			return &Alt{Kids: kids}, nil
+		}
+	case *Plus:
+		kid, err := f(t.Kid)
+		if err != nil {
+			return nil, err
+		}
+		if kid != t.Kid {
+			return &Plus{Kid: kid}, nil
+		}
+	case *Star:
+		kid, err := f(t.Kid)
+		if err != nil {
+			return nil, err
+		}
+		if kid != t.Kid {
+			return &Star{Kid: kid}, nil
+		}
+	case *Opt:
+		kid, err := f(t.Kid)
+		if err != nil {
+			return nil, err
+		}
+		if kid != t.Kid {
+			return &Opt{Kid: kid}, nil
+		}
+	}
+	return n, nil
+}
+
+// mapAll returns f over nodes, or nil when f changed none of them.
+func mapAll(nodes []Node, f func(Node) (Node, error)) ([]Node, error) {
+	var out []Node
+	for i, k := range nodes {
+		m, err := f(k)
+		if err != nil {
+			return nil, err
+		}
+		if m != k && out == nil {
+			out = append(make([]Node, 0, len(nodes)), nodes[:i]...)
+		}
+		if out != nil {
+			out = append(out, m)
+		}
+	}
+	return out, nil
+}
+
+// mapKids is MapKids for an f that cannot fail.
+func mapKids(n Node, f func(Node) Node) Node {
+	out, _ := MapKids(n, func(k Node) (Node, error) { return f(k), nil })
 	return out
 }
 
-func addVars(n Node, out map[string]bool) {
-	switch t := n.(type) {
-	case *Ref:
-		out[t.Var] = true
-	case *Def:
-		out[t.Var] = true
-		addVars(t.Body, out)
-	case *Cat:
-		for _, k := range t.Kids {
-			addVars(k, out)
+// Vars returns the set of string variables occurring in n (references and
+// definitions), i.e. var(n) from Definition 3. It is small enough to inline,
+// which keeps the set on the stack of a caller that only looks into it.
+func Vars(n Node) map[string]bool {
+	out := map[string]bool{}
+	addVars(out, n)
+	return out
+}
+
+// addVars adds the variables occurring in nodes to out.
+func addVars(out map[string]bool, nodes ...Node) {
+	walkAll(nodes, func(n Node) bool {
+		switch t := n.(type) {
+		case *Ref:
+			out[t.Var] = true
+		case *Def:
+			out[t.Var] = true
 		}
-	case *Alt:
-		for _, k := range t.Kids {
-			addVars(k, out)
-		}
-	case *Plus:
-		addVars(t.Kid, out)
-	case *Star:
-		addVars(t.Kid, out)
-	case *Opt:
-		addVars(t.Kid, out)
-	}
+		return false
+	})
 }
 
 // SortedVars returns var(n) as a sorted slice, for deterministic iteration.
@@ -150,145 +257,54 @@ func SortedVars(n Node) []string {
 }
 
 // HasVars reports whether n contains any variable reference or definition.
-func HasVars(n Node) bool {
-	switch t := n.(type) {
+func HasVars(n Node) bool { return Walk(n, isVar) }
+
+func isVar(n Node) bool {
+	switch n.(type) {
 	case *Ref, *Def:
 		return true
-	case *Cat:
-		for _, k := range t.Kids {
-			if HasVars(k) {
-				return true
-			}
-		}
-	case *Alt:
-		for _, k := range t.Kids {
-			if HasVars(k) {
-				return true
-			}
-		}
-	case *Plus:
-		return HasVars(t.Kid)
-	case *Star:
-		return HasVars(t.Kid)
-	case *Opt:
-		return HasVars(t.Kid)
 	}
 	return false
 }
 
 // ContainsDef reports whether n contains a definition of variable x.
 func ContainsDef(n Node, x string) bool {
-	switch t := n.(type) {
-	case *Def:
-		return t.Var == x || ContainsDef(t.Body, x)
-	case *Cat:
-		for _, k := range t.Kids {
-			if ContainsDef(k, x) {
-				return true
-			}
-		}
-	case *Alt:
-		for _, k := range t.Kids {
-			if ContainsDef(k, x) {
-				return true
-			}
-		}
-	case *Plus:
-		return ContainsDef(t.Kid, x)
-	case *Star:
-		return ContainsDef(t.Kid, x)
-	case *Opt:
-		return ContainsDef(t.Kid, x)
-	}
-	return false
+	return Walk(n, func(m Node) bool {
+		d, ok := m.(*Def)
+		return ok && d.Var == x
+	})
 }
 
 // ContainsRef reports whether n contains a reference of variable x.
 func ContainsRef(n Node, x string) bool {
-	switch t := n.(type) {
-	case *Ref:
-		return t.Var == x
-	case *Def:
-		return ContainsRef(t.Body, x)
-	case *Cat:
-		for _, k := range t.Kids {
-			if ContainsRef(k, x) {
-				return true
-			}
-		}
-	case *Alt:
-		for _, k := range t.Kids {
-			if ContainsRef(k, x) {
-				return true
-			}
-		}
-	case *Plus:
-		return ContainsRef(t.Kid, x)
-	case *Star:
-		return ContainsRef(t.Kid, x)
-	case *Opt:
-		return ContainsRef(t.Kid, x)
-	}
-	return false
+	return Walk(n, func(m Node) bool {
+		r, ok := m.(*Ref)
+		return ok && r.Var == x
+	})
 }
 
 // DefinedVars returns the set of variables that have at least one definition
 // in n.
 func DefinedVars(n Node) map[string]bool {
 	out := map[string]bool{}
-	var walk func(Node)
-	walk = func(n Node) {
-		switch t := n.(type) {
-		case *Def:
-			out[t.Var] = true
-			walk(t.Body)
-		case *Cat:
-			for _, k := range t.Kids {
-				walk(k)
-			}
-		case *Alt:
-			for _, k := range t.Kids {
-				walk(k)
-			}
-		case *Plus:
-			walk(t.Kid)
-		case *Star:
-			walk(t.Kid)
-		case *Opt:
-			walk(t.Kid)
+	Walk(n, func(m Node) bool {
+		if d, ok := m.(*Def); ok {
+			out[d.Var] = true
 		}
-	}
-	walk(n)
+		return false
+	})
 	return out
 }
 
 // Size returns the number of AST nodes in n, the size measure |α| used in
 // the paper's blow-up bounds.
 func Size(n Node) int {
-	switch t := n.(type) {
-	case *Def:
-		return 1 + Size(t.Body)
-	case *Cat:
-		s := 1
-		for _, k := range t.Kids {
-			s += Size(k)
-		}
-		return s
-	case *Alt:
-		s := 1
-		for _, k := range t.Kids {
-			s += Size(k)
-		}
-		return s
-	case *Plus:
-		return 1 + Size(t.Kid)
-	case *Star:
-		return 1 + Size(t.Kid)
-	case *Opt:
-		return 1 + Size(t.Kid)
-	default:
-		return 1
-	}
+	size := 0
+	Walk(n, func(Node) bool {
+		size++
+		return false
+	})
+	return size
 }
 
 // Clone returns a deep copy of n.
@@ -304,28 +320,8 @@ func Clone(n Node) Node {
 		return &Class{Neg: t.Neg, Set: append([]rune(nil), t.Set...)}
 	case *Ref:
 		return &Ref{Var: t.Var}
-	case *Def:
-		return &Def{Var: t.Var, Body: Clone(t.Body)}
-	case *Cat:
-		kids := make([]Node, len(t.Kids))
-		for i, k := range t.Kids {
-			kids[i] = Clone(k)
-		}
-		return &Cat{Kids: kids}
-	case *Alt:
-		kids := make([]Node, len(t.Kids))
-		for i, k := range t.Kids {
-			kids[i] = Clone(k)
-		}
-		return &Alt{Kids: kids}
-	case *Plus:
-		return &Plus{Kid: Clone(t.Kid)}
-	case *Star:
-		return &Star{Kid: Clone(t.Kid)}
-	case *Opt:
-		return &Opt{Kid: Clone(t.Kid)}
 	}
-	panic("xregex: unknown node type")
+	return mapKids(n, Clone)
 }
 
 // IsClassical reports whether n is a classical regular expression (no
@@ -336,33 +332,16 @@ func IsClassical(n Node) bool { return !HasVars(n) }
 // symbols listed in classes).
 func Symbols(n Node) map[rune]bool {
 	out := map[rune]bool{}
-	var walk func(Node)
-	walk = func(n Node) {
-		switch t := n.(type) {
+	Walk(n, func(m Node) bool {
+		switch t := m.(type) {
 		case *Sym:
 			out[t.R] = true
 		case *Class:
 			for _, r := range t.Set {
 				out[r] = true
 			}
-		case *Def:
-			walk(t.Body)
-		case *Cat:
-			for _, k := range t.Kids {
-				walk(k)
-			}
-		case *Alt:
-			for _, k := range t.Kids {
-				walk(k)
-			}
-		case *Plus:
-			walk(t.Kid)
-		case *Star:
-			walk(t.Kid)
-		case *Opt:
-			walk(t.Kid)
 		}
-	}
-	walk(n)
+		return false
+	})
 	return out
 }

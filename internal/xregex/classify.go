@@ -82,36 +82,17 @@ func seqCheck(n Node) (map[string]bool, bool) {
 // α1·α2·…·αm, which is how conjunctive xregex are validated (Definition 4).
 func VarRelation(nodes ...Node) map[string]map[string]bool {
 	rel := map[string]map[string]bool{}
-	var walk func(Node)
-	walk = func(n Node) {
-		switch t := n.(type) {
-		case *Def:
-			for x := range Vars(t.Body) {
+	walkAll(nodes, func(n Node) bool {
+		if d, ok := n.(*Def); ok {
+			for x := range Vars(d.Body) {
 				if rel[x] == nil {
 					rel[x] = map[string]bool{}
 				}
-				rel[x][t.Var] = true // x ≺ t.Var
+				rel[x][d.Var] = true // x ≺ d.Var
 			}
-			walk(t.Body)
-		case *Cat:
-			for _, k := range t.Kids {
-				walk(k)
-			}
-		case *Alt:
-			for _, k := range t.Kids {
-				walk(k)
-			}
-		case *Plus:
-			walk(t.Kid)
-		case *Star:
-			walk(t.Kid)
-		case *Opt:
-			walk(t.Kid)
 		}
-	}
-	for _, n := range nodes {
-		walk(n)
-	}
+		return false
+	})
 	return rel
 }
 
@@ -129,11 +110,7 @@ func IsAcyclic(nodes ...Node) bool {
 func TopoVars(nodes ...Node) ([]string, error) {
 	rel := VarRelation(nodes...)
 	all := map[string]bool{}
-	for _, n := range nodes {
-		for v := range Vars(n) {
-			all[v] = true
-		}
-	}
+	addVars(all, nodes...)
 	names := make([]string, 0, len(all))
 	for v := range all {
 		names = append(names, v)
@@ -179,66 +156,30 @@ func TopoVars(nodes ...Node) ([]string, error) {
 // IsVStarFree reports whether n is variable-star free (§5): no variable
 // reference or definition occurs under + or *.
 func IsVStarFree(n Node) bool {
-	switch t := n.(type) {
-	case *Empty, *Eps, *Sym, *Class, *Ref:
-		return true
-	case *Def:
-		return IsVStarFree(t.Body)
-	case *Cat:
-		for _, k := range t.Kids {
-			if !IsVStarFree(k) {
-				return false
-			}
+	return !Walk(n, func(m Node) bool {
+		switch t := m.(type) {
+		case *Plus:
+			return HasVars(t.Kid)
+		case *Star:
+			return HasVars(t.Kid)
 		}
-		return true
-	case *Alt:
-		for _, k := range t.Kids {
-			if !IsVStarFree(k) {
-				return false
-			}
-		}
-		return true
-	case *Plus:
-		return !HasVars(t.Kid) // any variable under + violates vstar-freeness
-	case *Star:
-		return !HasVars(t.Kid)
-	case *Opt:
-		return IsVStarFree(t.Kid)
-	}
-	panic("xregex: unknown node type")
+		return false
+	})
 }
 
 // IsValtFree reports whether n is variable-alternation free (§5): for every
 // subexpression (β1 ∨ β2), neither branch contains a variable definition or
 // reference. α? counts as α ∨ ε.
 func IsValtFree(n Node) bool {
-	switch t := n.(type) {
-	case *Empty, *Eps, *Sym, *Class, *Ref:
-		return true
-	case *Def:
-		return IsValtFree(t.Body)
-	case *Cat:
-		for _, k := range t.Kids {
-			if !IsValtFree(k) {
-				return false
-			}
+	return !Walk(n, func(m Node) bool {
+		switch t := m.(type) {
+		case *Alt:
+			return walkAll(t.Kids, isVar)
+		case *Opt:
+			return HasVars(t.Kid)
 		}
-		return true
-	case *Alt:
-		for _, k := range t.Kids {
-			if HasVars(k) {
-				return false
-			}
-		}
-		return true
-	case *Plus:
-		return IsValtFree(t.Kid)
-	case *Star:
-		return IsValtFree(t.Kid)
-	case *Opt:
-		return !HasVars(t.Kid)
-	}
-	panic("xregex: unknown node type")
+		return false
+	})
 }
 
 // IsVariableSimple reports whether n is variable-simple: vstar-free and
@@ -257,40 +198,13 @@ func IsBasicDef(body Node) bool {
 
 // IsSimple reports whether n is simple (§5): variable-simple and every
 // variable definition x{γ} is basic.
-func IsSimple(n Node) bool {
-	if !IsVariableSimple(n) {
-		return false
-	}
-	return allDefsBasic(n)
-}
+func IsSimple(n Node) bool { return IsVariableSimple(n) && allDefsBasic(n) }
 
 func allDefsBasic(n Node) bool {
-	switch t := n.(type) {
-	case *Def:
-		return IsBasicDef(t.Body) && allDefsBasic(t.Body)
-	case *Cat:
-		for _, k := range t.Kids {
-			if !allDefsBasic(k) {
-				return false
-			}
-		}
-		return true
-	case *Alt:
-		for _, k := range t.Kids {
-			if !allDefsBasic(k) {
-				return false
-			}
-		}
-		return true
-	case *Plus:
-		return allDefsBasic(t.Kid)
-	case *Star:
-		return allDefsBasic(t.Kid)
-	case *Opt:
-		return allDefsBasic(t.Kid)
-	default:
-		return true
-	}
+	return !Walk(n, func(m Node) bool {
+		d, ok := m.(*Def)
+		return ok && !IsBasicDef(d.Body)
+	})
 }
 
 // IsNormalForm reports whether n is in normal form (§5): an alternation
@@ -311,70 +225,21 @@ func IsNormalForm(n Node) bool {
 // contains a reference of x in its body (used for the flat-variable check of
 // §5.3, which is a property of the whole conjunctive xregex).
 func RefInsideAnyDef(x string, nodes ...Node) bool {
-	var walk func(Node) bool
-	walk = func(n Node) bool {
-		switch t := n.(type) {
-		case *Def:
-			return ContainsRef(t.Body, x) || walk(t.Body)
-		case *Cat:
-			for _, k := range t.Kids {
-				if walk(k) {
-					return true
-				}
-			}
-		case *Alt:
-			for _, k := range t.Kids {
-				if walk(k) {
-					return true
-				}
-			}
-		case *Plus:
-			return walk(t.Kid)
-		case *Star:
-			return walk(t.Kid)
-		case *Opt:
-			return walk(t.Kid)
-		}
-		return false
-	}
-	for _, n := range nodes {
-		if walk(n) {
-			return true
-		}
-	}
-	return false
+	return walkAll(nodes, func(n Node) bool {
+		d, ok := n.(*Def)
+		return ok && ContainsRef(d.Body, x)
+	})
 }
 
 // DefBodies returns the bodies of all definitions of x across the given
 // nodes, in syntax-tree order.
 func DefBodies(x string, nodes ...Node) []Node {
 	var out []Node
-	var walk func(Node)
-	walk = func(n Node) {
-		switch t := n.(type) {
-		case *Def:
-			if t.Var == x {
-				out = append(out, t.Body)
-			}
-			walk(t.Body)
-		case *Cat:
-			for _, k := range t.Kids {
-				walk(k)
-			}
-		case *Alt:
-			for _, k := range t.Kids {
-				walk(k)
-			}
-		case *Plus:
-			walk(t.Kid)
-		case *Star:
-			walk(t.Kid)
-		case *Opt:
-			walk(t.Kid)
+	walkAll(nodes, func(n Node) bool {
+		if d, ok := n.(*Def); ok && d.Var == x {
+			out = append(out, d.Body)
 		}
-	}
-	for _, n := range nodes {
-		walk(n)
-	}
+		return false
+	})
 	return out
 }

@@ -15,27 +15,29 @@ func SubstituteAllVars(n Node, v map[string]string) Node {
 		return Word(v[t.Var])
 	case *Def:
 		return Word(v[t.Var])
-	case *Cat:
-		kids := make([]Node, len(t.Kids))
-		for i, k := range t.Kids {
-			kids[i] = SubstituteAllVars(k, v)
-		}
-		return &Cat{Kids: kids}
-	case *Alt:
-		kids := make([]Node, len(t.Kids))
-		for i, k := range t.Kids {
-			kids[i] = SubstituteAllVars(k, v)
-		}
-		return &Alt{Kids: kids}
-	case *Plus:
-		return &Plus{Kid: SubstituteAllVars(t.Kid, v)}
-	case *Star:
-		return &Star{Kid: SubstituteAllVars(t.Kid, v)}
-	case *Opt:
-		return &Opt{Kid: SubstituteAllVars(t.Kid, v)}
-	default:
-		return n
 	}
+	return mapKids(n, func(k Node) Node { return SubstituteAllVars(k, v) })
+}
+
+// Relax over-approximates n by a classical expression: a reference or
+// definition of a variable assign has an image for becomes that image, every
+// other one — with whatever is nested in it — becomes Σ*. A nil assign
+// relaxes every variable. The bodies of assigned definitions are not
+// checked against their images; Lemma 10's exact cut is CutFailedDefs.
+func Relax(n Node, assign map[string]string) Node {
+	var x string
+	switch t := n.(type) {
+	case *Ref:
+		x = t.Var
+	case *Def:
+		x = t.Var
+	default:
+		return mapKids(n, func(k Node) Node { return Relax(k, assign) })
+	}
+	if w, ok := assign[x]; ok {
+		return Word(w)
+	}
+	return AnyWord()
 }
 
 // CutFailedDefs is Step 1 of the Lemma 10 procedure: definitions are
@@ -44,65 +46,25 @@ func SubstituteAllVars(n Node, v map[string]string) Node {
 // body γ′ cannot produce v[x] is replaced by ∅, which after Simplify
 // propagates up to the nearest alternation — exactly the paper's surgery.
 func CutFailedDefs(n Node, v map[string]string, sigma []rune) (Node, error) {
-	switch t := n.(type) {
-	case *Def:
-		body, err := CutFailedDefs(t.Body, v, sigma)
-		if err != nil {
-			return nil, err
-		}
-		if isEmpty(Simplify(body)) {
-			return &Empty{}, nil
-		}
-		gamma := Simplify(SubstituteAllVars(body, v))
-		ok, err := Matches(gamma, v[t.Var], sigma)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return &Empty{}, nil
-		}
-		return &Def{Var: t.Var, Body: body}, nil
-	case *Cat:
-		kids := make([]Node, len(t.Kids))
-		for i, k := range t.Kids {
-			nk, err := CutFailedDefs(k, v, sigma)
-			if err != nil {
-				return nil, err
-			}
-			kids[i] = nk
-		}
-		return &Cat{Kids: kids}, nil
-	case *Alt:
-		kids := make([]Node, len(t.Kids))
-		for i, k := range t.Kids {
-			nk, err := CutFailedDefs(k, v, sigma)
-			if err != nil {
-				return nil, err
-			}
-			kids[i] = nk
-		}
-		return &Alt{Kids: kids}, nil
-	case *Plus:
-		kid, err := CutFailedDefs(t.Kid, v, sigma)
-		if err != nil {
-			return nil, err
-		}
-		return &Plus{Kid: kid}, nil
-	case *Star:
-		kid, err := CutFailedDefs(t.Kid, v, sigma)
-		if err != nil {
-			return nil, err
-		}
-		return &Star{Kid: kid}, nil
-	case *Opt:
-		kid, err := CutFailedDefs(t.Kid, v, sigma)
-		if err != nil {
-			return nil, err
-		}
-		return &Opt{Kid: kid}, nil
-	default:
-		return n, nil
+	cut, err := MapKids(n, func(k Node) (Node, error) { return CutFailedDefs(k, v, sigma) })
+	if err != nil {
+		return nil, err
 	}
+	d, ok := cut.(*Def)
+	if !ok {
+		return cut, nil
+	}
+	if isEmpty(Simplify(d.Body)) {
+		return &Empty{}, nil
+	}
+	gamma := Simplify(SubstituteAllVars(d.Body, v))
+	if ok, err = Matches(gamma, v[d.Var], sigma); err != nil {
+		return nil, err
+	}
+	if !ok {
+		return &Empty{}, nil
+	}
+	return cut, nil
 }
 
 // ForceVar is Step 2 of the Lemma 10 procedure for a single variable x with
@@ -144,11 +106,9 @@ func ForceVar(n Node, x string) Node {
 		return &Alt{Kids: kids}
 	case *Opt:
 		return ForceVar(t.Kid, x)
-	case *Plus, *Star:
-		// A definition under +/* contradicts sequentiality.
+	default: // *Plus, *Star: a definition below them contradicts sequentiality
 		panic(fmt.Sprintf("xregex: definition of $%s under repetition", x))
 	}
-	return &Empty{}
 }
 
 // InstantiateComponent applies the full Lemma 10 procedure to one component

@@ -57,7 +57,7 @@ func Match(n Node, w string, sigma []rune) (*MatchResult, bool) {
 	relaxed := map[string][]Node{}
 	for x := range defined {
 		for _, body := range DefBodies(x, n) {
-			relaxed[x] = append(relaxed[x], relaxVars(body))
+			relaxed[x] = append(relaxed[x], Relax(body, nil))
 		}
 	}
 
@@ -116,32 +116,4 @@ func Match(n Node, w string, sigma []rune) (*MatchResult, bool) {
 func MatchBool(n Node, w string, sigma []rune) bool {
 	_, ok := Match(n, w, sigma)
 	return ok
-}
-
-// relaxVars replaces every variable reference and definition by Σ*.
-func relaxVars(n Node) Node {
-	switch t := n.(type) {
-	case *Ref, *Def:
-		return AnyWord()
-	case *Cat:
-		kids := make([]Node, len(t.Kids))
-		for i, k := range t.Kids {
-			kids[i] = relaxVars(k)
-		}
-		return &Cat{Kids: kids}
-	case *Alt:
-		kids := make([]Node, len(t.Kids))
-		for i, k := range t.Kids {
-			kids[i] = relaxVars(k)
-		}
-		return &Alt{Kids: kids}
-	case *Plus:
-		return &Plus{Kid: relaxVars(t.Kid)}
-	case *Star:
-		return &Star{Kid: relaxVars(t.Kid)}
-	case *Opt:
-		return &Opt{Kid: relaxVars(t.Kid)}
-	default:
-		return n
-	}
 }

@@ -257,31 +257,12 @@ func (p *parser) parseVar() (Node, error) {
 
 // ValidateWellFormed checks the syntactic side conditions of Definition 3:
 // a definition x{α} requires x ∉ var(α).
-func ValidateWellFormed(n Node) error {
-	switch t := n.(type) {
-	case *Def:
-		if Vars(t.Body)[t.Var] {
-			return fmt.Errorf("definition of $%s contains $%s (violates Definition 3)", t.Var, t.Var)
+func ValidateWellFormed(n Node) (err error) {
+	Walk(n, func(m Node) bool {
+		if d, ok := m.(*Def); ok && (ContainsDef(d.Body, d.Var) || ContainsRef(d.Body, d.Var)) {
+			err = fmt.Errorf("definition of $%s contains $%s (violates Definition 3)", d.Var, d.Var)
 		}
-		return ValidateWellFormed(t.Body)
-	case *Cat:
-		for _, k := range t.Kids {
-			if err := ValidateWellFormed(k); err != nil {
-				return err
-			}
-		}
-	case *Alt:
-		for _, k := range t.Kids {
-			if err := ValidateWellFormed(k); err != nil {
-				return err
-			}
-		}
-	case *Plus:
-		return ValidateWellFormed(t.Kid)
-	case *Star:
-		return ValidateWellFormed(t.Kid)
-	case *Opt:
-		return ValidateWellFormed(t.Kid)
-	}
-	return nil
+		return err != nil
+	})
+	return err
 }

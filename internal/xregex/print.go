@@ -1,6 +1,9 @@
 package xregex
 
-import "strings"
+import (
+	"strings"
+	"unicode"
+)
 
 // String renders n in the syntax accepted by Parse, with parentheses only
 // where required by operator precedence (atom > repetition > concatenation >
@@ -26,7 +29,7 @@ func printNode(b *strings.Builder, n Node, ctx int) {
 	case *Eps:
 		b.WriteString("()")
 	case *Sym:
-		if isReserved(t.R) || t.R == ' ' {
+		if isReserved(t.R) || unicode.IsSpace(t.R) { // Parse skips unescaped space
 			b.WriteByte('\\')
 		}
 		b.WriteRune(t.R)

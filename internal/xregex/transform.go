@@ -5,66 +5,18 @@ import "fmt"
 // ReplaceRefs returns n with every reference of x replaced by a deep copy of
 // repl. Definitions of x are left untouched.
 func ReplaceRefs(n Node, x string, repl Node) Node {
-	switch t := n.(type) {
-	case *Ref:
-		if t.Var == x {
-			return Clone(repl)
-		}
-		return n
-	case *Def:
-		return &Def{Var: t.Var, Body: ReplaceRefs(t.Body, x, repl)}
-	case *Cat:
-		kids := make([]Node, len(t.Kids))
-		for i, k := range t.Kids {
-			kids[i] = ReplaceRefs(k, x, repl)
-		}
-		return &Cat{Kids: kids}
-	case *Alt:
-		kids := make([]Node, len(t.Kids))
-		for i, k := range t.Kids {
-			kids[i] = ReplaceRefs(k, x, repl)
-		}
-		return &Alt{Kids: kids}
-	case *Plus:
-		return &Plus{Kid: ReplaceRefs(t.Kid, x, repl)}
-	case *Star:
-		return &Star{Kid: ReplaceRefs(t.Kid, x, repl)}
-	case *Opt:
-		return &Opt{Kid: ReplaceRefs(t.Kid, x, repl)}
-	default:
-		return n
+	if r, ok := n.(*Ref); ok && r.Var == x {
+		return Clone(repl)
 	}
+	return mapKids(n, func(k Node) Node { return ReplaceRefs(k, x, repl) })
 }
 
 // ReplaceDefs returns n with every definition of x replaced by repl(body).
 func ReplaceDefs(n Node, x string, repl func(body Node) Node) Node {
-	switch t := n.(type) {
-	case *Def:
-		if t.Var == x {
-			return repl(t.Body)
-		}
-		return &Def{Var: t.Var, Body: ReplaceDefs(t.Body, x, repl)}
-	case *Cat:
-		kids := make([]Node, len(t.Kids))
-		for i, k := range t.Kids {
-			kids[i] = ReplaceDefs(k, x, repl)
-		}
-		return &Cat{Kids: kids}
-	case *Alt:
-		kids := make([]Node, len(t.Kids))
-		for i, k := range t.Kids {
-			kids[i] = ReplaceDefs(k, x, repl)
-		}
-		return &Alt{Kids: kids}
-	case *Plus:
-		return &Plus{Kid: ReplaceDefs(t.Kid, x, repl)}
-	case *Star:
-		return &Star{Kid: ReplaceDefs(t.Kid, x, repl)}
-	case *Opt:
-		return &Opt{Kid: ReplaceDefs(t.Kid, x, repl)}
-	default:
-		return n
+	if d, ok := n.(*Def); ok && d.Var == x {
+		return repl(d.Body)
 	}
+	return mapKids(n, func(k Node) Node { return ReplaceDefs(k, x, repl) })
 }
 
 // RenameVar renames variable old to nu in definitions and references.
@@ -74,34 +26,12 @@ func RenameVar(n Node, old, nu string) Node {
 		if t.Var == old {
 			return &Ref{Var: nu}
 		}
-		return n
 	case *Def:
-		v := t.Var
-		if v == old {
-			v = nu
+		if t.Var == old {
+			return &Def{Var: nu, Body: RenameVar(t.Body, old, nu)}
 		}
-		return &Def{Var: v, Body: RenameVar(t.Body, old, nu)}
-	case *Cat:
-		kids := make([]Node, len(t.Kids))
-		for i, k := range t.Kids {
-			kids[i] = RenameVar(k, old, nu)
-		}
-		return &Cat{Kids: kids}
-	case *Alt:
-		kids := make([]Node, len(t.Kids))
-		for i, k := range t.Kids {
-			kids[i] = RenameVar(k, old, nu)
-		}
-		return &Alt{Kids: kids}
-	case *Plus:
-		return &Plus{Kid: RenameVar(t.Kid, old, nu)}
-	case *Star:
-		return &Star{Kid: RenameVar(t.Kid, old, nu)}
-	case *Opt:
-		return &Opt{Kid: RenameVar(t.Kid, old, nu)}
-	default:
-		return n
 	}
+	return mapKids(n, func(k Node) Node { return RenameVar(k, old, nu) })
 }
 
 // ExpandVariableSimple implements Step 1 of the normal-form construction
@@ -159,10 +89,9 @@ func ExpandVariableSimple(n Node) ([]Node, error) {
 			return nil, err
 		}
 		return append(parts, &Eps{}), nil
-	case *Plus, *Star:
+	default: // *Plus, *Star: every other kind with a variable below it is handled above
 		return nil, fmt.Errorf("xregex: variable under +/* — expression is not vstar-free: %s", String(n))
 	}
-	panic("xregex: unknown node type")
 }
 
 // FactorKind classifies one factor of a variable-simple xregex.

@@ -24,6 +24,13 @@ func TestParsePrintRoundTrip(t *testing.T) {
 		"$x{$y{a*}b}$y",
 		"\\+\\(",
 		"$x1{a*$x2{(a|b)*}b*a*}$x2*(a|b)*$x1",
+		// escaped space runes are symbols; unescaped, Parse skips them
+		"a\\ b",
+		"a\\\tb",
+		"\\\n+",
+		"\\\v|\\\r",
+		"$x{\\\u0085}\\\u00a0$x",
+		"\\\u2028\\\u3000",
 	}
 	for _, src := range cases {
 		n, err := Parse(src)
