@@ -1,8 +1,8 @@
 package cxrpq_test
 
 // Differential property for the cost-based planning layer: what the planner
-// does on top of the paper's semantics — cost order, semijoin reduction,
-// minimization, the Yannakakis program — must change no answer, across
+// does on top of the paper's semantics — cost order, minimization, the
+// Yannakakis program — must change no answer, across
 // randomized workloads, on every evaluation path: fragment-dispatched Eval,
 // the bounded engine, and the Check views of both. A configuration is a
 // planner.Tuning handed to the Session (Plan.BindTuned, export_test.go); the
@@ -21,11 +21,10 @@ import (
 
 var (
 	// rewritesOff keeps every atom and never runs the Yannakakis program:
-	// the cost order with the semijoin reduction at its production floor.
+	// backtracking in the cost order.
 	rewritesOff = planner.Tuning{NoMinimize: true, NoAcyclic: true}
 	// forced drops the floor and the gain to zero, so that every acyclic
-	// join of a six-node graph takes the Yannakakis program and every
-	// cyclic one the semijoin reduction.
+	// join of a six-node graph takes the Yannakakis program.
 	forced = planner.Tuning{Force: true}
 )
 

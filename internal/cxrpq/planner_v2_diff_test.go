@@ -88,7 +88,6 @@ func TestPlannerV2DifferentialWithDeltas(t *testing.T) {
 	}{
 		{"production", planner.Tuning{}},
 		{"forced", forced},
-		{"forced semijoin reduction", planner.Tuning{Force: true, NoAcyclic: true}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
@@ -177,11 +176,11 @@ func TestPlanReportV2Fields(t *testing.T) {
 	})
 	t.Run("bounded fragment gates on the skeleton estimate", func(t *testing.T) {
 		// Not vstar-free: only the bounded engine evaluates it, over
-		// materialized relations, where a cyclic join that clears the floor
-		// takes the semijoin reduction.
+		// materialized relations, where a cyclic join backtracks however
+		// far above the floor it is.
 		rep := report(t, "ans(x)\nx y : $w{a|b}\ny z : $w+\nz x : b", forced)
-		if rep.Fragment == "CRPQ" || rep.Strategy != "semijoin-reduce" {
-			t.Fatalf("fragment %q strategy %q, want a bounded-only fragment on semijoin-reduce", rep.Fragment, rep.Strategy)
+		if rep.Fragment == "CRPQ" || rep.Strategy != "backtracking" {
+			t.Fatalf("fragment %q strategy %q, want a bounded-only fragment on backtracking", rep.Fragment, rep.Strategy)
 		}
 	})
 }

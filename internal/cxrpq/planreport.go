@@ -60,8 +60,7 @@ type PlanReport struct {
 	// query, Session.Eval — "yannakakis" when a member of its union runs the
 	// semijoin program, "backtracking" otherwise — and for any other, the
 	// leaf joins of the bounded evaluation, gated here on the estimates
-	// above where the engine gates each on its exact relation sizes (and
-	// may answer "semijoin-reduce").
+	// above where the engine gates each on its exact relation sizes.
 	MinimizedAtoms []int          `json:"minimized_atoms,omitempty"`
 	Acyclic        bool           `json:"acyclic"`
 	FreeConnex     bool           `json:"free_connex"`

@@ -191,7 +191,7 @@ func (a *AnyK) AddJoin(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec
 			return // an atom without a relation has no bindings
 		}
 	}
-	a.addRoot(joinPlan(g, rels, spec, nil, pre, true))
+	a.addRoot(joinPlan(g, rels, spec, pre, true))
 }
 
 // extend materializes (or recalls) the cost-sorted extension list of step ci

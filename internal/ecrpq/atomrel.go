@@ -256,15 +256,12 @@ func JoinRelationsStream(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSp
 // compileJoin builds the plan of a join over materialized relations in the
 // strategy the planner's gate picks for it (planner.Tuning.Strategy): the
 // Yannakakis semijoin program (yannakakis.go) — linear in the relation
-// sizes, no dead ends — the backtracking search after a semijoin reduction
-// has shrunk each node variable's candidate domain by propagating the
-// relations' endpoint sets, or the backtracking search as is. A nil plan
-// means the join is provably empty.
+// sizes, no dead ends — or the backtracking search. A nil plan means the
+// join is provably empty.
 func compileJoin(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pre map[string]int, o Options) *plan {
-	var refs []planner.EdgeRef
 	strategy, tree := o.Tuning.Strategy(planner.Join{Cost: spec.Cost, Graph: func() ([]planner.EdgeRef, []bool) {
-		if refs = edgeRefs(g); o.Ranked {
-			return refs, nil // each atom's cost contributes to the witness cost
+		if o.Ranked {
+			return edgeRefs(g), nil // each atom's cost contributes to the witness cost
 		}
 		// Parallel atoms over the identical relation are one constraint.
 		skip := make([]bool, len(g.Edges))
@@ -276,29 +273,16 @@ func compileJoin(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pre 
 				}
 			}
 		}
-		return refs, skip
+		return edgeRefs(g), skip
 	}})
-	var dom *planner.Domains
-	switch strategy {
-	case planner.Yannakakis:
+	if strategy == planner.Yannakakis {
 		return yannakakisJoin(g, rels, tree, pre, o.Ranked)
-	case planner.SemijoinReduce:
-		prels := make([]planner.Rel, len(g.Edges))
-		for i := range prels {
-			prels[i] = rels[i]
-		}
-		planner.CountSemijoinPass()
-		var ok bool
-		if dom, ok = planner.Reduce(refs, prels, rels[0].NumNodes(), pre); !ok {
-			return nil // a variable lost every candidate
-		}
 	}
-	return joinPlan(g, rels, spec, dom, pre, o.Ranked)
+	return joinPlan(g, rels, spec, pre, o.Ranked)
 }
 
-// joinPlan compiles the join of g over rels in the order of spec, with
-// candidates restricted to dom.
-func joinPlan(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, dom *planner.Domains, pre map[string]int, ranked bool) *plan {
+// joinPlan compiles the join of g over rels in the order of spec.
+func joinPlan(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pre map[string]int, ranked bool) *plan {
 	p := newPlan(ranked, len(spec.Order))
 	for _, ei := range spec.Order {
 		e := g.Edges[ei]
@@ -307,8 +291,6 @@ func joinPlan(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, dom *pl
 			min = rels[ei].minDist()
 		}
 		p.addAtom(rels[ei], e.From, e.To, min)
-		st := &p.steps[len(p.steps)-1]
-		st.domFrom, st.domTo = dom.Bits(e.From), dom.Bits(e.To)
 	}
 	p.seal(g.Out, pre, false)
 	return p

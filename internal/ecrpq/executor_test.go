@@ -106,7 +106,7 @@ func runPlan(c *collector, p *plan) ranking {
 
 // TestExecutorDifferential runs one table of queries — chains, stars,
 // cycles, self-loops, parallel atoms, pre-bound tuples, Equality and
-// NFARelation groups — through every driver (backtracking, semijoin-reduced,
+// NFARelation groups — through every driver (backtracking, gated,
 // best-first) over every atom source it can run on (lazy probes, probes
 // filled a frontier at a time, materialized relations) and requires the same tuple set from all of them
 // unranked, and the same (cost, tuple) ranking from all of them ranked,
@@ -149,8 +149,7 @@ func TestExecutorDifferential(t *testing.T) {
 		},
 	}
 	// With the cost gates dropped compileJoin takes the Yannakakis program on
-	// every acyclic join and the semijoin reduction on every cyclic one, and
-	// with the program off besides, the reduction on all of them.
+	// every acyclic join; a cyclic one backtracks.
 	forced := planner.Tuning{Force: true}
 
 	for seed := int64(1); seed <= 3; seed++ {
@@ -204,11 +203,9 @@ func TestExecutorDifferential(t *testing.T) {
 						}
 						spec := PlanJoin(g, rels, tc.pre)
 						got["backtracking/rel"] = runPlan(newCollector(t, name("backtracking/rel"), false),
-							joinPlan(g, rels, spec, nil, tc.pre, ranked))
+							joinPlan(g, rels, spec, tc.pre, ranked))
 						got["gated/rel"] = runPlan(newCollector(t, name("gated/rel"), false),
 							compileJoin(g, rels, spec, tc.pre, Options{Ranked: ranked, Tuning: forced}))
-						got["reduced/rel"] = runPlan(newCollector(t, name("reduced/rel"), false),
-							compileJoin(g, rels, spec, tc.pre, Options{Ranked: ranked, Tuning: planner.Tuning{Force: true, NoAcyclic: true}}))
 						// Any permutation of the edges is a plan: the reverse of
 						// the input order, which no cost model chose.
 						reversed := &planner.PlanSpec{}
@@ -219,7 +216,7 @@ func TestExecutorDifferential(t *testing.T) {
 							compileJoin(g, rels, reversed, tc.pre, Options{Ranked: ranked}))
 						if ranked {
 							got["best-first/rel"] = drainAnyK(newCollector(t, name("best-first/rel"), true),
-								joinPlan(g, rels, spec, nil, tc.pre, true))
+								joinPlan(g, rels, spec, tc.pre, true))
 						}
 					}
 					want := got["backtracking/lazy"]

@@ -58,9 +58,6 @@ type step struct {
 	// later step or the output projection). An endpoint nothing reads again
 	// is never bound: one candidate proves the extension.
 	bindFrom, bindTo bool
-	// domFrom/domTo restrict the endpoint's candidates to a semijoin-reduced
-	// node bitset; nil is unrestricted.
-	domFrom, domTo []uint64
 	// min is an admissible lower bound of the step's cost over all bindings
 	// (the best-first driver's key for undetermined steps).
 	min int32
@@ -126,16 +123,16 @@ func (p *plan) seal(out []string, pre map[string]int, bindAll bool) {
 // support returns the bitset that answers the step in place of its lists, or
 // nil, and the side the step is walked from: its sources when forward, else
 // its targets. uok and vok say which endpoints are bound. The other side has
-// to be unrestricted and read by nothing (never so in a ranked plan, see
-// seal), and the source a probe atom, which can sweep for who has a partner.
+// to be read by nothing (never so in a ranked plan, see seal), and the source
+// a probe atom, which can sweep for who has a partner.
 func (st *step) support(uok, vok bool) (sup []uint64, forward bool) {
 	forward = uok || !vok && (st.bindFrom || !st.bindTo)
-	farBind, farDom := st.bindTo, st.domTo
+	farBind := st.bindTo
 	if !forward {
-		farBind, farDom = st.bindFrom, st.domFrom
+		farBind = st.bindFrom
 	}
 	pa, probed := st.src.(*probeAtom) // a group step has a nil src
-	if !probed || st.from == st.to || uok && vok || farBind || farDom != nil {
+	if !probed || st.from == st.to || uok && vok || farBind {
 		return nil, forward
 	}
 	return pa.support(forward), forward
@@ -227,15 +224,15 @@ func (st *step) bindings(a []int32, cont func(cost int32) bool) bool {
 	u, v := int(a[st.from]), int(a[st.to])
 	uok, vok := u >= 0, v >= 0
 	sup, forward := st.support(uok, vok)
-	near, far, bindNear, bindFar, domNear, domFar := st.from, st.to, st.bindFrom, st.bindTo, st.domFrom, st.domTo
+	near, far, bindNear, bindFar := st.from, st.to, st.bindFrom, st.bindTo
 	if !forward {
-		near, far, bindNear, bindFar, domNear, domFar = far, near, bindFar, bindNear, domFar, domNear
+		near, far, bindNear, bindFar = far, near, bindFar, bindNear
 	}
 	switch {
 	case sup != nil && (uok || vok):
 		return !bitHas(sup, int(a[near])) || cont(0)
 	case sup != nil:
-		return bindEach(a, near, bindNear, domNear, bitList(sup), nil, cont)
+		return bindEach(a, near, bindNear, bitList(sup), nil, cont)
 	case uok && vok: // includes bound self-loops (one slot twice)
 		if d, ok := st.src.has(u, v); ok {
 			return cont(d)
@@ -243,15 +240,14 @@ func (st *step) bindings(a []int32, cont func(cost int32) bool) bool {
 		return true
 	case uok:
 		ws, ds := st.src.forward(u)
-		return bindEach(a, st.to, st.bindTo, st.domTo, ws, ds, cont)
+		return bindEach(a, st.to, st.bindTo, ws, ds, cont)
 	case vok:
 		ws, ds := st.src.backward(v)
-		return bindEach(a, st.from, st.bindFrom, st.domFrom, ws, ds, cont)
+		return bindEach(a, st.from, st.bindFrom, ws, ds, cont)
 	}
 	ok := true
 	st.src.scan(forward, func(u int, ws []int, ds []int32) bool {
 		switch {
-		case domNear != nil && !bitHas(domNear, u):
 		case st.from == st.to:
 			if d, loop := costOf(ws, ds, u); loop {
 				if !st.bindFrom {
@@ -264,14 +260,12 @@ func (st *step) bindings(a []int32, cont func(cost int32) bool) bool {
 			}
 		case bindNear:
 			a[near] = int32(u)
-			ok = bindEach(a, far, bindFar, domFar, ws, ds, cont)
+			ok = bindEach(a, far, bindFar, ws, ds, cont)
 			a[near] = -1
 		default: // neither end is read: one pair proves the step
-			for _, w := range ws {
-				if domFar == nil || bitHas(domFar, w) {
-					ok = cont(0)
-					return false
-				}
+			if len(ws) > 0 {
+				ok = cont(0)
+				return false
 			}
 		}
 		return ok
@@ -282,11 +276,8 @@ func (st *step) bindings(a []int32, cont func(cost int32) bool) bool {
 // bindEach binds slot to each candidate in turn and calls cont with its cost.
 // When the slot is not read again (bind false) the first candidate stands for
 // all of them: cont runs once and the slot stays unbound.
-func bindEach(a []int32, slot int32, bind bool, dom []uint64, ws []int, ds []int32, cont func(int32) bool) bool {
+func bindEach(a []int32, slot int32, bind bool, ws []int, ds []int32, cont func(int32) bool) bool {
 	for i, w := range ws {
-		if dom != nil && !bitHas(dom, w) {
-			continue
-		}
 		if !bind {
 			return cont(0)
 		}

@@ -260,9 +260,9 @@ func (y *yanRel) filter(keep func(u, v int) bool) {
 // atoms are parallel (both endpoints shared), an endpoint-support filter
 // on one shared variable, and the cross-product rule (empty child ⇒
 // empty parent) when the atoms share nothing. This is the relation-level
-// operation arc consistency (planner.Reduce) only approximates: parallel
-// relations {(a,b),(c,d)} and {(a,d),(c,b)} pass domain filtering but
-// their semijoin is empty.
+// operation that filtering each variable's domain only approximates:
+// parallel relations {(a,b),(c,d)} and {(a,d),(c,b)} pass domain filtering
+// but their semijoin is empty.
 func semijoin(p, c *yanRel, shared []string) {
 	switch len(shared) {
 	case 0:

@@ -16,10 +16,10 @@ import (
 
 // forced drops the cost gates, so that every acyclic, group-free, non-lazy
 // join takes the Yannakakis path on graphs of a few dozen nodes; with the
-// program off the same joins take the semijoin reduction.
+// program off the same joins backtrack.
 var (
-	forced          = ecrpq.Options{Tuning: planner.Tuning{Force: true}}
-	forcedNoAcyclic = ecrpq.Options{Tuning: planner.Tuning{Force: true, NoAcyclic: true}}
+	forced    = ecrpq.Options{Tuning: planner.Tuning{Force: true}}
+	noAcyclic = ecrpq.Options{Tuning: planner.Tuning{NoAcyclic: true}}
 )
 
 // TestYannakakisDifferential runs a query zoo over random graphs with the
@@ -52,13 +52,12 @@ func TestYannakakisDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		db := workload.Random(seed, 30, 140, "ab")
 		for _, src := range queries {
-			inputs = append(inputs, input{fmt.Sprintf("seed %d %q", seed, src), db, src, forced, forcedNoAcyclic})
+			inputs = append(inputs, input{fmt.Sprintf("seed %d %q", seed, src), db, src, forced, noAcyclic})
 		}
 	}
 	// Every backtracking anchor of the chain explores ~width·fanout² partial
 	// assignments that die one atom later; the star enumerates fanout³
 	// assignments per centre that project to one tuple.
-	noAcyclic := ecrpq.Options{Tuning: planner.Tuning{NoAcyclic: true}}
 	inputs = append(inputs,
 		input{"dead-end chain", workload.DeadEndChain(3, 120, 20, 2), "ans(x0, x3)\nx0 x1 : a\nx1 x2 : a\nx2 x3 : a", ecrpq.Options{}, noAcyclic},
 		input{"tri-label star", workload.TriStar(30, 20), "ans(x)\nx y1 : a\nx y2 : b\nx y3 : c", ecrpq.Options{}, noAcyclic})

@@ -22,17 +22,13 @@
 // estimated fanout expansion for one, full relation scan for none) and
 // multiplies the running intermediate-row estimate through, so one
 // high-fanout atom no longer lands in front of selective atoms just
-// because of tie-breaking. Reduce is the complementary semijoin pass for
-// materialized relations: it shrinks each node variable's candidate domain
-// by propagating relation endpoint supports (arc consistency, bounded
-// sweeps) before a backtracking join runs.
+// because of tie-breaking.
 //
-// Tuning.Strategy is the one gate that decides, per join, between plain
-// backtracking, backtracking after the semijoin reduction, and the
-// Yannakakis program over a join tree (jointree.go); Tuning.Minimize is the
-// containment-based pruning of redundant atoms (contain.go). Both hang off
-// the Tuning value so that tests can hand an evaluation a baseline; the
-// package itself holds no switch.
+// Tuning.Strategy is the one gate that decides, per join, between
+// backtracking in that order and the Yannakakis program over a join tree
+// (jointree.go); Tuning.Minimize is the containment-based pruning of
+// redundant atoms (contain.go). Both hang off the Tuning value so that tests
+// can hand an evaluation a baseline; the package itself holds no switch.
 package planner
 
 import (

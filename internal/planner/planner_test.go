@@ -147,17 +147,17 @@ func TestStrategyGate(t *testing.T) {
 	}{
 		{"below the floor", Tuning{}, Join{Cost: 255, Graph: chain}, Backtracking, false},
 		{"materialized chain above the floor", Tuning{}, Join{Cost: 256, Graph: chain}, Yannakakis, false},
-		{"materialized triangle above the floor", Tuning{}, Join{Cost: 256, Graph: triangle}, SemijoinReduce, true},
+		{"materialized triangle above the floor", Tuning{}, Join{Cost: 256, Graph: triangle}, Backtracking, true},
 		{"unbuilt chain short of the gain", Tuning{}, Join{Cost: 1000, Build: 251, Graph: chain}, Backtracking, false},
 		{"unbuilt chain past the gain", Tuning{}, Join{Cost: 1000, Build: 250, Graph: chain}, Yannakakis, false},
-		{"unbuilt triangle has nothing to reduce", Tuning{}, Join{Cost: 1000, Build: 10, Graph: triangle}, Backtracking, true},
+		{"unbuilt triangle past the gain", Tuning{}, Join{Cost: 1000, Build: 10, Graph: triangle}, Backtracking, true},
 		{"lazy", Tuning{Force: true}, Join{Cost: 1000, Lazy: true, Graph: chain}, Backtracking, false},
 		{"groups", Tuning{Force: true}, Join{Cost: 1000, Groups: true, Graph: chain}, Backtracking, false},
 		{"every atom skipped", Tuning{Force: true}, Join{Graph: graph([]bool{true, true}, xy, yz)}, Backtracking, false},
 		{"skip breaks the cycle", Tuning{}, Join{Cost: 300, Graph: graph([]bool{false, false, true}, xy, yz, zx)}, Yannakakis, false},
 		{"forced: no floor", Tuning{Force: true}, Join{Cost: 1, Graph: chain}, Yannakakis, false},
 		{"forced: no gain", Tuning{Force: true}, Join{Cost: 1, Build: 1e9, Graph: chain}, Yannakakis, false},
-		{"acyclic path off", Tuning{NoAcyclic: true}, Join{Cost: 300, Graph: chain}, SemijoinReduce, false},
+		{"acyclic path off", Tuning{NoAcyclic: true}, Join{Cost: 300, Graph: chain}, Backtracking, false},
 		{"acyclic path off, unbuilt", Tuning{NoAcyclic: true, Force: true}, Join{Cost: 300, Build: 1, Graph: chain}, Backtracking, false},
 	} {
 		before := Stats().CyclicFallback
@@ -168,59 +168,5 @@ func TestStrategyGate(t *testing.T) {
 		if counted := Stats().CyclicFallback != before; counted != tc.cyclic {
 			t.Errorf("%s: cyclic fallback counted = %v, want %v", tc.name, counted, tc.cyclic)
 		}
-	}
-}
-
-func TestReduceShrinksDomains(t *testing.T) {
-	// Nodes 0..4. Edge x->y supported only by (0,1) and (2,3); edge y->z
-	// supported only by (3,4). Arc consistency must pin x=2, y=3, z=4.
-	rxy := sliceRel{{1}, nil, {3}, nil, nil}
-	ryz := sliceRel{nil, nil, nil, {4}, nil}
-	edges := []EdgeRef{{From: "x", To: "y"}, {From: "y", To: "z"}}
-	dom, ok := Reduce(edges, []Rel{rxy, ryz}, 5, nil)
-	if !ok {
-		t.Fatal("reduce reported empty")
-	}
-	if dom.Size("x") != 1 || !dom.Has("x", 2) {
-		t.Fatalf("dom(x) size %d", dom.Size("x"))
-	}
-	if dom.Size("y") != 1 || !dom.Has("y", 3) {
-		t.Fatalf("dom(y) size %d", dom.Size("y"))
-	}
-	if dom.Size("z") != 1 || !dom.Has("z", 4) {
-		t.Fatalf("dom(z) size %d", dom.Size("z"))
-	}
-	var got []int
-	for v := 0; v < 5; v++ {
-		if dom.Has("x", v) {
-			got = append(got, v)
-		}
-	}
-	if len(got) != 1 || got[0] != 2 {
-		t.Fatalf("dom(x) candidates = %v", got)
-	}
-}
-
-func TestReduceDetectsEmpty(t *testing.T) {
-	rxy := sliceRel{{1}, nil, nil}
-	ryz := sliceRel{nil, nil, nil} // no support at all
-	edges := []EdgeRef{{From: "x", To: "y"}, {From: "y", To: "z"}}
-	if _, ok := Reduce(edges, []Rel{rxy, ryz}, 3, nil); ok {
-		t.Fatal("reduce missed the empty join")
-	}
-}
-
-func TestReduceSelfLoopAndPre(t *testing.T) {
-	// Self-loop edge x->x: only node 1 has (1,1).
-	loop := sliceRel{{1}, {1}, {0}}
-	dom, ok := Reduce([]EdgeRef{{From: "x", To: "x"}}, []Rel{loop}, 3, nil)
-	if !ok || dom.Size("x") != 1 || !dom.Has("x", 1) {
-		t.Fatalf("self-loop domain: ok=%v size=%d", ok, dom.Size("x"))
-	}
-	// Pre-bound variable restricts its domain to the singleton.
-	rxy := sliceRel{{1, 2}, nil, nil}
-	dom, ok = Reduce([]EdgeRef{{From: "x", To: "y"}}, []Rel{rxy}, 3, map[string]int{"y": 2})
-	if !ok || dom.Size("y") != 1 || !dom.Has("y", 2) || dom.Has("y", 1) {
-		t.Fatalf("pre-bound domain: ok=%v", ok)
 	}
 }

@@ -11,15 +11,14 @@ import "sync/atomic"
 // gates, or to fix the fan width.
 type Tuning struct {
 	NoMinimize bool // keep the atoms Minimize would delete
-	NoAcyclic  bool // never run the Yannakakis program; a join that clears the floor takes the semijoin reduction
+	NoAcyclic  bool // never run the Yannakakis program: every join backtracks
 	Force      bool // floor and gain are zero: every eligible join takes its pass
 	Workers    int  // width of the engine.Fan calls of one evaluation; 0 means GOMAXPROCS
 }
 
 const (
-	// semijoinFloor is the estimated join cost below which neither pass over
-	// the relations — the semijoin reduction, the Yannakakis program — is
-	// worth its linear sweep.
+	// semijoinFloor is the estimated join cost below which the Yannakakis
+	// program's linear sweeps over the relations are not worth making.
 	semijoinFloor = 256
 	// yannakakisGain is the factor by which a join's estimated backtracking
 	// cost must exceed the cost of materializing its relations before the
@@ -36,16 +35,13 @@ type Strategy int
 const (
 	// Backtracking is the backtracking join in the planned order.
 	Backtracking Strategy = iota
-	// SemijoinReduce is the same join after one semijoin reduction (Reduce)
-	// has shrunk the variable domains of the materialized relations.
-	SemijoinReduce
 	// Yannakakis is the semijoin program over the join tree followed by a
 	// dead-end-free enumeration.
 	Yannakakis
 )
 
 func (s Strategy) String() string {
-	return [...]string{"backtracking", "semijoin-reduce", "yannakakis"}[s]
+	return [...]string{"backtracking", "yannakakis"}[s]
 }
 
 // Join is what the gate knows about one join.
@@ -56,24 +52,28 @@ type Join struct {
 	Groups bool    // the join has relation groups besides its atoms
 	// Graph returns the conjunct graph and the atoms to leave out of it
 	// (minimized away, or parallel duplicates; nil leaves none out). It is
-	// asked at most once, and only for a join that clears the exclusions
-	// and the floor.
+	// asked at most once, and only for a join that clears the exclusions,
+	// the floor and the gain.
 	Graph func() (edges []EdgeRef, skip []bool)
 }
 
-// Strategy is the one gate between the three join strategies; the join tree
+// EdgeRef names the endpoints of one atom of a conjunct graph.
+type EdgeRef struct {
+	From, To string
+}
+
+// Strategy is the one gate between the two join strategies; the join tree
 // comes with Yannakakis. A lazy or grouped join and one below the floor
 // backtrack. Above the floor an acyclic conjunct graph runs the Yannakakis
 // program, provided the backtracking estimate is yannakakisGain times what
 // building the relations would cost (nothing, over materialized ones);
-// everything else that has its relations takes the semijoin reduction, and
-// what would have to build them first backtracks.
+// everything else backtracks.
 func (t Tuning) Strategy(j Join) (Strategy, *JoinTree) {
 	floor, gain := float64(semijoinFloor), float64(yannakakisGain)
 	if t.Force {
 		floor, gain = 0, 0
 	}
-	if j.Lazy || j.Groups || j.Cost < floor {
+	if t.NoAcyclic || j.Lazy || j.Groups || j.Cost < floor || j.Cost < gain*j.Build {
 		return Backtracking, nil
 	}
 	edges, skip := j.Graph()
@@ -86,16 +86,11 @@ func (t Tuning) Strategy(j Join) (Strategy, *JoinTree) {
 	if kept == 0 {
 		return Backtracking, nil
 	}
-	if !t.NoAcyclic && j.Cost >= gain*j.Build {
-		if tree, ok := BuildJoinTree(edges, skip); ok {
-			return Yannakakis, tree
-		}
-		ctrCyclicFallback.Add(1)
+	if tree, ok := BuildJoinTree(edges, skip); ok {
+		return Yannakakis, tree
 	}
-	if j.Build > 0 {
-		return Backtracking, nil
-	}
-	return SemijoinReduce, nil
+	ctrCyclicFallback.Add(1)
+	return Backtracking, nil
 }
 
 // Counters are the planner telemetry, surfaced by cxrpq-serve /stats.
@@ -104,7 +99,7 @@ type Counters struct {
 	ContainBails   uint64 `json:"contain_bails"`    // explorations abandoned at the state cap
 	AtomsMinimized uint64 `json:"atoms_minimized"`  // atoms deleted by Minimize
 	AcyclicPlans   uint64 `json:"acyclic_plans"`    // Yannakakis programs executed
-	SemijoinPasses uint64 `json:"semijoin_passes"`  // semijoin sweeps (Reduce calls + Yannakakis passes)
+	SemijoinPasses uint64 `json:"semijoin_passes"`  // semijoin sweeps of the Yannakakis programs (two each)
 	CyclicFallback uint64 `json:"cyclic_fallbacks"` // gate decisions that wanted the acyclic path but the core was cyclic
 }
 
@@ -118,8 +113,7 @@ var (
 )
 
 // CountSemijoinPass records one semijoin sweep over materialized
-// relations; ecrpq calls it from Reduce consumers and the Yannakakis
-// passes.
+// relations; ecrpq calls it from the Yannakakis passes.
 func CountSemijoinPass() { ctrSemijoinPasses.Add(1) }
 
 // CountAcyclicPlan records one executed Yannakakis join program.
