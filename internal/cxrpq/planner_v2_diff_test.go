@@ -88,6 +88,7 @@ func TestPlannerV2DifferentialWithDeltas(t *testing.T) {
 	}{
 		{"production", planner.Tuning{}},
 		{"forced", forced},
+		{"minimized backtracking", planner.Tuning{NoAcyclic: true}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()

@@ -3,6 +3,14 @@
 // set of string variables, together with the classical regular expressions
 // REΣ as the variable-free subset.
 //
+// A syntax tree is an immutable Node value. Two functions know which node
+// kinds have children: Walk (pre-order visit with early stop) and MapKids
+// (rebuild over the mapped children, sharing what did not change). Whatever
+// only descends or only rebuilds is written on them and shows just the case
+// the paper talks about; a function switches over every kind only where each
+// kind means something different to it (Simplify, the Thompson
+// constructions, the printer, seqCheck, ForceVar, ExpandVariableSimple).
+//
 // On top of the AST the package provides: a parser and printer, the
 // ref-word semantics of §2.1 (Definitions 1 and 2), the syntactic fragment
 // classifiers of §5 (vstar-free, valt-free, variable-simple, simple, normal
@@ -10,7 +18,8 @@
 // NFAs, conversion of NFAs back to classical expressions by state
 // elimination (needed for Lemma 12), word matching with witness variable
 // mappings, and the syntax-tree transformations used by the normal-form
-// construction (Lemmas 4–6) and the bounded-image instantiation (Lemma 10).
+// construction (Lemmas 4–6) and the bounded-image instantiation (Lemma 10)
+// with its Σ*-relaxation (Relax).
 package xregex
 
 import "sort"

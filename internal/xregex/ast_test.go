@@ -2,6 +2,7 @@ package xregex
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -82,10 +83,10 @@ func TestWalkOrder(t *testing.T) {
 		}
 		return false
 	})
-	if got := join(syms); got != "abcde" {
+	if got := strings.Join(syms, ""); got != "abcde" {
 		t.Errorf("symbols in walk order %q, printer order %q", got, "abcde")
 	}
-	if got := join(defs); got != "xyz" {
+	if got := strings.Join(defs, ""); got != "xyz" {
 		t.Errorf("definitions in walk order %q, want xyz", got)
 	}
 	var bodies []string
@@ -94,7 +95,7 @@ func TestWalkOrder(t *testing.T) {
 			bodies = append(bodies, String(b))
 		}
 	}
-	if got, want := join(bodies), "a$y{b}"+"b"+"d$y"; got != want {
+	if got, want := strings.Join(bodies, ""), "a$y{b}"+"b"+"d$y"; got != want {
 		t.Errorf("DefBodies in walk order %q, want %q", got, want)
 	}
 
@@ -111,14 +112,6 @@ func TestWalkOrder(t *testing.T) {
 	if Walk(n, func(Node) bool { return false }) {
 		t.Errorf("Walk reported a stop no visit asked for")
 	}
-}
-
-func join(ss []string) string {
-	out := ""
-	for _, s := range ss {
-		out += s
-	}
-	return out
 }
 
 // TestRelax holds Relax to what its predecessors (relaxVars here,

@@ -7,16 +7,22 @@ import "fmt"
 // expression describing exactly the words matched with that mapping.
 // The conjunctive (tuple-level) orchestration lives in package cxrpq.
 
+// replaceVars returns n with every reference and every definition — body and
+// all — replaced by f of its variable.
+func replaceVars(n Node, f func(x string) Node) Node {
+	switch t := n.(type) {
+	case *Ref:
+		return f(t.Var)
+	case *Def:
+		return f(t.Var)
+	}
+	return mapKids(n, func(k Node) Node { return replaceVars(k, f) })
+}
+
 // SubstituteAllVars replaces every reference and every definition of each
 // variable by the literal image v[x] (missing entries mean ε).
 func SubstituteAllVars(n Node, v map[string]string) Node {
-	switch t := n.(type) {
-	case *Ref:
-		return Word(v[t.Var])
-	case *Def:
-		return Word(v[t.Var])
-	}
-	return mapKids(n, func(k Node) Node { return SubstituteAllVars(k, v) })
+	return replaceVars(n, func(x string) Node { return Word(v[x]) })
 }
 
 // Relax over-approximates n by a classical expression: a reference or
@@ -25,19 +31,12 @@ func SubstituteAllVars(n Node, v map[string]string) Node {
 // relaxes every variable. The bodies of assigned definitions are not
 // checked against their images; Lemma 10's exact cut is CutFailedDefs.
 func Relax(n Node, assign map[string]string) Node {
-	var x string
-	switch t := n.(type) {
-	case *Ref:
-		x = t.Var
-	case *Def:
-		x = t.Var
-	default:
-		return mapKids(n, func(k Node) Node { return Relax(k, assign) })
-	}
-	if w, ok := assign[x]; ok {
-		return Word(w)
-	}
-	return AnyWord()
+	return replaceVars(n, func(x string) Node {
+		if w, ok := assign[x]; ok {
+			return Word(w)
+		}
+		return AnyWord()
+	})
 }
 
 // CutFailedDefs is Step 1 of the Lemma 10 procedure: definitions are
