@@ -91,7 +91,7 @@ func BenchmarkVsfEval(b *testing.B) {
 	q := cxrpq.MustParse("ans(v1, v2)\nv1 v2 : $x{aa|b}\nv2 v3 : c*\nv3 v1 : $x|c")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cxrpq.EvalVsf(q, db); err != nil {
+		if err := cxrpq.Do(q, db, cxrpq.Request{Op: "eval"}).Err; err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -102,7 +102,7 @@ func BenchmarkBoundedEval(b *testing.B) {
 	q := cxrpq.MustParse("ans(s, t)\ns t : $x{(a|b)+}c\nt s : $x+|b")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cxrpq.EvalBounded(q, db, 2); err != nil {
+		if err := cxrpq.Do(q, db, cxrpq.Request{Op: "eval", Semantics: "bounded", K: 2}).Err; err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -117,7 +117,7 @@ func BenchmarkEvalBounded(b *testing.B) {
 	q := cxrpq.MustParse("ans(s, t)\ns m : $x{(a|b)+}\nm t : $y{a|c}b?\nt s : ($x|$y)c*")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cxrpq.EvalBounded(q, db, 2); err != nil {
+		if err := cxrpq.Do(q, db, cxrpq.Request{Op: "eval", Semantics: "bounded", K: 2}).Err; err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -168,14 +168,14 @@ func BenchmarkXregexMatch(b *testing.B) {
 
 // --- ablation benchmarks (the design choices E17 measures) ---
 
-// Ablation: EvalBounded's candidate pruning (path labels + definition-body
+// Ablation: the bounded engine's candidate pruning (path labels + definition-body
 // filters) vs the literal Theorem 6 blind guess over (Σ^≤k)^n.
 func BenchmarkAblationBoundedPruned(b *testing.B) {
 	db := workload.Random(13, 6, 18, "abc")
 	q := cxrpq.MustParse("ans(s, t)\ns t : $x{(a|b)+}c\nt s : $x+|b")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cxrpq.EvalBounded(q, db, 2); err != nil {
+		if err := cxrpq.Do(q, db, cxrpq.Request{Op: "eval", Semantics: "bounded", K: 2}).Err; err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -307,7 +307,7 @@ func BenchmarkReachBatch(b *testing.B) {
 // gMark-style workload: "first" pulls a single row through Session.Stream on
 // a session-cold cache (the time-to-first-row fast path — lazy chunked source
 // sweeps compute only what one row needs), "drain" pulls the entire relation
-// page by page, and "eval" materializes it with Session.Eval.
+// page by page, and "eval" materializes it with Session.Do.
 func BenchmarkStreamFirstRow(b *testing.B) {
 	db := workload.GMark(7, 1200)
 	db.Index() // shared state: warm outside the timings
@@ -343,7 +343,7 @@ func BenchmarkStreamFirstRow(b *testing.B) {
 	})
 	b.Run("eval", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := plan.Bind(db).Eval(); err != nil {
+			if err := plan.Bind(db).Do(cxrpq.Request{Op: "eval"}).Err; err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -170,8 +170,8 @@ func pageFixture(t testing.TB) (*cxrpq.Session, *graph.DB) {
 		t.Fatal(err)
 	}
 	sess := plan.Bind(db)
-	if res, err := sess.Eval(); err != nil || res.Len() != 3600 {
-		t.Fatalf("fixture: %v, %v", res, err)
+	if resp := sess.Do(cxrpq.Request{Op: "eval"}); resp.Err != nil || resp.Tuples.Len() != 3600 {
+		t.Fatalf("fixture: %v, %v", resp.Tuples, resp.Err)
 	}
 	return sess, db
 }

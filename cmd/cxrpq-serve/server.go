@@ -18,6 +18,13 @@ package main
 // /plan evaluates nothing: it reports the join order every evaluation of the
 // query backtracks in, with the planner's estimated cardinalities.
 //
+// A /query travels named stages: decode (the body), resolve (the pooled
+// session of a named database, or a fresh one over an inline graph; /plan
+// shares this stage), plan (the body becomes one cxrpq.Request, checked
+// against the rules of this surface), execute (Session.Do, or Session.Stream
+// for a paged or ranked eval) and encode (encode.go). The session's Do and
+// Stream are the only ways the server runs a query.
+//
 // /query streaming, pagination and deadlines: evaluation is pull-based
 // (cxrpq.Session.Stream). "limit" caps the rows of this response page; when
 // more rows remain the response carries an opaque "cursor" token, and the
@@ -800,9 +807,15 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 // batch, none for an endless upload.
 const maxBodyBytes = 16 << 20
 
-// readBody decodes the request's JSON body into req, or answers 413 for a
-// body over maxBodyBytes, 400 for any other failure, and reports false.
-func readBody(w http.ResponseWriter, r *http.Request, req any) bool {
+// decode is the decode stage every POST endpoint starts with: it answers 405
+// to any other method, then decodes the JSON body into req, or answers 413
+// for a body over maxBodyBytes and 400 for any other failure; it reports
+// whether the request got past it.
+func decode(w http.ResponseWriter, r *http.Request, req any) bool {
+	if r.Method != http.MethodPost {
+		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
+		return false
+	}
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(req)
 	if err == nil {
 		return true
@@ -816,13 +829,12 @@ func readBody(w http.ResponseWriter, r *http.Request, req any) bool {
 	return false
 }
 
+// handleQuery is /query, in stages: decode the body, resolve the session
+// (resolve), plan the request (planQuery), execute it — streamed through a
+// cursor (streamQuery) or answered whole (execute) — and encode the response.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
 	var req queryRequest
-	if !readBody(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
 	if req.Cursor != "" {
@@ -837,132 +849,160 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("limit and deadline_ms must be nonnegative"))
 		return
 	}
-
-	// Resolve the database: a pooled named one (its published MVCC state —
-	// no lock is taken, so the evaluation below never waits on a writer and
-	// never observes a mutation mid-stream), or an inline one-off graph.
-	var sess *cxrpq.Session
-	var db *graph.DB
-	var e *dbEntry
-	switch {
-	case req.DB != "" && req.Graph != "":
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("give either db or graph, not both"))
+	t, ok := s.resolve(w, req.DB, req.Graph, req.Query)
+	if !ok {
 		return
-	case req.DB != "":
-		var ok bool
-		e, ok = s.entry(req.DB)
+	}
+	x, err := s.planQuery(r, &req, t)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	if x.do.Op == "eval" && (req.Limit > 0 || req.Ranked) {
+		s.streamQuery(w, r, x)
+		return
+	}
+	s.execute(w, r, x)
+}
+
+// target is what the resolve stage finds for a (database, query text) pair:
+// the session that answers it, the snapshot view it reads and, on a named
+// database, the entry its traffic is accounted to (nil on an inline graph).
+type target struct {
+	sess *cxrpq.Session
+	db   *graph.DB
+	e    *dbEntry
+}
+
+// resolve is the resolve stage of /query and /plan: the pooled session of a
+// named database's published MVCC state — no lock is taken, so the evaluation
+// never waits on a writer and never observes a mutation mid-stream — or a
+// fresh one over an inline one-off graph. A pair that does not resolve is
+// answered here, 404 for an unknown database and 400 otherwise.
+func (s *server) resolve(w http.ResponseWriter, dbName, graphText, query string) (target, bool) {
+	var t target
+	var err error
+	status := http.StatusBadRequest
+	switch {
+	case dbName != "" && graphText != "":
+		err = fmt.Errorf("give either db or graph, not both")
+	case dbName != "":
+		e, ok := s.entry(dbName)
 		if !ok {
-			writeErr(w, http.StatusNotFound, fmt.Errorf("unknown db %q", req.DB))
-			return
+			status, err = http.StatusNotFound, fmt.Errorf("unknown db %q", dbName)
+			break
 		}
 		st := e.state.Load()
-		db = st.db
-		var err error
-		sess, err = st.session(req.Query, s.opts.sessionCap)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
+		t.e, t.db = e, st.db
+		t.sess, err = st.session(query, s.opts.sessionCap)
+	case graphText != "":
+		if t.db, err = graph.Parse(graphText); err != nil {
+			break
 		}
-	case req.Graph != "":
-		var err error
-		db, err = graph.Parse(req.Graph)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
+		var p *cxrpq.Plan
+		if p, err = cxrpq.PrepareSrc(query); err == nil {
+			t.sess = p.Bind(t.db)
 		}
-		p, err := cxrpq.PrepareSrc(req.Query)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		sess = p.Bind(db)
 	default:
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("missing db or graph"))
-		return
+		err = fmt.Errorf("missing db or graph")
 	}
+	if err != nil {
+		writeErr(w, status, err)
+	}
+	return t, err == nil
+}
 
+// queryExec is a /query request past its plan stage: the one value the
+// execute and encode stages read.
+type queryExec struct {
+	target
+	req      *queryRequest
+	do       cxrpq.Request // Op, Semantics, K and Tuple; execute adds the budget
+	weight   engine.Weight
+	start    time.Time
+	deadline time.Time // the request's deadline_ms, or the shed budget if sooner
+	shed     bool      // admitted beyond the soft in-flight cap
+}
+
+// planQuery is the plan stage of /query: it checks what the request asks for
+// against the HTTP surface's rules — the operation, its semantics, which
+// options apply to which mode, the tuple's node names — and fixes the
+// deadline, so that execute only runs.
+func (s *server) planQuery(r *http.Request, req *queryRequest, t target) (*queryExec, error) {
 	sem, k, err := resolveSemantics(req.Semantics, req.K)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
-	op := req.Mode
-	if op == "" {
-		op = "eval"
+	x := &queryExec{target: t, req: req, do: cxrpq.Request{Op: req.Mode, Semantics: sem, K: k}}
+	if x.do.Op == "" {
+		x.do.Op = "eval"
 	}
-	switch op {
+	switch x.do.Op {
 	case "eval", "bool", "check", "explain":
 	default:
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown mode %q", op))
-		return
+		return nil, fmt.Errorf("unknown mode %q", x.do.Op)
 	}
-	if (req.Limit > 0 || req.Ranked) && op != "eval" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("limit and ranked apply to mode=eval"))
-		return
+	if (req.Limit > 0 || req.Ranked) && x.do.Op != "eval" {
+		return nil, fmt.Errorf("limit and ranked apply to mode=eval")
 	}
 	if len(req.Weights) > 0 && !req.Ranked {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("weights apply to ranked eval"))
-		return
+		return nil, fmt.Errorf("weights apply to ranked eval")
 	}
-	weight, err := weightFromMap(req.Weights)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+	if x.weight, err = weightFromMap(req.Weights); err != nil {
+		return nil, err
 	}
-	var tuple pattern.Tuple
-	if op == "check" || (op == "explain" && len(req.Tuple) > 0) {
-		tuple = make(pattern.Tuple, len(req.Tuple))
+	if x.do.Op == "check" || (x.do.Op == "explain" && len(req.Tuple) > 0) {
+		x.do.Tuple = make(pattern.Tuple, len(req.Tuple))
 		for i, name := range req.Tuple {
-			id, ok := db.Lookup(name)
+			id, ok := t.db.Lookup(name)
 			if !ok {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("unknown node %q", name))
-				return
+				return nil, fmt.Errorf("unknown node %q", name)
 			}
-			tuple[i] = id
+			x.do.Tuple[i] = id
 		}
 	}
-
-	start := time.Now()
-	var deadline time.Time
+	x.start = time.Now()
 	if req.DeadlineMS > 0 {
-		deadline = start.Add(time.Duration(req.DeadlineMS) * time.Millisecond)
+		x.deadline = x.start.Add(time.Duration(req.DeadlineMS) * time.Millisecond)
 	}
-	shed := r.Context().Value(shedKey{}) != nil
-	if shed {
+	if x.shed = r.Context().Value(shedKey{}) != nil; x.shed {
 		// Admitted beyond the soft cap: bound the work and return what fits.
-		if sd := start.Add(s.opts.shedBudget); deadline.IsZero() || sd.Before(deadline) {
-			deadline = sd
+		if sd := x.start.Add(s.opts.shedBudget); x.deadline.IsZero() || sd.Before(x.deadline) {
+			x.deadline = sd
 		}
 	}
+	return x, nil
+}
 
-	if op == "eval" && (req.Limit > 0 || req.Ranked) {
-		s.streamQuery(w, r, sess, db, e, sem, k, weight, &req, deadline, shed, start)
+// execute answers a request whole, still budgeted: the request context is
+// honored inside the evaluation loops, so a disconnected client stops burning
+// its in-flight slot. A truncated eval yields the sound partial set.
+func (s *server) execute(w http.ResponseWriter, r *http.Request, x *queryExec) {
+	x.do.Budget = engine.NewBudget(r.Context(), x.deadline)
+	resp := x.sess.Do(x.do)
+	truncated := errors.Is(resp.Err, engine.ErrCanceled)
+	if resp.Err != nil && !truncated {
+		writeErr(w, http.StatusBadRequest, resp.Err)
 		return
 	}
+	out := x.encode(resp, truncated)
+	x.e.recordQuery(time.Since(x.start), out.Count, x.shed, truncated)
+	writeQuery(w, &out)
+}
 
-	// Materialized path, still budgeted: the request context is honored
-	// inside the evaluation loops, so a disconnected client stops burning
-	// its in-flight slot. A truncated eval yields the sound partial set.
-	bud := engine.NewBudget(r.Context(), deadline)
-	resp := sess.Do(cxrpq.Request{Op: op, Semantics: sem, K: k, Tuple: tuple, Budget: bud})
-	truncated := false
-	if resp.Err != nil {
-		if !errors.Is(resp.Err, engine.ErrCanceled) {
-			writeErr(w, http.StatusBadRequest, resp.Err)
-			return
-		}
-		truncated = true
-	}
+// encode is the encode stage of a request answered whole: the Response as
+// the /query JSON says it.
+func (x *queryExec) encode(resp cxrpq.Response, truncated bool) queryResponse {
 	out := queryResponse{
-		Fragment:  sess.Fragment(),
+		Fragment:  x.sess.Fragment(),
 		Truncated: truncated,
-		Shed:      shed,
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
+		Shed:      x.shed,
+		ElapsedMS: float64(time.Since(x.start).Microseconds()) / 1000,
 	}
-	switch op {
+	switch x.do.Op {
 	case "eval":
 		if resp.Tuples != nil {
-			out.setRows(db, resp.Tuples.SortedRows(), pattern.Rows{})
+			out.setRows(x.db, resp.Tuples.SortedRows(), pattern.Rows{})
 		}
 		out.RowsStreamed = int64(out.Count)
 	case "bool", "check":
@@ -974,54 +1014,51 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case "explain":
 		b := resp.OK
 		out.Bool = &b
-		if resp.Explanation != nil {
-			ex := &explanationJSON{Nodes: map[string]string{}, Words: resp.Explanation.Words, Images: resp.Explanation.Images}
-			for v, id := range resp.Explanation.NodeOf {
-				ex.Nodes[v] = db.Name(id)
+		if ex := resp.Explanation; ex != nil {
+			out.Explanation = &explanationJSON{Nodes: map[string]string{}, Words: ex.Words, Images: ex.Images}
+			for v, id := range ex.NodeOf {
+				out.Explanation.Nodes[v] = x.db.Name(id)
 			}
-			out.Explanation = ex
 			out.Count = 1
 		}
 	}
-	e.recordQuery(time.Since(start), out.Count, shed, truncated)
-	writeQuery(w, &out)
+	return out
 }
 
-// streamQuery serves mode=eval through the pull-based cursor: the first
+// streamQuery executes mode=eval through the pull-based cursor: the first
 // row is fetched alone (that latency is the per-database time-to-first-row
 // statistic), the rest of the page follows, and an unfinished stream is
 // parked in the cursor registry under an opaque token — unless the request
 // was admitted degraded, in which case the remainder is shed.
-func (s *server) streamQuery(w http.ResponseWriter, r *http.Request, sess *cxrpq.Session, db *graph.DB,
-	e *dbEntry, sem string, k int, weight engine.Weight, req *queryRequest, deadline time.Time, shed bool, start time.Time) {
+func (s *server) streamQuery(w http.ResponseWriter, r *http.Request, x *queryExec) {
 	// A parked cursor outlives its opening request, and the request context
 	// is canceled the moment this response is written — so only a shed
 	// stream (which never parks) is bound to it. Parked cursors are bounded
 	// by their deadline and the registry's idle TTL instead.
 	var ctx context.Context
-	if shed {
+	if x.shed {
 		ctx = r.Context()
 	}
-	cur, err := sess.Stream(cxrpq.StreamOptions{
-		Semantics: sem, K: k, Ranked: req.Ranked, Weight: weight,
-		Deadline: deadline, Ctx: ctx,
+	cur, err := x.sess.Stream(cxrpq.StreamOptions{
+		Semantics: x.do.Semantics, K: x.do.K, Ranked: x.req.Ranked, Weight: x.weight,
+		Deadline: x.deadline, Ctx: ctx,
 	})
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	lim := req.Limit
+	lim := x.req.Limit
 	if lim <= 0 {
 		lim = 4096
 	}
 	first := cur.FetchRows(1)
-	ttfr := time.Since(start)
+	ttfr := time.Since(x.start)
 	var rest pattern.Rows
 	if first.N == 1 && lim > 1 {
 		rest = cur.FetchRows(lim - 1)
 	}
-	out := queryResponse{Fragment: sess.Fragment(), Shed: shed, RowsStreamed: cur.RowsStreamed()}
-	out.setRows(db, first, rest)
+	out := queryResponse{Fragment: x.sess.Fragment(), Shed: x.shed, RowsStreamed: cur.RowsStreamed()}
+	out.setRows(x.db, first, rest)
 	switch {
 	case out.Count < lim: // exhausted (or cut): the stream is done
 		if err := cur.Err(); err != nil {
@@ -1031,13 +1068,13 @@ func (s *server) streamQuery(w http.ResponseWriter, r *http.Request, sess *cxrpq
 		}
 		out.Truncated = cur.Truncated()
 		cur.Close()
-	case shed:
+	case x.shed:
 		// Degraded admission never parks a cursor: the remainder is shed.
 		cur.Close()
 		out.Truncated = true
 	default:
-		rec := &cursorRec{cur: cur, entry: e, db: db, rev: db.Revision(),
-			fragment: sess.Fragment(), limit: lim}
+		rec := &cursorRec{cur: cur, entry: x.e, db: x.db, rev: x.db.Revision(),
+			fragment: x.sess.Fragment(), limit: lim}
 		tok, evicted, err := s.cursors.put(rec)
 		if err != nil {
 			cur.Close()
@@ -1045,17 +1082,17 @@ func (s *server) streamQuery(w http.ResponseWriter, r *http.Request, sess *cxrpq
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
-		if e != nil && e.store != nil && req.Ranked {
+		if x.e != nil && x.e.store != nil && x.req.Ranked {
 			// Persist the parked ranked cursor so a restart resumes it
 			// (unranked order is not deterministic enough to replay).
-			blob := &cursorWALBlob{Token: tok, DB: e.name, Query: req.Query,
-				Semantics: sem, K: k, Limit: lim, Rows: cur.RowsStreamed(),
-				Rev: rec.rev, Weights: req.Weights}
-			if !deadline.IsZero() {
-				blob.DeadlineMS = deadline.UnixMilli()
+			blob := &cursorWALBlob{Token: tok, DB: x.e.name, Query: x.req.Query,
+				Semantics: x.do.Semantics, K: x.do.K, Limit: lim, Rows: cur.RowsStreamed(),
+				Rev: rec.rev, Weights: x.req.Weights}
+			if !x.deadline.IsZero() {
+				blob.DeadlineMS = x.deadline.UnixMilli()
 			}
 			rec.persist = blob
-			persistCursor(e, blob)
+			persistCursor(x.e, blob)
 		}
 		out.Cursor = tok
 		// A page cut short by the deadline must say so even when the stream
@@ -1063,8 +1100,8 @@ func (s *server) streamQuery(w http.ResponseWriter, r *http.Request, sess *cxrpq
 		out.Truncated = cur.Truncated()
 		defer closeAll(evicted)
 	}
-	out.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	e.recordQuery(ttfr, out.Count, shed, out.Truncated)
+	out.ElapsedMS = float64(time.Since(x.start).Microseconds()) / 1000
+	x.e.recordQuery(ttfr, out.Count, x.shed, out.Truncated)
 	writeQuery(w, &out)
 }
 
@@ -1130,29 +1167,26 @@ func (s *server) handleCursorFetch(w http.ResponseWriter, req *queryRequest) {
 	writeQuery(w, &out)
 }
 
-// resolveSemantics validates the request's semantics/k pair and maps it
-// onto a Session batch-request: a k is accepted exactly when
-// semantics=bounded, where any k ≥ 0 is legal (k = 0 restricts images to ε).
+// resolveSemantics applies the HTTP surface's rule for the semantics/k pair:
+// a k is given exactly when semantics=bounded, where any k ≥ 0 is legal
+// (k = 0 restricts images to ε). An absent semantics is "auto".
 func resolveSemantics(semantics string, k *int) (string, int, error) {
 	switch semantics {
-	case "", "auto":
+	case "", "auto", "log":
 		if k != nil {
 			return "", 0, fmt.Errorf("k requires semantics=bounded")
 		}
-		return "auto", 0, nil
+		if semantics == "" {
+			semantics = "auto"
+		}
+		return semantics, 0, nil
 	case "bounded":
 		if k == nil || *k < 0 {
 			return "", 0, fmt.Errorf("semantics=bounded requires k >= 0")
 		}
-		return "bounded", *k, nil
-	case "log":
-		if k != nil {
-			return "", 0, fmt.Errorf("k requires semantics=bounded")
-		}
-		return "log", 0, nil
-	default:
-		return "", 0, fmt.Errorf("unknown semantics %q", semantics)
+		return semantics, *k, nil
 	}
+	return "", 0, fmt.Errorf("unknown semantics %q", semantics)
 }
 
 type planRequest struct {
@@ -1184,62 +1218,24 @@ type planResponse struct {
 // along with the per-label graph statistics the estimates came from,
 // instead of evaluating anything.
 func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
 	var req planRequest
-	if !readBody(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
 	if req.Query == "" {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("missing query"))
 		return
 	}
-	var sess *cxrpq.Session
-	var db *graph.DB
-	switch {
-	case req.DB != "" && req.Graph != "":
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("give either db or graph, not both"))
-		return
-	case req.DB != "":
-		e, ok := s.entry(req.DB)
-		if !ok {
-			writeErr(w, http.StatusNotFound, fmt.Errorf("unknown db %q", req.DB))
-			return
-		}
-		st := e.state.Load()
-		db = st.db
-		var err error
-		sess, err = st.session(req.Query, s.opts.sessionCap)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-	case req.Graph != "":
-		var err error
-		db, err = graph.Parse(req.Graph)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		p, err := cxrpq.PrepareSrc(req.Query)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		sess = p.Bind(db)
-	default:
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("missing db or graph"))
+	t, ok := s.resolve(w, req.DB, req.Graph, req.Query)
+	if !ok {
 		return
 	}
-
-	rep, err := sess.PlanReport()
+	rep, err := t.sess.PlanReport()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	st := db.Stats()
+	st := t.db.Stats()
 	out := planResponse{PlanReport: rep, Nodes: st.Nodes, Edges: st.Edges}
 	for _, ls := range st.BySym {
 		out.Labels = append(out.Labels, planLabelJSON{
@@ -1269,12 +1265,8 @@ type updateResponse struct {
 }
 
 func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
 	var req updateRequest
-	if !readBody(w, r, &req) {
+	if !decode(w, r, &req) {
 		return
 	}
 	e, ok := s.entry(req.DB)

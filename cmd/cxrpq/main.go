@@ -10,10 +10,12 @@
 //	x y : a$v{a|b}b*
 //	y z : $v+
 //
-// The algorithm is chosen per the query's fragment by default (auto):
-// CRPQ/simple/vstar-free queries get their complete algorithms; other
+// The flags make one cxrpq.Request: -algo its semantics, -explain its
+// operation. The algorithm is chosen per the query's fragment by default
+// (auto): CRPQ/simple/vstar-free queries get their complete algorithms; other
 // queries require -algo bounded/log/any with the CXRPQ^≤k / CXRPQ^log
-// semantics of §6 of the paper.
+// semantics of §6 of the paper (-explain alone falls back to bounded -k for
+// them). -algo any is bounded -k and notes whether longer images could exist.
 package main
 
 import (
@@ -23,7 +25,6 @@ import (
 
 	"cxrpq/internal/cxrpq"
 	"cxrpq/internal/graph"
-	"cxrpq/internal/pattern"
 )
 
 func main() {
@@ -63,21 +64,34 @@ func run(graphPath, queryPath, algo string, k int, explain bool) error {
 	}
 	fmt.Printf("fragment: %s  |q|=%d  |D|=%d\n", q.Fragment(), q.Size(), db.Size())
 
+	// -algo picks the semantics and -explain the operation of one request;
+	// "any" is the bounded eval plus a check of the image cap.
+	req := cxrpq.Request{Op: "eval"}
+	switch algo {
+	case "auto", "vsf":
+	case "bounded", "any":
+		req.Semantics, req.K = "bounded", k
+	case "log":
+		req.Semantics = "log"
+	default:
+		return fmt.Errorf("unknown -algo %q", algo)
+	}
 	if explain {
-		var ex *cxrpq.Explanation
-		var found bool
-		if q.IsVStarFree() {
-			ex, found, err = cxrpq.ExplainVsf(q, db, nil)
-		} else {
-			ex, found, err = cxrpq.ExplainBounded(q, db, k, nil)
+		req.Op = "explain"
+		if req.Semantics == "" && !q.IsVStarFree() {
+			req.Semantics, req.K = "bounded", k
 		}
-		if err != nil {
-			return err
-		}
-		if !found {
+	}
+	resp := cxrpq.Do(q, db, req)
+	if resp.Err != nil {
+		return resp.Err
+	}
+	if explain {
+		if !resp.OK {
 			fmt.Println("no match to explain")
 			return nil
 		}
+		ex := resp.Explanation
 		fmt.Println("witness:")
 		for v, n := range ex.NodeOf {
 			fmt.Printf("  node %s = %s\n", v, db.Name(n))
@@ -90,29 +104,10 @@ func run(graphPath, queryPath, algo string, k int, explain bool) error {
 		}
 		return nil
 	}
-
-	var res *pattern.TupleSet
-	switch algo {
-	case "auto":
-		res, err = cxrpq.Eval(q, db)
-	case "vsf":
-		res, err = cxrpq.EvalVsf(q, db)
-	case "bounded":
-		res, err = cxrpq.EvalBounded(q, db, k)
-	case "log":
-		res, err = cxrpq.EvalLog(q, db)
-	case "any":
-		var capped bool
-		res, capped, err = cxrpq.EvalAny(q, db, k)
-		if capped {
-			fmt.Println("note: image cap reached; matches with longer variable images may be missing")
-		}
-	default:
-		return fmt.Errorf("unknown -algo %q", algo)
+	if algo == "any" && db.HasPathOfLen(k+1) {
+		fmt.Println("note: image cap reached; matches with longer variable images may be missing")
 	}
-	if err != nil {
-		return err
-	}
+	res := resp.Tuples
 	if q.Pattern.IsBoolean() {
 		if res.Len() > 0 {
 			fmt.Println("D |= q: true")

@@ -98,8 +98,11 @@
 //	                     (Session.ApplyDelta / Fork; removals and new
 //	                     labels start afresh), hardened
 //	                     by the metamorphic mutation-sequence harness in
-//	                     mutation_diff_test.go; every one-shot entry point
-//	                     is a thin wrapper over them,
+//	                     mutation_diff_test.go; a query runs one way, a
+//	                     Request (eval, bool, check or explain under
+//	                     fragment dispatch, ≤k or log semantics) handed to
+//	                     Session.Do — cxrpq.Do is Prepare + Bind + Do —
+//	                     or StreamOptions to Session.Stream;
 //	                     Session.PlanReport exposes the chosen join order
 //	                     with estimated cardinalities, and Session.Stream
 //	                     (stream.go) is the pull-based any-k surface: a
@@ -131,7 +134,9 @@
 //	                     figures, theorems, reductions and separations)
 //
 // cmd/cxrpq-serve is the concurrent HTTP/JSON evaluation server over the
-// prepared-query subsystem: a per-database pool of prepared sessions,
+// prepared-query subsystem — each /query is decoded, resolved to a pooled
+// session, planned into one cxrpq.Request and executed by Session.Do or
+// Session.Stream — with a per-database pool of prepared sessions,
 // MVCC reads (every /query, /plan and cursor fetch runs lock-free on the
 // latest published snapshot epoch, loaded through one atomic pointer),
 // pull-based streaming /query with limit/cursor pagination, deadline_ms

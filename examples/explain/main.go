@@ -40,20 +40,27 @@ b z : $p
 	}
 	fmt.Println("fragment:", q.Fragment())
 
-	res, err := cxrpq.Eval(q, db)
+	// One prepared session answers both requests.
+	plan, err := cxrpq.Prepare(q)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%d answers\n", res.Len())
+	sess := plan.Bind(db)
+	res := sess.Do(cxrpq.Request{Op: "eval"})
+	if res.Err != nil {
+		log.Fatal(res.Err)
+	}
+	fmt.Printf("%d answers\n", res.Tuples.Len())
 
-	ex, found, err := cxrpq.ExplainVsf(q, db, nil)
-	if err != nil {
-		log.Fatal(err)
+	why := sess.Do(cxrpq.Request{Op: "explain"})
+	if why.Err != nil {
+		log.Fatal(why.Err)
 	}
-	if !found {
+	if !why.OK {
 		fmt.Println("no match")
 		return
 	}
+	ex := why.Explanation
 	fmt.Println("one witness:")
 	var vars []string
 	for v := range ex.NodeOf {

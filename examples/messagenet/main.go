@@ -38,12 +38,12 @@ v2 w : ($x|$y)+
 
 	// The paper suggests reading G3 as a CXRPQ^≤k: secret sequences of
 	// bounded length, but unboundedly many repetitions (§1.4).
-	res, err := cxrpq.EvalBounded(q, db, 2)
-	if err != nil {
-		log.Fatal(err)
+	resp := cxrpq.Do(q, db, cxrpq.Request{Op: "eval", Semantics: "bounded", K: 2})
+	if resp.Err != nil {
+		log.Fatal(resp.Err)
 	}
-	fmt.Printf("%d suspicious pairs:\n", res.Len())
-	for _, t := range res.Sorted() {
+	fmt.Printf("%d suspicious pairs:\n", resp.Tuples.Len())
+	for _, t := range resp.Tuples.Sorted() {
 		fmt.Printf("  %s <-> %s\n", db.Name(t[0]), db.Name(t[1]))
 	}
 }

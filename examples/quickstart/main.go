@@ -40,16 +40,17 @@ u v2 : ($x|c)+
 
 	// G1 is not vstar-free ($x occurs under +), but its images are single
 	// symbols, so CXRPQ^≤1 semantics are exact (§1.4 of the paper).
-	res, err := cxrpq.EvalBounded(q, db, 1)
-	if err != nil {
-		log.Fatal(err)
+	resp := cxrpq.Do(q, db, cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1})
+	if resp.Err != nil {
+		log.Fatal(resp.Err)
 	}
-	fmt.Printf("%d answers:\n", res.Len())
-	for _, t := range res.Sorted() {
+	fmt.Printf("%d answers:\n", resp.Tuples.Len())
+	for _, t := range resp.Tuples.Sorted() {
 		fmt.Printf("  (v1=%s, v2=%s)\n", db.Name(t[0]), db.Name(t[1]))
 	}
 
-	// A vstar-free query is evaluated completely by cxrpq.Eval.
+	// A vstar-free query is evaluated completely under the default
+	// (fragment-dispatched) semantics.
 	q2, err := cxrpq.Parse(`
 ans(x, y)
 x m : $v{a|b}
@@ -58,9 +59,9 @@ m y : $v|c
 	if err != nil {
 		log.Fatal(err)
 	}
-	res2, err := cxrpq.Eval(q2, db)
-	if err != nil {
-		log.Fatal(err)
+	resp2 := cxrpq.Do(q2, db, cxrpq.Request{Op: "eval"})
+	if resp2.Err != nil {
+		log.Fatal(resp2.Err)
 	}
-	fmt.Printf("vstar-free query (%s): %d answers\n", q2.Fragment(), res2.Len())
+	fmt.Printf("vstar-free query (%s): %d answers\n", q2.Fragment(), resp2.Tuples.Len())
 }

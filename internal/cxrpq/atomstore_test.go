@@ -31,9 +31,9 @@ type storeText struct {
 
 func (x storeText) eval(s *cxrpq.Session) (*pattern.TupleSet, error) {
 	if x.k < 0 {
-		return s.Eval()
+		return tuples(s.Do(cxrpq.Request{Op: "eval"}))
 	}
-	return s.EvalBounded(x.k)
+	return tuples(s.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: x.k}))
 }
 
 // TestAtomStoreSharedDifferential: eight texts — CRPQs, simple and vstar-free
@@ -111,7 +111,7 @@ func TestAtomStoreMaintainedOnce(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		q := cxrpq.MustParse(fmt.Sprintf("ans(x, y)\nx y : $w{a|b}%s\ny z : $w+\n", []string{"", "a", "b", "a?", "b?", "a*", "b*"}[i]))
 		s := cxrpq.MustPrepare(q).Bind(v0)
-		if _, err := s.EvalBounded(1); err != nil {
+		if _, err := tuples(s.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1})); err != nil {
 			t.Fatal(err)
 		}
 		pool = append(pool, s)
@@ -129,8 +129,8 @@ func TestAtomStoreMaintainedOnce(t *testing.T) {
 		if st := f.Stats().Atoms; st.DeltaPasses != 1 || st.FullRebuilds != 1 {
 			t.Fatalf("fork %d: %d delta passes over the store and %d fresh starts; want one each", i, st.DeltaPasses, st.FullRebuilds)
 		}
-		got, err := f.EvalBounded(1)
-		want, werr := s.Plan().Bind(freshCopy(v1)).EvalBounded(1)
+		got, err := tuples(f.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1}))
+		want, werr := tuples(s.Plan().Bind(freshCopy(v1)).Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1}))
 		if err != nil || werr != nil || !got.Equal(want) {
 			t.Fatalf("fork %d: %v (%v), a fresh copy has %v (%v)", i, got.Sorted(), err, want.Sorted(), werr)
 		}
@@ -147,8 +147,8 @@ func TestAtomStoreMaintainedOnce(t *testing.T) {
 		t.Fatalf("the parked epoch changed under its readers: %+v, was %+v", st, before)
 	}
 	for i, s := range pool {
-		got, err := s.EvalBounded(1)
-		want, werr := s.Plan().Bind(freshCopy(v0)).EvalBounded(1)
+		got, err := tuples(s.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1}))
+		want, werr := tuples(s.Plan().Bind(freshCopy(v0)).Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1}))
 		if err != nil || werr != nil || !got.Equal(want) {
 			t.Fatalf("parked session %d: %v (%v), a fresh copy of its view has %v (%v)", i, got.Sorted(), err, want.Sorted(), werr)
 		}
@@ -191,8 +191,8 @@ func TestAtomStoreCutBuildPoisonsNobody(t *testing.T) {
 		t.Fatalf("the cut request installed %d of its relations", n)
 	}
 	bq := cxrpq.MustParse("ans()\nu x : b?\nx y : $w{a|b}(a|b)+\ny z : $w b")
-	got, err := cxrpq.MustPrepare(bq).Bind(db).EvalBounded(1)
-	want, werr := cxrpq.MustPrepare(bq).Bind(freshCopy(db)).EvalBounded(1)
+	got, err := tuples(cxrpq.MustPrepare(bq).Bind(db).Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1}))
+	want, werr := tuples(cxrpq.MustPrepare(bq).Bind(freshCopy(db)).Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1}))
 	if err != nil || werr != nil || !got.Equal(want) {
 		t.Fatalf("request B after the cut one: %v (%v), a fresh copy says %v (%v)", got.Sorted(), err, want.Sorted(), werr)
 	}

@@ -33,7 +33,7 @@ func TestShardedRandomQueryDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: naive: %v\nquery:\n%s", seed, err, q.Pattern)
 		}
-		got, err := cxrpq.EvalBounded(q, db, k)
+		got, err := tuples(cxrpq.Do(q, db, cxrpq.Request{Op: "eval", Semantics: "bounded", K: k}))
 		if err != nil {
 			t.Fatalf("seed %d: %v\nquery:\n%s", seed, err, q.Pattern)
 		}
@@ -69,7 +69,7 @@ func TestSessionConcurrentShardedDeltaStress(t *testing.T) {
 	scratch := mkDB()
 	truths := make([]*pattern.TupleSet, 0, len(script)+1)
 	truth := func() *pattern.TupleSet {
-		res, err := cxrpq.EvalBounded(q, scratch, k)
+		res, err := tuples(cxrpq.Do(q, scratch, cxrpq.Request{Op: "eval", Semantics: "bounded", K: k}))
 		if err != nil {
 			t.Fatal(err)
 		}

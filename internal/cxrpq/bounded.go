@@ -14,8 +14,8 @@ import (
 	"cxrpq/internal/xregex"
 )
 
-// This file is the prefix-incremental CXRPQ^≤k evaluation engine behind
-// EvalBounded, EvalBoundedBool, CheckBounded and ExplainBounded. The
+// This file is the prefix-incremental CXRPQ^≤k evaluation engine behind every
+// bounded and log Request (Session.Do) and stream. The
 // Theorem 6 guess of v̄ ∈ (Σ^≤k)^n is an enumeration in ≺-topological order
 // in which nothing is listed in order to be tested and thrown away:
 //
@@ -27,7 +27,7 @@ import (
 //     can continue is never extended, so the walk visits L(bodies) ∩
 //     paths(D) and its dead-end fringe instead of every path word of length
 //     ≤ k. It emits ε, then the matching words by length and alphabet; that
-//     order is the enumeration order of every run, hence ExplainBounded's
+//     order is the enumeration order of every run, hence a bounded explain's
 //     first witness and the order of streams. Lists are memoized per run by
 //     the relaxed bodies' print.
 //  2. An atom (pattern edge) is fully instantiated as soon as the prefix
@@ -173,7 +173,7 @@ type boundedEngine struct {
 	sigma    []rune
 	boolOnly bool
 	seq      bool           // force sequential enumeration (witness search)
-	pre      map[string]int // pre-bound node variables (CheckBounded)
+	pre      map[string]int // pre-bound node variables (a bounded check)
 
 	// readFrom/readTo: per edge, whether another atom, the output or pre reads
 	// its From / To node variable (pattern.Graph.Reads); see relationFor.
@@ -220,7 +220,7 @@ type boundedEngine struct {
 	yield ecrpq.StreamFunc
 
 	// leaf consumes a complete mapping; the default joins the cached atom
-	// relations, ExplainBounded swaps in a witness search.
+	// relations, a bounded explain swaps in a witness search.
 	leaf func(st *boundedState) error
 
 	stop atomic.Bool

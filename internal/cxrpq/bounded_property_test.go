@@ -44,7 +44,7 @@ func TestQuickBoundedEngineDifferential(t *testing.T) {
 		q := randBoundedQuery(seed)
 		db := workload.Random(seed^0x3b3b, 4, 7, "ab")
 		k := 1 + int(uint64(seed)%2)
-		fast, err := cxrpq.EvalBounded(q, db, k)
+		fast, err := tuples(cxrpq.Do(q, db, cxrpq.Request{Op: "eval", Semantics: "bounded", K: k}))
 		if err != nil {
 			return false
 		}
@@ -59,7 +59,7 @@ func TestQuickBoundedEngineDifferential(t *testing.T) {
 	}
 }
 
-// Property: CheckBounded agrees with membership in the naive tuple set, for
+// Property: bounded check agrees with membership in the naive tuple set, for
 // both members and non-members.
 func TestQuickCheckBoundedDifferential(t *testing.T) {
 	if testing.Short() {
@@ -73,7 +73,7 @@ func TestQuickCheckBoundedDifferential(t *testing.T) {
 			return false
 		}
 		for _, tup := range naive.Sorted() {
-			ok, err := cxrpq.CheckBounded(q, db, 1, tup)
+			ok, err := verdict(cxrpq.Do(q, db, cxrpq.Request{Op: "check", Semantics: "bounded", K: 1, Tuple: tup}))
 			if err != nil || !ok {
 				return false
 			}
@@ -81,7 +81,7 @@ func TestQuickCheckBoundedDifferential(t *testing.T) {
 		// a sample of arbitrary tuples must agree with set membership
 		for a := 0; a < db.NumNodes(); a++ {
 			tup := pattern.Tuple{a, (a + 1) % db.NumNodes()}
-			ok, err := cxrpq.CheckBounded(q, db, 1, tup)
+			ok, err := verdict(cxrpq.Do(q, db, cxrpq.Request{Op: "check", Semantics: "bounded", K: 1, Tuple: tup}))
 			if err != nil || ok != naive.Contains(tup) {
 				return false
 			}
@@ -103,11 +103,11 @@ func TestQuickBoundedParallelMatchesSequential(t *testing.T) {
 		q := randBoundedQuery(seed)
 		db := workload.Random(seed^0x6d6d, 5, 9, "ab")
 		plan := cxrpq.MustPrepare(q)
-		par, err := plan.BindWorkers(db, 4).EvalBounded(2)
+		par, err := tuples(plan.BindWorkers(db, 4).Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 2}))
 		if err != nil {
 			return false
 		}
-		seqRes, err := plan.BindWorkers(db, 1).EvalBounded(2)
+		seqRes, err := tuples(plan.BindWorkers(db, 1).Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 2}))
 		if err != nil {
 			return false
 		}

@@ -32,9 +32,9 @@ func TestCheckAgreesWithEval(t *testing.T) {
 		var res *pattern.TupleSet
 		var err error
 		if qc.bounded < 0 {
-			res, err = cxrpq.Eval(q, db)
+			res, err = tuples(cxrpq.Do(q, db, cxrpq.Request{Op: "eval"}))
 		} else {
-			res, err = cxrpq.EvalBounded(q, db, qc.bounded)
+			res, err = tuples(cxrpq.Do(q, db, cxrpq.Request{Op: "eval", Semantics: "bounded", K: qc.bounded}))
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", qc.src, err)
@@ -72,9 +72,9 @@ func TestCheckAgreesWithEval(t *testing.T) {
 
 func check(q *cxrpq.Query, db *graph.DB, bounded int, tup pattern.Tuple) (bool, error) {
 	if bounded < 0 {
-		return cxrpq.Check(q, db, tup)
+		return verdict(cxrpq.Do(q, db, cxrpq.Request{Op: "check", Tuple: tup}))
 	}
-	return cxrpq.CheckBounded(q, db, bounded, tup)
+	return verdict(cxrpq.Do(q, db, cxrpq.Request{Op: "check", Semantics: "bounded", K: bounded, Tuple: tup}))
 }
 
 func TestCheckArityAndRepeatedVars(t *testing.T) {
@@ -82,16 +82,16 @@ func TestCheckArityAndRepeatedVars(t *testing.T) {
 	q := cxrpq.MustParse("ans(x, x)\nx y : a")
 	u, _ := db.Lookup("u")
 	v, _ := db.Lookup("v")
-	ok, err := cxrpq.Check(q, db, pattern.Tuple{u, u})
+	ok, err := verdict(cxrpq.Do(q, db, cxrpq.Request{Op: "check", Tuple: pattern.Tuple{u, u}}))
 	if err != nil || !ok {
 		t.Fatalf("Check(u,u) = %v, %v", ok, err)
 	}
 	// repeated output variable bound to two different nodes is impossible
-	ok, err = cxrpq.Check(q, db, pattern.Tuple{u, v})
+	ok, err = verdict(cxrpq.Do(q, db, cxrpq.Request{Op: "check", Tuple: pattern.Tuple{u, v}}))
 	if err != nil || ok {
 		t.Fatalf("Check(u,v) must be false for ans(x,x): %v %v", ok, err)
 	}
-	if _, err := cxrpq.Check(q, db, pattern.Tuple{u}); err == nil {
+	if _, err := verdict(cxrpq.Do(q, db, cxrpq.Request{Op: "check", Tuple: pattern.Tuple{u}})); err == nil {
 		t.Fatal("arity mismatch must error")
 	}
 }
@@ -155,7 +155,7 @@ func TestCheckVsfOverCapHonoursBudget(t *testing.T) {
 		want bool
 	}{{first, true}, {last, false}} {
 		for call := 0; call < 2; call++ {
-			if ok, err := sess.Check(c.tup); err != nil || ok != c.want {
+			if ok, err := verdict(sess.Do(cxrpq.Request{Op: "check", Tuple: c.tup})); err != nil || ok != c.want {
 				t.Fatalf("Check(%v) = %v, %v; want %v", c.tup, ok, err, c.want)
 			}
 		}

@@ -165,28 +165,28 @@ func TestConformance(t *testing.T) {
 			switch {
 			case c.algo == "auto":
 				if c.boolean {
-					ok, err = cxrpq.EvalBool(q, db)
+					ok, err = verdict(cxrpq.Do(q, db, cxrpq.Request{Op: "bool"}))
 				} else {
 					var res interface{ Len() int }
-					res, err = cxrpq.Eval(q, db)
+					res, err = tuples(cxrpq.Do(q, db, cxrpq.Request{Op: "eval"}))
 					if err == nil {
 						count = res.Len()
 					}
 				}
 			case c.algo == "vsf":
 				if c.boolean {
-					ok, err = cxrpq.EvalVsfBool(q, db)
+					ok, err = verdict(cxrpq.Do(q, db, cxrpq.Request{Op: "bool"}))
 				} else {
 					var res interface{ Len() int }
-					res, err = cxrpq.EvalVsf(q, db)
+					res, err = tuples(cxrpq.Do(q, db, cxrpq.Request{Op: "eval"}))
 					if err == nil {
 						count = res.Len()
 					}
 				}
 			case c.algo == "bounded:1":
-				ok, err = cxrpq.EvalBoundedBool(q, db, 1)
+				ok, err = verdict(cxrpq.Do(q, db, cxrpq.Request{Op: "bool", Semantics: "bounded", K: 1}))
 			case c.algo == "bounded:2":
-				ok, err = cxrpq.EvalBoundedBool(q, db, 2)
+				ok, err = verdict(cxrpq.Do(q, db, cxrpq.Request{Op: "bool", Semantics: "bounded", K: 2}))
 			default:
 				t.Fatalf("unknown algo %q", c.algo)
 			}

@@ -35,7 +35,7 @@ w a v5
 	// G1 has $x under +, so it is not vstar-free; the paper (§1.4) notes its
 	// image size is necessarily 1, so CXRPQ^≤1 semantics coincide with
 	// unrestricted semantics.
-	res, err := cxrpq.EvalBounded(q, db, 1)
+	res, err := tuples(cxrpq.Do(q, db, cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ u v2 : ($x|c)($x|c)?
 	if !q.IsVStarFree() || q.IsSimple() {
 		t.Fatalf("fragment = %s", q.Fragment())
 	}
-	res, err := cxrpq.EvalVsf(q, db)
+	res, err := tuples(cxrpq.Do(q, db, cxrpq.Request{Op: "eval"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ ans(v1, v2)
 u v1 : $x{a}|b
 u v2 : $x c|c
 `)
-	res, err := cxrpq.EvalVsf(q, db)
+	res, err := tuples(cxrpq.Do(q, db, cxrpq.Request{Op: "eval"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ t s : c$x*c|c
 	if q.IsVStarFree() {
 		t.Fatal("query should not be vstar-free")
 	}
-	res, err := cxrpq.EvalBounded(q, db, 2)
+	res, err := tuples(cxrpq.Do(q, db, cxrpq.Request{Op: "eval", Semantics: "bounded", K: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,14 +327,14 @@ s t : #$x{a+}b$x#
 	s := db2.Node("s")
 	tn := db2.Node("t")
 	db2.AddPath(s, "#aaabaaa#", tn)
-	ok2, err := cxrpq.EvalBoundedBool(q, db2, 2)
+	ok2, err := verdict(cxrpq.Do(q, db2, cxrpq.Request{Op: "bool", Semantics: "bounded", K: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok2 {
 		t.Fatal("k=2 must not admit image aaa")
 	}
-	ok3, err := cxrpq.EvalBoundedBool(q, db2, 3)
+	ok3, err := verdict(cxrpq.Do(q, db2, cxrpq.Request{Op: "bool", Semantics: "bounded", K: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestEvalLogAndAny(t *testing.T) {
 	tn := db.Node("t")
 	db.AddPath(s, "aabaa", tn)
 	q := cxrpq.MustParse("ans()\nx y : $v{a+}b$v")
-	ok, err := cxrpq.EvalLogBool(q, db)
+	ok, err := verdict(cxrpq.Do(q, db, cxrpq.Request{Op: "bool", Semantics: "log"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,15 +409,15 @@ t a s
 func TestEvalDispatch(t *testing.T) {
 	db := graph.MustParse("u a v")
 	crpqQ := cxrpq.MustParse("ans(x, y)\nx y : a+")
-	res, err := cxrpq.Eval(crpqQ, db)
+	res, err := tuples(cxrpq.Do(crpqQ, db, cxrpq.Request{Op: "eval"}))
 	if err != nil || res.Len() != 1 {
 		t.Fatalf("CRPQ dispatch failed: %v %v", res, err)
 	}
 	nonVsf := cxrpq.MustParse("ans()\nx y : $v{a}$v*")
-	if _, err := cxrpq.Eval(nonVsf, db); err == nil {
+	if _, err := tuples(cxrpq.Do(nonVsf, db, cxrpq.Request{Op: "eval"})); err == nil {
 		t.Fatal("non-vsf query must be rejected by Eval")
 	}
-	if _, err := cxrpq.EvalBool(nonVsf, db); err == nil {
+	if _, err := verdict(cxrpq.Do(nonVsf, db, cxrpq.Request{Op: "bool"})); err == nil {
 		t.Fatal("non-vsf query must be rejected by EvalBool")
 	}
 }

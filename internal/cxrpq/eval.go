@@ -10,12 +10,27 @@ import (
 	"cxrpq/internal/xregex"
 )
 
-// The one-shot evaluation API. Every function here is a thin wrapper that
-// prepares the query (Prepare), binds it to the database (Plan.Bind) and
-// runs the corresponding Session method, so the single-call and
-// prepared-session paths execute the same engines; callers evaluating one
-// query many times should hold the Plan/Session themselves and reuse the
-// caches the wrappers throw away.
+// The one-shot evaluation API. Do prepares the query (Prepare), binds it to
+// the database (Plan.Bind) and runs Session.Do, so the single-call and
+// prepared-session paths execute the same code; callers evaluating one query
+// many times should hold the Plan/Session themselves and reuse the caches Do
+// throws away. The other functions here are the paper's algorithms named as
+// such: the Lemma 3 engine and the literal Theorem 6 guess.
+
+// Do runs one request on q over db: Eval, Bool-Eval, Check or explain
+// (Request.Op) under fragment dispatch, the ≤k semantics of Theorem 6 or the
+// log semantics of Corollary 1 (Request.Semantics). Fragment dispatch runs
+// the strongest complete algorithm for q's syntactic fragment — CRPQ
+// evaluation for variable-free queries, the Lemma 3 engine for simple ones
+// and the Theorem 2 union for vstar-free ones — and refuses an unrestricted
+// query, whose image sizes only the bounded and log semantics cap.
+func Do(q *Query, db *graph.DB, req Request) Response {
+	p, err := Prepare(q)
+	if err != nil {
+		return Response{Err: err}
+	}
+	return p.Bind(db).Do(req)
+}
 
 // EvalSimple evaluates a CXRPQ with a simple conjunctive xregex (Lemma 3)
 // by translating it to an ECRPQ^er and running the synchronized-product
@@ -26,65 +41,6 @@ func EvalSimple(q *Query, db *graph.DB) (*pattern.TupleSet, error) {
 		return nil, err
 	}
 	return ecrpq.Eval(eq, db)
-}
-
-// EvalVsf evaluates a vstar-free CXRPQ (Theorem 2 / Lemma 7): the
-// alternation choices of Lemma 7's nondeterministic guessing are enumerated
-// as branch combinations; each combination is normalized by Step 3 into a
-// simple conjunctive xregex and evaluated via the ECRPQ^er engine. It is Eval
-// under its historical name.
-func EvalVsf(q *Query, db *graph.DB) (*pattern.TupleSet, error) {
-	p, err := Prepare(q)
-	if err != nil {
-		return nil, err
-	}
-	return p.Bind(db).EvalVsf()
-}
-
-// EvalVsfBool decides D |= q for vstar-free q, short-circuiting on the
-// first matching branch combination.
-func EvalVsfBool(q *Query, db *graph.DB) (bool, error) {
-	p, err := Prepare(q)
-	if err != nil {
-		return false, err
-	}
-	return p.Bind(db).EvalVsfBool()
-}
-
-// EvalBounded evaluates q under the CXRPQ^≤k semantics (Theorem 6):
-// q^≤k(D), considering only matches whose variable images have length at
-// most k. The nondeterministic guess of v̄ ∈ (Σ^≤k)^n is realized as an
-// enumeration in ≺-topological order, pruned by two sound filters: every
-// image must label a path of D, and every non-empty image of a defined
-// variable must match one of its definition bodies with currently assigned
-// variables substituted and the rest relaxed to Σ*. Each complete mapping is
-// instantiated to a CRPQ via Lemma 11 and evaluated.
-func EvalBounded(q *Query, db *graph.DB, k int) (*pattern.TupleSet, error) {
-	p, err := Prepare(q)
-	if err != nil {
-		return nil, err
-	}
-	return p.Bind(db).EvalBounded(k)
-}
-
-// EvalBoundedBool decides D |=^≤k q, short-circuiting on the first mapping.
-func EvalBoundedBool(q *Query, db *graph.DB, k int) (bool, error) {
-	p, err := Prepare(q)
-	if err != nil {
-		return false, err
-	}
-	return p.Bind(db).EvalBoundedBool(k)
-}
-
-// EvalLog evaluates q under CXRPQ^log semantics (Corollary 1):
-// image size bounded by log2(|D|).
-func EvalLog(q *Query, db *graph.DB) (*pattern.TupleSet, error) {
-	return EvalBounded(q, db, logBound(db))
-}
-
-// EvalLogBool decides D |=^log q.
-func EvalLogBool(q *Query, db *graph.DB) (bool, error) {
-	return EvalBoundedBool(q, db, logBound(db))
 }
 
 func logBound(db *graph.DB) int {
@@ -106,7 +62,7 @@ func mergeDBAlphabet(db *graph.DB, c CXRE) []rune {
 
 // EvalBoundedNaive is the literal Theorem 6 algorithm: it blindly guesses
 // every v̄ ∈ (Σ^≤k)^n, instantiates (Lemma 11) and evaluates the CRPQ. It
-// exists as the ablation baseline for EvalBounded's candidate pruning (the
+// exists as the ablation baseline for the bounded engine's candidate pruning (the
 // two must agree; see the ablation benchmark and the differential fuzz
 // harness) and as the most direct rendering of the paper's proof.
 func EvalBoundedNaive(q *Query, db *graph.DB, k int) (*pattern.TupleSet, error) {
@@ -175,35 +131,12 @@ func allWordsUpTo(sigma []rune, k int) []string {
 // fit under the cap, and capped reports whether longer images are
 // conceivable (i.e. D has paths longer than the cap).
 func EvalAny(q *Query, db *graph.DB, maxImage int) (res *pattern.TupleSet, capped bool, err error) {
-	res, err = EvalBounded(q, db, maxImage)
-	if err != nil {
-		return nil, false, err
+	resp := Do(q, db, Request{Op: "eval", Semantics: "bounded", K: maxImage})
+	if resp.Err != nil {
+		return nil, false, resp.Err
 	}
 	// A word of length maxImage+1 labels a path iff D has a path that long;
 	// one frontier sweep replaces the two full PathLabels enumerations.
 	capped = db.HasPathOfLen(maxImage + 1)
-	return res, capped, nil
-}
-
-// Eval dispatches to the strongest complete algorithm for q's syntactic
-// fragment: CRPQ evaluation for variable-free queries, the Lemma 3 engine
-// for simple queries, and the Theorem 2 algorithm for vstar-free queries.
-// For unrestricted CXRPQs (image sizes unbounded) it returns an error
-// directing callers to EvalBounded/EvalLog/EvalAny, whose semantics are the
-// paper's ≤k / log fragments.
-func Eval(q *Query, db *graph.DB) (*pattern.TupleSet, error) {
-	p, err := Prepare(q)
-	if err != nil {
-		return nil, err
-	}
-	return p.Bind(db).Eval()
-}
-
-// EvalBool is the Boolean counterpart of Eval.
-func EvalBool(q *Query, db *graph.DB) (bool, error) {
-	p, err := Prepare(q)
-	if err != nil {
-		return false, err
-	}
-	return p.Bind(db).EvalBool()
+	return resp.Tuples, capped, nil
 }

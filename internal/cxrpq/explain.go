@@ -1,16 +1,13 @@
 package cxrpq
 
-import (
-	"cxrpq/internal/ecrpq"
-	"cxrpq/internal/graph"
-	"cxrpq/internal/pattern"
-)
+import "cxrpq/internal/ecrpq"
 
 // Explanation is a full witness for one match of a CXRPQ: the matching
 // morphism h on the query's node variables, a tuple of matching words (one
 // per query edge), and the variable mapping ψ of the underlying conjunctive
 // match (§3.1). This realizes, for a single match, the path-extraction
-// capability the paper sketches in §8.
+// capability the paper sketches in §8. Request{Op: "explain"} finds one,
+// optionally constrained to an output tuple.
 type Explanation struct {
 	NodeOf map[string]int    // node variable -> database node
 	Words  []string          // per original query edge, the matched path label
@@ -20,30 +17,6 @@ type Explanation struct {
 	// was found in — the planner-chosen join order with estimated
 	// cardinalities (best effort: nil when the report could not be built).
 	Plan *PlanReport
-}
-
-// ExplainVsf searches for one match of a vstar-free query (optionally
-// constrained to output tuple t; pass nil for any match) and reconstructs
-// its witness. It returns false if D ̸|= q. It is the one-shot wrapper over
-// Session.Explain.
-func ExplainVsf(q *Query, db *graph.DB, t pattern.Tuple) (*Explanation, bool, error) {
-	p, err := Prepare(q)
-	if err != nil {
-		return nil, false, err
-	}
-	return p.Bind(db).Explain(t)
-}
-
-// ExplainBounded searches for one match under CXRPQ^≤k semantics and
-// reconstructs its witness (images come from the Theorem 6 enumeration);
-// the one-shot wrapper over Session.ExplainBounded, which runs the bounded
-// engine sequentially with a witness-search leaf.
-func ExplainBounded(q *Query, db *graph.DB, k int, t pattern.Tuple) (*Explanation, bool, error) {
-	p, err := Prepare(q)
-	if err != nil {
-		return nil, false, err
-	}
-	return p.Bind(db).ExplainBounded(k, t)
 }
 
 // buildExplanation maps an ECRPQ^er witness back through the translation:

@@ -197,7 +197,7 @@ func TestExplainOverCap(t *testing.T) {
 	db := workload.Path(word, 1)
 	s, _ := db.Lookup("s")
 	end, _ := db.Lookup("t")
-	want, ok, err := cxrpq.ExplainVsf(ref, db, pattern.Tuple{s, end})
+	want, ok, err := witness(cxrpq.Do(ref, db, cxrpq.Request{Op: "explain", Tuple: pattern.Tuple{s, end}}))
 	if err != nil || !ok || want.Words[0] != word {
 		t.Fatalf("the one-member equivalent: %v, %v, %v", want, ok, err)
 	}
@@ -215,7 +215,7 @@ func TestExplainOverCap(t *testing.T) {
 		t.Fatalf("%d results cached by a canceled explain", st.ResultSize)
 	}
 	for call := 0; call < 2; call++ {
-		got, ok, err := sess.Explain(pattern.Tuple{s, end})
+		got, ok, err := witness(sess.Do(cxrpq.Request{Op: "explain", Tuple: pattern.Tuple{s, end}}))
 		if err != nil || !ok {
 			t.Fatalf("Explain over the cap = %v, %v", ok, err)
 		}
@@ -226,7 +226,7 @@ func TestExplainOverCap(t *testing.T) {
 	if st := sess.Stats(); st.ResultHits != 1 {
 		t.Fatalf("the second Explain hit the result cache %d times, want 1", st.ResultHits)
 	}
-	if ex, ok, err := sess.Explain(pattern.Tuple{end, s}); err != nil || ok || ex != nil {
+	if ex, ok, err := witness(sess.Do(cxrpq.Request{Op: "explain", Tuple: pattern.Tuple{end, s}})); err != nil || ok || ex != nil {
 		t.Fatalf("Explain of a non-answer over the cap = %v, %v, %v", ex, ok, err)
 	}
 }
@@ -242,7 +242,7 @@ ans(v1, v2)
 u v1 : $x{a|b}
 u v2 : ($x|c)($x|c)?
 `)
-	ex, ok, err := cxrpq.ExplainVsf(q, db, nil)
+	ex, ok, err := witness(cxrpq.Do(q, db, cxrpq.Request{Op: "explain"}))
 	if err != nil || !ok {
 		t.Fatalf("explain failed: %v %v", ok, err)
 	}
@@ -272,7 +272,7 @@ ans()
 s t : $z{$x{b}a}
 u v : $z
 `)
-	ex, ok, err := cxrpq.ExplainVsf(q, db, nil)
+	ex, ok, err := witness(cxrpq.Do(q, db, cxrpq.Request{Op: "explain"}))
 	if err != nil || !ok {
 		t.Fatalf("explain failed: %v %v", ok, err)
 	}
@@ -290,7 +290,7 @@ func TestExplainBounded(t *testing.T) {
 	tn := db.Node("t")
 	db.AddPath(s, "#aabaa#", tn)
 	q := cxrpq.MustParse("ans()\nx y : #$v{a+}b$v#")
-	ex, ok, err := cxrpq.ExplainBounded(q, db, 3, nil)
+	ex, ok, err := witness(cxrpq.Do(q, db, cxrpq.Request{Op: "explain", Semantics: "bounded", K: 3}))
 	if err != nil || !ok {
 		t.Fatalf("explain failed: %v %v", ok, err)
 	}
@@ -322,7 +322,7 @@ func TestExplainAliasChain(t *testing.T) {
 	r := db2.Node("r")
 	ss := db2.Node("s")
 	db2.AddPath(r, "a", ss)
-	ex, ok, err := cxrpq.ExplainVsf(q, db2, nil)
+	ex, ok, err := witness(cxrpq.Do(q, db2, cxrpq.Request{Op: "explain"}))
 	if err != nil || !ok {
 		t.Fatalf("explain failed: %v %v", ok, err)
 	}
@@ -331,7 +331,7 @@ func TestExplainAliasChain(t *testing.T) {
 	}
 }
 
-// ExplainBounded reports the first witness in enumeration order: variables in
+// bounded explain reports the first witness in enumeration order: variables in
 // ≺-topological order, candidate images ε first and then by length and
 // alphabet, the leaf search in planner order. These are the bounded queries
 // of TestCheckAgreesWithEval and TestSessionRelCacheEviction on their
@@ -352,7 +352,7 @@ func TestExplainBoundedFirstWitnessPinned(t *testing.T) {
 		{workload.Random(11, 6, 14, "abc"), "ans(p, q)\np m : $x{a|b}c?\nm n : $y{$x|b}($x|$y)\nn q : $x+|b\n", 2,
 			map[string]int{"m": 2, "n": 2, "p": 2, "q": 0}, []string{"b", "bb", "bb"}, map[string]string{"x": "b", "y": "b"}},
 	} {
-		ex, ok, err := cxrpq.ExplainBounded(cxrpq.MustParse(c.src), c.db, c.k, nil)
+		ex, ok, err := witness(cxrpq.Do(cxrpq.MustParse(c.src), c.db, cxrpq.Request{Op: "explain", Semantics: "bounded", K: c.k}))
 		if err != nil || !ok {
 			t.Fatalf("%s: explain failed: %v %v", c.src, ok, err)
 		}

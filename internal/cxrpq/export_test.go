@@ -72,7 +72,7 @@ func (s *Session) PathVerdicts() map[string]bool {
 }
 
 // EvalBoundedBoolPre decides D |=^≤k q with the node variables of pre
-// pre-bound — any of them, where CheckBounded binds exactly the output
+// pre-bound — any of them, where bounded check binds exactly the output
 // variables.
 func EvalBoundedBoolPre(q *Query, db *graph.DB, k int, pre map[string]int) (bool, error) {
 	p, err := Prepare(q)

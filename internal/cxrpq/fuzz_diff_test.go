@@ -51,9 +51,9 @@ func diffSeed(t *testing.T, seed int64) {
 		t.Fatalf("seed %d: Prepare: %v\nquery:\n%s", seed, err, q.Pattern)
 	}
 	sess := plan.Bind(db)
-	got, err := sess.EvalBounded(k)
+	got, err := tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k}))
 	if err != nil {
-		t.Fatalf("seed %d: Session.EvalBounded: %v\nquery:\n%s", seed, err, q.Pattern)
+		t.Fatalf("seed %d: bounded eval: %v\nquery:\n%s", seed, err, q.Pattern)
 	}
 	naive, err := cxrpq.EvalBoundedNaive(q, db, k)
 	if err != nil {
@@ -66,40 +66,40 @@ func diffSeed(t *testing.T, seed int64) {
 
 	// The session must keep agreeing on repeated calls (result cache) and
 	// on the Boolean/Check views of the same semantics.
-	again, err := sess.EvalBounded(k)
+	again, err := tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k}))
 	if err != nil || !again.Equal(naive) {
 		t.Fatalf("seed %d: cached re-evaluation diverged (err=%v)", seed, err)
 	}
-	ok, err := sess.EvalBoundedBool(k)
+	ok, err := verdict(sess.Do(cxrpq.Request{Op: "bool", Semantics: "bounded", K: k}))
 	if err != nil || ok != (naive.Len() > 0) {
-		t.Fatalf("seed %d: EvalBoundedBool=%v err=%v, want %v", seed, ok, err, naive.Len() > 0)
+		t.Fatalf("seed %d: bounded bool=%v err=%v, want %v", seed, ok, err, naive.Len() > 0)
 	}
 	for i, tup := range naive.Sorted() {
 		if i >= 3 {
 			break
 		}
-		ok, err := sess.CheckBounded(k, tup)
+		ok, err := verdict(sess.Do(cxrpq.Request{Op: "check", Semantics: "bounded", K: k, Tuple: tup}))
 		if err != nil || !ok {
-			t.Fatalf("seed %d: CheckBounded(%v)=%v err=%v, want true\nquery:\n%s",
+			t.Fatalf("seed %d: bounded check(%v)=%v err=%v, want true\nquery:\n%s",
 				seed, tup, ok, err, q.Pattern)
 		}
 	}
 	// Every answer has an explanation that checks out, under the bounded
 	// semantics and — for a vstar-free query — under the unrestricted one.
 	for _, tup := range naive.Sorted() {
-		ex, ok, err := sess.ExplainBounded(k, tup)
+		ex, ok, err := witness(sess.Do(cxrpq.Request{Op: "explain", Semantics: "bounded", K: k, Tuple: tup}))
 		if err != nil || !ok {
-			t.Fatalf("seed %d: ExplainBounded(%d, %v)=%v err=%v, want a witness\nquery:\n%s", seed, k, tup, ok, err, q.Pattern)
+			t.Fatalf("seed %d: bounded explain(%d, %v)=%v err=%v, want a witness\nquery:\n%s", seed, k, tup, ok, err, q.Pattern)
 		}
-		checkExplanation(t, fmt.Sprintf("seed %d ExplainBounded(%d, %v)", seed, k, tup), q, db, ex, tup, k)
+		checkExplanation(t, fmt.Sprintf("seed %d bounded explain(%d, %v)", seed, k, tup), q, db, ex, tup, k)
 	}
 	var vsf *pattern.TupleSet
 	if q.CXRE().IsVStarFree() {
-		if vsf, err = sess.Eval(); err != nil {
+		if vsf, err = tuples(sess.Do(cxrpq.Request{Op: "eval"})); err != nil {
 			t.Fatalf("seed %d: Session.Eval: %v\nquery:\n%s", seed, err, q.Pattern)
 		}
 		for _, tup := range vsf.Sorted() {
-			ex, ok, err := sess.Explain(tup)
+			ex, ok, err := witness(sess.Do(cxrpq.Request{Op: "explain", Tuple: tup}))
 			if err != nil || !ok {
 				t.Fatalf("seed %d: Explain(%v)=%v err=%v, want a witness\nquery:\n%s", seed, tup, ok, err, q.Pattern)
 			}
@@ -119,15 +119,15 @@ func diffSeed(t *testing.T, seed int64) {
 			}
 		}
 		if found {
-			ok, err := sess.CheckBounded(k, probe)
+			ok, err := verdict(sess.Do(cxrpq.Request{Op: "check", Semantics: "bounded", K: k, Tuple: probe}))
 			if err != nil || ok {
-				t.Fatalf("seed %d: CheckBounded(non-member %v)=%v err=%v, want false", seed, probe, ok, err)
+				t.Fatalf("seed %d: bounded check(non-member %v)=%v err=%v, want false", seed, probe, ok, err)
 			}
-			if ex, ok, err := sess.ExplainBounded(k, probe); err != nil || ok || ex != nil {
-				t.Fatalf("seed %d: ExplainBounded(non-member %v)=%v, %v err=%v, want none", seed, probe, ex, ok, err)
+			if ex, ok, err := witness(sess.Do(cxrpq.Request{Op: "explain", Semantics: "bounded", K: k, Tuple: probe})); err != nil || ok || ex != nil {
+				t.Fatalf("seed %d: bounded explain(non-member %v)=%v, %v err=%v, want none", seed, probe, ex, ok, err)
 			}
 			if vsf != nil && !vsf.Contains(probe) {
-				if ex, ok, err := sess.Explain(probe); err != nil || ok || ex != nil {
+				if ex, ok, err := witness(sess.Do(cxrpq.Request{Op: "explain", Tuple: probe})); err != nil || ok || ex != nil {
 					t.Fatalf("seed %d: Explain(non-member %v)=%v, %v err=%v, want none", seed, probe, ex, ok, err)
 				}
 			}
@@ -183,9 +183,9 @@ func diffSeed(t *testing.T, seed int64) {
 	if _, err := sess.ApplyDelta(delta); err != nil {
 		t.Fatalf("seed %d: ApplyDelta: %v", seed, err)
 	}
-	got, err = sess.EvalBounded(k)
+	got, err = tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k}))
 	if err != nil {
-		t.Fatalf("seed %d: post-delta Session.EvalBounded: %v", seed, err)
+		t.Fatalf("seed %d: post-delta bounded eval: %v", seed, err)
 	}
 	naive, err = cxrpq.EvalBoundedNaive(q, db, k)
 	if err != nil {

@@ -12,8 +12,8 @@ package cxrpq_test
 //	    maintenance chain) and equals EvalBoundedNaive on the live
 //	    database (catching engine-level divergence on the maintained
 //	    index);
-//	(b) under insert-only deltas the answer sets of Eval/EvalBounded and
-//	    the verdicts of EvalBoundedBool/CheckBounded grow monotonically
+//	(b) under insert-only deltas the answer sets of Eval/bounded eval and
+//	    the verdicts of bounded bool/bounded check grow monotonically
 //	    (CXRPQ semantics are monotone in the edge set);
 //	(c) an add-then-remove round trip restores the original tuple set.
 //
@@ -54,7 +54,7 @@ var bystander = cxrpq.MustPrepare(cxrpq.MustParse("ans(p, q)\np m : $x{a|b}\nm q
 // fresh plan and session — the ground truth of law (a).
 func (m *mutationState) freshEval(t *testing.T, seed int64, q *cxrpq.Query) *pattern.TupleSet {
 	t.Helper()
-	res, err := cxrpq.MustPrepare(q).Bind(freshCopy(m.db)).EvalBounded(m.k)
+	res, err := tuples(cxrpq.MustPrepare(q).Bind(freshCopy(m.db)).Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: m.k}))
 	if err != nil {
 		t.Fatalf("seed %d: fresh re-evaluation: %v", seed, err)
 	}
@@ -65,9 +65,9 @@ func (m *mutationState) freshEval(t *testing.T, seed int64, q *cxrpq.Query) *pat
 // result.
 func (m *mutationState) checkStep(t *testing.T, seed int64, step string) *pattern.TupleSet {
 	t.Helper()
-	got, err := m.sess.EvalBounded(m.k)
+	got, err := tuples(m.sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: m.k}))
 	if err != nil {
-		t.Fatalf("seed %d %s: Session.EvalBounded: %v", seed, step, err)
+		t.Fatalf("seed %d %s: bounded eval: %v", seed, step, err)
 	}
 	fresh := m.freshEval(t, seed, m.q)
 	if !got.Equal(fresh) {
@@ -77,7 +77,7 @@ func (m *mutationState) checkStep(t *testing.T, seed int64, step string) *patter
 	if m.other == nil {
 		m.other = bystander.Bind(m.db)
 	}
-	if by, err := m.other.EvalBounded(m.k); err != nil || !by.Equal(m.freshEval(t, seed, bystander.Query())) {
+	if by, err := tuples(m.other.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: m.k})); err != nil || !by.Equal(m.freshEval(t, seed, bystander.Query())) {
 		t.Fatalf("seed %d %s: the bystander session on the shared store has %v tuples (%v), its fresh re-evaluation differs", seed, step, by.Len(), err)
 	}
 	naive, err := cxrpq.EvalBoundedNaive(m.q, m.db, m.k)
@@ -192,13 +192,13 @@ func mutationRun(t *testing.T, seed int64, r *workload.RNG, q *cxrpq.Query, db *
 			}
 			// …of the Boolean verdict…
 			if prev.Len() > 0 {
-				if ok, err := m.sess.EvalBoundedBool(m.k); err != nil || !ok {
+				if ok, err := verdict(m.sess.Do(cxrpq.Request{Op: "bool", Semantics: "bounded", K: m.k})); err != nil || !ok {
 					t.Fatalf("seed %d step %d: Boolean verdict regressed (ok=%v err=%v)", seed, step, ok, err)
 				}
 				// …and of Check on a previously accepted tuple.
 				tup := prev.Sorted()[r.Intn(prev.Len())]
-				if ok, err := m.sess.CheckBounded(m.k, tup); err != nil || !ok {
-					t.Fatalf("seed %d step %d: CheckBounded(%v) regressed (ok=%v err=%v)", seed, step, tup, ok, err)
+				if ok, err := verdict(m.sess.Do(cxrpq.Request{Op: "check", Semantics: "bounded", K: m.k, Tuple: tup})); err != nil || !ok {
+					t.Fatalf("seed %d step %d: bounded check(%v) regressed (ok=%v err=%v)", seed, step, tup, ok, err)
 				}
 			}
 		}
@@ -292,7 +292,7 @@ func TestMutationMaintStats(t *testing.T) {
 	q := cxrpq.MustParse("ans(p, q)\np m : $x{a|b}\nm q : $x|b\n")
 	db := workload.Random(99, 6, 14, "ab")
 	sess := cxrpq.MustPrepare(q).Bind(db)
-	if _, err := sess.EvalBounded(1); err != nil {
+	if _, err := tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1})); err != nil {
 		t.Fatal(err)
 	}
 	base := sess.Stats()
@@ -321,7 +321,7 @@ func TestMutationMaintStats(t *testing.T) {
 	}
 
 	// A brand-new label must force the full flush too.
-	if _, err := sess.EvalBounded(1); err != nil {
+	if _, err := tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sess.ApplyDelta(graph.Delta{Add: []graph.DeltaEdge{{From: db.Name(0), Label: 'z', To: db.Name(1)}}}); err != nil {
@@ -333,7 +333,7 @@ func TestMutationMaintStats(t *testing.T) {
 
 	// An add-then-remove round trip between calls nets out: everything —
 	// including the result cache — is retained.
-	if _, err := sess.EvalBounded(1); err != nil {
+	if _, err := tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1})); err != nil {
 		t.Fatal(err)
 	}
 	pre := sess.Stats()
@@ -343,7 +343,7 @@ func TestMutationMaintStats(t *testing.T) {
 	if _, err := db.ApplyDelta(graph.Delta{Del: []graph.DeltaEdge{{From: db.Name(2), Label: 'a', To: db.Name(3)}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.EvalBounded(1); err != nil {
+	if _, err := tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1})); err != nil {
 		t.Fatal(err)
 	}
 	st = sess.Stats()

@@ -109,7 +109,7 @@ func Step2RenameApart(c CXRE) CXRE {
 //
 // Precondition: every component is an alternation of variable-simple
 // xregex and every variable has at most one definition in the tuple
-// (ensured by Steps 1 and 2, or by branch selection in EvalVsf).
+// (ensured by Steps 1 and 2, or by branch selection in Plan.members).
 func Step3MainModification(c CXRE) (CXRE, error) {
 	out, _, err := step3WithMap(c)
 	return out, err

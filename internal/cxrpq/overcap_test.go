@@ -55,7 +55,7 @@ func TestOverCapDifferential(t *testing.T) {
 	}{{"wide/path", wide, wideRef, path}, {"wide/random", wide, wideRef, rnd},
 		{"shared/path", shared, sharedRef, path}, {"shared/random", shared, sharedRef, rnd}} {
 		t.Run(c.name, func(t *testing.T) {
-			want, err := cxrpq.Eval(c.ref, c.db)
+			want, err := tuples(cxrpq.Do(c.ref, c.db, cxrpq.Request{Op: "eval"}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,16 +112,16 @@ func overCapOperations(t *testing.T, sess *cxrpq.Session, want *pattern.TupleSet
 	}
 	// Then every operation twice: the answer, and the second time from the cache.
 	for call := 0; call < 2; call++ {
-		if got, err := sess.Eval(); err != nil || !got.Equal(want) {
+		if got, err := tuples(sess.Do(cxrpq.Request{Op: "eval"})); err != nil || !got.Equal(want) {
 			t.Fatalf("Eval = %v, %v; want %v", got.Sorted(), err, want.Sorted())
 		}
-		if ok, err := sess.EvalBool(); err != nil || !ok {
+		if ok, err := verdict(sess.Do(cxrpq.Request{Op: "bool"})); err != nil || !ok {
 			t.Fatalf("EvalBool = %v, %v", ok, err)
 		}
-		if ok, err := sess.Check(answer); err != nil || !ok {
+		if ok, err := verdict(sess.Do(cxrpq.Request{Op: "check", Tuple: answer})); err != nil || !ok {
 			t.Fatalf("Check(%v) = %v, %v; want true", answer, ok, err)
 		}
-		if ok, err := sess.Check(nonAnswer); err != nil || ok {
+		if ok, err := verdict(sess.Do(cxrpq.Request{Op: "check", Tuple: nonAnswer})); err != nil || ok {
 			t.Fatalf("Check(%v) = %v, %v; want false", nonAnswer, ok, err)
 		}
 	}

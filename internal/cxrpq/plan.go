@@ -15,13 +15,13 @@ import (
 // from the query alone — the bounded-evaluation schedule (boundedPlan) and the
 // members of the union of ECRPQ^er a vstar-free query is (Lemma 3, Lemma 7 /
 // Lemma 13) — into an immutable Plan. Binding a Plan to a database (Plan.Bind,
-// session.go) yields a Session over the database's atom store; the historical
-// one-shot functions (Eval, EvalBounded, Check, Explain, …) are thin wrappers
-// that prepare and bind per call.
+// session.go) yields a Session over the database's atom store, whose Do and
+// Stream are the only ways to run the query; the one-shot Do (eval.go)
+// prepares and binds per call.
 
-// planKind is the dispatch class of a prepared query, mirroring the
-// fragment dispatch of Eval: the strongest complete algorithm for the
-// query's syntactic fragment.
+// planKind is the dispatch class of a prepared query, the fragment dispatch
+// of Do: the strongest complete algorithm for the query's syntactic
+// fragment.
 type planKind int
 
 const (

@@ -71,21 +71,21 @@ func TestPlanReportRevisionRecompute(t *testing.T) {
 func TestExplainCarriesPlan(t *testing.T) {
 	db := skewedPlanDB()
 	sess := MustPrepare(MustParse("ans(x, z)\nx y : h\ny z : s")).Bind(db)
-	ex, ok, err := sess.Explain(nil)
-	if err != nil || !ok {
-		t.Fatalf("explain: ok=%v err=%v", ok, err)
+	resp := sess.Do(Request{Op: "explain"})
+	if resp.Err != nil || !resp.OK {
+		t.Fatalf("explain: ok=%v err=%v", resp.OK, resp.Err)
 	}
-	if ex.Plan == nil || len(ex.Plan.Steps) != 2 {
+	if ex := resp.Explanation; ex.Plan == nil || len(ex.Plan.Steps) != 2 {
 		t.Fatalf("explanation plan = %+v", ex.Plan)
 	}
 	// Bounded explain on a query with a string variable.
 	sess2 := MustPrepare(MustParse("ans(x, z)\nx y : $w{h}\ny z : s")).Bind(db)
-	ex2, ok, err := sess2.ExplainBounded(1, nil)
-	if err != nil || !ok {
-		t.Fatalf("explain bounded: ok=%v err=%v", ok, err)
+	resp = sess2.Do(Request{Op: "explain", Semantics: "bounded", K: 1})
+	if resp.Err != nil || !resp.OK {
+		t.Fatalf("explain bounded: ok=%v err=%v", resp.OK, resp.Err)
 	}
-	if ex2.Plan == nil || len(ex2.Plan.Steps) != 2 {
-		t.Fatalf("bounded explanation plan = %+v", ex2.Plan)
+	if ex := resp.Explanation; ex.Plan == nil || len(ex.Plan.Steps) != 2 {
+		t.Fatalf("bounded explanation plan = %+v", ex.Plan)
 	}
 }
 

@@ -31,7 +31,7 @@ func randVsfQuery(seed int64) *cxrpq.Query {
 	return cxrpq.MustParse(src)
 }
 
-// Property: EvalVsf agrees with the brute-force conjunctive-match oracle on
+// Property: the union eval agrees with the brute-force conjunctive-match oracle on
 // small random graphs (words up to length 4 suffice for these shapes).
 func TestQuickVsfAgainstOracle(t *testing.T) {
 	if testing.Short() {
@@ -40,7 +40,7 @@ func TestQuickVsfAgainstOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		q := randVsfQuery(seed)
 		db := workload.Random(seed^0x5f5f, 4, 7, "ab")
-		got, err := cxrpq.EvalVsf(q, db)
+		got, err := tuples(cxrpq.Do(q, db, cxrpq.Request{Op: "eval"}))
 		if err != nil {
 			return false
 		}
@@ -117,11 +117,11 @@ func TestQuickBoundedMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		q := randVsfQuery(seed) // vsf queries are valid CXRPQ^≤k queries too
 		db := workload.Random(seed^0xabcd, 4, 6, "ab")
-		r1, err := cxrpq.EvalBounded(q, db, 1)
+		r1, err := tuples(cxrpq.Do(q, db, cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1}))
 		if err != nil {
 			return false
 		}
-		r2, err := cxrpq.EvalBounded(q, db, 2)
+		r2, err := tuples(cxrpq.Do(q, db, cxrpq.Request{Op: "eval", Semantics: "bounded", K: 2}))
 		if err != nil {
 			return false
 		}
@@ -138,7 +138,7 @@ func TestQuickBoundedMonotone(t *testing.T) {
 }
 
 // Property: for vstar-free queries with images bounded structurally by the
-// database's path length, EvalVsf ⊇ EvalBounded for every k.
+// database's path length, the union eval ⊇ bounded eval for every k.
 func TestQuickVsfContainsBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow property test")
@@ -146,11 +146,11 @@ func TestQuickVsfContainsBounded(t *testing.T) {
 	f := func(seed int64) bool {
 		q := randVsfQuery(seed)
 		db := workload.Random(seed^0x1234, 4, 6, "ab")
-		full, err := cxrpq.EvalVsf(q, db)
+		full, err := tuples(cxrpq.Do(q, db, cxrpq.Request{Op: "eval"}))
 		if err != nil {
 			return false
 		}
-		bounded, err := cxrpq.EvalBounded(q, db, 2)
+		bounded, err := tuples(cxrpq.Do(q, db, cxrpq.Request{Op: "eval", Semantics: "bounded", K: 2}))
 		if err != nil {
 			return false
 		}
@@ -215,7 +215,7 @@ func TestQuickClassicalDispatchAgrees(t *testing.T) {
 	f := func(seed int64) bool {
 		db := workload.Random(seed, 5, 10, "ab")
 		q := cxrpq.MustParse("ans(x, y)\nx m : a(a|b)*\nm y : b+")
-		r1, err := cxrpq.Eval(q, db)
+		r1, err := tuples(cxrpq.Do(q, db, cxrpq.Request{Op: "eval"}))
 		if err != nil {
 			return false
 		}
@@ -244,7 +244,7 @@ func TestQuickBoundedPruningExact(t *testing.T) {
 	f := func(seed int64) bool {
 		q := randVsfQuery(seed)
 		db := workload.Random(seed^0x7777, 4, 6, "ab")
-		pruned, err := cxrpq.EvalBounded(q, db, 2)
+		pruned, err := tuples(cxrpq.Do(q, db, cxrpq.Request{Op: "eval", Semantics: "bounded", K: 2}))
 		if err != nil {
 			return false
 		}
@@ -281,11 +281,11 @@ func TestQuickNormalFormEquivalent(t *testing.T) {
 			return false
 		}
 		db := workload.Random(seed^0x2468, 4, 7, "ab")
-		r1, err := cxrpq.EvalVsf(q, db)
+		r1, err := tuples(cxrpq.Do(q, db, cxrpq.Request{Op: "eval"}))
 		if err != nil {
 			return false
 		}
-		r2, err := cxrpq.EvalVsf(qnf, db)
+		r2, err := tuples(cxrpq.Do(qnf, db, cxrpq.Request{Op: "eval"}))
 		if err != nil {
 			return false
 		}

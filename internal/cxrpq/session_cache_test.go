@@ -3,7 +3,7 @@ package cxrpq_test
 // Eviction edge cases for the bounded caches: an atom store whose budget the
 // instantiated relations overflow must still produce exact results (entries
 // are pure caches), the eviction counter must move, and the result cache must
-// report hits on repeated calls and honor its disable switch.
+// report hits on repeated calls.
 
 import (
 	"fmt"
@@ -11,13 +11,13 @@ import (
 
 	"cxrpq/internal/cxrpq"
 	"cxrpq/internal/graph"
+	"cxrpq/internal/pattern"
 	"cxrpq/internal/workload"
 )
 
-// One plan, one entry: a classical and a simple query are unions of one
-// ECRPQ^er, so Eval and EvalVsf are one operation under one result-cache key
-// (they used to be two translations under "eval" and "vsf"), and a stream
-// after either is a window of the one cached set.
+// One plan, one entry: a classical, a simple and a vstar-free query are all
+// unions of ECRPQ^er, so an eval of any of them is one result-cache entry the
+// next eval hits, and a stream after it is a window of the one cached set.
 func TestOnePlanOneResultEntry(t *testing.T) {
 	db := workload.Random(7, 12, 40, "ab")
 	for _, src := range []string{
@@ -26,16 +26,16 @@ func TestOnePlanOneResultEntry(t *testing.T) {
 		"ans(x, z)\nx y : $w{a}|$v{b}\ny z : $w|$v\n", // vstar-free, four members
 	} {
 		sess := cxrpq.MustPrepare(cxrpq.MustParse(src)).Bind(db)
-		first, err := sess.Eval()
+		first, err := tuples(sess.Do(cxrpq.Request{Op: "eval"}))
 		if err != nil || first.Len() == 0 {
 			t.Fatalf("%q: Eval = %v rows, %v", src, first.Len(), err)
 		}
-		second, err := sess.EvalVsf()
+		second, err := tuples(sess.Do(cxrpq.Request{Op: "eval"}))
 		if err != nil || second != first {
-			t.Fatalf("%q: EvalVsf after Eval did not return the cached set (%v)", src, err)
+			t.Fatalf("%q: the second eval did not return the cached set (%v)", src, err)
 		}
 		if st := sess.Stats(); st.ResultMisses != 1 || st.ResultHits != 1 || st.ResultSize != 1 {
-			t.Fatalf("%q: Eval then EvalVsf: %d misses, %d hits, %d entries; want 1, 1, 1", src, st.ResultMisses, st.ResultHits, st.ResultSize)
+			t.Fatalf("%q: two evals: %d misses, %d hits, %d entries; want 1, 1, 1", src, st.ResultMisses, st.ResultHits, st.ResultSize)
 		}
 		cur, err := sess.Stream(cxrpq.StreamOptions{})
 		if err != nil {
@@ -45,11 +45,8 @@ func TestOnePlanOneResultEntry(t *testing.T) {
 		if p := cur.FetchRows(want.N + 1); p.N != want.N || &p.Data[0] != &want.Data[0] {
 			t.Fatalf("%q: the stream after Eval is not a window of the cached answer (%d rows of %d)", src, p.N, want.N)
 		}
-		if ok, err := sess.EvalVsfBool(); err != nil || !ok {
-			t.Fatalf("%q: EvalVsfBool = %v, %v", src, ok, err)
-		}
-		if ok, err := sess.EvalBool(); err != nil || !ok {
-			t.Fatalf("%q: EvalBool = %v, %v", src, ok, err)
+		if ok, err := verdict(sess.Do(cxrpq.Request{Op: "bool"})); err != nil || !ok {
+			t.Fatalf("%q: bool = %v, %v", src, ok, err)
 		}
 		if st := sess.Stats(); st.ResultSize != 2 {
 			t.Fatalf("%q: %d result entries after set and Boolean evaluation, want 2", src, st.ResultSize)
@@ -58,22 +55,24 @@ func TestOnePlanOneResultEntry(t *testing.T) {
 }
 
 // TestSessionRelCacheEviction: what bounds the atom store is bytes. On a
-// 1 024-node a-cycle every relation of the form a…a+ or a…a* holds all n² pairs,
-// ~17 MB as the store accounts it, and the query instantiates five of them:
-// the store has to drop its epoch on the way, the answer has to be the same
-// every time (entries are pure caches; a run holds the relations it joins),
-// and the bytes reported never pass the budget.
+// 1 200-node a-cycle every relation of the form a…a+ or a…a* holds all n² pairs,
+// ~17 MB as the store accounts it, and a one-worker Boolean run stores four of
+// them before its first witness: the store has to drop its epoch on the way,
+// the answer has to be the same every time (entries are pure caches; a run
+// holds the relations it joins), and the bytes reported never pass the budget.
 func TestSessionRelCacheEviction(t *testing.T) {
-	const n = 1024
+	const n = 1200
 	db := graph.New()
 	for i := 0; i < n; i++ {
 		db.AddEdgeNames(fmt.Sprint("c", i), 'a', fmt.Sprint("c", (i+1)%n))
 	}
 	plan := cxrpq.MustPrepare(cxrpq.MustParse("ans(x, u)\nx y : $w{a|aa}a+\ny z : $w a*\nz u : aa$w+\n"))
-	// Result caching is disabled so the second call recomputes through the store.
-	sess := plan.BindOpts(db, cxrpq.SessionOptions{ResultCacheCap: -1})
+	// A fresh session per call: the second call recomputes through the store,
+	// which belongs to the database and so is shared by both sessions. One
+	// worker finds the first witness after the same relations every time.
 	for call := 0; call < 2; call++ {
-		if ok, err := sess.EvalBoundedBool(2); err != nil || !ok {
+		sess := plan.BindWorkers(db, 1)
+		if ok, err := verdict(sess.Do(cxrpq.Request{Op: "bool", Semantics: "bounded", K: 2})); err != nil || !ok {
 			t.Fatalf("call %d: %v, %v; every node reaches every node", call, ok, err)
 		}
 		st := sess.Stats()
@@ -83,8 +82,8 @@ func TestSessionRelCacheEviction(t *testing.T) {
 		if st.Atoms.Bytes > st.Atoms.Budget || st.Atoms.Relations.Bytes > st.Atoms.Bytes {
 			t.Fatalf("call %d: the store holds more than its budget: %+v", call, st.Atoms)
 		}
-		if st.ResultHits != 0 || st.ResultMisses != 0 {
-			t.Fatalf("result cache disabled but counted: %+v", st)
+		if st.ResultHits != 0 || st.ResultMisses != 1 {
+			t.Fatalf("call %d on a fresh session hit its result cache: %+v", call, st)
 		}
 	}
 
@@ -98,7 +97,7 @@ func TestSessionRelCacheEviction(t *testing.T) {
 	}
 	roomy := cxrpq.MustPrepare(q).Bind(small)
 	for call := 0; call < 2; call++ {
-		if got, err := roomy.EvalBounded(2); err != nil || !got.Equal(want) {
+		if got, err := tuples(roomy.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 2})); err != nil || !got.Equal(want) {
 			t.Fatalf("roomy call %d: %v tuples (%v), want %d", call, got.Len(), err, want.Len())
 		}
 	}
@@ -108,5 +107,40 @@ func TestSessionRelCacheEviction(t *testing.T) {
 	}
 	if rst.Atoms.Evictions != 0 || rst.Atoms.Relations.Entries == 0 {
 		t.Fatalf("roomy store should hold its relations and not evict, got %+v", rst.Atoms)
+	}
+}
+
+// TestNegativeKRefused: a bounded request with a negative image bound is an
+// error whatever the result cache holds. The union's entries are filed under
+// image bound -1, and such a request once read them: bool found a set where
+// it wanted a verdict and panicked, every other op and the stream answered
+// with the union's cached answer.
+func TestNegativeKRefused(t *testing.T) {
+	db := workload.Random(7, 12, 40, "ab")
+	plan := cxrpq.MustPrepare(cxrpq.MustParse("ans(x, z)\nx y : $w{a}|$v{b}\ny z : $w|$v\n"))
+	all := plan.Bind(db).Do(cxrpq.Request{Op: "eval"})
+	if all.Err != nil || all.Tuples.Len() == 0 {
+		t.Fatalf("fixture: %v, %v", all.Tuples, all.Err)
+	}
+	answer := all.Tuples.Sorted()[0]
+	for _, op := range []string{"bool", "eval", "check", "explain"} {
+		var tuple pattern.Tuple
+		if op == "check" || op == "explain" {
+			tuple = answer
+		}
+		sess := plan.Bind(db)
+		if resp := sess.Do(cxrpq.Request{Op: op, Tuple: tuple}); resp.Err != nil || !resp.OK {
+			t.Fatalf("%s over the union = %v, %v", op, resp.OK, resp.Err)
+		}
+		resp := sess.Do(cxrpq.Request{Op: op, Semantics: "bounded", K: -1, Tuple: tuple})
+		if resp.Err == nil || resp.OK || resp.Tuples != nil || resp.Explanation != nil {
+			t.Errorf("%s with k = -1 after the union = %+v; want an error and no answer", op, resp)
+		}
+	}
+	sess := plan.Bind(db)
+	sess.Do(cxrpq.Request{Op: "eval"})
+	if cur, err := sess.Stream(cxrpq.StreamOptions{Semantics: "bounded", K: -1}); err == nil {
+		cur.Close()
+		t.Error("a stream with k = -1 opened after the union's eval")
 	}
 }

@@ -23,7 +23,7 @@ func TestSessionForkSnapshotIsolation(t *testing.T) {
 
 	snap1 := db.Snapshot()
 	s1 := plan.Bind(snap1.DB())
-	base, err := s1.EvalBounded(k)
+	base, err := tuples(s1.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestSessionForkSnapshotIsolation(t *testing.T) {
 	s2 := s1.Fork(snap2.DB())
 
 	// The old session, pinned to the old view, answers as before.
-	again, err := s1.EvalBounded(k)
+	again, err := tuples(s1.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +46,11 @@ func TestSessionForkSnapshotIsolation(t *testing.T) {
 		t.Fatal("pinned session observed a later revision")
 	}
 	// The fork agrees with a bind to a fresh copy of the new view.
-	want, err := plan.Bind(freshCopy(snap2.DB())).EvalBounded(k)
+	want, err := tuples(plan.Bind(freshCopy(snap2.DB())).Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s2.EvalBounded(k)
+	got, err := tuples(s2.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestSessionForkSnapshotIsolation(t *testing.T) {
 	}
 	snap3 := db.Snapshot()
 	s3 := s2.Fork(snap3.DB())
-	want3, err := plan.Bind(freshCopy(snap3.DB())).EvalBounded(k)
+	want3, err := tuples(plan.Bind(freshCopy(snap3.DB())).Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got3, err := s3.EvalBounded(k)
+	got3, err := tuples(s3.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestSessionForkSnapshotIsolation(t *testing.T) {
 	// Forking without an intervening mutation shares the epoch.
 	s4 := s3.Fork(snap3.DB())
 	if s4.Stats().ResultHits == 0 {
-		if _, err := s4.EvalBounded(k); err != nil {
+		if _, err := tuples(s4.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k})); err != nil {
 			t.Fatal(err)
 		}
 		if s4.Stats().ResultHits == 0 {
@@ -127,7 +127,7 @@ func TestPathVerdictsAcrossInserts(t *testing.T) {
 	}
 	// warm evaluates on the empty-handed graph and returns the verdicts.
 	warm := func(s *cxrpq.Session) map[string]bool {
-		if res, err := s.EvalBounded(k); err != nil || res.Len() != 0 {
+		if res, err := tuples(s.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k})); err != nil || res.Len() != 0 {
 			t.Fatalf("before the insertion: %v tuples, err %v", res, err)
 		}
 		if negatives(s) == 0 || negatives(s) == len(s.PathVerdicts()) {
@@ -147,11 +147,11 @@ func TestPathVerdictsAcrossInserts(t *testing.T) {
 				t.Fatalf("%s: verdict %q=%v before the insertion, kept=%v after", name, label, v, ok)
 			}
 		}
-		got, err := s.EvalBounded(k)
+		got, err := tuples(s.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := plan.Bind(freshCopy(view)).EvalBounded(k)
+		want, err := tuples(plan.Bind(freshCopy(view)).Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestSessionForkMutationStreamDifferential(t *testing.T) {
 	const k = 1
 
 	sess := plan.Bind(db.Snapshot().DB())
-	if _, err := sess.EvalBounded(k); err != nil {
+	if _, err := tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k})); err != nil {
 		t.Fatal(err)
 	}
 	for i, delta := range deltas {
@@ -199,11 +199,11 @@ func TestSessionForkMutationStreamDifferential(t *testing.T) {
 		}
 		view := db.Snapshot().DB()
 		sess = sess.Fork(view)
-		got, err := sess.EvalBounded(k)
+		got, err := tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k}))
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
-		want, err := plan.Bind(freshCopy(view)).EvalBounded(k)
+		want, err := tuples(plan.Bind(freshCopy(view)).Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k}))
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
@@ -233,7 +233,7 @@ func TestSessionForkConcurrentReaders(t *testing.T) {
 		go func(s *cxrpq.Session, step int) {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
-				res, err := s.Eval()
+				res, err := tuples(s.Do(cxrpq.Request{Op: "eval"}))
 				if err != nil {
 					t.Errorf("step %d: %v", step, err)
 					return
@@ -252,11 +252,11 @@ func TestSessionForkConcurrentReaders(t *testing.T) {
 		sess = sess.Fork(db.Snapshot().DB())
 	}
 	wg.Wait()
-	final, err := sess.Eval()
+	final, err := tuples(sess.Do(cxrpq.Request{Op: "eval"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := plan.Bind(freshCopy(db)).Eval()
+	want, err := tuples(plan.Bind(freshCopy(db)).Do(cxrpq.Request{Op: "eval"}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 package cxrpq_test
 
 // Concurrency stress tests for the Session layer: many goroutines share one
-// Session and issue mixed Eval/Check/Explain/batch calls; every result must
+// Session and issue mixed eval/check/explain requests, some fanned out as a
+// batch; every result must
 // match the sequentially computed ground truth, under -race. A second test
 // drives the invalidation contract: after a (quiescent) DB mutation the
 // session must never serve relations derived from the old revision, with
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"cxrpq/internal/cxrpq"
+	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
 	"cxrpq/internal/workload"
@@ -58,39 +60,41 @@ func TestSessionConcurrentStressBounded(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				switch (g + i) % 5 {
 				case 0:
-					res, err := sess.EvalBounded(k)
+					res, err := tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k}))
 					if err != nil {
-						errs <- fmt.Errorf("EvalBounded: %v", err)
+						errs <- fmt.Errorf("bounded eval: %v", err)
 					} else if !res.Equal(want) {
-						errs <- fmt.Errorf("EvalBounded: %d tuples, want %d", res.Len(), want.Len())
+						errs <- fmt.Errorf("bounded eval: %d tuples, want %d", res.Len(), want.Len())
 					}
 				case 1:
-					ok, err := sess.EvalBoundedBool(k)
+					ok, err := verdict(sess.Do(cxrpq.Request{Op: "bool", Semantics: "bounded", K: k}))
 					if err != nil || ok != wantBool {
-						errs <- fmt.Errorf("EvalBoundedBool=%v err=%v, want %v", ok, err, wantBool)
+						errs <- fmt.Errorf("bounded bool=%v err=%v, want %v", ok, err, wantBool)
 					}
 				case 2:
 					tup := members[(g*iters+i)%len(members)]
-					ok, err := sess.CheckBounded(k, tup)
+					ok, err := verdict(sess.Do(cxrpq.Request{Op: "check", Semantics: "bounded", K: k, Tuple: tup}))
 					if err != nil || !ok {
-						errs <- fmt.Errorf("CheckBounded(%v)=%v err=%v, want true", tup, ok, err)
+						errs <- fmt.Errorf("bounded check(%v)=%v err=%v, want true", tup, ok, err)
 					}
-					if ok2, err := sess.CheckBounded(k, nonMember); err != nil || ok2 {
-						errs <- fmt.Errorf("CheckBounded(%v)=%v err=%v, want false", nonMember, ok2, err)
+					if ok2, err := verdict(sess.Do(cxrpq.Request{Op: "check", Semantics: "bounded", K: k, Tuple: nonMember})); err != nil || ok2 {
+						errs <- fmt.Errorf("bounded check(%v)=%v err=%v, want false", nonMember, ok2, err)
 					}
 				case 3:
-					ex, ok, err := sess.ExplainBounded(k, nil)
+					ex, ok, err := witness(sess.Do(cxrpq.Request{Op: "explain", Semantics: "bounded", K: k}))
 					if err != nil || ok != wantBool {
-						errs <- fmt.Errorf("ExplainBounded ok=%v err=%v, want %v", ok, err, wantBool)
+						errs <- fmt.Errorf("bounded explain ok=%v err=%v, want %v", ok, err, wantBool)
 					} else if ok && ex == nil {
-						errs <- fmt.Errorf("ExplainBounded: ok without explanation")
+						errs <- fmt.Errorf("bounded explain: ok without explanation")
 					}
 				case 4:
-					resps := sess.EvalBatch([]cxrpq.Request{
+					reqs := []cxrpq.Request{
 						{Op: "eval", Semantics: "bounded", K: k},
 						{Op: "bool", Semantics: "bounded", K: k},
 						{Op: "check", Semantics: "bounded", K: k, Tuple: members[0]},
-					})
+					}
+					resps := make([]cxrpq.Response, len(reqs))
+					engine.Fan(0, len(reqs), func(j int) { resps[j] = sess.Do(reqs[j]) })
 					if resps[0].Err != nil || !resps[0].Tuples.Equal(want) {
 						errs <- fmt.Errorf("batch eval diverged: %v", resps[0].Err)
 					}
@@ -121,7 +125,7 @@ func TestSessionConcurrentStressVsf(t *testing.T) {
 	q := cxrpq.MustParse("ans(p, q)\np m : $x{aa|b}\nm q : ($x|c)b?\n")
 	db := workload.Random(7, 7, 18, "abc")
 
-	want, err := cxrpq.EvalVsf(q, db)
+	want, err := tuples(cxrpq.Do(q, db, cxrpq.Request{Op: "eval"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,23 +141,23 @@ func TestSessionConcurrentStressVsf(t *testing.T) {
 			for i := 0; i < 15; i++ {
 				switch (g + i) % 3 {
 				case 0:
-					res, err := sess.Eval()
+					res, err := tuples(sess.Do(cxrpq.Request{Op: "eval"}))
 					if err != nil || !res.Equal(want) {
 						errs <- fmt.Errorf("vsf Eval diverged: %v", err)
 					}
 				case 1:
-					ok, err := sess.EvalBool()
+					ok, err := verdict(sess.Do(cxrpq.Request{Op: "bool"}))
 					if err != nil || ok != wantBool {
 						errs <- fmt.Errorf("vsf EvalBool=%v err=%v", ok, err)
 					}
 				case 2:
 					if want.Len() > 0 {
 						tup := want.Sorted()[(g+i)%want.Len()]
-						ok, err := sess.Check(tup)
+						ok, err := verdict(sess.Do(cxrpq.Request{Op: "check", Tuple: tup}))
 						if err != nil || !ok {
 							errs <- fmt.Errorf("vsf Check(%v)=%v err=%v", tup, ok, err)
 						}
-						if _, ok, err := sess.Explain(tup); err != nil || !ok {
+						if _, ok, err := witness(sess.Do(cxrpq.Request{Op: "explain", Tuple: tup})); err != nil || !ok {
 							errs <- fmt.Errorf("vsf Explain(%v) ok=%v err=%v", tup, ok, err)
 						}
 					}
@@ -183,7 +187,7 @@ func TestSessionInvalidation(t *testing.T) {
 
 	check := func(label string) {
 		t.Helper()
-		got, err := sess.EvalBounded(1)
+		got, err := tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1}))
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -197,7 +201,7 @@ func TestSessionInvalidation(t *testing.T) {
 	}
 
 	check("initial")
-	before, _ := sess.EvalBounded(1)
+	before, _ := tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1}))
 
 	// Mutation 1: new edges that add answers; the automatic revision check
 	// must drop the caches.
@@ -205,7 +209,7 @@ func TestSessionInvalidation(t *testing.T) {
 	db.AddEdge(w, 'a', x)
 	db.AddEdge(x, 'a', u)
 	check("after mutation (auto revision check)")
-	after, _ := sess.EvalBounded(1)
+	after, _ := tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1}))
 	if after.Equal(before) {
 		t.Fatal("mutation did not change the answer set; test is vacuous")
 	}
@@ -332,7 +336,7 @@ func TestSessionInvalidateForcesFullFlush(t *testing.T) {
 	q := cxrpq.MustParse("ans(p, q)\np m : $x{a|b}\nm q : $x|b\n")
 	db := workload.Random(31, 5, 10, "ab")
 	sess := cxrpq.MustPrepare(q).Bind(db)
-	if _, err := sess.EvalBounded(1); err != nil {
+	if _, err := tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1})); err != nil {
 		t.Fatal(err)
 	}
 	pre := sess.Stats()
@@ -345,7 +349,7 @@ func TestSessionInvalidateForcesFullFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess.Invalidate()
-	got, err := sess.EvalBounded(1)
+	got, err := tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,14 +53,14 @@ type Row struct {
 }
 
 // StreamOptions configures one Session.Stream call. The zero value streams
-// the fragment-dispatched evaluation (like Session.Eval) unranked, unbounded
-// and unlimited.
+// the fragment-dispatched evaluation (like Do with Op "eval") unranked,
+// unbounded and unlimited.
 type StreamOptions struct {
 	// Semantics selects the evaluation: ""/"auto" dispatches by fragment
-	// (classical/simple/vstar-free; unrestricted queries error, as in Eval),
+	// (classical/simple/vstar-free; unrestricted queries error, as in Do),
 	// "bounded" forces CXRPQ^≤K semantics, "log" CXRPQ^log.
 	Semantics string
-	K         int // image bound for Semantics == "bounded"
+	K         int // image bound for Semantics == "bounded" (k < 0 is refused)
 
 	// Ranked orders the stream shortest-witness-first: Cost ascending, ties
 	// in lexicographic tuple order. The stream is incremental (any-k); see
@@ -143,7 +143,7 @@ func (s *Session) Stream(opts StreamOptions) (*Cursor, error) {
 			return newCursor(bud, opts, nil, build), nil
 		}
 	}
-	if res := s.cachedAnswer(bounded, k, opts.Ranked); res != nil {
+	if res := s.cachedAnswer(k, opts.Ranked); res != nil {
 		c := &Cursor{bud: bud, win: res.SortedRows(), nextWant: 1}
 		if opts.Limit > 0 && c.win.N >= opts.Limit {
 			// A stream its limit completes cannot be truncated: no budget.
@@ -159,19 +159,15 @@ func (s *Session) Stream(opts StreamOptions) (*Cursor, error) {
 }
 
 // cachedAnswer returns the dispatch's complete answer when the session result
-// cache, which only ever holds complete, un-truncated sets, has it. The sets
+// cache, which only ever holds complete, un-truncated answers, has it. The sets
 // carry no witness costs, so a ranked stream cannot be served from one.
-func (s *Session) cachedAnswer(bounded bool, k int, ranked bool) *pattern.TupleSet {
+func (s *Session) cachedAnswer(k int, ranked bool) *pattern.TupleSet {
 	if ranked {
 		return nil
 	}
-	if !bounded {
-		k = unbounded
-	}
 	_, rc, _ := s.current()
-	v, _ := rc.get(resultKey{op: "eval", k: k})
-	res, _ := v.(*pattern.TupleSet)
-	return res
+	resp, _ := rc.get(resultKey{op: "eval", k: k})
+	return resp.Tuples
 }
 
 // anyKBuilderFor builds the deferred constructor of the incremental any-k

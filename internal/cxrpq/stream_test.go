@@ -121,7 +121,7 @@ func TestStreamMatchesEval(t *testing.T) {
 		// Auto dispatch: only where Eval is defined for the fragment. Fresh
 		// binds, so that the stream runs its producer instead of paging the
 		// cached answer.
-		if want, err := sess.Eval(); err == nil {
+		if want, err := tuples(sess.Do(cxrpq.Request{Op: "eval"})); err == nil {
 			checkAgainst(cxrpq.StreamOptions{}, want, "auto(cached)")
 			cur, err := cxrpq.MustPrepare(q).Bind(db).Stream(cxrpq.StreamOptions{})
 			if err != nil {
@@ -148,9 +148,9 @@ func TestStreamMatchesEval(t *testing.T) {
 
 func mustEvalBounded(t *testing.T, sess *cxrpq.Session, k int, seed int64) *pattern.TupleSet {
 	t.Helper()
-	res, err := sess.EvalBounded(k)
+	res, err := tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k}))
 	if err != nil {
-		t.Fatalf("seed %d: EvalBounded: %v", seed, err)
+		t.Fatalf("seed %d: bounded eval: %v", seed, err)
 	}
 	return res
 }
@@ -455,7 +455,7 @@ func TestDeadlineBoundsEveryMode(t *testing.T) {
 	// and the explanation is cached like the other answers.
 	db := workload.Random(7, 40, 120, "ab")
 	sess := plan.Bind(db)
-	want, err := sess.EvalBool()
+	want, err := verdict(sess.Do(cxrpq.Request{Op: "bool"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +493,7 @@ func TestStreamAnyKPrefixEqualsDrain(t *testing.T) {
 			k   int
 		}
 		dispatches := []dispatch{{"bounded", 1}}
-		if _, err := sess.Eval(); err == nil {
+		if _, err := tuples(sess.Do(cxrpq.Request{Op: "eval"})); err == nil {
 			dispatches = append(dispatches, dispatch{"auto", 0})
 		}
 		for _, d := range dispatches {
@@ -708,7 +708,7 @@ func TestStreamRankedDeadlineTruncated(t *testing.T) {
 			t.Fatalf("ranked stream after truncation diverges at row %d", i)
 		}
 	}
-	if want, err := sess.Eval(); err == nil {
+	if want, err := tuples(sess.Do(cxrpq.Request{Op: "eval"})); err == nil {
 		if !rowSet(rows2).Equal(want) {
 			t.Fatalf("ranked stream after truncation disagrees with Eval")
 		}
@@ -727,7 +727,7 @@ func TestCachedStreamIsWindow(t *testing.T) {
 	}
 	db := workload.Random(0x51ab, 40, 200, "ab")
 	sess := plan.Bind(db)
-	full, err := sess.Eval() // fills the result cache
+	full, err := tuples(sess.Do(cxrpq.Request{Op: "eval"})) // fills the result cache
 	if err != nil || full.Len() < 64 {
 		t.Fatalf("fixture: %v tuples, %v", full.Len(), err)
 	}
@@ -852,7 +852,7 @@ func TestCachedStreamIsWindow(t *testing.T) {
 func TestStreamProducerPanicIsCursorError(t *testing.T) {
 	db := workload.Random(9, 10, 30, "ab")
 	sess := cxrpq.MustPrepare(cxrpq.MustParse("ans(x, z)\nx y : $w{a}|$v{b}\ny z : $w|$v\n")).Bind(db)
-	want, err := sess.Eval()
+	want, err := tuples(sess.Do(cxrpq.Request{Op: "eval"}))
 	if err != nil || want.Len() == 0 {
 		t.Fatalf("fixture: %v, %v", want, err)
 	}

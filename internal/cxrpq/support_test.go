@@ -32,6 +32,16 @@ func freshCopy(db *graph.DB) *graph.DB {
 	return c
 }
 
+// tuples, verdict and witness read a Response the way a Go call returns: the
+// fields its Op sets, then its error.
+func tuples(r cxrpq.Response) (*pattern.TupleSet, error) { return r.Tuples, r.Err }
+
+func verdict(r cxrpq.Response) (bool, error) { return r.OK, r.Err }
+
+func witness(r cxrpq.Response) (*cxrpq.Explanation, bool, error) {
+	return r.Explanation, r.OK, r.Err
+}
+
 // drain collects a bounded stream's distinct tuples.
 func drain(t *testing.T, s *cxrpq.Session, k int, ranked bool) *pattern.TupleSet {
 	t.Helper()
@@ -80,15 +90,15 @@ func TestBoundedDanglingEndpoints(t *testing.T) {
 				}
 				answered += want.Len()
 				s := cxrpq.MustPrepare(q).Bind(db)
-				got, err := s.EvalBounded(k)
+				got, err := tuples(s.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k}))
 				if err != nil || !got.Equal(want) {
-					t.Fatalf("%s: EvalBounded %v (%v), naive %v", name, got.Sorted(), err, want.Sorted())
+					t.Fatalf("%s: bounded eval %v (%v), naive %v", name, got.Sorted(), err, want.Sorted())
 				}
 				if n := s.Stats().Atoms.Supports.Entries; want.Len() > 0 && (n > 0) != tc.supports {
 					t.Fatalf("%s: %d supports stored, want some: %v", name, n, tc.supports)
 				}
-				if ok, err := s.EvalBoundedBool(k); err != nil || ok != (want.Len() > 0) {
-					t.Fatalf("%s: EvalBoundedBool = %v, %v; naive has %d tuples", name, ok, err, want.Len())
+				if ok, err := verdict(s.Do(cxrpq.Request{Op: "bool", Semantics: "bounded", K: k})); err != nil || ok != (want.Len() > 0) {
+					t.Fatalf("%s: bounded bool = %v, %v; naive has %d tuples", name, ok, err, want.Len())
 				}
 				for _, ranked := range []bool{false, true} {
 					if rows := drain(t, s, k, ranked); !rows.Equal(want) {
@@ -96,14 +106,14 @@ func TestBoundedDanglingEndpoints(t *testing.T) {
 					}
 				}
 				for _, tu := range want.Sorted() {
-					if ok, err := s.CheckBounded(k, tu); err != nil || !ok {
-						t.Fatalf("%s: CheckBounded(%v) = %v, %v", name, tu, ok, err)
+					if ok, err := verdict(s.Do(cxrpq.Request{Op: "check", Semantics: "bounded", K: k, Tuple: tu})); err != nil || !ok {
+						t.Fatalf("%s: bounded check(%v) = %v, %v", name, tu, ok, err)
 					}
 					if len(tu) > 0 {
 						miss := append(pattern.Tuple(nil), tu...)
 						miss[0] = (miss[0] + 1) % db.NumNodes()
-						if ok, err := s.CheckBounded(k, miss); err != nil || ok != want.Contains(miss) {
-							t.Fatalf("%s: CheckBounded(%v) = %v, %v", name, miss, ok, err)
+						if ok, err := verdict(s.Do(cxrpq.Request{Op: "check", Semantics: "bounded", K: k, Tuple: miss})); err != nil || ok != want.Contains(miss) {
+							t.Fatalf("%s: bounded check(%v) = %v, %v", name, miss, ok, err)
 						}
 					}
 				}
@@ -168,11 +178,11 @@ func TestSupportAcrossDeltas(t *testing.T) {
 
 	answers := func(name string, s *cxrpq.Session, view *graph.DB, n int) {
 		t.Helper()
-		got, err := s.EvalBounded(k)
+		got, err := tuples(s.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := plan.Bind(freshCopy(view)).EvalBounded(k)
+		want, err := tuples(plan.Bind(freshCopy(view)).Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k}))
 		if err != nil {
 			t.Fatal(err)
 		}

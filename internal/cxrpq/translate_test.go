@@ -66,11 +66,11 @@ s0 b s0
 `)
 	qc := mkQuery(c)
 	qnf := mkQuery(nf)
-	resC, err := cxrpq.EvalVsf(qc, db)
+	resC, err := tuples(cxrpq.Do(qc, db, cxrpq.Request{Op: "eval"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resNF, err := cxrpq.EvalVsf(qnf, db)
+	resNF, err := tuples(cxrpq.Do(qnf, db, cxrpq.Request{Op: "eval"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ s0 b s0
 		t.Fatal(err)
 	}
 	if !resC.Equal(want) {
-		t.Fatalf("EvalVsf %v vs oracle %v", resC.Sorted(), want.Sorted())
+		t.Fatalf("the union eval %v vs oracle %v", resC.Sorted(), want.Sorted())
 	}
 }
 
@@ -170,7 +170,7 @@ u v2 : ($x|c)($x|c)?
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := cxrpq.EvalVsf(q, db)
+	want, err := tuples(cxrpq.Do(q, db, cxrpq.Request{Op: "eval"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ u v2 : ($x|c)+
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := cxrpq.EvalBounded(q, db, 1)
+	want, err := tuples(cxrpq.Do(q, db, cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ v a m2
 m2 b w
 p b q
 `)
-	got, err := cxrpq.Eval(q, db)
+	got, err := tuples(cxrpq.Do(q, db, cxrpq.Request{Op: "eval"}))
 	if err != nil {
 		t.Fatal(err)
 	}

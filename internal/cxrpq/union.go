@@ -33,32 +33,25 @@ func (u *Union) Validate() error {
 // Eval computes ⋃ qi(D), dispatching each member to its fragment's
 // algorithm (members must be classical, simple or vstar-free).
 func (u *Union) Eval(db *graph.DB) (*pattern.TupleSet, error) {
-	if err := u.Validate(); err != nil {
-		return nil, err
-	}
-	out := pattern.NewTupleSet()
-	for _, m := range u.Members {
-		res, err := Eval(m, db)
-		if err != nil {
-			return nil, err
-		}
-		out.AddAll(res)
-	}
-	return out, nil
+	return u.eval(db, Request{Op: "eval"})
 }
 
 // EvalBounded computes ⋃ qi^≤k(D).
 func (u *Union) EvalBounded(db *graph.DB, k int) (*pattern.TupleSet, error) {
+	return u.eval(db, Request{Op: "eval", Semantics: "bounded", K: k})
+}
+
+func (u *Union) eval(db *graph.DB, req Request) (*pattern.TupleSet, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
 	}
 	out := pattern.NewTupleSet()
 	for _, m := range u.Members {
-		res, err := EvalBounded(m, db, k)
-		if err != nil {
-			return nil, err
+		resp := Do(m, db, req)
+		if resp.Err != nil {
+			return nil, resp.Err
 		}
-		out.AddAll(res)
+		out.AddAll(resp.Tuples)
 	}
 	return out, nil
 }

@@ -104,25 +104,11 @@ func E02Figure2(scale int) *Table {
 		Header: []string{"query", "fragment", "algorithm", "answers", "time"}}
 	type item struct {
 		name, src, algo string
-		eval            func(*cxrpq.Query, *graph.DB) (int, error)
+		req             cxrpq.Request
 		db              *graph.DB
 	}
-	viaBounded := func(k int) func(*cxrpq.Query, *graph.DB) (int, error) {
-		return func(q *cxrpq.Query, db *graph.DB) (int, error) {
-			res, err := cxrpq.EvalBounded(q, db, k)
-			if err != nil {
-				return 0, err
-			}
-			return res.Len(), nil
-		}
-	}
-	viaVsf := func(q *cxrpq.Query, db *graph.DB) (int, error) {
-		res, err := cxrpq.EvalVsf(q, db)
-		if err != nil {
-			return 0, err
-		}
-		return res.Len(), nil
-	}
+	viaBounded := func(k int) cxrpq.Request { return cxrpq.Request{Op: "eval", Semantics: "bounded", K: k} }
+	viaVsf := cxrpq.Request{Op: "eval"}
 	msgNet := workload.MessageNetwork(7, 8*scale, "ab", 2, 2, 2)
 	items := []item{
 		{"G1", "ans(v1, v2)\nu v1 : $x{a|b}\nu v2 : ($x|c)+", "EvalBounded(k=1)", viaBounded(1),
@@ -140,11 +126,11 @@ func E02Figure2(scale int) *Table {
 			return fail(t, err)
 		}
 		start := time.Now()
-		n, err := it.eval(q, it.db)
-		if err != nil {
-			return fail(t, err)
+		resp := cxrpq.Do(q, it.db, it.req)
+		if resp.Err != nil {
+			return fail(t, resp.Err)
 		}
-		t.Rows = append(t.Rows, []string{it.name, q.Fragment(), it.algo, fmt.Sprint(n), ms(time.Since(start))})
+		t.Rows = append(t.Rows, []string{it.name, q.Fragment(), it.algo, fmt.Sprint(resp.Tuples.Len()), ms(time.Since(start))})
 	}
 	return t
 }
@@ -166,12 +152,12 @@ func E03Theorem1(scale int) *Table {
 			return fail(t, err)
 		}
 		start := time.Now()
-		got, err := cxrpq.EvalVsfBool(q, db)
-		if err != nil {
-			return fail(t, err)
+		resp := cxrpq.Do(q, db, cxrpq.Request{Op: "bool"})
+		if resp.Err != nil {
+			return fail(t, resp.Err)
 		}
 		el := time.Since(start)
-		want := inst.IntersectionNonEmpty()
+		got, want := resp.OK, inst.IntersectionNonEmpty()
 		t.Rows = append(t.Rows, []string{fmt.Sprint(k), fmt.Sprint(db.Size()),
 			fmt.Sprint(got), fmt.Sprint(want), fmt.Sprint(got == want), ms(el)})
 	}
@@ -190,12 +176,12 @@ func E04Theorem3(scale int) *Table {
 			return fail(t, err)
 		}
 		start := time.Now()
-		got, err := cxrpq.EvalBool(q, db)
-		if err != nil {
-			return fail(t, err)
+		resp := cxrpq.Do(q, db, cxrpq.Request{Op: "bool"})
+		if resp.Err != nil {
+			return fail(t, resp.Err)
 		}
 		el := time.Since(start)
-		want := inst.Reachable()
+		got, want := resp.OK, inst.Reachable()
 		t.Rows = append(t.Rows, []string{fmt.Sprint(n), fmt.Sprint(db.Size()),
 			fmt.Sprint(got), fmt.Sprint(want), fmt.Sprint(got == want), ms(el)})
 	}
@@ -260,11 +246,11 @@ v3 v1 : $x|c
 		n := 6 * i * scale
 		db := workload.Random(9, n, 3*n, "abc")
 		start := time.Now()
-		res, err := cxrpq.EvalVsf(q, db)
-		if err != nil {
-			return fail(t, err)
+		resp := cxrpq.Do(q, db, cxrpq.Request{Op: "eval"})
+		if resp.Err != nil {
+			return fail(t, resp.Err)
 		}
-		t.Rows = append(t.Rows, []string{fmt.Sprint(db.Size()), fmt.Sprint(res.Len()), ms(time.Since(start))})
+		t.Rows = append(t.Rows, []string{fmt.Sprint(db.Size()), fmt.Sprint(resp.Tuples.Len()), ms(time.Since(start))})
 	}
 	return t
 }
@@ -296,8 +282,8 @@ func E07VsfFlat(scale int) *Table {
 		}
 		_ = nf
 		start := time.Now()
-		if _, err := cxrpq.EvalVsf(q, db); err != nil {
-			return fail(t, err)
+		if resp := cxrpq.Do(q, db, cxrpq.Request{Op: "eval"}); resp.Err != nil {
+			return fail(t, resp.Err)
 		}
 		ratio := float64(stats.AfterStep3) / float64(stats.Input*stats.Input)
 		t.Rows = append(t.Rows, []string{fmt.Sprint(n), fmt.Sprint(stats.Input),
@@ -320,20 +306,20 @@ t s : $x+|b
 		n := 5 * i * scale
 		db := workload.Random(13, n, 3*n, "abc")
 		start := time.Now()
-		res, err := cxrpq.EvalBounded(q, db, 2)
-		if err != nil {
-			return fail(t, err)
+		resp := cxrpq.Do(q, db, cxrpq.Request{Op: "eval", Semantics: "bounded", K: 2})
+		if resp.Err != nil {
+			return fail(t, resp.Err)
 		}
-		t.Rows = append(t.Rows, []string{fmt.Sprint(db.Size()), "2", fmt.Sprint(res.Len()), ms(time.Since(start))})
+		t.Rows = append(t.Rows, []string{fmt.Sprint(db.Size()), "2", fmt.Sprint(resp.Tuples.Len()), ms(time.Since(start))})
 	}
 	db := workload.Random(13, 5*scale, 15*scale, "abc")
 	for k := 1; k <= 3; k++ {
 		start := time.Now()
-		res, err := cxrpq.EvalBounded(q, db, k)
-		if err != nil {
-			return fail(t, err)
+		resp := cxrpq.Do(q, db, cxrpq.Request{Op: "eval", Semantics: "bounded", K: k})
+		if resp.Err != nil {
+			return fail(t, resp.Err)
 		}
-		t.Rows = append(t.Rows, []string{fmt.Sprint(db.Size()), fmt.Sprint(k), fmt.Sprint(res.Len()), ms(time.Since(start))})
+		t.Rows = append(t.Rows, []string{fmt.Sprint(db.Size()), fmt.Sprint(k), fmt.Sprint(resp.Tuples.Len()), ms(time.Since(start))})
 	}
 	return t
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -53,14 +54,14 @@ func E10LogBounded(scale int) *Table {
 		n := 2 * i * scale
 		db := workload.Path(fmt.Sprintf("#%sb%s#", repeat("a", n), repeat("a", n)), 1)
 		start := time.Now()
-		ok, err := cxrpq.EvalLogBool(q, db)
-		if err != nil {
-			return fail(t, err)
+		resp := cxrpq.Do(q, db, cxrpq.Request{Op: "bool", Semantics: "log"})
+		if resp.Err != nil {
+			return fail(t, resp.Err)
 		}
 		el := time.Since(start)
 		sz := db.Size()
 		t.Rows = append(t.Rows, []string{fmt.Sprint(sz), fmt.Sprint(logOf(sz)),
-			fmt.Sprint(ok), ms(el)})
+			fmt.Sprint(resp.OK), ms(el)})
 	}
 	return t
 }
@@ -107,11 +108,11 @@ func E11Figure5(scale int) *Table {
 		if err != nil {
 			return fail(t, err)
 		}
-		b, err := cxrpq.Eval(q12, db)
-		if err != nil {
-			return fail(t, err)
+		b := cxrpq.Do(q12, db, cxrpq.Request{Op: "eval"})
+		if b.Err != nil {
+			return fail(t, b.Err)
 		}
-		if !a.Equal(b) {
+		if !a.Equal(b.Tuples) {
 			ok = false
 		}
 	}
@@ -126,15 +127,15 @@ func E11Figure5(scale int) *Table {
 	}
 	ok = true
 	for _, db := range dbs {
-		a, err := cxrpq.EvalVsf(qvsf, db)
-		if err != nil {
-			return fail(t, err)
+		a := cxrpq.Do(qvsf, db, cxrpq.Request{Op: "eval"})
+		if a.Err != nil {
+			return fail(t, a.Err)
 		}
 		b, err := ecrpq.EvalUnion(u13, db)
 		if err != nil {
 			return fail(t, err)
 		}
-		if !a.Equal(b) {
+		if !a.Tuples.Equal(b) {
 			ok = false
 		}
 	}
@@ -149,15 +150,15 @@ func E11Figure5(scale int) *Table {
 	}
 	ok = true
 	for _, db := range dbs {
-		a, err := cxrpq.EvalBounded(q14, db, 1)
-		if err != nil {
-			return fail(t, err)
+		a := cxrpq.Do(q14, db, cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1})
+		if a.Err != nil {
+			return fail(t, a.Err)
 		}
 		b, err := u14.Eval(db)
 		if err != nil {
 			return fail(t, err)
 		}
-		if !a.Equal(b) {
+		if !a.Tuples.Equal(b) {
 			ok = false
 		}
 	}
@@ -167,33 +168,24 @@ func E11Figure5(scale int) *Table {
 	// 4. Separation CRPQ ⊊ CXRPQ^≤1 (Lemma 15): q1 distinguishes D_{a,a}
 	// from D_{a,b} while its CRPQ relaxation cannot.
 	q1 := separations.Q1()
-	okAA, err := cxrpq.EvalBoundedBool(q1, separations.DSigma('a', 'a'), 1)
-	if err != nil {
+	bool1 := cxrpq.Request{Op: "bool", Semantics: "bounded", K: 1}
+	okAA := cxrpq.Do(q1, separations.DSigma('a', 'a'), bool1)
+	okAB := cxrpq.Do(q1, separations.DSigma('a', 'b'), bool1)
+	surAB := cxrpq.Do(separations.CRPQSurrogateForQ1(), separations.DSigma('a', 'b'), cxrpq.Request{Op: "bool"})
+	if err := errors.Join(okAA.Err, okAB.Err, surAB.Err); err != nil {
 		return fail(t, err)
 	}
-	okAB, err := cxrpq.EvalBoundedBool(q1, separations.DSigma('a', 'b'), 1)
-	if err != nil {
-		return fail(t, err)
-	}
-	sur := separations.CRPQSurrogateForQ1()
-	surAB, err := cxrpq.EvalBool(sur, separations.DSigma('a', 'b'))
-	if err != nil {
-		return fail(t, err)
-	}
-	t.Rows = append(t.Rows, []string{"CRPQ ⊊ CXRPQ^≤1 (Lemma 15)", status(okAA && !okAB && surAB),
+	t.Rows = append(t.Rows, []string{"CRPQ ⊊ CXRPQ^≤1 (Lemma 15)", status(okAA.OK && !okAB.OK && surAB.OK),
 		"q1 separates D_{a,a} from D_{a,b}; CRPQ relaxation conflates them"})
 
 	// 5. Separation ECRPQ^er ⊊ CXRPQ (Lemma 16): q2 on its witness family.
 	q2 := separations.Q2()
-	okW, err := cxrpq.EvalBoundedBool(q2, separations.Q2Witness(1, 2), 6)
-	if err != nil {
+	okW := cxrpq.Do(q2, separations.Q2Witness(1, 2), cxrpq.Request{Op: "bool", Semantics: "bounded", K: 6})
+	okB := cxrpq.Do(q2, separations.Q2WitnessBroken(1, 2), cxrpq.Request{Op: "bool", Semantics: "bounded", K: 8})
+	if err := errors.Join(okW.Err, okB.Err); err != nil {
 		return fail(t, err)
 	}
-	okB, err := cxrpq.EvalBoundedBool(q2, separations.Q2WitnessBroken(1, 2), 8)
-	if err != nil {
-		return fail(t, err)
-	}
-	t.Rows = append(t.Rows, []string{"ECRPQ^er ⊊ CXRPQ (Lemma 16)", status(okW && !okB),
+	t.Rows = append(t.Rows, []string{"ECRPQ^er ⊊ CXRPQ (Lemma 16)", status(okW.OK && !okB.OK),
 		"q2 accepts #(a b)^2 c (a b)^2 # and rejects the pumped variant"})
 
 	// 6. Separation CRPQ ⊊ ECRPQ^er ⊊ ECRPQ (Theorem 9): q_anan / q_anbn.
@@ -263,12 +255,12 @@ func E13Fig7(scale int) *Table {
 		s1, s2 rune
 		want   bool
 	}{{'a', 'a', true}, {'b', 'b', true}, {'a', 'c', true}, {'a', 'b', false}, {'b', 'a', false}} {
-		got, err := cxrpq.EvalBoundedBool(q1, separations.DSigma(tc.s1, tc.s2), 1)
-		if err != nil {
-			return fail(t, err)
+		got := cxrpq.Do(q1, separations.DSigma(tc.s1, tc.s2), cxrpq.Request{Op: "bool", Semantics: "bounded", K: 1})
+		if got.Err != nil {
+			return fail(t, got.Err)
 		}
 		t.Rows = append(t.Rows, []string{fmt.Sprintf("D_{%c,%c}", tc.s1, tc.s2), "q1",
-			fmt.Sprint(got), fmt.Sprint(tc.want)})
+			fmt.Sprint(got.OK), fmt.Sprint(tc.want)})
 	}
 	q2 := separations.Q2()
 	for _, tc := range []struct {
@@ -284,11 +276,11 @@ func E13Fig7(scale int) *Table {
 		} else {
 			db = separations.Q2Witness(tc.n1, tc.n2)
 		}
-		got, err := cxrpq.EvalBoundedBool(q2, db, tc.n1+tc.n2+4)
-		if err != nil {
-			return fail(t, err)
+		got := cxrpq.Do(q2, db, cxrpq.Request{Op: "bool", Semantics: "bounded", K: tc.n1 + tc.n2 + 4})
+		if got.Err != nil {
+			return fail(t, got.Err)
 		}
-		t.Rows = append(t.Rows, []string{name, "q2", fmt.Sprint(got), fmt.Sprint(tc.want)})
+		t.Rows = append(t.Rows, []string{name, "q2", fmt.Sprint(got.OK), fmt.Sprint(tc.want)})
 	}
 	return t
 }
@@ -383,10 +375,11 @@ func E17Ablations(scale int) *Table {
 	db := workload.Random(13, 5*scale, 15*scale, "abc")
 	q := cxrpq.MustParse("ans(s, t)\ns t : $x{(a|b)+}c\nt s : $x+|b")
 	start := time.Now()
-	r1, err := cxrpq.EvalBounded(q, db, 2)
-	if err != nil {
-		return fail(t, err)
+	resp := cxrpq.Do(q, db, cxrpq.Request{Op: "eval", Semantics: "bounded", K: 2})
+	if resp.Err != nil {
+		return fail(t, resp.Err)
 	}
+	r1 := resp.Tuples
 	t.Rows = append(t.Rows, []string{"Theorem 6 guess", "pruned (path labels + def bodies)", fmt.Sprint(r1.Len()), ms(time.Since(start))})
 	start = time.Now()
 	r2, err := cxrpq.EvalBoundedNaive(q, db, 2)

@@ -89,7 +89,8 @@ func TestOracleAgreesWithECRPQEvalRelation(t *testing.T) {
 func TestOracleCXRPQAgreesWithVsfEval(t *testing.T) {
 	db := workload.Layered(11, 4, 2, "ab")
 	q := cxrpq.MustParse("ans(s, t)\ns t : $x{a|b}(a|b)*\nt s2 : $x")
-	got, err := cxrpq.EvalVsf(q, db)
+	resp := cxrpq.Do(q, db, cxrpq.Request{Op: "eval"})
+	got, err := resp.Tuples, resp.Err
 	if err != nil {
 		t.Fatal(err)
 	}

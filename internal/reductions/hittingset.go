@@ -132,5 +132,6 @@ func (h *HittingSetInstance) SolveViaReduction() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return cxrpq.EvalBoundedBool(q, h.ToGraphDB(), 1)
+	resp := cxrpq.Do(q, h.ToGraphDB(), cxrpq.Request{Op: "bool", Semantics: "bounded", K: 1})
+	return resp.OK, resp.Err
 }

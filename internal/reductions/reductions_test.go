@@ -59,12 +59,13 @@ func TestTheorem1ReductionPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Evaluate with the vstar-free variant (Theorem 3) via EvalVsf.
+	// Evaluate with the vstar-free variant (Theorem 3) via the union eval.
 	q, err := inst.ToCXRPQ(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := cxrpq.EvalVsfBool(q, db)
+	resp := cxrpq.Do(q, db, cxrpq.Request{Op: "bool"})
+	ok, err := resp.OK, resp.Err
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,8 @@ func TestTheorem1ReductionPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok1, err := cxrpq.EvalBoundedBool(q1, db, 2)
+	resp = cxrpq.Do(q1, db, cxrpq.Request{Op: "bool", Semantics: "bounded", K: 2})
+	ok1, err := resp.OK, resp.Err
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +104,8 @@ func TestTheorem1ReductionNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := cxrpq.EvalVsfBool(q, db)
+	resp := cxrpq.Do(q, db, cxrpq.Request{Op: "bool"})
+	ok, err := resp.OK, resp.Err
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +125,8 @@ func TestTheorem1RandomAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := cxrpq.EvalVsfBool(q, db)
+		resp := cxrpq.Do(q, db, cxrpq.Request{Op: "bool"})
+		got, err := resp.OK, resp.Err
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +144,8 @@ func TestReachabilityReduction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := cxrpq.EvalBool(q, db)
+		resp := cxrpq.Do(q, db, cxrpq.Request{Op: "bool"})
+		got, err := resp.OK, resp.Err
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,7 +61,8 @@ func TestQ1SeparationFromCRPQ(t *testing.T) {
 	}
 	for _, tc := range cases {
 		db := DSigma(tc.s1, tc.s2)
-		got, err := cxrpq.EvalBoundedBool(q1, db, 1)
+		resp := cxrpq.Do(q1, db, cxrpq.Request{Op: "bool", Semantics: "bounded", K: 1})
+		got, err := resp.OK, resp.Err
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +72,8 @@ func TestQ1SeparationFromCRPQ(t *testing.T) {
 	}
 	// the surrogate confuses D_{a,b} with D_{a,a}
 	sur := CRPQSurrogateForQ1()
-	okAB, err := cxrpq.EvalBool(sur, DSigma('a', 'b'))
+	resp := cxrpq.Do(sur, DSigma('a', 'b'), cxrpq.Request{Op: "bool"})
+	okAB, err := resp.OK, resp.Err
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +92,8 @@ func TestQ2Witnesses(t *testing.T) {
 		n1, n2 int
 		want   bool
 	}{{1, 1, true}, {2, 2, true}, {1, 3, true}} {
-		ok, err := cxrpq.EvalBoundedBool(q2, Q2Witness(tc.n1, tc.n2), tc.n1+tc.n2+3)
+		resp := cxrpq.Do(q2, Q2Witness(tc.n1, tc.n2), cxrpq.Request{Op: "bool", Semantics: "bounded", K: tc.n1 + tc.n2 + 3})
+		ok, err := resp.OK, resp.Err
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +101,8 @@ func TestQ2Witnesses(t *testing.T) {
 			t.Errorf("q2 on witness(%d,%d): got %v, want %v", tc.n1, tc.n2, ok, tc.want)
 		}
 	}
-	ok, err := cxrpq.EvalBoundedBool(q2, Q2WitnessBroken(1, 2), 8)
+	resp := cxrpq.Do(q2, Q2WitnessBroken(1, 2), cxrpq.Request{Op: "bool", Semantics: "bounded", K: 8})
+	ok, err := resp.OK, resp.Err
 	if err != nil {
 		t.Fatal(err)
 	}
