@@ -232,6 +232,41 @@ func TestUpdateDeltaMaintainsSessions(t *testing.T) {
 	}
 }
 
+// Two texts that share an atom: the first one's product searches are filed
+// in the database's atom store as probe rows, which /stats shows under
+// "atoms".rows, and the second one reads them from there — a hit, and no
+// further miss.
+func TestStatsAtomRowsShared(t *testing.T) {
+	_, ts := testServer(t)
+	atoms := func() map[string]any {
+		resp, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st["dbs"].([]any)[0].(map[string]any)["atoms"].(map[string]any)
+	}
+	for i, text := range []string{`ans(x, y)\nx y : a`, `ans(p, q)\np q : a`} {
+		before := atoms()
+		code, out := postJSON(t, ts.URL+"/query", `{"db":"g1","query":"`+text+`"}`)
+		if code != http.StatusOK || out["count"].(float64) != 2 {
+			t.Fatalf("%s: %d %v", text, code, out)
+		}
+		after := atoms()
+		rows := after["rows"].(map[string]any)
+		if rows["entries"].(float64) == 0 || rows["bytes"].(float64) == 0 {
+			t.Fatalf("%s: no probe rows filed: %v", text, after)
+		}
+		if hit := after["misses"] == before["misses"] && after["hits"].(float64) > before["hits"].(float64); hit != (i == 1) {
+			t.Fatalf("%s: rows came back as a hit: %v, want %v (%v -> %v)", text, hit, i == 1, before, after)
+		}
+	}
+}
+
 func TestInflightLimiter(t *testing.T) {
 	srv, ts := testServer(t)
 	// Fill the soft cap: queries are still admitted, but degraded — they

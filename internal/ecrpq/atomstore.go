@@ -1,6 +1,7 @@
 package ecrpq
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -19,11 +20,13 @@ import (
 //   - the support per direction — the sources, or the targets, as a node
 //     bitset — which stands in for the pairs of an atom whose other endpoint
 //     nothing reads, and its diagonal EdgeRel view, built at most once;
-//   - the existence verdict: does L label any path of D at all.
+//   - the existence verdict: does L label any path of D at all;
+//   - the probe rows per direction — the targets, or the sources, of single
+//     nodes — that the lazy executor asked for so far (rowTable).
 //
-// It is the only resolver of the three — the lazy executor
-// (probeAtom.support) and the bounded engine of internal/cxrpq both ask it —
-// so what one request
+// It is the only resolver of these — the lazy executor (probeAtom) and the
+// bounded engine of internal/cxrpq both ask it, and it alone runs the
+// reachability kernel for them — so what one request
 // derived, every later and concurrent one over the revision finds, whatever
 // its query text. It lives in the database's derived-state slot
 // (graph.DB.Derived) and is collected with the snapshot; what bounds it is
@@ -69,6 +72,41 @@ type atomEntry struct {
 	sup    [2][]uint64 // [0] the sources, [1] the targets
 	diag   [2]*EdgeRel // sup as the relation {(u, u)}
 	exists int8        // +1 some path matches, -1 none does, 0 not asked
+	rows   [2]rowTable // [0] the targets of a source, [1] the sources of a target
+}
+
+// rowTable is one direction's probe rows of an atom: row u is arena[lo:lo+k]
+// where span[u] = 1 + (lo<<32 | k), and 0 means not filed. Nothing in it but
+// the arena is a pointer, so however many rows it holds the collector scans
+// two slice headers. Rows are handed out capacity-limited: an append by a
+// holder reallocates instead of writing into the next row.
+type rowTable struct {
+	arena []int
+	span  []uint64
+}
+
+func (t *rowTable) bytes() int64 { return 8 * int64(len(t.span)+len(t.arena)) }
+
+// get returns the row of node u, and whether it is filed.
+func (t *rowTable) get(u int) ([]int, bool) {
+	if uint(u) >= uint(len(t.span)) || t.span[u] == 0 {
+		return nil, false
+	}
+	sp := t.span[u] - 1
+	lo, hi := int(sp>>32), int(sp>>32)+int(uint32(sp))
+	return t.arena[lo:hi:hi], true
+}
+
+// put files row as the row of node u, one of n, by copying it into the arena;
+// a node out of range has no row to file.
+func (t *rowTable) put(n, u int, row []int) {
+	if t.span == nil {
+		t.span = make([]uint64, n)
+	}
+	if uint(u) < uint(n) && t.span[u] == 0 {
+		t.span[u] = 1 + (uint64(len(t.arena))<<32 | uint64(len(row)))
+		t.arena = append(t.arena, row...)
+	}
 }
 
 // side indexes atomEntry.sup and diag.
@@ -98,9 +136,11 @@ func (e *atomEntry) supBytes() (n int64) {
 	return n
 }
 
+func (e *atomEntry) rowBytes() int64 { return e.rows[0].bytes() + e.rows[1].bytes() }
+
 // size is what the entry is accounted at: 160 bytes before it holds any fact.
 func (e *atomEntry) size(key string) int64 {
-	return 160 + int64(len(key)) + relBytes(e.rel) + e.supBytes()
+	return 160 + int64(len(key)) + relBytes(e.rel) + e.supBytes() + e.rowBytes()
 }
 
 // Atoms returns the atom store of db at its current revision, maintaining the
@@ -128,8 +168,8 @@ func (s *AtomStore) CarryTo(db *graph.DB) *AtomStore {
 //
 //	net-empty window                 the facts are shared as they are
 //	insert-only, alphabet unchanged  relations retained or frontier-extended,
-//	                                 positive verdicts kept, the rest dropped
-//	                                 (afterInserts)
+//	                                 positive verdicts kept, the rest (supports,
+//	                                 probe rows) dropped (afterInserts)
 //	anything else, or no s           a fresh store
 func (s *AtomStore) successor(db *graph.DB) *AtomStore {
 	ns := &AtomStore{db: db, rev: db.Revision(), same: db.Revision()}
@@ -180,22 +220,37 @@ func resolve[T any](s *AtomStore, key string, read func(*atomEntry) (T, bool), b
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	e := s.entry(key)
+	if old, ok := read(e); ok {
+		return old, nil
+	}
+	before := e.size(key)
+	write(e, v)
+	s.grew(key, e, before)
+	return v, nil
+}
+
+// entry returns the entry filed under key, filing an empty one first if there
+// is none. The caller holds s.mu.
+func (s *AtomStore) entry(key string) *atomEntry {
 	e := s.m[key]
 	if e == nil {
 		e = &atomEntry{}
 		s.m[key] = e
 		s.bytes += e.size(key)
-	} else if old, ok := read(e); ok {
-		return old, nil
 	}
-	before := e.size(key)
-	write(e, v)
+	return e
+}
+
+// grew accounts what the entry filed under key grew by since it was before
+// bytes, and drops every other entry of a store over its budget. The caller
+// holds s.mu.
+func (s *AtomStore) grew(key string, e *atomEntry, before int64) {
 	if s.bytes += e.size(key) - before; s.bytes > s.budget && len(s.m) > 1 {
 		s.m = map[string]*atomEntry{key: e}
 		s.bytes = e.size(key)
 		s.ctr.evictions.Add(1)
 	}
-	return v, nil
 }
 
 // Relation resolves the complete relation of label (see BuildRelation for
@@ -236,6 +291,92 @@ func (s *AtomStore) support(ent *compiledEntry, targets bool, bud *engine.Budget
 			return sup, nil
 		},
 		func(e *atomEntry, sup []uint64) { e.sup[d] = sup })
+}
+
+// rows resolves into out the probe rows of nodes — the targets of each when
+// forward, else its sources: from the entry's complete relation when it has
+// one, else from the direction's row table, and the rows found in neither by
+// one kernel call outside the lock (engine.Reach for one node,
+// engine.ReachBatchEx for more), which are filed unless the budget cut it
+// (cut: those rows may be missing nodes). Only cost-free rows are shared:
+// under o.Levels or o.Weight every row is searched for the caller alone, with
+// its costs, and filed nowhere.
+func (s *AtomStore) rows(ent *compiledEntry, forward bool, nodes []int, o engine.ReachOpts, out []probeRow) (cut bool) {
+	d, shared := side(!forward), !o.Levels && o.Weight == nil
+	missing := nodes // the nodes to search, in the order of nodes
+	if shared {
+		s.mu.Lock()
+		e := s.m[ent.key]
+		if e != nil && e.rel != nil {
+			list := e.rel.forward
+			if !forward {
+				list = e.rel.backward // builds the reverse index on first use
+			}
+			s.mu.Unlock()
+			for i, u := range nodes {
+				out[i].nodes, _ = list(u)
+			}
+			s.ctr.hits.Add(1)
+			return false
+		}
+		if e != nil && e.rows[d].span != nil {
+			missing = nil
+			for i, u := range nodes {
+				var ok bool
+				if out[i].nodes, ok = e.rows[d].get(u); !ok {
+					if missing == nil {
+						missing = make([]int, 0, len(nodes)-i)
+					}
+					missing = append(missing, u)
+				}
+			}
+		}
+		s.mu.Unlock()
+		if len(missing) == 0 {
+			s.ctr.hits.Add(1)
+			return false
+		}
+	}
+	s.ctr.misses.Add(1)
+	c := ent.cache
+	if !forward {
+		_, c = ent.reverse()
+	}
+	var h1 [1][]int
+	var l1 [1][]int32
+	hits, levs := h1[:], l1[:]
+	if len(missing) == 1 {
+		h1[0], l1[0] = engine.Reach(s.db.Index(), c, missing[0], forward, o)
+		cut = o.Budget.Canceled()
+	} else {
+		res := engine.ReachBatchEx(s.db.Index(), c, missing, forward, o)
+		hits, levs, cut = res.Hits, res.Levs, res.Truncated
+	}
+	for i, k := 0, 0; k < len(missing); i++ { // missing is a subsequence of nodes
+		if nodes[i] == missing[k] {
+			out[i].nodes = hits[k]
+			if levs != nil {
+				out[i].costs = levs[k]
+			}
+			k++
+		}
+	}
+	if shared && !cut {
+		total := 0
+		for _, row := range hits {
+			total += len(row)
+		}
+		s.mu.Lock()
+		e := s.entry(ent.key)
+		before, t := e.size(ent.key), &e.rows[d]
+		t.arena = slices.Grow(t.arena, total)
+		for k, u := range missing {
+			t.put(s.db.NumNodes(), u, hits[k])
+		}
+		s.grew(ent.key, e, before)
+		s.mu.Unlock()
+	}
+	return cut
 }
 
 // Support is the support as the diagonal relation {(u, u)}: in an unranked
@@ -321,9 +462,12 @@ type AtomStats struct {
 	Relations AtomKind `json:"relations"`
 	Supports  AtomKind `json:"supports"`
 	Verdicts  AtomKind `json:"verdicts"`
+	Rows      AtomKind `json:"rows"`  // entries: row tables, one per atom and direction
 	Bytes     int64    `json:"bytes"` // accounted in all, entry overheads included
 	Budget    int64    `json:"budget"`
 
+	// Lookups of every kind; a row request counts as a hit when no kernel
+	// call answers any of its nodes.
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"` // whole-epoch drops on overflow
@@ -358,6 +502,12 @@ func (s *AtomStore) Stats() AtomStats {
 			}
 		}
 		st.Supports.Bytes += e.supBytes()
+		for d := range e.rows {
+			if e.rows[d].span != nil {
+				st.Rows.Entries++
+			}
+		}
+		st.Rows.Bytes += e.rowBytes()
 		if e.exists != 0 {
 			st.Verdicts.Entries++
 			st.Verdicts.Bytes++

@@ -3,7 +3,6 @@ package ecrpq
 import (
 	"slices"
 
-	"cxrpq/internal/automata"
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/planner"
@@ -26,7 +25,7 @@ type evaluator struct {
 	db       *graph.DB
 	ix       *graph.Index
 	stats    *graph.Stats
-	store    *AtomStore // of db: relations and supports outlive the evaluation there
+	store    *AtomStore // of db: relations, supports and probe rows outlive the evaluation there
 	sigma    []rune
 	atoms    []probeAtom     // per pattern edge
 	gscratch []*groupScratch // per group
@@ -96,12 +95,13 @@ func newEvaluator(q *Query, db *graph.DB, o Options, lazy bool) (*evaluator, err
 }
 
 // probeAtom is the lazily probed atomSource of one pattern edge: product
-// searches memoized per node and direction. A miss is answered by one
-// single-source search (engine.Reach); prefetch answers many nodes at once
-// through the multi-source kernel, and every driver that knows a set of
-// nodes it is about to ask for — the scan, the frontier pass of a
-// materializing run (frontier.go), the best-first driver's cohorts — goes
-// through it.
+// searches memoized per node and direction. A miss asks the atom store for
+// one row (AtomStore.rows: a stored relation or row, else one single-source
+// search); prefetch asks it for many nodes at once, which it searches through
+// the multi-source kernel, and every driver that knows a set of nodes it is
+// about to ask for — the scan, the frontier pass of a materializing run
+// (frontier.go), the best-first driver's cohorts — goes through it. The memo
+// is the evaluator's lock-free view of what it was handed.
 type probeAtom struct {
 	ev       *evaluator
 	ent      *compiledEntry // shared compiled NFA + subset caches
@@ -129,53 +129,58 @@ func (m *probeMemo) get(u int) (probeRow, bool) {
 	return m.rows[m.at[u]-1], true
 }
 
-// put stores the row of node u, one of n; an out-of-range u (which has no
-// hits) is not stored.
-func (m *probeMemo) put(n, u int, r probeRow) {
-	if m.at == nil {
-		m.at = make([]int32, n)
-	}
-	if uint(u) >= uint(len(m.at)) {
-		return
-	}
-	m.rows = append(m.rows, r)
-	m.at[u] = int32(len(m.rows))
-}
-
-// side returns the memo and the automaton of one search direction.
-func (p *probeAtom) side(forward bool) (*probeMemo, *automata.SubsetCache) {
+// memo returns the memo of one search direction.
+func (p *probeAtom) memo(forward bool) *probeMemo {
 	if forward {
-		return &p.fwd, p.ent.cache
+		return &p.fwd
 	}
-	_, rc := p.ent.reverse()
-	return &p.rev, rc
+	return &p.rev
 }
 
-func (p *probeAtom) reachOpts() engine.ReachOpts {
-	return engine.ReachOpts{Budget: p.ev.bud, Levels: p.ev.ranked, Weight: p.ev.rankedWeight()}
+// fetch asks the atom store for the rows of nodes, written straight into the
+// tail of the memo, and returns them; it indexes them — allocating the index
+// on first use — unless the budget cut the search: a truncated list would
+// poison later lookups. An out-of-range node (which has no hits) is not
+// indexed. Ranked evaluations get rows with costs, searched for them alone.
+func (p *probeAtom) fetch(nodes []int, forward bool) []probeRow {
+	ev, m := p.ev, p.memo(forward)
+	k := len(m.rows)
+	m.rows = slices.Grow(m.rows, len(nodes))[:k+len(nodes)]
+	out := m.rows[k:]
+	clear(out)
+	if ev.store.rows(p.ent, forward, nodes, engine.ReachOpts{Budget: ev.bud, Levels: ev.ranked, Weight: ev.rankedWeight()}, out) {
+		m.rows = m.rows[:k]
+		return out
+	}
+	if m.at == nil {
+		m.at = make([]int32, ev.ix.NumNodes())
+	}
+	for i, u := range nodes {
+		if uint(u) < uint(len(m.at)) {
+			m.at[u] = int32(k + i + 1)
+		}
+	}
+	return out
 }
 
 // probe returns the nodes reachable from node through a path matching the
 // edge's regex — targets when forward, sources otherwise — with their costs
 // when ranked. A search cut short by the budget is returned for the current
-// unwinding but never memoized: a truncated list would poison later lookups.
+// unwinding but never memoized.
 func (p *probeAtom) probe(node int, forward bool) ([]int, []int32) {
-	memo, c := p.side(forward)
-	if r, ok := memo.get(node); ok {
+	if r, ok := p.memo(forward).get(node); ok {
 		return r.nodes, r.costs
 	}
-	hits, levs := engine.Reach(p.ev.ix, c, node, forward, p.reachOpts())
-	if !p.ev.bud.Canceled() {
-		memo.put(p.ev.ix.NumNodes(), node, probeRow{hits, levs})
-	}
-	return hits, levs
+	r := p.fetch([]int{node}, forward)[0]
+	return r.nodes, r.costs
 }
 
-// prefetch fills the memo for exactly the given (in-range) nodes in one
-// sharded multi-source sweep (engine.ReachBatchEx: one batch per 64 nodes)
-// instead of one search each. A truncated sweep memoizes nothing.
+// prefetch fills the memo for exactly the given (in-range) nodes by one store
+// request, which searches the nodes it holds no row for in one multi-source
+// sweep (engine.ReachBatchEx: one batch per 64 nodes) instead of one search
+// each. A truncated sweep memoizes nothing.
 func (p *probeAtom) prefetch(nodes []int, forward bool) {
-	memo, c := p.side(forward)
+	memo := p.memo(forward)
 	missing := nodes
 	if len(memo.rows) > 0 {
 		missing = nil // usually stays so: the frontier pass has been here
@@ -185,21 +190,8 @@ func (p *probeAtom) prefetch(nodes []int, forward bool) {
 			}
 		}
 	}
-	if len(missing) == 0 {
-		return
-	}
-	ev := p.ev
-	res := engine.ReachBatchEx(ev.ix, c, missing, forward, p.reachOpts())
-	if res.Truncated {
-		return
-	}
-	memo.rows = slices.Grow(memo.rows, len(missing))
-	for i, u := range missing {
-		row := probeRow{nodes: res.Hits[i]}
-		if res.Levs != nil {
-			row.costs = res.Levs[i]
-		}
-		memo.put(ev.ix.NumNodes(), u, row)
+	if len(missing) > 0 {
+		p.fetch(missing, forward)
 	}
 }
 
@@ -207,7 +199,7 @@ func (p *probeAtom) prefetch(nodes []int, forward bool) {
 // sources when forward, else the targets. A sweep the budget cut leaves nil
 // and sends the caller back to the rows, where the same budget unwinds it.
 func (p *probeAtom) support(forward bool) []uint64 {
-	memo, _ := p.side(forward)
+	memo := p.memo(forward)
 	if memo.sup == nil {
 		memo.sup, _ = p.ev.store.support(p.ent, !forward, p.ev.bud)
 	}

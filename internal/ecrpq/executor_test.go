@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -332,25 +333,31 @@ func (c *pollBudget) Done() <-chan struct{} {
 	return nil
 }
 
-// A frontier sweep cut by the budget memoizes nothing — a truncated row in
-// the memo would be read as complete by whoever probes that node next — and
-// the run still ends with a sound subset of the answer and ErrCanceled.
+// A frontier sweep cut by the budget leaves no row — not in the evaluator's
+// memo, not in the atom store's table: a truncated row there would be read as
+// complete by whoever probes that node next — and the run still ends with a
+// sound subset of the answer and ErrCanceled. Each budget runs on a database
+// of its own, so every row present was searched by the cut run itself.
 func TestFrontierProbeHonoursBudget(t *testing.T) {
 	const n = 200
 	var sb strings.Builder
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(&sb, "n%d a n%d\n", i, i+1)
 	}
-	db := graph.MustParse(sb.String())
 	q, err := ParseQuery("ans(x, z)\nx y : a+\ny z : a+", []rune("a"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Eval(q, db)
+	full, err := Eval(q, graph.MustParse(sb.String()))
 	if err != nil || full.Len() == 0 {
 		t.Fatalf("Eval = %v, %v", full, err)
 	}
+	rel, err := RelationFor(graph.MustParse(sb.String()), q.Pattern.Edges[0].Label, []rune("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, polls := range []int32{0, 40, 400} { // before the sweep, inside its first batch, inside a later one
+		db := graph.MustParse(sb.String())
 		ctx := &pollBudget{Context: context.Background()}
 		ctx.left.Store(polls)
 		ev, err := newEvaluator(q, db, Options{Budget: engine.NewBudget(ctx, time.Time{})}, false)
@@ -362,10 +369,27 @@ func TestFrontierProbeHonoursBudget(t *testing.T) {
 		if !errors.Is(ev.bud.Err(), engine.ErrCanceled) {
 			t.Fatalf("%d polls: the budget did not fire", polls)
 		}
-		for i := range ev.atoms {
-			if k := len(ev.atoms[i].fwd.rows) + len(ev.atoms[i].rev.rows); k != 0 {
-				t.Fatalf("%d polls: atom %d memoized %d rows of a truncated sweep", polls, i, k)
+		present := 0
+		for i := range ev.atoms { // both atoms are a+: one relation is the reference of both
+			for _, forward := range []bool{true, false} {
+				for u := 0; u < n+1; u++ {
+					want := rel.Forward(u)
+					if !forward {
+						want, _ = rel.backward(u)
+					}
+					memoRow, memoized := ev.atoms[i].memo(forward).get(u)
+					stored, filed := storedRow(ev.store, ev.atoms[i].ent, forward, u)
+					if memoized && !slices.Equal(memoRow.nodes, want) || filed && !slices.Equal(stored, want) {
+						t.Fatalf("%d polls: atom %d forward=%v node %d holds a row of a truncated sweep", polls, i, forward, u)
+					}
+					if memoized || filed {
+						present++
+					}
+				}
 			}
+		}
+		if polls == 0 && present != 0 {
+			t.Fatalf("0 polls: %d rows present, but the budget fired before any search", present)
 		}
 		for _, tu := range part.All() {
 			if !full.Contains(tu) {

@@ -82,7 +82,7 @@ func (ev *evaluator) probeFrontiers(p *plan) {
 		for _, w := range cand[far] {
 			bitSet(want, w)
 		}
-		memo, _ := pa.side(forward)
+		memo := pa.memo(forward)
 		kept := make([]int, 0, len(srcs))
 		for _, u := range srcs {
 			var row probeRow // stays empty under a support: the bitset decides
