@@ -6,6 +6,7 @@ package repro
 // same tables.
 
 import (
+	"fmt"
 	"testing"
 
 	"cxrpq/internal/automata"
@@ -218,6 +219,34 @@ func BenchmarkAblationEqualityGenericNFA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ecrpq.Eval(q, db); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGroupNarrowing evaluates the Lemma 13 members of two vstar-free
+// shapes — a reference nested in a definition, and a reference closing a
+// cycle — on random graphs of 20 and 64 nodes, so that nearly all the time
+// goes to relation groups binding their free sources: from partner rows of
+// bound endpoints where the plan has them, most bound group first.
+func BenchmarkGroupNarrowing(b *testing.B) {
+	members := map[string]string{
+		"nested": "ans(x, z)\nw0 x : c|a\nx _x_1_0 : a*\n_x_1_0 _x_1_1 : .*\n_x_1_1 y : b*\ny _y_2_0 : .*\n_y_2_0 z : .*\nrel equality 3 5\nrel equality 0 2 4",
+		"fl":     "ans(x, y)\nx y : (a|b)+\ny z : c+\nz x : .*\nrel equality 0 2",
+	}
+	for _, g := range []struct {
+		nodes, edges int
+		labels       string
+	}{{20, 70, "abcdefg"}, {64, 320, "abcdefghij"}} {
+		db := workload.Random(23, g.nodes, g.edges, g.labels)
+		for _, name := range []string{"nested", "fl"} {
+			q := ecrpq.MustParseQuery(members[name], db.Alphabet())
+			b.Run(fmt.Sprintf("%s/n=%d", name, g.nodes), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := ecrpq.Eval(q, db); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

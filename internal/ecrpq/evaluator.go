@@ -175,6 +175,14 @@ func (p *probeAtom) probe(node int, forward bool) ([]int, []int32) {
 	return r.nodes, r.costs
 }
 
+// row is probe's node list, with ok false when the budget cut its search
+// (the list may then miss nodes).
+func (p *probeAtom) row(node int, forward bool) (nodes []int, ok bool) {
+	nodes, _ = p.probe(node, forward)
+	_, ok = p.memo(forward).get(node)
+	return nodes, ok
+}
+
 // prefetch fills the memo for exactly the given (in-range) nodes by one store
 // request, which searches the nodes it holds no row for in one multi-source
 // sweep (engine.ReachBatchEx: one batch per 64 nodes) instead of one search
@@ -262,8 +270,10 @@ func (ev *evaluator) planAtoms() (edges []int, atoms []planner.Atom) {
 
 // compile builds the conjunct's plan over the lazily probed atoms: the
 // ungrouped edges in the cost-based planner's order (bound-variable
-// selectivity propagated from pre), then the relation groups in query order.
-// This is the single ordering decision behind every evaluator entry point.
+// selectivity propagated from pre), then the relation groups, most bound
+// first: repeatedly the group with the most variables that pre, the atoms or
+// an earlier group bind, ties in query order. This is the single ordering
+// decision behind every evaluator entry point.
 func (ev *evaluator) compile(pre map[string]int, bindAll bool) *plan {
 	edges, atoms := ev.planAtoms()
 	spec := planner.Order(atoms, boundSet(pre))
@@ -273,11 +283,50 @@ func (ev *evaluator) compile(pre map[string]int, bindAll bool) *plan {
 		e := ev.q.Pattern.Edges[ei]
 		p.addAtom(&ev.atoms[ei], e.From, e.To, ev.edgeMinCost(ei))
 	}
-	for gi := range ev.q.Groups {
-		p.addGroup(ev, gi)
+	if len(ev.q.Groups) > 0 {
+		bound := map[string]bool{} // what pre, the atoms and the groups placed so far bind
+		for z := range pre {
+			bound[z] = true
+		}
+		for _, a := range atoms {
+			bound[a.From], bound[a.To] = true, true
+		}
+		placed := make([]bool, len(ev.q.Groups))
+		for range placed {
+			gi := ev.mostBound(placed, bound)
+			placed[gi] = true
+			p.addGroup(ev, gi, bound)
+		}
 	}
 	p.seal(ev.q.Pattern.Out, pre, bindAll)
 	return p
+}
+
+// mostBound returns the unplaced group with the most distinct variables in
+// bound, the first in query order on ties.
+func (ev *evaluator) mostBound(placed []bool, bound map[string]bool) int {
+	if len(placed) == 1 {
+		return 0
+	}
+	best, bestN := 0, -1
+	for gi, g := range ev.q.Groups {
+		if placed[gi] {
+			continue
+		}
+		var seen []string
+		for _, ei := range g.Edges {
+			e := ev.q.Pattern.Edges[ei]
+			for _, z := range [2]string{e.From, e.To} {
+				if bound[z] && !slices.Contains(seen, z) {
+					seen = append(seen, z)
+				}
+			}
+		}
+		if len(seen) > bestN {
+			best, bestN = gi, len(seen)
+		}
+	}
+	return best
 }
 
 // edgeMinCost is the admissible lower bound of an edge's witness cost: 0

@@ -24,9 +24,13 @@ import (
 // the step costs the maximum clamped weight over the consuming columns.
 // Under unit cost every step costs 1.
 //
-// A join with unbound group sources asks for an expansion from every node
-// tuple, and nearly all of them die before their first step. Two things keep
-// that cheap. Equality groups never reach the search from such a tuple: the
+// A join with unbound group sources asks for an expansion from every source
+// tuple it can bind, and nearly all of them die before their first step.
+// Three things keep that cheap. A free source whose component has its other
+// endpoint bound on entry ranges only over that endpoint's row of the
+// component's own atom (partner rows, fixed per step when the plan is
+// compiled; the plan places the groups with the most bound variables first).
+// Equality groups never reach the search from a tuple that cannot step: the
 // lock-step product must leave all its sources on one symbol that every
 // component automaton survives at its start state, so bindSrc intersects the
 // index's per-node out-symbol masks (graph.Index.OutSyms) with the mask of
@@ -44,10 +48,15 @@ type groupStep struct {
 	sc       *groupScratch
 	src, tgt []int32
 
-	// Scratch of bindings and bindSrc, which runs once per source tuple —
-	// quadratically often when two sources are unbound. A plan visits a step
-	// in one place at a time, so the buffers are never shared.
-	free   []int32
+	// free lists the source slots no earlier step (nor pre) binds, in the
+	// order bindSrc binds them, and partners[l] the atom rows free[l] must
+	// lie in. Both are fixed by the plan order.
+	free     []int32
+	partners [][]partner
+
+	// Scratch of bindSrc, which runs once per source tuple — quadratically
+	// often when two sources are unbound. A plan visits a step in one place
+	// at a time, so the buffers are never shared.
 	srcBuf []int32
 	fresh  []int32
 	// seeds[l] is the set of first symbols still possible once l free sources
@@ -59,25 +68,54 @@ type groupStep struct {
 	skipped int
 }
 
-// addGroup appends the step of ev's relation group gi.
-func (p *plan) addGroup(ev *evaluator, gi int) {
+// partner is an atom row a free source slot lies in — component k's
+// endpoints are a pair of k's own atom: the row of the node at slot near, its
+// targets when forward (the slot is k's target), else its sources.
+type partner struct {
+	atom    *probeAtom
+	near    int32
+	forward bool
+}
+
+// addGroup appends the step of ev's relation group gi, given the variables
+// bound before it, and adds the group's variables to bound.
+func (p *plan) addGroup(ev *evaluator, gi int, bound map[string]bool) {
 	g := &groupStep{ev: ev, sc: ev.gscratch[gi]}
-	for _, ei := range ev.q.Groups[gi].Edges {
+	edges := ev.q.Groups[gi].Edges
+	for _, ei := range edges {
 		e := ev.q.Pattern.Edges[ei]
-		g.src = append(g.src, p.slot(e.From))
-		g.tgt = append(g.tgt, p.slot(e.To))
+		s := p.slot(e.From)
+		g.src, g.tgt = append(g.src, s), append(g.tgt, p.slot(e.To))
+		if !bound[e.From] && !slices.Contains(g.free, s) {
+			g.free = append(g.free, s)
+		}
+	}
+	g.partners = make([][]partner, len(g.free))
+	for l, s := range g.free {
+		for k, ei := range edges {
+			if g.src[k] == s && bound[p.vars[g.tgt[k]]] {
+				g.partners[l] = append(g.partners[l], partner{&ev.atoms[ei], g.tgt[k], false})
+			}
+			if g.tgt[k] == s && bound[p.vars[g.src[k]]] {
+				g.partners[l] = append(g.partners[l], partner{&ev.atoms[ei], g.src[k], true})
+			}
+		}
+	}
+	for k := range edges {
+		bound[p.vars[g.src[k]]], bound[p.vars[g.tgt[k]]] = true, true
 	}
 	if g.sc.seeded() {
-		g.seeds = make([]uint64, (len(g.src)+1)*ev.ix.SymWords())
+		g.seeds = make([]uint64, (len(g.free)+1)*ev.ix.SymWords())
 	}
 	p.steps = append(p.steps, step{grp: g})
 }
 
 // bindings enumerates the group's satisfying bindings (the step.bindings
-// contract): unbound source slots range over every node in node order, the
-// group is expanded from each source tuple that can take a first step, and
-// every end tuple consistent with the already bound target slots is one
-// binding, at the cost of its synchronized word when ranked.
+// contract): each free source slot ranges in node order over the shortest of
+// its partner rows, or over every node when it has none, the group is
+// expanded from each source tuple that can take a first step, and every end
+// tuple consistent with the already bound target slots is one binding, at
+// the cost of its synchronized word when ranked.
 func (g *groupStep) bindings(a []int32, cont func(int32) bool) bool {
 	if g.seeds != nil {
 		// The symbols every component survives, narrowed by the sources bound
@@ -90,16 +128,8 @@ func (g *groupStep) bindings(a []int32, cont func(int32) bool) bool {
 			}
 		}
 	}
-	free := g.free[:0]
-	for _, s := range g.src {
-		if a[s] < 0 {
-			a[s] = 0 // claimed; bindSrc assigns the real values
-			free = append(free, s)
-		}
-	}
-	g.free = free
-	ok := g.bindSrc(a, free, 0, cont)
-	for _, s := range free {
+	ok := g.bindSrc(a, 0, cont)
+	for _, s := range g.free {
 		a[s] = -1
 	}
 	return ok
@@ -116,12 +146,31 @@ func andInto(dst, x, y []uint64) bool {
 }
 
 // bindSrc binds the free source slots, lvl of which are bound already, and
-// expands the group from every tuple that survives the seed masks.
-func (g *groupStep) bindSrc(a, free []int32, lvl int, cont func(int32) bool) bool {
-	if len(free) > 0 {
+// expands the group from every tuple that survives the seed masks. A partner
+// row the budget cut ends the step as a cut expansion does.
+func (g *groupStep) bindSrc(a []int32, lvl int, cont func(int32) bool) bool {
+	if lvl < len(g.free) {
 		ix := g.ev.ix
 		w := ix.SymWords()
-		for u := 0; u < g.ev.db.NumNodes(); u++ {
+		n, row := g.ev.db.NumNodes(), []int(nil) // row nil: every node
+		for _, pt := range g.partners[lvl] {
+			r, ok := pt.atom.row(int(a[pt.near]), pt.forward)
+			if !ok {
+				g.sc.cut = true
+				return false
+			}
+			if len(r) == 0 {
+				return true
+			}
+			if row == nil || len(r) < n {
+				row, n = r, len(r)
+			}
+		}
+		for i := 0; i < n; i++ {
+			u := i
+			if row != nil {
+				u = row[i]
+			}
 			if g.seeds != nil && !andInto(g.seeds[(lvl+1)*w:(lvl+2)*w], g.seeds[lvl*w:(lvl+1)*w], ix.OutSyms(u)) {
 				// No symbol leaves every source bound so far: the product dies at its start.
 				if g.skipped++; g.skipped%1024 == 0 && g.ev.bud.Canceled() {
@@ -130,8 +179,8 @@ func (g *groupStep) bindSrc(a, free []int32, lvl int, cont func(int32) bool) boo
 				}
 				continue
 			}
-			a[free[0]] = int32(u)
-			if !g.bindSrc(a, free[1:], lvl+1, cont) {
+			a[g.free[lvl]] = int32(u)
+			if !g.bindSrc(a, lvl+1, cont) {
 				return false
 			}
 		}
@@ -194,7 +243,7 @@ func (sc *groupScratch) expand(ev *evaluator, src []int32) groupExp {
 		return sc.exps[row]
 	}
 	exp := sc.search(ev, src)
-	if sc.cut = sc.cut || ev.bud.Canceled(); !sc.cut {
+	if !sc.cut { // a search next did not cut is complete
 		sc.srcs = append(sc.srcs, src...)
 		sc.exps = append(sc.exps, exp)
 		sc.memo.Set(sc.srcs, sc.s, slot, int32(len(sc.exps)-1))

@@ -1,25 +1,32 @@
 package ecrpq
 
-// Tests of the relation-group step: the seed masks must not change what
-// bindSrc yields or in which order, and a warm product search must run on
+// Tests of the relation-group step: the seed masks and partner rows must not
+// change what bindSrc yields or in which order, the most bound group runs
+// first, the step stops at its budget, and a warm product search must run on
 // its scratch alone.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
+	"cxrpq/internal/planner"
 )
 
 // runGroupPlan compiles q over db with pre pre-bound and returns every
 // complete assignment followed by its cost, in the order the backtracking
-// driver yields them. With unseeded set the group steps lose their masks and bind
-// every source tuple, which is the loop the masks were added to.
-func runGroupPlan(t *testing.T, q *Query, db *graph.DB, o Options, pre map[string]int, unseeded bool) (rows []int32, seeded int) {
+// driver yields them, with the number of seeded group steps and of free
+// source slots that have a partner row. With plain set the group steps lose
+// their masks and partner rows and bind every free source to every node,
+// which is the loop both were added to.
+func runGroupPlan(t *testing.T, q *Query, db *graph.DB, o Options, pre map[string]int, plain bool) (rows []int32, seeded, partnered int) {
 	t.Helper()
 	ev, err := newEvaluator(q, db, o, true)
 	if err != nil {
@@ -27,18 +34,28 @@ func runGroupPlan(t *testing.T, q *Query, db *graph.DB, o Options, pre map[strin
 	}
 	p := ev.compile(pre, true)
 	for i := range p.steps {
-		if g := p.steps[i].grp; g != nil && g.seeds != nil {
+		g := p.steps[i].grp
+		if g == nil {
+			continue
+		}
+		if g.seeds != nil {
 			seeded++
-			if unseeded {
-				g.seeds = nil
+		}
+		for _, pts := range g.partners {
+			if len(pts) > 0 {
+				partnered++
 			}
+		}
+		if plain {
+			g.seeds = nil
+			clear(g.partners)
 		}
 	}
 	p.run(nil, func(a []int32, cost int) bool {
 		rows = append(append(rows, a...), int32(cost))
 		return true
 	})
-	return rows, seeded
+	return rows, seeded, partnered
 }
 
 func TestGroupSeedDifferential(t *testing.T) {
@@ -48,17 +65,40 @@ func TestGroupSeedDifferential(t *testing.T) {
 		src    string
 		groups []Group
 		pre    map[string]int
+		sweep  string // a variable pre-bound to each node in turn
 		seeded bool
+		// partnered is the number of free source slots that draw from a
+		// partner row instead of every node.
+		partnered int
 	}{
 		// The equality shapes of TestExecutorDifferential.
 		{name: "equality", src: "ans(x, y)\nx y : (a|b)+\nx y : (a|b)+", groups: eq(2, 0, 1), seeded: true},
-		{name: "equality+atom", src: "ans(x, z)\nx y : a(a|b)*\nu z : (a|b)+\ny u : b", groups: eq(2, 0, 1), seeded: true},
+		{name: "equality+atom", src: "ans(x, z)\nx y : a(a|b)*\nu z : (a|b)+\ny u : b", groups: eq(2, 0, 1), seeded: true, partnered: 1},
 		// Both sources free, three components, sources pre-bound in part and in full.
 		{name: "free-sources", src: "ans(x, u)\nx y : a(a|b)*\nu v : (a|b)+", groups: eq(2, 0, 1), seeded: true},
 		{name: "arity-3", src: "ans(x, u, s)\nx y : (a|b)+\nu v : a(a|b)*\ns t : (a|b)b*", groups: eq(3, 0, 1, 2), seeded: true},
 		{name: "pre-bound-one", src: "ans(x, u)\nx y : (a|b)+\nu v : (a|b)+", groups: eq(2, 0, 1), pre: map[string]int{"u": 2}, seeded: true},
 		{name: "pre-bound-all", src: "ans(y, v)\nx y : (a|b)+\nu v : (a|b)+", groups: eq(2, 0, 1), pre: map[string]int{"x": 1, "u": 4}, seeded: true},
-		{name: "pre-bound-target", src: "ans(x, u)\nx y : (a|b)+\nu v : (a|b)+", groups: eq(2, 0, 1), pre: map[string]int{"v": 3}, seeded: true},
+		{name: "pre-bound-target", src: "ans(x, u)\nx y : (a|b)+\nu v : (a|b)+", groups: eq(2, 0, 1), pre: map[string]int{"v": 3}, seeded: true, partnered: 1},
+		// Two free sources, the first with a partner row from the first or the
+		// second component's bound target: the candidate lists belong to the
+		// free slots, not to the components.
+		{name: "aligned", src: "ans(x, w)\nx y : (a|b)+\nx z : (a|b)+\nw v : (a|b)+", groups: eq(3, 0, 1, 2), sweep: "y", seeded: true, partnered: 1},
+		{name: "misaligned", src: "ans(x, w)\nx y : (a|b)+\nx z : (a|b)+\nw v : (a|b)+", groups: eq(3, 0, 1, 2), sweep: "z", seeded: true, partnered: 1},
+		// A slot that is source and target in one group: its own partner is
+		// not bound, unless the other slot is — then it has two partner rows.
+		{name: "source-and-target", src: "ans(x, y)\nx y : (a|b)+\ny x : (a|b)+", groups: eq(2, 0, 1), seeded: true},
+		{name: "source-and-target-bound", src: "ans(x, y)\nx y : (a|b)+\ny x : (a|b)+", groups: eq(2, 0, 1), sweep: "x", seeded: true, partnered: 1},
+		// A self-loop component is no partner of itself.
+		{name: "self-loop", src: "ans(x, u)\nx x : (a|b)+\nu v : (a|b)+", groups: eq(2, 0, 1), sweep: "v", seeded: true, partnered: 1},
+		// A target bound by an earlier atom.
+		{name: "target-from-atom", src: "ans(x, u)\nx y : (a|b)+\nu v : (a|b)+\nv w : a", groups: eq(2, 0, 1), seeded: true, partnered: 1},
+		// The first group binds the second's sources and one target.
+		{name: "group-binds-group", src: "ans(p, t)\np q : (a|b)+\nr s : (a|b)+\nt q : a(a|b)*\ns w : (a|b)+", groups: []Group{
+			{Edges: []int{0, 1}, Rel: &Equality{N: 2}}, {Edges: []int{2, 3}, Rel: &Equality{N: 2}}}, seeded: true, partnered: 1},
+		// A general relation with a bound target.
+		{name: "nfa-bound-target", src: "ans(x, u)\nx y : (a|b)+\nu v : (a|b)+", groups: []Group{
+			{Edges: []int{0, 1}, Rel: PrefixRelation([]rune("ab"))}}, sweep: "v", partnered: 1},
 		// One slot is the source of two components, and of all three.
 		{name: "shared-source", src: "ans(x, y, z)\nx y : (a|b)+\nx z : a(a|b)*", groups: eq(2, 0, 1), seeded: true},
 		{name: "shared-source-3", src: "ans(x, u)\nx y : (a|b)+\nx z : (a|b)+\nu v : b(a|b)*", groups: eq(3, 0, 1, 2), seeded: true},
@@ -77,15 +117,15 @@ func TestGroupSeedDifferential(t *testing.T) {
 		"ranked/unit":     {Ranked: true},
 		"ranked/weighted": {Ranked: true, Weight: func(label rune) int32 { return 1 + int32(label-'a')*3 }},
 	}
-	check := func(name string, q *Query, db *graph.DB, o Options, pre map[string]int, wantSeeded bool) int {
+	check := func(name string, q *Query, db *graph.DB, o Options, pre map[string]int, wantSeeded bool, wantPartnered int) int {
 		t.Helper()
-		got, seeded := runGroupPlan(t, q, db, o, pre, false)
-		want, _ := runGroupPlan(t, q, db, o, pre, true)
-		if (seeded > 0) != wantSeeded {
-			t.Fatalf("%s: %d seeded group steps, want seeded=%v", name, seeded, wantSeeded)
+		got, seeded, partnered := runGroupPlan(t, q, db, o, pre, false)
+		want, _, _ := runGroupPlan(t, q, db, o, pre, true)
+		if (seeded > 0) != wantSeeded || partnered != wantPartnered {
+			t.Fatalf("%s: %d seeded group steps and %d partnered slots, want seeded=%v and %d", name, seeded, partnered, wantSeeded, wantPartnered)
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("%s: seeded bindings differ from the unseeded loop\n got %v\nwant %v", name, got, want)
+			t.Fatalf("%s: narrowed bindings differ from the plain loop\n got %v\nwant %v", name, got, want)
 		}
 		return len(got)
 	}
@@ -94,8 +134,17 @@ func TestGroupSeedDifferential(t *testing.T) {
 		db := probeRandomDB(seed, 8, 19, "ab")
 		for _, tc := range cases {
 			q := &Query{Pattern: pattern.MustParseQuery(tc.src), Groups: tc.groups}
+			pres := []map[string]int{tc.pre}
+			if tc.sweep != "" {
+				pres = nil
+				for u := range db.NumNodes() {
+					pres = append(pres, map[string]int{tc.sweep: u})
+				}
+			}
 			for wname, o := range weights {
-				yielded[tc.name] += check(fmt.Sprintf("seed %d %s %s", seed, tc.name, wname), q, db, o, tc.pre, tc.seeded)
+				for _, pre := range pres {
+					yielded[tc.name] += check(fmt.Sprintf("seed %d %s %s pre %v", seed, tc.name, wname, pre), q, db, o, pre, tc.seeded, tc.partnered)
+				}
 			}
 		}
 	}
@@ -121,8 +170,101 @@ func TestGroupSeedDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for wname, o := range weights {
-		if check("wide "+wname, q, wideDB, o, nil, true) == 0 {
+		if check("wide "+wname, q, wideDB, o, nil, true, 0) == 0 {
 			t.Fatal("wide: no bindings: the case is not exercised")
+		}
+	}
+}
+
+// The groups follow the atoms, the one with the most bound variables first:
+// in the nested vstar-free member below the atom binds x and _x_1_0, two
+// variables of the second group and none of the first, and that group then
+// binds both sources of the first. Equally bound groups keep query order,
+// and a CRPQ's plan is the planner's atom order alone.
+func TestGroupOrderMostBound(t *testing.T) {
+	db := probeRandomDB(3, 20, 70, "abc")
+	groupOrder := func(src string, pre map[string]int) (order []int, p *plan, ev *evaluator) {
+		t.Helper()
+		ev, err := newEvaluator(MustParseQuery(src, []rune("abc")), db, Options{}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p = ev.compile(pre, false)
+		for _, st := range p.steps {
+			if st.grp != nil {
+				order = append(order, slices.Index(ev.gscratch, st.grp.sc))
+			}
+		}
+		return order, p, ev
+	}
+	nested := "ans(x, z)\nw0 x : c|a\nx _x_1_0 : a*\n_x_1_0 _x_1_1 : .*\n_x_1_1 y : b*\ny _y_2_0 : .*\n_y_2_0 z : .*\nrel equality 3 5\nrel equality 0 2 4"
+	order, p, _ := groupOrder(nested, nil)
+	if !slices.Equal(order, []int{1, 0}) {
+		t.Fatalf("nested member: groups compiled in order %v, want [1 0] ({0,2,4} before {3,5})", order)
+	}
+	if g := p.steps[len(p.steps)-1].grp; len(g.free) != 0 {
+		t.Fatalf("nested member: the last group has free sources %v, want none", g.free)
+	}
+	for _, tc := range []struct {
+		pre  map[string]int
+		want []int
+	}{{nil, []int{0, 1}}, {map[string]int{"s": 1}, []int{1, 0}}, {map[string]int{"x": 1, "s": 2}, []int{0, 1}}} {
+		if order, _, _ := groupOrder("ans(x, s)\nx y : a+\nu v : a+\ns t : b+\np q : b+\nrel equality 0 1\nrel equality 2 3", tc.pre); !slices.Equal(order, tc.want) {
+			t.Fatalf("two groups, pre %v: compiled in order %v, want %v", tc.pre, order, tc.want)
+		}
+	}
+	_, p, ev := groupOrder("ans(w, z)\nw x : a(a|b)*\nx y : b+\ny z : (b|c)c*", map[string]int{"z": 2})
+	edges, atoms := ev.planAtoms()
+	spec := planner.Order(atoms, map[string]bool{"z": true})
+	if len(p.steps) != len(spec.Order) {
+		t.Fatalf("CRPQ: %d steps, want the planner's %d atoms", len(p.steps), len(spec.Order))
+	}
+	for i, ai := range spec.Order {
+		if p.steps[i].src != &ev.atoms[edges[ai]] {
+			t.Fatalf("CRPQ: step %d is not the planner's atom %d", i, edges[ai])
+		}
+	}
+}
+
+// A join whose time is all small group expansions — tens of thousands of a
+// dozen pops each, one row per sixteen — has no poll of its own per
+// expansion: the searches' pop count (every 256 across all of them), the
+// seed skips and the driver's descents carry it. After a cancellation at most
+// 256 more pops run and at most runPollEvery more rows arrive, and the run
+// reports ErrCanceled; equality (seeded) and equal-length (unseeded) groups,
+// lazy and materializing.
+func TestGroupBudgetGrain(t *testing.T) {
+	db := probeRandomDB(11, 300, 900, "ab")
+	for _, src := range []string{
+		"ans(x, u)\nx y : ab\nu y : ab\nrel equality 0 1",
+		"ans(x, u)\nx y : ab\nu y : ba\nrel equal-length 0 1",
+	} {
+		q := MustParseQuery(src, []rune("ab"))
+		for _, lazy := range []bool{false, true} {
+			ctx, cancel := context.WithCancel(context.Background())
+			ev, err := newEvaluator(q, db, Options{Budget: engine.NewBudget(ctx, time.Time{})}, lazy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := ev.gscratch[0]
+			rows, after, popsAtCancel, expsAtCancel := 0, 0, 0, 0
+			ev.stream(nil, func([]int32, int) bool {
+				if rows++; rows == 100 {
+					cancel()
+					popsAtCancel, expsAtCancel = sc.pops, len(sc.exps)
+				} else if rows > 100 {
+					after++
+				}
+				return true
+			})
+			cancel()
+			if !errors.Is(ev.bud.Err(), engine.ErrCanceled) || rows < 100 || expsAtCancel < 256 {
+				t.Fatalf("%q lazy %v: the run ended after %d rows and %d expansions with %v: the case is not exercised", src, lazy, rows, expsAtCancel, ev.bud.Err())
+			}
+			if pops, exps := sc.pops-popsAtCancel, len(sc.exps)-expsAtCancel; pops > 256 || after > runPollEvery {
+				t.Fatalf("%q lazy %v: %d pops, %d expansions and %d rows after the cancellation, want at most 256 and %d rows",
+					src, lazy, pops, exps, after, runPollEvery)
+			}
 		}
 	}
 }
