@@ -468,16 +468,16 @@ func TestServeTimeouts(t *testing.T) {
 
 func TestPlanEndpoint(t *testing.T) {
 	_, ts := testServer(t)
-	// g1 has two a-edges from u and one b-edge from v: the selective b atom
-	// must be placed before the a atom by the cost-based order.
+	// g1 has two a-edges from u and one b-edge from v; the order reads none of
+	// it: fewest unbound endpoints first, ties in query order.
 	code, out := postJSON(t, ts.URL+"/plan", `{"db":"g1","query":"ans(x, z)\nx y : a\ny z : b"}`)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %v", code, out)
 	}
-	if _, ok := out["total_cost"].(float64); out["fragment"] != "CRPQ" || !ok {
+	if out["fragment"] != "CRPQ" || out["nodes"] != 3.0 || out["edges"] != 3.0 {
 		t.Fatalf("plan header = %v", out)
 	}
-	for _, gone := range []string{"strategy", "acyclic", "free_connex", "join_tree", "minimized_atoms"} {
+	for _, gone := range []string{"strategy", "acyclic", "free_connex", "join_tree", "minimized_atoms", "total_cost", "est_rows", "labels"} {
 		if _, ok := out[gone]; ok {
 			t.Fatalf("plan still reports %q: %v", gone, out)
 		}
@@ -487,16 +487,15 @@ func TestPlanEndpoint(t *testing.T) {
 		t.Fatalf("steps = %v", steps)
 	}
 	first := steps[0].(map[string]any)
-	if first["label"] != "b" || first["mode"] != "scan" || first["reads"] != "pairs" || first["est_pairs"] != 1.0 {
+	if first["edge"] != 0.0 || first["label"] != "a" || first["mode"] != "scan" || first["reads"] != "pairs" {
 		t.Fatalf("first step = %v", first)
 	}
-	second := steps[1].(map[string]any)
-	if second["label"] != "a" || second["mode"] != "expand-rev" || second["reads"] != "pairs" {
-		t.Fatalf("second step = %v", second)
+	if _, ok := first["est_pairs"]; ok {
+		t.Fatalf("step still reports an estimate: %v", first)
 	}
-	labels := out["labels"].([]any)
-	if len(labels) != 2 {
-		t.Fatalf("labels = %v", labels)
+	second := steps[1].(map[string]any)
+	if second["edge"] != 1.0 || second["label"] != "b" || second["mode"] != "expand" || second["reads"] != "pairs" {
+		t.Fatalf("second step = %v", second)
 	}
 	// Inline graphs work too; unknown db and missing query are rejected.
 	code, _ = postJSON(t, ts.URL+"/plan", `{"graph":"u a v","query":"ans(x, y)\nx y : a"}`)

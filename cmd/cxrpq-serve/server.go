@@ -16,7 +16,8 @@ package main
 //	GET  /stats
 //
 // /plan evaluates nothing: it reports the join order every evaluation of the
-// query backtracks in, with the planner's estimated cardinalities.
+// query backtracks in (fewest unbound endpoints first, ties in query order)
+// and what each atom is read for.
 //
 // A /query travels named stages: decode (the body), resolve (the pooled
 // session of a named database, or a fresh one over an inline graph; /plan
@@ -78,7 +79,7 @@ package main
 // session forked onto it and the database's atom store carried over once
 // (ecrpq.AtomStore): an insert-only batch over known labels keeps the atom
 // relations (retained or frontier-extended per entry) and the positive
-// path-existence verdicts, and each session drops its result and plan caches;
+// path-existence verdicts, and each session drops its result cache;
 // removals or brand-new labels fall back to a fresh epoch. The maintenance
 // cost is paid at write time, off the reader path. The response reports the net delta; /stats
 // exposes the per-database retained-vs-rebuilt maintenance counters.
@@ -1195,27 +1196,16 @@ type planRequest struct {
 	Query string `json:"query"`           // textual CXRPQ
 }
 
-type planLabelJSON struct {
-	Label  string `json:"label"`
-	Edges  int    `json:"edges"`
-	Srcs   int    `json:"srcs"`
-	Tgts   int    `json:"tgts"`
-	MaxOut int    `json:"max_out"`
-	MaxIn  int    `json:"max_in"`
-}
-
 type planResponse struct {
 	*cxrpq.PlanReport
-	Nodes  int             `json:"nodes"`
-	Edges  int             `json:"edges"`
-	Labels []planLabelJSON `json:"labels"`
+	Nodes int `json:"nodes"`
+	Edges int `json:"edges"`
 }
 
-// handlePlan is the planner debug endpoint: it resolves the (database,
-// query) pair exactly like /query but returns the session's physical plan
-// — the cost-based join order with estimated cardinalities and, per step,
-// which endpoints the rest of the query reads (see cxrpq.PlanReport) —
-// along with the per-label graph statistics the estimates came from,
+// handlePlan is the join-order debug endpoint: it resolves the (database,
+// query) pair exactly like /query but returns the order the session's joins
+// run in — per step, how the join visits the atom and which endpoints the
+// rest of the query reads (see cxrpq.PlanReport) — with the database's size,
 // instead of evaluating anything.
 func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var req planRequest
@@ -1235,15 +1225,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	st := t.db.Stats()
-	out := planResponse{PlanReport: rep, Nodes: st.Nodes, Edges: st.Edges}
-	for _, ls := range st.BySym {
-		out.Labels = append(out.Labels, planLabelJSON{
-			Label: string(ls.Sym), Edges: ls.Edges, Srcs: ls.Srcs, Tgts: ls.Tgts,
-			MaxOut: ls.MaxOut, MaxIn: ls.MaxIn,
-		})
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, planResponse{PlanReport: rep, Nodes: t.db.NumNodes(), Edges: t.db.NumEdges()})
 }
 
 type updateRequest struct {

@@ -15,14 +15,12 @@
 //	                     parser, ref-word semantics, fragment classifiers,
 //	                     compilation, Lemma 10 instantiation machinery
 //	internal/graph       graph databases (§2.2) with a label-indexed CSR
-//	                     adjacency view (Index), per-label statistics
-//	                     (Stats) and a revision-cached alphabet, all
-//	                     delta-maintained: batched mutations (Delta /
-//	                     ApplyDelta) are recorded in a per-revision log,
-//	                     and insert-only windows extend the index in place
-//	                     (shared CSR base + overlay), recompute only
-//	                     touched labels' stats and revalidate the alphabet
-//	                     instead of rebuilding (MaintStats counts the
+//	                     adjacency view (Index) and a revision-cached
+//	                     alphabet, both delta-maintained: batched mutations
+//	                     (Delta / ApplyDelta) are recorded in a per-revision
+//	                     log, and insert-only windows extend the index in
+//	                     place (shared CSR base + overlay) and revalidate
+//	                     the alphabet instead of rebuilding (MaintStats counts the
 //	                     retained-vs-rebuilt paths); DB.Snapshot pins a
 //	                     revision as an immutable read view sharing the
 //	                     live DB's storage (persistent name layers, pinned
@@ -55,21 +53,16 @@
 //	                     first-witness-cancels-siblings fans) polled at
 //	                     level granularity
 //	internal/pattern     graph patterns / conjunctive path queries (§2.3)
-//	internal/planner     the cost-based query-planning layer: per-atom
-//	                     cardinality estimation (first/last-symbol NFA
-//	                     shapes × graph.Stats, exact counts for
-//	                     materialized relations), a greedy join-order
-//	                     search with bound-variable selectivity
-//	                     propagation (Order); every join in the stack
-//	                     backtracks in the order it picks, and nothing
-//	                     in it is a switch
 //	internal/crpq        CRPQs (Lemma 1 evaluation)
 //	internal/ecrpq       ECRPQs with regular relations; ECRPQ^er is the
 //	                     synchronized-product evaluation core, and its
 //	                     join executor (one compiled plan per conjunct,
 //	                     atoms behind one source interface, a backtracking
 //	                     and a best-first driver) is the last step of
-//	                     every evaluation algorithm in the library;
+//	                     every evaluation algorithm in the library, and
+//	                     JoinOrder its one join order: fewest unbound
+//	                     endpoints first, ties in query order, no
+//	                     statistics read;
 //	                     union.go is the one place that walks a union of
 //	                     ECRPQs (set, Boolean, check, stream, any-k roots
 //	                     over a member sequence)
@@ -88,7 +81,7 @@
 //	                     source of the union of ECRPQ^er every vstar-free
 //	                     query is: Lemma 3 / Lemma 7), Plan.Bind(db) yields a
 //	                     concurrency-safe Session owning what is per text
-//	                     (result cache, physical plan) over the database's
+//	                     (its result cache) over the database's
 //	                     atom store (ecrpq.AtomStore: relations, supports,
 //	                     path-existence verdicts, shared by every session
 //	                     on the snapshot), revision-checked and
@@ -103,8 +96,8 @@
 //	                     fragment dispatch, ≤k or log semantics) handed to
 //	                     Session.Do — cxrpq.Do is Prepare + Bind + Do —
 //	                     or StreamOptions to Session.Stream;
-//	                     Session.PlanReport exposes the chosen join order
-//	                     with estimated cardinalities, and Session.Stream
+//	                     Session.PlanReport exposes the join order, and
+//	                     Session.Stream
 //	                     (stream.go) is the pull-based any-k surface: a
 //	                     Cursor serving Fetch/Next pages from a lazy
 //	                     backtracking join (atom relations computed in
@@ -152,8 +145,8 @@
 // that append to the write-ahead log before acknowledging and carry the
 // database's atom store onto the new snapshot incrementally, once, off the
 // reader path (invalidating parked cursors), a /plan debug endpoint
-// reporting the planner-chosen join order with estimated cardinalities and
-// which endpoints each atom is read for, and /stats counters for each
+// reporting the join order, how each atom is visited and which endpoints
+// each atom is read for, and /stats counters for each
 // database's atom store (entries and bytes per kind, hits, delta passes,
 // retained-vs-extended relations), time-to-first-row and rows-streamed
 // telemetry, the reachability kernel's batch/level/edge volumes, and the

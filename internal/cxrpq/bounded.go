@@ -174,6 +174,7 @@ type boundedEngine struct {
 	boolOnly bool
 	seq      bool           // force sequential enumeration (witness search)
 	pre      map[string]int // pre-bound node variables (a bounded check)
+	order    []int          // the leaf joins' edge order (ecrpq.PlanJoin), the same for every mapping
 
 	// readFrom/readTo: per edge, whether another atom, the output or pre reads
 	// its From / To node variable (pattern.Graph.Reads); see relationFor.
@@ -254,6 +255,7 @@ func newBoundedEngine(p *boundedPlan, db *graph.DB, k int, boolOnly bool, pre ma
 		sigma:    sigma,
 		boolOnly: boolOnly,
 		pre:      pre,
+		order:    ecrpq.PlanJoin(p.q.Pattern, nil, pre),
 		k:        k,
 		atoms:    atoms,
 		workers:  workers,
@@ -506,27 +508,22 @@ func (st *boundedState) rec(i int) error {
 	return nil
 }
 
-// joinLeaf is the default leaf: join the stored atom relations and merge the
-// answers into the shared result set. The physical plan is rebuilt per
-// mapping from the exact cardinalities of this mapping's relations
-// (EdgeRel.Estimate is cached on the shared relation, so the sweep
-// amortizes across every mapping hitting the same label) — one mapping's
-// skewed atom no longer dictates another's join order.
+// joinLeaf is the default leaf: join the stored atom relations, in the
+// engine's one edge order, and merge the answers into the shared result set.
 func (e *boundedEngine) joinLeaf(st *boundedState) error {
-	spec := ecrpq.PlanJoin(e.p.q.Pattern, st.rels, e.pre)
 	if e.anyk != nil {
 		// Deferred ranked leaf (incremental any-k): snapshot this mapping's
 		// relations — boundedState reuses its slices across mappings — and
 		// register the join as one root on the shared priority queue. The
 		// join itself runs lazily as the consumer pulls ranked rows.
-		e.anyk.AddJoin(e.p.q.Pattern, append([]*ecrpq.EdgeRel(nil), st.rels...), spec, e.pre)
+		e.anyk.AddJoin(e.p.q.Pattern, append([]*ecrpq.EdgeRel(nil), st.rels...), e.order, e.pre)
 		return nil
 	}
 	if e.yield != nil {
 		// Streaming leaf (Session.Stream): rows flow to the consumer as the
 		// backtracking completes them. Runs are sequential (e.seq), so the
 		// yield needs no locking.
-		ecrpq.JoinRelationsStream(e.p.q.Pattern, st.rels, spec, e.pre, ecrpq.Options{Budget: e.fanBud, Ranked: e.ranked},
+		ecrpq.JoinRelationsStream(e.p.q.Pattern, st.rels, e.order, e.pre, ecrpq.Options{Budget: e.fanBud, Ranked: e.ranked},
 			func(row []int32, cost int) bool {
 				if !e.yield(row, cost) {
 					e.stop.Store(true)
@@ -538,7 +535,7 @@ func (e *boundedEngine) joinLeaf(st *boundedState) error {
 	}
 	var rows []int32 // collected outside the critical section; e.out dedups
 	n := 0
-	ecrpq.JoinRelationsStream(e.p.q.Pattern, st.rels, spec, e.pre, ecrpq.Options{Budget: e.fanBud},
+	ecrpq.JoinRelationsStream(e.p.q.Pattern, st.rels, e.order, e.pre, ecrpq.Options{Budget: e.fanBud},
 		func(row []int32, _ int) bool {
 			rows, n = append(rows, row...), n+1
 			return !e.boolOnly

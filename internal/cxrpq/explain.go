@@ -13,9 +13,8 @@ type Explanation struct {
 	Words  []string          // per original query edge, the matched path label
 	Images map[string]string // string variable -> image
 
-	// Plan is the physical plan of the query on the database the witness
-	// was found in — the planner-chosen join order with estimated
-	// cardinalities (best effort: nil when the report could not be built).
+	// Plan is the join order of the query on the database the witness was
+	// found in (best effort: nil when the report could not be built).
 	Plan *PlanReport
 }
 

@@ -333,7 +333,7 @@ func TestExplainAliasChain(t *testing.T) {
 
 // bounded explain reports the first witness in enumeration order: variables in
 // ≺-topological order, candidate images ε first and then by length and
-// alphabet, the leaf search in planner order. These are the bounded queries
+// alphabet, the leaf search in join order. These are the bounded queries
 // of TestCheckAgreesWithEval and TestSessionRelCacheEviction on their
 // graphs; the witnesses are the ones the enumerate-then-filter engine
 // reported, so a candidate walk that lists the same words in another order

@@ -67,8 +67,8 @@ func (w *CandidateWalk) Candidates(x string, prefix map[string]string) ([]string
 // PathVerdicts returns the path-existence verdicts stored for the session's
 // database.
 func (s *Session) PathVerdicts() map[string]bool {
-	sc, _, _ := s.current()
-	return sc.atoms.Verdicts()
+	atoms, _, _ := s.current()
+	return atoms.Verdicts()
 }
 
 // EvalBoundedBoolPre decides D |=^≤k q with the node variables of pre

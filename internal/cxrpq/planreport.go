@@ -1,94 +1,48 @@
 package cxrpq
 
 import (
-	"cxrpq/internal/planner"
+	"cxrpq/internal/ecrpq"
 	"cxrpq/internal/xregex"
 )
 
-// This file is the explain surface of the planning layer: the physical
-// plan a Session would use for the query's conjunctive skeleton, rendered
-// with variable names and per-step cardinality estimates. The plan is
-// computed from the Σ*-relaxed classical approximation of each atom (the
-// same relaxation the bounded engine prunes with) crossed with the
-// database's per-label statistics, and cached in the session's cache epoch
-// — so it is recomputed exactly when the DB revision moves.
+// This file is the explain surface of the join order: the order a Session's
+// joins backtrack in for the query's conjunctive skeleton, rendered with
+// variable names. The order is ecrpq.JoinOrder over the query's edges with
+// nothing pre-bound, a function of the pattern alone, so the report needs
+// neither the database's statistics nor a compiled label.
 
 // PlanStep is one entry of a PlanReport: the pattern edge placed at this
-// plan position, how the join visits it, which of its endpoints the rest of
-// the query reads (pattern.Graph.Reads; short of "pairs" an unranked
-// evaluation computes a support, not a relation) and the cost estimates.
+// plan position, how the join visits it, and which of its endpoints the rest
+// of the query reads (pattern.Graph.Reads; short of "pairs" an unranked
+// evaluation computes a support, not a relation).
 type PlanStep struct {
-	Edge     int     `json:"edge"` // index into the query pattern's edges
-	From     string  `json:"from"`
-	To       string  `json:"to"`
-	Label    string  `json:"label"` // the edge's xregex (original form)
-	Mode     string  `json:"mode"`  // check | expand | expand-rev | scan
-	Reads    string  `json:"reads"` // pairs | from | to | none: the endpoints something else reads
-	EstPairs float64 `json:"est_pairs"`
-	EstCost  float64 `json:"est_cost"`
-	EstRows  float64 `json:"est_rows"`
+	Edge  int    `json:"edge"` // index into the query pattern's edges
+	From  string `json:"from"`
+	To    string `json:"to"`
+	Label string `json:"label"` // the edge's xregex (original form)
+	Mode  string `json:"mode"`  // check | expand | expand-rev | scan
+	Reads string `json:"reads"` // pairs | from | to | none: the endpoints something else reads
 }
 
-// PlanReport is the humanly (and machine) readable physical plan of a
-// prepared query bound to a database: the chosen join order with estimated
-// cardinalities. Every join backtracks in that order.
+// PlanReport is the humanly (and machine) readable join order of a prepared
+// query bound to a database. Every join backtracks in that order.
 type PlanReport struct {
-	Fragment  string     `json:"fragment"`
-	Revision  uint64     `json:"revision"`
-	Steps     []PlanStep `json:"steps"`
-	TotalCost float64    `json:"total_cost"`
-	EstRows   float64    `json:"est_rows"`
+	Fragment string     `json:"fragment"`
+	Revision uint64     `json:"revision"`
+	Steps    []PlanStep `json:"steps"`
 }
 
-// plannerPlan returns the session's cached physical plan for the query
-// pattern, computing it on first use within the current cache epoch: each
-// atom's label is Σ*-relaxed to a classical expression, compiled, and
-// estimated against the database statistics; the planner then orders the
-// atoms with no variables pre-bound.
-func (s *Session) plannerPlan(sc *sessionCaches, sigma []rune) ([]planner.Atom, *planner.PlanSpec, error) {
-	sc.planMu.Lock()
-	defer sc.planMu.Unlock()
-	if sc.planDone {
-		return sc.planAtoms, sc.planSpec, sc.planErr
-	}
-	sc.planDone = true
-	q, st := s.plan.q, s.db.Stats()
-	atoms := make([]planner.Atom, len(q.Pattern.Edges))
-	for i, e := range q.Pattern.Edges {
-		m, err := xregex.Compile(xregex.Simplify(xregex.Relax(e.Label, nil)), sigma)
-		if err != nil {
-			sc.planErr = err
-			return nil, nil, err
-		}
-		atoms[i] = planner.Atom{From: e.From, To: e.To, Est: planner.EstimateNFA(st, m)}
-	}
-	sc.planAtoms = atoms
-	sc.planSpec = planner.Order(atoms, nil)
-	return sc.planAtoms, sc.planSpec, nil
-}
-
-// PlanReport returns the physical plan the session's evaluation paths
-// derive from the current database revision: the planner-chosen join order
-// over the query's atoms with estimated cardinalities. It is a debug/
+// PlanReport returns the join order the session's evaluations run over the
+// query's atoms at the current database revision. It is a debug/
 // observability surface (the cxrpq-serve /plan endpoint serves it); the
-// bounded engine's leaf joins refine the same model with exact relation
-// counts per mapping.
+// bounded engine's leaf joins take the same order.
 func (s *Session) PlanReport() (*PlanReport, error) {
-	sc, _, sigma := s.current()
-	atoms, spec, err := s.plannerPlan(sc, sigma)
-	if err != nil {
-		return nil, err
-	}
-	rep := &PlanReport{
-		Fragment:  s.plan.fragment,
-		Revision:  s.db.Revision(),
-		TotalCost: spec.Cost,
-		EstRows:   spec.Rows,
-	}
-	readFrom, readTo := s.plan.q.Pattern.Reads(nil)
-	for _, step := range spec.Steps {
-		ei := step.Atom
-		e := s.plan.q.Pattern.Edges[ei]
+	q := s.plan.q
+	rep := &PlanReport{Fragment: s.plan.fragment, Revision: s.db.Revision()}
+	readFrom, readTo := q.Pattern.Reads(nil)
+	for _, st := range ecrpq.JoinOrder(q.Pattern.Edges, nil, map[string]bool{}) {
+		ei := st.Edge
+		e := q.Pattern.Edges[ei]
 		reads := "pairs"
 		switch {
 		case !readFrom[ei] && !readTo[ei]:
@@ -99,15 +53,12 @@ func (s *Session) PlanReport() (*PlanReport, error) {
 			reads = "to"
 		}
 		rep.Steps = append(rep.Steps, PlanStep{
-			Edge:     ei,
-			From:     e.From,
-			To:       e.To,
-			Label:    xregex.String(e.Label),
-			Mode:     string(step.Mode),
-			Reads:    reads,
-			EstPairs: atoms[ei].Est.Pairs,
-			EstCost:  step.Cost,
-			EstRows:  step.Rows,
+			Edge:  ei,
+			From:  e.From,
+			To:    e.To,
+			Label: xregex.String(e.Label),
+			Mode:  st.Mode,
+			Reads: reads,
 		})
 	}
 	return rep, nil

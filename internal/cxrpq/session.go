@@ -10,12 +10,11 @@ import (
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
-	"cxrpq/internal/planner"
 )
 
 // This file is the evaluate-many half of the prepared-query subsystem: a
 // Session is a Plan bound to one database. What it owns is what is per query
-// text — the physical plan memo and a bounded result cache; the atom facts
+// text — a bounded result cache; the atom facts
 // its evaluations derive (relations, supports, path-existence verdicts)
 // belong to the database revision and live in its atom store
 // (ecrpq.AtomStore), which every session bound to the same *graph.DB shares.
@@ -95,30 +94,12 @@ func (c *epochMap[K, V]) stats() (hits, misses uint64, size int) {
 	return c.hits, c.misses, len(c.m)
 }
 
-// sessionCaches is one epoch of what a call works against. A fresh one is
-// swapped in whenever the database revision moves, so nothing in it can
-// outlive the data it was derived from.
-type sessionCaches struct {
-	// atoms is the atom store of the bound revision: the database's, not the
-	// session's — every session on the same *graph.DB holds the same one.
-	atoms *ecrpq.AtomStore
-
-	// The physical plan of the query's conjunctive skeleton (see
-	// planreport.go): cached per epoch like everything else, so it is
-	// recomputed exactly when the DB revision moves.
-	planMu    sync.Mutex
-	planDone  bool
-	planAtoms []planner.Atom
-	planSpec  *planner.PlanSpec
-	planErr   error
-}
-
 // resultKey names one cached Response: the operation ("eval", "bool",
 // "check" or "explain"), its image bound — unbounded for the fragment-
 // dispatched operations over the union, a value no bounded request can carry
 // (Session.semantics refuses k < 0) — and its tuple argument (Tuple.Key;
 // empty without one). The result cache lives inside one epoch, so revision
-// bumps clear it with the plan memo.
+// bumps clear it.
 type resultKey struct {
 	op    string
 	k     int
@@ -142,41 +123,45 @@ type Session struct {
 	// can reach sets it.
 	workers int
 
+	// The epoch a call works against, swapped whenever the database revision
+	// moves, so nothing in it can outlive the data it was derived from. atoms
+	// is the atom store of the bound revision: the database's, not the
+	// session's — every session on the same *graph.DB holds the same one.
 	mu      sync.Mutex // guards the epoch fields below
 	bound   bool
 	rev     uint64
 	sigma   []rune
-	caches  *sessionCaches
+	atoms   *ecrpq.AtomStore
 	results *epochMap[resultKey, Response]
 }
 
 // Bind binds the plan to a database.
 func (p *Plan) Bind(db *graph.DB) *Session { return &Session{plan: p, db: db} }
 
-// current returns this call's cache epoch, moving the session to the
-// database's revision first when a mutation left it behind. Calls already in
-// flight keep the epoch they started with.
-func (s *Session) current() (*sessionCaches, *epochMap[resultKey, Response], []rune) {
+// current returns this call's epoch, moving the session to the database's
+// revision first when a mutation left it behind. Calls already in flight
+// keep the epoch they started with.
+func (s *Session) current() (*ecrpq.AtomStore, *epochMap[resultKey, Response], []rune) {
 	rev := s.db.Revision()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.bound || rev != s.rev {
 		s.moveLocked(ecrpq.Atoms(s.db))
 	}
-	return s.caches, s.results, s.sigma
+	return s.atoms, s.results, s.sigma
 }
 
 // moveLocked binds the session to atoms, its database's store at the current
 // revision. The facts are the store's to carry across the move; of its own
-// memos the session keeps everything across a net-empty window — the plan
-// memo and the results hold for the same graph — and nothing otherwise.
+// memos the session keeps the results across a net-empty window — they hold
+// for the same graph — and nothing otherwise.
 func (s *Session) moveLocked(atoms *ecrpq.AtomStore) {
 	kept := s.bound && atoms.SameGraph(s.rev)
 	if s.bound, s.rev = true, s.db.Revision(); kept {
 		return
 	}
 	s.sigma = mergeDBAlphabet(s.db, s.plan.c)
-	s.caches = &sessionCaches{atoms: atoms}
+	s.atoms = atoms
 	s.results = newEpochMap[resultKey, Response](resultCap)
 }
 
@@ -207,14 +192,14 @@ func (s *Session) ApplyDelta(delta graph.Delta) (*graph.DeltaInfo, error) {
 func (s *Session) Fork(db *graph.DB) *Session {
 	ns := &Session{plan: s.plan, db: db, workers: s.workers}
 	s.mu.Lock()
-	ns.bound, ns.rev, ns.sigma, ns.caches, ns.results = s.bound, s.rev, s.sigma, s.caches, s.results
+	ns.bound, ns.rev, ns.sigma, ns.atoms, ns.results = s.bound, s.rev, s.sigma, s.atoms, s.results
 	s.mu.Unlock()
 	if !ns.bound {
 		return ns // never-used receiver: the fork binds lazily on first use
 	}
 	// Outside s.mu — the receiver's readers do not wait for the delta pass —
 	// and without ns.mu: ns is not yet shared.
-	if atoms := ns.caches.atoms.CarryTo(db); db.Revision() != ns.rev {
+	if atoms := ns.atoms.CarryTo(db); db.Revision() != ns.rev {
 		ns.moveLocked(atoms)
 	}
 	return ns
@@ -229,7 +214,7 @@ func (s *Session) Invalidate() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.bound = false
-	s.caches = nil
+	s.atoms = nil
 	s.results = nil
 	s.db.Derived(func(any) any { return nil })
 }
@@ -258,11 +243,11 @@ type SessionStats struct {
 // Stats returns a snapshot of the session's counters.
 func (s *Session) Stats() SessionStats {
 	s.mu.Lock()
-	sc, rc := s.caches, s.results
+	atoms, rc := s.atoms, s.results
 	st := SessionStats{Revision: s.rev, Fragment: s.plan.fragment}
 	s.mu.Unlock()
-	if sc != nil {
-		st.Atoms = sc.atoms.Stats()
+	if atoms != nil {
+		st.Atoms = atoms.Stats()
 	}
 	if rc != nil {
 		st.ResultHits, st.ResultMisses, st.ResultSize = rc.stats()
@@ -270,7 +255,7 @@ func (s *Session) Stats() SessionStats {
 	return st
 }
 
-// explanation attaches the session's physical plan to a witness (best effort:
+// explanation attaches the session's join order to a witness (best effort:
 // the witness stands alone).
 func (s *Session) explanation(ex *Explanation) *Explanation {
 	ex.Plan, _ = s.PlanReport()
@@ -281,12 +266,12 @@ func (s *Session) explanation(ex *Explanation) *Explanation {
 // database and its atom store for one run under bud: the one constructor of
 // every bounded evaluation, check, explanation and stream.
 func (s *Session) boundedRun(k int, boolOnly bool, pre map[string]int, bud *engine.Budget) (*boundedEngine, error) {
-	sc, _, sigma := s.current()
+	atoms, _, sigma := s.current()
 	bp, err := s.plan.boundedPlanFor()
 	if err != nil {
 		return nil, err
 	}
-	return newBoundedEngine(bp, s.db, k, boolOnly, pre, sc.atoms, sigma, s.workers, bud)
+	return newBoundedEngine(bp, s.db, k, boolOnly, pre, atoms, sigma, s.workers, bud)
 }
 
 // Request is one operation against a Session: one of the paper's evaluation

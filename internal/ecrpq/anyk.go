@@ -37,7 +37,6 @@ import (
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
-	"cxrpq/internal/planner"
 )
 
 // extList is the cost-sorted, memoized list of the ways to satisfy a step
@@ -180,17 +179,17 @@ func (a *AnyK) AddQuery(q *Query, db *graph.DB, weight engine.Weight) error {
 }
 
 // AddJoin adds a join-form root: a relation-free pattern joined over
-// materialized per-edge relations in the physical plan's order, with the
-// variables of pre pre-bound. The relations should carry levels
+// materialized per-edge relations in the given edge order (PlanJoin), with
+// the variables of pre pre-bound. The relations should carry levels
 // (BuildRelation) for the costs to be meaningful; level-free relations
 // enumerate at cost 0.
-func (a *AnyK) AddJoin(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pre map[string]int) {
+func (a *AnyK) AddJoin(g *pattern.Graph, rels []*EdgeRel, order []int, pre map[string]int) {
 	for _, r := range rels[:len(g.Edges)] {
 		if r == nil {
 			return // an atom without a relation has no bindings
 		}
 	}
-	a.addRoot(joinPlan(g, rels, spec, pre, true))
+	a.addRoot(joinPlan(g, rels, order, pre, true))
 }
 
 // extend materializes (or recalls) the cost-sorted extension list of step ci

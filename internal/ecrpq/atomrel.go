@@ -6,7 +6,6 @@ import (
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
-	"cxrpq/internal/planner"
 	"cxrpq/internal/xregex"
 )
 
@@ -27,9 +26,6 @@ type EdgeRel struct {
 	revOnce sync.Once
 	rev     [][]int
 	revLev  [][]int32 // parallel to rev (nil unless lev is set)
-
-	estOnce sync.Once
-	est     planner.Estimate
 
 	minOnce sync.Once
 	min     int32
@@ -186,49 +182,25 @@ func (r *EdgeRel) scan(forward bool, f func(u int, vs []int, costs []int32) bool
 	}
 }
 
-// Estimate returns the relation's exact planner cardinalities, computed
-// once per EdgeRel (relations are shared through the atom store, so the
-// sweep amortizes across every mapping that joins over the relation).
-func (r *EdgeRel) Estimate() planner.Estimate {
-	r.estOnce.Do(func() { r.est = planner.EstimateRel(r) })
-	return r.est
-}
-
-// PlanJoin builds the cost-based physical plan for joining g over the
-// materialized per-edge relations with the node variables of pre already
-// bound: each atom carries its exact relation cardinalities
-// (EdgeRel.Estimate) and the planner's greedy search orders them by
-// estimated cost with bound-variable selectivity propagation.
-func PlanJoin(g *pattern.Graph, rels []*EdgeRel, pre map[string]int) *planner.PlanSpec {
-	atoms := make([]planner.Atom, len(g.Edges))
-	for i, e := range g.Edges {
-		atoms[i] = planner.Atom{From: e.From, To: e.To}
-		if i < len(rels) && rels[i] != nil {
-			atoms[i].Est = rels[i].Estimate()
-		}
+// PlanJoin returns the edge order for joining g over materialized per-edge
+// relations with the node variables of pre already bound: JoinOrder over
+// every edge. The relations are not read — the order is the pattern's and
+// pre's — so one order serves every mapping of a bounded run.
+func PlanJoin(g *pattern.Graph, _ []*EdgeRel, pre map[string]int) []int {
+	order := make([]int, 0, len(g.Edges))
+	for _, st := range JoinOrder(g.Edges, nil, boundSet(pre)) {
+		order = append(order, st.Edge)
 	}
-	return planner.Order(atoms, boundSet(pre))
-}
-
-// boundSet converts a pre-assignment into the planner's bound-variable set.
-func boundSet(pre map[string]int) map[string]bool {
-	if len(pre) == 0 {
-		return nil
-	}
-	bound := make(map[string]bool, len(pre))
-	for z := range pre {
-		bound[z] = true
-	}
-	return bound
+	return order
 }
 
 // JoinRelations runs the join of a relation-free pattern over precomputed
 // per-edge relations (the leaf step of the bounded-evaluation engine) and
 // collects the output tuples; with boolOnly it stops at the first. See
 // JoinRelationsStream.
-func JoinRelations(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pre map[string]int, boolOnly bool) *pattern.TupleSet {
+func JoinRelations(g *pattern.Graph, rels []*EdgeRel, order []int, pre map[string]int, boolOnly bool) *pattern.TupleSet {
 	out := pattern.NewTupleSet()
-	JoinRelationsStream(g, rels, spec, pre, Options{}, func(row []int32, _ int) bool {
+	JoinRelationsStream(g, rels, order, pre, Options{}, func(row []int32, _ int) bool {
 		out.AddRow(row)
 		return !boolOnly
 	})
@@ -236,9 +208,9 @@ func JoinRelations(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pr
 }
 
 // JoinRelationsStream joins a relation-free pattern over precomputed
-// per-edge relations, one per edge of g, visiting edges in the order of the
-// physical plan (see PlanJoin; any permutation of the edges is a valid
-// order) with the node variables of pre pre-bound (Check-style). Each
+// per-edge relations, one per edge of g, visiting edges in the given order
+// (see PlanJoin; any permutation of the edges is a valid order) with the
+// node variables of pre pre-bound (Check-style). Each
 // satisfying assignment's output projection is yielded as the search
 // completes it, and a false return from yield — or a canceled o.Budget,
 // polled per step — unwinds the join. With o.Ranked every yield carries the
@@ -247,14 +219,14 @@ func JoinRelations(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pr
 // are NOT deduplicated here: a projection can complete under several
 // assignments, and the caller (the bounded engine merges many leaf joins
 // anyway) owns dedup and min-cost selection.
-func JoinRelationsStream(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pre map[string]int, o Options, yield StreamFunc) {
-	joinPlan(g, rels, spec, pre, o.Ranked).stream(o.Budget, yield)
+func JoinRelationsStream(g *pattern.Graph, rels []*EdgeRel, order []int, pre map[string]int, o Options, yield StreamFunc) {
+	joinPlan(g, rels, order, pre, o.Ranked).stream(o.Budget, yield)
 }
 
-// joinPlan compiles the join of g over rels in the order of spec.
-func joinPlan(g *pattern.Graph, rels []*EdgeRel, spec *planner.PlanSpec, pre map[string]int, ranked bool) *plan {
-	p := newPlan(ranked, len(spec.Order))
-	for _, ei := range spec.Order {
+// joinPlan compiles the join of g over rels in the given edge order.
+func joinPlan(g *pattern.Graph, rels []*EdgeRel, order []int, pre map[string]int, ranked bool) *plan {
+	p := newPlan(ranked, len(order))
+	for _, ei := range order {
 		e := g.Edges[ei]
 		min := int32(0)
 		if ranked {

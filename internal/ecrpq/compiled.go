@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"cxrpq/internal/automata"
-	"cxrpq/internal/planner"
 	"cxrpq/internal/xregex"
 )
 
@@ -22,17 +21,6 @@ type compiledEntry struct {
 	revOnce  sync.Once
 	revNFA   *automata.NFA
 	revCache *automata.SubsetCache
-
-	shapeOnce sync.Once
-	shapeVal  *planner.Shape
-}
-
-// shape returns the planner's estimation skeleton of the edge NFA, built
-// once per entry (it is graph-independent; consumers cross it with a
-// database's graph.Stats).
-func (e *compiledEntry) shape() *planner.Shape {
-	e.shapeOnce.Do(func() { e.shapeVal = planner.ShapeOf(e.nfa) })
-	return e.shapeVal
 }
 
 // reverse returns the reversed NFA and its subset cache, built on first use.

@@ -5,7 +5,6 @@ import (
 
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
-	"cxrpq/internal/planner"
 	"cxrpq/internal/xregex"
 )
 
@@ -24,7 +23,6 @@ type evaluator struct {
 	q        *Query
 	db       *graph.DB
 	ix       *graph.Index
-	stats    *graph.Stats
 	store    *AtomStore // of db: relations, supports and probe rows outlive the evaluation there
 	sigma    []rune
 	atoms    []probeAtom     // per pattern edge
@@ -67,7 +65,6 @@ func newEvaluator(q *Query, db *graph.DB, o Options, lazy bool) (*evaluator, err
 		q:        q,
 		db:       db,
 		ix:       db.Index(),
-		stats:    db.Stats(),
 		store:    Atoms(db),
 		sigma:    sigma,
 		atoms:    make([]probeAtom, len(q.Pattern.Edges)),
@@ -255,42 +252,20 @@ func (p *probeAtom) scan(forward bool, f func(u int, vs []int, costs []int32) bo
 	}
 }
 
-// planAtoms returns the join's atoms — the ungrouped edges — with their
-// planner view: each edge NFA's estimation shape crossed with
-// the database's per-label statistics.
-func (ev *evaluator) planAtoms() (edges []int, atoms []planner.Atom) {
-	for i, e := range ev.q.Pattern.Edges {
-		if !ev.inGroup[i] {
-			edges = append(edges, i)
-			atoms = append(atoms, planner.Atom{From: e.From, To: e.To, Est: ev.atoms[i].ent.shape().Estimate(ev.stats)})
-		}
-	}
-	return edges, atoms
-}
-
 // compile builds the conjunct's plan over the lazily probed atoms: the
-// ungrouped edges in the cost-based planner's order (bound-variable
-// selectivity propagated from pre), then the relation groups, most bound
-// first: repeatedly the group with the most variables that pre, the atoms or
-// an earlier group bind, ties in query order. This is the single ordering
-// decision behind every evaluator entry point.
+// ungrouped edges in JoinOrder (pre counts as bound), then the relation
+// groups, most bound first: repeatedly the group with the most variables that
+// pre, the atoms or an earlier group bind, ties in query order. This is the
+// single ordering decision behind every evaluator entry point.
 func (ev *evaluator) compile(pre map[string]int, bindAll bool) *plan {
-	edges, atoms := ev.planAtoms()
-	spec := planner.Order(atoms, boundSet(pre))
-	p := newPlan(ev.ranked, len(edges)+len(ev.q.Groups))
-	for _, ai := range spec.Order {
-		ei := edges[ai]
-		e := ev.q.Pattern.Edges[ei]
-		p.addAtom(&ev.atoms[ei], e.From, e.To, ev.edgeMinCost(ei))
+	bound := boundSet(pre) // what pre, the atoms and the groups placed so far bind
+	order := JoinOrder(ev.q.Pattern.Edges, ev.inGroup, bound)
+	p := newPlan(ev.ranked, len(order)+len(ev.q.Groups))
+	for _, st := range order {
+		e := ev.q.Pattern.Edges[st.Edge]
+		p.addAtom(&ev.atoms[st.Edge], e.From, e.To, ev.edgeMinCost(st.Edge))
 	}
 	if len(ev.q.Groups) > 0 {
-		bound := map[string]bool{} // what pre, the atoms and the groups placed so far bind
-		for z := range pre {
-			bound[z] = true
-		}
-		for _, a := range atoms {
-			bound[a.From], bound[a.To] = true, true
-		}
 		placed := make([]bool, len(ev.q.Groups))
 		for range placed {
 			gi := ev.mostBound(placed, bound)

@@ -20,7 +20,6 @@ import (
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
-	"cxrpq/internal/planner"
 )
 
 // ranking is an enumeration's outcome in comparable form: the distinct
@@ -194,20 +193,18 @@ func TestExecutorDifferential(t *testing.T) {
 								t.Fatal(err)
 							}
 						}
-						spec := PlanJoin(g, rels, tc.pre)
+						order := PlanJoin(g, rels, tc.pre)
 						got["backtracking/rel"] = runPlan(newCollector(t, name("backtracking/rel"), false),
-							joinPlan(g, rels, spec, tc.pre, ranked))
-						// Any permutation of the edges is a plan: the reverse of
-						// the input order, which no cost model chose.
-						reversed := &planner.PlanSpec{}
-						for i := len(g.Edges) - 1; i >= 0; i-- {
-							reversed.Order = append(reversed.Order, i)
-						}
+							joinPlan(g, rels, order, tc.pre, ranked))
+						// Any permutation of the edges is a plan, the reverse of
+						// JoinOrder's too.
+						reversed := slices.Clone(order)
+						slices.Reverse(reversed)
 						got["backtracking/rel/reversed"] = runPlan(newCollector(t, name("backtracking/rel/reversed"), false),
 							joinPlan(g, rels, reversed, tc.pre, ranked))
 						if ranked {
 							got["best-first/rel"] = drainAnyK(newCollector(t, name("best-first/rel"), true),
-								joinPlan(g, rels, spec, tc.pre, true))
+								joinPlan(g, rels, order, tc.pre, true))
 						}
 					}
 					want := got["backtracking/lazy"]
@@ -545,7 +542,7 @@ func expansionOf(ev *evaluator, gi int, src ...int32) string {
 	return sb.String()
 }
 
-// Witness search rides the planner's order. Two parallel atoms, one of whose
+// Witness search rides the join order. Two parallel atoms, one of whose
 // languages contains the other's, each get a word of their own.
 func TestFindWitnessParallelAtoms(t *testing.T) {
 	db := graph.MustParse("u a v\nu b v\nv b w\nu a w")

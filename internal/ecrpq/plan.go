@@ -4,15 +4,81 @@ import (
 	"sort"
 
 	"cxrpq/internal/engine"
+	"cxrpq/internal/pattern"
 )
 
 // Every evaluation algorithm of the paper ends in the same step: join a
 // conjunction of path atoms over a graph pattern. This file is that step.
-// A conjunct is compiled once into a plan — the join constraints in planner
-// order over dense node-variable slots — whose atoms sit behind atomSource;
-// step.bindings enumerates the ways to satisfy one constraint under a
-// partial assignment, and two drivers share it: the backtracking search
-// below (plan.run) and the best-first search of anyk.go.
+// A conjunct is compiled once into a plan — the join constraints in
+// JoinOrder over dense node-variable slots — whose atoms sit behind
+// atomSource; step.bindings enumerates the ways to satisfy one constraint
+// under a partial assignment, and two drivers share it: the backtracking
+// search below (plan.run) and the best-first search of anyk.go.
+
+// JoinStep is one placed atom of a join order: its pattern edge and how the
+// join visits it under the variables bound before it — "check" (both
+// endpoints bound), "expand" (source bound), "expand-rev" (target bound) or
+// "scan" (neither).
+type JoinStep struct {
+	Edge int
+	Mode string
+}
+
+// JoinOrder is the order of every atom join: it repeatedly places the
+// remaining edge with the fewest unbound endpoints, the first in query order
+// on ties, and binds its endpoints in bound. A self-loop counts its variable
+// once. bound holds the pre-bound variables on entry and every variable of
+// the placed edges on return; edges with skip set (a relation group's atoms)
+// are left out. The order reads no statistics: it is a function of the
+// pattern and the pre-bound variables alone.
+func JoinOrder(edges []pattern.Edge, skip []bool, bound map[string]bool) []JoinStep {
+	placed := make([]bool, len(edges))
+	var out []JoinStep
+	for {
+		best, fewest := -1, 3
+		for i, e := range edges {
+			if placed[i] || skip != nil && skip[i] {
+				continue
+			}
+			n := 0
+			if !bound[e.From] {
+				n++
+			}
+			if !bound[e.To] && e.To != e.From {
+				n++
+			}
+			if n < fewest {
+				best, fewest = i, n
+			}
+		}
+		if best < 0 {
+			return out
+		}
+		e := edges[best]
+		mode := "scan"
+		switch u, v := bound[e.From], bound[e.To]; {
+		case u && v:
+			mode = "check"
+		case u:
+			mode = "expand"
+		case v:
+			mode = "expand-rev"
+		}
+		placed[best] = true
+		bound[e.From], bound[e.To] = true, true
+		out = append(out, JoinStep{Edge: best, Mode: mode})
+	}
+}
+
+// boundSet returns the variables of a pre-assignment as a fresh bound set for
+// JoinOrder to extend.
+func boundSet(pre map[string]int) map[string]bool {
+	bound := make(map[string]bool, len(pre))
+	for z := range pre {
+		bound[z] = true
+	}
+	return bound
+}
 
 // atomSource is the read surface of one path atom's binary relation over
 // the database nodes. Node lists are sorted ascending and must not be

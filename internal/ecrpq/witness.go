@@ -22,8 +22,8 @@ type Witness struct {
 // pre-bound output tuple t if t is non-nil) and reconstructs a tuple of
 // matching words. It returns false if no match exists, and
 // engine.ErrCanceled with it if the budget ended the search before one was
-// found. The search is the join every evaluation runs (the planner's order,
-// first match wins), compiled to bind every variable. The words are then
+// found. The search is the join every evaluation runs (JoinOrder, first
+// match wins), compiled to bind every variable. The words are then
 // read off the product search of group.go, run once more per group between
 // the matched endpoints with its parent columns on; an edge outside every
 // group is the equality group of arity 1 over its own automaton. Under unit

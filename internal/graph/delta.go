@@ -3,7 +3,7 @@ package graph
 // This file is the write path of the incremental-update subsystem: batched
 // mutations (Delta / ApplyDelta), the per-revision delta log the DB keeps
 // next to its revision counter, and the DeltaSince window that lets derived
-// state (the CSR index, the per-label statistics, the cached alphabet, the
+// state (the CSR index, the cached alphabet, the
 // atom store in the Derived slot) maintain itself from the delta
 // instead of rebuilding from scratch. MaintStats exposes retained-vs-rebuilt
 // counters so callers (and the cxrpq-serve /stats endpoint) can observe
@@ -107,24 +107,17 @@ func (l *deltaLog) append(r deltaRec) {
 // maintCounters tracks which maintenance path derived state took; atomic so
 // MaintStats can be read concurrently with the (quiescent-writer) contract.
 type maintCounters struct {
-	idxExtended, idxRetained, idxRebuilt     atomic.Uint64
-	statsDelta, statsRebuilt                 atomic.Uint64
-	labelStatsRetained, labelStatsRecomputed atomic.Uint64
-	alphaRetained, alphaRebuilt              atomic.Uint64
+	idxExtended, idxRetained, idxRebuilt atomic.Uint64
+	alphaRetained, alphaRebuilt          atomic.Uint64
 }
 
 // MaintStats is a snapshot of the database's derived-state maintenance
-// counters: how often the index, statistics and alphabet were delta-updated
-// (or retained outright) versus rebuilt from scratch.
+// counters: how often the index and alphabet were delta-updated (or
+// retained outright) versus rebuilt from scratch.
 type MaintStats struct {
 	IndexExtended uint64 `json:"index_extended"` // CSR view extended in place from an insert-only delta
 	IndexRetained uint64 `json:"index_retained"` // CSR view reused unchanged (empty net delta)
 	IndexRebuilds uint64 `json:"index_rebuilds"` // CSR view rebuilt from the adjacency lists
-
-	StatsDeltaUpdates    uint64 `json:"stats_delta_updates"`    // statistics updated from a delta
-	StatsRebuilds        uint64 `json:"stats_rebuilds"`         // statistics rebuilt from scratch
-	LabelStatsRetained   uint64 `json:"label_stats_retained"`   // per-label stat entries carried over untouched
-	LabelStatsRecomputed uint64 `json:"label_stats_recomputed"` // per-label stat entries recomputed (label touched by a delta)
 
 	AlphaRetained uint64 `json:"alpha_retained"` // cached alphabet revalidated without recomputation
 	AlphaRebuilds uint64 `json:"alpha_rebuilds"` // alphabet re-sorted from the label counts
@@ -133,15 +126,11 @@ type MaintStats struct {
 // MaintStats returns a snapshot of the maintenance counters.
 func (d *DB) MaintStats() MaintStats {
 	return MaintStats{
-		IndexExtended:        d.maint.idxExtended.Load(),
-		IndexRetained:        d.maint.idxRetained.Load(),
-		IndexRebuilds:        d.maint.idxRebuilt.Load(),
-		StatsDeltaUpdates:    d.maint.statsDelta.Load(),
-		StatsRebuilds:        d.maint.statsRebuilt.Load(),
-		LabelStatsRetained:   d.maint.labelStatsRetained.Load(),
-		LabelStatsRecomputed: d.maint.labelStatsRecomputed.Load(),
-		AlphaRetained:        d.maint.alphaRetained.Load(),
-		AlphaRebuilds:        d.maint.alphaRebuilt.Load(),
+		IndexExtended: d.maint.idxExtended.Load(),
+		IndexRetained: d.maint.idxRetained.Load(),
+		IndexRebuilds: d.maint.idxRebuilt.Load(),
+		AlphaRetained: d.maint.alphaRetained.Load(),
+		AlphaRebuilds: d.maint.alphaRebuilt.Load(),
 	}
 }
 

@@ -51,29 +51,10 @@ func assertIndexEqual(t *testing.T, label string, got, want *DB) {
 	}
 }
 
-// assertStatsEqual compares the full statistics snapshots.
-func assertStatsEqual(t *testing.T, label string, got, want *DB) {
-	t.Helper()
-	g, w := got.Stats(), want.Stats()
-	if g.Nodes != w.Nodes || g.Edges != w.Edges {
-		t.Fatalf("%s: stats totals (%d, %d), want (%d, %d)", label, g.Nodes, g.Edges, w.Nodes, w.Edges)
-	}
-	for _, ls := range w.BySym {
-		gl, ok := g.Label(ls.Sym)
-		if !ok || gl != ls {
-			t.Fatalf("%s: label %c stats %+v, want %+v", label, ls.Sym, gl, ls)
-		}
-	}
-	if len(g.BySym) != len(w.BySym) {
-		t.Fatalf("%s: %d label stats, want %d", label, len(g.BySym), len(w.BySym))
-	}
-}
-
 func TestApplyDeltaMaintainsDerivedState(t *testing.T) {
 	d := MustParse("u a v\nv b w\nw a u\nu b w")
 	// Materialize every derived view before mutating.
 	d.Index()
-	d.Stats()
 	d.Alphabet()
 
 	steps := []Delta{
@@ -93,7 +74,6 @@ func TestApplyDeltaMaintainsDerivedState(t *testing.T) {
 		}
 		fresh := rebuildFrom(d)
 		assertIndexEqual(t, "step", d, fresh)
-		assertStatsEqual(t, "step", d, fresh)
 		if d.NumEdges() != fresh.NumEdges() {
 			t.Fatalf("step %d: %d edges, want %d", i, d.NumEdges(), fresh.NumEdges())
 		}
@@ -101,13 +81,12 @@ func TestApplyDeltaMaintainsDerivedState(t *testing.T) {
 }
 
 // TestDeltaRetainedCounters is the regression test for the former
-// rebuild-everything behavior: a delta touching one label must leave every
-// other label's statistics retained, revalidate the alphabet without
-// recomputation, and extend the index rather than rebuild it.
+// rebuild-everything behavior: a delta touching one label must revalidate
+// the alphabet without recomputation and extend the index rather than
+// rebuild it.
 func TestDeltaRetainedCounters(t *testing.T) {
 	d := MustParse("u a v\nv b w\nw c u")
 	d.Index()
-	d.Stats()
 	d.Alphabet()
 	base := d.MaintStats()
 
@@ -115,7 +94,6 @@ func TestDeltaRetainedCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Index()
-	d.Stats()
 	d.Alphabet()
 	ms := d.MaintStats()
 
@@ -125,16 +103,6 @@ func TestDeltaRetainedCounters(t *testing.T) {
 	if ms.IndexRebuilds != base.IndexRebuilds {
 		t.Fatalf("index rebuilt on an insert-only single-label delta (%+v)", ms)
 	}
-	if got := ms.StatsDeltaUpdates - base.StatsDeltaUpdates; got != 1 {
-		t.Fatalf("StatsDeltaUpdates moved by %d, want 1 (%+v)", got, ms)
-	}
-	// Labels b and c retained, label a recomputed.
-	if got := ms.LabelStatsRetained - base.LabelStatsRetained; got != 2 {
-		t.Fatalf("LabelStatsRetained moved by %d, want 2 (%+v)", got, ms)
-	}
-	if got := ms.LabelStatsRecomputed - base.LabelStatsRecomputed; got != 1 {
-		t.Fatalf("LabelStatsRecomputed moved by %d, want 1 (%+v)", got, ms)
-	}
 	if got := ms.AlphaRetained - base.AlphaRetained; got != 1 {
 		t.Fatalf("AlphaRetained moved by %d, want 1 (%+v)", got, ms)
 	}
@@ -142,15 +110,14 @@ func TestDeltaRetainedCounters(t *testing.T) {
 		t.Fatalf("alphabet rebuilt on a known-label delta (%+v)", ms)
 	}
 
-	// A removal must take the rebuild path for stats and the index.
+	// A removal must take the rebuild path for the index.
 	if _, err := d.ApplyDelta(Delta{Del: []DeltaEdge{{"v", 'b', "w"}}}); err != nil {
 		t.Fatal(err)
 	}
 	d.Index()
-	d.Stats()
 	ms2 := d.MaintStats()
-	if ms2.IndexRebuilds != ms.IndexRebuilds+1 || ms2.StatsRebuilds != ms.StatsRebuilds+1 {
-		t.Fatalf("removal did not rebuild index/stats: %+v -> %+v", ms, ms2)
+	if ms2.IndexRebuilds != ms.IndexRebuilds+1 {
+		t.Fatalf("removal did not rebuild the index: %+v -> %+v", ms, ms2)
 	}
 	// The removal dropped b's last edge: the alphabet must shrink.
 	if string(d.Alphabet()) != "ac" {
@@ -231,7 +198,6 @@ func TestDeltaLogOverflow(t *testing.T) {
 	// Derived state still correct after overflow (rebuild path).
 	fresh := rebuildFrom(d)
 	assertIndexEqual(t, "overflow", d, fresh)
-	assertStatsEqual(t, "overflow", d, fresh)
 }
 
 func TestApplyDeltaRejectsBadRemovals(t *testing.T) {

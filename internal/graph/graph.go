@@ -50,10 +50,6 @@ type DB struct {
 	idx        *Index
 	idxVersion uint64
 
-	statsMu      sync.Mutex
-	stats        *Stats
-	statsVersion uint64
-
 	alphaMu      sync.Mutex
 	alpha        []rune
 	alphaOK      bool
@@ -161,7 +157,7 @@ func (d *DB) Index() *Index {
 
 // Derived is the slot for state that a layer above this package derives from
 // the database and wants to live exactly as long as it — beside Index and
-// Stats, but owned by the caller (ecrpq keeps its atom store here). update
+// Alphabet, but owned by the caller (ecrpq keeps its atom store here). update
 // runs under the slot's lock with what the slot holds (nil at first) and
 // leaves its result there; bringing a stale value up to Revision is update's
 // business, and the first caller to find it stale does so while the others

@@ -166,3 +166,29 @@ func TestMultigraph(t *testing.T) {
 		t.Fatal("alphabet missing a")
 	}
 }
+
+func TestAlphabetCached(t *testing.T) {
+	d := MustParse("u b v\nv a w")
+	a1 := d.Alphabet()
+	if string(a1) != "ab" {
+		t.Fatalf("Alphabet = %q, want %q", string(a1), "ab")
+	}
+	a2 := d.Alphabet()
+	if &a1[0] != &a2[0] {
+		t.Fatal("Alphabet not cached: repeated calls returned distinct slices")
+	}
+	d.AddEdgeNames("w", 'c', "u")
+	a3 := d.Alphabet()
+	if string(a3) != "abc" {
+		t.Fatalf("Alphabet after mutation = %q, want %q", string(a3), "abc")
+	}
+	if string(a1) != "ab" {
+		t.Fatal("previously returned alphabet slice was mutated")
+	}
+	// Adding a node (no new label) still bumps the revision; the recomputed
+	// alphabet must stay correct.
+	d.AddNode()
+	if string(d.Alphabet()) != "abc" {
+		t.Fatal("alphabet wrong after node-only mutation")
+	}
+}

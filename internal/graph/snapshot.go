@@ -10,7 +10,7 @@ package graph
 //     removeEdge reallocates the suffix without touching the shared prefix;
 //   - the name→id map is a chain of immutable overlay layers (nameLayer), so
 //     a snapshot costs O(new names) instead of O(all names);
-//   - the CSR Index, alphabet, statistics and partition caches are carried
+//   - the CSR Index, alphabet and partition caches are carried
 //     over pre-warmed when current (the base-plus-overlay Index is exactly
 //     the shared-storage mechanism: an extended successor shares the base
 //     CSR arrays with every older pinned view).
@@ -78,7 +78,7 @@ type Snapshot struct {
 }
 
 // DB returns the frozen read view. It satisfies the full read API of *DB
-// (Lookup/Name/Out/In/Index/Alphabet/Stats/DeltaSince/queries);
+// (Lookup/Name/Out/In/Index/Alphabet/DeltaSince/queries);
 // mutators panic on it.
 func (s *Snapshot) DB() *DB { return s.db }
 
@@ -116,11 +116,6 @@ func (d *DB) Snapshot() *Snapshot {
 	// maintained on the live DB and shared by pointer.
 	view.idx, view.idxVersion = d.Index(), d.version
 	view.alpha, view.alphaOK, view.alphaVersion = d.Alphabet(), true, d.version
-	d.statsMu.Lock()
-	if d.stats != nil && d.statsVersion == d.version {
-		view.stats, view.statsVersion = d.stats, d.version
-	}
-	d.statsMu.Unlock()
 	s := &Snapshot{db: view, rev: d.version}
 	d.lastSnap, d.lastSnapRev, d.snapOnce = s, d.version, true
 	return s
