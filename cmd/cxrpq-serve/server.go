@@ -58,9 +58,10 @@ package main
 // and closing (exhaustion, eviction, invalidation) appends a tombstone. On
 // restart the server re-parks every live-recorded cursor whose revision pin
 // matches the recovered database: the stream is re-opened and fast-forwarded
-// past the delivered prefix — exact, because ranked order is deterministic
-// at a fixed revision — so clients resume
-// pagination instead of receiving 410. A record whose pin mismatches (the
+// past the delivered rows — exact, because ranked order is deterministic
+// at a fixed revision, and cheap, because the fast-forward pages through the
+// pooled session's shared ranked prefix (one text resumed many times is
+// ranked once) — so clients resume pagination instead of receiving 410. A record whose pin mismatches (the
 // WAL replayed past it), whose deadline passed, or which a checkpoint
 // truncated away is not resumed: those tokens fall back to the usual 410.
 // Unranked cursors are never persisted (their row order is not guaranteed
@@ -385,7 +386,8 @@ func (s *server) invalidateCursors(e *dbEntry, rev uint64) {
 // back to the usual 410 for that token. Resume re-opens the stream on the
 // published state and fast-forwards past the rows already delivered, which
 // reproduces the parked position exactly: ranked order is deterministic at
-// a fixed revision under fixed weights.
+// a fixed revision under fixed weights. The fast-forward pages through the
+// pooled session's ranked prefix, and only rows past it run the enumerator.
 func (s *server) recoverCursors(e *dbEntry) {
 	latest := map[string]*cursorWALBlob{}
 	var order []string

@@ -111,9 +111,12 @@
 //	                     bound, Lawler child/sibling expansion, memoized
 //	                     kernel-batched extension lists — the first row
 //	                     streams out without draining the answer set)
-//	                     over unit or pluggable per-label edge weights,
-//	                     and a producer provably parked between fetches
-//	                     so ApplyDelta interleaves with open cursors
+//	                     over unit or pluggable per-label edge weights
+//	                     and pulled on the fetching goroutine into a
+//	                     ranked prefix every cursor of the epoch pages
+//	                     through, and an unranked producer provably parked
+//	                     between fetches so ApplyDelta interleaves with
+//	                     open cursors
 //	internal/oracle      brute-force reference implementations backing the
 //	                     conformance tests
 //	internal/reductions  executable hardness reductions (Thms 1/3/7)

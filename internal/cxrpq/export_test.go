@@ -1,9 +1,9 @@
 package cxrpq
 
 import (
-	"cxrpq/internal/ecrpq"
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
+	"cxrpq/internal/pattern"
 	"cxrpq/internal/xregex"
 )
 
@@ -18,20 +18,31 @@ func (p *Plan) BindWorkers(db *graph.DB, workers int) *Session {
 	return s
 }
 
-// StreamDrained is Stream without the incremental any-k producer: a ranked
-// stream drains and sorts, the path only an over-cap union takes in
-// production — the baseline the incremental stream is held to.
+// StreamDrained is Stream without the incremental any-k producer or the
+// session's ranked prefix: a ranked stream drains and sorts on its own, the
+// path only an over-cap union takes in production — the baseline the
+// incremental stream is held to.
 func (s *Session) StreamDrained(opts StreamOptions) (*Cursor, error) {
 	bounded, k, err := s.semantics(opts.Semantics, opts.K)
 	if err != nil {
 		return nil, err
 	}
-	bud := engine.NewBudget(opts.Ctx, opts.Deadline)
-	run, err := s.streamRunFor(bounded, k, ecrpq.Options{Budget: bud, Ranked: opts.Ranked, Weight: opts.Weight})
-	if err != nil {
-		return nil, err
+	return s.rankedCursor(s.current(), bounded, k, engine.NewBudget(opts.Ctx, opts.Deadline), opts, true)
+}
+
+// RankedPrefix returns the ranked prefix the session's current epoch holds
+// for the dispatch of opts, and whether it is done; no rows when there is
+// none. Reading it counts no result-cache hit.
+func (s *Session) RankedPrefix(opts StreamOptions) (pattern.Rows, bool) {
+	_, k, err := s.semantics(opts.Semantics, opts.K)
+	rc := s.current().results
+	rc.mu.Lock()
+	resp := rc.m[resultKey{op: "ranked", k: k}]
+	rc.mu.Unlock()
+	if err != nil || resp.ranked == nil {
+		return pattern.Rows{}, false
 	}
-	return newCursor(bud, opts, run, nil), nil
+	return resp.ranked.view()
 }
 
 // CandidateWalk is one bounded run's view of the candidate enumeration: the
@@ -45,7 +56,8 @@ func NewCandidateWalk(q *Query, db *graph.DB, k int) (*CandidateWalk, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := p.Bind(db).boundedRun(k, false, nil, nil)
+	sess := p.Bind(db)
+	e, err := sess.boundedRun(sess.current(), k, false, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -67,8 +79,7 @@ func (w *CandidateWalk) Candidates(x string, prefix map[string]string) ([]string
 // PathVerdicts returns the path-existence verdicts stored for the session's
 // database.
 func (s *Session) PathVerdicts() map[string]bool {
-	atoms, _, _ := s.current()
-	return atoms.Verdicts()
+	return s.current().atoms.Verdicts()
 }
 
 // EvalBoundedBoolPre decides D |=^≤k q with the node variables of pre
@@ -79,7 +90,8 @@ func EvalBoundedBoolPre(q *Query, db *graph.DB, k int, pre map[string]int) (bool
 	if err != nil {
 		return false, err
 	}
-	e, err := p.Bind(db).boundedRun(k, true, pre, nil)
+	sess := p.Bind(db)
+	e, err := sess.boundedRun(sess.current(), k, true, pre, nil)
 	if err != nil {
 		return false, err
 	}

@@ -69,10 +69,41 @@ func (c *epochMap[K, V]) get(key K) (V, bool) {
 func (c *epochMap[K, V]) put(key K, v V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.putLocked(key, v)
+}
+
+func (c *epochMap[K, V]) putLocked(key K, v V) {
 	if len(c.m) >= c.cap {
 		c.m = map[K]V{}
 	}
 	c.m[key] = v
+}
+
+// file returns the value of key, filing fresh under it first if there is
+// none. It counts neither a hit nor a miss: the caller counts what it reads of
+// the value (count).
+func (c *epochMap[K, V]) file(key K, fresh V) V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.m[key]; ok {
+		return v
+	}
+	c.putLocked(key, fresh)
+	return fresh
+}
+
+// count records one hit or miss; a nil map counts nothing.
+func (c *epochMap[K, V]) count(hit bool) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if hit {
+		c.hits++
+	} else {
+		c.misses++
+	}
 }
 
 // getOr returns the memoized value of key, computing and keeping it on a
@@ -95,11 +126,11 @@ func (c *epochMap[K, V]) stats() (hits, misses uint64, size int) {
 }
 
 // resultKey names one cached Response: the operation ("eval", "bool",
-// "check" or "explain"), its image bound — unbounded for the fragment-
-// dispatched operations over the union, a value no bounded request can carry
-// (Session.semantics refuses k < 0) — and its tuple argument (Tuple.Key;
-// empty without one). The result cache lives inside one epoch, so revision
-// bumps clear it.
+// "check", "explain", or "ranked" for the ranked prefix of Session.Stream),
+// its image bound — unbounded for the fragment-dispatched operations over the
+// union, a value no bounded request can carry (Session.semantics refuses
+// k < 0) — and its tuple argument (Tuple.Key; empty without one). The result
+// cache lives inside one epoch, so revision bumps clear it.
 type resultKey struct {
 	op    string
 	k     int
@@ -138,17 +169,25 @@ type Session struct {
 // Bind binds the plan to a database.
 func (p *Plan) Bind(db *graph.DB) *Session { return &Session{plan: p, db: db} }
 
+// epoch is one call's view of the session: the atom store, result cache and
+// alphabet of the revision the call started on.
+type epoch struct {
+	atoms   *ecrpq.AtomStore
+	results *epochMap[resultKey, Response]
+	sigma   []rune
+}
+
 // current returns this call's epoch, moving the session to the database's
 // revision first when a mutation left it behind. Calls already in flight
 // keep the epoch they started with.
-func (s *Session) current() (*ecrpq.AtomStore, *epochMap[resultKey, Response], []rune) {
+func (s *Session) current() epoch {
 	rev := s.db.Revision()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.bound || rev != s.rev {
 		s.moveLocked(ecrpq.Atoms(s.db))
 	}
-	return s.atoms, s.results, s.sigma
+	return epoch{s.atoms, s.results, s.sigma}
 }
 
 // moveLocked binds the session to atoms, its database's store at the current
@@ -263,15 +302,14 @@ func (s *Session) explanation(ex *Explanation) *Explanation {
 }
 
 // boundedRun binds the plan's bounded schedule (Theorem 6) to the session's
-// database and its atom store for one run under bud: the one constructor of
-// every bounded evaluation, check, explanation and stream.
-func (s *Session) boundedRun(k int, boolOnly bool, pre map[string]int, bud *engine.Budget) (*boundedEngine, error) {
-	atoms, _, sigma := s.current()
+// database and the atom store of ep for one run under bud: the one
+// constructor of every bounded evaluation, check, explanation and stream.
+func (s *Session) boundedRun(ep epoch, k int, boolOnly bool, pre map[string]int, bud *engine.Budget) (*boundedEngine, error) {
 	bp, err := s.plan.boundedPlanFor()
 	if err != nil {
 		return nil, err
 	}
-	return newBoundedEngine(bp, s.db, k, boolOnly, pre, atoms, sigma, s.workers, bud)
+	return newBoundedEngine(bp, s.db, k, boolOnly, pre, ep.atoms, ep.sigma, s.workers, bud)
 }
 
 // Request is one operation against a Session: one of the paper's evaluation
@@ -299,6 +337,8 @@ type Response struct {
 	OK          bool              // bool/check outcome; explain: match found
 	Explanation *Explanation      // explain
 	Err         error
+
+	ranked *rankedPrefix // the "ranked" entry: the prefix ranked streams share
 }
 
 // semantics resolves the Semantics/K pair of a Request or of StreamOptions:
@@ -338,19 +378,19 @@ func (s *Session) Do(req Request) Response {
 	default:
 		return Response{Err: fmt.Errorf("cxrpq: unknown op %q", req.Op)}
 	}
-	_, rc, _ := s.current()
+	ep := s.current()
 	key := resultKey{req.Op, k, t.Key()}
-	if resp, ok := rc.get(key); ok {
+	if resp, ok := ep.results.get(key); ok {
 		return resp
 	}
 	var resp Response
 	if bounded {
-		resp = s.doBounded(req.Op, k, t, req.Budget)
+		resp = s.doBounded(ep, req.Op, k, t, req.Budget)
 	} else {
 		resp = s.doUnion(req.Op, t, req.Budget)
 	}
 	if resp.Err == nil && req.Budget.Err() == nil {
-		rc.put(key, resp)
+		ep.results.put(key, resp)
 	}
 	return resp
 }
@@ -406,7 +446,7 @@ func (s *Session) doUnion(op string, t pattern.Tuple, bud *engine.Budget) Respon
 // (the first-witness sibling stop rides a fork of the budget); any other
 // truncated run returns its value — for eval, the sound partial rows — with
 // engine.ErrCanceled.
-func (s *Session) doBounded(op string, k int, t pattern.Tuple, bud *engine.Budget) Response {
+func (s *Session) doBounded(ep epoch, op string, k int, t pattern.Tuple, bud *engine.Budget) Response {
 	var pre map[string]int
 	if op == "check" {
 		out := s.plan.q.Pattern.Out
@@ -425,7 +465,7 @@ func (s *Session) doBounded(op string, k int, t pattern.Tuple, bud *engine.Budge
 			pre[z] = v
 		}
 	}
-	e, err := s.boundedRun(k, op == "bool" || op == "check", pre, bud)
+	e, err := s.boundedRun(ep, k, op == "bool" || op == "check", pre, bud)
 	if err != nil {
 		return Response{Err: err}
 	}

@@ -54,6 +54,48 @@ func TestOnePlanOneResultEntry(t *testing.T) {
 	}
 }
 
+// The ranked prefix is one result-cache entry and counts like one: building
+// a ranked producer is a miss, and every page a cursor without a producer
+// reads off the prefix is a hit. A weighted stream shares nothing and counts
+// nothing.
+func TestRankedPrefixCounts(t *testing.T) {
+	sess := cxrpq.MustPrepare(cxrpq.MustParse("ans(x, z)\nx y : a+\ny z : b")).Bind(workload.Random(7, 12, 40, "ab"))
+	ranked := cxrpq.StreamOptions{Ranked: true}
+	first, err := sess.Stream(ranked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(drainCursor(t, first, 5)); n < 10 {
+		t.Fatalf("fixture drifted: %d ranked rows", n)
+	}
+	if st := sess.Stats(); st.ResultMisses != 1 || st.ResultHits != 0 || st.ResultSize != 1 {
+		t.Fatalf("one ranked drain: %d misses, %d hits, %d entries; want 1, 0, 1", st.ResultMisses, st.ResultHits, st.ResultSize)
+	}
+	for _, opts := range []cxrpq.StreamOptions{ranked, {Ranked: true, Limit: 3}} {
+		before := sess.Stats()
+		cur, err := sess.Stream(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages := 0
+		for p := cur.FetchRows(5); p.N > 0; p = cur.FetchRows(5) {
+			pages++
+		}
+		if st := sess.Stats(); st.ResultMisses != before.ResultMisses || st.ResultHits != before.ResultHits+uint64(pages) || st.ResultSize != 1 {
+			t.Fatalf("%+v over the complete prefix: %d pages, then %+v after %+v; want a hit per page", opts, pages, st, before)
+		}
+	}
+	before := sess.Stats()
+	cur, err := sess.Stream(cxrpq.StreamOptions{Ranked: true, Weight: func(rune) int32 { return 2 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainCursor(t, cur, 5)
+	if st := sess.Stats(); st.ResultMisses != before.ResultMisses || st.ResultHits != before.ResultHits || st.ResultSize != 1 {
+		t.Fatalf("a weighted stream moved the result cache: %+v after %+v", st, before)
+	}
+}
+
 // TestSessionRelCacheEviction: what bounds the atom store is bytes. On a
 // 1 200-node a-cycle every relation of the form a…a+ or a…a* holds all n² pairs,
 // ~17 MB as the store accounts it, and a one-worker Boolean run stores four of

@@ -9,38 +9,49 @@ package cxrpq
 //
 // A page is a pattern.Rows — fixed-arity rows back to back in one []int32
 // slab — which is what FetchRows returns and the server encodes from; Fetch
-// and Next carve tuples out of one. A stream over a complete cached answer is
-// a window cursor: an offset into the set's memoized sorted rows
-// (TupleSet.SortedRows), with no producer goroutine, no channels and nothing
-// for an abandoned cursor to release.
+// and Next carve tuples out of one. Most pages are windows: a stream over a
+// complete cached answer serves the set's memoized sorted rows
+// (TupleSet.SortedRows), and a ranked stream serves its epoch's ranked prefix
+// (below). A window has no goroutine and no channels behind it, and an
+// abandoned window cursor has nothing to release.
 //
-// Every other Cursor runs the enumeration in one producer goroutine under a
-// strict request/response page protocol: every fetch sends one request and
-// receives exactly one page; the producer parks on the request channel the
-// moment a page is full. Between fetches the producer is therefore provably
-// quiescent — it holds no lock, reads no session state, and cannot race a
-// writer — which is what makes interleaving cursors with ApplyDelta
-// mutations safe as long as no fetch overlaps the write. Close stops the
-// cursor's budget, unwinds the producer at its next budget poll, and joins it.
+// Only an unranked cursor that no cached answer serves runs a producer
+// goroutine, under a strict request/response page protocol: every fetch
+// sends one request and receives exactly one page; the producer parks on the
+// request channel the moment a page is full. Between fetches the producer is
+// therefore provably quiescent — it holds no lock, reads no session state,
+// and cannot race a writer — which is what makes interleaving cursors with
+// ApplyDelta mutations safe as long as no fetch overlaps the write. Close
+// stops the cursor's budget, unwinds the producer at its next budget poll,
+// and joins it.
 //
-// Ranked mode (shortest-witness-first) streams incrementally: the any-k
+// Ranked mode (shortest-witness-first) is one sequence per dispatch and
+// revision: witness cost ascending, ties in lexicographic order. Each session
+// epoch files, per image bound, one append-only ranked prefix in its result
+// cache — the complete cost tiers of the sequence any cursor has computed so
+// far — and a ranked cursor pages through it. Only a cursor that needs rows
+// past the prefix builds a producer, on the fetching goroutine: the any-k
 // enumerator (ecrpq.AnyK) pops rows in nondecreasing witness cost, so the
 // first occurrence of a tuple IS its minimal cost and top-k costs O(k) queue
-// expansions instead of a full drain; equal-cost tiers are sorted
-// lexicographically before emission, which makes the sequence identical to
-// drain-then-sort. A union too wide to root eagerly (over the combination
-// cap) falls back to that drain. See "Rows" in internal/README.md.
+// expansions instead of a full drain; a tier is sorted once the next cost
+// pops, and published unless another cursor got there first. A union too
+// wide to root eagerly (over the combination cap) drains and sorts instead. A
+// weighted stream pulls the same way but shares nothing. See "Rows" in
+// internal/README.md.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"slices"
-	"sort"
+	"sync"
 	"time"
 
 	"cxrpq/internal/ecrpq"
 	"cxrpq/internal/engine"
+	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
 )
 
@@ -70,8 +81,9 @@ type StreamOptions struct {
 	// Weight generalizes the ranked witness cost from edge count to a
 	// pluggable per-edge-label weight (engine.Weight; nil = unit cost).
 	// Ignored unless Ranked. Weighted evaluations bypass the database's
-	// atom store — a weight function has no identity to file a relation
-	// under — so they trade reuse for the custom metric.
+	// atom store and the session's ranked prefix — a weight function has no
+	// identity to file anything under — so they trade reuse for the custom
+	// metric.
 	Weight engine.Weight
 
 	// Limit caps the total number of rows the cursor yields (0 = all).
@@ -95,18 +107,33 @@ type cursorPage struct {
 }
 
 // Cursor is a pull-based result iterator; obtain one from Session.Stream.
-// It is NOT safe for concurrent use (one consumer drives it), and it must be
-// Closed when abandoned before exhaustion — Close releases the producer
-// goroutine. Iterating past the end is fine without Close.
+// It is NOT safe for concurrent use (one consumer drives it). Only an
+// unranked cursor whose answer is not cached runs a producer goroutine, and
+// it must be Closed when abandoned before exhaustion — Close releases the
+// goroutine; any other cursor is released by dropping it. Iterating past the
+// end is fine without Close.
 type Cursor struct {
 	bud *engine.Budget
 
-	// The page protocol's two channels while a producer runs. Without one (reqs
-	// is nil) the cursor is a window: it serves win, the rest of a complete
-	// sorted answer or of a finished producer's final page.
+	// The page protocol's two channels while an unranked producer runs.
 	reqs  chan int
 	pages chan cursorPage
-	win   pattern.Rows
+
+	// Otherwise every page is a window of the rows the cursor can see: rows
+	// [0, pre.N) of the sequence in the shared ranked prefix (nil when the
+	// cursor shares none; rc counts its fetches), rows [ownLo, ownLo+own.N)
+	// in the cursor's own slab. pos is the next row to serve and end, when
+	// set, the Limit.
+	pre      *rankedPrefix
+	rc       *epochMap[resultKey, Response]
+	own      pattern.Rows
+	ownLo    int
+	pos, end int
+
+	// open builds the ranked producer, pull, the first time the cursor needs
+	// rows it cannot see. Both are dropped when the producer ends.
+	open func() (*rankedPull, error)
+	pull *rankedPull
 
 	buf       pattern.Rows // rows fetched but not yet returned by Next
 	nextWant  int          // escalating page size for Next
@@ -134,85 +161,82 @@ func (s *Session) Stream(opts StreamOptions) (*Cursor, error) {
 		return nil, err
 	}
 	bud := engine.NewBudget(opts.Ctx, opts.Deadline)
+	ep := s.current()
 	if opts.Ranked {
-		build, err := s.anyKBuilderFor(bounded, k, bud, opts.Weight)
-		if err != nil {
-			return nil, err
-		}
-		if build != nil {
-			return newCursor(bud, opts, nil, build), nil
-		}
+		return s.rankedCursor(ep, bounded, k, bud, opts, false)
 	}
-	if res := s.cachedAnswer(k, opts.Ranked); res != nil {
-		c := &Cursor{bud: bud, win: res.SortedRows(), nextWant: 1}
-		if opts.Limit > 0 && c.win.N >= opts.Limit {
-			// A stream its limit completes cannot be truncated: no budget.
-			c.bud, c.win = nil, c.win.Slice(0, opts.Limit)
-		}
-		return c, nil
+	// The result cache only ever holds complete, un-truncated answers: the
+	// stream of one is a window of its sorted rows.
+	if resp, _ := ep.results.get(resultKey{op: "eval", k: k}); resp.Tuples != nil {
+		return &Cursor{bud: bud, own: resp.Tuples.SortedRows(), end: opts.Limit, nextWant: 1}, nil
 	}
-	run, err := s.streamRunFor(bounded, k, ecrpq.Options{Budget: bud, Ranked: opts.Ranked, Weight: opts.Weight})
+	run, err := s.streamRunFor(ep, bounded, k, ecrpq.Options{Budget: bud, Weight: opts.Weight})
 	if err != nil {
 		return nil, err
 	}
-	return newCursor(bud, opts, run, nil), nil
+	return newCursor(bud, opts.Limit, run), nil
 }
 
-// cachedAnswer returns the dispatch's complete answer when the session result
-// cache, which only ever holds complete, un-truncated answers, has it. The sets
-// carry no witness costs, so a ranked stream cannot be served from one.
-func (s *Session) cachedAnswer(k int, ranked bool) *pattern.TupleSet {
-	if ranked {
-		return nil
-	}
-	_, rc, _ := s.current()
-	resp, _ := rc.get(resultKey{op: "eval", k: k})
-	return resp.Tuples
-}
-
-// anyKBuilderFor builds the deferred constructor of the incremental any-k
-// enumerator for one ranked dispatch. It returns (nil, nil) when the dispatch
-// has no incremental path — a union of more than vsfComboCap members, an
-// unbounded number of evaluators to root — and the caller falls back to the
-// drain, which walks the same member source.
-// The constructor itself runs on the producer goroutine: for the union it
-// only registers one root per member (evaluation is lazy behind Next), while
-// the bounded dispatch first enumerates the variable mappings and builds
-// their relations, deferring every leaf join onto the queue.
-func (s *Session) anyKBuilderFor(bounded bool, k int, bud *engine.Budget, w engine.Weight) (func() (*ecrpq.AnyK, error), error) {
-	if bounded {
-		e, err := s.boundedRun(k, false, nil, bud)
-		if err != nil {
+// rankedCursor opens a ranked stream over ep. Unweighted, its sequence is the
+// ranked prefix filed in ep's result cache, so the prefix and the evaluation
+// behind it belong to one epoch. Construction-time work and failures happen
+// here; the producer itself — one root per union member, or the bounded
+// engine's mappings and relations with every leaf join deferred onto the
+// queue — is built by the first fetch past the prefix. baseline
+// (StreamDrained) forces the drain-then-sort producer and shares nothing.
+func (s *Session) rankedCursor(ep epoch, bounded bool, k int, bud *engine.Budget, opts StreamOptions, baseline bool) (*Cursor, error) {
+	drain, w := baseline, opts.Weight
+	var (
+		ms  iter.Seq[member]
+		e   *boundedEngine
+		run streamRun
+		err error
+	)
+	if !bounded {
+		if ms, err = s.plan.members(); err != nil {
 			return nil, err
 		}
-		return func() (*ecrpq.AnyK, error) {
-			e.ranked = true
-			e.seq = true // AnyK is single-consumer; leaves run on this goroutine
-			e.weight = w
-			e.anyk = ecrpq.NewAnyK(ecrpq.Options{Budget: bud})
-			_, err := e.run()
-			return e.anyk, err
-		}, nil
+		drain = drain || s.plan.overCap // too many members to root one evaluator each
 	}
-	ms, err := s.plan.members()
-	if err != nil || s.plan.overCap {
-		return nil, err // too many members to root eagerly: drain
+	if drain {
+		run, err = s.streamRunFor(ep, bounded, k, ecrpq.Options{Budget: bud, Ranked: true, Weight: w})
+	} else if bounded {
+		e, err = s.boundedRun(ep, k, false, nil, bud)
 	}
-	return func() (*ecrpq.AnyK, error) {
-		ak := ecrpq.NewAnyK(ecrpq.Options{Budget: bud})
-		return ak, ak.AddUnion(queries(ms), s.db, w)
-	}, nil
+	if err != nil {
+		return nil, err
+	}
+	c := &Cursor{bud: bud, end: opts.Limit, nextWant: 1}
+	if w == nil && !baseline {
+		c.rc = ep.results
+		c.pre = ep.results.file(resultKey{op: "ranked", k: k}, Response{ranked: &rankedPrefix{}}).ranked
+	}
+	rev := s.db.Revision()
+	c.open = func() (*rankedPull, error) {
+		p := &rankedPull{seen: pattern.NewTupleSet(), drain: run, db: s.db, rev: rev}
+		if drain {
+			return p, nil
+		}
+		p.ak = ecrpq.NewAnyK(ecrpq.Options{Budget: bud})
+		if !bounded {
+			return p, p.ak.AddUnion(queries(ms), s.db, w)
+		}
+		e.ranked, e.seq, e.weight, e.anyk = true, true, w, p.ak
+		_, err := e.run()
+		return p, err
+	}
+	return c, nil
 }
 
 // streamRunFor builds the producer enumeration for one dispatch. Unranked, the
 // bounded mappings dedup here and the union's members in
 // ecrpq.EvalUnionStream — each source dedups only within itself; ranked
-// dispatches must NOT dedup (the cursor keeps the minimal cost per tuple
+// dispatches must NOT dedup (the drain keeps the minimal cost per tuple
 // instead).
-func (s *Session) streamRunFor(bounded bool, k int, opts ecrpq.Options) (streamRun, error) {
+func (s *Session) streamRunFor(ep epoch, bounded bool, k int, opts ecrpq.Options) (streamRun, error) {
 	bud, ranked := opts.Budget, opts.Ranked
 	if bounded {
-		e, err := s.boundedRun(k, false, nil, bud)
+		e, err := s.boundedRun(ep, k, false, nil, bud)
 		if err != nil {
 			return nil, err
 		}
@@ -236,24 +260,9 @@ func (s *Session) streamRunFor(bounded bool, k int, opts ecrpq.Options) (streamR
 	return func(emit ecrpq.StreamFunc) error { return ecrpq.EvalUnionStream(queries(ms), s.db, opts, emit) }, nil
 }
 
-// defaultLess is the ranked comparator: witness length ascending, ties in
-// lexicographic tuple order (so equal-cost rows stream deterministically).
-func defaultLess(a, b Row) bool {
-	if a.Cost != b.Cost {
-		return a.Cost < b.Cost
-	}
-	for i := 0; i < len(a.Tuple) && i < len(b.Tuple); i++ {
-		if a.Tuple[i] != b.Tuple[i] {
-			return a.Tuple[i] < b.Tuple[i]
-		}
-	}
-	return len(a.Tuple) < len(b.Tuple)
-}
-
-// newCursor starts the producer goroutine parked on the first request.
-// Exactly one of run and build is non-nil: build selects the incremental
-// any-k ranked producer, run the unranked stream or the ranked drain.
-func newCursor(bud *engine.Budget, opts StreamOptions, run streamRun, build func() (*ecrpq.AnyK, error)) *Cursor {
+// newCursor starts the unranked producer goroutine parked on the first
+// request.
+func newCursor(bud *engine.Budget, limit int, run streamRun) *Cursor {
 	c := &Cursor{bud: bud, reqs: make(chan int), pages: make(chan cursorPage), nextWant: 1}
 	go func() {
 		defer close(c.pages)
@@ -269,16 +278,7 @@ func newCursor(bud *engine.Budget, opts StreamOptions, run streamRun, build func
 		if !ok {
 			return // closed before the first fetch: nothing ran
 		}
-		if build != nil {
-			c.produceAnyK(build, opts.Limit, want)
-			return
-		}
-		if opts.Ranked {
-			c.produceRanked(run, opts.Limit)
-			return
-		}
-		// Unranked: rows flow to the consumer as the enumeration finds them.
-		pg := &pager{c: c, want: want, limit: opts.Limit}
+		pg := &pager{c: c, want: want, limit: limit}
 		pg.finish(run(pg.add))
 	}()
 	return c
@@ -291,7 +291,6 @@ type pager struct {
 	c        *Cursor
 	want     int
 	limit    int
-	ranked   bool // pages carry costs
 	page     pattern.Rows
 	total    int
 	limitHit bool
@@ -300,18 +299,12 @@ type pager struct {
 // add appends one row. It reports false when the producer has to stop: the
 // row reached the limit (the page in hand is then the final one), or the
 // consumer closed.
-func (pg *pager) add(row []int32, cost int) bool {
+func (pg *pager) add(row []int32, _ int) bool {
 	if pg.page.Data == nil {
 		n := min(pg.want, 1024) // a drain-everything fetch asks for 2^20 rows of what may be ten
 		pg.page = pattern.Rows{Arity: len(row), Data: make([]int32, 0, n*len(row))}
-		if pg.ranked {
-			pg.page.Costs = make([]int32, 0, n)
-		}
 	}
 	pg.page.Data = append(pg.page.Data, row...)
-	if pg.ranked {
-		pg.page.Costs = append(pg.page.Costs, int32(cost))
-	}
 	pg.page.N++
 	if pg.total++; pg.total == pg.limit {
 		pg.limitHit = true
@@ -338,88 +331,184 @@ func (pg *pager) finish(err error) {
 	pg.c.pages <- cursorPage{rows: pg.page, final: true, err: err, truncated: trunc}
 }
 
-// produceAnyK is the incremental ranked producer: rows pop off the any-k
-// priority queue in nondecreasing witness cost and enter the stream's dedup
-// set first-seen (exact min-cost dedup, since later occurrences cannot be
-// cheaper); the set's tail since the last cost change is the current tier,
-// emitted in lexicographic order when the cost moves on — so the first row
-// costs one queue expansion chain, not a drain. The emitted sequence is
-// identical to produceRanked's.
-func (c *Cursor) produceAnyK(build func() (*ecrpq.AnyK, error), limit, want int) {
-	pg := &pager{c: c, want: want, limit: limit, ranked: true}
-	ak, err := build()
-	if err != nil {
-		pg.finish(err)
-		return
-	}
-	seen := pattern.NewTupleSet()
-	tier, tierCost := 0, 0 // the tier is rows [tier, seen.Len()) of seen, all at tierCost
-	var perm []int32
-	flush := func() bool {
-		rows := seen.Rows()
-		perm = perm[:0]
-		for i := tier; i < rows.N; i++ {
-			perm = append(perm, int32(i))
-		}
-		tier = rows.N
-		slices.SortFunc(perm, func(a, b int32) int { return slices.Compare(rows.Row(int(a)), rows.Row(int(b))) })
-		for _, i := range perm {
-			if !pg.add(rows.Row(int(i)), tierCost) {
-				return false
-			}
-		}
-		return true
-	}
-	for {
-		row, cost, ok := ak.Next()
-		if !ok || cost != tierCost {
-			if !flush() || !ok {
-				break
-			}
-			tierCost = cost
-		}
-		seen.AddRow(row)
-	}
-	pg.finish(nil)
+// rankedPrefix is the ranked sequence of one dispatch as far as any cursor
+// has computed it: whole cost tiers only, appended and never rewritten (a
+// window handed out stays valid), and done once the sequence is known to end
+// there.
+type rankedPrefix struct {
+	mu   sync.Mutex
+	rows pattern.Rows // with Costs
+	done bool
 }
 
-// produceRanked drains the enumeration keeping the minimal witness cost per
-// tuple, orders by defaultLess, applies top-k, then hands the sorted slab
-// over as one final page, which the consumer windows. It serves the ranked
-// stream of an over-cap union, which has no incremental path. Truncation is
-// known before the first row is served, so EVERY page carries the flag — a
-// deadline-cut ranked result must never be mistaken for a complete top-k
-// mid-pagination.
-func (c *Cursor) produceRanked(run streamRun, limit int) {
-	best := pattern.NewTupleSet()
-	var costs []int32 // per row of best: its minimal cost so far
-	err := run(func(row []int32, cost int) bool {
-		if at, added := best.Insert(row); added {
-			costs = append(costs, int32(cost))
-		} else if int32(cost) < costs[at] {
-			costs[at] = int32(cost)
+func (p *rankedPrefix) view() (pattern.Rows, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.rows, p.done
+}
+
+// publish appends tier, rows [lo, lo+tier.N) of the sequence, if the prefix
+// holds exactly lo rows; last says the sequence ends with it. It reports
+// whether the prefix holds the tier now.
+func (p *rankedPrefix) publish(lo int, tier pattern.Rows, last bool) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	r, hi := &p.rows, lo+tier.N
+	if r.N == lo && tier.N > 0 {
+		r.Arity, r.N = tier.Arity, hi
+		r.Data = append(r.Data, tier.Data...)
+		r.Costs = append(r.Costs, tier.Costs...)
+	}
+	p.done = p.done || last && r.N == hi
+	return r.N >= hi
+}
+
+// rankedPull is the ranked producer of one cursor, pulled a tier at a time
+// on the fetching goroutine: the any-k enumerator and the set of tuples it
+// has popped, each with its first — minimal — cost, of which rows [lo,
+// seen.Len()) are the tier in flight at cost. A union over the combination
+// cap has drain instead of the enumerator. Tiers are published only while
+// db stays at rev.
+type rankedPull struct {
+	ak    *ecrpq.AnyK
+	drain streamRun
+	seen  *pattern.TupleSet
+	costs []int32 // per row of seen
+	lo    int
+	cost  int32
+
+	db  *graph.DB
+	rev uint64
+}
+
+// next pulls the sequence to the end of its next tier and returns the tier's
+// rows in ranked order with lo, the position of its first. Tiers that end at
+// or before skip, which the caller has, are passed over unsorted. last
+// reports that the enumeration ended with this tier — cut short if the
+// budget is spent. The drain returns the whole sequence as one last tier.
+func (p *rankedPull) next(skip int) (tier pattern.Rows, lo int, last bool, err error) {
+	if p.drain != nil {
+		err = p.drain(func(row []int32, cost int) bool {
+			p.add(row, int32(cost))
+			return true
+		})
+		return p.ranked(0, p.seen.Len()), 0, true, err
+	}
+	for {
+		row, cost, ok := p.ak.Next()
+		lo, hi := p.lo, p.seen.Len()
+		if ok && int32(cost) != p.cost {
+			p.lo, p.cost = hi, int32(cost) // a costlier row: the tier in flight is whole
 		}
-		return true
+		if ok {
+			p.add(row, p.cost)
+		}
+		if !ok || p.lo > lo && hi > skip {
+			return p.ranked(lo, hi), lo, !ok, nil
+		}
+	}
+}
+
+// add files a popped row under the cheapest cost it has been seen at.
+func (p *rankedPull) add(row []int32, cost int32) {
+	if at, added := p.seen.Insert(row); added {
+		p.costs = append(p.costs, cost)
+	} else if cost < p.costs[at] {
+		p.costs[at] = cost
+	}
+}
+
+// ranked returns rows [lo, hi) of seen in ranked order — cost ascending, ties
+// lexicographic — as a fresh slab with costs.
+func (p *rankedPull) ranked(lo, hi int) pattern.Rows {
+	rows := p.seen.Rows()
+	perm := make([]int32, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		perm = append(perm, int32(i))
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(p.costs[a], p.costs[b]), slices.Compare(rows.Row(int(a)), rows.Row(int(b))))
 	})
-	trunc := c.bud.Err() != nil
-	if errors.Is(err, engine.ErrCanceled) {
-		trunc, err = true, nil
+	out := pattern.Rows{Arity: rows.Arity, N: len(perm), Data: make([]int32, 0, len(perm)*rows.Arity), Costs: make([]int32, 0, len(perm))}
+	for _, i := range perm {
+		out.Data = append(out.Data, rows.Row(int(i))...)
+		out.Costs = append(out.Costs, p.costs[i])
 	}
-	all := best.Rows()
-	all.Costs = costs
-	rows := rowsOf(all) // what the comparator reads
-	sort.SliceStable(rows, func(i, j int) bool { return defaultLess(rows[i], rows[j]) })
-	if limit > 0 && len(rows) > limit {
-		rows = rows[:limit]
+	return out
+}
+
+// more runs the ranked producer to its next tier, building it first if the
+// cursor has none, and keeps the tier: in the shared prefix when it is whole
+// and the prefix ends where it starts (or holds it already), else as the
+// cursor's own rows. A panic of the enumeration ends this stream, not the
+// process. more reports false when there is no producer left to run.
+func (c *Cursor) more() (ran bool) {
+	if c.open == nil {
+		return false
 	}
-	sorted := pattern.Rows{Arity: all.Arity, N: len(rows)}
-	for _, r := range rows {
-		for _, v := range r.Tuple {
-			sorted.Data = append(sorted.Data, int32(v))
+	defer func() {
+		if r := recover(); r != nil {
+			c.open, c.pull, ran = nil, nil, false
+			c.err = fmt.Errorf("cxrpq: stream producer panicked: %v", r)
 		}
-		sorted.Costs = append(sorted.Costs, int32(r.Cost))
+	}()
+	if c.pull == nil {
+		c.rc.count(false)
+		p, err := c.open()
+		if err != nil {
+			c.open = nil
+			c.settle(err)
+			return false
+		}
+		c.pull = p
 	}
-	c.pages <- cursorPage{rows: sorted, final: true, err: err, truncated: trunc}
+	tier, lo, last, err := c.pull.next(c.pos)
+	whole := !last || c.settle(err)
+	shared := c.pre != nil && whole && c.pull.db.Revision() == c.pull.rev && c.pre.publish(lo, tier, last)
+	if !shared && lo+tier.N > c.pos {
+		c.own, c.ownLo = tier.Slice(c.pos-lo, tier.N), c.pos
+	}
+	if last {
+		c.open, c.pull = nil, nil
+		if whole {
+			c.bud = nil // the producer has ended: its budget has nothing left to cut
+		}
+	}
+	return true
+}
+
+// settle records how a producer ended and reports whether the sequence it
+// produced is complete: a spent budget truncates it, any other error is the
+// cursor's.
+func (c *Cursor) settle(err error) bool {
+	cut := errors.Is(err, engine.ErrCanceled) || c.bud.Err() != nil
+	if errors.Is(err, engine.ErrCanceled) {
+		err = nil
+	}
+	c.err, c.truncated = err, c.truncated || cut
+	return err == nil && !cut
+}
+
+// window returns up to n rows from pos on out of the rows the cursor can see:
+// the shared prefix first — a result-cache hit while the cursor has built no
+// producer — then its own.
+func (c *Cursor) window(n int) pattern.Rows {
+	if c.pre != nil {
+		rows, done := c.pre.view()
+		if c.pos < rows.N {
+			if c.pull == nil && c.open != nil {
+				c.rc.count(true)
+			}
+			return rows.Slice(c.pos, min(c.pos+n, rows.N))
+		}
+		if done {
+			c.open, c.pull = nil, nil
+		}
+	}
+	if i := c.pos - c.ownLo; i < c.own.N {
+		return c.own.Slice(i, min(i+n, c.own.N))
+	}
+	return pattern.Rows{}
 }
 
 // rowsOf carves a page into Rows, the tuples out of one backing array.
@@ -438,7 +527,8 @@ func rowsOf(p pattern.Rows) []Row {
 	return out
 }
 
-// nextPage gets the next page of up to n rows and latches what it says.
+// nextPage gets the next page of up to n rows — at least one unless the
+// stream is exhausted, which it then latches with what the end says.
 func (c *Cursor) nextPage(n int) pattern.Rows {
 	if c.reqs != nil {
 		c.reqs <- n
@@ -451,34 +541,45 @@ func (c *Cursor) nextPage(n int) pattern.Rows {
 		// there is to say about truncation: the producer has exited, the budget
 		// has nothing left to cut, and the cursor goes on as a window.
 		close(c.reqs)
-		c.reqs, c.bud, c.win, c.err = nil, nil, p.rows, p.err
+		c.reqs, c.bud, c.own, c.err = nil, nil, p.rows, p.err
 	}
-	p := c.win.Slice(0, min(n, c.win.N))
-	c.win = c.win.Slice(p.N, c.win.N)
-	if p.N < n {
-		c.exhausted = true
-		c.truncated = c.truncated || c.bud.Err() != nil
+	if c.end > 0 {
+		n = min(n, c.end-c.pos)
 	}
-	return p
+	for n > 0 {
+		if p := c.window(n); p.N > 0 {
+			c.pos += p.N
+			return p
+		}
+		if !c.more() {
+			break
+		}
+	}
+	// A stream its limit completes is not truncated.
+	c.exhausted = true
+	c.truncated = c.truncated || c.bud.Err() != nil && (c.end == 0 || c.pos < c.end)
+	return pattern.Rows{}
 }
 
 // FetchRows returns the next page of up to n rows as one slab. A short (or
 // empty) page means the stream is exhausted — check Err and Truncated then.
 // The page is read-only: a window cursor's pages alias the shared cached
-// answer. After Close it returns no rows.
+// answer or ranked prefix. After Close it returns no rows.
 func (c *Cursor) FetchRows(n int) pattern.Rows {
 	if n <= 0 || c.closed {
 		return pattern.Rows{}
 	}
 	out := c.buf.Slice(0, min(n, c.buf.N)) // rows Next fetched ahead go first
 	c.buf = c.buf.Slice(out.N, c.buf.N)
-	if out.N == 0 && !c.exhausted {
-		out = c.nextPage(n)
-	} else if out.N < n && !c.exhausted {
-		p := c.nextPage(n - out.N) // top up in a copy: pages may alias shared storage
-		out.Data = append(slices.Clip(out.Data), p.Data...)
-		out.Costs = append(slices.Clip(out.Costs), p.Costs...)
-		out.N += p.N
+	for out.N < n && !c.exhausted {
+		p := c.nextPage(n - out.N)
+		if out.N == 0 {
+			out = p
+		} else if p.N > 0 { // top up in a copy: pages may alias shared storage
+			out.Data = append(slices.Clip(out.Data), p.Data...)
+			out.Costs = append(slices.Clip(out.Costs), p.Costs...)
+			out.N += p.N
+		}
 	}
 	c.rowsOut += int64(out.N)
 	return out
@@ -511,17 +612,17 @@ func (c *Cursor) Next() (Row, bool) {
 	return r, true
 }
 
-// Close stops the stream: the budget is stopped, the producer (a window
-// cursor has none) unwinds at its next poll, and Close blocks until it has
-// exited — after Close returns, no cursor goroutine touches the session. Safe
-// to call multiple times and after exhaustion.
+// Close stops the stream: the budget is stopped and a ranked producer
+// dropped; an unranked producer goroutine unwinds at its next poll, and Close
+// blocks until it has exited — after Close returns, no cursor goroutine
+// touches the session. Safe to call multiple times and after exhaustion.
 func (c *Cursor) Close() {
 	if c.closed {
 		return
 	}
 	c.closed = true
 	c.bud.Stop()
-	c.buf = pattern.Rows{}
+	c.buf, c.own, c.open, c.pull = pattern.Rows{}, pattern.Rows{}, nil, nil
 	if c.reqs == nil {
 		return
 	}

@@ -628,13 +628,15 @@ func TestStreamRankedDeadlineTruncated(t *testing.T) {
 	}
 	fullSet := rowSet(order)
 
-	// Cancel after the first page: the producer is parked between pages, so
-	// the cut lands mid-enumeration deterministically: inside the emission of
-	// the cheapest tier, with the one costlier row popped that ended it. The
-	// enumerator polls its budget every 64 queue pops, so at most 64 more
-	// rows follow that one.
+	// Cancel after the first page, on a session of its own: on sess the
+	// stream would be a window of the complete ranked prefix the drain above
+	// left. The producer runs only inside a fetch, so the cut lands
+	// mid-enumeration deterministically: after the cheapest tier, with the one
+	// costlier row popped that ended it. The enumerator polls its budget every
+	// 64 queue pops, so at most 64 more rows follow that one.
 	ctx, cancel := context.WithCancel(context.Background())
-	cur, err := sess.Stream(cxrpq.StreamOptions{Ranked: true, Ctx: ctx})
+	cutSess := plan.Bind(db)
+	cur, err := cutSess.Stream(cxrpq.StreamOptions{Ranked: true, Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -679,7 +681,8 @@ func TestStreamRankedDeadlineTruncated(t *testing.T) {
 	}
 	cur.Close()
 
-	// An expired deadline before the first fetch behaves the same way.
+	// An expired deadline before the first fetch flags the stream too, here a
+	// window of the complete prefix.
 	past, err := sess.Stream(cxrpq.StreamOptions{Ranked: true, Deadline: time.Now().Add(-time.Second)})
 	if err != nil {
 		t.Fatal(err)
@@ -694,8 +697,10 @@ func TestStreamRankedDeadlineTruncated(t *testing.T) {
 	}
 
 	// The truncated ranked set must not have entered any cache: a fresh
-	// ranked stream and the materialized evaluation are both complete.
-	again, err := sess.Stream(cxrpq.StreamOptions{Ranked: true})
+	// ranked stream on the session of the cut one — a window of the whole
+	// tiers it published, then a producer of its own — and the materialized
+	// evaluation are both complete.
+	again, err := cutSess.Stream(cxrpq.StreamOptions{Ranked: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -708,7 +713,7 @@ func TestStreamRankedDeadlineTruncated(t *testing.T) {
 			t.Fatalf("ranked stream after truncation diverges at row %d", i)
 		}
 	}
-	if want, err := tuples(sess.Do(cxrpq.Request{Op: "eval"})); err == nil {
+	if want, err := tuples(cutSess.Do(cxrpq.Request{Op: "eval"})); err == nil {
 		if !rowSet(rows2).Equal(want) {
 			t.Fatalf("ranked stream after truncation disagrees with Eval")
 		}
@@ -785,8 +790,33 @@ func TestCachedStreamIsWindow(t *testing.T) {
 		t.Fatalf("abandoned window cursors left goroutines: %d before, %d after", before, after)
 	}
 
+	// A ranked stream once drained leaves a complete ranked prefix, and the
+	// next ranked stream's pages are windows of its one slab.
+	ranked := cxrpq.StreamOptions{Ranked: true}
+	first, err := sess.Stream(ranked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := drainCursor(t, first, 64)
+	prefix, done := sess.RankedPrefix(ranked)
+	if !done || prefix.N != want.N || len(order) != want.N {
+		t.Fatalf("ranked prefix after a drain: %d rows (done %v), the drain %d, the answer %d", prefix.N, done, len(order), want.N)
+	}
+	win, err := sess.Stream(ranked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for at := 0; at < prefix.N; {
+		p := win.FetchRows(9)
+		if p.N == 0 || &p.Data[0] != &prefix.Data[at*prefix.Arity] || &p.Costs[0] != &prefix.Costs[at] {
+			t.Fatalf("the ranked page at row %d is not a window of the shared prefix", at)
+		}
+		at += p.N
+	}
+
 	// A limit cuts the window and is not a truncation; a canceled budget on a
-	// complete answer still is, as it was when a producer served the cache.
+	// complete answer still is, as it was when a producer served the cache —
+	// ranked or not.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range []struct {
@@ -797,6 +827,9 @@ func TestCachedStreamIsWindow(t *testing.T) {
 		{cxrpq.StreamOptions{Limit: 5}, 5, false},
 		{cxrpq.StreamOptions{Limit: 5, Ctx: ctx}, 5, false},
 		{cxrpq.StreamOptions{Ctx: ctx}, want.N, true},
+		{cxrpq.StreamOptions{Ranked: true, Limit: 5}, 5, false},
+		{cxrpq.StreamOptions{Ranked: true, Limit: 5, Ctx: ctx}, 5, false},
+		{cxrpq.StreamOptions{Ranked: true, Ctx: ctx}, want.N, true},
 	} {
 		cur, err := sess.Stream(tc.opts)
 		if err != nil {
