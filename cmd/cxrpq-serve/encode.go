@@ -9,13 +9,15 @@ import (
 	"cxrpq/internal/pattern"
 )
 
-// The /query response encoder. A row response is written by appending: node
-// names go from the database's name table straight between quotes in the
-// pooled response buffer — no []string per row, no reflection walk, no
-// indentation pass. The bytes are exactly what json.Encoder with
-// SetIndent("", "  ") writes for the struct below with "answers" and "costs"
-// after "count" (TestEncodeMatchesEncodingJSON, FuzzEncodeResponse); responses
-// with an explanation, and every other endpoint, still go through encoding/json.
+// The /query response encoder. A row response is written by copying bytes:
+// every node's name is quoted once, into the name table of the published state
+// (or of the request, on an inline graph), and a row field is one append of
+// its quoted bytes to the pooled response buffer — no []string per row, no
+// reflection walk, no escaping per row. The bytes are exactly what json.Encoder
+// writes for the struct below with "answers" and "costs" after "count":
+// compact, no whitespace, one trailing newline (TestEncodeMatchesEncodingJSON,
+// FuzzEncodeResponse). Responses with an explanation, and every other
+// endpoint, go through encoding/json under the same compact rule.
 
 type queryResponse struct {
 	Fragment     string           `json:"fragment"`
@@ -31,13 +33,39 @@ type queryResponse struct {
 	// "answers" (one array of node names per row) and, when the pages carry
 	// them, "costs" (per answer: its shortest-witness cost), omitted without
 	// rows. A first page is two fetches — the time-to-first-row, then the rest.
-	db   *graph.DB
-	rows [2]pattern.Rows
+	names *nameTable
+	rows  [2]pattern.Rows
 }
 
-func (r *queryResponse) setRows(db *graph.DB, first, rest pattern.Rows) {
-	r.db, r.rows = db, [2]pattern.Rows{first, rest}
+func (r *queryResponse) setRows(names *nameTable, first, rest pattern.Rows) {
+	r.names, r.rows = names, [2]pattern.Rows{first, rest}
 	r.Count = first.N + rest.N
+}
+
+// nameTable holds every node's name as encoding/json quotes it, back to back:
+// node v's field is buf[off[v]:off[v+1]]. src is the live DB the table was
+// built from; its names are append-only, so the table of a published state
+// extends its predecessor's.
+type nameTable struct {
+	src *graph.DB
+	buf []byte
+	off []uint32
+}
+
+// quoteNames returns the name table of db, a view of the live DB src: prev
+// extended by the nodes past it when prev was built from src, else a fresh
+// build. prev stays valid, since the new table only appends past what prev
+// reads; publish extends each table at most once, under the writer lock.
+func quoteNames(prev *nameTable, src, db *graph.DB) *nameTable {
+	t := &nameTable{src: src, off: []uint32{0}}
+	if prev != nil && prev.src == src {
+		t.buf, t.off = prev.buf, prev.off
+	}
+	for v := len(t.off) - 1; v < db.NumNodes(); v++ {
+		t.buf = appendJSONString(t.buf, db.Name(v))
+		t.off = append(t.off, uint32(len(t.buf)))
+	}
+	return t
 }
 
 // appendJSONString appends s as encoding/json writes it: printable ASCII with
@@ -70,66 +98,62 @@ func appendJSONFloat(b []byte, f float64) []byte {
 	return b
 }
 
-// appendQueryResponse appends the indented JSON encoding of a response
-// without an explanation, and the newline json.Encoder ends a value with.
+// appendQueryResponse appends the compact JSON encoding of a response without
+// an explanation, and the newline json.Encoder ends a value with.
 func appendQueryResponse(b []byte, r *queryResponse) []byte {
-	b = append(b, "{\n  \"fragment\": "...)
+	b = append(b, `{"fragment":`...)
 	b = appendJSONString(b, r.Fragment)
-	b = append(b, ",\n  \"count\": "...)
+	b = append(b, `,"count":`...)
 	b = strconv.AppendInt(b, int64(r.Count), 10)
 	if r.rows[0].N+r.rows[1].N > 0 {
-		b = append(b, ",\n  \"answers\": ["...)
-		sep := "\n    ["
+		b = append(b, `,"answers":`...)
+		buf, off := r.names.buf, r.names.off
+		sep := byte('[')
 		for _, p := range r.rows {
 			for i := 0; i < p.N; i++ {
-				b = append(b, sep...)
+				b = append(b, sep, '[')
+				sep = ','
 				for j, v := range p.Row(i) {
 					if j > 0 {
 						b = append(b, ',')
 					}
-					b = append(b, "\n      "...)
-					b = appendJSONString(b, r.db.Name(int(v)))
-				}
-				if p.Arity > 0 {
-					b = append(b, "\n    "...)
+					b = append(b, buf[off[v]:off[v+1]]...)
 				}
 				b = append(b, ']')
-				sep = ",\n    ["
 			}
 		}
-		b = append(b, "\n  ]"...)
+		b = append(b, ']')
 		if len(r.rows[0].Costs)+len(r.rows[1].Costs) > 0 {
-			b = append(b, ",\n  \"costs\": ["...)
-			sep := "\n    "
+			b = append(b, `,"costs":`...)
+			sep := byte('[')
 			for _, p := range r.rows {
 				for _, c := range p.Costs {
-					b = append(b, sep...)
-					b = strconv.AppendInt(b, int64(c), 10)
-					sep = ",\n    "
+					b = strconv.AppendInt(append(b, sep), int64(c), 10)
+					sep = ','
 				}
 			}
-			b = append(b, "\n  ]"...)
+			b = append(b, ']')
 		}
 	}
 	if r.Bool != nil {
-		b = append(b, ",\n  \"bool\": "...)
+		b = append(b, `,"bool":`...)
 		b = strconv.AppendBool(b, *r.Bool)
 	}
 	if r.Cursor != "" {
-		b = append(b, ",\n  \"cursor\": "...)
+		b = append(b, `,"cursor":`...)
 		b = appendJSONString(b, r.Cursor)
 	}
 	if r.Truncated {
-		b = append(b, ",\n  \"truncated\": true"...)
+		b = append(b, `,"truncated":true`...)
 	}
 	if r.Shed {
-		b = append(b, ",\n  \"shed\": true"...)
+		b = append(b, `,"shed":true`...)
 	}
 	if r.RowsStreamed != 0 {
-		b = append(b, ",\n  \"rows_streamed\": "...)
+		b = append(b, `,"rows_streamed":`...)
 		b = strconv.AppendInt(b, r.RowsStreamed, 10)
 	}
-	b = append(b, ",\n  \"elapsed_ms\": "...)
+	b = append(b, `,"elapsed_ms":`...)
 	b = appendJSONFloat(b, r.ElapsedMS)
-	return append(b, "\n}\n"...)
+	return append(b, "}\n"...)
 }

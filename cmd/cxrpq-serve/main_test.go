@@ -1,9 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -427,6 +433,101 @@ func TestQueryDeadlineBoundsExplain(t *testing.T) {
 	}
 	if code != http.StatusOK || out["truncated"] != true || out["bool"] != false || out["explanation"] != nil {
 		t.Fatalf("explain under a 20 ms deadline: %d %v; want 200, truncated, no explanation", code, out)
+	}
+}
+
+// Nodes an /update adds come back by name, through the name table the publish
+// extended, on a first page and on a cursor page alike.
+func TestUpdateNewNodesAnswerByName(t *testing.T) {
+	_, ts := testServer(t)
+	if code, out := postJSON(t, ts.URL+"/update", `{"db":"g1","edges":"w c <é&>\n<é&> c q\"t"}`); code != http.StatusOK {
+		t.Fatalf("update: %d %v", code, out)
+	}
+	want := map[string]bool{`w-><é&>`: true, `<é&>->q"t`: true}
+	q := `{"db":"g1","query":"ans(x, y)\nx y : c"`
+	code, out := postJSON(t, ts.URL+"/query", q+`}`)
+	if code != http.StatusOK || out["count"].(float64) != 2 {
+		t.Fatalf("query: %d %v", code, out)
+	}
+	for _, row := range out["answers"].([]any) {
+		r := row.([]any)
+		if key := r[0].(string) + "->" + r[1].(string); !want[key] {
+			t.Fatalf("query answered %q, want one of %v", key, want)
+		}
+	}
+	got := map[string]bool{}
+	code, out = postJSON(t, ts.URL+"/query", q+`,"limit":1}`)
+	for pages := 0; ; pages++ {
+		if code != http.StatusOK || pages > 3 {
+			t.Fatalf("page %d: %d %v", pages, code, out)
+		}
+		answers, _ := out["answers"].([]any)
+		for _, row := range answers {
+			r := row.([]any)
+			got[r[0].(string)+"->"+r[1].(string)] = true
+		}
+		tok, ok := out["cursor"].(string)
+		if !ok {
+			break
+		}
+		code, out = postJSON(t, ts.URL+"/query", `{"cursor":"`+tok+`"}`)
+	}
+	if len(got) != len(want) || !got[`w-><é&>`] || !got[`<é&>->q"t`] {
+		t.Fatalf("pages answered %v, want %v", got, want)
+	}
+}
+
+// A page larger than the server's 4 KB write buffer goes out with its
+// Content-Length, not chunked.
+func TestLargePageContentLength(t *testing.T) {
+	srv, ts := testServer(t)
+	var edges strings.Builder
+	for i := 0; i < 40; i++ {
+		for j := 0; j < 40; j++ {
+			fmt.Fprintf(&edges, "u%d a v%d\n", i, j)
+		}
+	}
+	srv.addDB("big", graph.MustParse(edges.String()))
+	for _, body := range []string{
+		`{"db":"big","query":"ans(x, y)\nx y : a"}`,
+		`{"db":"big","query":"ans(x, y)\nx y : a","limit":1000}`,
+	} {
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %v", body, resp.StatusCode, err)
+		}
+		if len(b) <= 4096 || resp.ContentLength != int64(len(b)) || len(resp.TransferEncoding) != 0 {
+			t.Fatalf("%s: %d-byte body, Content-Length %d, Transfer-Encoding %v", body, len(b), resp.ContentLength, resp.TransferEncoding)
+		}
+	}
+}
+
+// A body that fails to build answers 500 with the error, not 200 with an empty
+// body: the status is written only once the body is complete.
+func TestSendFillFailure(t *testing.T) {
+	for name, write := range map[string]func(w http.ResponseWriter){
+		"fill error": func(w http.ResponseWriter) {
+			send(w, http.StatusOK, func(buf *bytes.Buffer) error {
+				buf.WriteString(`{"partial":`)
+				return errors.New("fill failed")
+			})
+		},
+		"unencodable value": func(w http.ResponseWriter) { writeJSON(w, http.StatusOK, math.NaN()) },
+	} {
+		rec := httptest.NewRecorder()
+		write(rec)
+		var out errResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out.Error == "" {
+			t.Fatalf("%s: body %q: %v", name, rec.Body.Bytes(), err)
+		}
+		if rec.Code != http.StatusInternalServerError || rec.Header().Get("Content-Length") != strconv.Itoa(rec.Body.Len()) {
+			t.Fatalf("%s: status %d, Content-Length %q for %d bytes", name, rec.Code, rec.Header().Get("Content-Length"), rec.Body.Len())
+		}
 	}
 }
 

@@ -23,8 +23,11 @@ package main
 // session of a named database, or a fresh one over an inline graph; /plan
 // shares this stage), plan (the body becomes one cxrpq.Request, checked
 // against the rules of this surface), execute (Session.Do, or Session.Stream
-// for a paged or ranked eval) and encode (encode.go). The session's Do and
-// Stream are the only ways the server runs a query.
+// for a paged or ranked eval) and encode (encode.go: node names are copied
+// from the published state's table of pre-quoted names). The session's Do and
+// Stream are the only ways the server runs a query. Every endpoint answers
+// compact JSON (no whitespace, one trailing newline), built whole in a pooled
+// buffer and sent with its Content-Length.
 //
 // /query streaming, pagination and deadlines: evaluation is pull-based
 // (cxrpq.Session.Stream). "limit" caps the rows of this response page; when
@@ -110,6 +113,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -146,8 +150,9 @@ func defaultOptions() serverOptions {
 // with the writer — the view's storage is frozen (graph.Snapshot), and the
 // pooled sessions are concurrency-safe caches pinned to that view.
 type dbState struct {
-	db  *graph.DB // frozen snapshot view
-	rev uint64    // == db.Revision(), cached for the lock-free cursor check
+	db    *graph.DB  // frozen snapshot view
+	rev   uint64     // == db.Revision(), cached for the lock-free cursor check
+	names *nameTable // db's node names, quoted for the encoder
 
 	sessMu   sync.Mutex
 	sessions map[string]*cxrpq.Session // query text -> session bound to db
@@ -184,13 +189,18 @@ type dbEntry struct {
 // publish snapshots the live DB, carries the previous view's atom store onto
 // the new one — one delta pass, whatever the pool holds — and forks every
 // pooled session of the previous state onto it: the MVCC publish step. The
-// caller holds writeMu. Sessions racing into the old pool after the fork loop
-// are simply dropped with it (they are pure caches, recompiled on demand).
+// name table extends the previous state's unless a follower reload swapped
+// the live DB. The caller holds writeMu. Sessions racing into the old pool
+// after the fork loop are simply dropped with it (they are pure caches,
+// recompiled on demand).
 func (e *dbEntry) publish() *dbState {
-	view := e.live.Load().Snapshot().DB()
+	live := e.live.Load()
+	view := live.Snapshot().DB()
 	ns := &dbState{db: view, rev: view.Revision(),
 		sessions: map[string]*cxrpq.Session{}}
+	var names *nameTable
 	if old := e.state.Load(); old != nil {
+		names = old.names
 		ecrpq.Atoms(old.db).CarryTo(view)
 		old.sessMu.Lock()
 		for src, sess := range old.sessions {
@@ -198,6 +208,7 @@ func (e *dbEntry) publish() *dbState {
 		}
 		old.sessMu.Unlock()
 	}
+	ns.names = quoteNames(names, live, view)
 	e.state.Store(ns)
 	if e.onPublish != nil {
 		e.onPublish(ns.rev)
@@ -447,7 +458,7 @@ func (s *server) recoverCursors(e *dbEntry) {
 			}
 			skip -= int64(got)
 		}
-		rec := &cursorRec{cur: cur, entry: e, db: st.db, rev: st.rev,
+		rec := &cursorRec{cur: cur, entry: e, names: st.names, rev: st.rev,
 			fragment: sess.Fragment(), limit: blob.Limit, persist: blob}
 		closeAll(s.cursors.putAt(tok, rec))
 		log.Printf("db %s: resumed cursor %s at revision %d (%d rows fast-forwarded)",
@@ -536,19 +547,19 @@ func (s *server) limited(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // cursorRec is one parked stream held across /query pages: the pull
-// cursor, the snapshot view it reads (frozen storage, so /update never
-// perturbs it mid-stream), and the revision it opened at. A mutation still
-// invalidates the cursor at the API level — pages of one stream all come
-// from the current published revision, by contract — but the check is a
-// lock-free comparison against the published state, not a lock shared with
-// the writer.
+// cursor (it reads a frozen snapshot view, so /update never perturbs it
+// mid-stream), the name table of the state it opened on, and the revision
+// it opened at. A mutation still invalidates the cursor at the API level —
+// pages of one stream all come from the current published revision, by
+// contract — but the check is a lock-free comparison against the published
+// state, not a lock shared with the writer.
 type cursorRec struct {
 	id string
 
 	mu       sync.Mutex // serializes fetches; cursors are not concurrent-safe
 	cur      *cxrpq.Cursor
 	entry    *dbEntry // nil for inline one-off graphs
-	db       *graph.DB
+	names    *nameTable
 	rev      uint64
 	fragment string
 	limit    int            // default page size for fetches that give none
@@ -767,26 +778,29 @@ var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // answer must not pin its megabytes in the pool behind small responses.
 const maxPooledJSON = 4 << 20
 
-// send writes one response whose body fill leaves in a pooled buffer.
+// send writes one response whose body fill leaves in a pooled buffer. The body
+// is built before the header is written, so it goes out with its
+// Content-Length, and a fill that fails answers 500 with the error instead.
 func send(w http.ResponseWriter, status int, fill func(buf *bytes.Buffer) error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
 	buf := bodies.Get().(*bytes.Buffer)
 	buf.Reset()
-	if err := fill(buf); err == nil {
-		_, _ = w.Write(buf.Bytes()) // the client went away; nothing to report it to
+	if err := fill(buf); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		_ = json.NewEncoder(buf).Encode(errResponse{Error: err.Error()}) // a string always marshals
 	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(status)
+	_, _ = w.Write(buf.Bytes()) // the client went away; nothing to report it to
 	if buf.Cap() <= maxPooledJSON {
 		bodies.Put(buf)
 	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	send(w, status, func(buf *bytes.Buffer) error {
-		enc := json.NewEncoder(buf)
-		enc.SetIndent("", "  ")
-		return enc.Encode(v)
-	})
+	send(w, status, func(buf *bytes.Buffer) error { return json.NewEncoder(buf).Encode(v) })
 }
 
 // writeQuery sends a /query response: appended into the buffer's spare capacity
@@ -869,12 +883,14 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // target is what the resolve stage finds for a (database, query text) pair:
-// the session that answers it, the snapshot view it reads and, on a named
-// database, the entry its traffic is accounted to (nil on an inline graph).
+// the session that answers it, the snapshot view it reads with that view's
+// name table and, on a named database, the entry its traffic is accounted to
+// (nil on an inline graph).
 type target struct {
-	sess *cxrpq.Session
-	db   *graph.DB
-	e    *dbEntry
+	sess  *cxrpq.Session
+	db    *graph.DB
+	names *nameTable
+	e     *dbEntry
 }
 
 // resolve is the resolve stage of /query and /plan: the pooled session of a
@@ -896,12 +912,13 @@ func (s *server) resolve(w http.ResponseWriter, dbName, graphText, query string)
 			break
 		}
 		st := e.state.Load()
-		t.e, t.db = e, st.db
+		t.e, t.db, t.names = e, st.db, st.names
 		t.sess, err = st.session(query, s.opts.sessionCap)
 	case graphText != "":
 		if t.db, err = graph.Parse(graphText); err != nil {
 			break
 		}
+		t.names = quoteNames(nil, t.db, t.db)
 		var p *cxrpq.Plan
 		if p, err = cxrpq.PrepareSrc(query); err == nil {
 			t.sess = p.Bind(t.db)
@@ -1005,7 +1022,7 @@ func (x *queryExec) encode(resp cxrpq.Response, truncated bool) queryResponse {
 	switch x.do.Op {
 	case "eval":
 		if resp.Tuples != nil {
-			out.setRows(x.db, resp.Tuples.SortedRows(), pattern.Rows{})
+			out.setRows(x.names, resp.Tuples.SortedRows(), pattern.Rows{})
 		}
 		out.RowsStreamed = int64(out.Count)
 	case "bool", "check":
@@ -1061,7 +1078,7 @@ func (s *server) streamQuery(w http.ResponseWriter, r *http.Request, x *queryExe
 		rest = cur.FetchRows(lim - 1)
 	}
 	out := queryResponse{Fragment: x.sess.Fragment(), Shed: x.shed, RowsStreamed: cur.RowsStreamed()}
-	out.setRows(x.db, first, rest)
+	out.setRows(x.names, first, rest)
 	switch {
 	case out.Count < lim: // exhausted (or cut): the stream is done
 		if err := cur.Err(); err != nil {
@@ -1076,7 +1093,7 @@ func (s *server) streamQuery(w http.ResponseWriter, r *http.Request, x *queryExe
 		cur.Close()
 		out.Truncated = true
 	default:
-		rec := &cursorRec{cur: cur, entry: x.e, db: x.db, rev: x.db.Revision(),
+		rec := &cursorRec{cur: cur, entry: x.e, names: x.names, rev: x.db.Revision(),
 			fragment: x.sess.Fragment(), limit: lim}
 		tok, evicted, err := s.cursors.put(rec)
 		if err != nil {
@@ -1145,7 +1162,7 @@ func (s *server) handleCursorFetch(w http.ResponseWriter, req *queryRequest) {
 	}
 	start := time.Now()
 	out := queryResponse{Fragment: rec.fragment}
-	out.setRows(rec.db, rec.cur.FetchRows(lim), pattern.Rows{})
+	out.setRows(rec.names, rec.cur.FetchRows(lim), pattern.Rows{})
 	out.RowsStreamed = rec.cur.RowsStreamed()
 	if out.Count < lim { // exhausted: reclaim with the final page
 		s.cursors.drop(rec.id)
