@@ -114,9 +114,10 @@
 //	                     over unit or pluggable per-label edge weights
 //	                     and pulled on the fetching goroutine into a
 //	                     ranked prefix every cursor of the epoch pages
-//	                     through, and an unranked producer provably parked
-//	                     between fetches so ApplyDelta interleaves with
-//	                     open cursors
+//	                     through, and an unranked producer that pages out
+//	                     of an iter.Pull coroutine suspended between
+//	                     fetches, so ApplyDelta interleaves with open
+//	                     cursors and no cursor starts a goroutine
 //	internal/oracle      brute-force reference implementations backing the
 //	                     conformance tests
 //	internal/reductions  executable hardness reductions (Thms 1/3/7)

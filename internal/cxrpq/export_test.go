@@ -1,6 +1,7 @@
 package cxrpq
 
 import (
+	"cxrpq/internal/ecrpq"
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
@@ -28,6 +29,13 @@ func (s *Session) StreamDrained(opts StreamOptions) (*Cursor, error) {
 		return nil, err
 	}
 	return s.rankedCursor(s.current(), bounded, k, engine.NewBudget(opts.Ctx, opts.Deadline), opts, true)
+}
+
+// PageCursor opens the cursor Stream opens over an unranked enumeration that
+// no cached answer serves, with run as the enumeration and limit as the
+// Limit, under no budget.
+func PageCursor(run func(emit ecrpq.StreamFunc) error, limit int) *Cursor {
+	return &Cursor{end: limit, open: paged(run), nextWant: 1}
 }
 
 // RankedPrefix returns the ranked prefix the session's current epoch holds

@@ -132,7 +132,7 @@ func overCapOperations(t *testing.T, sess *cxrpq.Session, want *pattern.TupleSet
 
 // overCapStreams drains the unranked and ranked streams of the plan over db.
 func overCapStreams(t *testing.T, plan *cxrpq.Plan, db *graph.DB, want *pattern.TupleSet) {
-	// Streams run member after member on the producer goroutine whatever
+	// Streams run member after member in the producer's coroutine whatever
 	// the worker count. Each gets a session of its own: one that has
 	// evaluated would serve a window of the cached answer.
 	for _, page := range []int{1, 7, 4096} {

@@ -12,18 +12,17 @@ package cxrpq
 // and Next carve tuples out of one. Most pages are windows: a stream over a
 // complete cached answer serves the set's memoized sorted rows
 // (TupleSet.SortedRows), and a ranked stream serves its epoch's ranked prefix
-// (below). A window has no goroutine and no channels behind it, and an
-// abandoned window cursor has nothing to release.
+// (below). An abandoned window cursor has nothing to release.
 //
-// Only an unranked cursor that no cached answer serves runs a producer
-// goroutine, under a strict request/response page protocol: every fetch
-// sends one request and receives exactly one page; the producer parks on the
-// request channel the moment a page is full. Between fetches the producer is
-// therefore provably quiescent — it holds no lock, reads no session state,
-// and cannot race a writer — which is what makes interleaving cursors with
-// ApplyDelta mutations safe as long as no fetch overlaps the write. Close
-// stops the cursor's budget, unwinds the producer at its next budget poll,
-// and joins it.
+// Every other page comes from a producer the cursor builds on its first fetch
+// past what it can see and pulls inside FetchRows, on the fetching goroutine;
+// this file starts no goroutine and owns no channel. An unranked cursor that
+// no cached answer serves pulls whole pages from an iter.Pull coroutine over
+// the enumeration, which suspends in the yield that hands a full page over.
+// Between fetches a producer thus holds no lock and reads no session state,
+// so cursors interleave safely with ApplyDelta as long as no fetch overlaps
+// the write. The coroutine is unwound at the end of the stream, when a page
+// reaches the Limit, and on Close.
 //
 // Ranked mode (shortest-witness-first) is one sequence per dispatch and
 // revision: witness cost ascending, ties in lexicographic order. Each session
@@ -97,43 +96,28 @@ type StreamOptions struct {
 	Ctx      context.Context
 }
 
-// cursorPage is one producer→consumer transfer: up to the requested number
-// of rows, plus — on the final page — the enumeration's outcome.
-type cursorPage struct {
-	rows      pattern.Rows
-	final     bool
-	err       error
-	truncated bool
-}
-
 // Cursor is a pull-based result iterator; obtain one from Session.Stream.
-// It is NOT safe for concurrent use (one consumer drives it). Only an
-// unranked cursor whose answer is not cached runs a producer goroutine, and
-// it must be Closed when abandoned before exhaustion — Close releases the
-// goroutine; any other cursor is released by dropping it. Iterating past the
-// end is fine without Close.
+// It is NOT safe for concurrent use (one consumer drives it). An unranked
+// cursor abandoned short of its end and Limit should be Closed, which
+// releases the coroutine its producer is suspended in; any other cursor is
+// released by dropping it.
 type Cursor struct {
 	bud *engine.Budget
 
-	// The page protocol's two channels while an unranked producer runs.
-	reqs  chan int
-	pages chan cursorPage
-
-	// Otherwise every page is a window of the rows the cursor can see: rows
-	// [0, pre.N) of the sequence in the shared ranked prefix (nil when the
-	// cursor shares none; rc counts its fetches), rows [ownLo, ownLo+own.N)
-	// in the cursor's own slab. pos is the next row to serve and end, when
-	// set, the Limit.
+	// Every page is a window of the rows the cursor can see: rows [0, pre.N)
+	// of the sequence in the shared ranked prefix (nil when the cursor shares
+	// none; rc counts its fetches), rows [ownLo, ownLo+own.N) in the cursor's
+	// own slab. pos is the next row to serve and end, when set, the Limit.
 	pre      *rankedPrefix
 	rc       *epochMap[resultKey, Response]
 	own      pattern.Rows
 	ownLo    int
 	pos, end int
 
-	// open builds the ranked producer, pull, the first time the cursor needs
-	// rows it cannot see. Both are dropped when the producer ends.
-	open func() (*rankedPull, error)
-	pull *rankedPull
+	// open builds the producer, pull, the first time the cursor needs rows it
+	// cannot see. Both are dropped when the producer ends.
+	open func() (*pull, error)
+	pull *pull
 
 	buf       pattern.Rows // rows fetched but not yet returned by Next
 	nextWant  int          // escalating page size for Next
@@ -174,7 +158,7 @@ func (s *Session) Stream(opts StreamOptions) (*Cursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newCursor(bud, opts.Limit, run), nil
+	return &Cursor{bud: bud, end: opts.Limit, open: paged(run), nextWant: 1}, nil
 }
 
 // rankedCursor opens a ranked stream over ep. Unweighted, its sequence is the
@@ -212,8 +196,8 @@ func (s *Session) rankedCursor(ep epoch, bounded bool, k int, bud *engine.Budget
 		c.pre = ep.results.file(resultKey{op: "ranked", k: k}, Response{ranked: &rankedPrefix{}}).ranked
 	}
 	rev := s.db.Revision()
-	c.open = func() (*rankedPull, error) {
-		p := &rankedPull{seen: pattern.NewTupleSet(), drain: run, db: s.db, rev: rev}
+	c.open = func() (*pull, error) {
+		p := &pull{seen: pattern.NewTupleSet(), drain: run, db: s.db, rev: rev}
 		if drain {
 			return p, nil
 		}
@@ -260,75 +244,32 @@ func (s *Session) streamRunFor(ep epoch, bounded bool, k int, opts ecrpq.Options
 	return func(emit ecrpq.StreamFunc) error { return ecrpq.EvalUnionStream(queries(ms), s.db, opts, emit) }, nil
 }
 
-// newCursor starts the unranked producer goroutine parked on the first
-// request.
-func newCursor(bud *engine.Budget, limit int, run streamRun) *Cursor {
-	c := &Cursor{bud: bud, reqs: make(chan int), pages: make(chan cursorPage), nextWant: 1}
-	go func() {
-		defer close(c.pages)
-		// A panic of the enumeration ends this stream, not the process: the
-		// consumer is waiting for a page whenever the producer runs, and gets a
-		// final one that says so.
-		defer func() {
-			if r := recover(); r != nil {
-				c.pages <- cursorPage{final: true, err: fmt.Errorf("cxrpq: stream producer panicked: %v", r)}
-			}
-		}()
-		want, ok := <-c.reqs
-		if !ok {
-			return // closed before the first fetch: nothing ran
-		}
-		pg := &pager{c: c, want: want, limit: limit}
-		pg.finish(run(pg.add))
-	}()
-	return c
-}
-
-// pager is the producer's end of the page protocol: rows are appended to a
-// page slab sized to the request and counted against Limit, a full page is
-// handed over, and the producer parks until the next request.
-type pager struct {
-	c        *Cursor
-	want     int
-	limit    int
-	page     pattern.Rows
-	total    int
-	limitHit bool
-}
-
-// add appends one row. It reports false when the producer has to stop: the
-// row reached the limit (the page in hand is then the final one), or the
-// consumer closed.
-func (pg *pager) add(row []int32, _ int) bool {
-	if pg.page.Data == nil {
-		n := min(pg.want, 1024) // a drain-everything fetch asks for 2^20 rows of what may be ten
-		pg.page = pattern.Rows{Arity: len(row), Data: make([]int32, 0, n*len(row))}
+// paged opens the unranked producer over run: an iter.Pull coroutine that
+// fills a page of up to want rows and yields it whole, and yields the rest —
+// short, maybe empty — with done and err set once run returns.
+func paged(run streamRun) func() (*pull, error) {
+	return func() (*pull, error) {
+		p := &pull{}
+		p.pages, p.stop = iter.Pull(func(yield func(pattern.Rows) bool) {
+			var page pattern.Rows
+			err := run(func(row []int32, _ int) bool {
+				if page.Data == nil {
+					n := min(p.want, 1024) // a drain-everything fetch asks for 2^20 rows of what may be ten
+					page = pattern.Rows{Arity: len(row), Data: make([]int32, 0, n*len(row))}
+				}
+				page.Data = append(page.Data, row...)
+				if page.N++; page.N < p.want {
+					return true
+				}
+				full := page
+				page = pattern.Rows{}
+				return yield(full)
+			})
+			p.done, p.err = true, err
+			yield(page)
+		})
+		return p, nil
 	}
-	pg.page.Data = append(pg.page.Data, row...)
-	pg.page.N++
-	if pg.total++; pg.total == pg.limit {
-		pg.limitHit = true
-		return false
-	}
-	if pg.page.N >= pg.want {
-		pg.c.pages <- cursorPage{rows: pg.page}
-		pg.page = pattern.Rows{}
-		var ok bool
-		pg.want, ok = <-pg.c.reqs
-		return ok
-	}
-	return true
-}
-
-// finish sends the final page with the enumeration's outcome (to Close's
-// drain, if the consumer has closed). A stream stopped by its limit is
-// complete, not truncated.
-func (pg *pager) finish(err error) {
-	trunc := !pg.limitHit && pg.c.bud.Err() != nil
-	if errors.Is(err, engine.ErrCanceled) {
-		trunc, err = true, nil
-	}
-	pg.c.pages <- cursorPage{rows: pg.page, final: true, err: err, truncated: trunc}
 }
 
 // rankedPrefix is the ranked sequence of one dispatch as far as any cursor
@@ -363,19 +304,25 @@ func (p *rankedPrefix) publish(lo int, tier pattern.Rows, last bool) bool {
 	return r.N >= hi
 }
 
-// rankedPull is the ranked producer of one cursor, pulled a tier at a time
-// on the fetching goroutine: the any-k enumerator and the set of tuples it
-// has popped, each with its first — minimal — cost, of which rows [lo,
-// seen.Len()) are the tier in flight at cost. A union over the combination
-// cap has drain instead of the enumerator. Tiers are published only while
-// db stays at rev.
-type rankedPull struct {
+// pull is a cursor's producer, pulled on the fetching goroutine. Ranked, it
+// is the any-k enumerator (drain instead, over the combination cap) and the
+// set of tuples it has popped, each with its first — minimal — cost; rows
+// [lo, seen.Len()) are the tier in flight at cost, published only while db
+// stays at rev. Unranked, pages is the coroutine of paged and stop releases
+// it; done and err say how the enumeration ended.
+type pull struct {
 	ak    *ecrpq.AnyK
 	drain streamRun
 	seen  *pattern.TupleSet
 	costs []int32 // per row of seen
 	lo    int
 	cost  int32
+
+	pages func() (pattern.Rows, bool)
+	stop  func()
+	want  int
+	done  bool
+	err   error
 
 	db  *graph.DB
 	rev uint64
@@ -385,8 +332,14 @@ type rankedPull struct {
 // rows in ranked order with lo, the position of its first. Tiers that end at
 // or before skip, which the caller has, are passed over unsorted. last
 // reports that the enumeration ended with this tier — cut short if the
-// budget is spent. The drain returns the whole sequence as one last tier.
-func (p *rankedPull) next(skip int) (tier pattern.Rows, lo int, last bool, err error) {
+// budget is spent. The drain returns the whole sequence as one last tier. An
+// unranked producer returns its next page, of up to want rows, at skip.
+func (p *pull) next(skip, want int) (tier pattern.Rows, lo int, last bool, err error) {
+	if p.pages != nil {
+		p.want = want
+		page, _ := p.pages()
+		return page, skip, p.done, p.err
+	}
 	if p.drain != nil {
 		err = p.drain(func(row []int32, cost int) bool {
 			p.add(row, int32(cost))
@@ -410,7 +363,7 @@ func (p *rankedPull) next(skip int) (tier pattern.Rows, lo int, last bool, err e
 }
 
 // add files a popped row under the cheapest cost it has been seen at.
-func (p *rankedPull) add(row []int32, cost int32) {
+func (p *pull) add(row []int32, cost int32) {
 	if at, added := p.seen.Insert(row); added {
 		p.costs = append(p.costs, cost)
 	} else if cost < p.costs[at] {
@@ -420,7 +373,7 @@ func (p *rankedPull) add(row []int32, cost int32) {
 
 // ranked returns rows [lo, hi) of seen in ranked order — cost ascending, ties
 // lexicographic — as a fresh slab with costs.
-func (p *rankedPull) ranked(lo, hi int) pattern.Rows {
+func (p *pull) ranked(lo, hi int) pattern.Rows {
 	rows := p.seen.Rows()
 	perm := make([]int32, 0, hi-lo)
 	for i := lo; i < hi; i++ {
@@ -437,19 +390,21 @@ func (p *rankedPull) ranked(lo, hi int) pattern.Rows {
 	return out
 }
 
-// more runs the ranked producer to its next tier, building it first if the
-// cursor has none, and keeps the tier: in the shared prefix when it is whole
-// and the prefix ends where it starts (or holds it already), else as the
-// cursor's own rows. A panic of the enumeration ends this stream, not the
-// process. more reports false when there is no producer left to run.
-func (c *Cursor) more() (ran bool) {
+// more runs the producer to its next tier or page of up to want rows,
+// building it first if the cursor has none, and keeps the rows: in the shared
+// prefix when they are a whole tier and the prefix ends where it starts (or
+// holds it already), else as the cursor's own. The producer is dropped once
+// it has ended or the cursor holds rows up to its Limit. A panic of the
+// enumeration ends this stream, not the process. more reports false when
+// there is no producer left to run.
+func (c *Cursor) more(want int) (ran bool) {
 	if c.open == nil {
 		return false
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			c.open, c.pull, ran = nil, nil, false
-			c.err = fmt.Errorf("cxrpq: stream producer panicked: %v", r)
+			c.drop()
+			c.err, ran = fmt.Errorf("cxrpq: stream producer panicked: %v", r), false
 		}
 	}()
 	if c.pull == nil {
@@ -462,19 +417,35 @@ func (c *Cursor) more() (ran bool) {
 		}
 		c.pull = p
 	}
-	tier, lo, last, err := c.pull.next(c.pos)
+	tier, lo, last, err := c.pull.next(c.pos, want)
 	whole := !last || c.settle(err)
 	shared := c.pre != nil && whole && c.pull.db.Revision() == c.pull.rev && c.pre.publish(lo, tier, last)
 	if !shared && lo+tier.N > c.pos {
 		c.own, c.ownLo = tier.Slice(c.pos-lo, tier.N), c.pos
 	}
-	if last {
-		c.open, c.pull = nil, nil
-		if whole {
-			c.bud = nil // the producer has ended: its budget has nothing left to cut
-		}
+	if last && whole {
+		c.bud = nil // the producer has ended: its budget has nothing left to cut
+	}
+	if last || c.end > 0 && lo+tier.N >= c.end {
+		c.drop()
 	}
 	return true
+}
+
+// drop releases the producer; a panic an unranked enumeration raises while
+// it unwinds is the cursor's error.
+func (c *Cursor) drop() {
+	p := c.pull
+	c.open, c.pull = nil, nil
+	if p == nil || p.stop == nil {
+		return
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			c.err = fmt.Errorf("cxrpq: stream producer panicked: %v", r)
+		}
+	}()
+	p.stop()
 }
 
 // settle records how a producer ended and reports whether the sequence it
@@ -530,19 +501,6 @@ func rowsOf(p pattern.Rows) []Row {
 // nextPage gets the next page of up to n rows — at least one unless the
 // stream is exhausted, which it then latches with what the end says.
 func (c *Cursor) nextPage(n int) pattern.Rows {
-	if c.reqs != nil {
-		c.reqs <- n
-		p := <-c.pages
-		c.truncated = c.truncated || p.truncated
-		if !p.final {
-			return p.rows
-		}
-		// The final page is all that is left, however much, and its flag all
-		// there is to say about truncation: the producer has exited, the budget
-		// has nothing left to cut, and the cursor goes on as a window.
-		close(c.reqs)
-		c.reqs, c.bud, c.own, c.err = nil, nil, p.rows, p.err
-	}
 	if c.end > 0 {
 		n = min(n, c.end-c.pos)
 	}
@@ -551,7 +509,7 @@ func (c *Cursor) nextPage(n int) pattern.Rows {
 			c.pos += p.N
 			return p
 		}
-		if !c.more() {
+		if !c.more(n) {
 			break
 		}
 	}
@@ -590,8 +548,7 @@ func (c *Cursor) Fetch(n int) []Row { return rowsOf(c.FetchRows(n)) }
 
 // Next returns the next row. The underlying page size escalates
 // geometrically (1, 4, 16, …, 256), so the first call does the least work
-// that can produce a row and a full drain still amortizes the page
-// handshakes.
+// that can produce a row and a full drain still pulls whole pages.
 func (c *Cursor) Next() (Row, bool) {
 	if c.buf.N == 0 {
 		if c.closed || c.exhausted {
@@ -612,34 +569,23 @@ func (c *Cursor) Next() (Row, bool) {
 	return r, true
 }
 
-// Close stops the stream: the budget is stopped and a ranked producer
-// dropped; an unranked producer goroutine unwinds at its next poll, and Close
-// blocks until it has exited — after Close returns, no cursor goroutine
-// touches the session. Safe to call multiple times and after exhaustion.
+// Close stops the budget and drops the producer, an unranked enumeration
+// unwinding in its coroutine before Close returns. Truncated and Err keep
+// what they reported before, unless the unwinding panics, which Err then
+// says. Safe to call multiple times and after exhaustion.
 func (c *Cursor) Close() {
 	if c.closed {
 		return
 	}
 	c.closed = true
 	c.bud.Stop()
-	c.buf, c.own, c.open, c.pull = pattern.Rows{}, pattern.Rows{}, nil, nil
-	if c.reqs == nil {
-		return
-	}
-	close(c.reqs)
-	for p := range c.pages {
-		if p.truncated {
-			c.truncated = true
-		}
-		if p.final {
-			c.err = p.err
-		}
-	}
+	c.drop()
+	c.buf, c.own = pattern.Rows{}, pattern.Rows{}
 }
 
-// Err returns the evaluation error of a stream whose enumeration has ended
-// (or which was closed), nil while it runs or when it ended cleanly. Budget
-// truncation is not an error here — see Truncated.
+// Err returns the evaluation error of a stream whose enumeration has ended,
+// nil while it runs or when it ended cleanly. Budget truncation is not an
+// error here — see Truncated.
 func (c *Cursor) Err() error { return c.err }
 
 // Truncated reports that the enumeration was cut short by the deadline or

@@ -7,8 +7,8 @@ package cxrpq_test
 // yield nondecreasing witness costs with top-k a prefix of the full ranked
 // order, limits and page sizes must not change the answer set, canceled
 // budgets must neither hang nor yield unsound rows, and abandoned cursors
-// interleaved with ApplyDelta writers must be race-free (the page protocol's
-// parked-producer guarantee; run with -race).
+// interleaved with ApplyDelta writers must be race-free (a producer runs
+// only inside a fetch; run with -race).
 
 import (
 	"context"
@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"cxrpq/internal/cxrpq"
+	"cxrpq/internal/ecrpq"
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
@@ -282,7 +283,7 @@ func TestStreamCancellation(t *testing.T) {
 		t.Fatal("expired deadline must report Truncated")
 	}
 
-	// Closing a part-read cursor joins the producer and is idempotent.
+	// Closing a part-read cursor releases the producer and is idempotent.
 	cur2, err := sess.Stream(cxrpq.StreamOptions{Semantics: "bounded", K: 1})
 	if err != nil {
 		t.Fatalf("Stream: %v", err)
@@ -298,9 +299,9 @@ func TestStreamCancellation(t *testing.T) {
 // Race stress (run under -race): cursors opened, part-read and abandoned by
 // several goroutines, interleaved with ApplyDelta writers. The session's
 // quiescent-mutation contract is per call here: the mutex serializes every
-// session call and fetch against the writer, and the page protocol
-// guarantees the producers are parked in between — so the only concurrency
-// left is the cursor handshake itself, which must be clean.
+// session call and fetch against the writer, and a producer runs only inside
+// a fetch — so the only concurrency left is cursors on one session moving
+// between goroutines, which must be clean.
 func TestStreamAbandonWithWriters(t *testing.T) {
 	q := workload.RandomQuery(workload.NewRNG(7), true)
 	db := workload.Random(0x5157, 5, 10, "ab")
@@ -326,7 +327,7 @@ func TestStreamAbandonWithWriters(t *testing.T) {
 					mu.Unlock()
 				}
 				mu.Lock()
-				cur.Close() // abandon mid-stream; joins the producer
+				cur.Close() // abandon mid-stream; unwinds the producer
 				mu.Unlock()
 				if err := cur.Err(); err != nil {
 					t.Errorf("worker %d: abandoned cursor error: %v", w, err)
@@ -878,10 +879,10 @@ func TestCachedStreamIsWindow(t *testing.T) {
 	}
 }
 
-// A panic on the producer goroutine — here an engine.Weight that blows up on
-// its second call, inside the any-k root of one union member — ends that
-// cursor with an error on its final page, not the process; the session is
-// untouched and the next stream over it answers.
+// A panic in a producer — here an engine.Weight that blows up on its second
+// call, inside the any-k root of one union member — ends that cursor with an
+// error on its final page, not the process; the session is untouched and the
+// next stream over it answers.
 func TestStreamProducerPanicIsCursorError(t *testing.T) {
 	db := workload.Random(9, 10, 30, "ab")
 	sess := cxrpq.MustPrepare(cxrpq.MustParse("ans(x, z)\nx y : $w{a}|$v{b}\ny z : $w|$v\n")).Bind(db)
@@ -916,7 +917,48 @@ func TestStreamProducerPanicIsCursorError(t *testing.T) {
 			t.Fatalf("the stream after the panic has %v, want %v", got.Sorted(), want.Sorted())
 		}
 	}
-	// A producer exits just after its final page is taken, not before.
+	// An unranked enumeration that panics mid-page ends its cursor with the
+	// panic as Err; one that panics while it unwinds — on Close, or when a
+	// page reaches the Limit — does the same, and Close does not crash.
+	rows := func(n int, onStop string) func(ecrpq.StreamFunc) error {
+		return func(emit ecrpq.StreamFunc) error {
+			for i := int32(0); ; i++ {
+				if i == int32(n) {
+					panic("row table")
+				}
+				if !emit([]int32{i, i}, 0) {
+					panic(onStop)
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		run   func(ecrpq.StreamFunc) error
+		limit int
+		pages []int // the rows each Fetch(3) returns
+		close bool
+		want  string
+	}{
+		{"mid-page", rows(5, ""), 0, []int{3, 0}, false, "row table"},
+		{"on Close", rows(100, "unwinding"), 0, []int{3}, true, "unwinding"},
+		{"at the Limit", rows(100, "unwinding"), 4, []int{3, 1, 0}, false, "unwinding"},
+	} {
+		cur := cxrpq.PageCursor(tc.run, tc.limit)
+		for i, n := range tc.pages {
+			if got := cur.FetchRows(3); got.N != n {
+				t.Fatalf("%s: page %d has %d rows, want %d (err %v)", tc.name, i, got.N, n, cur.Err())
+			}
+		}
+		if tc.close {
+			cur.Close()
+		}
+		if cur.Err() == nil || !strings.Contains(cur.Err().Error(), tc.want) {
+			t.Fatalf("%s: err %v, want the panic %q", tc.name, cur.Err(), tc.want)
+		}
+		cur.Close()
+	}
+	// Nothing a panicked producer started is left running.
 	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("panicked producers left goroutines: %d before, %d after", before, runtime.NumGoroutine())
