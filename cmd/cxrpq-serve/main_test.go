@@ -241,7 +241,8 @@ func TestUpdateDeltaMaintainsSessions(t *testing.T) {
 // Two texts that share an atom: the first one's product searches are filed
 // in the database's atom store as probe rows, which /stats shows under
 // "atoms".rows, and the second one reads them from there — a hit, and no
-// further miss.
+// further miss. The atom's automaton is compiled once, and "atoms".automata
+// shows it charged to the store's bytes.
 func TestStatsAtomRowsShared(t *testing.T) {
 	_, ts := testServer(t)
 	atoms := func() map[string]any {
@@ -266,6 +267,13 @@ func TestStatsAtomRowsShared(t *testing.T) {
 		rows := after["rows"].(map[string]any)
 		if rows["entries"].(float64) == 0 || rows["bytes"].(float64) == 0 {
 			t.Fatalf("%s: no probe rows filed: %v", text, after)
+		}
+		automata := after["automata"].(map[string]any)
+		if automata["entries"].(float64) == 0 || after["bytes"].(float64) < automata["bytes"].(float64)+rows["bytes"].(float64) {
+			t.Fatalf("%s: no automaton charged to the store: %v", text, after)
+		}
+		if i == 1 && automata["entries"] != before["automata"].(map[string]any)["entries"] {
+			t.Fatalf("%s: the shared atom was compiled again: %v -> %v", text, before, after)
 		}
 		if hit := after["misses"] == before["misses"] && after["hits"].(float64) > before["hits"].(float64); hit != (i == 1) {
 			t.Fatalf("%s: rows came back as a hit: %v, want %v (%v -> %v)", text, hit, i == 1, before, after)

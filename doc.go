@@ -82,7 +82,9 @@
 //	                     query is: Lemma 3 / Lemma 7), Plan.Bind(db) yields a
 //	                     concurrency-safe Session owning what is per text
 //	                     (its result cache) over the database's
-//	                     atom store (ecrpq.AtomStore: relations, supports,
+//	                     atom store (ecrpq.AtomStore: one ecrpq.Atom per
+//	                     label and alphabet with its compiled automaton,
+//	                     and the atom's relations, supports and
 //	                     path-existence verdicts, shared by every session
 //	                     on the snapshot), revision-checked and
 //	                     delta-maintained once per revision move:

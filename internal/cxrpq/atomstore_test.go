@@ -167,7 +167,11 @@ func TestAtomStoreCutBuildPoisonsNobody(t *testing.T) {
 	// stored asks the store for the big relations without letting it build any.
 	stored := func() (n int) {
 		for _, label := range []string{"a(a|b)+", "b(a|b)+"} {
-			rel, err := ecrpq.Atoms(db).Relation(xregex.MustParse(label), []rune("ab"), engine.ReachOpts{Budget: spent})
+			a, err := ecrpq.Atoms(db).Atom(xregex.MustParse(label), []rune("ab"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel, err := ecrpq.Atoms(db).Relation(a, engine.ReachOpts{Budget: spent})
 			if err == nil {
 				whole, werr := ecrpq.RelationFor(db, xregex.MustParse(label), []rune("ab"))
 				if werr != nil || rel.Size() != whole.Size() {
@@ -240,5 +244,34 @@ func TestAtomStoreKeyedByAlphabet(t *testing.T) {
 	}
 	if shared == 0 {
 		t.Fatalf("no relaxed label was asked about under both alphabets: %v", verdicts)
+	}
+}
+
+// TestAtomStoreBoundedSharesAtoms: a bounded run files the atom of every
+// label it instantiates in the database's store, and a CRPQ over the same
+// database that mentions one of those labels evaluates over that atom — it
+// compiles nothing.
+func TestAtomStoreBoundedSharesAtoms(t *testing.T) {
+	db := workload.Random(5, 12, 30, "ab")
+	store := ecrpq.Atoms(db)
+	bounded := storeText{"ans(x, z)\nx y : $w{a|b}b\ny z : $w", 1}
+	if _, err := bounded.eval(cxrpq.MustPrepare(cxrpq.MustParse(bounded.src)).Bind(db)); err != nil {
+		t.Fatal(err)
+	}
+	held := store.Stats().Automata.Entries
+	ab, err := store.Atom(xregex.MustParse("ab"), db.Alphabet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := store.Stats().Automata.Entries; n != held {
+		t.Fatalf("the bounded run did not file the atom of its instantiated label ab: %d atoms, %d after asking for it", held, n)
+	}
+	crpq := storeText{"ans(x, y)\nx y : ab", -1}
+	if _, err := crpq.eval(cxrpq.MustPrepare(cxrpq.MustParse(crpq.src)).Bind(db)); err != nil {
+		t.Fatal(err)
+	}
+	again, err := store.Atom(xregex.MustParse("ab"), db.Alphabet())
+	if n := store.Stats().Automata.Entries; err != nil || again != ab || n != held {
+		t.Fatalf("the CRPQ compiled its own atom: %p, the bounded run's %p; %d atoms, %d before (%v)", again, ab, n, held, err)
 	}
 }

@@ -205,7 +205,7 @@ type boundedEngine struct {
 	// can't key the atom store), so relationFor builds them outside it,
 	// memoized per run in wrels.
 	weight engine.Weight
-	wrels  *epochMap[string, *ecrpq.EdgeRel]
+	wrels  *epochMap[*ecrpq.Atom, *ecrpq.EdgeRel]
 
 	// anyk, when set, redirects every complete mapping's leaf join onto the
 	// shared incremental any-k priority queue (one AddJoin per mapping,
@@ -260,7 +260,7 @@ func newBoundedEngine(p *boundedPlan, db *graph.DB, k int, boolOnly bool, pre ma
 		atoms:    atoms,
 		workers:  workers,
 		cands:    newEpochMap[string, []string](runMemoCap),
-		wrels:    newEpochMap[string, *ecrpq.EdgeRel](runMemoCap),
+		wrels:    newEpochMap[*ecrpq.Atom, *ecrpq.EdgeRel](runMemoCap),
 		bud:      bud,
 		fanBud:   bud.Fork(), // nil-safe: a standalone fork when unbudgeted
 		out:      pattern.NewTupleSet(),
@@ -356,7 +356,11 @@ func (st *boundedState) pruneRelaxed(ei int) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return e.atoms.PathExists(xregex.Simplify(relaxed), e.sigma, e.fanBud)
+	a, err := e.atoms.Atom(xregex.Simplify(relaxed), e.sigma)
+	if err != nil {
+		return false, err
+	}
+	return e.atoms.PathExists(a, e.fanBud)
 }
 
 // processStep instantiates the edges that become determined once vars[:i]
@@ -398,25 +402,30 @@ func (st *boundedState) processStep(i int) (bool, error) {
 }
 
 // relationFor resolves the relation of edge ei's instantiated label through
-// the atom store — the sharing point for all mappings, of any query over the
-// snapshot, that agree on the label. The build honors the run's fan budget (a
-// truncated build surfaces as engine.ErrCanceled and installs nothing) and
-// requests BFS levels when the run is ranked. An unranked run resolves an edge
-// with an endpoint nothing reads through its support on the other one
-// (AtomStore.Support) and never builds its pairs.
+// its atom, which the atom store hands out once per label — the sharing
+// point for all mappings, of any query over the snapshot, that agree on the
+// label: they share its automaton and its stored relation. The build honors
+// the run's fan budget (a truncated build surfaces as engine.ErrCanceled and
+// installs nothing) and requests BFS levels when the run is ranked. An
+// unranked run resolves an edge with an endpoint nothing reads through its
+// support on the other one (AtomStore.Support) and never builds its pairs.
 func (e *boundedEngine) relationFor(ei int, inst xregex.Node) (*ecrpq.EdgeRel, error) {
+	a, err := e.atoms.Atom(inst, e.sigma)
+	if err != nil {
+		return nil, err
+	}
 	if !e.ranked && !(e.readFrom[ei] && e.readTo[ei]) {
-		return e.atoms.Support(inst, e.sigma, e.readTo[ei], e.fanBud)
+		return e.atoms.Support(a, e.readTo[ei], e.fanBud)
 	}
 	if e.ranked && e.weight != nil {
 		// Weighted levels never enter the store: two queries with different
-		// weights would collide on the same key. The per-run memo still
+		// weights would collide on the same atom. The per-run memo still
 		// shares the build across this run's mappings.
-		return e.wrels.getOr(xregex.String(inst), func() (*ecrpq.EdgeRel, error) {
-			return ecrpq.BuildRelation(e.db, inst, e.sigma, engine.ReachOpts{Budget: e.fanBud, Weight: e.weight})
+		return e.wrels.getOr(a, func() (*ecrpq.EdgeRel, error) {
+			return ecrpq.BuildRelation(e.db, a, engine.ReachOpts{Budget: e.fanBud, Weight: e.weight})
 		})
 	}
-	return e.atoms.Relation(inst, e.sigma, engine.ReachOpts{Budget: e.fanBud, Levels: e.ranked})
+	return e.atoms.Relation(a, engine.ReachOpts{Budget: e.fanBud, Levels: e.ranked})
 }
 
 // onlyEps is the candidate list of a variable nothing defines or references.

@@ -787,8 +787,11 @@ func TestCachedStreamIsWindow(t *testing.T) {
 			t.Fatalf("first page: %d rows", len(got))
 		}
 	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("abandoned window cursors left goroutines: %d before, %d after", before, after)
+	// The workers above may still be on their way out of wg.Done.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("abandoned window cursors left goroutines: %d before, %d after", before, runtime.NumGoroutine())
+		}
 	}
 
 	// A ranked stream once drained leaves a complete ranked prefix, and the

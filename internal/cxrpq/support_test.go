@@ -192,7 +192,11 @@ func TestSupportAcrossDeltas(t *testing.T) {
 		// What the run left in the view's store under (ca, Σ) is what it joined.
 		store := ecrpq.Atoms(view)
 		hits := store.Stats().Hits
-		ca, err := store.Support(xregex.MustParse("ca"), []rune("abc"), false, nil)
+		a, err := store.Atom(xregex.MustParse("ca"), []rune("abc"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ca, err := store.Support(a, false, nil)
 		if err != nil || ca.Size() != n || store.Stats().Hits != hits+1 {
 			t.Fatalf("%s: the store holds %d sources of ca (%v, %d hits), want %d stored", name, ca.Size(), err, store.Stats().Hits-hits, n)
 		}

@@ -31,18 +31,21 @@ type EdgeRel struct {
 	min     int32
 }
 
-// RelationFor computes the full relation of label over db; see
-// BuildRelation.
+// RelationFor computes the full relation of label over db, with the atom
+// db's store holds for it; see BuildRelation.
 func RelationFor(db *graph.DB, label xregex.Node, sigma []rune) (*EdgeRel, error) {
-	return BuildRelation(db, label, sigma, engine.ReachOpts{})
+	a, err := Atoms(db).Atom(label, sigma)
+	if err != nil {
+		return nil, err
+	}
+	return BuildRelation(db, a, engine.ReachOpts{})
 }
 
-// BuildRelation computes the full relation of label over db with the
-// sharded multi-source kernel (engine.ReachBatchEx over db's degree-balanced
+// BuildRelation computes the full relation of a over db with the sharded
+// multi-source kernel (engine.ReachBatchEx over db's degree-balanced
 // partition — one batched product sweep per 64 sources instead of a
-// per-source BFS fan), reusing the process-wide compiled-NFA/subset caches.
-// The ∅ expression short-circuits to the empty relation without touching
-// the automata layer.
+// per-source BFS fan), reusing the atom's subset cache. The ∅ expression
+// short-circuits to the empty relation without touching the automata layer.
 //
 // The build honors o.Budget at BFS-level granularity; a truncated sweep
 // returns (nil, engine.ErrCanceled) rather than a partial relation —
@@ -52,25 +55,21 @@ func RelationFor(db *graph.DB, label xregex.Node, sigma []rune) (*EdgeRel, error
 // cost; under o.Weight (which implies levels) the minimum total edge weight
 // instead. Weighted relations must NEVER enter the atom store: a weight
 // function has no identity, so two queries with distinct weights would
-// collide on the same key. Callers build them per query.
-func BuildRelation(db *graph.DB, label xregex.Node, sigma []rune, o engine.ReachOpts) (*EdgeRel, error) {
+// collide on the same atom. Callers build them per query.
+func BuildRelation(db *graph.DB, a *Atom, o engine.ReachOpts) (*EdgeRel, error) {
 	n := db.NumNodes()
 	r := &EdgeRel{fwd: make([][]int, n)}
 	if o.Levels || o.Weight != nil {
 		r.lev = make([][]int32, n)
 	}
-	if _, empty := label.(*xregex.Empty); empty {
+	if a.empty() {
 		return r, nil
-	}
-	ent, err := compiledFor(label, sigma)
-	if err != nil {
-		return nil, err
 	}
 	srcs := make([]int, n)
 	for i := range srcs {
 		srcs[i] = i
 	}
-	res := engine.ReachBatchEx(db.Index(), ent.cache, srcs, true, o)
+	res := engine.ReachBatchEx(db.Index(), a.cache, srcs, true, o)
 	if res.Truncated {
 		return nil, engine.ErrCanceled
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cxrpq/internal/automata"
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/xregex"
@@ -13,8 +14,10 @@ import (
 // The atom store. Every evaluation bottoms out in one question — which node
 // pairs of D does the classical regex L connect? — and its answer is a
 // function of (L, Σ, D) and of nothing else in the query. The store holds
-// those answers for one database revision, filed under atomKey(L, Σ):
+// those answers for one database revision, each entry filed under the key its
+// atom (L, Σ) computed once (AtomStore.Atom) and holding that atom:
 //
+//   - the atom itself, whose compiled automaton is charged to the entry;
 //   - the complete relation (*EdgeRel), level-less until a ranked request
 //     upgrades it in place;
 //   - the support per direction — the sources, or the targets, as a node
@@ -30,7 +33,8 @@ import (
 // derived, every later and concurrent one over the revision finds, whatever
 // its query text. It lives in the database's derived-state slot
 // (graph.DB.Derived) and is collected with the snapshot; what bounds it is
-// bytes (atomBudget). See "The atom store" in internal/README.md.
+// bytes (atomBudget), automata included. See "The atom store" in
+// internal/README.md.
 
 // AtomStore is the atom store of one database at one revision. All methods
 // are safe for concurrent use.
@@ -62,12 +66,11 @@ type atomCounters struct {
 	retained, extended                 atomic.Uint64
 }
 
-// atomEntry holds what is known about one (label, alphabet). Fields are read
-// and written under atomFacts.mu; the values they point to are immutable.
+// atomEntry holds what is known about one atom. Fields are read and written
+// under atomFacts.mu; the values they point to are immutable.
 type atomEntry struct {
-	rel   *EdgeRel
-	label xregex.Node // of rel: what a delta classifies and extends it by
-	sigma []rune
+	atom *Atom // never nil: what a delta classifies and extends rel by
+	rel  *EdgeRel
 
 	sup    [2][]uint64 // [0] the sources, [1] the targets
 	diag   [2]*EdgeRel // sup as the relation {(u, u)}
@@ -138,9 +141,10 @@ func (e *atomEntry) supBytes() (n int64) {
 
 func (e *atomEntry) rowBytes() int64 { return e.rows[0].bytes() + e.rows[1].bytes() }
 
-// size is what the entry is accounted at: 160 bytes before it holds any fact.
-func (e *atomEntry) size(key string) int64 {
-	return 160 + int64(len(key)) + relBytes(e.rel) + e.supBytes() + e.rowBytes()
+// size is what the entry is accounted at: 160 bytes, its key and its atom's
+// automaton before it holds any fact.
+func (e *atomEntry) size() int64 {
+	return 160 + int64(len(e.atom.key)) + e.atom.size + relBytes(e.rel) + e.supBytes() + e.rowBytes()
 }
 
 // Atoms returns the atom store of db at its current revision, maintaining the
@@ -198,14 +202,40 @@ func (s *AtomStore) successor(db *graph.DB) *AtomStore {
 // is still good.
 func (s *AtomStore) SameGraph(rev uint64) bool { return rev == s.rev || rev == s.same }
 
-// resolve is the one way a fact is looked up: read finds it in the entry
-// filed under key, or build computes it — outside the lock, and under whatever
-// budget the caller closed over: a failed or cut build installs nothing — and
-// write files it, unless another builder was first. What the entry grew by is
-// accounted, and a store over its budget drops every other entry.
-func resolve[T any](s *AtomStore, key string, read func(*atomEntry) (T, bool), build func() (T, error), write func(*atomEntry, T)) (T, error) {
+// Atom returns the atom of label over sigma: the one the store holds, or one
+// compiled now and filed — charged to the budget — unless another caller was
+// first. It is the one place a label is printed.
+func (s *AtomStore) Atom(label xregex.Node, sigma []rune) (*Atom, error) {
+	key := xregex.String(label) + "\x00" + string(sigma)
 	s.mu.Lock()
 	if e := s.m[key]; e != nil {
+		s.mu.Unlock()
+		return e.atom, nil
+	}
+	s.mu.Unlock()
+	m, err := xregex.Compile(label, sigma)
+	if err != nil {
+		return nil, err
+	}
+	a := &Atom{label: label, key: key, nfa: m, cache: automata.NewSubsetCache(m),
+		size: 25*int64(m.NumStates()) + 16*int64(m.NumTransitions())}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e := s.m[key]; e != nil { // raced with another compiler
+		return e.atom, nil
+	}
+	s.grew(s.entry(a))
+	return a, nil
+}
+
+// resolve is the one way a fact is looked up: read finds it in the entry of
+// a, or build computes it — outside the lock, and under whatever budget the
+// caller closed over: a failed or cut build installs nothing — and write
+// files it, unless another builder was first. What the entry grew by is
+// accounted, and a store over its budget drops every other entry.
+func resolve[T any](s *AtomStore, a *Atom, read func(*atomEntry) (T, bool), build func() (T, error), write func(*atomEntry, T)) (T, error) {
+	s.mu.Lock()
+	if e := s.m[a.key]; e != nil {
 		if v, ok := read(e); ok {
 			s.mu.Unlock()
 			s.ctr.hits.Add(1)
@@ -220,41 +250,39 @@ func resolve[T any](s *AtomStore, key string, read func(*atomEntry) (T, bool), b
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.entry(key)
+	e, before := s.entry(a)
 	if old, ok := read(e); ok {
 		return old, nil
 	}
-	before := e.size(key)
 	write(e, v)
-	s.grew(key, e, before)
+	s.grew(e, before)
 	return v, nil
 }
 
-// entry returns the entry filed under key, filing an empty one first if there
-// is none. The caller holds s.mu.
-func (s *AtomStore) entry(key string) *atomEntry {
-	e := s.m[key]
-	if e == nil {
-		e = &atomEntry{}
-		s.m[key] = e
-		s.bytes += e.size(key)
+// entry returns the entry of a and the bytes it is accounted at, filing an
+// empty one — at 0 bytes so far — if an eviction dropped it or it was never
+// filed. The caller holds s.mu.
+func (s *AtomStore) entry(a *Atom) (*atomEntry, int64) {
+	if e := s.m[a.key]; e != nil {
+		return e, e.size()
 	}
-	return e
+	e := &atomEntry{atom: a}
+	s.m[a.key] = e
+	return e, 0
 }
 
-// grew accounts what the entry filed under key grew by since it was before
-// bytes, and drops every other entry of a store over its budget. The caller
-// holds s.mu.
-func (s *AtomStore) grew(key string, e *atomEntry, before int64) {
-	if s.bytes += e.size(key) - before; s.bytes > s.budget && len(s.m) > 1 {
-		s.m = map[string]*atomEntry{key: e}
-		s.bytes = e.size(key)
+// grew accounts what e grew by since it was before bytes, and drops every
+// other entry of a store over its budget. The caller holds s.mu.
+func (s *AtomStore) grew(e *atomEntry, before int64) {
+	if s.bytes += e.size() - before; s.bytes > s.budget && len(s.m) > 1 {
+		s.m = map[string]*atomEntry{e.atom.key: e}
+		s.bytes = e.size()
 		s.ctr.evictions.Add(1)
 	}
 }
 
-// Relation resolves the complete relation of label (see BuildRelation for
-// the options). With o.Levels a stored level-less relation is upgraded in
+// Relation resolves the complete relation of a (see BuildRelation for the
+// options). With o.Levels a stored level-less relation is upgraded in
 // place on first ranked demand; callers that did not ask for levels may
 // therefore be handed a relation that carries them, which is why joins take
 // ranked-ness from their own options and never from the relation. A
@@ -262,27 +290,27 @@ func (s *AtomStore) grew(key string, e *atomEntry, before int64) {
 // partial relation would silently drop answers from every later query on the
 // snapshot. A weighted build has no identity to file it under and bypasses
 // the store.
-func (s *AtomStore) Relation(label xregex.Node, sigma []rune, o engine.ReachOpts) (*EdgeRel, error) {
+func (s *AtomStore) Relation(a *Atom, o engine.ReachOpts) (*EdgeRel, error) {
 	if o.Weight != nil {
-		return BuildRelation(s.db, label, sigma, o)
+		return BuildRelation(s.db, a, o)
 	}
-	return resolve(s, atomKey(label, sigma),
+	return resolve(s, a,
 		func(e *atomEntry) (*EdgeRel, bool) { return e.rel, e.rel != nil && (!o.Levels || e.rel.lev != nil) },
-		func() (*EdgeRel, error) { return BuildRelation(s.db, label, sigma, o) },
-		func(e *atomEntry, rel *EdgeRel) { e.rel, e.label, e.sigma = rel, label, sigma })
+		func() (*EdgeRel, error) { return BuildRelation(s.db, a, o) },
+		func(e *atomEntry, rel *EdgeRel) { e.rel = rel })
 }
 
 // support resolves the sources — with targets, the targets — of the relation
-// of ent's label, as a node bitset, by one engine.Support sweep that builds no
-// pair. A sweep the budget cut returns engine.ErrCanceled.
-func (s *AtomStore) support(ent *compiledEntry, targets bool, bud *engine.Budget) ([]uint64, error) {
+// of a, as a node bitset, by one engine.Support sweep that builds no pair. A
+// sweep the budget cut returns engine.ErrCanceled.
+func (s *AtomStore) support(a *Atom, targets bool, bud *engine.Budget) ([]uint64, error) {
 	d := side(targets)
-	return resolve(s, ent.key,
+	return resolve(s, a,
 		func(e *atomEntry) ([]uint64, bool) { return e.sup[d], e.sup[d] != nil },
 		func() ([]uint64, error) {
-			c := ent.cache
+			c := a.cache
 			if !targets {
-				_, c = ent.reverse()
+				c = a.reverse()
 			}
 			sup, _, cut := engine.Support(s.db.Index(), c, targets, false, bud)
 			if cut {
@@ -301,12 +329,12 @@ func (s *AtomStore) support(ent *compiledEntry, targets bool, bud *engine.Budget
 // (cut: those rows may be missing nodes). Only cost-free rows are shared:
 // under o.Levels or o.Weight every row is searched for the caller alone, with
 // its costs, and filed nowhere.
-func (s *AtomStore) rows(ent *compiledEntry, forward bool, nodes []int, o engine.ReachOpts, out []probeRow) (cut bool) {
+func (s *AtomStore) rows(a *Atom, forward bool, nodes []int, o engine.ReachOpts, out []probeRow) (cut bool) {
 	d, shared := side(!forward), !o.Levels && o.Weight == nil
 	missing := nodes // the nodes to search, in the order of nodes
 	if shared {
 		s.mu.Lock()
-		e := s.m[ent.key]
+		e := s.m[a.key]
 		if e != nil && e.rel != nil {
 			list := e.rel.forward
 			if !forward {
@@ -338,9 +366,9 @@ func (s *AtomStore) rows(ent *compiledEntry, forward bool, nodes []int, o engine
 		}
 	}
 	s.ctr.misses.Add(1)
-	c := ent.cache
+	c := a.cache
 	if !forward {
-		_, c = ent.reverse()
+		c = a.reverse()
 	}
 	var h1 [1][]int
 	var l1 [1][]int32
@@ -367,13 +395,13 @@ func (s *AtomStore) rows(ent *compiledEntry, forward bool, nodes []int, o engine
 			total += len(row)
 		}
 		s.mu.Lock()
-		e := s.entry(ent.key)
-		before, t := e.size(ent.key), &e.rows[d]
+		e, before := s.entry(a)
+		t := &e.rows[d]
 		t.arena = slices.Grow(t.arena, total)
 		for k, u := range missing {
 			t.put(s.db.NumNodes(), u, hits[k])
 		}
-		s.grew(ent.key, e, before)
+		s.grew(e, before)
 		s.mu.Unlock()
 	}
 	return cut
@@ -382,16 +410,12 @@ func (s *AtomStore) rows(ent *compiledEntry, forward bool, nodes []int, o engine
 // Support is the support as the diagonal relation {(u, u)}: in an unranked
 // join where nothing reads the atom's other endpoint (pattern.Graph.Reads)
 // that stands in for the pairs.
-func (s *AtomStore) Support(label xregex.Node, sigma []rune, targets bool, bud *engine.Budget) (*EdgeRel, error) {
+func (s *AtomStore) Support(a *Atom, targets bool, bud *engine.Budget) (*EdgeRel, error) {
 	d := side(targets)
-	return resolve(s, atomKey(label, sigma),
+	return resolve(s, a,
 		func(e *atomEntry) (*EdgeRel, bool) { return e.diag[d], e.diag[d] != nil },
 		func() (*EdgeRel, error) {
-			ent, err := compiledFor(label, sigma)
-			if err != nil {
-				return nil, err
-			}
-			sup, err := s.support(ent, targets, bud)
+			sup, err := s.support(a, targets, bud)
 			if err != nil {
 				return nil, err
 			}
@@ -405,26 +429,25 @@ func (s *AtomStore) Support(label xregex.Node, sigma []rune, targets bool, bud *
 		func(e *atomEntry, diag *EdgeRel) { e.diag[d] = diag })
 }
 
-// PathExists reports whether some path of the database matches the classical
-// label — whether its relation is non-empty — without computing it: an
+// PathExists reports whether some path of the database matches a — whether
+// its relation is non-empty — without computing it: an
 // ε-accepting label holds at every node, and anything else is one
 // engine.Support sweep from every node at once that stops at its first
 // accepted configuration. A budget that cancels before a hit yields (false,
 // engine.ErrCanceled) — the answer is unknown, not no — and leaves no verdict.
-func (s *AtomStore) PathExists(label xregex.Node, sigma []rune, bud *engine.Budget) (bool, error) {
-	if _, empty := label.(*xregex.Empty); empty || s.db.NumNodes() == 0 {
+func (s *AtomStore) PathExists(a *Atom, bud *engine.Budget) (bool, error) {
+	if a.empty() || s.db.NumNodes() == 0 {
 		return false, nil
 	}
-	return resolve(s, atomKey(label, sigma),
+	return resolve(s, a,
 		func(e *atomEntry) (yes, known bool) {
 			return e.exists > 0 || e.rel != nil && !e.rel.Empty(), e.exists != 0 || e.rel != nil
 		},
 		func() (bool, error) {
-			ent, err := compiledFor(label, sigma)
-			if err != nil || ent.cache.Final(ent.cache.Start()) {
-				return err == nil, err
+			if a.cache.Final(a.cache.Start()) {
+				return true, nil
 			}
-			_, hits, _ := engine.Support(s.db.Index(), ent.cache, true, true, bud)
+			_, hits, _ := engine.Support(s.db.Index(), a.cache, true, true, bud)
 			if hits > 0 {
 				return true, nil
 			}
@@ -459,6 +482,7 @@ type AtomKind struct {
 // AtomStats is a point-in-time snapshot of a store: what it holds, and the
 // counters of its lineage — they carry over every revision move.
 type AtomStats struct {
+	Automata  AtomKind `json:"automata"` // entries: atoms held; bytes: charged for their NFAs
 	Relations AtomKind `json:"relations"`
 	Supports  AtomKind `json:"supports"`
 	Verdicts  AtomKind `json:"verdicts"`
@@ -466,8 +490,8 @@ type AtomStats struct {
 	Bytes     int64    `json:"bytes"` // accounted in all, entry overheads included
 	Budget    int64    `json:"budget"`
 
-	// Lookups of every kind; a row request counts as a hit when no kernel
-	// call answers any of its nodes.
+	// Lookups of every kind of fact; a row request counts as a hit when no
+	// kernel call answers any of its nodes. Asking for an atom is no lookup.
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"` // whole-epoch drops on overflow
@@ -491,7 +515,9 @@ func (s *AtomStore) Stats() AtomStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st.Bytes = s.bytes
+	st.Automata.Entries = len(s.m)
 	for _, e := range s.m {
+		st.Automata.Bytes += e.atom.size
 		if e.rel != nil {
 			st.Relations.Entries++
 			st.Relations.Bytes += relBytes(e.rel)

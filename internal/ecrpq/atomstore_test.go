@@ -19,8 +19,9 @@ import (
 // worth, every kind of fact is asked for under random labels and joins that
 // read supports run on top. The store drops its epoch again and again; no
 // answer changes; the bytes it reports are the sum of what its entries
-// account for and never pass the budget by more than the entry that was just
-// written.
+// account for, their atoms' automata included, and never pass the budget by
+// more than the entry that was just written. An atom held across the drops
+// still resolves its relation.
 func TestAtomStoreByteBound(t *testing.T) {
 	t.Parallel()
 	const n = 60
@@ -33,14 +34,19 @@ func TestAtomStoreByteBound(t *testing.T) {
 		store.mu.Lock()
 		defer store.mu.Unlock()
 		var sum, largest int64
-		for key, e := range store.m {
-			sum += e.size(key)
-			largest = max(largest, e.size(key))
+		for _, e := range store.m {
+			sum += e.size()
+			largest = max(largest, e.size())
 		}
 		if sum != store.bytes || store.bytes > store.budget+largest {
 			t.Fatalf("%s: %d bytes reported, the %d entries account for %d, the largest for %d; budget %d",
 				when, store.bytes, len(store.m), sum, largest, store.budget)
 		}
+	}
+	heldLabel := xregex.MustParse("(ab|b)+a")
+	held := atomOf(t, store, heldLabel, sigma)
+	if st := store.Stats(); st.Automata.Entries != 1 || st.Automata.Bytes != held.size || st.Bytes < held.size {
+		t.Fatalf("the atom's automaton is not charged to the store: %d bytes, %+v", held.size, st)
 	}
 	r := rand.New(rand.NewSource(4))
 	for i := 0; i < 200; i++ {
@@ -52,13 +58,13 @@ func TestAtomStoreByteBound(t *testing.T) {
 		}
 		switch i % 4 {
 		case 0:
-			rel, err := store.Relation(label, sigma, engine.ReachOpts{Levels: i%8 == 0})
+			rel, err := store.Relation(atomOf(t, store, label, sigma), engine.ReachOpts{Levels: i%8 == 0})
 			if err != nil || !relEqual(rel, whole) {
 				t.Fatalf("%s: Relation diverged (%v)", name, err)
 			}
 		case 1, 2:
 			targets := i%4 == 1
-			diag, err := store.Support(label, sigma, targets, nil)
+			diag, err := store.Support(atomOf(t, store, label, sigma), targets, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +79,7 @@ func TestAtomStoreByteBound(t *testing.T) {
 				}
 			}
 		case 3:
-			if ok, err := store.PathExists(label, sigma, nil); err != nil || ok == whole.Empty() {
+			if ok, err := store.PathExists(atomOf(t, store, label, sigma), nil); err != nil || ok == whole.Empty() {
 				t.Fatalf("%s: PathExists = %v (%v), the relation has %d pairs", name, ok, err, whole.Size())
 			}
 			q := &Query{Pattern: &pattern.Graph{Out: []string{"x", "z"}, Edges: []pattern.Edge{
@@ -96,17 +102,35 @@ func TestAtomStoreByteBound(t *testing.T) {
 	if st.Evictions < 3 || st.Hits == 0 {
 		t.Fatalf("the budget was never under pressure, or nothing was ever found: %+v", st)
 	}
-	if st.Bytes < st.Relations.Bytes+st.Supports.Bytes+st.Verdicts.Bytes {
+	if st.Automata.Bytes == 0 || st.Bytes < st.Automata.Bytes+st.Relations.Bytes+st.Supports.Bytes+st.Verdicts.Bytes+st.Rows.Bytes {
 		t.Fatalf("the kinds account for more than the store: %+v", st)
+	}
+	rel, err := store.Relation(held, engine.ReachOpts{})
+	want, werr := RelationFor(probeRandomDB(77, n, 3*n, "ab"), heldLabel, sigma)
+	if err = errors.Join(err, werr); err != nil {
+		t.Fatal(err)
+	}
+	if !relEqual(rel, want) {
+		t.Fatalf("an atom held across %d evictions resolves %d pairs, the relation has %d", st.Evictions, rel.Size(), want.Size())
 	}
 }
 
-// storedRow reads the row of node u that the store's table for ent holds in
+// atomOf is the atom of label over sigma that s hands out.
+func atomOf(t testing.TB, s *AtomStore, label xregex.Node, sigma []rune) *Atom {
+	t.Helper()
+	a, err := s.Atom(label, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// storedRow reads the row of node u that the store's table for a holds in
 // one direction.
-func storedRow(s *AtomStore, ent *compiledEntry, forward bool, u int) ([]int, bool) {
+func storedRow(s *AtomStore, a *Atom, forward bool, u int) ([]int, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e := s.m[ent.key]; e != nil {
+	if e := s.m[a.key]; e != nil {
 		return e.rows[side(!forward)].get(u)
 	}
 	return nil, false
@@ -229,7 +253,7 @@ func TestAtomStoreRowsDifferential(t *testing.T) {
 	db, fresh := newDB(), newDB()
 	store = Atoms(db)
 	label := xregex.MustParse("a(a|b)*")
-	rel, err := store.Relation(label, sigma, engine.ReachOpts{})
+	rel, err := store.Relation(atomOf(t, store, label, sigma), engine.ReachOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,4 +287,127 @@ func TestAtomStoreRowsDifferential(t *testing.T) {
 	}
 	j.want = run(j, fresh)
 	check("over a stored relation", j, db)
+}
+
+// TestAtomIdentity: an atom is the store's, one per label and alphabet.
+// Evaluators of different texts over one database hold the same atom for a
+// label they share, and another one under another alphabet; an insert-only
+// delta with no new label carries every atom of the store to the next
+// revision, whatever facts it holds, while a removal or a new label starts
+// over; goroutines that ask for one label at once get one atom, filed once.
+func TestAtomIdentity(t *testing.T) {
+	t.Parallel()
+	sigma := []rune("ab")
+	labels := []xregex.Node{
+		xregex.MustParse("a(a|b)*"), // its relation is stored
+		xregex.MustParse("ba"),      // its support
+		xregex.MustParse("bbbbbb"),  // its negative verdict
+		xregex.MustParse("b+"),      // nothing but the atom
+	}
+	newDB := func() *graph.DB { return graph.MustParse("n0 a n1\nn1 b n2\nn2 a n0\nn1 a n3\n") }
+	// held files every label's atom in db's store, with a fact of its own
+	// kind, and returns them.
+	held := func(t *testing.T, db *graph.DB) []*Atom {
+		s := Atoms(db)
+		atoms := make([]*Atom, len(labels))
+		for i, l := range labels {
+			atoms[i] = atomOf(t, s, l, sigma)
+		}
+		_, err := s.Relation(atoms[0], engine.ReachOpts{})
+		_, err2 := s.Support(atoms[1], true, nil)
+		ok, err3 := s.PathExists(atoms[2], nil)
+		if err = errors.Join(err, err2, err3); err != nil || ok {
+			t.Fatal(ok, err)
+		}
+		return atoms
+	}
+	// after applies delta to db and returns the atoms its store hands out for
+	// the labels at the new revision.
+	after := func(t *testing.T, db *graph.DB, delta graph.Delta) []*Atom {
+		s := Atoms(db)
+		if _, err := db.ApplyDelta(delta); err != nil {
+			t.Fatal(err)
+		}
+		ns := s.CarryTo(db)
+		atoms := make([]*Atom, len(labels))
+		for i, l := range labels {
+			atoms[i] = atomOf(t, ns, l, sigma)
+		}
+		return atoms
+	}
+	// evaluated is the atom an evaluator of text over db holds for edge ei.
+	evaluated := func(t *testing.T, db *graph.DB, text string, ei int) *Atom {
+		q, err := ParseQuery(text, sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := newEvaluator(q, db, Options{}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev.atoms[ei].atom
+	}
+	for _, tc := range []struct {
+		name  string
+		same  bool                              // every pair is one atom, else none is
+		pairs func(t *testing.T) (a, b []*Atom) // a[i] and b[i] are a pair
+	}{
+		{"two texts, one label", true, func(t *testing.T) ([]*Atom, []*Atom) {
+			db := newDB()
+			return []*Atom{evaluated(t, db, "ans(x)\nx y : a(a|b)*", 0)},
+				[]*Atom{evaluated(t, db, "ans(z)\nx y : b\ny z : a(a|b)*", 1)}
+		}},
+		{"another alphabet", false, func(t *testing.T) ([]*Atom, []*Atom) {
+			db := newDB()
+			return []*Atom{evaluated(t, db, "ans(x)\nx y : a(a|b)*", 0)},
+				[]*Atom{evaluated(t, db, "ans(x)\nx y : a(a|b)*\ny z : c", 0)}
+		}},
+		{"insert-only delta", true, func(t *testing.T) ([]*Atom, []*Atom) {
+			db := newDB()
+			return held(t, db), after(t, db, graph.Delta{Add: []graph.DeltaEdge{{From: "n3", Label: 'b', To: "n4"}}})
+		}},
+		{"removal", false, func(t *testing.T) ([]*Atom, []*Atom) {
+			db := newDB()
+			return held(t, db), after(t, db, graph.Delta{Del: []graph.DeltaEdge{{From: "n1", Label: 'a', To: "n3"}}})
+		}},
+		{"new label", false, func(t *testing.T) ([]*Atom, []*Atom) {
+			db := newDB()
+			return held(t, db), after(t, db, graph.Delta{Add: []graph.DeltaEdge{{From: "n3", Label: 'c', To: "n0"}}})
+		}},
+		{"eight goroutines", true, func(t *testing.T) (a, b []*Atom) {
+			for round := 0; round < 32; round++ { // on a fresh store each
+				s := Atoms(newDB())
+				got := make([]*Atom, 8)
+				var wg sync.WaitGroup
+				start := make(chan struct{})
+				for g := range got {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						<-start
+						got[g], _ = s.Atom(labels[0], sigma)
+					}()
+				}
+				close(start)
+				wg.Wait()
+				if st := s.Stats(); st.Automata.Entries != 1 || len(s.m) != 1 {
+					t.Fatalf("%d atoms in %d entries, want one", st.Automata.Entries, len(s.m))
+				}
+				for _, y := range got[1:] {
+					a, b = append(a, got[0]), append(b, y)
+				}
+			}
+			return a, b
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := tc.pairs(t)
+			for i, x := range a {
+				y := b[i]
+				if x == nil || y == nil || (x == y) != tc.same {
+					t.Fatalf("atom %d: %p and %p, want one atom: %v", i, x, y, tc.same)
+				}
+			}
+		})
+	}
 }

@@ -125,7 +125,7 @@ func TestBatchOfOneBackward(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := rankedEvaluator(t, q, db)
-	_, rc := ev.atoms[0].ent.reverse()
+	rc := ev.atoms[0].atom.reverse()
 	for v := 0; v < db.NumNodes(); v++ {
 		sh, sl := engine.Reach(ev.ix, rc, v, false, engine.ReachOpts{Levels: true})
 		one := engine.ReachBatchEx(ev.ix, rc, []int{v}, false,

@@ -5,7 +5,6 @@ import (
 
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
-	"cxrpq/internal/xregex"
 )
 
 // This file is the atom store's half of the incremental-update subsystem:
@@ -23,9 +22,9 @@ import (
 //     matching path must pass through an added edge, so only sources that
 //     can reach an added edge's tail in the updated graph can gain targets;
 //     those frontier sources are re-searched (engine.ReachBatchEx over the
-//     shared compiled automaton) and every other row is carried over. Edge
-//     insertion is monotone for reachability, which is what makes carrying
-//     rows sound.
+//     automaton the entry's atom carries) and every other row is carried
+//     over. Edge insertion is monotone for reachability, which is what makes
+//     carrying rows sound.
 //
 // Removals and alphabet changes never reach this code (AtomStore.successor):
 // a removed edge can shrink relations in ways no local frontier bounds.
@@ -76,40 +75,36 @@ func buildFrontier(db *graph.DB, info *graph.DeltaInfo) *deltaFrontier {
 
 // afterInserts returns the facts that outlive an insert-only delta with no
 // new labels (successor guarantees both), over the updated database db: every
-// relation retained or frontier-extended, every positive verdict, and nothing
-// else — no delta maintains a support or a probe row, the kernel recomputes
-// them, and a label that matched nothing may match now. f is only read, under its lock; the
-// searches run outside it.
+// atom with its automaton, every relation retained or frontier-extended,
+// every positive verdict, and nothing else — no delta maintains a support or
+// a probe row, the kernel recomputes them, and a label that matched nothing
+// may match now. f is only read, under its lock; the searches run outside it.
 func (f *atomFacts) afterInserts(db *graph.DB, info *graph.DeltaInfo) *atomFacts {
-	nf := &atomFacts{ctr: f.ctr, budget: f.budget, m: map[string]*atomEntry{}}
+	nf := &atomFacts{ctr: f.ctr, budget: f.budget, m: make(map[string]*atomEntry, len(f.m))}
 	f.mu.Lock()
 	for key, e := range f.m {
-		if e.rel != nil || e.exists > 0 {
-			nf.m[key] = &atomEntry{rel: e.rel, label: e.label, sigma: e.sigma, exists: max(e.exists, 0)}
-		}
+		nf.m[key] = &atomEntry{atom: e.atom, rel: e.rel, exists: max(e.exists, 0)}
 	}
 	f.mu.Unlock()
 	oldN := info.FirstNewNode()
 	var frontier *deltaFrontier
 	var retained, extended uint64
-	for key, e := range nf.m {
-		if e.rel != nil {
-			ent, touched := e.touchedBy(info.Labels)
-			switch {
-			case e.rel.NumNodes() != oldN || touched && ent == nil: // not of the predecessor's graph: cannot happen, and costs one rebuild if it does
-				e.rel, e.label, e.sigma = nil, nil, nil
-			case !touched:
-				e.rel = growRelation(e.rel, info.Nodes, ent != nil && ent.cache.Final(ent.cache.Start()))
-				retained++
-			default:
-				if frontier == nil {
-					frontier = buildFrontier(db, info)
-				}
-				e.rel = extendRelation(db, e.rel, ent, frontier, info.Nodes)
-				extended++
+	for _, e := range nf.m {
+		switch {
+		case e.rel == nil:
+		case e.rel.NumNodes() != oldN: // not of the predecessor's graph: cannot happen, and costs one rebuild if it does
+			e.rel = nil
+		case !e.touchedBy(info.Labels):
+			e.rel = growRelation(e.rel, info.Nodes, e.atom.cache.Final(e.atom.cache.Start()))
+			retained++
+		default:
+			if frontier == nil {
+				frontier = buildFrontier(db, info)
 			}
+			e.rel = extendRelation(db, e.rel, e.atom, frontier, info.Nodes)
+			extended++
 		}
-		nf.bytes += e.size(key)
+		nf.bytes += e.size()
 	}
 	if nf.bytes > nf.budget {
 		nf.m, nf.bytes = map[string]*atomEntry{}, 0
@@ -120,17 +115,11 @@ func (f *atomFacts) afterInserts(db *graph.DB, info *graph.DeltaInfo) *atomFacts
 	return nf
 }
 
-// touchedBy compiles the label of the entry's relation — to nil for ∅ — and
-// reports whether a delta over the given labels can add a pair to it: when
-// one of them labels a transition of the automaton, which has the negated
-// classes expanded over Σ (or when the label no longer compiles, which cannot
-// happen).
-func (e *atomEntry) touchedBy(labels []rune) (*compiledEntry, bool) {
-	if _, empty := e.label.(*xregex.Empty); empty {
-		return nil, false
-	}
-	ent, err := compiledFor(e.label, e.sigma)
-	return ent, err != nil || slices.ContainsFunc(ent.nfa.Labels(), func(l int32) bool { return slices.Contains(labels, rune(l)) })
+// touchedBy reports whether a delta over the given labels can add a pair to
+// the entry's relation: when one of them labels a transition of its atom's
+// automaton, which has the negated classes expanded over Σ.
+func (e *atomEntry) touchedBy(labels []rune) bool {
+	return slices.ContainsFunc(e.atom.nfa.Labels(), func(l int32) bool { return slices.Contains(labels, rune(l)) })
 }
 
 // growRelation widens a relation untouched by the delta to the new node
@@ -167,9 +156,9 @@ func growRelation(old *EdgeRel, newN int, hasEps bool) *EdgeRel {
 // including its levels when the entry has them: a non-frontier source
 // cannot reach any added edge, so neither its pair set nor its shortest
 // path lengths changed.
-func extendRelation(db *graph.DB, old *EdgeRel, ent *compiledEntry, frontier *deltaFrontier, newN int) *EdgeRel {
+func extendRelation(db *graph.DB, old *EdgeRel, a *Atom, frontier *deltaFrontier, newN int) *EdgeRel {
 	withLev := old.lev != nil
-	res := engine.ReachBatchEx(db.Index(), ent.cache, frontier.list, true,
+	res := engine.ReachBatchEx(db.Index(), a.cache, frontier.list, true,
 		engine.ReachOpts{Levels: withLev})
 	r := &EdgeRel{fwd: make([][]int, newN)}
 	copy(r.fwd, old.fwd)

@@ -74,7 +74,7 @@ func TestRelCacheApplyDelta(t *testing.T) {
 		db := randomDB(seed, 8, 20, "abc")
 		sigma := []rune("abc")
 		for _, l := range labels {
-			if _, err := Atoms(db).Relation(l, sigma, engine.ReachOpts{}); err != nil {
+			if _, err := Atoms(db).Relation(atomOf(t, Atoms(db), l, sigma), engine.ReachOpts{}); err != nil {
 				t.Fatalf("seed %d: Relation: %v", seed, err)
 			}
 		}
@@ -108,7 +108,7 @@ func TestRelCacheApplyDelta(t *testing.T) {
 					seed, step, before.DeltaPasses, before.Retained, before.Extended, step+1, len(labels))
 			}
 			for _, l := range labels {
-				got, err := Atoms(db).Relation(l, sigma, engine.ReachOpts{})
+				got, err := Atoms(db).Relation(atomOf(t, Atoms(db), l, sigma), engine.ReachOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -141,7 +141,7 @@ func TestRelCacheDeltaDisjointRetains(t *testing.T) {
 	ab := xregex.MustParse("(a|b)+")
 	cc := xregex.MustParse("c+")
 	for _, l := range []xregex.Node{ab, cc} {
-		if _, err := Atoms(db).Relation(l, sigma, engine.ReachOpts{}); err != nil {
+		if _, err := Atoms(db).Relation(atomOf(t, Atoms(db), l, sigma), engine.ReachOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,7 +151,7 @@ func TestRelCacheDeltaDisjointRetains(t *testing.T) {
 	if st := Atoms(db).Stats(); st.Retained != 1 || st.Extended != 1 {
 		t.Fatalf("retained=%d extended=%d, want 1/1", st.Retained, st.Extended)
 	}
-	got, _ := Atoms(db).Relation(cc, sigma, engine.ReachOpts{})
+	got, _ := Atoms(db).Relation(atomOf(t, Atoms(db), cc, sigma), engine.ReachOpts{})
 	want, _ := RelationFor(db, cc, sigma)
 	if !relEqual(got, want) {
 		t.Fatal("extended c+ relation diverged")
@@ -171,14 +171,14 @@ func TestLabelAlphabet(t *testing.T) {
 		{"[^a]", "abc", "bc", "a"},
 		{".*", "ab", "ab", "c"},
 	} {
-		e := &atomEntry{label: xregex.MustParse(tc.src), sigma: []rune(tc.sigma)}
+		e := &atomEntry{atom: atomOf(t, Atoms(graph.MustParse("")), xregex.MustParse(tc.src), []rune(tc.sigma))}
 		for _, r := range tc.touching + tc.not {
-			if _, touched := e.touchedBy([]rune{r}); touched != strings.ContainsRune(tc.touching, r) {
+			if touched := e.touchedBy([]rune{r}); touched != strings.ContainsRune(tc.touching, r) {
 				t.Fatalf("%s over %s: touched by %c = %v", tc.src, tc.sigma, r, touched)
 			}
 		}
 	}
-	if ent, touched := (&atomEntry{label: &xregex.Empty{}}).touchedBy([]rune("a")); ent != nil || touched {
+	if (&atomEntry{atom: atomOf(t, Atoms(graph.MustParse("")), &xregex.Empty{}, []rune("a"))}).touchedBy([]rune("a")) {
 		t.Fatal("a delta touched ∅")
 	}
 }

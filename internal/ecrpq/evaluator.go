@@ -76,11 +76,11 @@ func newEvaluator(q *Query, db *graph.DB, o Options, lazy bool) (*evaluator, err
 		lazy:     lazy,
 	}
 	for i, e := range q.Pattern.Edges {
-		ent, err := compiledFor(e.Label, sigma)
+		a, err := ev.store.Atom(e.Label, sigma)
 		if err != nil {
 			return nil, err
 		}
-		ev.atoms[i] = probeAtom{ev: ev, ent: ent}
+		ev.atoms[i] = probeAtom{ev: ev, atom: a}
 	}
 	for gi, g := range q.Groups {
 		ev.gscratch[gi] = newGroupScratch(ev, g)
@@ -101,7 +101,7 @@ func newEvaluator(q *Query, db *graph.DB, o Options, lazy bool) (*evaluator, err
 // is the evaluator's lock-free view of what it was handed.
 type probeAtom struct {
 	ev       *evaluator
-	ent      *compiledEntry // shared compiled NFA + subset caches
+	atom     *Atom // the edge's label over the evaluation's Σ, held by the store
 	fwd, rev probeMemo
 }
 
@@ -145,7 +145,7 @@ func (p *probeAtom) fetch(nodes []int, forward bool) []probeRow {
 	m.rows = slices.Grow(m.rows, len(nodes))[:k+len(nodes)]
 	out := m.rows[k:]
 	clear(out)
-	if ev.store.rows(p.ent, forward, nodes, engine.ReachOpts{Budget: ev.bud, Levels: ev.ranked, Weight: ev.rankedWeight()}, out) {
+	if ev.store.rows(p.atom, forward, nodes, engine.ReachOpts{Budget: ev.bud, Levels: ev.ranked, Weight: ev.rankedWeight()}, out) {
 		m.rows = m.rows[:k]
 		return out
 	}
@@ -206,7 +206,7 @@ func (p *probeAtom) prefetch(nodes []int, forward bool) {
 func (p *probeAtom) support(forward bool) []uint64 {
 	memo := p.memo(forward)
 	if memo.sup == nil {
-		memo.sup, _ = p.ev.store.support(p.ent, !forward, p.ev.bud)
+		memo.sup, _ = p.ev.store.support(p.atom, !forward, p.ev.bud)
 	}
 	return memo.sup
 }
@@ -309,7 +309,7 @@ func (ev *evaluator) mostBound(placed []bool, bound map[string]bool) int {
 // for free), otherwise the cheapest single traversal — 1 under unit cost,
 // the minimum clamped symbol weight under a pluggable weight.
 func (ev *evaluator) edgeMinCost(ei int) int32 {
-	c := ev.atoms[ei].ent.cache
+	c := ev.atoms[ei].atom.cache
 	nSyms := ev.ix.NumSyms()
 	if !ev.ranked || c.Final(c.Start()) || nSyms == 0 {
 		return 0

@@ -189,7 +189,7 @@ func TestExecutorDifferential(t *testing.T) {
 						rels := make([]*EdgeRel, len(g.Edges))
 						for i, e := range g.Edges {
 							// Levels are always built: an unranked join must not care.
-							if rels[i], err = BuildRelation(db, e.Label, sigma, engine.ReachOpts{Levels: true, Weight: w}); err != nil {
+							if rels[i], err = BuildRelation(db, atomOf(t, Atoms(db), e.Label, sigma), engine.ReachOpts{Levels: true, Weight: w}); err != nil {
 								t.Fatal(err)
 							}
 						}
@@ -243,10 +243,11 @@ func TestJoinRankedComesFromCallerNotRelation(t *testing.T) {
 		db := graph.MustParse(sb.String()) // with a store of its own
 		rels := make([]*EdgeRel, len(g.Edges))
 		for i, e := range g.Edges {
-			if _, err := Atoms(db).Relation(e.Label, db.Alphabet(), engine.ReachOpts{Levels: warmRanked}); err != nil {
+			a := atomOf(t, Atoms(db), e.Label, db.Alphabet())
+			if _, err := Atoms(db).Relation(a, engine.ReachOpts{Levels: warmRanked}); err != nil {
 				t.Fatal(err)
 			}
-			r, err := Atoms(db).Relation(e.Label, db.Alphabet(), engine.ReachOpts{})
+			r, err := Atoms(db).Relation(a, engine.ReachOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -375,7 +376,7 @@ func TestFrontierProbeHonoursBudget(t *testing.T) {
 						want, _ = rel.backward(u)
 					}
 					memoRow, memoized := ev.atoms[i].memo(forward).get(u)
-					stored, filed := storedRow(ev.store, ev.atoms[i].ent, forward, u)
+					stored, filed := storedRow(ev.store, ev.atoms[i].atom, forward, u)
 					if memoized && !slices.Equal(memoRow.nodes, want) || filed && !slices.Equal(stored, want) {
 						t.Fatalf("%d polls: atom %d forward=%v node %d holds a row of a truncated sweep", polls, i, forward, u)
 					}

@@ -370,7 +370,7 @@ func newGroupScratch(ev *evaluator, g Group) *groupScratch {
 	}
 	sc.row = make([]int32, sc.w)
 	for i, ei := range g.Edges {
-		sc.caches[i] = ev.atoms[ei].ent.cache
+		sc.caches[i] = ev.atoms[ei].atom.cache
 		sc.live[i].c = sc.caches[i]
 	}
 	if ev.rankedWeight() != nil {

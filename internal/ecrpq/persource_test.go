@@ -88,7 +88,7 @@ func TestShardedRelCacheDeltaMatchesPerSource(t *testing.T) {
 	for _, k := range []int{1, 2, 4} { // graph and delta seeds
 		db := randomDB(int64(100+k), 160, 640, "abc")
 		for _, l := range labels {
-			if _, err := Atoms(db).Relation(l, sigma, engine.ReachOpts{}); err != nil {
+			if _, err := Atoms(db).Relation(atomOf(t, Atoms(db), l, sigma), engine.ReachOpts{}); err != nil {
 				t.Fatalf("graph %d: Relation: %v", k, err)
 			}
 		}
@@ -110,7 +110,7 @@ func TestShardedRelCacheDeltaMatchesPerSource(t *testing.T) {
 				t.Fatalf("graph %d step %d: ApplyDelta: %v", k, step, err)
 			}
 			for _, l := range labels {
-				rel, err := Atoms(db).Relation(l, sigma, engine.ReachOpts{}) // the first one maintains the store
+				rel, err := Atoms(db).Relation(atomOf(t, Atoms(db), l, sigma), engine.ReachOpts{}) // the first one maintains the store
 				if err != nil {
 					t.Fatal(err)
 				}

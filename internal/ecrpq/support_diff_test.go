@@ -47,8 +47,11 @@ func TestSupportReadDifferential(t *testing.T) {
 		relations := func(o engine.ReachOpts) []*ecrpq.EdgeRel {
 			rels := make([]*ecrpq.EdgeRel, len(g.Edges))
 			for i, e := range g.Edges {
-				var err error
-				if rels[i], err = ecrpq.BuildRelation(db, e.Label, db.Alphabet(), o); err != nil {
+				a, err := ecrpq.Atoms(db).Atom(e.Label, db.Alphabet())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rels[i], err = ecrpq.BuildRelation(db, a, o); err != nil {
 					t.Fatal(err)
 				}
 			}

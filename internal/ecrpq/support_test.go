@@ -105,7 +105,7 @@ func TestSupportMatchesRelation(t *testing.T) {
 					if store.Stats().Supports.Entries != held {
 						t.Fatalf("%s: a cut sweep was installed", name)
 					}
-					if _, err := store.Support(label, sigma, !forward, stopped()); !errors.Is(err, engine.ErrCanceled) {
+					if _, err := store.Support(atomOf(t, store, label, sigma), !forward, stopped()); !errors.Is(err, engine.ErrCanceled) {
 						t.Fatalf("%s: Support under a canceled budget: %v", name, err)
 					}
 				} else if fmt.Sprint(bitList(sup)) != fmt.Sprint(want[i]) {
@@ -119,7 +119,7 @@ func TestSupportMatchesRelation(t *testing.T) {
 				if len(atom.fwd.rows)+len(atom.rev.rows) != 0 {
 					t.Fatalf("%s: the support probed rows", name)
 				}
-				diag, err := store.Support(label, sigma, !forward, stopped()) // stored by now: no sweep, no budget
+				diag, err := store.Support(atomOf(t, store, label, sigma), !forward, stopped()) // stored by now: no sweep, no budget
 				if err != nil || diag.Size() != len(want[i]) || diag.NumNodes() != n {
 					t.Fatalf("%s: Support(targets=%v) = %d pairs over %d nodes, %v; want %d over %d", name, !forward, diag.Size(), diag.NumNodes(), err, len(want[i]), n)
 				}
@@ -128,15 +128,15 @@ func TestSupportMatchesRelation(t *testing.T) {
 						t.Fatalf("%s: Support(targets=%v) lists %v for node %d, want the node itself", name, !forward, vs, u)
 					}
 				}
-				if again, _ := store.Support(label, sigma, !forward, nil); again != diag {
+				if again, _ := store.Support(atomOf(t, store, label, sigma), !forward, nil); again != diag {
 					t.Fatalf("%s: the diagonal view was built twice", name)
 				}
 			}
-			ok, err := store.PathExists(label, sigma, stopped())
+			ok, err := store.PathExists(atomOf(t, store, label, sigma), stopped())
 			if err != nil && !errors.Is(err, engine.ErrCanceled) || ok && rel.Empty() || !ok && err == nil && !rel.Empty() {
 				t.Fatalf("%s: PathExists under a canceled budget = %v, %v; the relation has %d pairs", name, ok, err, rel.Size())
 			}
-			if ok, err := store.PathExists(label, sigma, nil); err != nil || ok != !rel.Empty() {
+			if ok, err := store.PathExists(atomOf(t, store, label, sigma), nil); err != nil || ok != !rel.Empty() {
 				t.Fatalf("%s: PathExists = %v, %v; the relation has %d pairs", name, ok, err, rel.Size())
 			}
 		}
@@ -151,19 +151,19 @@ func TestSupportMatchesRelation(t *testing.T) {
 func TestPathExistsCanceled(t *testing.T) {
 	store := Atoms(graph.MustParse("n0 a n1\nn1 a n2\nn2 b n3\n"))
 	label, sigma := xregex.MustParse("aab"), []rune("ab")
-	if ok, err := store.PathExists(label, sigma, stopped()); ok || !errors.Is(err, engine.ErrCanceled) {
+	if ok, err := store.PathExists(atomOf(t, store, label, sigma), stopped()); ok || !errors.Is(err, engine.ErrCanceled) {
 		t.Fatalf("PathExists under a canceled budget = %v, %v, want false and ErrCanceled", ok, err)
 	}
 	if v := store.Verdicts(); len(v) != 0 {
 		t.Fatalf("the cut probe left a verdict: %v", v)
 	}
-	if ok, err := store.PathExists(label, sigma, nil); !ok || err != nil {
+	if ok, err := store.PathExists(atomOf(t, store, label, sigma), nil); !ok || err != nil {
 		t.Fatalf("PathExists = %v, %v", ok, err)
 	}
-	if ok, err := store.PathExists(label, sigma, stopped()); !ok || err != nil {
+	if ok, err := store.PathExists(atomOf(t, store, label, sigma), stopped()); !ok || err != nil {
 		t.Fatalf("PathExists of a stored verdict under a canceled budget = %v, %v", ok, err)
 	}
-	if ok, err := store.PathExists(xregex.MustParse("ba"), sigma, nil); ok || err != nil {
+	if ok, err := store.PathExists(atomOf(t, store, xregex.MustParse("ba"), sigma), nil); ok || err != nil {
 		t.Fatalf("PathExists(ba) = %v, %v", ok, err)
 	}
 }

@@ -2,7 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"slices"
 	"strings"
 	"testing"
@@ -102,4 +105,124 @@ func linkedNames(d *DB) []string {
 	}
 	slices.Sort(out)
 	return out
+}
+
+// FuzzWALParse holds the write-ahead log decoder to its encoder on arbitrary
+// bytes: parseWAL never panics and reports a valid prefix within the input,
+// which the returned records re-encode to byte for byte (so a frame with a
+// uvarint longer than its shortest form, or a label past 32 bits, is
+// corrupt even under a matching CRC: no encoder writes one); every cut of that
+// prefix parses without error to a prefix of its records; and one flipped
+// byte in the CRC or payload of any frame but the last is corruption, not a
+// torn tail. Input that frames no record is turned into a log of records
+// read off its bytes (walFromBytes), so the properties of a valid log are
+// held to more than the seeds.
+func FuzzWALParse(f *testing.F) {
+	log := encodeWAL([]walRecord{
+		{FromRev: 0, ToRev: 1, Delta: Delta{Add: []DeltaEdge{{From: "u", Label: 'a', To: "v"}, {From: "v", Label: 'é', To: "w"}}}},
+		{Side: true, Kind: 1, Blob: []byte("cursor")},
+		{FromRev: 1, ToRev: 3, Delta: Delta{Add: []DeltaEdge{{From: "w", Label: 'b', To: "u"}}, Del: []DeltaEdge{{From: "u", Label: 'a', To: "v"}}}},
+		{Side: true, Kind: 2},
+	})
+	interior := bytes.Clone(log)
+	interior[12] ^= 1 // in the first frame's payload
+	// frame frames payload with its CRC, as the encoder would.
+	frame := func(payload ...byte) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+		return append(b, payload...)
+	}
+	for _, b := range [][]byte{
+		nil, log, log[:len(log)-3], log[:5], interior, {0, 0, 0, 0, 0, 0, 0, 0}, []byte("\x07a\x83bc\x10\xffdef"),
+		frame(0x80, 0x00, 1, 0, 0),                            // fromRev 0 in two bytes: no encoder writes it
+		frame(0, 1, 1, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0), // a label of 2^32
+	} {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		recs, valid, err := parseWAL(buf)
+		if valid < 0 || valid > len(buf) || err != nil && !errors.Is(err, ErrWALCorrupt) {
+			t.Fatalf("%q: valid prefix %d of %d bytes, error %v", buf, valid, len(buf), err)
+		}
+		if valid == 0 && len(buf) > 0 {
+			buf = encodeWAL(walFromBytes(buf))
+			if recs, valid, err = parseWAL(buf); err != nil || valid != len(buf) {
+				t.Fatalf("the log %q parses to %d of its bytes: %v", buf, valid, err)
+			}
+		}
+		log := buf[:valid]
+		if enc := encodeWAL(recs); !bytes.Equal(enc, log) {
+			t.Fatalf("%q: the records of its valid prefix %q encode as %q", buf, log, enc)
+		}
+		ends := make([]int, len(recs)) // where each frame ends
+		for i := range recs {
+			ends[i] = len(encodeWAL(recs[:i+1]))
+		}
+		step := max(1, len(log)/256) // the checks below are quadratic
+		for cut := 0; cut <= len(log); cut += step {
+			got, n, err := parseWAL(log[:cut])
+			k := 0 // the frames that end within the cut
+			for k < len(ends) && ends[k] <= cut {
+				k++
+			}
+			if err != nil || len(got) != k || !bytes.Equal(encodeWAL(got), log[:n]) || k > 0 && n != ends[k-1] {
+				t.Fatalf("%q cut at %d: %d records in %d bytes (%v), want the first %d", log, cut, len(got), n, err, k)
+			}
+		}
+		for i := 0; i+1 < len(recs); i++ {
+			start := 0
+			if i > 0 {
+				start = ends[i-1]
+			}
+			for at := start + 4; at < ends[i]; at += step {
+				flipped := bytes.Clone(log)
+				flipped[at] ^= 0x41
+				if _, _, err := parseWAL(flipped); !errors.Is(err, ErrWALCorrupt) {
+					t.Fatalf("%q with byte %d of frame %d flipped: %v, want ErrWALCorrupt", log, at-start, i, err)
+				}
+			}
+		}
+	})
+}
+
+// encodeWAL is the log of recs.
+func encodeWAL(recs []walRecord) []byte {
+	var b []byte
+	for _, r := range recs {
+		if r.Side {
+			b = encodeWALSideRecord(b, r.Kind, r.Blob)
+		} else {
+			b = encodeWALRecord(b, r)
+		}
+	}
+	return b
+}
+
+// walFromBytes reads records off arbitrary bytes: a byte c opens a record
+// of the c%8 bytes after it — a side record of kind c>>4 with them as its
+// blob when c&8 is set, else a delta record with an edge per byte, its
+// names and label cut from the record's bytes.
+func walFromBytes(b []byte) []walRecord {
+	var recs []walRecord
+	rev := uint64(0)
+	for len(b) > 0 {
+		n := min(int(b[0]%8), len(b)-1)
+		body := b[1 : 1+n]
+		if b[0]&8 != 0 {
+			recs = append(recs, walRecord{Side: true, Kind: uint64(b[0] >> 4), Blob: body})
+		} else {
+			rec := walRecord{FromRev: rev, ToRev: rev + 1 + uint64(n)}
+			for i, c := range body {
+				e := DeltaEdge{From: string(body[:i]), Label: rune(c) << (c % 24), To: string(body[i:])}
+				if c&1 == 0 {
+					rec.Delta.Add = append(rec.Delta.Add, e)
+				} else {
+					rec.Delta.Del = append(rec.Delta.Del, e)
+				}
+			}
+			recs, rev = append(recs, rec), rec.ToRev
+		}
+		b = b[1+n:]
+	}
+	return recs
 }

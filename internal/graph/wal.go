@@ -105,9 +105,11 @@ type walDecoder struct {
 	off int
 }
 
+// uvarint decodes the next uvarint, which must be in the shortest form — the
+// one the encoder writes — so that a log re-encodes to its own bytes.
 func (d *walDecoder) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && d.buf[d.off+n-1] == 0 {
 		return 0, fmt.Errorf("%w: bad uvarint", ErrWALCorrupt)
 	}
 	d.off += n
@@ -147,6 +149,9 @@ func (d *walDecoder) edges() ([]DeltaEdge, error) {
 		lbl, err := d.uvarint()
 		if err != nil {
 			return nil, err
+		}
+		if lbl > math.MaxUint32 {
+			return nil, fmt.Errorf("%w: label %d overruns 32 bits", ErrWALCorrupt, lbl)
 		}
 		e.Label = rune(uint32(lbl))
 		out = append(out, e)
