@@ -7,6 +7,7 @@ package main
 // registry lets go of a parked cursor must leave no goroutine behind.
 
 import (
+	"crypto/rand"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -20,11 +21,8 @@ import (
 )
 
 func TestCursorTokenEntropyFailure(t *testing.T) {
-	old := randRead
-	randRead = func([]byte) (int, error) { return 0, errors.New("entropy source unavailable") }
-	defer func() { randRead = old }()
-
 	srv, ts := testServer(t)
+	srv.cursors.randRead = func([]byte) (int, error) { return 0, errors.New("entropy source unavailable") }
 	// limit=1 on a 3-row answer set wants to park a cursor; minting its
 	// token fails, which must surface as a 500 — not a panic.
 	code, out := postJSON(t, ts.URL+"/query", `{"db":"g1","query":"ans(x, y)\nx y : a|b","limit":1}`)
@@ -36,7 +34,7 @@ func TestCursorTokenEntropyFailure(t *testing.T) {
 	}
 
 	// The server keeps serving: restore entropy, same query succeeds.
-	randRead = old
+	srv.cursors.randRead = rand.Read
 	code, out = postJSON(t, ts.URL+"/query", `{"db":"g1","query":"ans(x, y)\nx y : a|b","limit":1}`)
 	if code != http.StatusOK || out["cursor"] == nil {
 		t.Fatalf("after entropy recovery: %d %v", code, out)

@@ -41,6 +41,21 @@ func postJSON(t *testing.T, url, body string) (int, map[string]any) {
 	return resp.StatusCode, out
 }
 
+// getStats decodes GET /stats.
+func getStats(t *testing.T, url string) map[string]any {
+	t.Helper()
+	resp, err := http.Get(url + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func TestQueryEvalNamedDB(t *testing.T) {
 	srv, ts := testServer(t)
 	body := `{"db":"g1","query":"ans(x, y)\nx y : a"}`
@@ -242,20 +257,12 @@ func TestUpdateDeltaMaintainsSessions(t *testing.T) {
 // in the database's atom store as probe rows, which /stats shows under
 // "atoms".rows, and the second one reads them from there — a hit, and no
 // further miss. The atom's automaton is compiled once, and "atoms".automata
-// shows it charged to the store's bytes.
+// shows it charged to the store's bytes. The first text's searches show in
+// "atoms".kernel; the second runs none.
 func TestStatsAtomRowsShared(t *testing.T) {
 	_, ts := testServer(t)
 	atoms := func() map[string]any {
-		resp, err := http.Get(ts.URL + "/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var st map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		return st["dbs"].([]any)[0].(map[string]any)["atoms"].(map[string]any)
+		return getStats(t, ts.URL)["dbs"].([]any)[0].(map[string]any)["atoms"].(map[string]any)
 	}
 	for i, text := range []string{`ans(x, y)\nx y : a`, `ans(p, q)\np q : a`} {
 		before := atoms()
@@ -278,6 +285,56 @@ func TestStatsAtomRowsShared(t *testing.T) {
 		if hit := after["misses"] == before["misses"] && after["hits"].(float64) > before["hits"].(float64); hit != (i == 1) {
 			t.Fatalf("%s: rows came back as a hit: %v, want %v (%v -> %v)", text, hit, i == 1, before, after)
 		}
+		kb, ka := before["kernel"].(map[string]any), after["kernel"].(map[string]any)
+		if searched := ka["batches"].(float64) > kb["batches"].(float64) && ka["edges"].(float64) > kb["edges"].(float64); searched != (i == 0) {
+			t.Fatalf("%s: kernel searched: %v, want %v (%v -> %v)", text, searched, i == 0, kb, ka)
+		}
+	}
+}
+
+// TestStatsKernelPerDatabase: kernel work is counted per database. A query on
+// one of two named databases moves only that database's "atoms".kernel, the
+// top-level "engine" is the sum over the databases, and there is no
+// process-wide "match_cache".
+func TestStatsKernelPerDatabase(t *testing.T) {
+	srv, ts := testServer(t)
+	srv.addDB("g2", graph.MustParse("p a q\nq b r"))
+	kernels := func() (st map[string]any, per map[string]map[string]any) {
+		st, per = getStats(t, ts.URL), map[string]map[string]any{}
+		for _, d := range st["dbs"].([]any) {
+			d := d.(map[string]any)
+			per[d["name"].(string)] = d["atoms"].(map[string]any)["kernel"].(map[string]any)
+		}
+		return st, per
+	}
+	_, before := kernels()
+	queries := []string{
+		`{"db":"g2","query":"ans(x, y)\nx y : a b"}`,
+		`{"db":"g2","query":"ans(x, y)\nx y : $w{a|b}\ny z : $w+","semantics":"bounded","k":1}`,
+	}
+	for _, q := range queries {
+		if code, out := postJSON(t, ts.URL+"/query", q); code != http.StatusOK {
+			t.Fatalf("%s: %d %v", q, code, out)
+		}
+	}
+	st, after := kernels()
+	if len(after) != 2 {
+		t.Fatalf("stats dbs = %v", st["dbs"])
+	}
+	if after["g2"]["batches"].(float64) <= before["g2"]["batches"].(float64) || after["g2"]["edges"].(float64) <= before["g2"]["edges"].(float64) {
+		t.Fatalf("g2's kernel did not move: %v -> %v", before["g2"], after["g2"])
+	}
+	if fmt.Sprint(after["g1"]) != fmt.Sprint(before["g1"]) {
+		t.Fatalf("a query on g2 moved g1's kernel: %v -> %v", before["g1"], after["g1"])
+	}
+	total := st["engine"].(map[string]any)
+	for _, k := range []string{"batches", "levels", "sources", "edges"} {
+		if sum := after["g1"][k].(float64) + after["g2"][k].(float64); total[k] != sum {
+			t.Fatalf("engine.%s = %v, want the sum over the databases %v", k, total[k], sum)
+		}
+	}
+	if _, ok := st["match_cache"]; ok {
+		t.Fatalf("/stats has a process-wide match_cache: %v", st)
 	}
 }
 

@@ -124,7 +124,6 @@ import (
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
-	"cxrpq/internal/xregex"
 )
 
 type serverOptions struct {
@@ -625,15 +624,13 @@ type cursorRegistry struct {
 	last map[string]time.Time
 	cap  int
 	ttl  time.Duration
+
+	randRead func([]byte) (int, error) // cursor-token entropy: rand.Read, a failing reader in tests
 }
 
 func newCursorRegistry(cap int, ttl time.Duration) *cursorRegistry {
-	return &cursorRegistry{recs: map[string]*cursorRec{}, last: map[string]time.Time{}, cap: cap, ttl: ttl}
+	return &cursorRegistry{recs: map[string]*cursorRec{}, last: map[string]time.Time{}, cap: cap, ttl: ttl, randRead: rand.Read}
 }
-
-// randRead sources cursor-token entropy; a package variable so tests can
-// inject a failing reader.
-var randRead = rand.Read
 
 // put registers a cursor under a fresh token and returns the token plus any
 // records evicted by TTL or capacity — the caller closes those outside the
@@ -643,7 +640,7 @@ var randRead = rand.Read
 // evictable per pass it would never terminate.
 func (cr *cursorRegistry) put(rec *cursorRec) (string, []*cursorRec, error) {
 	var b [16]byte
-	if _, err := randRead(b[:]); err != nil {
+	if _, err := cr.randRead(b[:]); err != nil {
 		return "", nil, fmt.Errorf("minting cursor token: %w", err)
 	}
 	tok := hex.EncodeToString(b[:])
@@ -1397,6 +1394,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	sort.Strings(names)
 	var dbs []dbStats
+	var kernel engine.KernelStats // summed over the databases
 	for _, name := range names {
 		e, ok := s.entry(name)
 		if !ok {
@@ -1418,6 +1416,10 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st.Sessions = len(pub.sessions)
 		pub.sessMu.Unlock()
 		st.Atoms = ecrpq.Atoms(pub.db).Stats()
+		kernel.Batches += st.Atoms.Kernel.Batches
+		kernel.Levels += st.Atoms.Kernel.Levels
+		kernel.Sources += st.Atoms.Kernel.Sources
+		kernel.Edges += st.Atoms.Kernel.Edges
 		st.SessMaint = sessMaintStats{DeltaApplies: st.Atoms.DeltaPasses, Retains: st.Atoms.Retains,
 			FullRebuilds: st.Atoms.FullRebuilds, RelRetained: st.Atoms.Retained, RelExtended: st.Atoms.Extended}
 		e.qmu.Lock()
@@ -1431,15 +1433,13 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		e.qmu.Unlock()
 		dbs = append(dbs, st)
 	}
-	mc := xregex.MatchCacheInfo()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"dbs":         dbs,
-		"match_cache": map[string]any{"hits": mc.Hits, "misses": mc.Misses, "size": mc.Size},
-		"inflight":    len(s.inflight),
-		"cursors":     s.cursors.open(),
-		// Batched reachability-kernel counters: batch/level/source totals and
-		// edge volume (process-wide, across all DBs).
-		"engine": engine.ReachBatchStats(),
+		"dbs":      dbs,
+		"inflight": len(s.inflight),
+		"cursors":  s.cursors.open(),
+		// The reachability-kernel work of every database's atom store
+		// ("atoms".kernel), summed.
+		"engine": kernel,
 	})
 }
 

@@ -202,8 +202,8 @@ type boundedEngine struct {
 
 	// weight generalizes ranked witness cost from edge count to a pluggable
 	// per-edge-label weight. Weighted relations have no identity (a function
-	// can't key the atom store), so relationFor builds them outside it,
-	// memoized per run in wrels.
+	// can't key the atom store), so the store files them nowhere and
+	// relationFor memoizes them per run in wrels.
 	weight engine.Weight
 	wrels  *epochMap[*ecrpq.Atom, *ecrpq.EdgeRel]
 
@@ -288,7 +288,7 @@ func (e *boundedEngine) newState() *boundedState {
 // ∅, or it labels no path of D.
 func (st *boundedState) instantiateEdge(ei int) (bool, error) {
 	e := st.e
-	cut, err := xregex.CutFailedDefs(e.p.c[ei], st.assign, e.sigma)
+	cut, err := xregex.CutFailedDefs(e.p.c[ei], st.assign, e.match)
 	if err != nil {
 		return false, err
 	}
@@ -323,8 +323,9 @@ func (st *boundedState) instantiateEdge(ei int) (bool, error) {
 // replaced by their images, while unassigned definitions and references are
 // relaxed to Σ*. The result is classical and its language contains the exact
 // instantiated language of every completion of the prefix, so a label that
-// matches no path of D prunes the whole subtree.
-func relaxCut(n xregex.Node, assign map[string]string, sigma []rune) (xregex.Node, error) {
+// matches no path of D prunes the whole subtree. match tests an image
+// against its cut body.
+func relaxCut(n xregex.Node, assign map[string]string, match xregex.Matcher) (xregex.Node, error) {
 	switch t := n.(type) {
 	case *xregex.Ref:
 		return xregex.Relax(n, assign), nil
@@ -333,16 +334,16 @@ func relaxCut(n xregex.Node, assign map[string]string, sigma []rune) (xregex.Nod
 		if !ok {
 			return xregex.AnyWord(), nil
 		}
-		cut, err := relaxCut(t.Body, assign, sigma)
+		cut, err := relaxCut(t.Body, assign, match)
 		if err != nil {
 			return nil, err
 		}
-		if m, err := xregex.Matches(xregex.Simplify(cut), w, sigma); err != nil || !m {
+		if m, err := match(xregex.Simplify(cut), w); err != nil || !m {
 			return &xregex.Empty{}, err
 		}
 		return xregex.Word(w), nil
 	}
-	return xregex.MapKids(n, func(k xregex.Node) (xregex.Node, error) { return relaxCut(k, assign, sigma) })
+	return xregex.MapKids(n, func(k xregex.Node) (xregex.Node, error) { return relaxCut(k, assign, match) })
 }
 
 // pruneRelaxed checks the Σ*-relaxed partial instantiation of edge ei
@@ -352,7 +353,7 @@ func relaxCut(n xregex.Node, assign map[string]string, sigma []rune) (xregex.Nod
 // relation is never built.
 func (st *boundedState) pruneRelaxed(ei int) (bool, error) {
 	e := st.e
-	relaxed, err := relaxCut(e.p.c[ei], st.assign, e.sigma)
+	relaxed, err := relaxCut(e.p.c[ei], st.assign, e.match)
 	if err != nil {
 		return false, err
 	}
@@ -422,10 +423,22 @@ func (e *boundedEngine) relationFor(ei int, inst xregex.Node) (*ecrpq.EdgeRel, e
 		// weights would collide on the same atom. The per-run memo still
 		// shares the build across this run's mappings.
 		return e.wrels.getOr(a, func() (*ecrpq.EdgeRel, error) {
-			return ecrpq.BuildRelation(e.db, a, engine.ReachOpts{Budget: e.fanBud, Weight: e.weight})
+			return e.atoms.Relation(a, engine.ReachOpts{Budget: e.fanBud, Weight: e.weight})
 		})
 	}
 	return e.atoms.Relation(a, engine.ReachOpts{Budget: e.fanBud, Levels: e.ranked})
+}
+
+// match is the run's membership test: whether the classical expression n
+// matches w, through the subset cache of the atom the store holds for n —
+// the definition bodies and filters of every mapping, and of every query
+// over the database, share their automata there.
+func (e *boundedEngine) match(n xregex.Node, w string) (bool, error) {
+	a, err := e.atoms.Atom(n, e.sigma)
+	if err != nil {
+		return false, err
+	}
+	return a.Accepts(w), nil
 }
 
 // onlyEps is the candidate list of a variable nothing defines or references.
@@ -464,11 +477,11 @@ func (e *boundedEngine) candidates(x string, assign map[string]string) ([]string
 		if filter == nil {
 			return e.db.PathLabels(e.k, 0), nil
 		}
-		c, err := xregex.SubsetFor(filter, e.sigma)
+		a, err := e.atoms.Atom(filter, e.sigma)
 		if err != nil {
 			return nil, err
 		}
-		ws := []string{""}
+		c, ws := a.Subset(), []string{""}
 		e.db.WalkPathWords(e.k, c.Start(),
 			func(id int32, sym rune) (int32, bool) {
 				id = c.Step(id, int32(sym))

@@ -29,8 +29,9 @@ func InstantiateCXRE(c CXRE, v map[string]string, sigma []rune) (CXRE, error) {
 
 	// Step 1: cut failing definitions per component.
 	cut := make([]xregex.Node, len(c))
+	match := func(g xregex.Node, w string) (bool, error) { return xregex.Matches(g, w, sigma) }
 	for i, n := range c {
-		cn, err := xregex.CutFailedDefs(n, v, sigma)
+		cn, err := xregex.CutFailedDefs(n, v, match)
 		if err != nil {
 			return nil, err
 		}

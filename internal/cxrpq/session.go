@@ -39,9 +39,10 @@ const (
 	resultCap = 256
 )
 
-// epochMap is the drop-all-on-overflow bounded cache pattern (xregex's match
-// cache follows the same recipe): mutex + cap + whole-epoch drop + hit/miss
-// counters. It backs the result cache and a bounded run's memos.
+// epochMap is the drop-all-on-overflow bounded cache pattern (the atom
+// store drops its epoch the same way, on bytes): mutex + cap + whole-epoch
+// drop + hit/miss counters. It backs the result cache and a bounded run's
+// memos.
 type epochMap[K comparable, V any] struct {
 	mu     sync.Mutex
 	cap    int

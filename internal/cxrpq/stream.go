@@ -79,10 +79,10 @@ type StreamOptions struct {
 
 	// Weight generalizes the ranked witness cost from edge count to a
 	// pluggable per-edge-label weight (engine.Weight; nil = unit cost).
-	// Ignored unless Ranked. Weighted evaluations bypass the database's
-	// atom store and the session's ranked prefix — a weight function has no
-	// identity to file anything under — so they trade reuse for the custom
-	// metric.
+	// Ignored unless Ranked. Weighted evaluations file nothing in the
+	// database's atom store or the session's ranked prefix — a weight
+	// function has no identity to file anything under — so they trade reuse
+	// for the custom metric.
 	Weight engine.Weight
 
 	// Limit caps the total number of rows the cursor yields (0 = all).

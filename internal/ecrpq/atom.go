@@ -28,6 +28,22 @@ type Atom struct {
 	rev     *automata.SubsetCache
 }
 
+// Subset returns the determinization cache of the label's NFA. A caller that
+// tests many words against the atom steps it itself (Start/Step/Final),
+// sharing their prefixes and warming it for every other holder of the atom.
+func (a *Atom) Subset() *automata.SubsetCache { return a.cache }
+
+// Accepts reports whether the label matches w, through the subset cache.
+func (a *Atom) Accepts(w string) bool {
+	id := a.cache.Start()
+	for _, r := range w {
+		if id = a.cache.Step(id, int32(r)); id == automata.Dead {
+			return false
+		}
+	}
+	return a.cache.Final(id)
+}
+
 // reverse returns the subset cache of the reversed NFA, built on first use.
 func (a *Atom) reverse() *automata.SubsetCache {
 	a.revOnce.Do(func() { a.rev = automata.NewSubsetCache(reverseNFA(a.nfa)) })

@@ -55,7 +55,7 @@ func RelationFor(db *graph.DB, label xregex.Node, sigma []rune) (*EdgeRel, error
 // cost; under o.Weight (which implies levels) the minimum total edge weight
 // instead. Weighted relations must NEVER enter the atom store: a weight
 // function has no identity, so two queries with distinct weights would
-// collide on the same atom. Callers build them per query.
+// collide on the same atom: AtomStore.Relation builds them per call.
 func BuildRelation(db *graph.DB, a *Atom, o engine.ReachOpts) (*EdgeRel, error) {
 	n := db.NumNodes()
 	r := &EdgeRel{fwd: make([][]int, n)}

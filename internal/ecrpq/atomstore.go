@@ -64,6 +64,7 @@ type atomCounters struct {
 	hits, misses, evictions            atomic.Uint64
 	deltaPasses, retains, fullRebuilds atomic.Uint64
 	retained, extended                 atomic.Uint64
+	kernel                             engine.Counters // every kernel call the store makes, the delta pass's included
 }
 
 // atomEntry holds what is known about one atom. Fields are read and written
@@ -288,9 +289,10 @@ func (s *AtomStore) grew(e *atomEntry, before int64) {
 // ranked-ness from their own options and never from the relation. A
 // budget-truncated build returns engine.ErrCanceled and installs nothing: a
 // partial relation would silently drop answers from every later query on the
-// snapshot. A weighted build has no identity to file it under and bypasses
-// the store.
+// snapshot. A weighted build is counted like any other, but has no identity
+// to file it under and is filed nowhere.
 func (s *AtomStore) Relation(a *Atom, o engine.ReachOpts) (*EdgeRel, error) {
+	o.Count = &s.ctr.kernel
 	if o.Weight != nil {
 		return BuildRelation(s.db, a, o)
 	}
@@ -312,7 +314,7 @@ func (s *AtomStore) support(a *Atom, targets bool, bud *engine.Budget) ([]uint64
 			if !targets {
 				c = a.reverse()
 			}
-			sup, _, cut := engine.Support(s.db.Index(), c, targets, false, bud)
+			sup, _, cut := engine.Support(s.db.Index(), c, targets, false, bud, &s.ctr.kernel)
 			if cut {
 				return nil, engine.ErrCanceled
 			}
@@ -366,6 +368,7 @@ func (s *AtomStore) rows(a *Atom, forward bool, nodes []int, o engine.ReachOpts,
 		}
 	}
 	s.ctr.misses.Add(1)
+	o.Count = &s.ctr.kernel
 	c := a.cache
 	if !forward {
 		c = a.reverse()
@@ -447,7 +450,7 @@ func (s *AtomStore) PathExists(a *Atom, bud *engine.Budget) (bool, error) {
 			if a.cache.Final(a.cache.Start()) {
 				return true, nil
 			}
-			_, hits, _ := engine.Support(s.db.Index(), a.cache, true, true, bud)
+			_, hits, _ := engine.Support(s.db.Index(), a.cache, true, true, bud, &s.ctr.kernel)
 			if hits > 0 {
 				return true, nil
 			}
@@ -503,6 +506,8 @@ type AtomStats struct {
 	FullRebuilds uint64 `json:"full_rebuilds"`
 	Retained     uint64 `json:"retained"`
 	Extended     uint64 `json:"extended"`
+
+	Kernel engine.KernelStats `json:"kernel"` // the work of every kernel call the store made
 }
 
 // Stats returns a snapshot of the store.
@@ -511,7 +516,7 @@ func (s *AtomStore) Stats() AtomStats {
 	st := AtomStats{Budget: s.budget,
 		Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions.Load(),
 		DeltaPasses: c.deltaPasses.Load(), Retains: c.retains.Load(), FullRebuilds: c.fullRebuilds.Load(),
-		Retained: c.retained.Load(), Extended: c.extended.Load()}
+		Retained: c.retained.Load(), Extended: c.extended.Load(), Kernel: c.kernel.Load()}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st.Bytes = s.bytes

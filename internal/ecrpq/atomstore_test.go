@@ -411,3 +411,39 @@ func TestAtomIdentity(t *testing.T) {
 		})
 	}
 }
+
+// TestAtomStoreKernelCounters: every kernel call the store makes reports into
+// its database's counters, and only there. A lazy probe of one node is one
+// batch of one source; a weighted relation build, which the store files
+// nowhere, is one batch per source.
+func TestAtomStoreKernelCounters(t *testing.T) {
+	t.Parallel()
+	const n = 30
+	db, other := probeRandomDB(5, n, 3*n, "ab"), probeRandomDB(5, n, 3*n, "ab")
+	store := Atoms(db)
+	a := atomOf(t, store, xregex.MustParse("(a|b)+"), db.Alphabet())
+	u := 0
+	for len(db.Out(u)) == 0 {
+		u++
+	}
+	before := store.Stats().Kernel
+	store.rows(a, true, []int{u}, engine.ReachOpts{}, make([]probeRow, 1))
+	after := store.Stats().Kernel
+	if after.Batches != before.Batches+1 || after.Sources != before.Sources+1 || after.Edges == before.Edges {
+		t.Fatalf("a probe of node %d counted as %+v after %+v, want one batch of one source", u, after, before)
+	}
+	before = after
+	if _, err := store.Relation(a, engine.ReachOpts{Weight: func(rune) int32 { return 2 }}); err != nil {
+		t.Fatal(err)
+	}
+	after = store.Stats().Kernel
+	if after.Batches != before.Batches+n || after.Sources != before.Sources+n || after.Edges == before.Edges {
+		t.Fatalf("a weighted build over %d nodes counted as %+v after %+v, want one batch per source", n, after, before)
+	}
+	if st := store.Stats(); st.Relations.Entries != 0 {
+		t.Fatalf("the weighted relation was filed: %+v", st)
+	}
+	if k := Atoms(other).Stats().Kernel; k != (engine.KernelStats{}) {
+		t.Fatalf("another database's counters moved: %+v", k)
+	}
+}

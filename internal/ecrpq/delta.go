@@ -101,7 +101,7 @@ func (f *atomFacts) afterInserts(db *graph.DB, info *graph.DeltaInfo) *atomFacts
 			if frontier == nil {
 				frontier = buildFrontier(db, info)
 			}
-			e.rel = extendRelation(db, e.rel, e.atom, frontier, info.Nodes)
+			e.rel = extendRelation(db, e.rel, e.atom, frontier, info.Nodes, &f.ctr.kernel)
 			extended++
 		}
 		nf.bytes += e.size()
@@ -155,11 +155,11 @@ func growRelation(old *EdgeRel, newN int, hasEps bool) *EdgeRel {
 // frontier instead of a per-source fan) and carries every other row over —
 // including its levels when the entry has them: a non-frontier source
 // cannot reach any added edge, so neither its pair set nor its shortest
-// path lengths changed.
-func extendRelation(db *graph.DB, old *EdgeRel, a *Atom, frontier *deltaFrontier, newN int) *EdgeRel {
+// path lengths changed. The searches report into count.
+func extendRelation(db *graph.DB, old *EdgeRel, a *Atom, frontier *deltaFrontier, newN int, count *engine.Counters) *EdgeRel {
 	withLev := old.lev != nil
 	res := engine.ReachBatchEx(db.Index(), a.cache, frontier.list, true,
-		engine.ReachOpts{Levels: withLev})
+		engine.ReachOpts{Levels: withLev, Count: count})
 	r := &EdgeRel{fwd: make([][]int, newN)}
 	copy(r.fwd, old.fwd)
 	if withLev {

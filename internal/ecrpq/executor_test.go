@@ -467,11 +467,12 @@ func TestFrontierProbesInBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := ev.compile(nil, false)
-	engine.ResetReachBatchStats()
+	kernel := func() engine.KernelStats { return Atoms(db).Stats().Kernel }
+	start := kernel().Batches
 	ev.probeFrontiers(p)
-	swept := engine.ReachBatchStats()
-	if max := uint64(len(p.steps) * ((n + 63) / 64)); swept.Batches == 0 || swept.Batches > max {
-		t.Fatalf("the frontier pass ran %d kernel batches, want 1..%d", swept.Batches, max)
+	swept := kernel().Batches - start
+	if max := uint64(len(p.steps) * ((n + 63) / 64)); swept == 0 || swept > max {
+		t.Fatalf("the frontier pass ran %d kernel batches, want 1..%d", swept, max)
 	}
 	memoized := func() (rows int) {
 		for i := range ev.atoms {
@@ -489,8 +490,8 @@ func TestFrontierProbesInBatches(t *testing.T) {
 	if after := memoized(); after != before {
 		t.Fatalf("the join probed %d nodes the frontier pass had not", after-before)
 	}
-	if st := engine.ReachBatchStats(); st.Batches != swept.Batches {
-		t.Fatalf("the join ran %d more kernel batches", st.Batches-swept.Batches)
+	if ran := kernel().Batches - start; ran != swept {
+		t.Fatalf("the join ran %d more kernel batches", ran-swept)
 	}
 }
 

@@ -38,6 +38,8 @@ type ReachOpts struct {
 	// Weight replaces the unit edge cost (see Weight); non-nil implies Levels
 	// and runs Dijkstra over the product instead of the BFS.
 	Weight Weight
+	// Count is where the search reports its work; nil counts nothing.
+	Count *Counters
 }
 
 // Reach returns the sorted graph nodes v reachable from src through a path
@@ -60,12 +62,12 @@ func Reach(ix *graph.Index, c *automata.SubsetCache, src int, forward bool, o Re
 
 // Support returns the bitset (and count) of the nodes at which an accepted
 // path ends, whatever node it starts at: the BFS of Reach seeded with every
-// node at once, O(|E|·|Q|) however many pairs there are, and in KernelStats
-// one batch of n sources. With first it stops at its first hit, which settles
+// node at once, O(|E|·|Q|) however many pairs there are, and in count one
+// batch of n sources. With first it stops at its first hit, which settles
 // emptiness. cut reports a budget-truncated sweep: bits may be missing.
-func Support(ix *graph.Index, c *automata.SubsetCache, forward, first bool, bud *Budget) (sup []uint64, n int, cut bool) {
+func Support(ix *graph.Index, c *automata.SubsetCache, forward, first bool, bud *Budget, count *Counters) (sup []uint64, n int, cut bool) {
 	s := scalarPool.Get().(*scalarScratch)
-	sup, n, cut = s.support(ix, c, forward, first, bud)
+	sup, n, cut = s.support(ix, c, forward, first, bud, count)
 	scalarPool.Put(s) // not deferred: a sweep that panics must not pool dirty scratch
 	return sup, n, cut
 }
@@ -95,7 +97,7 @@ type scalarScratch struct {
 	touched []cfg     // Dijkstra: every configuration with a dist entry
 	heap    costHeap
 
-	edges, levels uint64 // BFS: product edges walked and levels run by the last search
+	edges, levels uint64 // product edges walked and BFS levels run by the last search
 
 	hitBits []uint64 // node bitset of the hits
 	hitLev  []int32  // [node] -> cost of the hit (sized only when costs are wanted)
@@ -130,11 +132,12 @@ func (s *scalarScratch) reach(ix *graph.Index, c *automata.SubsetCache, src int,
 	} else {
 		s.bfs(ix, src, forward, o.Budget, wantLev, false)
 	}
+	o.Count.add(1, s.levels, 1, s.edges)
 	return s.gather(wantLev)
 }
 
 // support runs one set-source sweep on the scratch and leaves it all-zero.
-func (s *scalarScratch) support(ix *graph.Index, c *automata.SubsetCache, forward, first bool, bud *Budget) (sup []uint64, n int, cut bool) {
+func (s *scalarScratch) support(ix *graph.Index, c *automata.SubsetCache, forward, first bool, bud *Budget, count *Counters) (sup []uint64, n int, cut bool) {
 	s.n = ix.NumNodes()
 	s.live.bind(c, ix)
 	s.hitBits = grown(s.hitBits, (s.n+63)/64)
@@ -142,10 +145,7 @@ func (s *scalarScratch) support(ix *graph.Index, c *automata.SubsetCache, forwar
 	sup, n = slices.Clone(s.hitBits), s.nHits
 	clear(s.hitBits)
 	s.nHits = 0
-	kstat.batches.Add(1)
-	kstat.levels.Add(s.levels)
-	kstat.sources.Add(uint64(s.n))
-	kstat.edges.Add(s.edges)
+	count.add(1, s.levels, uint64(s.n), s.edges)
 	return sup, n, cut
 }
 

@@ -198,8 +198,9 @@ func reachFan(workers int, ix *graph.Index, c *automata.SubsetCache, srcs []int,
 // single-source searches find between them, in both directions, on a graph
 // with more than 64 labels and for ε-accepting automata (where every node is
 // its own hit); with first it finds one of them exactly when there is one. A
-// sweep reports into the kernel counters as one batch of n sources.
+// sweep reports into its counters as one batch of n sources.
 func TestSupportMatchesReach(t *testing.T) {
+	t.Parallel()
 	wide := "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789+-=_~^%" // 69 labels
 	r := rand.New(rand.NewSource(11))
 	for gi, labels := range []string{"ab", "abc", wide} {
@@ -224,9 +225,10 @@ func TestSupportMatchesReach(t *testing.T) {
 						want[v] = true
 					}
 				}
-				before := engine.ReachBatchStats()
-				sup, k, cut := engine.Support(ix, c, forward, false, nil)
-				after := engine.ReachBatchStats()
+				var count engine.Counters
+				before := count.Load()
+				sup, k, cut := engine.Support(ix, c, forward, false, nil, &count)
+				after := count.Load()
 				if got := bitList(sup); len(got) != len(want) || k != len(want) || cut {
 					t.Fatalf("%s: support %v (count %d, cut %v), want the %d nodes %v", name, got, k, cut, len(want), want)
 				}
@@ -238,7 +240,7 @@ func TestSupportMatchesReach(t *testing.T) {
 				if after.Batches != before.Batches+1 || after.Sources != before.Sources+uint64(n) || after.Levels == before.Levels {
 					t.Fatalf("%s: sweep counted as %+v after %+v", name, after, before)
 				}
-				sup, k, _ = engine.Support(ix, c, forward, true, nil)
+				sup, k, _ = engine.Support(ix, c, forward, true, nil, nil)
 				if first := bitList(sup); k != len(first) || (k > 0) != (len(want) > 0) || (k > 0 && !want[first[0]]) {
 					t.Fatalf("%s: first-hit sweep found %v, the support has %d nodes", name, first, len(want))
 				}

@@ -24,10 +24,10 @@ import (
 // BatchWidth is the number of sources packed into one MS-BFS machine word.
 const BatchWidth = 64
 
-// KernelStats is a snapshot of the batched-kernel counters, exported by the
-// cxrpq-serve /stats endpoint: batches run, BFS levels driven, sources seeded
-// and product edges expanded (a Support sweep counts as one batch of n
-// sources).
+// KernelStats is a snapshot of Counters, exported by the cxrpq-serve /stats
+// endpoint per database: batches run, BFS levels driven, sources seeded and
+// product edges expanded (a single-source search counts as one batch of one
+// source, a Support sweep as one batch of n sources).
 type KernelStats struct {
 	Batches uint64 `json:"batches"`
 	Levels  uint64 `json:"levels"`
@@ -35,28 +35,26 @@ type KernelStats struct {
 	Edges   uint64 `json:"edges"`
 }
 
-// kstat holds the counters behind KernelStats as atomic adds: every
-// ReachBatchEx call reports into them, the chunk-of-one calls of a lazy scan
-// included, and concurrent requests must not queue on a statistics lock.
-var kstat struct {
+// Counters is where a kernel call reports its work (ReachOpts.Count): atomic
+// adds, so concurrent requests never queue on a statistics lock. The zero
+// value is ready; a nil *Counters counts nothing.
+type Counters struct {
 	batches, levels, sources, edges atomic.Uint64
 }
 
-// ReachBatchStats returns a snapshot of the batched-kernel counters.
-func ReachBatchStats() KernelStats {
-	return KernelStats{
-		Batches: kstat.batches.Load(),
-		Levels:  kstat.levels.Load(),
-		Sources: kstat.sources.Load(),
-		Edges:   kstat.edges.Load(),
+func (c *Counters) add(batches, levels, sources, edges uint64) {
+	if c == nil {
+		return
 	}
+	c.batches.Add(batches)
+	c.levels.Add(levels)
+	c.sources.Add(sources)
+	c.edges.Add(edges)
 }
 
-// ResetReachBatchStats zeroes the batched-kernel counters (tests).
-func ResetReachBatchStats() {
-	for _, c := range []*atomic.Uint64{&kstat.batches, &kstat.levels, &kstat.sources, &kstat.edges} {
-		c.Store(0)
-	}
+// Load returns a snapshot of the counters.
+func (c *Counters) Load() KernelStats {
+	return KernelStats{Batches: c.batches.Load(), Levels: c.levels.Load(), Sources: c.sources.Load(), Edges: c.edges.Load()}
 }
 
 // batchWorker is the reusable state of the batched kernel: one worker runs
@@ -70,9 +68,10 @@ func ResetReachBatchStats() {
 type batchWorker struct {
 	ix      *graph.Index
 	forward bool
-	wantLev bool    // record first-hit levels
-	bud     *Budget // optional; polled once per level
-	depth   int32   // current BFS level (0 while seeding)
+	wantLev bool      // record first-hit levels
+	bud     *Budget   // optional; polled once per level
+	count   *Counters // optional; where unbind reports the call's work
+	depth   int32     // current BFS level (0 while seeding)
 
 	live    liveRows   // per-set-id acceptance and surviving transitions
 	visited [][]uint64 // [id][node] -> mask of sources that reached it
@@ -91,7 +90,7 @@ type batchWorker struct {
 
 // bind readies an idle worker for one ReachBatchEx call.
 func (w *batchWorker) bind(ix *graph.Index, c *automata.SubsetCache, forward bool, o ReachOpts) {
-	w.ix, w.forward, w.wantLev, w.bud = ix, forward, o.Levels, o.Budget
+	w.ix, w.forward, w.wantLev, w.bud, w.count = ix, forward, o.Levels, o.Budget, o.Count
 	w.live.bind(c, ix)
 	n := ix.NumNodes()
 	w.hits = grown(w.hits, n)
@@ -101,15 +100,12 @@ func (w *batchWorker) bind(ix *graph.Index, c *automata.SubsetCache, forward boo
 	}
 }
 
-// unbind reports the call's work into the kernel counters and drops what is
-// request-scoped: the pool must not pin a budget.
+// unbind reports the call's work into its counters and drops what is
+// request-scoped: the pool must not pin a budget or counters.
 func (w *batchWorker) unbind() {
-	kstat.batches.Add(w.batches)
-	kstat.sources.Add(w.seeded)
-	kstat.levels.Add(w.levels)
-	kstat.edges.Add(w.edges)
+	w.count.add(w.batches, w.levels, w.seeded, w.edges)
 	w.batches, w.seeded, w.levels, w.edges = 0, 0, 0, 0
-	w.bud = nil
+	w.bud, w.count = nil, nil
 }
 
 // state returns the visited and pending mask arrays of set id, sized for the

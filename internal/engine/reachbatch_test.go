@@ -113,15 +113,15 @@ func TestReachOutOfRangeSource(t *testing.T) {
 }
 
 // TestReachBatchCounters: a call over every node reports one batch per 64
-// sources, every source, and its edge and level volume into the kernel
-// counters.
+// sources, every source, and its edge and level volume into its counters.
 func TestReachBatchCounters(t *testing.T) {
-	engine.ResetReachBatchStats()
+	t.Parallel()
+	var count engine.Counters
 	db := workload.GMark(11, 400)
 	m := xregex.MustCompile(xregex.MustParse("a(a|b)*"), db.Alphabet())
 	srcs := allNodes(db.NumNodes())
-	engine.ReachBatchEx(db.Index(), automata.NewSubsetCache(m), srcs, true, engine.ReachOpts{})
-	st := engine.ReachBatchStats()
+	engine.ReachBatchEx(db.Index(), automata.NewSubsetCache(m), srcs, true, engine.ReachOpts{Count: &count})
+	st := count.Load()
 	if want := uint64(len(srcs)+engine.BatchWidth-1) / engine.BatchWidth; st.Batches != want || st.Sources != uint64(len(srcs)) || st.Edges == 0 || st.Levels == 0 {
 		t.Fatalf("counters not recorded (want %d batches of %d sources): %+v", want, len(srcs), st)
 	}
@@ -131,11 +131,12 @@ func TestReachBatchCounters(t *testing.T) {
 // one batch, and out-of-range sources are not counted. (The name predates the
 // removal of the sharded kernel.)
 func TestReachBatchCountersSingleShard(t *testing.T) {
-	engine.ResetReachBatchStats()
+	t.Parallel()
+	var count engine.Counters
 	db := workload.GMark(11, 400)
 	m := xregex.MustCompile(xregex.MustParse("a(a|b)*"), db.Alphabet())
-	engine.ReachBatchEx(db.Index(), automata.NewSubsetCache(m), []int{0, 1, -1, 2}, true, engine.ReachOpts{})
-	st := engine.ReachBatchStats()
+	engine.ReachBatchEx(db.Index(), automata.NewSubsetCache(m), []int{0, 1, -1, 2}, true, engine.ReachOpts{Count: &count})
+	st := count.Load()
 	if st.Batches != 1 || st.Sources != 3 || st.Edges == 0 || st.Levels == 0 {
 		t.Fatalf("totals not recorded: %+v", st)
 	}

@@ -110,7 +110,7 @@ type outcome struct {
 
 func (rc *reachCall) on(s *scalarScratch, b *batchWorker) outcome {
 	if rc.sweep {
-		sup, n, cut := s.support(rc.ix, rc.c, rc.forward, rc.first, rc.opts().Budget)
+		sup, n, cut := s.support(rc.ix, rc.c, rc.forward, rc.first, rc.opts().Budget, nil)
 		return supportOutcome(sup, n, cut)
 	}
 	if rc.srcs == nil {
@@ -139,7 +139,7 @@ func supportOutcome(sup []uint64, n int, cut bool) outcome {
 // public runs the call through the pooled entry points.
 func (rc *reachCall) public() outcome {
 	if rc.sweep {
-		return supportOutcome(Support(rc.ix, rc.c, rc.forward, rc.first, rc.opts().Budget))
+		return supportOutcome(Support(rc.ix, rc.c, rc.forward, rc.first, rc.opts().Budget, nil))
 	}
 	if rc.srcs == nil {
 		hits, levs := Reach(rc.ix, rc.c, rc.src, rc.forward, rc.opts())
@@ -452,7 +452,7 @@ func BenchmarkSupport(b *testing.B) {
 	b.Run("sweep", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			Support(ix, c, false, false, nil)
+			Support(ix, c, false, false, nil, nil)
 		}
 	})
 	b.Run("relation", func(b *testing.B) {

@@ -115,9 +115,11 @@ func (s *scalarScratch) relax(drow []int32, v, id, cost int32) {
 // count. It runs over the (node, set id) product configurations, so the
 // first settle of an accepting configuration carries the node's minimal
 // weighted witness. The budget is polled every few hundred pops. wsym is the
-// clamped per-symbol cost table (weightTable).
+// clamped per-symbol cost table (weightTable). It walks product edges like
+// the BFS and drives no level.
 func (s *scalarScratch) dijkstra(ix *graph.Index, src int, forward bool, bud *Budget, wsym []int32) {
 	startID := s.live.c.Start()
+	s.edges, s.levels = 0, 0
 	s.relax(s.distOf(startID), int32(src), startID, 0)
 	for pops := 1; len(s.heap) > 0; pops++ {
 		cur := s.heap.pop()
@@ -136,6 +138,7 @@ func (s *scalarScratch) dijkstra(ix *graph.Index, src int, forward bool, bud *Bu
 			if len(tgts) == 0 {
 				continue
 			}
+			s.edges += uint64(len(tgts))
 			nc := cur.cost + wsym[e.sym]
 			drow := s.distOf(e.next)
 			for _, v := range tgts {

@@ -13,11 +13,8 @@ import (
 
 	"cxrpq/internal/crpq"
 	"cxrpq/internal/cxrpq"
-	"cxrpq/internal/ecrpq"
 	"cxrpq/internal/graph"
-	"cxrpq/internal/oracle"
 	"cxrpq/internal/reductions"
-	"cxrpq/internal/separations"
 	"cxrpq/internal/workload"
 	"cxrpq/internal/xregex"
 )
@@ -323,8 +320,3 @@ t s : $x+|b
 	}
 	return t
 }
-
-// used by tests to keep imports tidy
-var _ = oracle.EvalECRPQ
-var _ = ecrpq.EqualityContains
-var _ = separations.DBSummary

@@ -39,7 +39,7 @@ func TestMapKidsShares(t *testing.T) {
 			t.Errorf("%s: rebuilt an unchanged tree", c.name)
 		}
 	}
-	if cut, err := CutFailedDefs(n, map[string]string{"x": "d"}, []rune("abcdef")); err != nil || cut != n {
+	if cut, err := CutFailedDefs(n, map[string]string{"x": "d"}, func(g Node, w string) (bool, error) { return Matches(g, w, []rune("abcdef")) }); err != nil || cut != n {
 		t.Errorf("CutFailedDefs with every definition alive: got %v, %v; want the argument", cut, err)
 	}
 

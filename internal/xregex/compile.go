@@ -123,20 +123,20 @@ func build(m *automata.NFA, n Node, from, to int, sigma []rune) error {
 }
 
 // Matches reports whether the classical expression n matches w, resolving
-// classes against sigma. Compiled automata are shared through the
-// process-wide cache (see matchcache.go) and the word runs through the
-// interned deterministic transition table.
+// classes against sigma. It compiles n on every call: it serves the
+// statements of the paper, which have no database to keep automata in. The
+// bounded engine tests its words against the atoms of its database's store.
 func Matches(n Node, w string, sigma []rune) (bool, error) {
-	c, err := SubsetFor(n, sigma)
+	m, err := Compile(n, sigma)
 	if err != nil {
 		return false, err
 	}
-	word := make([]int32, 0, len(w))
-	for _, r := range w {
-		word = append(word, int32(r))
-	}
-	return c.Accepts(word), nil
+	return m.AcceptsString(w), nil
 }
+
+// Matcher reports whether the classical expression n matches w, over an
+// alphabet the matcher fixes.
+type Matcher func(n Node, w string) (bool, error)
 
 // MergeAlphabets unions rune alphabets, sorted and deduplicated.
 func MergeAlphabets(as ...[]rune) []rune {

@@ -44,8 +44,9 @@ func Relax(n Node, assign map[string]string) Node {
 // replaced by their intended images); a definition x{γ} whose substituted
 // body γ′ cannot produce v[x] is replaced by ∅, which after Simplify
 // propagates up to the nearest alternation — exactly the paper's surgery.
-func CutFailedDefs(n Node, v map[string]string, sigma []rune) (Node, error) {
-	cut, err := MapKids(n, func(k Node) (Node, error) { return CutFailedDefs(k, v, sigma) })
+// match answers the membership test γ′ ∋ v[x].
+func CutFailedDefs(n Node, v map[string]string, match Matcher) (Node, error) {
+	cut, err := MapKids(n, func(k Node) (Node, error) { return CutFailedDefs(k, v, match) })
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +58,7 @@ func CutFailedDefs(n Node, v map[string]string, sigma []rune) (Node, error) {
 		return &Empty{}, nil
 	}
 	gamma := Simplify(SubstituteAllVars(d.Body, v))
-	if ok, err = Matches(gamma, v[d.Var], sigma); err != nil {
+	if ok, err = match(gamma, v[d.Var]); err != nil {
 		return nil, err
 	}
 	if !ok {
@@ -122,7 +123,7 @@ func ForceVar(n Node, x string) Node {
 // relative to this component; the tuple-level condition "some component must
 // actually define x when v[x] ≠ ε" is enforced by the caller.
 func InstantiateComponent(n Node, v map[string]string, sigma []rune) (Node, error) {
-	cut, err := CutFailedDefs(n, v, sigma)
+	cut, err := CutFailedDefs(n, v, func(g Node, w string) (bool, error) { return Matches(g, w, sigma) })
 	if err != nil {
 		return nil, err
 	}
