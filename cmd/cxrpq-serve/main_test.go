@@ -256,9 +256,11 @@ func TestUpdateDeltaMaintainsSessions(t *testing.T) {
 // Two texts that share an atom: the first one's product searches are filed
 // in the database's atom store as probe rows, which /stats shows under
 // "atoms".rows, and the second one reads them from there — a hit, and no
-// further miss. The atom's automaton is compiled once, and "atoms".automata
-// shows it charged to the store's bytes. The first text's searches show in
-// "atoms".kernel; the second runs none.
+// further miss. The first text's scan fills every node's row, so the second
+// reads the complete table in place: "atoms".rows.complete counts it. The
+// atom's automaton is compiled once, and "atoms".automata shows it charged to
+// the store's bytes. The first text's searches show in "atoms".kernel; the
+// second runs none.
 func TestStatsAtomRowsShared(t *testing.T) {
 	_, ts := testServer(t)
 	atoms := func() map[string]any {
@@ -281,6 +283,9 @@ func TestStatsAtomRowsShared(t *testing.T) {
 		}
 		if i == 1 && automata["entries"] != before["automata"].(map[string]any)["entries"] {
 			t.Fatalf("%s: the shared atom was compiled again: %v -> %v", text, before, after)
+		}
+		if complete, _ := rows["complete"].(float64); i == 1 && complete < 1 {
+			t.Fatalf("%s: no complete row table read in place: %v", text, rows)
 		}
 		if hit := after["misses"] == before["misses"] && after["hits"].(float64) > before["hits"].(float64); hit != (i == 1) {
 			t.Fatalf("%s: rows came back as a hit: %v, want %v (%v -> %v)", text, hit, i == 1, before, after)

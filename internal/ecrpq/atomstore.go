@@ -87,7 +87,10 @@ type atomEntry struct {
 type rowTable struct {
 	arena []int
 	span  []uint64
+	filed int // rows; all n filed, the table is complete: never written again
 }
+
+func (t *rowTable) complete() bool { return t.span != nil && t.filed == len(t.span) }
 
 func (t *rowTable) bytes() int64 { return 8 * int64(len(t.span)+len(t.arena)) }
 
@@ -101,16 +104,28 @@ func (t *rowTable) get(u int) ([]int, bool) {
 	return t.arena[lo:hi:hi], true
 }
 
-// put files row as the row of node u, one of n, by copying it into the arena;
-// a node out of range has no row to file.
-func (t *rowTable) put(n, u int, row []int) {
+// fill copies rows[k] into the arena as the row of nodes[k], one of n (none
+// out of range), unless the table is complete; true if this call completed it.
+func (t *rowTable) fill(n int, nodes []int, rows [][]int) bool {
+	if t.complete() {
+		return false
+	}
 	if t.span == nil {
 		t.span = make([]uint64, n)
 	}
-	if uint(u) < uint(n) && t.span[u] == 0 {
-		t.span[u] = 1 + (uint64(len(t.arena))<<32 | uint64(len(row)))
-		t.arena = append(t.arena, row...)
+	total := 0
+	for _, row := range rows {
+		total += len(row)
 	}
+	t.arena = slices.Grow(t.arena, total)
+	for k, u := range nodes {
+		if uint(u) < uint(n) && t.span[u] == 0 {
+			t.span[u] = 1 + (uint64(len(t.arena))<<32 | uint64(len(rows[k])))
+			t.arena = append(t.arena, rows[k]...)
+			t.filed++
+		}
+	}
+	return t.complete()
 }
 
 // side indexes atomEntry.sup and diag.
@@ -393,21 +408,35 @@ func (s *AtomStore) rows(a *Atom, forward bool, nodes []int, o engine.ReachOpts,
 		}
 	}
 	if shared && !cut {
-		total := 0
-		for _, row := range hits {
-			total += len(row)
-		}
 		s.mu.Lock()
 		e, before := s.entry(a)
-		t := &e.rows[d]
-		t.arena = slices.Grow(t.arena, total)
-		for k, u := range missing {
-			t.put(s.db.NumNodes(), u, hits[k])
+		if t := &e.rows[d]; t.fill(s.db.NumNodes(), missing, hits) && e.sup[d] == nil {
+			e.sup[d] = make([]uint64, (len(t.span)+63)/64) // the nodes with a row
+			for u, sp := range t.span {
+				if uint32(sp-1) != 0 {
+					bitSet(e.sup[d], u)
+				}
+			}
 		}
 		s.grew(e, before)
 		s.mu.Unlock()
 	}
 	return cut
+}
+
+// adopt reports whether the memo reads a complete row table of the store in
+// place, taking it and its support — one hit — if the rows are shared.
+func (p *probeAtom) adopt(forward bool) bool {
+	m, s, d := p.memo(forward), p.ev.store, side(!forward)
+	if m.tab.span == nil && !p.ev.ranked {
+		s.mu.Lock()
+		if e := s.m[p.atom.key]; e != nil && e.rows[d].complete() && e.sup[d] != nil {
+			m.tab, m.sup = e.rows[d], e.sup[d]
+			s.ctr.hits.Add(1)
+		}
+		s.mu.Unlock()
+	}
+	return m.tab.span != nil
 }
 
 // Support is the support as the diagonal relation {(u, u)}: in an unranked
@@ -478,8 +507,9 @@ func (s *AtomStore) Verdicts() map[string]bool {
 
 // AtomKind counts the facts of one kind and the bytes accounted to them.
 type AtomKind struct {
-	Entries int   `json:"entries"`
-	Bytes   int64 `json:"bytes"`
+	Entries  int   `json:"entries"`
+	Bytes    int64 `json:"bytes"`
+	Complete int   `json:"complete,omitempty"` // rows only: the tables read in place
 }
 
 // AtomStats is a point-in-time snapshot of a store: what it holds, and the
@@ -536,6 +566,9 @@ func (s *AtomStore) Stats() AtomStats {
 		for d := range e.rows {
 			if e.rows[d].span != nil {
 				st.Rows.Entries++
+			}
+			if e.rows[d].complete() {
+				st.Rows.Complete++
 			}
 		}
 		st.Rows.Bytes += e.rowBytes()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -445,5 +446,169 @@ func TestAtomStoreKernelCounters(t *testing.T) {
 	}
 	if k := Atoms(other).Stats().Kernel; k != (engine.KernelStats{}) {
 		t.Fatalf("another database's counters moved: %+v", k)
+	}
+}
+
+// TestAtomStoreCompleteRows: materializing texts that scan shared atoms
+// complete row tables while other goroutines read them in place. Eight
+// goroutines run every text — eval, bool and check — on one fresh database,
+// and every answer equals the one a fresh copy gives. A complete table is
+// never written again: after further evaluations and a direct fill its span
+// and arena are the same bytes in the same arrays. The support it filed at
+// completion is the one an engine.Support sweep finds on a fresh copy.
+func TestAtomStoreCompleteRows(t *testing.T) {
+	t.Parallel()
+	const n = 50
+	newDB := func() *graph.DB { return probeRandomDB(57, n, 3*n, "ab") }
+	sigma := []rune("ab")
+	pool := []string{"a(a|b)*", "b+", "ab|ba", "(ab)*a", "a"}
+	type job struct {
+		text  string
+		q     *Query
+		tuple pattern.Tuple
+		want  string
+	}
+	run := func(j *job, db *graph.DB) (string, error) {
+		ts, err := Eval(j.q, db)
+		ok, err2 := EvalBool(j.q, db)
+		in, err3 := Check(j.q, db, j.tuple)
+		if err = errors.Join(err, err2, err3); err != nil {
+			return "", err
+		}
+		return fmt.Sprint(ts.Len(), ts.All(), ok, in), nil
+	}
+	var jobs []*job
+	for i, l := range pool {
+		m := pool[(i+1)%len(pool)]
+		for _, text := range []string{
+			"ans(x, y)\nx y : " + l,
+			"ans(x, z)\nx y : " + l + "\ny z : " + m,
+			"ans(y, x)\nx y : " + m + "\ny x : " + l,
+			"ans(x)\nx y : " + l + "\nz x : " + m,
+		} {
+			q, err := ParseQuery(text, sigma)
+			if err != nil {
+				t.Fatalf("%q: %v", text, err)
+			}
+			j := &job{text: text, q: q, tuple: make(pattern.Tuple, len(q.Pattern.Out))}
+			if ts, _ := Eval(q, newDB()); ts.Len() > 0 {
+				j.tuple = ts.All()[ts.Len()/2]
+			}
+			if j.want, err = run(j, newDB()); err != nil {
+				t.Fatalf("%q on a fresh copy: %v", text, err)
+			}
+			jobs = append(jobs, j)
+		}
+	}
+	db := newDB()
+	store := Atoms(db)
+	storm := func() {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := range jobs {
+					j := jobs[(i+3*g)%len(jobs)]
+					if got, err := run(j, db); err != nil || got != j.want {
+						t.Errorf("goroutine %d, %q (check %v): shared store answers %s (%v), a fresh copy %s", g, j.text, j.tuple, got, err, j.want)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+	storm()
+
+	type snap struct {
+		e       *atomEntry
+		d       int
+		t       rowTable // the headers
+		span    []uint64 // and copies of what they point to
+		arena   []int
+		support []uint64
+	}
+	snapshot := func() (out []snap) {
+		store.mu.Lock()
+		defer store.mu.Unlock()
+		for _, e := range store.m {
+			for d, tab := range e.rows {
+				if tab.complete() {
+					out = append(out, snap{e: e, d: d, t: tab, span: slices.Clone(tab.span), arena: slices.Clone(tab.arena),
+						support: slices.Clone(e.sup[d])})
+				}
+			}
+		}
+		return out
+	}
+	tables := snapshot()
+	t.Logf("%d complete tables", len(tables))
+	if len(tables) == 0 || store.Stats().Rows.Complete != len(tables) {
+		t.Fatalf("%d complete tables, the stats count %d: the case is not exercised", len(tables), store.Stats().Rows.Complete)
+	}
+	storm()
+	store.mu.Lock()
+	for _, tb := range tables {
+		all := make([]int, n)
+		rows := make([][]int, n)
+		for u := range all {
+			all[u], rows[u] = u, []int{u}
+		}
+		if tb.e.rows[tb.d].fill(n, all, rows) {
+			t.Errorf("%s: a fill of a complete table reports completing it", tb.e.atom.key)
+		}
+	}
+	store.mu.Unlock()
+	fresh := Atoms(newDB())
+	for _, tb := range tables {
+		store.mu.Lock()
+		now := tb.e.rows[tb.d]
+		store.mu.Unlock()
+		same := &now.span[0] == &tb.t.span[0] && len(now.arena) == len(tb.t.arena) && cap(now.arena) == cap(tb.t.arena) &&
+			(len(now.arena) == 0 || &now.arena[0] == &tb.t.arena[0])
+		if !same || !slices.Equal(now.span, tb.span) || !slices.Equal(now.arena, tb.arena) {
+			t.Errorf("%q, direction %d: the complete table was written again", tb.e.atom.key, tb.d)
+		}
+		want, err := fresh.support(atomOf(t, fresh, tb.e.atom.label, sigma), tb.d == 1, nil)
+		if err != nil || !slices.Equal(tb.support, want) {
+			t.Errorf("%q, direction %d: support filed at completion %v, a sweep on a fresh copy %v (%v)", tb.e.atom.key, tb.d, bitList(tb.support), bitList(want), err)
+		}
+	}
+}
+
+// TestAtomStoreWarmScanBytes: a warm materializing evaluation of one scanned
+// atom reads the store's complete table in place instead of copying a row
+// header per node. On BenchmarkProbeMemo's 5 000-node graph it allocates
+// under 16 KiB and runs no kernel call.
+func TestAtomStoreWarmScanBytes(t *testing.T) {
+	db := probeRandomDB(3, 5000, 7000, "abc")
+	q, err := ParseQuery("ans(x, y)\nx y : a(b|c)*", []rune("abc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	eval := func() {
+		ev, err := newEvaluator(q, db, Options{}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = 0
+		ev.stream(nil, func([]int32, int) bool { rows++; return true })
+	}
+	eval() // completes the table
+	const runs = 50
+	misses := Atoms(db).Stats().Misses
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		eval()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	if t.Logf("a warm evaluation of %d rows allocates %d bytes", rows, per); per >= 16<<10 || rows == 0 {
+		t.Fatalf("a warm evaluation of %d rows allocated %d bytes, want under 16 KiB", rows, per)
+	}
+	if st := Atoms(db).Stats(); st.Misses != misses || st.Rows.Complete == 0 {
+		t.Fatalf("warm evaluations missed the store %d times, complete tables %d", st.Misses-misses, st.Rows.Complete)
 	}
 }

@@ -114,12 +114,16 @@ type probeRow struct {
 // dense node index, so a lookup on the join's inner path is two loads and no
 // hashing. The index is allocated when the first row arrives.
 type probeMemo struct {
-	at   []int32 // [node] -> 1 + position in rows; 0 = not probed
+	tab  rowTable // the store's complete table, read in place instead, once adopted
+	at   []int32  // [node] -> 1 + position in rows; 0 = not probed
 	rows []probeRow
 	sup  []uint64 // the nodes with a non-empty row, once asked for (support)
 }
 
 func (m *probeMemo) get(u int) (probeRow, bool) {
+	if nodes, ok := m.tab.get(u); ok {
+		return probeRow{nodes: nodes}, true
+	}
 	if uint(u) >= uint(len(m.at)) || m.at[u] == 0 {
 		return probeRow{}, false
 	}
@@ -165,6 +169,9 @@ func (p *probeAtom) fetch(nodes []int, forward bool) []probeRow {
 // when ranked. A search cut short by the budget is returned for the current
 // unwinding but never memoized.
 func (p *probeAtom) probe(node int, forward bool) ([]int, []int32) {
+	if ws, ok := p.memo(forward).tab.get(node); ok { // inlined: the join's inner path
+		return ws, nil
+	}
 	if r, ok := p.memo(forward).get(node); ok {
 		return r.nodes, r.costs
 	}
@@ -183,7 +190,7 @@ func (p *probeAtom) row(node int, forward bool) (nodes []int, ok bool) {
 // prefetch fills the memo for exactly the given (in-range) nodes by one store
 // request, which searches the nodes it holds no row for in one multi-source
 // sweep (engine.ReachBatchEx: one batch per 64 nodes) instead of one search
-// each. A truncated sweep memoizes nothing.
+// each. A truncated sweep memoizes nothing. A complete table is adopted.
 func (p *probeAtom) prefetch(nodes []int, forward bool) {
 	memo := p.memo(forward)
 	missing := nodes
@@ -195,8 +202,9 @@ func (p *probeAtom) prefetch(nodes []int, forward bool) {
 			}
 		}
 	}
-	if len(missing) > 0 {
+	if len(missing) > 0 && !p.adopt(forward) {
 		p.fetch(missing, forward)
+		p.adopt(forward) // the sweep may have completed the table
 	}
 }
 
@@ -219,12 +227,21 @@ func (p *probeAtom) has(u, v int) (int32, bool) {
 	return costOf(ws, ds, v)
 }
 
-// scan walks every node. A materializing evaluation prefetches them all
-// in one sweep (which finds nothing missing when the frontier pass modelled
-// this step); a lazy one walks escalating chunks (1, 4, 16, 64, then
-// 256-wide) so the first row costs one small batch, while the geometric
-// growth keeps the full drain within a constant factor of the single sweep.
+// scan walks every node: over a complete table the support's set bits, a
+// lazy run polling its budget every 256. Else a materializing evaluation
+// prefetches them all in one sweep; a lazy one walks escalating chunks (1, 4,
+// 16, 64, then 256-wide) so the first row costs one small batch, while the
+// geometric growth keeps the full drain within a constant factor of the sweep.
 func (p *probeAtom) scan(forward bool, f func(u int, vs []int, costs []int32) bool) {
+	if m, k := p.memo(forward), 0; p.adopt(forward) {
+		for u := range bitNodes(m.sup) {
+			if ws, _ := m.tab.get(u); p.ev.lazy && k%256 == 0 && p.ev.bud.Canceled() || !f(u, ws, nil) {
+				return
+			}
+			k++
+		}
+		return
+	}
 	n := p.ev.db.NumNodes()
 	chunk := n
 	if p.ev.lazy {

@@ -574,9 +574,12 @@ func TestFindWitnessParallelAtoms(t *testing.T) {
 	}
 }
 
-// BenchmarkProbeMemo: the probe memo's two paths — filling it for every node
-// of a 5000-node graph through the batched kernel, and the lookup the join
-// makes once per binding.
+// BenchmarkProbeMemo: the probe memo's two paths on a 5000-node graph —
+// "fill", a new evaluator's prefetch of every node, and "hit", the lookup the
+// join makes once per binding. The store is the database's and outlives the
+// evaluators, so only the first fill runs the batched kernel: every timed one
+// adopts the complete row table it left (a view, no row copied), and "hit"
+// reads that view.
 func BenchmarkProbeMemo(b *testing.B) {
 	db := probeRandomDB(3, 5000, 7000, "abc")
 	q, err := ParseQuery("ans(x, y)\nx y : a(b|c)*", []rune("abc"))

@@ -1,6 +1,9 @@
 package ecrpq
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Frontier-at-a-time probing. The backtracking join asks a lazily probed
 // atom for one bound node at a time, and each miss is one single-source
@@ -36,7 +39,6 @@ func (ev *evaluator) probeFrontiers(p *plan) {
 		pa, _ := p.steps[i].src.(*probeAtom) // a group step has a nil src
 		return pa
 	}
-	var all []int
 	want := make([]uint64, (n+63)/64) // the far slot's candidates, when it has any
 	got := make([]uint64, (n+63)/64)  // the far slot's values this step can bind
 	for i := range p.steps {
@@ -58,20 +60,21 @@ func (ev *evaluator) probeFrontiers(p *plan) {
 		}
 		srcs := cand[near]
 		scan := srcs == nil
-		if scan {
-			if all == nil {
-				all = make([]int, n)
-				for u := range all {
-					all[u] = u
-				}
+		walk := scan && (sup != nil || pa.adopt(forward)) // a sup is this memo's (support)
+		if scan && !walk {
+			srcs = make([]int, n) // every node, until the store holds the table
+			for u := range srcs {
+				srcs[u] = u
 			}
-			srcs = all
 		}
 		if sup == nil {
 			pa.prefetch(srcs, forward)
 		}
 		if ev.bud.Canceled() || probeOf(i+1) == nil {
 			return
+		}
+		if walk {
+			srcs = bitList(pa.memo(forward).sup) // the nodes with a row, not every node
 		}
 
 		// Narrow the near slot to the nodes with a partner, and collect the
@@ -113,17 +116,24 @@ func (ev *evaluator) probeFrontiers(p *plan) {
 	}
 }
 
+// bitNodes yields the set bits of b in ascending order.
+func bitNodes(b []uint64) func(yield func(int) bool) {
+	return func(yield func(int) bool) {
+		for wi, w := range b {
+			for ; w != 0; w &= w - 1 {
+				if !yield(wi<<6 + bits.TrailingZeros64(w)) {
+					return
+				}
+			}
+		}
+	}
+}
+
 // bitList lists the set bits of b in ascending order.
 func bitList(b []uint64) []int {
 	k := 0
 	for _, w := range b {
 		k += bits.OnesCount64(w)
 	}
-	out := make([]int, 0, k)
-	for wi, w := range b {
-		for ; w != 0; w &= w - 1 {
-			out = append(out, wi<<6+bits.TrailingZeros64(w))
-		}
-	}
-	return out
+	return slices.AppendSeq(make([]int, 0, k), bitNodes(b))
 }
