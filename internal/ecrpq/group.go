@@ -27,9 +27,12 @@ import (
 // A join with unbound group sources asks for an expansion from every source
 // tuple it can bind, and nearly all of them die before their first step.
 // Three things keep that cheap. A free source whose component has its other
-// endpoint bound on entry ranges only over that endpoint's row of the
-// component's own atom (partner rows, fixed per step when the plan is
-// compiled; the plan places the groups with the most bound variables first).
+// endpoint bound — on entry, or as a free source bindSrc binds earlier, like
+// the target of a definition that is its reference's source — ranges only
+// over that endpoint's row of the component's own atom, and over the
+// intersection of such rows when it has several (partner rows, fixed per
+// step when the plan is compiled; the plan places the groups with the most
+// bound variables first).
 // Equality groups never reach the search from a tuple that cannot step: the
 // lock-step product must leave all its sources on one symbol that every
 // component automaton survives at its start state, so bindSrc intersects the
@@ -50,9 +53,13 @@ type groupStep struct {
 
 	// free lists the source slots no earlier step (nor pre) binds, in the
 	// order bindSrc binds them, and partners[l] the atom rows free[l] must
-	// lie in. Both are fixed by the plan order.
+	// lie in, read off endpoints bound on entry or at an earlier level. Both
+	// are fixed by the plan order.
 	free     []int32
 	partners [][]partner
+	// meet holds the intersection of free[l]'s partner rows, when it has more
+	// than one, in its l-th window of NumNodes entries; nil when no slot has.
+	meet []int
 
 	// Scratch of bindSrc, which runs once per source tuple — quadratically
 	// often when two sources are unbound. A plan visits a step in one place
@@ -78,7 +85,9 @@ type partner struct {
 }
 
 // addGroup appends the step of ev's relation group gi, given the variables
-// bound before it, and adds the group's variables to bound.
+// bound before it, and adds the group's variables to bound. A free slot's
+// partners are the components whose other endpoint is bound or an earlier
+// free slot; a self-loop is never its own partner.
 func (p *plan) addGroup(ev *evaluator, gi int, bound map[string]bool) {
 	g := &groupStep{ev: ev, sc: ev.gscratch[gi]}
 	edges := ev.q.Groups[gi].Edges
@@ -92,13 +101,18 @@ func (p *plan) addGroup(ev *evaluator, gi int, bound map[string]bool) {
 	}
 	g.partners = make([][]partner, len(g.free))
 	for l, s := range g.free {
+		// bound on entry, or a free slot bindSrc binds at an earlier level
+		known := func(z int32) bool { return bound[p.vars[z]] || slices.Contains(g.free[:l], z) }
 		for k, ei := range edges {
-			if g.src[k] == s && bound[p.vars[g.tgt[k]]] {
+			if g.src[k] == s && known(g.tgt[k]) {
 				g.partners[l] = append(g.partners[l], partner{&ev.atoms[ei], g.tgt[k], false})
 			}
-			if g.tgt[k] == s && bound[p.vars[g.src[k]]] {
+			if g.tgt[k] == s && known(g.src[k]) {
 				g.partners[l] = append(g.partners[l], partner{&ev.atoms[ei], g.src[k], true})
 			}
+		}
+		if len(g.partners[l]) > 1 && g.meet == nil {
+			g.meet = make([]int, len(g.free)*ev.db.NumNodes())
 		}
 	}
 	for k := range edges {
@@ -111,11 +125,12 @@ func (p *plan) addGroup(ev *evaluator, gi int, bound map[string]bool) {
 }
 
 // bindings enumerates the group's satisfying bindings (the step.bindings
-// contract): each free source slot ranges in node order over the shortest of
-// its partner rows, or over every node when it has none, the group is
-// expanded from each source tuple that can take a first step, and every end
-// tuple consistent with the already bound target slots is one binding, at
-// the cost of its synchronized word when ranked.
+// contract): each free source slot ranges in node order over its partner
+// row, the intersection of its partner rows when it has several, or every
+// node when it has none; the group is expanded from each source tuple that
+// can take a first step, and every end tuple consistent with the already
+// bound target slots is one binding, at the cost of its synchronized word
+// when ranked.
 func (g *groupStep) bindings(a []int32, cont func(int32) bool) bool {
 	if g.seeds != nil {
 		// The symbols every component survives, narrowed by the sources bound
@@ -135,6 +150,23 @@ func (g *groupStep) bindings(a []int32, cont func(int32) bool) bool {
 	return ok
 }
 
+// meet appends the nodes both sorted rows hold to dst, in order; x may share
+// dst's array.
+func meet(dst, x, y []int) []int {
+	for i, j := 0, 0; i < len(x) && j < len(y); {
+		switch {
+		case x[i] < y[j]:
+			i++
+		case x[i] > y[j]:
+			j++
+		default:
+			dst = append(dst, x[i])
+			i, j = i+1, j+1
+		}
+	}
+	return dst
+}
+
 // andInto stores x AND y in dst and reports whether any bit survived.
 func andInto(dst, x, y []uint64) bool {
 	var any uint64
@@ -146,25 +178,29 @@ func andInto(dst, x, y []uint64) bool {
 }
 
 // bindSrc binds the free source slots, lvl of which are bound already, and
-// expands the group from every tuple that survives the seed masks. A partner
-// row the budget cut ends the step as a cut expansion does.
+// expands the group from every tuple that survives the seed masks. The
+// partner rows are sorted, so their sorted-merge intersection keeps the node
+// order of the plain loop. A partner row the budget cut ends the step as a
+// cut expansion does.
 func (g *groupStep) bindSrc(a []int32, lvl int, cont func(int32) bool) bool {
 	if lvl < len(g.free) {
 		ix := g.ev.ix
 		w := ix.SymWords()
-		n, row := g.ev.db.NumNodes(), []int(nil) // row nil: every node
-		for _, pt := range g.partners[lvl] {
+		nodes := g.ev.db.NumNodes()
+		n, row := nodes, []int(nil) // row nil: every node
+		for i, pt := range g.partners[lvl] {
 			r, ok := pt.atom.row(int(a[pt.near]), pt.forward)
 			if !ok {
 				g.sc.cut = true
 				return false
 			}
+			if i > 0 {
+				r = meet(g.meet[lvl*nodes:lvl*nodes:(lvl+1)*nodes], row, r)
+			}
 			if len(r) == 0 {
 				return true
 			}
-			if row == nil || len(r) < n {
-				row, n = r, len(r)
-			}
+			row, n = r, len(r)
 		}
 		for i := 0; i < n; i++ {
 			u := i

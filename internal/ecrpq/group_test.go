@@ -21,11 +21,11 @@ import (
 
 // runGroupPlan compiles q over db with pre pre-bound and returns every
 // complete assignment followed by its cost, in the order the backtracking
-// driver yields them, with the number of seeded group steps and of free
-// source slots that have a partner row. With plain set the group steps lose
-// their masks and partner rows and bind every free source to every node,
-// which is the loop both were added to.
-func runGroupPlan(t *testing.T, q *Query, db *graph.DB, o Options, pre map[string]int, plain bool) (rows []int32, seeded, partnered int) {
+// driver yields them, with the number of seeded group steps, of free source
+// slots that have a partner row, and of expansions the groups memoized. With
+// plain set the group steps lose their masks and partner rows and bind every
+// free source to every node, which is the loop both were added to.
+func runGroupPlan(t *testing.T, q *Query, db *graph.DB, o Options, pre map[string]int, plain bool) (rows []int32, seeded, partnered, exps int) {
 	t.Helper()
 	ev, err := newEvaluator(q, db, o, true)
 	if err != nil {
@@ -54,11 +54,53 @@ func runGroupPlan(t *testing.T, q *Query, db *graph.DB, o Options, pre map[strin
 		rows = append(append(rows, a...), int32(cost))
 		return true
 	})
-	return rows, seeded, partnered
+	for _, sc := range ev.gscratch {
+		exps += len(sc.exps)
+	}
+	return rows, seeded, partnered, exps
+}
+
+// partnerMeets reads, for every free slot of q's plan with two partner rows
+// and every pair of nodes at the rows' endpoints, both rows, and counts the
+// pairs whose rows are non-empty and meet in fewer nodes than the shorter
+// holds: in some nodes (smaller) and in none (empty).
+func partnerMeets(t *testing.T, q *Query, db *graph.DB, pre map[string]int) (smaller, empty int) {
+	t.Helper()
+	ev, err := newEvaluator(q, db, Options{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range ev.compile(pre, true).steps {
+		if st.grp == nil {
+			continue
+		}
+		for _, pts := range st.grp.partners {
+			if len(pts) != 2 {
+				continue
+			}
+			for u := range db.NumNodes() {
+				for v := range db.NumNodes() {
+					r0, _ := pts[0].atom.row(u, pts[0].forward)
+					r1, _ := pts[1].atom.row(v, pts[1].forward)
+					if pts[0].near == pts[1].near && u != v || len(r0) == 0 || len(r1) == 0 {
+						continue
+					}
+					switch m := meet(nil, r0, r1); {
+					case len(m) == 0:
+						empty++
+					case len(m) < min(len(r0), len(r1)):
+						smaller++
+					}
+				}
+			}
+		}
+	}
+	return smaller, empty
 }
 
 func TestGroupSeedDifferential(t *testing.T) {
 	eq := func(n int, edges ...int) []Group { return []Group{{Edges: edges, Rel: &Equality{N: n}}} }
+	const twoPartners = "ans(x, z)\nx y : (a|b)+\ny z : (a|b)+\nz u : a"
 	cases := []struct {
 		name   string
 		src    string
@@ -69,6 +111,9 @@ func TestGroupSeedDifferential(t *testing.T) {
 		// partnered is the number of free source slots that draw from a
 		// partner row instead of every node.
 		partnered int
+		// fewer: the partner rows leave the group strictly fewer source
+		// tuples to expand than the plain loop, on every seed.
+		fewer bool
 	}{
 		// The equality shapes of TestExecutorDifferential.
 		{name: "equality", src: "ans(x, y)\nx y : (a|b)+\nx y : (a|b)+", groups: eq(2, 0, 1), seeded: true},
@@ -84,9 +129,21 @@ func TestGroupSeedDifferential(t *testing.T) {
 		// free slots, not to the components.
 		{name: "aligned", src: "ans(x, w)\nx y : (a|b)+\nx z : (a|b)+\nw v : (a|b)+", groups: eq(3, 0, 1, 2), sweep: "y", seeded: true, partnered: 1},
 		{name: "misaligned", src: "ans(x, w)\nx y : (a|b)+\nx z : (a|b)+\nw v : (a|b)+", groups: eq(3, 0, 1, 2), sweep: "z", seeded: true, partnered: 1},
-		// A slot that is source and target in one group: its own partner is
-		// not bound, unless the other slot is — then it has two partner rows.
-		{name: "source-and-target", src: "ans(x, y)\nx y : (a|b)+\ny x : (a|b)+", groups: eq(2, 0, 1), seeded: true},
+		// A definition and its reference, the second's source the first's
+		// target: the target lies in the forward row of the source bound one
+		// level earlier. Listed the other way round, the earlier slot is the
+		// target, and the later one lies in its backward row. A chain of three
+		// partners each slot but the first.
+		{name: "chain", src: "ans(x, z)\nx y : a(a|b)*\ny z : (a|b)+", groups: eq(2, 0, 1), seeded: true, partnered: 1, fewer: true},
+		{name: "chain-reversed", src: "ans(x, z)\ny z : (a|b)+\nx y : a(a|b)*", groups: eq(2, 0, 1), seeded: true, partnered: 1},
+		{name: "chain-3", src: "ans(x, w)\nx y : a(a|b)*\ny z : (a|b)+\nz w : (a|b)+", groups: eq(3, 0, 1, 2), seeded: true, partnered: 2},
+		// y lies in x's forward row and in the backward row of z, which an
+		// atom binds: it ranges over the rows' intersection.
+		{name: "two-partners", src: twoPartners, groups: eq(2, 0, 1), seeded: true, partnered: 1},
+		// A slot that is source and target in one group: the other slot is
+		// bound one level earlier, so the later one has two partner rows — as
+		// it has when the other is bound on entry.
+		{name: "source-and-target", src: "ans(x, y)\nx y : (a|b)+\ny x : (a|b)+", groups: eq(2, 0, 1), seeded: true, partnered: 1},
 		{name: "source-and-target-bound", src: "ans(x, y)\nx y : (a|b)+\ny x : (a|b)+", groups: eq(2, 0, 1), sweep: "x", seeded: true, partnered: 1},
 		// A self-loop component is no partner of itself.
 		{name: "self-loop", src: "ans(x, u)\nx x : (a|b)+\nu v : (a|b)+", groups: eq(2, 0, 1), sweep: "v", seeded: true, partnered: 1},
@@ -116,19 +173,23 @@ func TestGroupSeedDifferential(t *testing.T) {
 		"ranked/unit":     {Ranked: true},
 		"ranked/weighted": {Ranked: true, Weight: func(label rune) int32 { return 1 + int32(label-'a')*3 }},
 	}
-	check := func(name string, q *Query, db *graph.DB, o Options, pre map[string]int, wantSeeded bool, wantPartnered int) int {
+	check := func(name string, q *Query, db *graph.DB, o Options, pre map[string]int, wantSeeded bool, wantPartnered int, fewer bool) int {
 		t.Helper()
-		got, seeded, partnered := runGroupPlan(t, q, db, o, pre, false)
-		want, _, _ := runGroupPlan(t, q, db, o, pre, true)
+		got, seeded, partnered, exps := runGroupPlan(t, q, db, o, pre, false)
+		want, _, _, plainExps := runGroupPlan(t, q, db, o, pre, true)
 		if (seeded > 0) != wantSeeded || partnered != wantPartnered {
 			t.Fatalf("%s: %d seeded group steps and %d partnered slots, want seeded=%v and %d", name, seeded, partnered, wantSeeded, wantPartnered)
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: narrowed bindings differ from the plain loop\n got %v\nwant %v", name, got, want)
 		}
+		if fewer && exps >= plainExps {
+			t.Fatalf("%s: %d expansions memoized, the plain loop %d: want strictly fewer", name, exps, plainExps)
+		}
 		return len(got)
 	}
 	yielded := map[string]int{}
+	smaller := 0
 	for seed := int64(1); seed <= 3; seed++ {
 		db := probeRandomDB(seed, 8, 19, "ab")
 		for _, tc := range cases {
@@ -142,14 +203,34 @@ func TestGroupSeedDifferential(t *testing.T) {
 			}
 			for wname, o := range weights {
 				for _, pre := range pres {
-					yielded[tc.name] += check(fmt.Sprintf("seed %d %s %s pre %v", seed, tc.name, wname, pre), q, db, o, pre, tc.seeded, tc.partnered)
+					yielded[tc.name] += check(fmt.Sprintf("seed %d %s %s pre %v", seed, tc.name, wname, pre), q, db, o, pre, tc.seeded, tc.partnered, tc.fewer)
 				}
+			}
+			if tc.name == "two-partners" {
+				n, _ := partnerMeets(t, q, db, tc.pre)
+				smaller += n
 			}
 		}
 	}
 	for _, tc := range cases {
 		if (yielded[tc.name] == 0) != (tc.name == "disjoint-starts") {
 			t.Fatalf("%s yielded %d values over all seeds: the case is not exercised", tc.name, yielded[tc.name])
+		}
+	}
+	if smaller == 0 {
+		t.Fatal("two-partners: no intersection is shorter than the shorter row: the case is not exercised")
+	}
+
+	// The two-partners shape where y's rows never meet: x0's forward row is
+	// {y1} and z3's backward row {y2}, so nothing is expanded.
+	apart := graph.MustParse("x0 a y1\ny2 a z3\nz3 a u4")
+	q2 := &Query{Pattern: pattern.MustParseQuery(twoPartners), Groups: eq(2, 0, 1)}
+	if _, empty := partnerMeets(t, q2, apart, nil); empty == 0 {
+		t.Fatal("two-partners-empty: every pair of non-empty rows meets: the case is not exercised")
+	}
+	for wname, o := range weights {
+		if n := check("two-partners-empty "+wname, q2, apart, o, nil, true, 1, false); n != 0 {
+			t.Fatalf("two-partners-empty %s: %d values, want none", wname, n)
 		}
 	}
 
@@ -169,7 +250,7 @@ func TestGroupSeedDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for wname, o := range weights {
-		if check("wide "+wname, q, wideDB, o, nil, true, 0) == 0 {
+		if check("wide "+wname, q, wideDB, o, nil, true, 0, false) == 0 {
 			t.Fatal("wide: no bindings: the case is not exercised")
 		}
 	}
@@ -327,13 +408,16 @@ func TestGroupExpandSteadyStateAllocs(t *testing.T) {
 // BenchmarkGroupExpand: an equality group with both sources free over a
 // 64-node graph — the join step of a simple CXRPQ. "bindings" is the whole
 // step on a fresh evaluator (every source pair, seed masks, memo, searches);
-// "search" is one warm product search from a live source pair.
+// "bindings/chain" the same for a definition and its reference, whose second
+// source is the first's target; "search" is one warm product search from a
+// live source pair.
 func BenchmarkGroupExpand(b *testing.B) {
 	db := probeRandomDB(5, 64, 320, "abcdefghij")
-	q := &Query{Pattern: pattern.MustParseQuery("ans(x, v)\nx y : a(b|c)\nu v : [a-j]+"),
-		Groups: []Group{{Edges: []int{0, 1}, Rel: &Equality{N: 2}}}}
-	for name, o := range map[string]Options{"unit": {}, "weighted": {Ranked: true, Weight: engine.Weight(func(rune) int32 { return 1 })}} {
-		b.Run("bindings/"+name, func(b *testing.B) {
+	eq := []Group{{Edges: []int{0, 1}, Rel: &Equality{N: 2}}}
+	q := &Query{Pattern: pattern.MustParseQuery("ans(x, v)\nx y : [a-c][a-j]\nu v : [a-j]+"), Groups: eq}
+	chain := &Query{Pattern: pattern.MustParseQuery("ans(x, z)\nx y : [a-c][a-j]\ny z : [a-j]+"), Groups: eq}
+	bindings := func(q *Query, o Options) func(*testing.B) {
+		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ev, err := newEvaluator(q, db, o, true)
@@ -346,7 +430,11 @@ func BenchmarkGroupExpand(b *testing.B) {
 					b.Fatal("no bindings: the case is not exercised")
 				}
 			}
-		})
+		}
+	}
+	b.Run("bindings/chain", bindings(chain, Options{}))
+	for name, o := range map[string]Options{"unit": {}, "weighted": {Ranked: true, Weight: engine.Weight(func(rune) int32 { return 1 })}} {
+		b.Run("bindings/"+name, bindings(q, o))
 		b.Run("search/"+name, func(b *testing.B) {
 			ev, err := newEvaluator(q, db, o, true)
 			if err != nil {
