@@ -555,7 +555,7 @@ func (e *boundedEngine) joinLeaf(st *boundedState) error {
 			})
 		return nil
 	}
-	var rows []int32 // collected outside the critical section; e.out dedups
+	var rows []int32 // collected outside the critical section; run settles e.out
 	n := 0
 	ecrpq.JoinRelationsStream(e.p.q.Pattern, st.rels, e.order, e.pre, ecrpq.Options{Budget: e.fanBud},
 		func(row []int32, _ int) bool {
@@ -567,7 +567,7 @@ func (e *boundedEngine) joinLeaf(st *boundedState) error {
 	}
 	e.outMu.Lock()
 	for w, i := len(rows)/n, 0; i < n; i++ {
-		e.out.AddRow(rows[i*w : (i+1)*w])
+		e.out.Append(rows[i*w : (i+1)*w])
 	}
 	e.outMu.Unlock()
 	if e.boolOnly {
@@ -583,8 +583,10 @@ func (e *boundedEngine) joinLeaf(st *boundedState) error {
 // run drives the enumeration: sequentially for a single worker (or when a
 // deterministic first witness is required), otherwise by expanding candidate
 // assignment prefixes into jobs and fanning the disjoint subtrees across the
-// engine worker pool with Boolean short-circuit.
+// engine worker pool with Boolean short-circuit. The answer is settled on
+// every return, a truncated one too.
 func (e *boundedEngine) run() (*pattern.TupleSet, error) {
+	defer e.out.Settle()
 	st := e.newState()
 	ok, err := st.processStep(0)
 	if err != nil || !ok {

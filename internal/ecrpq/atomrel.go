@@ -200,9 +200,10 @@ func PlanJoin(g *pattern.Graph, _ []*EdgeRel, pre map[string]int) []int {
 func JoinRelations(g *pattern.Graph, rels []*EdgeRel, order []int, pre map[string]int, boolOnly bool) *pattern.TupleSet {
 	out := pattern.NewTupleSet()
 	JoinRelationsStream(g, rels, order, pre, Options{}, func(row []int32, _ int) bool {
-		out.AddRow(row)
+		out.Append(row)
 		return !boolOnly
 	})
+	out.Settle()
 	return out
 }
 

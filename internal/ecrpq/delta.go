@@ -80,8 +80,8 @@ func buildFrontier(db *graph.DB, info *graph.DeltaInfo) *deltaFrontier {
 // a probe row, the kernel recomputes them, and a label that matched nothing
 // may match now. f is only read, under its lock; the searches run outside it.
 func (f *atomFacts) afterInserts(db *graph.DB, info *graph.DeltaInfo) *atomFacts {
-	nf := &atomFacts{ctr: f.ctr, budget: f.budget, m: make(map[string]*atomEntry, len(f.m))}
 	f.mu.Lock()
+	nf := &atomFacts{ctr: f.ctr, budget: f.budget, m: make(map[string]*atomEntry, len(f.m))}
 	for key, e := range f.m {
 		nf.m[key] = &atomEntry{atom: e.atom, rel: e.rel, exists: max(e.exists, 0)}
 	}

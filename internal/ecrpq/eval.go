@@ -47,7 +47,8 @@ func Eval(q *Query, db *graph.DB) (*pattern.TupleSet, error) {
 }
 
 // EvalWith is Eval under options. On cancellation it returns the sound
-// partial set found so far together with engine.ErrCanceled.
+// partial set found so far together with engine.ErrCanceled. The set is
+// settled: its rows are its sorted view.
 func EvalWith(q *Query, db *graph.DB, o Options) (*pattern.TupleSet, error) {
 	ev, err := newEvaluator(q, db, o, false)
 	if err != nil {
@@ -55,9 +56,10 @@ func EvalWith(q *Query, db *graph.DB, o Options) (*pattern.TupleSet, error) {
 	}
 	out := pattern.NewTupleSet()
 	ev.stream(nil, func(row []int32, _ int) bool {
-		out.AddRow(row)
+		out.Append(row)
 		return true
 	})
+	out.Settle()
 	return out, o.Budget.Err()
 }
 

@@ -116,8 +116,8 @@ func (s *unionSink) fail(idx int, err error) {
 	}
 }
 
-// merge adds a member's rows to the union. The first non-empty set is adopted,
-// not copied: it is the member's own and nothing else holds it.
+// merge appends a member's rows, a sorted run, to the union. The first
+// non-empty set is adopted, not copied: nothing else holds it.
 func (s *unionSink) merge(res *pattern.TupleSet) {
 	if res == nil || res.Len() == 0 {
 		return
@@ -126,7 +126,9 @@ func (s *unionSink) merge(res *pattern.TupleSet) {
 	if s.out == nil {
 		s.out = res
 	} else {
-		s.out.AddAll(res)
+		for rows, i := res.Rows(), 0; i < rows.N; i++ {
+			s.out.Append(rows.Row(i))
+		}
 	}
 	s.mu.Unlock()
 }
@@ -166,6 +168,7 @@ func EvalUnionWith(ms Members, db *graph.DB, o Options) (*pattern.TupleSet, erro
 	if s.out == nil {
 		s.out = pattern.NewTupleSet()
 	}
+	s.out.Settle()
 	return s.out, s.finish()
 }
 

@@ -69,7 +69,8 @@ func sameTuples(a, b []Tuple) bool {
 // (it starts at 16 slots and stays at most half full). Sorted is asked for
 // as the sets grow, so on both sides of radixMinRows, and half the values of
 // seeds 2 to 4 lie above 2^8, 2^16 and 2^24: one to four counting passes per
-// column.
+// column. A subtest holds the bulk build, Append and Settle, to the same
+// reference.
 func TestTupleSetMatchesMapReference(t *testing.T) {
 	for arity := 0; arity <= 4; arity++ {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -154,6 +155,245 @@ func TestTupleSetMatchesMapReference(t *testing.T) {
 			}
 		}
 	}
+	t.Run("append and settle", settleMatchesMapReference)
+}
+
+// settleMatchesMapReference holds Append+Settle to the map reference, for arities 0 to 4 (arity 0 is a
+// Boolean answer: every row is the empty row) and the shapes a producer
+// appends: one sorted run, a few sorted runs (a bounded union's leaves),
+// random order, few distinct rows, negative values, and values above 2^16
+// and 2^24 (more counting passes, or a packed key that fills its word). Each
+// shape appends more than settleFloor rows, so Append settles on its own on
+// the way; the first 1, 63, 64 and 65 rows settle without ever doing so.
+func settleMatchesMapReference(t *testing.T) {
+	shapes := []string{"sorted", "runs", "random", "dups", "negative", "high16", "high24"}
+	for arity := 0; arity <= 4; arity++ {
+		for si, shape := range shapes {
+			rng := rand.New(rand.NewSource(int64(10*arity + si)))
+			span := []int{1, 700, 30, 9, 5}[arity]
+			random := func() Tuple {
+				tu := make(Tuple, arity)
+				for i := range tu {
+					switch shape {
+					case "negative":
+						tu[i] = rng.Intn(2*span) - span
+					case "high16":
+						tu[i] = rng.Intn(span) + 1<<16*rng.Intn(2)
+					case "high24":
+						tu[i] = rng.Intn(span) + (1<<31-span)*rng.Intn(2)
+					default:
+						tu[i] = rng.Intn(span)
+					}
+				}
+				return tu
+			}
+			var in []Tuple
+			switch shape {
+			case "sorted":
+				ref := &mapTupleSet{seen: map[string]bool{}}
+				for range 5000 {
+					ref.Add(random())
+				}
+				in = ref.Sorted()
+			case "runs":
+				for range 5 {
+					ref := &mapTupleSet{seen: map[string]bool{}}
+					for range 1000 {
+						ref.Add(random())
+					}
+					in = append(in, ref.Sorted()...)
+				}
+			case "dups":
+				few := make([]Tuple, 20)
+				for i := range few {
+					few[i] = random()
+				}
+				for range 6000 {
+					in = append(in, few[rng.Intn(len(few))])
+				}
+			default:
+				for range 6000 {
+					in = append(in, random())
+				}
+			}
+			for _, n := range []int{1, radixMinRows - 1, radixMinRows, radixMinRows + 1, len(in)} {
+				if n > len(in) {
+					continue // arity 0 has one distinct row
+				}
+				checkSettled(t, fmt.Sprintf("arity %d %s, %d rows", arity, shape, n), in[:n], rng)
+			}
+		}
+	}
+}
+
+// checkSettled appends in to a set, settles it and holds every reader to the
+// map reference; then Insert and AddAll turn the settled set back into a
+// hashed one that must still agree.
+func checkSettled(t *testing.T, name string, in []Tuple, rng *rand.Rand) {
+	t.Helper()
+	s, ref := NewTupleSet(), &mapTupleSet{seen: map[string]bool{}}
+	for _, tu := range in {
+		var buf [8]int32
+		s.Append(row32(tu, &buf))
+		ref.Add(tu)
+	}
+	s.Settle()
+	want := ref.Sorted()
+	if s.Len() != len(want) {
+		t.Fatalf("%s: Len() = %d, reference %d", name, s.Len(), len(want))
+	}
+	if got := s.All(); !sameTuples(got, want) {
+		t.Fatalf("%s: All() = %v, reference %v", name, got, want)
+	}
+	if got := s.Sorted(); !sameTuples(got, want) {
+		t.Fatalf("%s: Sorted() = %v, reference %v", name, got, want)
+	}
+	if sr, r := s.SortedRows(), s.Rows(); len(r.Data) > 0 && &sr.Data[0] != &r.Data[0] {
+		t.Fatalf("%s: SortedRows copied a settled set", name)
+	}
+	hashed, reversed := NewTupleSet(), NewTupleSet()
+	for i := range in {
+		hashed.Add(in[i])
+		var buf [8]int32
+		reversed.Append(row32(in[len(in)-1-i], &buf))
+	}
+	reversed.Settle()
+	for _, o := range []*TupleSet{hashed, reversed} {
+		if !s.Equal(o) || !o.Equal(s) {
+			t.Fatalf("%s: a settled set differs from a copy of it", name)
+		}
+	}
+	for _, tu := range in {
+		if !s.Contains(tu) {
+			t.Fatalf("%s: Contains(%v) = false", name, tu)
+		}
+	}
+	arity := len(in[0])
+	probe := func() Tuple {
+		tu := make(Tuple, arity)
+		for i := range tu {
+			tu[i] = rng.Intn(1000) - 100
+		}
+		return tu
+	}
+	for range 200 {
+		if tu := probe(); s.Contains(tu) != ref.seen[tu.Key()] {
+			t.Fatalf("%s: Contains(%v) = %v, reference %v", name, tu, !ref.seen[tu.Key()], ref.seen[tu.Key()])
+		}
+	}
+	// Back to a hashed set: the settled rows keep their order, new rows follow.
+	other := NewTupleSet()
+	for range 50 {
+		tu := probe()
+		other.Add(tu)
+		if got, want := s.Add(tu), ref.Add(tu); got != want {
+			t.Fatalf("%s: Add(%v) on a settled set = %v, reference %v", name, tu, got, want)
+		}
+	}
+	for range 50 {
+		other.Add(probe())
+	}
+	s.AddAll(other)
+	for _, tu := range other.All() {
+		ref.Add(tu)
+	}
+	if s.Len() != len(ref.list) || !sameTuples(s.Sorted(), ref.Sorted()) || !sameTuples(s.All()[:len(want)], want) {
+		t.Fatalf("%s: Add and AddAll on a settled set disagree with the reference", name)
+	}
+}
+
+// A duplicate-heavy projection appended row by row never holds more than
+// about twice its distinct rows: Append settles whenever the bag doubles, and
+// after a settle that finds the bag mostly duplicates it inserts instead.
+func TestTupleSetAppendBounded(t *testing.T) {
+	const distinct = 300
+	rng := rand.New(rand.NewSource(1))
+	s, limit := NewTupleSet(), max(settleFloor, 2*distinct)
+	for i := range 1_000_000 {
+		v := int32(rng.Intn(distinct))
+		s.Append([]int32{v, v * 7})
+		if n := s.Rows().N; n > limit {
+			t.Fatalf("append %d: the bag holds %d rows, want at most %d", i, n, limit)
+		}
+	}
+	if !s.hashing {
+		t.Fatal("Append still sorts bags that are mostly duplicates")
+	}
+	if s.Settle(); s.Len() != distinct {
+		t.Fatalf("Len() = %d after Settle, want %d", s.Len(), distinct)
+	}
+}
+
+// A settled set is read in place: eight goroutines share one (SortedRows,
+// Contains, Len, Rows, Equal) while nothing writes, which -race checks.
+func TestTupleSetSettledSharedReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s, hashed, seen := NewTupleSet(), NewTupleSet(), map[[2]int]bool{}
+	for range 5000 {
+		u, v := rng.Intn(300), rng.Intn(300)
+		s.Append([]int32{int32(u), int32(v)})
+		hashed.Add(Tuple{u, v})
+		seen[[2]int{u, v}] = true
+	}
+	s.Settle()
+	errs := make(chan error, 8)
+	for g := range 8 {
+		go func() {
+			rng := rand.New(rand.NewSource(int64(g)))
+			for range 2000 {
+				u, v := rng.Intn(310), rng.Intn(310)
+				if s.Contains(Tuple{u, v}) != seen[[2]int{u, v}] {
+					errs <- fmt.Errorf("goroutine %d: Contains(%d, %d) is wrong", g, u, v)
+					return
+				}
+			}
+			sr, r := s.SortedRows(), s.Rows()
+			switch {
+			case s.Len() != len(seen) || sr.N != len(seen) || r.N != len(seen):
+				errs <- fmt.Errorf("goroutine %d: %d rows, want %d", g, s.Len(), len(seen))
+			case &sr.Data[0] != &r.Data[0]:
+				errs <- fmt.Errorf("goroutine %d: SortedRows copied", g)
+			case !s.Equal(hashed) || !hashed.Equal(s):
+				errs <- fmt.Errorf("goroutine %d: Equal is false", g)
+			default:
+				errs <- nil
+			}
+		}()
+	}
+	for range 8 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// Building many tiny answers must stay as cheap as hashing them was: a settle
+// of fewer than radixMinRows rows allocates no more than AddRow and
+// SortedRows.
+func TestTupleSetSmallSettleAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	rows := make([][]int32, radixMinRows-1)
+	for i := range rows {
+		rows[i] = []int32{int32(rng.Intn(50)), int32(rng.Intn(50))}
+	}
+	settled := testing.AllocsPerRun(100, func() {
+		s := NewTupleSet()
+		for _, r := range rows {
+			s.Append(r)
+		}
+		s.Settle()
+		s.SortedRows()
+	})
+	hashed := testing.AllocsPerRun(100, func() {
+		s := NewTupleSet()
+		for _, r := range rows {
+			s.AddRow(r)
+		}
+		s.SortedRows()
+	})
+	if settled > hashed {
+		t.Fatalf("a settle of %d rows allocates %v objects, AddRow and SortedRows %v", len(rows), settled, hashed)
+	}
 }
 
 // A value that is no node id sends the whole set to the comparison sort,
@@ -201,6 +441,63 @@ func BenchmarkTupleSetSortedRows(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.sorted = Rows{}
+				s.SortedRows()
+			}
+		})
+	}
+}
+
+// BenchmarkTupleSetSettle: a materialised answer of 10 000 pairs of node ids
+// of a 5 000-node graph, appended and settled, in the shapes producers
+// append: already sorted, six sorted runs (a bounded union), random, and a
+// tenth of the rows distinct; wide5 is 10 000 random rows of arity 5, too wide
+// to pack into one uint64. Each arm's -hashed twin builds the same set by
+// AddRow and sorts it with SortedRows.
+func BenchmarkTupleSetSettle(b *testing.B) {
+	const n = 10000
+	rng := rand.New(rand.NewSource(1))
+	pair := func() []int32 { return []int32{int32(rng.Intn(5000)), int32(rng.Intn(5000))} }
+	sortedRun := func(m int) []int32 {
+		s := NewTupleSet()
+		for s.Len() < m {
+			s.AddRow(pair())
+		}
+		return s.SortedRows().Data
+	}
+	arms := map[string][]int32{"sorted": sortedRun(n)}
+	for range 6 {
+		arms["runs6"] = append(arms["runs6"], sortedRun(n/6)...)
+	}
+	few := sortedRun(n / 10)
+	for range n {
+		i := 2 * rng.Intn(len(few)/2)
+		arms["random"] = append(arms["random"], pair()...)
+		arms["dups"] = append(arms["dups"], few[i:i+2]...)
+		arms["wide5"] = append(arms["wide5"], append(pair(), pair()[0], pair()[0], pair()[0])...)
+	}
+	for _, arm := range []string{"sorted", "runs6", "random", "dups", "wide5"} {
+		rows, w := arms[arm], 2
+		if arm == "wide5" {
+			w = 5
+		}
+		b.Run(arm, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := NewTupleSet()
+				for j := 0; j < len(rows); j += w {
+					s.Append(rows[j : j+w])
+				}
+				s.Settle()
+				s.SortedRows()
+			}
+		})
+		b.Run(arm+"-hashed", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := NewTupleSet()
+				for j := 0; j < len(rows); j += w {
+					s.AddRow(rows[j : j+w])
+				}
 				s.SortedRows()
 			}
 		})
