@@ -4,7 +4,8 @@ package main
 // survive an abrupt process death (simulated by re-opening the store
 // directory without any graceful shutdown), a torn WAL tail must not take
 // acknowledged batches with it, a WAL append failure must wedge writes
-// without disturbing the published read state, and a follower server must
+// without disturbing the published read state, a failed checkpoint after a
+// durable append must not, and a follower server must
 // converge on the leader's acknowledged batches. And the exit path a SIGTERM
 // takes must drain the requests in flight and close the stores.
 
@@ -17,6 +18,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -28,7 +30,12 @@ import (
 // "g1", exactly like `cxrpq-serve -data-dir` does.
 func durableServer(t *testing.T, dir string) (*server, *httptest.Server, *graph.Store) {
 	t.Helper()
-	st, err := graph.OpenStore(dir, graph.StoreOptions{})
+	return durableServerWith(t, dir, graph.StoreOptions{})
+}
+
+func durableServerWith(t *testing.T, dir string, opts graph.StoreOptions) (*server, *httptest.Server, *graph.Store) {
+	t.Helper()
+	st, err := graph.OpenStore(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,6 +138,60 @@ func TestServerWALFailureWedgesWrites(t *testing.T) {
 	// ...while reads keep serving the last durable published state.
 	if got := countA(t, ts.URL); got != want {
 		t.Fatalf("wedged entry disturbed reads: %v rows, want %v", got, want)
+	}
+}
+
+// A checkpoint that fails after the batch reached the WAL — its rename onto a
+// non-empty directory fails, even for root — leaves a
+// durable batch: /update acknowledges it with "checkpoint_error", publishes
+// it, and keeps accepting writes, and the WAL recovers every such batch once
+// the checkpoint file is back.
+func TestServerCheckpointFailureAcksDurableBatch(t *testing.T) {
+	dir := t.TempDir()
+	_, ts, _ := durableServerWith(t, dir, graph.StoreOptions{CheckpointBytes: 1}) // every append checkpoints
+	if code, out := postJSON(t, ts.URL+"/update", `{"db":"g1","edges":"u a v"}`); code != http.StatusOK || out["checkpoint_error"] != nil {
+		t.Fatalf("update with a working checkpoint: %d %v", code, out)
+	}
+	ckpt := filepath.Join(dir, "checkpoint.graph")
+	if err := os.Rename(ckpt, ckpt+".orig"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(ckpt, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	want := countA(t, ts.URL)
+	var rev float64
+	for i, edges := range []string{"u a w", "w a x"} {
+		code, out := postJSON(t, ts.URL+"/update", `{"db":"g1","edges":"`+edges+`"}`)
+		if code != http.StatusOK || out["checkpoint_error"] == nil {
+			t.Fatalf("update %d under a failing checkpoint: %d %v; want 200 with checkpoint_error", i, code, out)
+		}
+		rev = out["revision"].(float64)
+		if got := countA(t, ts.URL); got != want+float64(i+1) {
+			t.Fatalf("update %d: the durable batch is not visible: %v rows, want %v", i, got, want+float64(i+1))
+		}
+	}
+	if err := os.RemoveAll(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(ckpt+".orig", ckpt); err != nil {
+		t.Fatal(err)
+	}
+	st, err := graph.OpenStore(dir, graph.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	db := st.DB()
+	if float64(db.Revision()) != rev {
+		t.Fatalf("recovered at revision %d, the last acknowledged batch was %v", db.Revision(), rev)
+	}
+	for _, e := range [][2]string{{"u", "w"}, {"w", "x"}} {
+		from, ok1 := db.Lookup(e[0])
+		to, ok2 := db.Lookup(e[1])
+		if !ok1 || !ok2 || !slices.ContainsFunc(db.Out(from), func(g graph.Edge) bool { return g.Label == 'a' && g.To == to }) {
+			t.Fatalf("recovery lost the acknowledged edge %s a %s", e[0], e[1])
+		}
 	}
 }
 

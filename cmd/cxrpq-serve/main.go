@@ -76,7 +76,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	inflight := flag.Int("inflight", 64, "soft in-flight cap: beyond it queries run degraded under the shed budget; beyond 2x requests get 429")
 	shedMS := flag.Int("shed-ms", 100, "eval budget (ms) for requests admitted beyond the soft in-flight cap")
-	sessions := flag.Int("sessions", 128, "pooled prepared sessions per database")
+	sessions := flag.Int("sessions", 128, "pooled prepared plans per database")
 	pprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	dataDir := flag.String("data-dir", "", "durability root: each named db persists under <dir>/<name> as WAL + checkpoints, recovered on startup")
 	follower := flag.Bool("follower", false, "serve the stores under -data-dir read-only, tailing each WAL; /update is refused")

@@ -69,18 +69,17 @@ func TestQueryEvalNamedDB(t *testing.T) {
 	if out["fragment"] != "CRPQ" {
 		t.Fatalf("fragment = %v", out["fragment"])
 	}
-	// The same query again must be served by the pooled session.
+	// The same query again must be served by the pooled plan.
 	code, _ = postJSON(t, ts.URL+"/query", body)
 	if code != http.StatusOK {
 		t.Fatal("second query failed")
 	}
 	e, _ := srv.entry("g1")
-	st := e.state.Load()
-	st.sessMu.Lock()
-	n := len(st.sessions)
-	st.sessMu.Unlock()
+	e.planMu.Lock()
+	n := len(e.plans)
+	e.planMu.Unlock()
 	if n != 1 {
-		t.Fatalf("session pool has %d entries, want 1", n)
+		t.Fatalf("plan pool has %d entries, want 1", n)
 	}
 }
 
@@ -177,7 +176,7 @@ func TestUpdateInvalidatesSessions(t *testing.T) {
 }
 
 // TestUpdateDeltaMaintainsSessions drives the incremental /update path: an
-// insert-only delta must refresh the pooled sessions fine-grained (the
+// insert-only delta must maintain the database's atom store fine-grained (the
 // retained/extended counters in /stats move, no extra full rebuild), a
 // "remove" delta must flush and still serve exact answers, and invalid
 // removals are rejected atomically.
@@ -222,7 +221,7 @@ func TestUpdateDeltaMaintainsSessions(t *testing.T) {
 		t.Fatalf("insert-only update did not delta-maintain once: %v -> %v", before, after)
 	}
 	if after["full_rebuilds"].(float64) != before["full_rebuilds"].(float64) {
-		t.Fatalf("insert-only update flushed a session: %v -> %v", before, after)
+		t.Fatalf("insert-only update flushed the store: %v -> %v", before, after)
 	}
 	if after["rel_retained"].(float64)+after["rel_extended"].(float64) == 0 {
 		t.Fatalf("no relation entries maintained: %v", after)
@@ -294,6 +293,57 @@ func TestStatsAtomRowsShared(t *testing.T) {
 		if searched := ka["batches"].(float64) > kb["batches"].(float64) && ka["edges"].(float64) > kb["edges"].(float64); searched != (i == 0) {
 			t.Fatalf("%s: kernel searched: %v, want %v (%v -> %v)", text, searched, i == 0, kb, ka)
 		}
+	}
+}
+
+// TestStatsReportsResults: answers are cached per database, in its atom
+// store, and /stats shows them under "atoms". The same /query twice is one
+// answer filed and one hit; an insert-only /update publishes a revision
+// whose store holds no answer, so the query misses once and returns the new
+// rows. "sessions" counts the pooled plans, which a publish leaves alone.
+func TestStatsReportsResults(t *testing.T) {
+	_, ts := testServer(t)
+	db := func() map[string]any { return getStats(t, ts.URL)["dbs"].([]any)[0].(map[string]any) }
+	entries := func(atoms map[string]any) float64 {
+		return atoms["results"].(map[string]any)["entries"].(float64)
+	}
+	const q = `{"db":"g1","query":"ans(x, y)\nx y : a"}`
+	query := func(want float64) {
+		t.Helper()
+		if code, out := postJSON(t, ts.URL+"/query", q); code != http.StatusOK || out["count"].(float64) != want {
+			t.Fatalf("query: %d %v, want %v rows", code, out, want)
+		}
+	}
+	before := db()["atoms"].(map[string]any)
+	query(2)
+	query(2)
+	st := db()
+	atoms := st["atoms"].(map[string]any)
+	if hits := atoms["result_hits"].(float64) - before["result_hits"].(float64); hits != 1 || entries(atoms) != 1 {
+		t.Fatalf("the same query twice: %v hits over %v entries, want 1 over 1 (%v)", hits, entries(atoms), atoms)
+	}
+	if results := atoms["results"].(map[string]any); results["bytes"].(float64) == 0 || atoms["bytes"].(float64) < results["bytes"].(float64) {
+		t.Fatalf("the answer is not charged to the store's account: %v", atoms)
+	}
+	if st["sessions"].(float64) != 1 {
+		t.Fatalf("sessions = %v, want the one pooled plan", st["sessions"])
+	}
+
+	if code, out := postJSON(t, ts.URL+"/update", `{"db":"g1","edges":"w a u"}`); code != http.StatusOK || out["insert_only"] != true {
+		t.Fatalf("update: %d %v", code, out)
+	}
+	st = db()
+	if after := st["atoms"].(map[string]any); entries(after) != 0 {
+		t.Fatalf("the new revision's store holds %v answers, want 0", entries(after))
+	}
+	if st["sessions"].(float64) != 1 {
+		t.Fatalf("sessions = %v after a publish, want the one pooled plan still", st["sessions"])
+	}
+	misses := st["atoms"].(map[string]any)["result_misses"].(float64)
+	query(3)
+	after := db()["atoms"].(map[string]any)
+	if n := after["result_misses"].(float64) - misses; n != 1 || entries(after) != 1 {
+		t.Fatalf("the query after the update: %v misses, %v entries; want 1, 1", n, entries(after))
 	}
 }
 

@@ -2,9 +2,9 @@ package main
 
 // The HTTP/JSON front-end over the prepared-query subsystem: named graph
 // databases are loaded at startup (or mutated through /update), and every
-// (database, query text) pair is served by a pooled cxrpq.Session, so
-// repeated queries reuse the compiled plan and the per-database relation
-// caches. A two-tier in-flight limiter degrades before it rejects: beyond
+// query text of a database is served by a pooled cxrpq.Plan, bound to the
+// published view per request, so repeated queries reuse the compiled plan
+// and what the database's atom store holds for it: atom facts and answers. A two-tier in-flight limiter degrades before it rejects: beyond
 // the soft cap, query evaluation runs under a shed budget and returns the
 // rows found so far with "truncated" and "shed" set; only beyond twice the
 // cap are requests refused with 429.
@@ -20,7 +20,7 @@ package main
 // and what each atom is read for.
 //
 // A /query travels named stages: decode (the body), resolve (the pooled
-// session of a named database, or a fresh one over an inline graph; /plan
+// plan of a named database bound to its view, or a fresh one over an inline graph; /plan
 // shares this stage), plan (the body becomes one cxrpq.Request, checked
 // against the rules of this surface), execute (Session.Do, or Session.Stream
 // for a paged or ranked eval) and encode (encode.go: node names are copied
@@ -63,8 +63,8 @@ package main
 // matches the recovered database: the stream is re-opened and fast-forwarded
 // past the delivered rows — exact, because ranked order is deterministic
 // at a fixed revision, and cheap, because the fast-forward pages through the
-// pooled session's shared ranked prefix (one text resumed many times is
-// ranked once) — so clients resume pagination instead of receiving 410. A record whose pin mismatches (the
+// ranked prefix the database's atom store holds for the pooled plan (one text
+// resumed many times is ranked once) — so clients resume pagination instead of receiving 410. A record whose pin mismatches (the
 // WAL replayed past it), whose deadline passed, or which a checkpoint
 // truncated away is not resumed: those tokens fall back to the usual 410.
 // Unranked cursors are never persisted (their row order is not guaranteed
@@ -74,17 +74,16 @@ package main
 // are added (interning unknown node names), "remove" deletes one occurrence
 // of each listed edge, which must exist (a delta naming a missing edge or
 // node is rejected with 400 and nothing is applied). Reads are MVCC: every
-// database publishes an immutable graph.Snapshot view plus the session pool
-// forked onto it (dbState), and /query, /plan and parked cursors run
-// entirely against the published state — they take no lock a writer can
-// hold, so reads never block on /update and an open cursor keeps its pinned
-// revision. The writer applies the batch to its private live DB, makes it
-// durable (below), then publishes a fresh snapshot with every pooled
-// session forked onto it and the database's atom store carried over once
-// (ecrpq.AtomStore): an insert-only batch over known labels keeps the atom
-// relations (retained or frontier-extended per entry) and the positive
-// path-existence verdicts, and each session drops its result cache;
-// removals or brand-new labels fall back to a fresh epoch. The maintenance
+// database publishes an immutable graph.Snapshot view (dbState), and /query,
+// /plan and parked cursors run entirely against the published state — they
+// take no lock a writer can hold, so reads never block on /update and an
+// open cursor keeps its pinned revision. The writer applies the batch to its
+// private live DB, makes it durable (below), then publishes a fresh snapshot
+// with the database's atom store carried over once (ecrpq.AtomStore): an
+// insert-only batch over known labels keeps the atom relations (retained or
+// frontier-extended per entry) and the positive path-existence verdicts, and
+// drops the answers; removals or brand-new labels fall back to a fresh
+// store. The plan pool is the entry's and survives the publish. The maintenance
 // cost is paid at write time, off the reader path. The response reports the net delta; /stats
 // exposes the per-database retained-vs-rebuilt maintenance counters.
 //
@@ -128,7 +127,7 @@ import (
 
 type serverOptions struct {
 	maxInflight int           // soft admission cap; hard rejection at 2x
-	sessionCap  int           // pooled sessions per database
+	sessionCap  int           // pooled plans per database
 	shedBudget  time.Duration // eval budget imposed on requests admitted beyond the soft cap
 	cursorCap   int           // open cursors held across requests
 	cursorTTL   time.Duration // idle cursor lifetime
@@ -144,17 +143,13 @@ func defaultOptions() serverOptions {
 }
 
 // dbState is one published MVCC epoch of a database: an immutable snapshot
-// view of the graph plus the session pool bound to it. Readers load the
-// current state with a single atomic pointer read and then share nothing
-// with the writer — the view's storage is frozen (graph.Snapshot), and the
-// pooled sessions are concurrency-safe caches pinned to that view.
+// view of the graph. Readers load the current state with a single atomic
+// pointer read and then share nothing with the writer — the view's storage
+// is frozen (graph.Snapshot), and so is what its atom store derives from it.
 type dbState struct {
 	db    *graph.DB  // frozen snapshot view
 	rev   uint64     // == db.Revision(), cached for the lock-free cursor check
 	names *nameTable // db's node names, quoted for the encoder
-
-	sessMu   sync.Mutex
-	sessions map[string]*cxrpq.Session // query text -> session bound to db
 }
 
 // dbEntry is one named database: the writer-owned live DB with its
@@ -175,6 +170,9 @@ type dbEntry struct {
 
 	state atomic.Pointer[dbState]
 
+	planMu sync.Mutex
+	plans  map[string]*cxrpq.Plan // query text -> prepared plan, bound per request
+
 	// onPublish fires after every publish with the new revision; the server
 	// hooks it to eagerly invalidate parked cursors pinned to older
 	// revisions, so the leader's /update and a follower's tail loop enforce
@@ -185,27 +183,18 @@ type dbEntry struct {
 	qs  queryCounters
 }
 
-// publish snapshots the live DB, carries the previous view's atom store onto
-// the new one — one delta pass, whatever the pool holds — and forks every
-// pooled session of the previous state onto it: the MVCC publish step. The
-// name table extends the previous state's unless a follower reload swapped
-// the live DB. The caller holds writeMu. Sessions racing into the old pool
-// after the fork loop are simply dropped with it (they are pure caches,
-// recompiled on demand).
+// publish snapshots the live DB and carries the previous view's atom store
+// onto the new one — one delta pass, whatever the pool holds: the MVCC
+// publish step. The name table extends the previous state's unless a
+// follower reload swapped the live DB. The caller holds writeMu.
 func (e *dbEntry) publish() *dbState {
 	live := e.live.Load()
 	view := live.Snapshot().DB()
-	ns := &dbState{db: view, rev: view.Revision(),
-		sessions: map[string]*cxrpq.Session{}}
+	ns := &dbState{db: view, rev: view.Revision()}
 	var names *nameTable
 	if old := e.state.Load(); old != nil {
 		names = old.names
 		ecrpq.Atoms(old.db).CarryTo(view)
-		old.sessMu.Lock()
-		for src, sess := range old.sessions {
-			ns.sessions[src] = sess.Fork(view)
-		}
-		old.sessMu.Unlock()
 	}
 	ns.names = quoteNames(names, live, view)
 	e.state.Store(ns)
@@ -252,33 +241,33 @@ func (e *dbEntry) recordRows(rows int) {
 	e.qmu.Unlock()
 }
 
-// session returns the pooled session for a query text, preparing and
-// binding it to this state's view on first use. The pool is bounded: on
-// overflow the whole pool is dropped (sessions are pure caches).
-func (st *dbState) session(src string, cap int) (*cxrpq.Session, error) {
-	st.sessMu.Lock()
-	if s, ok := st.sessions[src]; ok {
-		st.sessMu.Unlock()
-		return s, nil
+// plan returns the pooled plan of a query text, preparing it on first use.
+// The pool is bounded: on overflow the whole pool is dropped (plans are pure
+// caches, and the answers the atom store holds for a dropped one are never
+// hit again).
+func (e *dbEntry) plan(src string, cap int) (*cxrpq.Plan, error) {
+	e.planMu.Lock()
+	if p, ok := e.plans[src]; ok {
+		e.planMu.Unlock()
+		return p, nil
 	}
-	st.sessMu.Unlock()
+	e.planMu.Unlock()
 	// Compile outside the lock: preparing a plan walks the whole query, and
-	// holding sessMu through it would serialize pooled lookups behind it.
+	// holding planMu through it would serialize pooled lookups behind it.
 	p, err := cxrpq.PrepareSrc(src)
 	if err != nil {
 		return nil, err
 	}
-	st.sessMu.Lock()
-	defer st.sessMu.Unlock()
-	if s, ok := st.sessions[src]; ok { // raced with another compiler
-		return s, nil
+	e.planMu.Lock()
+	defer e.planMu.Unlock()
+	if have, ok := e.plans[src]; ok { // raced with another compiler
+		return have, nil
 	}
-	if len(st.sessions) >= cap {
-		st.sessions = map[string]*cxrpq.Session{}
+	if e.plans == nil || len(e.plans) >= cap {
+		e.plans = map[string]*cxrpq.Plan{}
 	}
-	s := p.Bind(st.db)
-	st.sessions[src] = s
-	return s, nil
+	e.plans[src] = p
+	return p, nil
 }
 
 type server struct {
@@ -433,12 +422,12 @@ func (s *server) recoverCursors(e *dbEntry) {
 		if err != nil {
 			continue
 		}
-		sess, err := st.session(blob.Query, s.opts.sessionCap)
+		p, err := e.plan(blob.Query, s.opts.sessionCap)
 		if err != nil {
 			log.Printf("db %s: resume cursor %s: %v", e.name, blob.Token, err)
 			continue
 		}
-		cur, err := sess.Stream(cxrpq.StreamOptions{
+		cur, err := p.Bind(st.db).Stream(cxrpq.StreamOptions{
 			Semantics: blob.Semantics, K: blob.K, Ranked: true,
 			Weight: weight, Deadline: deadline,
 		})
@@ -458,7 +447,7 @@ func (s *server) recoverCursors(e *dbEntry) {
 			skip -= int64(got)
 		}
 		rec := &cursorRec{cur: cur, entry: e, names: st.names, rev: st.rev,
-			fragment: sess.Fragment(), limit: blob.Limit, persist: blob}
+			fragment: p.Fragment(), limit: blob.Limit, persist: blob}
 		closeAll(s.cursors.putAt(tok, rec))
 		log.Printf("db %s: resumed cursor %s at revision %d (%d rows fast-forwarded)",
 			e.name, blob.Token[:8], st.rev, blob.Rows)
@@ -890,10 +879,10 @@ type target struct {
 	e     *dbEntry
 }
 
-// resolve is the resolve stage of /query and /plan: the pooled session of a
-// named database's published MVCC state — no lock is taken, so the evaluation
-// never waits on a writer and never observes a mutation mid-stream — or a
-// fresh one over an inline one-off graph. A pair that does not resolve is
+// resolve is the resolve stage of /query and /plan: the pooled plan of a
+// named database bound to its published MVCC view — no lock a writer holds is
+// taken, so the evaluation never waits on a writer and never observes a
+// mutation mid-stream — or a fresh one over an inline one-off graph. A pair that does not resolve is
 // answered here, 404 for an unknown database and 400 otherwise.
 func (s *server) resolve(w http.ResponseWriter, dbName, graphText, query string) (target, bool) {
 	var t target
@@ -910,7 +899,10 @@ func (s *server) resolve(w http.ResponseWriter, dbName, graphText, query string)
 		}
 		st := e.state.Load()
 		t.e, t.db, t.names = e, st.db, st.names
-		t.sess, err = st.session(query, s.opts.sessionCap)
+		var p *cxrpq.Plan
+		if p, err = e.plan(query, s.opts.sessionCap); err == nil {
+			t.sess = p.Bind(st.db)
+		}
 	case graphText != "":
 		if t.db, err = graph.Parse(graphText); err != nil {
 			break
@@ -1260,6 +1252,10 @@ type updateResponse struct {
 	NewNodes   int      `json:"new_nodes"` // nodes interned by the batch
 	NewLabels  []string `json:"new_labels,omitempty"`
 	InsertOnly bool     `json:"insert_only"`
+
+	// CheckpointError reports an automatic checkpoint that failed after the
+	// batch was made durable: the batch is acknowledged all the same.
+	CheckpointError string `json:"checkpoint_error,omitempty"`
 }
 
 func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
@@ -1288,11 +1284,12 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Apply to the writer-private live DB (readers keep evaluating on the
 	// published snapshot throughout), make the batch durable, then publish:
-	// snapshot + fork every pooled session through the incremental-update
-	// path. The maintenance cost is paid here, at write time, never by a
-	// reader. The ack is written only after the WAL fsync — the durability
-	// contract — and a failed append refuses to publish (or acknowledge)
-	// state the log does not hold.
+	// snapshot + carry the atom store through the incremental-update path.
+	// The maintenance cost is paid here, at write time, never by a reader.
+	// The ack is written only after the WAL fsync — the durability contract —
+	// and a failed append refuses to publish (or acknowledge) state the log
+	// does not hold. A checkpoint that fails after a durable append is no
+	// such failure: the batch is published and acknowledged with it.
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	if e.walErr != nil {
@@ -1307,8 +1304,9 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
+	var ckErr *graph.CheckpointError
 	if e.store != nil {
-		if err := e.store.Append(delta, fromRev, live.Revision()); err != nil {
+		if err := e.store.Append(delta, fromRev, live.Revision()); err != nil && !errors.As(err, &ckErr) {
 			// The live DB is ahead of its log now; wedge the entry so the
 			// divergence cannot compound, and keep serving the last durable
 			// published state.
@@ -1322,6 +1320,10 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		DB: e.name, Revision: st.rev, Nodes: st.db.NumNodes(), Edges: st.db.NumEdges(),
 		Added: len(info.Added), Removed: len(info.Removed), NewNodes: info.NewNodes,
 		InsertOnly: info.InsertOnly(),
+	}
+	if ckErr != nil {
+		log.Printf("db %s: revision %d is durable in the WAL, its checkpoint failed: %v", e.name, st.rev, ckErr)
+		resp.CheckpointError = ckErr.Error()
 	}
 	for _, l := range info.NewLabels {
 		resp.NewLabels = append(resp.NewLabels, string(l))
@@ -1412,9 +1414,9 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		if e.follower != nil {
 			st.Follower = &followerStats{Replayed: e.follower.Replayed(), Reloads: e.follower.Reloads()}
 		}
-		pub.sessMu.Lock()
-		st.Sessions = len(pub.sessions)
-		pub.sessMu.Unlock()
+		e.planMu.Lock()
+		st.Sessions = len(e.plans)
+		e.planMu.Unlock()
 		st.Atoms = ecrpq.Atoms(pub.db).Stats()
 		kernel.Batches += st.Atoms.Kernel.Batches
 		kernel.Levels += st.Atoms.Kernel.Levels

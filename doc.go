@@ -80,13 +80,13 @@
 //	                     (fragment class, bounded schedule, the member
 //	                     source of the union of ECRPQ^er every vstar-free
 //	                     query is: Lemma 3 / Lemma 7), Plan.Bind(db) yields a
-//	                     concurrency-safe Session owning what is per text
-//	                     (its result cache) over the database's
-//	                     atom store (ecrpq.AtomStore: one ecrpq.Atom per
-//	                     label and alphabet with its compiled automaton,
-//	                     and the atom's relations, supports and
-//	                     path-existence verdicts, shared by every session
-//	                     on the snapshot), revision-checked and
+//	                     concurrency-safe, stateless Session over the
+//	                     database's atom store (ecrpq.AtomStore: one
+//	                     ecrpq.Atom per label and alphabet with its compiled
+//	                     automaton, the atom's relations, supports and
+//	                     path-existence verdicts, and the answers filed
+//	                     under each plan, one byte account, shared by every
+//	                     session on the snapshot), revision-checked and
 //	                     delta-maintained once per revision move:
 //	                     insert-only mutations retain or frontier-extend
 //	                     relations per entry and keep the positive verdicts
@@ -115,7 +115,7 @@
 //	                     streams out without draining the answer set)
 //	                     over unit or pluggable per-label edge weights
 //	                     and pulled on the fetching goroutine into a
-//	                     ranked prefix every cursor of the epoch pages
+//	                     ranked prefix every cursor of the revision pages
 //	                     through, and an unranked producer that pages out
 //	                     of an iter.Pull coroutine suspended between
 //	                     fetches, so ApplyDelta interleaves with open
@@ -134,8 +134,9 @@
 //
 // cmd/cxrpq-serve is the concurrent HTTP/JSON evaluation server over the
 // prepared-query subsystem — each /query is decoded, resolved to a pooled
-// session, planned into one cxrpq.Request and executed by Session.Do or
-// Session.Stream — with a per-database pool of prepared sessions,
+// plan bound to the published view, planned into one cxrpq.Request and
+// executed by Session.Do or Session.Stream — with a per-database pool of
+// prepared plans,
 // MVCC reads (every /query, /plan and cursor fetch runs lock-free on the
 // latest published snapshot epoch, loaded through one atomic pointer),
 // pull-based streaming /query with limit/cursor pagination, deadline_ms

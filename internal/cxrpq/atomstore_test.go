@@ -126,7 +126,7 @@ func TestAtomStoreMaintainedOnce(t *testing.T) {
 	v1 := db.Snapshot().DB()
 	for i, s := range pool {
 		f := s.Fork(v1)
-		if st := f.Stats().Atoms; st.DeltaPasses != 1 || st.FullRebuilds != 1 {
+		if st := storeStats(f); st.DeltaPasses != 1 || st.FullRebuilds != 1 {
 			t.Fatalf("fork %d: %d delta passes over the store and %d fresh starts; want one each", i, st.DeltaPasses, st.FullRebuilds)
 		}
 		got, err := tuples(f.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1}))

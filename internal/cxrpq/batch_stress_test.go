@@ -135,11 +135,11 @@ func TestSessionConcurrentShardedDeltaStress(t *testing.T) {
 		t.Error(err)
 	}
 
-	st := sess.Stats()
-	if st.Atoms.DeltaPasses == 0 {
-		t.Errorf("no fine-grained delta maintenance happened under stress: %+v", st.Atoms)
+	st := storeStats(sess)
+	if st.DeltaPasses == 0 {
+		t.Errorf("no fine-grained delta maintenance happened under stress: %+v", st)
 	}
-	if st.Atoms.FullRebuilds < 2 { // initial bind + the removal step
-		t.Errorf("removal step did not force a full flush: %+v", st.Atoms)
+	if st.FullRebuilds < 2 { // initial bind + the removal step
+		t.Errorf("removal step did not force a full flush: %+v", st)
 	}
 }

@@ -242,6 +242,51 @@ type boundedState struct {
 	survived []map[string]bool
 }
 
+// runMemoCap bounds the per-run memos of a bounded evaluation.
+const runMemoCap = 1 << 16
+
+// epochMap is the drop-all-on-overflow bounded cache pattern (the atom store
+// drops its epoch the same way, on bytes): mutex + cap + whole-epoch drop. It
+// backs a bounded run's memos.
+type epochMap[K comparable, V any] struct {
+	mu  sync.Mutex
+	cap int
+	m   map[K]V
+}
+
+func newEpochMap[K comparable, V any](cap int) *epochMap[K, V] {
+	return &epochMap[K, V]{cap: cap, m: map[K]V{}}
+}
+
+func (c *epochMap[K, V]) get(key K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.m[key]
+	return v, ok
+}
+
+func (c *epochMap[K, V]) put(key K, v V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.m) >= c.cap {
+		c.m = map[K]V{}
+	}
+	c.m[key] = v
+}
+
+// getOr returns the memoized value of key, computing and keeping it on a
+// miss; a computation that fails keeps nothing.
+func (c *epochMap[K, V]) getOr(key K, compute func() (V, error)) (V, error) {
+	if v, ok := c.get(key); ok {
+		return v, nil
+	}
+	v, err := compute()
+	if err == nil {
+		c.put(key, v)
+	}
+	return v, err
+}
+
 // newBoundedEngine binds a bounded plan to a database for one run under bud
 // (nil = unlimited). atoms is db's atom store (Session.boundedRun, the one
 // caller, holds it), shared with every other run over the snapshot.

@@ -107,7 +107,7 @@ func TestQuickBoundedParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		seqRes, err := tuples(plan.BindWorkers(db, 1).Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 2}))
+		seqRes, err := tuples(plan.BindWorkers(freshCopy(db), 1).Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 2}))
 		if err != nil {
 			return false
 		}

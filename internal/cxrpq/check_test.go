@@ -160,7 +160,7 @@ func TestCheckVsfOverCapHonoursBudget(t *testing.T) {
 			}
 		}
 	}
-	if st := sess.Stats(); st.ResultHits != 2 {
+	if st := storeStats(sess); st.ResultHits != 2 {
 		t.Fatalf("repeated over-cap checks hit the result cache %d times, want 2", st.ResultHits)
 	}
 }

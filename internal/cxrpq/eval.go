@@ -55,11 +55,6 @@ func catAll(c CXRE) xregex.Node {
 	return &xregex.Cat{Kids: append([]xregex.Node(nil), c...)}
 }
 
-// mergeDBAlphabet returns the combined alphabet of a database and a tuple.
-func mergeDBAlphabet(db *graph.DB, c CXRE) []rune {
-	return xregex.MergeAlphabets(db.Alphabet(), c.Alphabet())
-}
-
 // EvalBoundedNaive is the literal Theorem 6 algorithm: it blindly guesses
 // every v̄ ∈ (Σ^≤k)^n, instantiates (Lemma 11) and evaluates the CRPQ. It
 // exists as the ablation baseline for the bounded engine's candidate pruning (the
@@ -70,7 +65,7 @@ func EvalBoundedNaive(q *Query, db *graph.DB, k int) (*pattern.TupleSet, error) 
 		return nil, err
 	}
 	c := q.CXRE()
-	sigma := mergeDBAlphabet(db, c)
+	sigma := xregex.MergeAlphabets(db.Alphabet(), c.Alphabet())
 	var vars []string
 	for v := range c.Vars() {
 		vars = append(vars, v)

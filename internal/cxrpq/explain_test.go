@@ -197,7 +197,7 @@ func TestExplainOverCap(t *testing.T) {
 	db := workload.Path(word, 1)
 	s, _ := db.Lookup("s")
 	end, _ := db.Lookup("t")
-	want, ok, err := witness(cxrpq.Do(ref, db, cxrpq.Request{Op: "explain", Tuple: pattern.Tuple{s, end}}))
+	want, ok, err := witness(cxrpq.Do(ref, freshCopy(db), cxrpq.Request{Op: "explain", Tuple: pattern.Tuple{s, end}}))
 	if err != nil || !ok || want.Words[0] != word {
 		t.Fatalf("the one-member equivalent: %v, %v, %v", want, ok, err)
 	}
@@ -211,8 +211,8 @@ func TestExplainOverCap(t *testing.T) {
 	if resp := sess.Do(cxrpq.Request{Op: "explain", Tuple: pattern.Tuple{s, end}, Budget: spent}); !errors.Is(resp.Err, engine.ErrCanceled) || resp.OK || resp.Explanation != nil {
 		t.Fatalf("explain under a spent budget = %v, %v, %v; want engine.ErrCanceled", resp.Explanation, resp.OK, resp.Err)
 	}
-	if st := sess.Stats(); st.ResultSize != 0 {
-		t.Fatalf("%d results cached by a canceled explain", st.ResultSize)
+	if st := storeStats(sess); st.Results.Entries != 0 {
+		t.Fatalf("%d results cached by a canceled explain", st.Results.Entries)
 	}
 	for call := 0; call < 2; call++ {
 		got, ok, err := witness(sess.Do(cxrpq.Request{Op: "explain", Tuple: pattern.Tuple{s, end}}))
@@ -223,7 +223,7 @@ func TestExplainOverCap(t *testing.T) {
 			t.Fatalf("over the cap: nodes %v words %q images %v, want %v %q %v", got.NodeOf, got.Words, got.Images, want.NodeOf, want.Words, want.Images)
 		}
 	}
-	if st := sess.Stats(); st.ResultHits != 1 {
+	if st := storeStats(sess); st.ResultHits != 1 {
 		t.Fatalf("the second Explain hit the result cache %d times, want 1", st.ResultHits)
 	}
 	if ex, ok, err := witness(sess.Do(cxrpq.Request{Op: "explain", Tuple: pattern.Tuple{end, s}})); err != nil || ok || ex != nil {

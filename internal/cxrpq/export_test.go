@@ -28,7 +28,7 @@ func (s *Session) StreamDrained(opts StreamOptions) (*Cursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.rankedCursor(s.current(), bounded, k, engine.NewBudget(opts.Ctx, opts.Deadline), opts, true)
+	return s.rankedCursor(ecrpq.Atoms(s.db), bounded, k, engine.NewBudget(opts.Ctx, opts.Deadline), opts, true)
 }
 
 // PageCursor opens the cursor Stream opens over an unranked enumeration that
@@ -38,19 +38,16 @@ func PageCursor(run func(emit ecrpq.StreamFunc) error, limit int) *Cursor {
 	return &Cursor{end: limit, open: paged(run), nextWant: 1}
 }
 
-// RankedPrefix returns the ranked prefix the session's current epoch holds
-// for the dispatch of opts, and whether it is done; no rows when there is
-// none. Reading it counts no result-cache hit.
+// RankedPrefix returns the ranked prefix the atom store of the session's
+// database holds for the dispatch of opts, and whether it is done; no rows
+// when there is none. Reading it counts no answer hit.
 func (s *Session) RankedPrefix(opts StreamOptions) (pattern.Rows, bool) {
 	_, k, err := s.semantics(opts.Semantics, opts.K)
-	rc := s.current().results
-	rc.mu.Lock()
-	resp := rc.m[resultKey{op: "ranked", k: k}]
-	rc.mu.Unlock()
-	if err != nil || resp.ranked == nil {
+	v, ok := ecrpq.Atoms(s.db).Answer(s.key("ranked", k, nil))
+	if err != nil || !ok {
 		return pattern.Rows{}, false
 	}
-	return resp.ranked.view()
+	return v.(*rankedPrefix).view()
 }
 
 // CandidateWalk is one bounded run's view of the candidate enumeration: the
@@ -65,7 +62,7 @@ func NewCandidateWalk(q *Query, db *graph.DB, k int) (*CandidateWalk, error) {
 		return nil, err
 	}
 	sess := p.Bind(db)
-	e, err := sess.boundedRun(sess.current(), k, false, nil, nil)
+	e, err := sess.boundedRun(ecrpq.Atoms(db), k, false, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +84,7 @@ func (w *CandidateWalk) Candidates(x string, prefix map[string]string) ([]string
 // PathVerdicts returns the path-existence verdicts stored for the session's
 // database.
 func (s *Session) PathVerdicts() map[string]bool {
-	return s.current().atoms.Verdicts()
+	return ecrpq.Atoms(s.db).Verdicts()
 }
 
 // EvalBoundedBoolPre decides D |=^≤k q with the node variables of pre
@@ -99,7 +96,7 @@ func EvalBoundedBoolPre(q *Query, db *graph.DB, k int, pre map[string]int) (bool
 		return false, err
 	}
 	sess := p.Bind(db)
-	e, err := sess.boundedRun(sess.current(), k, true, pre, nil)
+	e, err := sess.boundedRun(ecrpq.Atoms(db), k, true, pre, nil)
 	if err != nil {
 		return false, err
 	}

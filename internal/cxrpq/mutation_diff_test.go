@@ -173,10 +173,10 @@ func mutationRun(t *testing.T, seed int64, r *workload.RNG, q *cxrpq.Query, db *
 	steps := 3 + r.Intn(3)
 	for step := 0; step < steps; step++ {
 		delta := randomDelta(r, m.db, step, step%2 == 0)
-		verdicts, maint := m.sess.PathVerdicts(), m.sess.Stats().Atoms
+		verdicts, maint := m.sess.PathVerdicts(), storeStats(m.sess)
 		info := m.apply(t, seed, delta)
 		got := m.checkStep(t, seed, fmt.Sprintf("step %d", step))
-		if m.sess.Stats().Atoms.DeltaPasses > maint.DeltaPasses {
+		if storeStats(m.sess).DeltaPasses > maint.DeltaPasses {
 			for label, now := range m.sess.PathVerdicts() {
 				if was, asked := verdicts[label]; asked && !was && now {
 					flipped++
@@ -260,12 +260,12 @@ func TestMutationCorpus(t *testing.T) {
 	db = graph.MustParse("n0 a n1\nn1 b n2\nn2 b n3\n")
 	m := &mutationState{db: db, sess: cxrpq.MustPrepare(q).Bind(db), q: q, k: 1, names: []string{"n0", "n1", "n2", "n3"}}
 	edge := []graph.DeltaEdge{{From: "n3", Label: 'b', To: "n1"}} // n1 -b-> n2 -b-> n3 -b-> n1 reads bbb
-	if got := m.checkStep(t, -1, "dangling: initial"); got.Len() != 0 || m.sess.Stats().Atoms.Supports.Entries == 0 {
-		t.Fatalf("dangling entry: %d answers and supports %+v before the insertion", got.Len(), m.sess.Stats().Atoms.Supports)
+	if got := m.checkStep(t, -1, "dangling: initial"); got.Len() != 0 || storeStats(m.sess).Supports.Entries == 0 {
+		t.Fatalf("dangling entry: %d answers and supports %+v before the insertion", got.Len(), storeStats(m.sess).Supports)
 	}
 	m.apply(t, -1, graph.Delta{Add: edge})
-	if got := m.checkStep(t, -1, "dangling: insertion"); got.Len() == 0 || m.sess.Stats().Atoms.DeltaPasses != 1 {
-		t.Fatalf("dangling entry: %d answers after the insertion, maintenance %+v", got.Len(), m.sess.Stats().Atoms)
+	if got := m.checkStep(t, -1, "dangling: insertion"); got.Len() == 0 || storeStats(m.sess).DeltaPasses != 1 {
+		t.Fatalf("dangling entry: %d answers after the insertion, maintenance %+v", got.Len(), storeStats(m.sess))
 	}
 	m.apply(t, -1, graph.Delta{Del: edge})
 	if got := m.checkStep(t, -1, "dangling: removal"); got.Len() != 0 {
@@ -295,29 +295,29 @@ func TestMutationMaintStats(t *testing.T) {
 	if _, err := tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1})); err != nil {
 		t.Fatal(err)
 	}
-	base := sess.Stats()
-	if base.Atoms.FullRebuilds != 1 || base.Atoms.DeltaPasses != 0 {
-		t.Fatalf("unexpected baseline maint stats: %+v", base.Atoms)
+	base := storeStats(sess)
+	if base.FullRebuilds != 1 || base.DeltaPasses != 0 {
+		t.Fatalf("unexpected baseline maint stats: %+v", base)
 	}
 
 	if _, err := sess.ApplyDelta(graph.Delta{Add: []graph.DeltaEdge{{From: db.Name(0), Label: 'a', To: db.Name(1)}}}); err != nil {
 		t.Fatal(err)
 	}
-	st := sess.Stats()
-	if st.Atoms.DeltaPasses != 1 || st.Atoms.FullRebuilds != 1 {
-		t.Fatalf("insert-only delta did not take the fine-grained path: %+v", st.Atoms)
+	st := storeStats(sess)
+	if st.DeltaPasses != 1 || st.FullRebuilds != 1 {
+		t.Fatalf("insert-only delta did not take the fine-grained path: %+v", st)
 	}
-	if st.Atoms.Retained+st.Atoms.Extended == 0 {
-		t.Fatalf("no relation entries maintained: %+v", st.Atoms)
+	if st.Retained+st.Extended == 0 {
+		t.Fatalf("no relation entries maintained: %+v", st)
 	}
 
 	// A removal must force the full flush.
 	if _, err := sess.ApplyDelta(graph.Delta{Del: []graph.DeltaEdge{{From: db.Name(0), Label: 'a', To: db.Name(1)}}}); err != nil {
 		t.Fatal(err)
 	}
-	st = sess.Stats()
-	if st.Atoms.FullRebuilds != 2 {
-		t.Fatalf("removal did not force a full flush: %+v", st.Atoms)
+	st = storeStats(sess)
+	if st.FullRebuilds != 2 {
+		t.Fatalf("removal did not force a full flush: %+v", st)
 	}
 
 	// A brand-new label must force the full flush too.
@@ -327,8 +327,8 @@ func TestMutationMaintStats(t *testing.T) {
 	if _, err := sess.ApplyDelta(graph.Delta{Add: []graph.DeltaEdge{{From: db.Name(0), Label: 'z', To: db.Name(1)}}}); err != nil {
 		t.Fatal(err)
 	}
-	if st := sess.Stats(); st.Atoms.FullRebuilds != 3 {
-		t.Fatalf("new label did not force a full flush: %+v", st.Atoms)
+	if st := storeStats(sess); st.FullRebuilds != 3 {
+		t.Fatalf("new label did not force a full flush: %+v", st)
 	}
 
 	// An add-then-remove round trip between calls nets out: everything —
@@ -336,7 +336,7 @@ func TestMutationMaintStats(t *testing.T) {
 	if _, err := tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1})); err != nil {
 		t.Fatal(err)
 	}
-	pre := sess.Stats()
+	pre := storeStats(sess)
 	if _, err := db.ApplyDelta(graph.Delta{Add: []graph.DeltaEdge{{From: db.Name(2), Label: 'a', To: db.Name(3)}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -346,9 +346,9 @@ func TestMutationMaintStats(t *testing.T) {
 	if _, err := tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1})); err != nil {
 		t.Fatal(err)
 	}
-	st = sess.Stats()
-	if st.Atoms.Retains != pre.Atoms.Retains+1 {
-		t.Fatalf("net-empty window not retained: %+v -> %+v", pre.Atoms, st.Atoms)
+	st = storeStats(sess)
+	if st.Retains != pre.Retains+1 {
+		t.Fatalf("net-empty window not retained: %+v -> %+v", pre, st)
 	}
 	if st.ResultHits != pre.ResultHits+1 {
 		t.Fatalf("net-empty window dropped the result cache: %+v -> %+v", pre, st)

@@ -81,11 +81,12 @@ func TestOverCapDifferential(t *testing.T) {
 			plan := cxrpq.MustPrepare(c.q)
 
 			// The session operations at two fan widths and the streams are
-			// independent of one another: parallel subtests.
+			// independent of one another: parallel subtests. The operations
+			// count the answers of their own copy's store.
 			for _, workers := range []int{1, 4} {
 				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 					t.Parallel()
-					overCapOperations(t, plan.BindWorkers(c.db, workers), want, answer, nonAnswer)
+					overCapOperations(t, plan.BindWorkers(freshCopy(c.db), workers), want, answer, nonAnswer)
 				})
 			}
 			t.Run("streams", func(t *testing.T) {
@@ -107,8 +108,8 @@ func overCapOperations(t *testing.T, sess *cxrpq.Session, want *pattern.TupleSet
 			t.Fatalf("%s under a spent budget = %v, %v; want engine.ErrCanceled", req.Op, resp.OK, resp.Err)
 		}
 	}
-	if st := sess.Stats(); st.ResultSize != 0 {
-		t.Fatalf("%d results cached by canceled operations", st.ResultSize)
+	if st := storeStats(sess); st.Results.Entries != 0 {
+		t.Fatalf("%d results cached by canceled operations", st.Results.Entries)
 	}
 	// Then every operation twice: the answer, and the second time from the cache.
 	for call := 0; call < 2; call++ {
@@ -125,16 +126,16 @@ func overCapOperations(t *testing.T, sess *cxrpq.Session, want *pattern.TupleSet
 			t.Fatalf("Check(%v) = %v, %v; want false", nonAnswer, ok, err)
 		}
 	}
-	if st := sess.Stats(); st.ResultHits != 4 || st.ResultSize != 4 {
-		t.Fatalf("repeated operations: %d result-cache hits over %d entries, want 4 over 4", st.ResultHits, st.ResultSize)
+	if st := storeStats(sess); st.ResultHits != 4 || st.Results.Entries != 4 {
+		t.Fatalf("repeated operations: %d result-cache hits over %d entries, want 4 over 4", st.ResultHits, st.Results.Entries)
 	}
 }
 
 // overCapStreams drains the unranked and ranked streams of the plan over db.
 func overCapStreams(t *testing.T, plan *cxrpq.Plan, db *graph.DB, want *pattern.TupleSet) {
 	// Streams run member after member in the producer's coroutine whatever
-	// the worker count. Each gets a session of its own: one that has
-	// evaluated would serve a window of the cached answer.
+	// the worker count. The operations evaluated the plan on copies of db, so
+	// no answer of it is filed in db's store for a stream to be a window of.
 	for _, page := range []int{1, 7, 4096} {
 		for _, limit := range []int{0, (want.Len() + 1) / 2} {
 			cur, err := plan.Bind(db).Stream(cxrpq.StreamOptions{Limit: limit})

@@ -5,6 +5,7 @@ import (
 	"iter"
 	"slices"
 	"sync"
+	"weak"
 
 	"cxrpq/internal/ecrpq"
 	"cxrpq/internal/pattern"
@@ -76,6 +77,11 @@ type Plan struct {
 	c        CXRE
 	kind     planKind
 	fragment string
+	sigma    []rune // the query's alphabet; a bounded run merges it with the database's
+
+	// self names the plan in the keys of its answers in an atom store
+	// (resultKey): weak, so that no store keeps a plan alive.
+	self weak.Pointer[Plan]
 
 	boundedOnce sync.Once
 	bounded     *boundedPlan // any query has ≤k / log semantics
@@ -98,6 +104,7 @@ func Prepare(q *Query) (*Plan, error) {
 		return nil, err
 	}
 	p := &Plan{q: q, c: q.CXRE(), fragment: q.Fragment()}
+	p.sigma, p.self = p.c.Alphabet(), weak.Make(p)
 	switch {
 	case p.c.IsClassical():
 		p.kind = kindClassical

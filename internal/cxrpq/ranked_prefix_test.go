@@ -245,13 +245,13 @@ func TestRankedPrefixConcurrent(t *testing.T) {
 	}
 }
 
-// Opening and abandoning ranked cursors without Close — incremental ones on
-// fresh sessions, weighted ones and over-cap drains — leaves the goroutine
+// Opening and abandoning ranked cursors without Close — incremental ones of
+// fresh plans, weighted ones and over-cap drains — leaves the goroutine
 // count flat: no ranked cursor starts a goroutine.
 func TestRankedCursorsStartNoGoroutine(t *testing.T) {
-	plan := cxrpq.MustPrepare(cxrpq.MustParse("ans(x, z)\nx y : a+\ny z : b+"))
+	q := cxrpq.MustParse("ans(x, z)\nx y : a+\ny z : b+")
 	db := workload.Random(0x7e57, 30, 120, "ab")
-	shared := plan.Bind(db)
+	shared := cxrpq.MustPrepare(q).Bind(db)
 	wide, _, _, _ := overCapQueries()
 	over := cxrpq.MustPrepare(wide).Bind(workload.Random(3, 6, 13, "ab"))
 	weight := func(label rune) int32 {
@@ -266,8 +266,8 @@ func TestRankedCursorsStartNoGoroutine(t *testing.T) {
 			sess *cxrpq.Session
 			opts cxrpq.StreamOptions
 		}{
-			{plan.Bind(db), cxrpq.StreamOptions{Ranked: true}},
-			{plan.Bind(db), cxrpq.StreamOptions{Ranked: true, Semantics: "bounded", K: 1}},
+			{cxrpq.MustPrepare(q).Bind(db), cxrpq.StreamOptions{Ranked: true}},
+			{cxrpq.MustPrepare(q).Bind(db), cxrpq.StreamOptions{Ranked: true, Semantics: "bounded", K: 1}},
 			{shared, cxrpq.StreamOptions{Ranked: true, Weight: weight}},
 			{over, cxrpq.StreamOptions{Ranked: true}},
 		} {

@@ -4,135 +4,45 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"sync"
+	"weak"
 
 	"cxrpq/internal/ecrpq"
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
+	"cxrpq/internal/xregex"
 )
 
 // This file is the evaluate-many half of the prepared-query subsystem: a
-// Session is a Plan bound to one database. What it owns is what is per query
-// text — a bounded result cache; the atom facts
-// its evaluations derive (relations, supports, path-existence verdicts)
-// belong to the database revision and live in its atom store
-// (ecrpq.AtomStore), which every session bound to the same *graph.DB shares.
-// A query runs through exactly two operations: Do, one Request answered
-// whole, and Stream (stream.go), a pull cursor; PlanReport (planreport.go)
-// reports the join order without evaluating. All Session methods are safe for
-// concurrent use.
+// Session is a Plan bound to one database, and holds nothing else. What its
+// calls derive belongs to the database revision and lives in its atom store
+// (ecrpq.AtomStore), which every session bound to the same *graph.DB shares:
+// the atom facts (relations, supports, path-existence verdicts) and the
+// answers — complete Responses and ranked prefixes, filed under resultKey.
+// Each call asks ecrpq.Atoms(db) once and runs against that store. A query
+// runs through exactly two operations: Do, one Request answered whole, and
+// Stream (stream.go), a pull cursor; PlanReport (planreport.go) reports the
+// join order without evaluating. All Session methods are safe for concurrent
+// use.
 //
 // Invalidation contract: the database must not be mutated while a call is
-// in flight. After a (quiescent) mutation, the next call observes the
-// bumped graph.DB revision, has the store brought up to it (once, whoever
-// asks first — see ecrpq.AtomStore for the matrix) and keeps its own memos
-// only across a net-empty window. Session.ApplyDelta applies a batched
-// mutation and maintains eagerly; Invalidate drops the database's store too.
-// A Response may be served from the result cache and shared between callers —
-// treat its TupleSet as immutable.
+// in flight. After a (quiescent) mutation, the next call finds the store
+// brought up to the bumped graph.DB revision (once, whoever asks first — see
+// ecrpq.AtomStore for the matrix), which keeps answers only across a
+// net-empty window. Session.ApplyDelta applies a batched mutation and
+// maintains eagerly; Invalidate drops the database's store. A Response may be
+// served from the store and shared between callers — treat its TupleSet as
+// immutable.
 
-const (
-	// runMemoCap bounds the per-run memos of a bounded evaluation.
-	runMemoCap = 1 << 16
-	// resultCap bounds the session result cache, in whole Responses.
-	resultCap = 256
-)
-
-// epochMap is the drop-all-on-overflow bounded cache pattern (the atom
-// store drops its epoch the same way, on bytes): mutex + cap + whole-epoch
-// drop + hit/miss counters. It backs the result cache and a bounded run's
-// memos.
-type epochMap[K comparable, V any] struct {
-	mu     sync.Mutex
-	cap    int
-	m      map[K]V
-	hits   uint64
-	misses uint64
-}
-
-func newEpochMap[K comparable, V any](cap int) *epochMap[K, V] {
-	return &epochMap[K, V]{cap: cap, m: map[K]V{}}
-}
-
-func (c *epochMap[K, V]) get(key K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.m[key]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	return v, ok
-}
-
-func (c *epochMap[K, V]) put(key K, v V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(key, v)
-}
-
-func (c *epochMap[K, V]) putLocked(key K, v V) {
-	if len(c.m) >= c.cap {
-		c.m = map[K]V{}
-	}
-	c.m[key] = v
-}
-
-// file returns the value of key, filing fresh under it first if there is
-// none. It counts neither a hit nor a miss: the caller counts what it reads of
-// the value (count).
-func (c *epochMap[K, V]) file(key K, fresh V) V {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if v, ok := c.m[key]; ok {
-		return v
-	}
-	c.putLocked(key, fresh)
-	return fresh
-}
-
-// count records one hit or miss; a nil map counts nothing.
-func (c *epochMap[K, V]) count(hit bool) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if hit {
-		c.hits++
-	} else {
-		c.misses++
-	}
-}
-
-// getOr returns the memoized value of key, computing and keeping it on a
-// miss; a computation that fails keeps nothing.
-func (c *epochMap[K, V]) getOr(key K, compute func() (V, error)) (V, error) {
-	if v, ok := c.get(key); ok {
-		return v, nil
-	}
-	v, err := compute()
-	if err == nil {
-		c.put(key, v)
-	}
-	return v, err
-}
-
-func (c *epochMap[K, V]) stats() (hits, misses uint64, size int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, len(c.m)
-}
-
-// resultKey names one cached Response: the operation ("eval", "bool",
-// "check", "explain", or "ranked" for the ranked prefix of Session.Stream),
-// its image bound — unbounded for the fragment-dispatched operations over the
-// union, a value no bounded request can carry (Session.semantics refuses
-// k < 0) — and its tuple argument (Tuple.Key; empty without one). The result
-// cache lives inside one epoch, so revision bumps clear it.
+// resultKey names one answer of a plan in its database's atom store: the
+// plan, weakly, so that the store keeps no plan alive; the operation ("eval",
+// "bool", "check", "explain", or "ranked" for the ranked prefix of
+// Session.Stream); its image bound — unbounded for the fragment-dispatched
+// operations over the union, a value no bounded request can carry
+// (Session.semantics refuses k < 0) — and its tuple argument (Tuple.Key;
+// empty without one).
 type resultKey struct {
+	plan  weak.Pointer[Plan]
 	op    string
 	k     int
 	tuple string
@@ -154,110 +64,45 @@ type Session struct {
 	// test bound the session through export_test.go; nothing a deployment
 	// can reach sets it.
 	workers int
-
-	// The epoch a call works against, swapped whenever the database revision
-	// moves, so nothing in it can outlive the data it was derived from. atoms
-	// is the atom store of the bound revision: the database's, not the
-	// session's — every session on the same *graph.DB holds the same one.
-	mu      sync.Mutex // guards the epoch fields below
-	bound   bool
-	rev     uint64
-	sigma   []rune
-	atoms   *ecrpq.AtomStore
-	results *epochMap[resultKey, Response]
 }
 
 // Bind binds the plan to a database.
 func (p *Plan) Bind(db *graph.DB) *Session { return &Session{plan: p, db: db} }
 
-// epoch is one call's view of the session: the atom store, result cache and
-// alphabet of the revision the call started on.
-type epoch struct {
-	atoms   *ecrpq.AtomStore
-	results *epochMap[resultKey, Response]
-	sigma   []rune
-}
-
-// current returns this call's epoch, moving the session to the database's
-// revision first when a mutation left it behind. Calls already in flight
-// keep the epoch they started with.
-func (s *Session) current() epoch {
-	rev := s.db.Revision()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.bound || rev != s.rev {
-		s.moveLocked(ecrpq.Atoms(s.db))
-	}
-	return epoch{s.atoms, s.results, s.sigma}
-}
-
-// moveLocked binds the session to atoms, its database's store at the current
-// revision. The facts are the store's to carry across the move; of its own
-// memos the session keeps the results across a net-empty window — they hold
-// for the same graph — and nothing otherwise.
-func (s *Session) moveLocked(atoms *ecrpq.AtomStore) {
-	kept := s.bound && atoms.SameGraph(s.rev)
-	if s.bound, s.rev = true, s.db.Revision(); kept {
-		return
-	}
-	s.sigma = mergeDBAlphabet(s.db, s.plan.c)
-	s.atoms = atoms
-	s.results = newEpochMap[resultKey, Response](resultCap)
+// key returns the key of the session's answer to op under image bound k with
+// tuple argument t.
+func (s *Session) key(op string, k int, t pattern.Tuple) any {
+	return resultKey{s.plan.self, op, k, t.Key()}
 }
 
 // ApplyDelta applies a batched mutation to the bound database and eagerly
-// brings its atom store and the session up to it, so the delta cost is paid
-// at write time instead of on the next query. Like every mutation it must be
-// quiescent: no session call (on any session bound to the same DB) may be in
-// flight. Other sessions bound to the database adopt the maintained store on
-// their next call.
+// brings its atom store up to it, so the delta cost is paid at write time
+// instead of on the next query. Like every mutation it must be quiescent: no
+// session call (on any session bound to the same DB) may be in flight.
 func (s *Session) ApplyDelta(delta graph.Delta) (*graph.DeltaInfo, error) {
 	info, err := s.db.ApplyDelta(delta)
-	if err != nil {
-		return info, err
+	if err == nil {
+		ecrpq.Atoms(s.db)
 	}
-	s.current()
-	return info, nil
+	return info, err
 }
 
-// Fork returns a new Session bound to db — a successor of the current
-// binding, typically the next graph.Snapshot view of the same lineage. The
-// receiver is never modified, so in-flight and parked readers of the old
-// session (open stream cursors included) keep their pinned epoch on their
-// pinned revision. This is the MVCC publish step of the serving layer: the
-// writer forks the pooled sessions onto each new snapshot at write time, so
-// no reader ever waits on maintenance — and the atom store is carried onto
-// the new view by the first fork, the others adopt it (AtomStore.CarryTo).
-// At the same revision the epoch is shared outright.
+// Fork binds the session's plan, with its fan width, to db — a successor of
+// the session's database, typically the next graph.Snapshot view of its
+// lineage — after carrying the database's atom store onto it
+// (AtomStore.CarryTo), as the server's publish does. The receiver and its
+// open cursors keep their view and its store.
 func (s *Session) Fork(db *graph.DB) *Session {
-	ns := &Session{plan: s.plan, db: db, workers: s.workers}
-	s.mu.Lock()
-	ns.bound, ns.rev, ns.sigma, ns.atoms, ns.results = s.bound, s.rev, s.sigma, s.atoms, s.results
-	s.mu.Unlock()
-	if !ns.bound {
-		return ns // never-used receiver: the fork binds lazily on first use
-	}
-	// Outside s.mu — the receiver's readers do not wait for the delta pass —
-	// and without ns.mu: ns is not yet shared.
-	if atoms := ns.atoms.CarryTo(db); db.Revision() != ns.rev {
-		ns.moveLocked(atoms)
-	}
-	return ns
+	ecrpq.Atoms(s.db).CarryTo(db)
+	return &Session{plan: s.plan, db: db, workers: s.workers}
 }
 
-// Invalidate drops every memo of the session and the atom store of its
-// database unconditionally — no delta maintenance, the next call starts a
-// fresh epoch. Calling it is never required for correctness after a quiescent
+// Invalidate drops the atom store of the session's database — facts and
+// answers — unconditionally: no delta maintenance, the next call starts a
+// fresh one. Calling it is never required for correctness after a quiescent
 // DB mutation (the revision check does it), but it releases memory
 // immediately and covers callers that mutated derived state out of band.
-func (s *Session) Invalidate() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.bound = false
-	s.atoms = nil
-	s.results = nil
-	s.db.Derived(func(any) any { return nil })
-}
+func (s *Session) Invalidate() { s.db.Derived(func(any) any { return nil }) }
 
 // DB returns the bound database.
 func (s *Session) DB() *graph.DB { return s.db }
@@ -268,33 +113,6 @@ func (s *Session) Plan() *Plan { return s.plan }
 // Fragment returns the plan's fragment classification.
 func (s *Session) Fragment() string { return s.plan.fragment }
 
-// SessionStats is a point-in-time snapshot of a session's counters and of
-// the atom store of its database (shared: other sessions move its numbers,
-// and its lineage's counters say how every revision move was taken).
-type SessionStats struct {
-	Revision     uint64
-	Fragment     string
-	Atoms        ecrpq.AtomStats
-	ResultHits   uint64
-	ResultMisses uint64
-	ResultSize   int
-}
-
-// Stats returns a snapshot of the session's counters.
-func (s *Session) Stats() SessionStats {
-	s.mu.Lock()
-	atoms, rc := s.atoms, s.results
-	st := SessionStats{Revision: s.rev, Fragment: s.plan.fragment}
-	s.mu.Unlock()
-	if atoms != nil {
-		st.Atoms = atoms.Stats()
-	}
-	if rc != nil {
-		st.ResultHits, st.ResultMisses, st.ResultSize = rc.stats()
-	}
-	return st
-}
-
 // explanation attaches the session's join order to a witness (best effort:
 // the witness stands alone).
 func (s *Session) explanation(ex *Explanation) *Explanation {
@@ -303,14 +121,15 @@ func (s *Session) explanation(ex *Explanation) *Explanation {
 }
 
 // boundedRun binds the plan's bounded schedule (Theorem 6) to the session's
-// database and the atom store of ep for one run under bud: the one
+// database and its atom store atoms for one run under bud: the one
 // constructor of every bounded evaluation, check, explanation and stream.
-func (s *Session) boundedRun(ep epoch, k int, boolOnly bool, pre map[string]int, bud *engine.Budget) (*boundedEngine, error) {
+func (s *Session) boundedRun(atoms *ecrpq.AtomStore, k int, boolOnly bool, pre map[string]int, bud *engine.Budget) (*boundedEngine, error) {
 	bp, err := s.plan.boundedPlanFor()
 	if err != nil {
 		return nil, err
 	}
-	return newBoundedEngine(bp, s.db, k, boolOnly, pre, ep.atoms, ep.sigma, s.workers, bud)
+	sigma := xregex.MergeAlphabets(s.db.Alphabet(), s.plan.sigma)
+	return newBoundedEngine(bp, s.db, k, boolOnly, pre, atoms, sigma, s.workers, bud)
 }
 
 // Request is one operation against a Session: one of the paper's evaluation
@@ -331,15 +150,13 @@ type Request struct {
 }
 
 // Response is the result of one Request. Exactly the fields relevant to the
-// request's Op are set. A Response may be served from the session's result
-// cache and shared between callers: treat Tuples as immutable.
+// request's Op are set. A Response may be served from the atom store of the
+// session's database and shared between callers: treat Tuples as immutable.
 type Response struct {
 	Tuples      *pattern.TupleSet // eval
 	OK          bool              // bool/check outcome; explain: match found
 	Explanation *Explanation      // explain
 	Err         error
-
-	ranked *rankedPrefix // the "ranked" entry: the prefix ranked streams share
 }
 
 // semantics resolves the Semantics/K pair of a Request or of StreamOptions:
@@ -362,10 +179,11 @@ func (s *Session) semantics(name string, k int) (bounded bool, bound int, err er
 }
 
 // Do executes one request against the session: the semantics are resolved,
-// the result cache is asked once, and on a miss the union arm (every
-// vstar-free query is a union of ECRPQ^er: Plan.members) or the bounded arm
-// (Theorem 6) runs the operation. Only a complete answer is kept: an error,
-// or a budget the run ran into, caches nothing.
+// the atom store is asked for the answer once, and on a miss the union arm
+// (every vstar-free query is a union of ECRPQ^er: Plan.members) or the
+// bounded arm (Theorem 6) runs the operation. Only a complete answer is
+// filed, charged 4 bytes per value of its tuples: an error, or a budget the
+// run ran into, files nothing.
 func (s *Session) Do(req Request) Response {
 	bounded, k, err := s.semantics(req.Semantics, req.K)
 	if err != nil {
@@ -379,19 +197,24 @@ func (s *Session) Do(req Request) Response {
 	default:
 		return Response{Err: fmt.Errorf("cxrpq: unknown op %q", req.Op)}
 	}
-	ep := s.current()
-	key := resultKey{req.Op, k, t.Key()}
-	if resp, ok := ep.results.get(key); ok {
-		return resp
+	atoms, key := ecrpq.Atoms(s.db), s.key(req.Op, k, t)
+	v, hit := atoms.Answer(key)
+	atoms.CountAnswer(hit)
+	if hit {
+		return v.(Response)
 	}
 	var resp Response
 	if bounded {
-		resp = s.doBounded(ep, req.Op, k, t, req.Budget)
+		resp = s.doBounded(atoms, req.Op, k, t, req.Budget)
 	} else {
 		resp = s.doUnion(req.Op, t, req.Budget)
 	}
 	if resp.Err == nil && req.Budget.Err() == nil {
-		ep.results.put(key, resp)
+		values := 0
+		if resp.Tuples != nil {
+			values = len(resp.Tuples.Rows().Data)
+		}
+		atoms.FileAnswer(key, resp, values)
 	}
 	return resp
 }
@@ -447,7 +270,7 @@ func (s *Session) doUnion(op string, t pattern.Tuple, bud *engine.Budget) Respon
 // (the first-witness sibling stop rides a fork of the budget); any other
 // truncated run returns its value — for eval, the sound partial rows — with
 // engine.ErrCanceled.
-func (s *Session) doBounded(ep epoch, op string, k int, t pattern.Tuple, bud *engine.Budget) Response {
+func (s *Session) doBounded(atoms *ecrpq.AtomStore, op string, k int, t pattern.Tuple, bud *engine.Budget) Response {
 	var pre map[string]int
 	if op == "check" {
 		out := s.plan.q.Pattern.Out
@@ -466,7 +289,7 @@ func (s *Session) doBounded(ep epoch, op string, k int, t pattern.Tuple, bud *en
 			pre[z] = v
 		}
 	}
-	e, err := s.boundedRun(ep, k, op == "bool" || op == "check", pre, bud)
+	e, err := s.boundedRun(atoms, k, op == "bool" || op == "check", pre, bud)
 	if err != nil {
 		return Response{Err: err}
 	}

@@ -7,9 +7,12 @@ package cxrpq_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"cxrpq/internal/cxrpq"
+	"cxrpq/internal/ecrpq"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
 	"cxrpq/internal/workload"
@@ -19,13 +22,12 @@ import (
 // unions of ECRPQ^er, so an eval of any of them is one result-cache entry the
 // next eval hits, and a stream after it is a window of the one cached set.
 func TestOnePlanOneResultEntry(t *testing.T) {
-	db := workload.Random(7, 12, 40, "ab")
 	for _, src := range []string{
 		"ans(x, z)\nx y : a+\ny z : b",                // classical
 		"ans(x, z)\nx y : $w{a|b}b*\ny z : $w\n",      // simple
 		"ans(x, z)\nx y : $w{a}|$v{b}\ny z : $w|$v\n", // vstar-free, four members
 	} {
-		sess := cxrpq.MustPrepare(cxrpq.MustParse(src)).Bind(db)
+		sess := cxrpq.MustPrepare(cxrpq.MustParse(src)).Bind(workload.Random(7, 12, 40, "ab"))
 		first, err := tuples(sess.Do(cxrpq.Request{Op: "eval"}))
 		if err != nil || first.Len() == 0 {
 			t.Fatalf("%q: Eval = %v rows, %v", src, first.Len(), err)
@@ -34,8 +36,8 @@ func TestOnePlanOneResultEntry(t *testing.T) {
 		if err != nil || second != first {
 			t.Fatalf("%q: the second eval did not return the cached set (%v)", src, err)
 		}
-		if st := sess.Stats(); st.ResultMisses != 1 || st.ResultHits != 1 || st.ResultSize != 1 {
-			t.Fatalf("%q: two evals: %d misses, %d hits, %d entries; want 1, 1, 1", src, st.ResultMisses, st.ResultHits, st.ResultSize)
+		if st := storeStats(sess); st.ResultMisses != 1 || st.ResultHits != 1 || st.Results.Entries != 1 {
+			t.Fatalf("%q: two evals: %d misses, %d hits, %d entries; want 1, 1, 1", src, st.ResultMisses, st.ResultHits, st.Results.Entries)
 		}
 		cur, err := sess.Stream(cxrpq.StreamOptions{})
 		if err != nil {
@@ -48,8 +50,8 @@ func TestOnePlanOneResultEntry(t *testing.T) {
 		if ok, err := verdict(sess.Do(cxrpq.Request{Op: "bool"})); err != nil || !ok {
 			t.Fatalf("%q: bool = %v, %v", src, ok, err)
 		}
-		if st := sess.Stats(); st.ResultSize != 2 {
-			t.Fatalf("%q: %d result entries after set and Boolean evaluation, want 2", src, st.ResultSize)
+		if st := storeStats(sess); st.Results.Entries != 2 {
+			t.Fatalf("%q: %d result entries after set and Boolean evaluation, want 2", src, st.Results.Entries)
 		}
 	}
 }
@@ -68,11 +70,11 @@ func TestRankedPrefixCounts(t *testing.T) {
 	if n := len(drainCursor(t, first, 5)); n < 10 {
 		t.Fatalf("fixture drifted: %d ranked rows", n)
 	}
-	if st := sess.Stats(); st.ResultMisses != 1 || st.ResultHits != 0 || st.ResultSize != 1 {
-		t.Fatalf("one ranked drain: %d misses, %d hits, %d entries; want 1, 0, 1", st.ResultMisses, st.ResultHits, st.ResultSize)
+	if st := storeStats(sess); st.ResultMisses != 1 || st.ResultHits != 0 || st.Results.Entries != 1 {
+		t.Fatalf("one ranked drain: %d misses, %d hits, %d entries; want 1, 0, 1", st.ResultMisses, st.ResultHits, st.Results.Entries)
 	}
 	for _, opts := range []cxrpq.StreamOptions{ranked, {Ranked: true, Limit: 3}} {
-		before := sess.Stats()
+		before := storeStats(sess)
 		cur, err := sess.Stream(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -81,17 +83,17 @@ func TestRankedPrefixCounts(t *testing.T) {
 		for p := cur.FetchRows(5); p.N > 0; p = cur.FetchRows(5) {
 			pages++
 		}
-		if st := sess.Stats(); st.ResultMisses != before.ResultMisses || st.ResultHits != before.ResultHits+uint64(pages) || st.ResultSize != 1 {
+		if st := storeStats(sess); st.ResultMisses != before.ResultMisses || st.ResultHits != before.ResultHits+uint64(pages) || st.Results.Entries != 1 {
 			t.Fatalf("%+v over the complete prefix: %d pages, then %+v after %+v; want a hit per page", opts, pages, st, before)
 		}
 	}
-	before := sess.Stats()
+	before := storeStats(sess)
 	cur, err := sess.Stream(cxrpq.StreamOptions{Ranked: true, Weight: func(rune) int32 { return 2 }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	drainCursor(t, cur, 5)
-	if st := sess.Stats(); st.ResultMisses != before.ResultMisses || st.ResultHits != before.ResultHits || st.ResultSize != 1 {
+	if st := storeStats(sess); st.ResultMisses != before.ResultMisses || st.ResultHits != before.ResultHits || st.Results.Entries != 1 {
 		t.Fatalf("a weighted stream moved the result cache: %+v after %+v", st, before)
 	}
 }
@@ -108,30 +110,31 @@ func TestSessionRelCacheEviction(t *testing.T) {
 	for i := 0; i < n; i++ {
 		db.AddEdgeNames(fmt.Sprint("c", i), 'a', fmt.Sprint("c", (i+1)%n))
 	}
-	plan := cxrpq.MustPrepare(cxrpq.MustParse("ans(x, u)\nx y : $w{a|aa}a+\ny z : $w a*\nz u : aa$w+\n"))
-	// A fresh session per call: the second call recomputes through the store,
-	// which belongs to the database and so is shared by both sessions. One
-	// worker finds the first witness after the same relations every time.
+	q := cxrpq.MustParse("ans(x, u)\nx y : $w{a|aa}a+\ny z : $w a*\nz u : aa$w+\n")
+	// A fresh plan per call: its answer is filed under the plan, so the second
+	// call recomputes through the store, which belongs to the database and so
+	// is shared by both. One worker finds the first witness after the same
+	// relations every time.
 	for call := 0; call < 2; call++ {
-		sess := plan.BindWorkers(db, 1)
+		sess := cxrpq.MustPrepare(q).BindWorkers(db, 1)
 		if ok, err := verdict(sess.Do(cxrpq.Request{Op: "bool", Semantics: "bounded", K: 2})); err != nil || !ok {
 			t.Fatalf("call %d: %v, %v; every node reaches every node", call, ok, err)
 		}
-		st := sess.Stats()
-		if st.Atoms.Evictions == 0 || st.Atoms.Misses == 0 {
-			t.Fatalf("call %d: expected the store to overflow its budget: %+v", call, st.Atoms)
+		st := storeStats(sess)
+		if st.Evictions == 0 || st.Misses == 0 {
+			t.Fatalf("call %d: expected the store to overflow its budget: %+v", call, st)
 		}
-		if st.Atoms.Bytes > st.Atoms.Budget || st.Atoms.Relations.Bytes > st.Atoms.Bytes {
-			t.Fatalf("call %d: the store holds more than its budget: %+v", call, st.Atoms)
+		if st.Bytes > st.Budget || st.Relations.Bytes > st.Bytes {
+			t.Fatalf("call %d: the store holds more than its budget: %+v", call, st)
 		}
-		if st.ResultHits != 0 || st.ResultMisses != 1 {
-			t.Fatalf("call %d on a fresh session hit its result cache: %+v", call, st)
+		if st.ResultHits != 0 || st.ResultMisses != uint64(call+1) {
+			t.Fatalf("call %d of a fresh plan hit an answer: %+v", call, st)
 		}
 	}
 
 	// A store with room to spare never evicts, and the repeated call is a
 	// result-cache hit.
-	q := cxrpq.MustParse("ans(p, q)\np m : $x{a|b}c?\nm n : $y{$x|b}($x|$y)\nn q : $x+|b\n")
+	q = cxrpq.MustParse("ans(p, q)\np m : $x{a|b}c?\nm n : $y{$x|b}($x|$y)\nn q : $x+|b\n")
 	small := workload.Random(11, 6, 14, "abc")
 	want, err := cxrpq.EvalBoundedNaive(q, small, 2)
 	if err != nil {
@@ -143,12 +146,75 @@ func TestSessionRelCacheEviction(t *testing.T) {
 			t.Fatalf("roomy call %d: %v tuples (%v), want %d", call, got.Len(), err, want.Len())
 		}
 	}
-	rst := roomy.Stats()
+	rst := storeStats(roomy)
 	if rst.ResultHits == 0 {
 		t.Fatalf("expected a result-cache hit on the repeated call, got %+v", rst)
 	}
-	if rst.Atoms.Evictions != 0 || rst.Atoms.Relations.Entries == 0 {
-		t.Fatalf("roomy store should hold its relations and not evict, got %+v", rst.Atoms)
+	if rst.Evictions != 0 || rst.Relations.Entries == 0 {
+		t.Fatalf("roomy store should hold its relations and not evict, got %+v", rst)
+	}
+}
+
+// TestAnswersShareTheAccount: answers are charged to the database's one
+// byte account, at its real budget. Every node of a 600-node cycle reaches
+// every node, so each of 25 plans of x y : (a|b)* has 360 000 rows, ~2.9 MB
+// as the store accounts them and more than 64 MiB together: the store drops
+// its epoch on the way, and never holds more than its budget and the answer
+// just filed.
+func TestAnswersShareTheAccount(t *testing.T) {
+	const n, plans = 600, 25
+	db := graph.New()
+	for i := 0; i < n; i++ {
+		db.AddEdgeNames(fmt.Sprint("c", i), rune('a'+i%2), fmt.Sprint("c", (i+1)%n))
+	}
+	var largest int64
+	for i := 0; i < plans; i++ {
+		src := fmt.Sprintf("ans(x%d, y%d)\nx%d y%d : (a|b)*", i, i, i, i)
+		sess := cxrpq.MustPrepare(cxrpq.MustParse(src)).Bind(db)
+		before := storeStats(sess).Results.Bytes
+		if got, err := tuples(sess.Do(cxrpq.Request{Op: "eval"})); err != nil || got.Len() != n*n {
+			t.Fatalf("plan %d: %d rows, %v; want %d", i, got.Len(), err, n*n)
+		}
+		st := storeStats(sess)
+		if i == 0 { // every answer has as many rows as the first
+			largest = st.Results.Bytes - before
+		}
+		if st.Bytes > st.Budget+largest {
+			t.Fatalf("plan %d: the store holds %d bytes, over its budget %d and the largest answer %d", i, st.Bytes, st.Budget, largest)
+		}
+	}
+	if st := ecrpq.Atoms(db).Stats(); st.Evictions == 0 || st.Results.Entries >= plans {
+		t.Fatalf("%d answers of ~%d bytes each never pressed the budget: %+v", plans, largest, st)
+	}
+}
+
+// TestStoreKeepsNoPlanAlive: an answer is filed under its plan weakly, so a
+// plan nothing else holds is collected while the store keeps the entry —
+// charged, and never hit again.
+func TestStoreKeepsNoPlanAlive(t *testing.T) {
+	db := workload.Random(7, 12, 40, "ab")
+	collected := make(chan struct{})
+	func() {
+		plan := cxrpq.MustPrepare(cxrpq.MustParse("ans(x, z)\nx y : a+\ny z : b"))
+		if _, err := tuples(plan.Bind(db).Do(cxrpq.Request{Op: "eval"})); err != nil {
+			t.Fatal(err)
+		}
+		runtime.AddCleanup(plan, func(ch chan struct{}) { close(ch) }, collected)
+	}()
+	for deadline := time.Now().Add(2 * time.Second); ; {
+		runtime.GC()
+		runtime.GC()
+		select {
+		case <-collected:
+			if st := ecrpq.Atoms(db).Stats(); st.Results.Entries != 1 {
+				t.Fatalf("the store holds %d answers once the plan is collected, want its 1", st.Results.Entries)
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the plan of a filed answer was never collected: the store keeps it alive")
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package cxrpq_test
 
 // MVCC snapshot semantics of the session layer: Session.Fork carries the
-// cache epoch onto a successor graph.Snapshot view without touching the
+// atom store onto a successor graph.Snapshot view without touching the
 // receiver, so readers pinned to the old session/view never observe the
 // mutation — while the forked session answers exactly like a fresh bind on
 // the new view, at delta-maintenance cost for insert-only windows.
@@ -60,12 +60,12 @@ func TestSessionForkSnapshotIsolation(t *testing.T) {
 	if got.Equal(base) {
 		t.Fatal("test vacuous: the delta did not change the answer")
 	}
-	st := s2.Stats()
-	if st.Atoms.DeltaPasses != 1 || st.Atoms.FullRebuilds != 1 {
-		t.Fatalf("insert-only fork should delta-maintain (applies=1, rebuilds=1), got %+v", st.Atoms)
+	st := storeStats(s2)
+	if st.DeltaPasses != 1 || st.FullRebuilds != 1 {
+		t.Fatalf("insert-only fork should delta-maintain (applies=1, rebuilds=1), got %+v", st)
 	}
-	if st.Atoms.Retained+st.Atoms.Extended == 0 {
-		t.Fatalf("fork maintained no relation entries: %+v", st.Atoms)
+	if st.Retained+st.Extended == 0 {
+		t.Fatalf("fork maintained no relation entries: %+v", st)
 	}
 
 	// A removal window cannot be maintained: the next fork rebuilds.
@@ -87,19 +87,19 @@ func TestSessionForkSnapshotIsolation(t *testing.T) {
 	if !got3.Equal(want3) {
 		t.Fatal("post-removal fork diverged from a fresh bind")
 	}
-	if st3 := s3.Stats(); st3.Atoms.FullRebuilds != 2 {
-		t.Fatalf("removal fork should full-rebuild, got %+v", st3.Atoms)
+	if st3 := storeStats(s3); st3.FullRebuilds != 2 {
+		t.Fatalf("removal fork should full-rebuild, got %+v", st3)
 	}
 
-	// Forking without an intervening mutation shares the epoch.
+	// Forking without an intervening mutation shares the store, answers
+	// included.
 	s4 := s3.Fork(snap3.DB())
-	if s4.Stats().ResultHits == 0 {
-		if _, err := tuples(s4.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k})); err != nil {
-			t.Fatal(err)
-		}
-		if s4.Stats().ResultHits == 0 {
-			t.Fatal("same-revision fork did not share the result cache")
-		}
+	hits := storeStats(s4).ResultHits
+	if _, err := tuples(s4.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k})); err != nil {
+		t.Fatal(err)
+	}
+	if storeStats(s4).ResultHits != hits+1 {
+		t.Fatal("same-revision fork did not share the answer")
 	}
 }
 
@@ -138,7 +138,7 @@ func TestPathVerdictsAcrossInserts(t *testing.T) {
 	// settled checks a maintained session: positives kept, negatives gone
 	// before anything is asked again, and the answer that of a fresh bind.
 	settled := func(name string, s *cxrpq.Session, before map[string]bool, view *graph.DB) {
-		if st := s.Stats().Atoms; st.DeltaPasses != 1 || st.FullRebuilds != 1 {
+		if st := storeStats(s); st.DeltaPasses != 1 || st.FullRebuilds != 1 {
 			t.Fatalf("%s: the insertion was not delta-maintained: %+v", name, st)
 		}
 		kept := s.PathVerdicts()
@@ -211,8 +211,8 @@ func TestSessionForkMutationStreamDifferential(t *testing.T) {
 			t.Fatalf("step %d: fork chain diverged: %d tuples, want %d", i, got.Len(), want.Len())
 		}
 	}
-	if st := sess.Stats(); st.Atoms.DeltaPasses == 0 {
-		t.Fatalf("MutationStream deltas are insert-only; expected delta maintenance, got %+v", st.Atoms)
+	if st := storeStats(sess); st.DeltaPasses == 0 {
+		t.Fatalf("MutationStream deltas are insert-only; expected delta maintenance, got %+v", st)
 	}
 }
 

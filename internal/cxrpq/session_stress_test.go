@@ -114,9 +114,9 @@ func TestSessionConcurrentStressBounded(t *testing.T) {
 		t.Error(err)
 	}
 
-	st := sess.Stats()
-	if st.Atoms.Hits == 0 {
-		t.Errorf("expected atom-store hits under concurrent reuse, got %+v", st.Atoms)
+	st := storeStats(sess)
+	if st.Hits == 0 {
+		t.Errorf("expected atom-store hits under concurrent reuse, got %+v", st)
 	}
 }
 
@@ -319,12 +319,12 @@ func TestSessionConcurrentDeltaStress(t *testing.T) {
 		t.Error(err)
 	}
 
-	st := sess.Stats()
-	if st.Atoms.DeltaPasses == 0 {
-		t.Errorf("no fine-grained delta maintenance happened under stress: %+v", st.Atoms)
+	st := storeStats(sess)
+	if st.DeltaPasses == 0 {
+		t.Errorf("no fine-grained delta maintenance happened under stress: %+v", st)
 	}
-	if st.Atoms.FullRebuilds < 2 { // initial bind + the removal step
-		t.Errorf("removal step did not force a full flush: %+v", st.Atoms)
+	if st.FullRebuilds < 2 { // initial bind + the removal step
+		t.Errorf("removal step did not force a full flush: %+v", st)
 	}
 }
 
@@ -339,8 +339,8 @@ func TestSessionInvalidateForcesFullFlush(t *testing.T) {
 	if _, err := tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1})); err != nil {
 		t.Fatal(err)
 	}
-	pre := sess.Stats()
-	if pre.Atoms.Relations.Entries == 0 {
+	pre := storeStats(sess)
+	if pre.Relations.Entries == 0 {
 		t.Fatal("atom store unexpectedly empty after a bounded eval")
 	}
 
@@ -360,11 +360,11 @@ func TestSessionInvalidateForcesFullFlush(t *testing.T) {
 	if !got.Equal(want) {
 		t.Fatalf("post-Invalidate result diverged: %d tuples, want %d", got.Len(), want.Len())
 	}
-	st := sess.Stats()
-	if st.Atoms.DeltaPasses != 0 {
-		t.Fatalf("Invalidate was bypassed by delta maintenance: %+v", st.Atoms)
+	st := storeStats(sess)
+	if st.DeltaPasses != 0 {
+		t.Fatalf("Invalidate was bypassed by delta maintenance: %+v", st)
 	}
-	if st.Atoms.FullRebuilds != 1 || st.Atoms.Retained != 0 || st.Atoms.Extended != 0 || st.Atoms.Relations.Entries == 0 {
-		t.Fatalf("Invalidate did not start the database's store afresh: %+v -> %+v", pre.Atoms, st.Atoms)
+	if st.FullRebuilds != 1 || st.Retained != 0 || st.Extended != 0 || st.Relations.Entries == 0 {
+		t.Fatalf("Invalidate did not start the database's store afresh: %+v -> %+v", pre, st)
 	}
 }

@@ -10,9 +10,9 @@ package cxrpq
 // A page is a pattern.Rows — fixed-arity rows back to back in one []int32
 // slab — which is what FetchRows returns and the server encodes from; Fetch
 // and Next carve tuples out of one. Most pages are windows: a stream over a
-// complete cached answer serves the set's memoized sorted rows
-// (TupleSet.SortedRows), and a ranked stream serves its epoch's ranked prefix
-// (below). An abandoned window cursor has nothing to release.
+// complete answer filed in the atom store serves the set's memoized sorted
+// rows (TupleSet.SortedRows), and a ranked stream serves the store's ranked
+// prefix (below). An abandoned window cursor has nothing to release.
 //
 // Every other page comes from a producer the cursor builds on its first fetch
 // past what it can see and pulls inside FetchRows, on the fetching goroutine;
@@ -25,18 +25,18 @@ package cxrpq
 // reaches the Limit, and on Close.
 //
 // Ranked mode (shortest-witness-first) is one sequence per dispatch and
-// revision: witness cost ascending, ties in lexicographic order. Each session
-// epoch files, per image bound, one append-only ranked prefix in its result
-// cache — the complete cost tiers of the sequence any cursor has computed so
-// far — and a ranked cursor pages through it. Only a cursor that needs rows
-// past the prefix builds a producer, on the fetching goroutine: the any-k
-// enumerator (ecrpq.AnyK) pops rows in nondecreasing witness cost, so the
-// first occurrence of a tuple IS its minimal cost and top-k costs O(k) queue
-// expansions instead of a full drain; a tier is sorted once the next cost
-// pops, and published unless another cursor got there first. A union too
-// wide to root eagerly (over the combination cap) drains and sorts instead. A
-// weighted stream pulls the same way but shares nothing. See "Rows" in
-// internal/README.md.
+// revision: witness cost ascending, ties in lexicographic order. The atom
+// store of the database files, per plan and image bound, one append-only
+// ranked prefix — the complete cost tiers of the sequence any cursor has
+// computed so far, charged tier by tier — and a ranked cursor pages through
+// it. Only a cursor that needs rows past the prefix builds a producer, on the
+// fetching goroutine: the any-k enumerator (ecrpq.AnyK) pops rows in
+// nondecreasing witness cost, so the first occurrence of a tuple IS its
+// minimal cost and top-k costs O(k) queue expansions instead of a full drain;
+// a tier is sorted once the next cost pops, and published unless another
+// cursor got there first. A union too wide to root eagerly (over the
+// combination cap) drains and sorts instead. A weighted stream pulls the same
+// way but shares nothing. See "Rows" in internal/README.md.
 
 import (
 	"cmp"
@@ -80,9 +80,9 @@ type StreamOptions struct {
 	// Weight generalizes the ranked witness cost from edge count to a
 	// pluggable per-edge-label weight (engine.Weight; nil = unit cost).
 	// Ignored unless Ranked. Weighted evaluations file nothing in the
-	// database's atom store or the session's ranked prefix — a weight
-	// function has no identity to file anything under — so they trade reuse
-	// for the custom metric.
+	// database's atom store, ranked prefix included — a weight function has
+	// no identity to file anything under — so they trade reuse for the
+	// custom metric.
 	Weight engine.Weight
 
 	// Limit caps the total number of rows the cursor yields (0 = all).
@@ -106,10 +106,9 @@ type Cursor struct {
 
 	// Every page is a window of the rows the cursor can see: rows [0, pre.N)
 	// of the sequence in the shared ranked prefix (nil when the cursor shares
-	// none; rc counts its fetches), rows [ownLo, ownLo+own.N) in the cursor's
-	// own slab. pos is the next row to serve and end, when set, the Limit.
+	// none), rows [ownLo, ownLo+own.N) in the cursor's own slab. pos is the
+	// next row to serve and end, when set, the Limit.
 	pre      *rankedPrefix
-	rc       *epochMap[resultKey, Response]
 	own      pattern.Rows
 	ownLo    int
 	pos, end int
@@ -144,31 +143,32 @@ func (s *Session) Stream(opts StreamOptions) (*Cursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	bud := engine.NewBudget(opts.Ctx, opts.Deadline)
-	ep := s.current()
+	bud, atoms := engine.NewBudget(opts.Ctx, opts.Deadline), ecrpq.Atoms(s.db)
 	if opts.Ranked {
-		return s.rankedCursor(ep, bounded, k, bud, opts, false)
+		return s.rankedCursor(atoms, bounded, k, bud, opts, false)
 	}
-	// The result cache only ever holds complete, un-truncated answers: the
-	// stream of one is a window of its sorted rows.
-	if resp, _ := ep.results.get(resultKey{op: "eval", k: k}); resp.Tuples != nil {
+	// The store only ever holds complete, un-truncated answers: the stream of
+	// one is a window of its sorted rows.
+	v, hit := atoms.Answer(s.key("eval", k, nil))
+	atoms.CountAnswer(hit)
+	if resp, _ := v.(Response); resp.Tuples != nil {
 		return &Cursor{bud: bud, own: resp.Tuples.SortedRows(), end: opts.Limit, nextWant: 1}, nil
 	}
-	run, err := s.streamRunFor(ep, bounded, k, ecrpq.Options{Budget: bud, Weight: opts.Weight})
+	run, err := s.streamRunFor(atoms, bounded, k, ecrpq.Options{Budget: bud, Weight: opts.Weight})
 	if err != nil {
 		return nil, err
 	}
 	return &Cursor{bud: bud, end: opts.Limit, open: paged(run), nextWant: 1}, nil
 }
 
-// rankedCursor opens a ranked stream over ep. Unweighted, its sequence is the
-// ranked prefix filed in ep's result cache, so the prefix and the evaluation
-// behind it belong to one epoch. Construction-time work and failures happen
+// rankedCursor opens a ranked stream over atoms. Unweighted, its sequence is
+// the ranked prefix filed in atoms, so the prefix and the evaluation behind it
+// belong to one revision's store. Construction-time work and failures happen
 // here; the producer itself — one root per union member, or the bounded
 // engine's mappings and relations with every leaf join deferred onto the
 // queue — is built by the first fetch past the prefix. baseline
 // (StreamDrained) forces the drain-then-sort producer and shares nothing.
-func (s *Session) rankedCursor(ep epoch, bounded bool, k int, bud *engine.Budget, opts StreamOptions, baseline bool) (*Cursor, error) {
+func (s *Session) rankedCursor(atoms *ecrpq.AtomStore, bounded bool, k int, bud *engine.Budget, opts StreamOptions, baseline bool) (*Cursor, error) {
 	drain, w := baseline, opts.Weight
 	var (
 		ms  iter.Seq[member]
@@ -183,17 +183,17 @@ func (s *Session) rankedCursor(ep epoch, bounded bool, k int, bud *engine.Budget
 		drain = drain || s.plan.overCap // too many members to root one evaluator each
 	}
 	if drain {
-		run, err = s.streamRunFor(ep, bounded, k, ecrpq.Options{Budget: bud, Ranked: true, Weight: w})
+		run, err = s.streamRunFor(atoms, bounded, k, ecrpq.Options{Budget: bud, Ranked: true, Weight: w})
 	} else if bounded {
-		e, err = s.boundedRun(ep, k, false, nil, bud)
+		e, err = s.boundedRun(atoms, k, false, nil, bud)
 	}
 	if err != nil {
 		return nil, err
 	}
 	c := &Cursor{bud: bud, end: opts.Limit, nextWant: 1}
 	if w == nil && !baseline {
-		c.rc = ep.results
-		c.pre = ep.results.file(resultKey{op: "ranked", k: k}, Response{ranked: &rankedPrefix{}}).ranked
+		key := s.key("ranked", k, nil)
+		c.pre = atoms.FileAnswer(key, &rankedPrefix{atoms: atoms, key: key}, 0).(*rankedPrefix)
 	}
 	rev := s.db.Revision()
 	c.open = func() (*pull, error) {
@@ -217,10 +217,10 @@ func (s *Session) rankedCursor(ep epoch, bounded bool, k int, bud *engine.Budget
 // ecrpq.EvalUnionStream — each source dedups only within itself; ranked
 // dispatches must NOT dedup (the drain keeps the minimal cost per tuple
 // instead).
-func (s *Session) streamRunFor(ep epoch, bounded bool, k int, opts ecrpq.Options) (streamRun, error) {
+func (s *Session) streamRunFor(atoms *ecrpq.AtomStore, bounded bool, k int, opts ecrpq.Options) (streamRun, error) {
 	bud, ranked := opts.Budget, opts.Ranked
 	if bounded {
-		e, err := s.boundedRun(ep, k, false, nil, bud)
+		e, err := s.boundedRun(atoms, k, false, nil, bud)
 		if err != nil {
 			return nil, err
 		}
@@ -275,11 +275,23 @@ func paged(run streamRun) func() (*pull, error) {
 // rankedPrefix is the ranked sequence of one dispatch as far as any cursor
 // has computed it: whole cost tiers only, appended and never rewritten (a
 // window handed out stays valid), and done once the sequence is known to end
-// there.
+// there. It is the answer filed under key in atoms, which counts its reads
+// and is charged for each tier as it is published.
 type rankedPrefix struct {
+	atoms *ecrpq.AtomStore
+	key   any // a resultKey
+
 	mu   sync.Mutex
 	rows pattern.Rows // with Costs
 	done bool
+}
+
+// count counts one lookup of the prefix, a hit or a miss; a cursor that
+// shares none counts nothing.
+func (p *rankedPrefix) count(hit bool) {
+	if p != nil {
+		p.atoms.CountAnswer(hit)
+	}
 }
 
 func (p *rankedPrefix) view() (pattern.Rows, bool) {
@@ -293,15 +305,20 @@ func (p *rankedPrefix) view() (pattern.Rows, bool) {
 // whether the prefix holds the tier now.
 func (p *rankedPrefix) publish(lo int, tier pattern.Rows, last bool) bool {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	r, hi := &p.rows, lo+tier.N
-	if r.N == lo && tier.N > 0 {
+	appended := r.N == lo && tier.N > 0
+	if appended {
 		r.Arity, r.N = tier.Arity, hi
 		r.Data = append(r.Data, tier.Data...)
 		r.Costs = append(r.Costs, tier.Costs...)
 	}
 	p.done = p.done || last && r.N == hi
-	return r.N >= hi
+	held := r.N >= hi
+	p.mu.Unlock()
+	if appended {
+		p.atoms.ChargeAnswer(p.key, p, len(tier.Data)+len(tier.Costs))
+	}
+	return held
 }
 
 // pull is a cursor's producer, pulled on the fetching goroutine. Ranked, it
@@ -408,7 +425,7 @@ func (c *Cursor) more(want int) (ran bool) {
 		}
 	}()
 	if c.pull == nil {
-		c.rc.count(false)
+		c.pre.count(false)
 		p, err := c.open()
 		if err != nil {
 			c.open = nil
@@ -461,14 +478,14 @@ func (c *Cursor) settle(err error) bool {
 }
 
 // window returns up to n rows from pos on out of the rows the cursor can see:
-// the shared prefix first — a result-cache hit while the cursor has built no
+// the shared prefix first — an answer hit while the cursor has built no
 // producer — then its own.
 func (c *Cursor) window(n int) pattern.Rows {
 	if c.pre != nil {
 		rows, done := c.pre.view()
 		if c.pos < rows.N {
 			if c.pull == nil && c.open != nil {
-				c.rc.count(true)
+				c.pre.count(true)
 			}
 			return rows.Slice(c.pos, min(c.pos+n, rows.N))
 		}

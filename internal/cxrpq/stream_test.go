@@ -428,8 +428,8 @@ func TestDeadlineBoundsEveryMode(t *testing.T) {
 			if resp.OK && (resp.Err != nil || op == "explain" && resp.Explanation == nil) {
 				t.Errorf("n=%d %s: OK with err %v, explanation %v", n, op, resp.Err, resp.Explanation)
 			}
-			if st := sess.Stats(); !resp.OK && st.ResultSize != 0 {
-				t.Errorf("n=%d %s: a cut answer was cached (%d entries)", n, op, st.ResultSize)
+			if st := storeStats(sess); !resp.OK && st.Results.Entries != 0 {
+				t.Errorf("n=%d %s: a cut answer was cached (%d entries)", n, op, st.Results.Entries)
 			}
 			sess.Invalidate()
 		}
@@ -465,8 +465,8 @@ func TestDeadlineBoundsEveryMode(t *testing.T) {
 			t.Errorf("%s without a deadline = %v, %v; want %v", op, resp.OK, resp.Err, want)
 		}
 	}
-	if st := sess.Stats(); st.ResultSize != len(ops) {
-		t.Errorf("%d results cached after %d complete answers", st.ResultSize, len(ops))
+	if st := storeStats(sess); st.Results.Entries != len(ops) {
+		t.Errorf("%d results cached after %d complete answers", st.Results.Entries, len(ops))
 	}
 }
 
@@ -629,14 +629,13 @@ func TestStreamRankedDeadlineTruncated(t *testing.T) {
 	}
 	fullSet := rowSet(order)
 
-	// Cancel after the first page, on a session of its own: on sess the
-	// stream would be a window of the complete ranked prefix the drain above
-	// left. The producer runs only inside a fetch, so the cut lands
+	// Cancel after the first page, on a plan of its own: a stream of plan
+	// would be a window of the complete ranked prefix the drain above left. The producer runs only inside a fetch, so the cut lands
 	// mid-enumeration deterministically: after the cheapest tier, with the one
 	// costlier row popped that ended it. The enumerator polls its budget every
 	// 64 queue pops, so at most 64 more rows follow that one.
 	ctx, cancel := context.WithCancel(context.Background())
-	cutSess := plan.Bind(db)
+	cutSess := cxrpq.MustPrepare(plan.Query()).Bind(db)
 	cur, err := cutSess.Stream(cxrpq.StreamOptions{Ranked: true, Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
@@ -698,9 +697,9 @@ func TestStreamRankedDeadlineTruncated(t *testing.T) {
 	}
 
 	// The truncated ranked set must not have entered any cache: a fresh
-	// ranked stream on the session of the cut one — a window of the whole
-	// tiers it published, then a producer of its own — and the materialized
-	// evaluation are both complete.
+	// ranked stream of the cut one's plan — a window of the whole tiers it
+	// published, then a producer of its own — and the materialized evaluation
+	// are both complete.
 	again, err := cutSess.Stream(cxrpq.StreamOptions{Ranked: true})
 	if err != nil {
 		t.Fatal(err)

@@ -15,14 +15,14 @@ import (
 	"cxrpq/internal/workload"
 )
 
-// Unranked streams on fresh sessions — no cached answer, auto and bounded
-// K=1 — leave the goroutine count flat however they are left: never
+// Unranked streams with no cached answer — auto and bounded K=1, the
+// reference evaluated on a copy of the database — leave the goroutine count flat however they are left: never
 // fetched, fetched to the Limit, fetched once and closed, or read to a short
 // final page, none of them closed but the third.
 func TestUnrankedCursorsLeaveNoGoroutine(t *testing.T) {
 	plan := cxrpq.MustPrepare(cxrpq.MustParse("ans(x, z)\nx y : a+\ny z : b+"))
 	db := workload.Random(0x7e57, 30, 120, "ab")
-	full, err := tuples(plan.Bind(db).Do(cxrpq.Request{Op: "eval"}))
+	full, err := tuples(plan.Bind(freshCopy(db)).Do(cxrpq.Request{Op: "eval"}))
 	if err != nil || full.Len() < 8 {
 		t.Fatalf("fixture: %v tuples, %v", full.Len(), err)
 	}
@@ -71,9 +71,10 @@ func TestUnrankedCursorsLeaveNoGoroutine(t *testing.T) {
 // serves its pages: a cached answer's window, a ranked prefix, or an
 // unranked producer; with or without a deadline already past.
 func TestCloseKeepsCursorReport(t *testing.T) {
-	plan := cxrpq.MustPrepare(cxrpq.MustParse("ans(x, z)\nx y : a+\ny z : b+"))
+	q := cxrpq.MustParse("ans(x, z)\nx y : a+\ny z : b+")
 	db := workload.Random(0x51ab, 40, 200, "ab")
-	cached := plan.Bind(db)
+	cached := cxrpq.MustPrepare(q).Bind(db)
+	cold := func() *cxrpq.Session { return cxrpq.MustPrepare(q).Bind(db) } // no answer filed
 	if resp := cached.Do(cxrpq.Request{Op: "eval"}); resp.Err != nil || resp.Tuples.Len() < 16 {
 		t.Fatalf("fixture: %v", resp.Err)
 	}
@@ -85,11 +86,11 @@ func TestCloseKeepsCursorReport(t *testing.T) {
 		opts cxrpq.StreamOptions
 	}{
 		{"window", cached, cxrpq.StreamOptions{}},
-		{"ranked", plan.Bind(db), cxrpq.StreamOptions{Ranked: true}},
-		{"unranked", plan.Bind(db), cxrpq.StreamOptions{}},
-		{"bounded", plan.Bind(db), cxrpq.StreamOptions{Semantics: "bounded", K: 1}},
+		{"ranked", cold(), cxrpq.StreamOptions{Ranked: true}},
+		{"unranked", cold(), cxrpq.StreamOptions{}},
+		{"bounded", cold(), cxrpq.StreamOptions{Semantics: "bounded", K: 1}},
 		{"window canceled", cached, cxrpq.StreamOptions{Ctx: canceled}},
-		{"unranked canceled", plan.Bind(db), cxrpq.StreamOptions{Ctx: canceled}},
+		{"unranked canceled", cold(), cxrpq.StreamOptions{Ctx: canceled}},
 	} {
 		cur, err := tc.sess.Stream(tc.opts)
 		if err != nil {

@@ -31,17 +31,19 @@ import (
 // bounded engine of internal/cxrpq both ask it, and it alone runs the
 // reachability kernel for them — so what one request
 // derived, every later and concurrent one over the revision finds, whatever
-// its query text. It lives in the database's derived-state slot
+// its query text. An answer q(D) is a function of the query and the database
+// alone too, so the store also holds the answers the layer above files under
+// keys of its own (Answer, FileAnswer): whole answers and ranked prefixes,
+// opaque here. It lives in the database's derived-state slot
 // (graph.DB.Derived) and is collected with the snapshot; what bounds it is
-// bytes (atomBudget), automata included. See "The atom store" in
-// internal/README.md.
+// one byte account (atomBudget), automata and answers included. See "The atom
+// store" in internal/README.md.
 
 // AtomStore is the atom store of one database at one revision. All methods
 // are safe for concurrent use.
 type AtomStore struct {
-	db   *graph.DB
-	rev  uint64
-	same uint64 // an older revision with the graph of rev — the predecessor's, across net-empty windows — or rev
+	db  *graph.DB
+	rev uint64
 	*atomFacts
 }
 
@@ -53,19 +55,30 @@ type atomFacts struct {
 
 	mu    sync.Mutex
 	m     map[string]*atomEntry
+	ans   map[any]answer // nil until the first answer is filed
 	bytes int64
 }
 
-// atomBudget bounds the bytes one store accounts for (atomEntry.size). On
-// overflow the epoch is dropped: entries are pure caches.
+// atomBudget bounds the bytes one store accounts for (atomEntry.size and
+// answer.bytes). On overflow the epoch is dropped: entries are pure caches.
 const atomBudget = 64 << 20
 
 type atomCounters struct {
 	hits, misses, evictions            atomic.Uint64
+	resultHits, resultMisses           atomic.Uint64
 	deltaPasses, retains, fullRebuilds atomic.Uint64
 	retained, extended                 atomic.Uint64
 	kernel                             engine.Counters // every kernel call the store makes, the delta pass's included
 }
+
+// answer is one filed answer and what it is accounted at: answerOverhead
+// plus 4 bytes per value it holds.
+type answer struct {
+	v     any
+	bytes int64
+}
+
+const answerOverhead = 160
 
 // atomEntry holds what is known about one atom. Fields are read and written
 // under atomFacts.mu; the values they point to are immutable.
@@ -186,20 +199,21 @@ func (s *AtomStore) CarryTo(db *graph.DB) *AtomStore {
 // successor is the invalidation matrix, applied once per revision move. s is
 // never modified: readers pinned to an older view keep its facts.
 //
-//	net-empty window                 the facts are shared as they are
+//	net-empty window                 the facts are shared as they are,
+//	                                 answers included
 //	insert-only, alphabet unchanged  relations retained or frontier-extended,
 //	                                 positive verdicts kept, the rest (supports,
-//	                                 probe rows) dropped (afterInserts)
+//	                                 probe rows, answers) dropped (afterInserts)
 //	anything else, or no s           a fresh store
 func (s *AtomStore) successor(db *graph.DB) *AtomStore {
-	ns := &AtomStore{db: db, rev: db.Revision(), same: db.Revision()}
+	ns := &AtomStore{db: db, rev: db.Revision()}
 	ns.atomFacts = &atomFacts{ctr: &atomCounters{}, budget: atomBudget, m: map[string]*atomEntry{}}
 	if s != nil {
 		ns.ctr, ns.budget = s.ctr, s.budget
 		if info := db.DeltaSince(s.rev); info != nil {
 			switch {
 			case info.Empty():
-				ns.same, ns.atomFacts = s.same, s.atomFacts
+				ns.atomFacts = s.atomFacts
 				s.ctr.retains.Add(1)
 				return ns
 			case info.InsertOnly() && len(info.NewLabels) == 0:
@@ -212,11 +226,6 @@ func (s *AtomStore) successor(db *graph.DB) *AtomStore {
 	ns.ctr.fullRebuilds.Add(1)
 	return ns
 }
-
-// SameGraph reports whether the database is known to have had, at revision
-// rev, the graph the store's facts hold for: what was derived from it then
-// is still good.
-func (s *AtomStore) SameGraph(rev uint64) bool { return rev == s.rev || rev == s.same }
 
 // Atom returns the atom of label over sigma: the one the store holds, or one
 // compiled now and filed — charged to the budget — unless another caller was
@@ -290,10 +299,73 @@ func (s *AtomStore) entry(a *Atom) (*atomEntry, int64) {
 // grew accounts what e grew by since it was before bytes, and drops every
 // other entry of a store over its budget. The caller holds s.mu.
 func (s *AtomStore) grew(e *atomEntry, before int64) {
-	if s.bytes += e.size() - before; s.bytes > s.budget && len(s.m) > 1 {
-		s.m = map[string]*atomEntry{e.atom.key: e}
-		s.bytes = e.size()
-		s.ctr.evictions.Add(1)
+	if s.bytes += e.size() - before; s.over() {
+		s.m, s.ans, s.bytes = map[string]*atomEntry{e.atom.key: e}, nil, e.size()
+	}
+}
+
+// charge files a under key, accounted n bytes more, and drops every other
+// entry of a store over its budget. The caller holds s.mu.
+func (s *AtomStore) charge(key any, a answer, n int64) {
+	a.bytes += n
+	s.ans[key] = a
+	if s.bytes += n; s.over() {
+		s.m, s.ans, s.bytes = map[string]*atomEntry{}, map[any]answer{key: a}, a.bytes
+	}
+}
+
+// over reports whether the store is over its budget with more than one entry
+// to drop the others of, counting the eviction its caller then makes.
+func (s *AtomStore) over() bool {
+	if s.bytes <= s.budget || len(s.m)+len(s.ans) <= 1 {
+		return false
+	}
+	s.ctr.evictions.Add(1)
+	return true
+}
+
+// Answer returns the answer filed under key, a comparable value the caller
+// makes. It counts nothing: the caller says what a hit is (CountAnswer).
+func (s *AtomStore) Answer(key any) (any, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	a, ok := s.ans[key]
+	return a.v, ok
+}
+
+// FileAnswer files v under key, charged for values values, unless an answer
+// is filed there already, and returns the answer filed under key. It counts
+// neither a hit nor a miss.
+func (s *AtomStore) FileAnswer(key, v any, values int) any {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if a, ok := s.ans[key]; ok {
+		return a.v
+	}
+	if s.ans == nil {
+		s.ans = map[any]answer{}
+	}
+	s.charge(key, answer{v: v}, answerOverhead+4*int64(values))
+	return v
+}
+
+// ChargeAnswer charges values more values to the answer v, a pointer, if it
+// is still the one filed under key: an answer that grows, like a ranked
+// prefix, is accounted as it grows.
+func (s *AtomStore) ChargeAnswer(key, v any, values int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if a, ok := s.ans[key]; ok && a.v == v {
+		s.charge(key, a, 4*int64(values))
+	}
+}
+
+// CountAnswer counts one answer lookup, a hit or a miss.
+func (s *AtomStore) CountAnswer(hit bool) {
+	if hit {
+		s.ctr.resultHits.Add(1)
+	} else {
+		s.ctr.resultMisses.Add(1)
 	}
 }
 
@@ -519,8 +591,9 @@ type AtomStats struct {
 	Relations AtomKind `json:"relations"`
 	Supports  AtomKind `json:"supports"`
 	Verdicts  AtomKind `json:"verdicts"`
-	Rows      AtomKind `json:"rows"`  // entries: row tables, one per atom and direction
-	Bytes     int64    `json:"bytes"` // accounted in all, entry overheads included
+	Rows      AtomKind `json:"rows"`    // entries: row tables, one per atom and direction
+	Results   AtomKind `json:"results"` // entries: answers filed; bytes: charged for them
+	Bytes     int64    `json:"bytes"`   // accounted in all, entry overheads included
 	Budget    int64    `json:"budget"`
 
 	// Lookups of every kind of fact; a row request counts as a hit when no
@@ -528,6 +601,10 @@ type AtomStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"` // whole-epoch drops on overflow
+
+	// Answer lookups, as the layer that files the answers counts them.
+	ResultHits   uint64 `json:"result_hits"`
+	ResultMisses uint64 `json:"result_misses"`
 
 	// Revision moves, by row of the matrix, and what the delta passes did to
 	// the relations they found.
@@ -545,12 +622,17 @@ func (s *AtomStore) Stats() AtomStats {
 	c := s.ctr
 	st := AtomStats{Budget: s.budget,
 		Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions.Load(),
+		ResultHits: c.resultHits.Load(), ResultMisses: c.resultMisses.Load(),
 		DeltaPasses: c.deltaPasses.Load(), Retains: c.retains.Load(), FullRebuilds: c.fullRebuilds.Load(),
 		Retained: c.retained.Load(), Extended: c.extended.Load(), Kernel: c.kernel.Load()}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st.Bytes = s.bytes
 	st.Automata.Entries = len(s.m)
+	st.Results.Entries = len(s.ans)
+	for _, a := range s.ans {
+		st.Results.Bytes += a.bytes
+	}
 	for _, e := range s.m {
 		st.Automata.Bytes += e.atom.size
 		if e.rel != nil {

@@ -117,6 +117,104 @@ func TestAtomStoreByteBound(t *testing.T) {
 }
 
 // atomOf is the atom of label over sigma that s hands out.
+// TestAtomStoreAnswerAccount: answers are charged to the store's one account.
+// With the budget lowered to a few answers' worth, answers filed under many
+// keys between relation builds, some of them growing as a ranked prefix does,
+// drop the epoch again and again: the bytes reported are the sum of what the
+// entries account for and never pass the budget by more than the largest
+// entry, and the answer just filed is held and read back. An insert-only
+// move carries no answer; a net-empty window carries all of them.
+func TestAtomStoreAnswerAccount(t *testing.T) {
+	t.Parallel()
+	const n = 40
+	db := probeRandomDB(91, n, 3*n, "ab")
+	sigma := db.Alphabet()
+	store := Atoms(db)
+	store.budget = 16 << 10
+	check := func(when string) {
+		t.Helper()
+		store.mu.Lock()
+		defer store.mu.Unlock()
+		var sum, largest int64
+		for _, e := range store.m {
+			sum += e.size()
+			largest = max(largest, e.size())
+		}
+		for _, a := range store.ans {
+			sum += a.bytes
+			largest = max(largest, a.bytes)
+		}
+		if sum != store.bytes || store.bytes > store.budget+largest {
+			t.Fatalf("%s: %d bytes reported, the entries account for %d, the largest for %d; budget %d",
+				when, store.bytes, sum, largest, store.budget)
+		}
+	}
+	type key struct{ i int }
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 400; i++ {
+		name := fmt.Sprintf("answer %d", i)
+		v := &[]int32{int32(i)}
+		if got := store.FileAnswer(key{i}, v, r.Intn(1500)); got != v {
+			t.Fatalf("%s: filing under a fresh key returned %v", name, got)
+		}
+		if i%3 == 0 { // grows tier by tier
+			for tier := 0; tier < 3; tier++ {
+				store.ChargeAnswer(key{i}, v, r.Intn(500))
+				check(name)
+			}
+		}
+		if got, ok := store.Answer(key{i}); !ok || got != v {
+			t.Fatalf("%s: the answer just filed reads back as %v, %v", name, got, ok)
+		}
+		check(name)
+		if i%10 == 0 {
+			if _, err := store.Relation(atomOf(t, store, randClassical(r, "ab", 3), sigma), engine.ReachOpts{}); err != nil {
+				t.Fatal(err)
+			}
+			check(name + ", after a relation")
+		}
+	}
+	if st := store.Stats(); st.Evictions == 0 || st.Results.Entries == 0 || st.Results.Bytes == 0 {
+		t.Fatalf("the answers never pressed the budget, or none is held: %+v", st)
+	}
+
+	// Room again, and answers of every key to carry.
+	store.budget = atomBudget
+	fill := func(s *AtomStore) {
+		for i := range 50 {
+			s.FileAnswer(key{i}, i, 10)
+		}
+	}
+	fill(store)
+	if _, err := db.ApplyDelta(graph.Delta{Add: []graph.DeltaEdge{{From: db.Name(0), Label: 'a', To: db.Name(1)}}}); err != nil {
+		t.Fatal(err)
+	}
+	next := Atoms(db)
+	if st := next.Stats(); st.DeltaPasses != 1 || st.Results.Entries != 0 {
+		t.Fatalf("an insert-only move carried %d answers (%d delta passes); want none", st.Results.Entries, st.DeltaPasses)
+	}
+	if _, ok := next.Answer(key{0}); ok {
+		t.Fatal("an answer of the old graph reads back after an insertion")
+	}
+	fill(next)
+	round := []graph.DeltaEdge{{From: db.Name(2), Label: 'b', To: db.Name(3)}}
+	if _, err := db.ApplyDelta(graph.Delta{Add: round}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.ApplyDelta(graph.Delta{Del: round}); err != nil {
+		t.Fatal(err)
+	}
+	same := Atoms(db)
+	if st := same.Stats(); st.Retains != 1 || st.Results.Entries != 50 {
+		t.Fatalf("a net-empty window carried %d answers of 50 (%d retains)", st.Results.Entries, st.Retains)
+	}
+	for i := range 50 {
+		if v, ok := same.Answer(key{i}); !ok || v != i {
+			t.Fatalf("answer %d across a net-empty window: %v, %v", i, v, ok)
+		}
+	}
+}
+
 func atomOf(t testing.TB, s *AtomStore, label xregex.Node, sigma []rune) *Atom {
 	t.Helper()
 	a, err := s.Atom(label, sigma)

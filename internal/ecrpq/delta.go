@@ -76,9 +76,9 @@ func buildFrontier(db *graph.DB, info *graph.DeltaInfo) *deltaFrontier {
 // afterInserts returns the facts that outlive an insert-only delta with no
 // new labels (successor guarantees both), over the updated database db: every
 // atom with its automaton, every relation retained or frontier-extended,
-// every positive verdict, and nothing else — no delta maintains a support or
-// a probe row, the kernel recomputes them, and a label that matched nothing
-// may match now. f is only read, under its lock; the searches run outside it.
+// every positive verdict, and nothing else — no delta maintains a support, a
+// probe row or an answer, they are recomputed, and a label that matched
+// nothing may match now. f is only read, under its lock; the searches run outside it.
 func (f *atomFacts) afterInserts(db *graph.DB, info *graph.DeltaInfo) *atomFacts {
 	f.mu.Lock()
 	nf := &atomFacts{ctr: f.ctr, budget: f.budget, m: make(map[string]*atomEntry, len(f.m))}

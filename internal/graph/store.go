@@ -194,9 +194,10 @@ func (s *Store) DB() *DB { return s.db }
 func (s *Store) Dir() string { return s.dir }
 
 // Append frames the already-applied batch (window (fromRev, toRev] on the
-// store's DB) onto the WAL and fsyncs per the SyncEvery cadence. After a
-// successful Append the batch is durable and may be acknowledged. It then
-// checkpoints automatically when the WAL has outgrown CheckpointBytes.
+// store's DB) onto the WAL and fsyncs per the SyncEvery cadence, then
+// checkpoints automatically when the WAL has outgrown CheckpointBytes. The
+// batch is durable, and may be acknowledged, iff Append returns nil or a
+// *CheckpointError.
 func (s *Store) Append(delta Delta, fromRev, toRev uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -206,10 +207,23 @@ func (s *Store) Append(delta Delta, fromRev, toRev uint64) error {
 	}
 	s.c.records.Add(1)
 	if s.opts.CheckpointBytes > 0 && s.c.walBytes.Load() >= s.opts.CheckpointBytes {
-		return s.checkpointLocked()
+		if err := s.checkpointLocked(); err != nil {
+			return &CheckpointError{Err: err}
+		}
 	}
 	return nil
 }
+
+// CheckpointError is Append's error when the batch is in the WAL, durable,
+// and only the automatic checkpoint after it failed. Recovery replays every
+// record the checkpoint on disk does not cover, whether the failure came
+// before or after its rename, and the next Append past the threshold tries
+// the checkpoint again.
+type CheckpointError struct{ Err error }
+
+func (e *CheckpointError) Error() string { return "graph: checkpoint: " + e.Err.Error() }
+
+func (e *CheckpointError) Unwrap() error { return e.Err }
 
 // AppendSide frames an opaque application side record onto the WAL under the
 // same fsync cadence as Append. Side records survive crash recovery (see

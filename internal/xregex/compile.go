@@ -2,6 +2,7 @@ package xregex
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cxrpq/internal/automata"
@@ -140,18 +141,9 @@ type Matcher func(n Node, w string) (bool, error)
 
 // MergeAlphabets unions rune alphabets, sorted and deduplicated.
 func MergeAlphabets(as ...[]rune) []rune {
-	set := map[rune]bool{}
-	for _, a := range as {
-		for _, r := range a {
-			set[r] = true
-		}
-	}
-	out := make([]rune, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out := slices.Concat(as...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // AlphabetOf returns the sorted terminal symbols of the given expressions.
