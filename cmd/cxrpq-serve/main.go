@@ -5,9 +5,9 @@
 // session pool, so reads never block on /update), durable writes behind
 // -data-dir (write-ahead log + checkpoints, fsync before ack, crash
 // recovery on startup), incremental cache maintenance at publish time
-// (insert-only /update deltas retain or frontier-extend the database's
-// atom store, once per publish, instead of flushing it; see the server.go
-// comment block), pull-based streaming evaluation with pagination, deadlines and
+// (an /update over known labels carries the database's atom store once per
+// publish, each entry settled on its first read, instead of flushing it; see
+// the server.go comment block), pull-based streaming evaluation with pagination, deadlines and
 // ranked (shortest-witness-first) order, and a two-tier in-flight limiter
 // that degrades to partial answers before it rejects with 429.
 //

@@ -176,10 +176,10 @@ func TestUpdateInvalidatesSessions(t *testing.T) {
 }
 
 // TestUpdateDeltaMaintainsSessions drives the incremental /update path: an
-// insert-only delta must maintain the database's atom store fine-grained (the
-// retained/extended counters in /stats move, no extra full rebuild), a
-// "remove" delta must flush and still serve exact answers, and invalid
-// removals are rejected atomically.
+// insert-only delta must carry the database's atom store fine-grained (its
+// entries stale in /stats until read, then the retained/extended counters
+// move; no extra full rebuild), a "remove" delta is carried the same way and
+// still serves exact answers, and invalid removals are rejected atomically.
 func TestUpdateDeltaMaintainsSessions(t *testing.T) {
 	_, ts := testServer(t)
 	q := `{"db":"g1","query":"ans(x, y)\nx y : a","mode":"eval"}`
@@ -223,18 +223,27 @@ func TestUpdateDeltaMaintainsSessions(t *testing.T) {
 	if after["full_rebuilds"].(float64) != before["full_rebuilds"].(float64) {
 		t.Fatalf("insert-only update flushed the store: %v -> %v", before, after)
 	}
-	if after["rel_retained"].(float64)+after["rel_extended"].(float64) == 0 {
-		t.Fatalf("no relation entries maintained: %v", after)
+	atoms := func() map[string]any {
+		return getStats(t, ts.URL)["dbs"].([]any)[0].(map[string]any)["atoms"].(map[string]any)
+	}
+	if after["rel_retained"].(float64)+after["rel_extended"].(float64) != 0 || atoms()["stale"].(float64) == 0 {
+		t.Fatalf("the update settled entries before any read (%v), or carried none: %v", after, atoms())
 	}
 	code, out = postJSON(t, ts.URL+"/query", q)
 	if code != http.StatusOK || out["count"].(float64) != 3 {
 		t.Fatalf("after insert update: %d %v (want count 3)", code, out)
 	}
+	if read := sessMaint(); read["rel_retained"].(float64)+read["rel_extended"].(float64) == 0 {
+		t.Fatalf("no entries settled by the read: %v", read)
+	}
 
-	// Removal: full flush, exact answers.
+	// Removal: carried too, exact answers.
 	code, out = postJSON(t, ts.URL+"/update", `{"db":"g1","remove":"w a u\nu a w"}`)
 	if code != http.StatusOK || out["insert_only"] != false || out["removed"].(float64) != 2 {
 		t.Fatalf("remove update: %d %v", code, out)
+	}
+	if removed := sessMaint(); removed["delta_applies"].(float64) != after["delta_applies"].(float64)+1 || removed["full_rebuilds"].(float64) != after["full_rebuilds"].(float64) {
+		t.Fatalf("the removal flushed the store: %v -> %v", after, removed)
 	}
 	code, out = postJSON(t, ts.URL+"/query", q)
 	if code != http.StatusOK || out["count"].(float64) != 1 {

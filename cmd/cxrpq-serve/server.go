@@ -79,13 +79,14 @@ package main
 // take no lock a writer can hold, so reads never block on /update and an
 // open cursor keeps its pinned revision. The writer applies the batch to its
 // private live DB, makes it durable (below), then publishes a fresh snapshot
-// with the database's atom store carried over once (ecrpq.AtomStore): an
-// insert-only batch over known labels keeps the atom relations (retained or
-// frontier-extended per entry) and the positive path-existence verdicts, and
-// drops the answers; removals or brand-new labels fall back to a fresh
-// store. The plan pool is the entry's and survives the publish. The maintenance
-// cost is paid at write time, off the reader path. The response reports the net delta; /stats
-// exposes the per-database retained-vs-rebuilt maintenance counters.
+// with the database's atom store carried over once (ecrpq.AtomStore): a
+// batch over known labels, inserts or removals, carries every entry — header
+// copies, no search — and drops the answers; the first read of an entry at
+// the new revision brings its relation, supports, probe rows and verdict up
+// to date over the batch's frontier. Brand-new labels fall back to a fresh
+// store. The plan pool is the entry's and survives the publish. The
+// response reports the net delta; /stats exposes the per-database
+// maintenance counters and the entries not yet settled.
 //
 // Durability (-data-dir): each named database lives in <dir>/<name> as a
 // checkpoint plus a write-ahead log of delta batches (graph.Store). /update
@@ -1369,8 +1370,8 @@ type dbStats struct {
 }
 
 // sessMaintStats is how the database's atom store took its revision moves —
-// one per publish, however many sessions are pooled: delta passes, net-empty
-// windows kept, fresh starts, and how many relations the passes retained or
+// one per publish, however many sessions are pooled: carrying moves, net-empty
+// windows kept, fresh starts, and how many entries then settled retained or
 // frontier-extended rather than recomputed from scratch.
 type sessMaintStats struct {
 	DeltaApplies uint64 `json:"delta_applies"`

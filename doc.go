@@ -87,10 +87,11 @@
 //	                     path-existence verdicts, and the answers filed
 //	                     under each plan, one byte account, shared by every
 //	                     session on the snapshot), revision-checked and
-//	                     delta-maintained once per revision move:
-//	                     insert-only mutations retain or frontier-extend
-//	                     relations per entry and keep the positive verdicts
-//	                     (Session.ApplyDelta / Fork; removals and new
+//	                     carried once per revision move, each entry
+//	                     settled on its first read: relations, supports,
+//	                     probe rows and verdicts are retained or derived
+//	                     again on the delta's frontier, inserts and
+//	                     removals alike (Session.ApplyDelta / Fork; new
 //	                     labels start afresh), hardened
 //	                     by the metamorphic mutation-sequence harness in
 //	                     mutation_diff_test.go; a query runs one way, a

@@ -40,8 +40,9 @@ func (x storeText) eval(s *cxrpq.Session) (*pattern.TupleSet, error) {
 // queries, and queries only the bounded semantics evaluates, at k = 1 and 2 —
 // are evaluated concurrently, at every one of six revisions (insert-only
 // batches, one interning nodes, a removal, a new label), through sessions
-// forked from view to view over one store per view. Every answer is the one a
-// private fresh copy of the database at that revision gives.
+// forked from view to view over one store per view, the removal's carried
+// like the inserts'. Every answer is the one a private fresh copy of the
+// database at that revision gives.
 func TestAtomStoreSharedDifferential(t *testing.T) {
 	texts := []storeText{
 		{"ans(x, z)\nx y : a+\ny z : b", -1},
@@ -96,14 +97,15 @@ func TestAtomStoreSharedDifferential(t *testing.T) {
 			t.Fatalf("revision %d: the view's store was not shared: %+v", rev, st)
 		}
 	}
-	if st := ecrpq.Atoms(db.Snapshot().DB()).Stats(); st.DeltaPasses != 3 || st.FullRebuilds != 3 {
-		t.Fatalf("three insert-only moves, a removal, a new label and the first bind: %d delta passes, %d fresh starts", st.DeltaPasses, st.FullRebuilds)
+	if st := ecrpq.Atoms(db.Snapshot().DB()).Stats(); st.DeltaPasses != 4 || st.FullRebuilds != 2 {
+		t.Fatalf("three insert-only moves and a removal carried, a new label and the first bind fresh: %d delta passes, %d fresh starts", st.DeltaPasses, st.FullRebuilds)
 	}
 }
 
 // TestAtomStoreMaintainedOnce: seven pooled sessions forked onto the next
-// view cost one delta pass, not seven, and a reader parked on the old view
-// keeps the epoch it was reading.
+// view cost one delta pass, not seven — every entry carried, and settled
+// once when first read — and a reader parked on the old view keeps the epoch
+// it was reading.
 func TestAtomStoreMaintainedOnce(t *testing.T) {
 	db, deltas := workload.MutationStream(5, 40, 1, 4)
 	v0 := db.Snapshot().DB()
@@ -136,8 +138,8 @@ func TestAtomStoreMaintainedOnce(t *testing.T) {
 		}
 	}
 	next := ecrpq.Atoms(v1).Stats()
-	if next.Retained+next.Extended != uint64(before.Relations.Entries) {
-		t.Fatalf("the one pass maintained %d + %d relations of %d", next.Retained, next.Extended, before.Relations.Entries)
+	if next.Retained+next.Extended+uint64(next.Stale) != uint64(before.Automata.Entries) || next.Stale == before.Automata.Entries {
+		t.Fatalf("of %d entries carried, %d retained + %d extended and %d stale", before.Automata.Entries, next.Retained, next.Extended, next.Stale)
 	}
 	// The old view's store is the object it was, with what it held.
 	if again := ecrpq.Atoms(v0); again != parked {

@@ -43,8 +43,8 @@ import (
 //     and asked one question: does it match any path of D at all? The
 //     answer is an existence probe that stops at its first hit and one
 //     stored bit per label (AtomStore.PathExists) — never a relation. A
-//     positive verdict survives insert-only deltas, a negative one is asked
-//     again.
+//     positive verdict survives inserts, a negative one — or one a removal
+//     touched — is asked again.
 //  4. A complete mapping then needs only a join over the cached relations
 //     (ecrpq.JoinRelationsStream), not a fresh CRPQ evaluation.
 //

@@ -75,9 +75,9 @@ func (s *Session) key(op string, k int, t pattern.Tuple) any {
 	return resultKey{s.plan.self, op, k, t.Key()}
 }
 
-// ApplyDelta applies a batched mutation to the bound database and eagerly
-// brings its atom store up to it, so the delta cost is paid at write time
-// instead of on the next query. Like every mutation it must be quiescent: no
+// ApplyDelta applies a batched mutation to the bound database and carries its
+// atom store to the new revision at once — entry headers only: each entry is
+// brought up to date when a query first reads it. Like every mutation it must be quiescent: no
 // session call (on any session bound to the same DB) may be in flight.
 func (s *Session) ApplyDelta(delta graph.Delta) (*graph.DeltaInfo, error) {
 	info, err := s.db.ApplyDelta(delta)

@@ -68,7 +68,7 @@ func TestSessionForkSnapshotIsolation(t *testing.T) {
 		t.Fatalf("fork maintained no relation entries: %+v", st)
 	}
 
-	// A removal window cannot be maintained: the next fork rebuilds.
+	// A removal window is carried like an insertion.
 	if _, err := db.ApplyDelta(graph.Delta{Del: []graph.DeltaEdge{
 		{From: "x", Label: 'b', To: "u"},
 	}}); err != nil {
@@ -87,8 +87,8 @@ func TestSessionForkSnapshotIsolation(t *testing.T) {
 	if !got3.Equal(want3) {
 		t.Fatal("post-removal fork diverged from a fresh bind")
 	}
-	if st3 := storeStats(s3); st3.FullRebuilds != 2 {
-		t.Fatalf("removal fork should full-rebuild, got %+v", st3)
+	if st3 := storeStats(s3); st3.DeltaPasses != 2 || st3.FullRebuilds != 1 {
+		t.Fatalf("removal fork should delta-maintain (applies=2, rebuilds=1), got %+v", st3)
 	}
 
 	// Forking without an intervening mutation shares the store, answers

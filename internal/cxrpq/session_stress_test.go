@@ -237,8 +237,8 @@ func TestSessionConcurrentDeltaStress(t *testing.T) {
 	db := workload.Random(23, 6, 12, "ab")
 	const k = 1
 
-	// The delta script: additions (fine-grained maintenance), a removal
-	// (full flush) and a round trip (net-empty retention), cycled.
+	// The delta script: additions, a removal and a mixed batch, all carried
+	// entry by entry, cycled.
 	script := []graph.Delta{
 		{Add: []graph.DeltaEdge{{From: db.Name(0), Label: 'a', To: db.Name(3)}}},
 		{Add: []graph.DeltaEdge{{From: db.Name(1), Label: 'b', To: "fresh0"}, {From: "fresh0", Label: 'a', To: db.Name(2)}}},
@@ -323,8 +323,8 @@ func TestSessionConcurrentDeltaStress(t *testing.T) {
 	if st.DeltaPasses == 0 {
 		t.Errorf("no fine-grained delta maintenance happened under stress: %+v", st)
 	}
-	if st.FullRebuilds < 2 { // initial bind + the removal step
-		t.Errorf("removal step did not force a full flush: %+v", st)
+	if st.FullRebuilds != 1 { // the initial bind: removals are carried too
+		t.Errorf("a delta emptied the store: %+v", st)
 	}
 }
 

@@ -6,6 +6,7 @@ package cxrpq_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"cxrpq/internal/cxrpq"
@@ -167,14 +168,14 @@ func TestBoundedDanglingPreBound(t *testing.T) {
 	}
 }
 
-// TestSupportAcrossDeltas: no delta maintains a support, so none may outlive
-// one. `y z : c$w` has z dangling and is resolved by the sources of "ca"; a
-// removal empties that set, an insertion refills it, and after each the
-// session — its database's store maintained in place by ApplyDelta, or carried
-// onto the next snapshot by Fork — must answer like a bind to a fresh copy of
-// the graph. The insertion is an insert-only delta over known labels: the
-// relations and positive verdicts are carried across it, and a support carried
-// with them would still say "no sources".
+// TestSupportAcrossDeltas: a carried support equals a fresh sweep. `y z :
+// c$w` has z dangling and is resolved by the sources of "ca"; a removal
+// empties that set, an insertion refills it, and after each the session — its
+// database's store maintained in place by ApplyDelta, or carried onto the
+// next snapshot by Fork — must answer like a bind to a fresh copy of the
+// graph, and the store must hold the sources of "ca" a fresh copy's store
+// sweeps. Both deltas are over known labels: every fact is carried across
+// them, the support settled over the frontier of the changed edges.
 func TestSupportAcrossDeltas(t *testing.T) {
 	const base = "n1 a n2\nn2 c n3\nn3 a n4\nn4 b n1\n"
 	q := cxrpq.MustParse("ans(x, y)\nx y : $w{a|b}\ny z : c$w\n")
@@ -207,6 +208,20 @@ func TestSupportAcrossDeltas(t *testing.T) {
 		if err != nil || ca.Size() != n || store.Stats().Hits != hits+1 {
 			t.Fatalf("%s: the store holds %d sources of ca (%v, %d hits), want %d stored", name, ca.Size(), err, store.Stats().Hits-hits, n)
 		}
+		fresh := ecrpq.Atoms(freshCopy(view))
+		fa, err := fresh.Atom(xregex.MustParse("ca"), []rune("abc"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		swept, err := fresh.Support(fa, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for u := 0; u < view.NumNodes(); u++ {
+			if !slices.Equal(ca.Forward(u), swept.Forward(u)) {
+				t.Fatalf("%s: node %d: carried support %v, a fresh sweep %v", name, u, ca.Forward(u), swept.Forward(u))
+			}
+		}
 	}
 
 	db := graph.MustParse(base)
@@ -219,8 +234,8 @@ func TestSupportAcrossDeltas(t *testing.T) {
 	if _, err := sess.ApplyDelta(insert); err != nil {
 		t.Fatal(err)
 	}
-	if st := storeStats(sess); st.DeltaPasses != 1 {
-		t.Fatalf("the insertion was not delta-maintained: %+v", st)
+	if st := storeStats(sess); st.DeltaPasses != 2 || st.FullRebuilds != 1 {
+		t.Fatalf("the removal and the insertion were not delta-maintained: %+v", st)
 	}
 	answers("ApplyDelta: after the insertion", sess, db, 1)
 
@@ -239,8 +254,8 @@ func TestSupportAcrossDeltas(t *testing.T) {
 	}
 	v2 := db.Snapshot().DB()
 	s2 := s1.Fork(v2)
-	if st := storeStats(s2); st.DeltaPasses != 1 {
-		t.Fatalf("the fork across the insertion was not delta-maintained: %+v", st)
+	if st := storeStats(s2); st.DeltaPasses != 2 || st.FullRebuilds != 1 {
+		t.Fatalf("the forks across the removal and the insertion were not delta-maintained: %+v", st)
 	}
 	answers("Fork: after the insertion", s2, v2, 1)
 	answers("Fork: the parent, on its own snapshot", s1, v1, 0)

@@ -1,9 +1,11 @@
 package ecrpq
 
 import (
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"cxrpq/internal/automata"
 	"cxrpq/internal/engine"
@@ -48,19 +50,26 @@ type AtomStore struct {
 }
 
 // atomFacts is the table itself, shared by the stores of revisions with the
-// same graph.
+// same graph. Its entries describe the graph of revision rev once settled; a
+// stale one — carried from an older table and not looked up since —
+// describes the older graph of its own rev, and the first lookup brings it
+// up to date (current).
 type atomFacts struct {
 	ctr    *atomCounters // of the whole lineage
 	budget int64
+	rev    uint64
 
 	mu    sync.Mutex
 	m     map[string]*atomEntry
-	ans   map[any]answer // nil until the first answer is filed
-	bytes int64
+	ans   map[any]answer     // nil until the first answer is filed
+	stale map[uint64]int     // stale entries by the revision they describe
+	wins  map[uint64]*window // by such a revision: what changed since, while stale entries of it remain
+	bytes int64              // entries, answers and windows
 }
 
-// atomBudget bounds the bytes one store accounts for (atomEntry.size and
-// answer.bytes). On overflow the epoch is dropped: entries are pure caches.
+// atomBudget bounds the bytes one store accounts for (atomEntry.size,
+// answer.bytes and window.bytes). On overflow the epoch is dropped: entries
+// are pure caches.
 const atomBudget = 64 << 20
 
 type atomCounters struct {
@@ -68,7 +77,7 @@ type atomCounters struct {
 	resultHits, resultMisses           atomic.Uint64
 	deltaPasses, retains, fullRebuilds atomic.Uint64
 	retained, extended                 atomic.Uint64
-	kernel                             engine.Counters // every kernel call the store makes, the delta pass's included
+	kernel                             engine.Counters // every kernel call the store makes, settling's included
 }
 
 // answer is one filed answer and what it is accounted at: answerOverhead
@@ -81,15 +90,20 @@ type answer struct {
 const answerOverhead = 160
 
 // atomEntry holds what is known about one atom. Fields are read and written
-// under atomFacts.mu; the values they point to are immutable.
+// under atomFacts.mu; the values they point to are immutable but for the
+// span and arena tail of a row table still being filled, which only this
+// entry holds. A stale entry is never written: settling replaces it.
 type atomEntry struct {
 	atom *Atom // never nil: what a delta classifies and extends rel by
+	rev  uint64
 	rel  *EdgeRel
 
 	sup    [2][]uint64 // [0] the sources, [1] the targets
 	diag   [2]*EdgeRel // sup as the relation {(u, u)}
 	exists int8        // +1 some path matches, -1 none does, 0 not asked
 	rows   [2]rowTable // [0] the targets of a source, [1] the sources of a target
+
+	settling chan struct{} // of a stale entry being settled: closed when done
 }
 
 // rowTable is one direction's probe rows of an atom: row u is arena[lo:lo+k]
@@ -117,6 +131,26 @@ func (t *rowTable) get(u int) ([]int, bool) {
 	return t.arena[lo:hi:hi], true
 }
 
+// file sets the row of node u, filed or not, appending it to the arena.
+func (t *rowTable) file(u int, row []int) {
+	if t.span[u] == 0 {
+		t.filed++
+	}
+	t.span[u] = 1 + (uint64(len(t.arena))<<32 | uint64(len(row)))
+	t.arena = append(t.arena, row...)
+}
+
+// support returns the nodes with a non-empty row, as a bitset.
+func (t *rowTable) support() []uint64 {
+	sup := make([]uint64, (len(t.span)+63)/64)
+	for u, sp := range t.span {
+		if uint32(sp-1) != 0 {
+			bitSet(sup, u)
+		}
+	}
+	return sup
+}
+
 // fill copies rows[k] into the arena as the row of nodes[k], one of n (none
 // out of range), unless the table is complete; true if this call completed it.
 func (t *rowTable) fill(n int, nodes []int, rows [][]int) bool {
@@ -133,9 +167,7 @@ func (t *rowTable) fill(n int, nodes []int, rows [][]int) bool {
 	t.arena = slices.Grow(t.arena, total)
 	for k, u := range nodes {
 		if uint(u) < uint(n) && t.span[u] == 0 {
-			t.span[u] = 1 + (uint64(len(t.arena))<<32 | uint64(len(rows[k])))
-			t.arena = append(t.arena, rows[k]...)
-			t.filed++
+			t.file(u, rows[k])
 		}
 	}
 	return t.complete()
@@ -199,15 +231,16 @@ func (s *AtomStore) CarryTo(db *graph.DB) *AtomStore {
 // successor is the invalidation matrix, applied once per revision move. s is
 // never modified: readers pinned to an older view keep its facts.
 //
-//	net-empty window                 the facts are shared as they are,
-//	                                 answers included
-//	insert-only, alphabet unchanged  relations retained or frontier-extended,
-//	                                 positive verdicts kept, the rest (supports,
-//	                                 probe rows, answers) dropped (afterInserts)
-//	anything else, or no s           a fresh store
+//	net-empty window              the facts are shared as they are, answers
+//	                              included
+//	no new label                  every entry carried, stale, and settled on
+//	                              its first lookup (current); answers dropped
+//	new label, uncovered, or no s a fresh store
+//
+// Carrying copies entry headers and nothing else: no kernel search runs.
 func (s *AtomStore) successor(db *graph.DB) *AtomStore {
 	ns := &AtomStore{db: db, rev: db.Revision()}
-	ns.atomFacts = &atomFacts{ctr: &atomCounters{}, budget: atomBudget, m: map[string]*atomEntry{}}
+	ns.atomFacts = newFacts(&atomCounters{}, ns.rev)
 	if s != nil {
 		ns.ctr, ns.budget = s.ctr, s.budget
 		if info := db.DeltaSince(s.rev); info != nil {
@@ -216,8 +249,8 @@ func (s *AtomStore) successor(db *graph.DB) *AtomStore {
 				ns.atomFacts = s.atomFacts
 				s.ctr.retains.Add(1)
 				return ns
-			case info.InsertOnly() && len(info.NewLabels) == 0:
-				ns.atomFacts = s.afterInserts(db, info)
+			case len(info.NewLabels) == 0:
+				ns.atomFacts = s.carry(ns.rev)
 				s.ctr.deltaPasses.Add(1)
 				return ns
 			}
@@ -225,6 +258,10 @@ func (s *AtomStore) successor(db *graph.DB) *AtomStore {
 	}
 	ns.ctr.fullRebuilds.Add(1)
 	return ns
+}
+
+func newFacts(ctr *atomCounters, rev uint64) *atomFacts {
+	return &atomFacts{ctr: ctr, budget: atomBudget, rev: rev, m: map[string]*atomEntry{}}
 }
 
 // Atom returns the atom of label over sigma: the one the store holds, or one
@@ -249,18 +286,24 @@ func (s *AtomStore) Atom(label xregex.Node, sigma []rune) (*Atom, error) {
 	if e := s.m[key]; e != nil { // raced with another compiler
 		return e.atom, nil
 	}
-	s.grew(s.entry(a))
+	e := &atomEntry{atom: a, rev: s.atomFacts.rev}
+	s.m[key] = e
+	s.grew(e, 0)
 	return a, nil
 }
 
 // resolve is the one way a fact is looked up: read finds it in the entry of
-// a, or build computes it — outside the lock, and under whatever budget the
-// caller closed over: a failed or cut build installs nothing — and write
-// files it, unless another builder was first. What the entry grew by is
-// accounted, and a store over its budget drops every other entry.
-func resolve[T any](s *AtomStore, a *Atom, read func(*atomEntry) (T, bool), build func() (T, error), write func(*atomEntry, T)) (T, error) {
+// a, settled first, or build computes it — outside the lock, and under bud,
+// the budget the caller closed over: a failed or cut build installs nothing
+// — and write files it, unless another builder was first. What the entry
+// grew by is accounted, and a store over its budget drops every other entry.
+// A settle bud cuts returns engine.ErrCanceled, and a build that outlives
+// one is returned unfiled.
+func resolve[T any](s *AtomStore, a *Atom, bud *engine.Budget, read func(*atomEntry) (T, bool), build func() (T, error), write func(*atomEntry, T)) (T, error) {
+	var zero T
 	s.mu.Lock()
-	if e := s.m[a.key]; e != nil {
+	e, err := s.current(a.key, bud)
+	if e != nil {
 		if v, ok := read(e); ok {
 			s.mu.Unlock()
 			s.ctr.hits.Add(1)
@@ -268,6 +311,9 @@ func resolve[T any](s *AtomStore, a *Atom, read func(*atomEntry) (T, bool), buil
 		}
 	}
 	s.mu.Unlock()
+	if err != nil {
+		return zero, err
+	}
 	s.ctr.misses.Add(1)
 	v, err := build()
 	if err != nil {
@@ -275,7 +321,10 @@ func resolve[T any](s *AtomStore, a *Atom, read func(*atomEntry) (T, bool), buil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, before := s.entry(a)
+	e, before, ok := s.entry(a, bud)
+	if !ok {
+		return v, nil
+	}
 	if old, ok := read(e); ok {
 		return old, nil
 	}
@@ -284,23 +333,131 @@ func resolve[T any](s *AtomStore, a *Atom, read func(*atomEntry) (T, bool), buil
 	return v, nil
 }
 
-// entry returns the entry of a and the bytes it is accounted at, filing an
-// empty one — at 0 bytes so far — if an eviction dropped it or it was never
-// filed. The caller holds s.mu.
-func (s *AtomStore) entry(a *Atom) (*atomEntry, int64) {
-	if e := s.m[a.key]; e != nil {
-		return e, e.size()
+// entry returns the entry of a, settled under bud, and the bytes it is
+// accounted at, filing an empty one — at 0 bytes so far — if an eviction
+// dropped it or it was never filed; ok is false, and nothing filed, when bud
+// cut the settle. The caller holds s.mu (see current).
+func (s *AtomStore) entry(a *Atom, bud *engine.Budget) (e *atomEntry, before int64, ok bool) {
+	e, err := s.current(a.key, bud)
+	if err != nil {
+		return nil, 0, false
 	}
-	e := &atomEntry{atom: a}
+	if e != nil {
+		return e, e.size(), true
+	}
+	e = &atomEntry{atom: a, rev: s.atomFacts.rev}
 	s.m[a.key] = e
-	return e, 0
+	return e, 0, true
+}
+
+// current returns the entry filed under key brought up to the table's
+// revision, or nil. A stale entry is settled under bud by the first caller to
+// find it while later ones wait for it (settleEntry); a caller whose budget
+// is canceled first — settling or waiting — gets engine.ErrCanceled and
+// leaves the entry stale. The caller holds s.mu, which is released and taken
+// again meanwhile.
+func (s *AtomStore) current(key string, bud *engine.Budget) (*atomEntry, error) {
+	for {
+		e := s.m[key]
+		if e == nil || e.rev == s.atomFacts.rev {
+			return e, nil
+		}
+		if done := e.settling; done != nil {
+			s.mu.Unlock()
+			canceled := await(done, bud)
+			s.mu.Lock()
+			if canceled {
+				return nil, engine.ErrCanceled
+			}
+			continue
+		}
+		if err := s.settleEntry(key, e, bud); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// await waits until done is closed, or bud is canceled first, which it
+// reports. The budget is polled every millisecond, as a kernel polls it at
+// every level.
+func await(done <-chan struct{}, bud *engine.Budget) (canceled bool) {
+	if bud == nil {
+		<-done
+		return false
+	}
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for !bud.Canceled() {
+		select {
+		case <-done:
+			return false
+		case <-tick.C:
+		}
+	}
+	return true
+}
+
+// settleEntry settles e, the stale entry filed under key, outside s.mu
+// (settle), and files the result in its place unless an eviction dropped e
+// meanwhile. The caller holds s.mu; it is held again on return, and not when
+// settling panics. A panic, or a settle bud cuts (engine.ErrCanceled),
+// installs nothing and leaves e stale for the next caller.
+func (s *AtomStore) settleEntry(key string, e *atomEntry, bud *engine.Budget) error {
+	done := make(chan struct{})
+	e.settling = done
+	s.mu.Unlock()
+	settled := false
+	defer func() {
+		if !settled {
+			s.mu.Lock()
+			e.settling = nil
+			s.mu.Unlock()
+			close(done)
+		}
+	}()
+	ne, fate, err := s.settle(e, s.window(e.rev), bud)
+	s.mu.Lock()
+	settled = true
+	close(done)
+	if err != nil {
+		e.settling = nil
+		return err
+	}
+	if s.m[key] != e {
+		return nil
+	}
+	s.m[key] = ne
+	s.unstale(e.rev)
+	s.grew(ne, e.size())
+	switch fate {
+	case retained:
+		s.ctr.retained.Add(1)
+	case extended:
+		s.ctr.extended.Add(1)
+	}
+	return nil
+}
+
+// unstale counts one stale entry of revision rev settled, releasing the
+// window since rev with the last of them. The caller holds s.mu.
+func (s *AtomStore) unstale(rev uint64) {
+	if s.stale[rev]--; s.stale[rev] > 0 {
+		return
+	}
+	delete(s.stale, rev)
+	if w := s.wins[rev]; w != nil {
+		s.bytes -= w.bytes
+		delete(s.wins, rev)
+	}
 }
 
 // grew accounts what e grew by since it was before bytes, and drops every
-// other entry of a store over its budget. The caller holds s.mu.
+// other entry of a store over its budget — e is settled, so no window is
+// needed any more. The caller holds s.mu.
 func (s *AtomStore) grew(e *atomEntry, before int64) {
 	if s.bytes += e.size() - before; s.over() {
 		s.m, s.ans, s.bytes = map[string]*atomEntry{e.atom.key: e}, nil, e.size()
+		s.stale, s.wins = nil, nil
 	}
 }
 
@@ -311,6 +468,7 @@ func (s *AtomStore) charge(key any, a answer, n int64) {
 	s.ans[key] = a
 	if s.bytes += n; s.over() {
 		s.m, s.ans, s.bytes = map[string]*atomEntry{}, map[any]answer{key: a}, a.bytes
+		s.stale, s.wins = nil, nil
 	}
 }
 
@@ -383,7 +541,7 @@ func (s *AtomStore) Relation(a *Atom, o engine.ReachOpts) (*EdgeRel, error) {
 	if o.Weight != nil {
 		return BuildRelation(s.db, a, o)
 	}
-	return resolve(s, a,
+	return resolve(s, a, o.Budget,
 		func(e *atomEntry) (*EdgeRel, bool) { return e.rel, e.rel != nil && (!o.Levels || e.rel.lev != nil) },
 		func() (*EdgeRel, error) { return BuildRelation(s.db, a, o) },
 		func(e *atomEntry, rel *EdgeRel) { e.rel = rel })
@@ -394,7 +552,7 @@ func (s *AtomStore) Relation(a *Atom, o engine.ReachOpts) (*EdgeRel, error) {
 // sweep the budget cut returns engine.ErrCanceled.
 func (s *AtomStore) support(a *Atom, targets bool, bud *engine.Budget) ([]uint64, error) {
 	d := side(targets)
-	return resolve(s, a,
+	return resolve(s, a, bud,
 		func(e *atomEntry) ([]uint64, bool) { return e.sup[d], e.sup[d] != nil },
 		func() ([]uint64, error) {
 			c := a.cache
@@ -423,7 +581,7 @@ func (s *AtomStore) rows(a *Atom, forward bool, nodes []int, o engine.ReachOpts,
 	missing := nodes // the nodes to search, in the order of nodes
 	if shared {
 		s.mu.Lock()
-		e := s.m[a.key]
+		e, _ := s.current(a.key, o.Budget) // nil when the budget cut its settle: the search below is cut too
 		if e != nil && e.rel != nil {
 			list := e.rel.forward
 			if !forward {
@@ -481,16 +639,12 @@ func (s *AtomStore) rows(a *Atom, forward bool, nodes []int, o engine.ReachOpts,
 	}
 	if shared && !cut {
 		s.mu.Lock()
-		e, before := s.entry(a)
-		if t := &e.rows[d]; t.fill(s.db.NumNodes(), missing, hits) && e.sup[d] == nil {
-			e.sup[d] = make([]uint64, (len(t.span)+63)/64) // the nodes with a row
-			for u, sp := range t.span {
-				if uint32(sp-1) != 0 {
-					bitSet(e.sup[d], u)
-				}
+		if e, before, ok := s.entry(a, o.Budget); ok {
+			if t := &e.rows[d]; t.fill(s.db.NumNodes(), missing, hits) && e.sup[d] == nil {
+				e.sup[d] = t.support()
 			}
+			s.grew(e, before)
 		}
-		s.grew(e, before)
 		s.mu.Unlock()
 	}
 	return cut
@@ -502,7 +656,7 @@ func (p *probeAtom) adopt(forward bool) bool {
 	m, s, d := p.memo(forward), p.ev.store, side(!forward)
 	if m.tab.span == nil && !p.ev.ranked {
 		s.mu.Lock()
-		if e := s.m[p.atom.key]; e != nil && e.rows[d].complete() && e.sup[d] != nil {
+		if e, _ := s.current(p.atom.key, p.ev.bud); e != nil && e.rows[d].complete() && e.sup[d] != nil {
 			m.tab, m.sup = e.rows[d], e.sup[d]
 			s.ctr.hits.Add(1)
 		}
@@ -516,7 +670,7 @@ func (p *probeAtom) adopt(forward bool) bool {
 // that stands in for the pairs.
 func (s *AtomStore) Support(a *Atom, targets bool, bud *engine.Budget) (*EdgeRel, error) {
 	d := side(targets)
-	return resolve(s, a,
+	return resolve(s, a, bud,
 		func(e *atomEntry) (*EdgeRel, bool) { return e.diag[d], e.diag[d] != nil },
 		func() (*EdgeRel, error) {
 			sup, err := s.support(a, targets, bud)
@@ -543,7 +697,7 @@ func (s *AtomStore) PathExists(a *Atom, bud *engine.Budget) (bool, error) {
 	if a.empty() || s.db.NumNodes() == 0 {
 		return false, nil
 	}
-	return resolve(s, a,
+	return resolve(s, a, bud,
 		func(e *atomEntry) (yes, known bool) {
 			return e.exists > 0 || e.rel != nil && !e.rel.Empty(), e.exists != 0 || e.rel != nil
 		},
@@ -564,13 +718,14 @@ func (s *AtomStore) PathExists(a *Atom, bud *engine.Budget) (bool, error) {
 		})
 }
 
-// Verdicts returns the stored existence verdicts, by label print and alphabet.
+// Verdicts returns the stored existence verdicts, by label print and
+// alphabet, settling every entry first.
 func (s *AtomStore) Verdicts() map[string]bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := map[string]bool{}
-	for key, e := range s.m {
-		if e.exists != 0 {
+	for _, key := range slices.Collect(maps.Keys(s.m)) {
+		if e, _ := s.current(key, nil); e != nil && e.exists != 0 {
 			out[key] = e.exists > 0
 		}
 	}
@@ -593,8 +748,9 @@ type AtomStats struct {
 	Verdicts  AtomKind `json:"verdicts"`
 	Rows      AtomKind `json:"rows"`    // entries: row tables, one per atom and direction
 	Results   AtomKind `json:"results"` // entries: answers filed; bytes: charged for them
-	Bytes     int64    `json:"bytes"`   // accounted in all, entry overheads included
+	Bytes     int64    `json:"bytes"`   // accounted in all: entry overheads, stale entries and their windows included
 	Budget    int64    `json:"budget"`
+	Stale     int      `json:"stale"` // entries not yet brought up to the revision: settled on their next lookup
 
 	// Lookups of every kind of fact; a row request counts as a hit when no
 	// kernel call answers any of its nodes. Asking for an atom is no lookup.
@@ -606,8 +762,10 @@ type AtomStats struct {
 	ResultHits   uint64 `json:"result_hits"`
 	ResultMisses uint64 `json:"result_misses"`
 
-	// Revision moves, by row of the matrix, and what the delta passes did to
-	// the relations they found.
+	// Revision moves, by row of the matrix, and how the carried entries
+	// settled — counted when each settles, not at the move: retained when
+	// the window's labels miss the atom's, extended when its frontier's rows
+	// were derived again.
 	DeltaPasses  uint64 `json:"delta_passes"`
 	Retains      uint64 `json:"retains"`
 	FullRebuilds uint64 `json:"full_rebuilds"`
@@ -634,6 +792,9 @@ func (s *AtomStore) Stats() AtomStats {
 		st.Results.Bytes += a.bytes
 	}
 	for _, e := range s.m {
+		if e.rev != s.atomFacts.rev {
+			st.Stale++
+		}
 		st.Automata.Bytes += e.atom.size
 		if e.rel != nil {
 			st.Relations.Entries++

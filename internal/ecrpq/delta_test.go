@@ -102,10 +102,12 @@ func TestRelCacheApplyDelta(t *testing.T) {
 			if len(info.NewLabels) > 0 {
 				t.Fatalf("seed %d step %d: delta over abc reported new labels %q", seed, step, string(info.NewLabels))
 			}
-			before := Atoms(db).Stats() // the first to ask after the mutation maintains the store
-			if before.DeltaPasses != uint64(step)+1 || before.Retained+before.Extended != uint64((step+1)*len(labels)) {
-				t.Fatalf("seed %d step %d: %d passes, %d retained + %d extended; want %d passes over %d entries each",
-					seed, step, before.DeltaPasses, before.Retained, before.Extended, step+1, len(labels))
+			// The first to ask after the mutation carries the store; its entries
+			// settle as they are read.
+			before := Atoms(db).Stats()
+			if before.DeltaPasses != uint64(step)+1 || before.Stale != len(labels) || before.Retained+before.Extended != uint64(step*len(labels)) {
+				t.Fatalf("seed %d step %d: %d passes, %d stale, %d retained + %d extended; want %d passes, %d stale, %d settled",
+					seed, step, before.DeltaPasses, before.Stale, before.Retained, before.Extended, step+1, len(labels), step*len(labels))
 			}
 			for _, l := range labels {
 				got, err := Atoms(db).Relation(atomOf(t, Atoms(db), l, sigma), engine.ReachOpts{})
@@ -120,6 +122,9 @@ func TestRelCacheApplyDelta(t *testing.T) {
 					t.Fatalf("seed %d step %d: maintained relation for %s diverged (size %d, want %d)",
 						seed, step, xregex.String(l), got.Size(), want.Size())
 				}
+			}
+			if st := Atoms(db).Stats(); st.Stale != 0 || st.Retained+st.Extended != uint64((step+1)*len(labels)) {
+				t.Fatalf("seed %d step %d: %d stale, %d settled after every read; want 0, %d", seed, step, st.Stale, st.Retained+st.Extended, (step+1)*len(labels))
 			}
 		}
 		st := Atoms(db).Stats()
@@ -148,10 +153,16 @@ func TestRelCacheDeltaDisjointRetains(t *testing.T) {
 	if _, err := db.ApplyDelta(graph.Delta{Add: []graph.DeltaEdge{{From: "u", Label: 'c', To: "w"}}}); err != nil {
 		t.Fatal(err)
 	}
+	if st := Atoms(db).Stats(); st.Retained != 0 || st.Extended != 0 || st.Stale != 2 {
+		t.Fatalf("retained=%d extended=%d stale=%d before a read, want 0/0/2", st.Retained, st.Extended, st.Stale)
+	}
+	if _, err := Atoms(db).Relation(atomOf(t, Atoms(db), ab, sigma), engine.ReachOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := Atoms(db).Relation(atomOf(t, Atoms(db), cc, sigma), engine.ReachOpts{})
 	if st := Atoms(db).Stats(); st.Retained != 1 || st.Extended != 1 {
 		t.Fatalf("retained=%d extended=%d, want 1/1", st.Retained, st.Extended)
 	}
-	got, _ := Atoms(db).Relation(atomOf(t, Atoms(db), cc, sigma), engine.ReachOpts{})
 	want, _ := RelationFor(db, cc, sigma)
 	if !relEqual(got, want) {
 		t.Fatal("extended c+ relation diverged")

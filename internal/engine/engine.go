@@ -38,6 +38,10 @@ type ReachOpts struct {
 	// Weight replaces the unit edge cost (see Weight); non-nil implies Levels
 	// and runs Dijkstra over the product instead of the BFS.
 	Weight Weight
+	// First ends the search at its first accepted configuration: the hits
+	// are empty or one nearest node, which settles whether the source has
+	// any. Ignored under Weight.
+	First bool
 	// Count is where the search reports its work; nil counts nothing.
 	Count *Counters
 }
@@ -130,7 +134,7 @@ func (s *scalarScratch) reach(ix *graph.Index, c *automata.SubsetCache, src int,
 	if o.Weight != nil {
 		s.dijkstra(ix, src, forward, o.Budget, weightTable(ix, o.Weight))
 	} else {
-		s.bfs(ix, src, forward, o.Budget, wantLev, false)
+		s.bfs(ix, src, forward, o.Budget, wantLev, o.First)
 	}
 	o.Count.add(1, s.levels, 1, s.edges)
 	return s.gather(wantLev)

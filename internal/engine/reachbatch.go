@@ -267,15 +267,39 @@ var batchPool = sync.Pool{New: func() any { return new(batchWorker) }}
 // usual contract).
 //
 // The MS-BFS word-packing is level-synchronous and cannot batch Dijkstra
-// frontiers, so a weighted call runs as a per-source Reach fan instead —
-// correct, budget-honoring, but without the 64-way sharing.
+// frontiers, nor stop one source of a batch at its first hit, so a weighted
+// or First call runs as a per-source Reach fan instead — correct,
+// budget-honoring, but without the 64-way sharing.
 func ReachBatchEx(ix *graph.Index, c *automata.SubsetCache, srcs []int, forward bool, opts ReachOpts) BatchResult {
-	if opts.Weight != nil {
-		return reachBatchWeighted(ix, c, srcs, forward, opts)
+	if opts.Weight != nil || opts.First {
+		return reachEach(ix, c, srcs, forward, opts)
 	}
 	w := batchPool.Get().(*batchWorker)
 	res := w.reach(ix, c, srcs, forward, opts)
 	batchPool.Put(w)
+	return res
+}
+
+// reachEach answers a weighted or First ReachBatchEx request: the sources fan
+// out GOMAXPROCS wide (a kernel sees no fan width), one Reach each.
+// Truncation is detected through the shared budget, like the batched kernel:
+// a canceled sweep leaves some sources' lists sound but incomplete (or
+// missing entirely), so the result must not enter cross-query caches.
+func reachEach(ix *graph.Index, c *automata.SubsetCache, srcs []int, forward bool, opts ReachOpts) BatchResult {
+	res := BatchResult{Hits: make([][]int, len(srcs))}
+	if opts.Levels || opts.Weight != nil {
+		res.Levs = make([][]int32, len(srcs))
+	}
+	Fan(0, len(srcs), func(i int) {
+		if opts.Budget.Canceled() {
+			return
+		}
+		h, l := Reach(ix, c, srcs[i], forward, opts)
+		if res.Hits[i] = h; res.Levs != nil {
+			res.Levs[i] = l
+		}
+	})
+	res.Truncated = opts.Budget.Canceled()
 	return res
 }
 

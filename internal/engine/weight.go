@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"cxrpq/internal/automata"
-	"cxrpq/internal/graph"
-)
+import "cxrpq/internal/graph"
 
 // Weight is a pluggable per-edge cost for witness ranking: it maps a graph
 // edge label to the nonnegative cost of traversing one edge with that label.
@@ -151,25 +148,4 @@ func (s *scalarScratch) dijkstra(ix *graph.Index, src int, forward bool, bud *Bu
 	}
 	s.touched = s.touched[:0]
 	s.heap = s.heap[:0]
-}
-
-// reachBatchWeighted answers a weighted ReachBatchEx request: the MS-BFS
-// word-packed kernel is level-synchronous and cannot batch Dijkstra
-// frontiers, so the sources fan out GOMAXPROCS wide (a kernel sees no
-// fan width), one weighted Reach each. Truncation is detected through the shared budget, like the
-// batched kernel: a canceled sweep leaves some sources' lists sound but
-// incomplete (or missing entirely), so the result must not enter cross-query
-// caches.
-func reachBatchWeighted(ix *graph.Index, c *automata.SubsetCache, srcs []int, forward bool, opts ReachOpts) BatchResult {
-	res := BatchResult{Hits: make([][]int, len(srcs)), Levs: make([][]int32, len(srcs))}
-	Fan(0, len(srcs), func(i int) {
-		if opts.Budget.Canceled() {
-			return
-		}
-		res.Hits[i], res.Levs[i] = Reach(ix, c, srcs[i], forward, opts)
-	})
-	if opts.Budget.Canceled() {
-		res.Truncated = true
-	}
-	return res
 }

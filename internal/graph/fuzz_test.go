@@ -108,94 +108,127 @@ func linkedNames(d *DB) []string {
 }
 
 // FuzzWALParse holds the write-ahead log decoder to its encoder on arbitrary
-// bytes: parseWAL never panics and reports a valid prefix within the input,
-// which the returned records re-encode to byte for byte (so a frame with a
-// uvarint longer than its shortest form, or a label past 32 bits, is
-// corrupt even under a matching CRC: no encoder writes one); every cut of that
-// prefix parses without error to a prefix of its records; and one flipped
-// byte in the CRC or payload of any frame but the last is corruption, not a
-// torn tail. Input that frames no record is turned into a log of records
-// read off its bytes (walFromBytes), so the properties of a valid log are
-// held to more than the seeds.
+// bytes, version-2 logs and v1 ones alike: parseWAL never panics and reports
+// a valid prefix within the input, which the returned records re-encode to
+// byte for byte in the log's version (so a frame with a uvarint longer than
+// its shortest form, or a label past 32 bits, is corrupt even under a
+// matching CRC: no encoder writes one); every cut of that prefix parses
+// without error to a prefix of its records; and one flipped byte in any frame
+// but the last is corruption, not a torn tail — anywhere in a v2 frame, its
+// length included, and in a v2 log's file header, but only in the CRC or
+// payload of a v1 frame, whose length nothing checks. Input that frames no
+// record is turned into a v2 log of records read off its bytes
+// (walFromBytes), so the properties of a valid log are held to more than the
+// seeds.
 func FuzzWALParse(f *testing.F) {
-	log := encodeWAL([]walRecord{
+	recs := []walRecord{
 		{FromRev: 0, ToRev: 1, Delta: Delta{Add: []DeltaEdge{{From: "u", Label: 'a', To: "v"}, {From: "v", Label: 'é', To: "w"}}}},
 		{Side: true, Kind: 1, Blob: []byte("cursor")},
 		{FromRev: 1, ToRev: 3, Delta: Delta{Add: []DeltaEdge{{From: "w", Label: 'b', To: "u"}}, Del: []DeltaEdge{{From: "u", Label: 'a', To: "v"}}}},
 		{Side: true, Kind: 2},
-	})
-	interior := bytes.Clone(log)
-	interior[12] ^= 1 // in the first frame's payload
-	// frame frames payload with its CRC, as the encoder would.
-	frame := func(payload ...byte) []byte {
-		b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-		b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
-		return append(b, payload...)
 	}
+	log, logV1 := encodeWAL(recs, false), encodeWAL(recs, true)
+	interior := bytes.Clone(log)
+	interior[walHeaderLen+frameHeader+4] ^= 1 // in the first frame's payload
+	length := bytes.Clone(log)
+	length[walHeaderLen] ^= 1 // in the first frame's length
+	// frame frames payload with its CRC, as a v1 log does.
+	frame := func(payload ...byte) []byte { return appendFrameV1(nil, payload) }
 	for _, b := range [][]byte{
-		nil, log, log[:len(log)-3], log[:5], interior, {0, 0, 0, 0, 0, 0, 0, 0}, []byte("\x07a\x83bc\x10\xffdef"),
+		nil, log, log[:len(log)-3], log[:5], log[:walHeaderLen+frameHeader], interior, length,
+		logV1, logV1[:len(logV1)-3], {0, 0, 0, 0, 0, 0, 0, 0}, []byte("\x07a\x83bc\x10\xffdef"),
 		frame(0x80, 0x00, 1, 0, 0),                            // fromRev 0 in two bytes: no encoder writes it
 		frame(0, 1, 1, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0), // a label of 2^32
 	} {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		recs, valid, err := parseWAL(buf)
+		recs, valid, v1, err := parseWAL(buf)
 		if valid < 0 || valid > len(buf) || err != nil && !errors.Is(err, ErrWALCorrupt) {
 			t.Fatalf("%q: valid prefix %d of %d bytes, error %v", buf, valid, len(buf), err)
 		}
-		if valid == 0 && len(buf) > 0 {
-			buf = encodeWAL(walFromBytes(buf))
-			if recs, valid, err = parseWAL(buf); err != nil || valid != len(buf) {
+		if len(recs) == 0 && len(buf) > 0 {
+			buf, v1 = encodeWAL(walFromBytes(buf), false), false
+			if recs, valid, _, err = parseWAL(buf); err != nil || valid != len(buf) {
 				t.Fatalf("the log %q parses to %d of its bytes: %v", buf, valid, err)
 			}
 		}
 		log := buf[:valid]
-		if enc := encodeWAL(recs); !bytes.Equal(enc, log) {
+		if enc := encodeWAL(recs, v1); len(recs) > 0 && !bytes.Equal(enc, log) {
 			t.Fatalf("%q: the records of its valid prefix %q encode as %q", buf, log, enc)
+		}
+		if len(recs) == 0 {
+			return
 		}
 		ends := make([]int, len(recs)) // where each frame ends
 		for i := range recs {
-			ends[i] = len(encodeWAL(recs[:i+1]))
+			ends[i] = len(encodeWAL(recs[:i+1], v1))
 		}
 		step := max(1, len(log)/256) // the checks below are quadratic
 		for cut := 0; cut <= len(log); cut += step {
-			got, n, err := parseWAL(log[:cut])
+			got, n, _, err := parseWAL(log[:cut])
 			k := 0 // the frames that end within the cut
 			for k < len(ends) && ends[k] <= cut {
 				k++
 			}
-			if err != nil || len(got) != k || !bytes.Equal(encodeWAL(got), log[:n]) || k > 0 && n != ends[k-1] {
+			if err != nil || len(got) != k || k > 0 && (n != ends[k-1] || !bytes.Equal(encodeWAL(got, v1), log[:n])) {
 				t.Fatalf("%q cut at %d: %d records in %d bytes (%v), want the first %d", log, cut, len(got), n, err, k)
 			}
 		}
+		first, skip := walHeaderLen, 0 // where the first frame starts; the unchecked bytes of a frame
+		if v1 {
+			first, skip = 0, 4
+		}
+		flip := func(at int, what string) {
+			flipped := bytes.Clone(log)
+			flipped[at] ^= 0x41
+			if _, _, _, err := parseWAL(flipped); !errors.Is(err, ErrWALCorrupt) {
+				t.Fatalf("%q with byte %d flipped (%s): %v, want ErrWALCorrupt", log, at, what, err)
+			}
+		}
+		for at := 0; at < first; at++ {
+			flip(at, "the file header")
+		}
 		for i := 0; i+1 < len(recs); i++ {
-			start := 0
+			start := first
 			if i > 0 {
 				start = ends[i-1]
 			}
-			for at := start + 4; at < ends[i]; at += step {
-				flipped := bytes.Clone(log)
-				flipped[at] ^= 0x41
-				if _, _, err := parseWAL(flipped); !errors.Is(err, ErrWALCorrupt) {
-					t.Fatalf("%q with byte %d of frame %d flipped: %v, want ErrWALCorrupt", log, at-start, i, err)
-				}
+			for at := start + skip; at < ends[i]; at += step {
+				flip(at, fmt.Sprintf("frame %d", i))
 			}
 		}
 	})
 }
 
-// encodeWAL is the log of recs.
-func encodeWAL(recs []walRecord) []byte {
+// encodeWAL is the log of recs: a version-2 log, or with v1 a v1 one.
+func encodeWAL(recs []walRecord, v1 bool) []byte {
 	var b []byte
+	if !v1 {
+		b = appendWALHeader(b)
+	}
 	for _, r := range recs {
+		var f []byte
 		if r.Side {
-			b = encodeWALSideRecord(b, r.Kind, r.Blob)
+			f = encodeWALSideRecord(nil, r.Kind, r.Blob)
 		} else {
-			b = encodeWALRecord(b, r)
+			f = encodeWALRecord(nil, r)
+		}
+		if v1 {
+			b = appendFrameV1(b, f[frameHeader:])
+		} else {
+			b = append(b, f...)
 		}
 	}
 	return b
+}
+
+// appendFrameV1 appends payload framed as a version-1 log frames it: its
+// length and CRC, with nothing checking the length.
+func appendFrameV1(b, payload []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
 }
 
 // walFromBytes reads records off arbitrary bytes: a byte c opens a record

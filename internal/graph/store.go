@@ -6,6 +6,8 @@ package graph
 //
 //	checkpoint.graph      last durable checkpoint (WriteFull format)
 //	wal.log               delta records applied since that checkpoint
+//	                      (wal.go: a version-2 log; a v1 one is replayed
+//	                      and checkpointed away at open)
 //
 // Recovery protocol (Open): load the checkpoint if present (else start
 // empty), scan the WAL, truncate a torn tail (a crash mid-append — that
@@ -108,14 +110,17 @@ type Store struct {
 }
 
 // OpenStore opens (or initializes) the store directory and recovers the
-// database from checkpoint + WAL replay.
+// database from checkpoint + WAL replay. A non-empty version-1 WAL is
+// checkpointed before OpenStore returns, so every frame the store appends
+// starts or continues a version-2 log; the v1 log's side records go with it,
+// as at any checkpoint.
 func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	s := &Store{dir: dir, opts: opts}
-	db, valid, replayed, sides, err := recoverDB(dir)
+	db, valid, replayed, sides, v1, err := recoverDB(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -135,30 +140,37 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 		return nil, err
 	}
 	s.c.walBytes.Store(valid)
+	if v1 && valid > 0 {
+		if err := s.checkpointLocked(); err != nil {
+			s.wal.Close()
+			return nil, fmt.Errorf("graph: checkpointing a version-1 wal: %w", err)
+		}
+	}
 	return s, nil
 }
 
 // recoverDB loads checkpoint + WAL from dir and returns the recovered
 // database, the valid WAL prefix length, the number of replayed delta
-// records, and the side records found in the WAL (in log order). Side
-// records are excluded from the revision-continuity checks.
-func recoverDB(dir string) (*DB, int64, int, []walRecord, error) {
+// records, the side records found in the WAL (in log order), and whether
+// the WAL is a version-1 log. Side records are excluded from the
+// revision-continuity checks.
+func recoverDB(dir string) (*DB, int64, int, []walRecord, bool, error) {
 	db := New()
 	if f, err := os.Open(filepath.Join(dir, checkpointFile)); err == nil {
 		db, err = func() (*DB, error) { defer f.Close(); return ReadFull(f) }()
 		if err != nil {
-			return nil, 0, 0, nil, fmt.Errorf("graph: loading checkpoint: %w", err)
+			return nil, 0, 0, nil, false, fmt.Errorf("graph: loading checkpoint: %w", err)
 		}
 	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, 0, 0, nil, err
+		return nil, 0, 0, nil, false, err
 	}
 	buf, err := os.ReadFile(filepath.Join(dir, walFile))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, 0, 0, nil, err
+		return nil, 0, 0, nil, false, err
 	}
-	recs, valid, err := parseWAL(buf)
+	recs, valid, v1, err := parseWAL(buf)
 	if err != nil {
-		return nil, 0, 0, nil, err
+		return nil, 0, 0, nil, false, err
 	}
 	replayed := 0
 	var sides []walRecord
@@ -171,19 +183,19 @@ func recoverDB(dir string) (*DB, int64, int, []walRecord, error) {
 			continue // covered by the checkpoint
 		}
 		if rec.FromRev != db.Revision() {
-			return nil, 0, 0, nil, fmt.Errorf("%w: record window (%d,%d] does not continue revision %d",
+			return nil, 0, 0, nil, false, fmt.Errorf("%w: record window (%d,%d] does not continue revision %d",
 				ErrWALCorrupt, rec.FromRev, rec.ToRev, db.Revision())
 		}
 		if _, err := db.ApplyDelta(rec.Delta); err != nil {
-			return nil, 0, 0, nil, fmt.Errorf("graph: wal replay: %w", err)
+			return nil, 0, 0, nil, false, fmt.Errorf("graph: wal replay: %w", err)
 		}
 		if db.Revision() != rec.ToRev {
-			return nil, 0, 0, nil, fmt.Errorf("%w: replay reached revision %d, record declares %d",
+			return nil, 0, 0, nil, false, fmt.Errorf("%w: replay reached revision %d, record declares %d",
 				ErrWALCorrupt, db.Revision(), rec.ToRev)
 		}
 		replayed++
 	}
-	return db, int64(valid), replayed, sides, nil
+	return db, int64(valid), replayed, sides, v1, nil
 }
 
 // DB returns the recovered database. The caller owns mutations on it and
@@ -201,7 +213,7 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) Append(delta Delta, fromRev, toRev uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.buf = encodeWALRecord(s.buf[:0], walRecord{FromRev: fromRev, ToRev: toRev, Delta: delta})
+	s.buf = encodeWALRecord(s.frameStart(), walRecord{FromRev: fromRev, ToRev: toRev, Delta: delta})
 	if err := s.writeLocked(); err != nil {
 		return err
 	}
@@ -234,7 +246,7 @@ func (e *CheckpointError) Unwrap() error { return e.Err }
 func (s *Store) AppendSide(kind uint64, blob []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.buf = encodeWALSideRecord(s.buf[:0], kind, blob)
+	s.buf = encodeWALSideRecord(s.frameStart(), kind, blob)
 	if err := s.writeLocked(); err != nil {
 		return err
 	}
@@ -256,6 +268,16 @@ func (s *Store) SideRecords(kind uint64) [][]byte {
 		}
 	}
 	return out
+}
+
+// frameStart returns the write buffer emptied — but for the file header of a
+// version-2 log when the WAL is empty: it goes out with the first frame, in
+// one write.
+func (s *Store) frameStart() []byte {
+	if s.c.walBytes.Load() == 0 {
+		return appendWALHeader(s.buf[:0])
+	}
+	return s.buf[:0]
 }
 
 // writeLocked flushes s.buf to the WAL and applies the fsync cadence.
@@ -358,6 +380,7 @@ type Follower struct {
 	dir      string
 	db       *DB
 	off      int64
+	v1       bool // the WAL read up to off is a version-1 log
 	replayed atomic.Uint64
 	reloads  atomic.Uint64
 }
@@ -366,11 +389,11 @@ type Follower struct {
 // the leader's WAL are ignored: they carry leader-local state (e.g. parked
 // cursors) that has no meaning on a replica.
 func OpenFollower(dir string) (*Follower, error) {
-	db, valid, replayed, _, err := recoverDB(dir)
+	db, valid, replayed, _, v1, err := recoverDB(dir)
 	if err != nil {
 		return nil, err
 	}
-	f := &Follower{dir: dir, db: db, off: valid}
+	f := &Follower{dir: dir, db: db, off: valid, v1: v1}
 	f.replayed.Store(uint64(replayed))
 	return f, nil
 }
@@ -416,7 +439,13 @@ func (f *Follower) Poll() (int, error) {
 	if err != nil && !errors.Is(err, io.EOF) {
 		return 0, err
 	}
-	recs, valid, err := parseWAL(buf[:n])
+	var recs []walRecord
+	var valid int
+	if f.off == 0 { // from the file header
+		recs, valid, f.v1, err = parseWAL(buf[:n])
+	} else {
+		recs, valid, err = parseFrames(buf[:n], f.v1)
+	}
 	if err != nil {
 		// Misaligned tail: the leader checkpointed and the new WAL already
 		// grew past our stale offset, so we read from mid-frame. A reload
@@ -449,12 +478,12 @@ func (f *Follower) Poll() (int, error) {
 // transiently older than the follower's state (we raced the leader's
 // checkpoint rename), the current state is kept and the next Poll retries.
 func (f *Follower) reload() (int, error) {
-	db, valid, replayed, _, err := recoverDB(f.dir)
+	db, valid, replayed, _, v1, err := recoverDB(f.dir)
 	if err != nil || db.Revision() < f.db.Revision() {
 		return 0, err
 	}
 	applied := int(db.Revision() - f.db.Revision())
-	f.db, f.off = db, valid
+	f.db, f.off, f.v1 = db, valid, v1
 	f.replayed.Add(uint64(replayed))
 	f.reloads.Add(1)
 	return applied, nil

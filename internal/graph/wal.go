@@ -5,15 +5,25 @@ package graph
 // revision window, so replay reproduces the exact lineage the in-memory
 // deltaLog describes:
 //
-//	frame   := length(uint32 LE) crc(uint32 LE) payload
+//	log     := "CXWL" version(uint32 LE = 2) frame*
+//	frame   := length(uint32 LE) crc(uint32 LE) hcrc(uint32 LE) payload
 //	payload := fromRev(uvarint) toRev(uvarint) edges(Add) edges(Del)
 //	edges   := count(uvarint) { len(from) from len(to) to label(uvarint) }*
 //
-// The CRC is IEEE CRC-32 over the payload. Recovery distinguishes a torn
-// tail (a crash mid-append: the last frame is shorter than its declared
-// length, or its CRC fails with nothing after it — truncated and forgotten,
-// the batch was never acknowledged) from mid-file corruption (a CRC failure
-// with valid data after it — a hard error, the log is not trustworthy).
+// crc is IEEE CRC-32 over the payload and hcrc over the 8 bytes before it,
+// so the length is checked before it is believed. Recovery distinguishes a
+// torn tail — a crash mid-append, truncated and forgotten: the batch was
+// never acknowledged — from corruption, a hard error. A frame is torn only
+// if it ends at the end of the log short of a whole frame: a partial header,
+// a header with nothing after it, or a header that checks and a short
+// payload. Any other failure — a header that fails its check with bytes
+// after it, a payload that fails its CRC — is ErrWALCorrupt.
+//
+// A version-1 log, written before the file header existed, is a bare
+// sequence of 8-byte-header frames (length, crc) whose length nothing
+// checks: an overrunning length reads as a torn tail. It is only read: it
+// replays by its own rules, and a store that opens a non-empty one
+// checkpoints before its first append, so new frames start a version-2 log.
 //
 // Side records share the frame format but carry opaque application state
 // instead of a Delta batch. They are recognized by a sentinel first uvarint:
@@ -62,6 +72,28 @@ const maxWALRecord = 1 << 30
 // log — unlike a torn tail, it cannot be explained by a crashed append.
 var ErrWALCorrupt = errors.New("graph: wal corrupt")
 
+const (
+	walMagic      = "CXWL" // as a v1 length it would exceed maxWALRecord
+	walVersion    = 2
+	walHeaderLen  = 8
+	frameHeader   = 12
+	frameHeaderV1 = 8
+)
+
+// appendWALHeader appends the file header of a version-2 log.
+func appendWALHeader(b []byte) []byte {
+	return binary.LittleEndian.AppendUint32(append(b, walMagic...), walVersion)
+}
+
+// appendFrame appends payload framed as a version-2 log frames it.
+func appendFrame(b, payload []byte) []byte {
+	at := len(b)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[at:at+8]))
+	return append(b, payload...)
+}
+
 func appendUvarint(b []byte, v uint64) []byte {
 	return binary.AppendUvarint(b, v)
 }
@@ -84,9 +116,7 @@ func encodeWALRecord(b []byte, rec walRecord) []byte {
 	payload = appendUvarint(payload, rec.ToRev)
 	payload = appendEdges(payload, rec.Delta.Add)
 	payload = appendEdges(payload, rec.Delta.Del)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
-	return append(b, payload...)
+	return appendFrame(b, payload)
 }
 
 // encodeWALSideRecord appends the full frame for an application side record:
@@ -95,9 +125,7 @@ func encodeWALSideRecord(b []byte, kind uint64, blob []byte) []byte {
 	payload := appendUvarint(nil, uint64(sideFromRev))
 	payload = appendUvarint(payload, kind)
 	payload = append(payload, blob...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
-	return append(b, payload...)
+	return appendFrame(b, payload)
 }
 
 type walDecoder struct {
@@ -189,30 +217,70 @@ func decodeWALPayload(payload []byte) (walRecord, error) {
 	return rec, nil
 }
 
-// parseWAL scans buf for complete valid frames. It returns the decoded
-// records and the byte length of the valid prefix. A torn tail — an
-// incomplete final frame, or a final frame whose CRC fails with no data
-// after it — ends the scan cleanly at the last valid frame; interior CRC or
-// structural failures return ErrWALCorrupt.
-func parseWAL(buf []byte) (recs []walRecord, valid int, err error) {
+// parseWAL scans a whole log for complete valid frames: a version-2 log, or
+// a v1 one (reported by v1). It returns the decoded records and the byte
+// length of the valid prefix, the file header included. A torn tail ends the
+// scan cleanly at the last valid frame — a torn file header at an empty
+// prefix — and corruption returns ErrWALCorrupt. A first word one byte off
+// the magic is a damaged header, not a v1 length.
+func parseWAL(buf []byte) (recs []walRecord, valid int, v1 bool, err error) {
+	if k := min(len(buf), len(walMagic)); k > 0 && string(buf[:k]) == walMagic[:k] {
+		if len(buf) < walHeaderLen {
+			return nil, 0, false, nil // torn file header
+		}
+		if v := binary.LittleEndian.Uint32(buf[len(walMagic):]); v != walVersion {
+			return nil, 0, false, fmt.Errorf("%w: log version %d", ErrWALCorrupt, v)
+		}
+		recs, valid, err = parseFrames(buf[walHeaderLen:], false)
+		return recs, walHeaderLen + valid, false, err
+	}
+	if len(buf) >= len(walMagic) {
+		off := 0
+		for i := range len(walMagic) {
+			if buf[i] != walMagic[i] {
+				off++
+			}
+		}
+		if off == 1 {
+			return nil, 0, false, fmt.Errorf("%w: damaged log header", ErrWALCorrupt)
+		}
+	}
+	recs, valid, err = parseFrames(buf, true)
+	return recs, valid, true, err
+}
+
+// parseFrames scans buf, a sequence of frames of a v2 log — or with v1 of a
+// v1 log — and returns the records of its valid prefix and its length; see
+// the file comment for what is torn and what is corrupt.
+func parseFrames(buf []byte, v1 bool) (recs []walRecord, valid int, err error) {
+	hl := frameHeader
+	if v1 {
+		hl = frameHeaderV1
+	}
 	off := 0
 	for off < len(buf) {
 		rem := len(buf) - off
-		if rem < 8 {
+		if rem < hl {
 			return recs, off, nil // torn header
 		}
 		length := int(binary.LittleEndian.Uint32(buf[off:]))
 		crc := binary.LittleEndian.Uint32(buf[off+4:])
+		if !v1 && crc32.ChecksumIEEE(buf[off:off+8]) != binary.LittleEndian.Uint32(buf[off+8:]) {
+			if rem == hl {
+				return recs, off, nil // a torn header with nothing after it
+			}
+			return recs, off, fmt.Errorf("%w: frame header check fails at offset %d", ErrWALCorrupt, off)
+		}
 		if length > maxWALRecord {
 			return recs, off, fmt.Errorf("%w: frame length %d at offset %d", ErrWALCorrupt, length, off)
 		}
-		if rem < 8+length {
+		if rem < hl+length {
 			return recs, off, nil // torn payload
 		}
-		payload := buf[off+8 : off+8+length]
+		payload := buf[off+hl : off+hl+length]
 		if crc32.ChecksumIEEE(payload) != crc {
-			if off+8+length == len(buf) {
-				return recs, off, nil // torn final frame
+			if v1 && off+hl+length == len(buf) {
+				return recs, off, nil // a v1 log's torn final frame
 			}
 			return recs, off, fmt.Errorf("%w: crc mismatch at offset %d", ErrWALCorrupt, off)
 		}
@@ -221,7 +289,7 @@ func parseWAL(buf []byte) (recs []walRecord, valid int, err error) {
 			return recs, off, fmt.Errorf("offset %d: %w", off, derr)
 		}
 		recs = append(recs, rec)
-		off += 8 + length
+		off += hl + length
 	}
 	return recs, off, nil
 }

@@ -122,13 +122,13 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		}},
 		{FromRev: 9, ToRev: 9, Delta: Delta{}},
 	}
-	var buf []byte
+	buf := appendWALHeader(nil)
 	for _, r := range recs {
 		buf = encodeWALRecord(buf, r)
 	}
-	got, valid, err := parseWAL(buf)
-	if err != nil {
-		t.Fatal(err)
+	got, valid, v1, err := parseWAL(buf)
+	if err != nil || v1 {
+		t.Fatal(err, v1)
 	}
 	if valid != len(buf) {
 		t.Fatalf("valid prefix %d != %d", valid, len(buf))
@@ -228,7 +228,7 @@ func TestStoreRejectsInteriorCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf[9] ^= 0xff // a payload byte of the first record
+	buf[walHeaderLen+frameHeader+1] ^= 0xff // a payload byte of the first record
 	if err := os.WriteFile(walPath, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -432,5 +432,96 @@ func TestStoreSideRecordTornTail(t *testing.T) {
 	}
 	if _, ok := s2.DB().Lookup("v"); !ok {
 		t.Fatal("delta before torn side record lost")
+	}
+}
+
+// TestWALLengthFlipRefused is the reproduction of the unchecked v1 length:
+// three acknowledged batches, one bit flipped in the first frame's length.
+// A v1 log read that as a torn tail, and opening it returned a store holding
+// none of the three edges after truncating the log to nothing. The frame
+// header's own check makes it corruption: the open fails and the log is left
+// as it was.
+func TestWALLengthFlipRefused(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	storeDelta(t, s, add("u", "v"))
+	storeDelta(t, s, add("v", "w"))
+	storeDelta(t, s, add("w", "x"))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(dir, walFile)
+	buf, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(buf[:len(walMagic)]) != walMagic {
+		t.Fatalf("a new store wrote no version-2 header: %q", buf[:walHeaderLen])
+	}
+	buf[walHeaderLen+1] ^= 1 // the first frame's length
+	if err := os.WriteFile(walPath, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenStore(dir, StoreOptions{})
+	if !errors.Is(err, ErrWALCorrupt) {
+		n := -1
+		if s2 != nil {
+			n = s2.DB().NumEdges()
+		}
+		t.Fatalf("OpenStore after a length flip = %v holding %d of 3 edges, want ErrWALCorrupt", err, n)
+	}
+	if after, err := os.ReadFile(walPath); err != nil || !bytes.Equal(after, buf) {
+		t.Fatalf("the refused log was changed: %d bytes, was %d (%v)", len(after), len(buf), err)
+	}
+}
+
+// TestWALVersion1Replays: a log written before the file header existed
+// replays by its own rules, and the store that opens it checkpoints it away,
+// so its first append starts a version-2 log; every batch survives each
+// reopen.
+func TestWALVersion1Replays(t *testing.T) {
+	dir := t.TempDir()
+	db := New()
+	v1 := encodeWAL(nil, true)
+	for _, d := range []Delta{add("u", "v"), add("v", "w")} {
+		from := db.Revision()
+		if _, err := db.ApplyDelta(d); err != nil {
+			t.Fatal(err)
+		}
+		v1 = append(v1, encodeWAL([]walRecord{{FromRev: from, ToRev: db.Revision(), Delta: d}}, true)...)
+	}
+	walPath := filepath.Join(dir, walFile)
+	if err := os.WriteFile(walPath, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenStore(dir, StoreOptions{CheckpointBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.DB().NumEdges() != 2 || s.DB().Revision() != 5 {
+		t.Fatalf("v1 replay: %d edges at revision %d, want 2 at 5", s.DB().NumEdges(), s.DB().Revision())
+	}
+	storeDelta(t, s, add("w", "x"))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, valid, isV1, err := parseWAL(buf); err != nil || isV1 || valid != len(buf) || len(recs) != 1 {
+		t.Fatalf("the first append after a v1 log: %d records in %d of %d bytes, v1 %v (%v); want one frame of a version-2 log",
+			len(recs), valid, len(buf), isV1, err)
+	}
+	s, err = OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.DB().NumEdges() != 3 || s.DB().Revision() != 7 {
+		t.Fatalf("%d edges at revision %d after the v1 log and an append, want 3 at 7", s.DB().NumEdges(), s.DB().Revision())
 	}
 }
