@@ -178,8 +178,11 @@ func TestUpdateInvalidatesSessions(t *testing.T) {
 // TestUpdateDeltaMaintainsSessions drives the incremental /update path: an
 // insert-only delta must carry the database's atom store fine-grained (its
 // entries stale in /stats until read, then the retained/extended counters
-// move; no extra full rebuild), a "remove" delta is carried the same way and
-// still serves exact answers, and invalid removals are rejected atomically.
+// move; no extra full rebuild) and the eval answer read after it is settled
+// from the carried one ("atoms".result_carried moves by one); a "remove"
+// delta is carried the same way and still serves exact answers, computed
+// again (result_carried stays), and invalid removals are rejected
+// atomically.
 func TestUpdateDeltaMaintainsSessions(t *testing.T) {
 	_, ts := testServer(t)
 	q := `{"db":"g1","query":"ans(x, y)\nx y : a","mode":"eval"}`
@@ -229,9 +232,13 @@ func TestUpdateDeltaMaintainsSessions(t *testing.T) {
 	if after["rel_retained"].(float64)+after["rel_extended"].(float64) != 0 || atoms()["stale"].(float64) == 0 {
 		t.Fatalf("the update settled entries before any read (%v), or carried none: %v", after, atoms())
 	}
+	carried := atoms()["result_carried"].(float64)
 	code, out = postJSON(t, ts.URL+"/query", q)
 	if code != http.StatusOK || out["count"].(float64) != 3 {
 		t.Fatalf("after insert update: %d %v (want count 3)", code, out)
+	}
+	if now := atoms()["result_carried"].(float64); now != carried+1 {
+		t.Fatalf("the read after an insert settled %v carried answers, want 1", now-carried)
 	}
 	if read := sessMaint(); read["rel_retained"].(float64)+read["rel_extended"].(float64) == 0 {
 		t.Fatalf("no entries settled by the read: %v", read)
@@ -245,9 +252,13 @@ func TestUpdateDeltaMaintainsSessions(t *testing.T) {
 	if removed := sessMaint(); removed["delta_applies"].(float64) != after["delta_applies"].(float64)+1 || removed["full_rebuilds"].(float64) != after["full_rebuilds"].(float64) {
 		t.Fatalf("the removal flushed the store: %v -> %v", after, removed)
 	}
+	carried = atoms()["result_carried"].(float64)
 	code, out = postJSON(t, ts.URL+"/query", q)
 	if code != http.StatusOK || out["count"].(float64) != 1 {
 		t.Fatalf("after remove update: %d %v (want count 1)", code, out)
+	}
+	if now := atoms()["result_carried"].(float64); now != carried {
+		t.Fatalf("the read after a removal settled %v carried answers, want none", now-carried)
 	}
 
 	// Invalid removal: rejected, nothing applied.
@@ -308,8 +319,9 @@ func TestStatsAtomRowsShared(t *testing.T) {
 // TestStatsReportsResults: answers are cached per database, in its atom
 // store, and /stats shows them under "atoms". The same /query twice is one
 // answer filed and one hit; an insert-only /update publishes a revision
-// whose store holds no answer, so the query misses once and returns the new
-// rows. "sessions" counts the pooled plans, which a publish leaves alone.
+// whose store holds that answer carried, stale, so the query misses once and
+// returns the new rows, settled from the carried answer in its place.
+// "sessions" counts the pooled plans, which a publish leaves alone.
 func TestStatsReportsResults(t *testing.T) {
 	_, ts := testServer(t)
 	db := func() map[string]any { return getStats(t, ts.URL)["dbs"].([]any)[0].(map[string]any) }
@@ -342,17 +354,19 @@ func TestStatsReportsResults(t *testing.T) {
 		t.Fatalf("update: %d %v", code, out)
 	}
 	st = db()
-	if after := st["atoms"].(map[string]any); entries(after) != 0 {
-		t.Fatalf("the new revision's store holds %v answers, want 0", entries(after))
+	if after := st["atoms"].(map[string]any); entries(after) != 1 {
+		t.Fatalf("the new revision's store holds %v answers, want the one carried", entries(after))
 	}
 	if st["sessions"].(float64) != 1 {
 		t.Fatalf("sessions = %v after a publish, want the one pooled plan still", st["sessions"])
 	}
 	misses := st["atoms"].(map[string]any)["result_misses"].(float64)
+	carried := st["atoms"].(map[string]any)["result_carried"].(float64)
 	query(3)
 	after := db()["atoms"].(map[string]any)
-	if n := after["result_misses"].(float64) - misses; n != 1 || entries(after) != 1 {
-		t.Fatalf("the query after the update: %v misses, %v entries; want 1, 1", n, entries(after))
+	if n := after["result_misses"].(float64) - misses; n != 1 || entries(after) != 1 || after["result_carried"].(float64) != carried+1 {
+		t.Fatalf("the query after the update: %v misses, %v entries, %v settled from a carried answer; want 1, 1, 1",
+			n, entries(after), after["result_carried"].(float64)-carried)
 	}
 }
 

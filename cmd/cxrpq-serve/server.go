@@ -81,10 +81,12 @@ package main
 // private live DB, makes it durable (below), then publishes a fresh snapshot
 // with the database's atom store carried over once (ecrpq.AtomStore): a
 // batch over known labels, inserts or removals, carries every entry — header
-// copies, no search — and drops the answers; the first read of an entry at
-// the new revision brings its relation, supports, probe rows and verdict up
-// to date over the batch's frontier. Brand-new labels fall back to a fresh
-// store. The plan pool is the entry's and survives the publish. The
+// copies, no search — and the eval answers and re-read true verdicts, stale;
+// the first read of an entry at the new revision brings its relation,
+// supports, probe rows and verdict up to date over the batch's frontier, and
+// the first read of an answer merges in the rows of joins seeded on that
+// frontier unless the window since it removed edges, which drops it.
+// Brand-new labels fall back to a fresh store. The plan pool is the entry's and survives the publish. The
 // response reports the net delta; /stats exposes the per-database
 // maintenance counters and the entries not yet settled.
 //

@@ -91,7 +91,9 @@
 //	                     settled on its first read: relations, supports,
 //	                     probe rows and verdicts are retained or derived
 //	                     again on the delta's frontier, inserts and
-//	                     removals alike (Session.ApplyDelta / Fork; new
+//	                     removals alike, and an answer carried over
+//	                     inserts gains the rows of joins seeded on that
+//	                     frontier (Session.ApplyDelta / Fork; new
 //	                     labels start afresh), hardened
 //	                     by the metamorphic mutation-sequence harness in
 //	                     mutation_diff_test.go; a query runs one way, a

@@ -46,7 +46,10 @@ import (
 //     positive verdict survives inserts, a negative one — or one a removal
 //     touched — is asked again.
 //  4. A complete mapping then needs only a join over the cached relations
-//     (ecrpq.JoinRelationsStream), not a fresh CRPQ evaluation.
+//     (ecrpq.JoinRelationsStream), not a fresh CRPQ evaluation. Settling an
+//     answer carried over a window that only inserted runs the same
+//     enumeration and joins each mapping once per source variable,
+//     pre-bound to each node of the window's frontier (seed).
 //
 // The engine is split along the prepared-query boundary (plan.go /
 // session.go): boundedPlan holds everything derivable from the query alone
@@ -224,6 +227,13 @@ type boundedEngine struct {
 	// relations, a bounded explain swaps in a witness search.
 	leaf func(st *boundedState) error
 
+	// seeds, when set, pre-binds each source variable of the pattern in turn
+	// to each of its nodes in every leaf join (seed); seedOrders holds the
+	// join order per variable, in the order of ecrpq.SourceVars.
+	seeds      []int
+	seedVars   []string
+	seedOrders [][]int
+
 	stop atomic.Bool
 
 	outMu sync.Mutex
@@ -313,6 +323,22 @@ func newBoundedEngine(p *boundedPlan, db *graph.DB, k int, boolOnly bool, pre ma
 	e.readFrom, e.readTo = p.q.Pattern.Reads(pre)
 	e.leaf = e.joinLeaf
 	return e, nil
+}
+
+// seed makes the run join each complete mapping once per source variable of
+// the pattern, pre-bound to each node of seeds: the rows of the answer with a
+// witness that binds some atom's source to a seed. Relations are resolved
+// with every source variable read (pattern.Graph.Reads with them in pre): an
+// atom whose source nothing else reads would otherwise be resolved as its
+// target support, which a join with that source bound cannot read.
+func (e *boundedEngine) seed(seeds []int) {
+	e.seeds, e.seedVars = seeds, ecrpq.SourceVars(e.p.q.Pattern)
+	pre := map[string]int{}
+	for _, z := range e.seedVars {
+		pre[z] = 0
+		e.seedOrders = append(e.seedOrders, ecrpq.PlanJoin(e.p.q.Pattern, nil, map[string]int{z: 0}))
+	}
+	e.readFrom, e.readTo = e.p.q.Pattern.Reads(pre)
 }
 
 func (e *boundedEngine) newState() *boundedState {
@@ -602,11 +628,17 @@ func (e *boundedEngine) joinLeaf(st *boundedState) error {
 	}
 	var rows []int32 // collected outside the critical section; run settles e.out
 	n := 0
-	ecrpq.JoinRelationsStream(e.p.q.Pattern, st.rels, e.order, e.pre, ecrpq.Options{Budget: e.fanBud},
-		func(row []int32, _ int) bool {
-			rows, n = append(rows, row...), n+1
-			return !e.boolOnly
-		})
+	collect := func(row []int32, _ int) bool {
+		rows, n = append(rows, row...), n+1
+		return !e.boolOnly
+	}
+	if e.seeds != nil {
+		for i, z := range e.seedVars {
+			ecrpq.JoinRelationsSeeded(e.p.q.Pattern, st.rels, e.seedOrders[i], z, e.seeds, ecrpq.Options{Budget: e.fanBud}, collect)
+		}
+	} else {
+		ecrpq.JoinRelationsStream(e.p.q.Pattern, st.rels, e.order, e.pre, ecrpq.Options{Budget: e.fanBud}, collect)
+	}
 	if n == 0 {
 		return nil
 	}

@@ -3,6 +3,7 @@ package cxrpq
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"maps"
 	"weak"
 
@@ -28,10 +29,13 @@ import (
 // Invalidation contract: the database must not be mutated while a call is
 // in flight. After a (quiescent) mutation, the next call finds the store
 // brought up to the bumped graph.DB revision (once, whoever asks first — see
-// ecrpq.AtomStore for the matrix), which keeps answers only across a
-// net-empty window. Session.ApplyDelta applies a batched mutation and
-// maintains eagerly; Invalidate drops the database's store. A Response may be
-// served from the store and shared between callers — treat its TupleSet as
+// ecrpq.AtomStore for the matrix), which keeps answers as they are across a
+// net-empty window and carries eval answers and true verdicts across a window
+// with no new label: Do settles a carried eval answer by a join seeded on the
+// window's frontier (settleCarried), and drops it when the window removed
+// edges. Session.ApplyDelta applies a batched mutation and maintains
+// eagerly; Invalidate drops the database's store. A Response may be served
+// from the store and shared between callers — treat its TupleSet as
 // immutable.
 
 // resultKey names one answer of a plan in its database's atom store: the
@@ -181,9 +185,10 @@ func (s *Session) semantics(name string, k int) (bounded bool, bound int, err er
 // Do executes one request against the session: the semantics are resolved,
 // the atom store is asked for the answer once, and on a miss the union arm
 // (every vstar-free query is a union of ECRPQ^er: Plan.members) or the
-// bounded arm (Theorem 6) runs the operation. Only a complete answer is
-// filed, charged 4 bytes per value of its tuples: an error, or a budget the
-// run ran into, files nothing.
+// bounded arm (Theorem 6) runs the operation — or, when the store carried
+// the answer over a window that only inserted, settles it (settleCarried).
+// Only a complete answer is filed, charged 4 bytes per value of its tuples:
+// an error, or a budget the run ran into, files nothing.
 func (s *Session) Do(req Request) Response {
 	bounded, k, err := s.semantics(req.Semantics, req.K)
 	if err != nil {
@@ -203,6 +208,9 @@ func (s *Session) Do(req Request) Response {
 	if hit {
 		return v.(Response)
 	}
+	if v, frontier, ok := atoms.Carried(key); ok {
+		return s.settleCarried(atoms, key, v.(Response), frontier, bounded, k, req.Budget)
+	}
 	var resp Response
 	if bounded {
 		resp = s.doBounded(atoms, req.Op, k, t, req.Budget)
@@ -210,13 +218,85 @@ func (s *Session) Do(req Request) Response {
 		resp = s.doUnion(req.Op, t, req.Budget)
 	}
 	if resp.Err == nil && req.Budget.Err() == nil {
-		values := 0
-		if resp.Tuples != nil {
-			values = len(resp.Tuples.Rows().Data)
-		}
-		atoms.FileAnswer(key, resp, values)
+		atoms.FileAnswer(key, resp, resp.values(), resp.carry())
 	}
 	return resp
+}
+
+// values is what a filed Response is charged for: the values of its tuples.
+func (r Response) values() int {
+	if r.Tuples == nil {
+		return 0
+	}
+	return len(r.Tuples.Rows().Data)
+}
+
+// carry is how the atom store carries a filed Response over a window that
+// only inserts (ecrpq.Carry): every query the paper defines is monotone, so
+// an eval answer grows by the rows settleCarried finds and a true verdict
+// stays true. A true verdict goes along once it was asked for again: a check
+// is keyed by its tuple, which may never recur. Explanations and false
+// verdicts are dropped.
+func (r Response) carry() ecrpq.Carry {
+	switch {
+	case r.Tuples != nil:
+		return ecrpq.CarryAlways
+	case r.OK && r.Explanation == nil:
+		return ecrpq.CarryReused
+	}
+	return ecrpq.CarryNone
+}
+
+// settleCarried brings old, the answer the store carried under key over a
+// window that only inserted, up to the database, and files it in place of
+// the stale copy. A verdict holds as it is. An eval answer gains the rows
+// with a witness that binds some atom's source variable to a node of the
+// window's frontier — the union arm runs the lazy evaluator per member
+// (ecrpq.EvalUnionSeededWith), the bounded arm its mapping enumeration with
+// seeded leaf joins (boundedDelta) — merged into the old rows. A run that
+// fails or that the budget cuts files nothing: a cut one returns the old rows
+// and those it found, with engine.ErrCanceled.
+func (s *Session) settleCarried(atoms *ecrpq.AtomStore, key any, old Response, frontier []int, bounded bool, k int, bud *engine.Budget) Response {
+	if old.Tuples == nil {
+		return atoms.SettleAnswer(key, old, 0, old.carry()).(Response)
+	}
+	var delta *pattern.TupleSet
+	var err error
+	if bounded {
+		delta, err = s.boundedDelta(atoms, k, frontier, bud)
+	} else {
+		var ms iter.Seq[member]
+		if ms, err = s.plan.members(); err == nil {
+			delta, err = ecrpq.EvalUnionSeededWith(queries(ms), s.db, frontier, ecrpq.Options{Budget: bud, Workers: s.workers})
+		}
+	}
+	if delta == nil {
+		delta = pattern.NewTupleSet()
+	}
+	resp := Response{Tuples: pattern.Merge(old.Tuples, delta)}
+	resp.OK = resp.Tuples.Len() > 0
+	if err == nil {
+		err = bud.Err()
+	}
+	if resp.Err = err; err != nil {
+		return resp
+	}
+	return atoms.SettleAnswer(key, resp, resp.values(), resp.carry()).(Response)
+}
+
+// boundedDelta is the bounded arm of settleCarried: the run's mapping
+// enumeration as it is, with every leaf joined once per source variable,
+// pre-bound to each node of seeds (boundedEngine.seed).
+func (s *Session) boundedDelta(atoms *ecrpq.AtomStore, k int, seeds []int, bud *engine.Budget) (*pattern.TupleSet, error) {
+	if len(seeds) == 0 {
+		return pattern.NewTupleSet(), nil
+	}
+	e, err := s.boundedRun(atoms, k, false, nil, bud)
+	if err != nil {
+		return nil, err
+	}
+	e.seed(seeds)
+	return e.run()
 }
 
 // doUnion runs op over the plan's union of ECRPQ^er. A truncated eval

@@ -193,7 +193,7 @@ func (s *Session) rankedCursor(atoms *ecrpq.AtomStore, bounded bool, k int, bud 
 	c := &Cursor{bud: bud, end: opts.Limit, nextWant: 1}
 	if w == nil && !baseline {
 		key := s.key("ranked", k, nil)
-		c.pre = atoms.FileAnswer(key, &rankedPrefix{atoms: atoms, key: key}, 0).(*rankedPrefix)
+		c.pre = atoms.FileAnswer(key, &rankedPrefix{atoms: atoms, key: key}, 0, ecrpq.CarryNone).(*rankedPrefix)
 	}
 	rev := s.db.Revision()
 	c.open = func() (*pull, error) {

@@ -2,6 +2,7 @@ package ecrpq
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
@@ -24,6 +25,7 @@ type EdgeRel struct {
 	size int
 
 	revOnce sync.Once
+	revDone atomic.Bool // rev is built: a successor relation may read it (carryReverse)
 	rev     [][]int
 	revLev  [][]int32 // parallel to rev (nil unless lev is set)
 
@@ -139,7 +141,7 @@ func (r *EdgeRel) forward(u int) ([]int, []int32) {
 
 // backward returns the sorted sources that reach v (and their costs),
 // building the reverse index from the forward lists on first use (no second
-// automaton pass).
+// automaton pass) unless the relation it was carried from handed it one.
 func (r *EdgeRel) backward(v int) ([]int, []int32) {
 	r.revOnce.Do(func() {
 		r.rev = make([][]int, len(r.fwd))
@@ -154,6 +156,7 @@ func (r *EdgeRel) backward(v int) ([]int, []int32) {
 				}
 			}
 		}
+		r.revDone.Store(true)
 	})
 	if v < 0 || v >= len(r.rev) {
 		return nil, nil
@@ -162,6 +165,23 @@ func (r *EdgeRel) backward(v int) ([]int, []int32) {
 		return r.rev[v], nil
 	}
 	return r.rev[v], r.revLev[v]
+}
+
+// reverse returns the reverse index, and false when it has not been built.
+func (r *EdgeRel) reverse() (rev [][]int, revLev [][]int32, ok bool) {
+	if !r.revDone.Load() {
+		return nil, nil, false
+	}
+	return r.rev, r.revLev, true
+}
+
+// setReverse installs a reverse index built elsewhere; the relation is new
+// and no reader has asked for one yet.
+func (r *EdgeRel) setReverse(rev [][]int, revLev [][]int32) {
+	r.revOnce.Do(func() {
+		r.rev, r.revLev = rev, revLev
+		r.revDone.Store(true)
+	})
 }
 
 func (r *EdgeRel) has(u, v int) (int32, bool) {
@@ -221,6 +241,15 @@ func JoinRelations(g *pattern.Graph, rels []*EdgeRel, order []int, pre map[strin
 // anyway) owns dedup and min-cost selection.
 func JoinRelationsStream(g *pattern.Graph, rels []*EdgeRel, order []int, pre map[string]int, o Options, yield StreamFunc) {
 	joinPlan(g, rels, order, pre, o.Ranked).stream(o.Budget, yield)
+}
+
+// JoinRelationsSeeded is JoinRelationsStream with the node variable seed
+// pre-bound, once to each node of nodes, over one plan compiled for it: order
+// is PlanJoin's with seed bound. A relation resolved from a support must
+// stand for the pairs under that binding (pattern.Graph.Reads with seed in
+// pre).
+func JoinRelationsSeeded(g *pattern.Graph, rels []*EdgeRel, order []int, seed string, nodes []int, o Options, yield StreamFunc) {
+	joinPlan(g, rels, order, map[string]int{seed: 0}, o.Ranked).streamSeeded(seed, nodes, o.Budget, yield)
 }
 
 // joinPlan compiles the join of g over rels in the given edge order.

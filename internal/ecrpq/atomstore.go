@@ -36,10 +36,10 @@ import (
 // its query text. An answer q(D) is a function of the query and the database
 // alone too, so the store also holds the answers the layer above files under
 // keys of its own (Answer, FileAnswer): whole answers and ranked prefixes,
-// opaque here. It lives in the database's derived-state slot
-// (graph.DB.Derived) and is collected with the snapshot; what bounds it is
-// one byte account (atomBudget), automata and answers included. See "The atom
-// store" in internal/README.md.
+// opaque here but for how a revision move treats them (Carry). It lives in
+// the database's derived-state slot (graph.DB.Derived) and is collected with
+// the snapshot; what bounds it is one byte account (atomBudget), automata
+// and answers included. See "The atom store" in internal/README.md.
 
 // AtomStore is the atom store of one database at one revision. All methods
 // are safe for concurrent use.
@@ -62,8 +62,8 @@ type atomFacts struct {
 	mu    sync.Mutex
 	m     map[string]*atomEntry
 	ans   map[any]answer     // nil until the first answer is filed
-	stale map[uint64]int     // stale entries by the revision they describe
-	wins  map[uint64]*window // by such a revision: what changed since, while stale entries of it remain
+	stale map[uint64]int     // stale entries and answers by the revision they describe
+	wins  map[uint64]*window // by such a revision: what changed since, while stale items of it remain
 	bytes int64              // entries, answers and windows
 }
 
@@ -75,19 +75,38 @@ const atomBudget = 64 << 20
 type atomCounters struct {
 	hits, misses, evictions            atomic.Uint64
 	resultHits, resultMisses           atomic.Uint64
+	resultCarried                      atomic.Uint64
 	deltaPasses, retains, fullRebuilds atomic.Uint64
 	retained, extended                 atomic.Uint64
 	kernel                             engine.Counters // every kernel call the store makes, settling's included
 }
 
 // answer is one filed answer and what it is accounted at: answerOverhead
-// plus 4 bytes per value it holds.
+// plus 4 bytes per value it holds. rev is the revision it describes: older
+// than the table's when it was carried (stale) and not settled since.
 type answer struct {
-	v     any
-	bytes int64
+	v      any
+	bytes  int64
+	rev    uint64
+	carry  Carry
+	reused bool // looked up again at its revision (CarryReused)
 }
 
 const answerOverhead = 160
+
+// Carry says what a revision move with no new label does to a filed answer.
+// Edge insertion is monotone for every query the paper defines, q(D) ⊆
+// q(D′), so an answer filed before a window that only inserted is a subset
+// of the answer after it, and the layer that filed it can settle it (Carried,
+// SettleAnswer). A window that removed edges, or that the delta log no longer
+// covers, drops it when it is next looked up.
+type Carry uint8
+
+const (
+	CarryNone   Carry = iota // dropped by every move that changes the graph
+	CarryAlways              // carried stale: a whole answer, settled over the window's frontier
+	CarryReused              // carried stale once looked up again at its revision: a true verdict, whose key may never recur
+)
 
 // atomEntry holds what is known about one atom. Fields are read and written
 // under atomFacts.mu; the values they point to are immutable but for the
@@ -234,10 +253,16 @@ func (s *AtomStore) CarryTo(db *graph.DB) *AtomStore {
 //	net-empty window              the facts are shared as they are, answers
 //	                              included
 //	no new label                  every entry carried, stale, and settled on
-//	                              its first lookup (current); answers dropped
+//	                              its first lookup (current); the answers
+//	                              filed to be carried (Carry) carried stale,
+//	                              settled by their filer over the window's
+//	                              frontier (Carried, SettleAnswer) or dropped
+//	                              on lookup when the window removed edges;
+//	                              the other answers dropped
 //	new label, uncovered, or no s a fresh store
 //
-// Carrying copies entry headers and nothing else: no kernel search runs.
+// Carrying copies entry and answer headers and nothing else: no kernel
+// search runs.
 func (s *AtomStore) successor(db *graph.DB) *AtomStore {
 	ns := &AtomStore{db: db, rev: db.Revision()}
 	ns.atomFacts = newFacts(&atomCounters{}, ns.rev)
@@ -461,6 +486,17 @@ func (s *AtomStore) grew(e *atomEntry, before int64) {
 	}
 }
 
+// dropAnswer removes the answer filed under key, a, from the store's
+// account, releasing a window with the last stale item of its revision. The
+// caller holds s.mu.
+func (s *AtomStore) dropAnswer(key any, a answer) {
+	delete(s.ans, key)
+	s.bytes -= a.bytes
+	if a.rev != s.atomFacts.rev {
+		s.unstale(a.rev)
+	}
+}
+
 // charge files a under key, accounted n bytes more, and drops every other
 // entry of a store over its budget. The caller holds s.mu.
 func (s *AtomStore) charge(key any, a answer, n int64) {
@@ -483,28 +519,90 @@ func (s *AtomStore) over() bool {
 }
 
 // Answer returns the answer filed under key, a comparable value the caller
-// makes. It counts nothing: the caller says what a hit is (CountAnswer).
+// makes, if it describes the store's revision: a carried one is found by
+// Carried. It counts nothing: the caller says what a hit is (CountAnswer).
 func (s *AtomStore) Answer(key any) (any, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	a, ok := s.ans[key]
-	return a.v, ok
+	if !ok || a.rev != s.atomFacts.rev {
+		return nil, false
+	}
+	if a.carry == CarryReused && !a.reused {
+		a.reused = true
+		s.ans[key] = a
+	}
+	return a.v, true
 }
 
-// FileAnswer files v under key, charged for values values, unless an answer
-// is filed there already, and returns the answer filed under key. It counts
-// neither a hit nor a miss.
-func (s *AtomStore) FileAnswer(key, v any, values int) any {
+// Carried returns the stale answer filed under key and the frontier of the
+// window since the revision it describes (ascending; empty when the window
+// is net-empty): every row the window added has a witness that binds the
+// source of some atom to one of its nodes (see the file comment of
+// delta.go). A window that removed edges, or that the delta log no longer
+// covers, cannot carry the answer: it is dropped, and ok is false.
+func (s *AtomStore) Carried(key any) (v any, frontier []int, ok bool) {
+	s.mu.Lock()
+	a, ok := s.ans[key]
+	s.mu.Unlock()
+	if !ok || a.rev == s.atomFacts.rev {
+		return nil, nil, false
+	}
+	w := s.window(a.rev)
+	if w.info != nil && len(w.info.Removed) == 0 {
+		if w.frontier != nil {
+			frontier = w.frontier.list
+		}
+		return a.v, frontier, true
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if a, ok := s.ans[key]; ok {
-		return a.v
+	if have, ok := s.ans[key]; ok && have.rev == a.rev {
+		s.dropAnswer(key, have)
+	}
+	return nil, nil, false
+}
+
+// FileAnswer files v under key, charged for values values and carried as
+// carry says, unless an answer of the store's revision is filed there
+// already, and returns the answer filed under key. A stale one is replaced.
+// It counts neither a hit nor a miss.
+func (s *AtomStore) FileAnswer(key, v any, values int, carry Carry) any {
+	v, _ = s.file(key, answer{v: v, carry: carry}, values)
+	return v
+}
+
+// SettleAnswer is FileAnswer of v, the answer Carried returned under key
+// brought up to the store's revision: it replaces the stale copy — never
+// charged twice — counts as looked up again, and is counted
+// (AtomStats.ResultCarried) unless another reader settled it first, whose
+// answer it then returns.
+func (s *AtomStore) SettleAnswer(key, v any, values int, carry Carry) any {
+	v, filed := s.file(key, answer{v: v, carry: carry, reused: true}, values)
+	if filed {
+		s.ctr.resultCarried.Add(1)
+	}
+	return v
+}
+
+// file files a, charged for values values, unless an answer of the store's
+// revision is filed under key, and returns the answer filed there and
+// whether it is a.
+func (s *AtomStore) file(key any, a answer, values int) (any, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if have, ok := s.ans[key]; ok {
+		if have.rev == s.atomFacts.rev {
+			return have.v, false
+		}
+		s.dropAnswer(key, have)
 	}
 	if s.ans == nil {
 		s.ans = map[any]answer{}
 	}
-	s.charge(key, answer{v: v}, answerOverhead+4*int64(values))
-	return v
+	a.rev = s.atomFacts.rev
+	s.charge(key, a, answerOverhead+4*int64(values))
+	return a.v, true
 }
 
 // ChargeAnswer charges values more values to the answer v, a pointer, if it
@@ -513,7 +611,7 @@ func (s *AtomStore) FileAnswer(key, v any, values int) any {
 func (s *AtomStore) ChargeAnswer(key, v any, values int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if a, ok := s.ans[key]; ok && a.v == v {
+	if a, ok := s.ans[key]; ok && a.v == v && a.rev == s.atomFacts.rev {
 		s.charge(key, a, 4*int64(values))
 	}
 }
@@ -747,7 +845,7 @@ type AtomStats struct {
 	Supports  AtomKind `json:"supports"`
 	Verdicts  AtomKind `json:"verdicts"`
 	Rows      AtomKind `json:"rows"`    // entries: row tables, one per atom and direction
-	Results   AtomKind `json:"results"` // entries: answers filed; bytes: charged for them
+	Results   AtomKind `json:"results"` // entries: answers filed, carried ones included; bytes: charged for them
 	Bytes     int64    `json:"bytes"`   // accounted in all: entry overheads, stale entries and their windows included
 	Budget    int64    `json:"budget"`
 	Stale     int      `json:"stale"` // entries not yet brought up to the revision: settled on their next lookup
@@ -758,9 +856,11 @@ type AtomStats struct {
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"` // whole-epoch drops on overflow
 
-	// Answer lookups, as the layer that files the answers counts them.
-	ResultHits   uint64 `json:"result_hits"`
-	ResultMisses uint64 `json:"result_misses"`
+	// Answer lookups, as the layer that files the answers counts them, and
+	// the answers settled from a carried one (SettleAnswer).
+	ResultHits    uint64 `json:"result_hits"`
+	ResultMisses  uint64 `json:"result_misses"`
+	ResultCarried uint64 `json:"result_carried"`
 
 	// Revision moves, by row of the matrix, and how the carried entries
 	// settled — counted when each settles, not at the move: retained when
@@ -780,7 +880,7 @@ func (s *AtomStore) Stats() AtomStats {
 	c := s.ctr
 	st := AtomStats{Budget: s.budget,
 		Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions.Load(),
-		ResultHits: c.resultHits.Load(), ResultMisses: c.resultMisses.Load(),
+		ResultHits: c.resultHits.Load(), ResultMisses: c.resultMisses.Load(), ResultCarried: c.resultCarried.Load(),
 		DeltaPasses: c.deltaPasses.Load(), Retains: c.retains.Load(), FullRebuilds: c.fullRebuilds.Load(),
 		Retained: c.retained.Load(), Extended: c.extended.Load(), Kernel: c.kernel.Load()}
 	s.mu.Lock()

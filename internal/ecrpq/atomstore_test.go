@@ -123,7 +123,8 @@ func TestAtomStoreByteBound(t *testing.T) {
 // drop the epoch again and again: the bytes reported are the sum of what the
 // entries account for and never pass the budget by more than the largest
 // entry, and the answer just filed is held and read back. An insert-only
-// move carries no answer; a net-empty window carries all of them.
+// move carries no answer filed with CarryNone; a net-empty window carries all
+// of them.
 func TestAtomStoreAnswerAccount(t *testing.T) {
 	t.Parallel()
 	const n = 40
@@ -154,7 +155,7 @@ func TestAtomStoreAnswerAccount(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		name := fmt.Sprintf("answer %d", i)
 		v := &[]int32{int32(i)}
-		if got := store.FileAnswer(key{i}, v, r.Intn(1500)); got != v {
+		if got := store.FileAnswer(key{i}, v, r.Intn(1500), CarryNone); got != v {
 			t.Fatalf("%s: filing under a fresh key returned %v", name, got)
 		}
 		if i%3 == 0 { // grows tier by tier
@@ -182,7 +183,7 @@ func TestAtomStoreAnswerAccount(t *testing.T) {
 	store.budget = atomBudget
 	fill := func(s *AtomStore) {
 		for i := range 50 {
-			s.FileAnswer(key{i}, i, 10)
+			s.FileAnswer(key{i}, i, 10, CarryNone)
 		}
 	}
 	fill(store)
@@ -709,4 +710,96 @@ func TestAtomStoreWarmScanBytes(t *testing.T) {
 	if st := Atoms(db).Stats(); st.Misses != misses || st.Rows.Complete == 0 {
 		t.Fatalf("warm evaluations missed the store %d times, complete tables %d", st.Misses-misses, st.Rows.Complete)
 	}
+}
+
+// TestAtomStoreCarriedAnswers: what a move does to each kind of answer, and
+// the byte account through it. Over an insert-only move an answer filed with
+// CarryAlways, and one with CarryReused that was looked up again, are
+// carried stale — Answer misses them, Carried returns them with the window's
+// frontier — and the others are dropped. SettleAnswer files the settled
+// answer in place of the stale copy; once every stale item has settled no
+// window is left and the account is the sum of what the entries and answers
+// hold. A window that removed edges drops the answer on lookup.
+func TestAtomStoreCarriedAnswers(t *testing.T) {
+	t.Parallel()
+	db := probeRandomDB(17, 30, 60, "ab")
+	exact := func(s *AtomStore, when string) {
+		t.Helper()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		var sum int64
+		for _, e := range s.m {
+			sum += e.size()
+		}
+		for _, a := range s.ans {
+			sum += a.bytes
+		}
+		for _, w := range s.wins {
+			sum += w.bytes
+		}
+		if sum != s.bytes {
+			t.Fatalf("%s: %d bytes accounted, the store holds %d", when, s.bytes, sum)
+		}
+	}
+	s := Atoms(db)
+	type key struct{ i int }
+	s.FileAnswer(key{0}, "eval", 10, CarryAlways)
+	s.FileAnswer(key{1}, "verdict read again", 0, CarryReused)
+	s.FileAnswer(key{2}, "verdict never read again", 0, CarryReused)
+	s.FileAnswer(key{3}, "prefix", 10, CarryNone)
+	if _, ok := s.Answer(key{1}); !ok {
+		t.Fatal("an answer just filed does not read back")
+	}
+	if _, err := db.ApplyDelta(graph.Delta{Add: []graph.DeltaEdge{{From: "fresh", Label: 'a', To: db.Name(0)}}}); err != nil {
+		t.Fatal(err)
+	}
+	s = Atoms(db)
+	if st := s.Stats(); st.Results.Entries != 2 {
+		t.Fatalf("an insert-only move carried %d answers, want the eval and the verdict read again", st.Results.Entries)
+	}
+	exact(s, "after the move")
+	for i, want := range []string{"eval", "verdict read again"} {
+		if _, ok := s.Answer(key{i}); ok {
+			t.Fatalf("%s: a carried answer reads back as current", want)
+		}
+		v, frontier, ok := s.Carried(key{i})
+		if !ok || v != want || !slices.Contains(frontier, db.NumNodes()-1) {
+			t.Fatalf("%s: carried as %v, %v over the frontier %v", want, v, ok, frontier)
+		}
+	}
+	if _, _, ok := s.Carried(key{2}); ok {
+		t.Fatal("a verdict never read again was carried")
+	}
+	exact(s, "with the window filed")
+	if got := s.SettleAnswer(key{0}, "eval settled", 12, CarryAlways); got != "eval settled" {
+		t.Fatalf("settling filed %v", got)
+	}
+	if got := s.SettleAnswer(key{0}, "eval settled twice", 12, CarryAlways); got != "eval settled" {
+		t.Fatalf("a second settle replaced the first: %v", got)
+	}
+	s.SettleAnswer(key{1}, "verdict read again", 0, CarryReused)
+	if st := s.Stats(); st.ResultCarried != 2 || st.Results.Entries != 2 {
+		t.Fatalf("two answers settled: %+v", st)
+	}
+	s.Verdicts() // settles every entry
+	exact(s, "all settled")
+	s.mu.Lock()
+	left := len(s.wins) + len(s.stale)
+	s.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("all settled: %d windows and stale revisions left", left)
+	}
+
+	// A window that removed edges drops the answer when it is looked up.
+	if _, err := db.ApplyDelta(graph.Delta{Del: []graph.DeltaEdge{{From: "fresh", Label: 'a', To: db.Name(0)}}, Add: []graph.DeltaEdge{{From: db.Name(1), Label: 'b', To: db.Name(2)}}}); err != nil {
+		t.Fatal(err)
+	}
+	s = Atoms(db)
+	if _, _, ok := s.Carried(key{0}); ok {
+		t.Fatal("an answer was carried over a window that removed an edge")
+	}
+	if st := s.Stats(); st.Results.Entries != 1 {
+		t.Fatalf("%d answers held after the lookup dropped one; want the verdict still carried", st.Results.Entries)
+	}
+	exact(s, "after the drop")
 }

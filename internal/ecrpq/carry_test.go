@@ -76,6 +76,15 @@ func checkSettled(t *testing.T, s *AtomStore, where string) {
 					t.Fatalf("%s: %s: levels of %d are %v, fresh %v", where, name, u, got, want.lev[u])
 				}
 			}
+			_, _, built := e.rel.reverse()
+			for v := 0; v < n; v++ {
+				got, gotLev := e.rel.backward(v)
+				fresh, freshLev := want.backward(v)
+				if !rowEqual(got, fresh) || !slices.Equal(gotLev, freshLev) {
+					t.Fatalf("%s: %s: the sources of %d are %v (costs %v), fresh %v (%v); reverse index built before: %v",
+						where, name, v, got, gotLev, fresh, freshLev, built)
+				}
+			}
 		}
 		for d := range e.sup {
 			if e.sup[d] != nil {
@@ -153,7 +162,10 @@ func readFacts(t *testing.T, s *AtomStore, r *testRNG) {
 			case 0:
 				_, err = s.Relation(a, engine.ReachOpts{})
 			case 1:
-				_, err = s.Relation(a, engine.ReachOpts{Levels: true})
+				var rel *EdgeRel
+				if rel, err = s.Relation(a, engine.ReachOpts{Levels: true}); err == nil {
+					rel.backward(0) // builds the reverse index, which the next move carries
+				}
 			case 2, 3:
 				_, err = s.Support(a, r.intn(2) == 0, nil)
 			case 4, 5:
@@ -241,8 +253,10 @@ func randomMove(t *testing.T, db *graph.DB, r *testRNG, step int, pending []grap
 // the store carried from snapshot view to snapshot view as the server's
 // publish does, a random half of the entries read after each move — the rest
 // left stale across several — and every settled fact compared with a fresh
-// store's. One seed runs a stretch of net-empty windows past the delta log's
-// reach, so the entries the stretch shared are emptied when next read.
+// store's, a relation's backward lists — its reverse index, carried by the
+// move when it was built — included. One seed runs a stretch of net-empty
+// windows past the delta log's reach, so the entries the stretch shared are
+// emptied when next read.
 func TestCarriedFactsDifferential(t *testing.T) {
 	t.Parallel()
 	seeds := 40

@@ -37,9 +37,19 @@ import (
 //     other verdict of a touched entry becomes unknown.
 //
 // A window the log no longer covers, or one that brings a new label, empties
-// the entry. Answers are never carried: a move that changed anything drops
-// them. Settling searches under the budget of the lookup that asked, and one
-// it cuts installs nothing: the entry stays stale for the next reader.
+// the entry. Settling searches under the budget of the lookup that asked, and
+// one it cuts installs nothing: the entry stays stale for the next reader.
+//
+// Answers filed to be carried (Carry) go along stale too, and the same
+// frontier bounds what settles them: a row of q(D′) \ q(D) has a witness that
+// uses an added edge, or a new node, in the path of some atom — a group
+// component's included — and that path's start, the node bound to the atom's
+// source variable, reaches the edge's tail in D′, so it is in the frontier.
+// The layer that filed the answer joins once per source variable with the
+// variable pre-bound to each frontier node and merges the rows into the old
+// answer. That holds for an insert-only window alone: AtomStore.Carried drops
+// an answer whose window removed edges, and a window that brings a new label
+// leaves a fresh store.
 
 // window is what changed between the revision a stale entry describes and
 // the store's: nil info when the entry cannot be carried over it.
@@ -137,7 +147,8 @@ func buildFrontier(db *graph.DB, info *graph.DeltaInfo) *deltaFrontier {
 // carry returns a table at revision rev holding every entry of s, stale: a
 // header copy each, sharing the relation, supports, diagonals and complete
 // row tables as they are. A row table still being filled is written in place
-// by s, so the copy gets its own span and an arena capped at its length.
+// by s, so the copy gets its own span and an arena capped at its length. The
+// answers filed to be carried (Carry) go along stale too, as they are.
 func (s *AtomStore) carry(rev uint64) *atomFacts {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -155,8 +166,19 @@ func (s *AtomStore) carry(rev uint64) *atomFacts {
 		nf.stale[ne.rev]++
 		nf.bytes += ne.size()
 	}
+	for key, a := range s.ans {
+		if a.carry == CarryAlways || a.carry == CarryReused && a.reused {
+			if nf.ans == nil {
+				nf.ans = map[any]answer{}
+			}
+			a.reused = false
+			nf.ans[key] = a
+			nf.stale[a.rev]++
+			nf.bytes += a.bytes
+		}
+	}
 	if nf.bytes > nf.budget {
-		nf.m, nf.stale, nf.bytes = map[string]*atomEntry{}, nil, 0
+		nf.m, nf.ans, nf.stale, nf.bytes = map[string]*atomEntry{}, nil, nil, 0
 		nf.ctr.evictions.Add(1)
 	}
 	return nf
@@ -475,6 +497,16 @@ func growRelation(old *EdgeRel, newN int, hasEps bool) *EdgeRel {
 			r.size++
 		}
 	}
+	if rev, revLev, ok := old.reverse(); ok {
+		nrev, nlev := widenReverse(rev, revLev, newN)
+		for u := oldN; u < newN && hasEps; u++ {
+			nrev[u] = r.fwd[u]
+			if nlev != nil {
+				nlev[u] = r.lev[u]
+			}
+		}
+		r.setReverse(nrev, nlev)
+	}
 	return r
 }
 
@@ -496,5 +528,98 @@ func extendRelation(old *EdgeRel, newN int, srcs []int, res engine.BatchResult) 
 			r.lev[u] = res.Levs[i]
 		}
 	}
+	if rev, revLev, ok := old.reverse(); ok {
+		r.setReverse(carryReverse(old, r, rev, revLev, srcs))
+	}
 	return r
+}
+
+// widenReverse returns a copy of a reverse index over n nodes, sharing its
+// lists; the new nodes' are empty.
+func widenReverse(rev [][]int, revLev [][]int32, n int) ([][]int, [][]int32) {
+	nrev := make([][]int, n)
+	copy(nrev, rev)
+	var nlev [][]int32
+	if revLev != nil {
+		nlev = make([][]int32, n)
+		copy(nlev, revLev)
+	}
+	return nrev, nlev
+}
+
+// carryReverse returns the reverse index of r — old with the rows of the
+// ascending sources srcs replaced — from old's, rev and revLev: only the
+// lists of targets in those sources' old or new rows change, and each
+// becomes its old list without srcs merged with the sources of srcs whose new
+// row holds it. The other lists are shared.
+func carryReverse(old, r *EdgeRel, rev [][]int, revLev [][]int32, srcs []int) ([][]int, [][]int32) {
+	n := len(r.fwd)
+	nrev, nlev := widenReverse(rev, revLev, n)
+	inSrc := make([]uint64, (n+63)/64)
+	for _, u := range srcs {
+		bitSet(inSrc, u)
+	}
+	type gain struct {
+		us   []int
+		levs []int32
+	}
+	gains := map[int]*gain{} // target -> the sources of srcs whose new row holds it, ascending
+	for _, u := range srcs {
+		for _, v := range old.Forward(u) {
+			if gains[v] == nil {
+				gains[v] = &gain{}
+			}
+		}
+		ws, ls := r.forward(u)
+		for i, v := range ws {
+			g := gains[v]
+			if g == nil {
+				g = &gain{}
+				gains[v] = g
+			}
+			g.us = append(g.us, u)
+			if nlev != nil {
+				g.levs = append(g.levs, ls[i])
+			}
+		}
+	}
+	for v, g := range gains {
+		var was []int
+		var wasLev []int32
+		if v < len(rev) {
+			was = rev[v]
+			if revLev != nil {
+				wasLev = revLev[v]
+			}
+		}
+		us := make([]int, 0, len(was)+len(g.us))
+		var levs []int32
+		if nlev != nil {
+			levs = make([]int32, 0, cap(us))
+		}
+		for i, j := 0, 0; i < len(was) || j < len(g.us); {
+			if i < len(was) && bitHas(inSrc, was[i]) {
+				i++
+				continue
+			}
+			if j == len(g.us) || i < len(was) && was[i] < g.us[j] {
+				us = append(us, was[i])
+				if levs != nil {
+					levs = append(levs, wasLev[i])
+				}
+				i++
+			} else {
+				us = append(us, g.us[j])
+				if levs != nil {
+					levs = append(levs, g.levs[j])
+				}
+				j++
+			}
+		}
+		nrev[v] = us
+		if nlev != nil {
+			nlev[v] = levs
+		}
+	}
+	return nrev, nlev
 }

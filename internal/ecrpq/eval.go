@@ -63,6 +63,33 @@ func EvalWith(q *Query, db *graph.DB, o Options) (*pattern.TupleSet, error) {
 	return out, o.Budget.Err()
 }
 
+// evalSeeded computes the rows of q(D) that have a witness binding the
+// source variable of some atom — a group component's included — to a node
+// of seeds: for each distinct source variable, one plan with the variable
+// pre-bound, run once per seed on the lazy evaluator. With seeds the
+// frontier of a window that only inserted, they are the rows the window
+// added to q (see delta.go), and some rows it did not add. On cancellation
+// it returns the rows found so far with engine.ErrCanceled. The set is
+// settled.
+func evalSeeded(q *Query, db *graph.DB, seeds []int, o Options) (*pattern.TupleSet, error) {
+	out := pattern.NewTupleSet()
+	if len(seeds) == 0 {
+		return out, nil
+	}
+	ev, err := newEvaluator(q, db, o, true)
+	if err != nil {
+		return nil, err
+	}
+	for _, z := range SourceVars(q.Pattern) {
+		ev.compile(map[string]int{z: 0}, false).streamSeeded(z, seeds, ev.bud, func(row []int32, _ int) bool {
+			out.Append(row)
+			return true
+		})
+	}
+	out.Settle()
+	return out, o.Budget.Err()
+}
+
 // EvalBool decides D |= q for Boolean q (it also works for non-Boolean
 // queries, deciding non-emptiness of q(D)).
 func EvalBool(q *Query, db *graph.DB) (bool, error) {

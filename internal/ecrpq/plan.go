@@ -1,6 +1,7 @@
 package ecrpq
 
 import (
+	"slices"
 	"sort"
 
 	"cxrpq/internal/engine"
@@ -256,6 +257,33 @@ func (p *plan) stream(bud *engine.Budget, yield StreamFunc) {
 		p.project(a, row)
 		return yield(row, cost)
 	})
+}
+
+// streamSeeded streams the plan once per node of nodes, written into the
+// pre-bound slot of the variable z, until the budget cancels. A false return
+// from yield ends one run, not the others.
+func (p *plan) streamSeeded(z string, nodes []int, bud *engine.Budget, yield StreamFunc) {
+	s := p.slot(z)
+	for _, u := range nodes {
+		if bud.Canceled() {
+			return
+		}
+		p.init[s] = int32(u)
+		p.stream(bud, yield)
+	}
+}
+
+// SourceVars returns the distinct source variables of g's edges, in edge
+// order: a row a graph gains by a window binds one of them to a node of the
+// window's frontier (see delta.go).
+func SourceVars(g *pattern.Graph) []string {
+	var out []string
+	for _, e := range g.Edges {
+		if !slices.Contains(out, e.From) {
+			out = append(out, e.From)
+		}
+	}
+	return out
 }
 
 func bitHas(b []uint64, i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }

@@ -157,9 +157,23 @@ func (s *unionSink) finish() error {
 // EvalUnionWith computes ⋃ qi(D) over the members of ms. On a failure or a
 // cancellation it returns the sound partial set found so far with the error.
 func EvalUnionWith(ms Members, db *graph.DB, o Options) (*pattern.TupleSet, error) {
+	return evalUnion(ms, db, o, func(q *Query, o Options) (*pattern.TupleSet, error) { return EvalWith(q, db, o) })
+}
+
+// EvalUnionSeededWith is evalSeeded over every member of ms: the rows of
+// ⋃ qi(D) with a witness that binds some atom's source variable to a node of
+// seeds. On a failure or a cancellation it returns the rows found so far with
+// the error.
+func EvalUnionSeededWith(ms Members, db *graph.DB, seeds []int, o Options) (*pattern.TupleSet, error) {
+	return evalUnion(ms, db, o, func(q *Query, o Options) (*pattern.TupleSet, error) { return evalSeeded(q, db, seeds, o) })
+}
+
+// evalUnion merges the settled sets eval computes per member of ms, under
+// the fan budget.
+func evalUnion(ms Members, db *graph.DB, o Options, eval func(*Query, Options) (*pattern.TupleSet, error)) (*pattern.TupleSet, error) {
 	s := &unionSink{bud: o.Budget, fan: o.Budget.Fork(), workers: o.Workers}
 	s.run(ms, db, func(i int, q *Query, bud *engine.Budget) {
-		res, err := EvalWith(q, db, Options{Budget: bud})
+		res, err := eval(q, Options{Budget: bud})
 		s.merge(res)
 		if err != nil {
 			s.fail(i, err)

@@ -15,7 +15,8 @@ import (
 // text: Parse and ParseDeltaEdges never panic and accept the same edge
 // lines; for an accepted input, Write re-parses to the same named nodes and
 // the same edge multiset, and ReadFull of WriteFull gives back the names in
-// id order, the edges and the revision.
+// id order, the edges and the revision — and refuses the checkpoint with any
+// one byte flipped.
 func FuzzGraphRead(f *testing.F) {
 	for _, s := range []string{
 		"",
@@ -79,6 +80,12 @@ func FuzzGraphRead(f *testing.F) {
 		if !slices.Equal(full.Names(), d.Names()) || !slices.Equal(edgeLines(full), want) || full.Revision() != d.Revision() {
 			t.Fatalf("%q checkpoints as %q, which loads as nodes %v, edges %v, revision %d; want %v, %v, %d",
 				s, buf.String(), full.Names(), edgeLines(full), full.Revision(), d.Names(), want, d.Revision())
+		}
+		flipped := buf.Bytes()
+		at := int(crc32.ChecksumIEEE([]byte(s)) % uint32(len(flipped)))
+		flipped[at] ^= byte(1 + len(s)%255)
+		if _, err := ReadFull(bytes.NewReader(flipped)); err == nil {
+			t.Fatalf("%q checkpoints as %q, which loads with byte %d flipped: %q", s, buf.String(), at, flipped)
 		}
 	})
 }

@@ -6,7 +6,10 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
+	"hash"
+	"hash/crc32"
 	"io"
 	"math/bits"
 	"sort"
@@ -458,15 +461,18 @@ func (d *DB) Write(w io.Writer) error {
 }
 
 // WriteFull serialises the database in the checkpoint superset of the Write
-// format: a "#cxrpq v1 rev=R" header, one "#node <name>" directive per node
-// in id order, then the Write edge lines. Unlike Write, the output
-// reconstructs isolated nodes, the exact name→id assignment, and the
-// revision lineage — everything the WAL checkpoint needs. Plain Read treats
-// the directives as comments, so a checkpoint file still loads as a graph
-// with older tooling (minus isolated nodes).
+// format, version 2: a "#cxrpq v2 rev=R" header, one "#node <name>" directive
+// per node in id order, the Write edge lines, and a trailer line holding the
+// byte count and the CRC-32 (IEEE) of everything before it. Unlike Write,
+// the output reconstructs isolated nodes, the exact name→id assignment, and
+// the revision lineage — everything the WAL checkpoint needs — and ReadFull
+// refuses it damaged. Plain Read treats the directives and the trailer as
+// comments, so a checkpoint file still loads as a graph with older tooling
+// (minus isolated nodes).
 func (d *DB) WriteFull(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "#cxrpq v1 rev=%d\n", d.version); err != nil {
+	sum := &sumWriter{w: w, h: crc32.NewIEEE()}
+	bw := bufio.NewWriter(sum)
+	if _, err := fmt.Fprintf(bw, "#cxrpq v2 rev=%d\n", d.version); err != nil {
 		return err
 	}
 	for _, name := range d.names {
@@ -477,21 +483,73 @@ func (d *DB) WriteFull(w io.Writer) error {
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	return d.Write(w)
+	if err := d.Write(sum); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintf(w, checkpointTrailer, sum.n, sum.h.Sum32())
+	return err
 }
 
-// ReadFull parses the WriteFull checkpoint format. "#node" directives are
-// interned in file order (restoring the id assignment), "#cxrpq ... rev=R"
-// pins the revision counter, and every remaining line — including lines
-// whose from-node happens to start with '#', which plain Read would drop as
-// comments — is parsed as an edge when its first field names a declared
-// node. Lines starting with '#' that do not resolve to a declared node stay
-// comments, keeping ReadFull a superset of Read.
+// checkpointTrailer is the last line of a version-2 checkpoint: the byte
+// count and CRC-32 (IEEE) of everything before it.
+const checkpointTrailer = "#cxrpq end bytes=%d crc=%08x\n"
+
+// sumWriter passes writes through to w, counting and checksumming them.
+type sumWriter struct {
+	w io.Writer
+	h hash.Hash32
+	n int64
+}
+
+func (s *sumWriter) Write(p []byte) (int, error) {
+	n, err := s.w.Write(p)
+	s.h.Write(p[:n])
+	s.n += int64(n)
+	return n, err
+}
+
+// checkedBody returns the part of a checkpoint before its trailer, checked
+// against it: a version-2 checkpoint — one whose first line is a v2 header
+// or whose last line is a trailer — must end in the trailer of everything
+// before it, so a changed, lost or added byte anywhere is refused. Anything
+// else (a "#cxrpq v1" checkpoint, a plain edge list) is returned whole.
+func checkedBody(data []byte) ([]byte, error) {
+	end := len(data)
+	if end > 0 && data[end-1] == '\n' {
+		end--
+	}
+	at := bytes.LastIndexByte(data[:end], '\n') + 1
+	trailer := data[at:]
+	if !bytes.HasPrefix(data, []byte("#cxrpq v2 ")) && !bytes.HasPrefix(trailer, []byte("#cxrpq end ")) {
+		return data, nil
+	}
+	if want := fmt.Sprintf(checkpointTrailer, at, crc32.ChecksumIEEE(data[:at])); string(trailer) != want {
+		return nil, fmt.Errorf("graph: checkpoint damaged: its last line is %.80q, the content before it checks as %q", trailer, strings.TrimSuffix(want, "\n"))
+	}
+	return data[:at], nil
+}
+
+// ReadFull parses the WriteFull checkpoint format, version 2 or 1, after
+// checking a version-2 file against its trailer (checkedBody). "#node"
+// directives are interned in file order (restoring the id assignment),
+// "#cxrpq ... rev=R" pins the revision counter, and every remaining line —
+// including lines whose from-node happens to start with '#', which plain
+// Read would drop as comments — is parsed as an edge when its first field
+// names a declared node. Lines starting with '#' that do not resolve to a
+// declared node stay comments, keeping ReadFull a superset of Read.
 func ReadFull(r io.Reader) (*DB, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	body, err := checkedBody(data)
+	if err != nil {
+		return nil, err
+	}
 	d := New()
 	var rev uint64
 	haveRev := false
-	err := eachLine(r, func(lineNo int, line string) error {
+	err = eachLine(bytes.NewReader(body), func(lineNo int, line string) error {
 		switch {
 		case line == "":
 			return nil

@@ -95,6 +95,39 @@ func TestWriteFullRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestCheckpointFlipRefused is the regression of a checkpoint that loaded
+// short: a 2-edge graph checkpointed in the version-1 format, its first edge
+// line's first byte turned into '#', loaded without an error as a graph of
+// one edge, the line read as a comment. A version-2 checkpoint refuses that
+// file — and one with its trailer cut off — while the file as written loads
+// whole; a "#cxrpq v1" checkpoint, which has no trailer, still loads.
+func TestCheckpointFlipRefused(t *testing.T) {
+	d := MustParse("u a v\nv b w\n")
+	var buf bytes.Buffer
+	if err := d.WriteFull(&buf); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	if got, err := ReadFull(bytes.NewReader(full)); err != nil || got.NumEdges() != 2 {
+		t.Fatalf("the checkpoint as written: %v", err)
+	}
+	edge := bytes.Index(full, []byte("\nu a v\n")) + 1
+	flipped := bytes.Clone(full)
+	flipped[edge] = '#'
+	if got, err := ReadFull(bytes.NewReader(flipped)); err == nil {
+		t.Fatalf("a checkpoint with its first edge line commented out loads with %d of 2 edges", got.NumEdges())
+	}
+	cut := full[:bytes.LastIndexByte(full[:len(full)-1], '\n')+1]
+	if got, err := ReadFull(bytes.NewReader(cut)); err == nil {
+		t.Fatalf("a checkpoint without its trailer loads with %d edges", got.NumEdges())
+	}
+	v1 := "#cxrpq v1 rev=7\n#node u\n#node v\n#node w\nu a v\nv b w\n"
+	got, err := ReadFull(bytes.NewReader([]byte(v1)))
+	if err != nil || got.NumEdges() != 2 || got.NumNodes() != 3 || got.Revision() != 7 {
+		t.Fatalf("a version-1 checkpoint: %v", err)
+	}
+}
+
 // The plain Write format round-trips the edge multiset for ordinary names
 // (its documented contract); isolated nodes are out of scope for it.
 func TestWriteRoundTripEdges(t *testing.T) {

@@ -409,6 +409,47 @@ func sortedPerm(in Rows) []int32 {
 	return perm
 }
 
+// Merge returns the union of the settled sets a and b, settled: a itself
+// when b adds no row, b when a is empty. Neither is written. Each row of b is
+// placed in a's sorted rows by bisection from the last one's place, and the
+// runs of a between the new rows are copied whole, so a b of few rows costs
+// their searches and one copy of a's slab.
+func Merge(a, b *TupleSet) *TupleSet {
+	x, y := a.rows, b.rows
+	if y.N == 0 {
+		return a
+	}
+	if x.N == 0 {
+		return b
+	}
+	if !a.settled || !b.settled || x.Arity != y.Arity {
+		panic("pattern: Merge of unsettled sets or of two arities")
+	}
+	var at []int32 // per new row of b, in order: the row of a it goes before
+	var fresh []int32
+	lo := 0
+	for j := 0; j < y.N; j++ {
+		row := y.Row(j)
+		lo += sort.Search(x.N-lo, func(i int) bool { return slices.Compare(x.Row(lo+i), row) >= 0 })
+		if lo == x.N || !slices.Equal(x.Row(lo), row) {
+			at, fresh = append(at, int32(lo)), append(fresh, int32(j))
+		}
+	}
+	if len(at) == 0 {
+		return a
+	}
+	n := x.N + len(at)
+	out := Rows{Arity: x.Arity, N: n, Data: make([]int32, 0, n*x.Arity)}
+	prev := 0
+	for k, p := range at {
+		out.Data = append(out.Data, x.Data[prev*x.Arity:int(p)*x.Arity]...)
+		out.Data = append(out.Data, y.Row(int(fresh[k]))...)
+		prev = int(p)
+	}
+	out.Data = append(out.Data, x.Data[prev*x.Arity:]...)
+	return &TupleSet{rows: out, settled: true, kept: n}
+}
+
 // All returns the tuples in the order of Rows.
 func (s *TupleSet) All() []Tuple { return s.rows.Tuples() }
 

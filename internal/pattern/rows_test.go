@@ -519,3 +519,31 @@ func BenchmarkTupleSetAdd(b *testing.B) {
 		}
 	}
 }
+
+// TestMergeSettled: Merge of two settled sets is their union, settled —
+// arity 0 included — and returns a itself when b adds nothing.
+func TestMergeSettled(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 300; trial++ {
+		arity := r.Intn(4)
+		a, b, want := NewTupleSet(), NewTupleSet(), NewTupleSet()
+		for _, s := range []*TupleSet{a, b} {
+			for i := r.Intn(40); i > 0; i-- {
+				row := make([]int32, arity)
+				for c := range row {
+					row[c] = int32(r.Intn(6))
+				}
+				s.Append(row)
+				want.AddRow(row)
+			}
+			s.Settle()
+		}
+		got := Merge(a, b)
+		if !got.Equal(want) || !slices.IsSortedFunc(got.Rows().Tuples(), func(p, q Tuple) int { return slices.Compare(p, q) }) {
+			t.Fatalf("trial %d: Merge of %v and %v is %v", trial, a.Sorted(), b.Sorted(), got.Rows().Tuples())
+		}
+		if got.Len() == a.Len() && a.Len() > 0 && got != a {
+			t.Fatalf("trial %d: b adds nothing, but Merge copied a", trial)
+		}
+	}
+}
