@@ -93,8 +93,9 @@
 //	                     again on the delta's frontier, inserts and
 //	                     removals alike, and an answer carried over
 //	                     inserts gains the rows of joins seeded on that
-//	                     frontier (Session.ApplyDelta / Fork; new
-//	                     labels start afresh), hardened
+//	                     frontier (DB.ApplyDelta, then the first read or
+//	                     a publish's carry; new labels start afresh),
+//	                     hardened
 //	                     by the metamorphic mutation-sequence harness in
 //	                     mutation_diff_test.go; a query runs one way, a
 //	                     Request (eval, bool, check or explain under
@@ -104,7 +105,7 @@
 //	                     Session.PlanReport exposes the join order, and
 //	                     Session.Stream
 //	                     (stream.go) is the pull-based any-k surface: a
-//	                     Cursor serving Fetch/Next pages from a lazy
+//	                     Cursor serving FetchRows pages from a lazy
 //	                     backtracking join (atom relations computed in
 //	                     growing source chunks, so the first row costs one
 //	                     shallow probe), with per-stream budgets
@@ -170,5 +171,9 @@
 // Plan/Session lifecycle. bench_test.go in this directory exposes every
 // experiment as a Go benchmark and cmd/cxrpq-exp prints their tables;
 // bench/ and cmd/cxrpq-bench measure the server end to end and layer by
-// layer (bench/README.md).
+// layer (bench/README.md). reach_test.go in this directory holds non-test
+// code to what some binary runs: a declaration that no main reaches, and
+// that its short allow-list (paper statements and differential references,
+// shared test vocabulary, the benchmark replay's calls) does not name,
+// fails it.
 package repro

@@ -17,34 +17,6 @@ type DFA struct {
 // NumStates returns the number of states.
 func (d *DFA) NumStates() int { return len(d.delta) }
 
-// Start returns the start state.
-func (d *DFA) Start() int { return d.start }
-
-// IsFinal reports whether p is final.
-func (d *DFA) IsFinal(p int) bool { return d.final[p] }
-
-// Step returns the successor of p on the given symbol, or -1 if the symbol
-// is not in the alphabet.
-func (d *DFA) Step(p int, label int32) int {
-	i := sort.Search(len(d.Alphabet), func(i int) bool { return d.Alphabet[i] >= label })
-	if i >= len(d.Alphabet) || d.Alphabet[i] != label {
-		return -1
-	}
-	return d.delta[p][i]
-}
-
-// Accepts reports whether the DFA accepts the word.
-func (d *DFA) Accepts(word []int32) bool {
-	p := d.start
-	for _, l := range word {
-		p = d.Step(p, l)
-		if p < 0 {
-			return false
-		}
-	}
-	return d.final[p]
-}
-
 // Determinize converts the NFA to a complete DFA over the given alphabet
 // (which must contain every label used by the automaton; pass nil to use
 // the automaton's own label set) via the subset construction.
@@ -126,32 +98,6 @@ func Equivalent(a, b *NFA) bool {
 		return false
 	}
 	return Intersect(b, da.Complement().ToNFA()).IsEmpty()
-}
-
-// CounterExample returns a shortest word in the symmetric difference of the
-// two languages, or false if they are equivalent.
-func CounterExample(a, b *NFA) ([]int32, bool) {
-	labels := map[int32]bool{}
-	for _, l := range a.Labels() {
-		labels[l] = true
-	}
-	for _, l := range b.Labels() {
-		labels[l] = true
-	}
-	alphabet := make([]int32, 0, len(labels))
-	for l := range labels {
-		alphabet = append(alphabet, l)
-	}
-	sort.Slice(alphabet, func(i, j int) bool { return alphabet[i] < alphabet[j] })
-	da := b.Determinize(alphabet)
-	if w, ok := Intersect(a, da.Complement().ToNFA()).SomeWord(); ok {
-		return w, true
-	}
-	db := a.Determinize(alphabet)
-	if w, ok := Intersect(b, db.Complement().ToNFA()).SomeWord(); ok {
-		return w, true
-	}
-	return nil, false
 }
 
 // String renders the DFA compactly for debugging.

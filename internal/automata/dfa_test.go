@@ -54,12 +54,8 @@ func TestEquivalent(t *testing.T) {
 	// (ab)+ vs (ab)* — differ on ε
 	c := b.Clone()
 	c.SetFinal(0, true)
-	if Equivalent(a, c) {
+	if Equivalent(a, c) || Equivalent(c, a) {
 		t.Fatal("(ab)+ and (ab)* differ")
-	}
-	w, ok := CounterExample(a, c)
-	if !ok || len(w) != 0 {
-		t.Fatalf("counterexample should be ε, got %v %v", w, ok)
 	}
 }
 

@@ -111,19 +111,6 @@ func (m *NFA) Labels() []int32 {
 	return out
 }
 
-// Clone returns a deep copy of the NFA.
-func (m *NFA) Clone() *NFA {
-	c := &NFA{
-		adj:   make([][]Tr, len(m.adj)),
-		start: m.start,
-		final: append([]bool(nil), m.final...),
-	}
-	for p, ts := range m.adj {
-		c.adj[p] = append([]Tr(nil), ts...)
-	}
-	return c
-}
-
 // StateSet is a set of states represented as a sorted slice; it is the
 // working representation for subset-style simulations.
 type StateSet []int
@@ -155,12 +142,6 @@ func (s StateSet) Key() string {
 	*bp = b
 	keyBuf.Put(bp)
 	return k
-}
-
-// Contains reports whether p is in the (sorted) set.
-func (s StateSet) Contains(p int) bool {
-	i := sort.SearchInts(s, p)
-	return i < len(s) && s[i] == p
 }
 
 // EpsClosure returns the ε-closure of the given states as a sorted StateSet.
@@ -392,36 +373,6 @@ func IntersectAll(ms ...*NFA) *NFA {
 		cur = Intersect(cur, m)
 	}
 	return cur
-}
-
-// SomeWord returns a shortest accepted word, or nil and false if L(M) = ∅.
-func (m *NFA) SomeWord() ([]int32, bool) {
-	type item struct {
-		state int
-		word  []int32
-	}
-	seen := make([]bool, len(m.adj))
-	queue := []item{{m.start, nil}}
-	seen[m.start] = true
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		if m.final[it.state] {
-			return it.word, true
-		}
-		for _, t := range m.adj[it.state] {
-			if seen[t.To] {
-				continue
-			}
-			seen[t.To] = true
-			w := it.word
-			if t.Label != Epsilon {
-				w = append(append([]int32(nil), it.word...), t.Label)
-			}
-			queue = append(queue, item{t.To, w})
-		}
-	}
-	return nil, false
 }
 
 // EnumerateWords returns all accepted words of length at most maxLen, as

@@ -110,21 +110,9 @@ func TestIntersect(t *testing.T) {
 
 func TestIntersectAll(t *testing.T) {
 	m := IntersectAll(abNFA(), abNFA(), wordNFA("ab"))
-	w, ok := m.SomeWord()
-	if !ok || string([]rune{rune(w[0]), rune(w[1])}) != "ab" {
-		t.Fatalf("SomeWord = %v, %v; want ab", w, ok)
-	}
-}
-
-func TestSomeWordShortest(t *testing.T) {
-	m := abNFA()
-	w, ok := m.SomeWord()
-	if !ok || len(w) != 2 {
-		t.Fatalf("shortest word of (ab)+ should have length 2, got %v", w)
-	}
-	empty := New(1)
-	if _, ok := empty.SomeWord(); ok {
-		t.Fatal("empty language should yield no word")
+	w := m.EnumerateWords(6, 0)
+	if len(w) != 1 || string([]rune{rune(w[0][0]), rune(w[0][1])}) != "ab" {
+		t.Fatalf("words = %v; want ab alone", w)
 	}
 }
 

@@ -36,31 +36,14 @@ func NewSubsetCache(m *NFA) *SubsetCache {
 	return c
 }
 
-// NFA returns the underlying automaton.
-func (c *SubsetCache) NFA() *NFA { return c.m }
-
 // Start returns the id of the initial state set.
 func (c *SubsetCache) Start() int32 { return c.start }
-
-// NumSets returns the number of interned state sets so far.
-func (c *SubsetCache) NumSets() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.sets)
-}
 
 // Final reports whether set id contains a final NFA state.
 func (c *SubsetCache) Final(id int32) bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.final[id]
-}
-
-// Set returns the interned StateSet of id (callers must not modify it).
-func (c *SubsetCache) Set(id int32) StateSet {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.sets[id]
 }
 
 // Step returns the id of the set reached from id by one transition labelled
@@ -86,19 +69,6 @@ func (c *SubsetCache) Step(id int32, l int32) int32 {
 	}
 	c.trans[id][l] = nid
 	return nid
-}
-
-// Accepts reports whether the automaton accepts the word, running through
-// the cache (and warming it).
-func (c *SubsetCache) Accepts(word []int32) bool {
-	id := c.start
-	for _, l := range word {
-		id = c.Step(id, l)
-		if id == Dead {
-			return false
-		}
-	}
-	return c.Final(id)
 }
 
 func (c *SubsetCache) intern(s StateSet) int32 {

@@ -66,16 +66,6 @@ func (q *Query) Eval(db *graph.DB) (*pattern.TupleSet, error) {
 	return ecrpq.Eval(&ecrpq.Query{Pattern: q.Pattern}, db)
 }
 
-// EvalBool decides D |= q.
-func (q *Query) EvalBool(db *graph.DB) (bool, error) {
-	return ecrpq.EvalBool(&ecrpq.Query{Pattern: q.Pattern}, db)
-}
-
-// Check decides t̄ ∈ q(D) (the problem CRPQ-Check of §2.3).
-func (q *Query) Check(db *graph.DB, t pattern.Tuple) (bool, error) {
-	return ecrpq.Check(&ecrpq.Query{Pattern: q.Pattern}, db, t)
-}
-
 // Union is a union of CRPQs (∪-CRPQ, §7).
 type Union struct {
 	Members []*Query
@@ -92,20 +82,6 @@ func (u *Union) Eval(db *graph.DB) (*pattern.TupleSet, error) {
 		out.AddAll(res)
 	}
 	return out, nil
-}
-
-// EvalBool decides whether some member matches.
-func (u *Union) EvalBool(db *graph.DB) (bool, error) {
-	for _, m := range u.Members {
-		ok, err := m.EvalBool(db)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return true, nil
-		}
-	}
-	return false, nil
 }
 
 // Size returns the total size of all members.

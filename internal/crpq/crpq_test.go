@@ -92,10 +92,6 @@ func TestUnion(t *testing.T) {
 	if res.Len() != 1 {
 		t.Fatalf("res = %v", res.Sorted())
 	}
-	ok, err := u.EvalBool(db)
-	if err != nil || !ok {
-		t.Fatal("bool union failed")
-	}
 	if u.Size() <= 0 {
 		t.Fatal("size should be positive")
 	}

@@ -120,7 +120,7 @@ func TestSessionConcurrentShardedDeltaStress(t *testing.T) {
 	for step, delta := range script {
 		time.Sleep(2 * time.Millisecond)
 		dbMu.Lock()
-		if _, err := sess.ApplyDelta(delta); err != nil {
+		if _, err := publish(sess, delta); err != nil {
 			dbMu.Unlock()
 			t.Fatalf("writer step %d: %v", step, err)
 		}

@@ -117,26 +117,3 @@ func TestQuickBoundedParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: EvalAny's capped flag (now a single HasPathOfLen frontier sweep)
-// agrees with the definition via PathLabels growth.
-func TestQuickEvalAnyCappedAgrees(t *testing.T) {
-	f := func(seed int64) bool {
-		db := workload.Random(seed^0x4e4e, 4, int(uint64(seed)%9), "ab")
-		q := cxrpq.MustParse("ans(p, q)\np q : $x{a|b}$x*")
-		for k := 0; k <= 2; k++ {
-			_, capped, err := cxrpq.EvalAny(q, db, k)
-			if err != nil {
-				return false
-			}
-			want := len(db.PathLabels(k+1, 0)) > len(db.PathLabels(k, 0))
-			if capped != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(37))}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -225,10 +225,10 @@ func pastLog(t *testing.T, db *graph.DB, sess *cxrpq.Session) {
 	base := db.Revision()
 	e := graph.DeltaEdge{From: db.Name(0), Label: 'a', To: db.Name(db.NumNodes() - 1)}
 	for db.DeltaSince(base) != nil {
-		if _, err := sess.ApplyDelta(graph.Delta{Add: []graph.DeltaEdge{e}}); err != nil {
+		if _, err := publish(sess, graph.Delta{Add: []graph.DeltaEdge{e}}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sess.ApplyDelta(graph.Delta{Del: []graph.DeltaEdge{e}}); err != nil {
+		if _, err := publish(sess, graph.Delta{Del: []graph.DeltaEdge{e}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,7 +252,7 @@ func TestCarriedAnswerHonorsBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sess.ApplyDelta(graph.Delta{Add: []graph.DeltaEdge{{From: "fresh" + c.semantics, Label: 'a', To: db.Name(0)}, {From: db.Name(1), Label: 'b', To: db.Name(2)}}}); err != nil {
+		if _, err := publish(sess, graph.Delta{Add: []graph.DeltaEdge{{From: "fresh" + c.semantics, Label: 'a', To: db.Name(0)}, {From: db.Name(1), Label: 'b', To: db.Name(2)}}}); err != nil {
 			t.Fatal(err)
 		}
 		before := storeStats(sess)

@@ -10,6 +10,7 @@ import (
 
 	"cxrpq/internal/cxrpq"
 	"cxrpq/internal/graph"
+	"cxrpq/internal/pattern"
 )
 
 type confCase struct {
@@ -205,37 +206,28 @@ func TestConformance(t *testing.T) {
 }
 
 func TestUnionCXRPQ(t *testing.T) {
+	// A union of CXRPQs (§7) is answered member by member: q(D) = ⋃ qi(D).
 	db := graph.MustParse("u a v\nw b z")
-	u := &cxrpq.Union{Members: []*cxrpq.Query{
+	members := []*cxrpq.Query{
 		cxrpq.MustParse("ans(x, y)\nx y : $v{a}$v?"),
 		cxrpq.MustParse("ans(x, y)\nx y : b"),
-	}}
-	res, err := u.Eval(db)
-	if err != nil {
-		t.Fatal(err)
 	}
+	union := func(req cxrpq.Request) *pattern.TupleSet {
+		out := pattern.NewTupleSet()
+		for _, m := range members {
+			resp := cxrpq.Do(m, db, req)
+			if resp.Err != nil {
+				t.Fatal(resp.Err)
+			}
+			out.AddAll(resp.Tuples)
+		}
+		return out
+	}
+	res := union(cxrpq.Request{Op: "eval"})
 	if res.Len() != 2 {
 		t.Fatalf("union answers = %v", res.Sorted())
 	}
-	rb, err := u.EvalBounded(db, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rb.Equal(res) {
+	if rb := union(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1}); !rb.Equal(res) {
 		t.Fatal("bounded union should agree here")
-	}
-	if u.Size() <= 0 {
-		t.Fatal("size must be positive")
-	}
-	bad := &cxrpq.Union{}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("empty union must fail validation")
-	}
-	mixed := &cxrpq.Union{Members: []*cxrpq.Query{
-		cxrpq.MustParse("ans(x)\nx y : a"),
-		cxrpq.MustParse("ans(x, y)\nx y : a"),
-	}}
-	if err := mixed.Validate(); err == nil {
-		t.Fatal("arity mismatch must fail validation")
 	}
 }

@@ -343,7 +343,7 @@ s t : #$x{a+}b$x#
 	}
 }
 
-func TestEvalLogAndAny(t *testing.T) {
+func TestEvalLog(t *testing.T) {
 	db := graph.New()
 	s := db.Node("s")
 	tn := db.Node("t")
@@ -355,16 +355,6 @@ func TestEvalLogAndAny(t *testing.T) {
 	}
 	if !ok {
 		t.Fatal("log bound (≥3) should admit image aa")
-	}
-	res, capped, err := cxrpq.EvalAny(q, db, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() == 0 {
-		t.Fatal("EvalAny should find the match")
-	}
-	if !capped {
-		t.Fatal("paths longer than 2 exist; capped should be true")
 	}
 }
 

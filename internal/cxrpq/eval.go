@@ -118,20 +118,3 @@ func allWordsUpTo(sigma []rune, k int) []string {
 	}
 	return words
 }
-
-// EvalAny evaluates an unrestricted CXRPQ soundly by capping variable-image
-// length at maxImage. The paper leaves the decidability/upper bound of
-// unrestricted evaluation open (§8) and shows it PSpace-hard even in data
-// complexity (Theorem 1); results are complete for all matches whose images
-// fit under the cap, and capped reports whether longer images are
-// conceivable (i.e. D has paths longer than the cap).
-func EvalAny(q *Query, db *graph.DB, maxImage int) (res *pattern.TupleSet, capped bool, err error) {
-	resp := Do(q, db, Request{Op: "eval", Semantics: "bounded", K: maxImage})
-	if resp.Err != nil {
-		return nil, false, resp.Err
-	}
-	// A word of length maxImage+1 labels a path iff D has a path that long;
-	// one frontier sweep replaces the two full PathLabels enumerations.
-	capped = db.HasPathOfLen(maxImage + 1)
-	return resp.Tuples, capped, nil
-}

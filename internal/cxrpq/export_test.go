@@ -35,7 +35,7 @@ func (s *Session) StreamDrained(opts StreamOptions) (*Cursor, error) {
 // no cached answer serves, with run as the enumeration and limit as the
 // Limit, under no budget.
 func PageCursor(run func(emit ecrpq.StreamFunc) error, limit int) *Cursor {
-	return &Cursor{end: limit, open: paged(run), nextWant: 1}
+	return &Cursor{end: limit, open: paged(run)}
 }
 
 // RankedPrefix returns the ranked prefix the atom store of the session's
@@ -103,3 +103,21 @@ func EvalBoundedBoolPre(q *Query, db *graph.DB, k int, pre map[string]int) (bool
 	res, err := e.run()
 	return err == nil && res.Len() > 0, err
 }
+
+// Next returns the next row, fetched alone.
+func (c *Cursor) Next() (Row, bool) {
+	p := c.FetchRows(1)
+	if p.N == 0 {
+		return Row{}, false
+	}
+	return rowsOf(p)[0], true
+}
+
+// DB returns the bound database.
+func (s *Session) DB() *graph.DB { return s.db }
+
+// Plan returns the prepared plan the session evaluates.
+func (s *Session) Plan() *Plan { return s.plan }
+
+// Query returns the query the plan was prepared from.
+func (p *Plan) Query() *Query { return p.q }

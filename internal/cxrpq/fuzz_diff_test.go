@@ -180,7 +180,7 @@ func diffSeed(t *testing.T, seed int64) {
 		e := db.Out(firstNonEmptyOut(db))[0]
 		delta.Del = append(delta.Del, graph.DeltaEdge{From: db.Name(e.From), Label: e.Label, To: db.Name(e.To)})
 	}
-	if _, err := sess.ApplyDelta(delta); err != nil {
+	if _, err := publish(sess, delta); err != nil {
 		t.Fatalf("seed %d: ApplyDelta: %v", seed, err)
 	}
 	got, err = tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: k}))

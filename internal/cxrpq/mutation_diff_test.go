@@ -3,7 +3,7 @@ package cxrpq_test
 // Metamorphic mutation-sequence harness for the incremental-update
 // subsystem: every seed generates a random small graph and query
 // (internal/workload), binds a Session, and drives a randomized
-// Session.ApplyDelta sequence — edge additions, fresh-node interning,
+// DB.ApplyDelta sequence — edge additions, fresh-node interning,
 // occasional removals and new labels — asserting after every step that
 //
 //	(a) the delta-maintained session result equals a re-evaluation on a
@@ -41,8 +41,8 @@ type mutationState struct {
 	names []string
 
 	// other is a session of another text over the same live database: it
-	// never applies a delta itself and adopts, at every step, the atom store
-	// sess's ApplyDelta maintained.
+	// never applies a delta itself and reads, at every step, the one atom
+	// store carried onto the database's new revision.
 	other *cxrpq.Session
 }
 
@@ -91,11 +91,11 @@ func (m *mutationState) checkStep(t *testing.T, seed int64, step string) *patter
 	return got
 }
 
-// apply routes a delta through Session.ApplyDelta and keeps the name mirror
+// apply applies a delta to the session's database and keeps the name mirror
 // in sync.
 func (m *mutationState) apply(t *testing.T, seed int64, delta graph.Delta) *graph.DeltaInfo {
 	t.Helper()
-	info, err := m.sess.ApplyDelta(delta)
+	info, err := publish(m.sess, delta)
 	if err != nil {
 		t.Fatalf("seed %d: ApplyDelta(%+v): %v", seed, delta, err)
 	}
@@ -301,7 +301,7 @@ func TestMutationMaintStats(t *testing.T) {
 		t.Fatalf("unexpected baseline maint stats: %+v", base)
 	}
 
-	if _, err := sess.ApplyDelta(graph.Delta{Add: []graph.DeltaEdge{{From: db.Name(0), Label: 'a', To: db.Name(1)}}}); err != nil {
+	if _, err := publish(sess, graph.Delta{Add: []graph.DeltaEdge{{From: db.Name(0), Label: 'a', To: db.Name(1)}}}); err != nil {
 		t.Fatal(err)
 	}
 	st := storeStats(sess)
@@ -316,7 +316,7 @@ func TestMutationMaintStats(t *testing.T) {
 	}
 
 	// A removal is carried too.
-	if _, err := sess.ApplyDelta(graph.Delta{Del: []graph.DeltaEdge{{From: db.Name(0), Label: 'a', To: db.Name(1)}}}); err != nil {
+	if _, err := publish(sess, graph.Delta{Del: []graph.DeltaEdge{{From: db.Name(0), Label: 'a', To: db.Name(1)}}}); err != nil {
 		t.Fatal(err)
 	}
 	st = storeStats(sess)
@@ -328,7 +328,7 @@ func TestMutationMaintStats(t *testing.T) {
 	if _, err := tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.ApplyDelta(graph.Delta{Add: []graph.DeltaEdge{{From: db.Name(0), Label: 'z', To: db.Name(1)}}}); err != nil {
+	if _, err := publish(sess, graph.Delta{Add: []graph.DeltaEdge{{From: db.Name(0), Label: 'z', To: db.Name(1)}}}); err != nil {
 		t.Fatal(err)
 	}
 	if st := storeStats(sess); st.FullRebuilds != 2 {

@@ -145,9 +145,6 @@ func PrepareSrc(src string) (*Plan, error) {
 	return Prepare(q)
 }
 
-// Query returns the underlying query.
-func (p *Plan) Query() *Query { return p.q }
-
 // Fragment returns the human-readable name of the smallest syntactic
 // fragment containing the query (classified once at Prepare).
 func (p *Plan) Fragment() string { return p.fragment }

@@ -133,15 +133,6 @@ func (c CXRE) Clone() CXRE {
 	return out
 }
 
-// Strings renders each component.
-func (c CXRE) Strings() []string {
-	out := make([]string, len(c))
-	for i, n := range c {
-		out[i] = xregex.String(n)
-	}
-	return out
-}
-
 // Query is a CXRPQ (Definition 5): a conjunctive path query whose edge
 // labels, read in edge order, form a conjunctive xregex.
 type Query struct {

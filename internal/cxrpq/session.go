@@ -33,10 +33,11 @@ import (
 // net-empty window and carries eval answers and true verdicts across a window
 // with no new label: Do settles a carried eval answer by a join seeded on the
 // window's frontier (settleCarried), and drops it when the window removed
-// edges. Session.ApplyDelta applies a batched mutation and maintains
-// eagerly; Invalidate drops the database's store. A Response may be served
-// from the store and shared between callers — treat its TupleSet as
-// immutable.
+// edges. A batched mutation is graph.DB.ApplyDelta, as the server applies
+// one; the server's publish carries the store onto the next graph.Snapshot
+// view (AtomStore.CarryTo), and Fork does the same and binds the plan there.
+// A Response may be served from the store and shared between callers — treat
+// its TupleSet as immutable.
 
 // resultKey names one answer of a plan in its database's atom store: the
 // plan, weakly, so that the store keeps no plan alive; the operation ("eval",
@@ -79,18 +80,6 @@ func (s *Session) key(op string, k int, t pattern.Tuple) any {
 	return resultKey{s.plan.self, op, k, t.Key()}
 }
 
-// ApplyDelta applies a batched mutation to the bound database and carries its
-// atom store to the new revision at once — entry headers only: each entry is
-// brought up to date when a query first reads it. Like every mutation it must be quiescent: no
-// session call (on any session bound to the same DB) may be in flight.
-func (s *Session) ApplyDelta(delta graph.Delta) (*graph.DeltaInfo, error) {
-	info, err := s.db.ApplyDelta(delta)
-	if err == nil {
-		ecrpq.Atoms(s.db)
-	}
-	return info, err
-}
-
 // Fork binds the session's plan, with its fan width, to db — a successor of
 // the session's database, typically the next graph.Snapshot view of its
 // lineage — after carrying the database's atom store onto it
@@ -100,19 +89,6 @@ func (s *Session) Fork(db *graph.DB) *Session {
 	ecrpq.Atoms(s.db).CarryTo(db)
 	return &Session{plan: s.plan, db: db, workers: s.workers}
 }
-
-// Invalidate drops the atom store of the session's database — facts and
-// answers — unconditionally: no delta maintenance, the next call starts a
-// fresh one. Calling it is never required for correctness after a quiescent
-// DB mutation (the revision check does it), but it releases memory
-// immediately and covers callers that mutated derived state out of band.
-func (s *Session) Invalidate() { s.db.Derived(func(any) any { return nil }) }
-
-// DB returns the bound database.
-func (s *Session) DB() *graph.DB { return s.db }
-
-// Plan returns the prepared plan the session evaluates.
-func (s *Session) Plan() *Plan { return s.plan }
 
 // Fragment returns the plan's fragment classification.
 func (s *Session) Fragment() string { return s.plan.fragment }

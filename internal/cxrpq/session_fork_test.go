@@ -163,7 +163,7 @@ func TestPathVerdictsAcrossInserts(t *testing.T) {
 	db := graph.MustParse(base)
 	sess := plan.Bind(db)
 	before := warm(sess)
-	if _, err := sess.ApplyDelta(insert); err != nil {
+	if _, err := publish(sess, insert); err != nil {
 		t.Fatal(err)
 	}
 	settled("ApplyDelta", sess, before, db)

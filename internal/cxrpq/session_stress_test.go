@@ -6,7 +6,7 @@ package cxrpq_test
 // match the sequentially computed ground truth, under -race. A second test
 // drives the invalidation contract: after a (quiescent) DB mutation the
 // session must never serve relations derived from the old revision, with
-// and without an explicit Invalidate call.
+// the revision check alone.
 
 import (
 	"fmt"
@@ -174,8 +174,7 @@ func TestSessionConcurrentStressVsf(t *testing.T) {
 
 // TestSessionInvalidation drives the invalidation contract: a session must
 // never serve relations from a stale DB revision after a quiescent
-// mutation, both via the automatic revision check and via an explicit
-// Invalidate call.
+// mutation, the revision check alone bringing its store up to date.
 func TestSessionInvalidation(t *testing.T) {
 	db := graph.New()
 	u, v, w := db.Node("u"), db.Node("v"), db.Node("w")
@@ -214,11 +213,9 @@ func TestSessionInvalidation(t *testing.T) {
 		t.Fatal("mutation did not change the answer set; test is vacuous")
 	}
 
-	// Mutation 2: explicit Invalidate before the next call must behave the
-	// same (and is allowed to be redundant with the revision check).
+	// Mutation 2: a second window on a store already brought up once.
 	db.AddEdge(u, 'b', w)
-	sess.Invalidate()
-	check("after mutation (explicit Invalidate)")
+	check("after a second mutation")
 
 	// A new symbol extends the session alphabet too.
 	db.AddEdge(w, 'c', u)
@@ -304,7 +301,7 @@ func TestSessionConcurrentDeltaStress(t *testing.T) {
 	for step, delta := range script {
 		time.Sleep(2 * time.Millisecond)
 		dbMu.Lock()
-		if _, err := sess.ApplyDelta(delta); err != nil {
+		if _, err := publish(sess, delta); err != nil {
 			dbMu.Unlock()
 			t.Fatalf("writer step %d: %v", step, err)
 		}
@@ -325,46 +322,5 @@ func TestSessionConcurrentDeltaStress(t *testing.T) {
 	}
 	if st.FullRebuilds != 1 { // the initial bind: removals are carried too
 		t.Errorf("a delta emptied the store: %+v", st)
-	}
-}
-
-// TestSessionInvalidateForcesFullFlush is the regression test for the
-// explicit escape hatch: Invalidate must always start a fresh epoch — no
-// delta maintenance, an empty atom store — even when the delta log could
-// have maintained the store fine-grained.
-func TestSessionInvalidateForcesFullFlush(t *testing.T) {
-	q := cxrpq.MustParse("ans(p, q)\np m : $x{a|b}\nm q : $x|b\n")
-	db := workload.Random(31, 5, 10, "ab")
-	sess := cxrpq.MustPrepare(q).Bind(db)
-	if _, err := tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1})); err != nil {
-		t.Fatal(err)
-	}
-	pre := storeStats(sess)
-	if pre.Relations.Entries == 0 {
-		t.Fatal("atom store unexpectedly empty after a bounded eval")
-	}
-
-	// Insert-only delta — maintainable — but Invalidate must win.
-	if _, err := db.ApplyDelta(graph.Delta{Add: []graph.DeltaEdge{{From: db.Name(0), Label: 'a', To: db.Name(1)}}}); err != nil {
-		t.Fatal(err)
-	}
-	sess.Invalidate()
-	got, err := tuples(sess.Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := cxrpq.EvalBoundedNaive(q, db, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("post-Invalidate result diverged: %d tuples, want %d", got.Len(), want.Len())
-	}
-	st := storeStats(sess)
-	if st.DeltaPasses != 0 {
-		t.Fatalf("Invalidate was bypassed by delta maintenance: %+v", st)
-	}
-	if st.FullRebuilds != 1 || st.Retained != 0 || st.Extended != 0 || st.Relations.Entries == 0 {
-		t.Fatalf("Invalidate did not start the database's store afresh: %+v -> %+v", pre, st)
 	}
 }

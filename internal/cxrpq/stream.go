@@ -2,17 +2,17 @@ package cxrpq
 
 // Pull-based (any-k) result streaming for prepared sessions. Session.Stream
 // turns the push-with-cancel enumeration loops of the lower layers
-// (ecrpq.EvalStream, the bounded engine's streaming leaf) into a Cursor the
-// consumer drives: rows are produced strictly on demand, so the first row of
-// a large result costs a small prefix of the full evaluation, and an
+// (ecrpq.EvalUnionStream, the bounded engine's streaming leaf) into a Cursor
+// the consumer drives: rows are produced strictly on demand, so the first row
+// of a large result costs a small prefix of the full evaluation, and an
 // abandoned cursor stops paying immediately.
 //
 // A page is a pattern.Rows — fixed-arity rows back to back in one []int32
-// slab — which is what FetchRows returns and the server encodes from; Fetch
-// and Next carve tuples out of one. Most pages are windows: a stream over a
-// complete answer filed in the atom store serves the set's memoized sorted
-// rows (TupleSet.SortedRows), and a ranked stream serves the store's ranked
-// prefix (below). An abandoned window cursor has nothing to release.
+// slab — which is what FetchRows returns and the server encodes from. Most
+// pages are windows: a stream over a complete answer filed in the atom store
+// serves the set's memoized sorted rows (TupleSet.SortedRows), and a ranked
+// stream serves the store's ranked prefix (below). An abandoned window
+// cursor has nothing to release.
 //
 // Every other page comes from a producer the cursor builds on its first fetch
 // past what it can see and pulls inside FetchRows, on the fetching goroutine;
@@ -118,8 +118,6 @@ type Cursor struct {
 	open func() (*pull, error)
 	pull *pull
 
-	buf       pattern.Rows // rows fetched but not yet returned by Next
-	nextWant  int          // escalating page size for Next
 	rowsOut   int64
 	err       error
 	truncated bool
@@ -152,13 +150,13 @@ func (s *Session) Stream(opts StreamOptions) (*Cursor, error) {
 	v, hit := atoms.Answer(s.key("eval", k, nil))
 	atoms.CountAnswer(hit)
 	if resp, _ := v.(Response); resp.Tuples != nil {
-		return &Cursor{bud: bud, own: resp.Tuples.SortedRows(), end: opts.Limit, nextWant: 1}, nil
+		return &Cursor{bud: bud, own: resp.Tuples.SortedRows(), end: opts.Limit}, nil
 	}
 	run, err := s.streamRunFor(atoms, bounded, k, ecrpq.Options{Budget: bud, Weight: opts.Weight})
 	if err != nil {
 		return nil, err
 	}
-	return &Cursor{bud: bud, end: opts.Limit, open: paged(run), nextWant: 1}, nil
+	return &Cursor{bud: bud, end: opts.Limit, open: paged(run)}, nil
 }
 
 // rankedCursor opens a ranked stream over atoms. Unweighted, its sequence is
@@ -190,7 +188,7 @@ func (s *Session) rankedCursor(atoms *ecrpq.AtomStore, bounded bool, k int, bud 
 	if err != nil {
 		return nil, err
 	}
-	c := &Cursor{bud: bud, end: opts.Limit, nextWant: 1}
+	c := &Cursor{bud: bud, end: opts.Limit}
 	if w == nil && !baseline {
 		key := s.key("ranked", k, nil)
 		c.pre = atoms.FileAnswer(key, &rankedPrefix{atoms: atoms, key: key}, 0, ecrpq.CarryNone).(*rankedPrefix)
@@ -544,8 +542,7 @@ func (c *Cursor) FetchRows(n int) pattern.Rows {
 	if n <= 0 || c.closed {
 		return pattern.Rows{}
 	}
-	out := c.buf.Slice(0, min(n, c.buf.N)) // rows Next fetched ahead go first
-	c.buf = c.buf.Slice(out.N, c.buf.N)
+	var out pattern.Rows
 	for out.N < n && !c.exhausted {
 		p := c.nextPage(n - out.N)
 		if out.N == 0 {
@@ -563,29 +560,6 @@ func (c *Cursor) FetchRows(n int) pattern.Rows {
 // Fetch is FetchRows for callers that speak tuples (nil for an empty page).
 func (c *Cursor) Fetch(n int) []Row { return rowsOf(c.FetchRows(n)) }
 
-// Next returns the next row. The underlying page size escalates
-// geometrically (1, 4, 16, …, 256), so the first call does the least work
-// that can produce a row and a full drain still pulls whole pages.
-func (c *Cursor) Next() (Row, bool) {
-	if c.buf.N == 0 {
-		if c.closed || c.exhausted {
-			return Row{}, false
-		}
-		want := c.nextWant
-		if c.nextWant < 256 {
-			c.nextWant *= 4
-		}
-		c.buf = c.nextPage(want)
-		if c.buf.N == 0 {
-			return Row{}, false
-		}
-	}
-	r := rowsOf(c.buf.Slice(0, 1))[0]
-	c.buf = c.buf.Slice(1, c.buf.N)
-	c.rowsOut++
-	return r, true
-}
-
 // Close stops the budget and drops the producer, an unranked enumeration
 // unwinding in its coroutine before Close returns. Truncated and Err keep
 // what they reported before, unless the unwinding panics, which Err then
@@ -597,7 +571,7 @@ func (c *Cursor) Close() {
 	c.closed = true
 	c.bud.Stop()
 	c.drop()
-	c.buf, c.own = pattern.Rows{}, pattern.Rows{}
+	c.own = pattern.Rows{}
 }
 
 // Err returns the evaluation error of a stream whose enumeration has ended,

@@ -341,7 +341,7 @@ func TestStreamAbandonWithWriters(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 8; i++ {
 			mu.Lock()
-			_, err := sess.ApplyDelta(graph.Delta{Add: []graph.DeltaEdge{
+			_, err := publish(sess, graph.Delta{Add: []graph.DeltaEdge{
 				{From: fmt.Sprintf("w%d", i), Label: 'a', To: fmt.Sprintf("w%d", i+1)},
 				{From: fmt.Sprintf("w%d", i+1), Label: 'b', To: "w0"},
 			}})
@@ -374,7 +374,7 @@ func TestDoWithBudget(t *testing.T) {
 	db := workload.Random(0x1122, 4, 8, "ab")
 	sess := cxrpq.MustPrepare(q).Bind(db)
 	want := mustEvalBounded(t, sess, 1, 11)
-	sess.Invalidate()
+	dropStore(db)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -431,7 +431,7 @@ func TestDeadlineBoundsEveryMode(t *testing.T) {
 			if st := storeStats(sess); !resp.OK && st.Results.Entries != 0 {
 				t.Errorf("n=%d %s: a cut answer was cached (%d entries)", n, op, st.Results.Entries)
 			}
-			sess.Invalidate()
+			dropStore(sess.DB())
 		}
 	}
 
@@ -851,7 +851,7 @@ func TestCachedStreamIsWindow(t *testing.T) {
 	}
 	got := pageRows(cur.FetchRows(20))
 	fork := sess.Fork(db.Snapshot().DB())
-	if _, err := sess.ApplyDelta(graph.Delta{Add: []graph.DeltaEdge{{From: "fresh1", Label: 'a', To: "fresh2"}, {From: "fresh2", Label: 'b', To: "fresh3"}}}); err != nil {
+	if _, err := publish(sess, graph.Delta{Add: []graph.DeltaEdge{{From: "fresh1", Label: 'a', To: "fresh2"}, {From: "fresh2", Label: 'b', To: "fresh3"}}}); err != nil {
 		t.Fatal(err)
 	}
 	got = append(got, drainCursor(t, cur, 33)...)

@@ -68,7 +68,7 @@ func TestSupportReadDifferential(t *testing.T) {
 			fail("eval", res.Sorted(), want.Sorted(), err)
 		}
 		lazy := pattern.NewTupleSet()
-		err = ecrpq.EvalStream(q, db, ecrpq.Options{}, func(row []int32, cost int) bool {
+		err = ecrpq.EvalUnionStream(ecrpq.MembersOf(q), db, ecrpq.Options{}, func(row []int32, cost int) bool {
 			if !lazy.AddRow(row) || cost != 0 {
 				t.Fatalf("query %d: the lazy stream yielded %v at cost %d, twice or at a cost\n%s", qi, row, cost, g)
 			}
@@ -109,7 +109,7 @@ func TestSupportReadDifferential(t *testing.T) {
 			best, got := map[string]int{}, map[string]int{}
 			lrels := relations(engine.ReachOpts{Levels: true, Weight: w})
 			ecrpq.JoinRelationsStream(g, lrels, ecrpq.PlanJoin(g, lrels, nil), nil, ecrpq.Options{Ranked: true}, minCost(best))
-			err := ecrpq.EvalStream(q, db, ecrpq.Options{Ranked: true, Weight: w}, minCost(got))
+			err := ecrpq.EvalUnionStream(ecrpq.MembersOf(q), db, ecrpq.Options{Ranked: true, Weight: w}, minCost(got))
 			if err != nil || fmt.Sprint(got) != fmt.Sprint(best) {
 				fail(name, got, best, err)
 			}

@@ -265,11 +265,6 @@ func EvalUnionStream(ms Members, db *graph.DB, o Options, yield StreamFunc) erro
 	return nil
 }
 
-// EvalStream is EvalUnionStream over the one query q.
-func EvalStream(q *Query, db *graph.DB, o Options, yield StreamFunc) error {
-	return EvalUnionStream(MembersOf(q), db, o, yield)
-}
-
 // Dedup wraps yield so that it sees each distinct row once (the first time).
 func Dedup(yield StreamFunc) StreamFunc {
 	seen := pattern.NewTupleSet()

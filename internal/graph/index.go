@@ -164,12 +164,6 @@ func (ix *Index) NumSyms() int { return len(ix.syms) }
 // Sym returns the rune for symbol id s.
 func (ix *Index) Sym(s int32) rune { return ix.syms[s] }
 
-// SymID returns the dense id of label r, or false if r labels no edge.
-func (ix *Index) SymID(r rune) (int32, bool) {
-	s, ok := ix.symID[r]
-	return s, ok
-}
-
 // OutByID returns the targets of u's outgoing edges labelled with symbol id s.
 func (ix *Index) OutByID(u int, s int32) []int32 {
 	if ix.ovOut != nil {
@@ -200,14 +194,6 @@ func (ix *Index) InByID(u int, s int32) []int32 {
 func (ix *Index) OutByLabel(u int, r rune) []int32 {
 	if s, ok := ix.symID[r]; ok {
 		return ix.OutByID(u, s)
-	}
-	return nil
-}
-
-// InByLabel returns the sources of u's incoming edges labelled r.
-func (ix *Index) InByLabel(u int, r rune) []int32 {
-	if s, ok := ix.symID[r]; ok {
-		return ix.InByID(u, s)
 	}
 	return nil
 }

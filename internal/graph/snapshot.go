@@ -82,9 +82,6 @@ type Snapshot struct {
 // mutators panic on it.
 func (s *Snapshot) DB() *DB { return s.db }
 
-// Revision returns the revision the snapshot pins.
-func (s *Snapshot) Revision() uint64 { return s.rev }
-
 // Snapshot returns a revision-pinned immutable view of the database. It
 // must be called from the mutator side (same quiescence rule as Node /
 // AddEdge / ApplyDelta); the returned view is then safe for concurrent
@@ -120,9 +117,6 @@ func (d *DB) Snapshot() *Snapshot {
 	d.lastSnap, d.lastSnapRev, d.snapOnce = s, d.version, true
 	return s
 }
-
-// Frozen reports whether d is a read-only snapshot view.
-func (d *DB) Frozen() bool { return d.frozen }
 
 // mutable panics when d is a frozen snapshot view. Every mutator calls it
 // first, so a reader-side misuse fails loudly instead of corrupting the

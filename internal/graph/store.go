@@ -202,9 +202,6 @@ func recoverDB(dir string) (*DB, int64, int, []walRecord, bool, error) {
 // must pair every ApplyDelta with an Append before acknowledging.
 func (s *Store) DB() *DB { return s.db }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Append frames the already-applied batch (window (fromRev, toRev] on the
 // store's DB) onto the WAL and fsyncs per the SyncEvery cadence, then
 // checkpoints automatically when the WAL has outgrown CheckpointBytes. The

@@ -63,16 +63,6 @@ func EvalRPQ(db *graph.DB, rx xregex.Node, sem Semantics) (*pattern.TupleSet, er
 	return out, nil
 }
 
-// HasPathUnder reports whether a u→v path matching rx exists under the
-// given semantics.
-func HasPathUnder(db *graph.DB, rx xregex.Node, u, v int, sem Semantics) (bool, error) {
-	res, err := EvalRPQ(db, rx, sem)
-	if err != nil {
-		return false, err
-	}
-	return res.Contains(pattern.Tuple{u, v}), nil
-}
-
 func reachUnder(db *graph.DB, m *automata.NFA, u int, sem Semantics) []int {
 	switch sem {
 	case Arbitrary:

@@ -8,7 +8,6 @@
 package separations
 
 import (
-	"fmt"
 	"strings"
 
 	"cxrpq/internal/cxrpq"
@@ -153,15 +152,4 @@ func DescribeFigure5() []string {
 		"CXRPQ^vsf ⊆ ∪-ECRPQ^er (Lemma 13)",
 		"∪-CRPQ ⊊ ∪-ECRPQ^er ⊊ ∪-ECRPQ (Theorem 10)",
 	}
-}
-
-// PumpingFamilyQ2 builds the Lemma 16 database: the path
-// #(a^p b)^{pm} c (a^p b)^{pm} # used to pump ECRPQ^er candidates.
-func PumpingFamilyQ2(p, m int) *graph.DB {
-	return Q2Witness(p, p*m)
-}
-
-// String summary of a database for experiment tables.
-func DBSummary(d *graph.DB) string {
-	return fmt.Sprintf("|V|=%d |E|=%d", d.NumNodes(), d.NumEdges())
 }

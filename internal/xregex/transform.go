@@ -182,12 +182,3 @@ func Factorize(n Node) ([]Factor, error) {
 	}
 	return out, nil
 }
-
-// FactorsNode rebuilds a concatenation node from factors.
-func FactorsNode(fs []Factor) Node {
-	kids := make([]Node, len(fs))
-	for i, f := range fs {
-		kids[i] = f.Node()
-	}
-	return Simplify(&Cat{Kids: kids})
-}

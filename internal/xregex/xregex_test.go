@@ -420,8 +420,12 @@ func TestFactorize(t *testing.T) {
 			t.Fatalf("factor kinds = %v, want %v", kinds, want)
 		}
 	}
-	if String(Simplify(FactorsNode(fs))) != String(Simplify(n)) {
-		t.Errorf("FactorsNode does not rebuild: %s", String(FactorsNode(fs)))
+	kids := make([]Node, len(fs))
+	for i, f := range fs {
+		kids[i] = f.Node()
+	}
+	if rebuilt := Simplify(&Cat{Kids: kids}); String(rebuilt) != String(Simplify(n)) {
+		t.Errorf("the factors do not rebuild the expression: %s", String(rebuilt))
 	}
 }
 
