@@ -180,8 +180,10 @@ func TestUpdateInvalidatesSessions(t *testing.T) {
 // entries stale in /stats until read, then the retained/extended counters
 // move; no extra full rebuild) and the eval answer read after it is settled
 // from the carried one ("atoms".result_carried moves by one); a "remove"
-// delta is carried the same way and still serves exact answers, computed
-// again (result_carried stays), and invalid removals are rejected
+// delta is carried the same way and still serves exact answers: the text
+// whose atom source is an output variable is settled too (result_carried
+// moves by one), one whose source is existential is computed again
+// (result_dropped moves by one instead), and invalid removals are rejected
 // atomically.
 func TestUpdateDeltaMaintainsSessions(t *testing.T) {
 	_, ts := testServer(t)
@@ -244,6 +246,13 @@ func TestUpdateDeltaMaintainsSessions(t *testing.T) {
 		t.Fatalf("no entries settled by the read: %v", read)
 	}
 
+	// An answer whose atom's source is not an output variable: after the
+	// removal its rows cannot say which witnesses broke.
+	qe := `{"db":"g1","query":"ans(y)\nx y : a","mode":"eval"}`
+	if code, out := postJSON(t, ts.URL+"/query", qe); code != http.StatusOK || out["count"].(float64) != 3 {
+		t.Fatalf("existential source, before the removal: %d %v (want count 3)", code, out)
+	}
+
 	// Removal: carried too, exact answers.
 	code, out = postJSON(t, ts.URL+"/update", `{"db":"g1","remove":"w a u\nu a w"}`)
 	if code != http.StatusOK || out["insert_only"] != false || out["removed"].(float64) != 2 {
@@ -257,8 +266,17 @@ func TestUpdateDeltaMaintainsSessions(t *testing.T) {
 	if code != http.StatusOK || out["count"].(float64) != 1 {
 		t.Fatalf("after remove update: %d %v (want count 1)", code, out)
 	}
-	if now := atoms()["result_carried"].(float64); now != carried {
-		t.Fatalf("the read after a removal settled %v carried answers, want none", now-carried)
+	if now := atoms()["result_carried"].(float64); now != carried+1 {
+		t.Fatalf("the read after a removal settled %v carried answers, want 1", now-carried)
+	}
+	carried, dropped := atoms()["result_carried"].(float64), atoms()["result_dropped"].(float64)
+	code, out = postJSON(t, ts.URL+"/query", qe)
+	if code != http.StatusOK || out["count"].(float64) != 1 {
+		t.Fatalf("existential source, after the removal: %d %v (want count 1)", code, out)
+	}
+	if now := atoms(); now["result_carried"].(float64) != carried || now["result_dropped"].(float64) != dropped+1 {
+		t.Fatalf("the existential-source read after a removal settled %v carried answers and dropped %v, want none and 1",
+			now["result_carried"].(float64)-carried, now["result_dropped"].(float64)-dropped)
 	}
 
 	// Invalid removal: rejected, nothing applied.

@@ -85,7 +85,10 @@ package main
 // the first read of an entry at the new revision brings its relation,
 // supports, probe rows and verdict up to date over the batch's frontier, and
 // the first read of an answer merges in the rows of joins seeded on that
-// frontier unless the window since it removed edges, which drops it.
+// frontier. Once the window since the answer removed edges, an eval answer
+// first drops its rows with a frontier node at an atom source's position —
+// when every atom source is an output variable; otherwise, and for a
+// verdict, the answer is dropped ("atoms".result_dropped) and computed again.
 // Brand-new labels fall back to a fresh store. The plan pool is the entry's and survives the publish. The
 // response reports the net delta; /stats exposes the per-database
 // maintenance counters and the entries not yet settled.

@@ -46,10 +46,10 @@ import (
 //     positive verdict survives inserts, a negative one — or one a removal
 //     touched — is asked again.
 //  4. A complete mapping then needs only a join over the cached relations
-//     (ecrpq.JoinRelationsStream), not a fresh CRPQ evaluation. Settling an
-//     answer carried over a window that only inserted runs the same
-//     enumeration and joins each mapping once per source variable,
-//     pre-bound to each node of the window's frontier (seed).
+//     (ecrpq.JoinRelationsStream), not a fresh CRPQ evaluation. Settling a
+//     carried answer runs the same enumeration and joins each mapping once
+//     per source variable, pre-bound to each node of the window's frontier
+//     (seed).
 //
 // The engine is split along the prepared-query boundary (plan.go /
 // session.go): boundedPlan holds everything derivable from the query alone

@@ -17,7 +17,10 @@ import (
 // window that only inserted is carried stale and settled by the first read
 // after it — the old rows merged with those of the joins seeded on the
 // window's frontier — and must equal what a fresh evaluation on a fresh copy
-// of the graph answers, whatever windows it was carried over.
+// of the graph answers, whatever windows it was carried over. Over a window
+// that removed edges an eval answer whose rows name every atom source is
+// settled the same way, less its rows with a frontier node at a source's
+// position; any other answer is computed again.
 
 // carriedTexts are the fixed queries of the differential, each with the
 // shape it covers.
@@ -60,6 +63,14 @@ func randomCRPQ(r *workload.RNG) string {
 	return "ans(" + strings.Join(out, ", ") + ")\n" + body.String()
 }
 
+// size is the number of tuples of an eval response, 0 for a verdict.
+func size(r cxrpq.Response) int {
+	if r.Tuples == nil {
+		return 0
+	}
+	return r.Tuples.Len()
+}
+
 // carriedQuery is one query of a seed: its plan, the session on the live
 // database, and the request it is asked.
 type carriedQuery struct {
@@ -71,7 +82,8 @@ type carriedQuery struct {
 // carriedMove applies one random window to db and reports what kind it was:
 // arrivals shaped like update_read's (fresh nodes with edges into the
 // graph, which nothing points at), inserts between existing nodes, removals
-// or an edge under a new label.
+// — of one or two edges, or of every edge under one label — or an edge under
+// a new label.
 func carriedMove(t *testing.T, db *graph.DB, r *workload.RNG, step int, kind int) {
 	t.Helper()
 	node := func() string { return db.Name(r.Intn(db.NumNodes())) }
@@ -90,6 +102,17 @@ func carriedMove(t *testing.T, db *graph.DB, r *workload.RNG, step int, kind int
 			d.Add = append(d.Add, graph.DeltaEdge{From: node(), Label: label(), To: node()})
 		}
 	case 2:
+		if r.Intn(3) == 0 { // every edge under one label: true verdicts turn false
+			l := label()
+			for u := range db.NumNodes() {
+				for _, e := range db.Out(u) {
+					if e.Label == l {
+						d.Del = append(d.Del, graph.DeltaEdge{From: db.Name(e.From), Label: l, To: db.Name(e.To)})
+					}
+				}
+			}
+			break
+		}
 		for k := 0; k <= r.Intn(2) && db.NumEdges() > 0; k++ {
 			for {
 				if out := db.Out(r.Intn(db.NumNodes())); len(out) > 0 {
@@ -117,7 +140,8 @@ func carriedMove(t *testing.T, db *graph.DB, r *workload.RNG, step int, kind int
 // window the delta log no longer covers. After every move each eval answer,
 // and each bool verdict asked twice at the revision before, equals a fresh
 // evaluation on a fresh copy of the graph; the union arm, the bounded arm
-// and the verdicts each settle some carried answer.
+// and the verdicts each settle some carried answer, both eval arms some over
+// a window that removed edges, and no verdict is settled over one.
 func TestCarriedAnswersDifferential(t *testing.T) {
 	t.Parallel()
 	seeds := 30
@@ -146,6 +170,7 @@ func TestCarriedAnswersDifferential(t *testing.T) {
 		}
 		add(workload.RandomQuery(r, false).Pattern.String(), "bounded", 1+r.Intn(2))
 
+		removal := false // the window since the last check removed edges
 		check := func(when string) {
 			t.Helper()
 			for _, q := range qs {
@@ -161,17 +186,20 @@ func TestCarriedAnswersDifferential(t *testing.T) {
 					}
 					if got.OK != want.OK || op == "eval" && !got.Tuples.Equal(want.Tuples) {
 						t.Fatalf("seed %d %s: %s of\n%s(%s): %d tuples, %v; a fresh evaluation: %d, %v (settled from a carried answer: %v)",
-							seed, when, op, q.plan.Query().Pattern, q.req.Semantics, got.Tuples.Len(), got.OK, want.Tuples.Len(), want.OK, settled > 0)
+							seed, when, op, q.plan.Query().Pattern, q.req.Semantics, size(got), got.OK, size(want), want.OK, settled > 0)
 					}
 					if settled > 0 {
+						arm := "union"
 						switch {
 						case op == "bool":
-							carried["verdict"]++
+							arm = "verdict"
 						case q.req.Semantics == "bounded":
-							carried["bounded"]++
-						default:
-							carried["union"]++
+							arm = "bounded"
 						}
+						if removal {
+							arm += " over a removal"
+						}
+						carried[arm]++
 					}
 					if op == "bool" {
 						q.sess.Do(req) // asked again: a true verdict is carried
@@ -202,6 +230,7 @@ func TestCarriedAnswersDifferential(t *testing.T) {
 				}
 			case kind == 6:
 				carriedMove(t, db, r, step, 2)
+				removal = true
 			default:
 				if r.Intn(3) == 0 {
 					carriedMove(t, db, r, step, 3)
@@ -210,10 +239,17 @@ func TestCarriedAnswersDifferential(t *testing.T) {
 				}
 			}
 			check(fmt.Sprintf("step %d", step))
+			removal = false
 		}
 	}
-	if carried["union"] == 0 || carried["bounded"] == 0 || carried["verdict"] == 0 {
-		t.Fatalf("some arm settled no carried answer: %v", carried)
+	t.Logf("carried answers settled, by arm: %v", carried)
+	for _, arm := range []string{"union", "bounded", "verdict", "union over a removal", "bounded over a removal"} {
+		if carried[arm] == 0 {
+			t.Fatalf("no carried answer settled in the %s arm: %v", arm, carried)
+		}
+	}
+	if carried["verdict over a removal"] != 0 {
+		t.Fatalf("verdicts settled over a window that removed edges: %v", carried)
 	}
 }
 

@@ -92,6 +92,14 @@ type Plan struct {
 	membersOnce sync.Once
 	kept        []member
 	overCap     bool
+
+	// srcCols holds, per arm — [0] the union, [1] the bounded engine — the
+	// output positions of the source variables (sourceCols), built on first
+	// use.
+	srcCols [2]struct {
+		once sync.Once
+		cols []int
+	}
 }
 
 // Prepare validates q and compiles it into a reusable Plan. The fragment
@@ -224,4 +232,61 @@ func (p *Plan) comboMember(combo CXRE, origDefined map[string]bool) member {
 	}
 	tr, err := simpleToECRPQerInfo(&Query{Pattern: g}, forcedEps)
 	return member{tr: tr, repl: repl, err: err}
+}
+
+// sourceCols returns the output positions of the source variables of every
+// atom the arm runs — the bounded pattern, or each union member's own, which
+// has the existential intermediate variables of its Lemma 3 / Lemma 13
+// translation — ascending and computed once per plan. A carried eval answer
+// over a window that removed edges keeps exactly its rows with no frontier
+// node at these positions (Session.settleCarried). It is nil, and such an
+// answer is computed again, when some source variable is not an output
+// variable, when the members disagree on the positions (a row a member
+// found would then not name the sources of its witness), or when the plan
+// has no kept members.
+func (p *Plan) sourceCols(bounded bool) []int {
+	arm := 0
+	if bounded {
+		arm = 1
+	}
+	m := &p.srcCols[arm]
+	m.once.Do(func() {
+		if bounded {
+			if bp, err := p.boundedPlanFor(); err == nil {
+				m.cols = outputCols(bp.q.Pattern)
+			}
+			return
+		}
+		if _, err := p.members(); err != nil || p.overCap {
+			return
+		}
+		for i, mb := range p.kept {
+			if mb.err != nil {
+				m.cols = nil
+				return
+			}
+			cols := outputCols(mb.tr.Query.Pattern)
+			if cols == nil || i > 0 && !slices.Equal(cols, m.cols) {
+				m.cols = nil
+				return
+			}
+			m.cols = cols
+		}
+	})
+	return m.cols
+}
+
+// outputCols returns the output position of each source variable of g,
+// ascending, or nil when one is not an output variable.
+func outputCols(g *pattern.Graph) []int {
+	cols := []int{}
+	for _, z := range ecrpq.SourceVars(g) {
+		at := slices.Index(g.Out, z)
+		if at < 0 {
+			return nil
+		}
+		cols = append(cols, at)
+	}
+	slices.Sort(cols)
+	return cols
 }

@@ -32,10 +32,14 @@ import (
 // ecrpq.AtomStore for the matrix), which keeps answers as they are across a
 // net-empty window and carries eval answers and true verdicts across a window
 // with no new label: Do settles a carried eval answer by a join seeded on the
-// window's frontier (settleCarried), and drops it when the window removed
-// edges. A batched mutation is graph.DB.ApplyDelta, as the server applies
-// one; the server's publish carries the store onto the next graph.Snapshot
-// view (AtomStore.CarryTo), and Fork does the same and binds the plan there.
+// window's frontier (settleCarried). Over a window that removed edges a
+// verdict is dropped, and so is an eval answer unless every source variable
+// of every atom the plan runs is an output variable (Plan.sourceCols): then
+// its rows with a frontier node at such a variable's position are dropped
+// before the merge, and the rest hold. A batched mutation is
+// graph.DB.ApplyDelta, as the server applies one; the server's publish
+// carries the store onto the next graph.Snapshot view (AtomStore.CarryTo),
+// and Fork does the same and binds the plan there.
 // A Response may be served from the store and shared between callers — treat
 // its TupleSet as immutable.
 
@@ -162,7 +166,7 @@ func (s *Session) semantics(name string, k int) (bounded bool, bound int, err er
 // the atom store is asked for the answer once, and on a miss the union arm
 // (every vstar-free query is a union of ECRPQ^er: Plan.members) or the
 // bounded arm (Theorem 6) runs the operation — or, when the store carried
-// the answer over a window that only inserted, settles it (settleCarried).
+// the answer over the window since it was filed, settles it (settleCarried).
 // Only a complete answer is filed, charged 4 bytes per value of its tuples:
 // an error, or a budget the run ran into, files nothing.
 func (s *Session) Do(req Request) Response {
@@ -184,8 +188,13 @@ func (s *Session) Do(req Request) Response {
 	if hit {
 		return v.(Response)
 	}
-	if v, frontier, ok := atoms.Carried(key); ok {
-		return s.settleCarried(atoms, key, v.(Response), frontier, bounded, k, req.Budget)
+	cols := s.plan.sourceCols(bounded)
+	if v, frontier, removed, ok := atoms.Carried(key, cols != nil); ok {
+		var drop func([]int32) bool
+		if removed {
+			drop = frontierRows(s.db.NumNodes(), frontier, cols)
+		}
+		return s.settleCarried(atoms, key, v.(Response), frontier, drop, bounded, k, req.Budget)
 	}
 	var resp Response
 	if bounded {
@@ -223,16 +232,20 @@ func (r Response) carry() ecrpq.Carry {
 	return ecrpq.CarryNone
 }
 
-// settleCarried brings old, the answer the store carried under key over a
-// window that only inserted, up to the database, and files it in place of
-// the stale copy. A verdict holds as it is. An eval answer gains the rows
-// with a witness that binds some atom's source variable to a node of the
-// window's frontier — the union arm runs the lazy evaluator per member
-// (ecrpq.EvalUnionSeededWith), the bounded arm its mapping enumeration with
-// seeded leaf joins (boundedDelta) — merged into the old rows. A run that
-// fails or that the budget cuts files nothing: a cut one returns the old rows
-// and those it found, with engine.ErrCanceled.
-func (s *Session) settleCarried(atoms *ecrpq.AtomStore, key any, old Response, frontier []int, bounded bool, k int, bud *engine.Budget) Response {
+// settleCarried brings old, the answer the store carried under key, up to
+// the database, and files it in place of the stale copy. A verdict holds as
+// it is: the store carries one over windows that only inserted. An eval
+// answer gains the rows with a witness that binds some atom's source
+// variable to a node of the window's frontier — the union arm runs the lazy
+// evaluator per member (ecrpq.EvalUnionSeededWith), the bounded arm its
+// mapping enumeration with seeded leaf joins (boundedDelta) — merged into the
+// old rows, less those drop reports: over a window that removed edges, the
+// rows with a frontier node at a source variable's position (frontierRows),
+// whose witnesses all bind that source there, so that the seeded joins find
+// each of them that still holds. A run that fails or that the budget cuts
+// files nothing: a cut one returns the old rows drop spares and those it
+// found, with engine.ErrCanceled.
+func (s *Session) settleCarried(atoms *ecrpq.AtomStore, key any, old Response, frontier []int, drop func([]int32) bool, bounded bool, k int, bud *engine.Budget) Response {
 	if old.Tuples == nil {
 		return atoms.SettleAnswer(key, old, 0, old.carry()).(Response)
 	}
@@ -249,7 +262,7 @@ func (s *Session) settleCarried(atoms *ecrpq.AtomStore, key any, old Response, f
 	if delta == nil {
 		delta = pattern.NewTupleSet()
 	}
-	resp := Response{Tuples: pattern.Merge(old.Tuples, delta)}
+	resp := Response{Tuples: pattern.Merge(old.Tuples, delta, drop)}
 	resp.OK = resp.Tuples.Len() > 0
 	if err == nil {
 		err = bud.Err()
@@ -258,6 +271,24 @@ func (s *Session) settleCarried(atoms *ecrpq.AtomStore, key any, old Response, f
 		return resp
 	}
 	return atoms.SettleAnswer(key, resp, resp.values(), resp.carry()).(Response)
+}
+
+// frontierRows returns the drop predicate of settleCarried over a window
+// that removed edges: whether a row holds a node of frontier, a list over n
+// nodes, at one of the positions cols.
+func frontierRows(n int, frontier, cols []int) func([]int32) bool {
+	in := make([]uint64, (n+63)/64)
+	for _, u := range frontier {
+		in[u>>6] |= 1 << (u & 63)
+	}
+	return func(row []int32) bool {
+		for _, c := range cols {
+			if u := row[c]; in[u>>6]&(1<<(u&63)) != 0 {
+				return true
+			}
+		}
+		return false
+	}
 }
 
 // boundedDelta is the bounded arm of settleCarried: the run's mapping

@@ -75,7 +75,7 @@ const atomBudget = 64 << 20
 type atomCounters struct {
 	hits, misses, evictions            atomic.Uint64
 	resultHits, resultMisses           atomic.Uint64
-	resultCarried                      atomic.Uint64
+	resultCarried, resultDropped       atomic.Uint64
 	deltaPasses, retains, fullRebuilds atomic.Uint64
 	retained, extended                 atomic.Uint64
 	kernel                             engine.Counters // every kernel call the store makes, settling's included
@@ -98,8 +98,10 @@ const answerOverhead = 160
 // Edge insertion is monotone for every query the paper defines, q(D) ⊆
 // q(D′), so an answer filed before a window that only inserted is a subset
 // of the answer after it, and the layer that filed it can settle it (Carried,
-// SettleAnswer). A window that removed edges, or that the delta log no longer
-// covers, drops it when it is next looked up.
+// SettleAnswer). Over a window that removed edges only a whole answer whose
+// filer can tell its rows a removal may have broken goes along; a verdict,
+// or any answer over a window the delta log no longer covers, is dropped
+// when it is next looked up.
 type Carry uint8
 
 const (
@@ -256,9 +258,10 @@ func (s *AtomStore) CarryTo(db *graph.DB) *AtomStore {
 //	                              its first lookup (current); the answers
 //	                              filed to be carried (Carry) carried stale,
 //	                              settled by their filer over the window's
-//	                              frontier (Carried, SettleAnswer) or dropped
-//	                              on lookup when the window removed edges;
-//	                              the other answers dropped
+//	                              frontier (Carried, SettleAnswer) — after a
+//	                              removal, eval answers whose filer names
+//	                              every atom source in their rows, the rest
+//	                              dropped on lookup; the other answers dropped
 //	new label, uncovered, or no s a fresh store
 //
 // Carrying copies entry and answer headers and nothing else: no kernel
@@ -535,32 +538,39 @@ func (s *AtomStore) Answer(key any) (any, bool) {
 	return a.v, true
 }
 
-// Carried returns the stale answer filed under key and the frontier of the
+// Carried returns the stale answer filed under key, the frontier of the
 // window since the revision it describes (ascending; empty when the window
-// is net-empty): every row the window added has a witness that binds the
-// source of some atom to one of its nodes (see the file comment of
-// delta.go). A window that removed edges, or that the delta log no longer
-// covers, cannot carry the answer: it is dropped, and ok is false.
-func (s *AtomStore) Carried(key any) (v any, frontier []int, ok bool) {
+// is net-empty) and whether that window removed edges: every row the window
+// added has a witness that binds the source of some atom to one of its
+// nodes, and every witness it broke binds one there (see the file comment of
+// delta.go). An answer carried with CarryAlways goes along over a window
+// that removed edges when its caller can settle it there (removals); a
+// verdict never does, since a removal can make it false. An answer the
+// window cannot carry — that one, or one the delta log no longer covers — is
+// dropped and counted (AtomStats.ResultDropped), and ok is false.
+func (s *AtomStore) Carried(key any, removals bool) (v any, frontier []int, removed, ok bool) {
 	s.mu.Lock()
 	a, ok := s.ans[key]
 	s.mu.Unlock()
 	if !ok || a.rev == s.atomFacts.rev {
-		return nil, nil, false
+		return nil, nil, false, false
 	}
 	w := s.window(a.rev)
-	if w.info != nil && len(w.info.Removed) == 0 {
-		if w.frontier != nil {
-			frontier = w.frontier.list
+	if w.info != nil {
+		if removed = len(w.info.Removed) > 0; !removed || removals && a.carry == CarryAlways {
+			if w.frontier != nil {
+				frontier = w.frontier.list
+			}
+			return a.v, frontier, removed, true
 		}
-		return a.v, frontier, true
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if have, ok := s.ans[key]; ok && have.rev == a.rev {
 		s.dropAnswer(key, have)
+		s.ctr.resultDropped.Add(1)
 	}
-	return nil, nil, false
+	return nil, nil, false, false
 }
 
 // FileAnswer files v under key, charged for values values and carried as
@@ -856,11 +866,13 @@ type AtomStats struct {
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"` // whole-epoch drops on overflow
 
-	// Answer lookups, as the layer that files the answers counts them, and
-	// the answers settled from a carried one (SettleAnswer).
+	// Answer lookups, as the layer that files the answers counts them, the
+	// answers settled from a carried one (SettleAnswer), and the stale ones
+	// a lookup could not carry and dropped (Carried).
 	ResultHits    uint64 `json:"result_hits"`
 	ResultMisses  uint64 `json:"result_misses"`
 	ResultCarried uint64 `json:"result_carried"`
+	ResultDropped uint64 `json:"result_dropped"`
 
 	// Revision moves, by row of the matrix, and how the carried entries
 	// settled — counted when each settles, not at the move: retained when
@@ -881,7 +893,7 @@ func (s *AtomStore) Stats() AtomStats {
 	st := AtomStats{Budget: s.budget,
 		Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions.Load(),
 		ResultHits: c.resultHits.Load(), ResultMisses: c.resultMisses.Load(), ResultCarried: c.resultCarried.Load(),
-		DeltaPasses: c.deltaPasses.Load(), Retains: c.retains.Load(), FullRebuilds: c.fullRebuilds.Load(),
+		ResultDropped: c.resultDropped.Load(), DeltaPasses: c.deltaPasses.Load(), Retains: c.retains.Load(), FullRebuilds: c.fullRebuilds.Load(),
 		Retained: c.retained.Load(), Extended: c.extended.Load(), Kernel: c.kernel.Load()}
 	s.mu.Lock()
 	defer s.mu.Unlock()

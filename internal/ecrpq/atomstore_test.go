@@ -719,7 +719,10 @@ func TestAtomStoreWarmScanBytes(t *testing.T) {
 // frontier — and the others are dropped. SettleAnswer files the settled
 // answer in place of the stale copy; once every stale item has settled no
 // window is left and the account is the sum of what the entries and answers
-// hold. A window that removed edges drops the answer on lookup.
+// hold. A window that removed edges carries the eval answer, flagged, to a
+// caller that can settle it there and drops it for any other; it drops the
+// verdict. A window the delta log no longer covers drops every answer.
+// AtomStats.ResultDropped counts each drop on lookup.
 func TestAtomStoreCarriedAnswers(t *testing.T) {
 	t.Parallel()
 	db := probeRandomDB(17, 30, 60, "ab")
@@ -762,12 +765,12 @@ func TestAtomStoreCarriedAnswers(t *testing.T) {
 		if _, ok := s.Answer(key{i}); ok {
 			t.Fatalf("%s: a carried answer reads back as current", want)
 		}
-		v, frontier, ok := s.Carried(key{i})
-		if !ok || v != want || !slices.Contains(frontier, db.NumNodes()-1) {
+		v, frontier, removed, ok := s.Carried(key{i}, false)
+		if !ok || removed || v != want || !slices.Contains(frontier, db.NumNodes()-1) {
 			t.Fatalf("%s: carried as %v, %v over the frontier %v", want, v, ok, frontier)
 		}
 	}
-	if _, _, ok := s.Carried(key{2}); ok {
+	if _, _, _, ok := s.Carried(key{2}, true); ok {
 		t.Fatal("a verdict never read again was carried")
 	}
 	exact(s, "with the window filed")
@@ -790,16 +793,45 @@ func TestAtomStoreCarriedAnswers(t *testing.T) {
 		t.Fatalf("all settled: %d windows and stale revisions left", left)
 	}
 
-	// A window that removed edges drops the answer when it is looked up.
+	// A window that removed edges carries the eval answer with the removal
+	// flag set, to a caller that can settle it there, and drops the verdict.
 	if _, err := db.ApplyDelta(graph.Delta{Del: []graph.DeltaEdge{{From: "fresh", Label: 'a', To: db.Name(0)}}, Add: []graph.DeltaEdge{{From: db.Name(1), Label: 'b', To: db.Name(2)}}}); err != nil {
 		t.Fatal(err)
 	}
 	s = Atoms(db)
-	if _, _, ok := s.Carried(key{0}); ok {
-		t.Fatal("an answer was carried over a window that removed an edge")
+	fresh := db.NumNodes() - 1 // the tail of the removed edge
+	if v, frontier, removed, ok := s.Carried(key{0}, true); !ok || !removed || v != "eval settled" || !slices.Contains(frontier, fresh) {
+		t.Fatalf("the eval answer over a removal: %v, removed %v, ok %v, over the frontier %v", v, removed, ok, frontier)
 	}
-	if st := s.Stats(); st.Results.Entries != 1 {
-		t.Fatalf("%d answers held after the lookup dropped one; want the verdict still carried", st.Results.Entries)
+	if _, _, _, ok := s.Carried(key{1}, true); ok {
+		t.Fatal("a verdict was carried over a window that removed an edge")
+	}
+	if st := s.Stats(); st.Results.Entries != 1 || st.ResultDropped != 1 {
+		t.Fatalf("%d answers held, %d dropped after the lookups; want the eval answer still carried and the verdict dropped", st.Results.Entries, st.ResultDropped)
 	}
 	exact(s, "after the drop")
+
+	// A caller that cannot settle over removals has the eval answer dropped.
+	s.SettleAnswer(key{0}, "eval settled again", 12, CarryAlways)
+	if _, err := db.ApplyDelta(graph.Delta{Del: []graph.DeltaEdge{{From: db.Name(1), Label: 'b', To: db.Name(2)}}}); err != nil {
+		t.Fatal(err)
+	}
+	s = Atoms(db)
+	if _, _, _, ok := s.Carried(key{0}, false); ok {
+		t.Fatal("an answer was carried over a removal to a caller that cannot settle it there")
+	}
+	if st := s.Stats(); st.Results.Entries != 0 || st.ResultDropped != 2 {
+		t.Fatalf("%d answers held, %d dropped; want none held, two dropped", st.Results.Entries, st.ResultDropped)
+	}
+
+	// A window the delta log no longer covers drops an eval answer too.
+	s.FileAnswer(key{0}, "eval", 10, CarryAlways)
+	uncovered(t, db, &s)
+	if _, _, _, ok := s.Carried(key{0}, true); ok {
+		t.Fatal("an answer was carried over a window the delta log does not cover")
+	}
+	if st := s.Stats(); st.Results.Entries != 0 || st.ResultDropped != 3 {
+		t.Fatalf("%d answers held, %d dropped past the delta log; want none held, three dropped", st.Results.Entries, st.ResultDropped)
+	}
+	exact(s, "past the delta log")
 }

@@ -47,9 +47,15 @@ import (
 // source variable, reaches the edge's tail in D′, so it is in the frontier.
 // The layer that filed the answer joins once per source variable with the
 // variable pre-bound to each frontier node and merges the rows into the old
-// answer. That holds for an insert-only window alone: AtomStore.Carried drops
-// an answer whose window removed edges, and a window that brings a new label
-// leaves a fresh store.
+// answer. A window that removed edges breaks a witness only where it binds
+// some atom's source to a frontier node, by the argument for relations
+// above: a path from any other node keeps every edge. So when every source
+// variable is an output variable, an old row with no frontier node at a
+// source's position still holds, and one with such a node is in the new
+// answer exactly when the seeded joins find it: the layer drops those rows
+// before it merges. Otherwise the rows do not say which witnesses broke, and
+// AtomStore.Carried drops the answer, as it drops every verdict over a
+// removal; a window that brings a new label leaves a fresh store.
 
 // window is what changed between the revision a stale entry describes and
 // the store's: nil info when the entry cannot be carried over it.

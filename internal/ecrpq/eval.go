@@ -67,8 +67,9 @@ func EvalWith(q *Query, db *graph.DB, o Options) (*pattern.TupleSet, error) {
 // source variable of some atom — a group component's included — to a node
 // of seeds: for each distinct source variable, one plan with the variable
 // pre-bound, run once per seed on the lazy evaluator. With seeds the
-// frontier of a window that only inserted, they are the rows the window
-// added to q (see delta.go), and some rows it did not add. On cancellation
+// frontier of a window, they include the rows the window added to q and,
+// when it removed edges, every row left whose witnesses all bind a source
+// there (see delta.go). On cancellation
 // it returns the rows found so far with engine.ErrCanceled. The set is
 // settled.
 func evalSeeded(q *Query, db *graph.DB, seeds []int, o Options) (*pattern.TupleSet, error) {

@@ -114,10 +114,11 @@ var scalarPool = sync.Pool{New: func() any { return new(scalarScratch) }}
 
 // grown returns s resized to n elements, all zero given that s is: the
 // all-zero-when-idle invariant makes a prefix of an old array as good as a
-// new one.
+// new one. A new array has an eighth more room, and 64 elements, so that a
+// graph growing by a few nodes per revision reuses it.
 func grown[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, n+n/8+64)
 	}
 	return s[:n]
 }

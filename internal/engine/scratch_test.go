@@ -9,6 +9,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -426,6 +427,45 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 	if s2 != s1 || l2 != l1 || w2 != w1 || b2 != b1 {
 		t.Errorf("allocations grow with the graph or the automaton: scalar %v→%v, levels %v→%v, weighted %v→%v, batch %v→%v",
 			s1, s2, l1, l2, w1, w2, b1, b2)
+	}
+}
+
+// TestScratchGrowsWithHeadroom: scratch sized for an n-node graph serves the
+// same graph grown by 8 nodes — an update_read arrival batch — without
+// reallocating: the first search after the growth allocates no more than a
+// warm one, whose only objects are its results.
+func TestScratchGrowsWithHeadroom(t *testing.T) {
+	c := automata.NewSubsetCache(xregex.MustCompile(xregex.MustParse("a(a|b)*"), []rune("ab")))
+	srcs := make([]int, BatchWidth)
+	for i := range srcs {
+		srcs[i] = i
+	}
+	for _, n := range []int{100, 600, 5000} {
+		db := randomDB(int64(n), n, 3*n, "ab")
+		s, bs := new(scalarScratch), new(batchWorker)
+		search := func(ix *graph.Index) func() {
+			return func() {
+				s.reach(ix, c, 1, true, ReachOpts{Levels: true})
+				bs.reach(ix, c, srcs, true, ReachOpts{Levels: true})
+			}
+		}
+		search(db.Index())() // the scratch sized for n
+		for i := range 8 {
+			u := db.Node(fmt.Sprintf("new%d", i))
+			db.AddEdge(u, 'a', i)
+		}
+		ix := db.Index()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		search(ix)()
+		runtime.ReadMemStats(&after)
+		first := after.Mallocs - before.Mallocs
+		if warm := testing.AllocsPerRun(5, search(ix)); float64(first) > warm {
+			t.Errorf("n = %d: the first search after 8 new nodes allocated %d objects, a warm one %v: the scratch was reallocated", n, first, warm)
+		}
+		if !s.allZero() || !bs.allZero() {
+			t.Fatalf("n = %d: idle scratch is not all-zero over its capacity", n)
+		}
 	}
 }
 

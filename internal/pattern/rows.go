@@ -409,45 +409,65 @@ func sortedPerm(in Rows) []int32 {
 	return perm
 }
 
-// Merge returns the union of the settled sets a and b, settled: a itself
-// when b adds no row, b when a is empty. Neither is written. Each row of b is
-// placed in a's sorted rows by bisection from the last one's place, and the
-// runs of a between the new rows are copied whole, so a b of few rows costs
-// their searches and one copy of a's slab.
-func Merge(a, b *TupleSet) *TupleSet {
+// Merge returns the union of the settled sets a and b, settled, without the
+// rows of a that drop (nil: none) reports: a itself when that changes
+// nothing, b when a is empty. Neither is written, and no row of b is dropped.
+// Each row of b is placed in a's sorted rows by bisection from the last one's
+// place, and the runs of a between the new rows are copied whole but for the
+// dropped rows, so a b of few rows costs their searches, one drop call per
+// row of a and one copy of a's slab.
+func Merge(a, b *TupleSet, drop func(row []int32) bool) *TupleSet {
 	x, y := a.rows, b.rows
-	if y.N == 0 {
+	if y.N == 0 && drop == nil {
 		return a
 	}
 	if x.N == 0 {
 		return b
 	}
-	if !a.settled || !b.settled || x.Arity != y.Arity {
+	if !a.settled || y.N > 0 && (!b.settled || x.Arity != y.Arity) {
 		panic("pattern: Merge of unsettled sets or of two arities")
 	}
+	dropped := func(i int) bool { return drop != nil && drop(x.Row(i)) }
 	var at []int32 // per new row of b, in order: the row of a it goes before
 	var fresh []int32
 	lo := 0
 	for j := 0; j < y.N; j++ {
 		row := y.Row(j)
 		lo += sort.Search(x.N-lo, func(i int) bool { return slices.Compare(x.Row(lo+i), row) >= 0 })
-		if lo == x.N || !slices.Equal(x.Row(lo), row) {
+		if lo == x.N || !slices.Equal(x.Row(lo), row) || dropped(lo) { // a dropped equal row is not copied
 			at, fresh = append(at, int32(lo)), append(fresh, int32(j))
 		}
 	}
-	if len(at) == 0 {
+	first := 0 // the first row of a to drop, x.N for none
+	for first < x.N && !dropped(first) {
+		first++
+	}
+	if len(at) == 0 && first == x.N {
 		return a
 	}
-	n := x.N + len(at)
-	out := Rows{Arity: x.Arity, N: n, Data: make([]int32, 0, n*x.Arity)}
+	w := x.Arity
+	out := Rows{Arity: w, Data: make([]int32, 0, (x.N+len(at))*w)}
+	// keep copies the rows of a in [p, q) that are not dropped, in runs.
+	keep := func(p, q int) {
+		for p < q {
+			r := min(q, max(p, first)) // the rows before first are kept
+			for r < q && !dropped(r) {
+				r++
+			}
+			out.Data = append(out.Data, x.Data[p*w:r*w]...)
+			out.N += r - p
+			p = r + 1
+		}
+	}
 	prev := 0
 	for k, p := range at {
-		out.Data = append(out.Data, x.Data[prev*x.Arity:int(p)*x.Arity]...)
+		keep(prev, int(p))
 		out.Data = append(out.Data, y.Row(int(fresh[k]))...)
+		out.N++
 		prev = int(p)
 	}
-	out.Data = append(out.Data, x.Data[prev*x.Arity:]...)
-	return &TupleSet{rows: out, settled: true, kept: n}
+	keep(prev, x.N)
+	return &TupleSet{rows: out, settled: true, kept: out.N}
 }
 
 // All returns the tuples in the order of Rows.

@@ -538,12 +538,65 @@ func TestMergeSettled(t *testing.T) {
 			}
 			s.Settle()
 		}
-		got := Merge(a, b)
+		got := Merge(a, b, nil)
 		if !got.Equal(want) || !slices.IsSortedFunc(got.Rows().Tuples(), func(p, q Tuple) int { return slices.Compare(p, q) }) {
 			t.Fatalf("trial %d: Merge of %v and %v is %v", trial, a.Sorted(), b.Sorted(), got.Rows().Tuples())
 		}
 		if got.Len() == a.Len() && a.Len() > 0 && got != a {
 			t.Fatalf("trial %d: b adds nothing, but Merge copied a", trial)
+		}
+	}
+}
+
+// TestMergeDrop: Merge with a drop predicate is a naive filter of a followed
+// by a union with b — over random settled sets, empty ones and arity 0, with
+// predicates that drop nothing, everything or rows by one column — and
+// returns a itself when it drops nothing and b adds nothing. A row of b equal
+// to a dropped row of a is kept.
+func TestMergeDrop(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 600; trial++ {
+		arity := r.Intn(4)
+		a, b := NewTupleSet(), NewTupleSet()
+		for _, s := range []*TupleSet{a, b} {
+			for i := r.Intn(3) * r.Intn(30); i > 0; i-- {
+				row := make([]int32, arity)
+				for c := range row {
+					row[c] = int32(r.Intn(6))
+				}
+				s.Append(row)
+			}
+			s.Settle()
+		}
+		col, bad := r.Intn(max(arity, 1)), int32(r.Intn(6))
+		var drop func([]int32) bool
+		switch r.Intn(4) {
+		case 0:
+			drop = func([]int32) bool { return false }
+		case 1:
+			drop = func([]int32) bool { return true }
+		default:
+			drop = func(row []int32) bool { return arity > 0 && row[col] <= bad }
+		}
+		want := NewTupleSet()
+		for i := 0; i < a.Len(); i++ {
+			if row := a.Rows().Row(i); !drop(row) {
+				want.AddRow(row)
+			}
+		}
+		want.AddAll(b)
+		got := Merge(a, b, drop)
+		if !got.Equal(want) || !slices.IsSortedFunc(got.Rows().Tuples(), func(p, q Tuple) int { return slices.Compare(p, q) }) || len(got.Rows().Data) != got.Len()*arity {
+			t.Fatalf("trial %d: Merge of %v and %v dropping rows is %v, want %v", trial, a.Sorted(), b.Sorted(), got.Rows().Tuples(), want.Sorted())
+		}
+		kept := 0
+		for i := 0; i < a.Len(); i++ {
+			if !drop(a.Rows().Row(i)) {
+				kept++
+			}
+		}
+		if kept == a.Len() && a.Len() > 0 && want.Equal(a) && got != a {
+			t.Fatalf("trial %d: nothing dropped or added, but Merge copied a", trial)
 		}
 	}
 }
