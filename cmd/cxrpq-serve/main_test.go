@@ -192,8 +192,9 @@ func TestUpdateDeltaMaintainsSessions(t *testing.T) {
 	if code != http.StatusOK || out["count"].(float64) != 2 {
 		t.Fatalf("before update: %d %v", code, out)
 	}
-	// A bounded-semantics query materializes atom relations in the database's
-	// atom store — what the insert-only update must maintain per entry.
+	// A bounded-semantics query files complete row tables and supports in the
+	// database's atom store — what the insert-only update must maintain per
+	// entry.
 	qb := `{"db":"g1","query":"ans(x, y)\nx y : $w{a|b}\ny z : $w+","semantics":"bounded","k":1,"mode":"eval"}`
 	if code, out := postJSON(t, ts.URL+"/query", qb); code != http.StatusOK {
 		t.Fatalf("bounded query: %d %v", code, out)

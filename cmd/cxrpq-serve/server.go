@@ -82,8 +82,8 @@ package main
 // with the database's atom store carried over once (ecrpq.AtomStore): a
 // batch over known labels, inserts or removals, carries every entry — header
 // copies, no search — and the eval answers and re-read true verdicts, stale;
-// the first read of an entry at the new revision brings its relation,
-// supports, probe rows and verdict up to date over the batch's frontier, and
+// the first read of an entry at the new revision brings its supports, row
+// tables and verdict up to date over the batch's frontier, and
 // the first read of an answer merges in the rows of joins seeded on that
 // frontier. Once the window since the answer removed edges, an eval answer
 // first drops its rows with a frontier node at an atom source's position —
@@ -1353,7 +1353,9 @@ type dbStats struct {
 
 	// Delta-maintenance counters: which path mutations took through the
 	// database's derived state and its atom store; Atoms is the store of the
-	// published view — what it holds and its lineage's counters.
+	// published view — what it holds and its lineage's counters. It holds an
+	// atom's pairs as row tables alone ("rows": a complete one is all of
+	// them, read in place), so there is no "relations" kind.
 	Maint     graph.MaintStats `json:"maint"`
 	SessMaint sessMaintStats   `json:"sessions_maint"`
 	Atoms     ecrpq.AtomStats  `json:"atoms"`

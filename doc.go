@@ -42,8 +42,8 @@
 //	                     (ReachBatchEx): a level-synchronous MS-BFS over
 //	                     the graph×automaton product, 64 sources per
 //	                     machine word, run on the calling goroutine on
-//	                     pooled scratch; relation construction in ecrpq
-//	                     runs through it instead of the per-source fan;
+//	                     pooled scratch; the atom store's complete row
+//	                     tables run through it instead of a per-source fan;
 //	                     both kernels take one ReachOpts: BFS level indices
 //	                     (shortest-witness distances), a pluggable
 //	                     edge-weight function (Weight switches the level
@@ -71,10 +71,11 @@
 //	                     form (Lemmas 4-6, 8), translations (Lemmas 12-14);
 //	                     bounded.go is the prefix-incremental CXRPQ^≤k
 //	                     engine (candidate images from a label-index walk
-//	                     steered by the definition bodies, atom relations
-//	                     from the database's atom store, relaxed-atom
+//	                     steered by the definition bodies, relaxed-atom
 //	                     subtree pruning by existence probe, parallel
-//	                     mapping enumeration);
+//	                     mapping enumeration, and each mapping's CRPQ
+//	                     joined by the one executor over its atoms, the
+//	                     pattern compiled once per run: ecrpq.Leaf);
 //	                     plan.go/session.go are the prepared-query
 //	                     subsystem: Prepare(q) compiles an immutable Plan
 //	                     (fragment class, bounded schedule, the member
@@ -83,13 +84,15 @@
 //	                     concurrency-safe, stateless Session over the
 //	                     database's atom store (ecrpq.AtomStore: one
 //	                     ecrpq.Atom per label and alphabet with its compiled
-//	                     automaton, the atom's relations, supports and
-//	                     path-existence verdicts, and the answers filed
+//	                     automaton, the atom's row tables — a complete one
+//	                     is all its pairs, the other direction its
+//	                     inversion — supports and path-existence
+//	                     verdicts, and the answers filed
 //	                     under each plan, one byte account, shared by every
 //	                     session on the snapshot), revision-checked and
 //	                     carried once per revision move, each entry
-//	                     settled on its first read: relations, supports,
-//	                     probe rows and verdicts are retained or derived
+//	                     settled on its first read: supports, probe rows
+//	                     and verdicts are retained or derived
 //	                     again on the delta's frontier, inserts and
 //	                     removals alike, and an answer carried over
 //	                     inserts gains the rows of joins seeded on that
@@ -106,8 +109,8 @@
 //	                     Session.Stream
 //	                     (stream.go) is the pull-based any-k surface: a
 //	                     Cursor serving FetchRows pages from a lazy
-//	                     backtracking join (atom relations computed in
-//	                     growing source chunks, so the first row costs one
+//	                     backtracking join (atom rows searched in growing
+//	                     source chunks, so the first row costs one
 //	                     shallow probe), with per-stream budgets
 //	                     (deadline/limit/context cancellation), ranked
 //	                     best-witness-first order produced by the
@@ -159,7 +162,7 @@
 // reporting the join order, how each atom is visited and which endpoints
 // each atom is read for, and /stats counters for each
 // database's atom store (entries and bytes per kind, hits, delta passes,
-// retained-vs-extended relations), time-to-first-row and rows-streamed
+// retained-vs-extended entries), time-to-first-row and rows-streamed
 // telemetry, the reachability kernel's batch/level/edge volumes, and the
 // store's WAL/checkpoint/recovery counters; -data-dir makes every
 // database durable (recover on startup, WAL-append-then-ack), -follower

@@ -93,7 +93,7 @@ func TestAtomStoreSharedDifferential(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if st := ecrpq.Atoms(view).Stats(); st.Hits == 0 || st.Relations.Entries+st.Supports.Entries == 0 {
+		if st := ecrpq.Atoms(view).Stats(); st.Hits == 0 || st.Rows.Complete+st.Supports.Entries == 0 {
 			t.Fatalf("revision %d: the view's store was not shared: %+v", rev, st)
 		}
 	}
@@ -119,8 +119,8 @@ func TestAtomStoreMaintainedOnce(t *testing.T) {
 		pool = append(pool, s)
 	}
 	parked, before := ecrpq.Atoms(v0), ecrpq.Atoms(v0).Stats()
-	if before.Supports.Entries == 0 || before.Relations.Entries == 0 || before.DeltaPasses != 0 {
-		t.Fatalf("the pool left no supports or relations to maintain: %+v", before)
+	if before.Supports.Entries == 0 || before.Rows.Complete == 0 || before.DeltaPasses != 0 {
+		t.Fatalf("the pool left no supports or complete tables to maintain: %+v", before)
 	}
 	if _, err := db.ApplyDelta(deltas[0]); err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestAtomStoreMaintainedOnce(t *testing.T) {
 	if again := ecrpq.Atoms(v0); again != parked {
 		t.Fatal("the parked view lost its store")
 	}
-	if st := parked.Stats(); st.Supports != before.Supports || st.Relations != before.Relations || st.Verdicts != before.Verdicts {
+	if st := parked.Stats(); st.Supports != before.Supports || st.Rows != before.Rows || st.Verdicts != before.Verdicts {
 		t.Fatalf("the parked epoch changed under its readers: %+v, was %+v", st, before)
 	}
 	for i, s := range pool {
@@ -158,26 +158,32 @@ func TestAtomStoreMaintainedOnce(t *testing.T) {
 }
 
 // TestAtomStoreCutBuildPoisonsNobody: a request whose budget runs out in the
-// middle of a relation build gets ErrCanceled and leaves nothing in the store;
-// the next request, of another text that instantiates the same labels, builds
-// the whole relation and answers like a fresh copy.
+// middle of a complete table's sweep gets ErrCanceled and leaves nothing in
+// the store; the next request, of another text that instantiates the same
+// labels, sweeps the whole table and answers like a fresh copy.
 func TestAtomStoreCutBuildPoisonsNobody(t *testing.T) {
 	db := workload.Random(3, 1200, 3600, "ab") // x(a|b)+ relates ~n² pairs: tens of milliseconds to build
 	db.Index()
 	spent := engine.NewBudget(nil, time.Time{})
 	spent.Stop()
-	// stored asks the store for the big relations without letting it build any.
+	// stored asks the store for the big tables without letting it sweep any.
 	stored := func() (n int) {
 		for _, label := range []string{"a(a|b)+", "b(a|b)+"} {
-			a, err := ecrpq.Atoms(db).Atom(xregex.MustParse(label), []rune("ab"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rel, err := ecrpq.Atoms(db).Relation(a, engine.ReachOpts{Budget: spent})
+			text := "ans(x, y)\nx y : " + label
+			_, err := leafOf(db, text, []rune("ab"), spent)
 			if err == nil {
+				leaf, herr := leafOf(db, text, []rune("ab"), nil)
 				whole, werr := ecrpq.RelationFor(db, xregex.MustParse(label), []rune("ab"))
-				if werr != nil || rel.Size() != whole.Size() {
-					t.Fatalf("the store holds %d pairs of %s, the relation has %d (%v)", rel.Size(), label, whole.Size(), werr)
+				if herr != nil || werr != nil {
+					t.Fatal(herr, werr)
+				}
+				held, want := 0, 0
+				leaf.Stream(func([]int32, int) bool { held++; return true })
+				for u := range db.NumNodes() {
+					want += len(whole.Forward(u))
+				}
+				if held != want {
+					t.Fatalf("the store holds %d pairs of %s, the relation has %d", held, label, want)
 				}
 				n++
 			} else if !errors.Is(err, engine.ErrCanceled) {
@@ -194,7 +200,7 @@ func TestAtomStoreCutBuildPoisonsNobody(t *testing.T) {
 		t.Fatalf("request A under a 1 ms budget: OK=%v, %v after %v; want ErrCanceled", res.OK, res.Err, time.Since(start))
 	}
 	if n := stored(); n != 0 {
-		t.Fatalf("the cut request installed %d of its relations", n)
+		t.Fatalf("the cut request installed %d of its tables", n)
 	}
 	bq := cxrpq.MustParse("ans()\nu x : b?\nx y : $w{a|b}(a|b)+\ny z : $w b")
 	got, err := tuples(cxrpq.MustPrepare(bq).Bind(db).Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 1}))
@@ -203,7 +209,7 @@ func TestAtomStoreCutBuildPoisonsNobody(t *testing.T) {
 		t.Fatalf("request B after the cut one: %v (%v), a fresh copy says %v (%v)", got.Sorted(), err, want.Sorted(), werr)
 	}
 	if n := stored(); n != 2 {
-		t.Fatalf("request B left %d of the two relations in the store: the case is not exercised", n)
+		t.Fatalf("request B left %d of the two tables in the store: the case is not exercised", n)
 	}
 }
 
@@ -275,5 +281,40 @@ func TestAtomStoreBoundedSharesAtoms(t *testing.T) {
 	again, err := store.Atom(xregex.MustParse("ab"), db.Alphabet())
 	if n := store.Stats().Automata.Entries; err != nil || again != ab || n != held {
 		t.Fatalf("the CRPQ compiled its own atom: %p, the bounded run's %p; %d atoms, %d before (%v)", again, ab, n, held, err)
+	}
+}
+
+// TestAtomStoreBoundedTextsShareTables: two different bounded texts over one
+// revision that instantiate the same label cost one kernel sweep for it. The
+// first text's leaves sweep the complete table of a(a|b)* (and of b(a|b)*);
+// the second text instantiates only a(a|b)* with both endpoints read — its
+// other image, ε, cuts the definition and prunes — so its run reads the
+// stored table in place: no store miss and no kernel source, and both answer
+// like a fresh copy.
+func TestAtomStoreBoundedTextsShareTables(t *testing.T) {
+	db := workload.Random(3, 40, 120, "ab")
+	store := ecrpq.Atoms(db)
+	texts := []storeText{
+		{"ans(x, y)\nx y : $w{a|b}(a|b)*", 1},
+		{"ans(u, v)\nu v : $z{a}(a|b)*", 1},
+	}
+	var before ecrpq.AtomStats
+	for i, x := range texts {
+		before = store.Stats()
+		plan := cxrpq.MustPrepare(cxrpq.MustParse(x.src))
+		got, err := x.eval(plan.Bind(db))
+		want, werr := x.eval(plan.Bind(freshCopy(db)))
+		if err != nil || werr != nil || !got.Equal(want) || got.Len() == 0 {
+			t.Fatalf("%q: %v (%v), a fresh copy %v (%v)", x.src, got.Sorted(), err, want.Sorted(), werr)
+		}
+		if st := store.Stats(); i == 0 && st.Kernel.Sources < uint64(2*db.NumNodes()) {
+			t.Fatalf("%q swept %d sources, want the two tables of %d nodes each", x.src, st.Kernel.Sources-before.Kernel.Sources, db.NumNodes())
+		}
+	}
+	if st := store.Stats(); st.Misses != before.Misses || st.Kernel.Sources != before.Kernel.Sources || st.Hits == before.Hits {
+		t.Fatalf("the second text searched again: %d misses and %d kernel sources more, %d hits", st.Misses-before.Misses, st.Kernel.Sources-before.Kernel.Sources, st.Hits-before.Hits)
+	}
+	if _, err := leafJoin(db, "ans(x, y)\nx y : a(a|b)*", db.Alphabet(), engine.NewBudget(nil, time.Now().Add(-time.Second))); err != nil {
+		t.Fatalf("the table of a(a|b)* is not complete in the store: %v", err)
 	}
 }

@@ -31,31 +31,33 @@ import (
 //     first witness and the order of streams. Lists are memoized per run by
 //     the relaxed bodies' print.
 //  2. An atom (pattern edge) is fully instantiated as soon as the prefix
-//     covers all variables occurring in it — its Lemma 10 surgery and its
-//     reachability relation are computed right then, and an atom that
-//     matches no path of D prunes the entire subtree before any deeper
-//     variable is guessed. Exponentially many mappings — of this query and of
-//     every other one over the snapshot — agree on an atom's instantiated
-//     label, so relations are shared through the database's atom store
-//     (ecrpq.AtomStore). An atom with a node variable nothing else reads never
-//     gets one in an unranked run: only its support (relationFor).
+//     covers all variables occurring in it — its Lemma 10 surgery is run and
+//     what the leaf join reads of it resolved right then (ecrpq.Leaf.Set),
+//     and an atom that matches no path of D prunes the entire subtree before
+//     any deeper variable is guessed. Exponentially many mappings — of this
+//     query and of every other one over the snapshot — agree on an atom's
+//     instantiated label, so its pairs are shared through the database's
+//     atom store (ecrpq.AtomStore) as complete row tables. An atom with a
+//     node variable nothing else reads never gets one in an unranked run:
+//     only its support.
 //  3. An atom the prefix touches without determining is relaxed (relaxCut)
 //     and asked one question: does it match any path of D at all? The
 //     answer is an existence probe that stops at its first hit and one
-//     stored bit per label (AtomStore.PathExists) — never a relation. A
+//     stored bit per label (AtomStore.PathExists) — never a row. A
 //     positive verdict survives inserts, a negative one — or one a removal
 //     touched — is asked again.
-//  4. A complete mapping then needs only a join over the cached relations
-//     (ecrpq.JoinRelationsStream), not a fresh CRPQ evaluation. Settling a
-//     carried answer runs the same enumeration and joins each mapping once
-//     per source variable, pre-bound to each node of the window's frontier
-//     (seed).
+//  4. A complete mapping is then a CRPQ (Lemma 11) over the atoms set on
+//     the run's leaf — the pattern compiled once per run — and needs only
+//     the executor's join over them (ecrpq.Leaf), not a fresh CRPQ
+//     evaluation. Settling a carried answer runs the same enumeration and
+//     joins each mapping once per source variable, pre-bound to each node of
+//     the window's frontier (seeds).
 //
 // The engine is split along the prepared-query boundary (plan.go /
 // session.go): boundedPlan holds everything derivable from the query alone
 // (the ≺-topological order and the instantiation/pruning/check schedule),
-// computed once by Prepare; the atom store holds the per-database facts (atom
-// relations, supports, path-existence verdicts), shared across calls, sessions
+// computed once by Prepare; the atom store holds the per-database facts (row
+// tables, supports, path-existence verdicts), shared across calls, sessions
 // and concurrent engine runs. A boundedEngine is the per-call object tying one
 // run's enumeration state, candidate lists and result sink to those two.
 //
@@ -177,11 +179,6 @@ type boundedEngine struct {
 	boolOnly bool
 	seq      bool           // force sequential enumeration (witness search)
 	pre      map[string]int // pre-bound node variables (a bounded check)
-	order    []int          // the leaf joins' edge order (ecrpq.PlanJoin), the same for every mapping
-
-	// readFrom/readTo: per edge, whether another atom, the output or pre reads
-	// its From / To node variable (pattern.Graph.Reads); see relationFor.
-	readFrom, readTo []bool
 
 	k       int              // image bound
 	atoms   *ecrpq.AtomStore // the database's atom facts, shared by every run over it
@@ -192,29 +189,30 @@ type boundedEngine struct {
 	cands *epochMap[string, []string]
 
 	// bud is the caller's evaluation budget (nil = unlimited); fanBud is its
-	// per-run fork, threaded into relation builds and leaf joins so that both
+	// per-run fork, threaded into table sweeps and leaf joins so that both
 	// budget exhaustion AND the Boolean first-witness stop unwind in-flight
 	// BFS sweeps at level granularity. fanBud is stopped (not bud) on first
 	// witness, so sibling cancellation never spends the caller's budget.
 	bud    *engine.Budget
 	fanBud *engine.Budget
 
-	// ranked requests BFS first-hit levels on every atom relation and
-	// ranked leaf joins, which report them as witness costs.
+	// ranked makes the leaf joins read rows with costs — BFS first-hit
+	// levels, or minimum total weights under weight, a pluggable
+	// per-edge-label weight — which they report as witness costs. The run
+	// searches them for itself (ecrpq.Leaf): a weight has no identity to file
+	// them under in the store.
 	ranked bool
-
-	// weight generalizes ranked witness cost from edge count to a pluggable
-	// per-edge-label weight. Weighted relations have no identity (a function
-	// can't key the atom store), so the store files them nowhere and
-	// relationFor memoizes them per run in wrels.
 	weight engine.Weight
-	wrels  *epochMap[*ecrpq.Atom, *ecrpq.EdgeRel]
+
+	// leaves hands out forks of the run's leaf join, compiled when the run
+	// starts: each enumeration subtree joins through one (boundedState.leaf),
+	// which goes back when its fan job ends.
+	leaves sync.Pool
 
 	// anyk, when set, redirects every complete mapping's leaf join onto the
-	// shared incremental any-k priority queue (one AddJoin per mapping,
-	// relations snapshotted) instead of executing it: run() then only
-	// enumerates mappings and builds relations, and the consumer pulls
-	// ranked rows lazily from the queue. Implies seq.
+	// shared incremental any-k priority queue (one AddLeaf per mapping)
+	// instead of executing it: run() then only enumerates mappings, and the
+	// consumer pulls ranked rows lazily from the queue. Implies seq.
 	anyk *ecrpq.AnyK
 
 	// yield, when set, streams each leaf join's rows (with witness cost)
@@ -223,16 +221,15 @@ type boundedEngine struct {
 	// NOT deduplicated across mappings here; the consumer owns dedup.
 	yield ecrpq.StreamFunc
 
-	// leaf consumes a complete mapping; the default joins the cached atom
-	// relations, a bounded explain swaps in a witness search.
+	// leaf consumes a complete mapping; the default joins its atoms, a
+	// bounded explain swaps in a witness search.
 	leaf func(st *boundedState) error
 
-	// seeds, when set, pre-binds each source variable of the pattern in turn
-	// to each of its nodes in every leaf join (seed); seedOrders holds the
-	// join order per variable, in the order of ecrpq.SourceVars.
-	seeds      []int
-	seedVars   []string
-	seedOrders [][]int
+	// seeds, when set, makes the run join each complete mapping once per
+	// source variable of the pattern, pre-bound to each of its nodes: the rows
+	// of the answer with a witness that binds some atom's source to a seed
+	// (ecrpq.Leaf.StreamSeeded).
+	seeds []int
 
 	stop atomic.Bool
 
@@ -241,14 +238,15 @@ type boundedEngine struct {
 }
 
 // boundedState is the mutable state of one enumeration subtree: the partial
-// assignment and, per edge, the instantiated label, its relation and the
-// defined variables whose definitions survived the Lemma 10 cut. Entries for
-// edge ei are valid whenever the current prefix covers ei's ready step.
+// assignment, the leaf join with the atom of each edge set on it and, per
+// edge, the instantiated label and the defined variables whose definitions
+// survived the Lemma 10 cut. Entries for edge ei are valid whenever the
+// current prefix covers ei's ready step.
 type boundedState struct {
 	e        *boundedEngine
 	assign   map[string]string
 	insts    []xregex.Node
-	rels     []*ecrpq.EdgeRel
+	leaf     *ecrpq.Leaf
 	survived []map[string]bool
 }
 
@@ -310,35 +308,16 @@ func newBoundedEngine(p *boundedPlan, db *graph.DB, k int, boolOnly bool, pre ma
 		sigma:    sigma,
 		boolOnly: boolOnly,
 		pre:      pre,
-		order:    ecrpq.PlanJoin(p.q.Pattern, nil, pre),
 		k:        k,
 		atoms:    atoms,
 		workers:  workers,
 		cands:    newEpochMap[string, []string](runMemoCap),
-		wrels:    newEpochMap[*ecrpq.Atom, *ecrpq.EdgeRel](runMemoCap),
 		bud:      bud,
 		fanBud:   bud.Fork(), // nil-safe: a standalone fork when unbudgeted
 		out:      pattern.NewTupleSet(),
 	}
-	e.readFrom, e.readTo = p.q.Pattern.Reads(pre)
 	e.leaf = e.joinLeaf
 	return e, nil
-}
-
-// seed makes the run join each complete mapping once per source variable of
-// the pattern, pre-bound to each node of seeds: the rows of the answer with a
-// witness that binds some atom's source to a seed. Relations are resolved
-// with every source variable read (pattern.Graph.Reads with them in pre): an
-// atom whose source nothing else reads would otherwise be resolved as its
-// target support, which a join with that source bound cannot read.
-func (e *boundedEngine) seed(seeds []int) {
-	e.seeds, e.seedVars = seeds, ecrpq.SourceVars(e.p.q.Pattern)
-	pre := map[string]int{}
-	for _, z := range e.seedVars {
-		pre[z] = 0
-		e.seedOrders = append(e.seedOrders, ecrpq.PlanJoin(e.p.q.Pattern, nil, map[string]int{z: 0}))
-	}
-	e.readFrom, e.readTo = e.p.q.Pattern.Reads(pre)
 }
 
 func (e *boundedEngine) newState() *boundedState {
@@ -347,16 +326,18 @@ func (e *boundedEngine) newState() *boundedState {
 		e:        e,
 		assign:   map[string]string{},
 		insts:    make([]xregex.Node, ne),
-		rels:     make([]*ecrpq.EdgeRel, ne),
+		leaf:     e.leaves.Get().(*ecrpq.Leaf),
 		survived: make([]map[string]bool, ne),
 	}
 }
 
 // instantiateEdge runs the Lemma 10 surgery for edge ei under the current
 // (prefix) assignment — sound because all of ei's variables are assigned at
-// its ready step — and resolves the edge's reachability relation through the
-// atom store. It reports false when the subtree is pruned: the label is
-// ∅, or it labels no path of D.
+// its ready step — and sets the instantiated label's atom, which the atom
+// store hands out once per label, on the edge of the state's leaf join: every
+// mapping, of any query over the snapshot, that agrees on the label shares
+// its automaton and its stored facts. It reports false when the subtree is
+// pruned: the label is ∅, or it labels no path of D.
 func (st *boundedState) instantiateEdge(ei int) (bool, error) {
 	e := st.e
 	cut, err := xregex.CutFailedDefs(e.p.c[ei], st.assign, e.match)
@@ -380,12 +361,11 @@ func (st *boundedState) instantiateEdge(ei int) (bool, error) {
 	st.survived[ei] = surv
 	inst := xregex.Simplify(xregex.SubstituteAllVars(cut, st.assign))
 	st.insts[ei] = inst
-	rel, err := e.relationFor(ei, inst)
+	a, err := e.atoms.Atom(inst, e.sigma)
 	if err != nil {
 		return false, err
 	}
-	st.rels[ei] = rel
-	return !rel.Empty(), nil
+	return st.leaf.Set(ei, a)
 }
 
 // relaxCut over-approximates the Lemma 10 instantiation of n under a
@@ -421,7 +401,7 @@ func relaxCut(n xregex.Node, assign map[string]string, match xregex.Matcher) (xr
 // against D. It reports false when the relaxed atom labels no path at all —
 // no completion of the current prefix can satisfy the atom. Only that one
 // bit is asked for and kept (AtomStore.PathExists); the relaxed label's
-// relation is never built.
+// rows are never searched.
 func (st *boundedState) pruneRelaxed(ei int) (bool, error) {
 	e := st.e
 	relaxed, err := relaxCut(e.p.c[ei], st.assign, e.match)
@@ -471,33 +451,6 @@ func (st *boundedState) processStep(i int) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// relationFor resolves the relation of edge ei's instantiated label through
-// its atom, which the atom store hands out once per label — the sharing
-// point for all mappings, of any query over the snapshot, that agree on the
-// label: they share its automaton and its stored relation. The build honors
-// the run's fan budget (a truncated build surfaces as engine.ErrCanceled and
-// installs nothing) and requests BFS levels when the run is ranked. An
-// unranked run resolves an edge with an endpoint nothing reads through its
-// support on the other one (AtomStore.Support) and never builds its pairs.
-func (e *boundedEngine) relationFor(ei int, inst xregex.Node) (*ecrpq.EdgeRel, error) {
-	a, err := e.atoms.Atom(inst, e.sigma)
-	if err != nil {
-		return nil, err
-	}
-	if !e.ranked && !(e.readFrom[ei] && e.readTo[ei]) {
-		return e.atoms.Support(a, e.readTo[ei], e.fanBud)
-	}
-	if e.ranked && e.weight != nil {
-		// Weighted levels never enter the store: two queries with different
-		// weights would collide on the same atom. The per-run memo still
-		// shares the build across this run's mappings.
-		return e.wrels.getOr(a, func() (*ecrpq.EdgeRel, error) {
-			return e.atoms.Relation(a, engine.ReachOpts{Budget: e.fanBud, Weight: e.weight})
-		})
-	}
-	return e.atoms.Relation(a, engine.ReachOpts{Budget: e.fanBud, Levels: e.ranked})
 }
 
 // match is the run's membership test: whether the classical expression n
@@ -601,29 +554,27 @@ func (st *boundedState) rec(i int) error {
 	return nil
 }
 
-// joinLeaf is the default leaf: join the stored atom relations, in the
-// engine's one edge order, and merge the answers into the shared result set.
+// joinLeaf is the default leaf: join the mapping's atoms, in the run's one
+// edge order, and merge the answers into the shared result set.
 func (e *boundedEngine) joinLeaf(st *boundedState) error {
 	if e.anyk != nil {
-		// Deferred ranked leaf (incremental any-k): snapshot this mapping's
-		// relations — boundedState reuses its slices across mappings — and
-		// register the join as one root on the shared priority queue. The
-		// join itself runs lazily as the consumer pulls ranked rows.
-		e.anyk.AddJoin(e.p.q.Pattern, append([]*ecrpq.EdgeRel(nil), st.rels...), e.order, e.pre)
+		// Deferred ranked leaf (incremental any-k): register the join of this
+		// mapping's atoms as one root on the shared priority queue. The join
+		// itself runs lazily as the consumer pulls ranked rows.
+		e.anyk.AddLeaf(st.leaf)
 		return nil
 	}
 	if e.yield != nil {
 		// Streaming leaf (Session.Stream): rows flow to the consumer as the
 		// backtracking completes them. Runs are sequential (e.seq), so the
 		// yield needs no locking.
-		ecrpq.JoinRelationsStream(e.p.q.Pattern, st.rels, e.order, e.pre, ecrpq.Options{Budget: e.fanBud, Ranked: e.ranked},
-			func(row []int32, cost int) bool {
-				if !e.yield(row, cost) {
-					e.stop.Store(true)
-					return false
-				}
-				return true
-			})
+		st.leaf.Stream(func(row []int32, cost int) bool {
+			if !e.yield(row, cost) {
+				e.stop.Store(true)
+				return false
+			}
+			return true
+		})
 		return nil
 	}
 	var rows []int32 // collected outside the critical section; run settles e.out
@@ -633,11 +584,9 @@ func (e *boundedEngine) joinLeaf(st *boundedState) error {
 		return !e.boolOnly
 	}
 	if e.seeds != nil {
-		for i, z := range e.seedVars {
-			ecrpq.JoinRelationsSeeded(e.p.q.Pattern, st.rels, e.seedOrders[i], z, e.seeds, ecrpq.Options{Budget: e.fanBud}, collect)
-		}
+		st.leaf.StreamSeeded(e.seeds, collect)
 	} else {
-		ecrpq.JoinRelationsStream(e.p.q.Pattern, st.rels, e.order, e.pre, ecrpq.Options{Budget: e.fanBud}, collect)
+		st.leaf.Stream(collect)
 	}
 	if n == 0 {
 		return nil
@@ -664,6 +613,8 @@ func (e *boundedEngine) joinLeaf(st *boundedState) error {
 // every return, a truncated one too.
 func (e *boundedEngine) run() (*pattern.TupleSet, error) {
 	defer e.out.Settle()
+	join := ecrpq.NewLeaf(e.atoms, e.p.q.Pattern, e.pre, e.seeds != nil, ecrpq.Options{Budget: e.fanBud, Ranked: e.ranked, Weight: e.weight})
+	e.leaves.New = func() any { return join.Fork() }
 	st := e.newState()
 	ok, err := st.processStep(0)
 	if err != nil || !ok {
@@ -725,6 +676,7 @@ func (e *boundedEngine) run() (*pattern.TupleSet, error) {
 		if err == nil && ok {
 			err = st.rec(depth)
 		}
+		e.leaves.Put(st.leaf)
 		if err = e.ignoreCanceled(err); err != nil {
 			errMu.Lock()
 			if errAt < 0 || ji < errAt {

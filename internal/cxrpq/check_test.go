@@ -164,3 +164,29 @@ func TestCheckVsfOverCapHonoursBudget(t *testing.T) {
 		t.Fatalf("repeated over-cap checks hit the result cache %d times, want 2", st.ResultHits)
 	}
 }
+
+// TestCheckPreBindArms: both arms of Session.Do pre-bind a check's tuple
+// through one function (ecrpq.PreBind), so a tuple of the wrong arity, a node
+// out of range and one output variable bound to two nodes give the same error
+// or answer under the fragment dispatch as under bounded semantics.
+func TestCheckPreBindArms(t *testing.T) {
+	db := workload.Random(7, 6, 14, "ab")
+	sess := cxrpq.MustPrepare(cxrpq.MustParse("ans(x, x, y)\nx y : $w{a|b}\ny z : $w")).Bind(db)
+	for _, tc := range []struct {
+		name  string
+		tuple pattern.Tuple
+		err   string // "" for an answer
+	}{
+		{"arity", pattern.Tuple{0, 1}, "ecrpq: tuple arity 2, query arity 3"},
+		{"range", pattern.Tuple{0, 0, db.NumNodes()}, fmt.Sprintf("ecrpq: node id %d out of range", db.NumNodes())},
+		{"two nodes", pattern.Tuple{0, 1, 2}, ""},
+	} {
+		union := sess.Do(cxrpq.Request{Op: "check", Tuple: tc.tuple})
+		bounded := sess.Do(cxrpq.Request{Op: "check", Semantics: "bounded", K: 1, Tuple: tc.tuple})
+		for arm, r := range map[string]cxrpq.Response{"union": union, "bounded": bounded} {
+			if got := fmt.Sprint(r.Err); tc.err == "" && r.Err != nil || tc.err != "" && got != tc.err || r.OK {
+				t.Errorf("%s, %s arm: OK=%v, %v; want false, %q", tc.name, arm, r.OK, r.Err, tc.err)
+			}
+		}
+	}
+}

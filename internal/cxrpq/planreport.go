@@ -14,7 +14,7 @@ import (
 // PlanStep is one entry of a PlanReport: the pattern edge placed at this
 // plan position, how the join visits it, and which of its endpoints the rest
 // of the query reads (pattern.Graph.Reads; short of "pairs" an unranked
-// evaluation computes a support, not a relation).
+// evaluation computes a support, not the pairs).
 type PlanStep struct {
 	Edge  int    `json:"edge"` // index into the query pattern's edges
 	From  string `json:"from"`

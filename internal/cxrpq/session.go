@@ -18,7 +18,7 @@ import (
 // Session is a Plan bound to one database, and holds nothing else. What its
 // calls derive belongs to the database revision and lives in its atom store
 // (ecrpq.AtomStore), which every session bound to the same *graph.DB shares:
-// the atom facts (relations, supports, path-existence verdicts) and the
+// the atom facts (row tables, supports, path-existence verdicts) and the
 // answers — complete Responses and ranked prefixes, filed under resultKey.
 // Each call asks ecrpq.Atoms(db) once and runs against that store. A query
 // runs through exactly two operations: Do, one Request answered whole, and
@@ -293,7 +293,7 @@ func frontierRows(n int, frontier, cols []int) func([]int32) bool {
 
 // boundedDelta is the bounded arm of settleCarried: the run's mapping
 // enumeration as it is, with every leaf joined once per source variable,
-// pre-bound to each node of seeds (boundedEngine.seed).
+// pre-bound to each node of seeds (boundedEngine.seeds).
 func (s *Session) boundedDelta(atoms *ecrpq.AtomStore, k int, seeds []int, bud *engine.Budget) (*pattern.TupleSet, error) {
 	if len(seeds) == 0 {
 		return pattern.NewTupleSet(), nil
@@ -302,7 +302,7 @@ func (s *Session) boundedDelta(atoms *ecrpq.AtomStore, k int, seeds []int, bud *
 	if err != nil {
 		return nil, err
 	}
-	e.seed(seeds)
+	e.seeds = seeds
 	return e.run()
 }
 
@@ -352,28 +352,18 @@ func (s *Session) doUnion(op string, t pattern.Tuple, bud *engine.Budget) Respon
 // the output variables, so each leaf join only searches for one extension of
 // the tuple; explain runs the engine sequentially — the witness is the first
 // in enumeration order — with a leaf that searches the instantiated CRPQ for
-// a path witness instead of joining stored relations. A found witness makes a
+// a path witness instead of joining its atoms. A found witness makes a
 // bool, check or explain answer definitive whatever the budget cut afterwards
 // (the first-witness sibling stop rides a fork of the budget); any other
 // truncated run returns its value — for eval, the sound partial rows — with
 // engine.ErrCanceled.
 func (s *Session) doBounded(atoms *ecrpq.AtomStore, op string, k int, t pattern.Tuple, bud *engine.Budget) Response {
+	var err error
 	var pre map[string]int
 	if op == "check" {
-		out := s.plan.q.Pattern.Out
-		if len(t) != len(out) {
-			return Response{Err: fmt.Errorf("cxrpq: tuple arity %d, query arity %d", len(t), len(out))}
-		}
-		pre = map[string]int{}
-		for i, z := range out {
-			v := t[i]
-			if v < 0 || v >= s.db.NumNodes() {
-				return Response{Err: fmt.Errorf("cxrpq: node id %d out of range", v)}
-			}
-			if prev, ok := pre[z]; ok && prev != v {
-				return Response{} // same output variable bound to two nodes
-			}
-			pre[z] = v
+		var ok bool
+		if pre, ok, err = ecrpq.PreBind(s.plan.q.Pattern.Out, s.db, t); err != nil || !ok {
+			return Response{Err: err} // !ok: one output variable bound to two nodes
 		}
 	}
 	e, err := s.boundedRun(atoms, k, op == "bool" || op == "check", pre, bud)

@@ -99,13 +99,14 @@ func TestRankedPrefixCounts(t *testing.T) {
 }
 
 // TestSessionRelCacheEviction: what bounds the atom store is bytes. On a
-// 1 200-node a-cycle every relation of the form a…a+ or a…a* holds all n² pairs,
-// ~17 MB as the store accounts it, and a one-worker Boolean run stores four of
-// them before its first witness: the store has to drop its epoch on the way,
-// the answer has to be the same every time (entries are pure caches; a run
-// holds the relations it joins), and the bytes reported never pass the budget.
+// 1 700-node a-cycle every atom of the form a…a+ or a…a* holds all n² pairs,
+// ~23 MB as the store accounts a complete table of them, and a one-worker
+// Boolean run stores three such tables before its first witness: the store
+// has to drop its epoch on the way, the answer has to be the same every time
+// (entries are pure caches; a run holds the tables it joins), and the bytes
+// reported never pass the budget.
 func TestSessionRelCacheEviction(t *testing.T) {
-	const n = 1200
+	const n = 1700
 	db := graph.New()
 	for i := 0; i < n; i++ {
 		db.AddEdgeNames(fmt.Sprint("c", i), 'a', fmt.Sprint("c", (i+1)%n))
@@ -114,7 +115,7 @@ func TestSessionRelCacheEviction(t *testing.T) {
 	// A fresh plan per call: its answer is filed under the plan, so the second
 	// call recomputes through the store, which belongs to the database and so
 	// is shared by both. One worker finds the first witness after the same
-	// relations every time.
+	// tables every time.
 	for call := 0; call < 2; call++ {
 		sess := cxrpq.MustPrepare(q).BindWorkers(db, 1)
 		if ok, err := verdict(sess.Do(cxrpq.Request{Op: "bool", Semantics: "bounded", K: 2})); err != nil || !ok {
@@ -124,7 +125,7 @@ func TestSessionRelCacheEviction(t *testing.T) {
 		if st.Evictions == 0 || st.Misses == 0 {
 			t.Fatalf("call %d: expected the store to overflow its budget: %+v", call, st)
 		}
-		if st.Bytes > st.Budget || st.Relations.Bytes > st.Bytes {
+		if st.Bytes > st.Budget || st.Rows.Bytes > st.Bytes {
 			t.Fatalf("call %d: the store holds more than its budget: %+v", call, st)
 		}
 		if st.ResultHits != 0 || st.ResultMisses != uint64(call+1) {
@@ -150,8 +151,8 @@ func TestSessionRelCacheEviction(t *testing.T) {
 	if rst.ResultHits == 0 {
 		t.Fatalf("expected a result-cache hit on the repeated call, got %+v", rst)
 	}
-	if rst.Evictions != 0 || rst.Relations.Entries == 0 {
-		t.Fatalf("roomy store should hold its relations and not evict, got %+v", rst)
+	if rst.Evictions != 0 || rst.Rows.Complete == 0 {
+		t.Fatalf("roomy store should hold its complete tables and not evict, got %+v", rst)
 	}
 }
 

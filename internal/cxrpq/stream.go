@@ -163,7 +163,7 @@ func (s *Session) Stream(opts StreamOptions) (*Cursor, error) {
 // the ranked prefix filed in atoms, so the prefix and the evaluation behind it
 // belong to one revision's store. Construction-time work and failures happen
 // here; the producer itself — one root per union member, or the bounded
-// engine's mappings and relations with every leaf join deferred onto the
+// engine's mappings and atoms with every leaf join deferred onto the
 // queue — is built by the first fetch past the prefix. baseline
 // (StreamDrained) forces the drain-then-sort producer and shares nothing.
 func (s *Session) rankedCursor(atoms *ecrpq.AtomStore, bounded bool, k int, bud *engine.Budget, opts StreamOptions, baseline bool) (*Cursor, error) {

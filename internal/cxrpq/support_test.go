@@ -6,15 +6,14 @@ package cxrpq_test
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"cxrpq/internal/cxrpq"
 	"cxrpq/internal/ecrpq"
+	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
 	"cxrpq/internal/workload"
-	"cxrpq/internal/xregex"
 )
 
 // storeStats is the atom store of the session's database: what it holds,
@@ -53,6 +52,35 @@ func freshCopy(db *graph.DB) *graph.DB {
 	return c
 }
 
+// leafOf is the CRPQ text over db's atom store as a bounded leaf joins it:
+// the atom of each label over sigma set on its edge under bud
+// (ecrpq.Leaf.Set), which fails only when bud cuts a search.
+func leafOf(db *graph.DB, text string, sigma []rune, bud *engine.Budget) (*ecrpq.Leaf, error) {
+	g, store := pattern.MustParseQuery(text), ecrpq.Atoms(db)
+	leaf := ecrpq.NewLeaf(store, g, nil, false, ecrpq.Options{Budget: bud}).Fork()
+	for i, e := range g.Edges {
+		a, err := store.Atom(e.Label, sigma)
+		if err == nil {
+			_, err = leaf.Set(i, a)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return leaf, nil
+}
+
+// leafJoin is the answer of leafOf's join.
+func leafJoin(db *graph.DB, text string, sigma []rune, bud *engine.Budget) (*pattern.TupleSet, error) {
+	leaf, err := leafOf(db, text, sigma, bud)
+	if err != nil {
+		return nil, err
+	}
+	out := pattern.NewTupleSet()
+	leaf.Stream(func(row []int32, _ int) bool { return out.AddRow(row) || true })
+	return out, nil
+}
+
 // tuples, verdict and witness read a Response the way a Go call returns: the
 // fields its Op sets, then its error.
 func tuples(r cxrpq.Response) (*pattern.TupleSet, error) { return r.Tuples, r.Err }
@@ -83,9 +111,10 @@ func drain(t *testing.T, s *cxrpq.Session, k int, ranked bool) *pattern.TupleSet
 
 // TestBoundedDanglingEndpoints: every bounded entry point agrees with the
 // literal Theorem 6 evaluation on queries whose atoms have a dangling target,
-// a dangling source, both, or a dangling self-loop (which keeps its relation:
-// its two ends read each other), and the session resolves exactly the
-// dangling atoms through supports.
+// a dangling source, both, or a dangling self-loop (which keeps its complete
+// table: its two ends read each other), and the session resolves exactly the
+// dangling atoms through supports: beyond the one every complete table files,
+// a support is stored only for them.
 func TestBoundedDanglingEndpoints(t *testing.T) {
 	for _, tc := range []struct {
 		name, src string
@@ -118,8 +147,8 @@ func TestBoundedDanglingEndpoints(t *testing.T) {
 				if err != nil || !got.Equal(want) {
 					t.Fatalf("%s: bounded eval %v (%v), naive %v", name, got.Sorted(), err, want.Sorted())
 				}
-				if n := storeStats(s).Supports.Entries; want.Len() > 0 && (n > 0) != tc.supports {
-					t.Fatalf("%s: %d supports stored, want some: %v", name, n, tc.supports)
+				if st := storeStats(s); want.Len() > 0 && (st.Supports.Entries > st.Rows.Complete) != tc.supports {
+					t.Fatalf("%s: %d supports stored for %d complete tables, want some alone: %v", name, st.Supports.Entries, st.Rows.Complete, tc.supports)
 				}
 				if ok, err := verdict(s.Do(cxrpq.Request{Op: "bool", Semantics: "bounded", K: k})); err != nil || ok != (want.Len() > 0) {
 					t.Fatalf("%s: bounded bool = %v, %v; naive has %d tuples", name, ok, err, want.Len())
@@ -213,30 +242,18 @@ func TestSupportAcrossDeltas(t *testing.T) {
 		if !got.Equal(want) || got.Len() != n {
 			t.Fatalf("%s: %v, a fresh copy has %v, want %d tuples", name, got.Sorted(), want.Sorted(), n)
 		}
-		// What the run left in the view's store under (ca, Σ) is what it joined.
+		// What the run left in the view's store under (ca, Σ) is what it
+		// joined: a leaf that reads the sources of ca finds them, one hit.
+		const sources = "ans(x)\nx y : ca"
 		store := ecrpq.Atoms(view)
 		hits := store.Stats().Hits
-		a, err := store.Atom(xregex.MustParse("ca"), []rune("abc"))
-		if err != nil {
-			t.Fatal(err)
+		ca, err := leafJoin(view, sources, []rune("abc"), nil)
+		if err != nil || ca.Len() != n || store.Stats().Hits != hits+1 {
+			t.Fatalf("%s: the store holds %d sources of ca (%v, %d hits), want %d stored", name, ca.Len(), err, store.Stats().Hits-hits, n)
 		}
-		ca, err := store.Support(a, false, nil)
-		if err != nil || ca.Size() != n || store.Stats().Hits != hits+1 {
-			t.Fatalf("%s: the store holds %d sources of ca (%v, %d hits), want %d stored", name, ca.Size(), err, store.Stats().Hits-hits, n)
-		}
-		fresh := ecrpq.Atoms(freshCopy(view))
-		fa, err := fresh.Atom(xregex.MustParse("ca"), []rune("abc"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		swept, err := fresh.Support(fa, false, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for u := 0; u < view.NumNodes(); u++ {
-			if !slices.Equal(ca.Forward(u), swept.Forward(u)) {
-				t.Fatalf("%s: node %d: carried support %v, a fresh sweep %v", name, u, ca.Forward(u), swept.Forward(u))
-			}
+		swept, err := leafJoin(freshCopy(view), sources, []rune("abc"), nil)
+		if err != nil || !ca.Equal(swept) {
+			t.Fatalf("%s: carried support %v, a fresh sweep %v (%v)", name, ca.Sorted(), swept.Sorted(), err)
 		}
 	}
 

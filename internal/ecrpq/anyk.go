@@ -10,12 +10,12 @@ package ecrpq
 //	cost(determined constraints) + lb(remaining constraints)
 //
 // where lb is an admissible per-suffix lower bound — each undetermined
-// constraint contributes its global minimum witness contribution (step.min:
-// the cheapest cost any binding of that atom carries). Keys are monotone along tree edges: a child determines one
-// more constraint at actual cost d ≥ that constraint's minimum, so pops come
-// off the heap in nondecreasing key order and a complete assignment (whose
-// key IS its exact cost, the suffix bound being empty) is emitted in
-// nondecreasing cost. Top-k therefore costs O(k) tree expansions after the
+// constraint contributes a lower bound of its witness contribution (step.min:
+// no binding of that atom costs less). Keys are monotone along tree edges: a
+// child determines one more constraint at actual cost d ≥ that constraint's
+// bound, so pops come off the heap in nondecreasing key order and a complete
+// assignment (whose key IS its exact cost, the suffix bound being empty) is
+// emitted in nondecreasing cost. Top-k therefore costs O(k) tree expansions after the
 // first constraint's extension list is built — no full drain.
 //
 // Extension lists are computed lazily per (constraint, bound-variable
@@ -49,8 +49,8 @@ type extList struct {
 }
 
 // anykRoot is one independent enumeration source feeding the shared heap: a
-// compiled plan, over an evaluator's lazily probed atoms (AddQuery) or over
-// materialized relations (AddJoin — the bounded engine's leaf shape).
+// compiled plan over lazily probed atoms, an evaluator's (AddQuery) or a
+// bounded leaf's (AddLeaf).
 type anykRoot struct {
 	bud   *engine.Budget
 	p     *plan
@@ -90,7 +90,7 @@ type anykNode struct {
 }
 
 // AnyK is the incremental ranked enumerator. Zero or more roots are added
-// (AddQuery/AddJoin), then Next pops complete assignments in globally
+// (AddQuery/AddLeaf), then Next pops complete assignments in globally
 // nondecreasing witness cost until the space is exhausted or the budget
 // cancels. Not safe for concurrent use.
 //
@@ -178,20 +178,6 @@ func (a *AnyK) AddQuery(q *Query, db *graph.DB, weight engine.Weight) error {
 	return nil
 }
 
-// AddJoin adds a join-form root: a relation-free pattern joined over
-// materialized per-edge relations in the given edge order (PlanJoin), with
-// the variables of pre pre-bound. The relations should carry levels
-// (BuildRelation) for the costs to be meaningful; level-free relations
-// enumerate at cost 0.
-func (a *AnyK) AddJoin(g *pattern.Graph, rels []*EdgeRel, order []int, pre map[string]int) {
-	for _, r := range rels[:len(g.Edges)] {
-		if r == nil {
-			return // an atom without a relation has no bindings
-		}
-	}
-	a.addRoot(joinPlan(g, rels, order, pre, true))
-}
-
 // extend materializes (or recalls) the cost-sorted extension list of step ci
 // under assign. ok is false when the budget cut the computation: the list is
 // then partial, is not memoized and must not be ranked from.
@@ -236,11 +222,11 @@ func (rt *anykRoot) extend(ci int, assign []int32) (l extList, ok bool) {
 // enumerator can emit its first row at that key it expands all of them — and
 // when the next step is a lazily probed atom with exactly one endpoint
 // bound, each expansion is one single-source reachability search. Issuing
-// those individually wastes the sharded multi-source kernel; this collects
-// the cohort's distinct sources and fills the probe memo in one batched
-// sweep. Extensions beyond the cheapest cohort are left to fault in lazily —
-// under distinct costs (e.g. pluggable weights) the cohort is one node and
-// the prefetch degenerates to a no-op.
+// those individually wastes the multi-source kernel (one batch per 64
+// sources); this collects the cohort's distinct sources and fills the probe
+// memo in one batched sweep. Extensions beyond the cheapest cohort are left
+// to fault in lazily — under distinct costs (e.g. pluggable weights) the
+// cohort is one node and the prefetch degenerates to a no-op.
 func (rt *anykRoot) prefetchNext(ci int, l extList, assign []int32) {
 	if ci+1 >= len(rt.p.steps) || len(l.d) < 2 {
 		return
@@ -248,7 +234,7 @@ func (rt *anykRoot) prefetchNext(ci int, l extList, assign []int32) {
 	st := &rt.p.steps[ci+1]
 	probe, lazy := st.src.(*probeAtom)
 	if !lazy {
-		return
+		return // a relation group
 	}
 	pos := func(s int32) int {
 		for i, t := range rt.slots[ci] {

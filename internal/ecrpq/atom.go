@@ -50,8 +50,8 @@ func (a *Atom) reverse() *automata.SubsetCache {
 	return a.rev
 }
 
-// empty reports whether the label is ∅, which no path matches: its relation
-// is built without touching the automata.
+// empty reports whether the label is ∅, which no path matches: it has no
+// pair, and is resolved without touching the automata.
 func (a *Atom) empty() bool {
 	_, ok := a.label.(*xregex.Empty)
 	return ok

@@ -20,17 +20,17 @@ import (
 // atom (L, Σ) computed once (AtomStore.Atom) and holding that atom:
 //
 //   - the atom itself, whose compiled automaton is charged to the entry;
-//   - the complete relation (*EdgeRel), level-less until a ranked request
-//     upgrades it in place;
+//   - the probe rows per direction — the targets, or the sources, of single
+//     nodes — that the executor asked for so far (rowTable). A complete
+//     table holds an atom's pairs, the one stored form of them: the other
+//     direction's complete table is its inversion, filed once (invert);
 //   - the support per direction — the sources, or the targets, as a node
 //     bitset — which stands in for the pairs of an atom whose other endpoint
-//     nothing reads, and its diagonal EdgeRel view, built at most once;
-//   - the existence verdict: does L label any path of D at all;
-//   - the probe rows per direction — the targets, or the sources, of single
-//     nodes — that the lazy executor asked for so far (rowTable).
+//     nothing reads, filed with every complete table too;
+//   - the existence verdict: does L label any path of D at all.
 //
-// It is the only resolver of these — the lazy executor (probeAtom) and the
-// bounded engine of internal/cxrpq both ask it, and it alone runs the
+// It is the only resolver of these — the executor's atoms (probeAtom), the
+// bounded engine's leaves included, ask it, and it alone runs the
 // reachability kernel for them — so what one request
 // derived, every later and concurrent one over the revision finds, whatever
 // its query text. An answer q(D) is a function of the query and the database
@@ -115,12 +115,10 @@ const (
 // span and arena tail of a row table still being filled, which only this
 // entry holds. A stale entry is never written: settling replaces it.
 type atomEntry struct {
-	atom *Atom // never nil: what a delta classifies and extends rel by
+	atom *Atom // never nil: what a delta classifies and extends the facts by
 	rev  uint64
-	rel  *EdgeRel
 
 	sup    [2][]uint64 // [0] the sources, [1] the targets
-	diag   [2]*EdgeRel // sup as the relation {(u, u)}
 	exists int8        // +1 some path matches, -1 none does, 0 not asked
 	rows   [2]rowTable // [0] the targets of a source, [1] the sources of a target
 
@@ -194,7 +192,8 @@ func (t *rowTable) fill(n int, nodes []int, rows [][]int) bool {
 	return t.complete()
 }
 
-// side indexes atomEntry.sup and diag.
+// side indexes atomEntry.sup and rows: [0] the sources' side, [1] the
+// targets'.
 func side(targets bool) int {
 	if targets {
 		return 1
@@ -202,31 +201,14 @@ func side(targets bool) int {
 	return 0
 }
 
-// relBytes accounts a relation with the reverse index it builds on demand.
-func relBytes(r *EdgeRel) int64 {
-	if r == nil {
-		return 0
-	}
-	b := 24*int64(len(r.fwd)) + 8*int64(r.size)
-	if r.lev != nil {
-		b += 24*int64(len(r.lev)) + 4*int64(r.size)
-	}
-	return 2 * b
-}
-
-func (e *atomEntry) supBytes() (n int64) {
-	for d := range e.sup {
-		n += 8*int64(len(e.sup[d])) + relBytes(e.diag[d])
-	}
-	return n
-}
+func (e *atomEntry) supBytes() int64 { return 8 * int64(len(e.sup[0])+len(e.sup[1])) }
 
 func (e *atomEntry) rowBytes() int64 { return e.rows[0].bytes() + e.rows[1].bytes() }
 
 // size is what the entry is accounted at: 160 bytes, its key and its atom's
 // automaton before it holds any fact.
 func (e *atomEntry) size() int64 {
-	return 160 + int64(len(e.atom.key)) + e.atom.size + relBytes(e.rel) + e.supBytes() + e.rowBytes()
+	return 160 + int64(len(e.atom.key)) + e.atom.size + e.supBytes() + e.rowBytes()
 }
 
 // Atoms returns the atom store of db at its current revision, maintaining the
@@ -635,26 +617,6 @@ func (s *AtomStore) CountAnswer(hit bool) {
 	}
 }
 
-// Relation resolves the complete relation of a (see BuildRelation for the
-// options). With o.Levels a stored level-less relation is upgraded in
-// place on first ranked demand; callers that did not ask for levels may
-// therefore be handed a relation that carries them, which is why joins take
-// ranked-ness from their own options and never from the relation. A
-// budget-truncated build returns engine.ErrCanceled and installs nothing: a
-// partial relation would silently drop answers from every later query on the
-// snapshot. A weighted build is counted like any other, but has no identity
-// to file it under and is filed nowhere.
-func (s *AtomStore) Relation(a *Atom, o engine.ReachOpts) (*EdgeRel, error) {
-	o.Count = &s.ctr.kernel
-	if o.Weight != nil {
-		return BuildRelation(s.db, a, o)
-	}
-	return resolve(s, a, o.Budget,
-		func(e *atomEntry) (*EdgeRel, bool) { return e.rel, e.rel != nil && (!o.Levels || e.rel.lev != nil) },
-		func() (*EdgeRel, error) { return BuildRelation(s.db, a, o) },
-		func(e *atomEntry, rel *EdgeRel) { e.rel = rel })
-}
-
 // support resolves the sources — with targets, the targets — of the relation
 // of a, as a node bitset, by one engine.Support sweep that builds no pair. A
 // sweep the budget cut returns engine.ErrCanceled.
@@ -677,11 +639,11 @@ func (s *AtomStore) support(a *Atom, targets bool, bud *engine.Budget) ([]uint64
 }
 
 // rows resolves into out the probe rows of nodes — the targets of each when
-// forward, else its sources: from the entry's complete relation when it has
-// one, else from the direction's row table, and the rows found in neither by
-// one kernel call outside the lock (engine.Reach for one node,
-// engine.ReachBatchEx for more), which are filed unless the budget cut it
-// (cut: those rows may be missing nodes). Only cost-free rows are shared:
+// forward, else its sources: from the direction's row table — the inversion
+// of the other direction's when that one is complete (invert) — and the rows
+// found in neither by one kernel call outside the lock (engine.Reach for one
+// node, engine.ReachBatchEx for more), which are filed unless the budget cut
+// it (cut: those rows may be missing nodes). Only cost-free rows are shared:
 // under o.Levels or o.Weight every row is searched for the caller alone, with
 // its costs, and filed nowhere.
 func (s *AtomStore) rows(a *Atom, forward bool, nodes []int, o engine.ReachOpts, out []probeRow) (cut bool) {
@@ -690,17 +652,8 @@ func (s *AtomStore) rows(a *Atom, forward bool, nodes []int, o engine.ReachOpts,
 	if shared {
 		s.mu.Lock()
 		e, _ := s.current(a.key, o.Budget) // nil when the budget cut its settle: the search below is cut too
-		if e != nil && e.rel != nil {
-			list := e.rel.forward
-			if !forward {
-				list = e.rel.backward // builds the reverse index on first use
-			}
-			s.mu.Unlock()
-			for i, u := range nodes {
-				out[i].nodes, _ = list(u)
-			}
-			s.ctr.hits.Add(1)
-			return false
+		if e != nil {
+			s.invert(e, d)
 		}
 		if e != nil && e.rows[d].span != nil {
 			missing = nil
@@ -764,7 +717,7 @@ func (p *probeAtom) adopt(forward bool) bool {
 	m, s, d := p.memo(forward), p.ev.store, side(!forward)
 	if m.tab.span == nil && !p.ev.ranked {
 		s.mu.Lock()
-		if e, _ := s.current(p.atom.key, p.ev.bud); e != nil && e.rows[d].complete() && e.sup[d] != nil {
+		if e, _ := s.current(p.atom.key, p.ev.bud); e != nil && (e.rows[d].complete() || s.invert(e, d)) {
 			m.tab, m.sup = e.rows[d], e.sup[d]
 			s.ctr.hits.Add(1)
 		}
@@ -773,33 +726,52 @@ func (p *probeAtom) adopt(forward bool) bool {
 	return m.tab.span != nil
 }
 
-// Support is the support as the diagonal relation {(u, u)}: in an unranked
-// join where nothing reads the atom's other endpoint (pattern.Graph.Reads)
-// that stands in for the pairs.
-func (s *AtomStore) Support(a *Atom, targets bool, bud *engine.Budget) (*EdgeRel, error) {
-	d := side(targets)
-	return resolve(s, a, bud,
-		func(e *atomEntry) (*EdgeRel, bool) { return e.diag[d], e.diag[d] != nil },
-		func() (*EdgeRel, error) {
-			sup, err := s.support(a, targets, bud)
-			if err != nil {
-				return nil, err
-			}
-			ids, diag := bitList(sup), &EdgeRel{fwd: make([][]int, s.db.NumNodes())}
-			for i, u := range ids {
-				diag.fwd[u] = ids[i : i+1 : i+1]
-			}
-			diag.size = len(ids)
-			return diag, nil
-		},
-		func(e *atomEntry, diag *EdgeRel) { e.diag[d] = diag })
+// invert files, as e's complete table of side d, the inversion of its
+// complete table of the other side, with its support, unless d's is complete
+// already or the other one is not; it reports whether it filed one. A row of
+// the inversion lists its nodes ascending, as a search does, so a join reads
+// the rows a reversed-automaton sweep would have found, and no such sweep
+// runs. The caller holds s.mu.
+func (s *AtomStore) invert(e *atomEntry, d int) bool {
+	src := &e.rows[1-d]
+	if e.rows[d].complete() || !src.complete() {
+		return false
+	}
+	n, before := len(src.span), e.size()
+	at := make([]int, n+1) // at[v+1]: the rows holding v, then where v's row ends
+	for u := range n {     // the filed rows only: a carried arena may hold dead ones
+		row, _ := src.get(u)
+		for _, v := range row {
+			at[v+1]++
+		}
+	}
+	for v := range n {
+		at[v+1] += at[v]
+	}
+	t := rowTable{arena: make([]int, at[n]), span: make([]uint64, n), filed: n}
+	for v := range n {
+		t.span[v] = 1 + (uint64(at[v])<<32 | uint64(at[v+1]-at[v]))
+	}
+	for u := range n { // u ascending: every row of t comes out sorted
+		row, _ := src.get(u)
+		for _, v := range row {
+			t.arena[at[v]] = u
+			at[v]++
+		}
+	}
+	e.rows[d] = t
+	if e.sup[d] == nil {
+		e.sup[d] = t.support()
+	}
+	s.grew(e, before)
+	return true
 }
 
 // PathExists reports whether some path of the database matches a — whether
-// its relation is non-empty — without computing it: an
-// ε-accepting label holds at every node, and anything else is one
-// engine.Support sweep from every node at once that stops at its first
-// accepted configuration. A budget that cancels before a hit yields (false,
+// it has any pair — without computing its pairs: a support filed for it
+// answers, else an ε-accepting label holds at every node, and anything else
+// is one engine.Support sweep from every node at once that stops at its
+// first accepted configuration. A budget that cancels before a hit yields (false,
 // engine.ErrCanceled) — the answer is unknown, not no — and leaves no verdict.
 func (s *AtomStore) PathExists(a *Atom, bud *engine.Budget) (bool, error) {
 	if a.empty() || s.db.NumNodes() == 0 {
@@ -807,7 +779,12 @@ func (s *AtomStore) PathExists(a *Atom, bud *engine.Budget) (bool, error) {
 	}
 	return resolve(s, a, bud,
 		func(e *atomEntry) (yes, known bool) {
-			return e.exists > 0 || e.rel != nil && !e.rel.Empty(), e.exists != 0 || e.rel != nil
+			for _, sup := range e.sup {
+				if sup != nil {
+					return slices.ContainsFunc(sup, func(w uint64) bool { return w != 0 }), true
+				}
+			}
+			return e.exists > 0, e.exists != 0
 		},
 		func() (bool, error) {
 			if a.cache.Final(a.cache.Start()) {
@@ -850,15 +827,14 @@ type AtomKind struct {
 // AtomStats is a point-in-time snapshot of a store: what it holds, and the
 // counters of its lineage — they carry over every revision move.
 type AtomStats struct {
-	Automata  AtomKind `json:"automata"` // entries: atoms held; bytes: charged for their NFAs
-	Relations AtomKind `json:"relations"`
-	Supports  AtomKind `json:"supports"`
-	Verdicts  AtomKind `json:"verdicts"`
-	Rows      AtomKind `json:"rows"`    // entries: row tables, one per atom and direction
-	Results   AtomKind `json:"results"` // entries: answers filed, carried ones included; bytes: charged for them
-	Bytes     int64    `json:"bytes"`   // accounted in all: entry overheads, stale entries and their windows included
-	Budget    int64    `json:"budget"`
-	Stale     int      `json:"stale"` // entries not yet brought up to the revision: settled on their next lookup
+	Automata AtomKind `json:"automata"` // entries: atoms held; bytes: charged for their NFAs
+	Supports AtomKind `json:"supports"`
+	Verdicts AtomKind `json:"verdicts"`
+	Rows     AtomKind `json:"rows"`    // entries: row tables, one per atom and direction
+	Results  AtomKind `json:"results"` // entries: answers filed, carried ones included; bytes: charged for them
+	Bytes    int64    `json:"bytes"`   // accounted in all: entry overheads, stale entries and their windows included
+	Budget   int64    `json:"budget"`
+	Stale    int      `json:"stale"` // entries not yet brought up to the revision: settled on their next lookup
 
 	// Lookups of every kind of fact; a row request counts as a hit when no
 	// kernel call answers any of its nodes. Asking for an atom is no lookup.
@@ -908,10 +884,6 @@ func (s *AtomStore) Stats() AtomStats {
 			st.Stale++
 		}
 		st.Automata.Bytes += e.atom.size
-		if e.rel != nil {
-			st.Relations.Entries++
-			st.Relations.Bytes += relBytes(e.rel)
-		}
 		for d := range e.sup {
 			if e.sup[d] != nil {
 				st.Supports.Entries++

@@ -16,20 +16,20 @@ import (
 	"cxrpq/internal/xregex"
 )
 
-// TestAtomStoreByteBound: with the budget forced down to a few relations'
-// worth, every kind of fact is asked for under random labels and joins that
-// read supports run on top. The store drops its epoch again and again; no
-// answer changes; the bytes it reports are the sum of what its entries
-// account for, their atoms' automata included, and never pass the budget by
-// more than the entry that was just written. An atom held across the drops
-// still resolves its relation.
+// TestAtomStoreByteBound: with the budget forced down to a few complete
+// tables' worth, every kind of fact is asked for under random labels and
+// joins that read supports run on top. The store drops its epoch again and
+// again; no answer changes; the bytes it reports are the sum of what its
+// entries account for, their atoms' automata included, and never pass the
+// budget by more than the entry that was just written. An atom held across
+// the drops still resolves its complete table.
 func TestAtomStoreByteBound(t *testing.T) {
 	t.Parallel()
 	const n = 60
 	db := probeRandomDB(77, n, 3*n, "ab")
 	sigma := db.Alphabet()
 	store := Atoms(db)
-	store.budget = 3 * relBytes(&EdgeRel{fwd: make([][]int, n), size: n * n / 2})
+	store.budget = 3 * 2 * 8 * int64(n+n*n/2) // both directions of three tables of n²/2 pairs
 	check := func(when string) {
 		t.Helper()
 		store.mu.Lock()
@@ -59,13 +59,13 @@ func TestAtomStoreByteBound(t *testing.T) {
 		}
 		switch i % 4 {
 		case 0:
-			rel, err := store.Relation(atomOf(t, store, label, sigma), engine.ReachOpts{Levels: i%8 == 0})
+			rel, err := tableRel(store, atomOf(t, store, label, sigma), nil)
 			if err != nil || !relEqual(rel, whole) {
-				t.Fatalf("%s: Relation diverged (%v)", name, err)
+				t.Fatalf("%s: the complete table diverged (%v)", name, err)
 			}
 		case 1, 2:
 			targets := i%4 == 1
-			diag, err := store.Support(atomOf(t, store, label, sigma), targets, nil)
+			sup, err := store.support(atomOf(t, store, label, sigma), targets, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,13 +75,13 @@ func TestAtomStoreByteBound(t *testing.T) {
 					ws, _ := whole.backward(u)
 					partners = len(ws)
 				}
-				if (len(diag.Forward(u)) == 1) != (partners > 0) {
+				if bitHas(sup, u) != (partners > 0) {
 					t.Fatalf("%s: Support(targets=%v) and the relation disagree on node %d", name, targets, u)
 				}
 			}
 		case 3:
-			if ok, err := store.PathExists(atomOf(t, store, label, sigma), nil); err != nil || ok == whole.Empty() {
-				t.Fatalf("%s: PathExists = %v (%v), the relation has %d pairs", name, ok, err, whole.Size())
+			if ok, err := store.PathExists(atomOf(t, store, label, sigma), nil); err != nil || ok != (whole.size > 0) {
+				t.Fatalf("%s: PathExists = %v (%v), the relation has %d pairs", name, ok, err, whole.size)
 			}
 			q := &Query{Pattern: &pattern.Graph{Out: []string{"x", "z"}, Edges: []pattern.Edge{
 				{From: "x", To: "y", Label: label}, {From: "y", To: "z", Label: xregex.MustParse("(a|b)+")}, {From: "z", To: "u", Label: label}}}}
@@ -103,23 +103,23 @@ func TestAtomStoreByteBound(t *testing.T) {
 	if st.Evictions < 3 || st.Hits == 0 {
 		t.Fatalf("the budget was never under pressure, or nothing was ever found: %+v", st)
 	}
-	if st.Automata.Bytes == 0 || st.Bytes < st.Automata.Bytes+st.Relations.Bytes+st.Supports.Bytes+st.Verdicts.Bytes+st.Rows.Bytes {
+	if st.Automata.Bytes == 0 || st.Bytes < st.Automata.Bytes+st.Supports.Bytes+st.Verdicts.Bytes+st.Rows.Bytes {
 		t.Fatalf("the kinds account for more than the store: %+v", st)
 	}
-	rel, err := store.Relation(held, engine.ReachOpts{})
+	rel, err := tableRel(store, held, nil)
 	want, werr := RelationFor(probeRandomDB(77, n, 3*n, "ab"), heldLabel, sigma)
 	if err = errors.Join(err, werr); err != nil {
 		t.Fatal(err)
 	}
 	if !relEqual(rel, want) {
-		t.Fatalf("an atom held across %d evictions resolves %d pairs, the relation has %d", st.Evictions, rel.Size(), want.Size())
+		t.Fatalf("an atom held across %d evictions resolves %d pairs, the relation has %d", st.Evictions, rel.size, want.size)
 	}
 }
 
 // atomOf is the atom of label over sigma that s hands out.
 // TestAtomStoreAnswerAccount: answers are charged to the store's one account.
 // With the budget lowered to a few answers' worth, answers filed under many
-// keys between relation builds, some of them growing as a ranked prefix does,
+// keys between complete tables, some of them growing as a ranked prefix does,
 // drop the epoch again and again: the bytes reported are the sum of what the
 // entries account for and never pass the budget by more than the largest
 // entry, and the answer just filed is held and read back. An insert-only
@@ -169,10 +169,10 @@ func TestAtomStoreAnswerAccount(t *testing.T) {
 		}
 		check(name)
 		if i%10 == 0 {
-			if _, err := store.Relation(atomOf(t, store, randClassical(r, "ab", 3), sigma), engine.ReachOpts{}); err != nil {
+			if _, err := tableRel(store, atomOf(t, store, randClassical(r, "ab", 3), sigma), nil); err != nil {
 				t.Fatal(err)
 			}
-			check(name + ", after a relation")
+			check(name + ", after a complete table")
 		}
 	}
 	if st := store.Stats(); st.Evictions == 0 || st.Results.Entries == 0 || st.Results.Bytes == 0 {
@@ -349,12 +349,12 @@ func TestAtomStoreRowsDifferential(t *testing.T) {
 		t.Fatalf("the starved store never dropped its epoch: %+v", st)
 	}
 
-	// A relation stored first answers every row request.
+	// A complete table filed first answers every row request, the other
+	// direction by its inversion: no kernel call runs.
 	db, fresh := newDB(), newDB()
 	store = Atoms(db)
 	label := xregex.MustParse("a(a|b)*")
-	rel, err := store.Relation(atomOf(t, store, label, sigma), engine.ReachOpts{})
-	if err != nil {
+	if _, err := tableRel(store, atomOf(t, store, label, sigma), nil); err != nil {
 		t.Fatal(err)
 	}
 	want, err := RelationFor(fresh, label, sigma)
@@ -369,24 +369,24 @@ func TestAtomStoreRowsDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	misses := store.Stats().Misses
+	before := store.Stats()
 	for u := 0; u < n; u++ {
 		fw, _ := ev.atoms[0].probe(u, true)
 		bw, _ := ev.atoms[0].probe(u, false)
 		wantBw, _ := want.backward(u)
 		if !slices.Equal(fw, want.Forward(u)) || !slices.Equal(bw, wantBw) {
-			t.Fatalf("node %d: probes read %v / %v over the stored relation, want %v / %v", u, fw, bw, want.Forward(u), wantBw)
+			t.Fatalf("node %d: probes read %v / %v over the complete table, want %v / %v", u, fw, bw, want.Forward(u), wantBw)
 		}
 	}
-	if st := store.Stats(); rel.rev == nil || st.Rows.Entries != 0 || st.Misses != misses {
-		t.Fatalf("the probes did not read the stored relation and its reverse index alone (reverse index built: %v): %+v", rel.rev != nil, st)
+	if st := store.Stats(); st.Rows.Complete != 2 || st.Misses != before.Misses || st.Kernel != before.Kernel {
+		t.Fatalf("the probes did not read the complete table and its inversion alone: %+v", st)
 	}
 	j := &job{text: "ans(y)\nx y : a(a|b)*\nx z : b", tuple: pattern.Tuple{3}}
 	if j.q, err = ParseQuery(j.text, sigma); err != nil {
 		t.Fatal(err)
 	}
 	j.want = run(j, fresh)
-	check("over a stored relation", j, db)
+	check("over a complete table", j, db)
 }
 
 // TestAtomIdentity: an atom is the store's, one per label and alphabet.
@@ -399,7 +399,7 @@ func TestAtomIdentity(t *testing.T) {
 	t.Parallel()
 	sigma := []rune("ab")
 	labels := []xregex.Node{
-		xregex.MustParse("a(a|b)*"), // its relation is stored
+		xregex.MustParse("a(a|b)*"), // its complete table is stored
 		xregex.MustParse("ba"),      // its support
 		xregex.MustParse("bbbbbb"),  // its negative verdict
 		xregex.MustParse("b+"),      // nothing but the atom
@@ -413,8 +413,8 @@ func TestAtomIdentity(t *testing.T) {
 		for i, l := range labels {
 			atoms[i] = atomOf(t, s, l, sigma)
 		}
-		_, err := s.Relation(atoms[0], engine.ReachOpts{})
-		_, err2 := s.Support(atoms[1], true, nil)
+		_, err := tableRel(s, atoms[0], nil)
+		_, err2 := s.support(atoms[1], true, nil)
 		ok, err3 := s.PathExists(atoms[2], nil)
 		if err = errors.Join(err, err2, err3); err != nil || ok {
 			t.Fatal(ok, err)
@@ -514,8 +514,8 @@ func TestAtomIdentity(t *testing.T) {
 
 // TestAtomStoreKernelCounters: every kernel call the store makes reports into
 // its database's counters, and only there. A lazy probe of one node is one
-// batch of one source; a weighted relation build, which the store files
-// nowhere, is one batch per source.
+// batch of one source; weighted rows of every node, which the store files
+// nowhere, are one batch per source.
 func TestAtomStoreKernelCounters(t *testing.T) {
 	t.Parallel()
 	const n = 30
@@ -533,15 +533,17 @@ func TestAtomStoreKernelCounters(t *testing.T) {
 		t.Fatalf("a probe of node %d counted as %+v after %+v, want one batch of one source", u, after, before)
 	}
 	before = after
-	if _, err := store.Relation(a, engine.ReachOpts{Weight: func(rune) int32 { return 2 }}); err != nil {
-		t.Fatal(err)
+	all := make([]int, n)
+	for u := range all {
+		all[u] = u
 	}
+	store.rows(a, true, all, engine.ReachOpts{Weight: func(rune) int32 { return 2 }}, make([]probeRow, n))
 	after = store.Stats().Kernel
 	if after.Batches != before.Batches+n || after.Sources != before.Sources+n || after.Edges == before.Edges {
-		t.Fatalf("a weighted build over %d nodes counted as %+v after %+v, want one batch per source", n, after, before)
+		t.Fatalf("weighted rows of %d nodes counted as %+v after %+v, want one batch per source", n, after, before)
 	}
-	if st := store.Stats(); st.Relations.Entries != 0 {
-		t.Fatalf("the weighted relation was filed: %+v", st)
+	if st := store.Stats(); st.Rows.Complete != 0 {
+		t.Fatalf("the weighted rows were filed: %+v", st)
 	}
 	if k := Atoms(other).Stats().Kernel; k != (engine.KernelStats{}) {
 		t.Fatalf("another database's counters moved: %+v", k)

@@ -63,29 +63,6 @@ func checkSettled(t *testing.T, s *AtomStore, where string) {
 		}
 		name := strings.Split(key, "\x00")[0]
 		a := atomOf(t, ref, e.atom.label, []rune(strings.Split(key, "\x00")[1]))
-		if e.rel != nil {
-			want, err := BuildRelation(ref.db, a, engine.ReachOpts{Levels: e.rel.lev != nil})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !relEqual(e.rel, want) {
-				t.Fatalf("%s: %s: carried relation of %d pairs, a fresh build %d", where, name, e.rel.Size(), want.Size())
-			}
-			for u := 0; e.rel.lev != nil && u < n; u++ {
-				if _, got := e.rel.forward(u); !slices.Equal(got, want.lev[u]) {
-					t.Fatalf("%s: %s: levels of %d are %v, fresh %v", where, name, u, got, want.lev[u])
-				}
-			}
-			_, _, built := e.rel.reverse()
-			for v := 0; v < n; v++ {
-				got, gotLev := e.rel.backward(v)
-				fresh, freshLev := want.backward(v)
-				if !rowEqual(got, fresh) || !slices.Equal(gotLev, freshLev) {
-					t.Fatalf("%s: %s: the sources of %d are %v (costs %v), fresh %v (%v); reverse index built before: %v",
-						where, name, v, got, gotLev, fresh, freshLev, built)
-				}
-			}
-		}
 		for d := range e.sup {
 			if e.sup[d] != nil {
 				want, err := ref.support(a, d == 1, nil)
@@ -96,9 +73,6 @@ func checkSettled(t *testing.T, s *AtomStore, where string) {
 					if bitHas(e.sup[d], u) != bitHas(want, u) {
 						t.Fatalf("%s: %s: support %d of node %d is %v, a fresh sweep says %v", where, name, d, u, bitHas(e.sup[d], u), bitHas(want, u))
 					}
-				}
-				if diag := e.diag[d]; diag != nil && !relEqual(diag, diagOf(e.sup[d], n)) {
-					t.Fatalf("%s: %s: diagonal %d is not its support", where, name, d)
 				}
 			}
 			tab := &e.rows[d]
@@ -132,22 +106,10 @@ func checkSettled(t *testing.T, s *AtomStore, where string) {
 	}
 }
 
-// diagOf is a support as the diagonal relation, as AtomStore.Support builds it.
-func diagOf(sup []uint64, n int) *EdgeRel {
-	r := &EdgeRel{fwd: make([][]int, n)}
-	for u := 0; u < n; u++ {
-		if bitHas(sup, u) {
-			r.fwd[u] = []int{u}
-			r.size++
-		}
-	}
-	return r
-}
-
 // readFacts looks up, in s, facts of a random half of the labels — settling
-// their entries and filing what they lack: relations with and without
-// levels, supports, partial and complete row tables in both directions,
-// verdicts. The other labels' entries stay unread.
+// their entries and filing what they lack: complete forward tables, alone
+// and with their inversion, supports, partial and complete row tables in
+// both directions, verdicts. The other labels' entries stay unread.
 func readFacts(t *testing.T, s *AtomStore, r *testRNG) {
 	t.Helper()
 	n := s.db.NumNodes()
@@ -160,14 +122,13 @@ func readFacts(t *testing.T, s *AtomStore, r *testRNG) {
 			var err error
 			switch r.intn(8) {
 			case 0:
-				_, err = s.Relation(a, engine.ReachOpts{})
+				_, err = tableRel(s, a, nil)
 			case 1:
-				var rel *EdgeRel
-				if rel, err = s.Relation(a, engine.ReachOpts{Levels: true}); err == nil {
-					rel.backward(0) // builds the reverse index, which the next move carries
+				if p := leafAtom(s, a, nil); p.complete() == nil || !p.adopt(false) {
+					t.Fatal("no complete table, or no inversion of it")
 				}
 			case 2, 3:
-				_, err = s.Support(a, r.intn(2) == 0, nil)
+				_, err = s.support(a, r.intn(2) == 0, nil)
 			case 4, 5:
 				var nodes []int
 				for u := 0; u < n; u++ {
@@ -316,14 +277,13 @@ func uncovered(t *testing.T, db *graph.DB, s **AtomStore) {
 	*s = (*s).CarryTo(db.Snapshot().DB())
 	st := (*s).Stats()
 	(*s).Verdicts() // settles every entry
-	if after := (*s).Stats(); st.Stale != held || after.Stale != 0 || after.Relations.Entries+after.Supports.Entries+after.Rows.Entries+after.Verdicts.Entries != 0 {
+	if after := (*s).Stats(); st.Stale != held || after.Stale != 0 || after.Supports.Entries+after.Rows.Entries+after.Verdicts.Entries != 0 {
 		t.Fatalf("%d entries carried over an uncovered window, %d stale of them; settled: %+v", held, st.Stale, after)
 	}
 }
 
 // TestCarryRunsNoSearch: a revision move copies entry headers and searches
-// nothing, however many relations, supports and complete row tables the
-// store holds; the lineage's kernel counters move only when a settled fact
+// nothing, however many supports and complete row tables the store holds; the lineage's kernel counters move only when a settled fact
 // is read.
 func TestCarryRunsNoSearch(t *testing.T) {
 	t.Parallel()
@@ -335,16 +295,16 @@ func TestCarryRunsNoSearch(t *testing.T) {
 	}
 	for _, src := range carryLabels {
 		a := atomOf(t, s, xregex.MustParse(src), carrySigma)
-		s.rows(a, false, all, engine.ReachOpts{}, make([]probeRow, len(all))) // before the relation, which would answer it
-		if _, err := s.Support(a, false, nil); err != nil {
+		s.rows(a, false, all, engine.ReachOpts{}, make([]probeRow, len(all))) // searched: not the inversion of the forward table
+		if _, err := s.support(a, false, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Relation(a, engine.ReachOpts{}); err != nil {
+		if _, err := tableRel(s, a, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	before := s.Stats()
-	if before.Rows.Complete != len(carryLabels) || before.Relations.Entries != len(carryLabels) || before.Supports.Entries < len(carryLabels) {
+	if before.Rows.Complete != 2*len(carryLabels) || before.Supports.Entries < len(carryLabels) {
 		t.Fatalf("the store holds too little to carry: %+v", before)
 	}
 	for step := 0; step < 3; step++ {
@@ -355,11 +315,11 @@ func TestCarryRunsNoSearch(t *testing.T) {
 		}
 	}
 	a := atomOf(t, s, xregex.MustParse("(a|b)+"), carrySigma)
-	if _, err := s.Relation(a, engine.ReachOpts{}); err != nil {
+	if _, err := tableRel(s, a, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.Kernel == before.Kernel || st.Stale != len(carryLabels)-1 {
-		t.Fatalf("reading a carried relation settled nothing: %+v, %d stale", st.Kernel, st.Stale)
+		t.Fatalf("reading a carried table settled nothing: %+v, %d stale", st.Kernel, st.Stale)
 	}
 	checkSettled(t, s, "after three moves")
 }
@@ -383,10 +343,10 @@ func TestSettleHonorsBudget(t *testing.T) {
 	for _, src := range carryLabels {
 		a := atomOf(t, s, xregex.MustParse(src), carrySigma)
 		s.rows(a, false, all, engine.ReachOpts{}, make([]probeRow, len(all)))
-		if _, err := s.Support(a, true, nil); err != nil {
+		if _, err := s.support(a, true, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Relation(a, engine.ReachOpts{}); err != nil {
+		if _, err := tableRel(s, a, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.PathExists(a, nil); err != nil {
@@ -407,10 +367,10 @@ func TestSettleHonorsBudget(t *testing.T) {
 	}
 	expired := engine.NewBudget(nil, time.Now().Add(-time.Second))
 	for _, a := range atoms {
-		if _, err := s.Relation(a, engine.ReachOpts{Budget: expired}); !errors.Is(err, engine.ErrCanceled) {
-			t.Fatalf("%s: a relation read past its deadline: %v, want ErrCanceled", a.key, err)
+		if _, err := tableRel(s, a, expired); !errors.Is(err, engine.ErrCanceled) {
+			t.Fatalf("%s: a complete table read past its deadline: %v, want ErrCanceled", a.key, err)
 		}
-		if _, err := s.Support(a, false, expired); !errors.Is(err, engine.ErrCanceled) {
+		if _, err := s.support(a, false, expired); !errors.Is(err, engine.ErrCanceled) {
 			t.Fatalf("%s: a support read past its deadline: %v, want ErrCanceled", a.key, err)
 		}
 		if _, err := s.PathExists(a, expired); !errors.Is(err, engine.ErrCanceled) {
@@ -432,7 +392,7 @@ func TestSettleHonorsBudget(t *testing.T) {
 	e.settling = done
 	s.mu.Unlock()
 	start := time.Now()
-	_, err := s.Relation(a, engine.ReachOpts{Budget: engine.NewBudget(nil, start.Add(20*time.Millisecond))})
+	_, err := tableRel(s, a, engine.NewBudget(nil, start.Add(20*time.Millisecond)))
 	if waited := time.Since(start); !errors.Is(err, engine.ErrCanceled) || waited < 20*time.Millisecond || waited > 10*time.Second {
 		t.Fatalf("a reader waiting on a settle: %v after %v, want ErrCanceled after its 20ms deadline", err, waited)
 	}
@@ -483,11 +443,11 @@ func TestCarriedViewsIsolated(t *testing.T) {
 		}
 		s0.rows(a, true, nodes, engine.ReachOpts{}, make([]probeRow, len(nodes)))
 		s0.rows(a, false, nodes, engine.ReachOpts{}, make([]probeRow, len(nodes)))
-		if _, err := s0.Support(a, i%3 == 0, nil); err != nil {
+		if _, err := s0.support(a, i%3 == 0, nil); err != nil {
 			t.Fatal(err)
 		}
 		if i%3 == 1 {
-			if _, err := s0.Relation(a, engine.ReachOpts{}); err != nil {
+			if _, err := tableRel(s0, a, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -528,10 +488,10 @@ func TestCarriedViewsIsolated(t *testing.T) {
 						}
 					}
 					targets := r.intn(2) == 0
-					sup, err := s.Support(a, targets, nil)
-					want, err2 := refAtoms.Support(ra, targets, nil)
-					if err != nil || err2 != nil || !relEqual(sup, want) {
-						t.Errorf("view at %d: %s: support (targets %v) of %d nodes, fresh %d", s.rev, src, targets, sup.Size(), want.Size())
+					sup, err := s.support(a, targets, nil)
+					want, err2 := refAtoms.support(ra, targets, nil)
+					if err != nil || err2 != nil || !slices.Equal(sup, want) {
+						t.Errorf("view at %d: %s: support (targets %v) of %d nodes, fresh %d", s.rev, src, targets, len(bitList(sup)), len(bitList(want)))
 					}
 				}
 			}

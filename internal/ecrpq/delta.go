@@ -15,20 +15,19 @@ import (
 // delta since the revision its facts describe (settle), which may span
 // several moves when the entry went unread.
 //
-// Why a frontier bounds the work: a pair (u, v) of an atom's relation can
+// Why a frontier bounds the work: a pair (u, v) of an atom can
 // change only if some path from u used a removed edge in the old graph D or
 // uses an added edge in the new graph D′. Either path reaches the tail of
 // that edge, so u reaches one of the window's edge tails in D′ plus the
 // removed edges (the removed ones leave D′, the prefix before the first one
 // does not). buildFrontier collects those sources over any label, with the
-// nodes the window interned; every other source keeps its row, its levels
-// and its support bit. Per entry:
+// nodes the window interned; every other source keeps its row and its
+// support bit. Per entry:
 //
 //   - retain: the window's labels miss the atom's alphabet (touchedBy). No
 //     matching path uses a changed edge; the facts only grow to the new node
 //     count, with identity rows when ε ∈ L.
-//   - extend: the frontier's forward rows (relation and row table) are
-//     searched again; a source-support bit is settled by a first-hit search
+//   - extend: the frontier's forward rows are searched again; a source-support bit is settled by a first-hit search
 //     where no row was searched. The targets and backward rows change only at
 //     targets of the frontier's new rows — and of its old rows when the window
 //     removed edges, so without those old rows they are dropped — and a
@@ -48,10 +47,10 @@ import (
 // The layer that filed the answer joins once per source variable with the
 // variable pre-bound to each frontier node and merges the rows into the old
 // answer. A window that removed edges breaks a witness only where it binds
-// some atom's source to a frontier node, by the argument for relations
-// above: a path from any other node keeps every edge. So when every source
-// variable is an output variable, an old row with no frontier node at a
-// source's position still holds, and one with such a node is in the new
+// some atom's source to a frontier node, by the argument for rows above: a
+// path from any other node keeps every edge. So when every source variable
+// is an output variable, an old row with no frontier node at a source's
+// position still holds, and one with such a node is in the new
 // answer exactly when the seeded joins find it: the layer drops those rows
 // before it merges. Otherwise the rows do not say which witnesses broke, and
 // AtomStore.Carried drops the answer, as it drops every verdict over a
@@ -151,8 +150,8 @@ func buildFrontier(db *graph.DB, info *graph.DeltaInfo) *deltaFrontier {
 }
 
 // carry returns a table at revision rev holding every entry of s, stale: a
-// header copy each, sharing the relation, supports, diagonals and complete
-// row tables as they are. A row table still being filled is written in place
+// header copy each, sharing the supports and complete row tables as they
+// are. A row table still being filled is written in place
 // by s, so the copy gets its own span and an arena capped at its length. The
 // answers filed to be carried (Carry) go along stale too, as they are.
 func (s *AtomStore) carry(rev uint64) *atomFacts {
@@ -232,10 +231,6 @@ func (e *atomEntry) grow(n0, n int, eps bool) {
 	if n == n0 {
 		return
 	}
-	if e.rel != nil {
-		e.rel = growRelation(e.rel, n, eps)
-	}
-	e.diag = [2]*EdgeRel{}
 	for d := range e.sup {
 		if e.sup[d] != nil {
 			e.sup[d] = widenBits(e.sup[d], n)
@@ -269,10 +264,10 @@ func (ne *atomEntry) extend(db *graph.DB, e *atomEntry, w *window, o engine.Reac
 	fwd, bwd := &e.rows[0], &e.rows[1]
 	ix, a := db.Index(), e.atom
 
-	// The frontier's new rows: all of them when a relation, a complete table
-	// or anything on the target side needs them, else the filed ones.
+	// The frontier's new rows: all of them when a complete table or anything
+	// on the target side needs them, else the filed ones.
 	srch := front
-	if e.rel == nil && !fwd.complete() && e.sup[1] == nil && bwd.span == nil {
+	if !fwd.complete() && e.sup[1] == nil && bwd.span == nil {
 		srch = nil
 		for _, u := range front {
 			if _, ok := fwd.get(u); ok {
@@ -280,9 +275,9 @@ func (ne *atomEntry) extend(db *graph.DB, e *atomEntry, w *window, o engine.Reac
 			}
 		}
 	}
-	lo, firstHit := o, o
-	lo.Levels, firstHit.First = e.rel != nil && e.rel.lev != nil, true
-	res := reach(ix, a.cache, srch, true, lo)
+	firstHit := o
+	firstHit.First = true
+	res := reach(ix, a.cache, srch, true, o)
 	if res.Truncated {
 		return false
 	}
@@ -291,9 +286,6 @@ func (ne *atomEntry) extend(db *graph.DB, e *atomEntry, w *window, o engine.Reac
 		rowOf[u] = res.Hits[i]
 	}
 
-	if e.rel != nil {
-		ne.rel = extendRelation(e.rel, n, srch, res)
-	}
 	if fwd.span != nil {
 		t := fwd.clone(n)
 		for _, u := range srch {
@@ -340,9 +332,7 @@ func (ne *atomEntry) extend(db *graph.DB, e *atomEntry, w *window, o engine.Reac
 				continue
 			}
 			var row []int
-			if e.rel != nil {
-				row = e.rel.Forward(u)
-			} else if row, known = fwd.get(u); !known {
+			if row, known = fwd.get(u); !known {
 				break
 			}
 			for _, v := range row {
@@ -404,7 +394,6 @@ func (ne *atomEntry) extend(db *graph.DB, e *atomEntry, w *window, o engine.Reac
 		}
 	}
 
-	ne.diag = [2]*EdgeRel{}
 	for d := range ne.rows {
 		if t := &ne.rows[d]; t.complete() && ne.sup[d] == nil {
 			ne.sup[d] = t.support()
@@ -472,160 +461,8 @@ func setBit(b []uint64, i int, on bool) {
 }
 
 // touchedBy reports whether a delta over the given labels can change a pair of
-// the entry's relation: when one of them labels a transition of its atom's
+// the entry's atom: when one of them labels a transition of its atom's
 // automaton, which has the negated classes expanded over Σ.
 func (e *atomEntry) touchedBy(labels []rune) bool {
 	return slices.ContainsFunc(e.atom.nfa.Labels(), func(l int32) bool { return slices.Contains(labels, rune(l)) })
-}
-
-// growRelation widens a relation untouched by the delta to the new node
-// count: old rows are shared, rows of newly interned nodes are empty — or
-// the identity singleton when ε is in the atom's language. Levels are
-// carried over unchanged (an untouched atom's paths — and so its shortest
-// paths — cannot change) with level 0 for the identity rows.
-func growRelation(old *EdgeRel, newN int, hasEps bool) *EdgeRel {
-	oldN := old.NumNodes()
-	if newN == oldN {
-		return old
-	}
-	r := &EdgeRel{fwd: make([][]int, newN), size: old.size}
-	copy(r.fwd, old.fwd)
-	if old.lev != nil {
-		r.lev = make([][]int32, newN)
-		copy(r.lev, old.lev)
-	}
-	if hasEps {
-		for u := oldN; u < newN; u++ {
-			r.fwd[u] = []int{u}
-			if r.lev != nil {
-				r.lev[u] = []int32{0}
-			}
-			r.size++
-		}
-	}
-	if rev, revLev, ok := old.reverse(); ok {
-		nrev, nlev := widenReverse(rev, revLev, newN)
-		for u := oldN; u < newN && hasEps; u++ {
-			nrev[u] = r.fwd[u]
-			if nlev != nil {
-				nlev[u] = r.lev[u]
-			}
-		}
-		r.setReverse(nrev, nlev)
-	}
-	return r
-}
-
-// extendRelation returns old over newN nodes with the rows (and levels, when
-// old has them) of the sources srcs replaced by res, their search over the
-// new graph: no other source can reach a changed edge, so neither its pair
-// set nor its shortest path lengths changed.
-func extendRelation(old *EdgeRel, newN int, srcs []int, res engine.BatchResult) *EdgeRel {
-	r := &EdgeRel{fwd: make([][]int, newN), size: old.size}
-	copy(r.fwd, old.fwd)
-	if old.lev != nil {
-		r.lev = make([][]int32, newN)
-		copy(r.lev, old.lev)
-	}
-	for i, u := range srcs {
-		r.size += len(res.Hits[i]) - len(r.fwd[u])
-		r.fwd[u] = res.Hits[i]
-		if r.lev != nil {
-			r.lev[u] = res.Levs[i]
-		}
-	}
-	if rev, revLev, ok := old.reverse(); ok {
-		r.setReverse(carryReverse(old, r, rev, revLev, srcs))
-	}
-	return r
-}
-
-// widenReverse returns a copy of a reverse index over n nodes, sharing its
-// lists; the new nodes' are empty.
-func widenReverse(rev [][]int, revLev [][]int32, n int) ([][]int, [][]int32) {
-	nrev := make([][]int, n)
-	copy(nrev, rev)
-	var nlev [][]int32
-	if revLev != nil {
-		nlev = make([][]int32, n)
-		copy(nlev, revLev)
-	}
-	return nrev, nlev
-}
-
-// carryReverse returns the reverse index of r — old with the rows of the
-// ascending sources srcs replaced — from old's, rev and revLev: only the
-// lists of targets in those sources' old or new rows change, and each
-// becomes its old list without srcs merged with the sources of srcs whose new
-// row holds it. The other lists are shared.
-func carryReverse(old, r *EdgeRel, rev [][]int, revLev [][]int32, srcs []int) ([][]int, [][]int32) {
-	n := len(r.fwd)
-	nrev, nlev := widenReverse(rev, revLev, n)
-	inSrc := make([]uint64, (n+63)/64)
-	for _, u := range srcs {
-		bitSet(inSrc, u)
-	}
-	type gain struct {
-		us   []int
-		levs []int32
-	}
-	gains := map[int]*gain{} // target -> the sources of srcs whose new row holds it, ascending
-	for _, u := range srcs {
-		for _, v := range old.Forward(u) {
-			if gains[v] == nil {
-				gains[v] = &gain{}
-			}
-		}
-		ws, ls := r.forward(u)
-		for i, v := range ws {
-			g := gains[v]
-			if g == nil {
-				g = &gain{}
-				gains[v] = g
-			}
-			g.us = append(g.us, u)
-			if nlev != nil {
-				g.levs = append(g.levs, ls[i])
-			}
-		}
-	}
-	for v, g := range gains {
-		var was []int
-		var wasLev []int32
-		if v < len(rev) {
-			was = rev[v]
-			if revLev != nil {
-				wasLev = revLev[v]
-			}
-		}
-		us := make([]int, 0, len(was)+len(g.us))
-		var levs []int32
-		if nlev != nil {
-			levs = make([]int32, 0, cap(us))
-		}
-		for i, j := 0, 0; i < len(was) || j < len(g.us); {
-			if i < len(was) && bitHas(inSrc, was[i]) {
-				i++
-				continue
-			}
-			if j == len(g.us) || i < len(was) && was[i] < g.us[j] {
-				us = append(us, was[i])
-				if levs != nil {
-					levs = append(levs, wasLev[i])
-				}
-				i++
-			} else {
-				us = append(us, g.us[j])
-				if levs != nil {
-					levs = append(levs, g.levs[j])
-				}
-				j++
-			}
-		}
-		nrev[v] = us
-		if nlev != nil {
-			nlev[v] = levs
-		}
-	}
-	return nrev, nlev
 }

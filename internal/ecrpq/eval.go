@@ -18,15 +18,14 @@ type Options struct {
 	// subset of q(D).
 	Budget *engine.Budget
 	// Ranked threads a witness cost alongside every streamed tuple
-	// (EvalUnionStream, JoinRelationsStream): the sum over join constraints of
+	// (EvalUnionStream, Leaf.Stream): the sum over join constraints of
 	// the cost of the chosen binding (ungrouped edges: shortest matching-path
 	// edge count; groups: the synchronized word length). The set-valued and
 	// Boolean entry points have no use for it.
 	Ranked bool
 	// Weight replaces the unit edge cost of a ranked evaluation by a
 	// pluggable per-edge-label weight, so every reported cost is a minimum
-	// total weight instead of a minimum edge count. Ignored unless Ranked,
-	// and by JoinRelationsStream, whose relations were built with theirs.
+	// total weight instead of a minimum edge count. Ignored unless Ranked.
 	Weight engine.Weight
 	// Workers is the width of the evaluation's engine.Fan calls; 0 means
 	// GOMAXPROCS, which is what production passes. Tests fix it.
@@ -139,21 +138,23 @@ func CheckWith(q *Query, db *graph.DB, t pattern.Tuple, o Options) (bool, error)
 	if err != nil {
 		return false, err
 	}
-	pre, ok, err := preBind(q, db, t)
+	pre, ok, err := PreBind(q.Pattern.Out, db, t)
 	if err != nil || !ok {
 		return false, err
 	}
 	return ev.exists(pre)
 }
 
-// preBind maps the output variables to the nodes of t. ok is false when t
-// binds one variable to two different nodes (no match is possible).
-func preBind(q *Query, db *graph.DB, t pattern.Tuple) (pre map[string]int, ok bool, err error) {
-	if len(t) != len(q.Pattern.Out) {
-		return nil, false, fmt.Errorf("ecrpq: tuple arity %d, query arity %d", len(t), len(q.Pattern.Out))
+// PreBind maps the output variables out to the nodes of t: the pre-binding
+// of every check and tuple explanation, of either arm of a CXRPQ request. ok
+// is false when t binds one variable to two different nodes (no match is
+// possible); t of the wrong arity, or a node out of db's range, is an error.
+func PreBind(out []string, db *graph.DB, t pattern.Tuple) (pre map[string]int, ok bool, err error) {
+	if len(t) != len(out) {
+		return nil, false, fmt.Errorf("ecrpq: tuple arity %d, query arity %d", len(t), len(out))
 	}
 	pre = map[string]int{}
-	for i, z := range q.Pattern.Out {
+	for i, z := range out {
 		v := t[i]
 		if v < 0 || v >= db.NumNodes() {
 			return nil, false, fmt.Errorf("ecrpq: node id %d out of range", v)

@@ -23,7 +23,7 @@ type evaluator struct {
 	q        *Query
 	db       *graph.DB
 	ix       *graph.Index
-	store    *AtomStore // of db: relations, supports and probe rows outlive the evaluation there
+	store    *AtomStore // of db: supports and probe rows outlive the evaluation there
 	sigma    []rune
 	atoms    []probeAtom     // per pattern edge
 	gscratch []*groupScratch // per group
@@ -93,8 +93,7 @@ func newEvaluator(q *Query, db *graph.DB, o Options, lazy bool) (*evaluator, err
 
 // probeAtom is the lazily probed atomSource of one pattern edge: product
 // searches memoized per node and direction. A miss asks the atom store for
-// one row (AtomStore.rows: a stored relation or row, else one single-source
-// search); prefetch asks it for many nodes at once, which it searches through
+// one row (AtomStore.rows: a stored row, else one single-source search); prefetch asks it for many nodes at once, which it searches through
 // the multi-source kernel, and every driver that knows a set of nodes it is
 // about to ask for — the scan, the frontier pass of a materializing run
 // (frontier.go), the best-first driver's cohorts — goes through it. The memo
@@ -166,14 +165,20 @@ func (p *probeAtom) fetch(nodes []int, forward bool) []probeRow {
 
 // probe returns the nodes reachable from node through a path matching the
 // edge's regex — targets when forward, sources otherwise — with their costs
-// when ranked. A search cut short by the budget is returned for the current
-// unwinding but never memoized.
+// when ranked. The first miss of a direction adopts the store's complete
+// table if it holds one. A search cut short by the budget is returned for the
+// current unwinding but never memoized.
 func (p *probeAtom) probe(node int, forward bool) ([]int, []int32) {
-	if ws, ok := p.memo(forward).tab.get(node); ok { // inlined: the join's inner path
+	m := p.memo(forward)
+	if ws, ok := m.tab.get(node); ok { // inlined: the join's inner path
 		return ws, nil
 	}
-	if r, ok := p.memo(forward).get(node); ok {
+	if r, ok := m.get(node); ok {
 		return r.nodes, r.costs
+	}
+	if m.at == nil && p.adopt(forward) {
+		ws, _ := m.tab.get(node)
+		return ws, nil
 	}
 	r := p.fetch([]int{node}, forward)[0]
 	return r.nodes, r.costs
@@ -280,7 +285,7 @@ func (ev *evaluator) compile(pre map[string]int, bindAll bool) *plan {
 	p := newPlan(ev.ranked, len(order)+len(ev.q.Groups))
 	for _, st := range order {
 		e := ev.q.Pattern.Edges[st.Edge]
-		p.addAtom(&ev.atoms[st.Edge], e.From, e.To, ev.edgeMinCost(st.Edge))
+		p.addAtom(&ev.atoms[st.Edge], e.From, e.To, ev.minCost(ev.atoms[st.Edge].atom))
 	}
 	if len(ev.q.Groups) > 0 {
 		placed := make([]bool, len(ev.q.Groups))
@@ -321,12 +326,12 @@ func (ev *evaluator) mostBound(placed []bool, bound map[string]bool) int {
 	return best
 }
 
-// edgeMinCost is the admissible lower bound of an edge's witness cost: 0
-// when the edge language accepts the empty word (a node can witness itself
-// for free), otherwise the cheapest single traversal — 1 under unit cost,
-// the minimum clamped symbol weight under a pluggable weight.
-func (ev *evaluator) edgeMinCost(ei int) int32 {
-	c := ev.atoms[ei].atom.cache
+// minCost is the admissible lower bound of an atom's witness cost: 0 when
+// its language accepts the empty word (a node can witness itself for free),
+// otherwise the cheapest single traversal — 1 under unit cost, the minimum
+// clamped symbol weight under a pluggable weight.
+func (ev *evaluator) minCost(a *Atom) int32 {
+	c := a.cache
 	nSyms := ev.ix.NumSyms()
 	if !ev.ranked || c.Final(c.Start()) || nSyms == 0 {
 		return 0

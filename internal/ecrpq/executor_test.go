@@ -104,7 +104,8 @@ func runPlan(c *collector, p *plan) ranking {
 // cycles, self-loops, parallel atoms, pre-bound tuples, Equality and
 // NFARelation groups — through both drivers (backtracking, best-first)
 // over every atom source they run on (lazy probes, probes filled a frontier
-// at a time, materialized relations) and requires the same tuple set from all of them
+// at a time, a bounded leaf's atoms, materialized relations) and requires the
+// same tuple set from all of them
 // unranked, and the same (cost, tuple) ranking from all of them ranked,
 // under unit cost and under a pluggable weight.
 func TestExecutorDifferential(t *testing.T) {
@@ -186,25 +187,37 @@ func TestExecutorDifferential(t *testing.T) {
 						got["best-first/lazy"] = drainAnyK(newCollector(t, name("best-first/lazy"), true), lazy())
 					}
 					if len(tc.groups) == 0 {
-						rels := make([]*EdgeRel, len(g.Edges))
-						for i, e := range g.Edges {
-							// Levels are always built: an unranked join must not care.
-							if rels[i], err = BuildRelation(db, atomOf(t, Atoms(db), e.Label, sigma), engine.ReachOpts{Levels: true, Weight: w}); err != nil {
-								t.Fatal(err)
+						// The bounded engine's leaf: the pattern compiled once,
+						// the query's atoms set on its edges.
+						leaf := func() *Leaf {
+							l := NewLeaf(Atoms(db), g, tc.pre, false, Options{Ranked: ranked, Weight: w}).Fork()
+							for i, e := range g.Edges {
+								if _, err := l.Set(i, atomOf(t, Atoms(db), e.Label, sigma)); err != nil {
+									t.Fatal(err)
+								}
 							}
+							return l
 						}
-						order := PlanJoin(g, rels, tc.pre)
-						got["backtracking/rel"] = runPlan(newCollector(t, name("backtracking/rel"), false),
-							joinPlan(g, rels, order, tc.pre, ranked))
-						// Any permutation of the edges is a plan, the reverse of
-						// JoinOrder's too.
-						reversed := slices.Clone(order)
-						slices.Reverse(reversed)
-						got["backtracking/rel/reversed"] = runPlan(newCollector(t, name("backtracking/rel/reversed"), false),
-							joinPlan(g, rels, reversed, tc.pre, ranked))
+						got["backtracking/leaf"] = runPlan(newCollector(t, name("backtracking/leaf"), false), leaf().plan(0))
 						if ranked {
-							got["best-first/rel"] = drainAnyK(newCollector(t, name("best-first/rel"), true),
-								joinPlan(g, rels, order, tc.pre, true))
+							got["best-first/leaf"] = drainAnyK(newCollector(t, name("best-first/leaf"), true), leaf().plan(0))
+						} else {
+							rels := make([]*EdgeRel, len(g.Edges))
+							for i, e := range g.Edges {
+								if rels[i], err = RelationFor(db, e.Label, sigma); err != nil {
+									t.Fatal(err)
+								}
+							}
+							// Any permutation of the edges is a plan, the reverse of
+							// JoinOrder's too.
+							order := PlanJoin(g, rels, tc.pre)
+							slices.Reverse(order)
+							p := newPlan(false, len(order))
+							for _, ei := range order {
+								p.addAtom(rels[ei], g.Edges[ei].From, g.Edges[ei].To, 0)
+							}
+							p.seal(g.Out, tc.pre, false)
+							got["backtracking/rel/reversed"] = runPlan(newCollector(t, name("backtracking/rel/reversed"), false), p)
 						}
 					}
 					want := got["backtracking/lazy"]
@@ -227,12 +240,11 @@ func TestExecutorDifferential(t *testing.T) {
 }
 
 // Ranked-ness is a field of the compiled plan, set by the caller. The atom
-// store hands out a level-bearing relation to unranked requests once
-// any ranked request has upgraded the entry; the unranked join over it must
-// still leave the endpoints nothing reads unbound and report zero costs — the
-// same yields whichever way the cache was warmed. (Inferring
-// ranked from the relation made this join yield 3 600 rows of cost 2 instead
-// of one.)
+// store files no row with costs: a ranked leaf searches its own, and an
+// unranked join over the same atoms must still leave the endpoints nothing
+// reads unbound and report zero costs — the same yields whichever way the
+// store was warmed. (Inferring ranked from the rows a join was handed made
+// this join yield 3 600 rows of cost 2 instead of one.)
 func TestJoinRankedComesFromCallerNotRelation(t *testing.T) {
 	var sb strings.Builder
 	for i := 0; i < 60; i++ {
@@ -241,29 +253,29 @@ func TestJoinRankedComesFromCallerNotRelation(t *testing.T) {
 	g := pattern.MustParseQuery("ans(x)\nx y : a\nx z : b")
 	for _, warmRanked := range []bool{false, true} {
 		db := graph.MustParse(sb.String()) // with a store of its own
-		rels := make([]*EdgeRel, len(g.Edges))
-		for i, e := range g.Edges {
-			a := atomOf(t, Atoms(db), e.Label, db.Alphabet())
-			if _, err := Atoms(db).Relation(a, engine.ReachOpts{Levels: warmRanked}); err != nil {
-				t.Fatal(err)
+		leaf := func(ranked bool) *Leaf {
+			l := NewLeaf(Atoms(db), g, nil, false, Options{Ranked: ranked}).Fork()
+			for i, e := range g.Edges {
+				if _, err := l.Set(i, atomOf(t, Atoms(db), e.Label, db.Alphabet())); err != nil {
+					t.Fatal(err)
+				}
 			}
-			r, err := Atoms(db).Relation(a, engine.ReachOpts{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if (r.lev != nil) != warmRanked {
-				t.Fatalf("warmed ranked=%v: unranked request got levels=%v", warmRanked, r.lev != nil)
-			}
-			rels[i] = r
+			return l
+		}
+		if warmRanked {
+			leaf(true).Stream(func([]int32, int) bool { return true })
+		}
+		if st := Atoms(db).Stats(); st.Rows.Entries != 0 {
+			t.Fatalf("warmed ranked=%v: the store filed rows: %+v", warmRanked, st)
 		}
 		rows, costs := 0, 0
-		JoinRelationsStream(g, rels, PlanJoin(g, rels, nil), nil, Options{}, func(_ []int32, cost int) bool {
+		leaf(false).Stream(func(_ []int32, cost int) bool {
 			rows++
 			costs += cost
 			return true
 		})
 		if rows != 1 || costs != 0 {
-			t.Fatalf("cache warmed ranked=%v: unranked join yielded %d rows, cost sum %d; want 1 row, cost 0",
+			t.Fatalf("store warmed ranked=%v: unranked join yielded %d rows, cost sum %d; want 1 row, cost 0",
 				warmRanked, rows, costs)
 		}
 	}

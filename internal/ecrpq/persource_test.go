@@ -88,8 +88,8 @@ func TestShardedRelCacheDeltaMatchesPerSource(t *testing.T) {
 	for _, k := range []int{1, 2, 4} { // graph and delta seeds
 		db := randomDB(int64(100+k), 160, 640, "abc")
 		for _, l := range labels {
-			if _, err := Atoms(db).Relation(atomOf(t, Atoms(db), l, sigma), engine.ReachOpts{}); err != nil {
-				t.Fatalf("graph %d: Relation: %v", k, err)
+			if _, err := tableRel(Atoms(db), atomOf(t, Atoms(db), l, sigma), nil); err != nil {
+				t.Fatalf("graph %d: complete table: %v", k, err)
 			}
 		}
 		r := &testRNG{s: uint64(k)*0x9e3779b9 + 5}
@@ -110,7 +110,7 @@ func TestShardedRelCacheDeltaMatchesPerSource(t *testing.T) {
 				t.Fatalf("graph %d step %d: ApplyDelta: %v", k, step, err)
 			}
 			for _, l := range labels {
-				rel, err := Atoms(db).Relation(atomOf(t, Atoms(db), l, sigma), engine.ReachOpts{}) // the first one maintains the store
+				rel, err := tableRel(Atoms(db), atomOf(t, Atoms(db), l, sigma), nil) // the first one maintains the store
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -124,7 +124,7 @@ func TestShardedRelCacheDeltaMatchesPerSource(t *testing.T) {
 			}
 		}
 		if st := Atoms(db).Stats(); st.Extended == 0 || st.Misses != uint64(len(labels)) {
-			t.Fatalf("graph %d: no relation was frontier-extended, or one was rebuilt: %+v", k, st)
+			t.Fatalf("graph %d: no table was frontier-extended, or one was rebuilt: %+v", k, st)
 		}
 	}
 }

@@ -85,8 +85,8 @@ func boundSet(pre map[string]int) map[string]bool {
 // the database nodes. Node lists are sorted ascending and must not be
 // modified; the parallel cost list holds each pair's witness cost (length
 // or weight of a cheapest matching path) and is nil when the source
-// carries none. It is implemented by the evaluator's lazy probe memo
-// (probeAtom) and by materialized relations (*EdgeRel).
+// carries none. It is implemented by the lazy probe memo (probeAtom) of an
+// evaluator or a bounded leaf, and by the replay's relations (*EdgeRel).
 type atomSource interface {
 	// forward lists the targets of u; backward the sources of v.
 	forward(u int) ([]int, []int32)
@@ -202,6 +202,13 @@ func (st *step) support(uok, vok bool) (sup []uint64, forward bool) {
 		return nil, forward
 	}
 	return pa.support(forward), forward
+}
+
+// clone returns a copy of p whose steps and pre-bound tuple are its own.
+func (p *plan) clone() *plan {
+	c := *p
+	c.steps, c.init = slices.Clone(p.steps), slices.Clone(p.init)
+	return &c
 }
 
 // project writes the output slots of a complete assignment into row.

@@ -16,12 +16,12 @@ import (
 // (a two- or three-atom chain p→m→(n→)q with the output on nothing, p, p and
 // q, or p and m — so dangling, shared and output endpoints all occur) under
 // random classical labels, every operation is held to the join over the
-// complete relations BuildRelation computes, where no support is ever read:
+// complete relations RelationFor computes, where no support is ever read:
 // Eval (frontier pass), the lazy stream, the Boolean run, Check on every
-// answer and on near misses, and the ranked streams under unit cost and under
-// a weight — every tuple at the same minimal cost, the support never applying
-// to a ranked plan. The database's atom store says which queries had a
-// support read at all.
+// answer and on near misses; the ranked streams under unit cost and under a
+// weight are held to a ranked bounded leaf over the same atoms — every tuple
+// at the same minimal cost, the support never applying to a ranked plan. The
+// database's atom store says which queries had a support read at all.
 func TestSupportReadDifferential(t *testing.T) {
 	t.Parallel()
 	labels := []string{"a", "b", "a+", "b+", "(a|b)+", "ab", "a*b", "(ab)*", "b?a", "a|bb", "(a|b)(a|b)", "ba*"}
@@ -44,20 +44,13 @@ func TestSupportReadDifferential(t *testing.T) {
 		}
 
 		// The baseline: complete relations, built outside the store, joined.
-		relations := func(o engine.ReachOpts) []*ecrpq.EdgeRel {
-			rels := make([]*ecrpq.EdgeRel, len(g.Edges))
-			for i, e := range g.Edges {
-				a, err := ecrpq.Atoms(db).Atom(e.Label, db.Alphabet())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rels[i], err = ecrpq.BuildRelation(db, a, o); err != nil {
-					t.Fatal(err)
-				}
+		rels := make([]*ecrpq.EdgeRel, len(g.Edges))
+		for i, e := range g.Edges {
+			var err error
+			if rels[i], err = ecrpq.RelationFor(db, e.Label, db.Alphabet()); err != nil {
+				t.Fatal(err)
 			}
-			return rels
 		}
-		rels := relations(engine.ReachOpts{})
 		join := func(pre map[string]int, boolOnly bool) *pattern.TupleSet {
 			return ecrpq.JoinRelations(g, rels, ecrpq.PlanJoin(g, rels, pre), pre, boolOnly)
 		}
@@ -107,8 +100,17 @@ func TestSupportReadDifferential(t *testing.T) {
 				}
 			}
 			best, got := map[string]int{}, map[string]int{}
-			lrels := relations(engine.ReachOpts{Levels: true, Weight: w})
-			ecrpq.JoinRelationsStream(g, lrels, ecrpq.PlanJoin(g, lrels, nil), nil, ecrpq.Options{Ranked: true}, minCost(best))
+			leaf := ecrpq.NewLeaf(ecrpq.Atoms(db), g, nil, false, ecrpq.Options{Ranked: true, Weight: w}).Fork()
+			for i, e := range g.Edges {
+				a, err := ecrpq.Atoms(db).Atom(e.Label, db.Alphabet())
+				if err == nil {
+					_, err = leaf.Set(i, a)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			leaf.Stream(minCost(best))
 			err := ecrpq.EvalUnionStream(ecrpq.MembersOf(q), db, ecrpq.Options{Ranked: true, Weight: w}, minCost(got))
 			if err != nil || fmt.Sprint(got) != fmt.Sprint(best) {
 				fail(name, got, best, err)

@@ -36,7 +36,7 @@ func FindWitness(q *Query, db *graph.DB, t pattern.Tuple, o Options) (*Witness, 
 	var pre map[string]int
 	if t != nil {
 		var ok bool
-		if pre, ok, err = preBind(q, db, t); err != nil || !ok {
+		if pre, ok, err = PreBind(q.Pattern.Out, db, t); err != nil || !ok {
 			return nil, false, err
 		}
 	}

@@ -72,7 +72,6 @@ var reachAllow = []struct {
 	{"internal/cxrpq.MustPrepare", allowVocab, "test fixtures of cxrpq, ecrpq and the root benchmarks"},
 	{"internal/ecrpq.MustParseQuery", allowVocab, "test fixtures of ecrpq, cxrpq, pattern and the root benchmarks"},
 	{"internal/xregex.MustCompile", allowVocab, "test fixtures of xregex, engine and the root benchmarks"},
-	{"internal/ecrpq.EdgeRel.Size", allowVocab, "the pair count the ecrpq and cxrpq store tests compare"},
 	{"internal/ecrpq.AtomStore.Verdicts", allowVocab, "the stored verdicts the ecrpq and cxrpq store tests compare"},
 	{"internal/pattern.TupleSet.Contains", allowVocab, "answer membership, asserted by the tests of most packages"},
 	{"internal/workload.RandomQuery", allowVocab, "the random query generator of the differential suites"},
@@ -88,8 +87,9 @@ var reachAllow = []struct {
 	{"internal/cxrpq.rowsOf", allowBench, "the tuples Cursor.Fetch returns"},
 	{"internal/ecrpq.Check", allowBench, "layers.go times a tuple check"},
 	{"internal/ecrpq.EvalUnionBool", allowBench, "layers.go times a Boolean union"},
-	{"internal/ecrpq.JoinRelations", allowBench, "layers.go times the join over built relations"},
-	{"internal/ecrpq.RelationFor", allowBench, "layers.go times a relation build"},
+	{"internal/ecrpq.JoinRelations", allowBench, "layers.go times the join over built relations, the relation format only the replay keeps"},
+	{"internal/ecrpq.PlanJoin", allowBench, "layers.go orders that join, the relation format only the replay keeps"},
+	{"internal/ecrpq.RelationFor", allowBench, "layers.go times a relation build, the relation format only the replay keeps"},
 	{"internal/engine.ReachBatch", allowBench, "layers.go times the batched reachability kernel"},
 	{"internal/engine.Shards", allowBench, "layers.go partitions the graph for the batched kernel"},
 	{"internal/graph.DB.Partition", allowBench, "layers.go partitions the graph for the batched kernel"},
