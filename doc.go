@@ -123,10 +123,11 @@
 //	                     over unit or pluggable per-label edge weights
 //	                     and pulled on the fetching goroutine into a
 //	                     ranked prefix every cursor of the revision pages
-//	                     through, and an unranked producer that pages out
-//	                     of an iter.Pull coroutine suspended between
-//	                     fetches, so ApplyDelta interleaves with open
-//	                     cursors and no cursor starts a goroutine
+//	                     through, and an unranked producer that holds its
+//	                     resumable search (one frame stack per join, the
+//	                     bounded engine's image stack) between fetches,
+//	                     so ApplyDelta interleaves with open cursors and
+//	                     no cursor starts a goroutine or leaks when dropped
 //	internal/oracle      brute-force reference implementations backing the
 //	                     conformance tests
 //	internal/reductions  executable hardness reductions (Thms 1/3/7)

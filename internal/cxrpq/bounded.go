@@ -177,7 +177,6 @@ type boundedEngine struct {
 	db       *graph.DB
 	sigma    []rune
 	boolOnly bool
-	seq      bool           // force sequential enumeration (witness search)
 	pre      map[string]int // pre-bound node variables (a bounded check)
 
 	k       int              // image bound
@@ -209,22 +208,6 @@ type boundedEngine struct {
 	// which goes back when its fan job ends.
 	leaves sync.Pool
 
-	// anyk, when set, redirects every complete mapping's leaf join onto the
-	// shared incremental any-k priority queue (one AddLeaf per mapping)
-	// instead of executing it: run() then only enumerates mappings, and the
-	// consumer pulls ranked rows lazily from the queue. Implies seq.
-	anyk *ecrpq.AnyK
-
-	// yield, when set, streams each leaf join's rows (with witness cost)
-	// instead of merging into out; a false return stops the run. Streaming
-	// runs force seq — yield is called from one goroutine only. Tuples are
-	// NOT deduplicated across mappings here; the consumer owns dedup.
-	yield ecrpq.StreamFunc
-
-	// leaf consumes a complete mapping; the default joins its atoms, a
-	// bounded explain swaps in a witness search.
-	leaf func(st *boundedState) error
-
 	// seeds, when set, makes the run join each complete mapping once per
 	// source variable of the pattern, pre-bound to each of its nodes: the rows
 	// of the answer with a witness that binds some atom's source to a seed
@@ -242,12 +225,21 @@ type boundedEngine struct {
 // edge, the instantiated label and the defined variables whose definitions
 // survived the Lemma 10 cut. Entries for edge ei are valid whenever the
 // current prefix covers ei's ready step.
+//
+// The enumeration itself is an explicit stack (next): frame i holds the
+// candidate images of vars[i] under the prefix still to try; a fan job's
+// first frames hold one candidate each, the job's prefix.
 type boundedState struct {
 	e        *boundedEngine
 	assign   map[string]string
 	insts    []xregex.Node
 	leaf     *ecrpq.Leaf
 	survived []map[string]bool
+
+	cands [][]string // per depth: the candidate images of vars[depth] not tried yet
+	job   []string   // the fixed prefix of a fan job
+	depth int        // the frame being advanced; -1 once the subtree is done
+	enter bool       // depth is entered next: its step is processed, its frame opened
 }
 
 // runMemoCap bounds the per-run memos of a bounded evaluation.
@@ -316,18 +308,27 @@ func newBoundedEngine(p *boundedPlan, db *graph.DB, k int, boolOnly bool, pre ma
 		fanBud:   bud.Fork(), // nil-safe: a standalone fork when unbudgeted
 		out:      pattern.NewTupleSet(),
 	}
-	e.leaf = e.joinLeaf
 	return e, nil
 }
 
-func (e *boundedEngine) newState() *boundedState {
-	ne := len(e.p.c)
+// newState starts the enumeration of the subtree under the prefix job. The
+// first state of a run compiles the run's leaf join, which every state then
+// joins through a fork of.
+func (e *boundedEngine) newState(job []string) *boundedState {
+	if e.leaves.New == nil {
+		join := ecrpq.NewLeaf(e.atoms, e.p.q.Pattern, e.pre, e.seeds != nil, ecrpq.Options{Budget: e.fanBud, Ranked: e.ranked, Weight: e.weight})
+		e.leaves.New = func() any { return join.Fork() }
+	}
+	ne, nv := len(e.p.c), len(e.p.vars)
 	return &boundedState{
 		e:        e,
 		assign:   map[string]string{},
 		insts:    make([]xregex.Node, ne),
 		leaf:     e.leaves.Get().(*ecrpq.Leaf),
 		survived: make([]map[string]bool, ne),
+		cands:    make([][]string, nv),
+		job:      job,
+		enter:    true,
 	}
 }
 
@@ -521,62 +522,61 @@ func (e *boundedEngine) candidates(x string, assign map[string]string) ([]string
 	})
 }
 
-// rec enumerates images for vars[i:] depth-first with prefix pruning.
-func (st *boundedState) rec(i int) error {
-	e := st.e
-	if e.stop.Load() || e.fanBud.Canceled() {
-		return nil
-	}
-	if i == len(e.p.vars) {
-		return e.leaf(st)
-	}
-	x := e.p.vars[i]
-	cands, err := e.candidates(x, st.assign)
-	if err != nil {
-		return err
-	}
-	for _, w := range cands {
-		if e.stop.Load() || e.fanBud.Canceled() {
-			break
-		}
-		st.assign[x] = w
-		ok, err := st.processStep(i + 1)
-		if err != nil {
-			return err
-		}
-		if ok {
-			if err := st.rec(i + 1); err != nil {
-				return err
+// next runs the enumeration to its next complete mapping, with every atom
+// instantiated on the leaf; false when the subtree is exhausted or the run
+// stopped. Entering depth i processes step i — prefix pruning — and opens
+// frame i; a frame whose candidates are spent unassigns its variable and
+// returns to the one below.
+func (st *boundedState) next() (bool, error) {
+	e, n := st.e, len(st.e.p.vars)
+	for st.depth >= 0 && !e.stop.Load() && !e.fanBud.Canceled() {
+		i := st.depth
+		if st.enter {
+			st.enter = false
+			ok, err := st.processStep(i)
+			if ok && err == nil && i < len(st.job) {
+				st.cands[i] = st.job[i : i+1]
+			} else if ok && err == nil && i < n {
+				st.cands[i], err = e.candidates(e.p.vars[i], st.assign)
+			}
+			if err != nil {
+				st.depth = -1
+				return false, err
+			}
+			if ok && i == n {
+				st.depth = n - 1
+				return true, nil
+			}
+			if !ok {
+				st.depth--
+				continue
 			}
 		}
+		if cs := st.cands[i]; len(cs) > 0 {
+			st.assign[e.p.vars[i]], st.cands[i] = cs[0], cs[1:]
+			st.depth, st.enter = i+1, true
+		} else {
+			delete(st.assign, e.p.vars[i])
+			st.depth--
+		}
 	}
-	delete(st.assign, x)
-	return nil
+	st.depth = -1
+	return false, nil
+}
+
+// drive joins every mapping of the state's subtree.
+func (e *boundedEngine) drive(st *boundedState) error {
+	for {
+		if ok, err := st.next(); !ok {
+			return err
+		}
+		e.joinLeaf(st)
+	}
 }
 
 // joinLeaf is the default leaf: join the mapping's atoms, in the run's one
 // edge order, and merge the answers into the shared result set.
-func (e *boundedEngine) joinLeaf(st *boundedState) error {
-	if e.anyk != nil {
-		// Deferred ranked leaf (incremental any-k): register the join of this
-		// mapping's atoms as one root on the shared priority queue. The join
-		// itself runs lazily as the consumer pulls ranked rows.
-		e.anyk.AddLeaf(st.leaf)
-		return nil
-	}
-	if e.yield != nil {
-		// Streaming leaf (Session.Stream): rows flow to the consumer as the
-		// backtracking completes them. Runs are sequential (e.seq), so the
-		// yield needs no locking.
-		st.leaf.Stream(func(row []int32, cost int) bool {
-			if !e.yield(row, cost) {
-				e.stop.Store(true)
-				return false
-			}
-			return true
-		})
-		return nil
-	}
+func (e *boundedEngine) joinLeaf(st *boundedState) {
 	var rows []int32 // collected outside the critical section; run settles e.out
 	n := 0
 	collect := func(row []int32, _ int) bool {
@@ -589,7 +589,7 @@ func (e *boundedEngine) joinLeaf(st *boundedState) error {
 		st.leaf.Stream(collect)
 	}
 	if n == 0 {
-		return nil
+		return
 	}
 	e.outMu.Lock()
 	for w, i := len(rows)/n, 0; i < n; i++ {
@@ -603,38 +603,29 @@ func (e *boundedEngine) joinLeaf(st *boundedState) error {
 		e.stop.Store(true)
 		e.fanBud.Stop()
 	}
-	return nil
 }
 
-// run drives the enumeration: sequentially for a single worker (or when a
-// deterministic first witness is required), otherwise by expanding candidate
-// assignment prefixes into jobs and fanning the disjoint subtrees across the
-// engine worker pool with Boolean short-circuit. The answer is settled on
-// every return, a truncated one too.
+// run drives the enumeration: sequentially for a single worker, otherwise by
+// expanding candidate assignment prefixes into jobs and fanning the disjoint
+// subtrees across the engine worker pool with Boolean short-circuit. The
+// answer is settled on every return, a truncated one too.
 func (e *boundedEngine) run() (*pattern.TupleSet, error) {
 	defer e.out.Settle()
-	join := ecrpq.NewLeaf(e.atoms, e.p.q.Pattern, e.pre, e.seeds != nil, ecrpq.Options{Budget: e.fanBud, Ranked: e.ranked, Weight: e.weight})
-	e.leaves.New = func() any { return join.Fork() }
-	st := e.newState()
-	ok, err := st.processStep(0)
-	if err != nil || !ok {
+	st := e.newState(nil)
+	pool := engine.Workers(e.workers, 1<<16)
+	if pool == 1 || len(e.p.vars) == 0 {
+		return e.out, e.ignoreCanceled(e.drive(st))
+	}
+	if ok, err := st.processStep(0); err != nil || !ok {
 		return e.out, e.ignoreCanceled(err)
 	}
-	if len(e.p.vars) == 0 {
-		return e.out, e.ignoreCanceled(e.leaf(st))
-	}
-
-	pool := engine.Workers(e.workers, 1<<16)
-	if pool == 1 || e.seq {
-		return e.out, e.ignoreCanceled(st.rec(0))
-	}
+	e.leaves.Put(st.leaf)
 
 	// Expand prefixes breadth-first (candidate-filtered only; the workers
-	// replay them with the full atom pruning, which is cache-warm by then)
+	// enter them with the full atom pruning, which is cache-warm by then)
 	// until there are enough disjoint subtrees to keep the pool busy.
 	jobs := [][]string{nil}
-	depth := 0
-	for depth < len(e.p.vars) && len(jobs) < 2*pool {
+	for depth := 0; depth < len(e.p.vars) && len(jobs) < 2*pool; depth++ {
 		var next [][]string
 		partial := map[string]string{}
 		for _, p := range jobs {
@@ -647,17 +638,13 @@ func (e *boundedEngine) run() (*pattern.TupleSet, error) {
 				return nil, err
 			}
 			for _, w := range cands {
-				np := make([]string, depth+1)
-				copy(np, p)
-				np[depth] = w
-				next = append(next, np)
+				next = append(next, append(p[:depth:depth], w))
 			}
 		}
 		if len(next) > boundedMaxJobs {
 			break // the shallower split stands
 		}
 		jobs = next
-		depth++
 	}
 
 	var errMu sync.Mutex
@@ -667,15 +654,8 @@ func (e *boundedEngine) run() (*pattern.TupleSet, error) {
 		if e.stop.Load() {
 			return
 		}
-		st := e.newState()
-		ok, err := st.processStep(0)
-		for j := 0; err == nil && ok && j < depth; j++ {
-			st.assign[e.p.vars[j]] = jobs[ji][j]
-			ok, err = st.processStep(j + 1)
-		}
-		if err == nil && ok {
-			err = st.rec(depth)
-		}
+		st := e.newState(jobs[ji])
+		err := e.drive(st)
 		e.leaves.Put(st.leaf)
 		if err = e.ignoreCanceled(err); err != nil {
 			errMu.Lock()

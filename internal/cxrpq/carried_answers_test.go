@@ -40,6 +40,7 @@ var carriedTexts = []struct{ text, semantics string }{
 	{"ans(y)\nx y : $w{a|b}\nz y : $w+", "bounded"}, // sources nothing else reads: read as target supports unseeded
 	{"ans(x)\nx x : $w{a|b}$w*", "bounded"},
 	{"ans(y)\nx y : a+b*", "bounded"},
+	{"ans(x, z)\nx y : $w{a|b}\nz y : $w", "bounded"}, // an in-star: the sources meet only at their target, an arrival reaches one
 }
 
 // randomCRPQ draws a CRPQ of one to three atoms over the variables x, y and

@@ -32,11 +32,20 @@ func (s *Session) StreamDrained(opts StreamOptions) (*Cursor, error) {
 }
 
 // PageCursor opens the cursor Stream opens over an unranked enumeration that
-// no cached answer serves, with run as the enumeration and limit as the
-// Limit, under no budget.
-func PageCursor(run func(emit ecrpq.StreamFunc) error, limit int) *Cursor {
-	return &Cursor{end: limit, open: paged(run)}
+// no cached answer serves, with next as the enumeration — its next row, ok
+// false at the end — and limit as the Limit, under no budget.
+func PageCursor(next func() (row []int32, ok bool), limit int) *Cursor {
+	return &Cursor{end: limit, open: func() (*pull, error) { return &pull{src: funcRows(next)}, nil }}
 }
+
+type funcRows func() ([]int32, bool)
+
+func (f funcRows) Next() ([]int32, int, bool) {
+	row, ok := f()
+	return row, 0, ok
+}
+
+func (f funcRows) Err() error { return nil }
 
 // RankedPrefix returns the ranked prefix the atom store of the session's
 // database holds for the dispatch of opts, and whether it is done; no rows

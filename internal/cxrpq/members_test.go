@@ -16,13 +16,16 @@ func collectMembers(t *testing.T, p *Plan) []*ecrpq.Query {
 		t.Fatal(err)
 	}
 	var out []*ecrpq.Query
-	for q, err := range queries(ms) {
+	for i := 0; ; i++ {
+		q, ok, err := ms(i)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !ok {
+			return out
+		}
 		out = append(out, q)
 	}
-	return out
 }
 
 // The member source of a Plan: the translation runs once per Plan while the

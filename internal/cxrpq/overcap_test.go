@@ -133,7 +133,7 @@ func overCapOperations(t *testing.T, sess *cxrpq.Session, want *pattern.TupleSet
 
 // overCapStreams drains the unranked and ranked streams of the plan over db.
 func overCapStreams(t *testing.T, plan *cxrpq.Plan, db *graph.DB, want *pattern.TupleSet) {
-	// Streams run member after member in the producer's coroutine whatever
+	// Streams run member after member on the fetching goroutine whatever
 	// the worker count. The operations evaluated the plan on copies of db, so
 	// no answer of it is filed in db's store for a stream to be a window of.
 	for _, page := range []int{1, 7, 4096} {

@@ -2,13 +2,13 @@ package cxrpq
 
 import (
 	"fmt"
-	"iter"
 	"slices"
 	"sync"
 	"weak"
 
 	"cxrpq/internal/ecrpq"
 	"cxrpq/internal/pattern"
+	"cxrpq/internal/xregex"
 )
 
 // This file is the compile-once half of the prepared-query subsystem.
@@ -50,22 +50,6 @@ type member struct {
 	err  error
 }
 
-// queries is the view of a member sequence the union evaluators of
-// internal/ecrpq walk.
-func queries(ms iter.Seq[member]) ecrpq.Members {
-	return func(yield func(*ecrpq.Query, error) bool) {
-		for m := range ms {
-			var q *ecrpq.Query
-			if m.err == nil {
-				q = m.tr.Query
-			}
-			if !yield(q, m.err) {
-				return
-			}
-		}
-	}
-}
-
 // Plan is an immutable prepared CXRPQ: the validated query, its fragment
 // classification, and the (lazily materialized, built at most once) pieces
 // each evaluation path needs — the bounded-evaluation schedule and the
@@ -88,10 +72,14 @@ type Plan struct {
 	boundedErr  error
 
 	// The union of ECRPQ^er a vstar-free query is evaluated as, built on first
-	// use: its members, or overCap when there are more than vsfComboCap.
+	// use: its members, or overCap when there are more than vsfComboCap; and
+	// the branches of each component, or the error expanding them failed
+	// with, from which a member is decoded (branchMember).
 	membersOnce sync.Once
 	kept        []member
 	overCap     bool
+	branches    [][]xregex.Node
+	branchErr   error
 
 	// srcCols holds, per arm — [0] the union, [1] the bounded engine — the
 	// output positions of the source variables (sourceCols), built on first
@@ -161,9 +149,9 @@ func (p *Plan) Fragment() string { return p.fragment }
 // query is equivalent to. A classical query is its own single member and a
 // simple one its Lemma 3 translation; a vstar-free query has one member per
 // Lemma 7 branch combination — kept, translated once per Plan, when there
-// are at most vsfComboCap of them, enumerated and translated afresh by every
-// range beyond that. A plan that is not vstar-free has no such union.
-func (p *Plan) members() (iter.Seq[member], error) {
+// are at most vsfComboCap of them, decoded and translated afresh on every
+// request beyond that. A plan that is not vstar-free has no such union.
+func (p *Plan) members() (ecrpq.Members, error) {
 	if p.kind == kindGeneral {
 		return nil, fmt.Errorf("cxrpq: %s is not vstar-free; evaluate it under the bounded (CXRPQ^≤k) or log semantics", p.fragment)
 	}
@@ -180,8 +168,13 @@ func (p *Plan) members() (iter.Seq[member], error) {
 			tr, err := simpleToECRPQerInfo(p.q, nil)
 			p.kept = []member{{tr: tr, err: err}}
 		default:
-			for m := range p.branchMembers {
-				if len(p.kept) == vsfComboCap {
+			p.branches, p.branchErr = expandBranches(p.c)
+			for i := 0; ; i++ {
+				m, ok := p.branchMember(i)
+				if !ok {
+					break
+				}
+				if i == vsfComboCap {
 					p.kept, p.overCap = nil, true
 					break
 				}
@@ -189,26 +182,50 @@ func (p *Plan) members() (iter.Seq[member], error) {
 			}
 		}
 	})
-	if p.overCap {
-		return p.branchMembers, nil
-	}
-	return slices.Values(p.kept), nil
+	return p.query, nil
 }
 
-// branchMembers enumerates the Lemma 7 branch combinations and yields the
-// translation of each; a failure of the enumeration itself ends the sequence
-// as one last member.
-func (p *Plan) branchMembers(yield func(member) bool) {
-	origDefined := p.c.DefinedVars()
-	err := branchCombos(p.c, func(combo CXRE) error {
-		if !yield(p.comboMember(combo, origDefined)) {
-			return errStop
-		}
-		return nil
-	})
-	if err != nil && err != errStop {
-		yield(member{err: err})
+// member returns member i of the plan's union, which members has built.
+func (p *Plan) member(i int) (member, bool) {
+	if p.overCap {
+		return p.branchMember(i)
 	}
+	if i < len(p.kept) {
+		return p.kept[i], true
+	}
+	return member{}, false
+}
+
+// query is member i as the union evaluators of internal/ecrpq see it.
+func (p *Plan) query(i int) (*ecrpq.Query, bool, error) {
+	m, ok := p.member(i)
+	if !ok || m.err != nil {
+		return nil, ok, m.err
+	}
+	return m.tr.Query, true, nil
+}
+
+// branchMember translates member i of the Lemma 7 union: the branch
+// combination that picks, for each component, the branch at its digit of i
+// in the mixed radix of the components' branch counts, the last component
+// varying fastest. A failed expansion is the one member, its error.
+func (p *Plan) branchMember(i int) (member, bool) {
+	if p.branchErr != nil {
+		return member{err: p.branchErr}, i == 0
+	}
+	combo := make(CXRE, len(p.branches))
+	for c := len(combo) - 1; c >= 0; c-- {
+		bs := p.branches[c]
+		if len(bs) == 0 {
+			return member{}, false
+		}
+		combo[c] = xregex.Clone(bs[i%len(bs)])
+		i /= len(bs)
+	}
+	if i > 0 {
+		return member{}, false
+	}
+	return p.comboMember(combo, p.c.DefinedVars()), true
 }
 
 // comboMember normalizes one variable-simple branch combination via Step 3

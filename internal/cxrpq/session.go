@@ -3,7 +3,6 @@ package cxrpq
 import (
 	"errors"
 	"fmt"
-	"iter"
 	"maps"
 	"weak"
 
@@ -254,9 +253,9 @@ func (s *Session) settleCarried(atoms *ecrpq.AtomStore, key any, old Response, f
 	if bounded {
 		delta, err = s.boundedDelta(atoms, k, frontier, bud)
 	} else {
-		var ms iter.Seq[member]
+		var ms ecrpq.Members
 		if ms, err = s.plan.members(); err == nil {
-			delta, err = ecrpq.EvalUnionSeededWith(queries(ms), s.db, frontier, ecrpq.Options{Budget: bud, Workers: s.workers})
+			delta, err = ecrpq.EvalUnionSeededWith(ms, s.db, frontier, ecrpq.Options{Budget: bud, Workers: s.workers})
 		}
 	}
 	if delta == nil {
@@ -320,17 +319,21 @@ func (s *Session) doUnion(op string, t pattern.Tuple, bud *engine.Budget) Respon
 	o := ecrpq.Options{Budget: bud, Workers: s.workers}
 	switch op {
 	case "eval":
-		res, err := ecrpq.EvalUnionWith(queries(ms), s.db, o)
+		res, err := ecrpq.EvalUnionWith(ms, s.db, o)
 		return Response{Tuples: res, OK: res != nil && res.Len() > 0, Err: err}
 	case "bool":
-		ok, err := ecrpq.EvalUnionBoolWith(queries(ms), s.db, o)
+		ok, err := ecrpq.EvalUnionBoolWith(ms, s.db, o)
 		return Response{OK: ok, Err: err}
 	case "check":
-		ok, err := ecrpq.CheckUnionWith(queries(ms), s.db, t, o)
+		ok, err := ecrpq.CheckUnionWith(ms, s.db, t, o)
 		return Response{OK: ok, Err: err}
 	}
 	var failed error
-	for m := range ms {
+	for i := 0; ; i++ {
+		m, more := s.plan.member(i)
+		if !more {
+			break
+		}
 		w, ok, err := (*ecrpq.Witness)(nil), false, m.err
 		if err == nil {
 			w, ok, err = ecrpq.FindWitness(m.tr.Query, s.db, t, o)
@@ -350,9 +353,9 @@ func (s *Session) doUnion(op string, t pattern.Tuple, bud *engine.Budget) Respon
 
 // doBounded runs op on the bounded engine under image bound k. Check pre-binds
 // the output variables, so each leaf join only searches for one extension of
-// the tuple; explain runs the engine sequentially — the witness is the first
-// in enumeration order — with a leaf that searches the instantiated CRPQ for
-// a path witness instead of joining its atoms. A found witness makes a
+// the tuple; explain pulls the mappings in enumeration order — the witness is
+// the first — and searches each instantiated CRPQ for a path witness instead
+// of joining its atoms. A found witness makes a
 // bool, check or explain answer definitive whatever the budget cut afterwards
 // (the first-witness sibling stop rides a fork of the budget); any other
 // truncated run returns its value — for eval, the sound partial rows — with
@@ -371,24 +374,12 @@ func (s *Session) doBounded(atoms *ecrpq.AtomStore, op string, k int, t pattern.
 		return Response{Err: err}
 	}
 	var found *Explanation
+	res := e.out
 	if op == "explain" {
-		e.seq = true
-		q := s.plan.q
-		e.leaf = func(st *boundedState) error {
-			g := &pattern.Graph{Out: append([]string(nil), q.Pattern.Out...)}
-			for i, pe := range q.Pattern.Edges {
-				g.Edges = append(g.Edges, pattern.Edge{From: pe.From, To: pe.To, Label: st.insts[i]})
-			}
-			w, ok, err := ecrpq.FindWitness(&ecrpq.Query{Pattern: g}, s.db, t, ecrpq.Options{Budget: e.fanBud})
-			if err != nil || !ok {
-				return err
-			}
-			found = s.explanation(&Explanation{NodeOf: w.NodeOf, Words: w.Words, Images: maps.Clone(st.assign)})
-			e.stop.Store(true)
-			return nil
-		}
+		found, err = s.explainBounded(e, t)
+	} else {
+		res, err = e.run()
 	}
-	res, err := e.run()
 	if err != nil {
 		return Response{Err: err}
 	}
@@ -403,4 +394,27 @@ func (s *Session) doBounded(atoms *ecrpq.AtomStore, op string, k int, t pattern.
 		resp.Err = berr
 	}
 	return resp
+}
+
+// explainBounded pulls the run's mappings in enumeration order and searches
+// each instantiated CRPQ for a path witness; the first is the explanation.
+func (s *Session) explainBounded(e *boundedEngine, t pattern.Tuple) (*Explanation, error) {
+	q, st := s.plan.q, e.newState(nil)
+	for {
+		ok, err := st.next()
+		if err != nil || !ok {
+			return nil, e.ignoreCanceled(err)
+		}
+		g := &pattern.Graph{Out: append([]string(nil), q.Pattern.Out...)}
+		for i, pe := range q.Pattern.Edges {
+			g.Edges = append(g.Edges, pattern.Edge{From: pe.From, To: pe.To, Label: st.insts[i]})
+		}
+		w, ok, err := ecrpq.FindWitness(&ecrpq.Query{Pattern: g}, s.db, t, ecrpq.Options{Budget: e.fanBud})
+		if ok {
+			return s.explanation(&Explanation{NodeOf: w.NodeOf, Words: w.Words, Images: maps.Clone(st.assign)}), nil
+		}
+		if err != nil {
+			return nil, e.ignoreCanceled(err)
+		}
+	}
 }

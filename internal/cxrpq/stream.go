@@ -1,11 +1,9 @@
 package cxrpq
 
 // Pull-based (any-k) result streaming for prepared sessions. Session.Stream
-// turns the push-with-cancel enumeration loops of the lower layers
-// (ecrpq.EvalUnionStream, the bounded engine's streaming leaf) into a Cursor
-// the consumer drives: rows are produced strictly on demand, so the first row
-// of a large result costs a small prefix of the full evaluation, and an
-// abandoned cursor stops paying immediately.
+// returns a Cursor the consumer drives: rows are produced strictly on demand,
+// so the first row of a large result costs a small prefix of the full
+// evaluation, and an abandoned cursor stops paying immediately.
 //
 // A page is a pattern.Rows — fixed-arity rows back to back in one []int32
 // slab — which is what FetchRows returns and the server encodes from. Most
@@ -17,12 +15,14 @@ package cxrpq
 // Every other page comes from a producer the cursor builds on its first fetch
 // past what it can see and pulls inside FetchRows, on the fetching goroutine;
 // this file starts no goroutine and owns no channel. An unranked cursor that
-// no cached answer serves pulls whole pages from an iter.Pull coroutine over
-// the enumeration, which suspends in the yield that hands a full page over.
-// Between fetches a producer thus holds no lock and reads no session state,
-// so cursors interleave safely with ApplyDelta as long as no fetch overlaps
-// the write. The coroutine is unwound at the end of the stream, when a page
-// reaches the Limit, and on Close.
+// no cached answer serves holds the resumable search itself — the union's
+// members searched one after the other (ecrpq.UnionRows) or the bounded
+// engine's mapping stack with the leaf join of the mapping it stands on
+// (boundedRows) — and runs it to the end of each page it is asked for.
+// Between fetches a producer thus holds no lock, reads no session state and
+// keeps nothing running, so cursors interleave safely with ApplyDelta as
+// long as no fetch overlaps the write, and a dropped cursor is garbage like
+// any other value.
 //
 // Ranked mode (shortest-witness-first) is one sequence per dispatch and
 // revision: witness cost ascending, ties in lexicographic order. The atom
@@ -43,7 +43,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"slices"
 	"sync"
 	"time"
@@ -97,10 +96,9 @@ type StreamOptions struct {
 }
 
 // Cursor is a pull-based result iterator; obtain one from Session.Stream.
-// It is NOT safe for concurrent use (one consumer drives it). An unranked
-// cursor abandoned short of its end and Limit should be Closed, which
-// releases the coroutine its producer is suspended in; any other cursor is
-// released by dropping it.
+// It is NOT safe for concurrent use (one consumer drives it). Close stops
+// its budget and drops its producer; a cursor abandoned without it holds
+// nothing but memory and is released by dropping it.
 type Cursor struct {
 	bud *engine.Budget
 
@@ -125,9 +123,14 @@ type Cursor struct {
 	closed    bool
 }
 
-// streamRun is the producer-side enumeration of one Stream dispatch: it
-// pushes every row into emit and honors emit's false return by unwinding.
-type streamRun func(emit ecrpq.StreamFunc) error
+// rowSource is a resumable enumeration a cursor pulls on the fetching
+// goroutine: Next returns the next row, in a row the source reuses, with its
+// witness cost (0 unless ranked); ok is false once the enumeration has ended,
+// and Err then reports whether it failed.
+type rowSource interface {
+	Next() (row []int32, cost int, ok bool)
+	Err() error
+}
 
 // Stream starts a pull-based enumeration of the query's results and returns
 // its cursor. Rows are computed as the consumer demands them (Next/Fetch);
@@ -152,11 +155,11 @@ func (s *Session) Stream(opts StreamOptions) (*Cursor, error) {
 	if resp, _ := v.(Response); resp.Tuples != nil {
 		return &Cursor{bud: bud, own: resp.Tuples.SortedRows(), end: opts.Limit}, nil
 	}
-	run, err := s.streamRunFor(atoms, bounded, k, ecrpq.Options{Budget: bud, Weight: opts.Weight})
+	src, err := s.rowsFor(atoms, bounded, k, ecrpq.Options{Budget: bud, Weight: opts.Weight})
 	if err != nil {
 		return nil, err
 	}
-	return &Cursor{bud: bud, end: opts.Limit, open: paged(run)}, nil
+	return &Cursor{bud: bud, end: opts.Limit, open: func() (*pull, error) { return &pull{src: src}, nil }}, nil
 }
 
 // rankedCursor opens a ranked stream over atoms. Unweighted, its sequence is
@@ -169,10 +172,10 @@ func (s *Session) Stream(opts StreamOptions) (*Cursor, error) {
 func (s *Session) rankedCursor(atoms *ecrpq.AtomStore, bounded bool, k int, bud *engine.Budget, opts StreamOptions, baseline bool) (*Cursor, error) {
 	drain, w := baseline, opts.Weight
 	var (
-		ms  iter.Seq[member]
-		e   *boundedEngine
-		run streamRun
-		err error
+		ms   ecrpq.Members
+		e    *boundedEngine
+		rows rowSource
+		err  error
 	)
 	if !bounded {
 		if ms, err = s.plan.members(); err != nil {
@@ -181,7 +184,7 @@ func (s *Session) rankedCursor(atoms *ecrpq.AtomStore, bounded bool, k int, bud 
 		drain = drain || s.plan.overCap // too many members to root one evaluator each
 	}
 	if drain {
-		run, err = s.streamRunFor(atoms, bounded, k, ecrpq.Options{Budget: bud, Ranked: true, Weight: w})
+		rows, err = s.rowsFor(atoms, bounded, k, ecrpq.Options{Budget: bud, Ranked: true, Weight: w})
 	} else if bounded {
 		e, err = s.boundedRun(atoms, k, false, nil, bud)
 	}
@@ -195,80 +198,84 @@ func (s *Session) rankedCursor(atoms *ecrpq.AtomStore, bounded bool, k int, bud 
 	}
 	rev := s.db.Revision()
 	c.open = func() (*pull, error) {
-		p := &pull{seen: pattern.NewTupleSet(), drain: run, db: s.db, rev: rev}
+		p := &pull{seen: pattern.NewTupleSet(), drain: rows, db: s.db, rev: rev}
 		if drain {
 			return p, nil
 		}
 		p.ak = ecrpq.NewAnyK(ecrpq.Options{Budget: bud})
 		if !bounded {
-			return p, p.ak.AddUnion(queries(ms), s.db, w)
+			return p, p.ak.AddUnion(ms, s.db, w)
 		}
-		e.ranked, e.seq, e.weight, e.anyk = true, true, w, p.ak
-		_, err := e.run()
-		return p, err
+		e.ranked, e.weight = true, w
+		for st := e.newState(nil); ; p.ak.AddLeaf(st.leaf) { // every mapping's join is one root
+			if ok, err := st.next(); !ok {
+				return p, e.ignoreCanceled(err)
+			}
+		}
 	}
 	return c, nil
 }
 
-// streamRunFor builds the producer enumeration for one dispatch. Unranked, the
-// bounded mappings dedup here and the union's members in
-// ecrpq.EvalUnionStream — each source dedups only within itself; ranked
-// dispatches must NOT dedup (the drain keeps the minimal cost per tuple
-// instead).
-func (s *Session) streamRunFor(atoms *ecrpq.AtomStore, bounded bool, k int, opts ecrpq.Options) (streamRun, error) {
-	bud, ranked := opts.Budget, opts.Ranked
+// rowsFor builds the producer enumeration for one dispatch. Unranked, the
+// bounded rows dedup across mappings and the union's across members;
+// ranked dispatches must NOT dedup (the drain keeps the minimal cost per
+// tuple instead).
+func (s *Session) rowsFor(atoms *ecrpq.AtomStore, bounded bool, k int, opts ecrpq.Options) (rowSource, error) {
 	if bounded {
-		e, err := s.boundedRun(atoms, k, false, nil, bud)
+		e, err := s.boundedRun(atoms, k, false, nil, opts.Budget)
 		if err != nil {
 			return nil, err
 		}
-		return func(emit ecrpq.StreamFunc) error {
-			e.ranked = ranked
-			e.weight = opts.Weight
-			e.seq = true // yield is called from this goroutine only
-			if ranked {
-				e.yield = emit
-			} else {
-				e.yield = ecrpq.Dedup(emit)
-			}
-			_, err = e.run()
-			return err
-		}, nil
+		e.ranked, e.weight = opts.Ranked, opts.Weight
+		b := &boundedRows{e: e}
+		if !opts.Ranked {
+			b.seen = pattern.NewTupleSet()
+		}
+		return b, nil
 	}
 	ms, err := s.plan.members()
 	if err != nil {
 		return nil, err
 	}
-	return func(emit ecrpq.StreamFunc) error { return ecrpq.EvalUnionStream(queries(ms), s.db, opts, emit) }, nil
+	return ecrpq.NewUnionRows(ms, s.db, opts), nil
 }
 
-// paged opens the unranked producer over run: an iter.Pull coroutine that
-// fills a page of up to want rows and yields it whole, and yields the rest —
-// short, maybe empty — with done and err set once run returns.
-func paged(run streamRun) func() (*pull, error) {
-	return func() (*pull, error) {
-		p := &pull{}
-		p.pages, p.stop = iter.Pull(func(yield func(pattern.Rows) bool) {
-			var page pattern.Rows
-			err := run(func(row []int32, _ int) bool {
-				if page.Data == nil {
-					n := min(p.want, 1024) // a drain-everything fetch asks for 2^20 rows of what may be ten
-					page = pattern.Rows{Arity: len(row), Data: make([]int32, 0, n*len(row))}
-				}
-				page.Data = append(page.Data, row...)
-				if page.N++; page.N < p.want {
-					return true
-				}
-				full := page
-				page = pattern.Rows{}
-				return yield(full)
-			})
-			p.done, p.err = true, err
-			yield(page)
-		})
-		return p, nil
+// boundedRows is a bounded run pulled a row at a time, the way a cursor reads
+// it: the run's one enumeration stack, and the leaf join of the mapping it
+// stands on. Unranked, rows are distinct across the mappings.
+type boundedRows struct {
+	e       *boundedEngine
+	st      *boundedState
+	joining bool
+	seen    *pattern.TupleSet // nil when ranked
+	err     error
+}
+
+func (b *boundedRows) Next() ([]int32, int, bool) {
+	if b.st == nil {
+		b.st = b.e.newState(nil)
+	}
+	for {
+		if b.joining {
+			row, cost, ok := b.st.leaf.Next()
+			if ok && b.seen != nil && !b.seen.AddRow(row) {
+				continue
+			}
+			if ok {
+				return row, cost, true
+			}
+		}
+		ok, err := b.st.next()
+		if b.err = b.e.ignoreCanceled(err); !ok {
+			return nil, 0, false
+		}
+		b.st.leaf.Join()
+		b.joining = true
 	}
 }
+
+// Err is the error the run failed with; a budget cut is none.
+func (b *boundedRows) Err() error { return b.err }
 
 // rankedPrefix is the ranked sequence of one dispatch as far as any cursor
 // has computed it: whole cost tiers only, appended and never rewritten (a
@@ -323,21 +330,16 @@ func (p *rankedPrefix) publish(lo int, tier pattern.Rows, last bool) bool {
 // is the any-k enumerator (drain instead, over the combination cap) and the
 // set of tuples it has popped, each with its first — minimal — cost; rows
 // [lo, seen.Len()) are the tier in flight at cost, published only while db
-// stays at rev. Unranked, pages is the coroutine of paged and stop releases
-// it; done and err say how the enumeration ended.
+// stays at rev. Unranked, it is src, pulled a page at a time.
 type pull struct {
 	ak    *ecrpq.AnyK
-	drain streamRun
+	drain rowSource
 	seen  *pattern.TupleSet
 	costs []int32 // per row of seen
 	lo    int
 	cost  int32
 
-	pages func() (pattern.Rows, bool)
-	stop  func()
-	want  int
-	done  bool
-	err   error
+	src rowSource
 
 	db  *graph.DB
 	rev uint64
@@ -350,17 +352,27 @@ type pull struct {
 // budget is spent. The drain returns the whole sequence as one last tier. An
 // unranked producer returns its next page, of up to want rows, at skip.
 func (p *pull) next(skip, want int) (tier pattern.Rows, lo int, last bool, err error) {
-	if p.pages != nil {
-		p.want = want
-		page, _ := p.pages()
-		return page, skip, p.done, p.err
+	if p.src != nil {
+		var page pattern.Rows
+		for page.N < want {
+			row, _, ok := p.src.Next()
+			if !ok {
+				return page, skip, true, p.src.Err()
+			}
+			if page.Data == nil {
+				n := min(want, 1024) // a drain-everything fetch asks for 2^20 rows of what may be ten
+				page = pattern.Rows{Arity: len(row), Data: make([]int32, 0, n*len(row))}
+			}
+			page.Data = append(page.Data, row...)
+			page.N++
+		}
+		return page, skip, false, nil
 	}
 	if p.drain != nil {
-		err = p.drain(func(row []int32, cost int) bool {
+		for row, cost, ok := p.drain.Next(); ok; row, cost, ok = p.drain.Next() {
 			p.add(row, int32(cost))
-			return true
-		})
-		return p.ranked(0, p.seen.Len()), 0, true, err
+		}
+		return p.ranked(0, p.seen.Len()), 0, true, p.drain.Err()
 	}
 	for {
 		row, cost, ok := p.ak.Next()
@@ -418,7 +430,7 @@ func (c *Cursor) more(want int) (ran bool) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			c.drop()
+			c.open, c.pull = nil, nil
 			c.err, ran = fmt.Errorf("cxrpq: stream producer panicked: %v", r), false
 		}
 	}()
@@ -442,25 +454,9 @@ func (c *Cursor) more(want int) (ran bool) {
 		c.bud = nil // the producer has ended: its budget has nothing left to cut
 	}
 	if last || c.end > 0 && lo+tier.N >= c.end {
-		c.drop()
+		c.open, c.pull = nil, nil
 	}
 	return true
-}
-
-// drop releases the producer; a panic an unranked enumeration raises while
-// it unwinds is the cursor's error.
-func (c *Cursor) drop() {
-	p := c.pull
-	c.open, c.pull = nil, nil
-	if p == nil || p.stop == nil {
-		return
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			c.err = fmt.Errorf("cxrpq: stream producer panicked: %v", r)
-		}
-	}()
-	p.stop()
 }
 
 // settle records how a producer ended and reports whether the sequence it
@@ -560,18 +556,15 @@ func (c *Cursor) FetchRows(n int) pattern.Rows {
 // Fetch is FetchRows for callers that speak tuples (nil for an empty page).
 func (c *Cursor) Fetch(n int) []Row { return rowsOf(c.FetchRows(n)) }
 
-// Close stops the budget and drops the producer, an unranked enumeration
-// unwinding in its coroutine before Close returns. Truncated and Err keep
-// what they reported before, unless the unwinding panics, which Err then
-// says. Safe to call multiple times and after exhaustion.
+// Close stops the budget and drops the producer. Truncated and Err keep what
+// they reported before. Safe to call multiple times and after exhaustion.
 func (c *Cursor) Close() {
 	if c.closed {
 		return
 	}
 	c.closed = true
 	c.bud.Stop()
-	c.drop()
-	c.own = pattern.Rows{}
+	c.open, c.pull, c.own = nil, nil, pattern.Rows{}
 }
 
 // Err returns the evaluation error of a stream whose enumeration has ended,

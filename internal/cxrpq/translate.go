@@ -166,37 +166,19 @@ func simpleToECRPQerInfo(q *Query, forcedEps map[string]bool) (*SimpleTranslatio
 	}, nil
 }
 
-// branchCombos enumerates one branch choice per component; each callback
-// receives a variable-simple conjunctive xregex. Plan.branchMembers is its
-// one caller; the enumeration realizes Lemma 7's nondeterministic alternation
-// resolution. Returns an error from the callback, stopping early if errStop
-// is returned.
-var errStop = fmt.Errorf("stop")
-
-func branchCombos(c CXRE, f func(CXRE) error) error {
+// expandBranches lists, per component, its variable-simple branches: one
+// choice per component is one branch combination of Lemma 7's
+// nondeterministic alternation resolution (Plan.branchMember).
+func expandBranches(c CXRE) ([][]xregex.Node, error) {
 	expanded := make([][]xregex.Node, len(c))
 	for i, n := range c {
 		branches, err := xregex.ExpandVariableSimple(n)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		expanded[i] = branches
 	}
-	combo := make(CXRE, len(c))
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(c) {
-			return f(combo.Clone())
-		}
-		for _, b := range expanded[i] {
-			combo[i] = b
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return rec(0)
+	return expanded, nil
 }
 
 // VsfToUnionECRPQer implements Lemma 13: every CXRPQ^vsf is equivalent to a
@@ -207,18 +189,20 @@ func VsfToUnionECRPQer(q *Query) (*ecrpq.Union, error) {
 	if err != nil {
 		return nil, err
 	}
-	ms, err := p.members()
-	if err != nil {
+	if _, err := p.members(); err != nil {
 		return nil, err
 	}
 	u := &ecrpq.Union{}
-	for eq, err := range queries(ms) {
-		if err != nil {
-			return nil, err
+	for i := 0; ; i++ {
+		m, ok := p.member(i)
+		if !ok {
+			return u, nil
 		}
-		u.Members = append(u.Members, eq)
+		if m.err != nil {
+			return nil, m.err
+		}
+		u.Members = append(u.Members, m.tr.Query)
 	}
-	return u, nil
 }
 
 // BoundedToUnionCRPQ implements Lemma 14: for every k, a CXRPQ interpreted

@@ -1,9 +1,9 @@
 package cxrpq_test
 
-// Unranked cursors with no cached answer pull whole pages from a coroutine
-// on the fetching goroutine: opening one starts nothing, and reaching the
-// end, reaching the Limit or Close releases what a fetch started. Close
-// reports the same way for every cursor kind.
+// Unranked cursors with no cached answer hold their search and pull whole
+// pages on the fetching goroutine: opening one starts nothing, and nothing a
+// fetch runs outlives it, however the cursor is left. Close reports the same
+// way for every cursor kind.
 
 import (
 	"context"
@@ -16,9 +16,10 @@ import (
 )
 
 // Unranked streams with no cached answer — auto and bounded K=1, the
-// reference evaluated on a copy of the database — leave the goroutine count flat however they are left: never
-// fetched, fetched to the Limit, fetched once and closed, or read to a short
-// final page, none of them closed but the third.
+// reference evaluated on a copy of the database — leave the goroutine count
+// flat however they are left: never fetched, fetched to the Limit, fetched
+// once and closed, fetched once and dropped, or read to a short final page,
+// none of them closed but the third.
 func TestUnrankedCursorsLeaveNoGoroutine(t *testing.T) {
 	plan := cxrpq.MustPrepare(cxrpq.MustParse("ans(x, z)\nx y : a+\ny z : b+"))
 	db := workload.Random(0x7e57, 30, 120, "ab")
@@ -43,6 +44,11 @@ func TestUnrankedCursorsLeaveNoGoroutine(t *testing.T) {
 			}
 			cur.Close()
 		}},
+		{"fetched once and dropped", 0, func(t *testing.T, opts cxrpq.StreamOptions, cur *cxrpq.Cursor) {
+			if len(cur.Fetch(2)) != 2 {
+				t.Fatalf("%+v: short first page (err %v)", opts, cur.Err())
+			}
+		}},
 		{"read to a short page", 0, func(t *testing.T, opts cxrpq.StreamOptions, cur *cxrpq.Cursor) {
 			drainCursor(t, cur, 5)
 		}},
@@ -58,6 +64,7 @@ func TestUnrankedCursorsLeaveNoGoroutine(t *testing.T) {
 					tc.use(t, opts, cur)
 				}
 			}
+			runtime.GC() // a dropped cursor is garbage now
 			for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
 					t.Fatalf("abandoned unranked cursors left goroutines: %d before, %d after", before, runtime.NumGoroutine())

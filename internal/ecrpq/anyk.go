@@ -1,7 +1,8 @@
 package ecrpq
 
 // Incremental any-k ranked enumeration: the best-first driver over compiled
-// plans (plan.go). Instead of draining the whole enumeration and sorting it
+// plans (plan.go), which enumerates a step's bindings through the frame the
+// backtracking search runs on. Instead of draining the whole enumeration and sorting it
 // before serving row one, AnyK searches over partial assignments,
 // Lawler-style: the answer space is partitioned by the rank of the extension
 // chosen at each join constraint, every node of the partition tree is pushed
@@ -65,6 +66,7 @@ type anykRoot struct {
 	nrows    int32
 	freeRows []int32
 
+	fr           frame   // the choice point extend enumerates a step by
 	hint         []int   // per step: last extension-list length (presize hint)
 	perm, sd, sv []int32 // sortExts scratch, reused across extends
 	key          []int32 // extend's lookup key
@@ -197,13 +199,17 @@ func (rt *anykRoot) extend(ci int, assign []int32) (l extList, ok bool) {
 	// on the ~1k-wide cohort lists used to dominate allocation churn.
 	h := rt.hint[ci]
 	l = extList{d: make([]int32, 0, h), vals: make([]int32, 0, h*len(slots))}
-	rt.p.steps[ci].bindings(assign, func(d int32) bool {
+	f := &rt.fr
+	f.open(&rt.p.steps[ci], assign)
+	for d, ok := f.next(assign); ok; d, ok = f.next(assign) {
 		l.d = append(l.d, d)
 		for _, s := range slots {
 			l.vals = append(l.vals, assign[s]) // a ranked step binds every slot it touches
 		}
-		return len(l.d)%1024 != 0 || !rt.bud.Canceled()
-	})
+		if len(l.d)%1024 == 0 && rt.bud.Canceled() {
+			break // the assignment is left as it is: nothing reads it again
+		}
+	}
 	rt.hint[ci] = len(l.d)
 	rt.sortExts(l, len(slots))
 	if rt.bud.Canceled() {

@@ -18,7 +18,7 @@ func drainRanked(t *testing.T, q *ecrpq.Query, db *graph.DB, w engine.Weight) ([
 	t.Helper()
 	best := map[string]int{}
 	tuples := map[string][]int32{}
-	err := ecrpq.EvalUnionStream(ecrpq.MembersOf(q), db, ecrpq.Options{Ranked: true, Weight: w}, func(row []int32, cost int) bool {
+	err := streamUnion(ecrpq.MembersOf(q), db, ecrpq.Options{Ranked: true, Weight: w}, func(row []int32, cost int) bool {
 		k := tupleKey(row)
 		if c, ok := best[k]; !ok || cost < c {
 			best[k] = cost

@@ -76,21 +76,18 @@ func (r *EdgeRel) backward(v int) ([]int, []int32) {
 	return r.rev[v], nil
 }
 
-func (r *EdgeRel) has(u, v int) (int32, bool) {
-	ws, ds := r.forward(u)
-	return costOf(ws, ds, v)
-}
-
-func (r *EdgeRel) scan(forward bool, f func(u int, vs []int, costs []int32) bool) {
+func (r *EdgeRel) scanNext(forward bool, c *scanCursor) (int, []int, []int32, bool) {
 	list := r.forward
 	if !forward {
 		list = r.backward
 	}
-	for u := range r.fwd {
-		if ws, ds := list(u); len(ws) > 0 && !f(u, ws, ds) {
-			return
+	for ; c.next < len(r.fwd); c.next++ {
+		if ws, ds := list(c.next); len(ws) > 0 {
+			c.next++
+			return c.next - 1, ws, ds, true
 		}
 	}
+	return 0, nil, nil, false
 }
 
 // PlanJoin returns the edge order for joining g over materialized per-edge

@@ -273,7 +273,7 @@ func TestUnionEval(t *testing.T) {
 		t.Fatalf("CheckUnionWith(non-answer) = %v, %v", ok, err)
 	}
 	streamed := pattern.NewTupleSet()
-	if err := ecrpq.EvalUnionStream(ms, db, ecrpq.Options{}, func(row []int32, _ int) bool {
+	if err := streamUnion(ms, db, ecrpq.Options{}, func(row []int32, _ int) bool {
 		if !streamed.AddRow(row) {
 			t.Fatalf("the union stream repeats %v", row)
 		}
@@ -296,10 +296,8 @@ func TestUnionEval(t *testing.T) {
 		t.Fatalf("any-k over the union %v, want %v", ranked.Sorted(), res.Sorted())
 	}
 	// A member that cannot be built ends the sequential operations with its error.
-	bad := func(yield func(*ecrpq.Query, error) bool) {
-		_ = yield(u.Members[0], nil) && yield(nil, errors.New("unbuilt"))
-	}
-	if err := ecrpq.EvalUnionStream(bad, db, ecrpq.Options{}, func([]int32, int) bool { return true }); err == nil {
+	bad := seq(u.Members[0], errors.New("unbuilt"))
+	if err := streamUnion(bad, db, ecrpq.Options{}, func([]int32, int) bool { return true }); err == nil {
 		t.Fatal("union stream swallowed a member error")
 	}
 	if err := ecrpq.NewAnyK(ecrpq.Options{}).AddUnion(bad, db, nil); err == nil {

@@ -18,7 +18,7 @@ type Options struct {
 	// subset of q(D).
 	Budget *engine.Budget
 	// Ranked threads a witness cost alongside every streamed tuple
-	// (EvalUnionStream, Leaf.Stream): the sum over join constraints of
+	// (UnionRows, Leaf.Next): the sum over join constraints of
 	// the cost of the chosen binding (ungrouped edges: shortest matching-path
 	// edge count; groups: the synchronized word length). The set-valued and
 	// Boolean entry points have no use for it.

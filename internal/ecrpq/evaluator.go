@@ -39,6 +39,8 @@ type evaluator struct {
 	ranked bool
 	weight engine.Weight
 
+	all []int // every node, in order (nodes)
+
 	// lazy is set by the entry points that want a first answer rather than
 	// the whole set (Boolean, check, witness, streams): a both-ends-unbound
 	// atom is then scanned in escalating source chunks instead of one full
@@ -227,51 +229,62 @@ func (p *probeAtom) support(forward bool) []uint64 {
 func (p *probeAtom) forward(u int) ([]int, []int32)  { return p.probe(u, true) }
 func (p *probeAtom) backward(v int) ([]int, []int32) { return p.probe(v, false) }
 
-func (p *probeAtom) has(u, v int) (int32, bool) {
-	ws, ds := p.probe(u, true)
-	return costOf(ws, ds, v)
-}
-
-// scan walks every node: over a complete table the support's set bits, a
-// lazy run polling its budget every 256. Else a materializing evaluation
+// scanNext walks every node: over a complete table the support's set bits,
+// a lazy run polling its budget every 256. Else a materializing evaluation
 // prefetches them all in one sweep; a lazy one walks escalating chunks (1, 4,
 // 16, 64, then 256-wide) so the first row costs one small batch, while the
 // geometric growth keeps the full drain within a constant factor of the sweep.
-func (p *probeAtom) scan(forward bool, f func(u int, vs []int, costs []int32) bool) {
-	if m, k := p.memo(forward), 0; p.adopt(forward) {
-		for u := range bitNodes(m.sup) {
-			if ws, _ := m.tab.get(u); p.ev.lazy && k%256 == 0 && p.ev.bud.Canceled() || !f(u, ws, nil) {
-				return
+func (p *probeAtom) scanNext(forward bool, c *scanCursor) (int, []int, []int32, bool) {
+	m, ev := p.memo(forward), p.ev
+	if c.chunk == 0 {
+		c.tab, c.chunk = p.adopt(forward), max(ev.db.NumNodes(), 1)
+		if ev.lazy {
+			c.chunk = 1
+		}
+	}
+	if c.tab {
+		u := nextBit(m.sup, c.next)
+		if u < 0 || ev.lazy && c.k%256 == 0 && ev.bud.Canceled() {
+			return 0, nil, nil, false
+		}
+		c.k, c.next = c.k+1, u+1
+		ws, _ := m.tab.get(u)
+		return u, ws, nil, true
+	}
+	for n := ev.db.NumNodes(); c.next < n; {
+		if c.next == c.hi {
+			if ev.lazy && ev.bud.Canceled() {
+				return 0, nil, nil, false
 			}
-			k++
-		}
-		return
-	}
-	n := p.ev.db.NumNodes()
-	chunk := n
-	if p.ev.lazy {
-		chunk = 1
-	}
-	for lo := 0; lo < n; {
-		if p.ev.lazy && p.ev.bud.Canceled() {
-			return
-		}
-		hi := min(lo+chunk, n)
-		srcs := make([]int, 0, hi-lo)
-		for u := lo; u < hi; u++ {
-			srcs = append(srcs, u)
-		}
-		p.prefetch(srcs, forward)
-		for _, u := range srcs {
-			if ws, ds := p.probe(u, forward); len(ws) > 0 && !f(u, ws, ds) {
-				return
+			c.hi = min(c.next+c.chunk, n)
+			srcs := make([]int, 0, c.hi-c.next)
+			for u := c.next; u < c.hi; u++ {
+				srcs = append(srcs, u)
+			}
+			p.prefetch(srcs, forward)
+			if c.chunk < 256 {
+				c.chunk *= 4
 			}
 		}
-		lo = hi
-		if chunk < 256 {
-			chunk *= 4
+		u := c.next
+		c.next++
+		if ws, ds := p.probe(u, forward); len(ws) > 0 {
+			return u, ws, ds, true
 		}
 	}
+	return 0, nil, nil, false
+}
+
+// nodes lists every node of the database in order, built once per
+// evaluator, which one goroutine runs; nothing may modify it.
+func (ev *evaluator) nodes() []int {
+	if ev.all == nil {
+		ev.all = make([]int, ev.ix.NumNodes())
+		for u := range ev.all {
+			ev.all[u] = u
+		}
+	}
+	return ev.all
 }
 
 // compile builds the conjunct's plan over the lazily probed atoms: the

@@ -2,7 +2,6 @@ package ecrpq
 
 import (
 	"math/bits"
-	"slices"
 )
 
 // Frontier-at-a-time probing. The backtracking join asks a lazily probed
@@ -62,10 +61,7 @@ func (ev *evaluator) probeFrontiers(p *plan) {
 		scan := srcs == nil
 		walk := scan && (sup != nil || pa.adopt(forward)) // a sup is this memo's (support)
 		if scan && !walk {
-			srcs = make([]int, n) // every node, until the store holds the table
-			for u := range srcs {
-				srcs[u] = u
-			}
+			srcs = ev.nodes() // every node, until the store holds the table
 		}
 		if sup == nil {
 			pa.prefetch(srcs, forward)
@@ -116,17 +112,18 @@ func (ev *evaluator) probeFrontiers(p *plan) {
 	}
 }
 
-// bitNodes yields the set bits of b in ascending order.
-func bitNodes(b []uint64) func(yield func(int) bool) {
-	return func(yield func(int) bool) {
-		for wi, w := range b {
-			for ; w != 0; w &= w - 1 {
-				if !yield(wi<<6 + bits.TrailingZeros64(w)) {
-					return
-				}
-			}
+// nextBit returns the first set bit of b at or after i, -1 when there is none.
+func nextBit(b []uint64, i int) int {
+	for wi := i >> 6; wi < len(b); wi++ {
+		w := b[wi]
+		if wi == i>>6 {
+			w &= ^uint64(0) << (uint(i) & 63)
+		}
+		if w != 0 {
+			return wi<<6 + bits.TrailingZeros64(w)
 		}
 	}
+	return -1
 }
 
 // bitList lists the set bits of b in ascending order.
@@ -135,5 +132,9 @@ func bitList(b []uint64) []int {
 	for _, w := range b {
 		k += bits.OnesCount64(w)
 	}
-	return slices.AppendSeq(make([]int, 0, k), bitNodes(b))
+	out := make([]int, 0, k)
+	for u := nextBit(b, 0); u >= 0; u = nextBit(b, u+1) {
+		out = append(out, u)
+	}
+	return out
 }

@@ -27,7 +27,7 @@ import (
 // A join with unbound group sources asks for an expansion from every source
 // tuple it can bind, and nearly all of them die before their first step.
 // Three things keep that cheap. A free source whose component has its other
-// endpoint bound — on entry, or as a free source bindSrc binds earlier, like
+// endpoint bound — on entry, or as a free source the step binds earlier, like
 // the target of a definition that is its reference's source — ranges only
 // over that endpoint's row of the component's own atom, and over the
 // intersection of such rows when it has several (partner rows, fixed per
@@ -35,7 +35,7 @@ import (
 // bound variables first).
 // Equality groups never reach the search from a tuple that cannot step: the
 // lock-step product must leave all its sources on one symbol that every
-// component automaton survives at its start state, so bindSrc intersects the
+// component automaton survives at its start state, so the step intersects the
 // index's per-node out-symbol masks (graph.Index.OutSyms) with the mask of
 // those symbols as it binds the sources and abandons a subtree the moment
 // the intersection is empty. And a search that does run allocates nothing of
@@ -44,15 +44,17 @@ import (
 // (pattern.RowTable), all owned by the group's scratch and reset between
 // expansions by the list of slots the last one touched.
 
-// groupStep is the plan step of one relation group: src and tgt hold, per
-// group component, the slots of the component atom's endpoints.
+// groupStep is one relation group of a plan: src and tgt hold, per group
+// component, the slots of the component atom's endpoints. It is the plan's
+// steps at levels 0 … len(free): level l < len(free) binds the free source
+// slot free[l], the last expands the group from the bound source tuple.
 type groupStep struct {
 	ev       *evaluator
 	sc       *groupScratch
 	src, tgt []int32
 
 	// free lists the source slots no earlier step (nor pre) binds, in the
-	// order bindSrc binds them, and partners[l] the atom rows free[l] must
+	// order the levels bind them, and partners[l] the atom rows free[l] must
 	// lie in, read off endpoints bound on entry or at an earlier level. Both
 	// are fixed by the plan order.
 	free     []int32
@@ -61,16 +63,17 @@ type groupStep struct {
 	// than one, in its l-th window of NumNodes entries; nil when no slot has.
 	meet []int
 
-	// Scratch of bindSrc, which runs once per source tuple — quadratically
-	// often when two sources are unbound. A plan visits a step in one place
-	// at a time, so the buffers are never shared.
+	// The expansion step's end tuples still to walk, [ti, to), and the target
+	// slots it binds: a plan visits a step in one place at a time, so they
+	// live here, with the source tuple's buffer.
+	ti, to int32
 	srcBuf []int32
 	fresh  []int32
 	// seeds[l] is the set of first symbols still possible once l free sources
 	// are bound, SymWords words each (seeded groups only).
 	seeds []uint64
 	// skipped counts the source tuples the seeds ruled out without a search,
-	// hence without a budget poll: bindSrc polls once per 1 024 of them (a
+	// hence without a budget poll: admits polls once per 1 024 of them (a
 	// skip is a few AND words, a poll the work of dozens).
 	skipped int
 }
@@ -101,7 +104,7 @@ func (p *plan) addGroup(ev *evaluator, gi int, bound map[string]bool) {
 	}
 	g.partners = make([][]partner, len(g.free))
 	for l, s := range g.free {
-		// bound on entry, or a free slot bindSrc binds at an earlier level
+		// bound on entry, or a free slot bound at an earlier level
 		known := func(z int32) bool { return bound[p.vars[z]] || slices.Contains(g.free[:l], z) }
 		for k, ei := range edges {
 			if g.src[k] == s && known(g.tgt[k]) {
@@ -121,21 +124,27 @@ func (p *plan) addGroup(ev *evaluator, gi int, bound map[string]bool) {
 	if g.sc.seeded() {
 		g.seeds = make([]uint64, (len(g.free)+1)*ev.ix.SymWords())
 	}
-	p.steps = append(p.steps, step{grp: g})
+	for l := range len(g.free) + 1 {
+		p.steps = append(p.steps, step{grp: g, lvl: l})
+	}
 }
 
-// bindings enumerates the group's satisfying bindings (the step.bindings
-// contract): each free source slot ranges in node order over its partner
-// row, the intersection of its partner rows when it has several, or every
-// node when it has none; the group is expanded from each source tuple that
-// can take a first step, and every end tuple consistent with the already
-// bound target slots is one binding, at the cost of its synchronized word
-// when ranked.
-func (g *groupStep) bindings(a []int32, cont func(int32) bool) bool {
-	if g.seeds != nil {
+// open points f at the candidates of level l under the assignment a: each
+// free source slot ranges in node order over its partner row, the
+// intersection of its partner rows when it has several, or every node when
+// it has none; the expansion level walks the end tuples from the bound
+// source tuple, each consistent with the already bound target slots one
+// binding, at the cost of its synchronized word when ranked. It reports
+// false when the budget cut a partner row or the expansion. The partner rows
+// are sorted, so their sorted-merge intersection keeps the node order of the
+// plain loop.
+func (g *groupStep) open(f *frame, l int, a []int32) bool {
+	g.ti, g.to, g.fresh = 0, 0, g.fresh[:0]
+	if w := g.ev.ix.SymWords(); g.seeds != nil {
 		// The symbols every component survives, narrowed by the sources bound
-		// on entry; the free ones narrow it further as bindSrc binds them.
-		seed := g.seeds[:g.ev.ix.SymWords()]
+		// so far: read off a, not left by the level before, for the best-first
+		// driver opens the levels of different assignments in turn.
+		seed := g.seeds[l*w : (l+1)*w]
 		copy(seed, g.sc.startSyms)
 		for _, s := range g.src {
 			if a[s] >= 0 && !andInto(seed, seed, g.ev.ix.OutSyms(int(a[s]))) {
@@ -143,11 +152,52 @@ func (g *groupStep) bindings(a []int32, cont func(int32) bool) bool {
 			}
 		}
 	}
-	ok := g.bindSrc(a, 0, cont)
-	for _, s := range g.free {
-		a[s] = -1
+	if l == len(g.free) {
+		src := g.srcBuf[:0]
+		for _, s := range g.src {
+			src = append(src, a[s])
+		}
+		for _, y := range g.tgt {
+			if a[y] < 0 {
+				g.fresh = append(g.fresh, y)
+			}
+		}
+		g.srcBuf = src
+		exp := g.sc.expand(g.ev, src)
+		g.ti, g.to = exp.from, exp.to
+		return !g.sc.cut // the budget canceled: every further source tuple would be cut the same
 	}
-	return ok
+	nodes, row := g.ev.db.NumNodes(), g.ev.nodes()
+	for i, pt := range g.partners[l] {
+		r, ok := pt.atom.row(int(a[pt.near]), pt.forward)
+		if !ok {
+			g.sc.cut = true
+			return false
+		}
+		if i > 0 {
+			r = meet(g.meet[l*nodes:l*nodes:(l+1)*nodes], row, r)
+		}
+		if row = r; len(r) == 0 {
+			break
+		}
+	}
+	f.list(g.free[l], true, row, nil)
+	return true
+}
+
+// admits reports whether binding u at level l leaves a first symbol every
+// source bound so far survives, kept as seeds[l+1]. When it does not, the
+// budget is polled once per 1 024 such skips, and a spent one sets sc.cut.
+func (g *groupStep) admits(l, u int) bool {
+	w := g.ev.ix.SymWords()
+	if g.seeds == nil || andInto(g.seeds[(l+1)*w:(l+2)*w], g.seeds[l*w:(l+1)*w], g.ev.ix.OutSyms(u)) {
+		return true
+	}
+	// No symbol leaves every source bound so far: the product dies at its start.
+	if g.skipped++; g.skipped%1024 == 0 && g.ev.bud.Canceled() {
+		g.sc.cut = true
+	}
+	return false
 }
 
 // meet appends the nodes both sorted rows hold to dst, in order; x may share
@@ -177,70 +227,16 @@ func andInto(dst, x, y []uint64) bool {
 	return any != 0
 }
 
-// bindSrc binds the free source slots, lvl of which are bound already, and
-// expands the group from every tuple that survives the seed masks. The
-// partner rows are sorted, so their sorted-merge intersection keeps the node
-// order of the plain loop. A partner row the budget cut ends the step as a
-// cut expansion does.
-func (g *groupStep) bindSrc(a []int32, lvl int, cont func(int32) bool) bool {
-	if lvl < len(g.free) {
-		ix := g.ev.ix
-		w := ix.SymWords()
-		nodes := g.ev.db.NumNodes()
-		n, row := nodes, []int(nil) // row nil: every node
-		for i, pt := range g.partners[lvl] {
-			r, ok := pt.atom.row(int(a[pt.near]), pt.forward)
-			if !ok {
-				g.sc.cut = true
-				return false
-			}
-			if i > 0 {
-				r = meet(g.meet[lvl*nodes:lvl*nodes:(lvl+1)*nodes], row, r)
-			}
-			if len(r) == 0 {
-				return true
-			}
-			row, n = r, len(r)
+// nextEnd binds the next end tuple of the expansion consistent with the bound
+// target slots.
+func (g *groupStep) nextEnd(a []int32) (int32, bool) {
+	for g.ti < g.to {
+		ti := g.ti
+		g.ti++
+		for _, y := range g.fresh {
+			a[y] = -1
 		}
-		for i := 0; i < n; i++ {
-			u := i
-			if row != nil {
-				u = row[i]
-			}
-			if g.seeds != nil && !andInto(g.seeds[(lvl+1)*w:(lvl+2)*w], g.seeds[lvl*w:(lvl+1)*w], ix.OutSyms(u)) {
-				// No symbol leaves every source bound so far: the product dies at its start.
-				if g.skipped++; g.skipped%1024 == 0 && g.ev.bud.Canceled() {
-					g.sc.cut = true
-					return false
-				}
-				continue
-			}
-			a[g.free[lvl]] = int32(u)
-			if !g.bindSrc(a, lvl+1, cont) {
-				return false
-			}
-		}
-		return true
-	}
-	src := g.srcBuf[:0]
-	for _, s := range g.src {
-		src = append(src, a[s])
-	}
-	fresh := g.fresh[:0] // target slots this step binds
-	for _, y := range g.tgt {
-		if a[y] < 0 {
-			fresh = append(fresh, y)
-		}
-	}
-	g.srcBuf, g.fresh = src, fresh
-	exp := g.sc.expand(g.ev, src)
-	if g.sc.cut {
-		return false // the budget canceled: every further source tuple would be cut the same
-	}
-	ok := true
-	for ti := exp.from; ti < exp.to; ti++ {
-		end := g.sc.end(ti) // re-read per tuple: cont may expand this group again and grow the slab
-		match := true
+		end, match := g.sc.end(ti), true
 		for j, y := range g.tgt {
 			if a[y] < 0 {
 				a[y] = end[j]
@@ -250,16 +246,13 @@ func (g *groupStep) bindSrc(a []int32, lvl int, cont func(int32) bool) bool {
 			}
 		}
 		if match {
-			ok = cont(costAt(g.sc.deps, int(ti)))
-		}
-		for _, y := range fresh {
-			a[y] = -1
-		}
-		if !ok {
-			break
+			return costAt(g.sc.deps, int(ti)), true
 		}
 	}
-	return ok
+	for _, y := range g.fresh {
+		a[y] = -1
+	}
+	return 0, false
 }
 
 // groupExp is one memoized group expansion: the rows [from, to) of the
@@ -435,7 +428,7 @@ func newGroupScratch(ev *evaluator, g Group) *groupScratch {
 	return sc
 }
 
-// seeded reports whether bindSrc may skip source tuples by the symbol masks.
+// seeded reports whether the step may skip source tuples by the symbol masks.
 func (sc *groupScratch) seeded() bool { return sc.rel == nil && !sc.startFinal }
 
 // end returns the i-th row of the end-tuple slab.

@@ -1,7 +1,7 @@
 package ecrpq
 
 // Tests of the relation-group step: the seed masks and partner rows must not
-// change what bindSrc yields or in which order, the most bound group runs
+// change what the step binds or in which order, the most bound group runs
 // first, the step stops at its budget, and a warm product search must run on
 // its scratch alone.
 
@@ -34,7 +34,7 @@ func runGroupPlan(t *testing.T, q *Query, db *graph.DB, o Options, pre map[strin
 	p := ev.compile(pre, true)
 	for i := range p.steps {
 		g := p.steps[i].grp
-		if g == nil {
+		if g == nil || p.steps[i].lvl != 0 { // a group's steps are its levels
 			continue
 		}
 		if g.seeds != nil {
@@ -50,10 +50,11 @@ func runGroupPlan(t *testing.T, q *Query, db *graph.DB, o Options, pre map[strin
 			clear(g.partners)
 		}
 	}
-	p.run(nil, func(a []int32, cost int) bool {
-		rows = append(append(rows, a...), int32(cost))
-		return true
-	})
+	var s search
+	s.reset(p, nil)
+	for _, cost, ok := s.next(); ok; _, cost, ok = s.next() {
+		rows = append(append(rows, s.a...), int32(cost))
+	}
 	for _, sc := range ev.gscratch {
 		exps += len(sc.exps)
 	}
@@ -271,7 +272,7 @@ func TestGroupOrderMostBound(t *testing.T) {
 		}
 		p = ev.compile(pre, false)
 		for _, st := range p.steps {
-			if st.grp != nil {
+			if st.grp != nil && st.lvl == 0 { // a group's steps are its levels
 				order = append(order, slices.Index(ev.gscratch, st.grp.sc))
 			}
 		}
@@ -425,7 +426,7 @@ func BenchmarkGroupExpand(b *testing.B) {
 					b.Fatal(err)
 				}
 				rows := 0
-				ev.compile(nil, false).run(nil, func([]int32, int) bool { rows++; return true })
+				ev.compile(nil, false).stream(nil, func([]int32, int) bool { rows++; return true })
 				if rows == 0 {
 					b.Fatal("no bindings: the case is not exercised")
 				}
@@ -456,5 +457,41 @@ func BenchmarkGroupExpand(b *testing.B) {
 				sc.search(ev, src)
 			}
 		})
+	}
+}
+
+// A group's levels are plan steps, and the best-first driver opens them for
+// one assignment after another: each level reads its seed mask off the
+// assignment it is opened on, not off the level the backtracking search ran
+// before it. Any-k over groups with one, two and three free sources yields
+// the answer set.
+func TestGroupLevelsAnyK(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		db := probeRandomDB(seed, 9, 22, "abc")
+		for _, src := range []string{
+			"ans(x, z)\nx y : (a|b)+\nz u : (a|b)+",
+			"ans(x, u)\nx y : a(a|b)*\nz u : (a|c)+\nw v : b*",
+			"ans(y, u)\nx y : (a|b)\nz u : (a|b)c*",
+		} {
+			q := &Query{Pattern: pattern.MustParseQuery(src), Groups: []Group{{Edges: []int{0, 1}, Rel: &Equality{N: 2}}}}
+			if strings.Count(src, "\n") == 3 {
+				q.Groups[0] = Group{Edges: []int{0, 1, 2}, Rel: &Equality{N: 3}}
+			}
+			want, err := EvalWith(q, db, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ak := NewAnyK(Options{})
+			if err := ak.AddQuery(q, db, nil); err != nil {
+				t.Fatal(err)
+			}
+			got := pattern.NewTupleSet()
+			for row, _, ok := ak.Next(); ok; row, _, ok = ak.Next() {
+				got.AddRow(row)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("seed %d %q: any-k has %d rows, the set %d", seed, src, got.Len(), want.Len())
+			}
+		}
 	}
 }

@@ -33,6 +33,7 @@ type Leaf struct {
 	atoms  []probeAtom          // per edge, unranked: the atom set on it
 	src    []*probeAtom         // per edge: the atom the join reads
 	costed map[*Atom]*probeAtom // ranked: the run's memo of each atom's rows with costs
+	s      search               // the join in progress (Join)
 }
 
 // NewLeaf compiles g for the leaf joins of one run over the atom store s
@@ -70,7 +71,7 @@ func NewLeaf(s *AtomStore, g *pattern.Graph, pre map[string]int, seeded bool, o 
 // set: the plans are compiled once, and copied.
 func (l *Leaf) Fork() *Leaf {
 	f := *l
-	f.atoms, f.src = make([]probeAtom, len(l.atoms)), make([]*probeAtom, len(l.src))
+	f.atoms, f.src, f.s = make([]probeAtom, len(l.atoms)), make([]*probeAtom, len(l.src)), search{}
 	f.plans = make([]*plan, len(l.plans))
 	for i, p := range l.plans {
 		f.plans[i] = p.clone()
@@ -119,7 +120,7 @@ func (p *probeAtom) complete() []uint64 {
 	if p.adopt(true) {
 		return m.sup
 	}
-	all := make([]int, p.ev.ix.NumNodes())
+	all := make([]int, p.ev.ix.NumNodes()) // not ev.nodes(): the forks of a leaf share its evaluator
 	for u := range all {
 		all[u] = u
 	}
@@ -150,11 +151,21 @@ func (l *Leaf) plan(i int) *plan {
 	return p
 }
 
-// Stream joins the atoms set on the edges with the variables of pre bound,
-// yielding each output row with its witness cost (0 unless ranked) until
-// yield returns false or the budget cancels. Rows are not deduplicated: a
+// Join starts the join of the atoms set on the edges with the variables of
+// pre bound; Next pulls its rows.
+func (l *Leaf) Join() { l.s.reset(l.plan(0), l.ev.bud) }
+
+// Next returns the next output row of the join Join started, with its
+// witness cost (0 unless ranked), in a row the leaf reuses; ok is false once
+// the join is exhausted or the budget canceled. Rows are not deduplicated: a
 // row can complete under several assignments.
-func (l *Leaf) Stream(yield StreamFunc) { l.plan(0).stream(l.ev.bud, yield) }
+func (l *Leaf) Next() ([]int32, int, bool) { return l.s.next() }
+
+// Stream is Join, yielding each row until yield returns false.
+func (l *Leaf) Stream(yield StreamFunc) {
+	l.Join()
+	l.s.drain(yield)
+}
 
 // StreamSeeded is Stream once per seed variable, bound to each node of nodes
 // in turn. A false return from yield ends one run, not the others.

@@ -12,9 +12,12 @@ import (
 // conjunction of path atoms over a graph pattern. This file is that step.
 // A conjunct is compiled once into a plan — the join constraints in
 // JoinOrder over dense node-variable slots — whose atoms sit behind
-// atomSource; step.bindings enumerates the ways to satisfy one constraint
-// under a partial assignment, and two drivers share it: the backtracking
-// search below (plan.run) and the best-first search of anyk.go.
+// atomSource. A frame is the choice point of one constraint under a partial
+// assignment, a cursor over the ways to satisfy it, and one enumeration of
+// them serves both drivers: the resumable backtracking search below, a stack
+// of frames every unranked evaluation, witness search and stream pulls, and
+// the best-first search of anyk.go, which materializes one frame's bindings
+// per partition-tree node.
 
 // JoinStep is one placed atom of a join order: its pattern edge and how the
 // join visits it under the variables bound before it — "check" (both
@@ -91,11 +94,19 @@ type atomSource interface {
 	// forward lists the targets of u; backward the sources of v.
 	forward(u int) ([]int, []int32)
 	backward(v int) ([]int, []int32)
-	// has reports whether (u, v) is in the relation, with its cost.
-	has(u, v int) (int32, bool)
-	// scan visits every node with a non-empty forward (else backward) list
-	// in ascending order until f returns false.
-	scan(forward bool, f func(u int, vs []int, costs []int32) bool)
+	// scanNext returns the next node, after the ones c has returned, with a
+	// non-empty forward (else backward) list, in ascending order; ok is
+	// false when there is none, or the budget cut the scan.
+	scanNext(forward bool, c *scanCursor) (u int, vs []int, costs []int32, ok bool)
+}
+
+// scanCursor is where a scan stands: the next node to look at and, while a
+// probe scan walks chunks, the end of the chunk prefetched and the width of
+// the next (0 before the first call); tab says it walks a complete table's
+// support.
+type scanCursor struct {
+	next, hi, chunk, k int
+	tab                bool
 }
 
 // plan is one conjunct compiled for execution.
@@ -119,6 +130,7 @@ type step struct {
 	src      atomSource
 	from, to int32
 	grp      *groupStep // non-nil for relation groups (src is nil)
+	lvl      int        // the group's level (groupStep.open)
 
 	// bindFrom/bindTo report that the endpoint is read after this step (by a
 	// later step or the output projection). An endpoint nothing reads again
@@ -218,52 +230,99 @@ func (p *plan) project(a, row []int32) {
 	}
 }
 
-// runPollEvery is the grain at which plan.run polls its budget, that of
+// runPollEvery is the grain at which a search polls its budget, that of
 // AnyK.Next: a poll is two atomic loads, a parent walk, a clock read and a
 // select, the work of several bindings.
 const runPollEvery = 64
 
-// run is the backtracking driver: a depth-first search over the steps in
-// order, calling yield with every complete assignment and its summed witness
-// cost (0 unless ranked) until yield returns false or the budget cancels. The
-// budget is polled on the first descent and every runPollEvery-th after, leaf
-// or not; the kernels under a step poll it per level themselves.
-func (p *plan) run(bud *engine.Budget, yield func(a []int32, cost int) bool) {
-	a := append([]int32(nil), p.init...)
-	costs := make([]int, len(p.steps)+1) // costs[i]: summed cost of steps before i
-	depth := 0                           // the step whose bindings are being enumerated
-	descents := 0
-	var cont func(d int32) bool
-	descend := func() bool {
-		if descents++; descents%runPollEvery == 1 && bud.Canceled() {
-			return false
+// search is the resumable depth-first join of a plan: a stack of one frame
+// per step, each the choice point of its step under the assignment the
+// frames below it made. next runs it to its next complete assignment and
+// returns there; nothing of it lives on the goroutine's stack in between, so
+// a consumer may pull it a row at a time, or drop it. The budget is polled on
+// the first descent and every runPollEvery-th after, leaf or not; the kernels
+// under a step poll it per level themselves.
+type search struct {
+	p     *plan
+	bud   *engine.Budget
+	a     []int32 // the partial assignment, -1 = unbound
+	fr    []frame
+	costs []int   // costs[d]: summed cost of the steps before d (0 unless ranked)
+	row   []int32 // the projection of the last complete assignment
+	d     int     // the frame being advanced; -1 once the search has ended
+	polls int     // descents so far: 0 before the first, into the root
+}
+
+// reset starts s over p under bud, keeping its buffers.
+func (s *search) reset(p *plan, bud *engine.Budget) {
+	n := len(p.steps)
+	s.p, s.bud, s.d, s.polls = p, bud, 0, 0
+	s.a = append(s.a[:0], p.init...)
+	s.fr = slices.Grow(s.fr[:0], n)[:n]
+	s.costs = slices.Grow(s.costs[:0], n+1)[:n+1]
+	s.costs[0] = 0
+	s.row = slices.Grow(s.row[:0], len(p.out))[:len(p.out)]
+}
+
+// next runs the search to its next complete assignment and returns its
+// output projection, in a row the search reuses, with its summed witness
+// cost (0 unless ranked); the assignment itself is s.a until the next call.
+// ok is false once the search has ended, exhausted or cut by the budget.
+func (s *search) next() (row []int32, cost int, ok bool) {
+	n := len(s.p.steps)
+	if s.polls == 0 { // the first descent, into the root
+		s.polls++
+		switch {
+		case s.bud.Canceled():
+			s.d = -1
+		case n == 0:
+			s.d = -1
+			s.p.project(s.a, s.row)
+			return s.row, 0, true
+		default:
+			s.fr[0].open(&s.p.steps[0], s.a)
 		}
-		if depth == len(p.steps) {
-			return yield(a, costs[depth])
-		}
-		return p.steps[depth].bindings(a, cont)
 	}
-	cont = func(d int32) bool {
-		costs[depth+1] = costs[depth]
-		if p.ranked {
-			costs[depth+1] += int(d)
+	for s.d >= 0 {
+		f := &s.fr[s.d]
+		c, ok := f.next(s.a)
+		if !ok {
+			if f.stop {
+				break
+			}
+			s.d--
+			continue
 		}
-		depth++
-		ok := descend()
-		depth--
-		return ok
+		if s.p.ranked {
+			cost = s.costs[s.d] + int(c)
+		}
+		if s.polls++; s.polls%runPollEvery == 1 && s.bud.Canceled() {
+			break
+		}
+		if s.d == n-1 { // complete: the next call resumes at this frame
+			s.p.project(s.a, s.row)
+			return s.row, cost, true
+		}
+		s.d++
+		s.costs[s.d] = cost
+		s.fr[s.d].open(&s.p.steps[s.d], s.a)
 	}
-	descend()
+	s.d = -1
+	return nil, 0, false
+}
+
+// drain yields every row left in s until yield returns false.
+func (s *search) drain(yield StreamFunc) {
+	for row, cost, ok := s.next(); ok && yield(row, cost); row, cost, ok = s.next() {
+	}
 }
 
 // stream runs the plan and yields each complete assignment's output
-// projection, in one row it reuses.
+// projection, in one row it reuses, until yield returns false.
 func (p *plan) stream(bud *engine.Budget, yield StreamFunc) {
-	row := make([]int32, len(p.out))
-	p.run(bud, func(a []int32, cost int) bool {
-		p.project(a, row)
-		return yield(row, cost)
-	})
+	var s search
+	s.reset(p, bud)
+	s.drain(yield)
 }
 
 // streamSeeded streams the plan once per node of nodes, written into the
@@ -311,81 +370,138 @@ func costOf(ws []int, costs []int32, v int) (int32, bool) {
 	return 0, false
 }
 
-// bindings enumerates the ways to satisfy the step under the partial
-// assignment a (-1 = unbound): for each it writes the step's newly bound
-// slots into a and calls cont with the step's witness cost. The slots are
-// unbound again on return. A false return from cont stops the enumeration
-// and is passed on.
-func (st *step) bindings(a []int32, cont func(cost int32) bool) bool {
+// frame is the choice point of one step: the candidates the step offers
+// under the assignment it was opened on, and the cursor over them. A path
+// atom's candidates are one check (once), a list of nodes for one slot, or a
+// scan of the nodes with a non-empty list followed, per node, by its list; a
+// group's are its free-source levels, then the end tuples of an expansion
+// (groupStep.open).
+type frame struct {
+	st   *step
+	once bool // one candidate that binds nothing, of cost d
+	d    int32
+	slot int32 // the slot the candidates of ws bind; -1: read by nothing, the first stands for all
+	ws   []int
+	ds   []int32
+	i    int // the next candidate of ws
+
+	scanning bool  // walking the scan of st.src
+	forward  bool  // the scan's side
+	near     int32 // the slot the scanned node binds, -1 while none is bound
+	sc       scanCursor
+	level    bool // a group level: its candidates pass the seed masks (admits)
+	stop     bool // the budget cut the step: the search ends with it
+}
+
+// open points f at the candidates of st under the partial assignment a
+// (-1 = unbound).
+func (f *frame) open(st *step, a []int32) {
+	// Field by field, not *f = frame{…}: a struct store runs the write
+	// barrier over every pointer of the frame, once per descent; and a
+	// search's frame d is always step d's.
+	if f.st != st {
+		f.st, f.level = st, st.grp != nil && st.lvl < len(st.grp.free)
+	}
+	f.once, f.d, f.slot, f.i, f.scanning, f.near, f.stop = false, 0, -1, len(f.ws), false, -1, false
 	if st.grp != nil {
-		return st.grp.bindings(a, cont)
+		f.stop = !st.grp.open(f, st.lvl, a)
+		return
 	}
 	u, v := int(a[st.from]), int(a[st.to])
 	uok, vok := u >= 0, v >= 0
 	sup, forward := st.support(uok, vok)
-	near, far, bindNear, bindFar := st.from, st.to, st.bindFrom, st.bindTo
+	near, bindNear := st.from, st.bindFrom
 	if !forward {
-		near, far, bindNear, bindFar = far, near, bindFar, bindNear
+		near, bindNear = st.to, st.bindTo
 	}
 	switch {
 	case sup != nil && (uok || vok):
-		return !bitHas(sup, int(a[near])) || cont(0)
+		f.once = bitHas(sup, int(a[near]))
 	case sup != nil:
-		return bindEach(a, near, bindNear, bitList(sup), nil, cont)
+		f.list(near, bindNear, bitList(sup), nil)
 	case uok && vok: // includes bound self-loops (one slot twice)
-		if d, ok := st.src.has(u, v); ok {
-			return cont(d)
-		}
-		return true
+		ws, ds := st.src.forward(u)
+		f.d, f.once = costOf(ws, ds, v)
 	case uok:
 		ws, ds := st.src.forward(u)
-		return bindEach(a, st.to, st.bindTo, ws, ds, cont)
+		f.list(st.to, st.bindTo, ws, ds)
 	case vok:
 		ws, ds := st.src.backward(v)
-		return bindEach(a, st.from, st.bindFrom, ws, ds, cont)
+		f.list(st.from, st.bindFrom, ws, ds)
+	default:
+		f.scanning, f.forward, f.sc = true, forward, scanCursor{}
 	}
-	ok := true
-	st.src.scan(forward, func(u int, ws []int, ds []int32) bool {
-		switch {
-		case st.from == st.to:
-			if d, loop := costOf(ws, ds, u); loop {
-				if !st.bindFrom {
-					ok = cont(0)
-					return false
-				}
-				a[st.from] = int32(u)
-				ok = cont(d)
-				a[st.from] = -1
-			}
-		case bindNear:
-			a[near] = int32(u)
-			ok = bindEach(a, far, bindFar, ws, ds, cont)
-			a[near] = -1
-		default: // neither end is read: one pair proves the step
-			if len(ws) > 0 {
-				ok = cont(0)
-				return false
-			}
-		}
-		return ok
-	})
-	return ok
 }
 
-// bindEach binds slot to each candidate in turn and calls cont with its cost.
-// When the slot is not read again (bind false) the first candidate stands for
-// all of them: cont runs once and the slot stays unbound.
-func bindEach(a []int32, slot int32, bind bool, ws []int, ds []int32, cont func(int32) bool) bool {
-	for i, w := range ws {
-		if !bind {
-			return cont(0)
+// list makes ws, with costs ds, the candidates of slot; bind false leaves the
+// slot unbound.
+func (f *frame) list(slot int32, bind bool, ws []int, ds []int32) {
+	f.slot, f.ws, f.ds, f.i = -1, ws, ds, 0
+	if bind {
+		f.slot = slot
+	}
+}
+
+// next binds the frame's next candidate in a and returns its witness cost;
+// ok is false when the candidates are spent, the slots the frame bound
+// unbound again.
+func (f *frame) next(a []int32) (cost int32, ok bool) {
+	st := f.st
+	for {
+		if i := f.i; i < len(f.ws) { // first: the common case
+			f.i++
+			switch {
+			case f.slot < 0:
+				f.i = len(f.ws)
+				return 0, true
+			case f.level && !st.grp.admits(st.lvl, f.ws[i]):
+				if f.stop = st.grp.sc.cut; f.stop {
+					return 0, false
+				}
+				continue
+			}
+			a[f.slot] = int32(f.ws[i])
+			return costAt(f.ds, i), true
 		}
-		a[slot] = int32(w)
-		if !cont(costAt(ds, i)) {
-			a[slot] = -1
-			return false
+		if f.once {
+			f.once = false
+			return f.d, true
+		}
+		if st.grp != nil && !f.level {
+			return st.grp.nextEnd(a)
+		}
+		if f.slot >= 0 {
+			a[f.slot] = -1
+		}
+		if f.near >= 0 {
+			a[f.near], f.near = -1, -1
+		}
+		if !f.scanning {
+			return 0, false
+		}
+		u, ws, ds, found := st.src.scanNext(f.forward, &f.sc)
+		if !found {
+			f.scanning = false
+			return 0, false
+		}
+		near, far, bindNear, bindFar := st.from, st.to, st.bindFrom, st.bindTo
+		if !f.forward {
+			near, far, bindNear, bindFar = far, near, bindFar, bindNear
+		}
+		switch {
+		case st.from == st.to:
+			if d, loop := costOf(ws, ds, u); loop && !st.bindFrom {
+				f.scanning = false
+				return 0, true
+			} else if loop {
+				a[st.from], f.near, f.once, f.d = int32(u), st.from, true, d
+			}
+		case bindNear:
+			a[near], f.near = int32(u), near
+			f.list(far, bindFar, ws, ds)
+		default: // neither end is read: one pair proves the step
+			f.scanning = false
+			return 0, true
 		}
 	}
-	a[slot] = -1
-	return true
 }

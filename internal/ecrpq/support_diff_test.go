@@ -61,7 +61,7 @@ func TestSupportReadDifferential(t *testing.T) {
 			fail("eval", res.Sorted(), want.Sorted(), err)
 		}
 		lazy := pattern.NewTupleSet()
-		err = ecrpq.EvalUnionStream(ecrpq.MembersOf(q), db, ecrpq.Options{}, func(row []int32, cost int) bool {
+		err = streamUnion(ecrpq.MembersOf(q), db, ecrpq.Options{}, func(row []int32, cost int) bool {
 			if !lazy.AddRow(row) || cost != 0 {
 				t.Fatalf("query %d: the lazy stream yielded %v at cost %d, twice or at a cost\n%s", qi, row, cost, g)
 			}
@@ -111,7 +111,7 @@ func TestSupportReadDifferential(t *testing.T) {
 				}
 			}
 			leaf.Stream(minCost(best))
-			err := ecrpq.EvalUnionStream(ecrpq.MembersOf(q), db, ecrpq.Options{Ranked: true, Weight: w}, minCost(got))
+			err := streamUnion(ecrpq.MembersOf(q), db, ecrpq.Options{Ranked: true, Weight: w}, minCost(got))
 			if err != nil || fmt.Sprint(got) != fmt.Sprint(best) {
 				fail(name, got, best, err)
 			}

@@ -2,7 +2,6 @@ package ecrpq
 
 import (
 	"errors"
-	"iter"
 	"sync"
 
 	"cxrpq/internal/engine"
@@ -17,20 +16,19 @@ import (
 // costs: a fan of one runs inline, and the member's tuple set is returned as
 // is.
 
-// Members is the member source of a union: the member queries in order, each
-// either built or replaced by the error that kept the layer above from
-// building it. A source is ranged once per operation, on the caller's
-// goroutine, and must yield the same sequence every time.
-type Members = iter.Seq2[*Query, error]
+// Members is the member source of a union: member i, for i from 0 until ok
+// is false, either built or replaced by the error that kept the layer above
+// from building it. Members are asked for in order, one at a time, on the
+// caller's goroutine, and a source must answer the same every time.
+type Members func(i int) (q *Query, ok bool, err error)
 
 // MembersOf is the member source of the given queries.
 func MembersOf(qs ...*Query) Members {
-	return func(yield func(*Query, error) bool) {
-		for _, q := range qs {
-			if !yield(q, nil) {
-				return
-			}
+	return func(i int) (*Query, bool, error) {
+		if i >= len(qs) {
+			return nil, false, nil
 		}
+		return qs[i], true, nil
 	}
 }
 
@@ -87,7 +85,11 @@ func (s *unionSink) run(ms Members, db *graph.DB, eval func(i int, q *Query, bud
 		base += len(win)
 		win = win[:0]
 	}
-	for q, err := range ms {
+	for i := 0; ; i++ {
+		q, ok, err := ms(i)
+		if !ok {
+			break
+		}
 		if win = append(win, member{q, err}); len(win) == UnionWindow {
 			if flush(s.fan); s.fan.Canceled() {
 				return
@@ -227,61 +229,82 @@ func EvalUnionBool(u *Union, db *graph.DB) (bool, error) {
 	return EvalUnionBoolWith(MembersOf(u.Members...), db, Options{})
 }
 
-// EvalUnionStream enumerates ⋃ qi(D) through yield instead of materializing
-// it, member after member on the caller's goroutine: every satisfying
-// assignment is projected and yielded the moment the join completes it, and
-// the consumer's return value unwinds the whole search. Unranked, tuples are
-// distinct across the union and cost is always 0. Ranked emission is NOT
-// deduplicated — the same tuple may arrive once per distinct assignment, each
-// with that assignment's cost — because only a full drain can know the
-// minimal witness; the consumer keeps the minimum per tuple. The error
-// reports the first member that could not be built or compiled — the caller
-// owns the budget and checks it for truncation.
-func EvalUnionStream(ms Members, db *graph.DB, o Options, yield StreamFunc) error {
-	var seen *pattern.TupleSet // of the whole union; a ranked stream keeps every occurrence
-	if !o.Ranked {
-		seen = pattern.NewTupleSet()
-	}
-	stopped := false
-	emit := func(row []int32, cost int) bool {
-		if seen != nil && !seen.AddRow(row) {
-			return true
-		}
-		stopped = !yield(row, cost)
-		return !stopped
-	}
-	for q, err := range ms {
-		if err != nil {
-			return err
-		}
-		ev, err := newEvaluator(q, db, o, true)
-		if err != nil {
-			return err
-		}
-		if ev.stream(nil, emit); stopped || o.Budget.Canceled() {
-			break
-		}
-	}
-	return nil
+// UnionRows is the stream of ⋃ qi(D): the members' searches pulled one after
+// the other on the caller's goroutine, a row returned the moment the join
+// completes it. Unranked, rows are distinct across the union and cost is
+// always 0. Ranked rows are NOT deduplicated — the same tuple may arrive once
+// per distinct assignment, each with that assignment's cost — because only a
+// full drain can know the minimal witness; the consumer keeps the minimum per
+// tuple. The caller owns the budget and checks it for truncation.
+type UnionRows struct {
+	ms   Members
+	db   *graph.DB
+	o    Options
+	next int  // the member searched after s
+	live bool // s is a member's search
+	s    search
+	seen *pattern.TupleSet // of the whole union; nil when ranked
+	err  error
 }
 
-// Dedup wraps yield so that it sees each distinct row once (the first time).
-func Dedup(yield StreamFunc) StreamFunc {
-	seen := pattern.NewTupleSet()
-	return func(row []int32, cost int) bool {
-		return !seen.AddRow(row) || yield(row, cost)
+// NewUnionRows returns the stream of the members of ms under o; nothing runs
+// before the first Next.
+func NewUnionRows(ms Members, db *graph.DB, o Options) *UnionRows {
+	u := &UnionRows{ms: ms, db: db, o: o}
+	if !o.Ranked {
+		u.seen = pattern.NewTupleSet()
 	}
+	return u
 }
+
+// Next returns the next row with its witness cost, in a row the stream
+// reuses; ok is false once the union is exhausted, the budget canceled or a
+// member could not be built or compiled (Err).
+func (u *UnionRows) Next() (row []int32, cost int, ok bool) {
+	for u.err == nil && u.next >= 0 {
+		if u.live {
+			if row, cost, ok = u.s.next(); ok {
+				if u.seen != nil && !u.seen.AddRow(row) {
+					continue
+				}
+				return row, cost, true
+			}
+			if u.live = false; u.o.Budget.Canceled() {
+				break
+			}
+		}
+		q, more, err := u.ms(u.next)
+		if u.next++; !more {
+			break
+		}
+		if err == nil {
+			var ev *evaluator
+			if ev, err = newEvaluator(q, u.db, u.o, true); err == nil {
+				u.s.reset(ev.compile(nil, false), u.o.Budget)
+				u.live = true
+			}
+		}
+		u.err = err
+	}
+	u.next = -1
+	return nil, 0, false
+}
+
+// Err reports the first member that could not be built or compiled.
+func (u *UnionRows) Err() error { return u.err }
 
 // AddUnion adds one query-form root per member of ms (see AddQuery).
 func (a *AnyK) AddUnion(ms Members, db *graph.DB, weight engine.Weight) error {
-	for q, err := range ms {
+	for i := 0; ; i++ {
+		q, ok, err := ms(i)
+		if !ok {
+			return nil
+		}
+		if err == nil {
+			err = a.AddQuery(q, db, weight)
+		}
 		if err != nil {
 			return err
 		}
-		if err := a.AddQuery(q, db, weight); err != nil {
-			return err
-		}
 	}
-	return nil
 }

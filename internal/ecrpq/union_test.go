@@ -8,6 +8,7 @@ import (
 
 	"cxrpq/internal/ecrpq"
 	"cxrpq/internal/engine"
+	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
 	"cxrpq/internal/workload"
 )
@@ -112,15 +113,23 @@ var errAny = errors.New("any error")
 // seq is a member source over queries and the errors standing in for members
 // that could not be built.
 func seq(members ...any) ecrpq.Members {
-	return func(yield func(*ecrpq.Query, error) bool) {
-		for _, m := range members {
-			q, _ := m.(*ecrpq.Query)
-			err, _ := m.(error)
-			if !yield(q, err) {
-				return
-			}
+	return func(i int) (*ecrpq.Query, bool, error) {
+		if i >= len(members) {
+			return nil, false, nil
 		}
+		q, _ := members[i].(*ecrpq.Query)
+		err, _ := members[i].(error)
+		return q, true, err
 	}
+}
+
+// streamUnion pulls every row of the union stream of ms into yield until it
+// returns false, and reports the stream's error.
+func streamUnion(ms ecrpq.Members, db *graph.DB, o ecrpq.Options, yield ecrpq.StreamFunc) error {
+	u := ecrpq.NewUnionRows(ms, db, o)
+	for row, cost, ok := u.Next(); ok && yield(row, cost); row, cost, ok = u.Next() {
+	}
+	return u.Err()
 }
 
 // TestFanPanicInUnionMember: a member that panics on a fan worker takes down

@@ -41,16 +41,14 @@ func FindWitness(q *Query, db *graph.DB, t pattern.Tuple, o Options) (*Witness, 
 		}
 	}
 	p := ev.compile(pre, true)
-	var w *Witness
-	p.run(ev.bud, func(a []int32, _ int) bool {
-		w = &Witness{NodeOf: map[string]int{}, Words: make([]string, len(q.Pattern.Edges))}
-		for s, z := range p.vars {
-			w.NodeOf[z] = int(a[s])
-		}
-		return false
-	})
-	if w == nil {
+	var s search
+	s.reset(p, ev.bud)
+	if _, _, ok := s.next(); !ok {
 		return nil, false, ev.bud.Err()
+	}
+	w := &Witness{NodeOf: map[string]int{}, Words: make([]string, len(q.Pattern.Edges))}
+	for i, z := range p.vars {
+		w.NodeOf[z] = int(s.a[i])
 	}
 	// words reads the words of the edges a group ties together off its search.
 	words := func(sc *groupScratch, edges []int) error {

@@ -9,11 +9,11 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"cxrpq/internal/automata"
 	"cxrpq/internal/graph"
@@ -431,37 +431,62 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 }
 
 // TestScratchGrowsWithHeadroom: scratch sized for an n-node graph serves the
-// same graph grown by 8 nodes — an update_read arrival batch — without
-// reallocating: the first search after the growth allocates no more than a
-// warm one, whose only objects are its results.
+// same graph grown by 8 nodes — an update_read arrival batch — in place: the
+// first search after the growth keeps every node-sized array of the scalar
+// and the batch scratch, its backing array and its capacity both.
 func TestScratchGrowsWithHeadroom(t *testing.T) {
 	c := automata.NewSubsetCache(xregex.MustCompile(xregex.MustParse("a(a|b)*"), []rune("ab")))
 	srcs := make([]int, BatchWidth)
 	for i := range srcs {
 		srcs[i] = i
 	}
+	type backing struct {
+		data unsafe.Pointer
+		cap  int
+	}
 	for _, n := range []int{100, 600, 5000} {
 		db := randomDB(int64(n), n, 3*n, "ab")
 		s, bs := new(scalarScratch), new(batchWorker)
-		search := func(ix *graph.Index) func() {
-			return func() {
-				s.reach(ix, c, 1, true, ReachOpts{Levels: true})
-				bs.reach(ix, c, srcs, true, ReachOpts{Levels: true})
-			}
+		search := func(ix *graph.Index) {
+			s.reach(ix, c, 1, true, ReachOpts{Levels: true})
+			bs.reach(ix, c, srcs, true, ReachOpts{Levels: true})
 		}
-		search(db.Index())() // the scratch sized for n
+		arrays := func() map[string]backing {
+			m := map[string]backing{}
+			add := func(name string, data unsafe.Pointer, n int) {
+				if n > 0 {
+					m[name] = backing{data, n}
+				}
+			}
+			add("scalar hitBits", unsafe.Pointer(unsafe.SliceData(s.hitBits)), cap(s.hitBits))
+			add("scalar hitLev", unsafe.Pointer(unsafe.SliceData(s.hitLev)), cap(s.hitLev))
+			add("batch hits", unsafe.Pointer(unsafe.SliceData(bs.hits)), cap(bs.hits))
+			add("batch hitSum", unsafe.Pointer(unsafe.SliceData(bs.hitSum)), cap(bs.hitSum))
+			add("batch hitLev", unsafe.Pointer(unsafe.SliceData(bs.hitLev)), cap(bs.hitLev))
+			for id, v := range s.visited {
+				add(fmt.Sprint("scalar visited ", id), unsafe.Pointer(unsafe.SliceData(v)), cap(v))
+			}
+			for id := range bs.visited {
+				add(fmt.Sprint("batch visited ", id), unsafe.Pointer(unsafe.SliceData(bs.visited[id])), cap(bs.visited[id]))
+				add(fmt.Sprint("batch pend ", id), unsafe.Pointer(unsafe.SliceData(bs.pend[id])), cap(bs.pend[id]))
+			}
+			return m
+		}
+		search(db.Index()) // the scratch sized for n
+		before := arrays()
+		if len(before) < 7 {
+			t.Fatalf("n = %d: the search sized %d node arrays: the case is not exercised", n, len(before))
+		}
 		for i := range 8 {
 			u := db.Node(fmt.Sprintf("new%d", i))
 			db.AddEdge(u, 'a', i)
 		}
-		ix := db.Index()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		search(ix)()
-		runtime.ReadMemStats(&after)
-		first := after.Mallocs - before.Mallocs
-		if warm := testing.AllocsPerRun(5, search(ix)); float64(first) > warm {
-			t.Errorf("n = %d: the first search after 8 new nodes allocated %d objects, a warm one %v: the scratch was reallocated", n, first, warm)
+		search(db.Index())
+		after := arrays()
+		for name, b := range before {
+			if a := after[name]; a != b {
+				t.Errorf("n = %d: %s was reallocated by the first search after 8 new nodes (capacity %d, then %d)", n, name, b.cap, a.cap)
+			}
 		}
 		if !s.allZero() || !bs.allZero() {
 			t.Fatalf("n = %d: idle scratch is not all-zero over its capacity", n)
