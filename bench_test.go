@@ -277,37 +277,20 @@ func BenchmarkEngineReach(b *testing.B) {
 	}
 }
 
-// reachFan is the per-source baseline of the batched kernel: one
-// single-source search per source, parallelism from engine.Fan.
-func reachFan(ix *graph.Index, c *automata.SubsetCache, srcs []int) [][]int {
+// reachPerSource is the per-source baseline of the batched kernel: one
+// single-source search per source, one after another.
+func reachPerSource(ix *graph.Index, c *automata.SubsetCache, srcs []int) [][]int {
 	out := make([][]int, len(srcs))
-	engine.Fan(0, len(srcs), func(i int) {
-		out[i], _ = engine.Reach(ix, c, srcs[i], true, engine.ReachOpts{})
-	})
+	for i, src := range srcs {
+		out[i], _ = engine.Reach(ix, c, src, true, engine.ReachOpts{})
+	}
 	return out
 }
 
-// BenchmarkEngineReachFan measures the parallel all-sources fan-out.
-func BenchmarkEngineReachFan(b *testing.B) {
-	db := workload.Random(7, 2000, 8000, "abc")
-	ix := db.Index()
-	m := xregex.MustCompile(xregex.MustParse("a(b|c)*(a|b)+"), []rune("abc"))
-	srcs := make([]int, db.NumNodes())
-	for i := range srcs {
-		srcs[i] = i
-	}
-	c := automata.NewSubsetCache(m)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reachFan(ix, c, srcs)
-	}
-}
-
 // BenchmarkReachBatch measures the multi-source kernel on a gMark-style
-// workload against the per-source fan: "reachfan" is one BFS per
-// source with parallelism from Fan, "batch" the MS-BFS batches of
-// engine.ReachBatchEx. Batching is an algorithmic win (64 sources share each
-// product-edge sweep), so it holds at any GOMAXPROCS.
+// workload against one search per source: "persource" is one BFS per
+// source, "batch" the MS-BFS batches of engine.ReachBatchEx. Batching is an
+// algorithmic win (64 sources share each product-edge sweep).
 func BenchmarkReachBatch(b *testing.B) {
 	db := workload.GMark(7, 2400)
 	ix := db.Index()
@@ -316,11 +299,11 @@ func BenchmarkReachBatch(b *testing.B) {
 	for i := range srcs {
 		srcs[i] = i
 	}
-	b.Run("reachfan", func(b *testing.B) {
+	b.Run("persource", func(b *testing.B) {
 		c := automata.NewSubsetCache(m)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			reachFan(ix, c, srcs)
+			reachPerSource(ix, c, srcs)
 		}
 	})
 	b.Run("batch", func(b *testing.B) {

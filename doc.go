@@ -37,21 +37,20 @@
 //	                     restart-surviving parked cursors
 //	internal/engine      the product-reachability core shared by every
 //	                     evaluation path: integer-interned graph×NFA BFS
-//	                     with bitset visited sets (Reach), a bounded
-//	                     worker pool (Fan), and the multi-source kernel
-//	                     (ReachBatchEx): a level-synchronous MS-BFS over
-//	                     the graph×automaton product, 64 sources per
-//	                     machine word, run on the calling goroutine on
-//	                     pooled scratch; the atom store's complete row
-//	                     tables run through it instead of a per-source fan;
+//	                     with bitset visited sets (Reach) and the
+//	                     multi-source kernel (ReachBatchEx): a
+//	                     level-synchronous MS-BFS over the graph×automaton
+//	                     product, 64 sources per machine word; both run on
+//	                     the calling goroutine on pooled scratch, and the
+//	                     atom store's complete row tables run through the
+//	                     batches instead of one search per source;
 //	                     both kernels take one ReachOpts: BFS level indices
 //	                     (shortest-witness distances), a pluggable
 //	                     edge-weight function (Weight switches the level
 //	                     computation from BFS to a heap Dijkstra over the
 //	                     same product) and a per-query Budget (deadline,
-//	                     context cancellation, Fork for
-//	                     first-witness-cancels-siblings fans) polled at
-//	                     level granularity
+//	                     context cancellation, Stop) polled at level
+//	                     granularity
 //	internal/pattern     graph patterns / conjunctive path queries (§2.3)
 //	internal/crpq        CRPQs (Lemma 1 evaluation)
 //	internal/ecrpq       ECRPQs with regular relations; ECRPQ^er is the
@@ -65,17 +64,19 @@
 //	                     statistics read;
 //	                     union.go is the one place that walks a union of
 //	                     ECRPQs (set, Boolean, check, stream, any-k roots
-//	                     over a member sequence)
+//	                     over a member sequence, the members in order on
+//	                     the caller's goroutine)
 //	internal/cxrpq       the paper's contribution: CXRPQs, their fragments,
 //	                     evaluation algorithms (Thms 2/5/6, Cor 1), normal
 //	                     form (Lemmas 4-6, 8), translations (Lemmas 12-14);
 //	                     bounded.go is the prefix-incremental CXRPQ^≤k
 //	                     engine (candidate images from a label-index walk
 //	                     steered by the definition bodies, relaxed-atom
-//	                     subtree pruning by existence probe, parallel
-//	                     mapping enumeration, and each mapping's CRPQ
-//	                     joined by the one executor over its atoms, the
-//	                     pattern compiled once per run: ecrpq.Leaf);
+//	                     subtree pruning by existence probe, mapping
+//	                     enumeration on the request's goroutine, and each
+//	                     mapping's CRPQ joined by the one executor over its
+//	                     atoms, the pattern compiled once per run:
+//	                     ecrpq.Leaf);
 //	                     plan.go/session.go are the prepared-query
 //	                     subsystem: Prepare(q) compiles an immutable Plan
 //	                     (fragment class, bounded schedule, the member

@@ -3,8 +3,6 @@ package cxrpq
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"cxrpq/internal/automata"
 	"cxrpq/internal/ecrpq"
@@ -61,17 +59,12 @@ import (
 // and concurrent engine runs. A boundedEngine is the per-call object tying one
 // run's enumeration state, candidate lists and result sink to those two.
 //
-// Disjoint enumeration subtrees are fanned across the engine worker pool
-// with the same stop-flag short-circuit protocol as the vstar-free path.
+// A run enumerates its mappings one after another on the goroutine that
+// serves its request, joining each through the run's one leaf into one answer
+// set; a Boolean run returns at its first witness.
 //
 // EvalBoundedNaive (eval.go) remains the literal Theorem 6 rendering and the
 // differential baseline: the two must agree on full tuple sets.
-
-const (
-	// boundedMaxJobs caps the number of enumeration-prefix jobs generated
-	// for the parallel fan-out.
-	boundedMaxJobs = 4096
-)
 
 // boundedPlan is the immutable, database-independent part of the bounded
 // engine: the enumeration order and the per-step instantiation, pruning and
@@ -170,8 +163,8 @@ func planBounded(q *Query) (*boundedPlan, error) {
 }
 
 // boundedEngine is one evaluation run: the plan plus the database binding,
-// its atom store, the per-run options and the result sink. All mutable
-// enumeration state lives in boundedState, one per worker subtree.
+// its atom store, the per-run options and the result set. All mutable
+// enumeration state lives in boundedState, one per run.
 type boundedEngine struct {
 	p        *boundedPlan
 	db       *graph.DB
@@ -179,21 +172,17 @@ type boundedEngine struct {
 	boolOnly bool
 	pre      map[string]int // pre-bound node variables (a bounded check)
 
-	k       int              // image bound
-	atoms   *ecrpq.AtomStore // the database's atom facts, shared by every run over it
-	workers int              // the session's fan width (ecrpq.Options.Workers)
+	k     int              // image bound
+	atoms *ecrpq.AtomStore // the database's atom facts, shared by every run over it
 
 	// cands memoizes the candidate walk per relaxed definition bodies: every
 	// prefix that agrees on the variables of x's bodies asks for the same list.
 	cands *epochMap[string, []string]
 
-	// bud is the caller's evaluation budget (nil = unlimited); fanBud is its
-	// per-run fork, threaded into table sweeps and leaf joins so that both
-	// budget exhaustion AND the Boolean first-witness stop unwind in-flight
-	// BFS sweeps at level granularity. fanBud is stopped (not bud) on first
-	// witness, so sibling cancellation never spends the caller's budget.
-	bud    *engine.Budget
-	fanBud *engine.Budget
+	// bud is the caller's evaluation budget (nil = unlimited), threaded into
+	// table sweeps and leaf joins, which unwind at level granularity once it
+	// is spent.
+	bud *engine.Budget
 
 	// ranked makes the leaf joins read rows with costs — BFS first-hit
 	// levels, or minimum total weights under weight, a pluggable
@@ -203,32 +192,23 @@ type boundedEngine struct {
 	ranked bool
 	weight engine.Weight
 
-	// leaves hands out forks of the run's leaf join, compiled when the run
-	// starts: each enumeration subtree joins through one (boundedState.leaf),
-	// which goes back when its fan job ends.
-	leaves sync.Pool
-
 	// seeds, when set, makes the run join each complete mapping once per
 	// source variable of the pattern, pre-bound to each of its nodes: the rows
 	// of the answer with a witness that binds some atom's source to a seed
 	// (ecrpq.Leaf.StreamSeeded).
 	seeds []int
 
-	stop atomic.Bool
-
-	outMu sync.Mutex
-	out   *pattern.TupleSet
+	out *pattern.TupleSet
 }
 
-// boundedState is the mutable state of one enumeration subtree: the partial
+// boundedState is the mutable state of a run's enumeration: the partial
 // assignment, the leaf join with the atom of each edge set on it and, per
 // edge, the instantiated label and the defined variables whose definitions
 // survived the Lemma 10 cut. Entries for edge ei are valid whenever the
 // current prefix covers ei's ready step.
 //
 // The enumeration itself is an explicit stack (next): frame i holds the
-// candidate images of vars[i] under the prefix still to try; a fan job's
-// first frames hold one candidate each, the job's prefix.
+// candidate images of vars[i] under the prefix still to try.
 type boundedState struct {
 	e        *boundedEngine
 	assign   map[string]string
@@ -237,8 +217,7 @@ type boundedState struct {
 	survived []map[string]bool
 
 	cands [][]string // per depth: the candidate images of vars[depth] not tried yet
-	job   []string   // the fixed prefix of a fan job
-	depth int        // the frame being advanced; -1 once the subtree is done
+	depth int        // the frame being advanced; -1 once the enumeration is done
 	enter bool       // depth is entered next: its step is processed, its frame opened
 }
 
@@ -246,10 +225,9 @@ type boundedState struct {
 const runMemoCap = 1 << 16
 
 // epochMap is the drop-all-on-overflow bounded cache pattern (the atom store
-// drops its epoch the same way, on bytes): mutex + cap + whole-epoch drop. It
-// backs a bounded run's memos.
+// drops its epoch the same way, on bytes): cap + whole-epoch drop. It backs a
+// bounded run's memos, which one goroutine reads and writes.
 type epochMap[K comparable, V any] struct {
-	mu  sync.Mutex
 	cap int
 	m   map[K]V
 }
@@ -258,31 +236,18 @@ func newEpochMap[K comparable, V any](cap int) *epochMap[K, V] {
 	return &epochMap[K, V]{cap: cap, m: map[K]V{}}
 }
 
-func (c *epochMap[K, V]) get(key K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.m[key]
-	return v, ok
-}
-
-func (c *epochMap[K, V]) put(key K, v V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.m) >= c.cap {
-		c.m = map[K]V{}
-	}
-	c.m[key] = v
-}
-
 // getOr returns the memoized value of key, computing and keeping it on a
 // miss; a computation that fails keeps nothing.
 func (c *epochMap[K, V]) getOr(key K, compute func() (V, error)) (V, error) {
-	if v, ok := c.get(key); ok {
+	if v, ok := c.m[key]; ok {
 		return v, nil
 	}
 	v, err := compute()
 	if err == nil {
-		c.put(key, v)
+		if len(c.m) >= c.cap {
+			c.m = map[K]V{}
+		}
+		c.m[key] = v
 	}
 	return v, err
 }
@@ -290,7 +255,7 @@ func (c *epochMap[K, V]) getOr(key K, compute func() (V, error)) (V, error) {
 // newBoundedEngine binds a bounded plan to a database for one run under bud
 // (nil = unlimited). atoms is db's atom store (Session.boundedRun, the one
 // caller, holds it), shared with every other run over the snapshot.
-func newBoundedEngine(p *boundedPlan, db *graph.DB, k int, boolOnly bool, pre map[string]int, atoms *ecrpq.AtomStore, sigma []rune, workers int, bud *engine.Budget) (*boundedEngine, error) {
+func newBoundedEngine(p *boundedPlan, db *graph.DB, k int, boolOnly bool, pre map[string]int, atoms *ecrpq.AtomStore, sigma []rune, bud *engine.Budget) (*boundedEngine, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("cxrpq: negative image bound %d", k)
 	}
@@ -302,32 +267,23 @@ func newBoundedEngine(p *boundedPlan, db *graph.DB, k int, boolOnly bool, pre ma
 		pre:      pre,
 		k:        k,
 		atoms:    atoms,
-		workers:  workers,
 		cands:    newEpochMap[string, []string](runMemoCap),
 		bud:      bud,
-		fanBud:   bud.Fork(), // nil-safe: a standalone fork when unbudgeted
 		out:      pattern.NewTupleSet(),
 	}
 	return e, nil
 }
 
-// newState starts the enumeration of the subtree under the prefix job. The
-// first state of a run compiles the run's leaf join, which every state then
-// joins through a fork of.
-func (e *boundedEngine) newState(job []string) *boundedState {
-	if e.leaves.New == nil {
-		join := ecrpq.NewLeaf(e.atoms, e.p.q.Pattern, e.pre, e.seeds != nil, ecrpq.Options{Budget: e.fanBud, Ranked: e.ranked, Weight: e.weight})
-		e.leaves.New = func() any { return join.Fork() }
-	}
+// newState starts the run's enumeration and compiles its leaf join.
+func (e *boundedEngine) newState() *boundedState {
 	ne, nv := len(e.p.c), len(e.p.vars)
 	return &boundedState{
 		e:        e,
 		assign:   map[string]string{},
 		insts:    make([]xregex.Node, ne),
-		leaf:     e.leaves.Get().(*ecrpq.Leaf),
+		leaf:     ecrpq.NewLeaf(e.atoms, e.p.q.Pattern, e.pre, e.seeds != nil, ecrpq.Options{Budget: e.bud, Ranked: e.ranked, Weight: e.weight}),
 		survived: make([]map[string]bool, ne),
 		cands:    make([][]string, nv),
-		job:      job,
 		enter:    true,
 	}
 }
@@ -413,7 +369,7 @@ func (st *boundedState) pruneRelaxed(ei int) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return e.atoms.PathExists(a, e.fanBud)
+	return e.atoms.PathExists(a, e.bud)
 }
 
 // processStep instantiates the edges that become determined once vars[:i]
@@ -523,20 +479,18 @@ func (e *boundedEngine) candidates(x string, assign map[string]string) ([]string
 }
 
 // next runs the enumeration to its next complete mapping, with every atom
-// instantiated on the leaf; false when the subtree is exhausted or the run
-// stopped. Entering depth i processes step i — prefix pruning — and opens
+// instantiated on the leaf; false when the enumeration is exhausted or the
+// budget spent. Entering depth i processes step i — prefix pruning — and opens
 // frame i; a frame whose candidates are spent unassigns its variable and
 // returns to the one below.
 func (st *boundedState) next() (bool, error) {
 	e, n := st.e, len(st.e.p.vars)
-	for st.depth >= 0 && !e.stop.Load() && !e.fanBud.Canceled() {
+	for st.depth >= 0 && !e.bud.Canceled() {
 		i := st.depth
 		if st.enter {
 			st.enter = false
 			ok, err := st.processStep(i)
-			if ok && err == nil && i < len(st.job) {
-				st.cands[i] = st.job[i : i+1]
-			} else if ok && err == nil && i < n {
+			if ok && err == nil && i < n {
 				st.cands[i], err = e.candidates(e.p.vars[i], st.assign)
 			}
 			if err != nil {
@@ -564,23 +518,27 @@ func (st *boundedState) next() (bool, error) {
 	return false, nil
 }
 
-// drive joins every mapping of the state's subtree.
-func (e *boundedEngine) drive(st *boundedState) error {
-	for {
+// drive joins every mapping of the run, in enumeration order, into the run's
+// answer set; a Boolean run returns at its first witness. The answer is
+// settled on every return, a truncated one too.
+func (e *boundedEngine) drive() (*pattern.TupleSet, error) {
+	defer e.out.Settle()
+	st := e.newState()
+	for !e.boolOnly || e.out.Len() == 0 {
 		if ok, err := st.next(); !ok {
-			return err
+			return e.out, e.ignoreCanceled(err)
 		}
 		e.joinLeaf(st)
 	}
+	return e.out, nil
 }
 
 // joinLeaf is the default leaf: join the mapping's atoms, in the run's one
-// edge order, and merge the answers into the shared result set.
+// edge order, and append the answers to the run's answer set — only the
+// first, in a Boolean run.
 func (e *boundedEngine) joinLeaf(st *boundedState) {
-	var rows []int32 // collected outside the critical section; run settles e.out
-	n := 0
 	collect := func(row []int32, _ int) bool {
-		rows, n = append(rows, row...), n+1
+		e.out.Append(row)
 		return !e.boolOnly
 	}
 	if e.seeds != nil {
@@ -588,94 +546,10 @@ func (e *boundedEngine) joinLeaf(st *boundedState) {
 	} else {
 		st.leaf.Stream(collect)
 	}
-	if n == 0 {
-		return
-	}
-	e.outMu.Lock()
-	for w, i := len(rows)/n, 0; i < n; i++ {
-		e.out.Append(rows[i*w : (i+1)*w])
-	}
-	e.outMu.Unlock()
-	if e.boolOnly {
-		// First witness: raise the stop flag for enumeration subtrees and
-		// stop the fan budget so sibling workers' in-flight BFS sweeps and
-		// joins unwind at level granularity instead of running to completion.
-		e.stop.Store(true)
-		e.fanBud.Stop()
-	}
-}
-
-// run drives the enumeration: sequentially for a single worker, otherwise by
-// expanding candidate assignment prefixes into jobs and fanning the disjoint
-// subtrees across the engine worker pool with Boolean short-circuit. The
-// answer is settled on every return, a truncated one too.
-func (e *boundedEngine) run() (*pattern.TupleSet, error) {
-	defer e.out.Settle()
-	st := e.newState(nil)
-	pool := engine.Workers(e.workers, 1<<16)
-	if pool == 1 || len(e.p.vars) == 0 {
-		return e.out, e.ignoreCanceled(e.drive(st))
-	}
-	if ok, err := st.processStep(0); err != nil || !ok {
-		return e.out, e.ignoreCanceled(err)
-	}
-	e.leaves.Put(st.leaf)
-
-	// Expand prefixes breadth-first (candidate-filtered only; the workers
-	// enter them with the full atom pruning, which is cache-warm by then)
-	// until there are enough disjoint subtrees to keep the pool busy.
-	jobs := [][]string{nil}
-	for depth := 0; depth < len(e.p.vars) && len(jobs) < 2*pool; depth++ {
-		var next [][]string
-		partial := map[string]string{}
-		for _, p := range jobs {
-			clear(partial)
-			for j, w := range p {
-				partial[e.p.vars[j]] = w
-			}
-			cands, err := e.candidates(e.p.vars[depth], partial)
-			if err != nil {
-				return nil, err
-			}
-			for _, w := range cands {
-				next = append(next, append(p[:depth:depth], w))
-			}
-		}
-		if len(next) > boundedMaxJobs {
-			break // the shallower split stands
-		}
-		jobs = next
-	}
-
-	var errMu sync.Mutex
-	errAt := -1
-	var firstErr error
-	engine.Fan(e.workers, len(jobs), func(ji int) {
-		if e.stop.Load() {
-			return
-		}
-		st := e.newState(jobs[ji])
-		err := e.drive(st)
-		e.leaves.Put(st.leaf)
-		if err = e.ignoreCanceled(err); err != nil {
-			errMu.Lock()
-			if errAt < 0 || ji < errAt {
-				errAt, firstErr = ji, err
-			}
-			errMu.Unlock()
-			e.stop.Store(true)
-			e.fanBud.Stop()
-		}
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return e.out, nil
 }
 
 // ignoreCanceled filters engine.ErrCanceled out of a run's error flow:
-// budget truncation (and the Boolean first-witness sibling stop, which rides
-// the same fork) is not a failure — the accumulated output is a sound
+// budget truncation is not a failure — the accumulated output is a sound
 // partial answer, and the caller consults its own Budget.Err() to learn
 // whether the run was cut short.
 func (e *boundedEngine) ignoreCanceled(err error) error {

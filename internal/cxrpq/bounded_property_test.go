@@ -2,10 +2,13 @@ package cxrpq_test
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"cxrpq/internal/cxrpq"
+	"cxrpq/internal/engine"
+	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
 	"cxrpq/internal/workload"
 )
@@ -93,27 +96,72 @@ func TestQuickCheckBoundedDifferential(t *testing.T) {
 	}
 }
 
-// Property: the parallel enumeration returns exactly the sequential result
-// (the worker fan-out must not lose or duplicate subtrees).
+// Property: bounded evaluations running concurrently over one database — the
+// parallelism a server has, across requests that share the atom store — each
+// return exactly the result of a lone evaluation over a fresh copy. Each
+// caller prepares its own plan, so that none reads an answer another filed.
 func TestQuickBoundedParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow property test")
 	}
+	req := cxrpq.Request{Op: "eval", Semantics: "bounded", K: 2}
 	f := func(seed int64) bool {
 		q := randBoundedQuery(seed)
 		db := workload.Random(seed^0x6d6d, 5, 9, "ab")
-		plan := cxrpq.MustPrepare(q)
-		par, err := tuples(plan.BindWorkers(db, 4).Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 2}))
+		seqRes, err := tuples(cxrpq.MustPrepare(q).Bind(freshCopy(db)).Do(req))
 		if err != nil {
 			return false
 		}
-		seqRes, err := tuples(plan.BindWorkers(freshCopy(db), 1).Do(cxrpq.Request{Op: "eval", Semantics: "bounded", K: 2}))
-		if err != nil {
-			return false
+		const callers = 4
+		par, errs := make([]*pattern.TupleSet, callers), make([]error, callers)
+		var wg sync.WaitGroup
+		for i := range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				par[i], errs[i] = tuples(cxrpq.MustPrepare(q).Bind(db).Do(req))
+			}()
 		}
-		return par.Equal(seqRes)
+		wg.Wait()
+		for i := range callers {
+			if errs[i] != nil || !par[i].Equal(seqRes) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12, Rand: rand.New(rand.NewSource(31))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBoundedBoolStopsAtFirstWitness: a bounded Boolean run returns at its
+// first witness. The text's first mapping in enumeration order, $w = ε,
+// matches, so the run answers (true, nil) having instantiated that mapping's
+// atoms only, and the kernel does strictly less work for it than for the
+// text's eval, which instantiates every image of $w up to K. Each run gets a
+// cold store of its own.
+func TestBoundedBoolStopsAtFirstWitness(t *testing.T) {
+	db := graph.MustParse("u a v\nv a w\nw b x\nx a u\nv b u\n")
+	q := cxrpq.MustParse("ans(x, z)\nx y : $w{a*}b\ny z : $w\n")
+	const k = 3
+	ex, ok, err := witness(cxrpq.MustPrepare(q).Bind(freshCopy(db)).Do(cxrpq.Request{Op: "explain", Semantics: "bounded", K: k}))
+	if err != nil || !ok || ex.Images["w"] != "" {
+		t.Fatalf("fixture: the first witness is %+v, %v, %v; want $w = ε", ex, ok, err)
+	}
+	run := func(op string) (cxrpq.Response, engine.KernelStats) {
+		sess := cxrpq.MustPrepare(q).Bind(freshCopy(db))
+		return sess.Do(cxrpq.Request{Op: op, Semantics: "bounded", K: k}), storeStats(sess).Kernel
+	}
+	b, bk := run("bool")
+	if !b.OK || b.Err != nil {
+		t.Fatalf("bool = %v, %v; want true, nil", b.OK, b.Err)
+	}
+	e, ek := run("eval")
+	if e.Err != nil || e.Tuples.Len() == 0 {
+		t.Fatalf("eval = %v, %v", e.Tuples, e.Err)
+	}
+	if bk.Sources >= ek.Sources || bk.Edges >= ek.Edges {
+		t.Fatalf("bool's kernel work %+v is not below eval's %+v", bk, ek)
 	}
 }

@@ -11,14 +11,6 @@ import (
 // Hooks for the external test package, which is where the differential
 // suites live (they need internal/workload, which imports this package).
 
-// BindWorkers is Plan.Bind with a fixed fan width. It is the only way a
-// Session comes by a non-zero one, and it exists in the test binary alone.
-func (p *Plan) BindWorkers(db *graph.DB, workers int) *Session {
-	s := p.Bind(db)
-	s.workers = workers
-	return s
-}
-
 // StreamDrained is Stream without the incremental any-k producer or the
 // session's ranked prefix: a ranked stream drains and sorts on its own, the
 // path only an over-cap union takes in production — the baseline the
@@ -109,7 +101,7 @@ func EvalBoundedBoolPre(q *Query, db *graph.DB, k int, pre map[string]int) (bool
 	if err != nil {
 		return false, err
 	}
-	res, err := e.run()
+	res, err := e.drive()
 	return err == nil && res.Len() > 0, err
 }
 

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"cxrpq/internal/ecrpq"
-	"cxrpq/internal/graph"
-	"cxrpq/internal/pattern"
 )
 
 func collectMembers(t *testing.T, p *Plan) []*ecrpq.Query {
@@ -68,44 +66,5 @@ func TestMemberSourceTranslatesOncePerPlan(t *testing.T) {
 
 	if _, err := MustPrepare(MustParse("ans(x, y)\nx y : $w{a|b}\ny z : $w+\n")).members(); err == nil {
 		t.Fatal("a plan that is not vstar-free has a member source")
-	}
-}
-
-// A union member that panics on a fan worker fails the request that ran it —
-// on the goroutine that called Session.Do, where a server's per-request
-// recover sees it — and nothing else: the next request on the same session
-// answers. Each round drops the database's store first, so that the poisoned
-// requests evaluate instead of reading the answers filed before them.
-func TestFanPanicFailsOneRequest(t *testing.T) {
-	db := graph.MustParse("u a v\nv b w\nu b w")
-	p := MustPrepare(MustParse("ans(x, z)\nx y : $w{a}|$v{b}\ny z : $w|$v\n"))
-	first := p.Bind(db).Do(Request{Op: "eval"})
-	want := first.Tuples
-	if first.Err != nil || want.Len() == 0 {
-		t.Fatalf("fixture: %v, %v", want, first.Err)
-	}
-	healthy := p.kept[2].tr.Query
-	sess := p.BindWorkers(db, 4)
-	// Operations no witness cuts short, so that the poisoned member does run.
-	u, _ := db.Lookup("u")
-	if want.Contains(pattern.Tuple{u, u}) {
-		t.Fatal("fixture: (u, u) is an answer")
-	}
-	for _, req := range []Request{{Op: "eval"}, {Op: "check", Tuple: pattern.Tuple{u, u}}} {
-		op := req.Op
-		db.Derived(func(any) any { return nil }) // a fresh store: no answer filed, the members run
-		p.kept[2].tr.Query = &ecrpq.Query{}      // no pattern: evaluating it dereferences nil
-		func() {
-			defer func() {
-				if r := recover(); r == nil {
-					t.Fatalf("%s: the poisoned member did not panic on the caller", op)
-				}
-			}()
-			sess.Do(req)
-		}()
-		p.kept[2].tr.Query = healthy
-		if resp := sess.Do(Request{Op: "eval"}); resp.Err != nil || !resp.Tuples.Equal(want) {
-			t.Fatalf("%s: the request after the panic = %v, %v; want %v", op, resp.Tuples, resp.Err, want.Sorted())
-		}
 	}
 }

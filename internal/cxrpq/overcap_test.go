@@ -3,7 +3,7 @@ package cxrpq_test
 // The over-cap differential: vstar-free queries with more Lemma 7 branch
 // combinations than a Plan keeps (2^11 against a cap of 1024), whose member
 // source therefore enumerates and translates the combinations afresh for
-// every operation and whose union spans several fan windows. Every operation
+// every operation. Every operation
 // of the one union path — eval, Boolean, check, unranked and ranked stream —
 // is held to references that never see a branch combination: an equivalent
 // query that is a union of one member (the variable-erased CRPQ, or a simple
@@ -80,15 +80,13 @@ func TestOverCapDifferential(t *testing.T) {
 			}
 			plan := cxrpq.MustPrepare(c.q)
 
-			// The session operations at two fan widths and the streams are
-			// independent of one another: parallel subtests. The operations
-			// count the answers of their own copy's store.
-			for _, workers := range []int{1, 4} {
-				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-					t.Parallel()
-					overCapOperations(t, plan.BindWorkers(freshCopy(c.db), workers), want, answer, nonAnswer)
-				})
-			}
+			// The session operations and the streams are independent of one
+			// another: parallel subtests. The operations count the answers of
+			// their own copy's store.
+			t.Run("operations", func(t *testing.T) {
+				t.Parallel()
+				overCapOperations(t, plan.Bind(freshCopy(c.db)), want, answer, nonAnswer)
+			})
 			t.Run("streams", func(t *testing.T) {
 				t.Parallel()
 				overCapStreams(t, plan, c.db, want)
@@ -133,8 +131,8 @@ func overCapOperations(t *testing.T, sess *cxrpq.Session, want *pattern.TupleSet
 
 // overCapStreams drains the unranked and ranked streams of the plan over db.
 func overCapStreams(t *testing.T, plan *cxrpq.Plan, db *graph.DB, want *pattern.TupleSet) {
-	// Streams run member after member on the fetching goroutine whatever
-	// the worker count. The operations evaluated the plan on copies of db, so
+	// Streams run member after member on the fetching goroutine. The
+	// operations evaluated the plan on copies of db, so
 	// no answer of it is filed in db's store for a stream to be a window of.
 	for _, page := range []int{1, 7, 4096} {
 		for _, limit := range []int{0, (want.Len() + 1) / 2} {

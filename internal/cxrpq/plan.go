@@ -35,9 +35,8 @@ const (
 // vsfComboCap bounds the number of Lemma 7 branch combinations a Plan keeps
 // translated (their count is exponential in the worst case, and a Plan must
 // stay small); beyond it the member source enumerates and translates them
-// again on every call. It is the union evaluators' window, so the members a
-// Plan keeps are one fan.
-const vsfComboCap = ecrpq.UnionWindow
+// again on every call.
+const vsfComboCap = 1024
 
 // member is one member of the plan's union: the translation whose Query is
 // the ECRPQ^er the evaluators run and whose bookkeeping, with the Step 3

@@ -66,12 +66,6 @@ const unbounded = -1
 type Session struct {
 	plan *Plan
 	db   *graph.DB
-
-	// workers is the fan width of every evaluation the session starts
-	// (ecrpq.Options.Workers). It is zero — GOMAXPROCS, production — unless a
-	// test bound the session through export_test.go; nothing a deployment
-	// can reach sets it.
-	workers int
 }
 
 // Bind binds the plan to a database.
@@ -83,14 +77,14 @@ func (s *Session) key(op string, k int, t pattern.Tuple) any {
 	return resultKey{s.plan.self, op, k, t.Key()}
 }
 
-// Fork binds the session's plan, with its fan width, to db — a successor of
+// Fork binds the session's plan to db — a successor of
 // the session's database, typically the next graph.Snapshot view of its
 // lineage — after carrying the database's atom store onto it
 // (AtomStore.CarryTo), as the server's publish does. The receiver and its
 // open cursors keep their view and its store.
 func (s *Session) Fork(db *graph.DB) *Session {
 	ecrpq.Atoms(s.db).CarryTo(db)
-	return &Session{plan: s.plan, db: db, workers: s.workers}
+	return &Session{plan: s.plan, db: db}
 }
 
 // Fragment returns the plan's fragment classification.
@@ -112,7 +106,7 @@ func (s *Session) boundedRun(atoms *ecrpq.AtomStore, k int, boolOnly bool, pre m
 		return nil, err
 	}
 	sigma := xregex.MergeAlphabets(s.db.Alphabet(), s.plan.sigma)
-	return newBoundedEngine(bp, s.db, k, boolOnly, pre, atoms, sigma, s.workers, bud)
+	return newBoundedEngine(bp, s.db, k, boolOnly, pre, atoms, sigma, bud)
 }
 
 // Request is one operation against a Session: one of the paper's evaluation
@@ -255,7 +249,7 @@ func (s *Session) settleCarried(atoms *ecrpq.AtomStore, key any, old Response, f
 	} else {
 		var ms ecrpq.Members
 		if ms, err = s.plan.members(); err == nil {
-			delta, err = ecrpq.EvalUnionSeededWith(ms, s.db, frontier, ecrpq.Options{Budget: bud, Workers: s.workers})
+			delta, err = ecrpq.EvalUnionSeededWith(ms, s.db, frontier, ecrpq.Options{Budget: bud})
 		}
 	}
 	if delta == nil {
@@ -302,7 +296,7 @@ func (s *Session) boundedDelta(atoms *ecrpq.AtomStore, k int, seeds []int, bud *
 		return nil, err
 	}
 	e.seeds = seeds
-	return e.run()
+	return e.drive()
 }
 
 // doUnion runs op over the plan's union of ECRPQ^er. A truncated eval
@@ -316,7 +310,7 @@ func (s *Session) doUnion(op string, t pattern.Tuple, bud *engine.Budget) Respon
 	if err != nil {
 		return Response{Err: err}
 	}
-	o := ecrpq.Options{Budget: bud, Workers: s.workers}
+	o := ecrpq.Options{Budget: bud}
 	switch op {
 	case "eval":
 		res, err := ecrpq.EvalUnionWith(ms, s.db, o)
@@ -355,11 +349,10 @@ func (s *Session) doUnion(op string, t pattern.Tuple, bud *engine.Budget) Respon
 // the output variables, so each leaf join only searches for one extension of
 // the tuple; explain pulls the mappings in enumeration order — the witness is
 // the first — and searches each instantiated CRPQ for a path witness instead
-// of joining its atoms. A found witness makes a
-// bool, check or explain answer definitive whatever the budget cut afterwards
-// (the first-witness sibling stop rides a fork of the budget); any other
-// truncated run returns its value — for eval, the sound partial rows — with
-// engine.ErrCanceled.
+// of joining its atoms. A bool or check run returns at its first witness, and
+// a found witness makes a bool, check or explain answer definitive whatever
+// the budget cut afterwards; any other truncated run returns its value — for
+// eval, the sound partial rows — with engine.ErrCanceled.
 func (s *Session) doBounded(atoms *ecrpq.AtomStore, op string, k int, t pattern.Tuple, bud *engine.Budget) Response {
 	var err error
 	var pre map[string]int
@@ -378,7 +371,7 @@ func (s *Session) doBounded(atoms *ecrpq.AtomStore, op string, k int, t pattern.
 	if op == "explain" {
 		found, err = s.explainBounded(e, t)
 	} else {
-		res, err = e.run()
+		res, err = e.drive()
 	}
 	if err != nil {
 		return Response{Err: err}
@@ -399,7 +392,7 @@ func (s *Session) doBounded(atoms *ecrpq.AtomStore, op string, k int, t pattern.
 // explainBounded pulls the run's mappings in enumeration order and searches
 // each instantiated CRPQ for a path witness; the first is the explanation.
 func (s *Session) explainBounded(e *boundedEngine, t pattern.Tuple) (*Explanation, error) {
-	q, st := s.plan.q, e.newState(nil)
+	q, st := s.plan.q, e.newState()
 	for {
 		ok, err := st.next()
 		if err != nil || !ok {
@@ -409,7 +402,7 @@ func (s *Session) explainBounded(e *boundedEngine, t pattern.Tuple) (*Explanatio
 		for i, pe := range q.Pattern.Edges {
 			g.Edges = append(g.Edges, pattern.Edge{From: pe.From, To: pe.To, Label: st.insts[i]})
 		}
-		w, ok, err := ecrpq.FindWitness(&ecrpq.Query{Pattern: g}, s.db, t, ecrpq.Options{Budget: e.fanBud})
+		w, ok, err := ecrpq.FindWitness(&ecrpq.Query{Pattern: g}, s.db, t, ecrpq.Options{Budget: e.bud})
 		if ok {
 			return s.explanation(&Explanation{NodeOf: w.NodeOf, Words: w.Words, Images: maps.Clone(st.assign)}), nil
 		}

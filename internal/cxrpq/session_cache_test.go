@@ -100,8 +100,8 @@ func TestRankedPrefixCounts(t *testing.T) {
 
 // TestSessionRelCacheEviction: what bounds the atom store is bytes. On a
 // 1 700-node a-cycle every atom of the form a…a+ or a…a* holds all n² pairs,
-// ~23 MB as the store accounts a complete table of them, and a one-worker
-// Boolean run stores three such tables before its first witness: the store
+// ~23 MB as the store accounts a complete table of them, and a Boolean run
+// stores three such tables before its first witness: the store
 // has to drop its epoch on the way, the answer has to be the same every time
 // (entries are pure caches; a run holds the tables it joins), and the bytes
 // reported never pass the budget.
@@ -114,10 +114,10 @@ func TestSessionRelCacheEviction(t *testing.T) {
 	q := cxrpq.MustParse("ans(x, u)\nx y : $w{a|aa}a+\ny z : $w a*\nz u : aa$w+\n")
 	// A fresh plan per call: its answer is filed under the plan, so the second
 	// call recomputes through the store, which belongs to the database and so
-	// is shared by both. One worker finds the first witness after the same
+	// is shared by both. The run finds the first witness after the same
 	// tables every time.
 	for call := 0; call < 2; call++ {
-		sess := cxrpq.MustPrepare(q).BindWorkers(db, 1)
+		sess := cxrpq.MustPrepare(q).Bind(db)
 		if ok, err := verdict(sess.Do(cxrpq.Request{Op: "bool", Semantics: "bounded", K: 2})); err != nil || !ok {
 			t.Fatalf("call %d: %v, %v; every node reaches every node", call, ok, err)
 		}

@@ -1,9 +1,9 @@
 package cxrpq_test
 
 // Concurrency stress tests for the Session layer: many goroutines share one
-// Session and issue mixed eval/check/explain requests, some fanned out as a
-// batch; every result must
-// match the sequentially computed ground truth, under -race. A second test
+// Session and issue mixed eval/check/explain requests, some as a batch of
+// concurrent requests; every result must match the sequentially computed
+// ground truth, under -race. A second test
 // drives the invalidation contract: after a (quiescent) DB mutation the
 // session must never serve relations derived from the old revision, with
 // the revision check alone.
@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"cxrpq/internal/cxrpq"
-	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
 	"cxrpq/internal/workload"
@@ -94,7 +93,15 @@ func TestSessionConcurrentStressBounded(t *testing.T) {
 						{Op: "check", Semantics: "bounded", K: k, Tuple: members[0]},
 					}
 					resps := make([]cxrpq.Response, len(reqs))
-					engine.Fan(0, len(reqs), func(j int) { resps[j] = sess.Do(reqs[j]) })
+					var batch sync.WaitGroup
+					for j := range reqs {
+						batch.Add(1)
+						go func() {
+							defer batch.Done()
+							resps[j] = sess.Do(reqs[j])
+						}()
+					}
+					batch.Wait()
 					if resps[0].Err != nil || !resps[0].Tuples.Equal(want) {
 						errs <- fmt.Errorf("batch eval diverged: %v", resps[0].Err)
 					}

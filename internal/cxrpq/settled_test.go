@@ -2,8 +2,8 @@ package cxrpq_test
 
 // A materialised answer is a settled set: its rows, each once, in
 // lexicographic order, are the sorted view the server pages through — also
-// when the bounded engine's mappings or a projection repeat rows, whatever
-// the fan width, and when the budget cut the evaluation short.
+// when the bounded engine's mappings or a projection repeat rows, and when
+// the budget cut the evaluation short.
 
 import (
 	"context"
@@ -100,38 +100,35 @@ func TestMaterialisedAnswersAreSettled(t *testing.T) {
 			t.Fatalf("%s: fixture drifted: naive %d rows, oracle %d", c.name, naive.Len(), ref.Len())
 		}
 		plan := cxrpq.MustPrepare(q)
-		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("%s, %d workers", c.name, workers)
-			res, err := tuples(plan.BindWorkers(freshCopy(c.db), workers).Do(c.req))
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+		res, err := tuples(plan.Bind(freshCopy(c.db)).Do(c.req))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		checkSettled(t, c.name, res)
+		if !res.Equal(naive) || !naive.Equal(res) || !res.Equal(ref) {
+			t.Fatalf("%s: %v, naive %v", c.name, res.Sorted(), naive.Sorted())
+		}
+		partial := false
+		for polls := int32(0); polls < 400; polls += 7 {
+			req := c.req
+			req.Budget = cutAfterPolls(polls)
+			resp := plan.Bind(freshCopy(c.db)).Do(req)
+			if resp.Err != nil && !errors.Is(resp.Err, engine.ErrCanceled) {
+				t.Fatalf("%s cut after %d polls: %v", c.name, polls, resp.Err)
 			}
-			checkSettled(t, name, res)
-			if !res.Equal(naive) || !naive.Equal(res) || !res.Equal(ref) {
-				t.Fatalf("%s: %v, naive %v", name, res.Sorted(), naive.Sorted())
+			if resp.Tuples == nil {
+				continue
 			}
-			partial := false
-			for polls := int32(0); polls < 400; polls += 7 {
-				req := c.req
-				req.Budget = cutAfterPolls(polls)
-				resp := plan.BindWorkers(freshCopy(c.db), workers).Do(req)
-				if resp.Err != nil && !errors.Is(resp.Err, engine.ErrCanceled) {
-					t.Fatalf("%s cut after %d polls: %v", name, polls, resp.Err)
+			checkSettled(t, fmt.Sprintf("%s cut after %d polls", c.name, polls), resp.Tuples)
+			for _, tu := range resp.Tuples.All() {
+				if !naive.Contains(tu) {
+					t.Fatalf("%s cut after %d polls: unsound row %v", c.name, polls, tu)
 				}
-				if resp.Tuples == nil {
-					continue
-				}
-				checkSettled(t, fmt.Sprintf("%s cut after %d polls", name, polls), resp.Tuples)
-				for _, tu := range resp.Tuples.All() {
-					if !naive.Contains(tu) {
-						t.Fatalf("%s cut after %d polls: unsound row %v", name, polls, tu)
-					}
-				}
-				partial = partial || resp.Err != nil && resp.Tuples.Len() > 0
 			}
-			if !partial {
-				t.Fatalf("%s: no budget cut left a non-empty partial answer", name)
-			}
+			partial = partial || resp.Err != nil && resp.Tuples.Len() > 0
+		}
+		if !partial {
+			t.Fatalf("%s: no budget cut left a non-empty partial answer", c.name)
 		}
 	}
 }

@@ -207,7 +207,7 @@ func (s *Session) rankedCursor(atoms *ecrpq.AtomStore, bounded bool, k int, bud 
 			return p, p.ak.AddUnion(ms, s.db, w)
 		}
 		e.ranked, e.weight = true, w
-		for st := e.newState(nil); ; p.ak.AddLeaf(st.leaf) { // every mapping's join is one root
+		for st := e.newState(); ; p.ak.AddLeaf(st.leaf) { // every mapping's join is one root
 			if ok, err := st.next(); !ok {
 				return p, e.ignoreCanceled(err)
 			}
@@ -253,7 +253,7 @@ type boundedRows struct {
 
 func (b *boundedRows) Next() ([]int32, int, bool) {
 	if b.st == nil {
-		b.st = b.e.newState(nil)
+		b.st = b.e.newState()
 	}
 	for {
 		if b.joining {

@@ -57,7 +57,7 @@ func freshCopy(db *graph.DB) *graph.DB {
 // (ecrpq.Leaf.Set), which fails only when bud cuts a search.
 func leafOf(db *graph.DB, text string, sigma []rune, bud *engine.Budget) (*ecrpq.Leaf, error) {
 	g, store := pattern.MustParseQuery(text), ecrpq.Atoms(db)
-	leaf := ecrpq.NewLeaf(store, g, nil, false, ecrpq.Options{Budget: bud}).Fork()
+	leaf := ecrpq.NewLeaf(store, g, nil, false, ecrpq.Options{Budget: bud})
 	for i, e := range g.Edges {
 		a, err := store.Atom(e.Label, sigma)
 		if err == nil {

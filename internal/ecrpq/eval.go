@@ -1,6 +1,7 @@
 package ecrpq
 
 import (
+	"errors"
 	"fmt"
 
 	"cxrpq/internal/engine"
@@ -13,9 +14,8 @@ import (
 type Options struct {
 	// Budget bounds the evaluation (nil = unlimited). It is polled at level
 	// granularity inside the product searches and every 64 join steps, so
-	// deadline, context and sibling-stop cancellation all unwind
-	// promptly. Whatever was produced before a cancellation is a sound
-	// subset of q(D).
+	// deadline, context and Stop cancellation all unwind promptly. Whatever
+	// was produced before a cancellation is a sound subset of q(D).
 	Budget *engine.Budget
 	// Ranked threads a witness cost alongside every streamed tuple
 	// (UnionRows, Leaf.Next): the sum over join constraints of
@@ -27,9 +27,6 @@ type Options struct {
 	// pluggable per-edge-label weight, so every reported cost is a minimum
 	// total weight instead of a minimum edge count. Ignored unless Ranked.
 	Weight engine.Weight
-	// Workers is the width of the evaluation's engine.Fan calls; 0 means
-	// GOMAXPROCS, which is what production passes. Tests fix it.
-	Workers int
 }
 
 // StreamFunc consumes one enumerated output row with its witness cost (0
@@ -49,36 +46,44 @@ func Eval(q *Query, db *graph.DB) (*pattern.TupleSet, error) {
 // partial set found so far together with engine.ErrCanceled. The set is
 // settled: its rows are its sorted view.
 func EvalWith(q *Query, db *graph.DB, o Options) (*pattern.TupleSet, error) {
-	ev, err := newEvaluator(q, db, o, false)
-	if err != nil {
+	out := pattern.NewTupleSet()
+	if err := evalInto(q, db, o, out); err != nil && !errors.Is(err, engine.ErrCanceled) {
 		return nil, err
 	}
-	out := pattern.NewTupleSet()
-	ev.stream(nil, func(row []int32, _ int) bool {
-		out.Append(row)
-		return true
-	})
 	out.Settle()
 	return out, o.Budget.Err()
 }
 
-// evalSeeded computes the rows of q(D) that have a witness binding the
-// source variable of some atom — a group component's included — to a node
-// of seeds: for each distinct source variable, one plan with the variable
-// pre-bound, run once per seed on the lazy evaluator. With seeds the
-// frontier of a window, they include the rows the window added to q and,
-// when it removed edges, every row left whose witnesses all bind a source
-// there (see delta.go). On cancellation
-// it returns the rows found so far with engine.ErrCanceled. The set is
-// settled.
-func evalSeeded(q *Query, db *graph.DB, seeds []int, o Options) (*pattern.TupleSet, error) {
-	out := pattern.NewTupleSet()
+// evalInto appends the rows of q(D) to out, a bag its caller settles. On
+// cancellation the rows appended so far are a sound subset of q(D) and the
+// error is engine.ErrCanceled.
+func evalInto(q *Query, db *graph.DB, o Options, out *pattern.TupleSet) error {
+	ev, err := newEvaluator(q, db, o, false)
+	if err != nil {
+		return err
+	}
+	ev.stream(nil, func(row []int32, _ int) bool {
+		out.Append(row)
+		return true
+	})
+	return o.Budget.Err()
+}
+
+// evalSeeded appends to out, a bag its caller settles, the rows of q(D) that
+// have a witness binding the source variable of some atom — a group
+// component's included — to a node of seeds: for each distinct source
+// variable, one plan with the variable pre-bound, run once per seed on the
+// lazy evaluator. With seeds the frontier of a window, they include the rows
+// the window added to q and, when it removed edges, every row left whose
+// witnesses all bind a source there (see delta.go). On cancellation the rows
+// appended so far are sound and the error is engine.ErrCanceled.
+func evalSeeded(q *Query, db *graph.DB, seeds []int, o Options, out *pattern.TupleSet) error {
 	if len(seeds) == 0 {
-		return out, nil
+		return nil
 	}
 	ev, err := newEvaluator(q, db, o, true)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, z := range SourceVars(q.Pattern) {
 		ev.compile(map[string]int{z: 0}, false).streamSeeded(z, seeds, ev.bud, func(row []int32, _ int) bool {
@@ -86,8 +91,7 @@ func evalSeeded(q *Query, db *graph.DB, seeds []int, o Options) (*pattern.TupleS
 			return true
 		})
 	}
-	out.Settle()
-	return out, o.Budget.Err()
+	return o.Budget.Err()
 }
 
 // EvalBool decides D |= q for Boolean q (it also works for non-Boolean

@@ -190,7 +190,7 @@ func TestExecutorDifferential(t *testing.T) {
 						// The bounded engine's leaf: the pattern compiled once,
 						// the query's atoms set on its edges.
 						leaf := func() *Leaf {
-							l := NewLeaf(Atoms(db), g, tc.pre, false, Options{Ranked: ranked, Weight: w}).Fork()
+							l := NewLeaf(Atoms(db), g, tc.pre, false, Options{Ranked: ranked, Weight: w})
 							for i, e := range g.Edges {
 								if _, err := l.Set(i, atomOf(t, Atoms(db), e.Label, sigma)); err != nil {
 									t.Fatal(err)
@@ -254,7 +254,7 @@ func TestJoinRankedComesFromCallerNotRelation(t *testing.T) {
 	for _, warmRanked := range []bool{false, true} {
 		db := graph.MustParse(sb.String()) // with a store of its own
 		leaf := func(ranked bool) *Leaf {
-			l := NewLeaf(Atoms(db), g, nil, false, Options{Ranked: ranked}).Fork()
+			l := NewLeaf(Atoms(db), g, nil, false, Options{Ranked: ranked})
 			for i, e := range g.Edges {
 				if _, err := l.Set(i, atomOf(t, Atoms(db), e.Label, db.Alphabet())); err != nil {
 					t.Fatal(err)

@@ -22,7 +22,7 @@ import (
 
 // Leaf is a pattern compiled for the leaf joins of one bounded run, with the
 // atoms of the mapping at hand set on its edges. It is not safe for
-// concurrent use: each goroutine of a run joins through a Fork.
+// concurrent use: a run joins through its one leaf, on its one goroutine.
 type Leaf struct {
 	ev       *evaluator // the run's: store, budget, ranked-ness and weight; no query
 	from, to []bool     // per edge: whether the join reads its source, its target (pattern.Graph.Reads)
@@ -67,18 +67,6 @@ func NewLeaf(s *AtomStore, g *pattern.Graph, pre map[string]int, seeded bool, o 
 	return l
 }
 
-// Fork returns a leaf of the same run for another goroutine, with no atom
-// set: the plans are compiled once, and copied.
-func (l *Leaf) Fork() *Leaf {
-	f := *l
-	f.atoms, f.src, f.s = make([]probeAtom, len(l.atoms)), make([]*probeAtom, len(l.src)), search{}
-	f.plans = make([]*plan, len(l.plans))
-	for i, p := range l.plans {
-		f.plans[i] = p.clone()
-	}
-	return &f
-}
-
 // Set sets a on edge ei and resolves what the join reads of it: ranked, the
 // run's memo of its rows with costs; unranked, the store's complete table
 // when both endpoints are read — searched for the rows the store lacks, once
@@ -120,10 +108,7 @@ func (p *probeAtom) complete() []uint64 {
 	if p.adopt(true) {
 		return m.sup
 	}
-	all := make([]int, p.ev.ix.NumNodes()) // not ev.nodes(): the forks of a leaf share its evaluator
-	for u := range all {
-		all[u] = u
-	}
+	all := p.ev.nodes()
 	rows := p.fetch(all, true)
 	if m.at == nil { // cut: nothing indexed
 		return nil

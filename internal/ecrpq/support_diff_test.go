@@ -100,7 +100,7 @@ func TestSupportReadDifferential(t *testing.T) {
 				}
 			}
 			best, got := map[string]int{}, map[string]int{}
-			leaf := ecrpq.NewLeaf(ecrpq.Atoms(db), g, nil, false, ecrpq.Options{Ranked: true, Weight: w}).Fork()
+			leaf := ecrpq.NewLeaf(ecrpq.Atoms(db), g, nil, false, ecrpq.Options{Ranked: true, Weight: w})
 			for i, e := range g.Edges {
 				a, err := ecrpq.Atoms(db).Atom(e.Label, db.Alphabet())
 				if err == nil {

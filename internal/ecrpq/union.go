@@ -2,7 +2,6 @@ package ecrpq
 
 import (
 	"errors"
-	"sync"
 
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
@@ -12,9 +11,10 @@ import (
 // This file is the one place that walks a union of ECRPQs (∪-ECRPQ, §7;
 // Lemma 7 / Lemma 13 turn every vstar-free CXRPQ into one): one evaluator per
 // operation — set, Boolean, check, stream, any-k roots — over a member
-// source. A single query is the union of one member and costs what that member
-// costs: a fan of one runs inline, and the member's tuple set is returned as
-// is.
+// source. Members run one after the other on the caller's goroutine, in
+// order: a set evaluation appends every member's rows to one bag and settles
+// it once, and a Boolean or check returns at the first witness. A single
+// query is the union of one member and costs what that member costs.
 
 // Members is the member source of a union: member i, for i from 0 until ok
 // is false, either built or replaced by the error that kept the layer above
@@ -32,134 +32,10 @@ func MembersOf(qs ...*Query) Members {
 	}
 }
 
-// UnionWindow is how many members a parallel union operation pulls from its
-// source before it fans them out (engine.Fan): a union of at most this many
-// members is one fan, and a larger one — their number is exponential in the
-// query in the worst case — never holds more than a window of them.
-const UnionWindow = 1024
-
-// unionSink accumulates the per-member outcomes of a parallel union operation
-// under one contract: a match wins over any error (the query is satisfied
-// whatever another member would have reported), errors rank by member index
-// with a real failure above a budget truncation, a truncated set evaluation
-// keeps the sound partial rows of every member, and the members run under a
-// fork of the caller's budget that the first witness (or, evaluating the set,
-// the first failure) stops, so in-flight siblings unwind at BFS-level
-// granularity without spending the caller's budget.
-type unionSink struct {
-	bud     *engine.Budget
-	fan     *engine.Budget
-	workers int  // fan width (Options.Workers)
-	exists  bool // Boolean / check: an error must not stop the search for a witness
-
-	mu      sync.Mutex
-	out     *pattern.TupleSet
-	matched bool
-	errAt   int
-	err     error
-}
-
-// run pulls the members in windows, fans each window out and hands eval every
-// member that is still worth starting, with its index in the union and the
-// budget to run it under: the fan budget — except for the only member of a
-// union of one, which has no sibling to stop it or to be stopped by it and
-// polls the caller's budget directly, thousands of times per evaluation.
-func (s *unionSink) run(ms Members, db *graph.DB, eval func(i int, q *Query, bud *engine.Budget)) {
-	type member struct {
-		q   *Query
-		err error
-	}
-	db.Index() // one index build before the fan-out races on it
-	var win []member
-	base := 0
-	flush := func(bud *engine.Budget) {
-		engine.Fan(s.workers, len(win), func(i int) {
-			switch m := win[i]; {
-			case s.fan.Canceled():
-			case m.err != nil:
-				s.fail(base+i, m.err)
-			default:
-				eval(base+i, m.q, bud)
-			}
-		})
-		base += len(win)
-		win = win[:0]
-	}
-	for i := 0; ; i++ {
-		q, ok, err := ms(i)
-		if !ok {
-			break
-		}
-		if win = append(win, member{q, err}); len(win) == UnionWindow {
-			if flush(s.fan); s.fan.Canceled() {
-				return
-			}
-		}
-	}
-	if base == 0 && len(win) == 1 {
-		flush(s.bud)
-	} else {
-		flush(s.fan)
-	}
-}
-
-// fail ranks the failure of member idx: a real failure outranks a truncation
-// (a sibling cut by the fan stop must not mask the error that raised it), and
-// within a class the lowest member index wins.
-func (s *unionSink) fail(idx int, err error) {
-	s.mu.Lock()
-	oldC, newC := errors.Is(s.err, engine.ErrCanceled), errors.Is(err, engine.ErrCanceled)
-	if s.err == nil || oldC && !newC || oldC == newC && idx < s.errAt {
-		s.errAt, s.err = idx, err
-	}
-	s.mu.Unlock()
-	if !s.exists {
-		s.fan.Stop()
-	}
-}
-
-// merge appends a member's rows, a sorted run, to the union. The first
-// non-empty set is adopted, not copied: nothing else holds it.
-func (s *unionSink) merge(res *pattern.TupleSet) {
-	if res == nil || res.Len() == 0 {
-		return
-	}
-	s.mu.Lock()
-	if s.out == nil {
-		s.out = res
-	} else {
-		for rows, i := res.Rows(), 0; i < rows.N; i++ {
-			s.out.Append(rows.Row(i))
-		}
-	}
-	s.mu.Unlock()
-}
-
-// witness records a match and stops the siblings.
-func (s *unionSink) witness() {
-	s.mu.Lock()
-	s.matched = true
-	s.mu.Unlock()
-	s.fan.Stop()
-}
-
-// finish resolves the outcome once every member is done. Members that never
-// started because the caller's budget was spent recorded nothing, so the
-// budget is asked once more: an answer nothing vouches for is a truncation.
-func (s *unionSink) finish() error {
-	if s.matched {
-		return nil
-	}
-	if s.err != nil {
-		return s.err
-	}
-	return s.bud.Err()
-}
-
 // EvalUnionWith computes ⋃ qi(D) over the members of ms. On a failure or a
 // cancellation it returns the sound partial set found so far with the error.
 func EvalUnionWith(ms Members, db *graph.DB, o Options) (*pattern.TupleSet, error) {
-	return evalUnion(ms, db, o, func(q *Query, o Options) (*pattern.TupleSet, error) { return EvalWith(q, db, o) })
+	return evalUnion(ms, o, func(q *Query, o Options, out *pattern.TupleSet) error { return evalInto(q, db, o, out) })
 }
 
 // EvalUnionSeededWith is evalSeeded over every member of ms: the rows of
@@ -167,50 +43,69 @@ func EvalUnionWith(ms Members, db *graph.DB, o Options) (*pattern.TupleSet, erro
 // seeds. On a failure or a cancellation it returns the rows found so far with
 // the error.
 func EvalUnionSeededWith(ms Members, db *graph.DB, seeds []int, o Options) (*pattern.TupleSet, error) {
-	return evalUnion(ms, db, o, func(q *Query, o Options) (*pattern.TupleSet, error) { return evalSeeded(q, db, seeds, o) })
+	return evalUnion(ms, o, func(q *Query, o Options, out *pattern.TupleSet) error { return evalSeeded(q, db, seeds, o, out) })
 }
 
-// evalUnion merges the settled sets eval computes per member of ms, under
-// the fan budget.
-func evalUnion(ms Members, db *graph.DB, o Options, eval func(*Query, Options) (*pattern.TupleSet, error)) (*pattern.TupleSet, error) {
-	s := &unionSink{bud: o.Budget, fan: o.Budget.Fork(), workers: o.Workers}
-	s.run(ms, db, func(i int, q *Query, bud *engine.Budget) {
-		res, err := eval(q, Options{Budget: bud})
-		s.merge(res)
-		if err != nil {
-			s.fail(i, err)
+// evalUnion appends the rows eval finds for each member of ms, in order, to
+// one bag and settles it once. The first member that fails or is cut ends the
+// run: the rows of the members before it, and those it found, are returned
+// with its error. A spent budget starts no member.
+func evalUnion(ms Members, o Options, eval func(*Query, Options, *pattern.TupleSet) error) (*pattern.TupleSet, error) {
+	out := pattern.NewTupleSet()
+	var err error
+	for i := 0; err == nil && !o.Budget.Canceled(); i++ {
+		q, more, qerr := ms(i)
+		if !more {
+			break
 		}
-	})
-	if s.out == nil {
-		s.out = pattern.NewTupleSet()
+		if err = qerr; err == nil {
+			err = eval(q, Options{Budget: o.Budget}, out)
+		}
 	}
-	s.out.Settle()
-	return s.out, s.finish()
+	out.Settle()
+	if err == nil {
+		err = o.Budget.Err()
+	}
+	return out, err
 }
 
 // existsUnion decides whether some member has a match, by the lazy search
-// exists runs on one member under the budget it is given.
-func existsUnion(ms Members, db *graph.DB, o Options, exists func(*Query, Options) (bool, error)) (bool, error) {
-	s := &unionSink{bud: o.Budget, fan: o.Budget.Fork(), workers: o.Workers, exists: true}
-	s.run(ms, db, func(i int, q *Query, bud *engine.Budget) {
-		if ok, err := exists(q, Options{Budget: bud}); ok {
-			s.witness()
-		} else if err != nil {
-			s.fail(i, err)
+// exists runs on each member in order; it returns at the first witness. A
+// match beats any error. Without one, a real failure outranks a truncation,
+// and within a class the lowest member index wins; a spent budget ends the
+// search and vouches for nothing.
+func existsUnion(ms Members, o Options, exists func(*Query, Options) (bool, error)) (bool, error) {
+	var failed error
+	for i := 0; !o.Budget.Canceled(); i++ {
+		q, more, err := ms(i)
+		if !more {
+			break
 		}
-	})
-	return s.matched, s.finish()
+		if err == nil {
+			var ok bool
+			if ok, err = exists(q, Options{Budget: o.Budget}); ok {
+				return true, nil
+			}
+		}
+		if err != nil && (failed == nil || errors.Is(failed, engine.ErrCanceled) && !errors.Is(err, engine.ErrCanceled)) {
+			failed = err
+		}
+	}
+	if failed == nil {
+		failed = o.Budget.Err()
+	}
+	return false, failed
 }
 
 // EvalUnionBoolWith decides whether some member of ms matches D. A canceled
 // budget yields (false, engine.ErrCanceled) unless a witness was found.
 func EvalUnionBoolWith(ms Members, db *graph.DB, o Options) (bool, error) {
-	return existsUnion(ms, db, o, func(q *Query, o Options) (bool, error) { return EvalBoolWith(q, db, o) })
+	return existsUnion(ms, o, func(q *Query, o Options) (bool, error) { return EvalBoolWith(q, db, o) })
 }
 
 // CheckUnionWith decides t̄ ∈ ⋃ qi(D): one pre-bound lazy search per member.
 func CheckUnionWith(ms Members, db *graph.DB, t pattern.Tuple, o Options) (bool, error) {
-	return existsUnion(ms, db, o, func(q *Query, o Options) (bool, error) { return CheckWith(q, db, t, o) })
+	return existsUnion(ms, o, func(q *Query, o Options) (bool, error) { return CheckWith(q, db, t, o) })
 }
 
 // EvalUnion computes ⋃ qi(D).

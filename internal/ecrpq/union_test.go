@@ -3,6 +3,7 @@ package ecrpq_test
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,11 +14,11 @@ import (
 	"cxrpq/internal/workload"
 )
 
-// TestEvalUnionParallel checks the fanned-out union evaluation: members
-// evaluated concurrently must dedupe into the same set the sequential
-// loop produced, and the outcome of a union with failing members must be the
-// one the sink contract names, whatever the worker count and however many
-// windows the members span.
+// TestEvalUnionParallel checks the union evaluation: members evaluated in
+// order must dedupe into the set their own evaluations hold between them,
+// also when callers on other goroutines evaluate the union over the same
+// database at the same time, and the outcome of a union with failing members
+// must be the one the union contract names, however long the union.
 func TestEvalUnionParallel(t *testing.T) {
 	db := workload.Random(11, 20, 80, "ab")
 	u := &ecrpq.Union{Members: []*ecrpq.Query{
@@ -37,9 +38,9 @@ func TestEvalUnionParallel(t *testing.T) {
 	invalid := &ecrpq.Query{Pattern: pattern.MustParseQuery("ans(x, y)\nx y : $v{a}")} // fails Validate
 	errA, errB := errors.New("member A"), errors.New("member B")
 	cut := fmt.Errorf("member cut: %w", engine.ErrCanceled)
-	// A union of three windows whose only failures sit in the last one.
+	// A long union whose only failures sit at its end.
 	var wide []any
-	for i := 0; i < 2*ecrpq.UnionWindow+5; i++ {
+	for i := 0; i < 2053; i++ {
 		wide = append(wide, miss)
 	}
 	wide = append(wide, errB, miss, errA)
@@ -50,60 +51,110 @@ func TestEvalUnionParallel(t *testing.T) {
 	if ok, err := ecrpq.EvalUnionBool(u, db); err != nil || ok != (want.Len() > 0) {
 		t.Fatalf("EvalUnionBool = %v, %v; want %v", ok, err, want.Len() > 0)
 	}
-	for _, workers := range []int{1, 4} {
-		o := ecrpq.Options{Workers: workers}
-		got, err := ecrpq.EvalUnionWith(ecrpq.MembersOf(u.Members...), db, o)
-		if err != nil || !got.Equal(want) {
-			t.Fatalf("workers=%d: union %d tuples, %v; sequential %d", workers, got.Len(), err, want.Len())
-		}
-		if ok, err := ecrpq.EvalUnionBoolWith(ecrpq.MembersOf(u.Members...), db, o); err != nil || ok != (want.Len() > 0) {
-			t.Fatalf("workers=%d: EvalUnionBoolWith = %v, %v; want %v", workers, ok, err, want.Len() > 0)
-		}
-		var many []any // more members than one window holds
-		for i := 0; i < ecrpq.UnionWindow+7; i++ {
-			many = append(many, u.Members[i%3])
-		}
-		if got, err := ecrpq.EvalUnionWith(seq(many...), db, o); err != nil || !got.Equal(want) {
-			t.Fatalf("workers=%d: a union of %d members has %d tuples, %v; want %d", workers, len(many), got.Len(), err, want.Len())
-		}
-		for _, c := range []struct {
-			name    string
-			members ecrpq.Members
-			ok      bool
-			err     error // nil: none; errAny: whatever Validate says
-		}{
-			{"a match after a failed member wins", seq(errA, invalid, hit), true, nil},
-			{"a failed member after the match is ignored", seq(hit, invalid, errA), true, nil},
-			{"no match: the lowest-index failure", seq(miss, errB, errA), false, errB},
-			{"a real failure outranks an earlier truncation", seq(cut, miss, errA, errB), false, errA},
-			{"a member that does not validate is a failure", seq(miss, invalid), false, errAny},
-			{"failures in the third window keep their rank", seq(wide...), false, errB},
-		} {
-			ok, err := ecrpq.EvalUnionBoolWith(c.members, db, o)
-			if ok != c.ok || (c.err == nil) != (err == nil) || c.err != errAny && !errors.Is(err, c.err) {
-				t.Errorf("workers=%d, Boolean, %s: got %v, %v", workers, c.name, ok, err)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, err := ecrpq.EvalUnionWith(ecrpq.MembersOf(u.Members...), db, ecrpq.Options{}); err != nil || !got.Equal(want) {
+				t.Errorf("caller %d: union %d tuples, %v; sequential %d", g, got.Len(), err, want.Len())
 			}
+		}()
+	}
+	wg.Wait()
+	var many []any // more members than a plan keeps translated
+	for i := 0; i < 1031; i++ {
+		many = append(many, u.Members[i%3])
+	}
+	if got, err := ecrpq.EvalUnionWith(seq(many...), db, ecrpq.Options{}); err != nil || !got.Equal(want) {
+		t.Fatalf("a union of %d members has %d tuples, %v; want %d", len(many), got.Len(), err, want.Len())
+	}
+	for _, c := range []struct {
+		name    string
+		members ecrpq.Members
+		ok      bool
+		err     error // nil: none; errAny: whatever Validate says
+	}{
+		{"a match after a failed member wins", seq(errA, invalid, hit), true, nil},
+		{"a failed member after the match is ignored", seq(hit, invalid, errA), true, nil},
+		{"no match: the lowest-index failure", seq(miss, errB, errA), false, errB},
+		{"a real failure outranks an earlier truncation", seq(cut, miss, errA, errB), false, errA},
+		{"a member that does not validate is a failure", seq(miss, invalid), false, errAny},
+		{"failures at the end of a long union keep their rank", seq(wide...), false, errB},
+	} {
+		ok, err := ecrpq.EvalUnionBoolWith(c.members, db, ecrpq.Options{})
+		if ok != c.ok || (c.err == nil) != (err == nil) || c.err != errAny && !errors.Is(err, c.err) {
+			t.Errorf("Boolean, %s: got %v, %v", c.name, ok, err)
 		}
-		// Evaluating the set, the first failure ends the run with what was found.
-		res, err := ecrpq.EvalUnionWith(seq(hit, errA, errB), db, o)
-		if !errors.Is(err, errA) || res == nil {
-			t.Errorf("workers=%d: set evaluation with a failed member = %v, %v; want the partial set and member A", workers, res, err)
+	}
+	// Evaluating the set, the first failure ends the run with what was found.
+	res, err := ecrpq.EvalUnionWith(seq(hit, errA, errB), db, ecrpq.Options{})
+	if !errors.Is(err, errA) || res == nil {
+		t.Errorf("set evaluation with a failed member = %v, %v; want the partial set and member A", res, err)
+	}
+	// A witness spends nothing of the caller's budget, also when the union is
+	// one member.
+	for _, ms := range []ecrpq.Members{seq(hit), seq(hit, hit, hit)} {
+		live := engine.NewBudget(nil, time.Time{})
+		if ok, err := ecrpq.EvalUnionBoolWith(ms, db, ecrpq.Options{Budget: live}); err != nil || !ok || live.Err() != nil {
+			t.Errorf("Boolean match = %v, %v; the caller's budget afterwards: %v", ok, err, live.Err())
 		}
-		// A witness stops the siblings through a fork: the caller's budget lives on,
-		// also when the union is one member running under that very budget.
-		for _, ms := range []ecrpq.Members{seq(hit), seq(hit, hit, hit)} {
-			live := engine.NewBudget(nil, time.Time{})
-			if ok, err := ecrpq.EvalUnionBoolWith(ms, db, ecrpq.Options{Budget: live, Workers: workers}); err != nil || !ok || live.Err() != nil {
-				t.Errorf("workers=%d: Boolean match = %v, %v; the caller's budget afterwards: %v", workers, ok, err, live.Err())
-			}
+	}
+	// A spent budget vouches for nothing, and nothing is evaluated under it.
+	spent := engine.NewBudget(nil, time.Now().Add(-time.Second))
+	if res, err := ecrpq.EvalUnionWith(seq(hit), db, ecrpq.Options{Budget: spent}); !errors.Is(err, engine.ErrCanceled) || res.Len() != 0 {
+		t.Errorf("set evaluation under a spent budget = %d rows, %v", res.Len(), err)
+	}
+	if ok, err := ecrpq.EvalUnionBoolWith(seq(hit), db, ecrpq.Options{Budget: spent}); !errors.Is(err, engine.ErrCanceled) || ok {
+		t.Errorf("Boolean evaluation under a spent budget = %v, %v", ok, err)
+	}
+}
+
+// TestUnionExitsInOrder: members run one after the other, so a union stops
+// asking its source for members at the first witness of a Boolean evaluation
+// and at the first failure of a set evaluation — which keeps the rows of the
+// members before it — while a Boolean evaluation searches past a member that
+// could not be built.
+func TestUnionExitsInOrder(t *testing.T) {
+	db := workload.Random(11, 20, 80, "ab")
+	hit, miss := mustQuery(t, "ans(x, y)\nx y : a"), mustQuery(t, "ans(x, y)\nx y : c")
+	invalid := &ecrpq.Query{Pattern: pattern.MustParseQuery("ans(x, y)\nx y : $v{a}")} // fails Validate
+	errA := errors.New("member A")
+	hitRows, err := ecrpq.Eval(hit, db)
+	if err != nil || hitRows.Len() == 0 {
+		t.Fatalf("fixture: %v, %v", hitRows, err)
+	}
+	// counted is seq(members...) that records the highest index asked for.
+	counted := func(asked *int, members ...any) ecrpq.Members {
+		ms := seq(members...)
+		return func(i int) (*ecrpq.Query, bool, error) {
+			*asked = max(*asked, i)
+			return ms(i)
 		}
-		// A spent budget vouches for nothing, and nothing is evaluated under it.
-		spent := engine.NewBudget(nil, time.Now().Add(-time.Second))
-		if res, err := ecrpq.EvalUnionWith(seq(hit), db, ecrpq.Options{Budget: spent, Workers: workers}); !errors.Is(err, engine.ErrCanceled) || res.Len() != 0 {
-			t.Errorf("workers=%d: set evaluation under a spent budget = %d rows, %v", workers, res.Len(), err)
+	}
+
+	asked := -1
+	if ok, err := ecrpq.EvalUnionBoolWith(counted(&asked, errA, hit, miss), db, ecrpq.Options{}); !ok || err != nil {
+		t.Errorf("Boolean over [a member that failed to build, a match] = %v, %v; want true, nil", ok, err)
+	}
+	if asked != 1 {
+		t.Errorf("Boolean: the source was asked up to member %d after the witness at member 1", asked)
+	}
+	if ok, err := ecrpq.EvalUnionBoolWith(seq(invalid, hit), db, ecrpq.Options{}); !ok || err != nil {
+		t.Errorf("Boolean over [a member that does not validate, a match] = %v, %v; want true, nil", ok, err)
+	}
+
+	for _, failing := range []any{errA, invalid} {
+		asked = -1
+		res, err := ecrpq.EvalUnionWith(counted(&asked, hit, failing, hit, miss), db, ecrpq.Options{})
+		if err == nil || failing == errA && !errors.Is(err, errA) {
+			t.Errorf("set over [a match, %v]: error %v, want the failure", failing, err)
 		}
-		if ok, err := ecrpq.EvalUnionBoolWith(seq(hit), db, ecrpq.Options{Budget: spent, Workers: workers}); !errors.Is(err, engine.ErrCanceled) || ok {
-			t.Errorf("workers=%d: Boolean evaluation under a spent budget = %v, %v", workers, ok, err)
+		if res == nil || !res.Equal(hitRows) {
+			t.Errorf("set over [a match, %v]: %v, want the first member's %d rows", failing, res, hitRows.Len())
+		}
+		if asked != 1 {
+			t.Errorf("set over [a match, %v]: the source was asked up to member %d after the failure at member 1", failing, asked)
 		}
 	}
 }
@@ -130,29 +181,4 @@ func streamUnion(ms ecrpq.Members, db *graph.DB, o ecrpq.Options, yield ecrpq.St
 	for row, cost, ok := u.Next(); ok && yield(row, cost); row, cost, ok = u.Next() {
 	}
 	return u.Err()
-}
-
-// TestFanPanicInUnionMember: a member that panics on a fan worker takes down
-// the operation, on the goroutine that asked for it, and nothing else — the
-// next operation runs.
-func TestFanPanicInUnionMember(t *testing.T) {
-	db := workload.Random(11, 20, 80, "ab")
-	good := mustQuery(t, "ans(x, y)\nx y : a")
-	poisoned := &ecrpq.Query{} // no pattern: Validate dereferences nil
-	four := ecrpq.Options{Workers: 4}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("the poisoned member did not panic on the caller")
-			}
-		}()
-		ecrpq.EvalUnionWith(seq(good, good, poisoned, good), db, four)
-	}()
-	want, err := ecrpq.Eval(good, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := ecrpq.EvalUnionWith(seq(good, good), db, four); err != nil || !got.Equal(want) {
-		t.Fatalf("the union after the panic: %v, %v", got, err)
-	}
 }

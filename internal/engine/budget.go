@@ -24,15 +24,14 @@ import (
 var ErrCanceled = errors.New("engine: evaluation budget exhausted")
 
 // Budget bounds one evaluation: an optional wall-clock deadline, an optional
-// context whose cancellation is honored, and a manual stop flag (used by
-// parallel fans to cancel siblings once a witness is found). The zero
+// context whose cancellation is honored, and a manual stop flag. The zero
 // Budget and the nil *Budget are both unlimited; every method is safe on a
-// nil receiver, so kernels thread the pointer without guarding call sites. All methods are safe for concurrent use.
+// nil receiver, so kernels thread the pointer without guarding call sites.
+// All methods are safe for concurrent use.
 type Budget struct {
 	ctx      context.Context
 	deadline time.Time
 	stopped  atomic.Bool
-	parent   *Budget
 }
 
 // NewBudget builds a budget. ctx may be nil (no context check), deadline may
@@ -43,21 +42,11 @@ func NewBudget(ctx context.Context, deadline time.Time) *Budget {
 }
 
 // Stop cancels the budget manually; all subsequent Canceled calls return
-// true. Used to cancel sibling branch evaluations on first witness.
+// true. A cursor's Close stops the budget of the evaluation it pulls.
 func (b *Budget) Stop() {
 	if b != nil {
 		b.stopped.Store(true)
 	}
-}
-
-// Fork derives a child budget observing this one: the child is canceled
-// whenever the parent is, but stopping the child leaves the parent alive.
-// This is the shape a parallel fan needs — one shared child per fan, stopped
-// on first witness, cancels every sibling without spending the caller's
-// budget. Forking a nil budget yields a fresh standalone budget, so fans can
-// always cancel siblings even when the caller runs unlimited.
-func (b *Budget) Fork() *Budget {
-	return &Budget{parent: b}
 }
 
 // Canceled reports whether evaluation under this budget should unwind:
@@ -68,10 +57,6 @@ func (b *Budget) Canceled() bool {
 		return false
 	}
 	if b.stopped.Load() {
-		return true
-	}
-	if b.parent.Canceled() {
-		b.stopped.Store(true)
 		return true
 	}
 	if !b.deadline.IsZero() && !time.Now().Before(b.deadline) {

@@ -6,18 +6,14 @@
 // a label-indexed CSR graph view (graph.Index), an on-the-fly subset
 // construction with dense set ids (automata.SubsetCache), and per-set-id
 // node bitsets for the visited structure, all of it on reusable scratch that
-// is cleared from what a search touched — and fans independent searches out
-// across a bounded worker pool.
+// is cleared from what a search touched. Every search runs on the goroutine
+// that calls it.
 package engine
 
 import (
-	"fmt"
 	"math/bits"
-	"runtime"
-	"runtime/debug"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"cxrpq/internal/automata"
 	"cxrpq/internal/graph"
@@ -273,84 +269,4 @@ func adjacent(ix *graph.Index, node, sym int32, forward bool) []int32 {
 		return ix.OutByID(int(node), sym)
 	}
 	return ix.InByID(int(node), sym)
-}
-
-// Workers returns the size of the worker pool for n independent tasks under
-// a fan width of max; max <= 0 means GOMAXPROCS.
-func Workers(max, n int) int {
-	w := max
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// Fan runs f(0..n-1) across at most workers goroutines (ecrpq.Options.Workers
-// on every evaluation path; <= 0 means GOMAXPROCS) and waits for all calls to
-// finish. f must be safe for concurrent invocation on distinct indices;
-// with a single worker (or n == 1) the calls run inline in order. Workers
-// claim chunked runs of ~n/(8w) indices per fetch-and-add rather than one
-// index each, so tiny per-task bodies stop serializing on the shared
-// counter while the 8× oversubscription keeps load balance for skewed task
-// costs.
-//
-// A panic in f does not take the process down from a goroutine nobody can
-// recover on: the first one is captured, the other workers finish what they
-// claimed, and Fan re-raises it on the calling goroutine (with a single
-// worker it simply propagates), where the caller's own containment — net/http's
-// per-request recover, a cursor's producer — sees it.
-func Fan(workers, n int, f func(i int)) {
-	if n <= 0 {
-		return
-	}
-	w := Workers(workers, n)
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	chunk := n / (8 * w)
-	if chunk < 1 {
-		chunk = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var panicked atomic.Pointer[error]
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					// The re-raise loses the stack the panic was raised on: keep it.
-					err := fmt.Errorf("engine: Fan worker panicked: %v\n%s", r, debug.Stack())
-					panicked.CompareAndSwap(nil, &err)
-				}
-			}()
-			for {
-				end := int(next.Add(int64(chunk)))
-				start := end - chunk
-				if start >= n {
-					return
-				}
-				if end > n {
-					end = n
-				}
-				for i := start; i < end; i++ {
-					f(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := panicked.Load(); err != nil {
-		panic(*err)
-	}
 }

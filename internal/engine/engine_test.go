@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"runtime"
-	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"cxrpq/internal/automata"
@@ -183,17 +181,25 @@ func reach(ix *graph.Index, c *automata.SubsetCache, src int, forward bool) []in
 	return hits
 }
 
-// reachFan runs reach from every source across the worker pool (engine.Fan)
-// and returns the per-source results in input order — the per-source
-// baseline the batched kernel is compared against.
-func reachFan(workers int, ix *graph.Index, c *automata.SubsetCache, srcs []int, forward bool) [][]int {
+// reachConcurrent runs reach from every source, the sources dealt round-robin
+// to g plain goroutines that share c, and returns the per-source results in
+// input order: concurrent requests share a database's automata this way.
+func reachConcurrent(g int, ix *graph.Index, c *automata.SubsetCache, srcs []int, forward bool) [][]int {
 	out := make([][]int, len(srcs))
-	engine.Fan(workers, len(srcs), func(i int) { out[i] = reach(ix, c, srcs[i], forward) })
+	var wg sync.WaitGroup
+	for k := 0; k < g; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := k; i < len(srcs); i += g {
+				out[i] = reach(ix, c, srcs[i], forward)
+			}
+		}()
+	}
+	wg.Wait()
 	return out
 }
 
-// TestFanMatchesSequential checks that the parallel fan-out returns exactly
-// the per-source results, for every worker-pool width.
 // TestSupportMatchesReach: a set-source sweep finds exactly the nodes the
 // single-source searches find between them, in both directions, on a graph
 // with more than 64 labels and for ε-accepting automata (where every node is
@@ -258,33 +264,9 @@ func bitList(b []uint64) (out []int) {
 	return out
 }
 
-func TestFanMatchesSequential(t *testing.T) {
-	const letters = "ab"
-	db := workload.Random(5, 14, 40, letters)
-	m := xregex.MustCompile(xregex.MustParse("a(a|b)*b"), []rune(letters))
-	ix := db.Index()
-	srcs := make([]int, db.NumNodes())
-	for i := range srcs {
-		srcs[i] = i
-	}
-	want := make([][]int, len(srcs))
-	seq := automata.NewSubsetCache(m)
-	for i, s := range srcs {
-		want[i] = reach(ix, seq, s, true)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		got := reachFan(workers, ix, automata.NewSubsetCache(m), srcs, true)
-		for i := range srcs {
-			if !equalInts(got[i], want[i]) {
-				t.Fatalf("workers=%d: fan[%d] = %v, want %v", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestReachSharedCacheConcurrent hammers one shared SubsetCache from many
-// goroutines (via engine.Fan) and checks the results stay correct — the cache
-// is the piece shared across parallel branch evaluations.
+// TestReachSharedCacheConcurrent hammers one shared SubsetCache from eight
+// goroutines and checks the results stay correct — the cache is the piece
+// concurrent requests over one database share.
 func TestReachSharedCacheConcurrent(t *testing.T) {
 	const letters = "abc"
 	db := workload.Random(9, 30, 120, letters)
@@ -297,74 +279,11 @@ func TestReachSharedCacheConcurrent(t *testing.T) {
 			srcs = append(srcs, i)
 		}
 	}
-	got := reachFan(0, ix, shared, srcs, true)
+	got := reachConcurrent(8, ix, shared, srcs, true)
 	for i, s := range srcs {
 		want := referenceReach(db, m, s, true)
 		if !equalInts(got[i], want) {
-			t.Fatalf("concurrent fan[%d] (src %d) = %v, want %v", i, s, got[i], want)
+			t.Fatalf("concurrent reach[%d] (src %d) = %v, want %v", i, s, got[i], want)
 		}
-	}
-}
-
-func TestFanCoversAllIndices(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 100} {
-		hit := make([]int32, n)
-		engine.Fan(0, n, func(i int) { hit[i]++ })
-		for i, h := range hit {
-			if h != 1 {
-				t.Fatalf("n=%d: index %d ran %d times", n, i, h)
-			}
-		}
-	}
-}
-
-// TestFanPanicReraisedOnCaller: a panic on a worker goroutine reaches the
-// goroutine that called Fan — once, carrying the value and the worker's stack
-// — after the other workers have finished what they claimed; with one worker
-// it is the caller's own panic. Fan is usable afterwards.
-func TestFanPanicReraisedOnCaller(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		const n = 64
-		var ran atomic.Int32
-		var got any
-		func() {
-			defer func() { got = recover() }()
-			engine.Fan(workers, n, func(i int) {
-				if i == 5 || i == 40 {
-					panic(fmt.Sprintf("task %d", i))
-				}
-				ran.Add(1)
-			})
-		}()
-		if got == nil || !strings.Contains(fmt.Sprint(got), "task ") {
-			t.Fatalf("workers=%d: Fan recovered %v, want the task's panic", workers, got)
-		}
-		// Chunks are two indices wide here (n/(8w)), so a worker that panics
-		// gives up little: most of the other tasks still ran.
-		if workers > 1 && ran.Load() < n/2 {
-			t.Fatalf("workers=%d: only %d of %d tasks ran beside the panicking ones", workers, ran.Load(), n)
-		}
-		if workers > 1 && !strings.Contains(fmt.Sprint(got), "engine_test.go") {
-			t.Fatalf("workers=%d: the re-raised panic lost the worker's stack: %v", workers, got)
-		}
-		hit := make([]int32, n)
-		engine.Fan(workers, n, func(i int) { hit[i]++ })
-		for i, h := range hit {
-			if h != 1 {
-				t.Fatalf("workers=%d: after the panic index %d ran %d times", workers, i, h)
-			}
-		}
-	}
-}
-
-func TestWorkersBounds(t *testing.T) {
-	if w := engine.Workers(3, 10); w != 3 {
-		t.Fatalf("Workers(3, 10) = %d, want 3", w)
-	}
-	if w := engine.Workers(3, 2); w != 2 {
-		t.Fatalf("Workers(3, 2) = %d, want 2", w)
-	}
-	if w := engine.Workers(0, 1<<20); w != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers(0, many) = %d, want GOMAXPROCS", w)
 	}
 }

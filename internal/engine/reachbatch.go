@@ -5,9 +5,9 @@ package engine
 // BatchWidth sources are packed into one machine word, and a source-set
 // bitmask is propagated through every product configuration (node, set-id).
 // One sweep over an adjacency span answers the corresponding step of up to 64
-// independent Reach calls — an algorithmic saving over the per-source fan
-// that holds at GOMAXPROCS=1, because shared prefix structure of the searches
-// is walked once instead of once per source.
+// independent Reach calls — an algorithmic saving over one search per source,
+// because shared prefix structure of the searches is walked once instead of
+// once per source.
 //
 // A batch runs on the goroutine that asked for it, on one pooled worker that
 // owns the whole node range: no goroutine and no lock inside a search.
@@ -268,7 +268,7 @@ var batchPool = sync.Pool{New: func() any { return new(batchWorker) }}
 //
 // The MS-BFS word-packing is level-synchronous and cannot batch Dijkstra
 // frontiers, nor stop one source of a batch at its first hit, so a weighted
-// or First call runs as a per-source Reach fan instead — correct,
+// or First call runs one Reach per source instead — correct,
 // budget-honoring, but without the 64-way sharing.
 func ReachBatchEx(ix *graph.Index, c *automata.SubsetCache, srcs []int, forward bool, opts ReachOpts) BatchResult {
 	if opts.Weight != nil || opts.First {
@@ -280,25 +280,22 @@ func ReachBatchEx(ix *graph.Index, c *automata.SubsetCache, srcs []int, forward 
 	return res
 }
 
-// reachEach answers a weighted or First ReachBatchEx request: the sources fan
-// out GOMAXPROCS wide (a kernel sees no fan width), one Reach each.
-// Truncation is detected through the shared budget, like the batched kernel:
-// a canceled sweep leaves some sources' lists sound but incomplete (or
-// missing entirely), so the result must not enter cross-query caches.
+// reachEach answers a weighted or First ReachBatchEx request: one Reach per
+// source, in order. Truncation is detected through the budget, like the
+// batched kernel: a canceled sweep leaves some sources' lists sound but
+// incomplete (or missing entirely), so the result must not enter cross-query
+// caches.
 func reachEach(ix *graph.Index, c *automata.SubsetCache, srcs []int, forward bool, opts ReachOpts) BatchResult {
 	res := BatchResult{Hits: make([][]int, len(srcs))}
 	if opts.Levels || opts.Weight != nil {
 		res.Levs = make([][]int32, len(srcs))
 	}
-	Fan(0, len(srcs), func(i int) {
-		if opts.Budget.Canceled() {
-			return
-		}
+	for i := 0; i < len(srcs) && !opts.Budget.Canceled(); i++ {
 		h, l := Reach(ix, c, srcs[i], forward, opts)
 		if res.Hits[i] = h; res.Levs != nil {
 			res.Levs[i] = l
 		}
-	})
+	}
 	res.Truncated = opts.Budget.Canceled()
 	return res
 }

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -240,8 +241,9 @@ func reuseTable(t *testing.T) []reachCall {
 // TestScratchReuseDifferential: a search on scratch other searches have used
 // must return what it returns on first use — hits, levels, Truncated — and
 // leave the scratch all-zero, also when a budget cut it short. The same
-// calls then run through the pooled entry points from engine.Fan goroutines,
-// so `go test -race` sees a scratch handed from one goroutine to another.
+// calls then run through the pooled entry points from eight goroutines, as
+// concurrent requests run them, so `go test -race` sees a scratch handed from
+// one goroutine to another.
 func TestScratchReuseDifferential(t *testing.T) {
 	calls := reuseTable(t)
 	want := make([]outcome, len(calls))
@@ -265,13 +267,21 @@ func TestScratchReuseDifferential(t *testing.T) {
 		t.Fatalf("%d calls were cut by their budget, want the sweep and the batch", truncated)
 	}
 
-	const rounds = 6
-	Fan(8, rounds*len(calls), func(i int) {
-		rc := &calls[(i*5)%len(calls)] // neighbours in the table land on different goroutines
-		if got := rc.public(); !reflect.DeepEqual(got, want[(i*5)%len(calls)]) {
-			t.Errorf("%s: through the pool\n got %v\nwant %v", rc.name, got, want[(i*5)%len(calls)])
-		}
-	})
+	const rounds, goroutines = 6, 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < rounds*len(calls); i += goroutines {
+				rc := &calls[(i*5)%len(calls)] // neighbours in the table land on different goroutines
+				if got := rc.public(); !reflect.DeepEqual(got, want[(i*5)%len(calls)]) {
+					t.Errorf("%s: through the pool\n got %v\nwant %v", rc.name, got, want[(i*5)%len(calls)])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestPoolsHoldOnlyZeroScratch: a Reach whose Weight panics on its k-th call

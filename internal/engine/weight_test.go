@@ -130,11 +130,11 @@ func TestReachBatchExWeighted(t *testing.T) {
 	for i, src := range srcs {
 		wantH, wantL := engine.Reach(ix, c, src, true, engine.ReachOpts{Weight: w})
 		if len(res.Hits[i]) != len(wantH) {
-			t.Fatalf("src %d: batch %d hits, fan %d", src, len(res.Hits[i]), len(wantH))
+			t.Fatalf("src %d: batch %d hits, per-source %d", src, len(res.Hits[i]), len(wantH))
 		}
 		for j := range wantH {
 			if res.Hits[i][j] != wantH[j] || res.Levs[i][j] != wantL[j] {
-				t.Fatalf("src %d hit %d: batch (%d,%d), fan (%d,%d)",
+				t.Fatalf("src %d hit %d: batch (%d,%d), per-source (%d,%d)",
 					src, j, res.Hits[i][j], res.Levs[i][j], wantH[j], wantL[j])
 			}
 		}
