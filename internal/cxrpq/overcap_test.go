@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -80,13 +81,16 @@ func TestOverCapDifferential(t *testing.T) {
 			}
 			plan := cxrpq.MustPrepare(c.q)
 
-			// The session operations and the streams are independent of one
-			// another: parallel subtests. The operations count the answers of
-			// their own copy's store.
-			t.Run("operations", func(t *testing.T) {
-				t.Parallel()
-				overCapOperations(t, plan.Bind(freshCopy(c.db)), want, answer, nonAnswer)
-			})
+			// The session operations, from one request goroutine and from
+			// four sharing one session, and the streams are independent of
+			// one another: parallel subtests. The operations count the
+			// answers of their own copy's store.
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					t.Parallel()
+					overCapOperations(t, plan.Bind(freshCopy(c.db)), workers, want, answer, nonAnswer)
+				})
+			}
 			t.Run("streams", func(t *testing.T) {
 				t.Parallel()
 				overCapStreams(t, plan, c.db, want)
@@ -95,37 +99,68 @@ func TestOverCapDifferential(t *testing.T) {
 	}
 }
 
-// overCapOperations runs every set, Boolean and check operation of sess: under
-// a spent budget first, then twice for the answer and the result cache.
-func overCapOperations(t *testing.T, sess *cxrpq.Session, want *pattern.TupleSet, answer, nonAnswer pattern.Tuple) {
-	spent := func() *engine.Budget { return engine.NewBudget(nil, time.Now().Add(-time.Second)) }
-	// A spent budget first: ErrCanceled from every operation, nothing cached.
-	for _, req := range []cxrpq.Request{{Op: "eval"}, {Op: "bool"}, {Op: "check", Tuple: answer}} {
-		req.Budget = spent()
-		if resp := sess.Do(req); !errors.Is(resp.Err, engine.ErrCanceled) || resp.OK {
-			t.Fatalf("%s under a spent budget = %v, %v; want engine.ErrCanceled", req.Op, resp.OK, resp.Err)
+// overCapOperations runs every set, Boolean and check operation of sess from
+// workers goroutines at once, each request on its own goroutine: under a
+// spent budget first, then twice for the answer and the result cache.
+func overCapOperations(t *testing.T, sess *cxrpq.Session, workers int, want *pattern.TupleSet, answer, nonAnswer pattern.Tuple) {
+	concurrently := func(pass func() error) {
+		t.Helper()
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[w] = pass()
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatal(err)
 		}
 	}
+	spent := func() *engine.Budget { return engine.NewBudget(nil, time.Now().Add(-time.Second)) }
+	// A spent budget first: ErrCanceled from every operation, nothing cached.
+	concurrently(func() error {
+		for _, req := range []cxrpq.Request{{Op: "eval"}, {Op: "bool"}, {Op: "check", Tuple: answer}} {
+			req.Budget = spent()
+			if resp := sess.Do(req); !errors.Is(resp.Err, engine.ErrCanceled) || resp.OK {
+				return fmt.Errorf("%s under a spent budget = %v, %v; want engine.ErrCanceled", req.Op, resp.OK, resp.Err)
+			}
+		}
+		return nil
+	})
 	if st := storeStats(sess); st.Results.Entries != 0 {
 		t.Fatalf("%d results cached by canceled operations", st.Results.Entries)
 	}
+	before := storeStats(sess)
 	// Then every operation twice: the answer, and the second time from the cache.
-	for call := 0; call < 2; call++ {
-		if got, err := tuples(sess.Do(cxrpq.Request{Op: "eval"})); err != nil || !got.Equal(want) {
-			t.Fatalf("Eval = %v, %v; want %v", got.Sorted(), err, want.Sorted())
+	concurrently(func() error {
+		for call := 0; call < 2; call++ {
+			if got, err := tuples(sess.Do(cxrpq.Request{Op: "eval"})); err != nil || !got.Equal(want) {
+				return fmt.Errorf("Eval = %v, %v; want %v", got.Sorted(), err, want.Sorted())
+			}
+			if ok, err := verdict(sess.Do(cxrpq.Request{Op: "bool"})); err != nil || !ok {
+				return fmt.Errorf("EvalBool = %v, %v", ok, err)
+			}
+			if ok, err := verdict(sess.Do(cxrpq.Request{Op: "check", Tuple: answer})); err != nil || !ok {
+				return fmt.Errorf("Check(%v) = %v, %v; want true", answer, ok, err)
+			}
+			if ok, err := verdict(sess.Do(cxrpq.Request{Op: "check", Tuple: nonAnswer})); err != nil || ok {
+				return fmt.Errorf("Check(%v) = %v, %v; want false", nonAnswer, ok, err)
+			}
 		}
-		if ok, err := verdict(sess.Do(cxrpq.Request{Op: "bool"})); err != nil || !ok {
-			t.Fatalf("EvalBool = %v, %v", ok, err)
-		}
-		if ok, err := verdict(sess.Do(cxrpq.Request{Op: "check", Tuple: answer})); err != nil || !ok {
-			t.Fatalf("Check(%v) = %v, %v; want true", answer, ok, err)
-		}
-		if ok, err := verdict(sess.Do(cxrpq.Request{Op: "check", Tuple: nonAnswer})); err != nil || ok {
-			t.Fatalf("Check(%v) = %v, %v; want false", nonAnswer, ok, err)
-		}
-	}
-	if st := storeStats(sess); st.ResultHits != 4 || st.Results.Entries != 4 {
-		t.Fatalf("repeated operations: %d result-cache hits over %d entries, want 4 over 4", st.ResultHits, st.Results.Entries)
+		return nil
+	})
+	// Four results, each looked up twice per worker: every worker's second
+	// lookup hits, and so does every first lookup but the one that filed
+	// the result — unless workers missed it at the same time. One worker
+	// hits exactly 4 times.
+	st := storeStats(sess)
+	hits, lookups := st.ResultHits-before.ResultHits, st.ResultHits+st.ResultMisses-before.ResultHits-before.ResultMisses
+	if lookups != uint64(8*workers) || hits < uint64(4*workers) || hits > uint64(8*workers-4) || st.Results.Entries != 4 {
+		t.Fatalf("repeated operations by %d workers: %d result-cache hits in %d lookups over %d entries, want %d..%d in %d over 4",
+			workers, hits, lookups, st.Results.Entries, 4*workers, 8*workers-4, 8*workers)
 	}
 }
 
