@@ -62,21 +62,23 @@
 //	                     JoinOrder its one join order: fewest unbound
 //	                     endpoints first, ties in query order, no
 //	                     statistics read;
-//	                     union.go is the one place that walks a union of
-//	                     ECRPQs (set, Boolean, check, stream, any-k roots
-//	                     over a member sequence, the members in order on
-//	                     the caller's goroutine)
+//	                     union.go holds the program's member loops (set,
+//	                     seeded set, exists, stream, any-k roots over a
+//	                     member source, the members in order on the
+//	                     caller's goroutine), which both unions run
+//	                     through: a vstar-free query's ECRPQ^er members and
+//	                     a bounded run's mappings, each an ecrpq.Leaf
 //	internal/cxrpq       the paper's contribution: CXRPQs, their fragments,
 //	                     evaluation algorithms (Thms 2/5/6, Cor 1), normal
 //	                     form (Lemmas 4-6, 8), translations (Lemmas 12-14);
 //	                     bounded.go is the prefix-incremental CXRPQ^≤k
 //	                     engine (candidate images from a label-index walk
 //	                     steered by the definition bodies, relaxed-atom
-//	                     subtree pruning by existence probe, mapping
-//	                     enumeration on the request's goroutine, and each
-//	                     mapping's CRPQ joined by the one executor over its
-//	                     atoms, the pattern compiled once per run:
-//	                     ecrpq.Leaf);
+//	                     subtree pruning by existence probe, and a mapping
+//	                     enumeration that is the member source of the union
+//	                     of CRPQs the query is under the bound: each
+//	                     mapping's CRPQ is the run's one leaf over its
+//	                     atoms, the pattern compiled once per run);
 //	                     plan.go/session.go are the prepared-query
 //	                     subsystem: Prepare(q) compiles an immutable Plan
 //	                     (fragment class, bounded schedule, the member

@@ -170,15 +170,14 @@ func TestAtomStoreCutBuildPoisonsNobody(t *testing.T) {
 	stored := func() (n int) {
 		for _, label := range []string{"a(a|b)+", "b(a|b)+"} {
 			text := "ans(x, y)\nx y : " + label
-			_, err := leafOf(db, text, []rune("ab"), spent)
+			err := leafSet(db, text, []rune("ab"), spent)
 			if err == nil {
-				leaf, herr := leafOf(db, text, []rune("ab"), nil)
+				res, herr := leafJoin(db, text, []rune("ab"))
 				whole, werr := ecrpq.RelationFor(db, xregex.MustParse(label), []rune("ab"))
 				if herr != nil || werr != nil {
 					t.Fatal(herr, werr)
 				}
-				held, want := 0, 0
-				leaf.Stream(func([]int32, int) bool { held++; return true })
+				held, want := res.Len(), 0
 				for u := range db.NumNodes() {
 					want += len(whole.Forward(u))
 				}
@@ -314,7 +313,7 @@ func TestAtomStoreBoundedTextsShareTables(t *testing.T) {
 	if st := store.Stats(); st.Misses != before.Misses || st.Kernel.Sources != before.Kernel.Sources || st.Hits == before.Hits {
 		t.Fatalf("the second text searched again: %d misses and %d kernel sources more, %d hits", st.Misses-before.Misses, st.Kernel.Sources-before.Kernel.Sources, st.Hits-before.Hits)
 	}
-	if _, err := leafJoin(db, "ans(x, y)\nx y : a(a|b)*", db.Alphabet(), engine.NewBudget(nil, time.Now().Add(-time.Second))); err != nil {
+	if err := leafSet(db, "ans(x, y)\nx y : a(a|b)*", db.Alphabet(), engine.NewBudget(nil, time.Now().Add(-time.Second))); err != nil {
 		t.Fatalf("the table of a(a|b)* is not complete in the store: %v", err)
 	}
 }

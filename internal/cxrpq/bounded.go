@@ -8,7 +8,6 @@ import (
 	"cxrpq/internal/ecrpq"
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
-	"cxrpq/internal/pattern"
 	"cxrpq/internal/xregex"
 )
 
@@ -47,9 +46,7 @@ import (
 //  4. A complete mapping is then a CRPQ (Lemma 11) over the atoms set on
 //     the run's leaf — the pattern compiled once per run — and needs only
 //     the executor's join over them (ecrpq.Leaf), not a fresh CRPQ
-//     evaluation. Settling a carried answer runs the same enumeration and
-//     joins each mapping once per source variable, pre-bound to each node of
-//     the window's frontier (seeds).
+//     evaluation.
 //
 // The engine is split along the prepared-query boundary (plan.go /
 // session.go): boundedPlan holds everything derivable from the query alone
@@ -57,11 +54,15 @@ import (
 // computed once by Prepare; the atom store holds the per-database facts (row
 // tables, supports, path-existence verdicts), shared across calls, sessions
 // and concurrent engine runs. A boundedEngine is the per-call object tying one
-// run's enumeration state, candidate lists and result sink to those two.
+// run's enumeration state and candidate lists to those two.
 //
-// A run enumerates its mappings one after another on the goroutine that
-// serves its request, joining each through the run's one leaf into one answer
-// set; a Boolean run returns at its first witness.
+// The engine joins nothing itself: a run is the member source of the union of
+// CRPQs the query is under the bound (Lemma 12), one member per mapping
+// (boundedEngine.members), and the drivers of internal/ecrpq/union.go join
+// the members — into one answer set, to the first witness, once per source
+// variable seeded on a window's frontier, as a stream or as any-k roots —
+// exactly as they join a vstar-free query's. Only a bounded explain walks the
+// mappings here, to search each instantiated CRPQ for a path witness.
 //
 // EvalBoundedNaive (eval.go) remains the literal Theorem 6 rendering and the
 // differential baseline: the two must agree on full tuple sets.
@@ -163,14 +164,12 @@ func planBounded(q *Query) (*boundedPlan, error) {
 }
 
 // boundedEngine is one evaluation run: the plan plus the database binding,
-// its atom store, the per-run options and the result set. All mutable
-// enumeration state lives in boundedState, one per run.
+// its atom store and the per-run budget and memos. All mutable enumeration
+// state lives in boundedState, one per run.
 type boundedEngine struct {
-	p        *boundedPlan
-	db       *graph.DB
-	sigma    []rune
-	boolOnly bool
-	pre      map[string]int // pre-bound node variables (a bounded check)
+	p     *boundedPlan
+	db    *graph.DB
+	sigma []rune
 
 	k     int              // image bound
 	atoms *ecrpq.AtomStore // the database's atom facts, shared by every run over it
@@ -183,22 +182,6 @@ type boundedEngine struct {
 	// table sweeps and leaf joins, which unwind at level granularity once it
 	// is spent.
 	bud *engine.Budget
-
-	// ranked makes the leaf joins read rows with costs — BFS first-hit
-	// levels, or minimum total weights under weight, a pluggable
-	// per-edge-label weight — which they report as witness costs. The run
-	// searches them for itself (ecrpq.Leaf): a weight has no identity to file
-	// them under in the store.
-	ranked bool
-	weight engine.Weight
-
-	// seeds, when set, makes the run join each complete mapping once per
-	// source variable of the pattern, pre-bound to each of its nodes: the rows
-	// of the answer with a witness that binds some atom's source to a seed
-	// (ecrpq.Leaf.StreamSeeded).
-	seeds []int
-
-	out *pattern.TupleSet
 }
 
 // boundedState is the mutable state of a run's enumeration: the partial
@@ -255,36 +238,43 @@ func (c *epochMap[K, V]) getOr(key K, compute func() (V, error)) (V, error) {
 // newBoundedEngine binds a bounded plan to a database for one run under bud
 // (nil = unlimited). atoms is db's atom store (Session.boundedRun, the one
 // caller, holds it), shared with every other run over the snapshot.
-func newBoundedEngine(p *boundedPlan, db *graph.DB, k int, boolOnly bool, pre map[string]int, atoms *ecrpq.AtomStore, sigma []rune, bud *engine.Budget) (*boundedEngine, error) {
+func newBoundedEngine(p *boundedPlan, db *graph.DB, k int, atoms *ecrpq.AtomStore, sigma []rune, bud *engine.Budget) (*boundedEngine, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("cxrpq: negative image bound %d", k)
 	}
-	e := &boundedEngine{
-		p:        p,
-		db:       db,
-		sigma:    sigma,
-		boolOnly: boolOnly,
-		pre:      pre,
-		k:        k,
-		atoms:    atoms,
-		cands:    newEpochMap[string, []string](runMemoCap),
-		bud:      bud,
-		out:      pattern.NewTupleSet(),
-	}
-	return e, nil
+	return &boundedEngine{p: p, db: db, sigma: sigma, k: k, atoms: atoms, cands: newEpochMap[string, []string](runMemoCap), bud: bud}, nil
 }
 
-// newState starts the run's enumeration and compiles its leaf join.
-func (e *boundedEngine) newState() *boundedState {
+// newState starts the run's enumeration and compiles its leaf for j.
+func (e *boundedEngine) newState(j ecrpq.Join) *boundedState {
 	ne, nv := len(e.p.c), len(e.p.vars)
 	return &boundedState{
 		e:        e,
 		assign:   map[string]string{},
 		insts:    make([]xregex.Node, ne),
-		leaf:     ecrpq.NewLeaf(e.atoms, e.p.q.Pattern, e.pre, e.seeds != nil, ecrpq.Options{Budget: e.bud, Ranked: e.ranked, Weight: e.weight}),
+		leaf:     ecrpq.NewLeaf(e.atoms, e.p.q.Pattern, j),
 		survived: make([]map[string]bool, ne),
 		cands:    make([][]string, nv),
 		enter:    true,
+	}
+}
+
+// members is the run's member source for one request: its mappings in
+// enumeration order, each the run's one leaf with the mapping's atoms set on
+// it, compiled for the join the first member is asked for. The drivers ask
+// for the members in order, once each. A failure ends the enumeration, and so
+// does a spent budget, which is no failure: the driver reads the budget.
+func (e *boundedEngine) members() ecrpq.Members {
+	var st *boundedState
+	return func(_ int, j ecrpq.Join) (*ecrpq.Leaf, bool, error) {
+		if st == nil {
+			st = e.newState(j)
+		}
+		ok, err := st.next()
+		if err = e.ignoreCanceled(err); err != nil {
+			return nil, true, err
+		}
+		return st.leaf, ok, nil
 	}
 }
 
@@ -516,36 +506,6 @@ func (st *boundedState) next() (bool, error) {
 	}
 	st.depth = -1
 	return false, nil
-}
-
-// drive joins every mapping of the run, in enumeration order, into the run's
-// answer set; a Boolean run returns at its first witness. The answer is
-// settled on every return, a truncated one too.
-func (e *boundedEngine) drive() (*pattern.TupleSet, error) {
-	defer e.out.Settle()
-	st := e.newState()
-	for !e.boolOnly || e.out.Len() == 0 {
-		if ok, err := st.next(); !ok {
-			return e.out, e.ignoreCanceled(err)
-		}
-		e.joinLeaf(st)
-	}
-	return e.out, nil
-}
-
-// joinLeaf is the default leaf: join the mapping's atoms, in the run's one
-// edge order, and append the answers to the run's answer set — only the
-// first, in a Boolean run.
-func (e *boundedEngine) joinLeaf(st *boundedState) {
-	collect := func(row []int32, _ int) bool {
-		e.out.Append(row)
-		return !e.boolOnly
-	}
-	if e.seeds != nil {
-		st.leaf.StreamSeeded(e.seeds, collect)
-	} else {
-		st.leaf.Stream(collect)
-	}
 }
 
 // ignoreCanceled filters engine.ErrCanceled out of a run's error flow:

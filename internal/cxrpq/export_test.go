@@ -63,7 +63,7 @@ func NewCandidateWalk(q *Query, db *graph.DB, k int) (*CandidateWalk, error) {
 		return nil, err
 	}
 	sess := p.Bind(db)
-	e, err := sess.boundedRun(ecrpq.Atoms(db), k, false, nil, nil)
+	e, err := sess.boundedRun(ecrpq.Atoms(db), k, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -97,12 +97,11 @@ func EvalBoundedBoolPre(q *Query, db *graph.DB, k int, pre map[string]int) (bool
 		return false, err
 	}
 	sess := p.Bind(db)
-	e, err := sess.boundedRun(ecrpq.Atoms(db), k, true, pre, nil)
+	e, err := sess.boundedRun(ecrpq.Atoms(db), k, nil)
 	if err != nil {
 		return false, err
 	}
-	res, err := e.drive()
-	return err == nil && res.Len() > 0, err
+	return ecrpq.ExistsUnion(e.members(), pre, ecrpq.Options{})
 }
 
 // Next returns the next row, fetched alone.

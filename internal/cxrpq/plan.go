@@ -144,13 +144,15 @@ func PrepareSrc(src string) (*Plan, error) {
 // fragment containing the query (classified once at Prepare).
 func (p *Plan) Fragment() string { return p.fragment }
 
-// members returns the plan's one member source: the union of ECRPQ^er the
-// query is equivalent to. A classical query is its own single member and a
-// simple one its Lemma 3 translation; a vstar-free query has one member per
-// Lemma 7 branch combination — kept, translated once per Plan, when there
-// are at most vsfComboCap of them, decoded and translated afresh on every
-// request beyond that. A plan that is not vstar-free has no such union.
-func (p *Plan) members() (ecrpq.Members, error) {
+// members returns the plan's one member source: the queries, by index, of
+// the union of ECRPQ^er the query is equivalent to, which Session.source
+// compiles over its database (ecrpq.QueryMembers). A classical query is its
+// own single member and a simple one its Lemma 3 translation; a vstar-free
+// query has one member per Lemma 7 branch combination — kept, translated
+// once per Plan, when there are at most vsfComboCap of them, decoded and
+// translated afresh on every request beyond that. A plan that is not
+// vstar-free has no such union.
+func (p *Plan) members() (func(i int) (*ecrpq.Query, bool, error), error) {
 	if p.kind == kindGeneral {
 		return nil, fmt.Errorf("cxrpq: %s is not vstar-free; evaluate it under the bounded (CXRPQ^≤k) or log semantics", p.fragment)
 	}
@@ -195,7 +197,7 @@ func (p *Plan) member(i int) (member, bool) {
 	return member{}, false
 }
 
-// query is member i as the union evaluators of internal/ecrpq see it.
+// query is member i as an ECRPQ^er, or the error its translation failed with.
 func (p *Plan) query(i int) (*ecrpq.Query, bool, error) {
 	m, ok := p.member(i)
 	if !ok || m.err != nil {

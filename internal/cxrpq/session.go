@@ -22,8 +22,10 @@ import (
 // Each call asks ecrpq.Atoms(db) once and runs against that store. A query
 // runs through exactly two operations: Do, one Request answered whole, and
 // Stream (stream.go), a pull cursor; PlanReport (planreport.go) reports the
-// join order without evaluating. All Session methods are safe for concurrent
-// use.
+// join order without evaluating. Whatever the semantics, an operation is one
+// call of a union driver (internal/ecrpq/union.go) over the request's member
+// source (source): the plan's ECRPQ^er members, or a bounded run's mappings.
+// All Session methods are safe for concurrent use.
 //
 // Invalidation contract: the database must not be mutated while a call is
 // in flight. After a (quiescent) mutation, the next call finds the store
@@ -100,13 +102,33 @@ func (s *Session) explanation(ex *Explanation) *Explanation {
 // boundedRun binds the plan's bounded schedule (Theorem 6) to the session's
 // database and its atom store atoms for one run under bud: the one
 // constructor of every bounded evaluation, check, explanation and stream.
-func (s *Session) boundedRun(atoms *ecrpq.AtomStore, k int, boolOnly bool, pre map[string]int, bud *engine.Budget) (*boundedEngine, error) {
+func (s *Session) boundedRun(atoms *ecrpq.AtomStore, k int, bud *engine.Budget) (*boundedEngine, error) {
 	bp, err := s.plan.boundedPlanFor()
 	if err != nil {
 		return nil, err
 	}
 	sigma := xregex.MergeAlphabets(s.db.Alphabet(), s.plan.sigma)
-	return newBoundedEngine(bp, s.db, k, boolOnly, pre, atoms, sigma, bud)
+	return newBoundedEngine(bp, s.db, k, atoms, sigma, bud)
+}
+
+// source is the member source of one request: under the union semantics the
+// plan's union of ECRPQ^er (Plan.members), each member compiled over the
+// session's database; under a bounded one the mappings of a bounded run
+// under image bound k (Theorem 6), each the run's leaf join over the
+// mapping's atoms. The drivers of internal/ecrpq/union.go pull either.
+func (s *Session) source(atoms *ecrpq.AtomStore, bounded bool, k int, bud *engine.Budget) (ecrpq.Members, error) {
+	if !bounded {
+		qs, err := s.plan.members()
+		if err != nil {
+			return nil, err
+		}
+		return ecrpq.QueryMembers(s.db, qs), nil
+	}
+	e, err := s.boundedRun(atoms, k, bud)
+	if err != nil {
+		return nil, err
+	}
+	return e.members(), nil
 }
 
 // Request is one operation against a Session: one of the paper's evaluation
@@ -156,10 +178,10 @@ func (s *Session) semantics(name string, k int) (bounded bool, bound int, err er
 }
 
 // Do executes one request against the session: the semantics are resolved,
-// the atom store is asked for the answer once, and on a miss the union arm
-// (every vstar-free query is a union of ECRPQ^er: Plan.members) or the
-// bounded arm (Theorem 6) runs the operation — or, when the store carried
-// the answer over the window since it was filed, settles it (settleCarried).
+// the atom store is asked for the answer once, and on a miss the operation
+// runs over the request's member source (run) — or, when the store carried
+// the answer over the window since it was filed, the answer is settled
+// (settleCarried).
 // Only a complete answer is filed, charged 4 bytes per value of its tuples:
 // an error, or a budget the run ran into, files nothing.
 func (s *Session) Do(req Request) Response {
@@ -190,10 +212,10 @@ func (s *Session) Do(req Request) Response {
 		return s.settleCarried(atoms, key, v.(Response), frontier, drop, bounded, k, req.Budget)
 	}
 	var resp Response
-	if bounded {
-		resp = s.doBounded(atoms, req.Op, k, t, req.Budget)
+	if req.Op == "explain" {
+		resp = s.explain(atoms, bounded, k, t, req.Budget)
 	} else {
-		resp = s.doUnion(req.Op, t, req.Budget)
+		resp = s.run(atoms, req.Op, bounded, k, t, req.Budget)
 	}
 	if resp.Err == nil && req.Budget.Err() == nil {
 		atoms.FileAnswer(key, resp, resp.values(), resp.carry())
@@ -229,28 +251,23 @@ func (r Response) carry() ecrpq.Carry {
 // the database, and files it in place of the stale copy. A verdict holds as
 // it is: the store carries one over windows that only inserted. An eval
 // answer gains the rows with a witness that binds some atom's source
-// variable to a node of the window's frontier — the union arm runs the lazy
-// evaluator per member (ecrpq.EvalUnionSeededWith), the bounded arm its
-// mapping enumeration with seeded leaf joins (boundedDelta) — merged into the
-// old rows, less those drop reports: over a window that removed edges, the
-// rows with a frontier node at a source variable's position (frontierRows),
-// whose witnesses all bind that source there, so that the seeded joins find
-// each of them that still holds. A run that fails or that the budget cuts
-// files nothing: a cut one returns the old rows drop spares and those it
-// found, with engine.ErrCanceled.
+// variable to a node of the window's frontier — every member of the
+// request's source joined once per source variable, pre-bound to each
+// frontier node (ecrpq.EvalUnionSeededWith) — merged into the old rows, less
+// those drop reports: over a window that removed edges, the rows with a
+// frontier node at a source variable's position (frontierRows), whose
+// witnesses all bind that source there, so that the seeded joins find each
+// of them that still holds. A run that fails or that the budget cuts files
+// nothing: a cut one returns the old rows drop spares and those it found,
+// with engine.ErrCanceled.
 func (s *Session) settleCarried(atoms *ecrpq.AtomStore, key any, old Response, frontier []int, drop func([]int32) bool, bounded bool, k int, bud *engine.Budget) Response {
 	if old.Tuples == nil {
 		return atoms.SettleAnswer(key, old, 0, old.carry()).(Response)
 	}
 	var delta *pattern.TupleSet
-	var err error
-	if bounded {
-		delta, err = s.boundedDelta(atoms, k, frontier, bud)
-	} else {
-		var ms ecrpq.Members
-		if ms, err = s.plan.members(); err == nil {
-			delta, err = ecrpq.EvalUnionSeededWith(ms, s.db, frontier, ecrpq.Options{Budget: bud})
-		}
+	ms, err := s.source(atoms, bounded, k, bud)
+	if err == nil {
+		delta, err = ecrpq.EvalUnionSeededWith(ms, frontier, ecrpq.Options{Budget: bud})
 	}
 	if delta == nil {
 		delta = pattern.NewTupleSet()
@@ -284,44 +301,58 @@ func frontierRows(n int, frontier, cols []int) func([]int32) bool {
 	}
 }
 
-// boundedDelta is the bounded arm of settleCarried: the run's mapping
-// enumeration as it is, with every leaf joined once per source variable,
-// pre-bound to each node of seeds (boundedEngine.seeds).
-func (s *Session) boundedDelta(atoms *ecrpq.AtomStore, k int, seeds []int, bud *engine.Budget) (*pattern.TupleSet, error) {
-	if len(seeds) == 0 {
-		return pattern.NewTupleSet(), nil
+// run runs op — eval, bool or check — over the request's member source by
+// the union drivers (internal/ecrpq/union.go), whatever the arm. A failed or
+// truncated eval returns the sound partial rows with its error; bool and
+// check run the lazy search per member, first witness wins, and a found
+// witness makes the answer definitive whatever the budget cut afterwards.
+// Check pre-binds the output variables, so each member's join only searches
+// for one extension of the tuple.
+func (s *Session) run(atoms *ecrpq.AtomStore, op string, bounded bool, k int, t pattern.Tuple, bud *engine.Budget) Response {
+	var pre map[string]int
+	if op == "check" {
+		var ok bool
+		var err error
+		if pre, ok, err = ecrpq.PreBind(s.plan.q.Pattern.Out, s.db, t); err != nil || !ok {
+			return Response{Err: err} // !ok: one output variable bound to two nodes
+		}
 	}
-	e, err := s.boundedRun(atoms, k, false, nil, bud)
-	if err != nil {
-		return nil, err
-	}
-	e.seeds = seeds
-	return e.drive()
-}
-
-// doUnion runs op over the plan's union of ECRPQ^er. A truncated eval
-// returns the sound partial set with engine.ErrCanceled; bool and check run
-// the lazy (chunked-sweep) search per member, first witness wins. Explain
-// searches the members in order (ecrpq.FindWitness) and the first with a
-// witness wins, whatever a member before it failed with; its translation
-// takes the witness back to the query.
-func (s *Session) doUnion(op string, t pattern.Tuple, bud *engine.Budget) Response {
-	ms, err := s.plan.members()
+	ms, err := s.source(atoms, bounded, k, bud)
 	if err != nil {
 		return Response{Err: err}
 	}
 	o := ecrpq.Options{Budget: bud}
-	switch op {
-	case "eval":
-		res, err := ecrpq.EvalUnionWith(ms, s.db, o)
-		return Response{Tuples: res, OK: res != nil && res.Len() > 0, Err: err}
-	case "bool":
-		ok, err := ecrpq.EvalUnionBoolWith(ms, s.db, o)
-		return Response{OK: ok, Err: err}
-	case "check":
-		ok, err := ecrpq.CheckUnionWith(ms, s.db, t, o)
-		return Response{OK: ok, Err: err}
+	if op == "eval" {
+		res, err := ecrpq.EvalUnionWith(ms, o)
+		return Response{Tuples: res, OK: res.Len() > 0, Err: err}
 	}
+	ok, err := ecrpq.ExistsUnion(ms, pre, o)
+	return Response{OK: ok, Err: err}
+}
+
+// explain finds the first witness of the request's arm and takes it back to
+// the query. The union arm searches the members in order
+// (ecrpq.FindWitness) and the first with a witness wins, whatever a member
+// before it failed with; its translation takes the witness back through the
+// member's Step 3 map. The bounded arm pulls the mappings in enumeration
+// order and searches each instantiated CRPQ; the witness carries the
+// mapping's images.
+func (s *Session) explain(atoms *ecrpq.AtomStore, bounded bool, k int, t pattern.Tuple, bud *engine.Budget) Response {
+	if bounded {
+		e, err := s.boundedRun(atoms, k, bud)
+		if err != nil {
+			return Response{Err: err}
+		}
+		found, err := s.explainBounded(e, t)
+		if err == nil && found == nil {
+			err = bud.Err()
+		}
+		return Response{OK: found != nil, Explanation: found, Err: err}
+	}
+	if _, err := s.plan.members(); err != nil {
+		return Response{Err: err}
+	}
+	o := ecrpq.Options{Budget: bud}
 	var failed error
 	for i := 0; ; i++ {
 		m, more := s.plan.member(i)
@@ -345,54 +376,10 @@ func (s *Session) doUnion(op string, t pattern.Tuple, bud *engine.Budget) Respon
 	return Response{Err: failed}
 }
 
-// doBounded runs op on the bounded engine under image bound k. Check pre-binds
-// the output variables, so each leaf join only searches for one extension of
-// the tuple; explain pulls the mappings in enumeration order — the witness is
-// the first — and searches each instantiated CRPQ for a path witness instead
-// of joining its atoms. A bool or check run returns at its first witness, and
-// a found witness makes a bool, check or explain answer definitive whatever
-// the budget cut afterwards; any other truncated run returns its value — for
-// eval, the sound partial rows — with engine.ErrCanceled.
-func (s *Session) doBounded(atoms *ecrpq.AtomStore, op string, k int, t pattern.Tuple, bud *engine.Budget) Response {
-	var err error
-	var pre map[string]int
-	if op == "check" {
-		var ok bool
-		if pre, ok, err = ecrpq.PreBind(s.plan.q.Pattern.Out, s.db, t); err != nil || !ok {
-			return Response{Err: err} // !ok: one output variable bound to two nodes
-		}
-	}
-	e, err := s.boundedRun(atoms, k, op == "bool" || op == "check", pre, bud)
-	if err != nil {
-		return Response{Err: err}
-	}
-	var found *Explanation
-	res := e.out
-	if op == "explain" {
-		found, err = s.explainBounded(e, t)
-	} else {
-		res, err = e.drive()
-	}
-	if err != nil {
-		return Response{Err: err}
-	}
-	resp := Response{OK: res.Len() > 0}
-	switch op {
-	case "eval":
-		resp.Tuples = res
-	case "explain":
-		resp.OK, resp.Explanation = found != nil, found
-	}
-	if berr := bud.Err(); berr != nil && (op == "eval" || !resp.OK) {
-		resp.Err = berr
-	}
-	return resp
-}
-
 // explainBounded pulls the run's mappings in enumeration order and searches
 // each instantiated CRPQ for a path witness; the first is the explanation.
 func (s *Session) explainBounded(e *boundedEngine, t pattern.Tuple) (*Explanation, error) {
-	q, st := s.plan.q, e.newState()
+	q, st := s.plan.q, e.newState(ecrpq.Join{Options: ecrpq.Options{Budget: e.bud}})
 	for {
 		ok, err := st.next()
 		if err != nil || !ok {

@@ -15,10 +15,10 @@ package cxrpq
 // Every other page comes from a producer the cursor builds on its first fetch
 // past what it can see and pulls inside FetchRows, on the fetching goroutine;
 // this file starts no goroutine and owns no channel. An unranked cursor that
-// no cached answer serves holds the resumable search itself — the union's
-// members searched one after the other (ecrpq.UnionRows) or the bounded
-// engine's mapping stack with the leaf join of the mapping it stands on
-// (boundedRows) — and runs it to the end of each page it is asked for.
+// no cached answer serves holds the resumable search itself — the members of
+// the request's source searched one after the other (ecrpq.UnionRows), union
+// members or the bounded engine's mappings alike — and runs it to the end of
+// each page it is asked for.
 // Between fetches a producer thus holds no lock, reads no session state and
 // keeps nothing running, so cursors interleave safely with ApplyDelta as
 // long as no fetch overlaps the write, and a dropped cursor is garbage like
@@ -155,42 +155,28 @@ func (s *Session) Stream(opts StreamOptions) (*Cursor, error) {
 	if resp, _ := v.(Response); resp.Tuples != nil {
 		return &Cursor{bud: bud, own: resp.Tuples.SortedRows(), end: opts.Limit}, nil
 	}
-	src, err := s.rowsFor(atoms, bounded, k, ecrpq.Options{Budget: bud, Weight: opts.Weight})
+	ms, err := s.source(atoms, bounded, k, bud)
 	if err != nil {
 		return nil, err
 	}
+	src := ecrpq.NewUnionRows(ms, ecrpq.Options{Budget: bud, Weight: opts.Weight})
 	return &Cursor{bud: bud, end: opts.Limit, open: func() (*pull, error) { return &pull{src: src}, nil }}, nil
 }
 
 // rankedCursor opens a ranked stream over atoms. Unweighted, its sequence is
 // the ranked prefix filed in atoms, so the prefix and the evaluation behind it
 // belong to one revision's store. Construction-time work and failures happen
-// here; the producer itself — one root per union member, or the bounded
-// engine's mappings and atoms with every leaf join deferred onto the
-// queue — is built by the first fetch past the prefix. baseline
-// (StreamDrained) forces the drain-then-sort producer and shares nothing.
+// here; the producer itself — one any-k root per member of the request's
+// source, a union member or a bounded mapping — is built by the first fetch
+// past the prefix. A union too wide to root one member each (over the
+// combination cap) drains instead, and so does baseline (StreamDrained),
+// which shares nothing.
 func (s *Session) rankedCursor(atoms *ecrpq.AtomStore, bounded bool, k int, bud *engine.Budget, opts StreamOptions, baseline bool) (*Cursor, error) {
-	drain, w := baseline, opts.Weight
-	var (
-		ms   ecrpq.Members
-		e    *boundedEngine
-		rows rowSource
-		err  error
-	)
-	if !bounded {
-		if ms, err = s.plan.members(); err != nil {
-			return nil, err
-		}
-		drain = drain || s.plan.overCap // too many members to root one evaluator each
-	}
-	if drain {
-		rows, err = s.rowsFor(atoms, bounded, k, ecrpq.Options{Budget: bud, Ranked: true, Weight: w})
-	} else if bounded {
-		e, err = s.boundedRun(atoms, k, false, nil, bud)
-	}
+	ms, err := s.source(atoms, bounded, k, bud)
 	if err != nil {
 		return nil, err
 	}
+	drain, w := baseline || !bounded && s.plan.overCap, opts.Weight
 	c := &Cursor{bud: bud, end: opts.Limit}
 	if w == nil && !baseline {
 		key := s.key("ranked", k, nil)
@@ -198,84 +184,16 @@ func (s *Session) rankedCursor(atoms *ecrpq.AtomStore, bounded bool, k int, bud 
 	}
 	rev := s.db.Revision()
 	c.open = func() (*pull, error) {
-		p := &pull{seen: pattern.NewTupleSet(), drain: rows, db: s.db, rev: rev}
+		p := &pull{seen: pattern.NewTupleSet(), db: s.db, rev: rev}
 		if drain {
+			p.drain = ecrpq.NewUnionRows(ms, ecrpq.Options{Budget: bud, Ranked: true, Weight: w})
 			return p, nil
 		}
 		p.ak = ecrpq.NewAnyK(ecrpq.Options{Budget: bud})
-		if !bounded {
-			return p, p.ak.AddUnion(ms, s.db, w)
-		}
-		e.ranked, e.weight = true, w
-		for st := e.newState(); ; p.ak.AddLeaf(st.leaf) { // every mapping's join is one root
-			if ok, err := st.next(); !ok {
-				return p, e.ignoreCanceled(err)
-			}
-		}
+		return p, p.ak.AddUnion(ms, w)
 	}
 	return c, nil
 }
-
-// rowsFor builds the producer enumeration for one dispatch. Unranked, the
-// bounded rows dedup across mappings and the union's across members;
-// ranked dispatches must NOT dedup (the drain keeps the minimal cost per
-// tuple instead).
-func (s *Session) rowsFor(atoms *ecrpq.AtomStore, bounded bool, k int, opts ecrpq.Options) (rowSource, error) {
-	if bounded {
-		e, err := s.boundedRun(atoms, k, false, nil, opts.Budget)
-		if err != nil {
-			return nil, err
-		}
-		e.ranked, e.weight = opts.Ranked, opts.Weight
-		b := &boundedRows{e: e}
-		if !opts.Ranked {
-			b.seen = pattern.NewTupleSet()
-		}
-		return b, nil
-	}
-	ms, err := s.plan.members()
-	if err != nil {
-		return nil, err
-	}
-	return ecrpq.NewUnionRows(ms, s.db, opts), nil
-}
-
-// boundedRows is a bounded run pulled a row at a time, the way a cursor reads
-// it: the run's one enumeration stack, and the leaf join of the mapping it
-// stands on. Unranked, rows are distinct across the mappings.
-type boundedRows struct {
-	e       *boundedEngine
-	st      *boundedState
-	joining bool
-	seen    *pattern.TupleSet // nil when ranked
-	err     error
-}
-
-func (b *boundedRows) Next() ([]int32, int, bool) {
-	if b.st == nil {
-		b.st = b.e.newState()
-	}
-	for {
-		if b.joining {
-			row, cost, ok := b.st.leaf.Next()
-			if ok && b.seen != nil && !b.seen.AddRow(row) {
-				continue
-			}
-			if ok {
-				return row, cost, true
-			}
-		}
-		ok, err := b.st.next()
-		if b.err = b.e.ignoreCanceled(err); !ok {
-			return nil, 0, false
-		}
-		b.st.leaf.Join()
-		b.joining = true
-	}
-}
-
-// Err is the error the run failed with; a budget cut is none.
-func (b *boundedRows) Err() error { return b.err }
 
 // rankedPrefix is the ranked sequence of one dispatch as far as any cursor
 // has computed it: whole cost tiers only, appended and never rewritten (a

@@ -52,33 +52,40 @@ func freshCopy(db *graph.DB) *graph.DB {
 	return c
 }
 
-// leafOf is the CRPQ text over db's atom store as a bounded leaf joins it:
-// the atom of each label over sigma set on its edge under bud
-// (ecrpq.Leaf.Set), which fails only when bud cuts a search.
-func leafOf(db *graph.DB, text string, sigma []rune, bud *engine.Budget) (*ecrpq.Leaf, error) {
+// leafOf is the CRPQ text over db's atom store as a bounded run joins it: a
+// one-member source whose leaf has the atom of each label over sigma set on
+// its edge (ecrpq.Leaf.Set), which fails only when the join's budget cuts a
+// search.
+func leafOf(db *graph.DB, text string, sigma []rune) ecrpq.Members {
 	g, store := pattern.MustParseQuery(text), ecrpq.Atoms(db)
-	leaf := ecrpq.NewLeaf(store, g, nil, false, ecrpq.Options{Budget: bud})
-	for i, e := range g.Edges {
-		a, err := store.Atom(e.Label, sigma)
-		if err == nil {
-			_, err = leaf.Set(i, a)
+	return func(i int, j ecrpq.Join) (*ecrpq.Leaf, bool, error) {
+		if i > 0 {
+			return nil, false, nil
 		}
-		if err != nil {
-			return nil, err
+		leaf := ecrpq.NewLeaf(store, g, j)
+		for ei, e := range g.Edges {
+			a, err := store.Atom(e.Label, sigma)
+			if err == nil {
+				_, err = leaf.Set(ei, a)
+			}
+			if err != nil {
+				return nil, true, err
+			}
 		}
+		return leaf, true, nil
 	}
-	return leaf, nil
+}
+
+// leafSet sets leafOf's atoms under bud: nil when the store answers them
+// without a search bud would cut.
+func leafSet(db *graph.DB, text string, sigma []rune, bud *engine.Budget) error {
+	_, _, err := leafOf(db, text, sigma)(0, ecrpq.Join{Options: ecrpq.Options{Budget: bud}})
+	return err
 }
 
 // leafJoin is the answer of leafOf's join.
-func leafJoin(db *graph.DB, text string, sigma []rune, bud *engine.Budget) (*pattern.TupleSet, error) {
-	leaf, err := leafOf(db, text, sigma, bud)
-	if err != nil {
-		return nil, err
-	}
-	out := pattern.NewTupleSet()
-	leaf.Stream(func(row []int32, _ int) bool { return out.AddRow(row) || true })
-	return out, nil
+func leafJoin(db *graph.DB, text string, sigma []rune) (*pattern.TupleSet, error) {
+	return ecrpq.EvalUnionWith(leafOf(db, text, sigma), ecrpq.Options{})
 }
 
 // tuples, verdict and witness read a Response the way a Go call returns: the
@@ -247,11 +254,11 @@ func TestSupportAcrossDeltas(t *testing.T) {
 		const sources = "ans(x)\nx y : ca"
 		store := ecrpq.Atoms(view)
 		hits := store.Stats().Hits
-		ca, err := leafJoin(view, sources, []rune("abc"), nil)
+		ca, err := leafJoin(view, sources, []rune("abc"))
 		if err != nil || ca.Len() != n || store.Stats().Hits != hits+1 {
 			t.Fatalf("%s: the store holds %d sources of ca (%v, %d hits), want %d stored", name, ca.Len(), err, store.Stats().Hits-hits, n)
 		}
-		swept, err := leafJoin(freshCopy(view), sources, []rune("abc"), nil)
+		swept, err := leafJoin(freshCopy(view), sources, []rune("abc"))
 		if err != nil || !ca.Equal(swept) {
 			t.Fatalf("%s: carried support %v, a fresh sweep %v (%v)", name, ca.Sorted(), swept.Sorted(), err)
 		}

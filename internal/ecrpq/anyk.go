@@ -36,7 +36,6 @@ import (
 	"slices"
 
 	"cxrpq/internal/engine"
-	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
 )
 
@@ -50,8 +49,7 @@ type extList struct {
 }
 
 // anykRoot is one independent enumeration source feeding the shared heap: a
-// compiled plan over lazily probed atoms, an evaluator's (AddQuery) or a
-// bounded leaf's (AddLeaf).
+// member's compiled plan over its lazily probed atoms (AddUnion).
 type anykRoot struct {
 	bud   *engine.Budget
 	p     *plan
@@ -92,7 +90,7 @@ type anykNode struct {
 }
 
 // AnyK is the incremental ranked enumerator. Zero or more roots are added
-// (AddQuery/AddLeaf), then Next pops complete assignments in globally
+// (AddUnion), then Next pops complete assignments in globally
 // nondecreasing witness cost until the space is exhausted or the budget
 // cancels. Not safe for concurrent use.
 //
@@ -167,17 +165,6 @@ func (a *AnyK) addRoot(p *plan) {
 	}
 	a.roots = append(a.roots, rt)
 	a.pushNode(anykNode{root: int32(len(a.roots) - 1), row: rt.newRow(p.init)}, rt.lb[0])
-}
-
-// AddQuery adds a query-form root: q enumerated over db under the
-// enumerator's budget, ranked, with an optional pluggable edge weight.
-func (a *AnyK) AddQuery(q *Query, db *graph.DB, weight engine.Weight) error {
-	ev, err := newEvaluator(q, db, Options{Budget: a.bud, Ranked: true, Weight: weight}, true)
-	if err != nil {
-		return err
-	}
-	a.addRoot(ev.compile(nil, false))
-	return nil
 }
 
 // extend materializes (or recalls) the cost-sorted extension list of step ci

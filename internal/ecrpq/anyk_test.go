@@ -18,7 +18,7 @@ func drainRanked(t *testing.T, q *ecrpq.Query, db *graph.DB, w engine.Weight) ([
 	t.Helper()
 	best := map[string]int{}
 	tuples := map[string][]int32{}
-	err := streamUnion(ecrpq.MembersOf(q), db, ecrpq.Options{Ranked: true, Weight: w}, func(row []int32, cost int) bool {
+	err := streamUnion(ecrpq.MembersOf(db, q), ecrpq.Options{Ranked: true, Weight: w}, func(row []int32, cost int) bool {
 		k := tupleKey(row)
 		if c, ok := best[k]; !ok || cost < c {
 			best[k] = cost
@@ -123,7 +123,7 @@ func TestAnyKMatchesDrain(t *testing.T) {
 			for wi, w := range weights {
 				wantT, wantC := drainRanked(t, q, db, w)
 				ak := ecrpq.NewAnyK(ecrpq.Options{})
-				if err := ak.AddQuery(q, db, w); err != nil {
+				if err := ak.AddUnion(ecrpq.MembersOf(db, q), w); err != nil {
 					t.Fatal(err)
 				}
 				got, _ := anykDrain(t, ak)
@@ -155,7 +155,7 @@ func TestAnyKMatchesDrainGroups(t *testing.T) {
 			ecrpq.Group{Edges: []int{0, 1}, Rel: &ecrpq.Equality{N: 2}})
 		wantT, wantC := drainRanked(t, q, db, nil)
 		ak := ecrpq.NewAnyK(ecrpq.Options{})
-		if err := ak.AddQuery(q, db, nil); err != nil {
+		if err := ak.AddUnion(ecrpq.MembersOf(db, q), nil); err != nil {
 			t.Fatal(err)
 		}
 		got, _ := anykDrain(t, ak)
@@ -179,7 +179,7 @@ func TestAnyKBudgetStops(t *testing.T) {
 	q := mustQuery(t, "ans(x, z)\nx y : a+\ny z : b+")
 	bud := engine.NewBudget(nil, time.Now().Add(-time.Second))
 	ak := ecrpq.NewAnyK(ecrpq.Options{Budget: bud})
-	if err := ak.AddQuery(q, db, nil); err != nil {
+	if err := ak.AddUnion(ecrpq.MembersOf(db, q), nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := ak.Next(); ok {
@@ -192,7 +192,7 @@ func TestAnyKBudgetStops(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ak = ecrpq.NewAnyK(ecrpq.Options{Budget: engine.NewBudget(ctx, time.Time{})})
-	if err := ak.AddQuery(q, db, nil); err != nil {
+	if err := ak.AddUnion(ecrpq.MembersOf(db, q), nil); err != nil {
 		t.Fatal(err)
 	}
 	prev := 0

@@ -643,9 +643,9 @@ func (s *AtomStore) support(a *Atom, targets bool, bud *engine.Budget) ([]uint64
 // of the other direction's when that one is complete (invert) — and the rows
 // found in neither by one kernel call outside the lock (engine.Reach for one
 // node, engine.ReachBatchEx for more), which are filed unless the budget cut
-// it (cut: those rows may be missing nodes). Only cost-free rows are shared:
-// under o.Levels or o.Weight every row is searched for the caller alone, with
-// its costs, and filed nowhere.
+// it (cut: those rows may be missing nodes); a nil out only files them. Only
+// cost-free rows are shared: under o.Levels or o.Weight every row is searched
+// for the caller alone, with its costs, and filed nowhere.
 func (s *AtomStore) rows(a *Atom, forward bool, nodes []int, o engine.ReachOpts, out []probeRow) (cut bool) {
 	d, shared := side(!forward), !o.Levels && o.Weight == nil
 	missing := nodes // the nodes to search, in the order of nodes
@@ -658,12 +658,14 @@ func (s *AtomStore) rows(a *Atom, forward bool, nodes []int, o engine.ReachOpts,
 		if e != nil && e.rows[d].span != nil {
 			missing = nil
 			for i, u := range nodes {
-				var ok bool
-				if out[i].nodes, ok = e.rows[d].get(u); !ok {
+				row, ok := e.rows[d].get(u)
+				if !ok {
 					if missing == nil {
 						missing = make([]int, 0, len(nodes)-i)
 					}
 					missing = append(missing, u)
+				} else if out != nil {
+					out[i].nodes = row
 				}
 			}
 		}
@@ -689,7 +691,7 @@ func (s *AtomStore) rows(a *Atom, forward bool, nodes []int, o engine.ReachOpts,
 		res := engine.ReachBatchEx(s.db.Index(), c, missing, forward, o)
 		hits, levs, cut = res.Hits, res.Levs, res.Truncated
 	}
-	for i, k := 0, 0; k < len(missing); i++ { // missing is a subsequence of nodes
+	for i, k := 0, 0; out != nil && k < len(missing); i++ { // missing is a subsequence of nodes
 		if nodes[i] == missing[k] {
 			out[i].nodes = hits[k]
 			if levs != nil {

@@ -85,7 +85,7 @@ func TestAtomStoreByteBound(t *testing.T) {
 			}
 			q := &Query{Pattern: &pattern.Graph{Out: []string{"x", "z"}, Edges: []pattern.Edge{
 				{From: "x", To: "y", Label: label}, {From: "y", To: "z", Label: xregex.MustParse("(a|b)+")}, {From: "z", To: "u", Label: label}}}}
-			got, err := EvalWith(q, db, Options{})
+			got, err := Eval(q, db)
 			if err != nil {
 				t.Fatal(err)
 			}

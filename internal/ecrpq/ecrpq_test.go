@@ -263,17 +263,17 @@ func TestUnionEval(t *testing.T) {
 		t.Fatal("union bool failed")
 	}
 	// The other operations over the same members: check, stream, any-k roots.
-	ms := ecrpq.MembersOf(u.Members...)
+	ms := ecrpq.MembersOf(db, u.Members...)
 	for _, tup := range res.Sorted() {
-		if ok, err := ecrpq.CheckUnionWith(ms, db, tup, ecrpq.Options{}); err != nil || !ok {
-			t.Fatalf("CheckUnionWith(%v) = %v, %v", tup, ok, err)
+		if ok, err := checkUnion(ms, u, db, tup); err != nil || !ok {
+			t.Fatalf("check(%v) = %v, %v", tup, ok, err)
 		}
 	}
-	if ok, err := ecrpq.CheckUnionWith(ms, db, pattern.Tuple{0, 0}, ecrpq.Options{}); err != nil || ok {
-		t.Fatalf("CheckUnionWith(non-answer) = %v, %v", ok, err)
+	if ok, err := checkUnion(ms, u, db, pattern.Tuple{0, 0}); err != nil || ok {
+		t.Fatalf("check(non-answer) = %v, %v", ok, err)
 	}
 	streamed := pattern.NewTupleSet()
-	if err := streamUnion(ms, db, ecrpq.Options{}, func(row []int32, _ int) bool {
+	if err := streamUnion(ms, ecrpq.Options{}, func(row []int32, _ int) bool {
 		if !streamed.AddRow(row) {
 			t.Fatalf("the union stream repeats %v", row)
 		}
@@ -282,7 +282,7 @@ func TestUnionEval(t *testing.T) {
 		t.Fatalf("union stream %v, %v; want %v", streamed.Sorted(), err, res.Sorted())
 	}
 	ak := ecrpq.NewAnyK(ecrpq.Options{})
-	if err := ak.AddUnion(ms, db, nil); err != nil {
+	if err := ak.AddUnion(ms, nil); err != nil {
 		t.Fatal(err)
 	}
 	ranked := pattern.NewTupleSet()
@@ -296,13 +296,22 @@ func TestUnionEval(t *testing.T) {
 		t.Fatalf("any-k over the union %v, want %v", ranked.Sorted(), res.Sorted())
 	}
 	// A member that cannot be built ends the sequential operations with its error.
-	bad := seq(u.Members[0], errors.New("unbuilt"))
-	if err := streamUnion(bad, db, ecrpq.Options{}, func([]int32, int) bool { return true }); err == nil {
+	bad := seq(db, u.Members[0], errors.New("unbuilt"))
+	if err := streamUnion(bad, ecrpq.Options{}, func([]int32, int) bool { return true }); err == nil {
 		t.Fatal("union stream swallowed a member error")
 	}
-	if err := ecrpq.NewAnyK(ecrpq.Options{}).AddUnion(bad, db, nil); err == nil {
+	if err := ecrpq.NewAnyK(ecrpq.Options{}).AddUnion(bad, nil); err == nil {
 		t.Fatal("AddUnion swallowed a member error")
 	}
+}
+
+// checkUnion decides t̄ ∈ ⋃ qi(D) over the members ms of u.
+func checkUnion(ms ecrpq.Members, u *ecrpq.Union, db *graph.DB, t pattern.Tuple) (bool, error) {
+	pre, ok, err := ecrpq.PreBind(u.Members[0].Pattern.Out, db, t)
+	if err != nil || !ok {
+		return false, err
+	}
+	return ecrpq.ExistsUnion(ms, pre, ecrpq.Options{})
 }
 
 func TestValidateErrors(t *testing.T) {

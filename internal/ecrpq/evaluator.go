@@ -59,11 +59,20 @@ func (ev *evaluator) rankedWeight() engine.Weight {
 }
 
 func newEvaluator(q *Query, db *graph.DB, o Options, lazy bool) (*evaluator, error) {
-	if err := q.Validate(); err != nil {
+	ev := &evaluator{}
+	if err := ev.init(q, db, o, lazy); err != nil {
 		return nil, err
 	}
+	return ev, nil
+}
+
+// init binds ev to q over db under o.
+func (ev *evaluator) init(q *Query, db *graph.DB, o Options, lazy bool) error {
+	if err := q.Validate(); err != nil {
+		return err
+	}
 	sigma := xregex.MergeAlphabets(db.Alphabet(), xregex.AlphabetOf(q.Pattern.Labels()...))
-	ev := &evaluator{
+	*ev = evaluator{
 		q:        q,
 		db:       db,
 		ix:       db.Index(),
@@ -80,7 +89,7 @@ func newEvaluator(q *Query, db *graph.DB, o Options, lazy bool) (*evaluator, err
 	for i, e := range q.Pattern.Edges {
 		a, err := ev.store.Atom(e.Label, sigma)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ev.atoms[i] = probeAtom{ev: ev, atom: a}
 	}
@@ -90,7 +99,7 @@ func newEvaluator(q *Query, db *graph.DB, o Options, lazy bool) (*evaluator, err
 			ev.inGroup[ei] = true
 		}
 	}
-	return ev, nil
+	return nil
 }
 
 // probeAtom is the lazily probed atomSource of one pattern edge: product
@@ -359,14 +368,12 @@ func (ev *evaluator) minCost(a *Atom) int32 {
 	return m
 }
 
-// stream enumerates the query's answers with the variables of pre pre-
-// bound: the backtracking join over the lazily probed atoms. A materializing
-// run fills the probe memos a frontier at a time first (frontier.go); the
-// join then finds them there.
-func (ev *evaluator) stream(pre map[string]int, yield StreamFunc) {
-	p := ev.compile(pre, false)
+// join starts s on p, a plan of ev's. A materializing evaluator fills its
+// probe memos a frontier at a time first (frontier.go); the join then finds
+// them there.
+func (ev *evaluator) join(p *plan, s *search) {
 	if !ev.lazy {
 		ev.probeFrontiers(p)
 	}
-	p.stream(ev.bud, yield)
+	s.reset(p, ev.bud)
 }

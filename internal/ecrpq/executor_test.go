@@ -190,7 +190,7 @@ func TestExecutorDifferential(t *testing.T) {
 						// The bounded engine's leaf: the pattern compiled once,
 						// the query's atoms set on its edges.
 						leaf := func() *Leaf {
-							l := NewLeaf(Atoms(db), g, tc.pre, false, Options{Ranked: ranked, Weight: w})
+							l := NewLeaf(Atoms(db), g, Join{Options: Options{Ranked: ranked, Weight: w}, Pre: tc.pre})
 							for i, e := range g.Edges {
 								if _, err := l.Set(i, atomOf(t, Atoms(db), e.Label, sigma)); err != nil {
 									t.Fatal(err)
@@ -254,7 +254,7 @@ func TestJoinRankedComesFromCallerNotRelation(t *testing.T) {
 	for _, warmRanked := range []bool{false, true} {
 		db := graph.MustParse(sb.String()) // with a store of its own
 		leaf := func(ranked bool) *Leaf {
-			l := NewLeaf(Atoms(db), g, nil, false, Options{Ranked: ranked})
+			l := NewLeaf(Atoms(db), g, Join{Options: Options{Ranked: ranked}})
 			for i, e := range g.Edges {
 				if _, err := l.Set(i, atomOf(t, Atoms(db), e.Label, db.Alphabet())); err != nil {
 					t.Fatal(err)
@@ -263,13 +263,13 @@ func TestJoinRankedComesFromCallerNotRelation(t *testing.T) {
 			return l
 		}
 		if warmRanked {
-			leaf(true).Stream(func([]int32, int) bool { return true })
+			leaf(true).stream(func([]int32, int) bool { return true })
 		}
 		if st := Atoms(db).Stats(); st.Rows.Entries != 0 {
 			t.Fatalf("warmed ranked=%v: the store filed rows: %+v", warmRanked, st)
 		}
 		rows, costs := 0, 0
-		leaf(false).Stream(func(_ []int32, cost int) bool {
+		leaf(false).stream(func(_ []int32, cost int) bool {
 			rows++
 			costs += cost
 			return true

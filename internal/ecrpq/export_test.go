@@ -20,3 +20,18 @@ func CompiledOrder(q *Query, db *graph.DB) ([]int, error) {
 	}
 	return order, nil
 }
+
+// stream runs the join of ev's query with the variables of pre bound, as a
+// leaf joins it (Leaf.join), yielding every row.
+func (ev *evaluator) stream(pre map[string]int, yield StreamFunc) {
+	var s search
+	ev.join(ev.compile(pre, false), &s)
+	s.drain(yield)
+}
+
+// stream runs the leaf's join, yielding every row.
+func (l *Leaf) stream(yield StreamFunc) {
+	var s search
+	l.join(&s)
+	s.drain(yield)
+}

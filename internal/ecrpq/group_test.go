@@ -477,12 +477,12 @@ func TestGroupLevelsAnyK(t *testing.T) {
 			if strings.Count(src, "\n") == 3 {
 				q.Groups[0] = Group{Edges: []int{0, 1, 2}, Rel: &Equality{N: 3}}
 			}
-			want, err := EvalWith(q, db, Options{})
+			want, err := Eval(q, db)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ak := NewAnyK(Options{})
-			if err := ak.AddQuery(q, db, nil); err != nil {
+			if err := ak.AddUnion(MembersOf(db, q), nil); err != nil {
 				t.Fatal(err)
 			}
 			got := pattern.NewTupleSet()

@@ -4,77 +4,122 @@ import (
 	"slices"
 
 	"cxrpq/internal/engine"
+	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
 )
 
-// The bounded engine's leaf join. Once Theorem 6 fixes a mapping v̄, the
-// CXRPQ is a CRPQ (Lemma 11) over the atoms the engine instantiated, and
-// exponentially many mappings join one pattern over different atoms. A Leaf
-// compiles that pattern once per run — JoinOrder under the pre-bound
-// variables, the plan's slots and read flags — and every mapping runs the
-// one join executor over its own atoms (probeAtom), as every other
-// evaluation does. What a join reads of an atom is resolved when the engine
-// sets the atom on its edge (Leaf.Set): unranked, the store's complete table
-// when the pattern reads both endpoints — read in place, the other direction
-// by inversion — and the support when it reads one; ranked, the rows with
-// costs the run searches for itself, one memo per atom shared by every
-// mapping of the run.
+// A Leaf is one member of a union compiled for the join a request runs
+// (Join): the drivers of union.go pull every member, of either union, as a
+// leaf. It comes in two forms.
+//
+// The query form (queryLeaf) is an ECRPQ^er — its atoms and its relation
+// groups — bound to one database: a member of the Lemma 7 / Lemma 13 union of
+// a vstar-free query, or a single query. The pattern form (NewLeaf) is the
+// bounded engine's. Once Theorem 6 fixes a mapping v̄, the CXRPQ is a CRPQ
+// (Lemma 11) over the atoms the engine instantiated, and exponentially many
+// mappings join one pattern over different atoms. The pattern form compiles
+// that pattern once per run — JoinOrder under the pre-bound variables, the
+// plan's slots and read flags — and the engine sets each mapping's atoms on
+// its edges (Leaf.Set), yielding the one leaf once per mapping. What a join
+// reads of an atom is resolved when the atom is set: unranked, the store's
+// complete table when the pattern reads both endpoints — read in place, the
+// other direction by inversion — and the support when it reads one; ranked,
+// the rows with costs the run searches for itself, one memo per atom shared
+// by every mapping of the run.
 
-// Leaf is a pattern compiled for the leaf joins of one bounded run, with the
-// atoms of the mapping at hand set on its edges. It is not safe for
-// concurrent use: a run joins through its one leaf, on its one goroutine.
-type Leaf struct {
-	ev       *evaluator // the run's: store, budget, ranked-ness and weight; no query
-	from, to []bool     // per edge: whether the join reads its source, its target (pattern.Graph.Reads)
-	plans    []*plan    // the join under pre, or one per seed variable with it bound
-	orders   [][]int    // per plan: the edge of each step
-	seeds    []string   // the seed variables, one per plan; nil unless seeded
-
-	atoms  []probeAtom          // per edge, unranked: the atom set on it
-	src    []*probeAtom         // per edge: the atom the join reads
-	costed map[*Atom]*probeAtom // ranked: the run's memo of each atom's rows with costs
-	s      search               // the join in progress (Join)
+// Join is how a union driver has its members compiled (Members): under the
+// budget, ranked-ness and weight of Options; with the variables of Pre bound
+// (a check, see PreBind) or, Seeded, once per source variable with that
+// variable bound; Lazy for a first answer rather than the whole set (see
+// evaluator.lazy), which every driver but the set evaluation asks for. A
+// pattern-form leaf is lazy whatever the join: its atoms are resolved when
+// set.
+type Join struct {
+	Options
+	Pre    map[string]int
+	Seeded bool
+	Lazy   bool
 }
 
-// NewLeaf compiles g for the leaf joins of one run over the atom store s
-// under o: with the variables of pre bound or, seeded, once per source
-// variable of g with that variable bound (StreamSeeded).
-func NewLeaf(s *AtomStore, g *pattern.Graph, pre map[string]int, seeded bool, o Options) *Leaf {
+// Leaf is a member compiled for one join. It is not safe for concurrent use:
+// a request pulls its members on its one goroutine.
+type Leaf struct {
+	ev    evaluator // the query form's, or the run's: store, budget, ranked-ness and weight; no query
+	plans []*plan   // the join under Pre, or one per seed variable with it bound
+	one   [1]*plan  // the storage of plans while there is one
+	seeds []string  // the seed variables, one per plan; nil unless seeded
+
+	// The pattern form's: per edge, whether the join reads its source, its
+	// target (pattern.Graph.Reads); per plan, the edge of each step; per
+	// edge, the atom set on it (unranked) and the one the join reads; ranked,
+	// the run's memo of each atom's rows with costs.
+	from, to []bool
+	orders   [][]int
+	atoms    []probeAtom
+	src      []*probeAtom
+	costed   map[*Atom]*probeAtom
+}
+
+// compile compiles the leaf's plans by build, one per pre-binding: with j
+// Seeded, one per source variable of g — the seeds — with it bound, else j.Pre
+// alone. It returns the union of the pre-bindings.
+func (l *Leaf) compile(g *pattern.Graph, j Join, build func(pre map[string]int) *plan) map[string]int {
+	l.plans = l.one[:0]
+	if !j.Seeded {
+		l.plans = append(l.plans, build(j.Pre))
+		return j.Pre
+	}
+	all := map[string]int{}
+	l.seeds = SourceVars(g)
+	for _, z := range l.seeds {
+		l.plans, all[z] = append(l.plans, build(map[string]int{z: 0})), 0
+	}
+	return all
+}
+
+// queryLeaf compiles q over db for j.
+func queryLeaf(q *Query, db *graph.DB, j Join) (*Leaf, error) {
+	l := &Leaf{}
+	if err := l.ev.init(q, db, j.Options, j.Lazy); err != nil {
+		return nil, err
+	}
+	l.compile(q.Pattern, j, func(pre map[string]int) *plan { return l.ev.compile(pre, false) })
+	return l, nil
+}
+
+// NewLeaf compiles g for the leaf joins of one bounded run over the atom
+// store s under j; the run sets the atoms of each mapping on its edges (Set).
+func NewLeaf(s *AtomStore, g *pattern.Graph, j Join) *Leaf {
 	n := len(g.Edges)
-	l := &Leaf{ev: &evaluator{db: s.db, ix: s.db.Index(), store: s, bud: o.Budget, ranked: o.Ranked, weight: o.Weight, lazy: true},
+	l := &Leaf{ev: evaluator{db: s.db, ix: s.db.Index(), store: s, bud: j.Budget, ranked: j.Ranked, weight: j.Weight, lazy: true},
 		atoms: make([]probeAtom, n), src: make([]*probeAtom, n)}
-	if o.Ranked {
+	if j.Ranked {
 		l.costed = map[*Atom]*probeAtom{}
 	}
-	pres := []map[string]int{pre}
-	if seeded {
-		l.seeds, pres, pre = SourceVars(g), nil, map[string]int{}
-		for _, z := range l.seeds {
-			pres, pre[z] = append(pres, map[string]int{z: 0}), 0
-		}
-	}
-	l.from, l.to = g.Reads(pre)
-	for _, pre := range pres {
-		p, order := newPlan(o.Ranked, n), make([]int, 0, n)
+	all := l.compile(g, j, func(pre map[string]int) *plan {
+		p, order := newPlan(j.Ranked, n), make([]int, 0, n)
 		for _, st := range JoinOrder(g.Edges, nil, boundSet(pre)) {
 			e := g.Edges[st.Edge]
 			p.addAtom(nil, e.From, e.To, 0)
 			order = append(order, st.Edge)
 		}
 		p.seal(g.Out, pre, false)
-		l.plans, l.orders = append(l.plans, p), append(l.orders, order)
-	}
+		l.orders = append(l.orders, order)
+		return p
+	})
+	l.from, l.to = g.Reads(all)
 	return l
 }
 
-// Set sets a on edge ei and resolves what the join reads of it: ranked, the
-// run's memo of its rows with costs; unranked, the store's complete table
-// when both endpoints are read — searched for the rows the store lacks, once
-// per label and revision — else the support of the endpoint read. It reports
-// whether a has any pair: false prunes every mapping that sets it. A
-// resolution the budget cut returns engine.ErrCanceled.
+// Set sets a on edge ei of a pattern-form leaf and resolves what the join
+// reads of it: ranked, the run's memo of its rows with costs; unranked, the
+// store's complete table when both endpoints are read — searched for the rows
+// the store lacks, once per label and revision — else the support of the
+// endpoint read. It reports whether a has any pair: false prunes every
+// mapping that sets it. A resolution the budget cut returns
+// engine.ErrCanceled.
 func (l *Leaf) Set(ei int, a *Atom) (bool, error) {
-	ev := l.ev
+	ev := &l.ev
 	if ev.ranked {
 		if l.src[ei] = l.costed[a]; l.src[ei] == nil {
 			l.src[ei] = &probeAtom{ev: ev, atom: a}
@@ -101,32 +146,41 @@ func (l *Leaf) Set(ei int, a *Atom) (bool, error) {
 
 // complete adopts the store's complete forward table, searching the rows it
 // lacks first, and returns its support; nil when the budget cut the search.
-// Should an eviction drop the table before it is adopted, the memo holds
-// every row the search found, and its support is theirs.
+// The search files its rows in the store only: the memo reads the table in
+// place. Should an eviction drop the table before it is adopted, the memo
+// searches every row again and holds them, and its support is theirs.
 func (p *probeAtom) complete() []uint64 {
-	m := &p.fwd
+	m, ev := &p.fwd, p.ev
 	if p.adopt(true) {
 		return m.sup
 	}
-	all := p.ev.nodes()
+	all := ev.nodes()
+	if ev.store.rows(p.atom, true, all, engine.ReachOpts{Budget: ev.bud}, nil) {
+		return nil
+	}
+	if p.adopt(true) {
+		return m.sup
+	}
 	rows := p.fetch(all, true)
 	if m.at == nil { // cut: nothing indexed
 		return nil
 	}
-	if !p.adopt(true) {
-		m.sup = make([]uint64, (len(all)+63)/64)
-		for u, r := range rows {
-			if len(r.nodes) > 0 {
-				bitSet(m.sup, u)
-			}
+	m.sup = make([]uint64, (len(all)+63)/64)
+	for u, r := range rows {
+		if len(r.nodes) > 0 {
+			bitSet(m.sup, u)
 		}
 	}
 	return m.sup
 }
 
-// plan returns plans[i] over the atoms set on its edges.
+// plan returns plans[i] over the atoms the leaf joins: its own, in the query
+// form; those set on its edges, in the pattern form.
 func (l *Leaf) plan(i int) *plan {
 	p := l.plans[i]
+	if l.orders == nil {
+		return p
+	}
 	for k, ei := range l.orders[i] {
 		p.steps[k].src = l.src[ei]
 		if l.ev.ranked {
@@ -136,30 +190,13 @@ func (l *Leaf) plan(i int) *plan {
 	return p
 }
 
-// Join starts the join of the atoms set on the edges with the variables of
-// pre bound; Next pulls its rows.
-func (l *Leaf) Join() { l.s.reset(l.plan(0), l.ev.bud) }
+// join starts s on the leaf's join, with the variables of Pre bound.
+func (l *Leaf) join(s *search) { l.ev.join(l.plan(0), s) }
 
-// Next returns the next output row of the join Join started, with its
-// witness cost (0 unless ranked), in a row the leaf reuses; ok is false once
-// the join is exhausted or the budget canceled. Rows are not deduplicated: a
-// row can complete under several assignments.
-func (l *Leaf) Next() ([]int32, int, bool) { return l.s.next() }
-
-// Stream is Join, yielding each row until yield returns false.
-func (l *Leaf) Stream(yield StreamFunc) {
-	l.Join()
-	l.s.drain(yield)
-}
-
-// StreamSeeded is Stream once per seed variable, bound to each node of nodes
-// in turn. A false return from yield ends one run, not the others.
-func (l *Leaf) StreamSeeded(nodes []int, yield StreamFunc) {
+// streamSeeded streams the join once per seed variable, bound to each node
+// of nodes in turn, until the budget cancels.
+func (l *Leaf) streamSeeded(nodes []int, yield StreamFunc) {
 	for i, z := range l.seeds {
 		l.plan(i).streamSeeded(z, nodes, l.ev.bud, yield)
 	}
 }
-
-// AddLeaf adds a ranked root: the join of the atoms set on l's edges now,
-// which later Sets do not change. l must have been compiled ranked.
-func (a *AnyK) AddLeaf(l *Leaf) { a.addRoot(l.plan(0).clone()) }

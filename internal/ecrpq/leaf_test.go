@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cxrpq/internal/graph"
+	"cxrpq/internal/pattern"
 	"cxrpq/internal/xregex"
 )
 
@@ -47,6 +48,32 @@ func TestInvertedTableMatchesSweep(t *testing.T) {
 				}
 			}
 			pending = randomMove(t, db, r, step, pending)
+		}
+	}
+}
+
+// TestColdSetIndexesNothing: a cold Set on an edge whose endpoints are both
+// read searches the rows the store lacks, files them as a complete table and
+// adopts it; it indexes none of them into the probe memo, which reads the
+// table in place.
+func TestColdSetIndexesNothing(t *testing.T) {
+	t.Parallel()
+	db := randomDB(5, 60, 150, "ab")
+	g := pattern.MustParseQuery("ans(x, y)\nx y : a(a|b)*")
+	l := NewLeaf(Atoms(db), g, Join{})
+	if ok, err := l.Set(0, atomOf(t, Atoms(db), g.Edges[0].Label, db.Alphabet())); err != nil || !ok {
+		t.Fatalf("Set = %v, %v; want a non-empty atom", ok, err)
+	}
+	fwd := &l.atoms[0].fwd
+	if fwd.tab.span == nil {
+		t.Fatal("the leaf did not adopt the complete table")
+	}
+	if fwd.at != nil || fwd.rows != nil {
+		t.Fatalf("the cold Set indexed %d rows (an index of %d nodes) into the memo", len(fwd.rows), len(fwd.at))
+	}
+	for u := range db.NumNodes() {
+		if got, _ := fwd.tab.get(u); !rowEqual(got, refRow(db, l.atoms[0].atom, u, true)) {
+			t.Fatalf("row of %d is %v, a sweep %v", u, got, refRow(db, l.atoms[0].atom, u, true))
 		}
 	}
 }

@@ -61,7 +61,7 @@ func TestSupportReadDifferential(t *testing.T) {
 			fail("eval", res.Sorted(), want.Sorted(), err)
 		}
 		lazy := pattern.NewTupleSet()
-		err = streamUnion(ecrpq.MembersOf(q), db, ecrpq.Options{}, func(row []int32, cost int) bool {
+		err = streamUnion(ecrpq.MembersOf(db, q), ecrpq.Options{}, func(row []int32, cost int) bool {
 			if !lazy.AddRow(row) || cost != 0 {
 				t.Fatalf("query %d: the lazy stream yielded %v at cost %d, twice or at a cost\n%s", qi, row, cost, g)
 			}
@@ -100,18 +100,27 @@ func TestSupportReadDifferential(t *testing.T) {
 				}
 			}
 			best, got := map[string]int{}, map[string]int{}
-			leaf := ecrpq.NewLeaf(ecrpq.Atoms(db), g, nil, false, ecrpq.Options{Ranked: true, Weight: w})
-			for i, e := range g.Edges {
-				a, err := ecrpq.Atoms(db).Atom(e.Label, db.Alphabet())
-				if err == nil {
-					_, err = leaf.Set(i, a)
+			leaf := func(i int, j ecrpq.Join) (*ecrpq.Leaf, bool, error) { // the bounded engine's leaf over q's atoms
+				if i > 0 {
+					return nil, false, nil
 				}
-				if err != nil {
-					t.Fatal(err)
+				l := ecrpq.NewLeaf(ecrpq.Atoms(db), g, j)
+				for ei, e := range g.Edges {
+					a, err := ecrpq.Atoms(db).Atom(e.Label, db.Alphabet())
+					if err == nil {
+						_, err = l.Set(ei, a)
+					}
+					if err != nil {
+						return nil, true, err
+					}
 				}
+				return l, true, nil
 			}
-			leaf.Stream(minCost(best))
-			err := streamUnion(ecrpq.MembersOf(q), db, ecrpq.Options{Ranked: true, Weight: w}, minCost(got))
+			o := ecrpq.Options{Ranked: true, Weight: w}
+			if err := streamUnion(leaf, o, minCost(best)); err != nil {
+				t.Fatal(err)
+			}
+			err := streamUnion(ecrpq.MembersOf(db, q), o, minCost(got))
 			if err != nil || fmt.Sprint(got) != fmt.Sprint(best) {
 				fail(name, got, best, err)
 			}

@@ -8,86 +8,127 @@ import (
 	"cxrpq/internal/pattern"
 )
 
-// This file is the one place that walks a union of ECRPQs (∪-ECRPQ, §7;
-// Lemma 7 / Lemma 13 turn every vstar-free CXRPQ into one): one evaluator per
-// operation — set, Boolean, check, stream, any-k roots — over a member
-// source. Members run one after the other on the caller's goroutine, in
-// order: a set evaluation appends every member's rows to one bag and settles
-// it once, and a Boolean or check returns at the first witness. A single
-// query is the union of one member and costs what that member costs.
+// This file holds the program's member loops: one driver per operation — set,
+// seeded set, exists (Bool-Eval and Check), stream, any-k roots — over a
+// member source, which yields each member compiled as a Leaf for the
+// driver's join. Both of the paper's unions run through them: the ∪-ECRPQ
+// a vstar-free CXRPQ is (§7; Lemma 7 / Lemma 13), one query-form leaf per
+// member, and the union of CRPQs a CXRPQ^≤k is (Lemma 12, Theorem 6), the
+// bounded run's one pattern-form leaf per mapping. Members run one after the
+// other on the caller's goroutine, in order: a set evaluation appends every
+// member's rows to one bag and settles it once, and an exists returns at the
+// first witness. A single query is the union of one member and costs what
+// that member costs.
 
-// Members is the member source of a union: member i, for i from 0 until ok
-// is false, either built or replaced by the error that kept the layer above
-// from building it. Members are asked for in order, one at a time, on the
-// caller's goroutine, and a source must answer the same every time.
-type Members func(i int) (q *Query, ok bool, err error)
+// Members is the member source of a union: member i compiled for j, for i
+// from 0 until ok is false, or the error that kept the layer above from
+// building it. A driver asks for the members in order, once each, on the
+// caller's goroutine, and every one for the same join; a source is built for
+// one request.
+type Members func(i int, j Join) (l *Leaf, ok bool, err error)
 
-// MembersOf is the member source of the given queries.
-func MembersOf(qs ...*Query) Members {
-	return func(i int) (*Query, bool, error) {
+// QueryMembers is the member source of the queries qs yields — query i, for
+// i from 0 until ok is false, or the error that kept the layer above from
+// building it — each compiled over db.
+func QueryMembers(db *graph.DB, qs func(i int) (q *Query, ok bool, err error)) Members {
+	return func(i int, j Join) (*Leaf, bool, error) {
+		q, ok, err := qs(i)
+		if !ok || err != nil {
+			return nil, ok, err
+		}
+		l, err := queryLeaf(q, db, j)
+		return l, true, err
+	}
+}
+
+// MembersOf is the member source of the given queries over db.
+func MembersOf(db *graph.DB, qs ...*Query) Members {
+	return QueryMembers(db, func(i int) (*Query, bool, error) {
 		if i >= len(qs) {
 			return nil, false, nil
 		}
 		return qs[i], true, nil
+	})
+}
+
+// EvalUnionWith computes ⋃ qi(D) over the members of ms, each by the
+// materializing join. On a failure or a cancellation it returns the sound
+// partial set found so far with the error.
+func EvalUnionWith(ms Members, o Options) (*pattern.TupleSet, error) {
+	return evalUnion(ms, Join{Options: o}, nil)
+}
+
+// EvalUnionSeededWith computes the rows of ⋃ qi(D) with a witness that binds
+// the source variable of some atom — a group component's included — to a
+// node of seeds: each member joined by the lazy search once per source
+// variable, pre-bound to each seed in turn. With seeds the frontier of a
+// window, they include the rows the window added to the union and, when it
+// removed edges, every row left whose witnesses all bind a source there (see
+// delta.go). On a failure or a cancellation it returns the rows found so far
+// with the error.
+func EvalUnionSeededWith(ms Members, seeds []int, o Options) (*pattern.TupleSet, error) {
+	if len(seeds) == 0 {
+		return pattern.NewTupleSet(), nil
 	}
+	return evalUnion(ms, Join{Options: o, Seeded: true, Lazy: true}, seeds)
 }
 
-// EvalUnionWith computes ⋃ qi(D) over the members of ms. On a failure or a
-// cancellation it returns the sound partial set found so far with the error.
-func EvalUnionWith(ms Members, db *graph.DB, o Options) (*pattern.TupleSet, error) {
-	return evalUnion(ms, o, func(q *Query, o Options, out *pattern.TupleSet) error { return evalInto(q, db, o, out) })
-}
-
-// EvalUnionSeededWith is evalSeeded over every member of ms: the rows of
-// ⋃ qi(D) with a witness that binds some atom's source variable to a node of
-// seeds. On a failure or a cancellation it returns the rows found so far with
-// the error.
-func EvalUnionSeededWith(ms Members, db *graph.DB, seeds []int, o Options) (*pattern.TupleSet, error) {
-	return evalUnion(ms, o, func(q *Query, o Options, out *pattern.TupleSet) error { return evalSeeded(q, db, seeds, o, out) })
-}
-
-// evalUnion appends the rows eval finds for each member of ms, in order, to
+// evalUnion appends the rows each member of ms finds under j, in order, to
 // one bag and settles it once. The first member that fails or is cut ends the
 // run: the rows of the members before it, and those it found, are returned
 // with its error. A spent budget starts no member.
-func evalUnion(ms Members, o Options, eval func(*Query, Options, *pattern.TupleSet) error) (*pattern.TupleSet, error) {
+func evalUnion(ms Members, j Join, seeds []int) (*pattern.TupleSet, error) {
 	out := pattern.NewTupleSet()
+	add := func(row []int32, _ int) bool {
+		out.Append(row)
+		return true
+	}
+	var s search
 	var err error
-	for i := 0; err == nil && !o.Budget.Canceled(); i++ {
-		q, more, qerr := ms(i)
+	for i := 0; err == nil && !j.Budget.Canceled(); i++ {
+		l, more, lerr := ms(i, j)
 		if !more {
 			break
 		}
-		if err = qerr; err == nil {
-			err = eval(q, Options{Budget: o.Budget}, out)
+		if err = lerr; err != nil {
+			break
+		}
+		if j.Seeded {
+			l.streamSeeded(seeds, add)
+		} else {
+			l.join(&s)
+			s.drain(add)
 		}
 	}
 	out.Settle()
 	if err == nil {
-		err = o.Budget.Err()
+		err = j.Budget.Err()
 	}
 	return out, err
 }
 
-// existsUnion decides whether some member has a match, by the lazy search
-// exists runs on each member in order; it returns at the first witness. A
-// match beats any error. Without one, a real failure outranks a truncation,
-// and within a class the lowest member index wins; a spent budget ends the
-// search and vouches for nothing.
-func existsUnion(ms Members, o Options, exists func(*Query, Options) (bool, error)) (bool, error) {
+// ExistsUnion decides whether some member of ms has a match with the
+// variables of pre bound: Bool-Eval with pre nil, Check with the output
+// variables bound to the tuple (PreBind). Each member runs the lazy search
+// (chunked sweeps), and the union returns at the first witness. A match beats
+// any error. Without one, a real failure outranks a truncation, and within a
+// class the lowest member index wins; a spent budget ends the search and
+// vouches for nothing.
+func ExistsUnion(ms Members, pre map[string]int, o Options) (bool, error) {
+	j := Join{Options: o, Pre: pre, Lazy: true}
+	var s search
 	var failed error
 	for i := 0; !o.Budget.Canceled(); i++ {
-		q, more, err := ms(i)
+		l, more, err := ms(i, j)
 		if !more {
 			break
 		}
 		if err == nil {
-			var ok bool
-			if ok, err = exists(q, Options{Budget: o.Budget}); ok {
+			l.join(&s)
+			if _, _, ok := s.next(); ok {
 				return true, nil
 			}
-		}
-		if err != nil && (failed == nil || errors.Is(failed, engine.ErrCanceled) && !errors.Is(err, engine.ErrCanceled)) {
+		} else if failed == nil || errors.Is(failed, engine.ErrCanceled) && !errors.Is(err, engine.ErrCanceled) {
 			failed = err
 		}
 	}
@@ -97,23 +138,12 @@ func existsUnion(ms Members, o Options, exists func(*Query, Options) (bool, erro
 	return false, failed
 }
 
-// EvalUnionBoolWith decides whether some member of ms matches D. A canceled
-// budget yields (false, engine.ErrCanceled) unless a witness was found.
-func EvalUnionBoolWith(ms Members, db *graph.DB, o Options) (bool, error) {
-	return existsUnion(ms, o, func(q *Query, o Options) (bool, error) { return EvalBoolWith(q, db, o) })
-}
-
-// CheckUnionWith decides t̄ ∈ ⋃ qi(D): one pre-bound lazy search per member.
-func CheckUnionWith(ms Members, db *graph.DB, t pattern.Tuple, o Options) (bool, error) {
-	return existsUnion(ms, o, func(q *Query, o Options) (bool, error) { return CheckWith(q, db, t, o) })
-}
-
 // EvalUnion computes ⋃ qi(D).
 func EvalUnion(u *Union, db *graph.DB) (*pattern.TupleSet, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
 	}
-	return EvalUnionWith(MembersOf(u.Members...), db, Options{})
+	return EvalUnionWith(MembersOf(db, u.Members...), Options{})
 }
 
 // EvalUnionBool decides whether some member matches.
@@ -121,20 +151,19 @@ func EvalUnionBool(u *Union, db *graph.DB) (bool, error) {
 	if err := u.Validate(); err != nil {
 		return false, err
 	}
-	return EvalUnionBoolWith(MembersOf(u.Members...), db, Options{})
+	return ExistsUnion(MembersOf(db, u.Members...), nil, Options{})
 }
 
-// UnionRows is the stream of ⋃ qi(D): the members' searches pulled one after
-// the other on the caller's goroutine, a row returned the moment the join
-// completes it. Unranked, rows are distinct across the union and cost is
+// UnionRows is the stream of ⋃ qi(D): the members' lazy searches pulled one
+// after the other on the caller's goroutine, a row returned the moment the
+// join completes it. Unranked, rows are distinct across the union and cost is
 // always 0. Ranked rows are NOT deduplicated — the same tuple may arrive once
 // per distinct assignment, each with that assignment's cost — because only a
 // full drain can know the minimal witness; the consumer keeps the minimum per
 // tuple. The caller owns the budget and checks it for truncation.
 type UnionRows struct {
 	ms   Members
-	db   *graph.DB
-	o    Options
+	j    Join
 	next int  // the member searched after s
 	live bool // s is a member's search
 	s    search
@@ -144,8 +173,8 @@ type UnionRows struct {
 
 // NewUnionRows returns the stream of the members of ms under o; nothing runs
 // before the first Next.
-func NewUnionRows(ms Members, db *graph.DB, o Options) *UnionRows {
-	u := &UnionRows{ms: ms, db: db, o: o}
+func NewUnionRows(ms Members, o Options) *UnionRows {
+	u := &UnionRows{ms: ms, j: Join{Options: o, Lazy: true}}
 	if !o.Ranked {
 		u.seen = pattern.NewTupleSet()
 	}
@@ -154,7 +183,7 @@ func NewUnionRows(ms Members, db *graph.DB, o Options) *UnionRows {
 
 // Next returns the next row with its witness cost, in a row the stream
 // reuses; ok is false once the union is exhausted, the budget canceled or a
-// member could not be built or compiled (Err).
+// member could not be built (Err).
 func (u *UnionRows) Next() (row []int32, cost int, ok bool) {
 	for u.err == nil && u.next >= 0 {
 		if u.live {
@@ -164,20 +193,17 @@ func (u *UnionRows) Next() (row []int32, cost int, ok bool) {
 				}
 				return row, cost, true
 			}
-			if u.live = false; u.o.Budget.Canceled() {
+			if u.live = false; u.j.Budget.Canceled() {
 				break
 			}
 		}
-		q, more, err := u.ms(u.next)
+		l, more, err := u.ms(u.next, u.j)
 		if u.next++; !more {
 			break
 		}
 		if err == nil {
-			var ev *evaluator
-			if ev, err = newEvaluator(q, u.db, u.o, true); err == nil {
-				u.s.reset(ev.compile(nil, false), u.o.Budget)
-				u.live = true
-			}
+			l.join(&u.s)
+			u.live = true
 		}
 		u.err = err
 	}
@@ -185,21 +211,22 @@ func (u *UnionRows) Next() (row []int32, cost int, ok bool) {
 	return nil, 0, false
 }
 
-// Err reports the first member that could not be built or compiled.
+// Err reports the first member that could not be built.
 func (u *UnionRows) Err() error { return u.err }
 
-// AddUnion adds one query-form root per member of ms (see AddQuery).
-func (a *AnyK) AddUnion(ms Members, db *graph.DB, weight engine.Weight) error {
+// AddUnion adds one root per member of ms, ranked under the enumerator's
+// budget with an optional pluggable edge weight: each member's join as it
+// stands when the source yields it, which the source may go on to change.
+func (a *AnyK) AddUnion(ms Members, weight engine.Weight) error {
+	j := Join{Options: Options{Budget: a.bud, Ranked: true, Weight: weight}, Lazy: true}
 	for i := 0; ; i++ {
-		q, ok, err := ms(i)
+		l, ok, err := ms(i, j)
 		if !ok {
 			return nil
-		}
-		if err == nil {
-			err = a.AddQuery(q, db, weight)
 		}
 		if err != nil {
 			return err
 		}
+		a.addRoot(l.plan(0).clone())
 	}
 }

@@ -3,6 +3,7 @@ package ecrpq_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"cxrpq/internal/graph"
 	"cxrpq/internal/pattern"
 	"cxrpq/internal/workload"
+	"cxrpq/internal/xregex"
 )
 
 // TestEvalUnionParallel checks the union evaluation: members evaluated in
@@ -56,7 +58,7 @@ func TestEvalUnionParallel(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got, err := ecrpq.EvalUnionWith(ecrpq.MembersOf(u.Members...), db, ecrpq.Options{}); err != nil || !got.Equal(want) {
+			if got, err := ecrpq.EvalUnionWith(ecrpq.MembersOf(db, u.Members...), ecrpq.Options{}); err != nil || !got.Equal(want) {
 				t.Errorf("caller %d: union %d tuples, %v; sequential %d", g, got.Len(), err, want.Len())
 			}
 		}()
@@ -66,7 +68,7 @@ func TestEvalUnionParallel(t *testing.T) {
 	for i := 0; i < 1031; i++ {
 		many = append(many, u.Members[i%3])
 	}
-	if got, err := ecrpq.EvalUnionWith(seq(many...), db, ecrpq.Options{}); err != nil || !got.Equal(want) {
+	if got, err := ecrpq.EvalUnionWith(seq(db, many...), ecrpq.Options{}); err != nil || !got.Equal(want) {
 		t.Fatalf("a union of %d members has %d tuples, %v; want %d", len(many), got.Len(), err, want.Len())
 	}
 	for _, c := range []struct {
@@ -75,37 +77,37 @@ func TestEvalUnionParallel(t *testing.T) {
 		ok      bool
 		err     error // nil: none; errAny: whatever Validate says
 	}{
-		{"a match after a failed member wins", seq(errA, invalid, hit), true, nil},
-		{"a failed member after the match is ignored", seq(hit, invalid, errA), true, nil},
-		{"no match: the lowest-index failure", seq(miss, errB, errA), false, errB},
-		{"a real failure outranks an earlier truncation", seq(cut, miss, errA, errB), false, errA},
-		{"a member that does not validate is a failure", seq(miss, invalid), false, errAny},
-		{"failures at the end of a long union keep their rank", seq(wide...), false, errB},
+		{"a match after a failed member wins", seq(db, errA, invalid, hit), true, nil},
+		{"a failed member after the match is ignored", seq(db, hit, invalid, errA), true, nil},
+		{"no match: the lowest-index failure", seq(db, miss, errB, errA), false, errB},
+		{"a real failure outranks an earlier truncation", seq(db, cut, miss, errA, errB), false, errA},
+		{"a member that does not validate is a failure", seq(db, miss, invalid), false, errAny},
+		{"failures at the end of a long union keep their rank", seq(db, wide...), false, errB},
 	} {
-		ok, err := ecrpq.EvalUnionBoolWith(c.members, db, ecrpq.Options{})
+		ok, err := ecrpq.ExistsUnion(c.members, nil, ecrpq.Options{})
 		if ok != c.ok || (c.err == nil) != (err == nil) || c.err != errAny && !errors.Is(err, c.err) {
 			t.Errorf("Boolean, %s: got %v, %v", c.name, ok, err)
 		}
 	}
 	// Evaluating the set, the first failure ends the run with what was found.
-	res, err := ecrpq.EvalUnionWith(seq(hit, errA, errB), db, ecrpq.Options{})
+	res, err := ecrpq.EvalUnionWith(seq(db, hit, errA, errB), ecrpq.Options{})
 	if !errors.Is(err, errA) || res == nil {
 		t.Errorf("set evaluation with a failed member = %v, %v; want the partial set and member A", res, err)
 	}
 	// A witness spends nothing of the caller's budget, also when the union is
 	// one member.
-	for _, ms := range []ecrpq.Members{seq(hit), seq(hit, hit, hit)} {
+	for _, ms := range []ecrpq.Members{seq(db, hit), seq(db, hit, hit, hit)} {
 		live := engine.NewBudget(nil, time.Time{})
-		if ok, err := ecrpq.EvalUnionBoolWith(ms, db, ecrpq.Options{Budget: live}); err != nil || !ok || live.Err() != nil {
+		if ok, err := ecrpq.ExistsUnion(ms, nil, ecrpq.Options{Budget: live}); err != nil || !ok || live.Err() != nil {
 			t.Errorf("Boolean match = %v, %v; the caller's budget afterwards: %v", ok, err, live.Err())
 		}
 	}
 	// A spent budget vouches for nothing, and nothing is evaluated under it.
 	spent := engine.NewBudget(nil, time.Now().Add(-time.Second))
-	if res, err := ecrpq.EvalUnionWith(seq(hit), db, ecrpq.Options{Budget: spent}); !errors.Is(err, engine.ErrCanceled) || res.Len() != 0 {
+	if res, err := ecrpq.EvalUnionWith(seq(db, hit), ecrpq.Options{Budget: spent}); !errors.Is(err, engine.ErrCanceled) || res.Len() != 0 {
 		t.Errorf("set evaluation under a spent budget = %d rows, %v", res.Len(), err)
 	}
-	if ok, err := ecrpq.EvalUnionBoolWith(seq(hit), db, ecrpq.Options{Budget: spent}); !errors.Is(err, engine.ErrCanceled) || ok {
+	if ok, err := ecrpq.ExistsUnion(seq(db, hit), nil, ecrpq.Options{Budget: spent}); !errors.Is(err, engine.ErrCanceled) || ok {
 		t.Errorf("Boolean evaluation under a spent budget = %v, %v", ok, err)
 	}
 }
@@ -126,27 +128,27 @@ func TestUnionExitsInOrder(t *testing.T) {
 	}
 	// counted is seq(members...) that records the highest index asked for.
 	counted := func(asked *int, members ...any) ecrpq.Members {
-		ms := seq(members...)
-		return func(i int) (*ecrpq.Query, bool, error) {
+		ms := seq(db, members...)
+		return func(i int, j ecrpq.Join) (*ecrpq.Leaf, bool, error) {
 			*asked = max(*asked, i)
-			return ms(i)
+			return ms(i, j)
 		}
 	}
 
 	asked := -1
-	if ok, err := ecrpq.EvalUnionBoolWith(counted(&asked, errA, hit, miss), db, ecrpq.Options{}); !ok || err != nil {
+	if ok, err := ecrpq.ExistsUnion(counted(&asked, errA, hit, miss), nil, ecrpq.Options{}); !ok || err != nil {
 		t.Errorf("Boolean over [a member that failed to build, a match] = %v, %v; want true, nil", ok, err)
 	}
 	if asked != 1 {
 		t.Errorf("Boolean: the source was asked up to member %d after the witness at member 1", asked)
 	}
-	if ok, err := ecrpq.EvalUnionBoolWith(seq(invalid, hit), db, ecrpq.Options{}); !ok || err != nil {
+	if ok, err := ecrpq.ExistsUnion(seq(db, invalid, hit), nil, ecrpq.Options{}); !ok || err != nil {
 		t.Errorf("Boolean over [a member that does not validate, a match] = %v, %v; want true, nil", ok, err)
 	}
 
 	for _, failing := range []any{errA, invalid} {
 		asked = -1
-		res, err := ecrpq.EvalUnionWith(counted(&asked, hit, failing, hit, miss), db, ecrpq.Options{})
+		res, err := ecrpq.EvalUnionWith(counted(&asked, hit, failing, hit, miss), ecrpq.Options{})
 		if err == nil || failing == errA && !errors.Is(err, errA) {
 			t.Errorf("set over [a match, %v]: error %v, want the failure", failing, err)
 		}
@@ -159,25 +161,150 @@ func TestUnionExitsInOrder(t *testing.T) {
 	}
 }
 
+// TestUnionContract holds the member drivers to one contract, over the two
+// kinds of member source the program runs: the query form — one query per
+// member, as a vstar-free plan's union yields them — and the bounded run's —
+// one pattern leaf whose atom is set anew for each member, as the bounded
+// engine yields its mappings. A member is a label of the one edge x → y, or
+// an error standing for a member the source could not build (the synthetic
+// failure rows). The sources record which members the drivers ask for.
+func TestUnionContract(t *testing.T) {
+	db := workload.Random(11, 20, 80, "ab")
+	sigma := []rune("abc")
+	g := pattern.MustParseQuery("ans(x, y)\nx y : a")
+	sources := map[string]func(asked *[]int, members ...any) ecrpq.Members{
+		"query": func(asked *[]int, members ...any) ecrpq.Members {
+			return func(i int, j ecrpq.Join) (*ecrpq.Leaf, bool, error) {
+				*asked = append(*asked, i)
+				if i >= len(members) {
+					return nil, false, nil
+				}
+				if err, ok := members[i].(error); ok {
+					return nil, true, err
+				}
+				q := mustQuery(t, "ans(x, y)\nx y : "+members[i].(string))
+				return ecrpq.MembersOf(db, q)(0, j)
+			}
+		},
+		"bounded": func(asked *[]int, members ...any) ecrpq.Members {
+			var leaf *ecrpq.Leaf
+			return func(i int, j ecrpq.Join) (*ecrpq.Leaf, bool, error) {
+				*asked = append(*asked, i)
+				if i >= len(members) {
+					return nil, false, nil
+				}
+				if err, ok := members[i].(error); ok {
+					return nil, true, err
+				}
+				if leaf == nil {
+					leaf = ecrpq.NewLeaf(ecrpq.Atoms(db), g, j)
+				}
+				a, err := ecrpq.Atoms(db).Atom(xregex.MustParse(members[i].(string)), sigma)
+				if err == nil {
+					_, err = leaf.Set(0, a)
+				}
+				return leaf, true, err
+			}
+		},
+	}
+	rows := func(label string) *pattern.TupleSet {
+		res, err := ecrpq.Eval(mustQuery(t, "ans(x, y)\nx y : "+label), db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := rows("a"), rows("b")
+	ab := pattern.NewTupleSet()
+	ab.AddAll(a)
+	ab.AddAll(b)
+	if a.Len() == 0 || b.Len() == 0 || rows("c").Len() != 0 {
+		t.Fatal("fixture: want rows over a and over b, none over c")
+	}
+	tuple := a.Sorted()[0]
+	pre, _, err := ecrpq.PreBind(g.Out, db, tuple)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errA, errB := errors.New("member A"), errors.New("member B")
+	cut := fmt.Errorf("member cut: %w", engine.ErrCanceled)
+	spent := engine.NewBudget(nil, time.Now().Add(-time.Second))
+	sorted := func(s *pattern.TupleSet) []pattern.Tuple {
+		if s == nil {
+			return nil
+		}
+		return s.Sorted()
+	}
+	type outcome struct {
+		rows *pattern.TupleSet // set: the rows returned; nil for exists
+		ok   bool              // exists: the verdict
+		err  error
+	}
+	set := func(o ecrpq.Options) func(ecrpq.Members) outcome {
+		return func(ms ecrpq.Members) outcome {
+			res, err := ecrpq.EvalUnionWith(ms, o)
+			return outcome{rows: res, err: err}
+		}
+	}
+	exists := func(pre map[string]int, o ecrpq.Options) func(ecrpq.Members) outcome {
+		return func(ms ecrpq.Members) outcome {
+			ok, err := ecrpq.ExistsUnion(ms, pre, o)
+			return outcome{ok: ok, err: err}
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		run     func(ecrpq.Members) outcome
+		members []any
+		want    outcome
+		asked   []int
+	}{
+		{"set: members run in order, each once", set(ecrpq.Options{}), []any{"a", "c", "b"}, outcome{rows: ab}, []int{0, 1, 2, 3}},
+		{"bool: exits at the first witness", exists(nil, ecrpq.Options{}), []any{"c", "a", "b", "c"}, outcome{ok: true}, []int{0, 1}},
+		{"check: exits at the first witness", exists(pre, ecrpq.Options{}), []any{"c", "a", "a", errA}, outcome{ok: true}, []int{0, 1}},
+		{"check: no witness asks every member", exists(pre, ecrpq.Options{}), []any{"c", "b"}, outcome{}, []int{0, 1, 2}},
+		{"set: a failed member ends the run with the rows so far", set(ecrpq.Options{}), []any{"a", errA, "b"}, outcome{rows: a, err: errA}, []int{0, 1}},
+		{"bool: a real failure outranks a truncation", exists(nil, ecrpq.Options{}), []any{cut, "c", errA, errB}, outcome{err: errA}, []int{0, 1, 2, 3, 4}},
+		{"check: a real failure outranks a truncation", exists(pre, ecrpq.Options{}), []any{cut, errA, "c"}, outcome{err: errA}, []int{0, 1, 2, 3}},
+		{"set: a spent budget starts no member", set(ecrpq.Options{Budget: spent}), []any{"a"}, outcome{rows: pattern.NewTupleSet(), err: engine.ErrCanceled}, nil},
+		{"bool: a spent budget starts no member", exists(nil, ecrpq.Options{Budget: spent}), []any{"a"}, outcome{err: engine.ErrCanceled}, nil},
+		{"check: a spent budget starts no member", exists(pre, ecrpq.Options{Budget: spent}), []any{"a"}, outcome{err: engine.ErrCanceled}, nil},
+	} {
+		for name, source := range sources {
+			var asked []int
+			got := c.run(source(&asked, c.members...))
+			if got.ok != c.want.ok || (got.err == nil) != (c.want.err == nil) || c.want.err != nil && !errors.Is(got.err, c.want.err) {
+				t.Errorf("%s, %s source: %v, %v; want %v, %v", c.name, name, got.ok, got.err, c.want.ok, c.want.err)
+			}
+			if (got.rows == nil) != (c.want.rows == nil) || c.want.rows != nil && !got.rows.Equal(c.want.rows) {
+				t.Errorf("%s, %s source: rows %v, want %v", c.name, name, sorted(got.rows), sorted(c.want.rows))
+			}
+			if !slices.Equal(asked, c.asked) {
+				t.Errorf("%s, %s source: asked for members %v, want %v", c.name, name, asked, c.asked)
+			}
+		}
+	}
+}
+
 var errAny = errors.New("any error")
 
-// seq is a member source over queries and the errors standing in for members
-// that could not be built.
-func seq(members ...any) ecrpq.Members {
-	return func(i int) (*ecrpq.Query, bool, error) {
+// seq is a member source over queries on db and the errors standing in for
+// members that could not be built.
+func seq(db *graph.DB, members ...any) ecrpq.Members {
+	return ecrpq.QueryMembers(db, func(i int) (*ecrpq.Query, bool, error) {
 		if i >= len(members) {
 			return nil, false, nil
 		}
 		q, _ := members[i].(*ecrpq.Query)
 		err, _ := members[i].(error)
 		return q, true, err
-	}
+	})
 }
 
 // streamUnion pulls every row of the union stream of ms into yield until it
 // returns false, and reports the stream's error.
-func streamUnion(ms ecrpq.Members, db *graph.DB, o ecrpq.Options, yield ecrpq.StreamFunc) error {
-	u := ecrpq.NewUnionRows(ms, db, o)
+func streamUnion(ms ecrpq.Members, o ecrpq.Options, yield ecrpq.StreamFunc) error {
+	u := ecrpq.NewUnionRows(ms, o)
 	for row, cost, ok := u.Next(); ok && yield(row, cost); row, cost, ok = u.Next() {
 	}
 	return u.Err()
