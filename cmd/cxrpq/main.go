@@ -21,7 +21,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 
 	"cxrpq/internal/cxrpq"
 	"cxrpq/internal/graph"
@@ -93,14 +95,14 @@ func run(graphPath, queryPath, algo string, k int, explain bool) error {
 		}
 		ex := resp.Explanation
 		fmt.Println("witness:")
-		for v, n := range ex.NodeOf {
-			fmt.Printf("  node %s = %s\n", v, db.Name(n))
+		for _, v := range slices.Sorted(maps.Keys(ex.NodeOf)) {
+			fmt.Printf("  node %s = %s\n", v, db.Name(ex.NodeOf[v]))
 		}
 		for i, w := range ex.Words {
 			fmt.Printf("  edge %d word = %q\n", i, w)
 		}
-		for x, img := range ex.Images {
-			fmt.Printf("  $%s = %q\n", x, img)
+		for _, x := range slices.Sorted(maps.Keys(ex.Images)) {
+			fmt.Printf("  $%s = %q\n", x, ex.Images[x])
 		}
 		return nil
 	}

@@ -12,9 +12,9 @@ import (
 	"cxrpq/internal/graph"
 )
 
-// runOut runs the command on the given graph and query texts and returns
-// what it prints.
-func runOut(t *testing.T, graphText, queryText, algo string, k int) string {
+// runOut runs the command on the given graph and query texts, explaining one
+// match when explain is set, and returns what it prints.
+func runOut(t *testing.T, graphText, queryText, algo string, k int, explain bool) string {
 	t.Helper()
 	dir := t.TempDir()
 	gp, qp := filepath.Join(dir, "db.txt"), filepath.Join(dir, "q.txt")
@@ -30,7 +30,7 @@ func runOut(t *testing.T, graphText, queryText, algo string, k int) string {
 	}
 	stdout := os.Stdout
 	os.Stdout = w
-	runErr := run(gp, qp, algo, k, false)
+	runErr := run(gp, qp, algo, k, explain)
 	os.Stdout = stdout
 	w.Close()
 	out, err := io.ReadAll(r)
@@ -57,7 +57,7 @@ func TestAlgoAny(t *testing.T) {
 	}
 	q := cxrpq.MustParse(query)
 	for k := 0; k <= 6; k++ {
-		out := runOut(t, chain, query, "any", k)
+		out := runOut(t, chain, query, "any", k, false)
 		if noted := strings.Contains(out, "image cap reached"); noted != db.HasPathOfLen(k+1) || noted != (k < 5) {
 			t.Errorf("k=%d: image-cap note printed %v, the graph's longest path has 5 edges:\n%s", k, noted, out)
 		}
@@ -79,6 +79,36 @@ func TestAlgoAny(t *testing.T) {
 		}
 		if k >= 2 && len(want) != 2 {
 			t.Errorf("k=%d: %d answers, want aba and aabaa's", k, len(want))
+		}
+	}
+}
+
+// TestExplainPrintsSorted: -explain prints a witness's node variables and
+// string variables sorted by name, so that every run prints the same lines.
+func TestExplainPrintsSorted(t *testing.T) {
+	const (
+		chain = "n1 a n2\nn2 b n3\nn3 a n4\nn4 b n5\n"
+		query = "ans(w, z)\nw x : $u{a}\nx y : $t{b}\ny z : $u\nz v : $t\n"
+	)
+	var first string
+	for run := 0; run < 8; run++ {
+		out := runOut(t, chain, query, "bounded", 1, true)
+		var nodes, images []string
+		for _, l := range strings.Split(out, "\n") {
+			if name, ok := strings.CutPrefix(l, "  node "); ok {
+				nodes = append(nodes, name)
+			}
+			if name, ok := strings.CutPrefix(l, "  $"); ok {
+				images = append(images, name)
+			}
+		}
+		if len(nodes) != 5 || len(images) != 2 || !slices.IsSorted(nodes) || !slices.IsSorted(images) {
+			t.Fatalf("run %d: want five node and two image lines, each sorted by name:\n%s", run, out)
+		}
+		if run == 0 {
+			first = out
+		} else if out != first {
+			t.Fatalf("run %d printed\n%s\nrun 0 printed\n%s", run, out, first)
 		}
 	}
 }

@@ -19,7 +19,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 
 	"cxrpq/internal/ecrpq"
 	"cxrpq/internal/graph"
@@ -76,8 +78,8 @@ func run(graphPath, queryPath string, witness bool) error {
 			return nil
 		}
 		fmt.Println("witness:")
-		for v, n := range w.NodeOf {
-			fmt.Printf("  node %s = %s\n", v, db.Name(n))
+		for _, v := range slices.Sorted(maps.Keys(w.NodeOf)) {
+			fmt.Printf("  node %s = %s\n", v, db.Name(w.NodeOf[v]))
 		}
 		for i, word := range w.Words {
 			fmt.Printf("  edge %d word = %q\n", i, word)

@@ -9,7 +9,8 @@ package main
 import (
 	"fmt"
 	"log"
-	"sort"
+	"maps"
+	"slices"
 
 	"cxrpq/internal/cxrpq"
 	"cxrpq/internal/graph"
@@ -62,12 +63,7 @@ b z : $p
 	}
 	ex := why.Explanation
 	fmt.Println("one witness:")
-	var vars []string
-	for v := range ex.NodeOf {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	for _, v := range vars {
+	for _, v := range slices.Sorted(maps.Keys(ex.NodeOf)) {
 		fmt.Printf("  node %s -> %s\n", v, db.Name(ex.NodeOf[v]))
 	}
 	for i, w := range ex.Words {

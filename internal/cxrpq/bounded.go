@@ -61,8 +61,8 @@ import (
 // (boundedEngine.members), and the drivers of internal/ecrpq/union.go join
 // the members — into one answer set, to the first witness, once per source
 // variable seeded on a window's frontier, as a stream or as any-k roots —
-// exactly as they join a vstar-free query's. Only a bounded explain walks the
-// mappings here, to search each instantiated CRPQ for a path witness.
+// exactly as they join a vstar-free query's, or to the first witness read off
+// the leaf, which an explanation completes with the mapping's images.
 //
 // EvalBoundedNaive (eval.go) remains the literal Theorem 6 rendering and the
 // differential baseline: the two must agree on full tuple sets.
@@ -182,20 +182,23 @@ type boundedEngine struct {
 	// table sweeps and leaf joins, which unwind at level granularity once it
 	// is spent.
 	bud *engine.Budget
+
+	// st is the run's enumeration, started by the first member asked for
+	// (members): its assignment is the mapping of the member asked for last.
+	st *boundedState
 }
 
 // boundedState is the mutable state of a run's enumeration: the partial
 // assignment, the leaf join with the atom of each edge set on it and, per
-// edge, the instantiated label and the defined variables whose definitions
-// survived the Lemma 10 cut. Entries for edge ei are valid whenever the
-// current prefix covers ei's ready step.
+// edge, the defined variables whose definitions survived the Lemma 10 cut.
+// Entries for edge ei are valid whenever the current prefix covers ei's ready
+// step.
 //
 // The enumeration itself is an explicit stack (next): frame i holds the
 // candidate images of vars[i] under the prefix still to try.
 type boundedState struct {
 	e        *boundedEngine
 	assign   map[string]string
-	insts    []xregex.Node
 	leaf     *ecrpq.Leaf
 	survived []map[string]bool
 
@@ -251,7 +254,6 @@ func (e *boundedEngine) newState(j ecrpq.Join) *boundedState {
 	return &boundedState{
 		e:        e,
 		assign:   map[string]string{},
-		insts:    make([]xregex.Node, ne),
 		leaf:     ecrpq.NewLeaf(e.atoms, e.p.q.Pattern, j),
 		survived: make([]map[string]bool, ne),
 		cands:    make([][]string, nv),
@@ -265,16 +267,15 @@ func (e *boundedEngine) newState(j ecrpq.Join) *boundedState {
 // for the members in order, once each. A failure ends the enumeration, and so
 // does a spent budget, which is no failure: the driver reads the budget.
 func (e *boundedEngine) members() ecrpq.Members {
-	var st *boundedState
 	return func(_ int, j ecrpq.Join) (*ecrpq.Leaf, bool, error) {
-		if st == nil {
-			st = e.newState(j)
+		if e.st == nil {
+			e.st = e.newState(j)
 		}
-		ok, err := st.next()
+		ok, err := e.st.next()
 		if err = e.ignoreCanceled(err); err != nil {
 			return nil, true, err
 		}
-		return st.leaf, ok, nil
+		return e.st.leaf, ok, nil
 	}
 }
 
@@ -307,7 +308,6 @@ func (st *boundedState) instantiateEdge(ei int) (bool, error) {
 	}
 	st.survived[ei] = surv
 	inst := xregex.Simplify(xregex.SubstituteAllVars(cut, st.assign))
-	st.insts[ei] = inst
 	a, err := e.atoms.Atom(inst, e.sigma)
 	if err != nil {
 		return false, err

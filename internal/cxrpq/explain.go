@@ -7,15 +7,14 @@ import "cxrpq/internal/ecrpq"
 // per query edge), and the variable mapping ψ of the underlying conjunctive
 // match (§3.1). This realizes, for a single match, the path-extraction
 // capability the paper sketches in §8. Request{Op: "explain"} finds one,
-// optionally constrained to an output tuple.
+// optionally constrained to an output tuple: the first witness of the
+// request's member source (ecrpq.WitnessUnion), taken back to the query by
+// buildExplanation on the union arm, or with the images of the mapping it was
+// found under on the bounded one.
 type Explanation struct {
 	NodeOf map[string]int    // node variable -> database node
 	Words  []string          // per original query edge, the matched path label
 	Images map[string]string // string variable -> image
-
-	// Plan is the join order of the query on the database the witness was
-	// found in (best effort: nil when the report could not be built).
-	Plan *PlanReport
 }
 
 // buildExplanation maps an ECRPQ^er witness back through the translation:

@@ -1,7 +1,6 @@
 package cxrpq
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"weak"
@@ -22,9 +21,10 @@ import (
 // Each call asks ecrpq.Atoms(db) once and runs against that store. A query
 // runs through exactly two operations: Do, one Request answered whole, and
 // Stream (stream.go), a pull cursor; PlanReport (planreport.go) reports the
-// join order without evaluating. Whatever the semantics, an operation is one
-// call of a union driver (internal/ecrpq/union.go) over the request's member
-// source (source): the plan's ECRPQ^er members, or a bounded run's mappings.
+// join order without evaluating. Whatever the semantics and the operation,
+// explain included, a request is one call of a union driver
+// (internal/ecrpq/union.go) over the request's member source (source): the
+// plan's ECRPQ^er members, or a bounded run's mappings.
 // All Session methods are safe for concurrent use.
 //
 // Invalidation contract: the database must not be mutated while a call is
@@ -92,13 +92,6 @@ func (s *Session) Fork(db *graph.DB) *Session {
 // Fragment returns the plan's fragment classification.
 func (s *Session) Fragment() string { return s.plan.fragment }
 
-// explanation attaches the session's join order to a witness (best effort:
-// the witness stands alone).
-func (s *Session) explanation(ex *Explanation) *Explanation {
-	ex.Plan, _ = s.PlanReport()
-	return ex
-}
-
 // boundedRun binds the plan's bounded schedule (Theorem 6) to the session's
 // database and its atom store atoms for one run under bud: the one
 // constructor of every bounded evaluation, check, explanation and stream.
@@ -115,20 +108,21 @@ func (s *Session) boundedRun(atoms *ecrpq.AtomStore, k int, bud *engine.Budget) 
 // plan's union of ECRPQ^er (Plan.members), each member compiled over the
 // session's database; under a bounded one the mappings of a bounded run
 // under image bound k (Theorem 6), each the run's leaf join over the
-// mapping's atoms. The drivers of internal/ecrpq/union.go pull either.
-func (s *Session) source(atoms *ecrpq.AtomStore, bounded bool, k int, bud *engine.Budget) (ecrpq.Members, error) {
+// mapping's atoms, and the run, nil on the union arm. The drivers of
+// internal/ecrpq/union.go pull either.
+func (s *Session) source(atoms *ecrpq.AtomStore, bounded bool, k int, bud *engine.Budget) (ecrpq.Members, *boundedEngine, error) {
 	if !bounded {
 		qs, err := s.plan.members()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return ecrpq.QueryMembers(s.db, qs), nil
+		return ecrpq.QueryMembers(s.db, qs), nil, nil
 	}
 	e, err := s.boundedRun(atoms, k, bud)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return e.members(), nil
+	return e.members(), e, nil
 }
 
 // Request is one operation against a Session: one of the paper's evaluation
@@ -211,12 +205,7 @@ func (s *Session) Do(req Request) Response {
 		}
 		return s.settleCarried(atoms, key, v.(Response), frontier, drop, bounded, k, req.Budget)
 	}
-	var resp Response
-	if req.Op == "explain" {
-		resp = s.explain(atoms, bounded, k, t, req.Budget)
-	} else {
-		resp = s.run(atoms, req.Op, bounded, k, t, req.Budget)
-	}
+	resp := s.run(atoms, req.Op, bounded, k, t, req.Budget)
 	if resp.Err == nil && req.Budget.Err() == nil {
 		atoms.FileAnswer(key, resp, resp.values(), resp.carry())
 	}
@@ -265,7 +254,7 @@ func (s *Session) settleCarried(atoms *ecrpq.AtomStore, key any, old Response, f
 		return atoms.SettleAnswer(key, old, 0, old.carry()).(Response)
 	}
 	var delta *pattern.TupleSet
-	ms, err := s.source(atoms, bounded, k, bud)
+	ms, _, err := s.source(atoms, bounded, k, bud)
 	if err == nil {
 		delta, err = ecrpq.EvalUnionSeededWith(ms, frontier, ecrpq.Options{Budget: bud})
 	}
@@ -301,100 +290,45 @@ func frontierRows(n int, frontier, cols []int) func([]int32) bool {
 	}
 }
 
-// run runs op — eval, bool or check — over the request's member source by
-// the union drivers (internal/ecrpq/union.go), whatever the arm. A failed or
-// truncated eval returns the sound partial rows with its error; bool and
-// check run the lazy search per member, first witness wins, and a found
-// witness makes the answer definitive whatever the budget cut afterwards.
-// Check pre-binds the output variables, so each member's join only searches
-// for one extension of the tuple.
+// run runs op over the request's member source by one call of a union driver
+// (internal/ecrpq/union.go), whatever the arm. A failed or truncated eval
+// returns the sound partial rows with its error; bool, check and explain run
+// the lazy search per member, first witness wins, and a found witness makes
+// the answer definitive whatever the budget cut afterwards. Check, and
+// explain given a tuple, pre-bind the output variables, so each member's join
+// only searches for one extension of the tuple. An explanation is the witness
+// taken back to the query: through the matching member's Step 3 map
+// (buildExplanation) on the union arm, with the images of the mapping the run
+// stands on on the bounded one.
 func (s *Session) run(atoms *ecrpq.AtomStore, op string, bounded bool, k int, t pattern.Tuple, bud *engine.Budget) Response {
 	var pre map[string]int
-	if op == "check" {
+	if op == "check" || t != nil {
 		var ok bool
 		var err error
 		if pre, ok, err = ecrpq.PreBind(s.plan.q.Pattern.Out, s.db, t); err != nil || !ok {
 			return Response{Err: err} // !ok: one output variable bound to two nodes
 		}
 	}
-	ms, err := s.source(atoms, bounded, k, bud)
+	ms, e, err := s.source(atoms, bounded, k, bud)
 	if err != nil {
 		return Response{Err: err}
 	}
 	o := ecrpq.Options{Budget: bud}
-	if op == "eval" {
+	switch op {
+	case "eval":
 		res, err := ecrpq.EvalUnionWith(ms, o)
 		return Response{Tuples: res, OK: res.Len() > 0, Err: err}
+	case "bool", "check":
+		ok, err := ecrpq.ExistsUnion(ms, pre, o)
+		return Response{OK: ok, Err: err}
 	}
-	ok, err := ecrpq.ExistsUnion(ms, pre, o)
-	return Response{OK: ok, Err: err}
-}
-
-// explain finds the first witness of the request's arm and takes it back to
-// the query. The union arm searches the members in order
-// (ecrpq.FindWitness) and the first with a witness wins, whatever a member
-// before it failed with; its translation takes the witness back through the
-// member's Step 3 map. The bounded arm pulls the mappings in enumeration
-// order and searches each instantiated CRPQ; the witness carries the
-// mapping's images.
-func (s *Session) explain(atoms *ecrpq.AtomStore, bounded bool, k int, t pattern.Tuple, bud *engine.Budget) Response {
-	if bounded {
-		e, err := s.boundedRun(atoms, k, bud)
-		if err != nil {
-			return Response{Err: err}
-		}
-		found, err := s.explainBounded(e, t)
-		if err == nil && found == nil {
-			err = bud.Err()
-		}
-		return Response{OK: found != nil, Explanation: found, Err: err}
-	}
-	if _, err := s.plan.members(); err != nil {
+	i, w, err := ecrpq.WitnessUnion(ms, pre, o)
+	switch {
+	case w == nil:
 		return Response{Err: err}
+	case e != nil:
+		return Response{OK: true, Explanation: &Explanation{NodeOf: w.NodeOf, Words: w.Words, Images: maps.Clone(e.st.assign)}}
 	}
-	o := ecrpq.Options{Budget: bud}
-	var failed error
-	for i := 0; ; i++ {
-		m, more := s.plan.member(i)
-		if !more {
-			break
-		}
-		w, ok, err := (*ecrpq.Witness)(nil), false, m.err
-		if err == nil {
-			w, ok, err = ecrpq.FindWitness(m.tr.Query, s.db, t, o)
-		}
-		if ok {
-			return Response{OK: true, Explanation: s.explanation(buildExplanation(s.plan.q, m.tr, m.repl, w))}
-		}
-		if failed == nil {
-			failed = err
-		}
-		if errors.Is(err, engine.ErrCanceled) {
-			break // so would every later member be
-		}
-	}
-	return Response{Err: failed}
-}
-
-// explainBounded pulls the run's mappings in enumeration order and searches
-// each instantiated CRPQ for a path witness; the first is the explanation.
-func (s *Session) explainBounded(e *boundedEngine, t pattern.Tuple) (*Explanation, error) {
-	q, st := s.plan.q, e.newState(ecrpq.Join{Options: ecrpq.Options{Budget: e.bud}})
-	for {
-		ok, err := st.next()
-		if err != nil || !ok {
-			return nil, e.ignoreCanceled(err)
-		}
-		g := &pattern.Graph{Out: append([]string(nil), q.Pattern.Out...)}
-		for i, pe := range q.Pattern.Edges {
-			g.Edges = append(g.Edges, pattern.Edge{From: pe.From, To: pe.To, Label: st.insts[i]})
-		}
-		w, ok, err := ecrpq.FindWitness(&ecrpq.Query{Pattern: g}, s.db, t, ecrpq.Options{Budget: e.bud})
-		if ok {
-			return s.explanation(&Explanation{NodeOf: w.NodeOf, Words: w.Words, Images: maps.Clone(st.assign)}), nil
-		}
-		if err != nil {
-			return nil, e.ignoreCanceled(err)
-		}
-	}
+	m, _ := s.plan.member(i)
+	return Response{OK: true, Explanation: buildExplanation(s.plan.q, m.tr, m.repl, w)}
 }

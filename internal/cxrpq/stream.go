@@ -155,7 +155,7 @@ func (s *Session) Stream(opts StreamOptions) (*Cursor, error) {
 	if resp, _ := v.(Response); resp.Tuples != nil {
 		return &Cursor{bud: bud, own: resp.Tuples.SortedRows(), end: opts.Limit}, nil
 	}
-	ms, err := s.source(atoms, bounded, k, bud)
+	ms, _, err := s.source(atoms, bounded, k, bud)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +172,7 @@ func (s *Session) Stream(opts StreamOptions) (*Cursor, error) {
 // combination cap) drains instead, and so does baseline (StreamDrained),
 // which shares nothing.
 func (s *Session) rankedCursor(atoms *ecrpq.AtomStore, bounded bool, k int, bud *engine.Budget, opts StreamOptions, baseline bool) (*Cursor, error) {
-	ms, err := s.source(atoms, bounded, k, bud)
+	ms, _, err := s.source(atoms, bounded, k, bud)
 	if err != nil {
 		return nil, err
 	}

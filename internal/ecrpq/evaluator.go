@@ -11,7 +11,9 @@ import (
 // evaluator binds one query to one database for one evaluation. It owns the
 // lazily probed atom sources (one per pattern edge) and the per-group search
 // scratch with its expansion memo, and compiles the conjunct into a plan for
-// whichever driver the entry point runs.
+// whichever driver the entry point runs. A pattern-form leaf's evaluator
+// holds the run's pattern, with no groups, and the atoms it sets on the
+// edges (Leaf.Set); it compiles its plans itself (NewLeaf).
 //
 // The algorithm follows the product constructions behind the paper's NL
 // upper bounds, realized deterministically: ungrouped edges become binary
@@ -56,14 +58,6 @@ func (ev *evaluator) rankedWeight() engine.Weight {
 		return nil
 	}
 	return ev.weight
-}
-
-func newEvaluator(q *Query, db *graph.DB, o Options, lazy bool) (*evaluator, error) {
-	ev := &evaluator{}
-	if err := ev.init(q, db, o, lazy); err != nil {
-		return nil, err
-	}
-	return ev, nil
 }
 
 // init binds ev to q over db under o.

@@ -2,6 +2,15 @@ package ecrpq
 
 import "cxrpq/internal/graph"
 
+// newEvaluator binds q to db under o, as a query-form leaf does (queryLeaf).
+func newEvaluator(q *Query, db *graph.DB, o Options, lazy bool) (*evaluator, error) {
+	ev := &evaluator{}
+	if err := ev.init(q, db, o, lazy); err != nil {
+		return nil, err
+	}
+	return ev, nil
+}
+
 // CompiledOrder returns the edges of q's atom steps in the order
 // evaluator.compile places them with nothing pre-bound: the order every
 // evaluation of q on db backtracks in.

@@ -10,7 +10,8 @@ import (
 
 // A Leaf is one member of a union compiled for the join a request runs
 // (Join): the drivers of union.go pull every member, of either union, as a
-// leaf. It comes in two forms.
+// leaf, and a witness is read off the leaf a match was found on
+// (Leaf.witness). It comes in two forms.
 //
 // The query form (queryLeaf) is an ECRPQ^er — its atoms and its relation
 // groups — bound to one database: a member of the Lemma 7 / Lemma 13 union of
@@ -20,7 +21,9 @@ import (
 // mappings join one pattern over different atoms. The pattern form compiles
 // that pattern once per run — JoinOrder under the pre-bound variables, the
 // plan's slots and read flags — and the engine sets each mapping's atoms on
-// its edges (Leaf.Set), yielding the one leaf once per mapping. What a join
+// its edges (Leaf.Set), yielding the one leaf once per mapping; its evaluator
+// holds the pattern and the atoms set, as the query form's holds the query and
+// its atoms, so that either form reads a witness alike. What a join
 // reads of an atom is resolved when the atom is set: unranked, the store's
 // complete table when the pattern reads both endpoints — read in place, the
 // other direction by inversion — and the support when it reads one; ranked,
@@ -31,31 +34,32 @@ import (
 // budget, ranked-ness and weight of Options; with the variables of Pre bound
 // (a check, see PreBind) or, Seeded, once per source variable with that
 // variable bound; Lazy for a first answer rather than the whole set (see
-// evaluator.lazy), which every driver but the set evaluation asks for. A
-// pattern-form leaf is lazy whatever the join: its atoms are resolved when
-// set.
+// evaluator.lazy), which every driver but the set evaluation asks for; BindAll
+// binding every variable, not only those the output reads, so that a witness
+// can be read off the match (WitnessUnion). A pattern-form leaf is lazy
+// whatever the join: its atoms are resolved when set.
 type Join struct {
 	Options
-	Pre    map[string]int
-	Seeded bool
-	Lazy   bool
+	Pre     map[string]int
+	Seeded  bool
+	Lazy    bool
+	BindAll bool
 }
 
 // Leaf is a member compiled for one join. It is not safe for concurrent use:
 // a request pulls its members on its one goroutine.
 type Leaf struct {
-	ev    evaluator // the query form's, or the run's: store, budget, ranked-ness and weight; no query
+	ev    evaluator // the query form's, or the run's: the pattern, with the atom set on each edge (unranked) in ev.atoms
 	plans []*plan   // the join under Pre, or one per seed variable with it bound
 	one   [1]*plan  // the storage of plans while there is one
 	seeds []string  // the seed variables, one per plan; nil unless seeded
 
 	// The pattern form's: per edge, whether the join reads its source, its
 	// target (pattern.Graph.Reads); per plan, the edge of each step; per
-	// edge, the atom set on it (unranked) and the one the join reads; ranked,
-	// the run's memo of each atom's rows with costs.
+	// edge, the atom the join reads; ranked, the run's memo of each atom's
+	// rows with costs.
 	from, to []bool
 	orders   [][]int
-	atoms    []probeAtom
 	src      []*probeAtom
 	costed   map[*Atom]*probeAtom
 }
@@ -83,7 +87,7 @@ func queryLeaf(q *Query, db *graph.DB, j Join) (*Leaf, error) {
 	if err := l.ev.init(q, db, j.Options, j.Lazy); err != nil {
 		return nil, err
 	}
-	l.compile(q.Pattern, j, func(pre map[string]int) *plan { return l.ev.compile(pre, false) })
+	l.compile(q.Pattern, j, func(pre map[string]int) *plan { return l.ev.compile(pre, j.BindAll) })
 	return l, nil
 }
 
@@ -91,8 +95,8 @@ func queryLeaf(q *Query, db *graph.DB, j Join) (*Leaf, error) {
 // store s under j; the run sets the atoms of each mapping on its edges (Set).
 func NewLeaf(s *AtomStore, g *pattern.Graph, j Join) *Leaf {
 	n := len(g.Edges)
-	l := &Leaf{ev: evaluator{db: s.db, ix: s.db.Index(), store: s, bud: j.Budget, ranked: j.Ranked, weight: j.Weight, lazy: true},
-		atoms: make([]probeAtom, n), src: make([]*probeAtom, n)}
+	l := &Leaf{ev: evaluator{q: &Query{Pattern: g}, db: s.db, ix: s.db.Index(), store: s, atoms: make([]probeAtom, n),
+		bud: j.Budget, ranked: j.Ranked, weight: j.Weight, lazy: true}, src: make([]*probeAtom, n)}
 	if j.Ranked {
 		l.costed = map[*Atom]*probeAtom{}
 	}
@@ -103,7 +107,7 @@ func NewLeaf(s *AtomStore, g *pattern.Graph, j Join) *Leaf {
 			p.addAtom(nil, e.From, e.To, 0)
 			order = append(order, st.Edge)
 		}
-		p.seal(g.Out, pre, false)
+		p.seal(g.Out, pre, j.BindAll)
 		l.orders = append(l.orders, order)
 		return p
 	})
@@ -127,7 +131,7 @@ func (l *Leaf) Set(ei int, a *Atom) (bool, error) {
 		}
 		return ev.store.PathExists(a, ev.bud)
 	}
-	pa := &l.atoms[ei]
+	pa := &ev.atoms[ei]
 	*pa, l.src[ei] = probeAtom{ev: ev, atom: a}, pa
 	if a.empty() || ev.ix.NumNodes() == 0 {
 		return false, nil

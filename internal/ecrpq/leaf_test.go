@@ -64,7 +64,7 @@ func TestColdSetIndexesNothing(t *testing.T) {
 	if ok, err := l.Set(0, atomOf(t, Atoms(db), g.Edges[0].Label, db.Alphabet())); err != nil || !ok {
 		t.Fatalf("Set = %v, %v; want a non-empty atom", ok, err)
 	}
-	fwd := &l.atoms[0].fwd
+	fwd := &l.ev.atoms[0].fwd
 	if fwd.tab.span == nil {
 		t.Fatal("the leaf did not adopt the complete table")
 	}
@@ -72,8 +72,8 @@ func TestColdSetIndexesNothing(t *testing.T) {
 		t.Fatalf("the cold Set indexed %d rows (an index of %d nodes) into the memo", len(fwd.rows), len(fwd.at))
 	}
 	for u := range db.NumNodes() {
-		if got, _ := fwd.tab.get(u); !rowEqual(got, refRow(db, l.atoms[0].atom, u, true)) {
-			t.Fatalf("row of %d is %v, a sweep %v", u, got, refRow(db, l.atoms[0].atom, u, true))
+		if got, _ := fwd.tab.get(u); !rowEqual(got, refRow(db, l.ev.atoms[0].atom, u, true)) {
+			t.Fatalf("row of %d is %v, a sweep %v", u, got, refRow(db, l.ev.atoms[0].atom, u, true))
 		}
 	}
 }

@@ -9,16 +9,19 @@ import (
 )
 
 // This file holds the program's member loops: one driver per operation — set,
-// seeded set, exists (Bool-Eval and Check), stream, any-k roots — over a
-// member source, which yields each member compiled as a Leaf for the
-// driver's join. Both of the paper's unions run through them: the ∪-ECRPQ
-// a vstar-free CXRPQ is (§7; Lemma 7 / Lemma 13), one query-form leaf per
-// member, and the union of CRPQs a CXRPQ^≤k is (Lemma 12, Theorem 6), the
+// seeded set, exists (Bool-Eval and Check), witness (explain), stream, any-k
+// roots — over a member source, which yields each member compiled as a Leaf
+// for the driver's join. Both of the paper's unions run through them: the
+// ∪-ECRPQ a vstar-free CXRPQ is (§7; Lemma 7 / Lemma 13), one query-form leaf
+// per member, and the union of CRPQs a CXRPQ^≤k is (Lemma 12, Theorem 6), the
 // bounded run's one pattern-form leaf per mapping. Members run one after the
 // other on the caller's goroutine, in order: a set evaluation appends every
-// member's rows to one bag and settles it once, and an exists returns at the
-// first witness. A single query is the union of one member and costs what
-// that member costs.
+// member's rows to one bag and settles it once, and exists and witness share
+// one first-match loop (firstMatch) that returns at the first match — Check is
+// Bool-Eval with the output variables pre-bound, and a witness is read off
+// the leaf that matched (§8). A single query is the union of one member and
+// costs what that member costs. No driver starts a member under a spent
+// budget.
 
 // Members is the member source of a union: member i compiled for j, for i
 // from 0 until ok is false, or the error that kept the layer above from
@@ -109,33 +112,55 @@ func evalUnion(ms Members, j Join, seeds []int) (*pattern.TupleSet, error) {
 
 // ExistsUnion decides whether some member of ms has a match with the
 // variables of pre bound: Bool-Eval with pre nil, Check with the output
-// variables bound to the tuple (PreBind). Each member runs the lazy search
-// (chunked sweeps), and the union returns at the first witness. A match beats
-// any error. Without one, a real failure outranks a truncation, and within a
-// class the lowest member index wins; a spent budget ends the search and
-// vouches for nothing.
+// variables bound to the tuple (PreBind). It is the first-match loop
+// (firstMatch) asked for a verdict only.
 func ExistsUnion(ms Members, pre map[string]int, o Options) (bool, error) {
-	j := Join{Options: o, Pre: pre, Lazy: true}
 	var s search
+	_, l, err := firstMatch(ms, Join{Options: o, Pre: pre, Lazy: true}, &s)
+	return l != nil, err
+}
+
+// WitnessUnion finds the first match of a member of ms with the variables of
+// pre bound, as ExistsUnion decides one, and returns the member's index and
+// its witness (Leaf.witness): the join binds every variable, and the words
+// are read off the leaf it matched on. A budget that cuts the reading of the
+// words returns engine.ErrCanceled and a nil witness.
+func WitnessUnion(ms Members, pre map[string]int, o Options) (int, *Witness, error) {
+	var s search
+	i, l, err := firstMatch(ms, Join{Options: o, Pre: pre, Lazy: true, BindAll: true}, &s)
+	if l == nil {
+		return -1, nil, err
+	}
+	w, err := l.witness(&s)
+	return i, w, err
+}
+
+// firstMatch is the first-match loop of Bool-Eval, Check and explain: each
+// member of ms, in order, runs the lazy search of j into s, and the loop
+// returns at the first match the member's index and its leaf, with s standing
+// on the match. A match beats any error. Without one, a real failure outranks
+// a truncation, and within a class the lowest member index wins; a spent
+// budget starts no member and vouches for nothing.
+func firstMatch(ms Members, j Join, s *search) (int, *Leaf, error) {
 	var failed error
-	for i := 0; !o.Budget.Canceled(); i++ {
+	for i := 0; !j.Budget.Canceled(); i++ {
 		l, more, err := ms(i, j)
 		if !more {
 			break
 		}
 		if err == nil {
-			l.join(&s)
+			l.join(s)
 			if _, _, ok := s.next(); ok {
-				return true, nil
+				return i, l, nil
 			}
 		} else if failed == nil || errors.Is(failed, engine.ErrCanceled) && !errors.Is(err, engine.ErrCanceled) {
 			failed = err
 		}
 	}
 	if failed == nil {
-		failed = o.Budget.Err()
+		failed = j.Budget.Err()
 	}
-	return false, failed
+	return -1, nil, failed
 }
 
 // EvalUnion computes ⋃ qi(D).
@@ -193,9 +218,10 @@ func (u *UnionRows) Next() (row []int32, cost int, ok bool) {
 				}
 				return row, cost, true
 			}
-			if u.live = false; u.j.Budget.Canceled() {
-				break
-			}
+			u.live = false
+		}
+		if u.j.Budget.Canceled() {
+			break
 		}
 		l, more, err := u.ms(u.next, u.j)
 		if u.next++; !more {
@@ -216,10 +242,12 @@ func (u *UnionRows) Err() error { return u.err }
 
 // AddUnion adds one root per member of ms, ranked under the enumerator's
 // budget with an optional pluggable edge weight: each member's join as it
-// stands when the source yields it, which the source may go on to change.
+// stands when the source yields it, which the source may go on to change. A
+// spent budget starts no member: the roots added so far stay, and Next reads
+// the budget.
 func (a *AnyK) AddUnion(ms Members, weight engine.Weight) error {
 	j := Join{Options: Options{Budget: a.bud, Ranked: true, Weight: weight}, Lazy: true}
-	for i := 0; ; i++ {
+	for i := 0; !a.bud.Canceled(); i++ {
 		l, ok, err := ms(i, j)
 		if !ok {
 			return nil
@@ -229,4 +257,5 @@ func (a *AnyK) AddUnion(ms Members, weight engine.Weight) error {
 		}
 		a.addRoot(l.plan(0).clone())
 	}
+	return nil
 }

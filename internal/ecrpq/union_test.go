@@ -222,6 +222,10 @@ func TestUnionContract(t *testing.T) {
 		t.Fatal("fixture: want rows over a and over b, none over c")
 	}
 	tuple := a.Sorted()[0]
+	every := make([]int, db.NumNodes())
+	for u := range every {
+		every[u] = u
+	}
 	pre, _, err := ecrpq.PreBind(g.Out, db, tuple)
 	if err != nil {
 		t.Fatal(err)
@@ -236,25 +240,71 @@ func TestUnionContract(t *testing.T) {
 		return s.Sorted()
 	}
 	type outcome struct {
-		rows *pattern.TupleSet // set: the rows returned; nil for exists
-		ok   bool              // exists: the verdict
+		rows *pattern.TupleSet // set, seeded set, stream, ranked roots: the rows returned; nil otherwise
+		ok   bool              // exists: the verdict; witness: whether there is one
+		i    int               // witness: the index of the matching member
 		err  error
 	}
-	set := func(o ecrpq.Options) func(ecrpq.Members) outcome {
-		return func(ms ecrpq.Members) outcome {
+	set := func(o ecrpq.Options) func([]any, ecrpq.Members) outcome {
+		return func(_ []any, ms ecrpq.Members) outcome {
 			res, err := ecrpq.EvalUnionWith(ms, o)
 			return outcome{rows: res, err: err}
 		}
 	}
-	exists := func(pre map[string]int, o ecrpq.Options) func(ecrpq.Members) outcome {
-		return func(ms ecrpq.Members) outcome {
+	seeded := func(o ecrpq.Options) func([]any, ecrpq.Members) outcome {
+		return func(_ []any, ms ecrpq.Members) outcome {
+			res, err := ecrpq.EvalUnionSeededWith(ms, every, o)
+			return outcome{rows: res, err: err}
+		}
+	}
+	// The stream and the ranked roots leave the budget to their caller, which
+	// reads it for truncation.
+	stream := func(o ecrpq.Options) func([]any, ecrpq.Members) outcome {
+		return func(_ []any, ms ecrpq.Members) outcome {
+			res := pattern.NewTupleSet()
+			err := streamUnion(ms, o, func(row []int32, _ int) bool { res.AddRow(row); return true })
+			if err == nil {
+				err = o.Budget.Err()
+			}
+			return outcome{rows: res, err: err}
+		}
+	}
+	roots := func(o ecrpq.Options) func([]any, ecrpq.Members) outcome {
+		return func(_ []any, ms ecrpq.Members) outcome {
+			ak, res := ecrpq.NewAnyK(o), pattern.NewTupleSet()
+			err := ak.AddUnion(ms, nil)
+			for row, _, ok := ak.Next(); ok; row, _, ok = ak.Next() {
+				res.AddRow(row)
+			}
+			if err == nil {
+				err = o.Budget.Err()
+			}
+			return outcome{rows: res, err: err}
+		}
+	}
+	exists := func(pre map[string]int, o ecrpq.Options) func([]any, ecrpq.Members) outcome {
+		return func(_ []any, ms ecrpq.Members) outcome {
 			ok, err := ecrpq.ExistsUnion(ms, pre, o)
 			return outcome{ok: ok, err: err}
 		}
 	}
+	// witness also holds the witness to the member it names: the pre-bound
+	// tuple, and the one-letter word of its label.
+	witness := func(pre map[string]int, o ecrpq.Options) func([]any, ecrpq.Members) outcome {
+		return func(members []any, ms ecrpq.Members) outcome {
+			i, w, err := ecrpq.WitnessUnion(ms, pre, o)
+			if w == nil {
+				return outcome{err: err}
+			}
+			if err != nil || i < 0 || i >= len(members) || w.Words[0] != members[i] || pre != nil && (w.NodeOf["x"] != pre["x"] || w.NodeOf["y"] != pre["y"]) {
+				t.Errorf("the witness of member %d of %v under %v is %+v, %v", i, members, pre, w, err)
+			}
+			return outcome{ok: true, i: i, err: err}
+		}
+	}
 	for _, c := range []struct {
 		name    string
-		run     func(ecrpq.Members) outcome
+		run     func([]any, ecrpq.Members) outcome
 		members []any
 		want    outcome
 		asked   []int
@@ -269,11 +319,22 @@ func TestUnionContract(t *testing.T) {
 		{"set: a spent budget starts no member", set(ecrpq.Options{Budget: spent}), []any{"a"}, outcome{rows: pattern.NewTupleSet(), err: engine.ErrCanceled}, nil},
 		{"bool: a spent budget starts no member", exists(nil, ecrpq.Options{Budget: spent}), []any{"a"}, outcome{err: engine.ErrCanceled}, nil},
 		{"check: a spent budget starts no member", exists(pre, ecrpq.Options{Budget: spent}), []any{"a"}, outcome{err: engine.ErrCanceled}, nil},
+		{"seeded set: members run in order, each once", seeded(ecrpq.Options{}), []any{"a", "c", "b"}, outcome{rows: ab}, []int{0, 1, 2, 3}},
+		{"seeded set: a spent budget starts no member", seeded(ecrpq.Options{Budget: spent}), []any{"a"}, outcome{rows: pattern.NewTupleSet(), err: engine.ErrCanceled}, nil},
+		{"stream: members run in order, each once", stream(ecrpq.Options{}), []any{"a", "c", "b"}, outcome{rows: ab}, []int{0, 1, 2, 3}},
+		{"stream: a spent budget starts no member", stream(ecrpq.Options{Budget: spent}), []any{"a", "b", "c"}, outcome{rows: pattern.NewTupleSet(), err: engine.ErrCanceled}, nil},
+		{"ranked roots: one per member, in order", roots(ecrpq.Options{}), []any{"a", "c", "b"}, outcome{rows: ab}, []int{0, 1, 2, 3}},
+		{"ranked roots: a spent budget starts no member", roots(ecrpq.Options{Budget: spent}), []any{"a", "b", "c"}, outcome{rows: pattern.NewTupleSet(), err: engine.ErrCanceled}, nil},
+		{"witness: members run in order, the index is the matching member's", witness(nil, ecrpq.Options{}), []any{"c", "c", "b"}, outcome{ok: true, i: 2}, []int{0, 1, 2}},
+		{"witness: exits at the first witness", witness(nil, ecrpq.Options{}), []any{"c", "a", "b", errA}, outcome{ok: true, i: 1}, []int{0, 1}},
+		{"witness of a tuple: exits at the first witness", witness(pre, ecrpq.Options{}), []any{"c", errA, "a", "a"}, outcome{ok: true, i: 2}, []int{0, 1, 2}},
+		{"witness: a real failure outranks a truncation", witness(nil, ecrpq.Options{}), []any{cut, "c", errA, errB}, outcome{err: errA}, []int{0, 1, 2, 3, 4}},
+		{"witness: a spent budget starts no member", witness(nil, ecrpq.Options{Budget: spent}), []any{"a"}, outcome{err: engine.ErrCanceled}, nil},
 	} {
 		for name, source := range sources {
 			var asked []int
-			got := c.run(source(&asked, c.members...))
-			if got.ok != c.want.ok || (got.err == nil) != (c.want.err == nil) || c.want.err != nil && !errors.Is(got.err, c.want.err) {
+			got := c.run(c.members, source(&asked, c.members...))
+			if got.ok != c.want.ok || got.i != c.want.i || (got.err == nil) != (c.want.err == nil) || c.want.err != nil && !errors.Is(got.err, c.want.err) {
 				t.Errorf("%s, %s source: %v, %v; want %v, %v", c.name, name, got.ok, got.err, c.want.ok, c.want.err)
 			}
 			if (got.rows == nil) != (c.want.rows == nil) || c.want.rows != nil && !got.rows.Equal(c.want.rows) {

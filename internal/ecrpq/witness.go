@@ -12,7 +12,9 @@ import (
 // (§2.3): NodeOf assigns database nodes to the pattern's node variables and
 // Words[i] is the label of the path matched by edge i. The paper's §8
 // discusses extracting paths from the evaluation automata; this is the
-// deterministic counterpart for one match.
+// deterministic counterpart for one match. A witness is the first match of a
+// union (WitnessUnion), the join compiled to bind every variable, with its
+// words read off the leaf that matched (Leaf.witness).
 type Witness struct {
 	NodeOf map[string]int
 	Words  []string
@@ -20,69 +22,68 @@ type Witness struct {
 
 // FindWitness searches for a matching morphism of q on db (extending the
 // pre-bound output tuple t if t is non-nil) and reconstructs a tuple of
-// matching words. It returns false if no match exists, and
-// engine.ErrCanceled with it if the budget ended the search before one was
-// found. The search is the join every evaluation runs (JoinOrder, first
-// match wins), compiled to bind every variable. The words are then
-// read off the product search of group.go, run once more per group between
-// the matched endpoints with its parent columns on; an edge outside every
-// group is the equality group of arity 1 over its own automaton. Under unit
-// cost every word is a shortest one.
+// matching words: PreBind, then WitnessUnion over the union of q alone. It
+// returns false if no match exists, and engine.ErrCanceled with it if the
+// budget ended the search before one was found.
 func FindWitness(q *Query, db *graph.DB, t pattern.Tuple, o Options) (*Witness, bool, error) {
-	ev, err := newEvaluator(q, db, o, true)
-	if err != nil {
-		return nil, false, err
-	}
 	var pre map[string]int
 	if t != nil {
 		var ok bool
+		var err error
 		if pre, ok, err = PreBind(q.Pattern.Out, db, t); err != nil || !ok {
 			return nil, false, err
 		}
 	}
-	p := ev.compile(pre, true)
-	var s search
-	s.reset(p, ev.bud)
-	if _, _, ok := s.next(); !ok {
-		return nil, false, ev.bud.Err()
-	}
-	w := &Witness{NodeOf: map[string]int{}, Words: make([]string, len(q.Pattern.Edges))}
-	for i, z := range p.vars {
+	_, w, err := WitnessUnion(MembersOf(db, q), pre, o)
+	return w, w != nil, err
+}
+
+// witness reads the witness of the match s stands on, the search of the
+// leaf's join under BindAll: the node of every variable off the search's
+// assignment, and the words off the product search of group.go, run once
+// more per group between the matched endpoints with its parent columns on;
+// an edge outside every group — every edge of the pattern form — is the
+// equality group of arity 1 over the atom on it. Under unit cost every word
+// is a shortest one.
+func (l *Leaf) witness(s *search) (*Witness, error) {
+	ev := &l.ev
+	edges := ev.q.Pattern.Edges
+	w := &Witness{NodeOf: map[string]int{}, Words: make([]string, len(edges))}
+	for i, z := range l.plans[0].vars {
 		w.NodeOf[z] = int(s.a[i])
 	}
 	// words reads the words of the edges a group ties together off its search.
-	words := func(sc *groupScratch, edges []int) error {
-		src, tgt := make([]int32, len(edges)), make([]int32, len(edges))
-		for j, ei := range edges {
-			e := q.Pattern.Edges[ei]
-			src[j], tgt[j] = int32(w.NodeOf[e.From]), int32(w.NodeOf[e.To])
+	words := func(sc *groupScratch, eis []int) error {
+		src, tgt := make([]int32, len(eis)), make([]int32, len(eis))
+		for j, ei := range eis {
+			src[j], tgt[j] = int32(w.NodeOf[edges[ei].From]), int32(w.NodeOf[edges[ei].To])
 		}
 		ws, ok := sc.witness(ev, src, tgt)
 		if !ok {
 			if err := ev.bud.Err(); err != nil {
 				return err
 			}
-			return fmt.Errorf("ecrpq: internal error: matched edges %v have no witness words", edges)
+			return fmt.Errorf("ecrpq: internal error: matched edges %v have no witness words", eis)
 		}
-		for j, ei := range edges {
+		for j, ei := range eis {
 			w.Words[ei] = ws[j]
 		}
 		return nil
 	}
-	for gi, g := range q.Groups {
+	for gi, g := range ev.q.Groups {
 		if err := words(ev.gscratch[gi], g.Edges); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
-	for ei := range q.Pattern.Edges {
-		if !ev.inGroup[ei] {
+	for ei := range edges {
+		if len(ev.inGroup) == 0 || !ev.inGroup[ei] {
 			alone := Group{Edges: []int{ei}, Rel: &Equality{N: 1}}
 			if err := words(newGroupScratch(ev, alone), alone.Edges); err != nil {
-				return nil, false, err
+				return nil, err
 			}
 		}
 	}
-	return w, true, nil
+	return w, nil
 }
 
 // witness runs the group's product search from src for the one end tuple tgt
