@@ -63,8 +63,8 @@
 //	                     endpoints first, ties in query order, no
 //	                     statistics read;
 //	                     union.go holds the program's member loops (set,
-//	                     seeded set, exists, stream, any-k roots over a
-//	                     member source, the members in order on the
+//	                     settle, exists, witness, stream, any-k roots over
+//	                     a member source, the members in order on the
 //	                     caller's goroutine), which both unions run
 //	                     through: a vstar-free query's ECRPQ^er members and
 //	                     a bounded run's mappings, each an ecrpq.Leaf
@@ -81,9 +81,11 @@
 //	                     atoms, the pattern compiled once per run);
 //	                     plan.go/session.go are the prepared-query
 //	                     subsystem: Prepare(q) compiles an immutable Plan
-//	                     (fragment class, bounded schedule, the member
-//	                     source of the union of ECRPQ^er every vstar-free
-//	                     query is: Lemma 3 / Lemma 7), Plan.Bind(db) yields a
+//	                     (fragment class, bounded schedule, the branch
+//	                     lists of the union of ECRPQ^er every vstar-free
+//	                     query is, member i decoded and translated when a
+//	                     driver asks for it: Lemma 3 / Lemma 7),
+//	                     Plan.Bind(db) yields a
 //	                     concurrency-safe, stateless Session over the
 //	                     database's atom store (ecrpq.AtomStore: one
 //	                     ecrpq.Atom per label and alphabet with its compiled
@@ -97,9 +99,9 @@
 //	                     settled on its first read: supports, probe rows
 //	                     and verdicts are retained or derived
 //	                     again on the delta's frontier, inserts and
-//	                     removals alike, and an answer carried over
-//	                     inserts gains the rows of joins seeded on that
-//	                     frontier (DB.ApplyDelta, then the first read or
+//	                     removals alike, and an answer carried over them
+//	                     is settled by joins seeded on that frontier
+//	                     (DB.ApplyDelta, then the first read or
 //	                     a publish's carry; new labels start afresh),
 //	                     hardened
 //	                     by the metamorphic mutation-sequence harness in

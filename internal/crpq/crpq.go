@@ -71,17 +71,15 @@ type Union struct {
 	Members []*Query
 }
 
-// Eval computes ⋃ qi(D).
+// Eval computes ⋃ qi(D) by the union driver of the ecrpq engine
+// (ecrpq.EvalUnionWith): on a failure it returns the rows found so far with
+// the error.
 func (u *Union) Eval(db *graph.DB) (*pattern.TupleSet, error) {
-	out := pattern.NewTupleSet()
-	for _, m := range u.Members {
-		res, err := m.Eval(db)
-		if err != nil {
-			return nil, err
-		}
-		out.AddAll(res)
+	qs := make([]*ecrpq.Query, len(u.Members))
+	for i, m := range u.Members {
+		qs[i] = &ecrpq.Query{Pattern: m.Pattern}
 	}
-	return out, nil
+	return ecrpq.EvalUnionWith(ecrpq.MembersOf(db, qs...), ecrpq.Options{})
 }
 
 // Size returns the total size of all members.

@@ -18,9 +18,10 @@ import (
 // after it — the old rows merged with those of the joins seeded on the
 // window's frontier — and must equal what a fresh evaluation on a fresh copy
 // of the graph answers, whatever windows it was carried over. Over a window
-// that removed edges an eval answer whose rows name every atom source is
-// settled the same way, less its rows with a frontier node at a source's
-// position; any other answer is computed again.
+// that removed edges an eval answer whose rows name the atom sources —
+// every source is reached along the pattern from an output source variable
+// — is settled the same way, less its rows with a frontier node at such a
+// variable's position; any other answer is computed again.
 
 // carriedTexts are the fixed queries of the differential, each with the
 // shape it covers.
@@ -142,7 +143,10 @@ func carriedMove(t *testing.T, db *graph.DB, r *workload.RNG, step int, kind int
 // and each bool verdict asked twice at the revision before, equals a fresh
 // evaluation on a fresh copy of the graph; the union arm, the bounded arm
 // and the verdicts each settle some carried answer, both eval arms some over
-// a window that removed edges, and no verdict is settled over one.
+// a window that removed edges, and no verdict is settled over one. Then the
+// 2^11-member union of overCapQueries is settled over an insert, a removal
+// and a mixed window, and a union whose rows do not name its sources is
+// dropped and evaluated afresh over a removal (carriedWindows).
 func TestCarriedAnswersDifferential(t *testing.T) {
 	t.Parallel()
 	seeds := 30
@@ -251,6 +255,59 @@ func TestCarriedAnswersDifferential(t *testing.T) {
 	}
 	if carried["verdict over a removal"] != 0 {
 		t.Fatalf("verdicts settled over a window that removed edges: %v", carried)
+	}
+
+	wide, _, _, _ := overCapQueries()
+	carriedWindows(t, wide, true)
+	carriedWindows(t, cxrpq.MustParse("ans(y, z)\nx y : $w{a}|$v{b}\nx z : $w|$v\n"), false) // x: a source no row names
+}
+
+// carriedWindows evaluates q on a random graph, then moves the graph by an
+// insert, a removal and a mixed window, reading q's eval answer after each:
+// it must equal a fresh evaluation on a fresh copy and be settled from the
+// carried answer (result_carried) — over the windows that removed edges too
+// when named, else dropped there (result_dropped) and evaluated afresh.
+func carriedWindows(t *testing.T, q *cxrpq.Query, named bool) {
+	t.Helper()
+	db := workload.Random(5, 8, 20, "ab")
+	p := cxrpq.MustPrepare(q)
+	sess, req := p.Bind(db), cxrpq.Request{Op: "eval"}
+	if r := sess.Do(req); r.Err != nil || size(r) == 0 {
+		t.Fatalf("%q: %d tuples, %v: the windows would prove nothing", q.Pattern, size(r), r.Err)
+	}
+	edge := func(i int) graph.DeltaEdge {
+		for u := i; ; u++ {
+			if out := db.Out(u % db.NumNodes()); len(out) > 0 {
+				return graph.DeltaEdge{From: db.Name(out[0].From), Label: out[0].Label, To: db.Name(out[0].To)}
+			}
+		}
+	}
+	for _, w := range []struct {
+		name string
+		d    graph.Delta
+	}{
+		{"insert", graph.Delta{Add: []graph.DeltaEdge{{From: db.Name(1), Label: 'a', To: db.Name(4)}, {From: "fresh", Label: 'b', To: db.Name(2)}}}},
+		{"removal", graph.Delta{Del: []graph.DeltaEdge{edge(0), edge(3)}}},
+		{"mixed", graph.Delta{Add: []graph.DeltaEdge{{From: db.Name(5), Label: 'b', To: db.Name(0)}}, Del: []graph.DeltaEdge{edge(6)}}},
+	} {
+		if _, err := publish(sess, w.d); err != nil {
+			t.Fatal(err)
+		}
+		before := storeStats(sess)
+		got := sess.Do(req)
+		after := storeStats(sess)
+		want := p.Bind(freshCopy(db)).Do(req)
+		if got.Err != nil || want.Err != nil || !got.Tuples.Equal(want.Tuples) {
+			t.Fatalf("%q after the %s window: %d tuples (%v); a fresh evaluation: %d (%v)", q.Pattern, w.name, size(got), got.Err, size(want), want.Err)
+		}
+		settled, dropped := after.ResultCarried-before.ResultCarried, after.ResultDropped-before.ResultDropped
+		wantSettled, wantDropped := uint64(1), uint64(0)
+		if !named && w.d.Del != nil {
+			wantSettled, wantDropped = 0, 1
+		}
+		if settled != wantSettled || dropped != wantDropped {
+			t.Fatalf("%q after the %s window: %d answers settled, %d dropped; want %d and %d", q.Pattern, w.name, settled, dropped, wantSettled, wantDropped)
+		}
 	}
 }
 

@@ -129,15 +129,15 @@ m3 a v3
 	}
 }
 
-// A vstar-free query with more branch combinations than a plan materializes
-// is checked one streamed combination at a time, under the caller's budget
-// and through the result cache like any other. (The over-cap branch used to
-// call the budget-less one-shot check: a canceled request ran all 2048
-// searches to the end and the verdict was never cached.)
+// A vstar-free query of 2^11 branch combinations is checked one decoded
+// combination at a time, under the caller's budget and through the result
+// cache like any other. (A check of such a union once called the
+// budget-less one-shot check: a canceled request ran all 2048 searches to
+// the end and the verdict was never cached.)
 func TestCheckVsfOverCapHonoursBudget(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("ans(x, y)\nx y : ")
-	for i := 0; i < 11; i++ { // 2^11 combinations, over the cap of 1024
+	for i := 0; i < 11; i++ { // 2^11 combinations
 		fmt.Fprintf(&sb, "($a%d{a}|$b%d{b})", i, i)
 	}
 	q := cxrpq.MustParse(sb.String() + "\n")
@@ -161,7 +161,7 @@ func TestCheckVsfOverCapHonoursBudget(t *testing.T) {
 		}
 	}
 	if st := storeStats(sess); st.ResultHits != 2 {
-		t.Fatalf("repeated over-cap checks hit the result cache %d times, want 2", st.ResultHits)
+		t.Fatalf("repeated checks of the 2^11-member union hit the result cache %d times, want 2", st.ResultHits)
 	}
 }
 

@@ -183,9 +183,9 @@ func TestFindWitnessGroupShapes(t *testing.T) {
 	}
 }
 
-// A plan over the combination cap (2^11 Lemma 7 combinations, none kept) is
-// explained by the walk every other operation takes, and like the one-member
-// query that spells out the branch the database chooses.
+// A plan of 2^11 Lemma 7 combinations is explained by the walk every other
+// operation takes, and like the one-member query that spells out the branch
+// the database chooses.
 func TestExplainOverCap(t *testing.T) {
 	wide, _, _, _ := overCapQueries()
 	const word = "abbabaababb"
@@ -217,17 +217,17 @@ func TestExplainOverCap(t *testing.T) {
 	for call := 0; call < 2; call++ {
 		got, ok, err := witness(sess.Do(cxrpq.Request{Op: "explain", Tuple: pattern.Tuple{s, end}}))
 		if err != nil || !ok {
-			t.Fatalf("Explain over the cap = %v, %v", ok, err)
+			t.Fatalf("Explain of the 2^11-member union = %v, %v", ok, err)
 		}
 		if !reflect.DeepEqual(got.NodeOf, want.NodeOf) || !reflect.DeepEqual(got.Words, want.Words) || !reflect.DeepEqual(got.Images, want.Images) {
-			t.Fatalf("over the cap: nodes %v words %q images %v, want %v %q %v", got.NodeOf, got.Words, got.Images, want.NodeOf, want.Words, want.Images)
+			t.Fatalf("2^11 members: nodes %v words %q images %v, want %v %q %v", got.NodeOf, got.Words, got.Images, want.NodeOf, want.Words, want.Images)
 		}
 	}
 	if st := storeStats(sess); st.ResultHits != 1 {
 		t.Fatalf("the second Explain hit the result cache %d times, want 1", st.ResultHits)
 	}
 	if ex, ok, err := witness(sess.Do(cxrpq.Request{Op: "explain", Tuple: pattern.Tuple{end, s}})); err != nil || ok || ex != nil {
-		t.Fatalf("Explain of a non-answer over the cap = %v, %v, %v", ex, ok, err)
+		t.Fatalf("Explain of a non-answer of the 2^11-member union = %v, %v, %v", ex, ok, err)
 	}
 }
 

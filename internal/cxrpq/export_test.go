@@ -1,6 +1,10 @@
 package cxrpq
 
 import (
+	"cmp"
+	"maps"
+	"slices"
+
 	"cxrpq/internal/ecrpq"
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
@@ -11,16 +15,47 @@ import (
 // Hooks for the external test package, which is where the differential
 // suites live (they need internal/workload, which imports this package).
 
-// StreamDrained is Stream without the incremental any-k producer or the
-// session's ranked prefix: a ranked stream drains and sorts on its own, the
-// path only an over-cap union takes in production — the baseline the
-// incremental stream is held to.
+// StreamDrained is the reference the ranked stream is held to, built here
+// and sharing nothing with it: the request's members searched one after the
+// other (ecrpq.UnionRows, ranked) to the end, each tuple kept at the
+// minimum cost it is found at, ordered by cost and then lexicographically,
+// and served through a cursor over those rows with opts' Limit. A budget
+// that cuts the drain leaves the cursor Truncated.
 func (s *Session) StreamDrained(opts StreamOptions) (*Cursor, error) {
 	bounded, k, err := s.semantics(opts.Semantics, opts.K)
 	if err != nil {
 		return nil, err
 	}
-	return s.rankedCursor(ecrpq.Atoms(s.db), bounded, k, engine.NewBudget(opts.Ctx, opts.Deadline), opts, true)
+	bud := engine.NewBudget(opts.Ctx, opts.Deadline)
+	ms, _, err := s.source(ecrpq.Atoms(s.db), bounded, k, bud)
+	if err != nil {
+		return nil, err
+	}
+	src := ecrpq.NewUnionRows(ms, ecrpq.Options{Budget: bud, Ranked: true, Weight: opts.Weight})
+	best := map[string]Row{}
+	for row, cost, ok := src.Next(); ok; row, cost, ok = src.Next() {
+		t := make(pattern.Tuple, len(row))
+		for i, v := range row {
+			t[i] = int(v)
+		}
+		if have, seen := best[t.Key()]; !seen || cost < have.Cost {
+			best[t.Key()] = Row{Tuple: t, Cost: cost}
+		}
+	}
+	rows := slices.SortedFunc(maps.Values(best), func(a, b Row) int {
+		return cmp.Or(cmp.Compare(a.Cost, b.Cost), slices.Compare(a.Tuple, b.Tuple))
+	})
+	c := &Cursor{bud: bud, end: opts.Limit, err: src.Err(), truncated: bud.Err() != nil}
+	if len(rows) > 0 {
+		c.own = pattern.Rows{Arity: len(rows[0].Tuple), N: len(rows)}
+	}
+	for _, r := range rows {
+		for _, v := range r.Tuple {
+			c.own.Data = append(c.own.Data, int32(v))
+		}
+		c.own.Costs = append(c.own.Costs, int32(r.Cost))
+	}
+	return c, nil
 }
 
 // PageCursor opens the cursor Stream opens over an unranked enumeration that

@@ -1,9 +1,8 @@
 package cxrpq_test
 
-// The over-cap differential: vstar-free queries with more Lemma 7 branch
-// combinations than a Plan keeps (2^11 against a cap of 1024), whose member
-// source therefore enumerates and translates the combinations afresh for
-// every operation. Every operation
+// The wide-union differential: vstar-free queries of 2^11 Lemma 7 branch
+// combinations, whose member source decodes and translates each combination
+// when an operation's driver asks for it. Every operation
 // of the one union path — eval, Boolean, check, unranked and ranked stream —
 // is held to references that never see a branch combination: an equivalent
 // query that is a union of one member (the variable-erased CRPQ, or a simple
@@ -190,8 +189,7 @@ func overCapStreams(t *testing.T, plan *cxrpq.Plan, db *graph.DB, want *pattern.
 			}
 		}
 	}
-	// Ranked: too many members to root one any-k evaluator each, so the
-	// producer drains the same member loop and sorts.
+	// Ranked: one any-k root per member, all 2^11 of them.
 	cur, err := plan.Bind(db).Stream(cxrpq.StreamOptions{Ranked: true})
 	if err != nil {
 		t.Fatal(err)

@@ -12,31 +12,15 @@ import (
 )
 
 // This file is the compile-once half of the prepared-query subsystem.
-// Prepare(q) classifies q's fragment and precomputes everything derivable
-// from the query alone — the bounded-evaluation schedule (boundedPlan) and the
-// members of the union of ECRPQ^er a vstar-free query is (Lemma 3, Lemma 7 /
-// Lemma 13) — into an immutable Plan. Binding a Plan to a database (Plan.Bind,
-// session.go) yields a Session over the database's atom store, whose Do and
-// Stream are the only ways to run the query; the one-shot Do (eval.go)
-// prepares and binds per call.
-
-// planKind is the dispatch class of a prepared query, the fragment dispatch
-// of Do: the strongest complete algorithm for the query's syntactic
-// fragment.
-type planKind int
-
-const (
-	kindClassical planKind = iota // CRPQ: no string variables
-	kindSimple                    // simple conjunctive xregex (Lemma 3)
-	kindVsf                       // vstar-free (Theorem 2 / Lemma 7)
-	kindGeneral                   // unrestricted: only ≤k / log semantics
-)
-
-// vsfComboCap bounds the number of Lemma 7 branch combinations a Plan keeps
-// translated (their count is exponential in the worst case, and a Plan must
-// stay small); beyond it the member source enumerates and translates them
-// again on every call.
-const vsfComboCap = 1024
+// Prepare(q) validates q and classifies its fragment into an immutable Plan,
+// which builds, each once and on first use, what its evaluation paths need
+// of the query alone: the bounded-evaluation schedule (boundedPlan) and the
+// branch lists of the union of ECRPQ^er a vstar-free query is (Lemma 7 /
+// Lemma 13), from which member i is decoded and translated whenever a union
+// driver asks for it. Binding a Plan to a database (Plan.Bind, session.go)
+// yields a Session over the database's atom store, whose Do and Stream are
+// the only ways to run the query; the one-shot Do (eval.go) prepares and
+// binds per call.
 
 // member is one member of the plan's union: the translation whose Query is
 // the ECRPQ^er the evaluators run and whose bookkeeping, with the Step 3
@@ -52,13 +36,12 @@ type member struct {
 // Plan is an immutable prepared CXRPQ: the validated query, its fragment
 // classification, and the (lazily materialized, built at most once) pieces
 // each evaluation path needs — the bounded-evaluation schedule and the
-// members of the vstar-free union. A Plan holds no database state — bind it to a
-// graph.DB with Bind to evaluate — and is safe for concurrent use by any
-// number of Sessions.
+// branch lists of the vstar-free union. A Plan holds no database state —
+// bind it to a graph.DB with Bind to evaluate — and is safe for concurrent
+// use by any number of Sessions.
 type Plan struct {
 	q        *Query
 	c        CXRE
-	kind     planKind
 	fragment string
 	sigma    []rune // the query's alphabet; a bounded run merges it with the database's
 
@@ -70,46 +53,26 @@ type Plan struct {
 	bounded     *boundedPlan // any query has ≤k / log semantics
 	boundedErr  error
 
-	// The union of ECRPQ^er a vstar-free query is evaluated as, built on first
-	// use: its members, or overCap when there are more than vsfComboCap; and
-	// the branches of each component, or the error expanding them failed
-	// with, from which a member is decoded (branchMember).
-	membersOnce sync.Once
-	kept        []member
-	overCap     bool
-	branches    [][]xregex.Node
-	branchErr   error
-
-	// srcCols holds, per arm — [0] the union, [1] the bounded engine — the
-	// output positions of the source variables (sourceCols), built on first
-	// use.
-	srcCols [2]struct {
-		once sync.Once
-		cols []int
-	}
+	// The union of ECRPQ^er a vstar-free query is evaluated as, built on
+	// first use: the branches of each component and the variables the query
+	// defines, from which member i is decoded (member) — or the error that
+	// the query is not vstar-free.
+	branchOnce sync.Once
+	branches   [][]xregex.Node
+	defined    map[string]bool
+	branchErr  error
 }
 
 // Prepare validates q and compiles it into a reusable Plan. The fragment
 // classification happens here, once; the per-fragment machinery (bounded
-// schedule, translations) materializes on first use of its path, so
-// classical/simple/vsf plans never pay for the bounded schedule and vice
-// versa.
+// schedule, branch lists) materializes on first use of its path, so union
+// plans never pay for the bounded schedule and vice versa.
 func Prepare(q *Query) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	p := &Plan{q: q, c: q.CXRE(), fragment: q.Fragment()}
 	p.sigma, p.self = p.c.Alphabet(), weak.Make(p)
-	switch {
-	case p.c.IsClassical():
-		p.kind = kindClassical
-	case p.c.IsSimple():
-		p.kind = kindSimple
-	case p.c.IsVStarFree():
-		p.kind = kindVsf
-	default:
-		p.kind = kindGeneral
-	}
 	return p, nil
 }
 
@@ -146,55 +109,24 @@ func (p *Plan) Fragment() string { return p.fragment }
 
 // members returns the plan's one member source: the queries, by index, of
 // the union of ECRPQ^er the query is equivalent to, which Session.source
-// compiles over its database (ecrpq.QueryMembers). A classical query is its
-// own single member and a simple one its Lemma 3 translation; a vstar-free
-// query has one member per Lemma 7 branch combination — kept, translated
-// once per Plan, when there are at most vsfComboCap of them, decoded and
-// translated afresh on every request beyond that. A plan that is not
+// compiles over its database (ecrpq.QueryMembers), one per Lemma 7 branch
+// combination, decoded and translated when a driver asks for it (member). A
+// CRPQ is the union of one combination without string variables, its own
+// pattern; a simple query, of one combination. A plan that is not
 // vstar-free has no such union.
 func (p *Plan) members() (func(i int) (*ecrpq.Query, bool, error), error) {
-	if p.kind == kindGeneral {
-		return nil, fmt.Errorf("cxrpq: %s is not vstar-free; evaluate it under the bounded (CXRPQ^≤k) or log semantics", p.fragment)
-	}
-	p.membersOnce.Do(func() {
-		switch p.kind {
-		case kindClassical:
-			// Every edge is its own translation.
-			split, at := make([][]int, len(p.q.Pattern.Edges)), make([]int, len(p.q.Pattern.Edges))
-			for i := range split {
-				at[i], split[i] = i, at[i:i+1]
-			}
-			p.kept = []member{{tr: &SimpleTranslation{Query: &ecrpq.Query{Pattern: p.q.Pattern}, EdgeSplit: split}}}
-		case kindSimple:
-			tr, err := simpleToECRPQerInfo(p.q, nil)
-			p.kept = []member{{tr: tr, err: err}}
-		default:
-			p.branches, p.branchErr = expandBranches(p.c)
-			for i := 0; ; i++ {
-				m, ok := p.branchMember(i)
-				if !ok {
-					break
-				}
-				if i == vsfComboCap {
-					p.kept, p.overCap = nil, true
-					break
-				}
-				p.kept = append(p.kept, m)
-			}
+	p.branchOnce.Do(func() {
+		if !p.c.IsVStarFree() {
+			p.branchErr = fmt.Errorf("cxrpq: %s is not vstar-free; evaluate it under the bounded (CXRPQ^≤k) or log semantics", p.fragment)
+			return
 		}
+		p.branches, p.branchErr = expandBranches(p.c)
+		p.defined = p.c.DefinedVars()
 	})
+	if p.branchErr != nil {
+		return nil, p.branchErr
+	}
 	return p.query, nil
-}
-
-// member returns member i of the plan's union, which members has built.
-func (p *Plan) member(i int) (member, bool) {
-	if p.overCap {
-		return p.branchMember(i)
-	}
-	if i < len(p.kept) {
-		return p.kept[i], true
-	}
-	return member{}, false
 }
 
 // query is member i as an ECRPQ^er, or the error its translation failed with.
@@ -206,33 +138,52 @@ func (p *Plan) query(i int) (*ecrpq.Query, bool, error) {
 	return m.tr.Query, true, nil
 }
 
-// branchMember translates member i of the Lemma 7 union: the branch
-// combination that picks, for each component, the branch at its digit of i
-// in the mixed radix of the components' branch counts, the last component
-// varying fastest. A failed expansion is the one member, its error.
-func (p *Plan) branchMember(i int) (member, bool) {
-	if p.branchErr != nil {
-		return member{err: p.branchErr}, i == 0
+// member decodes and translates member i of the union, which members has
+// expanded: the branch combination that picks, for each component, the
+// branch at its digit of i in the mixed radix of the components' branch
+// counts, the last component varying fastest. A combination without string
+// variables is its own member, the pattern with its branches as labels —
+// the query's own pattern for a CRPQ — with every variable the query
+// defines forced to ε; any other is normalized by Step 3 and translated by
+// Lemma 3 (comboMember). ok is false past the last combination.
+func (p *Plan) member(i int) (member, bool) {
+	rest := i // what is left of i past the last digit: positive past the last combination
+	for _, bs := range p.branches {
+		rest /= len(bs)
 	}
-	combo := make(CXRE, len(p.branches))
-	for c := len(combo) - 1; c >= 0; c-- {
-		bs := p.branches[c]
-		if len(bs) == 0 {
-			return member{}, false
-		}
-		combo[c] = xregex.Clone(bs[i%len(bs)])
-		i /= len(bs)
-	}
-	if i > 0 {
+	if i < 0 || rest > 0 {
 		return member{}, false
 	}
-	return p.comboMember(combo, p.c.DefinedVars()), true
+	g := p.q.Pattern
+	combo, vars, own := make(CXRE, len(p.branches)), false, true
+	for c := len(combo) - 1; c >= 0; c-- {
+		bs := p.branches[c]
+		combo[c] = bs[i%len(bs)]
+		i /= len(bs)
+		vars = vars || xregex.HasVars(combo[c])
+		own = own && combo[c] == g.Edges[c].Label
+	}
+	if vars {
+		return p.comboMember(combo), true
+	}
+	if !own {
+		g = &pattern.Graph{Out: g.Out, Edges: slices.Clone(g.Edges)}
+		for c := range g.Edges {
+			g.Edges[c].Label = combo[c]
+		}
+	}
+	split, at := make([][]int, len(combo)), make([]int, len(combo))
+	for c := range split {
+		at[c], split[c] = c, at[c:c+1]
+	}
+	return member{tr: &SimpleTranslation{Query: &ecrpq.Query{Pattern: g}, EdgeSplit: split, ForcedEps: p.defined}}, true
 }
 
-// comboMember normalizes one variable-simple branch combination via Step 3
-// and translates it into an ECRPQ^er, with images of originally defined but
-// branch-dropped variables forced to ε.
-func (p *Plan) comboMember(combo CXRE, origDefined map[string]bool) member {
+// comboMember normalizes one variable-simple branch combination, whose nodes
+// the branch lists share, via Step 3 (which rewrites a clone) and translates
+// it into an ECRPQ^er, with images of the query's defined but branch-dropped
+// variables forced to ε.
+func (p *Plan) comboMember(combo CXRE) member {
 	simple, repl, err := step3WithMap(combo)
 	if err != nil {
 		return member{err: err}
@@ -243,68 +194,11 @@ func (p *Plan) comboMember(combo CXRE, origDefined map[string]bool) member {
 	}
 	forcedEps := map[string]bool{}
 	nowDefined := simple.DefinedVars()
-	for v := range origDefined {
+	for v := range p.defined {
 		if !nowDefined[v] {
 			forcedEps[v] = true
 		}
 	}
 	tr, err := simpleToECRPQerInfo(&Query{Pattern: g}, forcedEps)
 	return member{tr: tr, repl: repl, err: err}
-}
-
-// sourceCols returns the output positions of the source variables of every
-// atom the arm runs — the bounded pattern, or each union member's own, which
-// has the existential intermediate variables of its Lemma 3 / Lemma 13
-// translation — ascending and computed once per plan. A carried eval answer
-// over a window that removed edges keeps exactly its rows with no frontier
-// node at these positions (Session.settleCarried). It is nil, and such an
-// answer is computed again, when some source variable is not an output
-// variable, when the members disagree on the positions (a row a member
-// found would then not name the sources of its witness), or when the plan
-// has no kept members.
-func (p *Plan) sourceCols(bounded bool) []int {
-	arm := 0
-	if bounded {
-		arm = 1
-	}
-	m := &p.srcCols[arm]
-	m.once.Do(func() {
-		if bounded {
-			if bp, err := p.boundedPlanFor(); err == nil {
-				m.cols = outputCols(bp.q.Pattern)
-			}
-			return
-		}
-		if _, err := p.members(); err != nil || p.overCap {
-			return
-		}
-		for i, mb := range p.kept {
-			if mb.err != nil {
-				m.cols = nil
-				return
-			}
-			cols := outputCols(mb.tr.Query.Pattern)
-			if cols == nil || i > 0 && !slices.Equal(cols, m.cols) {
-				m.cols = nil
-				return
-			}
-			m.cols = cols
-		}
-	})
-	return m.cols
-}
-
-// outputCols returns the output position of each source variable of g,
-// ascending, or nil when one is not an output variable.
-func outputCols(g *pattern.Graph) []int {
-	cols := []int{}
-	for _, z := range ecrpq.SourceVars(g) {
-		at := slices.Index(g.Out, z)
-		if at < 0 {
-			return nil
-		}
-		cols = append(cols, at)
-	}
-	slices.Sort(cols)
-	return cols
 }

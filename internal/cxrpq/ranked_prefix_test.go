@@ -5,7 +5,7 @@ package cxrpq_test
 // it, a whole cost tier at a time, with a producer pulled on its own fetching
 // goroutine. Cursors that interleave — different page sizes and limits, one
 // canceled mid-tier — must each see exactly the drain-then-sort sequence
-// (Session.StreamDrained), the prefix they leave must be a prefix of it that
+// (Session.StreamDrained, built in export_test.go), the prefix they leave must be a prefix of it that
 // ends on a whole tier, goroutines that share the prefix must be race-free,
 // and no ranked cursor may start a goroutine.
 
@@ -173,7 +173,7 @@ func TestRankedPrefixDifferential(t *testing.T) {
 				t.Fatalf("%s %q: %v", in.name, opts.Semantics, err)
 			}
 			want := drainCursor(t, base, 64)
-			checkRankedPrefix(t, sess, opts, want) // the baseline shares nothing
+			checkRankedPrefix(t, sess, opts, want) // the reference shares nothing
 			if p, _ := sess.RankedPrefix(opts); p.N != 0 {
 				t.Fatalf("%s %q: StreamDrained published %d rows", in.name, opts.Semantics, p.N)
 			}
@@ -246,8 +246,8 @@ func TestRankedPrefixConcurrent(t *testing.T) {
 }
 
 // Opening and abandoning ranked cursors without Close — incremental ones of
-// fresh plans, weighted ones and over-cap drains — leaves the goroutine
-// count flat: no ranked cursor starts a goroutine.
+// fresh plans, weighted ones and one over a 2^11-member union — leaves the
+// goroutine count flat: no ranked cursor starts a goroutine.
 func TestRankedCursorsStartNoGoroutine(t *testing.T) {
 	q := cxrpq.MustParse("ans(x, z)\nx y : a+\ny z : b+")
 	db := workload.Random(0x7e57, 30, 120, "ab")

@@ -34,10 +34,9 @@ import (
 // net-empty window and carries eval answers and true verdicts across a window
 // with no new label: Do settles a carried eval answer by a join seeded on the
 // window's frontier (settleCarried). Over a window that removed edges a
-// verdict is dropped, and so is an eval answer unless every source variable
-// of every atom the plan runs is an output variable (Plan.sourceCols): then
-// its rows with a frontier node at such a variable's position are dropped
-// before the merge, and the rest hold. A batched mutation is
+// verdict is dropped; an eval answer is settled when the seeded driver can
+// tell which of its rows the removal may have broken (ecrpq.SettleUnion),
+// and dropped and computed afresh when it cannot. A batched mutation is
 // graph.DB.ApplyDelta, as the server applies one; the server's publish
 // carries the store onto the next graph.Snapshot view (AtomStore.CarryTo),
 // and Fork does the same and binds the plan there.
@@ -197,13 +196,11 @@ func (s *Session) Do(req Request) Response {
 	if hit {
 		return v.(Response)
 	}
-	cols := s.plan.sourceCols(bounded)
-	if v, frontier, removed, ok := atoms.Carried(key, cols != nil); ok {
-		var drop func([]int32) bool
-		if removed {
-			drop = frontierRows(s.db.NumNodes(), frontier, cols)
+	if v, frontier, removed, ok := atoms.Carried(key); ok {
+		if resp, ok := s.settleCarried(atoms, key, v.(Response), frontier, removed, bounded, k, req.Budget); ok {
+			return resp
 		}
-		return s.settleCarried(atoms, key, v.(Response), frontier, drop, bounded, k, req.Budget)
+		atoms.DropCarried(key)
 	}
 	resp := s.run(atoms, req.Op, bounded, k, t, req.Budget)
 	if resp.Err == nil && req.Budget.Err() == nil {
@@ -239,55 +236,34 @@ func (r Response) carry() ecrpq.Carry {
 // settleCarried brings old, the answer the store carried under key, up to
 // the database, and files it in place of the stale copy. A verdict holds as
 // it is: the store carries one over windows that only inserted. An eval
-// answer gains the rows with a witness that binds some atom's source
-// variable to a node of the window's frontier — every member of the
-// request's source joined once per source variable, pre-bound to each
-// frontier node (ecrpq.EvalUnionSeededWith) — merged into the old rows, less
-// those drop reports: over a window that removed edges, the rows with a
-// frontier node at a source variable's position (frontierRows), whose
-// witnesses all bind that source there, so that the seeded joins find each
-// of them that still holds. A run that fails or that the budget cuts files
-// nothing: a cut one returns the old rows drop spares and those it found,
-// with engine.ErrCanceled.
-func (s *Session) settleCarried(atoms *ecrpq.AtomStore, key any, old Response, frontier []int, drop func([]int32) bool, bounded bool, k int, bud *engine.Budget) Response {
+// answer is settled by the seeded driver (ecrpq.SettleUnion) over the
+// request's source: the old rows, less those a window that removed edges may
+// have broken, merged with the rows of the joins seeded on the window's
+// frontier. ok is false when the driver refuses the window — a member's rows
+// do not tell which of them a removal broke — and the caller then drops the
+// stale copy and evaluates afresh. A run that fails or that the budget cuts
+// files nothing: a cut one returns the rows it can vouch for, with
+// engine.ErrCanceled.
+func (s *Session) settleCarried(atoms *ecrpq.AtomStore, key any, old Response, frontier []int, removed, bounded bool, k int, bud *engine.Budget) (Response, bool) {
 	if old.Tuples == nil {
-		return atoms.SettleAnswer(key, old, 0, old.carry()).(Response)
+		return atoms.SettleAnswer(key, old, 0, old.carry()).(Response), true
 	}
-	var delta *pattern.TupleSet
 	ms, _, err := s.source(atoms, bounded, k, bud)
-	if err == nil {
-		delta, err = ecrpq.EvalUnionSeededWith(ms, frontier, ecrpq.Options{Budget: bud})
+	if err != nil {
+		return Response{Err: err}, true
 	}
-	if delta == nil {
-		delta = pattern.NewTupleSet()
+	rows, ok, err := ecrpq.SettleUnion(ms, old.Tuples, frontier, removed, ecrpq.Options{Budget: bud})
+	if !ok {
+		return Response{}, false
 	}
-	resp := Response{Tuples: pattern.Merge(old.Tuples, delta, drop)}
-	resp.OK = resp.Tuples.Len() > 0
+	resp := Response{Tuples: rows, OK: rows.Len() > 0}
 	if err == nil {
 		err = bud.Err()
 	}
 	if resp.Err = err; err != nil {
-		return resp
+		return resp, true
 	}
-	return atoms.SettleAnswer(key, resp, resp.values(), resp.carry()).(Response)
-}
-
-// frontierRows returns the drop predicate of settleCarried over a window
-// that removed edges: whether a row holds a node of frontier, a list over n
-// nodes, at one of the positions cols.
-func frontierRows(n int, frontier, cols []int) func([]int32) bool {
-	in := make([]uint64, (n+63)/64)
-	for _, u := range frontier {
-		in[u>>6] |= 1 << (u & 63)
-	}
-	return func(row []int32) bool {
-		for _, c := range cols {
-			if u := row[c]; in[u>>6]&(1<<(u&63)) != 0 {
-				return true
-			}
-		}
-		return false
-	}
+	return atoms.SettleAnswer(key, resp, resp.values(), resp.carry()).(Response), true
 }
 
 // run runs op over the request's member source by one call of a union driver

@@ -34,12 +34,10 @@ package cxrpq
 // nondecreasing witness cost, so the first occurrence of a tuple IS its
 // minimal cost and top-k costs O(k) queue expansions instead of a full drain;
 // a tier is sorted once the next cost pops, and published unless another
-// cursor got there first. A union too wide to root eagerly (over the
-// combination cap) drains and sorts instead. A weighted stream pulls the same
-// way but shares nothing. See "Rows" in internal/README.md.
+// cursor got there first. A weighted stream pulls the same way but shares
+// nothing. See "Rows" in internal/README.md.
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -146,7 +144,7 @@ func (s *Session) Stream(opts StreamOptions) (*Cursor, error) {
 	}
 	bud, atoms := engine.NewBudget(opts.Ctx, opts.Deadline), ecrpq.Atoms(s.db)
 	if opts.Ranked {
-		return s.rankedCursor(atoms, bounded, k, bud, opts, false)
+		return s.rankedCursor(atoms, bounded, k, bud, opts)
 	}
 	// The store only ever holds complete, un-truncated answers: the stream of
 	// one is a window of its sorted rows.
@@ -168,27 +166,21 @@ func (s *Session) Stream(opts StreamOptions) (*Cursor, error) {
 // belong to one revision's store. Construction-time work and failures happen
 // here; the producer itself — one any-k root per member of the request's
 // source, a union member or a bounded mapping — is built by the first fetch
-// past the prefix. A union too wide to root one member each (over the
-// combination cap) drains instead, and so does baseline (StreamDrained),
-// which shares nothing.
-func (s *Session) rankedCursor(atoms *ecrpq.AtomStore, bounded bool, k int, bud *engine.Budget, opts StreamOptions, baseline bool) (*Cursor, error) {
+// past the prefix.
+func (s *Session) rankedCursor(atoms *ecrpq.AtomStore, bounded bool, k int, bud *engine.Budget, opts StreamOptions) (*Cursor, error) {
 	ms, _, err := s.source(atoms, bounded, k, bud)
 	if err != nil {
 		return nil, err
 	}
-	drain, w := baseline || !bounded && s.plan.overCap, opts.Weight
+	w := opts.Weight
 	c := &Cursor{bud: bud, end: opts.Limit}
-	if w == nil && !baseline {
+	if w == nil {
 		key := s.key("ranked", k, nil)
 		c.pre = atoms.FileAnswer(key, &rankedPrefix{atoms: atoms, key: key}, 0, ecrpq.CarryNone).(*rankedPrefix)
 	}
 	rev := s.db.Revision()
 	c.open = func() (*pull, error) {
 		p := &pull{seen: pattern.NewTupleSet(), db: s.db, rev: rev}
-		if drain {
-			p.drain = ecrpq.NewUnionRows(ms, ecrpq.Options{Budget: bud, Ranked: true, Weight: w})
-			return p, nil
-		}
 		p.ak = ecrpq.NewAnyK(ecrpq.Options{Budget: bud})
 		return p, p.ak.AddUnion(ms, w)
 	}
@@ -245,17 +237,15 @@ func (p *rankedPrefix) publish(lo int, tier pattern.Rows, last bool) bool {
 }
 
 // pull is a cursor's producer, pulled on the fetching goroutine. Ranked, it
-// is the any-k enumerator (drain instead, over the combination cap) and the
-// set of tuples it has popped, each with its first — minimal — cost; rows
-// [lo, seen.Len()) are the tier in flight at cost, published only while db
-// stays at rev. Unranked, it is src, pulled a page at a time.
+// is the any-k enumerator and the set of tuples it has popped, each at its
+// first — minimal — cost; rows [lo, seen.Len()) are the tier in flight at
+// cost, published only while db stays at rev. Unranked, it is src, pulled a
+// page at a time.
 type pull struct {
-	ak    *ecrpq.AnyK
-	drain rowSource
-	seen  *pattern.TupleSet
-	costs []int32 // per row of seen
-	lo    int
-	cost  int32
+	ak   *ecrpq.AnyK
+	seen *pattern.TupleSet
+	lo   int
+	cost int32
 
 	src rowSource
 
@@ -267,8 +257,8 @@ type pull struct {
 // rows in ranked order with lo, the position of its first. Tiers that end at
 // or before skip, which the caller has, are passed over unsorted. last
 // reports that the enumeration ended with this tier — cut short if the
-// budget is spent. The drain returns the whole sequence as one last tier. An
-// unranked producer returns its next page, of up to want rows, at skip.
+// budget is spent. An unranked producer returns its next page, of up to want
+// rows, at skip.
 func (p *pull) next(skip, want int) (tier pattern.Rows, lo int, last bool, err error) {
 	if p.src != nil {
 		var page pattern.Rows
@@ -286,51 +276,34 @@ func (p *pull) next(skip, want int) (tier pattern.Rows, lo int, last bool, err e
 		}
 		return page, skip, false, nil
 	}
-	if p.drain != nil {
-		for row, cost, ok := p.drain.Next(); ok; row, cost, ok = p.drain.Next() {
-			p.add(row, int32(cost))
-		}
-		return p.ranked(0, p.seen.Len()), 0, true, p.drain.Err()
-	}
 	for {
 		row, cost, ok := p.ak.Next()
-		lo, hi := p.lo, p.seen.Len()
+		lo, hi, tier := p.lo, p.seen.Len(), p.cost
 		if ok && int32(cost) != p.cost {
 			p.lo, p.cost = hi, int32(cost) // a costlier row: the tier in flight is whole
 		}
 		if ok {
-			p.add(row, p.cost)
+			p.seen.AddRow(row) // a tuple popped before was popped at a cost no higher
 		}
 		if !ok || p.lo > lo && hi > skip {
-			return p.ranked(lo, hi), lo, !ok, nil
+			return p.ranked(lo, hi, tier), lo, !ok, nil
 		}
 	}
 }
 
-// add files a popped row under the cheapest cost it has been seen at.
-func (p *pull) add(row []int32, cost int32) {
-	if at, added := p.seen.Insert(row); added {
-		p.costs = append(p.costs, cost)
-	} else if cost < p.costs[at] {
-		p.costs[at] = cost
-	}
-}
-
-// ranked returns rows [lo, hi) of seen in ranked order — cost ascending, ties
-// lexicographic — as a fresh slab with costs.
-func (p *pull) ranked(lo, hi int) pattern.Rows {
+// ranked returns rows [lo, hi) of seen, a tier at cost, in lexicographic
+// order as a fresh slab with costs.
+func (p *pull) ranked(lo, hi int, cost int32) pattern.Rows {
 	rows := p.seen.Rows()
 	perm := make([]int32, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		perm = append(perm, int32(i))
 	}
-	slices.SortFunc(perm, func(a, b int32) int {
-		return cmp.Or(cmp.Compare(p.costs[a], p.costs[b]), slices.Compare(rows.Row(int(a)), rows.Row(int(b))))
-	})
+	slices.SortFunc(perm, func(a, b int32) int { return slices.Compare(rows.Row(int(a)), rows.Row(int(b))) })
 	out := pattern.Rows{Arity: rows.Arity, N: len(perm), Data: make([]int32, 0, len(perm)*rows.Arity), Costs: make([]int32, 0, len(perm))}
 	for _, i := range perm {
 		out.Data = append(out.Data, rows.Row(int(i))...)
-		out.Costs = append(out.Costs, p.costs[i])
+		out.Costs = append(out.Costs, cost)
 	}
 	return out
 }
@@ -493,8 +466,8 @@ func (c *Cursor) Err() error { return c.err }
 // Truncated reports that the enumeration was cut short by the deadline or
 // context (not by Limit): the rows streamed are a sound subset of the full
 // result. It latches as soon as any fetched page is known to belong to an
-// incomplete result — for a deadline-cut ranked drain that is the FIRST
-// page, so paginating consumers see the flag without draining to the end.
+// incomplete result, so paginating consumers see the flag without draining
+// to the end.
 func (c *Cursor) Truncated() bool { return c.truncated }
 
 // RowsStreamed returns the number of rows handed to the consumer so far.

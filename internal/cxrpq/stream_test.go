@@ -561,7 +561,7 @@ func TestStreamAnyKPrefixEqualsDrain(t *testing.T) {
 // Table test for ranked Limit semantics: Limit == 0 streams every row, any
 // positive Limit yields exactly min(limit, total) rows as a prefix of the
 // full ranked order, with no off-by-one when rows tie on equal costs — from
-// the incremental producer and from the drain an over-cap union takes.
+// the incremental producer and from the drain-and-sort reference.
 func TestStreamRankedLimitTable(t *testing.T) {
 	// Three cost-1 ties and one cost-2 row under ans(x, y), x y : ab?.
 	db := graph.MustParse("u a v1\nu a v2\nu a v3\nv1 b w\nv2 b w")

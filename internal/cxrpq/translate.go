@@ -168,7 +168,7 @@ func simpleToECRPQerInfo(q *Query, forcedEps map[string]bool) (*SimpleTranslatio
 
 // expandBranches lists, per component, its variable-simple branches: one
 // choice per component is one branch combination of Lemma 7's
-// nondeterministic alternation resolution (Plan.branchMember).
+// nondeterministic alternation resolution (Plan.member).
 func expandBranches(c CXRE) ([][]xregex.Node, error) {
 	expanded := make([][]xregex.Node, len(c))
 	for i, n := range c {

@@ -98,10 +98,10 @@ const answerOverhead = 160
 // Edge insertion is monotone for every query the paper defines, q(D) ⊆
 // q(D′), so an answer filed before a window that only inserted is a subset
 // of the answer after it, and the layer that filed it can settle it (Carried,
-// SettleAnswer). Over a window that removed edges only a whole answer whose
-// filer can tell its rows a removal may have broken goes along; a verdict,
-// or any answer over a window the delta log no longer covers, is dropped
-// when it is next looked up.
+// SettleAnswer). Over a window that removed edges only a whole answer goes
+// along, for the settle driver to tell which of its rows the removal may
+// have broken (SettleUnion); a verdict, or any answer over a window the
+// delta log no longer covers, is dropped when it is next looked up.
 type Carry uint8
 
 const (
@@ -241,9 +241,9 @@ func (s *AtomStore) CarryTo(db *graph.DB) *AtomStore {
 //	                              filed to be carried (Carry) carried stale,
 //	                              settled by their filer over the window's
 //	                              frontier (Carried, SettleAnswer) — after a
-//	                              removal, eval answers whose filer names
-//	                              every atom source in their rows, the rest
-//	                              dropped on lookup; the other answers dropped
+//	                              removal, eval answers only, dropped
+//	                              (DropCarried) when the settle driver
+//	                              refuses; the other answers dropped
 //	new label, uncovered, or no s a fresh store
 //
 // Carrying copies entry and answer headers and nothing else: no kernel
@@ -526,11 +526,11 @@ func (s *AtomStore) Answer(key any) (any, bool) {
 // added has a witness that binds the source of some atom to one of its
 // nodes, and every witness it broke binds one there (see the file comment of
 // delta.go). An answer carried with CarryAlways goes along over a window
-// that removed edges when its caller can settle it there (removals); a
-// verdict never does, since a removal can make it false. An answer the
-// window cannot carry — that one, or one the delta log no longer covers — is
-// dropped and counted (AtomStats.ResultDropped), and ok is false.
-func (s *AtomStore) Carried(key any, removals bool) (v any, frontier []int, removed, ok bool) {
+// that removed edges, for its caller to settle (SettleUnion) or drop
+// (DropCarried); a verdict does not, since a removal can make it false. An
+// answer the window cannot carry — that one, or one the delta log no longer
+// covers — is dropped and counted (AtomStats.ResultDropped), and ok is false.
+func (s *AtomStore) Carried(key any) (v any, frontier []int, removed, ok bool) {
 	s.mu.Lock()
 	a, ok := s.ans[key]
 	s.mu.Unlock()
@@ -539,20 +539,27 @@ func (s *AtomStore) Carried(key any, removals bool) (v any, frontier []int, remo
 	}
 	w := s.window(a.rev)
 	if w.info != nil {
-		if removed = len(w.info.Removed) > 0; !removed || removals && a.carry == CarryAlways {
+		if removed = len(w.info.Removed) > 0; !removed || a.carry == CarryAlways {
 			if w.frontier != nil {
 				frontier = w.frontier.list
 			}
 			return a.v, frontier, removed, true
 		}
 	}
+	s.DropCarried(key)
+	return nil, nil, false, false
+}
+
+// DropCarried drops the stale answer filed under key, which its caller could
+// not settle, and counts it (AtomStats.ResultDropped); an answer another
+// reader has settled or filed since stays.
+func (s *AtomStore) DropCarried(key any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if have, ok := s.ans[key]; ok && have.rev == a.rev {
+	if have, ok := s.ans[key]; ok && have.rev != s.atomFacts.rev {
 		s.dropAnswer(key, have)
 		s.ctr.resultDropped.Add(1)
 	}
-	return nil, nil, false, false
 }
 
 // FileAnswer files v under key, charged for values values and carried as

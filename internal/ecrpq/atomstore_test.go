@@ -767,12 +767,12 @@ func TestAtomStoreCarriedAnswers(t *testing.T) {
 		if _, ok := s.Answer(key{i}); ok {
 			t.Fatalf("%s: a carried answer reads back as current", want)
 		}
-		v, frontier, removed, ok := s.Carried(key{i}, false)
+		v, frontier, removed, ok := s.Carried(key{i})
 		if !ok || removed || v != want || !slices.Contains(frontier, db.NumNodes()-1) {
 			t.Fatalf("%s: carried as %v, %v over the frontier %v", want, v, ok, frontier)
 		}
 	}
-	if _, _, _, ok := s.Carried(key{2}, true); ok {
+	if _, _, _, ok := s.Carried(key{2}); ok {
 		t.Fatal("a verdict never read again was carried")
 	}
 	exact(s, "with the window filed")
@@ -796,16 +796,16 @@ func TestAtomStoreCarriedAnswers(t *testing.T) {
 	}
 
 	// A window that removed edges carries the eval answer with the removal
-	// flag set, to a caller that can settle it there, and drops the verdict.
+	// flag set, for its caller to settle or drop, and drops the verdict.
 	if _, err := db.ApplyDelta(graph.Delta{Del: []graph.DeltaEdge{{From: "fresh", Label: 'a', To: db.Name(0)}}, Add: []graph.DeltaEdge{{From: db.Name(1), Label: 'b', To: db.Name(2)}}}); err != nil {
 		t.Fatal(err)
 	}
 	s = Atoms(db)
 	fresh := db.NumNodes() - 1 // the tail of the removed edge
-	if v, frontier, removed, ok := s.Carried(key{0}, true); !ok || !removed || v != "eval settled" || !slices.Contains(frontier, fresh) {
+	if v, frontier, removed, ok := s.Carried(key{0}); !ok || !removed || v != "eval settled" || !slices.Contains(frontier, fresh) {
 		t.Fatalf("the eval answer over a removal: %v, removed %v, ok %v, over the frontier %v", v, removed, ok, frontier)
 	}
-	if _, _, _, ok := s.Carried(key{1}, true); ok {
+	if _, _, _, ok := s.Carried(key{1}); ok {
 		t.Fatal("a verdict was carried over a window that removed an edge")
 	}
 	if st := s.Stats(); st.Results.Entries != 1 || st.ResultDropped != 1 {
@@ -813,14 +813,20 @@ func TestAtomStoreCarriedAnswers(t *testing.T) {
 	}
 	exact(s, "after the drop")
 
-	// A caller that cannot settle over removals has the eval answer dropped.
+	// A caller that cannot settle over removals drops the eval answer; one
+	// settled meanwhile stays.
 	s.SettleAnswer(key{0}, "eval settled again", 12, CarryAlways)
 	if _, err := db.ApplyDelta(graph.Delta{Del: []graph.DeltaEdge{{From: db.Name(1), Label: 'b', To: db.Name(2)}}}); err != nil {
 		t.Fatal(err)
 	}
 	s = Atoms(db)
-	if _, _, _, ok := s.Carried(key{0}, false); ok {
-		t.Fatal("an answer was carried over a removal to a caller that cannot settle it there")
+	if _, _, removed, ok := s.Carried(key{0}); !ok || !removed {
+		t.Fatal("an eval answer was not carried over a removal")
+	}
+	s.DropCarried(key{0})
+	s.DropCarried(key{0})
+	if _, _, _, ok := s.Carried(key{0}); ok {
+		t.Fatal("an answer its caller dropped is still carried")
 	}
 	if st := s.Stats(); st.Results.Entries != 0 || st.ResultDropped != 2 {
 		t.Fatalf("%d answers held, %d dropped; want none held, two dropped", st.Results.Entries, st.ResultDropped)
@@ -829,7 +835,7 @@ func TestAtomStoreCarriedAnswers(t *testing.T) {
 	// A window the delta log no longer covers drops an eval answer too.
 	s.FileAnswer(key{0}, "eval", 10, CarryAlways)
 	uncovered(t, db, &s)
-	if _, _, _, ok := s.Carried(key{0}, true); ok {
+	if _, _, _, ok := s.Carried(key{0}); ok {
 		t.Fatal("an answer was carried over a window the delta log does not cover")
 	}
 	if st := s.Stats(); st.Results.Entries != 0 || st.ResultDropped != 3 {

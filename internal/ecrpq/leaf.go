@@ -53,6 +53,7 @@ type Leaf struct {
 	plans []*plan   // the join under Pre, or one per seed variable with it bound
 	one   [1]*plan  // the storage of plans while there is one
 	seeds []string  // the seed variables, one per plan; nil unless seeded
+	cols  []int     // seeded: the source columns (seedCols)
 
 	// The pattern form's: per edge, whether the join reads its source, its
 	// target (pattern.Graph.Reads); per plan, the edge of each step; per
@@ -74,11 +75,41 @@ func (l *Leaf) compile(g *pattern.Graph, j Join, build func(pre map[string]int) 
 		return j.Pre
 	}
 	all := map[string]int{}
-	l.seeds = SourceVars(g)
+	l.seeds = sourceVars(g)
+	l.cols = seedCols(g, l.seeds)
 	for _, z := range l.seeds {
 		l.plans, all[z] = append(l.plans, build(map[string]int{z: 0})), 0
 	}
 	return all
+}
+
+// seedCols returns the source columns of g, whose source variables are
+// seeds: the output positions of the output seeds, ascending, when every
+// seed is reached along g's edges from one of them, else nil. A window that
+// broke a witness bound a seed to a frontier node, and so each output seed
+// it is reached from (see delta.go): the row holds a frontier node there.
+func seedCols(g *pattern.Graph, seeds []string) []int {
+	cols, reached := []int{}, map[string]bool{}
+	for _, z := range seeds {
+		if at := slices.Index(g.Out, z); at >= 0 {
+			cols, reached[z] = append(cols, at), true
+		}
+	}
+	for grew := true; grew; { // close reached under g's edges
+		grew = false
+		for _, e := range g.Edges {
+			if reached[e.From] && !reached[e.To] {
+				reached[e.To], grew = true, true
+			}
+		}
+	}
+	for _, z := range seeds {
+		if !reached[z] {
+			return nil
+		}
+	}
+	slices.Sort(cols)
+	return cols
 }
 
 // queryLeaf compiles q over db for j.

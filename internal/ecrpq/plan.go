@@ -339,10 +339,10 @@ func (p *plan) streamSeeded(z string, nodes []int, bud *engine.Budget, yield Str
 	}
 }
 
-// SourceVars returns the distinct source variables of g's edges, in edge
+// sourceVars returns the distinct source variables of g's edges, in edge
 // order: a row a graph gains by a window binds one of them to a node of the
 // window's frontier (see delta.go).
-func SourceVars(g *pattern.Graph) []string {
+func sourceVars(g *pattern.Graph) []string {
 	var out []string
 	for _, e := range g.Edges {
 		if !slices.Contains(out, e.From) {

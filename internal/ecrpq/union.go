@@ -2,6 +2,7 @@ package ecrpq
 
 import (
 	"errors"
+	"slices"
 
 	"cxrpq/internal/engine"
 	"cxrpq/internal/graph"
@@ -9,19 +10,22 @@ import (
 )
 
 // This file holds the program's member loops: one driver per operation — set,
-// seeded set, exists (Bool-Eval and Check), witness (explain), stream, any-k
+// settle, exists (Bool-Eval and Check), witness (explain), stream, any-k
 // roots — over a member source, which yields each member compiled as a Leaf
 // for the driver's join. Both of the paper's unions run through them: the
 // ∪-ECRPQ a vstar-free CXRPQ is (§7; Lemma 7 / Lemma 13), one query-form leaf
-// per member, and the union of CRPQs a CXRPQ^≤k is (Lemma 12, Theorem 6), the
-// bounded run's one pattern-form leaf per mapping. Members run one after the
-// other on the caller's goroutine, in order: a set evaluation appends every
-// member's rows to one bag and settles it once, and exists and witness share
-// one first-match loop (firstMatch) that returns at the first match — Check is
+// per member, decoded when the driver asks for it, and the union of CRPQs a
+// CXRPQ^≤k is (Lemma 12, Theorem 6), the bounded run's one pattern-form leaf
+// per mapping. Members run one after the other on the caller's goroutine, in
+// order: the set and settle drivers append every member's rows to one bag
+// and settle it once (eachMember), and exists and witness share one
+// first-match loop (firstMatch) that returns at the first match — Check is
 // Bool-Eval with the output variables pre-bound, and a witness is read off
-// the leaf that matched (§8). A single query is the union of one member and
-// costs what that member costs. No driver starts a member under a spent
-// budget.
+// the leaf that matched (§8). The settle driver also owns the removal-window
+// argument of delta.go: which old rows a window that removed edges may have
+// broken, read off each member leaf's source columns. A single query is the
+// union of one member and costs what that member costs. No driver starts a
+// member under a spent budget.
 
 // Members is the member source of a union: member i compiled for j, for i
 // from 0 until ok is false, or the error that kept the layer above from
@@ -55,59 +59,88 @@ func MembersOf(db *graph.DB, qs ...*Query) Members {
 }
 
 // EvalUnionWith computes ⋃ qi(D) over the members of ms, each by the
-// materializing join. On a failure or a cancellation it returns the sound
-// partial set found so far with the error.
+// materializing join, appending every member's rows to one bag it settles
+// once. On a failure or a cancellation it returns the sound partial set
+// found so far with the error.
 func EvalUnionWith(ms Members, o Options) (*pattern.TupleSet, error) {
-	return evalUnion(ms, Join{Options: o}, nil)
-}
-
-// EvalUnionSeededWith computes the rows of ⋃ qi(D) with a witness that binds
-// the source variable of some atom — a group component's included — to a
-// node of seeds: each member joined by the lazy search once per source
-// variable, pre-bound to each seed in turn. With seeds the frontier of a
-// window, they include the rows the window added to the union and, when it
-// removed edges, every row left whose witnesses all bind a source there (see
-// delta.go). On a failure or a cancellation it returns the rows found so far
-// with the error.
-func EvalUnionSeededWith(ms Members, seeds []int, o Options) (*pattern.TupleSet, error) {
-	if len(seeds) == 0 {
-		return pattern.NewTupleSet(), nil
-	}
-	return evalUnion(ms, Join{Options: o, Seeded: true, Lazy: true}, seeds)
-}
-
-// evalUnion appends the rows each member of ms finds under j, in order, to
-// one bag and settles it once. The first member that fails or is cut ends the
-// run: the rows of the members before it, and those it found, are returned
-// with its error. A spent budget starts no member.
-func evalUnion(ms Members, j Join, seeds []int) (*pattern.TupleSet, error) {
 	out := pattern.NewTupleSet()
-	add := func(row []int32, _ int) bool {
+	var s search
+	_, err := eachMember(ms, Join{Options: o}, func(_ int, l *Leaf) bool {
+		l.join(&s)
+		s.drain(appendTo(out))
+		return true
+	})
+	out.Settle()
+	return out, err
+}
+
+// SettleUnion brings old, the rows of ⋃ qi before a window with the given
+// frontier, up to the graph ms is compiled over: each member joined by the
+// lazy search once per source variable, pre-bound to each frontier node in
+// turn, finds every row the window added (see delta.go). Over a window that
+// removed edges the old rows with a frontier node at the members' source
+// columns (Leaf.cols) go first, and the seeded joins find those that still
+// hold; ok is false, and old of no use, when a member has no source columns
+// or not those of the others. A failure or a cut returns the rows found so
+// far with the error, with old only when the window removed nothing.
+func SettleUnion(ms Members, old *pattern.TupleSet, frontier []int, removed bool, o Options) (rows *pattern.TupleSet, ok bool, err error) {
+	if len(frontier) == 0 {
+		return old, true, nil
+	}
+	found, cols, ok := pattern.NewTupleSet(), []int(nil), true
+	all, err := eachMember(ms, Join{Options: o, Seeded: true, Lazy: true}, func(i int, l *Leaf) bool {
+		if removed {
+			if ok = l.cols != nil && (i == 0 || slices.Equal(l.cols, cols)); !ok {
+				return false
+			}
+			cols = l.cols
+		}
+		l.streamSeeded(frontier, appendTo(found))
+		return true
+	})
+	if !ok {
+		return nil, false, nil
+	}
+	found.Settle()
+	var drop func([]int32) bool
+	switch {
+	case !removed:
+	case !all || cols == nil: // cut before every member vouched for its columns, or no member left
+		drop = func([]int32) bool { return true }
+	default:
+		drop = func(row []int32) bool {
+			return slices.ContainsFunc(cols, func(c int) bool {
+				_, in := slices.BinarySearch(frontier, int(row[c]))
+				return in
+			})
+		}
+	}
+	return pattern.Merge(old, found, drop), true, err
+}
+
+// eachMember hands each member of ms, compiled for j, to run in order until
+// run reports false, reporting whether every member ran. The first member
+// that fails or is cut ends the loop with its error; a spent budget starts
+// no member.
+func eachMember(ms Members, j Join, run func(i int, l *Leaf) bool) (bool, error) {
+	for i := 0; !j.Budget.Canceled(); i++ {
+		l, more, err := ms(i, j)
+		if !more {
+			return true, nil
+		}
+		if err != nil || !run(i, l) {
+			return false, err
+		}
+	}
+	return false, j.Budget.Err()
+}
+
+// appendTo is the StreamFunc that appends every row to out.
+func appendTo(out *pattern.TupleSet) StreamFunc {
+	return func(row []int32, _ int) bool {
 		out.Append(row)
 		return true
 	}
-	var s search
-	var err error
-	for i := 0; err == nil && !j.Budget.Canceled(); i++ {
-		l, more, lerr := ms(i, j)
-		if !more {
-			break
-		}
-		if err = lerr; err != nil {
-			break
-		}
-		if j.Seeded {
-			l.streamSeeded(seeds, add)
-		} else {
-			l.join(&s)
-			s.drain(add)
-		}
-	}
-	out.Settle()
-	if err == nil {
-		err = j.Budget.Err()
-	}
-	return out, err
 }
 
 // ExistsUnion decides whether some member of ms has a match with the

@@ -253,7 +253,7 @@ func TestUnionContract(t *testing.T) {
 	}
 	seeded := func(o ecrpq.Options) func([]any, ecrpq.Members) outcome {
 		return func(_ []any, ms ecrpq.Members) outcome {
-			res, err := ecrpq.EvalUnionSeededWith(ms, every, o)
+			res, _, err := ecrpq.SettleUnion(ms, pattern.NewTupleSet(), every, false, o)
 			return outcome{rows: res, err: err}
 		}
 	}
@@ -369,4 +369,61 @@ func streamUnion(ms ecrpq.Members, o ecrpq.Options, yield ecrpq.StreamFunc) erro
 	for row, cost, ok := u.Next(); ok && yield(row, cost); row, cost, ok = u.Next() {
 	}
 	return u.Err()
+}
+
+// TestSettleUnionSourceColumns: the settle driver keeps a union's old rows
+// over a window that removed edges only when every member names its sources
+// at the same columns. A union whose members agree, one of them through a
+// source its pattern reaches from an output variable, settles to what a
+// fresh evaluation answers. One whose members disagree — x is the source of
+// one, y of the other — or whose rows name no source is refused (ok false)
+// over a removal and settled over an insert.
+func TestSettleUnionSourceColumns(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		named bool
+		qs    []*ecrpq.Query
+	}{
+		{"agree", true, []*ecrpq.Query{mustQuery(t, "ans(x, y)\nx y : a"), mustQuery(t, "ans(x, y)\nx z : b\nz y : a")}},
+		{"disagree", false, []*ecrpq.Query{mustQuery(t, "ans(x, y)\nx y : a"), mustQuery(t, "ans(x, y)\ny x : b")}},
+		{"unnamed", false, []*ecrpq.Query{mustQuery(t, "ans(y)\nx y : a"), mustQuery(t, "ans(y)\nx y : b")}},
+	} {
+		for _, removal := range []bool{false, true} {
+			db := workload.Random(7, 10, 30, "ab")
+			old, err := ecrpq.EvalUnionWith(ecrpq.MembersOf(db, c.qs...), ecrpq.Options{})
+			if err != nil || old.Len() == 0 {
+				t.Fatalf("%s: %d rows, %v: the window would prove nothing", c.name, old.Len(), err)
+			}
+			type key struct{}
+			ecrpq.Atoms(db).FileAnswer(key{}, old, 0, ecrpq.CarryAlways)
+			var d graph.Delta
+			if removal {
+				for u := 0; len(d.Del) < 3; u++ {
+					for _, e := range db.Out(u) {
+						d.Del = append(d.Del, graph.DeltaEdge{From: db.Name(e.From), Label: e.Label, To: db.Name(e.To)})
+						break
+					}
+				}
+			} else {
+				d.Add = []graph.DeltaEdge{{From: db.Name(1), Label: 'a', To: db.Name(2)}, {From: "fresh", Label: 'b', To: db.Name(3)}}
+			}
+			if _, err := db.ApplyDelta(d); err != nil {
+				t.Fatal(err)
+			}
+			_, frontier, removed, ok := ecrpq.Atoms(db).Carried(key{})
+			if !ok || removed != removal {
+				t.Fatalf("%s: carried %v, removed %v", c.name, ok, removed)
+			}
+			got, ok, err := ecrpq.SettleUnion(ecrpq.MembersOf(db, c.qs...), old, frontier, removed, ecrpq.Options{})
+			if want := c.named || !removal; ok != want || err != nil {
+				t.Fatalf("%s, removal %v: settled %v (%v), want %v", c.name, removal, ok, err, want)
+			}
+			if !ok {
+				continue
+			}
+			if want, err := ecrpq.EvalUnionWith(ecrpq.MembersOf(db, c.qs...), ecrpq.Options{}); err != nil || !got.Equal(want) {
+				t.Fatalf("%s, removal %v: settled to %v; a fresh evaluation has %v (%v)", c.name, removal, got.Sorted(), want.Sorted(), err)
+			}
+		}
+	}
 }
