@@ -395,3 +395,37 @@ func BenchmarkAnyK(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkEvalChainMaterialize times the materialising join of crpq_cold's
+// chain shapes — chain2, chain3 and chain2_all, atom forms L, LM, L|M and L+
+// — on a warm atom store over a 5 000-node gMark-style graph: one op
+// evaluates the three texts, ~95 000 answer rows. After the warm-up every
+// table a join reads is complete but chain3's b+, which only a bound step
+// reads, so what is left per op is the join, the frontier pass where a
+// table is incomplete, and the settling of the rows.
+func BenchmarkEvalChainMaterialize(b *testing.B) {
+	db := workload.GMark(11, 5000)
+	qs := []*crpq.Query{
+		crpq.MustParse("ans(x, z)\nx y : cb\ny z : c|b"),
+		crpq.MustParse("ans(w, z)\nw x : b\nx y : cb\ny z : b+"),
+		crpq.MustParse("ans(x, y, z)\nx y : c|b\ny z : b"),
+	}
+	rows := 0
+	for _, q := range qs { // the warm-up
+		res, err := q.Eval(db)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows += res.Len()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range qs {
+			if _, err := q.Eval(db); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(rows), "rows/op")
+}

@@ -200,9 +200,11 @@ func (p *probeAtom) row(node int, forward bool) (nodes []int, ok bool) {
 // prefetch fills the memo for exactly the given (in-range) nodes by one store
 // request, which searches the nodes it holds no row for in one multi-source
 // sweep (engine.ReachBatchEx: one batch per 64 nodes) instead of one search
-// each. A truncated sweep memoizes nothing. A complete table is adopted.
+// each. A truncated sweep memoizes nothing. A complete table is adopted, and
+// an unranked request for every node only files the rows, which complete the
+// store's table, and adopts that: no memo row is built that the table hides.
 func (p *probeAtom) prefetch(nodes []int, forward bool) {
-	memo := p.memo(forward)
+	memo, ev := p.memo(forward), p.ev
 	missing := nodes
 	if len(memo.rows) > 0 {
 		missing = nil // usually stays so: the frontier pass has been here
@@ -212,10 +214,17 @@ func (p *probeAtom) prefetch(nodes []int, forward bool) {
 			}
 		}
 	}
-	if len(missing) > 0 && !p.adopt(forward) {
-		p.fetch(missing, forward)
-		p.adopt(forward) // the sweep may have completed the table
+	if len(missing) == 0 || p.adopt(forward) {
+		return
 	}
+	if !ev.ranked && len(missing) == ev.ix.NumNodes() {
+		ev.store.rows(p.atom, forward, missing, engine.ReachOpts{Budget: ev.bud}, nil)
+		if p.adopt(forward) || ev.bud.Canceled() {
+			return
+		}
+	}
+	p.fetch(missing, forward)
+	p.adopt(forward) // the sweep may have completed the table
 }
 
 // support is the atom store's support bitset in place of a row per node: the

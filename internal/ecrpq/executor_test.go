@@ -507,6 +507,118 @@ func TestFrontierProbesInBatches(t *testing.T) {
 	}
 }
 
+// A warm store skips the frontier pass. Once an eval has completed every
+// table the plan reads — a scanned atom read again from a bound node, and a
+// third atom answered from its support — a second materialising run's pass
+// makes no store lookup (the join adopts each table itself) and its join
+// finds the same rows; on a cold store the pass runs, and its sweep of every
+// node for the scan only completes the store's table, which the memo then
+// reads; a plan whose only cold table is its first stops the pass after it.
+// After an insertion carried the entries stale, the check settles nothing.
+func TestFrontierPassSkipsCompleteTables(t *testing.T) {
+	db := randomDB(3, 200, 500, "ab")
+	q, err := ParseQuery("ans(x, z)\nx y : a\ny z : a\nz w : b", []rune("ab"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	materializing := func() (*evaluator, *plan) {
+		ev, err := newEvaluator(q, db, Options{}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev, ev.compile(nil, false)
+	}
+	lookups := func() [2]uint64 {
+		st := Atoms(db).Stats()
+		return [2]uint64{st.Hits, st.Misses}
+	}
+	ev, p := materializing()
+	if ev.lastFill(p) < 0 {
+		t.Fatal("a cold store reports complete tables")
+	}
+	before := lookups()
+	ev.probeFrontiers(p)
+	if lookups() == before {
+		t.Fatal("the pass made no lookup on a cold store: the case is not exercised")
+	}
+	// The scan asked for every node: its sweep completed the store's table,
+	// which the memo reads in place, with no memo row of its own.
+	if scan := p.steps[0].src.(*probeAtom); scan.fwd.tab.span == nil || len(scan.fwd.rows) != 0 {
+		t.Fatalf("the scan's memo holds %d rows of its own (table adopted: %v)", len(scan.fwd.rows), scan.fwd.tab.span != nil)
+	}
+	want, err := Eval(q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() == 0 {
+		t.Fatal("the query has no answers: the case is not exercised")
+	}
+
+	ev, p = materializing()
+	if last := ev.lastFill(p); last >= 0 {
+		t.Fatalf("after a warm-up eval the store reports step %d's table incomplete", last)
+	}
+	before = lookups()
+	ev.probeFrontiers(p)
+	if after := lookups(); after != before {
+		t.Fatalf("the pass over complete tables made lookups: hits, misses %v, were %v", after, before)
+	}
+	got := pattern.NewTupleSet()
+	p.stream(nil, func(row []int32, _ int) bool {
+		got.Append(row)
+		return true
+	})
+	if got.Settle(); !got.Equal(want) {
+		t.Fatalf("the join after a skipped pass found %v, want %v", got.Sorted(), want.Sorted())
+	}
+
+	// A plan whose first table is cold and whose second is complete: the
+	// pass fills the first and stops, leaving the second for the join.
+	q2, err := ParseQuery("ans(x, z)\nx y : b\ny z : a", []rune("ab"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev2, err := newEvaluator(q2, db, Options{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2 := ev2.compile(nil, false)
+	if last := ev2.lastFill(p2); last != 0 {
+		t.Fatalf("the pass would fill up to step %d, want 0", last)
+	}
+	ev2.probeFrontiers(p2)
+	if second := p2.steps[1].src.(*probeAtom); second.fwd.tab.span != nil || len(second.fwd.rows) != 0 {
+		t.Fatal("the pass went on past the last step whose table it completes")
+	}
+	want2, err := Eval(q2, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got2 := pattern.NewTupleSet()
+	p2.stream(nil, func(row []int32, _ int) bool {
+		got2.Append(row)
+		return true
+	})
+	if got2.Settle(); want2.Len() == 0 || !got2.Equal(want2) {
+		t.Fatalf("the join after a pass cut short found %v, want %v", got2.Sorted(), want2.Sorted())
+	}
+
+	if _, err := db.ApplyDelta(graph.Delta{Add: []graph.DeltaEdge{{From: db.Name(0), Label: 'a', To: db.Name(1)}}}); err != nil {
+		t.Fatal(err)
+	}
+	ev, p = materializing()
+	stale := Atoms(db).Stats()
+	if stale.Stale == 0 {
+		t.Fatal("the insertion carried no entry stale: the case is not exercised")
+	}
+	if ev.lastFill(p) < 0 {
+		t.Fatal("stale tables count as complete")
+	}
+	if st := Atoms(db).Stats(); st.Stale != stale.Stale || st.DeltaPasses != stale.DeltaPasses || st.Kernel != stale.Kernel || st.Hits != stale.Hits {
+		t.Fatalf("the check settled or looked up entries: %+v, was %+v", st, stale)
+	}
+}
+
 // The group searches run on a FIFO under unit cost and on a heap under a
 // weight. Under the weight that is constantly 1 the heap must reproduce the
 // FIFO exactly: the same end tuples in the same order with the same costs.

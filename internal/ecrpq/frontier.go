@@ -18,12 +18,22 @@ import (
 // superset where a later atom closes a cycle (a slot's values are then
 // narrowed per atom, not per assignment); a superset costs batched probes
 // the join will not read, never an answer.
+//
+// A warm store often holds complete every table the join reads: the join
+// then adopts each one on its first probe, and the pass would fill no memo.
+// So the pass runs only up to the last step whose table is not complete
+// (lastFill), and not at all when there is none.
 
 // probeFrontiers runs the pass over p. It stops at the first step it cannot
 // model — a relation group, an atom that is not a lazily probed one — or
-// that nothing modelable follows, at an empty candidate set (the join ends
-// there too), and when the budget cancels.
+// that nothing modelable follows, after the last step whose memo it fills,
+// at an empty candidate set (the join ends there too), and when the budget
+// cancels.
 func (ev *evaluator) probeFrontiers(p *plan) {
+	last := ev.lastFill(p)
+	if last < 0 {
+		return
+	}
 	n := ev.ix.NumNodes()
 	cand := make([][]int, len(p.vars)) // slot -> sorted candidates; nil = unbound
 	for s, v := range p.init {
@@ -66,7 +76,7 @@ func (ev *evaluator) probeFrontiers(p *plan) {
 		if sup == nil {
 			pa.prefetch(srcs, forward)
 		}
-		if ev.bud.Canceled() || probeOf(i+1) == nil {
+		if ev.bud.Canceled() || i == last || probeOf(i+1) == nil {
 			return
 		}
 		if walk {
@@ -110,6 +120,49 @@ func (ev *evaluator) probeFrontiers(p *plan) {
 			cand[far] = bitList(got)
 		}
 	}
+}
+
+// lastFill returns the index of the last step whose memo the pass fills: of
+// the steps it would model, the last that the join does not answer from a
+// support and that reads, in the direction the join walks it, a row table
+// the store does not hold complete at its revision; -1 when there is none.
+// It only looks: it settles no stale entry, files no inversion and adopts
+// nothing. For a ranked run, whose rows carry costs, and a plan of over 64
+// slots it returns the last step.
+func (ev *evaluator) lastFill(p *plan) int {
+	if ev.ranked || len(p.vars) > 64 {
+		return len(p.steps) - 1
+	}
+	last := -1
+	var bound uint64 // the slots bound before the step, as the pass's candidates are
+	for s, v := range p.init {
+		if v >= 0 {
+			bound |= 1 << s
+		}
+	}
+	s := ev.store
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range p.steps {
+		st := &p.steps[i]
+		pa, ok := st.src.(*probeAtom)
+		if !ok {
+			break // the pass stops here
+		}
+		if forward, bySupport := st.walk(bound>>st.from&1 != 0, bound>>st.to&1 != 0); !bySupport {
+			e := s.m[pa.atom.key]
+			if e == nil || e.rev != s.atomFacts.rev || !e.rows[side(!forward)].complete() {
+				last = i
+			}
+		}
+		if st.bindFrom {
+			bound |= 1 << st.from
+		}
+		if st.bindTo {
+			bound |= 1 << st.to
+		}
+	}
+	return last
 }
 
 // nextBit returns the first set bit of b at or after i, -1 when there is none.

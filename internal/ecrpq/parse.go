@@ -1,7 +1,6 @@
 package ecrpq
 
 import (
-	"bufio"
 	"fmt"
 	"strconv"
 	"strings"
@@ -28,9 +27,8 @@ import (
 // the engine as needed).
 func ParseQuery(src string, sigma []rune) (*Query, error) {
 	var patternLines, relLines []string
-	sc := bufio.NewScanner(strings.NewReader(src))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+	for line := range strings.Lines(src) { // no scanner: a line has no length limit
+		line = strings.TrimSpace(line)
 		if strings.HasPrefix(line, "rel ") || line == "rel" {
 			relLines = append(relLines, line)
 			continue

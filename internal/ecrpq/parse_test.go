@@ -35,6 +35,19 @@ rel equality 0 1
 	}
 }
 
+// A line past bufio.Scanner's 64 KiB token limit is read like any other:
+// the relation line after it is not dropped.
+func TestParseQueryLongLine(t *testing.T) {
+	long := strings.Repeat("a|", 40_000) + "a" // 80 KB
+	q, err := ecrpq.ParseQuery("ans(x, y)\nx y : b\nx y : "+long+"\nrel equality 0 1", []rune("ab"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(q.Pattern.Edges) != 2 || len(q.Groups) != 1 {
+		t.Fatalf("parsed %d edges and %d relations, want 2 and 1", len(q.Pattern.Edges), len(q.Groups))
+	}
+}
+
 func TestParseQueryAllRelationKinds(t *testing.T) {
 	sigma := []rune("ab")
 	for _, src := range []string{

@@ -198,22 +198,29 @@ func (p *plan) seal(out []string, pre map[string]int, bindAll bool) {
 	}
 }
 
-// support returns the bitset that answers the step in place of its lists, or
-// nil, and the side the step is walked from: its sources when forward, else
-// its targets. uok and vok say which endpoints are bound. The other side has
-// to be read by nothing (never so in a ranked plan, see seal), and the source
-// a probe atom, which can sweep for who has a partner.
-func (st *step) support(uok, vok bool) (sup []uint64, forward bool) {
+// walk returns the side the join walks the step from — its sources when
+// forward, else its targets — with the endpoints uok and vok say are bound,
+// and whether a support bitset answers the step there in place of its lists:
+// the other side has to be read by nothing (never so in a ranked plan, see
+// seal), and the source a probe atom, which can sweep for who has a partner.
+func (st *step) walk(uok, vok bool) (forward, bySupport bool) {
 	forward = uok || !vok && (st.bindFrom || !st.bindTo)
 	farBind := st.bindTo
 	if !forward {
 		farBind = st.bindFrom
 	}
-	pa, probed := st.src.(*probeAtom) // a group step has a nil src
-	if !probed || st.from == st.to || uok && vok || farBind {
+	_, probed := st.src.(*probeAtom) // a group step has a nil src
+	return forward, probed && st.from != st.to && !(uok && vok) && !farBind
+}
+
+// support returns the bitset that answers the step in place of its lists, or
+// nil, and the side the step is walked from (walk).
+func (st *step) support(uok, vok bool) (sup []uint64, forward bool) {
+	forward, bySupport := st.walk(uok, vok)
+	if !bySupport {
 		return nil, forward
 	}
-	return pa.support(forward), forward
+	return st.src.(*probeAtom).support(forward), forward
 }
 
 // clone returns a copy of p whose steps and pre-bound tuple are its own.

@@ -1,7 +1,6 @@
 package pattern
 
 import (
-	"bufio"
 	"fmt"
 	"strings"
 
@@ -16,13 +15,12 @@ import (
 //
 // The first non-comment line must be the ans(...) clause.
 func ParseQuery(src string) (*Graph, error) {
-	sc := bufio.NewScanner(strings.NewReader(src))
 	g := &Graph{}
 	sawAns := false
 	lineNo := 0
-	for sc.Scan() {
+	for line := range strings.Lines(src) { // no scanner: a line has no length limit
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
+		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}

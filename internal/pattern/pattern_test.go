@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"strings"
 	"testing"
 
 	"cxrpq/internal/xregex"
@@ -46,6 +47,22 @@ func TestParseQueryBooleanAndErrors(t *testing.T) {
 		if _, err := ParseQuery(bad); err == nil {
 			t.Errorf("ParseQuery(%q): expected error", bad)
 		}
+	}
+}
+
+// A line past bufio.Scanner's 64 KiB token limit is read like any other:
+// the edge after it, and an error in it, are not dropped.
+func TestParseQueryLongLine(t *testing.T) {
+	long := strings.Repeat("a|", 40_000) + "a" // 80 KB
+	q, err := ParseQuery("ans(x, y)\nx y : b\nx y : " + long + "\ny z : c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(q.Edges) != 3 {
+		t.Fatalf("parsed %d edges, want 3", len(q.Edges))
+	}
+	if _, err := ParseQuery("ans(x, y)\nx y : b\nx y : " + long + "\ny z"); err == nil {
+		t.Fatal("a malformed line after a long one parsed")
 	}
 }
 

@@ -11,7 +11,11 @@ import (
 // slab, from the executor's output slots to the response encoder. RowTable
 // finds a row in a slab, Rows is a window of one, TupleSet the set of them:
 // hashed row by row where a consumer must know at once whether a row is new,
-// appended and settled by one sort where an answer is materialised.
+// appended and settled where an answer is materialised. A join emits its rows
+// grouped by their first column, in the order its outermost scan walks the
+// nodes, so an appended set settles each run of one leading value on its own,
+// in place, when the next begins; the first row out of that order hands the
+// runs to a bag that settles by sorting whole.
 
 // RowTable is an open-addressed index over the fixed-width rows of an
 // []int32 slab that its user owns: a slot holds 1 + a row number, 0 is
@@ -134,7 +138,13 @@ type TupleSet struct {
 	rows                  Rows
 	tab                   RowTable // over rows while the set is neither a bag nor settled
 	bag, settled, hashing bool     // hashing: Append inserts, the bag was mostly duplicates
-	kept                  int      // rows the last Settle left: a strictly increasing prefix
+	kept                  int      // a strictly increasing prefix: the last settle's rows and in-order appends since
+	// run is the first row of the current run while every row so far was
+	// appended in nondecreasing order of its first column: the rows before
+	// it lead with smaller values, those from it on with one value, and
+	// kept >= run. It is -1 once a row broke that order or a set was hashed.
+	run  int
+	keys []uint64 // the sort keys of the runs, reused from one to the next until Settle
 
 	// The lexicographic order of a hashed set: computed by the first
 	// SortedRows after the last insertion, shared by every later one.
@@ -171,6 +181,7 @@ func (s *TupleSet) Insert(row []int32) (at int, added bool) {
 		}
 		s.settled = false
 	}
+	s.run = -1
 	old, slot := s.tab.Find(r.Data, r.Arity, row)
 	if old >= 0 {
 		return int(old), false
@@ -182,33 +193,86 @@ func (s *TupleSet) Insert(row []int32) (at int, added bool) {
 }
 
 // Append adds the row (copying it) with no lookup: the set is a bag until
-// Settle, which Append calls whenever the bag has doubled since the last one
-// (from settleFloor rows), so it holds at most about twice its distinct rows.
-// A settle that finds half the rows appended since the last one duplicates
-// makes Append insert from then on: a lookup then costs less than a sort.
+// Settle. While rows arrive in nondecreasing order of their first column, a
+// row greater than every row before it extends the kept prefix as it comes,
+// a row that starts a new leading value first settles the run before it, in
+// place, and the first row that leads with a smaller value ends that mode:
+// the runs settled so far become the kept prefix of a bag that settles by
+// one sort. Append settles the current run, or the bag, whenever it has
+// doubled since the last settle (from settleFloor rows), so the set holds at
+// most about twice its distinct rows. A settle that finds half the rows
+// appended since the last one duplicates makes Append insert from then on: a
+// lookup then costs less than a sort.
 func (s *TupleSet) Append(row []int32) {
 	if s.hashing {
 		s.Insert(row)
 		return
 	}
 	s.fix(row)
-	s.bag, s.settled = true, false
-	s.rows.Data = append(s.rows.Data, row...)
-	if s.rows.N++; s.rows.N >= max(settleFloor, 2*s.kept) {
-		bag, kept := s.rows.N, s.kept
-		s.Settle()
-		s.hashing = 2*(s.rows.N-kept) <= bag-kept
+	r := &s.rows
+	grows := s.run >= 0 && r.N == 0 // row is greater than every row before it
+	if s.run >= 0 && r.N > 0 && r.Arity > 0 {
+		switch last := r.Data[(r.N-1)*r.Arity : r.N*r.Arity]; {
+		case row[0] > last[0]:
+			s.settleRun()
+			s.run, grows = r.N, true
+		case row[0] < last[0]:
+			s.settleRun()
+			s.run = -1
+		default:
+			grows = s.kept == r.N && less(last[1:], row[1:])
+		}
 	}
+	s.bag, s.settled = true, false
+	r.Data = append(r.Data, row...)
+	if r.N++; grows {
+		s.kept = r.N
+	}
+	if from := max(s.run, 0); r.N-from >= max(settleFloor, 2*(s.kept-from)) {
+		bag, kept := r.N, s.kept
+		s.Settle()
+		s.hashing = 2*(r.N-kept) <= bag-kept
+	}
+}
+
+// less reports whether the row a sorts before b, of its width.
+func less(a, b []int32) bool {
+	for i, x := range a {
+		if x != b[i] {
+			return x < b[i]
+		}
+	}
+	return false
 }
 
 // Settle makes the set's rows strictly increasing — its sorted view, each row
 // once — and drops the table of a hashed set.
 func (s *TupleSet) Settle() {
-	if !s.settled {
-		s.rows = settle(s.rows, s.kept, true)
-		s.tab, s.sorted = RowTable{}, Rows{}
-		s.bag, s.settled, s.kept = false, true, s.rows.N
+	if s.settled {
+		return
 	}
+	if s.run >= 0 {
+		s.settleRun()
+	} else {
+		s.rows = settle(s.rows, s.kept, false, true, nil)
+	}
+	s.tab, s.sorted, s.keys = RowTable{}, Rows{}, nil
+	s.bag, s.settled, s.kept = false, true, s.rows.N
+}
+
+// settleRun sorts and dedups the rows of the current run, [run, N), in place
+// in the slab. They share their first column, so only the others are sort
+// keys, and the rows before the run are smaller than any of them.
+func (s *TupleSet) settleRun() {
+	r := &s.rows
+	if r.N == s.kept {
+		return
+	}
+	out := settle(r.Slice(s.run, r.N), s.kept-s.run, true, true, &s.keys)
+	copy(r.Data[s.run*r.Arity:], out.Data) // onto itself unless settle wrote a new slab
+	r.N = s.run + out.N
+	r.Data = r.Data[:r.N*r.Arity]
+	s.kept = r.N
 }
 
 // AddRow is Insert reporting only whether the row was new.
@@ -278,7 +342,7 @@ func (s *TupleSet) SortedRows() Rows {
 	s.sortMu.Lock()
 	defer s.sortMu.Unlock()
 	if in := s.rows; s.sorted.N != in.N {
-		s.sorted = settle(in, 0, false)
+		s.sorted = settle(in, 0, false, false, nil)
 	}
 	return s.sorted
 }
@@ -289,44 +353,66 @@ const radixMinRows = 64
 
 // settle returns the distinct rows of in, whose first sorted are strictly
 // increasing, in order: in itself if they are, else written back into in's
-// slab when inPlace, or into a new one. Rows with no negative value that fit
-// one uint64 at the bit width of the largest value (13 bits on a 5 000-node
-// graph: four columns) are sorted as such keys; the rest, past the prefix, by
-// sortedPerm, then merged with the prefix into a new slab.
-func settle(in Rows, sorted int, inPlace bool) Rows {
+// slab when inPlace, or into a new one. With lead, for a settle in place,
+// every row of in has one first column, which is then no part of a sort key.
+// Rows with no negative value whose key columns fit one uint64 at the bit
+// width of the largest value (13 bits on a 5 000-node graph: four columns)
+// are sorted as such keys — on the stack below radixMinRows rows, else in
+// *scratch when it is large enough, which is left holding the largest keys;
+// the rest, past the prefix, by sortedPerm, then merged with the prefix into
+// a new slab.
+func settle(in Rows, sorted int, lead, inPlace bool, scratch *[]uint64) Rows {
 	i := max(sorted, 1)
-	for i < in.N && slices.Compare(in.Row(i-1), in.Row(i)) < 0 {
+	for i < in.N && less(in.Row(i-1), in.Row(i)) {
 		i++
 	}
 	if i >= in.N {
 		return in
 	}
+	from := 0 // the first key column
+	if lead && in.Arity > 0 {
+		from = 1
+	}
 	var or uint32
 	for _, v := range in.Data {
 		or |= uint32(v)
 	}
-	if w := uint(bits.Len32(or)); w < 32 && uint(in.Arity)*w <= 64 {
-		keys := make([]uint64, in.N, 2*in.N)
+	if w := uint(bits.Len32(or)); w < 32 && uint(in.Arity-from)*w <= 64 {
+		var buf [radixMinRows]uint64
+		keys := buf[:min(in.N, radixMinRows)]
+		switch {
+		case in.N < radixMinRows:
+		case scratch != nil && cap(*scratch) >= 2*in.N:
+			keys = (*scratch)[:in.N]
+		case scratch == nil:
+			keys = make([]uint64, in.N, 2*in.N)
+		default: // twice the largest so far: a run one row longer allocates nothing
+			k := make([]uint64, in.N, 2*max(in.N, cap(*scratch))) // not keys: that may hold buf, which must not escape
+			*scratch, keys = k, k
+		}
 		for i := range keys {
-			for _, v := range in.Row(i) {
-				keys[i] = keys[i]<<w | uint64(v)
+			var k uint64
+			for _, v := range in.Row(i)[from:] {
+				k = k<<w | uint64(v)
 			}
+			keys[i] = k
 		}
 		if in.N < radixMinRows {
 			slices.Sort(keys)
 		} else {
-			keys = radixSort(keys, keys[in.N:2*in.N], uint(in.Arity)*w)
+			keys = radixSort(keys, keys[in.N:2*in.N], uint(in.Arity-from)*w)
 		}
 		keys = slices.Compact(keys)
+		out := in.Data
 		if !inPlace {
-			in.Data = make([]int32, len(keys)*in.Arity)
+			out = make([]int32, len(keys)*in.Arity)
 		}
 		for i, k := range keys {
-			for c := in.Arity - 1; c >= 0; c-- {
-				in.Data[i*in.Arity+c], k = int32(k&(1<<w-1)), k>>w
+			for c := in.Arity - 1; c >= from; c-- {
+				out[i*in.Arity+c], k = int32(k&(1<<w-1)), k>>w
 			}
 		}
-		return Rows{Arity: in.Arity, N: len(keys), Data: in.Data[:len(keys)*in.Arity]}
+		return Rows{Arity: in.Arity, N: len(keys), Data: out[:len(keys)*in.Arity]}
 	}
 	out, tail := Rows{Arity: in.Arity, Data: make([]int32, 0, len(in.Data))}, in.Slice(sorted, in.N)
 	perm, row := sortedPerm(tail), []int32(nil)
@@ -467,7 +553,7 @@ func Merge(a, b *TupleSet, drop func(row []int32) bool) *TupleSet {
 		prev = int(p)
 	}
 	keep(prev, x.N)
-	return &TupleSet{rows: out, settled: true, kept: out.N}
+	return &TupleSet{rows: out, settled: true, kept: out.N, run: -1}
 }
 
 // All returns the tuples in the order of Rows.

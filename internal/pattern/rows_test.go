@@ -324,6 +324,113 @@ func TestTupleSetAppendBounded(t *testing.T) {
 	}
 }
 
+// The bound holds while the rows lead with one value, as a join's do below
+// one node of its outermost scan: the one run doubles and is settled again,
+// in place, until a settle that finds it mostly duplicates makes Append
+// insert.
+func TestTupleSetAppendBoundedOneLead(t *testing.T) {
+	const distinct = 300
+	rng := rand.New(rand.NewSource(1))
+	s, limit := NewTupleSet(), max(settleFloor, 2*distinct)
+	for i := range 1_000_000 {
+		v := int32(rng.Intn(distinct))
+		s.Append([]int32{7, v, v * 7})
+		if n := s.Rows().N; n > limit {
+			t.Fatalf("append %d: the run holds %d rows, want at most %d", i, n, limit)
+		}
+		if i == settleFloor-2 && s.run != 0 {
+			t.Fatalf("append %d: one leading value left run mode (run = %d)", i, s.run)
+		}
+	}
+	if !s.hashing {
+		t.Fatal("Append still sorts runs that are mostly duplicates")
+	}
+	if s.Settle(); s.Len() != distinct {
+		t.Fatalf("Len() = %d after Settle, want %d", s.Len(), distinct)
+	}
+}
+
+// Append over streams whose rows lead in nondecreasing order, as a join's
+// do — runs of one first value, of 1 to 1 500 rows, with duplicate tails —
+// against a sort-and-dedup reference, for arities 0 to 4: in half the
+// streams one row at a random place leads with a smaller value and hands
+// the runs to the bag, Settle runs at random places with Appends after it,
+// an Insert follows the last Append, and some seeds hold negative values
+// (the comparison sort) or tails too wide for one packed key.
+func TestTupleSetRunsMatchReference(t *testing.T) {
+	for arity := 0; arity <= 4; arity++ {
+		for seed := int64(1); seed <= 8; seed++ {
+			rng := rand.New(rand.NewSource(10*seed + int64(arity)))
+			name := fmt.Sprintf("arity %d seed %d", arity, seed)
+			neg, wide := seed%4 == 0, seed%4 == 3
+			n, brk := 200+rng.Intn(4000), -1
+			if seed%2 == 0 {
+				brk = rng.Intn(n)
+			}
+			s, ref := NewTupleSet(), &mapTupleSet{seen: map[string]bool{}}
+			check := func(when string) {
+				t.Helper()
+				got, want := s.All(), ref.Sorted()
+				for i := 0; i < max(len(got), len(want)); i++ {
+					if i == len(got) || i == len(want) || !slices.Equal(got[i], want[i]) {
+						t.Fatalf("%s %s: %d rows, reference %d; they part at row %d", name, when, len(got), len(want), i)
+					}
+				}
+			}
+			lead, left, span := rng.Intn(5), 0, 1+rng.Intn(20)
+			if neg {
+				lead = -50
+			}
+			for i := range n {
+				if left == 0 {
+					lead += rng.Intn(3) // 0: the same value leads the next run too
+					left = []int{1, 3, 20, 100, 1500}[rng.Intn(5)]
+				}
+				left--
+				tu := make(Tuple, arity)
+				for c := range tu {
+					tu[c] = rng.Intn(span)
+					if neg && rng.Intn(4) == 0 {
+						tu[c] = -1 - tu[c]
+					}
+					if wide && rng.Intn(2) == 0 {
+						tu[c] += 1 << 22 // three such tail columns need 69 bits
+					}
+				}
+				if arity > 0 {
+					tu[0] = lead
+					if i == brk {
+						tu[0] = lead - 1 - rng.Intn(3)
+					}
+				}
+				var buf [8]int32
+				s.Append(row32(tu, &buf))
+				ref.Add(tu)
+				if rng.Intn(400) == 0 {
+					s.Settle()
+					check(fmt.Sprintf("Settle after row %d", i))
+				}
+			}
+			switch inRun := s.run >= 0; {
+			case arity > 0 && brk >= 0 && inRun:
+				t.Fatalf("%s: row %d broke the order, and the set is still in run mode", name, brk)
+			case brk < 0 && !inRun && !s.hashing:
+				t.Fatalf("%s: an ordered stream left run mode", name)
+			}
+			tu := make(Tuple, arity)
+			for c := range tu {
+				tu[c] = rng.Intn(span)
+			}
+			var buf [8]int32
+			if got, want := s.AddRow(row32(tu, &buf)), ref.Add(tu); got != want {
+				t.Fatalf("%s: Insert(%v) after the stream = %v, reference %v", name, tu, got, want)
+			}
+			s.Settle()
+			check("after the Insert")
+		}
+	}
+}
+
 // A settled set is read in place: eight goroutines share one (SortedRows,
 // Contains, Len, Rows, Equal) while nothing writes, which -race checks.
 func TestTupleSetSettledSharedReaders(t *testing.T) {
@@ -475,7 +582,19 @@ func BenchmarkTupleSetSettle(b *testing.B) {
 		arms["dups"] = append(arms["dups"], few[i:i+2]...)
 		arms["wide5"] = append(arms["wide5"], append(pair(), pair()[0], pair()[0], pair()[0])...)
 	}
-	for _, arm := range []string{"sorted", "runs6", "random", "dups", "wide5"} {
+	// joined: the rows of a two-atom chain join with outputs (x, z), as it
+	// emits them — x ascending, under each x the sorted z lists of its y
+	// partners one after the other.
+	for x := 0; len(arms["joined"]) < 2*n; x += 1 + rng.Intn(3) {
+		for range 1 + rng.Intn(4) {
+			z := rng.Intn(5000)
+			for range 1 + rng.Intn(4) {
+				arms["joined"] = append(arms["joined"], int32(x), int32(z))
+				z += 1 + rng.Intn(200)
+			}
+		}
+	}
+	for _, arm := range []string{"sorted", "runs6", "random", "dups", "wide5", "joined"} {
 		rows, w := arms[arm], 2
 		if arm == "wide5" {
 			w = 5
