@@ -65,6 +65,23 @@ func BenchmarkCRPQEval(b *testing.B) {
 	}
 }
 
+// BenchmarkPrepareEvalCRPQ runs BenchmarkCRPQEval's text on its graph the
+// way a crpq_cold request does in-process: parse and prepare a new plan, bind
+// it to the database and evaluate it through Session.Do.
+func BenchmarkPrepareEvalCRPQ(b *testing.B) {
+	db := workload.Layered(9, 12, 5, "abc")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p, err := cxrpq.PrepareSrc("ans(x, y)\nx m : a(b|c)*\nm y : c+")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := p.Bind(db).Do(cxrpq.Request{Op: "eval"}).Err; err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkEqualityProduct(b *testing.B) {
 	db := workload.Random(17, 12, 30, "ab")
 	q := cxrpq.MustParse("ans(s, t, s2, t2)\ns t : $x{(a|b)(a|b)}\ns2 t2 : $x")

@@ -598,6 +598,26 @@ func TestQueryDeadlineBoundsExplain(t *testing.T) {
 	}
 }
 
+// deadline_ms bounds a wide vstar-free union too: a text of 40 alternation
+// factors is a union of 2^40 members, and /query under a 100 ms deadline
+// answers 200 with truncated set, without multiplying the text out first.
+func TestQueryDeadlineBoundsWideUnion(t *testing.T) {
+	srv, ts := testServer(t)
+	srv.addDB("cyc", graph.MustParse("n0 a n1\nn1 b n0\nn1 a n0\nn0 b n1"))
+	var sb strings.Builder
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&sb, "($a%d{a}|$b%d{b})", i, i)
+	}
+	start := time.Now()
+	code, out := postJSON(t, ts.URL+"/query", `{"db":"cyc","query":"ans(x, y)\nx y : `+sb.String()+`","deadline_ms":100}`)
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("a 2^40-member union under a 100 ms deadline answered after %v", took)
+	}
+	if code != http.StatusOK || out["truncated"] != true {
+		t.Fatalf("a 2^40-member union under a 100 ms deadline: %d %v; want 200, truncated", code, out)
+	}
+}
+
 // Nodes an /update adds come back by name, through the name table the publish
 // extended, on a first page and on a cursor page alike.
 func TestUpdateNewNodesAnswerByName(t *testing.T) {

@@ -81,9 +81,10 @@
 //	                     atoms, the pattern compiled once per run);
 //	                     plan.go/session.go are the prepared-query
 //	                     subsystem: Prepare(q) compiles an immutable Plan
-//	                     (fragment class, bounded schedule, the branch
-//	                     lists of the union of ECRPQ^er every vstar-free
-//	                     query is, member i decoded and translated when a
+//	                     (fragment class, bounded schedule, a branch
+//	                     count per component, the radix of the union of
+//	                     ECRPQ^er every vstar-free query is, member i
+//	                     decoded by xregex.Branch and translated when a
 //	                     driver asks for it: Lemma 3 / Lemma 7),
 //	                     Plan.Bind(db) yields a
 //	                     concurrency-safe, stateless Session over the

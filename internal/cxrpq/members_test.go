@@ -1,22 +1,29 @@
 package cxrpq
 
 import (
+	"errors"
+	"fmt"
+	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"cxrpq/internal/ecrpq"
+	"cxrpq/internal/engine"
+	"cxrpq/internal/graph"
 	"cxrpq/internal/xregex"
 )
 
 func collectMembers(t *testing.T, p *Plan) []*ecrpq.Query {
 	t.Helper()
-	ms, err := p.members()
-	if err != nil {
-		t.Fatal(err)
+	if p.unionErr != nil {
+		t.Fatal(p.unionErr)
 	}
 	var out []*ecrpq.Query
 	for i := 0; ; i++ {
-		q, ok, err := ms(i)
+		q, ok, err := p.members(i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -25,6 +32,42 @@ func collectMembers(t *testing.T, p *Plan) []*ecrpq.Query {
 		}
 		out = append(out, q)
 	}
+}
+
+// multiplyOut is Step 1 of the normal-form construction (Lemma 4) as the
+// recursion that multiplies a vstar-free component out whole, in the order
+// xregex.Branch decodes: the reference a plan's members are held to.
+func multiplyOut(n xregex.Node) []xregex.Node {
+	if !xregex.HasVars(n) {
+		return []xregex.Node{n}
+	}
+	var out []xregex.Node
+	switch t := n.(type) {
+	case *xregex.Def:
+		for _, b := range multiplyOut(t.Body) {
+			out = append(out, &xregex.Def{Var: t.Var, Body: b})
+		}
+	case *xregex.Cat:
+		out = []xregex.Node{&xregex.Eps{}}
+		for _, k := range t.Kids {
+			var next []xregex.Node
+			for _, a := range out {
+				for _, b := range multiplyOut(k) {
+					next = append(next, xregex.Simplify(&xregex.Cat{Kids: []xregex.Node{a, b}}))
+				}
+			}
+			out = next
+		}
+	case *xregex.Alt:
+		for _, k := range t.Kids {
+			out = append(out, multiplyOut(k)...)
+		}
+	case *xregex.Opt:
+		out = append(multiplyOut(t.Kid), &xregex.Eps{})
+	default:
+		out = []xregex.Node{n}
+	}
+	return out
 }
 
 // odometer lists the branch combinations of branches in member order: the
@@ -84,7 +127,11 @@ func TestMembersDecoded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		combos := odometer(p.branches)
+		var branches [][]xregex.Node
+		for _, n := range p.c {
+			branches = append(branches, multiplyOut(n))
+		}
+		combos := odometer(branches)
 		if len(got) != c.want || len(u.Members) != c.want || len(combos) != c.want {
 			t.Fatalf("%q: %d members decoded, %d collected, %d combinations; want %d", c.src, len(got), len(u.Members), len(combos), c.want)
 		}
@@ -111,7 +158,93 @@ func TestMembersDecoded(t *testing.T) {
 		}
 	}
 
-	if _, err := MustPrepare(MustParse("ans(x, y)\nx y : $w{a|b}\ny z : $w+\n")).members(); err == nil {
+	if MustPrepare(MustParse("ans(x, y)\nx y : $w{a|b}\ny z : $w+\n")).unionErr == nil {
 		t.Fatal("a plan that is not vstar-free has a member source")
+	}
+}
+
+// A plan holds one branch count per component and nothing multiplied out:
+// the eleven-factor text of overCapQueries is one count of 2 048, and a query
+// without string variables is its own member, built once, which a request
+// takes without allocating.
+func TestPlanHoldsCounts(t *testing.T) {
+	wide := MustPrepare(MustParse(factors(11)))
+	if !slices.Equal(wide.counts, []int{1 << 11}) || wide.own.tr != nil {
+		t.Fatalf("the wide plan holds counts %v and member %v; want one count of 2048 and no member", wide.counts, wide.own.tr)
+	}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Plan{})) {
+		if f.Name != "c" && strings.Contains(f.Type.String(), "xregex.Node") {
+			t.Fatalf("a Plan keeps xregex nodes beside its query's: field %s %s", f.Name, f.Type)
+		}
+	}
+
+	crpq := MustPrepare(MustParse("ans(x, z)\nx y : a+\ny z : b"))
+	if q, ok, err := crpq.members(0); !ok || err != nil || q.Pattern != crpq.q.Pattern || len(q.Groups) != 0 {
+		t.Fatalf("a CRPQ's member 0 is %v, %v, %v; want its own pattern", q, ok, err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { crpq.members(0) }); allocs != 0 {
+		t.Fatalf("a CRPQ's member 0 allocates %v objects per request, want 0", allocs)
+	}
+}
+
+// factors is a text of n alternation factors ($aI{a}|$bI{b}) on one edge: a
+// union of 2^n members.
+func factors(n int) string {
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "($a%d{a}|$b%d{b})", i, i)
+	}
+	return "ans(x, y)\nx y : " + sb.String() + "\n"
+}
+
+// A union of 2^40 members prepares in milliseconds, is cut by a 50 ms budget
+// in well under a second, and decodes any member on its own: member 2^39 is
+// the combination the odometer gives, b in the first factor and a in the
+// rest.
+func TestWideUnionBounded(t *testing.T) {
+	start := time.Now()
+	p, err := PrepareSrc(factors(40))
+	if took := time.Since(start); err != nil || took > 100*time.Millisecond {
+		t.Fatalf("a 40-factor text prepares in %v, %v", took, err)
+	}
+	db, err := graph.Parse("n0 a n1\nn1 b n2\nn2 a n0\nn1 a n0\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start = time.Now()
+	res := p.Bind(db).Do(Request{Op: "eval", Budget: engine.NewBudget(nil, start.Add(50*time.Millisecond))})
+	if took := time.Since(start); !errors.Is(res.Err, engine.ErrCanceled) || took > time.Second {
+		t.Fatalf("a 40-factor eval under a 50 ms budget returned %v after %v; want engine.ErrCanceled within 1 s", res.Err, took)
+	}
+
+	want := "$b0{b}"
+	for i := 1; i < 40; i++ {
+		want += fmt.Sprintf("$a%d{a}", i)
+	}
+	m, ok := p.member(1 << 39)
+	ref := p.comboMember(CXRE{xregex.MustParse(want)})
+	if !ok || m.err != nil || ref.err != nil {
+		t.Fatalf("member 2^39: %v, %v; the odometer's combination %s: %v", ok, m.err, want, ref.err)
+	}
+	if m.tr.Query.String() != ref.tr.Query.String() {
+		t.Fatalf("member 2^39 decodes to\n%v\nthe odometer's combination %s to\n%v", m.tr.Query, want, ref.tr.Query)
+	}
+}
+
+// Branch counts past math.MaxInt saturate instead of wrapping: a 70-factor
+// component counts math.MaxInt, and member 0 and member math.MaxInt, the last
+// index an int reaches, both decode, with no digit divided by zero.
+func TestWideUnionSaturates(t *testing.T) {
+	p, err := PrepareSrc(factors(70) + "y z : $a0|c\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(p.counts, []int{math.MaxInt, 2}) {
+		t.Fatalf("a 70-factor text counts %v, want [math.MaxInt 2]", p.counts)
+	}
+	for _, i := range []int{0, math.MaxInt} {
+		if m, ok := p.member(i); !ok || m.err != nil {
+			t.Fatalf("member %d: %v, %v", i, ok, m.err)
+		}
 	}
 }

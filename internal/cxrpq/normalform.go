@@ -22,14 +22,9 @@ type NormalFormStats struct {
 func Step1MultiplyOut(c CXRE) (CXRE, error) {
 	out := make(CXRE, len(c))
 	for i, n := range c {
-		branches, err := xregex.ExpandVariableSimple(n)
-		if err != nil {
+		var err error
+		if out[i], err = xregex.MultiplyOut(n); err != nil {
 			return nil, fmt.Errorf("cxrpq: component %d: %v", i, err)
-		}
-		if len(branches) == 1 {
-			out[i] = branches[0]
-		} else {
-			out[i] = &xregex.Alt{Kids: branches}
 		}
 	}
 	return out, nil

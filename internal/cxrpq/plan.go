@@ -13,14 +13,14 @@ import (
 
 // This file is the compile-once half of the prepared-query subsystem.
 // Prepare(q) validates q and classifies its fragment into an immutable Plan,
-// which builds, each once and on first use, what its evaluation paths need
-// of the query alone: the bounded-evaluation schedule (boundedPlan) and the
-// branch lists of the union of ECRPQ^er a vstar-free query is (Lemma 7 /
-// Lemma 13), from which member i is decoded and translated whenever a union
-// driver asks for it. Binding a Plan to a database (Plan.Bind, session.go)
-// yields a Session over the database's atom store, whose Do and Stream are
-// the only ways to run the query; the one-shot Do (eval.go) prepares and
-// binds per call.
+// which holds what its evaluation paths need of the query alone: the
+// bounded-evaluation schedule (boundedPlan, built on first use) and each
+// component's branch count, the radix in which member i of the union of
+// ECRPQ^er a vstar-free query is (Lemma 7 / Lemma 13) is decoded whenever a
+// union driver asks for it. Binding a Plan to a database (Plan.Bind,
+// session.go) yields a Session over the database's atom store, whose Do and
+// Stream are the only ways to run the query; the one-shot Do (eval.go)
+// prepares and binds per call.
 
 // member is one member of the plan's union: the translation whose Query is
 // the ECRPQ^er the evaluators run and whose bookkeeping, with the Step 3
@@ -34,11 +34,10 @@ type member struct {
 }
 
 // Plan is an immutable prepared CXRPQ: the validated query, its fragment
-// classification, and the (lazily materialized, built at most once) pieces
-// each evaluation path needs — the bounded-evaluation schedule and the
-// branch lists of the vstar-free union. A Plan holds no database state —
-// bind it to a graph.DB with Bind to evaluate — and is safe for concurrent
-// use by any number of Sessions.
+// classification, the branch count of each component, and the (lazily
+// materialized, built at most once) bounded-evaluation schedule. A Plan
+// holds no database state — bind it to a graph.DB with Bind to evaluate —
+// and is safe for concurrent use by any number of Sessions.
 type Plan struct {
 	q        *Query
 	c        CXRE
@@ -53,26 +52,34 @@ type Plan struct {
 	bounded     *boundedPlan // any query has ≤k / log semantics
 	boundedErr  error
 
-	// The union of ECRPQ^er a vstar-free query is evaluated as, built on
-	// first use: the branches of each component and the variables the query
-	// defines, from which member i is decoded (member) — or the error that
-	// the query is not vstar-free.
-	branchOnce sync.Once
-	branches   [][]xregex.Node
-	defined    map[string]bool
-	branchErr  error
+	// The union of ECRPQ^er a vstar-free query is: the branch count of each
+	// component (member decodes in their radix) and the one member of a query
+	// without string variables — or the error that it is not vstar-free.
+	counts   []int
+	own      member
+	unionErr error
 }
 
-// Prepare validates q and compiles it into a reusable Plan. The fragment
-// classification happens here, once; the per-fragment machinery (bounded
-// schedule, branch lists) materializes on first use of its path, so union
-// plans never pay for the bounded schedule and vice versa.
+// Prepare validates q and compiles it into a reusable Plan: the fragment and
+// the branch counts here, once, and the bounded schedule on first use of its
+// path, so union plans never pay for it.
 func Prepare(q *Query) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	p := &Plan{q: q, c: q.CXRE(), fragment: q.Fragment()}
 	p.sigma, p.self = p.c.Alphabet(), weak.Make(p)
+	if !p.c.IsVStarFree() {
+		p.unionErr = fmt.Errorf("cxrpq: %s is not vstar-free; evaluate it under the bounded (CXRPQ^≤k) or log semantics", p.fragment)
+		return p, nil
+	}
+	p.counts = make([]int, len(p.c))
+	for i, n := range p.c {
+		p.counts[i], _ = xregex.Branches(n) // vstar-free: no error
+	}
+	if !slices.ContainsFunc(p.c, xregex.HasVars) {
+		p.own = ownMember(q.Pattern, nil)
+	}
 	return p, nil
 }
 
@@ -107,30 +114,14 @@ func PrepareSrc(src string) (*Plan, error) {
 // fragment containing the query (classified once at Prepare).
 func (p *Plan) Fragment() string { return p.fragment }
 
-// members returns the plan's one member source: the queries, by index, of
-// the union of ECRPQ^er the query is equivalent to, which Session.source
-// compiles over its database (ecrpq.QueryMembers), one per Lemma 7 branch
-// combination, decoded and translated when a driver asks for it (member). A
-// CRPQ is the union of one combination without string variables, its own
-// pattern; a simple query, of one combination. A plan that is not
-// vstar-free has no such union.
-func (p *Plan) members() (func(i int) (*ecrpq.Query, bool, error), error) {
-	p.branchOnce.Do(func() {
-		if !p.c.IsVStarFree() {
-			p.branchErr = fmt.Errorf("cxrpq: %s is not vstar-free; evaluate it under the bounded (CXRPQ^≤k) or log semantics", p.fragment)
-			return
-		}
-		p.branches, p.branchErr = expandBranches(p.c)
-		p.defined = p.c.DefinedVars()
-	})
-	if p.branchErr != nil {
-		return nil, p.branchErr
-	}
-	return p.query, nil
-}
-
-// query is member i as an ECRPQ^er, or the error its translation failed with.
-func (p *Plan) query(i int) (*ecrpq.Query, bool, error) {
+// members is the plan's one member source: member i, as an ECRPQ^er, of the
+// union of ECRPQ^er the query is equivalent to — one per Lemma 7 branch
+// combination, decoded and translated when a driver asks for it (member) —
+// or the error its translation failed with. Session.source compiles it over
+// its database (ecrpq.QueryMembers). A CRPQ is the union of one combination
+// without string variables, its own pattern; a simple query, of one
+// combination. A plan that is not vstar-free has no such union (unionErr).
+func (p *Plan) members(i int) (*ecrpq.Query, bool, error) {
 	m, ok := p.member(i)
 	if !ok || m.err != nil {
 		return nil, ok, m.err
@@ -138,67 +129,65 @@ func (p *Plan) query(i int) (*ecrpq.Query, bool, error) {
 	return m.tr.Query, true, nil
 }
 
-// member decodes and translates member i of the union, which members has
-// expanded: the branch combination that picks, for each component, the
-// branch at its digit of i in the mixed radix of the components' branch
-// counts, the last component varying fastest. A combination without string
-// variables is its own member, the pattern with its branches as labels —
-// the query's own pattern for a CRPQ — with every variable the query
-// defines forced to ε; any other is normalized by Step 3 and translated by
-// Lemma 3 (comboMember). ok is false past the last combination.
+// member decodes and translates member i of the union: the branch
+// combination that picks, for each component, its branch (xregex.Branch) at
+// its digit of i in the mixed radix of the components' branch counts, the
+// last component varying fastest (comboMember). A query without string
+// variables is its own member, built at Prepare. ok is false past the last
+// combination.
 func (p *Plan) member(i int) (member, bool) {
 	rest := i // what is left of i past the last digit: positive past the last combination
-	for _, bs := range p.branches {
-		rest /= len(bs)
+	for _, n := range p.counts {
+		rest /= n
 	}
-	if i < 0 || rest > 0 {
+	switch {
+	case i < 0 || rest > 0 || p.unionErr != nil:
 		return member{}, false
+	case p.own.tr != nil:
+		return p.own, true
 	}
-	g := p.q.Pattern
-	combo, vars, own := make(CXRE, len(p.branches)), false, true
+	combo := make(CXRE, len(p.counts))
 	for c := len(combo) - 1; c >= 0; c-- {
-		bs := p.branches[c]
-		combo[c] = bs[i%len(bs)]
-		i /= len(bs)
-		vars = vars || xregex.HasVars(combo[c])
-		own = own && combo[c] == g.Edges[c].Label
+		combo[c], _ = xregex.Branch(p.c[c], i%p.counts[c]) // Prepare counted it: vstar-free, the digit in range
+		i /= p.counts[c]
 	}
-	if vars {
-		return p.comboMember(combo), true
-	}
-	if !own {
-		g = &pattern.Graph{Out: g.Out, Edges: slices.Clone(g.Edges)}
-		for c := range g.Edges {
-			g.Edges[c].Label = combo[c]
-		}
-	}
-	split, at := make([][]int, len(combo)), make([]int, len(combo))
+	return p.comboMember(combo), true
+}
+
+// ownMember is a pattern without string variables as its own member, each
+// edge its own translated edge, with forcedEps the variables whose images are ε.
+func ownMember(g *pattern.Graph, forcedEps map[string]bool) member {
+	split, at := make([][]int, len(g.Edges)), make([]int, len(g.Edges))
 	for c := range split {
 		at[c], split[c] = c, at[c:c+1]
 	}
-	return member{tr: &SimpleTranslation{Query: &ecrpq.Query{Pattern: g}, EdgeSplit: split, ForcedEps: p.defined}}, true
+	return member{tr: &SimpleTranslation{Query: &ecrpq.Query{Pattern: g}, EdgeSplit: split, ForcedEps: forcedEps}}
 }
 
-// comboMember normalizes one variable-simple branch combination, whose nodes
-// the branch lists share, via Step 3 (which rewrites a clone) and translates
-// it into an ECRPQ^er, with images of the query's defined but branch-dropped
-// variables forced to ε.
+// comboMember translates one variable-simple branch combination, with the
+// images of the variables the query defines and it does not forced to ε. A
+// combination without string variables is its own member, the pattern with
+// its branches as labels; any other is normalized by Step 3 (which rewrites
+// a clone) and translated by Lemma 3.
 func (p *Plan) comboMember(combo CXRE) member {
-	simple, repl, err := step3WithMap(combo)
-	if err != nil {
-		return member{err: err}
-	}
-	g := &pattern.Graph{Out: append([]string(nil), p.q.Pattern.Out...)}
-	for i, e := range p.q.Pattern.Edges {
-		g.Edges = append(g.Edges, pattern.Edge{From: e.From, To: e.To, Label: simple[i]})
-	}
-	forcedEps := map[string]bool{}
-	nowDefined := simple.DefinedVars()
-	for v := range p.defined {
-		if !nowDefined[v] {
-			forcedEps[v] = true
+	var m member
+	labels, vars := combo, slices.ContainsFunc(combo, xregex.HasVars)
+	if vars {
+		if labels, m.repl, m.err = step3WithMap(combo); m.err != nil {
+			return m
 		}
 	}
-	tr, err := simpleToECRPQerInfo(&Query{Pattern: g}, forcedEps)
-	return member{tr: tr, repl: repl, err: err}
+	g := &pattern.Graph{Out: p.q.Pattern.Out, Edges: slices.Clone(p.q.Pattern.Edges)}
+	for c := range g.Edges {
+		g.Edges[c].Label = labels[c]
+	}
+	forcedEps := p.c.DefinedVars()
+	for v := range labels.DefinedVars() {
+		delete(forcedEps, v)
+	}
+	if !vars {
+		return ownMember(g, forcedEps)
+	}
+	m.tr, m.err = simpleToECRPQerInfo(&Query{Pattern: g}, forcedEps)
+	return m
 }

@@ -111,11 +111,7 @@ func (s *Session) boundedRun(atoms *ecrpq.AtomStore, k int, bud *engine.Budget) 
 // internal/ecrpq/union.go pull either.
 func (s *Session) source(atoms *ecrpq.AtomStore, bounded bool, k int, bud *engine.Budget) (ecrpq.Members, *boundedEngine, error) {
 	if !bounded {
-		qs, err := s.plan.members()
-		if err != nil {
-			return nil, nil, err
-		}
-		return ecrpq.QueryMembers(s.db, qs), nil, nil
+		return ecrpq.QueryMembers(s.db, s.plan.members), nil, s.plan.unionErr
 	}
 	e, err := s.boundedRun(atoms, k, bud)
 	if err != nil {

@@ -152,45 +152,26 @@ func simpleToECRPQerInfo(q *Query, forcedEps map[string]bool) (*SimpleTranslatio
 	if err := eq.Validate(); err != nil {
 		return nil, err
 	}
-	fe := map[string]bool{}
-	for v := range forcedEps {
-		fe[v] = true
-	}
 	return &SimpleTranslation{
 		Query:     eq,
 		DefEdge:   defEdge,
 		RefEdges:  refEdges,
-		ForcedEps: fe,
+		ForcedEps: forcedEps,
 		EdgeSplit: edgeSplit,
 		Alias:     alias,
 	}, nil
 }
 
-// expandBranches lists, per component, its variable-simple branches: one
-// choice per component is one branch combination of Lemma 7's
-// nondeterministic alternation resolution (Plan.member).
-func expandBranches(c CXRE) ([][]xregex.Node, error) {
-	expanded := make([][]xregex.Node, len(c))
-	for i, n := range c {
-		branches, err := xregex.ExpandVariableSimple(n)
-		if err != nil {
-			return nil, err
-		}
-		expanded[i] = branches
-	}
-	return expanded, nil
-}
-
 // VsfToUnionECRPQer implements Lemma 13: every CXRPQ^vsf is equivalent to a
 // union of ECRPQ^er (with an exponential size blow-up in general): the
-// members of the prepared query's union, collected.
+// members of the prepared query's union, decoded one by one and collected.
 func VsfToUnionECRPQer(q *Query) (*ecrpq.Union, error) {
 	p, err := Prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.members(); err != nil {
-		return nil, err
+	if p.unionErr != nil {
+		return nil, p.unionErr
 	}
 	u := &ecrpq.Union{}
 	for i := 0; ; i++ {

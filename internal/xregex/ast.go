@@ -9,7 +9,7 @@
 // only descends or only rebuilds is written on them and shows just the case
 // the paper talks about; a function switches over every kind only where each
 // kind means something different to it (Simplify, the Thompson
-// constructions, the printer, seqCheck, ForceVar, ExpandVariableSimple).
+// constructions, the printer, seqCheck, ForceVar, the branch decoder).
 //
 // On top of the AST the package provides: a parser and printer, the
 // ref-word semantics of §2.1 (Definitions 1 and 2), the syntactic fragment

@@ -6,7 +6,9 @@ import "testing"
 // each other on arbitrary text: Parse never panics, and for every tree it
 // accepts the print parses back to the same print, Walk visits Size(n)
 // nodes, Clone prints alike, Simplify is idempotent, the identity MapKids
-// shares its argument, and a classical tree compiles over its own alphabet.
+// shares its argument, a classical tree compiles over its own alphabet, and
+// Branch lists a vstar-free tree's branches as the recursive multiply-out
+// does, while both refuse a variable under +/*.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"\\\t", // an escaped tab is a symbol; printed raw it was skipped on re-parse
@@ -49,6 +51,22 @@ func FuzzParse(f *testing.F) {
 		s := Simplify(n)
 		if once, twice := String(s), String(Simplify(s)); once != twice {
 			t.Fatalf("%q: Simplify is not idempotent: %q then %q", src, once, twice)
+		}
+		if branches(n) <= 256 { // a bound on the reference's work, a variable under +/* counted as one
+			want, refErr := multiplyOut(n)
+			c, err := Branches(n)
+			if (err == nil) != (refErr == nil) || err == nil && c != len(want) {
+				t.Fatalf("%q: Branches = %d, %v; the reference lists %d, %v", src, c, err, len(want), refErr)
+			}
+			for i := range max(c, 1) {
+				b, err := Branch(n, i)
+				if (err == nil) != (refErr == nil) {
+					t.Fatalf("%q: branch %d fails with %v, the reference with %v", src, i, err, refErr)
+				}
+				if err == nil && String(b) != String(want[i]) {
+					t.Fatalf("%q: branch %d is %s, the reference's %s", src, i, String(b), String(want[i]))
+				}
+			}
 		}
 		if IsClassical(n) {
 			if _, err := Compile(n, AlphabetOf(n)); err != nil {

@@ -1,6 +1,10 @@
 package xregex
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"math"
+)
 
 // ReplaceRefs returns n with every reference of x replaced by a deep copy of
 // repl. Definitions of x are left untouched.
@@ -34,64 +38,98 @@ func RenameVar(n Node, old, nu string) Node {
 	return mapKids(n, func(k Node) Node { return RenameVar(k, old, nu) })
 }
 
-// ExpandVariableSimple implements Step 1 of the normal-form construction
-// (Lemma 4): it "multiplies out" every alternation that contains a variable
-// definition or reference, turning a vstar-free xregex into a list of
-// variable-simple xregex whose union of ref-languages equals L_ref(n). The
-// result can be exponentially larger than n. It returns an error if n is not
-// vstar-free.
-func ExpandVariableSimple(n Node) ([]Node, error) {
+// Branches counts the variable-simple branches Step 1 of the normal-form
+// construction (Lemma 4) multiplies n out into, saturating at math.MaxInt:
+// the sum over an alternation's alternatives (ε one more for an option) and
+// the product over a concatenation's factors where a variable lies below. It
+// fails if n is not vstar-free.
+func Branches(n Node) (int, error) {
+	if !IsVStarFree(n) {
+		return 0, fmt.Errorf("xregex: variable under +/* — expression is not vstar-free: %s", String(n))
+	}
+	return branches(n), nil
+}
+
+func branches(n Node) int {
 	if !HasVars(n) {
-		return []Node{n}, nil
+		return 1
+	}
+	count := 1
+	switch t := n.(type) {
+	case *Def:
+		return branches(t.Body)
+	case *Opt:
+		return min(branches(t.Kid), math.MaxInt-1) + 1
+	case *Alt:
+		count = 0
+		for _, k := range t.Kids {
+			c := branches(k)
+			count = min(count, math.MaxInt-c) + c
+		}
+	case *Cat:
+		for _, k := range t.Kids {
+			c := branches(k)
+			if count > math.MaxInt/c {
+				return math.MaxInt
+			}
+			count *= c
+		}
+	}
+	return count
+}
+
+// Branch builds branch i of n, 0 ≤ i < Branches(n), in the order Step 1
+// lists them: an alternation's alternatives in turn, an option's expression
+// before ε, and a concatenation's factors as the digits of a mixed radix, its
+// last factor fastest. A variable-free node is its own branch, not a copy.
+func Branch(n Node, i int) (Node, error) {
+	if c, err := Branches(n); err != nil || i < 0 || i >= c {
+		return nil, cmp.Or(err, fmt.Errorf("xregex: %s has no branch %d", String(n), i))
+	}
+	return branch(n, i), nil
+}
+
+func branch(n Node, i int) Node {
+	if !HasVars(n) {
+		return n
 	}
 	switch t := n.(type) {
-	case *Ref:
-		return []Node{n}, nil
 	case *Def:
-		bodies, err := ExpandVariableSimple(t.Body)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]Node, len(bodies))
-		for i, b := range bodies {
-			out[i] = &Def{Var: t.Var, Body: b}
-		}
-		return out, nil
-	case *Cat:
-		acc := []Node{&Eps{}}
-		for _, k := range t.Kids {
-			parts, err := ExpandVariableSimple(k)
-			if err != nil {
-				return nil, err
-			}
-			var next []Node
-			for _, a := range acc {
-				for _, p := range parts {
-					next = append(next, Simplify(&Cat{Kids: []Node{a, p}}))
-				}
-			}
-			acc = next
-		}
-		return acc, nil
+		return &Def{Var: t.Var, Body: branch(t.Body, i)}
+	case *Opt: // α? lists as α ∨ ε
+		return branch(&Alt{Kids: []Node{t.Kid, &Eps{}}}, i)
 	case *Alt:
-		var out []Node
 		for _, k := range t.Kids {
-			parts, err := ExpandVariableSimple(k)
-			if err != nil {
-				return nil, err
+			c := branches(k)
+			if i < c {
+				return branch(k, i)
 			}
-			out = append(out, parts...)
+			i -= c
 		}
-		return out, nil
-	case *Opt:
-		parts, err := ExpandVariableSimple(t.Kid)
-		if err != nil {
-			return nil, err
+	case *Cat:
+		parts := make([]Node, len(t.Kids))
+		for j := len(parts) - 1; j >= 0; j-- {
+			c := branches(t.Kids[j])
+			parts[j], i = branch(t.Kids[j], i%c), i/c
 		}
-		return append(parts, &Eps{}), nil
-	default: // *Plus, *Star: every other kind with a variable below it is handled above
-		return nil, fmt.Errorf("xregex: variable under +/* — expression is not vstar-free: %s", String(n))
+		return Simplify(&Cat{Kids: parts})
 	}
+	return n // a reference
+}
+
+// MultiplyOut is Step 1 on one vstar-free xregex: the alternation of its
+// variable-simple branches in Branch's order, or its one branch. Their union
+// of ref-languages is L_ref(n), and there can be exponentially many.
+func MultiplyOut(n Node) (Node, error) {
+	c, err := Branches(n)
+	bs := make([]Node, c)
+	for i := range bs {
+		bs[i] = branch(n, i)
+	}
+	if c == 1 {
+		return bs[0], nil
+	}
+	return &Alt{Kids: bs}, err
 }
 
 // FactorKind classifies one factor of a variable-simple xregex.

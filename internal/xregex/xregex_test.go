@@ -382,20 +382,20 @@ func TestExpandVariableSimple(t *testing.T) {
 	// γ1 from the §5.1 walkthrough:
 	// x{a*y{b*}az} ∨ (x{b*}·(z ∨ y{c*}))
 	n := MustParse("$x{a*$y{b*}a$z}|($x{b*}($z|$y{c*}))")
-	parts, err := ExpandVariableSimple(n)
+	c, err := Branches(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(parts) != 3 {
-		t.Fatalf("expected 3 variable-simple branches, got %d: %v", len(parts), renderAll(parts))
+	if c != 3 {
+		t.Fatalf("expected 3 variable-simple branches, got %d", c)
 	}
-	for _, p := range parts {
-		if !IsVariableSimple(p) {
+	for i := 0; i < c; i++ {
+		if p, _ := Branch(n, i); !IsVariableSimple(p) {
 			t.Errorf("branch not variable-simple: %s", String(p))
 		}
 	}
 	// A variable under + must be rejected.
-	if _, err := ExpandVariableSimple(MustParse("($x a)+$x{b}")); err == nil {
+	if _, err := Branches(MustParse("($x a)+$x{b}")); err == nil {
 		t.Fatal("expected vstar-free violation")
 	}
 }
