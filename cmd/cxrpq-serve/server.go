@@ -86,9 +86,11 @@ package main
 // tables and verdict up to date over the batch's frontier, and
 // the first read of an answer merges in the rows of joins seeded on that
 // frontier. Once the window since the answer removed edges, an eval answer
-// first drops its rows with a frontier node at an atom source's position —
-// when every atom source is an output variable; otherwise, and for a
-// verdict, the answer is dropped ("atoms".result_dropped) and computed again.
+// first drops its rows with a frontier node at the position of an output
+// source variable — when every atom's source variable is reached along the
+// pattern's edges from an output source variable (see internal/ecrpq/delta.go);
+// otherwise, and for a verdict, the answer is dropped ("atoms".result_dropped)
+// and computed again.
 // Brand-new labels fall back to a fresh store. The plan pool is the entry's and survives the publish. The
 // response reports the net delta; /stats exposes the per-database
 // maintenance counters and the entries not yet settled.

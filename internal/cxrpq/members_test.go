@@ -197,6 +197,26 @@ func factors(n int) string {
 	return "ans(x, y)\nx y : " + sb.String() + "\n"
 }
 
+// Step 1 of the normal form refuses a component of more branches than it
+// builds, naming the count, instead of allocating them: 2^40 alike with a
+// count saturated at math.MaxInt. (The 40-factor case allocates 2^40
+// branches on a tree without the bound: never run it there.)
+func TestNormalFormRefusesWideComponents(t *testing.T) {
+	for _, tc := range []struct{ n, count int }{{70, math.MaxInt}, {40, 1 << 40}} {
+		n, count := tc.n, tc.count
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			c := MustParse(factors(n)).CXRE()
+			_, err := Step1MultiplyOut(c)
+			_, _, nfErr := NormalForm(c)
+			for _, err := range []error{err, nfErr} {
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprint(count)) {
+					t.Fatalf("a %d-factor component: %v, want an error naming %d branches", n, err, count)
+				}
+			}
+		})
+	}
+}
+
 // A union of 2^40 members prepares in milliseconds, is cut by a 50 ms budget
 // in well under a second, and decodes any member on its own: member 2^39 is
 // the combination the odometer gives, b in the first factor and a in the

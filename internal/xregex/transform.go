@@ -117,11 +117,18 @@ func branch(n Node, i int) Node {
 	return n // a reference
 }
 
+// maxMultiplyOut bounds the branches MultiplyOut builds: a component with
+// more is refused, not allocated.
+const maxMultiplyOut = 1 << 20
+
 // MultiplyOut is Step 1 on one vstar-free xregex: the alternation of its
 // variable-simple branches in Branch's order, or its one branch. Their union
 // of ref-languages is L_ref(n), and there can be exponentially many.
 func MultiplyOut(n Node) (Node, error) {
 	c, err := Branches(n)
+	if c > maxMultiplyOut {
+		return nil, fmt.Errorf("xregex: Step 1 refuses to build %d branches, more than %d", c, maxMultiplyOut)
+	}
 	bs := make([]Node, c)
 	for i := range bs {
 		bs[i] = branch(n, i)

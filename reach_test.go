@@ -129,8 +129,9 @@ const (
 type listedPkg struct {
 	ImportPath string
 	Name       string
-	Dir        string
 	GoFiles    []string
+	Tests      []string `json:"TestGoFiles"`
+	XTests     []string `json:"XTestGoFiles"`
 	Export     string
 	Standard   bool
 	Module     *struct{ Path string }
@@ -172,20 +173,36 @@ type decl struct {
 	obj   types.Object
 	pkg   string // import path
 	pos   token.Position
+	node  ast.Node
 	lines int
 	uses  []types.Object
 	root  bool // main, init, or a package-level var or const
 }
 
 type program struct {
+	fset    *token.FileSet
 	decls   map[types.Object]*decl
 	methods map[*types.TypeName][]*decl // by receiver type
 	byKey   map[string]*decl
 	stdlib  []iface
+	files   []*srcFile // non-test
+	tests   []*srcFile // parsed only
 }
+
+// A srcFile is a file or a node of one, named relative to the repository root.
+type srcFile struct {
+	node ast.Node
+	name string
+	info *types.Info
+}
+
+var loaded *program // once per test binary
 
 func loadProgram(t *testing.T) *program {
 	t.Helper()
+	if loaded != nil {
+		return loaded
+	}
 	fset := token.NewFileSet()
 	exports := map[string]string{}
 	var srcPkgs []listedPkg
@@ -229,6 +246,7 @@ func loadProgram(t *testing.T) *program {
 	})
 
 	prog := &program{
+		fset:    fset,
 		decls:   map[types.Object]*decl{},
 		methods: map[*types.TypeName][]*decl{},
 		byKey:   map[string]*decl{},
@@ -245,27 +263,34 @@ func loadProgram(t *testing.T) *program {
 	})
 	for _, p := range srcPkgs {
 		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		rel := strings.TrimPrefix(strings.TrimPrefix(p.ImportPath, rootModule), "/")
+		for i, name := range append(append(p.GoFiles, p.Tests...), p.XTests...) {
+			name = filepath.Join(rel, name)
+			f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if i >= len(p.GoFiles) {
+				prog.tests = append(prog.tests, &srcFile{f, name, &types.Info{}})
+				continue
+			}
 			files = append(files, f)
 		}
-		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
 		conf := types.Config{Importer: imp}
 		pkg, err := conf.Check(p.ImportPath, fset, files, info)
 		if err != nil {
 			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
 		}
 		checked[p.ImportPath] = pkg
-		rel := strings.TrimPrefix(strings.TrimPrefix(p.ImportPath, rootModule), "/")
 		for _, f := range files {
+			prog.files = append(prog.files, &srcFile{f, fset.Position(f.Pos()).Filename, info})
 			for _, d := range f.Decls {
 				prog.addDecls(fset, info, p.ImportPath, rel, p.Name == "main", d)
 			}
 		}
 	}
+	loaded = prog
 	return prog
 }
 
@@ -298,6 +323,7 @@ func (prog *program) addDecls(fset *token.FileSet, info *types.Info, path, rel s
 			obj:   obj,
 			pkg:   path,
 			pos:   fset.Position(node.Pos()),
+			node:  node,
 			lines: fset.Position(node.End()).Line - fset.Position(start).Line + 1,
 			root:  root,
 		}
@@ -419,10 +445,6 @@ func isGeneric(tn *types.TypeName) bool {
 
 func TestNothingLivesOnlyForTests(t *testing.T) {
 	prog := loadProgram(t)
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	var prodRoots, benchRoots, allowRoots []*decl
 	for _, d := range prog.decls {
@@ -485,11 +507,7 @@ func TestNothingLivesOnlyForTests(t *testing.T) {
 		if withBench[d] {
 			benchOnly = " (reached from cmd/cxrpq-bench only)"
 		}
-		rel, err := filepath.Rel(wd, d.pos.Filename)
-		if err != nil {
-			rel = d.pos.Filename
-		}
-		t.Errorf("%s:%d: %s (%d lines) is reached by no binary%s", rel, d.pos.Line, d.key, d.lines, benchOnly)
+		t.Errorf("%s:%d: %s (%d lines) is reached by no binary%s", d.pos.Filename, d.pos.Line, d.key, d.lines, benchOnly)
 	}
 	if len(missed) > 0 {
 		t.Errorf("%d declarations (%d lines) no binary reaches: delete each, move it into its package's export_test.go, or name it on reachAllow with a reason", len(missed), lines)
