@@ -175,6 +175,18 @@ var archRules = []struct {
 		a.typed(stream, `\bchan\b`)
 		a.forbid(a.in("internal/cxrpq/", "internal/ecrpq/"), func(_ *srcFile, _ ast.Node, o types.Object) bool { return strings.HasPrefix(fullName(o), "iter.Pull") })
 	}},
+	// A read takes no lock a writer holds and writes nothing: the server
+	// calls a database's graph.Store from /update, /stats, startup and
+	// shutdown alone, and a parked cursor lives in its token, not the WAL.
+	{"reads write no WAL", "ROADMAP item 23", func(a arch) {
+		a.obj("internal/graph.Store")
+		writer := a.in("cmd/cxrpq-serve.server.handleUpdate", "cmd/cxrpq-serve.server.close", "cmd/cxrpq-serve.server.handleStats", "cmd/cxrpq-serve/main.go")
+		a.forbid(a.in("cmd/cxrpq-serve/"), func(_ *srcFile, n ast.Node, o types.Object) bool {
+			return strings.HasPrefix(fullName(o), "(*"+rootModule+"/internal/graph.Store).") &&
+				!slices.ContainsFunc(writer, func(f *srcFile) bool { return f.node.Pos() <= n.Pos() && n.End() <= f.node.End() })
+		})
+		a.names(a.files, "^(AppendSide|SideRecords|recoverCursors|persistCursor)$")
+	}},
 }
 
 func isGo(n ast.Node) bool { _, ok := n.(*ast.GoStmt); return ok }

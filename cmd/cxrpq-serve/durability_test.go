@@ -42,7 +42,6 @@ func durableServerWith(t *testing.T, dir string, opts graph.StoreOptions) (*serv
 	srv := newServer(serverOptions{maxInflight: 8, sessionCap: 16})
 	e := srv.addDB("g1", st.DB())
 	e.store = st
-	srv.recoverCursors(e) // same startup sequence as main.go
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
 	return srv, ts, st
@@ -319,7 +318,8 @@ func TestServerShutdownDrainsAndClosesStores(t *testing.T) {
 	if err := <-stopped; err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if err := st.AppendSide(1, nil); !errors.Is(err, os.ErrClosed) {
+	rev := st.DB().Revision()
+	if err := st.Append(graph.Delta{}, rev, rev); !errors.Is(err, os.ErrClosed) {
 		t.Fatalf("append after shutdown = %v, want a closed WAL", err)
 	}
 	st2, err := graph.OpenStore(dir, graph.StoreOptions{})

@@ -141,7 +141,6 @@ func main() {
 			}
 			e := srv.addDB(name, db)
 			e.store = st
-			srv.recoverCursors(e)
 			continue
 		}
 		f, err := os.Open(path)

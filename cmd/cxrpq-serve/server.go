@@ -54,21 +54,14 @@ package main
 // /stats aggregates per-database time-to-first-row and rows-streamed
 // counters.
 //
-// Cursor persistence (-data-dir, leader only): parking a *ranked* cursor
-// also appends a side record to the database's WAL (graph.Store.AppendSide)
-// carrying the token, query, semantics, weights, revision pin, deadline and
-// rows-delivered count; each later fetch re-appends it with the new count,
-// and closing (exhaustion, eviction, invalidation) appends a tombstone. On
-// restart the server re-parks every live-recorded cursor whose revision pin
-// matches the recovered database: the stream is re-opened and fast-forwarded
-// past the delivered rows — exact, because ranked order is deterministic
-// at a fixed revision, and cheap, because the fast-forward pages through the
-// ranked prefix the database's atom store holds for the pooled plan (one text
-// resumed many times is ranked once) — so clients resume pagination instead of receiving 410. A record whose pin mismatches (the
-// WAL replayed past it), whose deadline passed, or which a checkpoint
-// truncated away is not resumed: those tokens fall back to the usual 410.
-// Unranked cursors are never persisted (their row order is not guaranteed
-// deterministic across a restart).
+// Cursor tokens: a ranked cursor on a durable database carries its state in
+// its token — the request that opened it (db, query, semantics, k, weights,
+// page size), its revision pin and deadline — and each page's token adds the
+// rows delivered and an idle expiry. A fetch that finds no parked stream at
+// the token's position (after a restart, say) runs the request through
+// /query's stages again and fast-forwards under its deadline; a stale
+// revision or a passed deadline or expiry answers 410. Any other token is a
+// bare random id. Reads write no WAL: they take no lock a writer holds.
 //
 // /update delta semantics: the request is one batched graph.Delta — "edges"
 // are added (interning unknown node names), "remove" deletes one occurrence
@@ -110,8 +103,10 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/rand"
+	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -368,9 +363,7 @@ func (s *server) addDB(name string, db *graph.DB) *dbEntry {
 // invalidateCursors drops and closes every parked cursor of e pinned to a
 // revision other than rev. It runs on every publish — the fetch-time lazy
 // check remains as a backstop for cursors parked concurrently with a
-// publish, but eager invalidation frees the parked streams immediately and
-// writes the persisted records' tombstones while the WAL generation that
-// holds them is still current.
+// publish, but eager invalidation frees the parked streams immediately.
 func (s *server) invalidateCursors(e *dbEntry, rev uint64) {
 	var stale []*cursorRec
 	s.cursors.mu.Lock()
@@ -383,83 +376,6 @@ func (s *server) invalidateCursors(e *dbEntry, rev uint64) {
 	}
 	s.cursors.mu.Unlock()
 	closeAll(stale)
-}
-
-// recoverCursors re-parks the ranked cursors persisted on e's WAL (called
-// at startup, after the store is attached and before the server accepts
-// requests). The last record per token wins and tombstones drop it; a
-// surviving record is resumed only when its revision pin matches the
-// recovered database and its deadline has not passed — anything else falls
-// back to the usual 410 for that token. Resume re-opens the stream on the
-// published state and fast-forwards past the rows already delivered, which
-// reproduces the parked position exactly: ranked order is deterministic at
-// a fixed revision under fixed weights. The fast-forward pages through the
-// pooled session's ranked prefix, and only rows past it run the enumerator.
-func (s *server) recoverCursors(e *dbEntry) {
-	latest := map[string]*cursorWALBlob{}
-	var order []string
-	for _, raw := range e.store.SideRecords(cursorWALKind) {
-		var blob cursorWALBlob
-		if err := json.Unmarshal(raw, &blob); err != nil || blob.Token == "" {
-			continue
-		}
-		if blob.Closed {
-			delete(latest, blob.Token)
-			continue
-		}
-		if _, seen := latest[blob.Token]; !seen {
-			order = append(order, blob.Token)
-		}
-		b := blob
-		latest[blob.Token] = &b
-	}
-	st := e.state.Load()
-	for _, tok := range order {
-		blob := latest[tok]
-		if blob == nil || blob.DB != e.name || blob.Rev != st.rev {
-			continue
-		}
-		var deadline time.Time
-		if blob.DeadlineMS != 0 {
-			deadline = time.UnixMilli(blob.DeadlineMS)
-			if !deadline.After(time.Now()) {
-				continue
-			}
-		}
-		weight, err := weightFromMap(blob.Weights)
-		if err != nil {
-			continue
-		}
-		p, err := e.plan(blob.Query, s.opts.sessionCap)
-		if err != nil {
-			log.Printf("db %s: resume cursor %s: %v", e.name, blob.Token, err)
-			continue
-		}
-		cur, err := p.Bind(st.db).Stream(cxrpq.StreamOptions{
-			Semantics: blob.Semantics, K: blob.K, Ranked: true,
-			Weight: weight, Deadline: deadline,
-		})
-		if err != nil {
-			log.Printf("db %s: resume cursor %s: %v", e.name, blob.Token, err)
-			continue
-		}
-		for skip := blob.Rows; skip > 0; {
-			n := 4096
-			if skip < int64(n) {
-				n = int(skip)
-			}
-			got := cur.FetchRows(n).N
-			if got == 0 {
-				break
-			}
-			skip -= int64(got)
-		}
-		rec := &cursorRec{cur: cur, entry: e, names: st.names, rev: st.rev,
-			fragment: p.Fragment(), limit: blob.Limit, persist: blob}
-		closeAll(s.cursors.putAt(tok, rec))
-		log.Printf("db %s: resumed cursor %s at revision %d (%d rows fast-forwarded)",
-			e.name, blob.Token[:8], st.rev, blob.Rows)
-	}
 }
 
 // tail is the follower-mode write path: poll the leader's WAL on a cadence
@@ -550,7 +466,8 @@ func (s *server) limited(h http.HandlerFunc) http.HandlerFunc {
 // contract — but the check is a lock-free comparison against the published
 // state, not a lock shared with the writer.
 type cursorRec struct {
-	id string
+	id    string
+	state string // a stateful token's encoded cursorState, "" for a bare token
 
 	mu       sync.Mutex // serializes fetches; cursors are not concurrent-safe
 	cur      *cxrpq.Cursor
@@ -558,8 +475,7 @@ type cursorRec struct {
 	names    *nameTable
 	rev      uint64
 	fragment string
-	limit    int            // default page size for fetches that give none
-	persist  *cursorWALBlob // WAL-persisted state, nil when not persisted
+	limit    int // default page size for fetches that give none
 	closed   bool
 }
 
@@ -567,50 +483,68 @@ func (rec *cursorRec) close() {
 	if !rec.closed {
 		rec.closed = true
 		rec.cur.Close()
-		if rec.persist != nil {
-			persistCursor(rec.entry, &cursorWALBlob{Token: rec.persist.Token, Closed: true})
-			rec.persist = nil
+	}
+}
+
+// token is the cursor's token at its position: its id, or for a stateful
+// cursor a cursorToken that expires ttl from now.
+func (rec *cursorRec) token(ttl time.Duration) string {
+	return cursorToken{rec.id, rec.state, rec.cur.RowsStreamed(), time.Now().Add(ttl).UnixMilli()}.String()
+}
+
+// cursorState is what a stateful token carries beyond its position: the
+// request that opened the cursor, its page size filled in, and the revision
+// and absolute deadline (unix ms, 0 for none) it runs under. Ranked answers
+// are a function of these, so a stream can be rebuilt from them.
+type cursorState struct {
+	Req      queryRequest `json:"req"`
+	Rev      uint64       `json:"rev"`
+	Deadline int64        `json:"deadline,omitempty"`
+}
+
+func (st cursorState) encode() string {
+	b, _ := json.Marshal(st) // strings and numbers always marshal
+	return base64.RawURLEncoding.EncodeToString(b)
+}
+
+func decodeState(s string) (st cursorState, err error) {
+	b, err := base64.RawURLEncoding.DecodeString(s)
+	if err == nil {
+		err = json.Unmarshal(b, &st)
+	}
+	return st, err
+}
+
+// cursorToken is a /query cursor: a bare registry id, or
+// "id.state.rows.expiry" — the encoded cursorState, the rows delivered before
+// the page it fetches and its idle expiry (unix ms).
+type cursorToken struct {
+	id, state    string
+	rows, expiry int64
+}
+
+func parseToken(s string) (t cursorToken, err error) {
+	id, rest, stateful := strings.Cut(s, ".")
+	if t.id = id; !stateful {
+		return t, nil
+	}
+	if f := strings.Split(rest, "."); len(f) == 3 && f[0] != "" {
+		t.state = f[0]
+		if t.rows, err = strconv.ParseInt(f[1], 10, 64); err == nil {
+			t.expiry, err = strconv.ParseInt(f[2], 10, 64)
 		}
 	}
+	if t.state == "" || err != nil {
+		return t, fmt.Errorf("malformed cursor token")
+	}
+	return t, nil
 }
 
-// cursorWALKind is the graph.Store side-record kind under which parked
-// ranked cursors persist (see the package comment and the record-format
-// notes beside the WAL framing docs in internal/graph/wal.go).
-const cursorWALKind = 1
-
-// cursorWALBlob is the JSON payload of one cursor side record: everything
-// needed to re-open the stream at the pinned revision and fast-forward past
-// the rows already delivered. The last record per token wins; Closed is the
-// tombstone.
-type cursorWALBlob struct {
-	Token      string         `json:"token"`
-	DB         string         `json:"db,omitempty"`
-	Query      string         `json:"query,omitempty"`
-	Semantics  string         `json:"semantics,omitempty"`
-	K          int            `json:"k,omitempty"`
-	Limit      int            `json:"limit,omitempty"`       // default page size
-	Rows       int64          `json:"rows"`                  // rows delivered so far
-	Rev        uint64         `json:"rev"`                   // revision pin
-	Weights    map[string]int `json:"weights,omitempty"`     // ranked per-label weights
-	DeadlineMS int64          `json:"deadline_ms,omitempty"` // absolute, unix ms
-	Closed     bool           `json:"closed,omitempty"`
-}
-
-// persistCursor appends the blob to the entry's WAL as a side record.
-// Best-effort by contract: a failure costs a resumable cursor (410 after
-// restart), never the entry's write availability.
-func persistCursor(e *dbEntry, blob *cursorWALBlob) {
-	if e == nil || e.store == nil || blob == nil {
-		return
+func (t cursorToken) String() string {
+	if t.state == "" {
+		return t.id
 	}
-	b, err := json.Marshal(blob)
-	if err != nil {
-		return
-	}
-	if err := e.store.AppendSide(cursorWALKind, b); err != nil {
-		log.Printf("db %s: persisting cursor %s: %v", e.name, blob.Token, err)
-	}
+	return fmt.Sprintf("%s.%s.%d.%d", t.id, t.state, t.rows, t.expiry)
 }
 
 // cursorRegistry maps opaque tokens to parked cursors, bounded by capacity
@@ -644,13 +578,18 @@ func (cr *cursorRegistry) put(rec *cursorRec) (string, []*cursorRec, error) {
 	return tok, cr.putAt(tok, rec), nil
 }
 
-// putAt registers rec under a caller-chosen token — restart resume re-parks
-// a recovered cursor under its original token, which the client still holds.
+// putAt registers rec under a caller-chosen token — a rebuilt stateful
+// cursor parks again under its token's id, replacing what is parked there.
 func (cr *cursorRegistry) putAt(tok string, rec *cursorRec) []*cursorRec {
 	now := time.Now()
 	cr.mu.Lock()
 	defer cr.mu.Unlock()
 	evicted := cr.sweepLocked(now)
+	if old := cr.recs[tok]; old != nil {
+		evicted = append(evicted, old)
+		delete(cr.recs, tok)
+		delete(cr.last, tok)
+	}
 	for cr.cap > 0 && len(cr.recs) >= cr.cap {
 		oldest, at := "", now
 		for id, t := range cr.last {
@@ -849,7 +788,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Cursor != "" {
-		s.handleCursorFetch(w, &req)
+		s.handleCursorFetch(w, r, &req)
 		return
 	}
 	if req.Query == "" {
@@ -1064,10 +1003,7 @@ func (s *server) streamQuery(w http.ResponseWriter, r *http.Request, x *queryExe
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	lim := x.req.Limit
-	if lim <= 0 {
-		lim = 4096
-	}
+	lim := cmp.Or(x.req.Limit, defaultPage)
 	first := cur.FetchRows(1)
 	ttfr := time.Since(x.start)
 	var rest pattern.Rows
@@ -1092,26 +1028,24 @@ func (s *server) streamQuery(w http.ResponseWriter, r *http.Request, x *queryExe
 	default:
 		rec := &cursorRec{cur: cur, entry: x.e, names: x.names, rev: x.db.Revision(),
 			fragment: x.sess.Fragment(), limit: lim}
-		tok, evicted, err := s.cursors.put(rec)
+		if x.e != nil && x.e.store != nil && x.req.Ranked {
+			// The token carries the stream (unranked order is not
+			// deterministic enough to replay).
+			st := cursorState{Req: *x.req, Rev: rec.rev}
+			st.Req.Limit, st.Req.DeadlineMS = lim, 0
+			if !x.deadline.IsZero() {
+				st.Deadline = x.deadline.UnixMilli()
+			}
+			rec.state = st.encode()
+		}
+		_, evicted, err := s.cursors.put(rec)
 		if err != nil {
 			cur.Close()
 			closeAll(evicted)
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
-		if x.e != nil && x.e.store != nil && x.req.Ranked {
-			// Persist the parked ranked cursor so a restart resumes it
-			// (unranked order is not deterministic enough to replay).
-			blob := &cursorWALBlob{Token: tok, DB: x.e.name, Query: x.req.Query,
-				Semantics: x.do.Semantics, K: x.do.K, Limit: lim, Rows: cur.RowsStreamed(),
-				Rev: rec.rev, Weights: x.req.Weights}
-			if !x.deadline.IsZero() {
-				blob.DeadlineMS = x.deadline.UnixMilli()
-			}
-			rec.persist = blob
-			persistCursor(x.e, blob)
-		}
-		out.Cursor = tok
+		out.Cursor = rec.token(s.opts.cursorTTL)
 		// A page cut short by the deadline must say so even when the stream
 		// parks: later pages inherit the flag from the cursor as well.
 		out.Truncated = cur.Truncated()
@@ -1122,11 +1056,15 @@ func (s *server) streamQuery(w http.ResponseWriter, r *http.Request, x *queryExe
 	writeQuery(w, &out)
 }
 
+// defaultPage is the page size of a stream opened without a limit.
+const defaultPage = 4096
+
 // handleCursorFetch continues a parked stream: {"cursor":"...","limit":n}.
 // The fetch reads the cursor's pinned snapshot — no database lock exists to
 // take — and a cursor whose database has published a newer revision since
-// it opened is invalidated rather than resumed across epochs.
-func (s *server) handleCursorFetch(w http.ResponseWriter, req *queryRequest) {
+// it opened is invalidated rather than resumed across epochs. A stateful
+// token that finds no stream parked at its position rebuilds it (reopen).
+func (s *server) handleCursorFetch(w http.ResponseWriter, r *http.Request, req *queryRequest) {
 	if req.Query != "" || req.DB != "" || req.Graph != "" || req.Mode != "" || req.Semantics != "" {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("a cursor request carries only cursor and limit"))
 		return
@@ -1135,18 +1073,26 @@ func (s *server) handleCursorFetch(w http.ResponseWriter, req *queryRequest) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("limit must be nonnegative"))
 		return
 	}
-	rec, evicted := s.cursors.get(req.Cursor)
+	tok, err := parseToken(req.Cursor)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	rec, evicted := s.cursors.get(tok.id)
 	defer closeAll(evicted)
+	if rec != nil {
+		rec.mu.Lock()
+		if rec.closed || rec.state != tok.state || tok.state != "" && rec.cur.RowsStreamed() != tok.rows {
+			rec.mu.Unlock()
+			rec = nil
+		}
+	}
 	if rec == nil {
-		writeErr(w, http.StatusGone, fmt.Errorf("unknown or expired cursor"))
-		return
+		if rec = s.reopen(w, r, tok); rec == nil {
+			return
+		}
 	}
-	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if rec.closed {
-		writeErr(w, http.StatusGone, fmt.Errorf("unknown or expired cursor"))
-		return
-	}
 	if rec.entry != nil && rec.entry.state.Load().rev != rec.rev {
 		s.cursors.drop(rec.id)
 		rec.close()
@@ -1171,17 +1117,68 @@ func (s *server) handleCursorFetch(w http.ResponseWriter, req *queryRequest) {
 		out.Truncated = rec.cur.Truncated()
 		rec.close()
 	} else {
-		out.Cursor = rec.id
+		out.Cursor = rec.token(s.opts.cursorTTL)
 		// Every page of a cut stream carries the flag, not just the last.
 		out.Truncated = rec.cur.Truncated()
-		if rec.persist != nil {
-			rec.persist.Rows = rec.cur.RowsStreamed()
-			persistCursor(rec.entry, rec.persist)
-		}
 	}
 	out.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 	rec.entry.recordRows(out.Count)
 	writeQuery(w, &out)
+}
+
+// reopen rebuilds the stream of a token no parked cursor serves through the
+// stages a /query takes — resolve, planQuery, Session.Stream —
+// fast-forwards it past the rows the token has delivered, under the token's
+// deadline, and parks it again under the token's id. It returns the record
+// locked, or nil once it has answered: 410 for a bare token, an unknown
+// database, an unranked state, a passed deadline or expiry, or a revision no
+// longer current; 400 for a state that does not decode or /query refuses.
+func (s *server) reopen(w http.ResponseWriter, r *http.Request, tok cursorToken) *cursorRec {
+	st, err := decodeState(tok.state)
+	if tok.state != "" && err != nil {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("malformed cursor token: %v", err))
+		return nil
+	}
+	// A publish after this check fails the fetch's own revision check.
+	e, ok := s.entry(st.Req.DB) // a bare token's state is empty: no db
+	now := time.Now().UnixMilli()
+	if !ok || e.state.Load().rev != st.Rev || !st.Req.Ranked || now > tok.expiry || st.Deadline != 0 && now >= st.Deadline {
+		writeErr(w, http.StatusGone, fmt.Errorf("unknown, expired or invalidated cursor"))
+		return nil
+	}
+	t, ok := s.resolve(w, st.Req.DB, st.Req.Graph, st.Req.Query)
+	if !ok {
+		return nil
+	}
+	x, err := s.planQuery(r, &st.Req, t)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return nil
+	}
+	// A fetch is never shed: the stream keeps the deadline it opened with.
+	var deadline time.Time
+	if st.Deadline != 0 {
+		deadline = time.UnixMilli(st.Deadline)
+	}
+	cur, err := x.sess.Stream(cxrpq.StreamOptions{
+		Semantics: x.do.Semantics, K: x.do.K, Ranked: true, Weight: x.weight, Deadline: deadline,
+	})
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return nil
+	}
+	for skip := tok.rows; skip > 0; {
+		n := cur.FetchRows(int(min(skip, defaultPage))).N
+		if n == 0 {
+			break
+		}
+		skip -= int64(n)
+	}
+	rec := &cursorRec{state: tok.state, cur: cur, entry: t.e, names: t.names, rev: st.Rev,
+		fragment: t.sess.Fragment(), limit: cmp.Or(max(st.Req.Limit, 0), defaultPage)}
+	rec.mu.Lock()
+	closeAll(s.cursors.putAt(tok.id, rec))
+	return rec
 }
 
 // resolveSemantics applies the HTTP surface's rule for the semantics/k pair:

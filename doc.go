@@ -29,12 +29,10 @@
 //	                     write-ahead log of framed Delta batches
 //	                     (length + CRC32 + revision-windowed payload,
 //	                     fsync per SyncEvery) with automatic checkpoints,
-//	                     torn-tail-tolerant crash recovery (OpenStore),
-//	                     log-tailing read-only followers (OpenFollower)
-//	                     and opaque application side records
-//	                     (AppendSide/SideRecords, sentinel-framed so old
-//	                     logs parse unchanged) behind the serving layer's
-//	                     restart-surviving parked cursors
+//	                     torn-tail-tolerant crash recovery (OpenStore)
+//	                     and log-tailing read-only followers
+//	                     (OpenFollower); sentinel frames of older logs
+//	                     are skipped
 //	internal/engine      the product-reachability core shared by every
 //	                     evaluation path: integer-interned graph×NFA BFS
 //	                     with bitset visited sets (Reach) and the
@@ -158,9 +156,9 @@
 // so far with "truncated" on every page of the cut stream; a bool, check or
 // explain without a witness yet answers false, "truncated") and ranked
 // best-witness-first order served incrementally with optional per-label
-// "weights" — on a durable database parked ranked cursors are persisted
-// as WAL side records and resume at the exact delivered row after a
-// restart — a two-tier
+// "weights" — on a durable database a ranked cursor's token carries its
+// request, revision and position, so a fetch after a restart or an eviction
+// rebuilds the stream at the exact delivered row — a two-tier
 // in-flight limiter that degrades to shed partial answers before
 // rejecting with 429, batched /update deltas (additions and removals)
 // that append to the write-ahead log before acknowledging and carry the

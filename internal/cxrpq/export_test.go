@@ -15,6 +15,10 @@ import (
 // Hooks for the external test package, which is where the differential
 // suites live (they need internal/workload, which imports this package).
 
+// Fragment returns the name of the smallest syntactic fragment containing
+// the plan's query (classified once at Prepare).
+func (p *Plan) Fragment() string { return p.fragment }
+
 // StreamDrained is the reference the ranked stream is held to, built here
 // and sharing nothing with it: the request's members searched one after the
 // other (ecrpq.UnionRows, ranked) to the end, each tuple kept at the

@@ -110,10 +110,6 @@ func PrepareSrc(src string) (*Plan, error) {
 	return Prepare(q)
 }
 
-// Fragment returns the human-readable name of the smallest syntactic
-// fragment containing the query (classified once at Prepare).
-func (p *Plan) Fragment() string { return p.fragment }
-
 // members is the plan's one member source: member i, as an ECRPQ^er, of the
 // union of ECRPQ^er the query is equivalent to — one per Lemma 7 branch
 // combination, decoded and translated when a driver asks for it (member) —

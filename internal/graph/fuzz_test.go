@@ -230,6 +230,14 @@ func encodeWAL(recs []walRecord, v1 bool) []byte {
 	return b
 }
 
+// encodeWALSideRecord appends the frame of a side record, which older logs
+// hold between their batches: the sentinel fromRev, the kind, then the blob.
+func encodeWALSideRecord(b []byte, kind uint64, blob []byte) []byte {
+	payload := appendUvarint(nil, uint64(sideFromRev))
+	payload = appendUvarint(payload, kind)
+	return appendFrame(b, append(payload, blob...))
+}
+
 // appendFrameV1 appends payload framed as a version-1 log frames it: its
 // length and CRC, with nothing checking the length.
 func appendFrameV1(b, payload []byte) []byte {

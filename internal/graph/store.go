@@ -23,12 +23,7 @@ package graph
 // a temp file, fsyncs, renames over checkpoint.graph, then truncates the
 // WAL; records already covered by the checkpoint revision are skipped on
 // replay, so a crash anywhere in that sequence recovers consistently.
-//
-// Side records (AppendSide/SideRecords, wal.go sentinel framing) let the
-// application piggyback small opaque state on the same log — the serving
-// layer persists parked ranked cursors this way. They do not participate in
-// revision continuity and are discarded whenever a checkpoint truncates the
-// WAL: side state must always be best-effort reconstructible.
+// Sentinel frames of older logs (wal.go) are skipped.
 
 import (
 	"errors"
@@ -36,7 +31,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 )
 
@@ -75,7 +69,6 @@ func (o StoreOptions) withDefaults() StoreOptions {
 type storeCounters struct {
 	walBytes    atomic.Int64
 	records     atomic.Uint64
-	sideRecords atomic.Uint64
 	fsyncs      atomic.Uint64
 	checkpoints atomic.Uint64
 	replayed    atomic.Uint64
@@ -85,47 +78,40 @@ type storeCounters struct {
 type StoreStats struct {
 	WALBytes        int64  `json:"wal_bytes"`        // bytes of WAL since the last checkpoint
 	Records         uint64 `json:"wal_records"`      // delta records appended this process lifetime
-	SideRecords     uint64 `json:"wal_side_records"` // side records appended this process lifetime
 	Fsyncs          uint64 `json:"wal_fsyncs"`       // fsyncs issued on the WAL
 	Checkpoints     uint64 `json:"checkpoints"`      // checkpoints written this process lifetime
 	ReplayedRecords uint64 `json:"replayed_records"` // WAL records replayed during recovery
 }
 
 // Store is the durable home of one database. Append/Checkpoint/Close follow
-// the writer side of the DB contract (one mutator at a time) but are also
-// serialized against AppendSide by an internal mutex, because side records
-// originate on read paths (a cursor parking mid-pagination) that do not hold
-// the application's write lock. Stats and SideRecords are safe concurrently.
+// the writer side of the DB contract: the caller runs one at a time, as it
+// runs ApplyDelta. Stats is safe concurrently.
 type Store struct {
 	dir  string
 	db   *DB
 	wal  *os.File
 	opts StoreOptions
 
-	mu        sync.Mutex // serializes Append/AppendSide/Checkpoint/Close
 	sinceSync int
 	buf       []byte
-	sides     []walRecord // side records in the current WAL generation
 	c         storeCounters
 }
 
 // OpenStore opens (or initializes) the store directory and recovers the
 // database from checkpoint + WAL replay. A non-empty version-1 WAL is
 // checkpointed before OpenStore returns, so every frame the store appends
-// starts or continues a version-2 log; the v1 log's side records go with it,
-// as at any checkpoint.
+// starts or continues a version-2 log.
 func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	s := &Store{dir: dir, opts: opts}
-	db, valid, replayed, sides, v1, err := recoverDB(dir)
+	db, valid, replayed, v1, err := recoverDB(dir)
 	if err != nil {
 		return nil, err
 	}
 	s.db = db
-	s.sides = sides
 	s.c.replayed.Store(uint64(replayed))
 	walPath := filepath.Join(dir, walFile)
 	if fi, err := os.Stat(walPath); err == nil && fi.Size() > valid {
@@ -141,7 +127,7 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	}
 	s.c.walBytes.Store(valid)
 	if v1 && valid > 0 {
-		if err := s.checkpointLocked(); err != nil {
+		if err := s.Checkpoint(); err != nil {
 			s.wal.Close()
 			return nil, fmt.Errorf("graph: checkpointing a version-1 wal: %w", err)
 		}
@@ -151,51 +137,44 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 
 // recoverDB loads checkpoint + WAL from dir and returns the recovered
 // database, the valid WAL prefix length, the number of replayed delta
-// records, the side records found in the WAL (in log order), and whether
-// the WAL is a version-1 log. Side records are excluded from the
-// revision-continuity checks.
-func recoverDB(dir string) (*DB, int64, int, []walRecord, bool, error) {
+// records, and whether the WAL is a version-1 log.
+func recoverDB(dir string) (*DB, int64, int, bool, error) {
 	db := New()
 	if f, err := os.Open(filepath.Join(dir, checkpointFile)); err == nil {
 		db, err = func() (*DB, error) { defer f.Close(); return ReadFull(f) }()
 		if err != nil {
-			return nil, 0, 0, nil, false, fmt.Errorf("graph: loading checkpoint: %w", err)
+			return nil, 0, 0, false, fmt.Errorf("graph: loading checkpoint: %w", err)
 		}
 	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, 0, 0, nil, false, err
+		return nil, 0, 0, false, err
 	}
 	buf, err := os.ReadFile(filepath.Join(dir, walFile))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, 0, 0, nil, false, err
+		return nil, 0, 0, false, err
 	}
 	recs, valid, v1, err := parseWAL(buf)
 	if err != nil {
-		return nil, 0, 0, nil, false, err
+		return nil, 0, 0, false, err
 	}
 	replayed := 0
-	var sides []walRecord
 	for _, rec := range recs {
-		if rec.Side {
-			sides = append(sides, rec)
-			continue
-		}
-		if rec.ToRev <= db.Revision() {
-			continue // covered by the checkpoint
+		if rec.Side || rec.ToRev <= db.Revision() {
+			continue // an older log's side frame, or covered by the checkpoint
 		}
 		if rec.FromRev != db.Revision() {
-			return nil, 0, 0, nil, false, fmt.Errorf("%w: record window (%d,%d] does not continue revision %d",
+			return nil, 0, 0, false, fmt.Errorf("%w: record window (%d,%d] does not continue revision %d",
 				ErrWALCorrupt, rec.FromRev, rec.ToRev, db.Revision())
 		}
 		if _, err := db.ApplyDelta(rec.Delta); err != nil {
-			return nil, 0, 0, nil, false, fmt.Errorf("graph: wal replay: %w", err)
+			return nil, 0, 0, false, fmt.Errorf("graph: wal replay: %w", err)
 		}
 		if db.Revision() != rec.ToRev {
-			return nil, 0, 0, nil, false, fmt.Errorf("%w: replay reached revision %d, record declares %d",
+			return nil, 0, 0, false, fmt.Errorf("%w: replay reached revision %d, record declares %d",
 				ErrWALCorrupt, db.Revision(), rec.ToRev)
 		}
 		replayed++
 	}
-	return db, int64(valid), replayed, sides, v1, nil
+	return db, int64(valid), replayed, v1, nil
 }
 
 // DB returns the recovered database. The caller owns mutations on it and
@@ -208,15 +187,13 @@ func (s *Store) DB() *DB { return s.db }
 // batch is durable, and may be acknowledged, iff Append returns nil or a
 // *CheckpointError.
 func (s *Store) Append(delta Delta, fromRev, toRev uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.buf = encodeWALRecord(s.frameStart(), walRecord{FromRev: fromRev, ToRev: toRev, Delta: delta})
-	if err := s.writeLocked(); err != nil {
+	if err := s.write(); err != nil {
 		return err
 	}
 	s.c.records.Add(1)
 	if s.opts.CheckpointBytes > 0 && s.c.walBytes.Load() >= s.opts.CheckpointBytes {
-		if err := s.checkpointLocked(); err != nil {
+		if err := s.Checkpoint(); err != nil {
 			return &CheckpointError{Err: err}
 		}
 	}
@@ -234,39 +211,6 @@ func (e *CheckpointError) Error() string { return "graph: checkpoint: " + e.Err.
 
 func (e *CheckpointError) Unwrap() error { return e.Err }
 
-// AppendSide frames an opaque application side record onto the WAL under the
-// same fsync cadence as Append. Side records survive crash recovery (see
-// SideRecords) but not checkpoints — the WAL truncation discards them — so
-// they must only carry state the application can afford to lose. Unlike
-// Append, AppendSide is safe to call from read paths: the internal mutex
-// serializes it against the writer.
-func (s *Store) AppendSide(kind uint64, blob []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.buf = encodeWALSideRecord(s.frameStart(), kind, blob)
-	if err := s.writeLocked(); err != nil {
-		return err
-	}
-	s.c.sideRecords.Add(1)
-	s.sides = append(s.sides, walRecord{Side: true, Kind: kind, Blob: append([]byte(nil), blob...)})
-	return nil
-}
-
-// SideRecords returns the blobs of every side record of the given kind in
-// the current WAL generation (recovered at open plus appended since, in log
-// order). A checkpoint empties the set.
-func (s *Store) SideRecords(kind uint64) [][]byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out [][]byte
-	for _, rec := range s.sides {
-		if rec.Kind == kind {
-			out = append(out, rec.Blob)
-		}
-	}
-	return out
-}
-
 // frameStart returns the write buffer emptied — but for the file header of a
 // version-2 log when the WAL is empty: it goes out with the first frame, in
 // one write.
@@ -277,8 +221,8 @@ func (s *Store) frameStart() []byte {
 	return s.buf[:0]
 }
 
-// writeLocked flushes s.buf to the WAL and applies the fsync cadence.
-func (s *Store) writeLocked() error {
+// write flushes s.buf to the WAL and applies the fsync cadence.
+func (s *Store) write() error {
 	if _, err := s.wal.Write(s.buf); err != nil {
 		return err
 	}
@@ -297,14 +241,8 @@ func (s *Store) writeLocked() error {
 // Checkpoint writes the current graph as a durable checkpoint and resets
 // the WAL. Crash-safe at every step: temp write + fsync + atomic rename,
 // and the WAL is truncated only after the rename — replay skips records the
-// checkpoint already covers. Side records in the WAL are discarded.
+// checkpoint already covers.
 func (s *Store) Checkpoint() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.checkpointLocked()
-}
-
-func (s *Store) checkpointLocked() error {
 	tmp, err := os.CreateTemp(s.dir, checkpointFile+".tmp*")
 	if err != nil {
 		return err
@@ -330,7 +268,6 @@ func (s *Store) checkpointLocked() error {
 	}
 	s.c.walBytes.Store(0)
 	s.c.checkpoints.Add(1)
-	s.sides = nil
 	return nil
 }
 
@@ -348,8 +285,6 @@ func (s *Store) Stats() StoreStats {
 
 // Close fsyncs and closes the WAL. The store must not be used afterwards.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err := s.wal.Sync(); err != nil {
 		s.wal.Close()
 		return err
@@ -382,11 +317,9 @@ type Follower struct {
 	reloads  atomic.Uint64
 }
 
-// OpenFollower opens a read-only view of a store directory. Side records in
-// the leader's WAL are ignored: they carry leader-local state (e.g. parked
-// cursors) that has no meaning on a replica.
+// OpenFollower opens a read-only view of a store directory.
 func OpenFollower(dir string) (*Follower, error) {
-	db, valid, replayed, _, v1, err := recoverDB(dir)
+	db, valid, replayed, v1, err := recoverDB(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -452,10 +385,7 @@ func (f *Follower) Poll() (int, error) {
 	}
 	applied := 0
 	for _, rec := range recs {
-		if rec.Side {
-			continue // leader-local side state; not part of the lineage
-		}
-		if rec.ToRev <= f.db.Revision() {
+		if rec.Side || rec.ToRev <= f.db.Revision() {
 			continue
 		}
 		if rec.FromRev != f.db.Revision() {
@@ -475,7 +405,7 @@ func (f *Follower) Poll() (int, error) {
 // transiently older than the follower's state (we raced the leader's
 // checkpoint rename), the current state is kept and the next Poll retries.
 func (f *Follower) reload() (int, error) {
-	db, valid, replayed, _, v1, err := recoverDB(f.dir)
+	db, valid, replayed, v1, err := recoverDB(f.dir)
 	if err != nil || db.Revision() < f.db.Revision() {
 		return 0, err
 	}

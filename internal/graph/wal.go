@@ -25,20 +25,8 @@ package graph
 // replays by its own rules, and a store that opens a non-empty one
 // checkpoints before its first append, so new frames start a version-2 log.
 //
-// Side records share the frame format but carry opaque application state
-// instead of a Delta batch. They are recognized by a sentinel first uvarint:
-//
-//	payload := sideFromRev(uvarint = 2^64-1) kind(uvarint) blob(rest)
-//
-// No real record can declare fromRev 2^64-1 (it would leave no room for
-// toRev > fromRev), so old logs parse unchanged. Replay and follower tailing
-// skip side records in the revision-continuity checks — they interleave
-// freely with delta records. The serving layer uses kind 1 to persist parked
-// ranked cursors across restarts (see cmd/cxrpq-serve); blobs are opaque to
-// this package. Side records live in the WAL only: a checkpoint truncates
-// them away, which is why side state must always be reconstructible (for
-// cursors: a lost record degrades to HTTP 410, the pre-persistence
-// behavior).
+// Sentinel frames of older logs — a payload opening with fromRev 2^64-1,
+// which no batch can declare — are decoded and skipped.
 
 import (
 	"encoding/binary"
@@ -48,13 +36,12 @@ import (
 	"math"
 )
 
-// sideFromRev marks a side-record payload: an impossible fromRev.
+// sideFromRev marks a sentinel frame's payload: an impossible fromRev.
 const sideFromRev = math.MaxUint64
 
 // walRecord is one framed Delta batch: applying Delta to the graph at
 // revision FromRev yields revision ToRev. With Side set it is instead an
-// opaque application side record (Kind + Blob) and the other fields are
-// meaningless.
+// older log's sentinel frame (its Kind and Blob), which replay skips.
 type walRecord struct {
 	FromRev, ToRev uint64
 	Delta          Delta
@@ -116,15 +103,6 @@ func encodeWALRecord(b []byte, rec walRecord) []byte {
 	payload = appendUvarint(payload, rec.ToRev)
 	payload = appendEdges(payload, rec.Delta.Add)
 	payload = appendEdges(payload, rec.Delta.Del)
-	return appendFrame(b, payload)
-}
-
-// encodeWALSideRecord appends the full frame for an application side record:
-// the sentinel fromRev, the record kind, then the opaque blob.
-func encodeWALSideRecord(b []byte, kind uint64, blob []byte) []byte {
-	payload := appendUvarint(nil, uint64(sideFromRev))
-	payload = appendUvarint(payload, kind)
-	payload = append(payload, blob...)
 	return appendFrame(b, payload)
 }
 

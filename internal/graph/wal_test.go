@@ -364,108 +364,130 @@ func TestFollowerTailsLeader(t *testing.T) {
 	}
 }
 
-// Side records interleave with delta records without disturbing the
-// revision lineage: recovery replays the deltas, surfaces the side blobs in
-// log order, and a follower tailing the same WAL skips them entirely.
-func TestStoreSideRecords(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
+// sideFramedLog hand-writes a version-2 log as the serving layer wrote it
+// while it still framed side records (parked cursors): three delta frames,
+// each followed by a side frame of one of two kinds. It returns the log, the
+// offset where the second delta's frame starts, the number of deltas and a
+// database built by applying them.
+func sideFramedLog(t *testing.T) (log []byte, second int, n int, want *DB) {
+	t.Helper()
+	deltas := []Delta{add("u", "v"), add("v", "w"), {Del: add("u", "v").Add}}
+	var recs []walRecord
+	want = New()
+	for i, d := range deltas {
+		from := want.Revision()
+		if _, err := want.ApplyDelta(d); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			second = len(encodeWAL(recs, false))
+		}
+		recs = append(recs, walRecord{FromRev: from, ToRev: want.Revision(), Delta: d},
+			walRecord{Side: true, Kind: uint64(1 + i%2), Blob: []byte(fmt.Sprint("cursor ", i))})
 	}
-	storeDelta(t, s, add("u", "v"))
-	if err := s.AppendSide(1, []byte("first")); err != nil {
-		t.Fatal(err)
-	}
-	storeDelta(t, s, add("v", "w"))
-	if err := s.AppendSide(2, []byte("other-kind")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendSide(1, []byte("second")); err != nil {
-		t.Fatal(err)
-	}
-	want := s.DB().Revision()
-	if got := s.SideRecords(1); len(got) != 2 || string(got[0]) != "first" || string(got[1]) != "second" {
-		t.Fatalf("live SideRecords(1) = %q", got)
-	}
+	return encodeWAL(recs, false), second, len(deltas), want
+}
 
-	// A follower tailing the same WAL applies only the deltas.
+// Side frames interleaved with delta frames do not disturb the revision
+// lineage: a follower tailing the log polls only the deltas appended after
+// it opened, OpenStore replays exactly the deltas, and the store's next batch
+// continues the log for the follower and a crash reopen alike.
+func TestStoreSideRecords(t *testing.T) {
+	log, second, n, want := sideFramedLog(t)
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, walFile)
+	if err := os.WriteFile(walPath, log[:second], 0o644); err != nil {
+		t.Fatal(err)
+	}
 	f, err := OpenFollower(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalDB(t, s.DB(), f.DB())
-	if err := s.AppendSide(1, []byte("third")); err != nil {
-		t.Fatal(err)
+	if f.Replayed() != 1 {
+		t.Fatalf("the follower replayed %d records, want the first delta", f.Replayed())
 	}
-	storeDelta(t, s, add("w", "x"))
-	if n, err := f.Poll(); err != nil || n != 1 {
-		t.Fatalf("Poll = %d, %v; want 1 delta (side record skipped)", n, err)
-	}
-	equalDB(t, s.DB(), f.DB())
-	want = s.DB().Revision()
-
-	// Crash recovery (reopen without Close) keeps lineage and side blobs.
-	s2, err := OpenStore(dir, StoreOptions{})
+	w, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.DB().Revision() != want {
-		t.Fatalf("recovered revision %d, want %d", s2.DB().Revision(), want)
-	}
-	if got := s2.SideRecords(1); len(got) != 3 || string(got[2]) != "third" {
-		t.Fatalf("recovered SideRecords(1) = %q", got)
-	}
-	if got := s2.SideRecords(2); len(got) != 1 || string(got[0]) != "other-kind" {
-		t.Fatalf("recovered SideRecords(2) = %q", got)
-	}
-	if st := s2.Stats(); st.ReplayedRecords != 3 {
-		t.Fatalf("replayed %d delta records, want 3", st.ReplayedRecords)
-	}
-
-	// Checkpoint truncates the WAL: side records are gone, by contract.
-	if err := s2.Checkpoint(); err != nil {
+	if _, err := w.Write(log[second:]); err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.SideRecords(1); got != nil {
-		t.Fatalf("SideRecords after checkpoint = %q, want none", got)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
-	s2.Close()
-}
+	if got, err := f.Poll(); err != nil || got != n-1 {
+		t.Fatalf("Poll = %d, %v; want the %d later deltas (side frames skipped)", got, err, n-1)
+	}
+	equalDB(t, want, f.DB())
 
-// A torn side-record tail is dropped like a torn delta tail.
-func TestStoreSideRecordTornTail(t *testing.T) {
-	dir := t.TempDir()
 	s, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	storeDelta(t, s, add("u", "v"))
-	if err := s.AppendSide(1, []byte("kept")); err != nil {
-		t.Fatal(err)
+	defer s.Close()
+	equalDB(t, want, s.DB())
+	if got := s.Stats().ReplayedRecords; got != uint64(n) {
+		t.Fatalf("the store replayed %d records, want the %d deltas", got, n)
 	}
-	if err := s.AppendSide(1, []byte("torn-away")); err != nil {
-		t.Fatal(err)
+	storeDelta(t, s, add("w", "x"))
+	if got, err := f.Poll(); err != nil || got != 1 {
+		t.Fatalf("Poll = %d, %v; want the store's next batch", got, err)
 	}
-	walPath := filepath.Join(dir, walFile)
-	fi, err := os.Stat(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(walPath, fi.Size()-4); err != nil {
-		t.Fatal(err)
-	}
+	equalDB(t, s.DB(), f.DB())
 	s2, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
-		t.Fatalf("recovery after torn side tail: %v", err)
+		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := s2.SideRecords(1); len(got) != 1 || string(got[0]) != "kept" {
-		t.Fatalf("SideRecords = %q, want only the intact record", got)
+	equalDB(t, s.DB(), s2.DB())
+}
+
+// A torn side frame at the tail is dropped like a torn delta tail:
+// OpenFollower and OpenStore replay exactly the deltas before it, the store
+// truncates the log to the bytes before the torn frame, and its next batch
+// continues the log.
+func TestStoreSideRecordTornTail(t *testing.T) {
+	log, _, n, want := sideFramedLog(t)
+	torn := encodeWALSideRecord(nil, 1, []byte("torn away"))
+	dir := t.TempDir()
+	walPath := filepath.Join(dir, walFile)
+	if err := os.WriteFile(walPath, append(log, torn[:len(torn)-3]...), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := s2.DB().Lookup("v"); !ok {
-		t.Fatal("delta before torn side record lost")
+
+	f, err := OpenFollower(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	equalDB(t, want, f.DB())
+	if f.Replayed() != uint64(n) {
+		t.Fatalf("the follower replayed %d records, want the %d deltas", f.Replayed(), n)
+	}
+	s, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	equalDB(t, want, s.DB())
+	if got := s.Stats().ReplayedRecords; got != uint64(n) {
+		t.Fatalf("the store replayed %d records, want the %d deltas", got, n)
+	}
+	if fi, err := os.Stat(walPath); err != nil || fi.Size() != int64(len(log)) {
+		t.Fatalf("the log holds %v bytes (%v), want the %d before the torn frame", fi.Size(), err, len(log))
+	}
+
+	storeDelta(t, s, add("w", "x"))
+	if got, err := f.Poll(); err != nil || got != 1 {
+		t.Fatalf("Poll = %d, %v; want the batch after the truncated tail", got, err)
+	}
+	equalDB(t, s.DB(), f.DB())
+	s2, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	equalDB(t, s.DB(), s2.DB())
 }
 
 // TestWALLengthFlipRefused is the reproduction of the unchecked v1 length:
