@@ -9,6 +9,7 @@ package main
 // weights must ride the HTTP surface end to end.
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -308,15 +309,7 @@ func TestRankedPagesWriteNoWAL(t *testing.T) {
 // asks for runs under the token's deadline.
 func TestHostileCursorTokens(t *testing.T) {
 	_, ts, st := durableServer(t, t.TempDir())
-	var edges []string
-	for i := 0; i < 500; i++ {
-		for j := 0; j < 6; j++ {
-			edges = append(edges, fmt.Sprintf("n%d %c n%d", i, "ab"[(i+j)%2], (i*7+j*13)%500))
-		}
-	}
-	if code, out := postJSON(t, ts.URL+"/update", `{"db":"g1","edges":"`+strings.Join(edges, `\n`)+`"}`); code != http.StatusOK {
-		t.Fatalf("seed: %d %v", code, out)
-	}
+	seedTangle(t, ts.URL)
 	rev, now := st.DB().Revision(), time.Now()
 	base := queryRequest{DB: "g1", Query: "ans(x, z)\nx y : a+\ny z : b+", Ranked: true, Limit: 5}
 	token := func(edit func(s *cursorState, tok *cursorToken)) string {
@@ -357,6 +350,62 @@ func TestHostileCursorTokens(t *testing.T) {
 	code, out := postJSON(t, ts.URL+"/query", `{"cursor":"`+forged+`"}`)
 	if late := time.Since(deadline); code != http.StatusOK || out["truncated"] != true || late > 250*time.Millisecond {
 		t.Fatalf("forged rows count: %d %v, %v past its deadline; want a truncated page within it", code, out, late)
+	}
+}
+
+// seedTangle fills g1 with 500 nodes and 3 000 edges over a and b, on which
+// the full ranked drain of "ans(x, z)\nx y : a+\ny z : b+" takes the
+// server about 40 s of CPU.
+func seedTangle(t *testing.T, url string) {
+	t.Helper()
+	var edges []string
+	for i := 0; i < 500; i++ {
+		for j := 0; j < 6; j++ {
+			edges = append(edges, fmt.Sprintf("n%d %c n%d", i, "ab"[(i+j)%2], (i*7+j*13)%500))
+		}
+	}
+	if code, out := postJSON(t, url+"/update", `{"db":"g1","edges":"`+strings.Join(edges, `\n`)+`"}`); code != http.StatusOK {
+		t.Fatalf("seed: %d %v", code, out)
+	}
+}
+
+// A client that gives up stops the work it asked for: the opening page of a
+// ranked stream, a parked cursor's next page and a rebuilt cursor's
+// fast-forward each run under their own request's context, so the server is
+// idle again soon after a client abandons a drain that would take it ~40 s.
+func TestClientGoneStopsEvaluation(t *testing.T) {
+	_, ts, _ := durableServer(t, t.TempDir())
+	seedTangle(t, ts.URL)
+	const query = `"db":"g1","query":"ans(x, z)\nx y : a+\ny z : b+","ranked":true`
+	code, out := postJSON(t, ts.URL+"/query", `{`+query+`,"limit":5}`)
+	opened, _ := out["cursor"].(string)
+	if code != http.StatusOK || opened == "" {
+		t.Fatalf("opening page: %d %v, want a cursor", code, out)
+	}
+	tok, err := parseToken(opened)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tok.id, tok.rows = "feedfacefeedfacefeedfacefeedface", 1e9 // parked nowhere: rebuilt
+	for _, c := range []struct{ name, body string }{
+		{"opening page", `{` + query + `,"limit":100000000}`},
+		{"parked page", `{"cursor":"` + opened + `","limit":100000000}`},
+		{"fast-forward", `{"cursor":"` + tok.String() + `"}`},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/query", strings.NewReader(c.body))
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+			t.Fatalf("%s: answered %d within 50 ms; the test needs a longer evaluation", c.name, resp.StatusCode)
+		}
+		cancel()
+		deadline := time.Now().Add(2 * time.Second)
+		for getStats(t, ts.URL)["inflight"] != 0.0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the server still evaluates 2 s after its client went away", c.name)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
 }
 

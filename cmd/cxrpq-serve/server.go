@@ -987,17 +987,15 @@ func (x *queryExec) encode(resp cxrpq.Response, truncated bool) queryResponse {
 // parked in the cursor registry under an opaque token — unless the request
 // was admitted degraded, in which case the remainder is shed.
 func (s *server) streamQuery(w http.ResponseWriter, r *http.Request, x *queryExec) {
-	// A parked cursor outlives its opening request, and the request context
-	// is canceled the moment this response is written — so only a shed
-	// stream (which never parks) is bound to it. Parked cursors are bounded
-	// by their deadline and the registry's idle TTL instead.
-	var ctx context.Context
-	if x.shed {
-		ctx = r.Context()
-	}
+	// The opening page is produced under the request context, so a client
+	// that goes away stops it. A parked cursor outlives its opening request,
+	// whose context is canceled the moment this response is written, so it
+	// is unbound before it parks: between pages it is bounded by its
+	// deadline and the registry's idle TTL, and each later page by the
+	// context of the fetch that asks for it.
 	cur, err := x.sess.Stream(cxrpq.StreamOptions{
 		Semantics: x.do.Semantics, K: x.do.K, Ranked: x.req.Ranked, Weight: x.weight,
-		Deadline: x.deadline, Ctx: ctx,
+		Deadline: x.deadline, Ctx: r.Context(),
 	})
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -1026,6 +1024,7 @@ func (s *server) streamQuery(w http.ResponseWriter, r *http.Request, x *queryExe
 		cur.Close()
 		out.Truncated = true
 	default:
+		cur.Bind(nil)
 		rec := &cursorRec{cur: cur, entry: x.e, names: x.names, rev: x.db.Revision(),
 			fragment: x.sess.Fragment(), limit: lim}
 		if x.e != nil && x.e.store != nil && x.req.Ranked {
@@ -1105,7 +1104,9 @@ func (s *server) handleCursorFetch(w http.ResponseWriter, r *http.Request, req *
 	}
 	start := time.Now()
 	out := queryResponse{Fragment: rec.fragment}
+	rec.cur.Bind(r.Context()) // this page is this request's: a client gone stops it
 	out.setRows(rec.names, rec.cur.FetchRows(lim), pattern.Rows{})
+	rec.cur.Bind(nil)
 	out.RowsStreamed = rec.cur.RowsStreamed()
 	if out.Count < lim { // exhausted: reclaim with the final page
 		s.cursors.drop(rec.id)
@@ -1155,13 +1156,16 @@ func (s *server) reopen(w http.ResponseWriter, r *http.Request, tok cursorToken)
 		writeErr(w, http.StatusBadRequest, err)
 		return nil
 	}
-	// A fetch is never shed: the stream keeps the deadline it opened with.
+	// A fetch is never shed: the stream keeps the deadline it opened with,
+	// and the fast-forward is this request's work, bound to its context
+	// (the fetch unbinds the cursor after its page).
 	var deadline time.Time
 	if st.Deadline != 0 {
 		deadline = time.UnixMilli(st.Deadline)
 	}
 	cur, err := x.sess.Stream(cxrpq.StreamOptions{
 		Semantics: x.do.Semantics, K: x.do.K, Ranked: true, Weight: x.weight, Deadline: deadline,
+		Ctx: r.Context(),
 	})
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)

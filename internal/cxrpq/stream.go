@@ -447,6 +447,14 @@ func (c *Cursor) FetchRows(n int) pattern.Rows {
 // Fetch is FetchRows for callers that speak tuples (nil for an empty page).
 func (c *Cursor) Fetch(n int) []Row { return rowsOf(c.FetchRows(n)) }
 
+// Bind bounds the production of the following fetches by ctx, in place of
+// the StreamOptions.Ctx the stream opened with; nil bounds it by none. A
+// server binds each page to the request that fetches it, so a client that
+// goes away cuts its page short — the stream is truncated from there, as by
+// its deadline — while the cursor parked between pages outlives every
+// request.
+func (c *Cursor) Bind(ctx context.Context) { c.bud.Bind(ctx) }
+
 // Close stops the budget and drops the producer. Truncated and Err keep what
 // they reported before. Safe to call multiple times and after exhaustion.
 func (c *Cursor) Close() {

@@ -112,8 +112,9 @@ const (
 
 // atomEntry holds what is known about one atom. Fields are read and written
 // under atomFacts.mu; the values they point to are immutable but for the
-// span and arena tail of a row table still being filled, which only this
-// entry holds. A stale entry is never written: settling replaces it.
+// span of a row table still being filled, which only this entry holds, and
+// the arena cells past every holder's length (rowTable). A stale entry is
+// never written: settling replaces it.
 type atomEntry struct {
 	atom *Atom // never nil: what a delta classifies and extends the facts by
 	rev  uint64
@@ -130,15 +131,27 @@ type atomEntry struct {
 // the arena is a pointer, so however many rows it holds the collector scans
 // two slice headers. Rows are handed out capacity-limited: an append by a
 // holder reallocates instead of writing into the next row.
+//
+// The versions of a table — the one an entry fills, its copies carried to
+// later revisions, the ones settling derives from them — share one
+// append-only arena, and tail, the length of it claimed so far. Each version
+// reads only the cells below its own length, which no version writes again,
+// and writes past it only after a compare-and-swap has moved tail from
+// exactly that length (claim): so the first version to grow from a length
+// appends in place, and any other copies what it reads into an arena of its
+// own.
 type rowTable struct {
 	arena []int
+	tail  *atomic.Int64 // shared by every version over arena; nil with no arena
 	span  []uint64
 	filed int // rows; all n filed, the table is complete: never written again
 }
 
 func (t *rowTable) complete() bool { return t.span != nil && t.filed == len(t.span) }
 
-func (t *rowTable) bytes() int64 { return 8 * int64(len(t.span)+len(t.arena)) }
+// bytes is what the table is accounted at: its span and the arena it holds
+// with the growth slack, shared or not.
+func (t *rowTable) bytes() int64 { return 8 * int64(len(t.span)+cap(t.arena)) }
 
 // get returns the row of node u, and whether it is filed.
 func (t *rowTable) get(u int) ([]int, bool) {
@@ -150,8 +163,28 @@ func (t *rowTable) get(u int) ([]int, bool) {
 	return t.arena[lo:hi:hi], true
 }
 
+// claim makes room for k more cells at the end of t's arena: in place when
+// they fit and t's length is still the arena's claimed tail, which then moves
+// past them, else in a copy of the cells t reads with a fresh tail. The
+// caller appends exactly k cells next.
+func (t *rowTable) claim(k int) {
+	l := len(t.arena)
+	if k == 0 || t.tail != nil && l+k <= cap(t.arena) && t.tail.CompareAndSwap(int64(l), int64(l+k)) {
+		return
+	}
+	t.arena = slices.Grow(t.arena[:l:l], k)
+	t.tail = new(atomic.Int64)
+	t.tail.Store(int64(l + k))
+}
+
 // file sets the row of node u, filed or not, appending it to the arena.
 func (t *rowTable) file(u int, row []int) {
+	t.claim(len(row))
+	t.put(u, row)
+}
+
+// put files row as u's at the end of the arena, room for which is claimed.
+func (t *rowTable) put(u int, row []int) {
 	if t.span[u] == 0 {
 		t.filed++
 	}
@@ -171,7 +204,8 @@ func (t *rowTable) support() []uint64 {
 }
 
 // fill copies rows[k] into the arena as the row of nodes[k], one of n (none
-// out of range), unless the table is complete; true if this call completed it.
+// out of range), unless the table is complete, claiming the room for all of
+// them at once; true if this call completed it.
 func (t *rowTable) fill(n int, nodes []int, rows [][]int) bool {
 	if t.complete() {
 		return false
@@ -180,14 +214,20 @@ func (t *rowTable) fill(n int, nodes []int, rows [][]int) bool {
 		t.span = make([]uint64, n)
 	}
 	total := 0
-	for _, row := range rows {
-		total += len(row)
-	}
-	t.arena = slices.Grow(t.arena, total)
 	for k, u := range nodes {
 		if uint(u) < uint(n) && t.span[u] == 0 {
-			t.file(u, rows[k])
+			total += len(rows[k])
 		}
+	}
+	t.claim(total)
+	end := len(t.arena) + total
+	for k, u := range nodes {
+		if uint(u) < uint(n) && t.span[u] == 0 {
+			t.put(u, rows[k])
+		}
+	}
+	if l := len(t.arena); l < end { // a node listed twice: give its second row's room back
+		t.tail.CompareAndSwap(int64(end), int64(l))
 	}
 	return t.complete()
 }
@@ -757,7 +797,8 @@ func (s *AtomStore) invert(e *atomEntry, d int) bool {
 	for v := range n {
 		at[v+1] += at[v]
 	}
-	t := rowTable{arena: make([]int, at[n]), span: make([]uint64, n), filed: n}
+	t := rowTable{arena: make([]int, at[n]), tail: new(atomic.Int64), span: make([]uint64, n), filed: n}
+	t.tail.Store(int64(at[n]))
 	for v := range n {
 		t.span[v] = 1 + (uint64(at[v])<<32 | uint64(at[v+1]-at[v]))
 	}

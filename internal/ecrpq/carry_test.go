@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -509,4 +510,45 @@ func mustEdge(t *testing.T, db *graph.DB, r *testRNG) graph.DeltaEdge {
 		t.Fatal("no edge")
 	}
 	return e
+}
+
+// The versions of a row table share one arena, and its tail is claimed once:
+// the first successor of a table appends in place, while a second successor
+// of the same table, or the old table filing more rows, copies what it reads
+// into an arena of its own — and no version's rows change under another's.
+func TestRowTableArenaShared(t *testing.T) {
+	const n = 8
+	stale := rowTable{arena: make([]int, 0, 64), tail: new(atomic.Int64), span: make([]uint64, n)}
+	stale.fill(n, []int{0, 1}, [][]int{{1, 2}, {3}})
+	check := func(name string, tab rowTable, want map[int][]int) {
+		t.Helper()
+		for u := range n {
+			got, ok := tab.get(u)
+			w, wok := want[u]
+			if ok != wok || !slices.Equal(got, w) {
+				t.Errorf("%s: row %d is %v (filed %v), want %v (filed %v)", name, u, got, ok, w, wok)
+			}
+		}
+	}
+	first := stale.clone(n)
+	first.file(2, []int{4, 5})
+	if &first.arena[0] != &stale.arena[0] {
+		t.Error("the first successor copied the arena")
+	}
+	second := stale.clone(n)
+	second.file(3, []int{6})
+	if &second.arena[0] == &stale.arena[0] {
+		t.Error("the second successor filed into the shared arena")
+	}
+	old := stale // a reader at the old revision files rows
+	old.span = slices.Clone(stale.span)
+	old.fill(n, []int{4, 5}, [][]int{{7}, {0, 1}})
+	if &old.arena[0] == &stale.arena[0] {
+		t.Error("the old table filed into the arena its successor grew")
+	}
+	base := map[int][]int{0: {1, 2}, 1: {3}}
+	check("stale", stale, base)
+	check("first", first, map[int][]int{0: {1, 2}, 1: {3}, 2: {4, 5}})
+	check("second", second, map[int][]int{0: {1, 2}, 1: {3}, 3: {6}})
+	check("old", old, map[int][]int{0: {1, 2}, 1: {3}, 4: {7}, 5: {0, 1}})
 }

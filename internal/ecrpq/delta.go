@@ -2,6 +2,7 @@ package ecrpq
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"cxrpq/internal/automata"
 	"cxrpq/internal/engine"
@@ -135,11 +136,14 @@ func buildFrontier(db *graph.DB, info *graph.DeltaInfo) *deltaFrontier {
 	for _, e := range info.Added {
 		push(e.From, true)
 	}
+	ix := db.Index()
 	for len(queue) > 0 {
 		u := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, e := range db.In(u) {
-			push(e.From, true)
+		for s := range int32(ix.NumSyms()) {
+			for _, from := range ix.InByID(u, s) {
+				push(int(from), true)
+			}
 		}
 		for _, from := range removedInto[u] {
 			push(from, true)
@@ -151,9 +155,10 @@ func buildFrontier(db *graph.DB, info *graph.DeltaInfo) *deltaFrontier {
 
 // carry returns a table at revision rev holding every entry of s, stale: a
 // header copy each, sharing the supports and complete row tables as they
-// are. A row table still being filled is written in place
-// by s, so the copy gets its own span and an arena capped at its length. The
-// answers filed to be carried (Carry) go along stale too, as they are.
+// are. A row table still being filled has its span written in place by s,
+// so the copy gets a span of its own; the arena stays shared, and whichever
+// version files a row first appends there (claim). The answers filed to be
+// carried (Carry) go along stale too, as they are.
 func (s *AtomStore) carry(rev uint64) *atomFacts {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -201,8 +206,8 @@ const (
 // settle returns e's facts brought up to the store's graph over w, the window
 // since e.rev, as a new entry, its searches run under bud: one bud cuts
 // returns engine.ErrCanceled and no entry. It runs outside s.mu and writes
-// nothing e reaches: every changed slice is a new one, and an arena it
-// appends to is capped first.
+// nothing e reaches: every changed span or bitset is a new one, and the rows
+// it files go into arena cells past every version's length (claim).
 func (s *AtomStore) settle(e *atomEntry, w *window, bud *engine.Budget) (*atomEntry, fate, error) {
 	info := w.info
 	if info == nil {
@@ -413,19 +418,18 @@ func reach(ix *graph.Index, c *automata.SubsetCache, srcs []int, forward bool, o
 	return engine.ReachBatchEx(ix, c, srcs, forward, o)
 }
 
-// clone returns a copy of t over n nodes, the new ones unfiled, that t's
-// holders never see written: its own span, and the arena capped so that
-// filing a row reallocates it.
+// clone returns a copy of t over n nodes, the new ones unfiled, with a span
+// of its own over t's arena: filing a row appends in place only if no other
+// version of the table has grown from the same length first (claim).
 func (t *rowTable) clone(n int) rowTable {
 	c := *t
 	c.span = make([]uint64, n)
 	copy(c.span, t.span)
-	c.arena = t.arena[:len(t.arena):len(t.arena)]
 	return c
 }
 
-// compacted returns t with its arena rewritten to the filed rows alone when
-// more than half of it is rows no span points at any more.
+// compacted returns t with its filed rows alone in a fresh arena when more
+// than half of the cells it reads are rows no span points at any more.
 func (t rowTable) compacted() rowTable {
 	live := 0
 	for _, sp := range t.span {
@@ -436,7 +440,7 @@ func (t rowTable) compacted() rowTable {
 	if 2*live >= len(t.arena) {
 		return t
 	}
-	c := rowTable{span: make([]uint64, len(t.span)), arena: make([]int, 0, live)}
+	c := rowTable{arena: make([]int, 0, live), tail: new(atomic.Int64), span: make([]uint64, len(t.span))}
 	for u := range t.span {
 		if row, ok := t.get(u); ok {
 			c.file(u, row)

@@ -333,16 +333,19 @@ func (p *plan) stream(bud *engine.Budget, yield StreamFunc) {
 }
 
 // streamSeeded streams the plan once per node of nodes, written into the
-// pre-bound slot of the variable z, until the budget cancels. A false return
-// from yield ends one run, not the others.
+// pre-bound slot of the variable z, until the budget cancels, starting one
+// search over for each. A false return from yield ends one run, not the
+// others.
 func (p *plan) streamSeeded(z string, nodes []int, bud *engine.Budget, yield StreamFunc) {
-	s := p.slot(z)
+	z0 := p.slot(z)
+	var s search
 	for _, u := range nodes {
 		if bud.Canceled() {
 			return
 		}
-		p.init[s] = int32(u)
-		p.stream(bud, yield)
+		p.init[z0] = int32(u)
+		s.reset(p, bud)
+		s.drain(yield)
 	}
 }
 

@@ -29,7 +29,7 @@ var ErrCanceled = errors.New("engine: evaluation budget exhausted")
 // nil receiver, so kernels thread the pointer without guarding call sites.
 // All methods are safe for concurrent use.
 type Budget struct {
-	ctx      context.Context
+	ctx      atomic.Pointer[context.Context] // nil: no context check
 	deadline time.Time
 	stopped  atomic.Bool
 }
@@ -38,7 +38,22 @@ type Budget struct {
 // be zero (no deadline). A context deadline tighter than the explicit one
 // wins, because ctx.Err() fires first.
 func NewBudget(ctx context.Context, deadline time.Time) *Budget {
-	return &Budget{ctx: ctx, deadline: deadline}
+	b := &Budget{deadline: deadline}
+	b.Bind(ctx)
+	return b
+}
+
+// Bind replaces the context the budget honors; nil honors none. A cursor
+// parked between requests binds each page's production to the request that
+// asks for it. A cancellation already seen stays seen.
+func (b *Budget) Bind(ctx context.Context) {
+	switch {
+	case b == nil:
+	case ctx == nil:
+		b.ctx.Store(nil)
+	default:
+		b.ctx.Store(&ctx)
+	}
 }
 
 // Stop cancels the budget manually; all subsequent Canceled calls return
@@ -63,9 +78,9 @@ func (b *Budget) Canceled() bool {
 		b.stopped.Store(true)
 		return true
 	}
-	if b.ctx != nil {
+	if ctx := b.ctx.Load(); ctx != nil {
 		select {
-		case <-b.ctx.Done():
+		case <-(*ctx).Done():
 			b.stopped.Store(true)
 			return true
 		default:

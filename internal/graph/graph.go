@@ -28,8 +28,8 @@ type Edge struct {
 type DB struct {
 	names  []string       // node id -> name
 	byName map[string]int // name -> node id
-	out    [][]Edge       // adjacency by source
-	in     [][]Edge       // adjacency by target
+	out    [][]Edge       // adjacency by source; nil in a frozen view (see Out)
+	in     [][]Edge       // adjacency by target; nil in a frozen view
 	nEdges int
 	sigma  map[rune]int // label -> live edge count
 
@@ -212,11 +212,24 @@ func (d *DB) NumEdges() int { return d.nEdges }
 // Size returns |D| = |V_D| + |E_D|, the size measure used in the paper.
 func (d *DB) Size() int { return d.NumNodes() + d.nEdges }
 
-// Out returns the outgoing edges of node u (caller must not modify).
-func (d *DB) Out(u int) []Edge { return d.out[u] }
+// Out returns the outgoing edges of node u (caller must not modify). A
+// frozen view holds no adjacency lists: it lists u's edges from its Index,
+// label by label, in a slice of their own.
+func (d *DB) Out(u int) []Edge {
+	if d.frozen {
+		return d.idx.edges(u, true)
+	}
+	return d.out[u]
+}
 
-// In returns the incoming edges of node u (caller must not modify).
-func (d *DB) In(u int) []Edge { return d.in[u] }
+// In returns the incoming edges of node u (caller must not modify), listed
+// from the Index on a frozen view, as Out.
+func (d *DB) In(u int) []Edge {
+	if d.frozen {
+		return d.idx.edges(u, false)
+	}
+	return d.in[u]
+}
 
 // Alphabet returns the sorted set of edge labels. The slice is cached (it
 // feeds RelationFor and the alphabet merges on every evaluation) and shared
@@ -378,6 +391,7 @@ func (d *DB) HasPathOfLen(n int) bool {
 		return d.NumNodes() > 0 // length-0 paths exist at every node
 	}
 	nn := d.NumNodes()
+	ix := d.Index()
 	words := (nn + 63) / 64
 	cur := make([]uint64, words)
 	for u := 0; u < nn; u++ {
@@ -390,9 +404,11 @@ func (d *DB) HasPathOfLen(n int) bool {
 			for bs != 0 {
 				u := wi*64 + bits.TrailingZeros64(bs)
 				bs &= bs - 1
-				for _, e := range d.out[u] {
-					next[e.To/64] |= 1 << (uint(e.To) % 64)
-					any = true
+				for sym := range int32(ix.NumSyms()) {
+					for _, v := range ix.OutByID(u, sym) {
+						next[v/64] |= 1 << (uint(v) % 64)
+						any = true
+					}
 				}
 			}
 		}
@@ -408,8 +424,8 @@ func (d *DB) HasPathOfLen(n int) bool {
 // one "from label to" triple per line.
 func (d *DB) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for u := range d.out {
-		for _, e := range d.out[u] {
+	for u := range d.NumNodes() {
+		for _, e := range d.Out(u) {
 			if _, err := fmt.Fprintf(bw, "%s %c %s\n", d.names[e.From], e.Label, d.names[e.To]); err != nil {
 				return err
 			}

@@ -155,6 +155,24 @@ func (ix *Index) appendSpan(ov map[int64][]int32, base *labelCSR, u int, s int32
 	return append(sp, v)
 }
 
+// edges lists u's outgoing edges, or with !out its incoming ones, label by
+// label: the adjacency a frozen view answers Out and In with.
+func (ix *Index) edges(u int, out bool) []Edge {
+	var es []Edge
+	for s := range int32(len(ix.syms)) {
+		if out {
+			for _, v := range ix.OutByID(u, s) {
+				es = append(es, Edge{From: u, Label: ix.syms[s], To: int(v)})
+			}
+		} else {
+			for _, v := range ix.InByID(u, s) {
+				es = append(es, Edge{From: int(v), Label: ix.syms[s], To: u})
+			}
+		}
+	}
+	return es
+}
+
 // NumNodes returns the number of nodes covered by the index.
 func (ix *Index) NumNodes() int { return ix.n }
 

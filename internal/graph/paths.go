@@ -20,7 +20,7 @@ func (d *DB) PathWordsBetween(u, v int, maxLen int) []string {
 		byWord := map[string]int{}
 		for _, c := range level {
 			for p := range c.nodes {
-				for _, e := range d.out[p] {
+				for _, e := range d.Out(p) {
 					w := c.word + string(e.Label)
 					i, ok := byWord[w]
 					if !ok {

@@ -5,15 +5,14 @@ package graph
 // with the live DB instead of copying it:
 //
 //   - names is an append-only slice, so the view pins a length-capped header;
-//   - out/in adjacency is a fresh outer slice of pinned inner headers — a
-//     later AddEdge appends beyond the pinned length (invisible here) and
-//     removeEdge reallocates the suffix without touching the shared prefix;
+//   - the view holds no adjacency lists: its edges are those of the CSR
+//     Index it carries, pre-warmed at the snapshot, and Out/In list them
+//     from there (the base-plus-overlay Index is exactly the shared-storage
+//     mechanism: an extended successor shares the base CSR arrays with every
+//     older pinned view, and a removal rebuilds into new ones);
 //   - the name→id map is a chain of immutable overlay layers (nameLayer), so
 //     a snapshot costs O(new names) instead of O(all names);
-//   - the CSR Index, alphabet and partition caches are carried
-//     over pre-warmed when current (the base-plus-overlay Index is exactly
-//     the shared-storage mechanism: an extended successor shares the base
-//     CSR arrays with every older pinned view).
+//   - the alphabet is carried over pre-warmed, and the label counts copied.
 //
 // The contract mirrors the rest of the package: Snapshot() itself must be
 // called from the mutator side (never concurrently with Node / AddEdge /
@@ -99,8 +98,6 @@ func (d *DB) Snapshot() *Snapshot {
 	view := &DB{
 		names:  d.names[:n:n],
 		layer:  d.snapLayerFor(n),
-		out:    pinAdj(d.out),
-		in:     pinAdj(d.in),
 		nEdges: d.nEdges,
 		sigma:  cloneSigma(d.sigma),
 
@@ -110,7 +107,9 @@ func (d *DB) Snapshot() *Snapshot {
 	}
 	// Pre-warm the derived-state caches on the writer side so the first
 	// reader on the new view pays nothing: Index/Alphabet are incrementally
-	// maintained on the live DB and shared by pointer.
+	// maintained on the live DB and shared by pointer. The Index is the
+	// view's only copy of its edges, and never goes stale: a frozen view's
+	// revision does not move.
 	view.idx, view.idxVersion = d.Index(), d.version
 	view.alpha, view.alphaOK, view.alphaVersion = d.Alphabet(), true, d.version
 	s := &Snapshot{db: view, rev: d.version}
@@ -125,19 +124,6 @@ func (d *DB) mutable() {
 	if d.frozen {
 		panic("graph: mutation on a read-only snapshot view")
 	}
-}
-
-// pinAdj copies the outer adjacency headers, pinning each inner slice at
-// its current length: a later append on the live DB either writes beyond
-// the pinned length in place (invisible through the pinned header) or
-// relocates, and removals reallocate the suffix (spliceEdge's three-index
-// append never mutates the shared prefix).
-func pinAdj(adj [][]Edge) [][]Edge {
-	out := make([][]Edge, len(adj))
-	for i, es := range adj {
-		out[i] = es[:len(es):len(es)]
-	}
-	return out
 }
 
 func cloneSigma(m map[rune]int) map[rune]int {

@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -104,6 +107,98 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// A view holds no adjacency of its own: after random batches of inserts and
+// removals, each with a view taken after it, every view still reads exactly
+// the edges of its revision — Out, In, Index spans and NumEdges alike — as a
+// fresh database built from them does. With concurrent, a reader goroutine
+// checks each view while the writer goes on.
+func TestSnapshotIsolationRandomBatches(t *testing.T) {
+	for _, concurrent := range []bool{false, true} {
+		t.Run(fmt.Sprintf("concurrent=%v", concurrent), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			d := New()
+			var live []DeltaEdge
+			type pin struct {
+				view  *DB
+				edges []DeltaEdge
+			}
+			var pins []pin
+			var wg sync.WaitGroup
+			for batch := 0; batch < 40; batch++ {
+				var delta Delta
+				for k := rng.Intn(6); k > 0 && len(live) > 0; k-- {
+					i := rng.Intn(len(live))
+					delta.Del = append(delta.Del, live[i])
+					live = append(live[:i], live[i+1:]...)
+				}
+				for k := 1 + rng.Intn(8); k > 0; k-- {
+					e := DeltaEdge{From: fmt.Sprintf("n%d", rng.Intn(30)), Label: rune("ab"[rng.Intn(2)]), To: fmt.Sprintf("n%d", rng.Intn(30))}
+					delta.Add = append(delta.Add, e)
+					live = append(live, e)
+				}
+				if _, err := d.ApplyDelta(delta); err != nil {
+					t.Fatal(err)
+				}
+				p := pin{d.Snapshot().DB(), slices.Clone(live)}
+				pins = append(pins, p)
+				if concurrent {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						checkView(t, p.view, p.edges)
+					}()
+				}
+			}
+			wg.Wait()
+			for _, p := range pins {
+				checkView(t, p.view, p.edges)
+			}
+		})
+	}
+}
+
+// checkView compares view with a fresh database holding edges over view's
+// nodes.
+func checkView(t *testing.T, view *DB, edges []DeltaEdge) {
+	t.Helper()
+	ref := New()
+	for u := range view.NumNodes() {
+		ref.Node(view.Name(u))
+	}
+	for _, e := range edges {
+		ref.AddEdgeNames(e.From, e.Label, e.To)
+	}
+	if view.NumEdges() != ref.NumEdges() {
+		t.Errorf("view at revision %d: %d edges, want %d", view.Revision(), view.NumEdges(), ref.NumEdges())
+		return
+	}
+	sorted := func(es []Edge) []Edge {
+		es = slices.Clone(es)
+		slices.SortFunc(es, func(a, b Edge) int {
+			return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.Label, b.Label), cmp.Compare(a.To, b.To))
+		})
+		return es
+	}
+	vix, rix := view.Index(), ref.Index()
+	for u := range view.NumNodes() {
+		if got, want := sorted(view.Out(u)), sorted(ref.Out(u)); !slices.Equal(got, want) {
+			t.Errorf("view at revision %d: Out(%d) = %v, want %v", view.Revision(), u, got, want)
+		}
+		if got, want := sorted(view.In(u)), sorted(ref.In(u)); !slices.Equal(got, want) {
+			t.Errorf("view at revision %d: In(%d) = %v, want %v", view.Revision(), u, got, want)
+		}
+		for _, r := range "ab" {
+			sortedSpan := func(sp []int32) []int32 { sp = slices.Clone(sp); slices.Sort(sp); return sp }
+			if got, want := sortedSpan(vix.OutByLabel(u, r)), sortedSpan(rix.OutByLabel(u, r)); !slices.Equal(got, want) {
+				t.Errorf("view at revision %d: OutByLabel(%d, %c) = %v, want %v", view.Revision(), u, r, got, want)
+			}
+			if got, want := sortedSpan(vix.InByLabel(u, r)), sortedSpan(rix.InByLabel(u, r)); !slices.Equal(got, want) {
+				t.Errorf("view at revision %d: InByLabel(%d, %c) = %v, want %v", view.Revision(), u, r, got, want)
+			}
+		}
+	}
+}
+
 func TestSnapshotMutatorsPanic(t *testing.T) {
 	d := MustParse("u a v\n")
 	view := d.Snapshot().DB()
@@ -198,4 +293,42 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// BenchmarkSnapshotAfterInsert is one publish of a write path: one edge
+// inserted into a graph of n nodes and 4n edges over two labels, then a
+// Snapshot of the result. The graph is built again, off the clock, every 256
+// inserts, so the index overlay a publish extends stays as small on every
+// run, whatever b.N is.
+func BenchmarkSnapshotAfterInsert(b *testing.B) {
+	labels := []rune{'a', 'b'}
+	for _, n := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			build := func() *DB {
+				rng := rand.New(rand.NewSource(1))
+				d := New()
+				for range n {
+					d.AddNode()
+				}
+				for range 4 * n {
+					d.AddEdge(rng.Intn(n), labels[rng.Intn(2)], rng.Intn(n))
+				}
+				d.Snapshot()
+				return d
+			}
+			rng := rand.New(rand.NewSource(2))
+			d := build()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range b.N {
+				if i > 0 && i%256 == 0 {
+					b.StopTimer()
+					d = build()
+					b.StartTimer()
+				}
+				d.AddEdge(rng.Intn(n), labels[rng.Intn(2)], rng.Intn(n))
+				d.Snapshot()
+			}
+		})
+	}
 }

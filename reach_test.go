@@ -73,6 +73,7 @@ var reachAllow = []struct {
 	{"internal/ecrpq.MustParseQuery", allowVocab, "test fixtures of ecrpq, cxrpq, pattern and the root benchmarks"},
 	{"internal/xregex.MustCompile", allowVocab, "test fixtures of xregex, engine and the root benchmarks"},
 	{"internal/ecrpq.AtomStore.Verdicts", allowVocab, "the stored verdicts the ecrpq and cxrpq store tests compare"},
+	{"internal/graph.DB.In", allowVocab, "the incoming edges the engine tests' reference search walks"},
 	{"internal/pattern.TupleSet.Contains", allowVocab, "answer membership, asserted by the tests of most packages"},
 	{"internal/workload.RandomQuery", allowVocab, "the random query generator of the differential suites"},
 	{"internal/workload.MutationStream", allowVocab, "the random delta generator of the cxrpq store tests"},
