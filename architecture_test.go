@@ -56,10 +56,38 @@ var archRules = []struct {
 	}},
 	// An atom's pairs are stored one way, in the atom store's row tables; the
 	// relation format is left to the benchmark replay's shims (atomrel.go).
+	// An unranked probe reads that table in place, complete or not: no second
+	// path for complete tables (adopt) and no row header per node (probeRow).
+	// The memo holds rows of its own only ranked, with costs, and rowTable's
+	// methods alone index a span cell, which put publishes atomically.
 	{"one stored form of an atom's pairs", "PR 45", func(a arch) {
 		in, _ := a.in("internal/cxrpq/", "internal/ecrpq/atomstore.go", "internal/ecrpq/delta.go", "internal/ecrpq/anyk.go", "internal/ecrpq/evaluator.go", "internal/ecrpq/frontier.go"), a.obj("internal/ecrpq.EdgeRel")
 		a.names(in, "^EdgeRel$")
 		a.typed(in, `\bcxrpq/internal/ecrpq\.EdgeRel\b`)
+		ecrpq := a.in("internal/ecrpq/")
+		a.names(ecrpq, "^(adopt|probeRow)$")
+		if s := types.TypeString(a.obj("internal/ecrpq.probeMemo").Type().Underlying(), nil); s != "struct{tab cxrpq/internal/ecrpq.rowTable; sup []uint64; at []int32; nodes [][]int; costs [][]int32}" {
+			a.t.Errorf("the probe memo holds more than a view of the store's table and its ranked rows: %s", s)
+		}
+		own := map[types.Object]bool{a.field("internal/ecrpq.probeMemo", "at"): true, a.field("internal/ecrpq.probeMemo", "nodes"): true, a.field("internal/ecrpq.probeMemo", "costs"): true}
+		ranked := a.in("internal/ecrpq.probeMemo", "internal/ecrpq.probeMemo.get", "internal/ecrpq.probeAtom.costed")
+		table, _ := a.obj("internal/ecrpq.rowTable").(*types.TypeName)
+		var methods []*srcFile
+		for _, d := range a.methods[table] {
+			methods = append(methods, &srcFile{node: d.node})
+		}
+		span := a.field("internal/ecrpq.rowTable", "span")
+		a.forbid(ecrpq, func(f *srcFile, n ast.Node, o types.Object) bool {
+			if own[o] {
+				return !within(n, ranked)
+			}
+			ix, _ := n.(*ast.IndexExpr)
+			if ix == nil {
+				return false
+			}
+			sel, _ := ix.X.(*ast.SelectorExpr)
+			return sel != nil && f.info.ObjectOf(sel.Sel) == span && !within(n, methods)
+		})
 	}},
 	// AtomStore.Atom alone prints a label and keeps its atom (Query.Validate's
 	// error message aside); the bounded engine prints one, its candidate memo's key.
@@ -183,13 +211,32 @@ var archRules = []struct {
 		writer := a.in("cmd/cxrpq-serve.server.handleUpdate", "cmd/cxrpq-serve.server.close", "cmd/cxrpq-serve.server.handleStats", "cmd/cxrpq-serve/main.go")
 		a.forbid(a.in("cmd/cxrpq-serve/"), func(_ *srcFile, n ast.Node, o types.Object) bool {
 			return strings.HasPrefix(fullName(o), "(*"+rootModule+"/internal/graph.Store).") &&
-				!slices.ContainsFunc(writer, func(f *srcFile) bool { return f.node.Pos() <= n.Pos() && n.End() <= f.node.End() })
+				!within(n, writer)
 		})
 		a.names(a.files, "^(AppendSide|SideRecords|recoverCursors|persistCursor)$")
 	}},
 }
 
 func isGo(n ast.Node) bool { _, ok := n.(*ast.GoStmt); return ok }
+
+// within reports whether n lies inside one of in.
+func within(n ast.Node, in []*srcFile) bool {
+	return slices.ContainsFunc(in, func(f *srcFile) bool { return f.node.Pos() <= n.Pos() && n.End() <= f.node.End() })
+}
+
+// field returns the field name of the struct type key declares, or fails as
+// stale and returns one nothing uses.
+func (a arch) field(key, name string) types.Object {
+	if st, ok := a.obj(key).Type().Underlying().(*types.Struct); ok {
+		for i := range st.NumFields() {
+			if st.Field(i).Name() == name {
+				return st.Field(i)
+			}
+		}
+	}
+	a.t.Errorf("stale: %s has no field %s", key, name)
+	return types.NewLabel(token.NoPos, nil, name)
+}
 
 func TestArchitecture(t *testing.T) {
 	for _, r := range archRules {
@@ -258,7 +305,7 @@ func (a arch) names(files []*srcFile, re string) {
 func (a arch) only(files []*srcFile, key string, allowed ...string) {
 	obj, in := a.obj(key), a.in(allowed...)
 	a.forbid(files, func(_ *srcFile, n ast.Node, o types.Object) bool {
-		return o == obj && n.Pos() != obj.Pos() && !slices.ContainsFunc(in, func(f *srcFile) bool { return f.node.Pos() <= n.Pos() && n.End() <= f.node.End() })
+		return o == obj && n.Pos() != obj.Pos() && !within(n, in)
 	})
 }
 

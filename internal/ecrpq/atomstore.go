@@ -112,7 +112,8 @@ const (
 
 // atomEntry holds what is known about one atom. Fields are read and written
 // under atomFacts.mu; the values they point to are immutable but for the
-// span of a row table still being filled, which only this entry holds, and
+// span cells of a row table still being filled, which only this entry holds
+// and publishes to the readers of its header one atomic store at a time, and
 // the arena cells past every holder's length (rowTable). A stale entry is
 // never written: settling replaces it.
 type atomEntry struct {
@@ -132,6 +133,14 @@ type atomEntry struct {
 // two slice headers. Rows are handed out capacity-limited: an append by a
 // holder reallocates instead of writing into the next row.
 //
+// A filed row is read without the lock, through a copy of the header the
+// store handed out (AtomStore.rows): put appends a row's cells and then
+// publishes its span cell by an atomic store, the only write a cell of a
+// handed-out span ever sees, and get loads the cell atomically. A row filed
+// after the copy was taken lies past the copy's arena — which claim may
+// have moved — and get reports it as not filed: the reader asks the store,
+// which hands out the header again. Reads under the lock stay plain.
+//
 // The versions of a table — the one an entry fills, its copies carried to
 // later revisions, the ones settling derives from them — share one
 // append-only arena, and tail, the length of it claimed so far. Each version
@@ -139,7 +148,8 @@ type atomEntry struct {
 // and writes past it only after a compare-and-swap has moved tail from
 // exactly that length (claim): so the first version to grow from a length
 // appends in place, and any other copies what it reads into an arena of its
-// own.
+// own. A table's arenas, before and after claim copies one, hold the same
+// cells below the shorter's length.
 type rowTable struct {
 	arena []int
 	tail  *atomic.Int64 // shared by every version over arena; nil with no arena
@@ -153,13 +163,17 @@ func (t *rowTable) complete() bool { return t.span != nil && t.filed == len(t.sp
 // with the growth slack, shared or not.
 func (t *rowTable) bytes() int64 { return 8 * int64(len(t.span)+cap(t.arena)) }
 
-// get returns the row of node u, and whether it is filed.
+// get returns the row of node u, and whether it is filed in t's arena: one
+// filed past it since t was copied reads as not filed (see rowTable).
 func (t *rowTable) get(u int) ([]int, bool) {
-	if uint(u) >= uint(len(t.span)) || t.span[u] == 0 {
+	if uint(u) >= uint(len(t.span)) {
 		return nil, false
 	}
-	sp := t.span[u] - 1
-	lo, hi := int(sp>>32), int(sp>>32)+int(uint32(sp))
+	sp := atomic.LoadUint64(&t.span[u])
+	lo, hi := int((sp-1)>>32), int((sp-1)>>32)+int(uint32(sp-1))
+	if sp == 0 || hi > len(t.arena) {
+		return nil, false
+	}
 	return t.arena[lo:hi:hi], true
 }
 
@@ -183,13 +197,15 @@ func (t *rowTable) file(u int, row []int) {
 	t.put(u, row)
 }
 
-// put files row as u's at the end of the arena, room for which is claimed.
+// put files row as u's at the end of the arena, room for which is claimed:
+// its cells first, then its span cell, atomically (see rowTable).
 func (t *rowTable) put(u int, row []int) {
 	if t.span[u] == 0 {
 		t.filed++
 	}
-	t.span[u] = 1 + (uint64(len(t.arena))<<32 | uint64(len(row)))
+	sp := 1 + (uint64(len(t.arena))<<32 | uint64(len(row)))
 	t.arena = append(t.arena, row...)
+	atomic.StoreUint64(&t.span[u], sp)
 }
 
 // support returns the nodes with a non-empty row, as a bitset.
@@ -685,111 +701,107 @@ func (s *AtomStore) support(a *Atom, targets bool, bud *engine.Budget) ([]uint64
 		func(e *atomEntry, sup []uint64) { e.sup[d] = sup })
 }
 
-// rows resolves into out the probe rows of nodes — the targets of each when
-// forward, else its sources: from the direction's row table — the inversion
-// of the other direction's when that one is complete (invert) — and the rows
-// found in neither by one kernel call outside the lock (engine.Reach for one
-// node, engine.ReachBatchEx for more), which are filed unless the budget cut
-// it (cut: those rows may be missing nodes); a nil out only files them. Only
-// cost-free rows are shared: under o.Levels or o.Weight every row is searched
-// for the caller alone, with its costs, and filed nowhere.
-func (s *AtomStore) rows(a *Atom, forward bool, nodes []int, o engine.ReachOpts, out []probeRow) (cut bool) {
-	d, shared := side(!forward), !o.Levels && o.Weight == nil
+// rows has a's row table of one direction — the targets of each node when
+// forward, else its sources — hold the rows of nodes, and returns a copy of
+// its header, taken under the lock after any filing, which reads them
+// without it (rowTable.get), with the support filed for that side (nil
+// until one is). The table is the inversion of the other direction's when
+// that one is complete (invert); the rows it lacks are searched by one
+// kernel call outside the lock (search) and filed, unless the budget cut it:
+// cut then holds the rows found for the nodes the table lacked, in their
+// order in nodes, which are filed nowhere. With no nodes it only hands out
+// the header. A request the table answers whole is a hit.
+func (s *AtomStore) rows(a *Atom, forward bool, nodes []int, bud *engine.Budget) (t rowTable, sup []uint64, cut [][]int) {
+	d := side(!forward)
 	missing := nodes // the nodes to search, in the order of nodes
-	if shared {
-		s.mu.Lock()
-		e, _ := s.current(a.key, o.Budget) // nil when the budget cut its settle: the search below is cut too
-		if e != nil {
-			s.invert(e, d)
-		}
-		if e != nil && e.rows[d].span != nil {
+	s.mu.Lock()
+	e, _ := s.current(a.key, bud) // nil when the budget cut its settle: the search below is cut too
+	if e != nil {
+		s.invert(e, d)
+		t, sup = e.rows[d], e.sup[d]
+		if t.complete() {
+			missing = nil
+		} else if t.span != nil {
 			missing = nil
 			for i, u := range nodes {
-				row, ok := e.rows[d].get(u)
-				if !ok {
+				if _, ok := t.get(u); !ok {
 					if missing == nil {
 						missing = make([]int, 0, len(nodes)-i)
 					}
 					missing = append(missing, u)
-				} else if out != nil {
-					out[i].nodes = row
 				}
 			}
 		}
-		s.mu.Unlock()
-		if len(missing) == 0 {
-			s.ctr.hits.Add(1)
-			return false
-		}
 	}
+	s.mu.Unlock()
+	if len(missing) == 0 {
+		s.ctr.hits.Add(1)
+		return t, sup, nil
+	}
+	hits, _, truncated := s.search(a, forward, missing, engine.ReachOpts{Budget: bud})
+	if truncated {
+		return t, sup, hits
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, before, ok := s.entry(a, bud)
+	if !ok {
+		return t, sup, hits
+	}
+	if tb := &e.rows[d]; tb.fill(s.db.NumNodes(), missing, hits) && e.sup[d] == nil {
+		e.sup[d] = tb.support()
+	}
+	s.grew(e, before)
+	return e.rows[d], e.sup[d], nil
+}
+
+// search finds the rows of nodes by one kernel call outside the lock —
+// engine.Reach for one node, engine.ReachBatchEx for more — and counts a
+// miss: the targets of each when forward, else its sources, with their
+// costs under o.Levels or o.Weight. cut says the budget cut it: rows may
+// then miss nodes. It files nothing: rows files cost-free rows, and a ranked
+// evaluation holds its rows with costs itself (probeAtom.costed).
+func (s *AtomStore) search(a *Atom, forward bool, nodes []int, o engine.ReachOpts) (hits [][]int, levs [][]int32, cut bool) {
 	s.ctr.misses.Add(1)
 	o.Count = &s.ctr.kernel
 	c := a.cache
 	if !forward {
 		c = a.reverse()
 	}
-	var h1 [1][]int
-	var l1 [1][]int32
-	hits, levs := h1[:], l1[:]
-	if len(missing) == 1 {
-		h1[0], l1[0] = engine.Reach(s.db.Index(), c, missing[0], forward, o)
-		cut = o.Budget.Canceled()
-	} else {
-		res := engine.ReachBatchEx(s.db.Index(), c, missing, forward, o)
-		hits, levs, cut = res.Hits, res.Levs, res.Truncated
-	}
-	for i, k := 0, 0; out != nil && k < len(missing); i++ { // missing is a subsequence of nodes
-		if nodes[i] == missing[k] {
-			out[i].nodes = hits[k]
-			if levs != nil {
-				out[i].costs = levs[k]
-			}
-			k++
+	if len(nodes) == 1 {
+		h, l := engine.Reach(s.db.Index(), c, nodes[0], forward, o)
+		if hits = [][]int{h}; o.Levels || o.Weight != nil {
+			levs = [][]int32{l}
 		}
+		return hits, levs, o.Budget.Canceled()
 	}
-	if shared && !cut {
-		s.mu.Lock()
-		if e, before, ok := s.entry(a, o.Budget); ok {
-			if t := &e.rows[d]; t.fill(s.db.NumNodes(), missing, hits) && e.sup[d] == nil {
-				e.sup[d] = t.support()
-			}
-			s.grew(e, before)
-		}
-		s.mu.Unlock()
-	}
-	return cut
-}
-
-// adopt reports whether the memo reads a complete row table of the store in
-// place, taking it and its support — one hit — if the rows are shared.
-func (p *probeAtom) adopt(forward bool) bool {
-	m, s, d := p.memo(forward), p.ev.store, side(!forward)
-	if m.tab.span == nil && !p.ev.ranked {
-		s.mu.Lock()
-		if e, _ := s.current(p.atom.key, p.ev.bud); e != nil && (e.rows[d].complete() || s.invert(e, d)) {
-			m.tab, m.sup = e.rows[d], e.sup[d]
-			s.ctr.hits.Add(1)
-		}
-		s.mu.Unlock()
-	}
-	return m.tab.span != nil
+	res := engine.ReachBatchEx(s.db.Index(), c, nodes, forward, o)
+	return res.Hits, res.Levs, res.Truncated
 }
 
 // invert files, as e's complete table of side d, the inversion of its
 // complete table of the other side, with its support, unless d's is complete
-// already or the other one is not; it reports whether it filed one. A row of
-// the inversion lists its nodes ascending, as a search does, so a join reads
-// the rows a reversed-automaton sweep would have found, and no such sweep
-// runs. The caller holds s.mu.
-func (s *AtomStore) invert(e *atomEntry, d int) bool {
-	src := &e.rows[1-d]
-	if e.rows[d].complete() || !src.complete() {
-		return false
+// already or the other one is not. The caller holds s.mu.
+func (s *AtomStore) invert(e *atomEntry, d int) {
+	if e.rows[d].complete() || !e.rows[1-d].complete() {
+		return
 	}
-	n, before := len(src.span), e.size()
+	before := e.size()
+	if e.rows[d] = e.rows[1-d].inverted(); e.sup[d] == nil {
+		e.sup[d] = e.rows[d].support()
+	}
+	s.grew(e, before)
+}
+
+// inverted returns the inversion of t, a complete table: the row of v lists
+// the nodes whose rows hold v, ascending, as a search does, so a join reads
+// the rows a reversed-automaton sweep would have found, and no such sweep
+// runs. It is built whole before anyone holds it.
+func (t *rowTable) inverted() rowTable {
+	n := len(t.span)
 	at := make([]int, n+1) // at[v+1]: the rows holding v, then where v's row ends
 	for u := range n {     // the filed rows only: a carried arena may hold dead ones
-		row, _ := src.get(u)
+		row, _ := t.get(u)
 		for _, v := range row {
 			at[v+1]++
 		}
@@ -797,24 +809,19 @@ func (s *AtomStore) invert(e *atomEntry, d int) bool {
 	for v := range n {
 		at[v+1] += at[v]
 	}
-	t := rowTable{arena: make([]int, at[n]), tail: new(atomic.Int64), span: make([]uint64, n), filed: n}
-	t.tail.Store(int64(at[n]))
+	inv := rowTable{arena: make([]int, at[n]), tail: new(atomic.Int64), span: make([]uint64, n), filed: n}
+	inv.tail.Store(int64(at[n]))
 	for v := range n {
-		t.span[v] = 1 + (uint64(at[v])<<32 | uint64(at[v+1]-at[v]))
+		inv.span[v] = 1 + (uint64(at[v])<<32 | uint64(at[v+1]-at[v]))
 	}
-	for u := range n { // u ascending: every row of t comes out sorted
-		row, _ := src.get(u)
+	for u := range n { // u ascending: every row comes out sorted
+		row, _ := t.get(u)
 		for _, v := range row {
-			t.arena[at[v]] = u
+			inv.arena[at[v]] = u
 			at[v]++
 		}
 	}
-	e.rows[d] = t
-	if e.sup[d] == nil {
-		e.sup[d] = t.support()
-	}
-	s.grew(e, before)
-	return true
+	return inv
 }
 
 // PathExists reports whether some path of the database matches a — whether

@@ -371,8 +371,8 @@ func TestAtomStoreRowsDifferential(t *testing.T) {
 	}
 	before := store.Stats()
 	for u := 0; u < n; u++ {
-		fw, _ := ev.atoms[0].probe(u, true)
-		bw, _ := ev.atoms[0].probe(u, false)
+		fw, _, _ := ev.atoms[0].probe(u, true)
+		bw, _, _ := ev.atoms[0].probe(u, false)
 		wantBw, _ := want.backward(u)
 		if !slices.Equal(fw, want.Forward(u)) || !slices.Equal(bw, wantBw) {
 			t.Fatalf("node %d: probes read %v / %v over the complete table, want %v / %v", u, fw, bw, want.Forward(u), wantBw)
@@ -527,7 +527,7 @@ func TestAtomStoreKernelCounters(t *testing.T) {
 		u++
 	}
 	before := store.Stats().Kernel
-	store.rows(a, true, []int{u}, engine.ReachOpts{}, make([]probeRow, 1))
+	store.rows(a, true, []int{u}, nil)
 	after := store.Stats().Kernel
 	if after.Batches != before.Batches+1 || after.Sources != before.Sources+1 || after.Edges == before.Edges {
 		t.Fatalf("a probe of node %d counted as %+v after %+v, want one batch of one source", u, after, before)
@@ -537,7 +537,7 @@ func TestAtomStoreKernelCounters(t *testing.T) {
 	for u := range all {
 		all[u] = u
 	}
-	store.rows(a, true, all, engine.ReachOpts{Weight: func(rune) int32 { return 2 }}, make([]probeRow, n))
+	store.search(a, true, all, engine.ReachOpts{Weight: func(rune) int32 { return 2 }})
 	after = store.Stats().Kernel
 	if after.Batches != before.Batches+n || after.Sources != before.Sources+n || after.Edges == before.Edges {
 		t.Fatalf("weighted rows of %d nodes counted as %+v after %+v, want one batch per source", n, after, before)
@@ -674,6 +674,81 @@ func TestAtomStoreCompleteRows(t *testing.T) {
 		if err != nil || !slices.Equal(tb.support, want) {
 			t.Errorf("%q, direction %d: support filed at completion %v, a sweep on a fresh copy %v (%v)", tb.e.atom.key, tb.d, bitList(tb.support), bitList(want), err)
 		}
+	}
+}
+
+// TestTableViewsUnderFiling: many readers and many filers share each row
+// table of one store. Reader goroutines run lazy and materializing
+// evaluations of texts that share atoms — reading the store's tables in
+// place, through the header each was last handed — while filer goroutines
+// file rows of the same atoms, in both directions and at random nodes, a
+// few at a time, so the tables grow and their arenas move under the
+// readers. Every answer equals a single-goroutine evaluation on a fresh
+// store. Under -race it also holds that a span cell is published by an
+// atomic store after its row's cells.
+func TestTableViewsUnderFiling(t *testing.T) {
+	t.Parallel()
+	const n = 120
+	newDB := func() *graph.DB { return probeRandomDB(23, n, 2*n, "ab") }
+	sigma := []rune("ab")
+	labels := []string{"a(a|b)*", "b+", "(a|b)+", "ab|ba"}
+	texts := []string{
+		"ans(x, z)\nx y : a(a|b)*\ny z : b+",
+		"ans(x, y)\nx y : (a|b)+\ny z : ab|ba",
+		"ans(y, x)\nx y : b+\ny x : a(a|b)*",
+		"ans(x)\nx y : ab|ba\nz x : (a|b)+",
+	}
+	queries := make([]*Query, len(texts))
+	wants := make([]*pattern.TupleSet, len(texts))
+	for i, text := range texts {
+		q, err := ParseQuery(text, sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wants[i], err = Eval(q, newDB()); err != nil || wants[i].Len() == 0 {
+			t.Fatalf("%q on a fresh store: no answers (%v), the case is not exercised", text, err)
+		}
+		queries[i] = q
+	}
+	for round := 0; round < 3; round++ {
+		db := newDB()
+		store := Atoms(db)
+		atoms := make([]*Atom, len(labels))
+		for i, l := range labels {
+			atoms[i] = atomOf(t, store, xregex.MustParse(l), sigma)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(2)
+			go func() { // a reader
+				defer wg.Done()
+				for i := range 2 * len(queries) {
+					k, lazy := (i+g)%len(queries), (i+g+round)%2 == 0
+					ev, err := newEvaluator(queries[k], db, Options{}, lazy)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got := pattern.NewTupleSet()
+					ev.stream(nil, func(row []int32, _ int) bool { got.AddRow(row); return true })
+					if got.Settle(); !got.Equal(wants[k]) {
+						t.Errorf("round %d, reader %d, lazy %v, %q: %d answers, a fresh store %d", round, g, lazy, texts[k], got.Len(), wants[k].Len())
+					}
+				}
+			}()
+			go func() { // a filer
+				defer wg.Done()
+				r := &testRNG{s: uint64(100*round + g + 1)}
+				for range 150 {
+					nodes := make([]int, 1+r.intn(4))
+					for i := range nodes {
+						nodes[i] = r.intn(n)
+					}
+					store.rows(atoms[r.intn(len(atoms))], r.intn(2) == 0, nodes, nil)
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

@@ -70,13 +70,13 @@ func TestPrefetchMatchesSingle(t *testing.T) {
 		evB.atoms[ei].prefetch(all, false)
 		for u := 0; u < db.NumNodes(); u++ {
 			evS := rankedEvaluator(t, q, db)
-			fh, fl := evF.atoms[ei].probe(u, true)
-			sh, sl := evS.atoms[ei].probe(u, true)
+			fh, fl, _ := evF.atoms[ei].probe(u, true)
+			sh, sl, _ := evS.atoms[ei].probe(u, true)
 			if fmt.Sprint(fh) != fmt.Sprint(sh) || fmt.Sprint(fl) != fmt.Sprint(sl) {
 				t.Fatalf("edge %d fwd src %d: batch (%v,%v) single (%v,%v)", ei, u, fh, fl, sh, sl)
 			}
-			bh, bl := evB.atoms[ei].probe(u, false)
-			bh2, bl2 := evS.atoms[ei].probe(u, false)
+			bh, bl, _ := evB.atoms[ei].probe(u, false)
+			bh2, bl2, _ := evS.atoms[ei].probe(u, false)
 			if fmt.Sprint(bh) != fmt.Sprint(bh2) || fmt.Sprint(bl) != fmt.Sprint(bl2) {
 				t.Fatalf("edge %d bwd tgt %d: batch (%v,%v) single (%v,%v)", ei, u, bh, bl, bh2, bl2)
 			}
@@ -95,7 +95,7 @@ func TestBackwardAgainstForward(t *testing.T) {
 	ev := rankedEvaluator(t, q, db)
 	fdist := map[[2]int]int32{}
 	for u := 0; u < db.NumNodes(); u++ {
-		hits, levs := ev.atoms[0].probe(u, true)
+		hits, levs, _ := ev.atoms[0].probe(u, true)
 		for i, v := range hits {
 			fdist[[2]int{u, v}] = levs[i]
 		}
@@ -107,7 +107,7 @@ func TestBackwardAgainstForward(t *testing.T) {
 	}
 	evB.atoms[0].prefetch(all, false)
 	for v := 0; v < db.NumNodes(); v++ {
-		bh, bl := evB.atoms[0].probe(v, false)
+		bh, bl, _ := evB.atoms[0].probe(v, false)
 		for i, u := range bh {
 			if want := fdist[[2]int{u, v}]; bl[i] != want {
 				t.Fatalf("batch backward: dist(%d->%d) = %d, forward says %d", u, v, bl[i], want)

@@ -125,7 +125,7 @@ func readFacts(t *testing.T, s *AtomStore, r *testRNG) {
 			case 0:
 				_, err = tableRel(s, a, nil)
 			case 1:
-				if p := leafAtom(s, a, nil); p.complete() == nil || !p.adopt(false) {
+				if p := leafAtom(s, a, nil); p.complete() == nil || !p.view(false) {
 					t.Fatal("no complete table, or no inversion of it")
 				}
 			case 2, 3:
@@ -137,13 +137,13 @@ func readFacts(t *testing.T, s *AtomStore, r *testRNG) {
 						nodes = append(nodes, u)
 					}
 				}
-				s.rows(a, r.intn(2) == 0, nodes, engine.ReachOpts{}, make([]probeRow, len(nodes)))
+				s.rows(a, r.intn(2) == 0, nodes, nil)
 			case 6:
 				nodes := make([]int, n)
 				for u := range nodes {
 					nodes[u] = u
 				}
-				s.rows(a, r.intn(2) == 0, nodes, engine.ReachOpts{}, make([]probeRow, n))
+				s.rows(a, r.intn(2) == 0, nodes, nil)
 			case 7:
 				_, err = s.PathExists(a, nil)
 			}
@@ -296,7 +296,7 @@ func TestCarryRunsNoSearch(t *testing.T) {
 	}
 	for _, src := range carryLabels {
 		a := atomOf(t, s, xregex.MustParse(src), carrySigma)
-		s.rows(a, false, all, engine.ReachOpts{}, make([]probeRow, len(all))) // searched: not the inversion of the forward table
+		s.rows(a, false, all, nil) // searched: not the inversion of the forward table
 		if _, err := s.support(a, false, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +343,7 @@ func TestSettleHonorsBudget(t *testing.T) {
 	var atoms []*Atom
 	for _, src := range carryLabels {
 		a := atomOf(t, s, xregex.MustParse(src), carrySigma)
-		s.rows(a, false, all, engine.ReachOpts{}, make([]probeRow, len(all)))
+		s.rows(a, false, all, nil)
 		if _, err := s.support(a, true, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -377,7 +377,7 @@ func TestSettleHonorsBudget(t *testing.T) {
 		if _, err := s.PathExists(a, expired); !errors.Is(err, engine.ErrCanceled) {
 			t.Fatalf("%s: a verdict read past its deadline: %v, want ErrCanceled", a.key, err)
 		}
-		if !s.rows(a, true, all, engine.ReachOpts{Budget: expired}, make([]probeRow, len(all))) {
+		if _, _, cut := s.rows(a, true, all, expired); cut == nil {
 			t.Fatalf("%s: a row read past its deadline was not cut", a.key)
 		}
 	}
@@ -442,8 +442,8 @@ func TestCarriedViewsIsolated(t *testing.T) {
 		if i%2 == 1 {
 			nodes = half // a table still being filled
 		}
-		s0.rows(a, true, nodes, engine.ReachOpts{}, make([]probeRow, len(nodes)))
-		s0.rows(a, false, nodes, engine.ReachOpts{}, make([]probeRow, len(nodes)))
+		s0.rows(a, true, nodes, nil)
+		s0.rows(a, false, nodes, nil)
 		if _, err := s0.support(a, i%3 == 0, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -481,11 +481,11 @@ func TestCarriedViewsIsolated(t *testing.T) {
 							nodes = append(nodes, u)
 						}
 					}
-					out := make([]probeRow, len(nodes))
-					s.rows(a, forward, nodes, engine.ReachOpts{}, out)
-					for i, u := range nodes {
-						if want := refRow(ref, ra, u, forward); !rowEqual(out[i].nodes, want) {
-							t.Errorf("view at %d: %s: row of %d is %v, fresh %v", s.rev, src, u, out[i].nodes, want)
+					view, _, _ := s.rows(a, forward, nodes, nil)
+					for _, u := range nodes {
+						got, _ := view.get(u)
+						if want := refRow(ref, ra, u, forward); !rowEqual(got, want) {
+							t.Errorf("view at %d: %s: row of %d is %v, fresh %v", s.rev, src, u, got, want)
 						}
 					}
 					targets := r.intn(2) == 0

@@ -59,7 +59,7 @@ func tableRel(s *AtomStore, a *Atom, bud *engine.Budget) (*EdgeRel, error) {
 	}
 	r := &EdgeRel{fwd: make([][]int, s.db.NumNodes())}
 	for u := range r.fwd {
-		r.fwd[u], _ = p.probe(u, true)
+		r.fwd[u], _, _ = p.probe(u, true)
 		r.size += len(r.fwd[u])
 	}
 	return r, nil

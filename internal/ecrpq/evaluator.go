@@ -51,15 +51,6 @@ type evaluator struct {
 	lazy bool
 }
 
-// rankedWeight returns the weight to hand the kernels: only a ranked
-// evaluation consumes cost data, so unranked runs keep the plain BFS.
-func (ev *evaluator) rankedWeight() engine.Weight {
-	if !ev.ranked {
-		return nil
-	}
-	return ev.weight
-}
-
 // init binds ev to q over db under o.
 func (ev *evaluator) init(q *Query, db *graph.DB, o Options, lazy bool) error {
 	if err := q.Validate(); err != nil {
@@ -96,42 +87,42 @@ func (ev *evaluator) init(q *Query, db *graph.DB, o Options, lazy bool) error {
 	return nil
 }
 
-// probeAtom is the lazily probed atomSource of one pattern edge: product
-// searches memoized per node and direction. A miss asks the atom store for
-// one row (AtomStore.rows: a stored row, else one single-source search); prefetch asks it for many nodes at once, which it searches through
-// the multi-source kernel, and every driver that knows a set of nodes it is
-// about to ask for — the scan, the frontier pass of a materializing run
-// (frontier.go), the best-first driver's cohorts — goes through it. The memo
-// is the evaluator's lock-free view of what it was handed.
+// probeAtom is the lazily probed atomSource of one pattern edge. Unranked,
+// each direction reads the atom store's row table in place, complete or
+// not, through the memo's copy of its header; a row the copy lacks is asked
+// of the store (AtomStore.rows: a stored row, else one single-source search,
+// filed), which hands out the header again. prefetch asks it for many nodes
+// at once, which it searches through the multi-source kernel, and every
+// driver that knows a set of nodes it is about to ask for — the scan, the
+// frontier pass of a materializing run (frontier.go), the best-first
+// driver's cohorts — goes through it. Ranked, the rows carry costs, and the
+// memo holds those it searched for this evaluation alone (costed).
 type probeAtom struct {
 	ev       *evaluator
 	atom     *Atom // the edge's label over the evaluation's Σ, held by the store
 	fwd, rev probeMemo
 }
 
-type probeRow struct {
-	nodes []int
-	costs []int32 // nil unless the evaluator is ranked
-}
-
-// probeMemo is one direction's memo: the rows probed so far, found through a
-// dense node index, so a lookup on the join's inner path is two loads and no
-// hashing. The index is allocated when the first row arrives.
+// probeMemo is one direction's memo: unranked, a view of the store's table
+// and the support filed with it; ranked, the rows with costs searched so
+// far, found through a dense node index, so a lookup on the join's inner
+// path is two loads and no hashing either way.
 type probeMemo struct {
-	tab  rowTable // the store's complete table, read in place instead, once adopted
-	at   []int32  // [node] -> 1 + position in rows; 0 = not probed
-	rows []probeRow
-	sup  []uint64 // the nodes with a non-empty row, once asked for (support)
+	tab   rowTable // a copy of the store's table header, read without the lock
+	sup   []uint64 // the nodes with a non-empty row, once asked for (support) or filed with a complete table
+	at    []int32  // ranked: [node] -> 1 + position in nodes; 0 = not probed
+	nodes [][]int  // ranked: the rows searched, and their costs
+	costs [][]int32
 }
 
-func (m *probeMemo) get(u int) (probeRow, bool) {
-	if nodes, ok := m.tab.get(u); ok {
-		return probeRow{nodes: nodes}, true
+func (m *probeMemo) get(u int) ([]int, []int32, bool) {
+	if ws, ok := m.tab.get(u); ok {
+		return ws, nil, true
 	}
 	if uint(u) >= uint(len(m.at)) || m.at[u] == 0 {
-		return probeRow{}, false
+		return nil, nil, false
 	}
-	return m.rows[m.at[u]-1], true
+	return m.nodes[m.at[u]-1], m.costs[m.at[u]-1], true
 }
 
 // memo returns the memo of one search direction.
@@ -142,89 +133,105 @@ func (p *probeAtom) memo(forward bool) *probeMemo {
 	return &p.rev
 }
 
-// fetch asks the atom store for the rows of nodes, written straight into the
-// tail of the memo, and returns them; it indexes them — allocating the index
-// on first use — unless the budget cut the search: a truncated list would
-// poison later lookups. An out-of-range node (which has no hits) is not
-// indexed. Ranked evaluations get rows with costs, searched for them alone.
-func (p *probeAtom) fetch(nodes []int, forward bool) []probeRow {
+// fetch has the store's table hold the rows of nodes, searching those it
+// lacks, and takes its header again, with the support filed for it. A
+// search the budget cut returns its rows, for the nodes the table lacked in
+// their order in nodes: they are kept nowhere, since a truncated list would
+// poison later lookups.
+func (p *probeAtom) fetch(nodes []int, forward bool) (cut [][]int) {
+	m := p.memo(forward)
+	t, sup, cut := p.ev.store.rows(p.atom, forward, nodes, p.ev.bud)
+	if m.tab = t; sup != nil {
+		m.sup = sup
+	}
+	return cut
+}
+
+// view has the memo take the store's table as it is, unless it views a
+// complete one already, and reports whether it does: a scan then walks its
+// support instead of every node. A ranked memo views no table.
+func (p *probeAtom) view(forward bool) bool {
+	m := p.memo(forward)
+	if !p.ev.ranked && !m.tab.complete() {
+		p.fetch(nil, forward)
+	}
+	return m.tab.complete()
+}
+
+// costed searches the rows of nodes with their costs for this ranked
+// evaluation alone and returns them, indexed in the memo — allocating the
+// index on first use — unless the budget cut the search (cut). An
+// out-of-range node (which has no hits) is not indexed.
+func (p *probeAtom) costed(nodes []int, forward bool) (rows [][]int, costs [][]int32, cut bool) {
 	ev, m := p.ev, p.memo(forward)
-	k := len(m.rows)
-	m.rows = slices.Grow(m.rows, len(nodes))[:k+len(nodes)]
-	out := m.rows[k:]
-	clear(out)
-	if ev.store.rows(p.atom, forward, nodes, engine.ReachOpts{Budget: ev.bud, Levels: ev.ranked, Weight: ev.rankedWeight()}, out) {
-		m.rows = m.rows[:k]
-		return out
+	rows, costs, cut = ev.store.search(p.atom, forward, nodes, engine.ReachOpts{Budget: ev.bud, Levels: true, Weight: ev.weight})
+	if cut {
+		return rows, costs, true
 	}
 	if m.at == nil {
 		m.at = make([]int32, ev.ix.NumNodes())
 	}
 	for i, u := range nodes {
 		if uint(u) < uint(len(m.at)) {
-			m.at[u] = int32(k + i + 1)
+			m.at[u] = int32(len(m.nodes) + i + 1)
 		}
 	}
-	return out
+	m.nodes, m.costs = append(m.nodes, rows...), append(m.costs, costs...)
+	return rows, costs, false
 }
 
 // probe returns the nodes reachable from node through a path matching the
 // edge's regex — targets when forward, sources otherwise — with their costs
-// when ranked. The first miss of a direction adopts the store's complete
-// table if it holds one. A search cut short by the budget is returned for the
-// current unwinding but never memoized.
-func (p *probeAtom) probe(node int, forward bool) ([]int, []int32) {
+// when ranked: from the view, else the ranked memo, else by one request to
+// the store. A search cut short by the budget is returned for the current
+// unwinding, ok false (the list may then miss nodes), but never memoized.
+func (p *probeAtom) probe(node int, forward bool) (ws []int, ds []int32, ok bool) {
 	m := p.memo(forward)
 	if ws, ok := m.tab.get(node); ok { // inlined: the join's inner path
-		return ws, nil
+		return ws, nil, true
 	}
-	if r, ok := m.get(node); ok {
-		return r.nodes, r.costs
+	if ws, ds, ok := m.get(node); ok {
+		return ws, ds, true
 	}
-	if m.at == nil && p.adopt(forward) {
-		ws, _ := m.tab.get(node)
-		return ws, nil
+	one := []int{node}
+	if p.ev.ranked {
+		rows, costs, cut := p.costed(one, forward)
+		return rows[0], costs[0], !cut
 	}
-	r := p.fetch([]int{node}, forward)[0]
-	return r.nodes, r.costs
+	if cut := p.fetch(one, forward); cut != nil {
+		return cut[0], nil, false
+	}
+	ws, ok = m.tab.get(node)
+	return ws, nil, ok
 }
 
-// row is probe's node list, with ok false when the budget cut its search
-// (the list may then miss nodes).
-func (p *probeAtom) row(node int, forward bool) (nodes []int, ok bool) {
-	nodes, _ = p.probe(node, forward)
-	_, ok = p.memo(forward).get(node)
-	return nodes, ok
-}
-
-// prefetch fills the memo for exactly the given (in-range) nodes by one store
-// request, which searches the nodes it holds no row for in one multi-source
+// prefetch has the memo hold exactly the given (in-range) nodes by one store
+// request, which searches those it holds no row for in one multi-source
 // sweep (engine.ReachBatchEx: one batch per 64 nodes) instead of one search
-// each. A truncated sweep memoizes nothing. A complete table is adopted, and
-// an unranked request for every node only files the rows, which complete the
-// store's table, and adopts that: no memo row is built that the table hides.
+// each. A view of a complete table holds them all already; a truncated
+// sweep memoizes nothing.
 func (p *probeAtom) prefetch(nodes []int, forward bool) {
-	memo, ev := p.memo(forward), p.ev
-	missing := nodes
-	if len(memo.rows) > 0 {
-		missing = nil // usually stays so: the frontier pass has been here
-		for _, u := range nodes {
-			if _, ok := memo.get(u); !ok {
-				missing = append(missing, u)
-			}
-		}
-	}
-	if len(missing) == 0 || p.adopt(forward) {
+	m := p.memo(forward)
+	if m.tab.complete() {
 		return
 	}
-	if !ev.ranked && len(missing) == ev.ix.NumNodes() {
-		ev.store.rows(p.atom, forward, missing, engine.ReachOpts{Budget: ev.bud}, nil)
-		if p.adopt(forward) || ev.bud.Canceled() {
-			return
+	missing := nodes
+	for i, u := range nodes {
+		if _, _, ok := m.get(u); ok { // usually none is: the first request of the direction
+			missing = nodes[:i:i]
+			for _, u := range nodes[i+1:] {
+				if _, _, ok := m.get(u); !ok {
+					missing = append(missing, u)
+				}
+			}
+			break
 		}
 	}
-	p.fetch(missing, forward)
-	p.adopt(forward) // the sweep may have completed the table
+	if len(missing) > 0 && p.ev.ranked {
+		p.costed(missing, forward)
+	} else if len(missing) > 0 {
+		p.fetch(missing, forward)
+	}
 }
 
 // support is the atom store's support bitset in place of a row per node: the
@@ -238,49 +245,49 @@ func (p *probeAtom) support(forward bool) []uint64 {
 	return memo.sup
 }
 
-func (p *probeAtom) forward(u int) ([]int, []int32)  { return p.probe(u, true) }
-func (p *probeAtom) backward(v int) ([]int, []int32) { return p.probe(v, false) }
+func (p *probeAtom) forward(u int) ([]int, []int32)  { ws, ds, _ := p.probe(u, true); return ws, ds }
+func (p *probeAtom) backward(v int) ([]int, []int32) { ws, ds, _ := p.probe(v, false); return ws, ds }
 
-// scanNext walks every node: over a complete table the support's set bits,
-// a lazy run polling its budget every 256. Else a materializing evaluation
-// prefetches them all in one sweep; a lazy one walks escalating chunks (1, 4,
-// 16, 64, then 256-wide) so the first row costs one small batch, while the
-// geometric growth keeps the full drain within a constant factor of the sweep.
+// scanNext walks every node. It first takes the store's table as it is:
+// over a complete one it walks the support's set bits, a lazy run polling
+// its budget every 256. Else a materializing evaluation prefetches them all
+// in one sweep, which completes the store's table unless it is ranked; a
+// lazy one walks escalating chunks (1, 4, 16, 64, then 256-wide) so the
+// first row costs one small batch, while the geometric growth keeps the full
+// drain within a constant factor of the sweep.
 func (p *probeAtom) scanNext(forward bool, c *scanCursor) (int, []int, []int32, bool) {
 	m, ev := p.memo(forward), p.ev
+	n := ev.db.NumNodes()
 	if c.chunk == 0 {
-		c.tab, c.chunk = p.adopt(forward), max(ev.db.NumNodes(), 1)
-		if ev.lazy {
+		if c.chunk = max(n, 1); ev.lazy {
 			c.chunk = 1
 		}
+		p.view(forward)
 	}
-	if c.tab {
-		u := nextBit(m.sup, c.next)
-		if u < 0 || ev.lazy && c.k%256 == 0 && ev.bud.Canceled() {
-			return 0, nil, nil, false
+	for c.next < n {
+		if m.tab.complete() && m.sup != nil {
+			u := nextBit(m.sup, c.next)
+			if u < 0 || ev.lazy && c.k%256 == 0 && ev.bud.Canceled() {
+				return 0, nil, nil, false
+			}
+			c.k, c.next = c.k+1, u+1
+			ws, _ := m.tab.get(u)
+			return u, ws, nil, true
 		}
-		c.k, c.next = c.k+1, u+1
-		ws, _ := m.tab.get(u)
-		return u, ws, nil, true
-	}
-	for n := ev.db.NumNodes(); c.next < n; {
 		if c.next == c.hi {
 			if ev.lazy && ev.bud.Canceled() {
 				return 0, nil, nil, false
 			}
 			c.hi = min(c.next+c.chunk, n)
-			srcs := make([]int, 0, c.hi-c.next)
-			for u := c.next; u < c.hi; u++ {
-				srcs = append(srcs, u)
-			}
-			p.prefetch(srcs, forward)
+			p.prefetch(ev.nodes()[c.next:c.hi], forward)
 			if c.chunk < 256 {
 				c.chunk *= 4
 			}
+			continue
 		}
 		u := c.next
 		c.next++
-		if ws, ds := p.probe(u, forward); len(ws) > 0 {
+		if ws, ds, _ := p.probe(u, forward); len(ws) > 0 {
 			return u, ws, ds, true
 		}
 	}

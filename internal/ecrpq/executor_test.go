@@ -314,13 +314,14 @@ func TestProbeHonoursBudget(t *testing.T) {
 		node    int
 	}{{true, first}, {false, last}} {
 		atom := &ev.atoms[0]
-		if hits, _ := atom.probe(dir.node, dir.forward); len(hits) >= n {
+		if hits, _, _ := atom.probe(dir.node, dir.forward); len(hits) >= n {
 			t.Fatalf("forward=%v: probe under a spent budget ran to completion (%d hits)", dir.forward, len(hits))
 		}
-		if len(atom.fwd.rows)+len(atom.rev.rows) != 0 {
-			t.Fatalf("forward=%v: truncated probe was memoized", dir.forward)
+		_, _, memoized := atom.memo(dir.forward).get(dir.node)
+		if _, filed := storedRow(ev.store, atom.atom, dir.forward, dir.node); memoized || filed {
+			t.Fatalf("forward=%v: truncated probe was memoized (%v) or filed (%v)", dir.forward, memoized, filed)
 		}
-		if hits, _ := fresh.atoms[0].probe(dir.node, dir.forward); len(hits) != n {
+		if hits, _, _ := fresh.atoms[0].probe(dir.node, dir.forward); len(hits) != n {
 			t.Fatalf("forward=%v: unbudgeted probe found %d hits, want %d", dir.forward, len(hits), n)
 		}
 	}
@@ -387,9 +388,9 @@ func TestFrontierProbeHonoursBudget(t *testing.T) {
 					if !forward {
 						want, _ = rel.backward(u)
 					}
-					memoRow, memoized := ev.atoms[i].memo(forward).get(u)
+					memoRow, _, memoized := ev.atoms[i].memo(forward).get(u)
 					stored, filed := storedRow(ev.store, ev.atoms[i].atom, forward, u)
-					if memoized && !slices.Equal(memoRow.nodes, want) || filed && !slices.Equal(stored, want) {
+					if memoized && !slices.Equal(memoRow, want) || filed && !slices.Equal(stored, want) {
 						t.Fatalf("%d polls: atom %d forward=%v node %d holds a row of a truncated sweep", polls, i, forward, u)
 					}
 					if memoized || filed {
@@ -423,12 +424,6 @@ func TestRunBudgetGrain(t *testing.T) {
 	full, err := Eval(q, db)
 	if err != nil || full.Len() < 10*runPollEvery {
 		t.Fatalf("Eval = %d rows, %v: too few to cut", full.Len(), err)
-	}
-	memoized := func(ev *evaluator) (n int) {
-		for i := range ev.atoms {
-			n += len(ev.atoms[i].fwd.rows) + len(ev.atoms[i].rev.rows)
-		}
-		return n
 	}
 	for _, lazy := range []bool{false, true} {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -486,20 +481,14 @@ func TestFrontierProbesInBatches(t *testing.T) {
 	if max := uint64(len(p.steps) * ((n + 63) / 64)); swept == 0 || swept > max {
 		t.Fatalf("the frontier pass ran %d kernel batches, want 1..%d", swept, max)
 	}
-	memoized := func() (rows int) {
-		for i := range ev.atoms {
-			rows += len(ev.atoms[i].fwd.rows) + len(ev.atoms[i].rev.rows)
-		}
-		return rows
-	}
-	before, answers := memoized(), 0
+	before, answers := memoized(ev), 0
 	p.stream(nil, func([]int32, int) bool { answers++; return true })
 	if answers == 0 {
 		t.Fatal("the chain has no answers: the case is not exercised")
 	}
 	// Every probe miss memoizes its row, so an unchanged memo means the join
 	// ran no search of its own.
-	if after := memoized(); after != before {
+	if after := memoized(ev); after != before {
 		t.Fatalf("the join probed %d nodes the frontier pass had not", after-before)
 	}
 	if ran := kernel().Batches - start; ran != swept {
@@ -510,10 +499,10 @@ func TestFrontierProbesInBatches(t *testing.T) {
 // A warm store skips the frontier pass. Once an eval has completed every
 // table the plan reads — a scanned atom read again from a bound node, and a
 // third atom answered from its support — a second materialising run's pass
-// makes no store lookup (the join adopts each table itself) and its join
+// makes no store lookup (the join takes each table itself) and its join
 // finds the same rows; on a cold store the pass runs, and its sweep of every
-// node for the scan only completes the store's table, which the memo then
-// reads; a plan whose only cold table is its first stops the pass after it.
+// node for the scan completes the store's table, which the memo then reads
+// in place; a plan whose only cold table is its first stops the pass after it.
 // After an insertion carried the entries stale, the check settles nothing.
 func TestFrontierPassSkipsCompleteTables(t *testing.T) {
 	db := randomDB(3, 200, 500, "ab")
@@ -543,8 +532,8 @@ func TestFrontierPassSkipsCompleteTables(t *testing.T) {
 	}
 	// The scan asked for every node: its sweep completed the store's table,
 	// which the memo reads in place, with no memo row of its own.
-	if scan := p.steps[0].src.(*probeAtom); scan.fwd.tab.span == nil || len(scan.fwd.rows) != 0 {
-		t.Fatalf("the scan's memo holds %d rows of its own (table adopted: %v)", len(scan.fwd.rows), scan.fwd.tab.span != nil)
+	if scan := p.steps[0].src.(*probeAtom); !scan.fwd.tab.complete() || scan.fwd.at != nil {
+		t.Fatalf("the scan's memo holds %d rows of its own (a view of the complete table: %v)", len(scan.fwd.nodes), scan.fwd.tab.complete())
 	}
 	want, err := Eval(q, db)
 	if err != nil {
@@ -587,7 +576,7 @@ func TestFrontierPassSkipsCompleteTables(t *testing.T) {
 		t.Fatalf("the pass would fill up to step %d, want 0", last)
 	}
 	ev2.probeFrontiers(p2)
-	if second := p2.steps[1].src.(*probeAtom); second.fwd.tab.span != nil || len(second.fwd.rows) != 0 {
+	if second := p2.steps[1].src.(*probeAtom); second.fwd.tab.span != nil || second.fwd.at != nil {
 		t.Fatal("the pass went on past the last step whose table it completes")
 	}
 	want2, err := Eval(q2, db)
@@ -702,8 +691,8 @@ func TestFindWitnessParallelAtoms(t *testing.T) {
 // "fill", a new evaluator's prefetch of every node, and "hit", the lookup the
 // join makes once per binding. The store is the database's and outlives the
 // evaluators, so only the first fill runs the batched kernel: every timed one
-// adopts the complete row table it left (a view, no row copied), and "hit"
-// reads that view.
+// takes the header of the complete row table it left (a view, no row
+// copied), and "hit" reads that view.
 func BenchmarkProbeMemo(b *testing.B) {
 	db := probeRandomDB(3, 5000, 7000, "abc")
 	q, err := ParseQuery("ans(x, y)\nx y : a(b|c)*", []rune("abc"))

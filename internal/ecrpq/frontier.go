@@ -20,9 +20,9 @@ import (
 // the join will not read, never an answer.
 //
 // A warm store often holds complete every table the join reads: the join
-// then adopts each one on its first probe, and the pass would fill no memo.
-// So the pass runs only up to the last step whose table is not complete
-// (lastFill), and not at all when there is none.
+// then reads each one in place from its first probe, and the pass would
+// have the store file nothing. So the pass runs only up to the last step
+// whose table is not complete (lastFill), and not at all when there is none.
 
 // probeFrontiers runs the pass over p. It stops at the first step it cannot
 // model — a relation group, an atom that is not a lazily probed one — or
@@ -69,18 +69,18 @@ func (ev *evaluator) probeFrontiers(p *plan) {
 		}
 		srcs := cand[near]
 		scan := srcs == nil
-		walk := scan && (sup != nil || pa.adopt(forward)) // a sup is this memo's (support)
-		if scan && !walk {
-			srcs = ev.nodes() // every node, until the store holds the table
-		}
 		if sup == nil {
+			if scan && !pa.view(forward) {
+				srcs = ev.nodes() // every node: the sweep completes the store's table, unranked
+			}
 			pa.prefetch(srcs, forward)
 		}
 		if ev.bud.Canceled() || i == last || probeOf(i+1) == nil {
 			return
 		}
-		if walk {
-			srcs = bitList(pa.memo(forward).sup) // the nodes with a row, not every node
+		memo := pa.memo(forward)
+		if scan && (sup != nil || memo.tab.complete()) {
+			srcs = bitList(memo.sup) // the nodes with a row, not every node; a sup is this memo's (support)
 		}
 
 		// Narrow the near slot to the nodes with a partner, and collect the
@@ -91,15 +91,14 @@ func (ev *evaluator) probeFrontiers(p *plan) {
 		for _, w := range cand[far] {
 			bitSet(want, w)
 		}
-		memo := pa.memo(forward)
 		kept := make([]int, 0, len(srcs))
 		for _, u := range srcs {
-			var row probeRow // stays empty under a support: the bitset decides
+			var row []int // stays empty under a support: the bitset decides
 			if sup == nil {
-				row, _ = memo.get(u)
+				row, _, _ = memo.get(u)
 			}
 			matched := sup != nil && bitHas(sup, u)
-			for _, w := range row.nodes {
+			for _, w := range row {
 				if (near == far && w != u) || (farKnown && !bitHas(want, w)) {
 					continue
 				}
@@ -126,8 +125,8 @@ func (ev *evaluator) probeFrontiers(p *plan) {
 // the steps it would model, the last that the join does not answer from a
 // support and that reads, in the direction the join walks it, a row table
 // the store does not hold complete at its revision; -1 when there is none.
-// It only looks: it settles no stale entry, files no inversion and adopts
-// nothing. For a ranked run, whose rows carry costs, and a plan of over 64
+// It only looks: it settles no stale entry, files no inversion and takes
+// no header. For a ranked run, whose rows carry costs, and a plan of over 64
 // slots it returns the last step.
 func (ev *evaluator) lastFill(p *plan) int {
 	if ev.ranked || len(p.vars) > 64 {

@@ -169,7 +169,7 @@ func (g *groupStep) open(f *frame, l int, a []int32) bool {
 	}
 	nodes, row := g.ev.db.NumNodes(), g.ev.nodes()
 	for i, pt := range g.partners[l] {
-		r, ok := pt.atom.row(int(a[pt.near]), pt.forward)
+		r, _, ok := pt.atom.probe(int(a[pt.near]), pt.forward)
 		if !ok {
 			g.sc.cut = true
 			return false
@@ -402,7 +402,7 @@ func newGroupScratch(ev *evaluator, g Group) *groupScratch {
 		sc.caches[i] = ev.atoms[ei].atom.cache
 		sc.live[i].c = sc.caches[i]
 	}
-	if ev.rankedWeight() != nil {
+	if ev.ranked && ev.weight != nil {
 		sc.wsym = make([]int32, ev.ix.NumSyms())
 		for sy := range sc.wsym {
 			sc.wsym[sy] = ev.symCost(ev.ix.Sym(int32(sy)))

@@ -81,8 +81,8 @@ func partnerMeets(t *testing.T, q *Query, db *graph.DB, pre map[string]int) (sma
 			}
 			for u := range db.NumNodes() {
 				for v := range db.NumNodes() {
-					r0, _ := pts[0].atom.row(u, pts[0].forward)
-					r1, _ := pts[1].atom.row(v, pts[1].forward)
+					r0, _, _ := pts[0].atom.probe(u, pts[0].forward)
+					r1, _, _ := pts[1].atom.probe(v, pts[1].forward)
 					if pts[0].near == pts[1].near && u != v || len(r0) == 0 || len(r1) == 0 {
 						continue
 					}

@@ -179,34 +179,18 @@ func (l *Leaf) Set(ei int, a *Atom) (bool, error) {
 	return slices.ContainsFunc(sup, func(w uint64) bool { return w != 0 }), nil
 }
 
-// complete adopts the store's complete forward table, searching the rows it
-// lacks first, and returns its support; nil when the budget cut the search.
-// The search files its rows in the store only: the memo reads the table in
-// place. Should an eviction drop the table before it is adopted, the memo
-// searches every row again and holds them, and its support is theirs.
+// complete has the store's forward table hold every node's row, searching
+// the rows it lacks, and returns its support; nil when the budget cut the
+// search. The memo reads the table in place. An eviction between the
+// store's look and its filing can drop rows the look found: the memo then
+// asks again.
 func (p *probeAtom) complete() []uint64 {
-	m, ev := &p.fwd, p.ev
-	if p.adopt(true) {
-		return m.sup
-	}
-	all := ev.nodes()
-	if ev.store.rows(p.atom, true, all, engine.ReachOpts{Budget: ev.bud}, nil) {
-		return nil
-	}
-	if p.adopt(true) {
-		return m.sup
-	}
-	rows := p.fetch(all, true)
-	if m.at == nil { // cut: nothing indexed
-		return nil
-	}
-	m.sup = make([]uint64, (len(all)+63)/64)
-	for u, r := range rows {
-		if len(r.nodes) > 0 {
-			bitSet(m.sup, u)
+	for !p.view(true) && p.ev.ix.NumNodes() > 0 {
+		if p.fetch(p.ev.nodes(), true) != nil {
+			return nil
 		}
 	}
-	return m.sup
+	return p.fwd.sup
 }
 
 // plan returns plans[i] over the atoms the leaf joins: its own, in the query

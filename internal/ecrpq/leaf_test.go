@@ -34,7 +34,7 @@ func TestInvertedTableMatchesSweep(t *testing.T) {
 					t.Fatalf("seed %d step %d %s: no complete forward table", seed, step, src)
 				}
 				kernel := s.Stats().Kernel
-				if !p.adopt(false) {
+				if !p.view(false) {
 					t.Fatalf("seed %d step %d %s: the complete forward table answered no backward table", seed, step, src)
 				}
 				if st := s.Stats(); st.Kernel != kernel {
@@ -53,9 +53,9 @@ func TestInvertedTableMatchesSweep(t *testing.T) {
 }
 
 // TestColdSetIndexesNothing: a cold Set on an edge whose endpoints are both
-// read searches the rows the store lacks, files them as a complete table and
-// adopts it; it indexes none of them into the probe memo, which reads the
-// table in place.
+// read searches the rows the store lacks and files them as a complete table;
+// it indexes none of them into the probe memo, which reads the table in
+// place.
 func TestColdSetIndexesNothing(t *testing.T) {
 	t.Parallel()
 	db := randomDB(5, 60, 150, "ab")
@@ -65,15 +65,29 @@ func TestColdSetIndexesNothing(t *testing.T) {
 		t.Fatalf("Set = %v, %v; want a non-empty atom", ok, err)
 	}
 	fwd := &l.ev.atoms[0].fwd
-	if fwd.tab.span == nil {
-		t.Fatal("the leaf did not adopt the complete table")
+	if !fwd.tab.complete() {
+		t.Fatal("the leaf reads no complete table")
 	}
-	if fwd.at != nil || fwd.rows != nil {
-		t.Fatalf("the cold Set indexed %d rows (an index of %d nodes) into the memo", len(fwd.rows), len(fwd.at))
+	if fwd.at != nil || fwd.nodes != nil {
+		t.Fatalf("the cold Set indexed %d rows (an index of %d nodes) into the memo", len(fwd.nodes), len(fwd.at))
 	}
 	for u := range db.NumNodes() {
 		if got, _ := fwd.tab.get(u); !rowEqual(got, refRow(db, l.ev.atoms[0].atom, u, true)) {
 			t.Fatalf("row of %d is %v, a sweep %v", u, got, refRow(db, l.ev.atoms[0].atom, u, true))
 		}
 	}
+}
+
+// memoized counts the rows ev's probe memos hold (probedRows).
+func memoized(ev *evaluator) (n int) {
+	for i := range ev.atoms {
+		n += probedRows(&ev.atoms[i])
+	}
+	return n
+}
+
+// probedRows counts the rows p's memos hold: those of the store's tables
+// they view, and their own ranked ones.
+func probedRows(p *probeAtom) int {
+	return p.fwd.tab.filed + p.rev.tab.filed + len(p.fwd.nodes) + len(p.rev.nodes)
 }

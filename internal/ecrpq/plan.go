@@ -102,11 +102,10 @@ type atomSource interface {
 
 // scanCursor is where a scan stands: the next node to look at and, while a
 // probe scan walks chunks, the end of the chunk prefetched and the width of
-// the next (0 before the first call); tab says it walks a complete table's
-// support.
+// the next (0 before the first call); k counts the rows a walk of a complete
+// table's support has returned.
 type scanCursor struct {
 	next, hi, chunk, k int
-	tab                bool
 }
 
 // plan is one conjunct compiled for execution.

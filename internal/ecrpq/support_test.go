@@ -116,7 +116,7 @@ func TestSupportMatchesRelation(t *testing.T) {
 				if got := bitList(atom.support(forward)); fmt.Sprint(got) != fmt.Sprint(want[i]) {
 					t.Fatalf("%s: support(forward=%v) = %v, the relation has %v", name, forward, got, want[i])
 				}
-				if len(atom.fwd.rows)+len(atom.rev.rows) != 0 {
+				if probedRows(atom) != 0 {
 					t.Fatalf("%s: the support probed rows", name)
 				}
 				kern := store.Stats().Kernel
@@ -203,9 +203,9 @@ func TestSupportAnswersUnreadEndpoint(t *testing.T) {
 				switch {
 				case ranked && (sup != nil || other != nil):
 					t.Fatalf("%s lazy=%v: a ranked run asked for a support", tc.name, lazy)
-				case !ranked && (sup == nil || other != nil || len(a.fwd.rows)+len(a.rev.rows) != 0):
+				case !ranked && (sup == nil || other != nil || probedRows(a) != 0):
 					t.Fatalf("%s lazy=%v: support %v, other direction %v, %d rows probed; want the one support and no row",
-						tc.name, lazy, sup != nil, other != nil, len(a.fwd.rows)+len(a.rev.rows))
+						tc.name, lazy, sup != nil, other != nil, probedRows(a))
 				}
 			}
 		}
