@@ -215,6 +215,15 @@ var archRules = []struct {
 		})
 		a.names(a.files, "^(AppendSide|SideRecords|recoverCursors|persistCursor)$")
 	}},
+	// The store reads only what it writes: a version-2 log of delta records
+	// and a version-2 checkpoint. No reader or writer of version-1 frames or
+	// side records comes back, in tests either.
+	{"one on-disk format", "ROADMAP item 29", func(a arch) {
+		a.names(append(a.in("internal/graph/"), a.tests...), "^(frameHeaderV1|sideFromRev|appendFrameV1|encodeWALSideRecord)$")
+		if s := types.TypeString(a.obj("internal/graph.walRecord").Type().Underlying(), nil); s != "struct{FromRev uint64; ToRev uint64; Delta cxrpq/internal/graph.Delta}" {
+			a.t.Errorf("a WAL record holds more than its window and its batch: %s", s)
+		}
+	}},
 }
 
 func isGo(n ast.Node) bool { _, ok := n.(*ast.GoStmt); return ok }

@@ -31,8 +31,9 @@
 //	                     fsync per SyncEvery) with automatic checkpoints,
 //	                     torn-tail-tolerant crash recovery (OpenStore)
 //	                     and log-tailing read-only followers
-//	                     (OpenFollower); sentinel frames of older logs
-//	                     are skipped
+//	                     (OpenFollower), one replay loop for both; it
+//	                     reads only the version-2 log and checkpoint it
+//	                     writes and refuses anything else
 //	internal/engine      the product-reachability core shared by every
 //	                     evaluation path: integer-interned graph×NFA BFS
 //	                     with bitset visited sets (Reach) and the

@@ -13,6 +13,7 @@ import (
 	"io"
 	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -441,12 +442,12 @@ func (d *DB) Write(w io.Writer) error {
 // the output reconstructs isolated nodes, the exact name→id assignment, and
 // the revision lineage — everything the WAL checkpoint needs — and ReadFull
 // refuses it damaged. Plain Read treats the directives and the trailer as
-// comments, so a checkpoint file still loads as a graph with older tooling
-// (minus isolated nodes).
+// comments, so a checkpoint file still loads as a graph (minus isolated
+// nodes).
 func (d *DB) WriteFull(w io.Writer) error {
 	sum := &sumWriter{w: w, h: crc32.NewIEEE()}
 	bw := bufio.NewWriter(sum)
-	if _, err := fmt.Fprintf(bw, "#cxrpq v2 rev=%d\n", d.version); err != nil {
+	if _, err := fmt.Fprintf(bw, checkpointHeader+"%d\n", d.version); err != nil {
 		return err
 	}
 	for _, name := range d.names {
@@ -464,9 +465,13 @@ func (d *DB) WriteFull(w io.Writer) error {
 	return err
 }
 
-// checkpointTrailer is the last line of a version-2 checkpoint: the byte
-// count and CRC-32 (IEEE) of everything before it.
-const checkpointTrailer = "#cxrpq end bytes=%d crc=%08x\n"
+// checkpointHeader begins a version-2 checkpoint's first line, which ends in
+// the revision; checkpointTrailer is its last line: the byte count and
+// CRC-32 (IEEE) of everything before it.
+const (
+	checkpointHeader  = "#cxrpq v2 rev="
+	checkpointTrailer = "#cxrpq end bytes=%d crc=%08x\n"
+)
 
 // sumWriter passes writes through to w, counting and checksumming them.
 type sumWriter struct {
@@ -482,60 +487,50 @@ func (s *sumWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// checkedBody returns the part of a checkpoint before its trailer, checked
-// against it: a version-2 checkpoint — one whose first line is a v2 header
-// or whose last line is a trailer — must end in the trailer of everything
-// before it, so a changed, lost or added byte anywhere is refused. Anything
-// else (a "#cxrpq v1" checkpoint, a plain edge list) is returned whole.
-func checkedBody(data []byte) ([]byte, error) {
+// checkedBody returns the revision a checkpoint's header declares and the
+// part of the checkpoint before its trailer, checked against it: the first
+// line must be a version-2 header and the last the trailer of everything
+// before it, so a changed, lost or added byte anywhere is refused, and so is
+// anything else — a "#cxrpq v1" checkpoint, a plain edge list.
+func checkedBody(data []byte) (uint64, []byte, error) {
+	first, _, _ := bytes.Cut(data, []byte("\n"))
+	v, ok := bytes.CutPrefix(first, []byte(checkpointHeader))
+	rev, err := strconv.ParseUint(string(v), 10, 64)
+	if !ok || err != nil {
+		return 0, nil, fmt.Errorf("graph: not a version-2 checkpoint: its first line is %.80q", first)
+	}
 	end := len(data)
 	if end > 0 && data[end-1] == '\n' {
 		end--
 	}
 	at := bytes.LastIndexByte(data[:end], '\n') + 1
 	trailer := data[at:]
-	if !bytes.HasPrefix(data, []byte("#cxrpq v2 ")) && !bytes.HasPrefix(trailer, []byte("#cxrpq end ")) {
-		return data, nil
-	}
 	if want := fmt.Sprintf(checkpointTrailer, at, crc32.ChecksumIEEE(data[:at])); string(trailer) != want {
-		return nil, fmt.Errorf("graph: checkpoint damaged: its last line is %.80q, the content before it checks as %q", trailer, strings.TrimSuffix(want, "\n"))
+		return 0, nil, fmt.Errorf("graph: checkpoint damaged: its last line is %.80q, the content before it checks as %q", trailer, strings.TrimSuffix(want, "\n"))
 	}
-	return data[:at], nil
+	return rev, data[:at], nil
 }
 
-// ReadFull parses the WriteFull checkpoint format, version 2 or 1, after
-// checking a version-2 file against its trailer (checkedBody). "#node"
-// directives are interned in file order (restoring the id assignment),
-// "#cxrpq ... rev=R" pins the revision counter, and every remaining line —
-// including lines whose from-node happens to start with '#', which plain
-// Read would drop as comments — is parsed as an edge when its first field
-// names a declared node. Lines starting with '#' that do not resolve to a
-// declared node stay comments, keeping ReadFull a superset of Read.
+// ReadFull parses the WriteFull checkpoint format after checking it against
+// its header and trailer (checkedBody). "#node" directives are interned in
+// file order (restoring the id assignment), the header pins the revision
+// counter, and every remaining line — including lines whose from-node
+// happens to start with '#', which plain Read would drop as comments — is
+// parsed as an edge when its first field names a declared node. Lines
+// starting with '#' that do not resolve to a declared node are comments.
 func ReadFull(r io.Reader) (*DB, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	body, err := checkedBody(data)
+	rev, body, err := checkedBody(data)
 	if err != nil {
 		return nil, err
 	}
 	d := New()
-	var rev uint64
-	haveRev := false
 	err = eachLine(bytes.NewReader(body), func(lineNo int, line string) error {
 		switch {
-		case line == "":
-			return nil
-		case strings.HasPrefix(line, "#cxrpq "):
-			for _, f := range strings.Fields(line)[1:] {
-				if v, ok := strings.CutPrefix(f, "rev="); ok {
-					if _, err := fmt.Sscanf(v, "%d", &rev); err != nil {
-						return fmt.Errorf("graph: line %d: bad rev %q", lineNo, v)
-					}
-					haveRev = true
-				}
-			}
+		case line == "" || lineNo == 1: // the header, read by checkedBody
 			return nil
 		case strings.HasPrefix(line, "#node "):
 			d.Node(strings.TrimSpace(strings.TrimPrefix(line, "#node ")))
@@ -555,9 +550,7 @@ func ReadFull(r io.Reader) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	if haveRev {
-		d.forceRevision(rev)
-	}
+	d.forceRevision(rev)
 	return d, nil
 }
 

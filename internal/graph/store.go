@@ -6,15 +6,19 @@ package graph
 //
 //	checkpoint.graph      last durable checkpoint (WriteFull format)
 //	wal.log               delta records applied since that checkpoint
-//	                      (wal.go: a version-2 log; a v1 one is replayed
-//	                      and checkpointed away at open)
+//	                      (wal.go: a version-2 log)
+//
+// The store reads only what it writes: a checkpoint that is not version 2
+// or a log that is not version 2 fails the open, and the files are left as
+// they were.
 //
 // Recovery protocol (Open): load the checkpoint if present (else start
 // empty), scan the WAL, truncate a torn tail (a crash mid-append — that
 // batch was never acknowledged), and replay every record whose window
-// extends past the checkpoint revision. Replay is deterministic: ApplyDelta
-// validates removals first and interns nodes in request order, so the
-// rebuilt lineage reproduces the original revision numbers exactly.
+// extends past the checkpoint revision (replay, which a follower's Poll runs
+// too). Replay is deterministic: ApplyDelta validates removals first and
+// interns nodes in request order, so the rebuilt lineage reproduces the
+// original revision numbers exactly.
 //
 // Write protocol (Append): the caller applies the batch to its live DB
 // first (validation and revision assignment), then appends the framed
@@ -23,7 +27,6 @@ package graph
 // a temp file, fsyncs, renames over checkpoint.graph, then truncates the
 // WAL; records already covered by the checkpoint revision are skipped on
 // replay, so a crash anywhere in that sequence recovers consistently.
-// Sentinel frames of older logs (wal.go) are skipped.
 
 import (
 	"errors"
@@ -98,16 +101,14 @@ type Store struct {
 }
 
 // OpenStore opens (or initializes) the store directory and recovers the
-// database from checkpoint + WAL replay. A non-empty version-1 WAL is
-// checkpointed before OpenStore returns, so every frame the store appends
-// starts or continues a version-2 log.
+// database from checkpoint + WAL replay.
 func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	s := &Store{dir: dir, opts: opts}
-	db, valid, replayed, v1, err := recoverDB(dir)
+	db, valid, replayed, err := recoverDB(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -126,55 +127,60 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 		return nil, err
 	}
 	s.c.walBytes.Store(valid)
-	if v1 && valid > 0 {
-		if err := s.Checkpoint(); err != nil {
-			s.wal.Close()
-			return nil, fmt.Errorf("graph: checkpointing a version-1 wal: %w", err)
-		}
-	}
 	return s, nil
 }
 
 // recoverDB loads checkpoint + WAL from dir and returns the recovered
-// database, the valid WAL prefix length, the number of replayed delta
-// records, and whether the WAL is a version-1 log.
-func recoverDB(dir string) (*DB, int64, int, bool, error) {
+// database, the valid WAL prefix length and the number of replayed delta
+// records.
+func recoverDB(dir string) (*DB, int64, int, error) {
 	db := New()
 	if f, err := os.Open(filepath.Join(dir, checkpointFile)); err == nil {
 		db, err = func() (*DB, error) { defer f.Close(); return ReadFull(f) }()
 		if err != nil {
-			return nil, 0, 0, false, fmt.Errorf("graph: loading checkpoint: %w", err)
+			return nil, 0, 0, fmt.Errorf("graph: loading checkpoint: %w", err)
 		}
 	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, 0, 0, false, err
+		return nil, 0, 0, err
 	}
 	buf, err := os.ReadFile(filepath.Join(dir, walFile))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, 0, 0, false, err
+		return nil, 0, 0, err
 	}
-	recs, valid, v1, err := parseWAL(buf)
+	recs, valid, err := parseWAL(buf)
 	if err != nil {
-		return nil, 0, 0, false, err
+		return nil, 0, 0, err
 	}
-	replayed := 0
+	replayed, err := replay(db, recs)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return db, int64(valid), replayed, nil
+}
+
+// replay applies to db, in order, the records whose windows extend past its
+// revision — the others the checkpoint covers — and returns how many it
+// applied. A record must continue db's revision, and applying it must reach
+// the revision it declares; either failure is ErrWALCorrupt.
+func replay(db *DB, recs []walRecord) (applied int, err error) {
 	for _, rec := range recs {
-		if rec.Side || rec.ToRev <= db.Revision() {
-			continue // an older log's side frame, or covered by the checkpoint
+		if rec.ToRev <= db.Revision() {
+			continue
 		}
 		if rec.FromRev != db.Revision() {
-			return nil, 0, 0, false, fmt.Errorf("%w: record window (%d,%d] does not continue revision %d",
+			return applied, fmt.Errorf("%w: record window (%d,%d] does not continue revision %d",
 				ErrWALCorrupt, rec.FromRev, rec.ToRev, db.Revision())
 		}
 		if _, err := db.ApplyDelta(rec.Delta); err != nil {
-			return nil, 0, 0, false, fmt.Errorf("graph: wal replay: %w", err)
+			return applied, fmt.Errorf("graph: wal replay: %w", err)
 		}
+		applied++
 		if db.Revision() != rec.ToRev {
-			return nil, 0, 0, false, fmt.Errorf("%w: replay reached revision %d, record declares %d",
+			return applied, fmt.Errorf("%w: replay reached revision %d, record declares %d",
 				ErrWALCorrupt, db.Revision(), rec.ToRev)
 		}
-		replayed++
 	}
-	return db, int64(valid), replayed, v1, nil
+	return applied, nil
 }
 
 // DB returns the recovered database. The caller owns mutations on it and
@@ -216,7 +222,7 @@ func (e *CheckpointError) Unwrap() error { return e.Err }
 // one write.
 func (s *Store) frameStart() []byte {
 	if s.c.walBytes.Load() == 0 {
-		return appendWALHeader(s.buf[:0])
+		return append(s.buf[:0], walHeader...)
 	}
 	return s.buf[:0]
 }
@@ -312,18 +318,17 @@ type Follower struct {
 	dir      string
 	db       *DB
 	off      int64
-	v1       bool // the WAL read up to off is a version-1 log
 	replayed atomic.Uint64
 	reloads  atomic.Uint64
 }
 
 // OpenFollower opens a read-only view of a store directory.
 func OpenFollower(dir string) (*Follower, error) {
-	db, valid, replayed, v1, err := recoverDB(dir)
+	db, valid, replayed, err := recoverDB(dir)
 	if err != nil {
 		return nil, err
 	}
-	f := &Follower{dir: dir, db: db, off: valid, v1: v1}
+	f := &Follower{dir: dir, db: db, off: valid}
 	f.replayed.Store(uint64(replayed))
 	return f, nil
 }
@@ -369,33 +374,25 @@ func (f *Follower) Poll() (int, error) {
 	if err != nil && !errors.Is(err, io.EOF) {
 		return 0, err
 	}
-	var recs []walRecord
-	var valid int
+	parse := parseFrames
 	if f.off == 0 { // from the file header
-		recs, valid, f.v1, err = parseWAL(buf[:n])
-	} else {
-		recs, valid, err = parseFrames(buf[:n], f.v1)
+		parse = parseWAL
 	}
-	if err != nil {
-		// Misaligned tail: the leader checkpointed and the new WAL already
-		// grew past our stale offset, so we read from mid-frame. A reload
-		// from the checkpoint resolves it (genuine corruption resurfaces
-		// there as an error).
+	recs, valid, err := parse(buf[:n])
+	applied := 0
+	if err == nil {
+		applied, err = replay(f.db, recs)
+		f.replayed.Add(uint64(applied))
+	}
+	if errors.Is(err, ErrWALCorrupt) {
+		// A misaligned tail or a revision gap: the leader checkpointed and
+		// the new WAL already grew past our stale offset, so we read from
+		// mid-frame or a later generation. A reload from the checkpoint
+		// resolves it; genuine corruption resurfaces there as an error.
 		return f.reload()
 	}
-	applied := 0
-	for _, rec := range recs {
-		if rec.Side || rec.ToRev <= f.db.Revision() {
-			continue
-		}
-		if rec.FromRev != f.db.Revision() {
-			return f.reload() // revision gap: same stale-offset cause
-		}
-		if _, err := f.db.ApplyDelta(rec.Delta); err != nil {
-			return applied, fmt.Errorf("graph: follower replay: %w", err)
-		}
-		applied++
-		f.replayed.Add(1)
+	if err != nil {
+		return applied, err
 	}
 	f.off += int64(valid)
 	return applied, nil
@@ -405,12 +402,12 @@ func (f *Follower) Poll() (int, error) {
 // transiently older than the follower's state (we raced the leader's
 // checkpoint rename), the current state is kept and the next Poll retries.
 func (f *Follower) reload() (int, error) {
-	db, valid, replayed, v1, err := recoverDB(f.dir)
+	db, valid, replayed, err := recoverDB(f.dir)
 	if err != nil || db.Revision() < f.db.Revision() {
 		return 0, err
 	}
 	applied := int(db.Revision() - f.db.Revision())
-	f.db, f.off, f.v1 = db, valid, v1
+	f.db, f.off = db, valid
 	f.replayed.Add(uint64(replayed))
 	f.reloads.Add(1)
 	return applied, nil

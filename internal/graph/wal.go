@@ -13,20 +13,13 @@ package graph
 // crc is IEEE CRC-32 over the payload and hcrc over the 8 bytes before it,
 // so the length is checked before it is believed. Recovery distinguishes a
 // torn tail — a crash mid-append, truncated and forgotten: the batch was
-// never acknowledged — from corruption, a hard error. A frame is torn only
-// if it ends at the end of the log short of a whole frame: a partial header,
-// a header with nothing after it, or a header that checks and a short
-// payload. Any other failure — a header that fails its check with bytes
-// after it, a payload that fails its CRC — is ErrWALCorrupt.
-//
-// A version-1 log, written before the file header existed, is a bare
-// sequence of 8-byte-header frames (length, crc) whose length nothing
-// checks: an overrunning length reads as a torn tail. It is only read: it
-// replays by its own rules, and a store that opens a non-empty one
-// checkpoints before its first append, so new frames start a version-2 log.
-//
-// Sentinel frames of older logs — a payload opening with fromRev 2^64-1,
-// which no batch can declare — are decoded and skipped.
+// never acknowledged — from corruption, a hard error. A log is torn only
+// where it ends short of a whole file header or frame: a strict prefix of
+// the file header, a partial frame header, a frame header with nothing after
+// it, or a header that checks and a short payload. Any other failure — other
+// first bytes than the version-2 file header, a frame header that fails its
+// check with bytes after it, a payload that fails its CRC or does not decode
+// — is ErrWALCorrupt.
 
 import (
 	"encoding/binary"
@@ -36,43 +29,29 @@ import (
 	"math"
 )
 
-// sideFromRev marks a sentinel frame's payload: an impossible fromRev.
-const sideFromRev = math.MaxUint64
-
 // walRecord is one framed Delta batch: applying Delta to the graph at
-// revision FromRev yields revision ToRev. With Side set it is instead an
-// older log's sentinel frame (its Kind and Blob), which replay skips.
+// revision FromRev yields revision ToRev.
 type walRecord struct {
 	FromRev, ToRev uint64
 	Delta          Delta
-
-	Side bool
-	Kind uint64
-	Blob []byte
 }
 
 // maxWALRecord bounds a single record frame; a declared length beyond it is
 // treated as corruption rather than an allocation request.
 const maxWALRecord = 1 << 30
 
-// ErrWALCorrupt reports a CRC or structural failure in the interior of the
-// log — unlike a torn tail, it cannot be explained by a crashed append.
+// ErrWALCorrupt reports a log that is not a version-2 log, or that fails a
+// check short of its end — unlike a torn tail, it cannot be explained by a
+// crashed append.
 var ErrWALCorrupt = errors.New("graph: wal corrupt")
 
 const (
-	walMagic      = "CXWL" // as a v1 length it would exceed maxWALRecord
-	walVersion    = 2
-	walHeaderLen  = 8
-	frameHeader   = 12
-	frameHeaderV1 = 8
+	walHeader    = "CXWL\x02\x00\x00\x00" // the magic, then the version, 2, as a uint32 LE
+	walHeaderLen = len(walHeader)
+	frameHeader  = 12
 )
 
-// appendWALHeader appends the file header of a version-2 log.
-func appendWALHeader(b []byte) []byte {
-	return binary.LittleEndian.AppendUint32(append(b, walMagic...), walVersion)
-}
-
-// appendFrame appends payload framed as a version-2 log frames it.
+// appendFrame appends payload framed: its length, its CRC and the header's.
 func appendFrame(b, payload []byte) []byte {
 	at := len(b)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
@@ -81,26 +60,22 @@ func appendFrame(b, payload []byte) []byte {
 	return append(b, payload...)
 }
 
-func appendUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
-}
-
 func appendEdges(b []byte, edges []DeltaEdge) []byte {
-	b = appendUvarint(b, uint64(len(edges)))
+	b = binary.AppendUvarint(b, uint64(len(edges)))
 	for _, e := range edges {
-		b = appendUvarint(b, uint64(len(e.From)))
+		b = binary.AppendUvarint(b, uint64(len(e.From)))
 		b = append(b, e.From...)
-		b = appendUvarint(b, uint64(len(e.To)))
+		b = binary.AppendUvarint(b, uint64(len(e.To)))
 		b = append(b, e.To...)
-		b = appendUvarint(b, uint64(uint32(e.Label)))
+		b = binary.AppendUvarint(b, uint64(uint32(e.Label)))
 	}
 	return b
 }
 
 // encodeWALRecord appends the full frame (header + payload) for rec to b.
 func encodeWALRecord(b []byte, rec walRecord) []byte {
-	payload := appendUvarint(nil, rec.FromRev)
-	payload = appendUvarint(payload, rec.ToRev)
+	payload := binary.AppendUvarint(nil, rec.FromRev)
+	payload = binary.AppendUvarint(payload, rec.ToRev)
 	payload = appendEdges(payload, rec.Delta.Add)
 	payload = appendEdges(payload, rec.Delta.Del)
 	return appendFrame(b, payload)
@@ -172,16 +147,11 @@ func decodeWALPayload(payload []byte) (walRecord, error) {
 	if rec.FromRev, err = d.uvarint(); err != nil {
 		return rec, err
 	}
-	if rec.FromRev == sideFromRev {
-		rec.Side = true
-		if rec.Kind, err = d.uvarint(); err != nil {
-			return rec, err
-		}
-		rec.Blob = append([]byte(nil), d.buf[d.off:]...)
-		return rec, nil
-	}
 	if rec.ToRev, err = d.uvarint(); err != nil {
 		return rec, err
+	}
+	if rec.ToRev < rec.FromRev {
+		return rec, fmt.Errorf("%w: record window (%d,%d] runs backwards", ErrWALCorrupt, rec.FromRev, rec.ToRev)
 	}
 	if rec.Delta.Add, err = d.edges(); err != nil {
 		return rec, err
@@ -195,56 +165,36 @@ func decodeWALPayload(payload []byte) (walRecord, error) {
 	return rec, nil
 }
 
-// parseWAL scans a whole log for complete valid frames: a version-2 log, or
-// a v1 one (reported by v1). It returns the decoded records and the byte
-// length of the valid prefix, the file header included. A torn tail ends the
-// scan cleanly at the last valid frame — a torn file header at an empty
-// prefix — and corruption returns ErrWALCorrupt. A first word one byte off
-// the magic is a damaged header, not a v1 length.
-func parseWAL(buf []byte) (recs []walRecord, valid int, v1 bool, err error) {
-	if k := min(len(buf), len(walMagic)); k > 0 && string(buf[:k]) == walMagic[:k] {
-		if len(buf) < walHeaderLen {
-			return nil, 0, false, nil // torn file header
+// parseWAL scans a whole log: the version-2 file header, then frames. It
+// returns the decoded records of the valid prefix and its byte length, the
+// file header included. A torn tail ends the scan cleanly at the last valid
+// frame — a torn file header at an empty prefix — and a log that opens with
+// other bytes, or is corrupt, returns ErrWALCorrupt.
+func parseWAL(buf []byte) (recs []walRecord, valid int, err error) {
+	if head := buf[:min(len(buf), walHeaderLen)]; string(head) != walHeader {
+		if len(head) < walHeaderLen && walHeader[:len(head)] == string(head) {
+			return nil, 0, nil // a torn file header, or no log at all
 		}
-		if v := binary.LittleEndian.Uint32(buf[len(walMagic):]); v != walVersion {
-			return nil, 0, false, fmt.Errorf("%w: log version %d", ErrWALCorrupt, v)
-		}
-		recs, valid, err = parseFrames(buf[walHeaderLen:], false)
-		return recs, walHeaderLen + valid, false, err
+		return nil, 0, fmt.Errorf("%w: the log opens with %q, not the version-2 header %q", ErrWALCorrupt, head, walHeader)
 	}
-	if len(buf) >= len(walMagic) {
-		off := 0
-		for i := range len(walMagic) {
-			if buf[i] != walMagic[i] {
-				off++
-			}
-		}
-		if off == 1 {
-			return nil, 0, false, fmt.Errorf("%w: damaged log header", ErrWALCorrupt)
-		}
-	}
-	recs, valid, err = parseFrames(buf, true)
-	return recs, valid, true, err
+	recs, valid, err = parseFrames(buf[walHeaderLen:])
+	return recs, walHeaderLen + valid, err
 }
 
-// parseFrames scans buf, a sequence of frames of a v2 log — or with v1 of a
-// v1 log — and returns the records of its valid prefix and its length; see
-// the file comment for what is torn and what is corrupt.
-func parseFrames(buf []byte, v1 bool) (recs []walRecord, valid int, err error) {
-	hl := frameHeader
-	if v1 {
-		hl = frameHeaderV1
-	}
+// parseFrames scans buf, the frames of a log after its file header, and
+// returns the records of its valid prefix and its length; see the file
+// comment for what is torn and what is corrupt.
+func parseFrames(buf []byte) (recs []walRecord, valid int, err error) {
 	off := 0
 	for off < len(buf) {
 		rem := len(buf) - off
-		if rem < hl {
+		if rem < frameHeader {
 			return recs, off, nil // torn header
 		}
 		length := int(binary.LittleEndian.Uint32(buf[off:]))
 		crc := binary.LittleEndian.Uint32(buf[off+4:])
-		if !v1 && crc32.ChecksumIEEE(buf[off:off+8]) != binary.LittleEndian.Uint32(buf[off+8:]) {
-			if rem == hl {
+		if crc32.ChecksumIEEE(buf[off:off+8]) != binary.LittleEndian.Uint32(buf[off+8:]) {
+			if rem == frameHeader {
 				return recs, off, nil // a torn header with nothing after it
 			}
 			return recs, off, fmt.Errorf("%w: frame header check fails at offset %d", ErrWALCorrupt, off)
@@ -252,14 +202,11 @@ func parseFrames(buf []byte, v1 bool) (recs []walRecord, valid int, err error) {
 		if length > maxWALRecord {
 			return recs, off, fmt.Errorf("%w: frame length %d at offset %d", ErrWALCorrupt, length, off)
 		}
-		if rem < hl+length {
+		if rem < frameHeader+length {
 			return recs, off, nil // torn payload
 		}
-		payload := buf[off+hl : off+hl+length]
+		payload := buf[off+frameHeader : off+frameHeader+length]
 		if crc32.ChecksumIEEE(payload) != crc {
-			if v1 && off+hl+length == len(buf) {
-				return recs, off, nil // a v1 log's torn final frame
-			}
 			return recs, off, fmt.Errorf("%w: crc mismatch at offset %d", ErrWALCorrupt, off)
 		}
 		rec, derr := decodeWALPayload(payload)
@@ -267,7 +214,7 @@ func parseFrames(buf []byte, v1 bool) (recs []walRecord, valid int, err error) {
 			return recs, off, fmt.Errorf("offset %d: %w", off, derr)
 		}
 		recs = append(recs, rec)
-		off += hl + length
+		off += frameHeader + length
 	}
 	return recs, off, nil
 }

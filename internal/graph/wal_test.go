@@ -2,12 +2,16 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -100,7 +104,7 @@ func TestWriteFullRoundTripProperty(t *testing.T) {
 // line's first byte turned into '#', loaded without an error as a graph of
 // one edge, the line read as a comment. A version-2 checkpoint refuses that
 // file — and one with its trailer cut off — while the file as written loads
-// whole; a "#cxrpq v1" checkpoint, which has no trailer, still loads.
+// whole.
 func TestCheckpointFlipRefused(t *testing.T) {
 	d := MustParse("u a v\nv b w\n")
 	var buf bytes.Buffer
@@ -121,10 +125,62 @@ func TestCheckpointFlipRefused(t *testing.T) {
 	if got, err := ReadFull(bytes.NewReader(cut)); err == nil {
 		t.Fatalf("a checkpoint without its trailer loads with %d edges", got.NumEdges())
 	}
-	v1 := "#cxrpq v1 rev=7\n#node u\n#node v\n#node w\nu a v\nv b w\n"
-	got, err := ReadFull(bytes.NewReader([]byte(v1)))
-	if err != nil || got.NumEdges() != 2 || got.NumNodes() != 3 || got.Revision() != 7 {
-		t.Fatalf("a version-1 checkpoint: %v", err)
+}
+
+// TestCheckpointOtherFormatsRefused: a checkpoint is read only in the
+// version-2 format WriteFull writes. The case that loaded short — a 3-edge
+// checkpoint with its header's "v2" turned into "v3" and its trailer and last
+// edge line lost, read whole and unchecked as 2 edges at revision 7 — a
+// "#cxrpq v1" checkpoint and a plain edge list are each refused by ReadFull,
+// and by OpenStore and OpenFollower on a directory holding it as its
+// checkpoint, which is left as it was.
+func TestCheckpointOtherFormatsRefused(t *testing.T) {
+	d := MustParse("u a v\nv b w\nw c x\n")
+	d.forceRevision(7)
+	var buf bytes.Buffer
+	if err := d.WriteFull(&buf); err != nil {
+		t.Fatal(err)
+	}
+	damaged := bytes.Replace(buf.Bytes(), []byte("#cxrpq v2 "), []byte("#cxrpq v3 "), 1)
+	damaged = damaged[:bytes.Index(damaged, []byte("w c x\n"))]
+	for _, tc := range []struct{ name, file string }{
+		{"v3 header, tail lost", string(damaged)},
+		{"version 1", "#cxrpq v1 rev=7\n#node u\n#node v\n#node w\nu a v\nv b w\n"},
+		{"plain edge list", "u a v\nv b w\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got, err := ReadFull(strings.NewReader(tc.file)); err == nil {
+				t.Fatalf("ReadFull loads %d edges at revision %d", got.NumEdges(), got.Revision())
+			}
+			dir := t.TempDir()
+			path := filepath.Join(dir, checkpointFile)
+			if err := os.WriteFile(path, []byte(tc.file), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			refused(t, dir, path, nil)
+		})
+	}
+}
+
+// refused asserts that OpenStore and OpenFollower on dir fail — with want,
+// when it is not nil — and leave the file at path as it was.
+func refused(t *testing.T, dir, path string, want error) {
+	t.Helper()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := OpenStore(dir, StoreOptions{}); err == nil || want != nil && !errors.Is(err, want) {
+		if s != nil {
+			s.Close()
+		}
+		t.Fatalf("OpenStore = %v, want a refusal (%v)", err, want)
+	}
+	if _, err := OpenFollower(dir); err == nil || want != nil && !errors.Is(err, want) {
+		t.Fatalf("OpenFollower = %v, want a refusal (%v)", err, want)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the refused file was changed: %d bytes, was %d (%v)", len(after), len(before), err)
 	}
 }
 
@@ -155,13 +211,10 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		}},
 		{FromRev: 9, ToRev: 9, Delta: Delta{}},
 	}
-	buf := appendWALHeader(nil)
-	for _, r := range recs {
-		buf = encodeWALRecord(buf, r)
-	}
-	got, valid, v1, err := parseWAL(buf)
-	if err != nil || v1 {
-		t.Fatal(err, v1)
+	buf := encodeWAL(recs)
+	got, valid, err := parseWAL(buf)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if valid != len(buf) {
 		t.Fatalf("valid prefix %d != %d", valid, len(buf))
@@ -364,138 +417,11 @@ func TestFollowerTailsLeader(t *testing.T) {
 	}
 }
 
-// sideFramedLog hand-writes a version-2 log as the serving layer wrote it
-// while it still framed side records (parked cursors): three delta frames,
-// each followed by a side frame of one of two kinds. It returns the log, the
-// offset where the second delta's frame starts, the number of deltas and a
-// database built by applying them.
-func sideFramedLog(t *testing.T) (log []byte, second int, n int, want *DB) {
-	t.Helper()
-	deltas := []Delta{add("u", "v"), add("v", "w"), {Del: add("u", "v").Add}}
-	var recs []walRecord
-	want = New()
-	for i, d := range deltas {
-		from := want.Revision()
-		if _, err := want.ApplyDelta(d); err != nil {
-			t.Fatal(err)
-		}
-		if i == 1 {
-			second = len(encodeWAL(recs, false))
-		}
-		recs = append(recs, walRecord{FromRev: from, ToRev: want.Revision(), Delta: d},
-			walRecord{Side: true, Kind: uint64(1 + i%2), Blob: []byte(fmt.Sprint("cursor ", i))})
-	}
-	return encodeWAL(recs, false), second, len(deltas), want
-}
-
-// Side frames interleaved with delta frames do not disturb the revision
-// lineage: a follower tailing the log polls only the deltas appended after
-// it opened, OpenStore replays exactly the deltas, and the store's next batch
-// continues the log for the follower and a crash reopen alike.
-func TestStoreSideRecords(t *testing.T) {
-	log, second, n, want := sideFramedLog(t)
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, walFile)
-	if err := os.WriteFile(walPath, log[:second], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f, err := OpenFollower(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Replayed() != 1 {
-		t.Fatalf("the follower replayed %d records, want the first delta", f.Replayed())
-	}
-	w, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Write(log[second:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := f.Poll(); err != nil || got != n-1 {
-		t.Fatalf("Poll = %d, %v; want the %d later deltas (side frames skipped)", got, err, n-1)
-	}
-	equalDB(t, want, f.DB())
-
-	s, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	equalDB(t, want, s.DB())
-	if got := s.Stats().ReplayedRecords; got != uint64(n) {
-		t.Fatalf("the store replayed %d records, want the %d deltas", got, n)
-	}
-	storeDelta(t, s, add("w", "x"))
-	if got, err := f.Poll(); err != nil || got != 1 {
-		t.Fatalf("Poll = %d, %v; want the store's next batch", got, err)
-	}
-	equalDB(t, s.DB(), f.DB())
-	s2, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	equalDB(t, s.DB(), s2.DB())
-}
-
-// A torn side frame at the tail is dropped like a torn delta tail:
-// OpenFollower and OpenStore replay exactly the deltas before it, the store
-// truncates the log to the bytes before the torn frame, and its next batch
-// continues the log.
-func TestStoreSideRecordTornTail(t *testing.T) {
-	log, _, n, want := sideFramedLog(t)
-	torn := encodeWALSideRecord(nil, 1, []byte("torn away"))
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, walFile)
-	if err := os.WriteFile(walPath, append(log, torn[:len(torn)-3]...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	f, err := OpenFollower(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalDB(t, want, f.DB())
-	if f.Replayed() != uint64(n) {
-		t.Fatalf("the follower replayed %d records, want the %d deltas", f.Replayed(), n)
-	}
-	s, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	equalDB(t, want, s.DB())
-	if got := s.Stats().ReplayedRecords; got != uint64(n) {
-		t.Fatalf("the store replayed %d records, want the %d deltas", got, n)
-	}
-	if fi, err := os.Stat(walPath); err != nil || fi.Size() != int64(len(log)) {
-		t.Fatalf("the log holds %v bytes (%v), want the %d before the torn frame", fi.Size(), err, len(log))
-	}
-
-	storeDelta(t, s, add("w", "x"))
-	if got, err := f.Poll(); err != nil || got != 1 {
-		t.Fatalf("Poll = %d, %v; want the batch after the truncated tail", got, err)
-	}
-	equalDB(t, s.DB(), f.DB())
-	s2, err := OpenStore(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	equalDB(t, s.DB(), s2.DB())
-}
-
-// TestWALLengthFlipRefused is the reproduction of the unchecked v1 length:
-// three acknowledged batches, one bit flipped in the first frame's length.
-// A v1 log read that as a torn tail, and opening it returned a store holding
-// none of the three edges after truncating the log to nothing. The frame
-// header's own check makes it corruption: the open fails and the log is left
-// as it was.
+// TestWALLengthFlipRefused: three acknowledged batches, one bit flipped in
+// the first frame's length. Read as a torn tail, it would open a store
+// holding none of the three edges after truncating the log to nothing. The
+// frame header's own check makes it corruption: the open fails and the log
+// is left as it was.
 func TestWALLengthFlipRefused(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenStore(dir, StoreOptions{})
@@ -513,7 +439,7 @@ func TestWALLengthFlipRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(buf[:len(walMagic)]) != walMagic {
+	if string(buf[:walHeaderLen]) != walHeader {
 		t.Fatalf("a new store wrote no version-2 header: %q", buf[:walHeaderLen])
 	}
 	buf[walHeaderLen+1] ^= 1 // the first frame's length
@@ -533,50 +459,89 @@ func TestWALLengthFlipRefused(t *testing.T) {
 	}
 }
 
-// TestWALVersion1Replays: a log written before the file header existed
-// replays by its own rules, and the store that opens it checkpoints it away,
-// so its first append starts a version-2 log; every batch survives each
-// reopen.
-func TestWALVersion1Replays(t *testing.T) {
-	dir := t.TempDir()
+// TestWALOtherFormatsRefused: a log is read only in the version-2 format
+// the store writes. A log framed as version 1 wrote it (no file header,
+// 8-byte frame headers), a "CXWL" log of version 1 or 3, one with a magic
+// byte changed, and a version-2 log holding a side frame as servers once
+// wrote between batches (fromRev 2^64-1, a kind, a blob) are each refused
+// with ErrWALCorrupt by OpenStore and OpenFollower, and left as they were.
+// The side frame's blob reads as two empty edge lists, so it decodes like
+// any record, and its window (2^64-1, 1] runs backwards: skipped as covered
+// by the checkpoint, it would open.
+func TestWALOtherFormatsRefused(t *testing.T) {
 	db := New()
-	v1 := encodeWAL(nil, true)
+	var recs []walRecord
 	for _, d := range []Delta{add("u", "v"), add("v", "w")} {
 		from := db.Revision()
 		if _, err := db.ApplyDelta(d); err != nil {
 			t.Fatal(err)
 		}
-		v1 = append(v1, encodeWAL([]walRecord{{FromRev: from, ToRev: db.Revision(), Delta: d}}, true)...)
+		recs = append(recs, walRecord{FromRev: from, ToRev: db.Revision(), Delta: d})
 	}
-	walPath := filepath.Join(dir, walFile)
-	if err := os.WriteFile(walPath, v1, 0o644); err != nil {
-		t.Fatal(err)
+	log := encodeWAL(recs)
+	var v1 []byte
+	for _, r := range recs {
+		payload := encodeWALRecord(nil, r)[frameHeader:]
+		v1 = binary.LittleEndian.AppendUint32(v1, uint32(len(payload)))
+		v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(payload))
+		v1 = append(v1, payload...)
 	}
-	s, err := OpenStore(dir, StoreOptions{CheckpointBytes: -1})
+	side := append(binary.AppendUvarint(nil, math.MaxUint64), 1)
+	side = appendFrame(encodeWAL(recs[:1]), append(side, 0, 0))
+	side = encodeWALRecord(side, recs[1])
+	for _, tc := range []struct {
+		name string
+		log  []byte
+	}{
+		{"version-1 frames", v1},
+		{"version 1", append([]byte("CXWL\x01\x00\x00\x00"), log[walHeaderLen:]...)},
+		{"version 3", append([]byte("CXWL\x03\x00\x00\x00"), log[walHeaderLen:]...)},
+		{"magic byte", append([]byte("CXWM"), log[len("CXWL"):]...)},
+		{"side frame", side},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, walFile)
+			if err := os.WriteFile(path, tc.log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			refused(t, dir, path, ErrWALCorrupt)
+		})
+	}
+}
+
+// TestWALDeclaredRevisionChecked: a record whose batch does not reach the
+// revision it declares is corruption, for OpenStore and for a follower's
+// Poll alike; the log is left as it was.
+func TestWALDeclaredRevisionChecked(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.DB().NumEdges() != 2 || s.DB().Revision() != 5 {
-		t.Fatalf("v1 replay: %d edges at revision %d, want 2 at 5", s.DB().NumEdges(), s.DB().Revision())
-	}
-	storeDelta(t, s, add("w", "x"))
+	storeDelta(t, s, add("u", "v"))
+	from := s.DB().Revision()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	buf, err := os.ReadFile(walPath)
+	f, err := OpenFollower(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recs, valid, isV1, err := parseWAL(buf); err != nil || isV1 || valid != len(buf) || len(recs) != 1 {
-		t.Fatalf("the first append after a v1 log: %d records in %d of %d bytes, v1 %v (%v); want one frame of a version-2 log",
-			len(recs), valid, len(buf), isV1, err)
-	}
-	s, err = OpenStore(dir, StoreOptions{})
+	path := filepath.Join(dir, walFile)
+	w, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if s.DB().NumEdges() != 3 || s.DB().Revision() != 7 {
-		t.Fatalf("%d edges at revision %d after the v1 log and an append, want 3 at 7", s.DB().NumEdges(), s.DB().Revision())
+	// One edge between known nodes advances the revision by one, not five.
+	if _, err := w.Write(encodeWALRecord(nil, walRecord{FromRev: from, ToRev: from + 5, Delta: add("v", "u")})); err != nil {
+		t.Fatal(err)
 	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := f.Poll(); !errors.Is(err, ErrWALCorrupt) {
+		t.Fatalf("Poll = %d, %v at revision %d; want ErrWALCorrupt", n, err, f.DB().Revision())
+	}
+	refused(t, dir, path, ErrWALCorrupt)
 }
