@@ -459,16 +459,10 @@ func TestWALLengthFlipRefused(t *testing.T) {
 	}
 }
 
-// TestWALOtherFormatsRefused: a log is read only in the version-2 format
-// the store writes. A log framed as version 1 wrote it (no file header,
-// 8-byte frame headers), a "CXWL" log of version 1 or 3, one with a magic
-// byte changed, and a version-2 log holding a side frame as servers once
-// wrote between batches (fromRev 2^64-1, a kind, a blob) are each refused
-// with ErrWALCorrupt by OpenStore and OpenFollower, and left as they were.
-// The side frame's blob reads as two empty edge lists, so it decodes like
-// any record, and its window (2^64-1, 1] runs backwards: skipped as covered
-// by the checkpoint, it would open.
-func TestWALOtherFormatsRefused(t *testing.T) {
+// twoRecordLog returns the records of two one-edge batches and their
+// version-2 log.
+func twoRecordLog(t *testing.T) ([]walRecord, []byte) {
+	t.Helper()
 	db := New()
 	var recs []walRecord
 	for _, d := range []Delta{add("u", "v"), add("v", "w")} {
@@ -478,7 +472,33 @@ func TestWALOtherFormatsRefused(t *testing.T) {
 		}
 		recs = append(recs, walRecord{FromRev: from, ToRev: db.Revision(), Delta: d})
 	}
-	log := encodeWAL(recs)
+	return recs, encodeWAL(recs)
+}
+
+// logsRefused writes each log as a store's only file and checks that
+// OpenStore and OpenFollower refuse it with ErrWALCorrupt, leaving it as it
+// was.
+func logsRefused(t *testing.T, logs map[string][]byte) {
+	t.Helper()
+	for name, log := range logs {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, walFile)
+			if err := os.WriteFile(path, log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			refused(t, dir, path, ErrWALCorrupt)
+		})
+	}
+}
+
+// TestWALVersion1Refused: a log is read only in the version-2 format the
+// store writes. A log framed as version 1 wrote it (no file header, 8-byte
+// frame headers) and one whose "CXWL" header says version 1 are each
+// refused with ErrWALCorrupt by OpenStore and OpenFollower, and left as
+// they were.
+func TestWALVersion1Refused(t *testing.T) {
+	recs, log := twoRecordLog(t)
 	var v1 []byte
 	for _, r := range recs {
 		payload := encodeWALRecord(nil, r)[frameHeader:]
@@ -486,28 +506,34 @@ func TestWALOtherFormatsRefused(t *testing.T) {
 		v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(payload))
 		v1 = append(v1, payload...)
 	}
+	logsRefused(t, map[string][]byte{
+		"version-1 frames": v1,
+		"version 1":        append([]byte("CXWL\x01\x00\x00\x00"), log[walHeaderLen:]...),
+	})
+}
+
+// TestWALOtherFormatsRefused: a "CXWL" log of version 3 and one with a
+// magic byte changed are refused like a version-1 log.
+func TestWALOtherFormatsRefused(t *testing.T) {
+	_, log := twoRecordLog(t)
+	logsRefused(t, map[string][]byte{
+		"version 3":  append([]byte("CXWL\x03\x00\x00\x00"), log[walHeaderLen:]...),
+		"magic byte": append([]byte("CXWM"), log[len("CXWL"):]...),
+	})
+}
+
+// TestStoreSideRecords: a version-2 log holding a side frame as servers
+// once wrote between batches (fromRev 2^64-1, a kind, a blob) is refused
+// with ErrWALCorrupt by OpenStore and OpenFollower, and left as it was.
+// The side frame's blob reads as two empty edge lists, so it decodes like
+// any record, and its window (2^64-1, 1] runs backwards: skipped as covered
+// by the checkpoint, it would open.
+func TestStoreSideRecords(t *testing.T) {
+	recs, _ := twoRecordLog(t)
 	side := append(binary.AppendUvarint(nil, math.MaxUint64), 1)
 	side = appendFrame(encodeWAL(recs[:1]), append(side, 0, 0))
 	side = encodeWALRecord(side, recs[1])
-	for _, tc := range []struct {
-		name string
-		log  []byte
-	}{
-		{"version-1 frames", v1},
-		{"version 1", append([]byte("CXWL\x01\x00\x00\x00"), log[walHeaderLen:]...)},
-		{"version 3", append([]byte("CXWL\x03\x00\x00\x00"), log[walHeaderLen:]...)},
-		{"magic byte", append([]byte("CXWM"), log[len("CXWL"):]...)},
-		{"side frame", side},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			path := filepath.Join(dir, walFile)
-			if err := os.WriteFile(path, tc.log, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			refused(t, dir, path, ErrWALCorrupt)
-		})
-	}
+	logsRefused(t, map[string][]byte{"side frame": side})
 }
 
 // TestWALDeclaredRevisionChecked: a record whose batch does not reach the
